@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet lint lint-json invariants check check-full cover bench bench-smoke bench-compare loadtest load-compare fleettest updatetest update-compare scale-smoke querytest tools examples experiments clean
+.PHONY: all build test vet lint lint-json invariants check check-full cover bench bench-smoke bench-compare bench-harness loadtest load-compare fleettest updatetest update-compare scale-smoke querytest tools examples experiments clean
 
 all: build vet test
 
@@ -68,6 +68,17 @@ OLD ?= BENCH_table6-tiny-p8-1785921086.json
 NEW ?= BENCH_table6-tiny-p8-1785925046.json
 bench-compare:
 	go run ./cmd/benchcompare $(OLD) $(NEW)
+
+# The benchmark harness is a module of its own (benchmark/go.mod with
+# `replace repro => ../`), so `go test ./...` from the root never
+# compiles it: an API break against what it imports (tol.Build,
+# tol.BuildBudgeted, drl.BuildBatch, label.Budgeted, label.Read,
+# Index.Thaw/Freeze/WriteTo, the root package) would otherwise show up
+# only when the benchmark is next run. Its unit tests, then its
+# 2,000-vertex smoke over all four workloads (CI's bench-harness job).
+bench-harness:
+	cd benchmark && go test ./...
+	bash benchmark/run.sh -smoke
 
 # End-to-end serving smoke: drgen -> drlabel -> drserve under a drload
 # burst with answer verification and a graceful-shutdown check, then

@@ -3,7 +3,10 @@ package reachlab
 import (
 	"bytes"
 	"context"
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestLabelBudgetOption pins the public memory-bounded mode: answers
@@ -18,10 +21,22 @@ func TestLabelBudgetOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var grid []Options
 	for _, budget := range []int{1, 4, 1 << 20} {
-		idx, err := Build(context.Background(), g, Options{LabelBudget: budget})
+		grid = append(grid,
+			Options{LabelBudget: budget},
+			Options{LabelBudget: budget, Method: MethodDRLShared, Workers: 2},
+			Options{LabelBudget: budget, Method: MethodTOL})
+	}
+	for _, opts := range grid {
+		budget := opts.LabelBudget
+		idx, err := Build(context.Background(), g, opts)
 		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		if budget == 1<<20 && !idx.LabelIndex().Equal(full.LabelIndex()) {
+			t.Fatalf("%+v: unbounded budget diverged from the full index: %s",
+				opts, full.LabelIndex().Diff(idx.LabelIndex()))
 		}
 		st := idx.Stats()
 		if st.LabelBudget != budget {
@@ -60,16 +75,107 @@ func TestLabelBudgetOption(t *testing.T) {
 	}
 }
 
-func TestLabelBudgetRequiresTOL(t *testing.T) {
+// TestLabelBudgetMethods pins which methods take a label budget and
+// what BuildStats then reports: the shared-memory batch labeler (also
+// the default when Method is empty) at the requested worker count, or
+// the serial TOL rounds at one; the vertex-centric methods have no
+// capped variant and are rejected.
+func TestLabelBudgetMethods(t *testing.T) {
 	g, err := GenerateGraph("citation", 50, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(context.Background(), g, Options{LabelBudget: 4, Method: MethodDRLBatch}); err == nil {
-		t.Fatal("LabelBudget with a distributed method should be rejected")
+	for _, tc := range []struct {
+		opts        Options
+		wantMethod  Method
+		wantWorkers int
+	}{
+		{Options{LabelBudget: 4}, MethodDRLShared, 4},
+		{Options{LabelBudget: 4, Workers: 3}, MethodDRLShared, 3},
+		{Options{LabelBudget: 4, Method: MethodDRLShared, Workers: 2}, MethodDRLShared, 2},
+		{Options{LabelBudget: 4, Method: MethodTOL, Workers: 8}, MethodTOL, 1},
+	} {
+		idx, err := Build(context.Background(), g, tc.opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.opts, err)
+		}
+		if st := idx.BuildStats(); st.Method != tc.wantMethod || st.Workers != tc.wantWorkers {
+			t.Errorf("%+v: BuildStats reports %s with %d workers, want %s with %d",
+				tc.opts, st.Method, st.Workers, tc.wantMethod, tc.wantWorkers)
+		}
 	}
-	if _, err := Build(context.Background(), g, Options{LabelBudget: 4, Method: MethodTOL}); err != nil {
-		t.Fatalf("LabelBudget with explicit MethodTOL: %v", err)
+	for _, m := range []Method{MethodDRL, MethodDRLBasic, MethodDRLBatch} {
+		if _, err := Build(context.Background(), g, Options{LabelBudget: 4, Method: m}); err == nil {
+			t.Errorf("LabelBudget with the vertex-centric method %q should be rejected", m)
+		}
+	}
+}
+
+// TestLabelBudgetIndependentOfWorkers: the budgeted index is the same
+// index — entries and overflow marks — whatever the worker count, and
+// agrees with the serial reference on every sampled query.
+func TestLabelBudgetIndependentOfWorkers(t *testing.T) {
+	g, err := GenerateGraph("web", 600, 4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Build(context.Background(), g, Options{LabelBudget: 3, Method: MethodTOL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *Index
+	for _, p := range []int{1, 2, 4, 8} {
+		idx, err := Build(context.Background(), g, Options{LabelBudget: 3, Workers: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = idx
+			if st := idx.Stats(); st.OverflowedIn+st.OverflowedOut == 0 {
+				t.Fatal("budget 3 overflowed nothing — the cap is untested")
+			}
+		}
+		if !first.LabelIndex().Equal(idx.LabelIndex()) {
+			t.Fatalf("workers %d: %s", p, first.LabelIndex().Diff(idx.LabelIndex()))
+		}
+		if a, b := first.Stats(), idx.Stats(); a != b {
+			t.Fatalf("workers %d: stats %+v, want %+v", p, b, a)
+		}
+		for s := VertexID(0); int(s) < g.NumVertices(); s += 13 {
+			for u := VertexID(0); int(u) < g.NumVertices(); u += 7 {
+				if got, want := idx.Reachable(s, u), ref.Reachable(s, u); got != want {
+					t.Fatalf("workers %d: q(%d,%d) = %v, serial reference says %v", p, s, u, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLabelBudgetBuildCanceled: a canceled context ends the parallel
+// budgeted build with the context's error and leaves no goroutine
+// behind.
+func TestLabelBudgetBuildCanceled(t *testing.T) {
+	g, err := GenerateGraph("citation", 20000, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Build(ctx, g, Options{LabelBudget: 8, Workers: 4}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if _, err := Build(ctx, g, Options{LabelBudget: 8, Workers: 4}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before, %d after the canceled builds", before, after)
 	}
 }
 
@@ -78,14 +184,20 @@ func TestLabelBudgetWithCondenseSCC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Build(context.Background(), g, Options{LabelBudget: 2, CondenseSCC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := VertexID(0); int(s) < g.NumVertices(); s += 7 {
-		for u := VertexID(0); int(u) < g.NumVertices(); u += 11 {
-			if got, want := idx.Reachable(s, u), g.ReachableBFS(s, u); got != want {
-				t.Fatalf("q(%d,%d) = %v, want %v", s, u, got, want)
+	for _, opts := range []Options{
+		{LabelBudget: 2, CondenseSCC: true},
+		{LabelBudget: 1, CondenseSCC: true, Method: MethodDRLShared, Workers: 3},
+		{LabelBudget: 2, CondenseSCC: true, Method: MethodTOL},
+	} {
+		idx, err := Build(context.Background(), g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := VertexID(0); int(s) < g.NumVertices(); s += 7 {
+			for u := VertexID(0); int(u) < g.NumVertices(); u += 11 {
+				if got, want := idx.Reachable(s, u), g.ReachableBFS(s, u); got != want {
+					t.Fatalf("%+v: q(%d,%d) = %v, want %v", opts, s, u, got, want)
+				}
 			}
 		}
 	}

@@ -45,7 +45,8 @@
 // Budgeted mode serves graphs whose full index would not fit in
 // memory: -graph + -budget builds a memory-bounded index (at most
 // -budget label entries per vertex per direction; overflowing queries
-// fall back to a label-pruned BFS) and serves it statically. Add
+// fall back to a label-pruned BFS) with the parallel batch labeler,
+// one goroutine per core, and serves it statically. Add
 // -mmap to page the graph's adjacency from a binary v2 file on
 // demand instead of loading it:
 //
@@ -66,6 +67,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -120,7 +122,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		idx, err := reachlab.Build(context.Background(), g, reachlab.Options{LabelBudget: *budget})
+		idx, err := reachlab.Build(context.Background(), g, reachlab.Options{LabelBudget: *budget, Workers: runtime.GOMAXPROCS(0)})
 		if err != nil {
 			fatal(err)
 		}

@@ -3,6 +3,9 @@ package reachlab
 import (
 	"errors"
 
+	"repro/internal/drl"
+	"repro/internal/graph"
+	"repro/internal/order"
 	"repro/internal/tol"
 )
 
@@ -26,7 +29,23 @@ func NewDynamicIndex(g *Graph) (*DynamicIndex, error) {
 	if g == nil {
 		return nil, errors.New("reachlab: nil graph")
 	}
-	return &DynamicIndex{d: tol.NewDynamic(g.d)}, nil
+	d, err := newDynamic(g.d)
+	if err != nil {
+		return nil, err
+	}
+	return &DynamicIndex{d: d}, nil
+}
+
+// newDynamic seeds the maintainer with the index the parallel batch
+// labeler builds at GOMAXPROCS — byte-identical to the serial TOL
+// build the maintainer would otherwise run itself.
+func newDynamic(g *graph.Digraph) (*tol.DynamicIndex, error) {
+	ord := order.Compute(g)
+	idx, err := drl.BuildBatch(g, ord, drl.DefaultBatchParams(), drl.Options{})
+	if err != nil {
+		return nil, buildError(nil, "index", err)
+	}
+	return tol.NewDynamicFrom(g, ord, idx), nil
 }
 
 // Reachable answers q(s, t) against the current graph.

@@ -3,6 +3,8 @@ package reachlab
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/tol"
 )
 
 func TestDynamicIndexPublicAPI(t *testing.T) {
@@ -49,5 +51,37 @@ func TestDynamicIndexPublicAPI(t *testing.T) {
 	}
 	if _, err := NewDynamicIndex(nil); err == nil {
 		t.Error("nil graph should fail")
+	}
+}
+
+// TestSeededMaintainerMatchesSerialConstructor: the maintainer seeded
+// with the parallel batch labeler's index is the one tol.NewDynamic
+// builds serially — same snapshot at construction, and the same after
+// identical updates (the repair sweeps start from identical labels).
+func TestSeededMaintainerMatchesSerialConstructor(t *testing.T) {
+	for _, family := range []string{"citation", "social"} {
+		g, err := GenerateGraph(family, 400, 4, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeded, err := newDynamic(g.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := tol.NewDynamic(g.d)
+		if a, b := serial.Snapshot(), seeded.Snapshot(); !a.Equal(b) {
+			t.Fatalf("%s: seeded maintainer differs from the serial constructor: %s", family, a.Diff(b))
+		}
+		for i := 0; i < 20; i++ {
+			u, v := VertexID((i*37)%400), VertexID((i*91+13)%400)
+			for _, d := range []*tol.DynamicIndex{serial, seeded} {
+				if err := d.InsertEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if a, b := serial.Snapshot(), seeded.Snapshot(); !a.Equal(b) {
+			t.Fatalf("%s: maintainers diverged after updates: %s", family, a.Diff(b))
+		}
 	}
 }

@@ -202,8 +202,8 @@ func PrintScale(w io.Writer, rec *ScaleRecord) {
 		rec.Family, rec.N, rec.AvgDegree, rec.Seed, rec.Budget, rec.Runs)
 	fmt.Fprintf(w, "edges=%d file_bytes=%d", rec.Edges, rec.FileBytes)
 	if rec.Budget > 0 {
-		fmt.Fprintf(w, " index_entries=%d index_bytes=%d max_label=%d overflowed_in=%d overflowed_out=%d",
-			rec.IndexEntries, rec.IndexBytes, rec.MaxLabel, rec.OverflowedIn, rec.OverflowedOut)
+		fmt.Fprintf(w, " index_entries=%d index_bytes=%d max_label=%d overflowed_in=%d overflowed_out=%d label_workers=%d",
+			rec.IndexEntries, rec.IndexBytes, rec.MaxLabel, rec.OverflowedIn, rec.OverflowedOut, rec.Workers)
 	}
 	fmt.Fprintln(w)
 	tw := newTab(w)

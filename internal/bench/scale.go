@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"time"
 
+	"repro/internal/drl"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/order"
-	"repro/internal/tol"
 )
 
 // The scale experiment measures the 10⁸-edge build path end to end:
@@ -32,8 +33,8 @@ type ScaleParams struct {
 	// Budget is the per-vertex label cap for the labeling phase;
 	// 0 skips labeling (pure build/IO measurement).
 	Budget int
-	// Runs is the number of timing repetitions per cheap phase; the
-	// ordering and labeling phases always run once.
+	// Runs is the number of timing repetitions per phase; the ordering
+	// phase always runs once, the labeling phase at least three times.
 	Runs int
 	// Dir is the scratch directory for the file phases ("" = temp).
 	Dir string
@@ -56,6 +57,9 @@ type ScaleRecord struct {
 	Seed      int64   `json:"seed"`
 	Budget    int     `json:"budget,omitempty"`
 	Runs      int     `json:"runs"`
+	// Workers is the labeling phase's goroutine count (0 in records
+	// that predate the parallel labeler: one serial TOL loop).
+	Workers int `json:"workers,omitempty"`
 
 	Edges         int64 `json:"edges"`
 	FileBytes     int64 `json:"file_bytes"`
@@ -191,10 +195,14 @@ func RunScale(p ScaleParams, progress func(string)) (*ScaleRecord, error) {
 		rec.Phases = append(rec.Phases, phase)
 		report(progress, "scale order: %.3fs", phase.MedianSeconds)
 
+		// The builder reachlab.Build routes LabelBudget to, at the
+		// host's core count; the index does not depend on it.
+		opt := drl.Options{Workers: runtime.GOMAXPROCS(0)}
+		rec.Workers = opt.Workers
 		var b *label.Budgeted
-		phase, err = timed("label-budgeted", 1, func() error {
+		phase, err = timed("label-budgeted", max(p.Runs, 3), func() error {
 			var err error
-			b, err = tol.BuildBudgeted(g, ord, p.Budget, nil)
+			b, err = drl.BuildBatchBudgeted(g, ord, drl.DefaultBatchParams(), p.Budget, opt)
 			return err
 		})
 		if err != nil {

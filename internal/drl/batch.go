@@ -2,6 +2,7 @@ package drl
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/invariant"
@@ -85,25 +86,104 @@ func BatchSequence(n int, p BatchParams) ([]Span, error) {
 // Exp 3; the vertex-centric implementation is BuildDistributed with
 // DistOptions.Batch set.
 func BuildBatch(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Options) (*label.Index, error) {
-	n := g.NumVertices()
-	spans, err := BatchSequence(n, bp)
+	in, out, err := batchLabel(g, ord, bp, opt, math.MaxInt, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	inv := g.Inverse()
-	in := make([][]order.Rank, n)
-	out := make([][]order.Rank, n)
+	return label.FromLists(ord, in, out), nil
+}
 
-	type scratch struct {
-		visit []int32 // epoch at which the vertex joined BFS_low
-		block []int32 // epoch at which expansion into the vertex was blocked
-		epoch int32
-		queue []graph.VertexID
+// BuildBatchBudgeted is BuildBatch with every per-vertex label list
+// capped at budget entries per direction — the size-restricted index
+// of label.Budgeted, built by the parallel batch labeler instead of
+// the serial rounds of tol.BuildBudgeted. The labeling is BuildBatch's
+// except at the two refine-step appends: an entry a full list cannot
+// take is dropped and the list is marked incomplete.
+//
+// Stored entries are factual (every one comes from a BFS visit), and a
+// label miss between a complete L_out(s) and a complete L_in(t) proves
+// s cannot reach t: the highest-order vertex m on any s→t walk is
+// never blocked on its way to s or t — a rank block, a label block, a
+// self prune and a refine hit each exhibit a factual vertex on that
+// walk that outranks m — so m is offered to both lists. The output
+// depends on (g, ord, budget, bp) and not on Options.Workers; with
+// budget ≥ Δ it is tol.Build's index with every list complete. When
+// the cap bites, the index may differ from tol.BuildBudgeted's only by
+// omission: the serial rounds run an un-pruned BFS and so offer, past
+// a label-blocked vertex, entries (and overflow marks) the batch
+// labeler never reaches.
+//
+// The returned index retains g for fallback queries.
+func BuildBatchBudgeted(g *graph.Digraph, ord *order.Ordering, bp BatchParams, budget int, opt Options) (*label.Budgeted, error) {
+	if budget < 1 {
+		return nil, fmt.Errorf("drl: label budget %d must be at least 1", budget)
 	}
-	scratches := make([]*scratch, opt.workers())
+	n := g.NumVertices()
+	inFull := make([]bool, n)
+	outFull := make([]bool, n)
+	for v := range inFull {
+		inFull[v], outFull[v] = true, true
+	}
+	in, out, err := batchLabel(g, ord, bp, opt, budget, inFull, outFull)
+	if err != nil {
+		return nil, err
+	}
+	return label.NewBudgeted(label.FromLists(ord, in, out), g, budget, inFull, outFull), nil
+}
+
+// batchScratch is one worker's BFS state. seen is epoch-marked so a
+// BFS costs no clearing; lows is the arena the worker's BFS_low lists
+// of the current batch are appended to (each BFS uses its stretch of
+// the arena as its queue), reset per batch so its backing array is
+// reused for the whole build.
+type batchScratch struct {
+	// seen[w] is the epoch of the last BFS that met w — whether w then
+	// joined BFS_low or blocked the expansion, it is not looked at
+	// again, so one mark (one random load per edge) serves both.
+	seen  []int32
+	epoch int32
+	lows  []graph.VertexID
+}
+
+// lowRef locates one batch vertex's two BFS_low lists inside a worker's
+// arena: forward in lows[lo:mid], backward in lows[mid:hi]. Offsets,
+// not slices, so a growing arena frees its old backing array.
+type lowRef struct {
+	wk          int
+	lo, mid, hi int
+}
+
+// batchLabel is the one labeling core behind BuildBatch and
+// BuildBatchBudgeted. It returns the per-vertex label lists. A list
+// holding budget entries takes no more: the refused entry clears the
+// vertex's inFull/outFull mark instead. BuildBatch passes a budget no
+// list reaches and nil marks.
+func batchLabel(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Options, budget int, inFull, outFull []bool) (in, out [][]order.Rank, err error) {
+	n := g.NumVertices()
+	spans, err := BatchSequence(n, bp)
+	if err != nil {
+		return nil, nil, err
+	}
+	inv := g.Inverse()
+	in = make([][]order.Rank, n)
+	out = make([][]order.Rank, n)
+
+	scratches := make([]*batchScratch, opt.workers())
 	for i := range scratches {
-		scratches[i] = &scratch{visit: make([]int32, n), block: make([]int32, n)}
+		scratches[i] = &batchScratch{seen: make([]int32, n)}
 	}
+	// Per-batch tables, allocated once and refilled every batch.
+	maxSpan := 0
+	for _, span := range spans {
+		maxSpan = max(maxSpan, span.Size())
+	}
+	refs := make([]lowRef, maxSpan)
+	fwdLow := func(i int) []graph.VertexID { return scratches[refs[i].wk].lows[refs[i].lo:refs[i].mid] }
+	bwdLow := func(i int) []graph.VertexID { return scratches[refs[i].wk].lows[refs[i].mid:refs[i].hi] }
+	visitedFwd := &rankLists{off: make([]int64, n+1)}
+	visitedBwd := &rankLists{off: make([]int64, n+1)}
+	cursor := make([]int64, n)
+
 	cBatches := opt.Obs.Counter("drl_batches_total")
 	hBatch := opt.Obs.Histogram("drl_batch_vertices", obs.SizeBuckets)
 	cBFS := opt.Obs.Counter("drl_trimmed_bfs_total")
@@ -113,56 +193,56 @@ func BuildBatch(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Optio
 	// batchTrimmed is the trimmed BFS with batch-label pruning: the
 	// expansion into w is blocked both at higher-order vertices
 	// (Algorithm 2) and where srcLab ∩ tgtLab[w] ≠ ∅ — a vertex from a
-	// previous batch lies on a v→w walk (Algorithm 4).
-	batchTrimmed := func(dir *graph.Digraph, s *scratch, v graph.VertexID, rv order.Rank, srcLab []order.Rank, tgtLab [][]order.Rank) []graph.VertexID {
+	// previous batch lies on a v→w walk (Algorithm 4). BFS_low(v) is
+	// appended to the worker's arena.
+	batchTrimmed := func(dir *graph.Digraph, s *batchScratch, v graph.VertexID, rv order.Rank, srcLab []order.Rank, tgtLab [][]order.Rank) {
 		s.epoch++
 		ep := s.epoch
-		s.queue = s.queue[:0]
-		s.queue = append(s.queue, v)
-		s.visit[v] = ep
-		low := make([]graph.VertexID, 1, 8)
-		low[0] = v
-		for head := 0; head < len(s.queue); head++ {
-			u := s.queue[head]
+		head := len(s.lows)
+		s.lows = append(s.lows, v)
+		s.seen[v] = ep
+		for ; head < len(s.lows); head++ {
+			u := s.lows[head]
 			for _, w := range dir.OutNeighbors(u) {
-				if s.visit[w] == ep || s.block[w] == ep {
+				if s.seen[w] == ep {
 					continue
 				}
-				if ord.RankOf(w) <= rv || !disjointRanks(srcLab, tgtLab[w]) {
-					s.block[w] = ep
-					continue
+				s.seen[w] = ep
+				if ord.RankOf(w) > rv && disjointRanks(srcLab, tgtLab[w]) {
+					s.lows = append(s.lows, w)
 				}
-				s.visit[w] = ep
-				s.queue = append(s.queue, w)
-				low = append(low, w)
 			}
 		}
-		cBFS.Inc()
-		cVisits.Add(int64(len(low)))
-		return low
 	}
 
 	for _, span := range spans {
-		fwdLows := make([][]graph.VertexID, span.Size())
-		bwdLows := make([][]graph.VertexID, span.Size())
+		size := span.Size()
+		for _, s := range scratches {
+			s.lows = s.lows[:0]
+		}
 		err := parallelRanks(span.Lo, span.Hi, opt.workers(), opt.Cancel, func(wk int, r order.Rank) {
 			v := ord.VertexAt(r)
+			s := scratches[wk]
+			ref := lowRef{wk: wk, lo: len(s.lows), mid: len(s.lows), hi: len(s.lows)}
 			// Self pruning (Algorithm 4 line 6): a higher-order vertex
 			// on a cycle through v means v joins no label set at all.
-			if !disjointRanks(out[v], in[v]) {
-				return
+			if disjointRanks(out[v], in[v]) {
+				batchTrimmed(g, s, v, r, out[v], in)
+				ref.mid = len(s.lows)
+				batchTrimmed(inv, s, v, r, in[v], out)
+				ref.hi = len(s.lows)
+				cBFS.Add(2)
+				cVisits.Add(int64(ref.hi - ref.lo))
 			}
-			s := scratches[wk]
-			fwdLows[r-span.Lo] = batchTrimmed(g, s, v, r, out[v], in)
-			bwdLows[r-span.Lo] = batchTrimmed(inv, s, v, r, in[v], out)
+			refs[r-span.Lo] = ref
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cBatches.Inc()
-		hBatch.Observe(float64(span.Size()))
-		visitedFwd := invertLowsAt(n, fwdLows, span.Lo)
-		visitedBwd := invertLowsAt(n, bwdLows, span.Lo)
+		hBatch.Observe(float64(size))
+		visitedFwd.invert(size, fwdLow, span.Lo, cursor)
+		visitedBwd.invert(size, bwdLow, span.Lo, cursor)
 
 		// In-batch refinement (Lemma 5) plus label append; new ranks
 		// all exceed previously appended ones, so lists stay sorted.
@@ -174,13 +254,23 @@ func BuildBatch(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Optio
 			for _, rv := range fRow {
 				v := ord.VertexAt(rv)
 				if disjointBelow(visitedBwd.Row(v), fRow, rv) {
-					in[w] = append(in[w], rv)
+					if len(in[w]) < budget {
+						in[w] = append(in[w], rv)
+					} else {
+						// A needed entry was refused: from here on a
+						// miss in L_in(w) proves nothing.
+						inFull[w] = false
+					}
 				}
 			}
 			for _, rv := range bRow {
 				v := ord.VertexAt(rv)
 				if disjointBelow(visitedFwd.Row(v), bRow, rv) {
-					out[w] = append(out[w], rv)
+					if len(out[w]) < budget {
+						out[w] = append(out[w], rv)
+					} else {
+						outFull[w] = false
+					}
 				}
 			}
 			// The refine merge relies on every batch's ranks exceeding
@@ -190,35 +280,40 @@ func BuildBatch(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Optio
 			invariant.StrictlyIncreasing("drl: L_out after refine merge", out[w])
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return label.FromLists(ord, in, out), nil
+	return in, out, nil
 }
 
-// invertLowsAt is invertLows for a batch: lows[i] belongs to the
-// source with rank base+i.
-func invertLowsAt(n int, lows [][]graph.VertexID, base order.Rank) *rankLists {
-	t := &rankLists{off: make([]int64, n+1)}
-	var total int64
-	counts := make([]int64, n)
-	for _, low := range lows {
-		total += int64(len(low))
-		for _, w := range low {
-			counts[w]++
+// invert refills t with the vertex→visitors table of the BFS_low lists
+// of a batch of sources: low(i) belongs to the source with rank base+i,
+// and iterating sources in increasing rank keeps every row sorted.
+// t.off (n+1 entries), t.data's backing array and the n-entry cursor
+// scratch are reused, so a labeler that inverts twice per batch
+// allocates only when a batch outgrows every earlier one.
+func (t *rankLists) invert(sources int, low func(i int) []graph.VertexID, base order.Rank, cursor []int64) {
+	clear(cursor)
+	total := 0
+	for i := 0; i < sources; i++ {
+		l := low(i)
+		total += len(l)
+		for _, w := range l {
+			cursor[w]++
 		}
 	}
-	for v := 0; v < n; v++ {
-		t.off[v+1] = t.off[v] + counts[v]
+	for v, c := range cursor {
+		t.off[v+1] = t.off[v] + c
+		cursor[v] = t.off[v]
 	}
-	t.data = make([]order.Rank, total)
-	cursor := make([]int64, n)
-	copy(cursor, t.off[:n])
-	for i, low := range lows {
-		for _, w := range low {
+	if cap(t.data) < total {
+		t.data = make([]order.Rank, total)
+	}
+	t.data = t.data[:total]
+	for i := 0; i < sources; i++ {
+		for _, w := range low(i) {
 			t.data[cursor[w]] = base + order.Rank(i)
 			cursor[w]++
 		}
 	}
-	return t
 }

@@ -17,6 +17,8 @@
 //	BuildBatch     §IV (DRL_b / DRL_b^M): batch sequence with
 //	               TOL-style pruning across batches and DRL-style
 //	               refinement inside each batch.
+//	BuildBatchBudgeted  BuildBatch with every label list capped at a
+//	               per-vertex budget (label.Budgeted); same core.
 //
 // All of the above run shared-memory parallel across Options.Workers
 // goroutines. The genuinely distributed implementations (Algorithms 3
@@ -186,7 +188,9 @@ func (t *rankLists) Entries() int64 { return int64(len(t.data)) }
 // lists indexed by rank. Iterating sources in increasing rank keeps
 // every row sorted.
 func invertLows(n int, lows [][]graph.VertexID) *rankLists {
-	return invertLowsAt(n, lows, 0)
+	t := &rankLists{off: make([]int64, n+1)}
+	t.invert(len(lows), func(i int) []graph.VertexID { return lows[i] }, 0, make([]int64, n))
+	return t
 }
 
 // allTrimmedLows runs the v-sourced trimmed BFS for every vertex of g

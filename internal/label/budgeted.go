@@ -26,6 +26,10 @@ import (
 //     witness in the very list being tested. So a miss with
 //     outFull(s) ∧ inFull(t) is a sound "unreachable".
 //
+// Both builders — the parallel drl.BuildBatchBudgeted and the serial
+// reference tol.BuildBudgeted — uphold the two facts (DESIGN.md §14
+// has the argument for each).
+//
 // Every other pair falls back to a guarded BFS over the retained
 // graph, pruned by whichever endpoint label is complete. The graph is
 // therefore part of the index: a Budgeted cannot be serialized and
@@ -67,6 +71,11 @@ func (b *Budgeted) Index() *Index { return b.x }
 
 // Budget returns the per-vertex per-direction label cap.
 func (b *Budgeted) Budget() int { return b.budget }
+
+// InFull and OutFull report whether L_in(v) / L_out(v) is complete —
+// the builder never refused it an entry.
+func (b *Budgeted) InFull(v graph.VertexID) bool  { return b.inFull[v] }
+func (b *Budgeted) OutFull(v graph.VertexID) bool { return b.outFull[v] }
 
 // Overflowed returns how many vertices have an incomplete in-label and
 // out-label list respectively — the vertices whose queries may need

@@ -18,51 +18,67 @@ import (
 
 const indexMagic = uint64(0x44524c494e444558) // "DRLINDEX"
 
+// ioChunk is the size of the reused encode/decode buffer: large enough
+// to amortize the Write/Read calls, small enough to stay in cache.
+const ioChunk = 64 << 10
+
 // WriteTo serializes the index. It returns the number of bytes
-// written.
+// written. Every section is encoded little-endian through one reused
+// chunk buffer handed straight to w — binary.Write would reflect over
+// []order.Rank (a named type misses its []int32 fast path) element by
+// element into a temporary the size of the whole section.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
+	buf := make([]byte, 0, ioChunk)
 	var written int64
-	put := func(data any, size int64) error {
-		if err := binary.Write(bw, binary.LittleEndian, data); err != nil {
+	flush := func() error {
+		n, err := w.Write(buf)
+		written += int64(n)
+		buf = buf[:0]
+		if err != nil {
 			return fmt.Errorf("label: writing index: %w", err)
 		}
-		written += size
 		return nil
 	}
-	if err := put(indexMagic, 8); err != nil {
+	put64 := func(vals []int64) error {
+		for _, v := range vals {
+			if len(buf)+8 > cap(buf) {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		return nil
+	}
+	put32 := func(vals []order.Rank) error {
+		for _, v := range vals {
+			if len(buf)+4 > cap(buf) {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+		}
+		return nil
+	}
+	header := []int64{int64(indexMagic), int64(x.n), int64(len(x.inLab)), int64(len(x.outLab))}
+	if err := put64(header); err != nil {
 		return written, err
 	}
-	if err := put(uint64(x.n), 8); err != nil {
-		return written, err
-	}
-	if err := put(uint64(len(x.inLab)), 8); err != nil {
-		return written, err
-	}
-	if err := put(uint64(len(x.outLab)), 8); err != nil {
-		return written, err
-	}
-	ranks := make([]int32, x.n)
-	for v := 0; v < x.n; v++ {
-		ranks[v] = int32(x.ord.Ranks()[v])
-	}
-	if err := put(ranks, int64(4*x.n)); err != nil {
+	if err := put32(x.ord.Ranks()); err != nil {
 		return written, err
 	}
 	for _, off := range [][]int64{x.inOff, x.outOff} {
-		if err := put(off, int64(8*len(off))); err != nil {
+		if err := put64(off); err != nil {
 			return written, err
 		}
 	}
 	for _, lab := range [][]order.Rank{x.inLab, x.outLab} {
-		if err := put(lab, int64(4*len(lab))); err != nil {
+		if err := put32(lab); err != nil {
 			return written, err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return written, fmt.Errorf("label: flushing index: %w", err)
-	}
-	return written, nil
+	return written, flush()
 }
 
 // Read deserializes an index written by WriteTo.
@@ -81,32 +97,29 @@ func Read(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("label: implausible index header n=%d", n64)
 	}
 	n := int(n64)
-	ranks, err := readInt32s(br, int64(n))
+	buf := make([]byte, ioChunk)
+	ordRanks, err := readRanks(br, int64(n), buf)
 	if err != nil {
 		return nil, fmt.Errorf("label: reading rank permutation: %w", err)
 	}
-	ordRanks := make([]order.Rank, n)
 	seen := make([]bool, n)
-	for v, r := range ranks {
+	for v, r := range ordRanks {
 		if r < 0 || int(r) >= n || seen[r] {
 			return nil, fmt.Errorf("label: corrupt rank %d for vertex %d", r, v)
 		}
 		seen[r] = true
-		ordRanks[v] = order.Rank(r)
 	}
 	x := &Index{n: n}
-	// Bounded chunk reads: corrupt headers fail at the first missing
-	// chunk instead of forcing giant allocations.
-	if x.inOff, err = readInt64s(br, n+1); err != nil {
+	if x.inOff, err = readInt64s(br, n+1, buf); err != nil {
 		return nil, fmt.Errorf("label: reading offsets: %w", err)
 	}
-	if x.outOff, err = readInt64s(br, n+1); err != nil {
+	if x.outOff, err = readInt64s(br, n+1, buf); err != nil {
 		return nil, fmt.Errorf("label: reading offsets: %w", err)
 	}
-	if x.inLab, err = readRanks(br, int64(nIn)); err != nil {
+	if x.inLab, err = readRanks(br, int64(nIn), buf); err != nil {
 		return nil, fmt.Errorf("label: reading labels: %w", err)
 	}
-	if x.outLab, err = readRanks(br, int64(nOut)); err != nil {
+	if x.outLab, err = readRanks(br, int64(nOut), buf); err != nil {
 		return nil, fmt.Errorf("label: reading labels: %w", err)
 	}
 	if x.inOff[n] != int64(nIn) || x.outOff[n] != int64(nOut) {
@@ -133,41 +146,53 @@ func Read(r io.Reader) (*Index, error) {
 	return x, nil
 }
 
-// chunkElems bounds single allocations while reading untrusted sizes.
-const chunkElems = 1 << 16
-
-func readInt64s(r io.Reader, count int) ([]int64, error) {
-	out := make([]int64, 0, min(count, chunkElems))
+// readInt64s decodes count little-endian int64s through buf, one
+// chunk at a time: the result grows only as bytes actually arrive
+// (see grow), so a corrupt count fails at the first missing chunk
+// instead of forcing a giant allocation.
+func readInt64s(r io.Reader, count int, buf []byte) ([]int64, error) {
+	per := len(buf) / 8
+	out := make([]int64, 0, min(count, per))
 	for len(out) < count {
-		chunk := make([]int64, min(count-len(out), chunkElems))
-		if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
+		b := buf[:8*min(count-len(out), per)]
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		out = append(out, chunk...)
+		out = grow(out, len(b)/8, int64(count))
+		for ; len(b) > 0; b = b[8:] {
+			out = append(out, int64(binary.LittleEndian.Uint64(b)))
+		}
 	}
 	return out, nil
 }
 
-func readInt32s(r io.Reader, count int64) ([]int32, error) {
-	out := make([]int32, 0, min(count, chunkElems))
+// readRanks is readInt64s for little-endian int32 ranks, decoded
+// straight into the slice the index keeps.
+func readRanks(r io.Reader, count int64, buf []byte) ([]order.Rank, error) {
+	per := int64(len(buf) / 4)
+	out := make([]order.Rank, 0, min(count, per))
 	for int64(len(out)) < count {
-		chunk := make([]int32, min(count-int64(len(out)), chunkElems))
-		if err := binary.Read(r, binary.LittleEndian, chunk); err != nil {
+		b := buf[:4*min(count-int64(len(out)), per)]
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		out = append(out, chunk...)
+		out = grow(out, len(b)/4, count)
+		for ; len(b) > 0; b = b[4:] {
+			out = append(out, order.Rank(binary.LittleEndian.Uint32(b)))
+		}
 	}
 	return out, nil
 }
 
-func readRanks(r io.Reader, count int64) ([]order.Rank, error) {
-	raw, err := readInt32s(r, count)
-	if err != nil {
-		return nil, err
+// grow makes room for k more elements of a slice that will hold count
+// in the end. Capacity doubles, clamped to count: never more than
+// twice what has already been read, and exactly count — no slack kept
+// for the index's lifetime — once the data is all there.
+func grow[T any](out []T, k int, count int64) []T {
+	if len(out)+k <= cap(out) {
+		return out
 	}
-	out := make([]order.Rank, len(raw))
-	for i, v := range raw {
-		out[i] = order.Rank(v)
-	}
-	return out, nil
+	grown := make([]T, len(out), min(count, int64(2*cap(out))))
+	copy(grown, out)
+	return grown
 }

@@ -71,8 +71,16 @@ type UpdateStats struct {
 // order of the initial graph.
 func NewDynamic(g *graph.Digraph) *DynamicIndex {
 	ord := order.Compute(g)
+	return NewDynamicFrom(g, ord, Build(g, ord))
+}
+
+// NewDynamicFrom seeds a dynamic index over g with a prebuilt index:
+// idx must be the TOL index of g under ord — what Build returns, and
+// what every parallel builder reproduces byte for byte, so a caller
+// can pay for the initial labeling on all its cores. The labels are
+// copied; idx is not retained.
+func NewDynamicFrom(g *graph.Digraph, ord *order.Ordering, idx *label.Index) *DynamicIndex {
 	n := g.NumVertices()
-	idx := Build(g, ord)
 	d := &DynamicIndex{
 		n:      n,
 		m:      g.NumEdges(),

@@ -32,6 +32,9 @@ func queryVariants() []struct {
 		{"budget-1", Options{LabelBudget: 1}},
 		{"budget-4", Options{LabelBudget: 4}},
 		{"budget-2-scc", Options{LabelBudget: 2, CondenseSCC: true}},
+		{"budget-1-shared", Options{LabelBudget: 1, Method: MethodDRLShared, Workers: 3}},
+		{"budget-1-shared-scc", Options{LabelBudget: 1, Method: MethodDRLShared, Workers: 3, CondenseSCC: true}},
+		{"budget-1-tol", Options{LabelBudget: 1, Method: MethodTOL}},
 	}
 }
 

@@ -77,9 +77,12 @@ type Options struct {
 	// full 2-hop cover does not fit): label entries stay exact, lists
 	// that hit the cap are flagged incomplete, and queries touching a
 	// flagged endpoint fall back to a label-pruned BFS over the graph.
-	// Requires MethodTOL (the cap is applied during the serial rounds;
-	// leaving Method empty selects it), and the resulting index
-	// retains the graph — it cannot be serialized with WriteTo.
+	// The index is built by the shared-memory batch labeler (Method
+	// empty or MethodDRLShared; Workers, BatchSize and BatchFactor
+	// apply, and the result does not depend on Workers) or, with
+	// MethodTOL, by the serial reference rounds; the vertex-centric
+	// methods are rejected. The resulting index retains the graph — it
+	// cannot be serialized with WriteTo.
 	LabelBudget int
 }
 
@@ -185,27 +188,28 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 	}
 
 	if opts.LabelBudget > 0 {
-		if opts.Method != "" && method != MethodTOL {
-			return nil, fmt.Errorf("reachlab: LabelBudget requires MethodTOL, not %q", method)
+		// The cap rides on the shared-memory batch labeler (the default
+		// here) or on the serial reference rounds; the vertex-centric
+		// methods have no capped variant.
+		var stats BuildStats
+		var bidx *label.Budgeted
+		switch opts.Method {
+		case "", MethodDRLShared:
+			stats = BuildStats{Method: MethodDRLShared, Workers: opts.workers()}
+			bidx, err = drl.BuildBatchBudgeted(gd, ord, opts.batchParams(), opts.LabelBudget, drl.Options{
+				Workers: opts.workers(), Cancel: cancel, Obs: opts.Obs,
+			})
+		case MethodTOL:
+			stats = BuildStats{Method: MethodTOL, Workers: 1}
+			bidx, err = tol.BuildBudgeted(gd, ord, opts.LabelBudget, cancel)
+		default:
+			return nil, fmt.Errorf("reachlab: LabelBudget requires MethodDRLShared (the default when Method is empty) or MethodTOL, not %q", opts.Method)
 		}
-		bidx, err := tol.BuildBudgeted(gd, ord, opts.LabelBudget, cancel)
 		if err != nil {
-			if errors.Is(err, tol.ErrCanceled) && ctx != nil && ctx.Err() != nil {
-				return nil, fmt.Errorf("reachlab: build canceled: %w", ctx.Err())
-			}
-			return nil, fmt.Errorf("reachlab: building budgeted index: %w", err)
+			return nil, buildError(ctx, "budgeted index", err)
 		}
-		x := &Index{
-			idx:  bidx.Index(),
-			bidx: bidx,
-			comp: comp,
-			g:    g.d,
-			stats: BuildStats{
-				Method:   MethodTOL,
-				Workers:  1,
-				WallTime: time.Since(start),
-			},
-		}
+		stats.WallTime = time.Since(start)
+		x := &Index{idx: bidx.Index(), bidx: bidx, comp: comp, g: g.d, stats: stats}
 		if comp != nil {
 			x.compSize = compSizes(comp, x.idx.NumVertices())
 		}
@@ -239,12 +243,7 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("reachlab: unknown method %q", method)
 	}
 	if err != nil {
-		if errors.Is(err, drl.ErrCanceled) || errors.Is(err, pregel.ErrCanceled) || errors.Is(err, tol.ErrCanceled) {
-			if ctx != nil && ctx.Err() != nil {
-				return nil, fmt.Errorf("reachlab: build canceled: %w", ctx.Err())
-			}
-		}
-		return nil, fmt.Errorf("reachlab: building index: %w", err)
+		return nil, buildError(ctx, "index", err)
 	}
 	x := &Index{
 		idx:  idx,
@@ -270,6 +269,18 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 		x.compSize = compSizes(comp, x.idx.NumVertices())
 	}
 	return x, nil
+}
+
+// buildError wraps a builder's failure; a build the caller's context
+// cut short reports the context's error instead of the builder's own
+// cancellation sentinel.
+func buildError(ctx context.Context, what string, err error) error {
+	if errors.Is(err, drl.ErrCanceled) || errors.Is(err, pregel.ErrCanceled) || errors.Is(err, tol.ErrCanceled) {
+		if ctx != nil && ctx.Err() != nil {
+			return fmt.Errorf("reachlab: build canceled: %w", ctx.Err())
+		}
+	}
+	return fmt.Errorf("reachlab: building %s: %w", what, err)
 }
 
 // Reachable answers q(s, t) from the index alone: true iff there is a

@@ -129,10 +129,14 @@ func NewUpdater(g *Graph, log *wal.Log, opts UpdaterOptions) (*Updater, error) {
 	if batch <= 0 {
 		batch = DefaultRefreshBatch
 	}
+	dyn, err := newDynamic(g.d)
+	if err != nil {
+		return nil, err
+	}
 	reg := opts.Obs
 	u := &Updater{
 		log:      log,
-		dyn:      tol.NewDynamic(g.d),
+		dyn:      dyn,
 		every:    every,
 		batch:    batch,
 		epochSeq: make(map[uint64]uint64),
