@@ -6,14 +6,16 @@ all: build vet test
 
 # What CI runs: vet, build, the project analyzers (text + the JSON
 # artifact the lint job archives), the full test suite under the race
-# detector (the RPC fault-handling tests are concurrency-heavy), and
-# the suite again with runtime invariants compiled in.
+# detector (the RPC fault-handling tests are concurrency-heavy), 15 s
+# of fuzzing the index-file decoder, and the suite again with runtime
+# invariants compiled in.
 check:
 	go vet ./...
 	go build ./...
 	go run ./cmd/drlint ./...
 	$(MAKE) lint-json
 	go test -race ./...
+	go test ./internal/label -run '^$$' -fuzz FuzzRead -fuzztime 15s
 	go test -tags=invariants ./...
 
 # check plus the end-to-end serving smoke — slower, optional locally,

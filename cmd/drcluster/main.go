@@ -147,13 +147,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if _, err := idx.WriteTo(f); err != nil {
+	written, err := idx.WriteTo(f)
+	if err != nil {
 		fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s (%.2f MB)\n", *out, float64(idx.SizeBytes())/(1<<20))
+	fmt.Printf("wrote %s (%.2f MB on disk, %.2f MB in memory)\n", *out, float64(written)/(1<<20), float64(idx.SizeBytes())/(1<<20))
 	_ = graph.VertexID(0)
 }
 

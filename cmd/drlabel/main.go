@@ -76,20 +76,21 @@ func main() {
 		bs.Method, time.Since(start).Round(time.Millisecond),
 		bs.Compute.Round(time.Millisecond), bs.Communication.Round(time.Millisecond),
 		bs.Supersteps, bs.Messages)
-	fmt.Printf("index: %d entries, %.2f MB, max label %d, avg label %.2f\n",
+	fmt.Printf("index: %d entries, %.2f MB in memory, max label %d, avg label %.2f\n",
 		st.Entries, float64(st.Bytes)/(1<<20), st.MaxLabelSize, st.AvgLabelSize)
 
 	f, err := os.Create(*out)
 	if err != nil {
 		fatal(err)
 	}
-	if _, err := idx.WriteTo(f); err != nil {
+	written, err := idx.WriteTo(f)
+	if err != nil {
 		fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s\n", *out)
+	fmt.Printf("wrote %s (%.2f MB on disk, %.2f MB in memory)\n", *out, float64(written)/(1<<20), float64(st.Bytes)/(1<<20))
 }
 
 func fatal(err error) {

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/label"
@@ -70,6 +71,17 @@ func canceled(c <-chan struct{}) bool {
 	}
 }
 
+// rankChunk is how many consecutive ranks a parallelRanks worker takes
+// at a time: small enough that a range splits into several chunks per
+// worker — the first batches are a handful of hub vertices whose BFSs
+// are the largest of the build, and one chunk would hand them all to
+// one worker — and at most 64, beyond which a larger chunk buys
+// nothing and only coarsens the balance at the end of the range.
+func rankChunk(ranks, workers int) int {
+	const perWorker = 4
+	return min(max(ranks/(workers*perWorker), 1), 64)
+}
+
 // parallelRanks runs fn(rank) for every rank in [lo, hi) across the
 // given number of goroutines, checking cancel between chunks. fn must
 // be safe for concurrent invocation on distinct ranks.
@@ -86,46 +98,35 @@ func parallelRanks(lo, hi order.Rank, workers int, cancel <-chan struct{}, fn fu
 		}
 		return nil
 	}
+	chunk := int64(rankChunk(int(hi-lo), workers))
+	var next atomic.Int64
+	next.Store(int64(lo))
+	var aborted atomic.Bool
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var once sync.Once
-	var aborted bool
-	next := int64(lo)
-	nextMu := sync.Mutex{}
-	const chunk = 64
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
 			for {
+				// cancel is closed, not sent on, so every worker sees it.
 				if canceled(cancel) {
-					once.Do(func() { aborted = true; close(stop) })
+					aborted.Store(true)
 					return
 				}
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				nextMu.Lock()
-				start := next
-				next += chunk
-				nextMu.Unlock()
+				end := next.Add(chunk)
+				start := end - chunk
 				if start >= int64(hi) {
 					return
 				}
-				end := start + chunk
-				if end > int64(hi) {
-					end = int64(hi)
-				}
-				for r := order.Rank(start); r < order.Rank(end); r++ {
+				stop := order.Rank(min(end, int64(hi)))
+				for r := order.Rank(start); r < stop; r++ {
 					fn(wk, r)
 				}
 			}
 		}(wk)
 	}
 	wg.Wait()
-	if aborted {
+	if aborted.Load() {
 		return ErrCanceled
 	}
 	return nil

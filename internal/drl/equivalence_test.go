@@ -1,6 +1,7 @@
 package drl
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -147,6 +148,32 @@ func TestIndexEqualsTOL(t *testing.T) {
 					t.Fatalf("index differs from TOL: %s", want.Diff(got))
 				}
 			})
+		}
+	}
+}
+
+// TestIndexFileRoundTrip: every fixture's index comes back Equal from
+// its file, under the degree order and a shuffled one.
+func TestIndexFileRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for gname, g := range testGraphs() {
+		ranks := make([]order.Rank, g.NumVertices())
+		for v, r := range rng.Perm(len(ranks)) {
+			ranks[v] = order.Rank(r)
+		}
+		for oname, ord := range map[string]*order.Ordering{"degree": order.Compute(g), "shuffled": order.FromRanks(ranks)} {
+			want := tol.Build(g, ord)
+			var file bytes.Buffer
+			if _, err := want.WriteTo(&file); err != nil {
+				t.Fatalf("%s/%s: %v", gname, oname, err)
+			}
+			got, err := label.Read(&file)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", gname, oname, err)
+			}
+			if !want.Equal(got) {
+				t.Errorf("%s/%s: the index read back differs: %s", gname, oname, want.Diff(got))
+			}
 		}
 	}
 }

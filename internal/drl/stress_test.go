@@ -2,6 +2,7 @@ package drl
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/order"
@@ -55,6 +56,63 @@ func TestImprovedRaceStress(t *testing.T) {
 		}
 		if !want.Equal(idx) {
 			t.Fatalf("p=%d: index differs from TOL: %s", p, want.Diff(idx))
+		}
+	}
+}
+
+// TestRankChunk: a range of up to 64 ranks — a hub batch — is cut into
+// several chunks per worker instead of handed whole to one, and no
+// chunk is empty or larger than 64.
+func TestRankChunk(t *testing.T) {
+	for _, c := range []struct{ ranks, workers, want int }{
+		{1, 2, 1},
+		{2, 2, 1},
+		{7, 8, 1},
+		{64, 2, 8},
+		{126, 2, 15},
+		{511, 2, 63},
+		{512, 2, 64},
+		{200_000, 2, 64},
+		{200_000, 8, 64},
+		{100, 64, 1},
+	} {
+		if got := rankChunk(c.ranks, c.workers); got != c.want {
+			t.Errorf("rankChunk(%d ranks, %d workers) = %d, want %d", c.ranks, c.workers, got, c.want)
+		}
+	}
+}
+
+// TestParallelRanksCoversEachRankOnce, whatever the chunk size works
+// out to.
+func TestParallelRanksCoversEachRankOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, span := range [][2]order.Rank{{0, 1}, {5, 5}, {3, 67}, {62, 126}, {0, 1000}, {999, 5000}} {
+			lo, hi := span[0], span[1]
+			visits := make([]atomic.Int32, hi)
+			if err := parallelRanks(lo, hi, workers, nil, func(_ int, r order.Rank) { visits[r].Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+			for r := order.Rank(0); r < hi; r++ {
+				want := int32(0)
+				if r >= lo {
+					want = 1
+				}
+				if got := visits[r].Load(); got != want {
+					t.Fatalf("workers %d, [%d,%d): rank %d visited %d times", workers, lo, hi, r, got)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelRanksCanceled: a closed cancel channel stops every
+// worker and is reported.
+func TestParallelRanksCanceled(t *testing.T) {
+	cancel := make(chan struct{})
+	close(cancel)
+	for _, workers := range []int{1, 4} {
+		if err := parallelRanks(0, 5000, workers, cancel, func(int, order.Rank) {}); err != ErrCanceled {
+			t.Errorf("workers %d: err = %v, want ErrCanceled", workers, err)
 		}
 	}
 }

@@ -57,8 +57,9 @@ type ReplicaState int32
 const (
 	// StateUp: healthy, receiving traffic.
 	StateUp ReplicaState = iota
-	// StateDown: failed DownAfter consecutive probes; no traffic
-	// until it passes UpAfter consecutive probes.
+	// StateDown: not yet probed successfully, or failed DownAfter
+	// consecutive probes; no traffic until it passes its first probe
+	// or, having been up before, UpAfter consecutive ones.
 	StateDown
 	// StateDraining: operator-initiated drain; no new traffic,
 	// outstanding requests finishing.
@@ -96,7 +97,8 @@ type replica struct {
 	forwards    atomic.Int64  // requests sent (including retries)
 	errors      atomic.Int64  // transport errors + 5xx from this replica
 
-	fails, oks int // consecutive probe outcomes; health-loop private
+	fails, oks int  // consecutive probe outcomes; health-loop private
+	admitted   bool // has ever been up; health-loop private
 }
 
 func (r *replica) getState() ReplicaState { return ReplicaState(r.state.Load()) }
@@ -128,8 +130,9 @@ type Options struct {
 	// DownAfter is the consecutive probe failures before a replica is
 	// marked down (default 2).
 	DownAfter int
-	// UpAfter is the consecutive probe successes before a down
-	// replica is readmitted (default 2).
+	// UpAfter is the consecutive probe successes before a replica that
+	// has been up and went down is readmitted (default 2). A replica
+	// that has never been up is admitted by its first success.
 	UpAfter int
 	// MaxAttempts is the per-query forwarding budget across replicas
 	// and retry rounds (default 4 × the replica count).
@@ -275,8 +278,8 @@ func New(addrs []string, opts Options) (*Fleet, error) {
 		}
 		seen[addr] = true
 		r := &replica{addr: addr, base: strings.TrimSuffix(base, "/")}
-		// Replicas start down and are admitted by their first probes,
-		// so a dead address never receives traffic.
+		// Replicas start down and are admitted by their first
+		// successful probe, so a dead address never receives traffic.
 		r.setState(StateDown)
 		f.replicas = append(f.replicas, r)
 	}
@@ -359,8 +362,13 @@ func (f *Fleet) probe(r *replica) {
 			r.setState(StateDown)
 		}
 	case StateDown:
-		if r.oks >= f.opts.upAfter() {
+		// UpAfter guards against a replica that flaps; one that has
+		// never been up has no failure to be doubted for, and holding
+		// it back would keep a freshly started fleet answering 503 for
+		// a whole CheckInterval.
+		if r.oks >= f.opts.upAfter() || (ok && !r.admitted) {
 			r.setState(StateUp)
+			r.admitted = true
 		}
 	case StateDraining:
 		// A draining replica that stops answering is down, drained or

@@ -547,6 +547,68 @@ func TestHealthFlapReadmission(t *testing.T) {
 	}
 }
 
+// TestFirstAdmissionAndReadmission: Start's synchronous probe admits
+// every live replica, so the router serves before the first tick; a
+// replica that was not live then is admitted by its first successful
+// probe; a replica that has been up and failed needs UpAfter of them;
+// a dead address is never admitted. The health loop's interval is an
+// hour, so every round after Start's is one the test runs itself.
+func TestFirstAdmissionAndReadmission(t *testing.T) {
+	live, late := newFakeReplica(0, 100), newFakeReplica(1, 100)
+	late.failHealth.Store(true)
+	var addrs []string
+	for _, h := range []http.Handler{live, late, http.NotFoundHandler()} {
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		addrs = append(addrs, strings.TrimPrefix(srv.URL, "http://"))
+	}
+	f, err := New(addrs, Options{CheckInterval: time.Hour, ProbeTimeout: time.Second, DownAfter: 2, UpAfter: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	t.Cleanup(f.Close)
+	states := func() string {
+		return stateOf(f, addrs[0]) + " " + stateOf(f, addrs[1]) + " " + stateOf(f, addrs[2])
+	}
+	expect := func(when, want string) {
+		t.Helper()
+		if got := states(); got != want {
+			t.Fatalf("%s: replicas are %s, want %s", when, got, want)
+		}
+	}
+	expect("after Start", "up down down")
+	router := httptest.NewServer(f)
+	defer router.Close()
+	resp, err := http.Get(router.URL + "/reach?s=1&t=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query right after Start: status %d", resp.StatusCode)
+	}
+
+	late.failHealth.Store(false)
+	f.probeAll()
+	expect("late replica's first successful probe", "up up down")
+
+	live.failHealth.Store(true)
+	f.probeAll()
+	expect("one failed probe", "up up down")
+	f.probeAll()
+	expect("DownAfter failed probes", "down up down")
+	live.failHealth.Store(false)
+	f.probeAll()
+	f.probeAll()
+	expect("two successes after a failure", "down up down")
+	f.probeAll()
+	expect("UpAfter successes after a failure", "up up down")
+	if n := f.Snapshot()[2].Forwards; n != 0 {
+		t.Errorf("the never-healthy address was sent %d requests", n)
+	}
+}
+
 // --- drain: graceful removal, then mid-drain kill ------------------
 
 func TestDrainAndMidDrainKill(t *testing.T) {

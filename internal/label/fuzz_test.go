@@ -5,25 +5,20 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/order"
 )
 
 // FuzzRead: arbitrary bytes must either fail cleanly or yield an
-// index whose queries cannot panic.
+// index whose queries cannot panic and that survives being written
+// and read again.
 func FuzzRead(f *testing.F) {
-	b := NewBuilder(order.FromRanks([]order.Rank{0, 1, 2}))
-	b.AddIn(1, 0)
-	b.AddIn(2, 0)
-	b.AddOut(0, 0)
-	b.AddOut(2, 2)
-	x := b.Finalize()
-	var seed bytes.Buffer
-	if _, err := x.WriteTo(&seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	small, _ := buildSmallIndex(f)
+	f.Add(mustWrite(f, small))
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
+	// Several blocks per section, sections without entries, no blocks.
+	f.Add(mustWrite(f, sparseIndex(f, blockValues+40, 2, 1)))
+	f.Add(mustWrite(f, sparseIndex(f, 9, 0, 2)))
+	f.Add(mustWrite(f, randomIndex(f, 0, 1)))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		idx, err := Read(bytes.NewReader(input))
 		if err != nil {
@@ -37,5 +32,15 @@ func FuzzRead(f *testing.F) {
 		}
 		_ = idx.MaxLabelSize()
 		_ = idx.SizeBytes()
+		// What Read accepts is a set of strictly ascending lists, so
+		// WriteTo must take it; the bytes may differ from the input
+		// (a uvarint has padded spellings), the index may not.
+		again, err := Read(bytes.NewReader(mustWrite(t, idx)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !idx.Equal(again) {
+			t.Fatalf("rewriting changed the index: %s", idx.Diff(again))
+		}
 	})
 }

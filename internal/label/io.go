@@ -6,6 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/order"
 )
@@ -15,80 +20,383 @@ import (
 // memory there (§I, Exp 1); this serialization is how that machine
 // loads the index. The ordering's rank permutation is embedded so a
 // reader can translate vertex IDs to ranks without the graph.
+//
+//	file    := magic(8) n(8) nIn(8) nOut(8) ints(n) labels labels
+//	ints(k) := block*            one block per 4,096 values, k in all
+//	labels  := block*            one block per 4,096 vertices, in order
+//	block   := uvarint(entries) uvarint(bytes) payload(bytes)
+//
+// The four header words are little-endian; ints(n) is the rank
+// permutation, the two labels sections are L_in and L_out. An ints
+// payload is one uvarint per value. A labels payload is, per vertex,
+// uvarint(len) followed by the list's gaps: the first rank, then
+// r − prev − 1 for every later one — a label list is a strictly
+// ascending set, so the gap to the next possible rank is what is left
+// to say, and no byte sequence decodes to a list out of order. Offsets
+// are not stored: a block's entry count places it in the flat array
+// before its payload is decoded, and the list lengths rebuild the
+// rest. That self-describing block header is what lets both directions
+// stream through an io.Writer / io.Reader and still run block-parallel.
+// DESIGN.md §16 is the normative description.
 
-const indexMagic = uint64(0x44524c494e444558) // "DRLINDEX"
+const (
+	indexMagic = uint64(0x44524c494e445832) // "DRLINDX2"
+	// fixedWidthMagic opened the retired format (raw int64 offsets and
+	// int32 ranks). Index files are derived artifacts, so it is refused
+	// rather than converted.
+	fixedWidthMagic = uint64(0x44524c494e444558) // "DRLINDEX"
 
-// ioChunk is the size of the reused encode/decode buffer: large enough
-// to amortize the Write/Read calls, small enough to stay in cache.
-const ioChunk = 64 << 10
+	// blockValues is the number of vertices (labels sections) or values
+	// (ints sections) one block covers: large enough that a block is
+	// tens to hundreds of kilobytes — one Write call, one decode job —
+	// and small enough that a 200,000-vertex index is ~100 label blocks
+	// to spread over the workers.
+	blockValues = 4096
 
-// WriteTo serializes the index. It returns the number of bytes
-// written. Every section is encoded little-endian through one reused
-// chunk buffer handed straight to w — binary.Write would reflect over
-// []order.Rank (a named type misses its []int32 fast path) element by
-// element into a temporary the size of the whole section.
-func (x *Index) WriteTo(w io.Writer) (int64, error) {
-	buf := make([]byte, 0, ioChunk)
-	var written int64
-	flush := func() error {
-		n, err := w.Write(buf)
-		written += int64(n)
-		buf = buf[:0]
-		if err != nil {
-			return fmt.Errorf("label: writing index: %w", err)
+	// payloadStep bounds how far a payload buffer may run ahead of the
+	// bytes that have actually arrived: a payload is read in steps of at
+	// most this much, so a false byte length costs one step before the
+	// input runs out. Real blocks are smaller and take one allocation.
+	payloadStep = 1 << 20
+
+	// blockHeaderRoom is the space an encoder leaves in front of a
+	// payload so the two header uvarints land contiguously before it.
+	blockHeaderRoom = 2 * binary.MaxVarintLen64
+)
+
+// putUvarint32 writes v at b[pos:] and returns the position after it.
+// b must have binary.MaxVarintLen32 bytes of room. One- and two-byte
+// values — 51% and 43% of the benchmark index's gaps — run the same
+// instructions, because a branch between them mispredicts on nearly
+// every other entry.
+func putUvarint32(b []byte, pos int, v uint32) int {
+	if v < 1<<14 {
+		hi := v >> 7
+		var more uint32
+		if hi != 0 {
+			more = 1
 		}
-		return nil
+		b[pos+1] = byte(hi)
+		b[pos] = byte(v&0x7f | more<<7)
+		return pos + 1 + int(more)
 	}
-	put64 := func(vals []int64) error {
-		for _, v := range vals {
-			if len(buf)+8 > cap(buf) {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		}
-		return nil
+	for v >= 0x80 {
+		b[pos] = byte(v) | 0x80
+		v >>= 7
+		pos++
 	}
-	put32 := func(vals []order.Rank) error {
-		for _, v := range vals {
-			if len(buf)+4 > cap(buf) {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-		}
-		return nil
-	}
-	header := []int64{int64(indexMagic), int64(x.n), int64(len(x.inLab)), int64(len(x.outLab))}
-	if err := put64(header); err != nil {
-		return written, err
-	}
-	if err := put32(x.ord.Ranks()); err != nil {
-		return written, err
-	}
-	for _, off := range [][]int64{x.inOff, x.outOff} {
-		if err := put64(off); err != nil {
-			return written, err
-		}
-	}
-	for _, lab := range [][]order.Rank{x.inLab, x.outLab} {
-		if err := put32(lab); err != nil {
-			return written, err
-		}
-	}
-	return written, flush()
+	b[pos] = byte(v)
+	return pos + 1
 }
 
-// Read deserializes an index written by WriteTo.
+// uvarint32 decodes the uvarint at b[pos:], which must fit 32 bits,
+// and returns it with the position after it; ok is false when the
+// bytes end first or the value is wider.
+func uvarint32(b []byte, pos int) (v uint64, next int, ok bool) {
+	v, k := binary.Uvarint(b[pos:])
+	return v, pos + k, k > 0 && v <= math.MaxUint32
+}
+
+// sealBlock writes the block header in front of the payload that
+// starts at buf[blockHeaderRoom] and ends at buf[end], and returns the
+// finished block.
+func sealBlock(buf []byte, end int, entries int64) []byte {
+	var hdr [blockHeaderRoom]byte
+	k := binary.PutUvarint(hdr[:], uint64(entries))
+	k += binary.PutUvarint(hdr[k:], uint64(end-blockHeaderRoom))
+	start := blockHeaderRoom - k
+	copy(buf[start:], hdr[:k])
+	return buf[start:end]
+}
+
+// sized returns buf with length n, reallocated only when too small.
+func sized(buf []byte, n int) []byte {
+	return slices.Grow(buf[:0], n)[:n]
+}
+
+// WriteInts writes vals — non-negative, as ranks and component IDs are
+// — as the ints section of the format: one uvarint per value, framed
+// in blocks. It returns the number of bytes written. (A negative value
+// would be written as one of 2³¹ or more, which ReadInts refuses.)
+func WriteInts[T ~int32](w io.Writer, vals []T) (int64, error) {
+	var written int64
+	var buf []byte
+	for ; len(vals) > 0; vals = vals[min(len(vals), blockValues):] {
+		part := vals[:min(len(vals), blockValues)]
+		buf = sized(buf, blockHeaderRoom+binary.MaxVarintLen32*len(part))
+		pos := blockHeaderRoom
+		for _, v := range part {
+			pos = putUvarint32(buf, pos, uint32(v))
+		}
+		k, err := w.Write(sealBlock(buf, pos, int64(len(part))))
+		written += int64(k)
+		if err != nil {
+			return written, fmt.Errorf("label: writing index: %w", err)
+		}
+	}
+	return written, nil
+}
+
+// ReadInts reads the count values of an ints section, each of which
+// must be below limit (at most 1<<31). The result grows only as blocks
+// actually arrive, so a corrupt count fails at the first missing block
+// instead of forcing a giant allocation.
+func ReadInts[T ~int32](br *bufio.Reader, count int, limit uint64) ([]T, error) {
+	out := make([]T, 0, min(count, blockValues))
+	var buf []byte
+	for len(out) < count {
+		want := min(count-len(out), blockValues)
+		entries, payload, err := readBlock(br, buf)
+		if err != nil {
+			return nil, err
+		}
+		buf = payload
+		if entries != uint64(want) {
+			return nil, fmt.Errorf("corrupt block: %d values where %d belong", entries, want)
+		}
+		out = grow(out, want, count)
+		pos := 0
+		for i := 0; i < want; i++ {
+			v, next, ok := uvarint32(payload, pos)
+			if !ok || v >= limit {
+				return nil, fmt.Errorf("corrupt block: value %d of %d unreadable or not below %d", len(out), count, limit)
+			}
+			out = append(out, T(v))
+			pos = next
+		}
+		if pos != len(payload) {
+			return nil, fmt.Errorf("corrupt block: %d bytes left over", len(payload)-pos)
+		}
+	}
+	return out, nil
+}
+
+// readBlock reads one block: its entry count and its payload, the
+// latter into buf (regrown as needed; hand the returned payload back
+// as the next call's buf to reuse it). The payload is read at most
+// payloadStep ahead of what has arrived, and every entry of either
+// section kind costs at least one byte, so once readBlock returns,
+// entries is backed by bytes received and safe to allocate against.
+func readBlock(br *bufio.Reader, buf []byte) (entries uint64, payload []byte, err error) {
+	entries, err = binary.ReadUvarint(br)
+	if err != nil {
+		return 0, nil, fmt.Errorf("block header: %w", noEOF(err))
+	}
+	size, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, nil, fmt.Errorf("block header: %w", noEOF(err))
+	}
+	if entries > size {
+		return 0, nil, fmt.Errorf("corrupt block: %d entries declared in %d bytes", entries, size)
+	}
+	payload = buf[:0]
+	for uint64(len(payload)) < size {
+		have := len(payload)
+		step := int(min(size-uint64(have), payloadStep))
+		payload = slices.Grow(payload, step)[:have+step]
+		if _, err := io.ReadFull(br, payload[have:]); err != nil {
+			return 0, nil, fmt.Errorf("block payload: %w", noEOF(err))
+		}
+	}
+	return entries, payload, nil
+}
+
+// noEOF turns an end of input in the middle of a structure into the
+// error it is.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// appendLabelBlock encodes the label lists of vertices [v0, v1) into
+// buf as a finished block. Lists must be strictly ascending ranks in
+// [0, n): the gap coding cannot express anything else.
+func appendLabelBlock(buf []byte, off []int64, lab []order.Rank, v0, v1, n int) ([]byte, error) {
+	entries := off[v1] - off[v0]
+	buf = sized(buf, blockHeaderRoom+binary.MaxVarintLen32*(int(entries)+v1-v0))
+	pos := blockHeaderRoom
+	for v := v0; v < v1; v++ {
+		list := lab[off[v]:off[v+1]]
+		pos = putUvarint32(buf, pos, uint32(len(list)))
+		if pos = putGaps(buf, pos, list); pos < 0 || len(list) > 0 && int(list[len(list)-1]) >= n {
+			return nil, fmt.Errorf("label: vertex %d's label list is not a strictly ascending set of ranks below %d; it cannot be serialized", v, n)
+		}
+	}
+	return sealBlock(buf, pos, entries), nil
+}
+
+// putGaps writes list's gaps at b[pos:] and returns the position after
+// them, or -1 if the list does not ascend strictly from a rank ≥ 0. It
+// is a function of its own so that its loop, the encoder's hot one,
+// keeps its few variables in registers.
+func putGaps(b []byte, pos int, list []order.Rank) int {
+	next := order.Rank(0) // the least rank the list may continue with
+	for _, r := range list {
+		if r < next {
+			return -1
+		}
+		pos = putUvarint32(b, pos, uint32(r-next))
+		next = r + 1
+	}
+	return pos
+}
+
+// decodeLabelBlock is the inverse of appendLabelBlock for a block of
+// len(off)-1 vertices whose entries land in dst, the flat array's
+// range starting at base: it fills dst and the end offsets off[1:]
+// (off[0] belongs to the block before). Every rank is checked against
+// n, and the payload must hold exactly len(dst) entries in exactly its
+// bytes.
+func decodeLabelBlock(payload []byte, off []int64, dst []order.Rank, base int64, n int) error {
+	pos, j := 0, 0
+	for i := 1; i < len(off); i++ {
+		count, next, ok := uvarint32(payload, pos)
+		if !ok || count > uint64(len(dst)-j) {
+			return errors.New("corrupt block: list length unreadable or beyond the block's entry count")
+		}
+		pos = next
+		r := uint64(0) // the least rank the list may continue with
+		for end := j + int(count); j < end; j++ {
+			// Gaps of one to three bytes — all of the benchmark index's —
+			// are decoded here: a call per gap made the loop a quarter
+			// slower.
+			if pos < len(payload) && payload[pos] < 0x80 {
+				r += uint64(payload[pos])
+				pos++
+			} else if pos+1 < len(payload) && payload[pos+1] < 0x80 {
+				r += uint64(payload[pos]&0x7f) | uint64(payload[pos+1])<<7
+				pos += 2
+			} else if pos+2 < len(payload) && payload[pos+2] < 0x80 {
+				r += uint64(payload[pos]&0x7f) | uint64(payload[pos+1]&0x7f)<<7 | uint64(payload[pos+2])<<14
+				pos += 3
+			} else {
+				gap, next, ok := uvarint32(payload, pos)
+				if !ok {
+					return errors.New("corrupt block: rank unreadable")
+				}
+				r += gap
+				pos = next
+			}
+			dst[j] = order.Rank(r)
+			r++
+		}
+		// The list ascends, so its last rank bounds the others.
+		if r > uint64(n) {
+			return errors.New("corrupt block: rank out of range")
+		}
+		off[i] = base + int64(j)
+	}
+	if j != len(dst) || pos != len(payload) {
+		return errors.New("corrupt block: payload does not match its header")
+	}
+	return nil
+}
+
+// WriteTo serializes the index and returns the number of bytes
+// written. Label blocks are encoded on GOMAXPROCS goroutines and
+// written in vertex order, one Write call per block; a block's bytes
+// depend on the index alone, so the output is identical whatever the
+// worker count or scheduling.
+func (x *Index) WriteTo(w io.Writer) (int64, error) {
+	header := make([]byte, 0, 32)
+	for _, v := range []uint64{indexMagic, uint64(x.n), uint64(len(x.inLab)), uint64(len(x.outLab))} {
+		header = binary.LittleEndian.AppendUint64(header, v)
+	}
+	k, err := w.Write(header)
+	written := int64(k)
+	if err != nil {
+		return written, fmt.Errorf("label: writing index: %w", err)
+	}
+	m, err := WriteInts(w, x.ord.Ranks())
+	written += m
+	if err != nil {
+		return written, err
+	}
+
+	perSection := blocksFor(x.n)
+	blocks := 2 * perSection
+	encode := func(i int, buf []byte) ([]byte, error) {
+		off, lab := x.inOff, x.inLab
+		if i >= perSection {
+			off, lab, i = x.outOff, x.outLab, i-perSection
+		}
+		return appendLabelBlock(buf, off, lab, i*blockValues, min((i+1)*blockValues, x.n), x.n)
+	}
+
+	// Workers take block numbers in order, but each must first take one
+	// of the window buffers to encode into, and a buffer returns to the
+	// free list only when the block it held has been written. So at most
+	// window blocks are ahead of the writer, block i owns
+	// ready[i%window], and memory is bounded by window buffers however
+	// large the index.
+	type encoded struct {
+		block []byte
+		err   error
+	}
+	workers := min(runtime.GOMAXPROCS(0), blocks)
+	window := 2 * workers
+	free := make(chan []byte, window)
+	ready := make([]chan encoded, window)
+	for i := range ready {
+		free <- nil
+		ready[i] = make(chan encoded, 1)
+	}
+	var next atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				var buf []byte
+				select {
+				case buf = <-free:
+				case <-stop:
+					return
+				}
+				i := int(next.Add(1) - 1)
+				if i >= blocks {
+					return
+				}
+				block, err := encode(i, buf)
+				ready[i%window] <- encoded{block, err}
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(stop)
+	for i := 0; i < blocks; i++ {
+		e := <-ready[i%window]
+		if e.err != nil {
+			return written, e.err
+		}
+		k, err := w.Write(e.block)
+		written += int64(k)
+		if err != nil {
+			return written, fmt.Errorf("label: writing index: %w", err)
+		}
+		free <- e.block[:0]
+	}
+	return written, nil
+}
+
+// Read deserializes an index written by WriteTo. The calling goroutine
+// reads the blocks in order; GOMAXPROCS goroutines decode them.
 func Read(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
-	var magic, n64, nIn, nOut uint64
-	for _, p := range []*uint64{&magic, &n64, &nIn, &nOut} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("label: reading index header: %w", err)
-		}
+	var header [32]byte
+	if _, err := io.ReadFull(br, header[:]); err != nil {
+		return nil, fmt.Errorf("label: reading index header: %w", err)
+	}
+	magic := binary.LittleEndian.Uint64(header[0:])
+	n64 := binary.LittleEndian.Uint64(header[8:])
+	nIn := binary.LittleEndian.Uint64(header[16:])
+	nOut := binary.LittleEndian.Uint64(header[24:])
+	if magic == fixedWidthMagic {
+		return nil, errors.New("label: this index file is in the retired fixed-width format; rebuild the index")
 	}
 	if magic != indexMagic {
 		return nil, errors.New("label: not an index file (bad magic)")
@@ -97,102 +405,133 @@ func Read(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("label: implausible index header n=%d", n64)
 	}
 	n := int(n64)
-	buf := make([]byte, ioChunk)
-	ordRanks, err := readRanks(br, int64(n), buf)
+	ordRanks, err := ReadInts[order.Rank](br, n, n64)
 	if err != nil {
 		return nil, fmt.Errorf("label: reading rank permutation: %w", err)
 	}
+	// n values have arrived, so n is no longer just a claim and may
+	// size allocations.
 	seen := make([]bool, n)
 	for v, r := range ordRanks {
-		if r < 0 || int(r) >= n || seen[r] {
+		if seen[r] {
 			return nil, fmt.Errorf("label: corrupt rank %d for vertex %d", r, v)
 		}
 		seen[r] = true
 	}
+
+	d := newBlockDecoder(n)
 	x := &Index{n: n}
-	if x.inOff, err = readInt64s(br, n+1, buf); err != nil {
-		return nil, fmt.Errorf("label: reading offsets: %w", err)
+	if x.inOff, x.inLab, err = d.readLabels(br, nIn); err == nil {
+		x.outOff, x.outLab, err = d.readLabels(br, nOut)
 	}
-	if x.outOff, err = readInt64s(br, n+1, buf); err != nil {
-		return nil, fmt.Errorf("label: reading offsets: %w", err)
+	if derr := d.wait(); err == nil {
+		err = derr
 	}
-	if x.inLab, err = readRanks(br, int64(nIn), buf); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("label: reading labels: %w", err)
-	}
-	if x.outLab, err = readRanks(br, int64(nOut), buf); err != nil {
-		return nil, fmt.Errorf("label: reading labels: %w", err)
-	}
-	if x.inOff[n] != int64(nIn) || x.outOff[n] != int64(nOut) {
-		return nil, errors.New("label: corrupt index (offset mismatch)")
-	}
-	for _, off := range [][]int64{x.inOff, x.outOff} {
-		if off[0] != 0 {
-			return nil, errors.New("label: corrupt index (bad first offset)")
-		}
-		for i := 1; i <= n; i++ {
-			if off[i] < off[i-1] {
-				return nil, errors.New("label: corrupt index (non-monotone offsets)")
-			}
-		}
-	}
-	for _, lab := range [][]order.Rank{x.inLab, x.outLab} {
-		for _, r := range lab {
-			if r < 0 || int(r) >= n {
-				return nil, errors.New("label: corrupt index (rank out of range)")
-			}
-		}
 	}
 	x.ord = order.FromRanks(ordRanks)
 	return x, nil
 }
 
-// readInt64s decodes count little-endian int64s through buf, one
-// chunk at a time: the result grows only as bytes actually arrive
-// (see grow), so a corrupt count fails at the first missing chunk
-// instead of forcing a giant allocation.
-func readInt64s(r io.Reader, count int, buf []byte) ([]int64, error) {
-	per := len(buf) / 8
-	out := make([]int64, 0, min(count, per))
-	for len(out) < count {
-		b := buf[:8*min(count-len(out), per)]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		out = grow(out, len(b)/8, int64(count))
-		for ; len(b) > 0; b = b[8:] {
-			out = append(out, int64(binary.LittleEndian.Uint64(b)))
-		}
-	}
-	return out, nil
+// decodeJob is one block on its way to a decode worker.
+type decodeJob struct {
+	payload []byte
+	off     []int64      // off[1:] are the block's end offsets to fill
+	dst     []order.Rank // the block's range of the flat array
+	base    int64        // where dst starts in the flat array
 }
 
-// readRanks is readInt64s for little-endian int32 ranks, decoded
-// straight into the slice the index keeps.
-func readRanks(r io.Reader, count int64, buf []byte) ([]order.Rank, error) {
-	per := int64(len(buf) / 4)
-	out := make([]order.Rank, 0, min(count, per))
-	for int64(len(out)) < count {
-		b := buf[:4*min(count-int64(len(out)), per)]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		out = grow(out, len(b)/4, count)
-		for ; len(b) > 0; b = b[4:] {
-			out = append(out, order.Rank(binary.LittleEndian.Uint32(b)))
-		}
-	}
-	return out, nil
+// blockDecoder is Read's worker pool. The reader goroutine calls
+// readLabels once per section and then wait; workers decode blocks
+// into the disjoint ranges the reader assigned them.
+type blockDecoder struct {
+	n       int
+	jobs    chan decodeJob // holds every block of both sections: the reader never waits to hand one over
+	workers sync.WaitGroup
+	once    sync.Once
+	err     error
 }
+
+func newBlockDecoder(n int) *blockDecoder {
+	d := &blockDecoder{n: n, jobs: make(chan decodeJob, 2*blocksFor(n))}
+	for wk := min(runtime.GOMAXPROCS(0), cap(d.jobs)); wk > 0; wk-- {
+		d.workers.Add(1)
+		go func() {
+			defer d.workers.Done()
+			for j := range d.jobs {
+				if err := decodeLabelBlock(j.payload, j.off, j.dst, j.base, d.n); err != nil {
+					d.once.Do(func() { d.err = err })
+				}
+			}
+		}()
+	}
+	return d
+}
+
+// wait stops the workers once they have decoded everything handed out
+// and returns the first decode error.
+func (d *blockDecoder) wait() error {
+	close(d.jobs)
+	d.workers.Wait()
+	return d.err
+}
+
+// readLabels reads one labels section of total entries and hands its
+// blocks to the workers; the offsets, rebuilt from the list lengths,
+// and the flat rank array it returns are complete once wait returns.
+// The whole section is read before the flat array is allocated: by
+// then every entry counted has a byte that arrived, the array can be
+// made at its final size — growing it block by block copied and
+// cleared as many bytes again as the array holds — and what is held
+// meanwhile is the section in its coded form, a third of the array.
+// The first section decodes while the second is read.
+func (d *blockDecoder) readLabels(br *bufio.Reader, total uint64) ([]int64, []order.Rank, error) {
+	type block struct {
+		payload []byte
+		entries uint64
+	}
+	blocks := make([]block, 0, blocksFor(d.n))
+	var sum uint64
+	for v0 := 0; v0 < d.n; v0 += blockValues {
+		vertices := uint64(min(blockValues, d.n-v0))
+		entries, payload, err := readBlock(br, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Each list costs a length byte on top of a byte per entry.
+		if sum += entries; entries+vertices > uint64(len(payload)) || sum > total {
+			return nil, nil, fmt.Errorf("corrupt block: %d entries for the %d vertices from %d do not fit its %d bytes or the header's count", entries, vertices, v0, len(payload))
+		}
+		blocks = append(blocks, block{payload, entries})
+	}
+	if sum != total {
+		return nil, nil, fmt.Errorf("corrupt index: %d label entries where the header counts %d", sum, total)
+	}
+	off := make([]int64, d.n+1)
+	lab := make([]order.Rank, total)
+	base := uint64(0)
+	for i, b := range blocks {
+		v0 := i * blockValues
+		d.jobs <- decodeJob{payload: b.payload, off: off[v0 : min(v0+blockValues, d.n)+1], dst: lab[base : base+b.entries], base: int64(base)}
+		base += b.entries
+	}
+	return off, lab, nil
+}
+
+// blocksFor returns the number of blocks that cover n values.
+func blocksFor(n int) int { return (n + blockValues - 1) / blockValues }
 
 // grow makes room for k more elements of a slice that will hold count
-// in the end. Capacity doubles, clamped to count: never more than
-// twice what has already been read, and exactly count — no slack kept
-// for the index's lifetime — once the data is all there.
-func grow[T any](out []T, k int, count int64) []T {
+// in the end. Capacity at least doubles, clamped to count: never more
+// than twice what has already been read plus what was just read, and
+// exactly count — no slack kept for the index's lifetime — once the
+// data is all there.
+func grow[T any](out []T, k, count int) []T {
 	if len(out)+k <= cap(out) {
 		return out
 	}
-	grown := make([]T, len(out), min(count, int64(2*cap(out))))
+	grown := make([]T, len(out), min(count, max(2*cap(out), len(out)+k)))
 	copy(grown, out)
 	return grown
 }

@@ -1,68 +1,215 @@
 package label
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/order"
 )
 
-// writeToReference is the encoder WriteTo replaced: binary.Write per
-// section. It defines the on-disk format the chunked encoder must
-// reproduce byte for byte.
-func writeToReference(x *Index, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	ranks := make([]int32, x.n)
-	for v, r := range x.ord.Ranks() {
-		ranks[v] = int32(r)
-	}
-	for _, section := range []any{
-		indexMagic, uint64(x.n), uint64(len(x.inLab)), uint64(len(x.outLab)),
-		ranks, x.inOff, x.outOff, x.inLab, x.outLab,
-	} {
-		if err := binary.Write(bw, binary.LittleEndian, section); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+// The reference encoder: the file grammar of DESIGN.md §16 written
+// down once more, one goroutine, one append per value, no buffer
+// reuse. WriteTo must produce these bytes whatever GOMAXPROCS is.
+
+func refBlock(out []byte, entries int, payload []byte) []byte {
+	out = binary.AppendUvarint(out, uint64(entries))
+	out = binary.AppendUvarint(out, uint64(len(payload)))
+	return append(out, payload...)
 }
 
-// TestWriteToMatchesReferenceEncoder is the golden test of the chunked
-// encoder: same bytes as the reflective one, on an index smaller than
-// one chunk, one spanning several, and the empty one.
-func TestWriteToMatchesReferenceEncoder(t *testing.T) {
+func refLabelBlock(out []byte, lists [][]order.Rank) []byte {
+	var payload []byte
+	entries := 0
+	for _, list := range lists {
+		payload = binary.AppendUvarint(payload, uint64(len(list)))
+		prev := int64(-1)
+		for _, r := range list {
+			payload = binary.AppendUvarint(payload, uint64(int64(r)-prev-1))
+			prev = int64(r)
+		}
+		entries += len(list)
+	}
+	return refBlock(out, entries, payload)
+}
+
+func writeToReference(x *Index) []byte {
+	var out []byte
+	for _, v := range []uint64{indexMagic, uint64(x.n), uint64(len(x.inLab)), uint64(len(x.outLab))} {
+		out = binary.LittleEndian.AppendUint64(out, v)
+	}
+	ranks := x.ord.Ranks()
+	for v0 := 0; v0 < x.n; v0 += 4096 {
+		var payload []byte
+		part := ranks[v0:min(v0+4096, x.n)]
+		for _, r := range part {
+			payload = binary.AppendUvarint(payload, uint64(r))
+		}
+		out = refBlock(out, len(part), payload)
+	}
+	for _, labels := range []func(graph.VertexID) []order.Rank{x.InLabels, x.OutLabels} {
+		for v0 := 0; v0 < x.n; v0 += 4096 {
+			var lists [][]order.Rank
+			for v := v0; v < min(v0+4096, x.n); v++ {
+				lists = append(lists, labels(graph.VertexID(v)))
+			}
+			out = refLabelBlock(out, lists)
+		}
+	}
+	return out
+}
+
+// sparseIndex is an index of n vertices under a shuffled order whose
+// lists hold 0 to maxLen random ranks: many blocks for little memory.
+func sparseIndex(t testing.TB, n, maxLen int, seed int64) *Index {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	ranks := make([]order.Rank, n)
+	for i := range ranks {
+		ranks[i] = order.Rank(i)
+	}
+	rng.Shuffle(n, func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
+	in, out := make([][]order.Rank, n), make([][]order.Rank, n)
+	for v := 0; v < n; v++ {
+		for _, lists := range [][][]order.Rank{in, out} {
+			for k := rng.Intn(maxLen + 1); k > 0; k-- {
+				lists[v] = append(lists[v], order.Rank(rng.Intn(n)))
+			}
+			sortRanks(lists[v])
+			lists[v] = slices.Compact(lists[v])
+		}
+	}
+	return FromLists(order.FromRanks(ranks), in, out)
+}
+
+// ioFixtures covers the shapes the block codec has to get right: no
+// block, one short block, a vertex count that is not a multiple of the
+// block size, lists long enough for two-byte lengths, and sections
+// with no entries at all.
+func ioFixtures(t testing.TB) map[string]*Index {
 	small, _ := buildSmallIndex(t)
-	for name, x := range map[string]*Index{
-		"small":       small,
-		"multi-chunk": randomIndex(t, 300, 7),
-		"empty":       randomIndex(t, 0, 1),
-	} {
-		var want, got bytes.Buffer
-		if err := writeToReference(x, &want); err != nil {
-			t.Fatal(err)
+	return map[string]*Index{
+		"small":        small,
+		"empty":        randomIndex(t, 0, 1),
+		"one-vertex":   sparseIndex(t, 1, 1, 3),
+		"dense":        randomIndex(t, 300, 7),
+		"ragged":       sparseIndex(t, 2*blockValues+123, 6, 5),
+		"block-exact":  sparseIndex(t, blockValues, 3, 6),
+		"no-entries":   sparseIndex(t, blockValues+17, 0, 8),
+		"long-lengths": sparseIndex(t, 700, 400, 9),
+	}
+}
+
+func setProcs(t *testing.T, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+func mustWrite(t testing.TB, x *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := x.WriteTo(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(buf.Len()) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+	}
+	return buf.Bytes()
+}
+
+// TestWriteToMatchesReferenceEncoder is the golden test of the block
+// encoder: the reference encoder's bytes at every worker count, and an
+// Equal index back from them.
+func TestWriteToMatchesReferenceEncoder(t *testing.T) {
+	for name, x := range ioFixtures(t) {
+		want := writeToReference(x)
+		for _, procs := range []int{1, 2, 8} {
+			setProcs(t, procs)
+			got := mustWrite(t, x)
+			if !bytes.Equal(want, got) {
+				t.Errorf("%s at GOMAXPROCS %d: %d bytes written differ from the reference encoder's %d", name, procs, len(got), len(want))
+			}
+			y, err := Read(bytes.NewReader(got))
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", name, procs, err)
+			}
+			if !x.Equal(y) {
+				t.Errorf("%s at GOMAXPROCS %d: round trip changed the index: %s", name, procs, x.Diff(y))
+			}
+			for v := 0; v < x.n; v++ {
+				if x.ord.RankOf(graph.VertexID(v)) != y.ord.RankOf(graph.VertexID(v)) {
+					t.Fatalf("%s: ordering lost in round trip at vertex %d", name, v)
+				}
+			}
 		}
-		n, err := x.WriteTo(&got)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestLabelBlockWideGaps: gaps that need four and five bytes (an index
+// of two million vertices or more) take the decoder's slow path; a
+// block is enough to reach it.
+func TestLabelBlockWideGaps(t *testing.T) {
+	const n = 1 << 31
+	lists := [][]order.Rank{
+		{0, 1<<21 + 1, 1<<21 + 2},     // four-byte gap
+		{},                            // an empty list between them
+		{5, 1<<28 + 6},                // five-byte gap
+		{1<<31 - 1},                   // the last rank there is
+		{1 << 14, 1 << 15, 1<<31 - 2}, // three-byte first, five-byte later
+	}
+	off := []int64{0}
+	var lab []order.Rank
+	for _, l := range lists {
+		lab = append(lab, l...)
+		off = append(off, int64(len(lab)))
+	}
+	block, err := appendLabelBlock(nil, off, lab, 0, len(lists), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := refLabelBlock(nil, lists); !bytes.Equal(block, want) {
+		t.Fatalf("block % x, reference % x", block, want)
+	}
+	_, k1 := binary.Uvarint(block)
+	_, k2 := binary.Uvarint(block[k1:])
+	const base = 1000
+	gotOff := make([]int64, len(off))
+	gotLab := make([]order.Rank, len(lab))
+	if err := decodeLabelBlock(block[k1+k2:], gotOff, gotLab, base, n); err != nil {
+		t.Fatal(err)
+	}
+	for i := range lab {
+		if gotLab[i] != lab[i] {
+			t.Fatalf("entry %d decoded as %d, want %d", i, gotLab[i], lab[i])
 		}
-		if name == "multi-chunk" && got.Len() < 2*ioChunk {
-			t.Fatalf("%s: fixture is %d bytes, want several %d-byte chunks", name, got.Len(), ioChunk)
+	}
+	for i := 1; i < len(off); i++ {
+		if gotOff[i] != base+off[i] {
+			t.Fatalf("offset %d decoded as %d, want %d", i, gotOff[i], base+off[i])
 		}
-		if n != int64(got.Len()) {
-			t.Errorf("%s: WriteTo reported %d bytes, wrote %d", name, n, got.Len())
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Errorf("%s: chunked encoder wrote different bytes than the reference encoder", name)
-		}
-		y, err := Read(&got)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !x.Equal(y) {
-			t.Errorf("%s: round trip changed the index: %s", name, x.Diff(y))
-		}
+	}
+	// The same bytes against a vertex count one too small.
+	if err := decodeLabelBlock(block[k1+k2:], gotOff, gotLab, base, n-1); err == nil {
+		t.Error("rank n-1 accepted in an index of n-1 vertices")
+	}
+}
+
+// TestWriteToRejectsUnsortedList: the Builder tolerates a repeated
+// Add, the gap coding cannot express one.
+func TestWriteToRejectsUnsortedList(t *testing.T) {
+	b := NewBuilder(order.FromRanks([]order.Rank{0, 1, 2}))
+	b.AddIn(1, 2)
+	b.AddIn(1, 2)
+	var buf bytes.Buffer
+	if _, err := b.Finalize().WriteTo(&buf); err == nil || !strings.Contains(err.Error(), "strictly ascending") {
+		t.Fatalf("err = %v, want the list refused", err)
 	}
 }
 
@@ -81,30 +228,164 @@ func (w *failAfter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestWriteToReportsWriterError fails the sink in the header, in the
+// permutation, and in the first and a late label block: WriteTo must
+// return the sink's error and the byte count the sink took, with its
+// encode workers gone (the race detector and -count would show a
+// straggler writing into a recycled buffer).
 func TestWriteToReportsWriterError(t *testing.T) {
-	x := randomIndex(t, 300, 7)
-	w := &failAfter{limit: ioChunk + 100}
-	n, err := x.WriteTo(w)
-	if !errors.Is(err, errSink) {
-		t.Fatalf("err = %v, want the writer's error", err)
-	}
-	if n != int64(w.n) {
-		t.Fatalf("WriteTo reported %d bytes, the writer took %d", n, w.n)
+	x := sparseIndex(t, 6*blockValues, 6, 11)
+	size := len(mustWrite(t, x))
+	for _, procs := range []int{1, 4} {
+		setProcs(t, procs)
+		for _, limit := range []int{0, 20, 40, size / 4, size / 2, size - 1} {
+			w := &failAfter{limit: limit}
+			n, err := x.WriteTo(w)
+			if !errors.Is(err, errSink) {
+				t.Fatalf("limit %d: err = %v, want the writer's error", limit, err)
+			}
+			if n != int64(w.n) {
+				t.Fatalf("limit %d: WriteTo reported %d bytes, the writer took %d", limit, n, w.n)
+			}
+		}
 	}
 }
 
-// TestReadTruncatedMultiChunk: input that ends inside a later chunk
-// fails cleanly whatever section the cut lands in.
-func TestReadTruncatedMultiChunk(t *testing.T) {
-	x := randomIndex(t, 300, 7)
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+// blockStarts returns the file offset of every block of an index file
+// of n vertices, and the file's length last.
+func blockStarts(t testing.TB, file []byte, n int) []int {
+	t.Helper()
+	pos := 32
+	var starts []int
+	for i := 0; i < 3*((n+blockValues-1)/blockValues); i++ {
+		starts = append(starts, pos)
+		_, k1 := binary.Uvarint(file[pos:])
+		size, k2 := binary.Uvarint(file[pos+k1:])
+		pos += k1 + k2 + int(size)
 	}
-	good := buf.Bytes()
-	for _, cut := range []int{31, 40, 32 + 4*300 + 9, ioChunk + 1, len(good) / 2, len(good) - 1} {
+	if pos != len(file) {
+		t.Fatalf("blocks end at %d of a %d-byte file", pos, len(file))
+	}
+	return append(starts, pos)
+}
+
+// TestReadTruncatedMultiChunk: an index file has no valid proper
+// prefix. Every prefix of a small file, and of a many-block file every
+// cut at a block boundary, inside a block header, and inside a
+// payload — which lands mid-varint as often as not — must fail.
+func TestReadTruncatedMultiChunk(t *testing.T) {
+	small, _ := buildSmallIndex(t)
+	good := mustWrite(t, small)
+	for cut := 0; cut < len(good); cut++ {
 		if _, err := Read(bytes.NewReader(good[:cut])); err == nil {
-			t.Errorf("truncation at %d of %d bytes accepted", cut, len(good))
+			t.Errorf("small: truncation at %d of %d bytes accepted", cut, len(good))
 		}
+	}
+	x := sparseIndex(t, 3*blockValues+9, 5, 13)
+	good = mustWrite(t, x)
+	starts := blockStarts(t, good, x.n)
+	for i, at := range starts[:len(starts)-1] {
+		next := starts[i+1]
+		for _, cut := range []int{at, at + 1, at + 2, at + 3, (at + next) / 2, (at+next)/2 + 1, next - 1} {
+			if _, err := Read(bytes.NewReader(good[:cut])); err == nil {
+				t.Errorf("truncation at %d (block %d spans %d–%d) accepted", cut, i, at, next)
+			}
+		}
+	}
+}
+
+// allocatedBy returns the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadRejectsCorruptInput damages one field at a time. Each must
+// fail for its own reason, and none may allocate more than a small
+// multiple of the bytes that back it, whatever count it claims.
+func TestReadRejectsCorruptInput(t *testing.T) {
+	x := sparseIndex(t, 2*blockValues+50, 5, 17)
+	good := mustWrite(t, x)
+	starts := blockStarts(t, good, x.n)
+	perSection := len(starts) / 3
+	firstIn, lastOut := starts[perSection], starts[3*perSection-1]
+	_, entriesLen := binary.Uvarint(good[firstIn:])
+	_, lastEntriesLen := binary.Uvarint(good[lastOut:])
+	lastSize, _ := binary.Uvarint(good[lastOut+lastEntriesLen:])
+	inEntries := uint64(x.inOff[blockValues])
+
+	// The three-vertex index puts single bytes at known places: the
+	// permutation block at 32 (header 3 3, ranks at 34–36) and the
+	// in-label block at 37 (header 4 7, then 1 0 | 2 0 0 | 1 0).
+	small, _ := buildSmallIndex(t)
+	goodSmall := mustWrite(t, small)
+
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	// patch replaces the uvarint at file[at:] with repl.
+	patch := func(file []byte, at int, repl []byte) []byte {
+		_, k := binary.Uvarint(file[at:])
+		return append(append(append([]byte(nil), file[:at]...), repl...), file[at+k:]...)
+	}
+	header := func(word int, v uint64) []byte {
+		bad := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(bad[8*word:], v)
+		return bad
+	}
+
+	for _, c := range []struct {
+		name string
+		file []byte
+		want string // part of the error
+	}{
+		{"garbage", []byte("garbage"), "header"},
+		{"bad magic", header(0, 0x1122334455667788), "bad magic"},
+		{"n beyond plausible", header(1, 1<<31+1), "implausible"},
+		{"n inflated", header(1, 1<<31), "values where 4096 belong"},
+		{"n deflated", header(1, uint64(x.n-1)), "not below"},
+		{"nIn inflated", header(2, 1<<40), "where the header counts"},
+		{"nIn deflated", header(2, uint64(len(x.inLab)-1)), "do not fit"},
+		{"nOut inflated", header(3, uint64(len(x.outLab)+1)), "where the header counts"},
+		{"duplicate rank", patch(goodSmall, 35, goodSmall[34:35]), "corrupt rank"},
+		{"rank n in the permutation", patch(goodSmall, 35, []byte{3}), "not below 3"},
+		{"permutation entry count", patch(good, starts[0], []byte{7}), "7 values where 4096 belong"},
+		{"block entry count huge", patch(good, firstIn, uv(1<<39)), "entries declared in"},
+		{"block entry count +1", patch(good, firstIn, uv(inEntries+1)), "the header's count"},
+		{"block entry count -1", patch(good, firstIn, uv(inEntries-1)), "where the header counts"},
+		{"block and header entry count +1", patch(header(2, uint64(len(x.inLab)+1)), firstIn, uv(inEntries+1)), "does not match its header"},
+		{"block and header entry count -1", patch(header(2, uint64(len(x.inLab)-1)), firstIn, uv(inEntries-1)), "beyond the block's entry count"},
+		{"block byte length huge", patch(good, firstIn+entriesLen, uv(1<<39)), "unexpected EOF"},
+		{"block byte length -1", patch(good, lastOut+lastEntriesLen, uv(lastSize-1)), "unreadable"},
+		{"byte after the lists", append(patch(good, lastOut+lastEntriesLen, uv(lastSize+1)), 0), "does not match its header"},
+		{"list length beyond the block", patch(goodSmall, 37+2, []byte{5}), "beyond the block's entry count"},
+		{"gap to rank n", patch(goodSmall, 37+2+4, []byte{2}), "rank out of range"},
+		{"gap wider than 32 bits", patch(patch(goodSmall, 37+2+4, uv(1<<32)), 37+1, []byte{7 + 4}), "rank unreadable"},
+	} {
+		var err error
+		used := allocatedBy(func() { _, err = Read(bytes.NewReader(c.file)) })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one about %q", c.name, err, c.want)
+		}
+		if budget := uint64(32*len(c.file) + 1<<20); used > budget {
+			t.Errorf("%s: allocated %d bytes reading a %d-byte file", c.name, used, len(c.file))
+		}
+	}
+	for _, file := range [][]byte{good, goodSmall} {
+		if _, err := Read(bytes.NewReader(file)); err != nil {
+			t.Fatalf("the undamaged file: %v", err)
+		}
+	}
+}
+
+// TestReadRefusesRetiredFormat: a file of the fixed-width format says
+// what to do about it.
+func TestReadRefusesRetiredFormat(t *testing.T) {
+	old := make([]byte, 32)
+	binary.LittleEndian.PutUint64(old, fixedWidthMagic)
+	_, err := Read(bytes.NewReader(old))
+	if err == nil || !strings.Contains(err.Error(), "rebuild the index") {
+		t.Fatalf("err = %v, want a rebuild message", err)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // randomIndex builds an index with random (sorted, duplicate-free)
 // label lists through the Builder, alongside the raw per-vertex lists.
-func randomIndex(t *testing.T, n int, seed int64) *Index {
+func randomIndex(t testing.TB, n int, seed int64) *Index {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ranks := make([]order.Rank, n)

@@ -3,6 +3,7 @@ package reachlab
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -78,10 +79,15 @@ func TestCondensedIndexRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
+	n, err := idx.WriteTo(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadIndex(&buf)
+	if n != int64(buf.Len()) {
+		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+	}
+	file := buf.Bytes()
+	got, err := ReadIndex(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +97,27 @@ func TestCondensedIndexRoundTrip(t *testing.T) {
 			if got.Reachable(s, d) != want {
 				t.Fatalf("loaded condensed index wrong on (%d,%d)", s, d)
 			}
+		}
+	}
+
+	// The table is one block at byte 16: 11 values in 11 bytes, the
+	// first component ID at byte 18.
+	damaged := func(at int, b byte) []byte {
+		bad := append([]byte(nil), file...)
+		bad[at] = b
+		return bad
+	}
+	for name, c := range map[string]struct {
+		file []byte
+		want string
+	}{
+		"component ID out of range":  {damaged(18, 0x7f), "corrupt component table"},
+		"table longer than claimed":  {damaged(8, 10), "component table"},
+		"table shorter than claimed": {damaged(8, 12), "component table"},
+		"retired envelope":           {damaged(0, '1'), "rebuild the index"},
+	} {
+		if _, err := ReadIndex(bytes.NewReader(c.file)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one about %q", name, err, c.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package reachlab
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -356,8 +357,11 @@ func (x *Index) LabelIndex() *label.Index { return x.idx }
 
 // IndexStats summarizes the index payload.
 type IndexStats struct {
-	Entries      int64   // total label entries Σ(|L_in|+|L_out|)
-	Bytes        int64   // serialized footprint
+	Entries int64 // total label entries Σ(|L_in|+|L_out|)
+	// Bytes is the in-memory payload, 4 bytes per entry plus the offset
+	// arrays: how the paper's Table VI reports "index size". The index
+	// file is smaller; WriteTo returns its size.
+	Bytes        int64
 	MaxLabelSize int     // Δ of §II-A
 	AvgLabelSize float64 // mean label size per side
 
@@ -383,50 +387,49 @@ func (x *Index) Stats() IndexStats {
 }
 
 // The serialized form wraps the label payload in a small envelope so
-// condensed indexes can carry their component table.
-const indexEnvelopeMagic = uint64(0x524c49584e564531) // "RLIXNVE1"
+// condensed indexes can carry their component table: the magic, the
+// table's length, the table as an ints section of the label format
+// (label.WriteInts), then the label index itself.
+const (
+	indexEnvelopeMagic = uint64(0x524c49584e564532) // "RLIXNVE2"
+	// fixedWidthEnvelopeMagic opened the retired envelope, whose table
+	// and label payload were raw fixed-width integers.
+	fixedWidthEnvelopeMagic = uint64(0x524c49584e564531) // "RLIXNVE1"
+)
 
-// WriteTo serializes the index (see ReadIndex). Budgeted indexes are
-// not serializable: their query path needs the graph, which is not
-// part of the index file format.
+// WriteTo serializes the index (see ReadIndex) and returns the number
+// of bytes written. Budgeted indexes are not serializable: their query
+// path needs the graph, which is not part of the index file format.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	if x.bidx != nil {
 		return 0, errors.New("reachlab: a budgeted index retains its graph and cannot be serialized")
 	}
-	var written int64
-	put := func(data any, size int64) error {
-		if err := binary.Write(w, binary.LittleEndian, data); err != nil {
-			return fmt.Errorf("reachlab: writing index: %w", err)
-		}
-		written += size
-		return nil
+	envelope := binary.LittleEndian.AppendUint64(nil, indexEnvelopeMagic)
+	envelope = binary.LittleEndian.AppendUint64(envelope, uint64(len(x.comp)))
+	k, err := w.Write(envelope)
+	written := int64(k)
+	if err != nil {
+		return written, fmt.Errorf("reachlab: writing index: %w", err)
 	}
-	if err := put(indexEnvelopeMagic, 8); err != nil {
+	n, err := label.WriteInts(w, x.comp)
+	written += n
+	if err != nil {
 		return written, err
 	}
-	var compLen uint64
-	if x.comp != nil {
-		compLen = uint64(len(x.comp))
-	}
-	if err := put(compLen, 8); err != nil {
-		return written, err
-	}
-	if compLen > 0 {
-		if err := put(x.comp, 4*int64(compLen)); err != nil {
-			return written, err
-		}
-	}
-	n, err := x.idx.WriteTo(w)
+	n, err = x.idx.WriteTo(w)
 	return written + n, err
 }
 
 // ReadIndex deserializes an index written by WriteTo.
 func ReadIndex(r io.Reader) (*Index, error) {
-	var magic, compLen uint64
-	for _, p := range []*uint64{&magic, &compLen} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("reachlab: reading index envelope: %w", err)
-		}
+	br := bufio.NewReader(r)
+	var envelope [16]byte
+	if _, err := io.ReadFull(br, envelope[:]); err != nil {
+		return nil, fmt.Errorf("reachlab: reading index envelope: %w", err)
+	}
+	magic, compLen := binary.LittleEndian.Uint64(envelope[:]), binary.LittleEndian.Uint64(envelope[8:])
+	if magic == fixedWidthEnvelopeMagic {
+		return nil, errors.New("reachlab: this index file is in the retired fixed-width format; rebuild the index")
 	}
 	if magic != indexEnvelopeMagic {
 		return nil, errors.New("reachlab: not an index file (bad magic)")
@@ -436,27 +439,22 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	}
 	var comp []int32
 	if compLen > 0 {
-		// Bounded chunks: corrupt headers fail fast without giant
-		// allocations.
-		const chunk = 1 << 16
-		comp = make([]int32, 0, min(compLen, chunk))
-		for uint64(len(comp)) < compLen {
-			part := make([]int32, min(compLen-uint64(len(comp)), chunk))
-			if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-				return nil, fmt.Errorf("reachlab: reading component table: %w", err)
-			}
-			comp = append(comp, part...)
+		var err error
+		if comp, err = label.ReadInts[int32](br, int(compLen), 1<<31); err != nil {
+			return nil, fmt.Errorf("reachlab: reading component table: %w", err)
 		}
 	}
-	idx, err := label.Read(r)
+	idx, err := label.Read(br)
 	if err != nil {
 		return nil, err
 	}
 	x := &Index{idx: idx, comp: comp}
 	if comp != nil {
+		// A component ID is known to be in range only now that the
+		// label index has said how many components there are.
 		nc := idx.NumVertices()
 		for _, c := range comp {
-			if c < 0 || int(c) >= nc {
+			if int(c) >= nc {
 				return nil, errors.New("reachlab: corrupt component table")
 			}
 		}
