@@ -1,25 +1,24 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet lint lint-json invariants check check-full cover bench bench-smoke bench-compare bench-harness loadtest load-compare fleettest updatetest update-compare scale-smoke querytest tools examples experiments clean
+.PHONY: all build test vet lint lint-json invariants check check-full cover bench-harness loadtest fleettest updatetest scale-smoke querytest tools examples experiments clean
 
 all: build vet test
 
-# What CI runs: vet, build, the project analyzers (text + the JSON
-# artifact the lint job archives), the full test suite under the race
-# detector (the RPC fault-handling tests are concurrency-heavy), 15 s
-# of fuzzing the index-file decoder, and the suite again with runtime
-# invariants compiled in.
+# What CI's check, lint and invariants jobs run: vet, build, the
+# project analyzers, the full test suite once under the race detector
+# (the RPC fault-handling tests are concurrency-heavy) with coverage,
+# 15 s of fuzzing the index-file decoder, and the suite again with
+# runtime invariants compiled in.
 check:
 	go vet ./...
 	go build ./...
 	go run ./cmd/drlint ./...
-	$(MAKE) lint-json
-	go test -race ./...
+	go test -race -cover ./...
 	go test ./internal/label -run '^$$' -fuzz FuzzRead -fuzztime 15s
 	go test -tags=invariants ./...
 
-# check plus the end-to-end serving smoke — slower, optional locally,
-# what CI's serve-smoke job runs on top of check.
+# check plus the end-to-end serving smoke — slower, optional locally;
+# CI's serve-smoke job runs it beside querytest and scale-smoke.
 check-full: check loadtest
 
 build:
@@ -53,24 +52,6 @@ test:
 cover:
 	go test -cover ./...
 
-bench:
-	go test -bench=. -benchmem
-
-# One-iteration benchmark pass — catches bit-rot in the bench harness
-# without paying for real measurements (CI's bench-smoke job).
-bench-smoke:
-	go test -run=NONE -bench=Table6 -benchtime=1x .
-
-# Diff two drbench -json records and fail on a regression of the
-# deterministic wire-volume metrics (messages, bytes_remote). Defaults
-# to the committed before/after pair of the wire-format v2 change;
-# override OLD/NEW to gate a fresh run against the newest baseline, as
-# CI's bench-smoke job does.
-OLD ?= BENCH_table6-tiny-p8-1785921086.json
-NEW ?= BENCH_table6-tiny-p8-1785925046.json
-bench-compare:
-	go run ./cmd/benchcompare $(OLD) $(NEW)
-
 # The benchmark harness is a module of its own (benchmark/go.mod with
 # `replace repro => ../`), so `go test ./...` from the root never
 # compiles it: an API break against what it imports (tol.Build,
@@ -83,8 +64,8 @@ bench-harness:
 	bash benchmark/run.sh -smoke
 
 # End-to-end serving smoke: drgen -> drlabel -> drserve under a drload
-# burst with answer verification and a graceful-shutdown check, then
-# the flat-vs-slice layout gate (CI's serve-smoke job).
+# burst with answer verification and a graceful-shutdown check (CI's
+# serve-smoke job).
 loadtest:
 	./scripts/serve_smoke.sh
 
@@ -99,18 +80,15 @@ fleettest:
 
 # End-to-end scale-path smoke: generate a ~1.2M-edge graph streamed
 # and in-RAM (binary v2 files byte-identical via cmp), label it from a
-# copy load and an mmap load (index files byte-identical via cmp),
-# then run drbench -exp scale twice and gate every deterministic
-# output with benchcompare (CI's scale-smoke job). No timings gated.
+# copy load and an mmap load (index files byte-identical via cmp).
+# CI's serve-smoke job. No timings gated.
 scale-smoke:
 	./scripts/scale_smoke.sh
 
 # End-to-end rich-query smoke: drserve with witness paths enabled
 # (-idx + -graph), verified drload bursts at /reach/path, /reach/count,
-# and /reach/join, curl spot checks of the refusal paths, then the
-# deterministic query-workload record regenerated and gated exactly
-# against the committed BENCH_query-citation-*.json baseline (CI's
-# query-smoke job). No timings gated.
+# and /reach/join, and curl spot checks of the refusal paths (CI's
+# serve-smoke job).
 querytest:
 	./scripts/query_smoke.sh
 
@@ -118,28 +96,9 @@ querytest:
 # POST /edges point checks with epoch-acknowledged reads, a drload
 # burst with concurrent writers, kill -9 + WAL replay verifying no
 # acked write is lost, and a graceful-shutdown check (CI's
-# update-smoke job).
+# fleet-smoke job).
 updatetest:
 	./scripts/update_smoke.sh
-
-# Diff the committed static-serving baseline against the serve-while-
-# updating record (drserve update mode under drload -writers): query
-# p50 and QPS with the WAL refresher live may not regress more than
-# -qtolerance relative to read-only serving. Override UPD_OLD/UPD_NEW
-# for fresh runs.
-UPD_OLD ?= BENCH_load-citation-serve1-1786166619.json
-UPD_NEW ?= BENCH_update-citation-serve1-1786171084.json
-update-compare:
-	go run ./cmd/benchcompare -queries -qtolerance 0.10 $(UPD_OLD) $(UPD_NEW)
-
-# Diff the committed flat-vs-slice serving records (drload -mode
-# inproc on the citation graph, uniform traffic): the flat layout's
-# query p50 and QPS may not regress past -qtolerance relative to the
-# pre-flat slice baseline. Override LOAD_OLD/LOAD_NEW for fresh runs.
-LOAD_OLD ?= BENCH_load-citation-uni-layout-slice-1785927060.json
-LOAD_NEW ?= BENCH_load-citation-uni-layout-flat-1785927062.json
-load-compare:
-	go run ./cmd/benchcompare -queries $(LOAD_OLD) $(LOAD_NEW)
 
 tools:
 	go build -o bin/ ./cmd/...

@@ -1,118 +1,94 @@
 // Command drbench regenerates the paper's evaluation artifacts
-// (Table V, Table VI, and Figures 5-9 of §VI) against the synthetic
-// dataset suite.
+// (Table V, Table VI, and Figures 5-9 of §VI), the design-choice
+// ablations, and the extra-baseline comparison against the synthetic
+// dataset suite. Its output is what results/ and EXPERIMENTS.md record;
+// performance claims are measured with benchmark/run.sh instead.
 //
 // Usage:
 //
 //	drbench -exp table6 -suite medium -workers 8 -cutoff 60s
 //	drbench -exp all    -suite tiny
-//	drbench -suite tiny -json
 //
-// Experiments: table5, table6, fig5, fig6, fig7, fig8, fig9, all.
-// Suites: tiny, medium, large, all (see internal/bench).
-//
-// -exp scale instead measures the single-machine 10⁸-edge build path
-// (parallel CSR build, streamed build, binary v2 save, copy load,
-// mmap load, budgeted labeling) on one generated graph:
-//
-//	drbench -exp scale -scale-n 10000000 -scale-budget 32 -runs 5 -json
-//
-// -exp query runs the rich-query workload (witness paths, one-source
-// sweeps, set sizes, a reachability join — DESIGN.md §15) over one
-// generated graph, reusing the -scale-* generator flags. Every
-// aggregate count in the record is deterministic and benchcompare
-// gates it exactly; the phase timings are informational:
-//
-//	drbench -exp query -scale-n 20000 -scale-seed 1 -json
-//
-// -json additionally runs a profiling pass (TOL, DRL_b^M, DRL, DRL_b
-// per dataset) and writes a machine-readable
-// BENCH_<exp>-<suite>-p<P>-<unix>.json record with build times,
-// superstep and message volume, and query-latency percentiles.
+// -exp takes one experiment name (see -h) or "all", which runs every
+// one of them in order. Suites: tiny, medium, large, all (see
+// internal/bench).
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/bench"
-	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/netsim"
 )
 
+// experiment is one named artifact: compute its rows, print them.
+type experiment struct {
+	name string
+	run  func(r *bench.Runner, ds []bench.Dataset, progress func(string)) error
+}
+
+// experiments is the single list the help text, "all", and the
+// dispatch are derived from.
+var experiments = []experiment{
+	{"table5", of((*bench.Runner).Table5, bench.PrintTable5)},
+	{"table6", of((*bench.Runner).Table6, bench.PrintTable6)},
+	{"fig5", of((*bench.Runner).Fig5, bench.PrintFig5)},
+	{"fig6", of((*bench.Runner).Fig6, bench.PrintFig6)},
+	{"fig7", of((*bench.Runner).Fig7, bench.PrintFig7)},
+	{"fig8", of((*bench.Runner).Fig8, bench.PrintFig8)},
+	{"fig9", of((*bench.Runner).Fig9, bench.PrintFig9)},
+	{"ablation-order", of((*bench.Runner).AblationOrder, bench.PrintAblationOrder)},
+	{"ablation-condense", of((*bench.Runner).AblationCondense, bench.PrintAblationCondense)},
+	{"extras", of((*bench.Runner).Extras, bench.PrintExtras)},
+}
+
+// of pairs a Runner experiment with its table printer.
+func of[Row any](
+	rows func(*bench.Runner, []bench.Dataset, func(string)) ([]Row, error),
+	show func(io.Writer, []Row),
+) func(*bench.Runner, []bench.Dataset, func(string)) error {
+	return func(r *bench.Runner, ds []bench.Dataset, progress func(string)) error {
+		out, err := rows(r, ds, progress)
+		if err != nil {
+			return err
+		}
+		show(os.Stdout, out)
+		return nil
+	}
+}
+
 func main() {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
 	var (
-		exp     = flag.String("exp", "table6", "experiment: table5, table6, fig5, fig6, fig7, fig8, fig9, ablation-order, ablation-condense, scale, all")
+		exp     = flag.String("exp", "table6", "experiment: "+strings.Join(names, ", ")+", or all")
 		suite   = flag.String("suite", "medium", "dataset suite: tiny, medium, large, all")
 		workers = flag.Int("workers", 8, "simulated computation nodes P")
 		cutoff  = flag.Duration("cutoff", 60*time.Second, "per-build cut-off (0 = none); timed-out builds print INF")
 		queries = flag.Int("queries", 20000, "sampled queries per query-time figure")
 		latency = flag.Duration("latency", 100*time.Microsecond, "simulated per-superstep barrier latency")
 		quiet   = flag.Bool("q", false, "suppress progress lines")
-		asJSON  = flag.Bool("json", false, "also write a machine-readable BENCH_*.json record")
-		jsonDir = flag.String("json-dir", ".", "directory for BENCH_*.json records")
-
-		scaleFamily = flag.String("scale-family", "citation", "scale experiment: generator family")
-		scaleN      = flag.Int("scale-n", 1_000_000, "scale experiment: vertex count")
-		scaleDeg    = flag.Float64("scale-deg", 4, "scale experiment: target average out-degree")
-		scaleSeed   = flag.Int64("scale-seed", 1, "scale experiment: generator seed")
-		scaleBudget = flag.Int("scale-budget", 32, "scale experiment: label budget (0 skips labeling)")
-		runs        = flag.Int("runs", 5, "scale experiment: timing repetitions per build/IO phase (median reported)")
 	)
 	flag.Parse()
 
-	progressEarly := func(line string) { fmt.Fprintln(os.Stderr, line) }
-	if *quiet {
-		progressEarly = nil
-	}
-
-	// The scale experiment measures one parameterized build, not the
-	// dataset suites, so it short-circuits the suite plumbing.
-	if *exp == "scale" {
-		fmt.Printf("\n===== scale (family %s, n=%d, deg=%.1f, budget=%d, runs=%d) =====\n",
-			*scaleFamily, *scaleN, *scaleDeg, *scaleBudget, *runs)
-		rec, err := bench.RunScale(bench.ScaleParams{
-			Family:    *scaleFamily,
-			N:         *scaleN,
-			AvgDegree: *scaleDeg,
-			Seed:      *scaleSeed,
-			Budget:    *scaleBudget,
-			Runs:      *runs,
-		}, progressEarly)
-		if err != nil {
-			fatal(err)
-		}
-		bench.PrintScale(os.Stdout, rec)
-		if *asJSON {
-			if err := writeScaleRecord(rec, *jsonDir); err != nil {
-				fatal(err)
+	selected := experiments
+	if *exp != "all" {
+		selected = nil
+		for _, e := range experiments {
+			if e.name == *exp {
+				selected = []experiment{e}
 			}
 		}
-		return
-	}
-
-	// The query experiment likewise measures one parameterized graph:
-	// generate, full build, then the deterministic rich-query workload.
-	if *exp == "query" {
-		fmt.Printf("\n===== query (family %s, n=%d, deg=%.1f, seed=%d) =====\n",
-			*scaleFamily, *scaleN, *scaleDeg, *scaleSeed)
-		rec, err := runQueryWorkload(*scaleFamily, *scaleN, *scaleDeg, *scaleSeed, progressEarly)
-		if err != nil {
-			fatal(err)
+		if selected == nil {
+			fatal(fmt.Errorf("unknown experiment %q (%s, or all)", *exp, strings.Join(names, ", ")))
 		}
-		bench.PrintQueryWorkload(os.Stdout, rec)
-		if *asJSON {
-			if err := writeQueryRecord(rec, *jsonDir); err != nil {
-				fatal(err)
-			}
-		}
-		return
 	}
 
 	ds, err := bench.Suite(*suite)
@@ -130,213 +106,12 @@ func main() {
 		progress = nil
 	}
 
-	run := func(name string) error {
-		fmt.Printf("\n===== %s (suite %s, P=%d) =====\n", name, *suite, r.Workers)
-		switch name {
-		case "table5":
-			rows, err := r.Table5(ds, progress)
-			if err != nil {
-				return err
-			}
-			bench.PrintTable5(os.Stdout, rows)
-		case "table6":
-			rows, err := r.Table6(ds, progress)
-			if err != nil {
-				return err
-			}
-			bench.PrintTable6(os.Stdout, rows)
-		case "fig5":
-			rows, err := r.Fig5(ds, progress)
-			if err != nil {
-				return err
-			}
-			bench.PrintFig5(os.Stdout, rows)
-		case "fig6":
-			rows, err := r.Fig6(ds, progress)
-			if err != nil {
-				return err
-			}
-			bench.PrintFig6(os.Stdout, rows)
-		case "fig7":
-			rows, err := r.Fig7(ds, progress)
-			if err != nil {
-				return err
-			}
-			bench.PrintFig7(os.Stdout, rows)
-		case "fig8":
-			rows, err := r.Fig8(ds, progress)
-			if err != nil {
-				return err
-			}
-			bench.PrintFig8(os.Stdout, rows)
-		case "fig9":
-			rows, err := r.Fig9(ds, progress)
-			if err != nil {
-				return err
-			}
-			bench.PrintFig9(os.Stdout, rows)
-		case "ablation-order":
-			rows, err := r.AblationOrder(ds, progress)
-			if err != nil {
-				return err
-			}
-			bench.PrintAblationOrder(os.Stdout, rows)
-		case "ablation-condense":
-			rows, err := r.AblationCondense(ds, progress)
-			if err != nil {
-				return err
-			}
-			bench.PrintAblationCondense(os.Stdout, rows)
-		case "extras":
-			rows, err := r.Extras(ds, progress)
-			if err != nil {
-				return err
-			}
-			bench.PrintExtras(os.Stdout, rows)
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		return nil
-	}
-
-	if *exp == "all" {
-		for _, name := range []string{"table5", "table6", "fig5", "fig6", "fig7", "fig8", "fig9", "ablation-order", "ablation-condense"} {
-			if err := run(name); err != nil {
-				fatal(err)
-			}
-		}
-	} else if err := run(*exp); err != nil {
-		fatal(err)
-	}
-
-	if *asJSON {
-		if err := writeRecord(r, ds, *exp, *suite, *jsonDir, progress); err != nil {
+	for _, e := range selected {
+		fmt.Printf("\n===== %s (suite %s, P=%d) =====\n", e.name, *suite, r.Workers)
+		if err := e.run(r, ds, progress); err != nil {
 			fatal(err)
 		}
 	}
-}
-
-// writeRecord runs the profiling pass and serializes it to
-// BENCH_<exp>-<suite>-p<P>-<unix>.json under dir.
-func writeRecord(r *bench.Runner, ds []bench.Dataset, exp, suite, dir string, progress func(string)) error {
-	recs, err := r.Profile(ds, progress)
-	if err != nil {
-		return err
-	}
-	now := time.Now().Unix()
-	rec := bench.RunRecord{
-		Experiment: exp,
-		Suite:      suite,
-		Workers:    r.Workers,
-		Queries:    r.Queries,
-		UnixTime:   now,
-		Datasets:   recs,
-	}
-	name := fmt.Sprintf("%s/BENCH_%s-%s-p%d-%d.json", dir, exp, suite, r.Workers, now)
-	f, err := os.Create(name)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", name)
-	return nil
-}
-
-// runQueryWorkload generates the graph, runs a full (graph-retaining)
-// index build, and drives the deterministic rich-query workload over
-// it. The build method does not matter for the record — every method
-// produces the identical index, and the workload's counts are graph
-// properties — so the default build is used.
-func runQueryWorkload(family string, n int, deg float64, seed int64, progress func(string)) (*bench.QueryWorkloadRecord, error) {
-	gd, err := gen.Generate(gen.Params{Family: gen.Family(family), N: n, AvgDegree: deg, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	edges := make([]reachlab.Edge, 0, gd.NumEdges())
-	for v := 0; v < gd.NumVertices(); v++ {
-		for _, w := range gd.OutNeighbors(graph.VertexID(v)) {
-			edges = append(edges, reachlab.Edge{From: graph.VertexID(v), To: w})
-		}
-	}
-	g := reachlab.NewGraph(gd.NumVertices(), edges)
-	idx, err := reachlab.Build(context.Background(), g, reachlab.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return bench.RunQueryWorkload(bench.QueryWorkloadParams{
-		Family: family, N: n, AvgDegree: deg, Seed: seed,
-	}, bench.QueryWorkloadOps{
-		Vertices:  idx.NumVertices(),
-		Edges:     gd.NumEdges(),
-		Reachable: idx.Reachable,
-		Path:      idx.WitnessPath,
-		SetSize:   idx.ReachableSetSize,
-		Sweep:     idx.ReachableFrom,
-	}, progress)
-}
-
-// writeQueryRecord serializes a query-workload run to
-// BENCH_query-<family>-n<N>-<unix>.json under dir.
-func writeQueryRecord(qw *bench.QueryWorkloadRecord, dir string) error {
-	now := time.Now().Unix()
-	rec := bench.RunRecord{
-		Experiment:    "query",
-		Suite:         qw.Family,
-		UnixTime:      now,
-		QueryWorkload: qw,
-	}
-	name := fmt.Sprintf("%s/BENCH_query-%s-n%d-%d.json", dir, qw.Family, qw.N, now)
-	f, err := os.Create(name)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", name)
-	return nil
-}
-
-// writeScaleRecord serializes a scale run to
-// BENCH_scale-<family>-n<N>-b<budget>-<unix>.json under dir.
-func writeScaleRecord(sc *bench.ScaleRecord, dir string) error {
-	now := time.Now().Unix()
-	rec := bench.RunRecord{
-		Experiment: "scale",
-		Suite:      sc.Family,
-		UnixTime:   now,
-		Scale:      sc,
-	}
-	name := fmt.Sprintf("%s/BENCH_scale-%s-n%d-b%d-%d.json", dir, sc.Family, sc.N, sc.Budget, now)
-	f, err := os.Create(name)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", name)
-	return nil
 }
 
 func fatal(err error) {

@@ -1,10 +1,9 @@
-// Command drload is the load generator and soak harness for the query
-// serving layer: N concurrent clients firing zipfian (s, t) pair
-// traffic, reporting achieved QPS and latency percentiles in the same
-// BENCH_*.json shape drbench writes, so benchcompare can gate serving
-// regressions exactly like build regressions.
-//
-// Two modes:
+// Command drload is the verifying load client of the query serving
+// layer: N concurrent clients firing zipfian (s, t) pair traffic at a
+// live drserve or drrouter, every answer optionally checked against a
+// local copy of the index, with achieved QPS and latency percentiles
+// printed for the operator. It is what the smoke scripts gate on;
+// performance claims are measured with benchmark/run.sh instead.
 //
 //	# Hammer a live drserve over HTTP (single queries or batches):
 //	drload -addr 127.0.0.1:8080 -clients 8 -duration 10s -batch 16
@@ -14,10 +13,6 @@
 //	# per-endpoint error accounting, reloading the index under load:
 //	drload -addrs 127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003 -batch 16
 //	drload -addrs 127.0.0.1:8080 -reload-every 500ms -duration 10s
-//
-//	# Profile the index in-process, flat vs. pre-flat slice layout:
-//	drload -mode inproc -idx web.idx -layout flat  -json
-//	drload -mode inproc -idx web.idx -layout slice -json
 //
 //	# Hammer the rich read endpoints (DESIGN.md §15): witness paths,
 //	# set sizes, and streaming joins, each verified against the index:
@@ -37,14 +32,14 @@
 //
 // With -verify-idx the HTTP answers are checked against a locally
 // loaded copy of the index and any mismatch counts as an error; the
-// exit status is nonzero whenever errors occurred, which is what CI's
-// serve-smoke and fleet-smoke jobs gate on. With several -addrs the
-// per-endpoint request/error tallies are printed, so a fleet run's
-// failures point at the replica that produced them. -reload-every
-// POSTs /admin/reload to the endpoints round-robin while the clients
-// fire (a drrouter endpoint fans the reload across its replicas), so
-// the run proves the zero-downtime swap: reload failures are counted
-// separately and also exit nonzero.
+// exit status is nonzero whenever errors occurred, which is what the
+// smoke scripts gate on. With several -addrs the per-endpoint
+// request/error tallies are printed, so a fleet run's failures point
+// at the replica that produced them. -reload-every POSTs /admin/reload
+// to the endpoints round-robin while the clients fire (a drrouter
+// endpoint fans the reload across its replicas), so the run proves the
+// zero-downtime swap: reload failures are counted separately and also
+// exit nonzero.
 package main
 
 import (
@@ -55,7 +50,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"time"
@@ -67,47 +61,37 @@ import (
 
 func main() {
 	var (
-		mode      = flag.String("mode", "serve", "serve (HTTP loadgen), path, count, join (rich-endpoint loadgen), or inproc (layout profiling)")
-		addr      = flag.String("addr", "127.0.0.1:8080", "serve mode: host:port of a running drserve or drrouter")
-		addrs     = flag.String("addrs", "", "serve mode: comma-separated endpoints; overrides -addr and reports per-endpoint errors")
-		reloadEv  = flag.Duration("reload-every", 0, "serve mode: POST /admin/reload to the endpoints (round-robin) at this period during the run")
-		writers   = flag.Int("writers", 0, "serve mode: concurrent writer loops POSTing /edges mutations (update mix; target must run drserve -graph/-wal)")
-		writeWin  = flag.Int("write-window", 0, "serve mode: restrict writer edges to the newest N vertex IDs (citation-growth regime; 0 = whole ID space)")
-		writeEv   = flag.Duration("write-every", 0, "serve mode: throttle each writer to one mutation per period (0 = back-to-back)")
-		reloadRef = flag.String("reload-ref", "", "serve mode: index ref sent with -reload-every reloads (default: the endpoint's own default source)")
-		idxPath   = flag.String("idx", "", "inproc mode: index file to profile (required)")
-		layout    = flag.String("layout", "flat", "inproc mode: flat (CSR index) or slice (pre-flat per-vertex lists)")
-		verifyIdx = flag.String("verify-idx", "", "serve/path/count/join modes: index file to check HTTP answers against")
+		mode      = flag.String("mode", "serve", "endpoint driven: serve (/reach, /reach/batch), path, count, or join")
+		addr      = flag.String("addr", "127.0.0.1:8080", "host:port of a running drserve or drrouter")
+		addrs     = flag.String("addrs", "", "comma-separated endpoints; overrides -addr and reports per-endpoint errors")
+		reloadEv  = flag.Duration("reload-every", 0, "POST /admin/reload to the endpoints (round-robin) at this period during the run")
+		writers   = flag.Int("writers", 0, "concurrent writer loops POSTing /edges mutations (update mix; target must run drserve -graph/-wal)")
+		writeWin  = flag.Int("write-window", 0, "restrict writer edges to the newest N vertex IDs (citation-growth regime; 0 = whole ID space)")
+		writeEv   = flag.Duration("write-every", 0, "throttle each writer to one mutation per period (0 = back-to-back)")
+		reloadRef = flag.String("reload-ref", "", "index ref sent with -reload-every reloads (default: the endpoint's own default source)")
+		verifyIdx = flag.String("verify-idx", "", "index file to check HTTP answers against")
 		verifyG   = flag.String("verify-graph", "", "path mode: edge list to check witness-path hops against (needs -verify-idx)")
 		clients   = flag.Int("clients", 8, "concurrent client loops")
-		requests  = flag.Int("requests", 10000, "total requests (serve mode, ignored with -duration)")
+		requests  = flag.Int("requests", 10000, "total requests (ignored with -duration)")
 		duration  = flag.Duration("duration", 0, "soak: run until this deadline instead of a request count")
 		batch     = flag.Int("batch", 1, "pairs per request: 1 = GET /reach, >1 = POST /reach/batch")
-		queries   = flag.Int("queries", 200000, "inproc mode: sampled query pairs")
 		zipfS     = flag.Float64("zipf", 1.1, "zipf skew of the pair distribution (<=1 = uniform)")
 		seed      = flag.Int64("seed", 1, "traffic seed (client i uses seed+i)")
-		name      = flag.String("name", "", "dataset name in the record (default: index file base, else \"serve\")")
-		asJSON    = flag.Bool("json", false, "write a machine-readable BENCH_*.json record")
-		jsonDir   = flag.String("json-dir", ".", "directory for BENCH_*.json records")
 	)
 	flag.Parse()
 
-	switch *mode {
-	case "serve", "path", "count", "join":
-		list := *addrs
-		if list == "" {
-			list = *addr
-		}
-		endpoints := splitAddrs(list)
-		if len(endpoints) == 0 {
-			fatal(fmt.Errorf("no endpoints in -addr/-addrs"))
-		}
-		runServe(*mode, endpoints, *verifyIdx, *verifyG, *reloadEv, *reloadRef, *writers, *writeEv, *writeWin, *clients, *requests, *duration, *batch, *zipfS, *seed, *name, *asJSON, *jsonDir)
-	case "inproc":
-		runInproc(*idxPath, *layout, *queries, *zipfS, *seed, *name, *asJSON, *jsonDir)
-	default:
-		fatal(fmt.Errorf("unknown mode %q (serve, path, count, join, or inproc)", *mode))
+	if !slices.Contains([]string{"serve", "path", "count", "join"}, *mode) {
+		fatal(fmt.Errorf("unknown mode %q (serve, path, count, or join)", *mode))
 	}
+	list := *addrs
+	if list == "" {
+		list = *addr
+	}
+	endpoints := splitAddrs(list)
+	if len(endpoints) == 0 {
+		fatal(fmt.Errorf("no endpoints in -addr/-addrs"))
+	}
+	runServe(*mode, endpoints, *verifyIdx, *verifyG, *reloadEv, *reloadRef, *writers, *writeEv, *writeWin, *clients, *requests, *duration, *batch, *zipfS, *seed)
 }
 
 // splitAddrs parses a comma-separated endpoint list into base URLs.
@@ -128,7 +112,7 @@ func splitAddrs(list string) []string {
 
 // runServe drives one or more live endpoints and exits nonzero on any
 // request, verification, or reload error.
-func runServe(workload string, bases []string, verifyIdx, verifyGraph string, reloadEvery time.Duration, reloadRef string, writers int, writeEvery time.Duration, writeWindow, clients, requests int, duration time.Duration, batch int, zipfS float64, seed int64, name string, asJSON bool, jsonDir string) {
+func runServe(workload string, bases []string, verifyIdx, verifyGraph string, reloadEvery time.Duration, reloadRef string, writers int, writeEvery time.Duration, writeWindow, clients, requests int, duration time.Duration, batch int, zipfS float64, seed int64) {
 	vertices := serverVertices(bases[0])
 	var oracle *reachlab.Index
 	if verifyIdx != "" {
@@ -225,10 +209,7 @@ func runServe(workload string, bases []string, verifyIdx, verifyGraph string, re
 	}
 	res, perEnd := bench.RunLoadgenEndpoints(opts, endpoints)
 
-	if name == "" {
-		name = "serve"
-	}
-	report(name, algo, clients, res)
+	report(algo, clients, res)
 	if len(bases) > 1 {
 		for i, e := range perEnd {
 			fmt.Printf("  endpoint %-28s %8d requests  %d errors\n", bases[i], e.Requests, e.Errors)
@@ -239,13 +220,6 @@ func runServe(workload string, bases []string, verifyIdx, verifyGraph string, re
 	}
 	if res.Writes > 0 {
 		fmt.Printf("  updates: %d writes (%d failed), %.0f updates/s sustained\n", res.Writes, res.WriteErrors, res.UPS)
-	}
-	if asJSON {
-		prefix := "load"
-		if writers > 0 {
-			prefix = "update"
-		}
-		writeRecord(jsonDir, prefix, name, algo, clients, res)
 	}
 	if res.Errors > 0 {
 		fmt.Fprintf(os.Stderr, "drload: %d of %d requests failed\n", res.Errors, res.Requests)
@@ -309,44 +283,6 @@ func postReload(httpc *http.Client, base, ref string) error {
 		return fmt.Errorf("reload status %d", resp.StatusCode)
 	}
 	return nil
-}
-
-// runInproc profiles the index's query kernel without a network in
-// the chosen layout — the flat CSR arrays or the pre-flat per-vertex
-// slice lists — so the two layouts' BENCH records are directly
-// comparable (`benchcompare -queries slice.json flat.json`).
-func runInproc(idxPath, layout string, queries int, zipfS float64, seed int64, name string, asJSON bool, jsonDir string) {
-	if idxPath == "" {
-		fatal(fmt.Errorf("inproc mode requires -idx"))
-	}
-	idx := loadIndex(idxPath)
-	lab := idx.LabelIndex()
-	var reach func(s, t graph.VertexID) bool
-	switch layout {
-	case "flat":
-		reach = lab.Reachable
-	case "slice":
-		reach = lab.Thaw().Reachable
-	default:
-		fatal(fmt.Errorf("unknown layout %q (flat or slice)", layout))
-	}
-	pairs := bench.ZipfPairs(lab.NumVertices(), queries, zipfS, seed)
-	qs, total := bench.ProfileQueries(reach, pairs)
-	res := bench.LoadgenResult{
-		Requests: int64(queries),
-		Pairs:    int64(queries),
-		Elapsed:  total,
-		QPS:      float64(queries) / total.Seconds(),
-		Latency:  qs,
-	}
-	if name == "" {
-		name = strings.TrimSuffix(filepath.Base(idxPath), filepath.Ext(idxPath))
-	}
-	algo := "query-inproc"
-	report(name+"/"+layout, algo, 1, res)
-	if asJSON {
-		writeRecord(jsonDir, "load", name, algo, 1, res, "layout-"+layout)
-	}
 }
 
 // serverVertices asks /stats for the vertex-ID space.
@@ -642,63 +578,11 @@ func loadIndex(path string) *reachlab.Index {
 	return idx
 }
 
-func report(name, algo string, clients int, res bench.LoadgenResult) {
-	fmt.Printf("%s %s: %d requests (%d pairs, %d errors) in %v, %d clients\n",
-		name, algo, res.Requests, res.Pairs, res.Errors, res.Elapsed.Round(time.Millisecond), clients)
+func report(algo string, clients int, res bench.LoadgenResult) {
+	fmt.Printf("serve %s: %d requests (%d pairs, %d errors) in %v, %d clients\n",
+		algo, res.Requests, res.Pairs, res.Errors, res.Elapsed.Round(time.Millisecond), clients)
 	fmt.Printf("  %.0f pairs/s   latency mean %v  p50 %v  p90 %v  p99 %v\n",
 		res.QPS, res.Latency.Mean, res.Latency.P50, res.Latency.P90, res.Latency.P99)
-}
-
-// writeRecord serializes the run in the drbench RunRecord shape so
-// benchcompare -queries can diff serving runs. prefix distinguishes
-// query-only records (BENCH_load-*) from update-mix ones
-// (BENCH_update-*); both carry the same dataset/algo key so
-// benchcompare matches them against each other.
-func writeRecord(dir, prefix, name, algo string, clients int, res bench.LoadgenResult, tags ...string) {
-	rec := bench.RunRecord{
-		Experiment: "loadgen",
-		Suite:      name,
-		Workers:    clients,
-		Queries:    int(res.Pairs),
-		UnixTime:   time.Now().Unix(),
-		Datasets: []bench.DatasetRecord{{
-			Name: name,
-			Builds: []bench.BuildRecord{{
-				Algo:        algo,
-				Seconds:     res.Elapsed.Seconds(),
-				QPS:         res.QPS,
-				Errors:      res.Errors,
-				UPS:         res.UPS,
-				Writes:      res.Writes,
-				WriteErrors: res.WriteErrors,
-				Query: &bench.QueryRecord{
-					MeanNanos: res.Latency.Mean.Nanoseconds(),
-					P50Nanos:  res.Latency.P50.Nanoseconds(),
-					P90Nanos:  res.Latency.P90.Nanoseconds(),
-					P99Nanos:  res.Latency.P99.Nanoseconds(),
-				},
-			}},
-		}},
-	}
-	suffix := ""
-	if len(tags) > 0 {
-		suffix = "-" + strings.Join(tags, "-")
-	}
-	path := filepath.Join(dir, fmt.Sprintf("BENCH_%s-%s%s-%d.json", prefix, name, suffix, rec.UnixTime))
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
 }
 
 func fatal(err error) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/order"
 )
 
 // tinyRunner is a fast configuration for the test suite.
@@ -98,6 +99,51 @@ func TestTable6(t *testing.T) {
 	for _, section := range []string{"Index Time", "Index Size", "Query Time"} {
 		if !strings.Contains(buf.String(), section) {
 			t.Errorf("missing section %s", section)
+		}
+	}
+}
+
+// TestWireVolumeGolden pins the BSP volume of the two distributed
+// labelers on the whole tiny suite at NewRunner's P = 8. All three
+// numbers are pure functions of the graph, the worker count and the
+// wire codec, so a combiner or codec regression moves them; a change
+// that earns a wire-volume gain edits these rows.
+func TestWireVolumeGolden(t *testing.T) {
+	type volume struct {
+		supersteps            int
+		messages, bytesRemote int64
+	}
+	want := map[string][2]volume{ // dataset -> {DRL, DRL_b}
+		"WEBW": {{21, 21277, 240002}, {64, 7270, 120377}},
+		"DBPE": {{18, 19380, 322302}, {126, 18584, 449779}},
+		"CITE": {{11, 14536, 240321}, {82, 13654, 344076}},
+		"CITP": {{14, 36623, 483181}, {100, 34132, 614544}},
+		"TW":   {{12, 11111, 168370}, {71, 7521, 189476}},
+		"GO":   {{12, 24564, 322518}, {67, 24211, 407322}},
+	}
+	ds, err := Suite("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds) != len(want) {
+		t.Fatalf("tiny suite has %d datasets, golden table %d", len(ds), len(want))
+	}
+	r := NewRunner()
+	for _, d := range ds {
+		g, err := d.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ord := order.Compute(g)
+		for i, res := range []BuildResult{r.RunDRL(g, ord), r.RunDRLb(g, ord)} {
+			if res.Err != nil {
+				t.Fatalf("%s %s: %v", d.Name, res.Algo, res.Err)
+			}
+			got := volume{res.Supersteps, res.Messages, res.BytesRemote}
+			if got != want[d.Name][i] {
+				t.Errorf("%s %s: {supersteps messages bytes_remote} = %v, want %v",
+					d.Name, res.Algo, got, want[d.Name][i])
+			}
 		}
 	}
 }

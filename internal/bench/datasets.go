@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it regenerates every table
 // and figure of the paper's evaluation (§VI) against the synthetic
-// dataset suite. cmd/drbench is the CLI front end; the root
-// bench_test.go exposes the same experiments as testing.B benchmarks.
+// dataset suite, with cmd/drbench as the CLI front end. It also holds
+// the load driver (loadgen.go) behind cmd/drload and the serving soaks.
 package bench
 
 import (

@@ -102,6 +102,11 @@ type LoadgenResult struct {
 	Latency       QueryStats    // per-request latency distribution
 }
 
+// QueryStats is a measured latency distribution.
+type QueryStats struct {
+	Mean, P50, P90, P99 time.Duration
+}
+
 // EndpointResult is one endpoint's share of a multi-endpoint run.
 type EndpointResult struct {
 	Requests int64
@@ -134,15 +139,6 @@ func (ps *pairSampler) fill(pairs []graph.Edge) {
 	for i := range pairs {
 		pairs[i] = graph.Edge{U: ps.vertex(), V: ps.vertex()}
 	}
-}
-
-// ZipfPairs samples q deterministic zipf-distributed (s, t) pairs —
-// the offline analogue of the load generator's traffic, used for
-// layout profiling.
-func ZipfPairs(n, q int, zipfS float64, seed int64) []graph.Edge {
-	pairs := make([]graph.Edge, q)
-	newPairSampler(n, zipfS, seed).fill(pairs)
-	return pairs
 }
 
 // RunLoadgen drives client from opts.Clients concurrent loops and
@@ -350,43 +346,4 @@ func latencyStats(lats []time.Duration) QueryStats {
 		P90:  pct(0.90),
 		P99:  pct(0.99),
 	}
-}
-
-// ProfileQueries measures the latency distribution of reach over the
-// given pairs. Single queries run in tens of nanoseconds, below timer
-// resolution, so latencies are sampled per chunk and the percentiles
-// are taken over per-query chunk means (the same scheme as
-// Runner.QueryProfile). It returns the distribution and the total
-// wall time of the sweep.
-func ProfileQueries(reach func(s, t graph.VertexID) bool, pairs []graph.Edge) (QueryStats, time.Duration) {
-	if len(pairs) == 0 {
-		return QueryStats{}, 0
-	}
-	const chunk = 64
-	lats := make([]time.Duration, 0, (len(pairs)+chunk-1)/chunk)
-	var total time.Duration
-	for lo := 0; lo < len(pairs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		start := time.Now()
-		for _, p := range pairs[lo:hi] {
-			reach(p.U, p.V)
-		}
-		d := time.Since(start)
-		total += d
-		lats = append(lats, d/time.Duration(hi-lo))
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(q float64) time.Duration {
-		i := int(q*float64(len(lats)-1) + 0.5)
-		return lats[i]
-	}
-	return QueryStats{
-		Mean: total / time.Duration(len(pairs)),
-		P50:  pct(0.50),
-		P90:  pct(0.90),
-		P99:  pct(0.99),
-	}, total
 }

@@ -193,47 +193,3 @@ func PrintFig9(w io.Writer, rows []Fig9Row) {
 	}
 	flushTab(tw)
 }
-
-// PrintScale renders one scale-experiment record: the deterministic
-// build outputs first (what benchcompare gates), then the per-phase
-// median timings.
-func PrintScale(w io.Writer, rec *ScaleRecord) {
-	fmt.Fprintf(w, "family=%s n=%d deg=%.1f seed=%d budget=%d runs=%d\n",
-		rec.Family, rec.N, rec.AvgDegree, rec.Seed, rec.Budget, rec.Runs)
-	fmt.Fprintf(w, "edges=%d file_bytes=%d", rec.Edges, rec.FileBytes)
-	if rec.Budget > 0 {
-		fmt.Fprintf(w, " index_entries=%d index_bytes=%d max_label=%d overflowed_in=%d overflowed_out=%d label_workers=%d",
-			rec.IndexEntries, rec.IndexBytes, rec.MaxLabel, rec.OverflowedIn, rec.OverflowedOut, rec.Workers)
-	}
-	fmt.Fprintln(w)
-	tw := newTab(w)
-	fmt.Fprintln(tw, "Phase\tMedian(s)\tRuns(s)")
-	for _, ph := range rec.Phases {
-		runs := make([]string, len(ph.RunSeconds))
-		for i, s := range ph.RunSeconds {
-			runs[i] = fmt.Sprintf("%.3f", s)
-		}
-		fmt.Fprintf(tw, "%s\t%.3f\t%s\n", ph.Phase, ph.MedianSeconds, strings.Join(runs, " "))
-	}
-	flushTab(tw)
-}
-
-// PrintQueryWorkload renders a drbench -exp query record: the
-// deterministic aggregates benchcompare gates, then the informational
-// phase timings.
-func PrintQueryWorkload(w io.Writer, rec *QueryWorkloadRecord) {
-	fmt.Fprintf(w, "family=%s n=%d deg=%.1f seed=%d edges=%d\n",
-		rec.Family, rec.N, rec.AvgDegree, rec.Seed, rec.Edges)
-	fmt.Fprintf(w, "path:  %d/%d pairs reachable, %d total hops\n",
-		rec.ReachablePairs, rec.PairSamples, rec.PathHops)
-	fmt.Fprintf(w, "count: %d sources, %d reachable vertices total\n",
-		rec.CountSources, rec.ReachableSum)
-	fmt.Fprintf(w, "join:  %d×%d cross-product, %d reachable pairs\n",
-		rec.JoinSources, rec.JoinTargets, rec.JoinPairs)
-	tw := newTab(w)
-	fmt.Fprintln(tw, "Phase\tSeconds")
-	for _, ph := range rec.Phases {
-		fmt.Fprintf(tw, "%s\t%.3f\n", ph.Phase, ph.MedianSeconds)
-	}
-	flushTab(tw)
-}

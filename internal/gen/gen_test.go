@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -43,6 +44,27 @@ func TestDeterminism(t *testing.T) {
 		}
 		if same {
 			t.Errorf("%s: seed has no effect", f)
+		}
+
+		// The streamed build must produce the in-RAM build's CSR exactly,
+		// in both directions.
+		p.Seed = 11
+		ram, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := GenerateStreamed(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ram.NumVertices() != streamed.NumVertices() || ram.NumEdges() != streamed.NumEdges() {
+			t.Fatalf("%s: streamed shape %v differs from in-RAM %v", f, streamed, ram)
+		}
+		for v := graph.VertexID(0); int(v) < ram.NumVertices(); v++ {
+			if !slices.Equal(ram.OutNeighbors(v), streamed.OutNeighbors(v)) ||
+				!slices.Equal(ram.InNeighbors(v), streamed.InNeighbors(v)) {
+				t.Fatalf("%s: streamed adjacency of v%d differs from in-RAM", f, v)
+			}
 		}
 	}
 }

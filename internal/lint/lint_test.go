@@ -20,6 +20,12 @@ import (
 // comment is therefore asserted clean — the false-positive guard is
 // built into every case, not a separate test.
 
+// sharedLoader serves every test in the package: the loader caches
+// type-checked imports by path, so the standard library is checked
+// from source once per test binary instead of once per fixture. No
+// test here runs in parallel.
+var sharedLoader = NewLoader()
+
 func TestMapDetGolden(t *testing.T)        { runGolden(t, MapDet, "mapdet") }
 func TestLockHeldGolden(t *testing.T)      { runGolden(t, LockHeld, "lockheld") }
 func TestErrSinkGolden(t *testing.T)       { runGolden(t, ErrSink, "errsink") }
@@ -212,7 +218,7 @@ func TestModuleIsClean(t *testing.T) {
 		}
 	})
 
-	pkgs, err := NewLoader().LoadModule(root, []string{"./..."})
+	pkgs, err := sharedLoader.LoadModule(root, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +245,7 @@ func TestModuleIsClean(t *testing.T) {
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	pkgs, err := NewLoader().LoadDir(dir, "testdata/"+name)
+	pkgs, err := sharedLoader.LoadDir(dir, "testdata/"+name)
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", dir, err)
 	}

@@ -351,8 +351,9 @@ func (x *Index) NumVertices() int {
 func (x *Index) BuildStats() BuildStats { return x.stats }
 
 // LabelIndex exposes the underlying flat label index for in-module
-// tooling (cmd/drload profiles the flat vs. slice layouts through
-// it). The component table of a condensed index is not part of it.
+// tooling (the benchmark harness and the metamorphic tests compare
+// indexes through it). The component table of a condensed index is
+// not part of it.
 func (x *Index) LabelIndex() *label.Index { return x.idx }
 
 // IndexStats summarizes the index payload.

@@ -9,29 +9,11 @@
 # SIGTERM shutdown of everything. drload exits nonzero on any failed
 # request or wrong answer, so a single dropped or stale query fails
 # the smoke.
-set -eu
-
-cd "$(dirname "$0")/.."
-work="$(mktemp -d)"
+. "$(dirname "$0")/lib.sh"
 router=127.0.0.1:19400
 r1=127.0.0.1:19401
 r2=127.0.0.1:19402
 r3=127.0.0.1:19403
-pids=""
-cleanup() {
-	for p in $pids; do kill "$p" 2>/dev/null || true; done
-	rm -rf "$work"
-}
-trap cleanup EXIT INT TERM
-
-wait_http() { # wait_http url what
-	i=0
-	until curl -sf "$1" >/dev/null 2>&1; do
-		i=$((i + 1))
-		[ "$i" -gt 100 ] && { echo "$2 never became healthy" >&2; exit 1; }
-		sleep 0.1
-	done
-}
 
 healthy_count() {
 	curl -sf "http://$router/stats" | grep -o '"state":"up"' | wc -l
@@ -55,12 +37,8 @@ start_replica() { # start_replica addr
 		>"$work/replica-${1##*:}.log" 2>&1 &
 }
 
-echo "== build tools"
-go build -o "$work/bin/" ./cmd/drgen ./cmd/drlabel ./cmd/drserve ./cmd/drrouter ./cmd/drload
-
-echo "== generate graph + index"
-"$work/bin/drgen" -family web -n 20000 -deg 6 -seed 7 -o "$work/graph.bin"
-"$work/bin/drlabel" -i "$work/graph.bin" -o "$work/graph.idx" -method drl-shared -workers 4
+build_tools drgen drlabel drserve drrouter drload
+make_fixture
 
 echo "== start 3 replicas + sharded router"
 start_replica "$r1"; p1=$!; pids="$pids $p1"
@@ -120,15 +98,9 @@ curl -sf -X POST "http://$router/admin/readmit?replica=$r3" >/dev/null
 wait_healthy 3
 
 echo "== graceful shutdown: router first, then replicas"
-kill -TERM "$router_pid"
-rc=0
-wait "$router_pid" || rc=$?
-[ "$rc" -eq 0 ] || { echo "drrouter exited $rc on SIGTERM" >&2; exit 1; }
+stop_ok "$router_pid" drrouter
 for p in "$p1" "$p2" "$p3"; do
-	kill -TERM "$p"
-	rc=0
-	wait "$p" || rc=$?
-	[ "$rc" -eq 0 ] || { echo "drserve exited $rc on SIGTERM" >&2; exit 1; }
+	stop_ok "$p" drserve
 done
 pids=""
 

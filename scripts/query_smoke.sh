@@ -1,41 +1,20 @@
 #!/bin/sh
-# End-to-end rich-query smoke (make querytest, CI query-smoke job):
+# End-to-end rich-query smoke (make querytest, CI serve-smoke job):
 # generate a graph, build its index, start drserve with the graph
-# attached (witness paths enabled), fire verified drload bursts at all
-# three rich endpoints — /reach/path, /reach/count, /reach/join — plus
-# spot-check the HTTP surface with curl, then regenerate the
-# deterministic query-workload record and gate it exactly against the
-# committed baseline with benchcompare. No timings are gated; every
-# compared number is a pure function of the generator seed and the
-# code.
-set -eu
-
-cd "$(dirname "$0")/.."
-work="$(mktemp -d)"
+# attached (witness paths enabled), spot-check the HTTP surface and
+# its refusals with curl, then fire verified drload bursts at all
+# three rich endpoints — /reach/path, /reach/count, /reach/join.
+. "$(dirname "$0")/lib.sh"
 addr=127.0.0.1:18521
-srv_pid=""
-cleanup() {
-	[ -n "$srv_pid" ] && kill "$srv_pid" 2>/dev/null || true
-	rm -rf "$work"
-}
-trap cleanup EXIT INT TERM
 
-echo "== build tools"
-go build -o "$work/bin/" ./cmd/drgen ./cmd/drlabel ./cmd/drserve ./cmd/drload ./cmd/drbench ./cmd/benchcompare
-
-echo "== generate graph + index"
-"$work/bin/drgen" -family web -n 20000 -deg 6 -seed 7 -o "$work/graph.bin"
-"$work/bin/drlabel" -i "$work/graph.bin" -o "$work/graph.idx" -method drl-shared -workers 4
+build_tools drgen drlabel drserve drload
+make_fixture
 
 echo "== start drserve with witness paths (-idx + -graph)"
 "$work/bin/drserve" -idx "$work/graph.idx" -graph "$work/graph.bin" -listen "$addr" -grace 5s &
 srv_pid=$!
-i=0
-until curl -sf "http://$addr/healthz" >/dev/null 2>&1; do
-	i=$((i + 1))
-	[ "$i" -gt 50 ] && { echo "drserve never became healthy" >&2; exit 1; }
-	sleep 0.1
-done
+pids="$srv_pid"
+wait_http "http://$addr/healthz" drserve
 
 echo "== curl spot checks: shapes and refusals"
 curl -sf "http://$addr/reach/path?s=0&t=0" | grep -q '"reachable":true' ||
@@ -61,16 +40,7 @@ echo "== drload burst: streaming joins, exact result set verified"
 	-verify-idx "$work/graph.idx" -seed 5
 
 echo "== graceful shutdown on SIGTERM"
-kill -TERM "$srv_pid"
-rc=0
-wait "$srv_pid" || rc=$?
-srv_pid=""
-[ "$rc" -eq 0 ] || { echo "drserve exited $rc on SIGTERM" >&2; exit 1; }
-
-echo "== query-workload gate: regenerate and diff against the committed baseline"
-baseline="$(ls BENCH_query-citation-*.json | sort | tail -1)"
-"$work/bin/drbench" -exp query -scale-n 20000 -scale-deg 4 -scale-seed 1 -q -json -json-dir "$work"
-fresh="$(ls "$work"/BENCH_query-citation-*.json)"
-"$work/bin/benchcompare" "$baseline" "$fresh"
+stop_ok "$srv_pid" drserve
+pids=""
 
 echo "query smoke: OK"

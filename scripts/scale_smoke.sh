@@ -1,25 +1,13 @@
 #!/bin/sh
-# End-to-end scale-path smoke (make scale-smoke, CI scale-smoke job):
-# exercise the 10^8-edge build path at ~10^6 edges and gate its
-# byte-identity contracts. The streamed generator must write the exact
-# bytes of the in-RAM generator, an mmap-loaded graph must label to
-# the exact index of a copy-loaded graph, and two drbench -exp scale
-# runs must agree on every deterministic output (edge count, file
-# bytes, index entries/bytes, overflow counts) via benchcompare.
-#
-# Only byte and count identities are gated — no timings — so the smoke
-# is immune to loaded CI runners.
-set -eu
+# End-to-end scale-path smoke (make scale-smoke, CI serve-smoke
+# job): exercise the 10^8-edge build path at ~10^6 edges and gate its
+# two byte-identity contracts. The streamed generator must write the
+# exact bytes of the in-RAM generator, and an mmap-loaded graph must
+# label to the exact index of a copy-loaded graph. Only byte
+# identities are gated — no timings.
+. "$(dirname "$0")/lib.sh"
 
-cd "$(dirname "$0")/.."
-work="$(mktemp -d)"
-cleanup() {
-	rm -rf "$work"
-}
-trap cleanup EXIT INT TERM
-
-echo "== build tools"
-go build -o "$work/bin/" ./cmd/drgen ./cmd/drlabel ./cmd/drbench ./cmd/benchcompare
+build_tools drgen drlabel
 
 echo "== generate ~1.2M-edge graph, in-RAM vs streamed (files must be byte-identical)"
 "$work/bin/drgen" -family citation -n 300000 -deg 4 -seed 9 -o "$work/ram.bin"
@@ -36,15 +24,5 @@ cmp "$work/ram.idx" "$work/mmap.idx" || {
 	echo "mmap-loaded graph labeled to a different index than the copy-loaded graph" >&2
 	exit 1
 }
-
-echo "== drbench -exp scale twice; benchcompare gates the deterministic outputs"
-"$work/bin/drbench" -exp scale -scale-family citation -scale-n 100000 -scale-deg 4 \
-	-scale-seed 9 -scale-budget 8 -runs 1 -q -json -json-dir "$work"
-rec1="$(ls "$work"/BENCH_scale-*.json)"
-mv "$rec1" "$work/scale-a.json"
-"$work/bin/drbench" -exp scale -scale-family citation -scale-n 100000 -scale-deg 4 \
-	-scale-seed 9 -scale-budget 8 -runs 1 -q -json -json-dir "$work"
-rec2="$(ls "$work"/BENCH_scale-*.json)"
-"$work/bin/benchcompare" "$work/scale-a.json" "$rec2"
 
 echo "== scale smoke passed"

@@ -12,19 +12,8 @@
 #   - durability: kill -9 mid-stream, restart on the same WAL, and
 #     every acknowledged write must survive the replay;
 #   - graceful shutdown on SIGTERM.
-#
-# Everything runs on one machine inside a temp dir.
-set -eu
-
-cd "$(dirname "$0")/.."
-work="$(mktemp -d)"
+. "$(dirname "$0")/lib.sh"
 addr=127.0.0.1:18325
-srv_pid=""
-cleanup() {
-	[ -n "$srv_pid" ] && kill -9 "$srv_pid" 2>/dev/null || true
-	rm -rf "$work"
-}
-trap cleanup EXIT INT TERM
 
 # post_edge OP U V -> prints the acknowledged epoch
 post_edge() {
@@ -68,17 +57,7 @@ stat_field() {
 		sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"
 }
 
-wait_healthy() {
-	i=0
-	until curl -sf "http://$addr/healthz" >/dev/null 2>&1; do
-		i=$((i + 1))
-		[ "$i" -gt 100 ] && { echo "drserve never became healthy" >&2; exit 1; }
-		sleep 0.2
-	done
-}
-
-echo "== build tools"
-go build -o "$work/bin/" ./cmd/drgen ./cmd/drserve ./cmd/drload
+build_tools drgen drserve drload
 
 echo "== generate graph"
 "$work/bin/drgen" -family citation -n 2000 -deg 4 -seed 7 -text -o "$work/graph.txt"
@@ -87,7 +66,8 @@ echo "== start drserve in update mode"
 "$work/bin/drserve" -graph "$work/graph.txt" -wal "$work/edges.wal" \
 	-refresh-every 200ms -listen "$addr" -grace 5s &
 srv_pid=$!
-wait_healthy
+pids="$srv_pid"
+wait_http "http://$addr/healthz" drserve
 
 echo "== point writes: insert flips the answer at the acked epoch, delete restores it"
 # Find a pair (u, v) that is initially unreachable; inserting the
@@ -141,7 +121,8 @@ wait "$srv_pid" 2>/dev/null || true
 "$work/bin/drserve" -graph "$work/graph.txt" -wal "$work/edges.wal" \
 	-refresh-every 200ms -listen "$addr" -grace 5s &
 srv_pid=$!
-wait_healthy
+pids="$srv_pid"
+wait_http "http://$addr/healthz" drserve
 applied="$(stat_field applied_seq)"
 [ "$applied" -ge "$seq2" ] || {
 	echo "acked seq $seq2 lost: applied_seq=$applied after replay" >&2
@@ -151,10 +132,7 @@ applied="$(stat_field applied_seq)"
 [ "$(reach 7 1997)" = "true" ] || { echo "acked insert(7,1997) lost" >&2; exit 1; }
 
 echo "== graceful shutdown on SIGTERM"
-kill -TERM "$srv_pid"
-rc=0
-wait "$srv_pid" || rc=$?
-srv_pid=""
-[ "$rc" -eq 0 ] || { echo "drserve exited $rc on SIGTERM" >&2; exit 1; }
+stop_ok "$srv_pid" drserve
+pids=""
 
 echo "update smoke: OK"

@@ -17,6 +17,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -262,6 +263,16 @@ func TestUpdateQuerySoak(t *testing.T) {
 		killed    atomic.Int64
 	)
 	client := srv.Client()
+	// perReader is a minimum: past it a reader keeps sampling until it
+	// has been answered at finalEpoch — the epoch promised to the last
+	// acknowledged write, published once the writers finish — so the
+	// samples span the run's epochs however slowly the refresher turns
+	// them over (-race slows it far more than it slows the readers).
+	// A refresher that has not caught up by readUntil fails the drain
+	// check below instead of hanging the readers.
+	var finalEpoch atomic.Uint64
+	finalEpoch.Store(math.MaxUint64)
+	readUntil := time.Now().Add(2 * time.Minute)
 	var rwg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		rwg.Add(1)
@@ -269,7 +280,10 @@ func TestUpdateQuerySoak(t *testing.T) {
 			defer rwg.Done()
 			rrng := rand.New(rand.NewSource(int64(7001 + r)))
 			local := make([]soakSample, 0, perReader)
-			for q := 0; q < perReader; q++ {
+			caughtUp := func() bool {
+				return len(local) > 0 && local[len(local)-1].epoch >= finalEpoch.Load()
+			}
+			for q := 0; q < perReader || (!caughtUp() && time.Now().Before(readUntil)); q++ {
 				s := VertexID(rrng.Intn(soakN))
 				tt := VertexID(rrng.Intn(soakN))
 				switch roll := rrng.Intn(12); {
@@ -378,6 +392,13 @@ func TestUpdateQuerySoak(t *testing.T) {
 	}
 
 	writers.Wait()
+	var lastPromised uint64
+	opsMu.Lock()
+	for _, op := range ops {
+		lastPromised = max(lastPromised, op.epoch)
+	}
+	opsMu.Unlock()
+	finalEpoch.Store(lastPromised)
 	rwg.Wait()
 	if t.Failed() {
 		return
