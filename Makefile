@@ -92,12 +92,18 @@ scale-smoke:
 querytest:
 	./scripts/query_smoke.sh
 
-# End-to-end update smoke: drserve in update mode (-graph/-wal) —
-# POST /edges point checks with epoch-acknowledged reads, a drload
-# burst with concurrent writers, kill -9 + WAL replay verifying no
-# acked write is lost, and a graceful-shutdown check (CI's
-# fleet-smoke job).
+# The update path, in process and out. First the copy-on-write tests
+# under the race detector — published epochs immutable beside 1,200
+# later writes and across folds, snapshots equal to fresh builds, the
+# epoch history ring, the tick-driven soak, rich queries on a patched
+# epoch. Then the end-to-end smoke: drserve in update mode
+# (-graph/-wal) — POST /edges point checks with epoch-acknowledged
+# reads, a drload burst with concurrent writers, kill -9 + WAL replay
+# verifying no acked write is lost, and a graceful-shutdown check
+# (CI's fleet-smoke job).
 updatetest:
+	go test -race -run 'Snapshots|PublishedEpochs|EpochHistory|UpdateQuerySoak|RichEndpointsMatchOracle|InsertDeleteLeavesNoOverlay|RepairAllocs|RebuildGuards|PatchedMatchesFold|OverlayAgainstModel' \
+		. ./internal/tol ./internal/label ./internal/graph
 	./scripts/update_smoke.sh
 
 tools:

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/drl"
 	"repro/internal/graph"
+	"repro/internal/label"
 	"repro/internal/order"
 	"repro/internal/tol"
 )
@@ -38,14 +39,20 @@ func NewDynamicIndex(g *Graph) (*DynamicIndex, error) {
 
 // newDynamic seeds the maintainer with the index the parallel batch
 // labeler builds at GOMAXPROCS — byte-identical to the serial TOL
-// build the maintainer would otherwise run itself.
+// build the maintainer would otherwise run itself — and hands it the
+// same labeler for its rebuild fallback. g and the index become the
+// base every snapshot shares; nothing is copied.
 func newDynamic(g *graph.Digraph) (*tol.DynamicIndex, error) {
 	ord := order.Compute(g)
-	idx, err := drl.BuildBatch(g, ord, drl.DefaultBatchParams(), drl.Options{})
+	idx, err := batchBuild(g, ord)
 	if err != nil {
 		return nil, buildError(nil, "index", err)
 	}
-	return tol.NewDynamicFrom(g, ord, idx), nil
+	return tol.NewDynamicFrom(g, ord, idx, batchBuild), nil
+}
+
+func batchBuild(g *graph.Digraph, ord *order.Ordering) (*label.Index, error) {
+	return drl.BuildBatch(g, ord, drl.DefaultBatchParams(), drl.Options{})
 }
 
 // Reachable answers q(s, t) against the current graph.
@@ -59,9 +66,9 @@ func (x *DynamicIndex) InsertEdge(u, v VertexID) error { return x.d.InsertEdge(u
 // a missing edge is a no-op.
 func (x *DynamicIndex) DeleteEdge(u, v VertexID) error { return x.d.DeleteEdge(u, v) }
 
-// Graph materializes the current graph. The maintainer keeps
-// adjacency incrementally, so this costs a full copy — call it for
-// inspection, not per update.
+// Graph materializes the current graph. The maintainer keeps only the
+// neighbor lists that updates have changed, so this costs a full CSR
+// construction — call it for inspection, not per update.
 func (x *DynamicIndex) Graph() *Graph { return &Graph{d: x.d.Graph()} }
 
 // UpdateStats reports how updates were absorbed so far.
@@ -81,8 +88,11 @@ func (x *DynamicIndex) UpdateStats() UpdateStats {
 	return UpdateStats{Repairs: s.Repairs, Rebuilds: s.Rebuilds}
 }
 
-// Snapshot freezes the current labels into an immutable, serializable
-// Index.
+// Snapshot returns the current labels as an immutable, serializable
+// Index. It shares the maintainer's flat base and carries the label
+// lists updates have changed since that base was made, so it costs the
+// number of such lists, not the size of the index, and later updates
+// never show through it.
 func (x *DynamicIndex) Snapshot() *Index {
 	return &Index{idx: x.d.Snapshot()}
 }

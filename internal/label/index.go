@@ -13,6 +13,7 @@ package label
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -28,6 +29,11 @@ type Index struct {
 	inLab  []order.Rank
 	outOff []int64
 	outLab []order.Rank
+
+	// patch, on an index a maintainer published between folds, holds
+	// the lists that differ from the flat arrays (patch.go). Nil on
+	// every index a builder or Read produced.
+	patch *patch
 }
 
 // NumVertices returns the number of vertices the index covers.
@@ -38,11 +44,17 @@ func (x *Index) Ordering() *order.Ordering { return x.ord }
 
 // InLabels returns L_in(v) as a rank-sorted read-only slice.
 func (x *Index) InLabels(v graph.VertexID) []order.Rank {
+	if x.patch != nil {
+		return x.patchedIn(v)
+	}
 	return x.inLab[x.inOff[v]:x.inOff[v+1]]
 }
 
 // OutLabels returns L_out(v) as a rank-sorted read-only slice.
 func (x *Index) OutLabels(v graph.VertexID) []order.Rank {
+	if x.patch != nil {
+		return x.patchedOut(v)
+	}
 	return x.outLab[x.outOff[v]:x.outOff[v+1]]
 }
 
@@ -54,8 +66,13 @@ func (x *Index) OutLabels(v graph.VertexID) []order.Rank {
 // in this method body because gc does not inline functions with
 // loops, and a call frame is measurable at single-digit-nanosecond
 // query latencies. Heavily skewed list pairs take the galloping path
-// instead.
+// instead. On a patched index a pair with an overridden endpoint
+// merges the overriding lists; every other pair, and every pair of an
+// unpatched index, runs the flat kernel below.
 func (x *Index) Reachable(s, t graph.VertexID) bool {
+	if x.patch != nil && x.patch.touches(s, t) {
+		return intersects(x.OutLabels(s), x.InLabels(t))
+	}
 	i, ae := x.outOff[s], x.outOff[s+1]
 	j, be := x.inOff[t], x.inOff[t+1]
 	if la, lb := ae-i, be-j; la > gallopRatio*lb || lb > gallopRatio*la {
@@ -193,7 +210,8 @@ func (x *Index) ReachableBatch(pairs []Pair) []bool {
 
 // Entries returns the total number of label entries Σ(|L_in|+|L_out|).
 func (x *Index) Entries() int64 {
-	return int64(len(x.inLab) + len(x.outLab))
+	in, out := x.entries()
+	return in + out
 }
 
 // SizeBytes returns the byte footprint of the index payload: 4 bytes
@@ -206,13 +224,8 @@ func (x *Index) SizeBytes() int64 {
 // MaxLabelSize returns Δ = max_v max(|L_in(v)|, |L_out(v)|).
 func (x *Index) MaxLabelSize() int {
 	best := 0
-	for v := 0; v < x.n; v++ {
-		if l := int(x.inOff[v+1] - x.inOff[v]); l > best {
-			best = l
-		}
-		if l := int(x.outOff[v+1] - x.outOff[v]); l > best {
-			best = l
-		}
+	for v := graph.VertexID(0); int(v) < x.n; v++ {
+		best = max(best, len(x.InLabels(v)), len(x.OutLabels(v)))
 	}
 	return best
 }
@@ -229,27 +242,7 @@ func (x *Index) AvgLabelSize() float64 {
 // sets (the paper's central claim: DRL variants reproduce TOL's index
 // bit for bit).
 func (x *Index) Equal(y *Index) bool {
-	if x.n != y.n {
-		return false
-	}
-	eq := func(aOff, bOff []int64, aLab, bLab []order.Rank) bool {
-		if len(aLab) != len(bLab) {
-			return false
-		}
-		for v := 0; v <= x.n; v++ {
-			if aOff[v] != bOff[v] {
-				return false
-			}
-		}
-		for i := range aLab {
-			if aLab[i] != bLab[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return eq(x.inOff, y.inOff, x.inLab, y.inLab) &&
-		eq(x.outOff, y.outOff, x.outLab, y.outLab)
+	return x.Diff(y) == ""
 }
 
 // Diff returns a short description of the first difference between two
@@ -271,13 +264,8 @@ func (x *Index) Diff(y *Index) string {
 }
 
 func diffLabels(kind string, v graph.VertexID, a, b []order.Rank) string {
-	if len(a) != len(b) {
+	if !slices.Equal(a, b) {
 		return fmt.Sprintf("%s(v%d): %v vs %v", kind, v, a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Sprintf("%s(v%d): %v vs %v", kind, v, a, b)
-		}
 	}
 	return ""
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/graph"
 	"repro/internal/order"
 )
 
@@ -213,12 +214,15 @@ func noEOF(err error) error {
 // appendLabelBlock encodes the label lists of vertices [v0, v1) into
 // buf as a finished block. Lists must be strictly ascending ranks in
 // [0, n): the gap coding cannot express anything else.
-func appendLabelBlock(buf []byte, off []int64, lab []order.Rank, v0, v1, n int) ([]byte, error) {
-	entries := off[v1] - off[v0]
+func appendLabelBlock(buf []byte, list func(graph.VertexID) []order.Rank, v0, v1, n int) ([]byte, error) {
+	var entries int64
+	for v := v0; v < v1; v++ {
+		entries += int64(len(list(graph.VertexID(v))))
+	}
 	buf = sized(buf, blockHeaderRoom+binary.MaxVarintLen32*(int(entries)+v1-v0))
 	pos := blockHeaderRoom
 	for v := v0; v < v1; v++ {
-		list := lab[off[v]:off[v+1]]
+		list := list(graph.VertexID(v))
 		pos = putUvarint32(buf, pos, uint32(len(list)))
 		if pos = putGaps(buf, pos, list); pos < 0 || len(list) > 0 && int(list[len(list)-1]) >= n {
 			return nil, fmt.Errorf("label: vertex %d's label list is not a strictly ascending set of ranks below %d; it cannot be serialized", v, n)
@@ -297,11 +301,13 @@ func decodeLabelBlock(payload []byte, off []int64, dst []order.Rank, base int64,
 // WriteTo serializes the index and returns the number of bytes
 // written. Label blocks are encoded on GOMAXPROCS goroutines and
 // written in vertex order, one Write call per block; a block's bytes
-// depend on the index alone, so the output is identical whatever the
-// worker count or scheduling.
+// depend on the label sets alone, so the output is identical whatever
+// the worker count or scheduling, and a patched index writes the bytes
+// its Fold would.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	header := make([]byte, 0, 32)
-	for _, v := range []uint64{indexMagic, uint64(x.n), uint64(len(x.inLab)), uint64(len(x.outLab))} {
+	nIn, nOut := x.entries()
+	for _, v := range []uint64{indexMagic, uint64(x.n), uint64(nIn), uint64(nOut)} {
 		header = binary.LittleEndian.AppendUint64(header, v)
 	}
 	k, err := w.Write(header)
@@ -318,11 +324,11 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	perSection := blocksFor(x.n)
 	blocks := 2 * perSection
 	encode := func(i int, buf []byte) ([]byte, error) {
-		off, lab := x.inOff, x.inLab
+		list := x.InLabels
 		if i >= perSection {
-			off, lab, i = x.outOff, x.outLab, i-perSection
+			list, i = x.OutLabels, i-perSection
 		}
-		return appendLabelBlock(buf, off, lab, i*blockValues, min((i+1)*blockValues, x.n), x.n)
+		return appendLabelBlock(buf, list, i*blockValues, min((i+1)*blockValues, x.n), x.n)
 	}
 
 	// Workers take block numbers in order, but each must first take one

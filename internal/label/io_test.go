@@ -170,7 +170,7 @@ func TestLabelBlockWideGaps(t *testing.T) {
 		lab = append(lab, l...)
 		off = append(off, int64(len(lab)))
 	}
-	block, err := appendLabelBlock(nil, off, lab, 0, len(lists), n)
+	block, err := appendLabelBlock(nil, func(v graph.VertexID) []order.Rank { return lists[v] }, 0, len(lists), n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package tol
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/label"
@@ -30,13 +30,19 @@ import (
 // intact. The result is bit-identical to a fresh TOL build under the
 // same order, which the tests verify exhaustively.
 //
-// The adjacency is maintained incrementally as sorted neighbor lists
-// — an update costs O(deg) for the graph edit plus the localized
-// repair sweep, never a full CSR rebuild. Only the rebuild fallback
-// (an update whose affected sets cover most of the graph, where the
-// incremental sweep would cost more than a fresh build) materializes
-// a Digraph, and UpdateStats reports how often each path ran so a
-// serving tier can export both as counters.
+// Storage is copy-on-write over a flat base. The label.Index and CSR
+// Digraph the maintainer was seeded with stay as they are, shared with
+// every snapshot; the maintainer holds only the label lists and
+// neighbor lists that differ from them (graph.MutableOverlay), copied
+// out of the base on their first edit. An update therefore costs
+// O(deg) for the graph edit plus the localized repair sweep, and a
+// Snapshot costs the number of lists that differ — neither ever the
+// size of the index. Two events replace the base: a fold, when the
+// overlay has outgrown 1/foldFraction of it and is written into fresh
+// flat arrays, and the rebuild fallback (an update whose affected sets
+// cover most of the graph, where the incremental sweep would cost more
+// than a fresh build). UpdateStats reports how often each ran so a
+// serving tier can export them as counters.
 //
 // As in the original TOL, the total order is frozen at construction:
 // updates change degrees but not ranks. Queries remain exact; only
@@ -44,76 +50,136 @@ import (
 // Rebuild.
 
 // DynamicIndex is a reachability index that supports edge insertions
-// and deletions.
+// and deletions. One goroutine at a time may use it; the snapshots it
+// hands out are immutable and may be read from any.
 type DynamicIndex struct {
-	n int
-	m int64
-	// outAdj[v], inAdj[v]: sorted neighbor lists, maintained in place.
-	outAdj, inAdj [][]graph.VertexID
-	ord           *order.Ordering
-	// in[y], out[y]: rank-sorted label lists.
-	in, out [][]order.Rank
+	n   int
+	m   int64
+	ord *order.Ordering
 
-	stats UpdateStats
+	// base and g are the index and the graph as of the last fold or
+	// rebuild: immutable, and shared with every snapshot taken since.
+	base *label.Index
+	g    *graph.Digraph
+	// The lists that differ from them: rank-sorted label lists and
+	// ID-sorted neighbor lists.
+	in, out       *graph.MutableOverlay[order.Rank]
+	outAdj, inAdj *graph.MutableOverlay[graph.VertexID]
+
+	build Builder
+	// foldFraction is the constant of the same name; tests lower it.
+	foldFraction int64
+	sc           repairScratch
+	stats        UpdateStats
 }
+
+// foldFraction bounds the overlay: once it holds more than one part in
+// foldFraction of the entries the base does (label entries plus both
+// directions of adjacency), the next update folds it into a new base.
+// An eighth keeps the maintainer's memory within 1/8 of the index's
+// and a Snapshot's cost within 1/8 of the old whole-index copy, while a
+// fold — that whole-index copy — comes once per several thousand
+// writes on the benchmark graph.
+const foldFraction = 8
+
+// Builder builds the TOL index of g under ord: Build, or anything that
+// reproduces it byte for byte.
+type Builder func(g *graph.Digraph, ord *order.Ordering) (*label.Index, error)
 
 // UpdateStats counts how the maintainer absorbed updates: Repairs is
 // the number of localized incremental sweeps, Rebuilds the number of
 // full-build fallbacks (updates whose affected sets covered most of
-// the graph). No-op updates (inserting a present edge, deleting a
-// missing one) count in neither.
+// the graph), Folds the number of times the overlay was written into
+// a new flat base. No-op updates (inserting a present edge, deleting a
+// missing one) count nowhere. OverlayLists and OverlayEntries size the
+// overlay right now: the lists it holds — a vertex counts once for
+// each of its in-label, out-label, out-neighbor and in-neighbor lists
+// that differs from the base — and their total length.
 type UpdateStats struct {
 	Repairs  int64
 	Rebuilds int64
+	Folds    int64
+
+	OverlayLists   int
+	OverlayEntries int
 }
 
 // NewDynamic builds a dynamic index over g with the degree-product
 // order of the initial graph.
 func NewDynamic(g *graph.Digraph) *DynamicIndex {
 	ord := order.Compute(g)
-	return NewDynamicFrom(g, ord, Build(g, ord))
+	return NewDynamicFrom(g, ord, Build(g, ord), nil)
 }
 
 // NewDynamicFrom seeds a dynamic index over g with a prebuilt index:
 // idx must be the TOL index of g under ord — what Build returns, and
 // what every parallel builder reproduces byte for byte, so a caller
-// can pay for the initial labeling on all its cores. The labels are
-// copied; idx is not retained.
-func NewDynamicFrom(g *graph.Digraph, ord *order.Ordering, idx *label.Index) *DynamicIndex {
-	n := g.NumVertices()
-	d := &DynamicIndex{
-		n:      n,
-		m:      g.NumEdges(),
-		outAdj: make([][]graph.VertexID, n),
-		inAdj:  make([][]graph.VertexID, n),
-		ord:    ord,
-		in:     make([][]order.Rank, n),
-		out:    make([][]order.Rank, n),
+// can pay for the initial labeling on all its cores. build, if not
+// nil, is that builder, and the rebuild fallback runs it instead of
+// the serial Build. Neither g nor idx is copied: both are immutable
+// and become the base the maintainer's snapshots share.
+func NewDynamicFrom(g *graph.Digraph, ord *order.Ordering, idx *label.Index, build Builder) *DynamicIndex {
+	if build == nil {
+		build = func(g *graph.Digraph, ord *order.Ordering) (*label.Index, error) { return Build(g, ord), nil }
 	}
-	for v := graph.VertexID(0); int(v) < n; v++ {
-		d.outAdj[v] = append([]graph.VertexID(nil), g.OutNeighbors(v)...)
-		d.inAdj[v] = append([]graph.VertexID(nil), g.InNeighbors(v)...)
-		d.in[v] = append([]order.Rank(nil), idx.InLabels(v)...)
-		d.out[v] = append([]order.Rank(nil), idx.OutLabels(v)...)
-	}
+	d := &DynamicIndex{n: g.NumVertices(), ord: ord, build: build, foldFraction: foldFraction}
+	d.sc.init(d.n)
+	d.rebase(idx, g)
 	return d
 }
 
-// Graph materializes the current graph as an immutable Digraph. The
-// adjacency is maintained incrementally, so this costs a full CSR
-// construction — call it for inspection and oracles, not per update.
-func (d *DynamicIndex) Graph() *graph.Digraph {
-	return graph.FromEdges(d.n, d.edges())
+// rebase makes idx and g the base and empties the overlay.
+func (d *DynamicIndex) rebase(idx *label.Index, g *graph.Digraph) {
+	d.base, d.g, d.m = idx, g, g.NumEdges()
+	d.in = graph.NewMutableOverlay[order.Rank](d.n)
+	d.out = graph.NewMutableOverlay[order.Rank](d.n)
+	d.outAdj = graph.NewMutableOverlay[graph.VertexID](d.n)
+	d.inAdj = graph.NewMutableOverlay[graph.VertexID](d.n)
 }
 
-func (d *DynamicIndex) edges() []graph.Edge {
+func (d *DynamicIndex) inLabels(v graph.VertexID) []order.Rank {
+	if l, ok := d.in.Get(v); ok {
+		return l
+	}
+	return d.base.InLabels(v)
+}
+
+func (d *DynamicIndex) outLabels(v graph.VertexID) []order.Rank {
+	if l, ok := d.out.Get(v); ok {
+		return l
+	}
+	return d.base.OutLabels(v)
+}
+
+func (d *DynamicIndex) outNeighbors(v graph.VertexID) []graph.VertexID {
+	if l, ok := d.outAdj.Get(v); ok {
+		return l
+	}
+	return d.g.OutNeighbors(v)
+}
+
+func (d *DynamicIndex) inNeighbors(v graph.VertexID) []graph.VertexID {
+	if l, ok := d.inAdj.Get(v); ok {
+		return l
+	}
+	return d.g.InNeighbors(v)
+}
+
+// Graph materializes the current graph as an immutable Digraph: a full
+// CSR construction whenever an edge has changed since the last fold.
+// It is for inspection and oracles; the maintainer itself calls it
+// only to fold or rebuild, and snapshots use SnapshotGraph.
+func (d *DynamicIndex) Graph() *graph.Digraph {
+	if _, out := d.SnapshotGraph(); out == nil {
+		return d.g
+	}
 	edges := make([]graph.Edge, 0, d.m)
 	for u := graph.VertexID(0); int(u) < d.n; u++ {
-		for _, v := range d.outAdj[u] {
+		for _, v := range d.outNeighbors(u) {
 			edges = append(edges, graph.Edge{U: u, V: v})
 		}
 	}
-	return edges
+	return graph.FromEdges(d.n, edges)
 }
 
 // NumVertices returns the (fixed) vertex count.
@@ -122,98 +188,183 @@ func (d *DynamicIndex) NumVertices() int { return d.n }
 // NumEdges returns the current number of distinct directed edges.
 func (d *DynamicIndex) NumEdges() int64 { return d.m }
 
-// UpdateStats reports the repair/rebuild tally so far.
-func (d *DynamicIndex) UpdateStats() UpdateStats { return d.stats }
+// UpdateStats reports the repair/rebuild/fold tally so far and the
+// overlay's present size.
+func (d *DynamicIndex) UpdateStats() UpdateStats {
+	s := d.stats
+	s.OverlayLists = d.in.Len() + d.out.Len() + d.outAdj.Len() + d.inAdj.Len()
+	s.OverlayEntries = d.overlayEntries()
+	return s
+}
+
+func (d *DynamicIndex) overlayEntries() int {
+	return d.in.Entries() + d.out.Entries() + d.outAdj.Entries() + d.inAdj.Entries()
+}
 
 // Ordering returns the frozen total order.
 func (d *DynamicIndex) Ordering() *order.Ordering { return d.ord }
 
 // Reachable answers q(s, t) from the maintained labels.
 func (d *DynamicIndex) Reachable(s, t graph.VertexID) bool {
-	a, b := d.out[s], d.in[t]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
+	// Every rank is below n: the whole of both lists is merged.
+	return !disjointBelow(d.outLabels(s), d.inLabels(t), order.Rank(d.n))
 }
 
-// Snapshot materializes the current labels as an immutable Index.
+// Snapshot returns the current labels as an immutable Index: the base
+// patched with the lists that differ from it as of this call. It costs
+// one map entry per such list — nothing is frozen, and no list is
+// copied — and the index it returns never changes, whatever updates,
+// folds and rebuilds follow.
 func (d *DynamicIndex) Snapshot() *label.Index {
-	return label.FromLists(d.ord, d.in, d.out)
+	return d.base.Patched(d.in.Freeze(d.base.InLabels), d.out.Freeze(d.base.OutLabels))
+}
+
+// SnapshotGraph returns the current graph the way Snapshot returns the
+// labels, at the same cost: the base CSR and the out-neighbor lists
+// that differ from it (nil if none do). A reader takes out[v] where
+// the overlay has v and base.OutNeighbors(v) elsewhere.
+func (d *DynamicIndex) SnapshotGraph() (base *graph.Digraph, out *graph.Overlay[graph.VertexID]) {
+	d.inAdj.Compact(d.g.InNeighbors) // never published, but bounded by the same rule
+	return d.g, d.outAdj.Freeze(d.g.OutNeighbors)
+}
+
+// Fold writes the overlay into a new flat base — one pass over the
+// index and, if an edge changed, one CSR construction — and empties
+// it. Updates fold by themselves when the overlay outgrows its
+// fraction of the base; snapshots taken before keep the old base.
+func (d *DynamicIndex) Fold() {
+	// A list that edits have brought back to the base's value is dropped
+	// by the freeze inside these two: what is left is a real difference.
+	idx, g := d.Snapshot().Fold(), d.Graph()
+	if idx == d.base && g == d.g {
+		return
+	}
+	d.stats.Folds++
+	d.rebase(idx, g)
 }
 
 // InsertEdge adds the directed edge (u, v) and repairs the labels.
 // Inserting an existing edge is a no-op.
 func (d *DynamicIndex) InsertEdge(u, v graph.VertexID) error {
-	if err := d.check(u, v); err != nil {
-		return err
-	}
-	if contains(d.outAdj[u], v) {
-		return nil
-	}
-	d.outAdj[u] = sortedInsert(d.outAdj[u], v)
-	d.inAdj[v] = sortedInsert(d.inAdj[v], u)
-	d.m++
-	d.repair(u, v)
-	return nil
+	return d.update(u, v, true)
 }
 
 // DeleteEdge removes the directed edge (u, v) and repairs the labels.
 // Deleting a missing edge is a no-op.
 func (d *DynamicIndex) DeleteEdge(u, v graph.VertexID) error {
-	if err := d.check(u, v); err != nil {
-		return err
-	}
-	if !contains(d.outAdj[u], v) {
-		return nil
-	}
-	d.outAdj[u] = sortedRemove(d.outAdj[u], v)
-	d.inAdj[v] = sortedRemove(d.inAdj[v], u)
-	d.m--
-	d.repair(u, v)
-	return nil
+	return d.update(u, v, false)
 }
 
-func (d *DynamicIndex) check(u, v graph.VertexID) error {
+func (d *DynamicIndex) update(u, v graph.VertexID, insert bool) error {
 	if int(u) >= d.n || u < 0 || int(v) >= d.n || v < 0 {
 		return fmt.Errorf("tol: edge (%d,%d) out of range for %d vertices", u, v, d.n)
 	}
+	if !d.setEdge(u, v, insert) {
+		return nil
+	}
+	if err := d.repair(u, v); err != nil {
+		// Only a failed rebuild gets here, before any label has changed.
+		d.setEdge(u, v, !insert)
+		return err
+	}
+	if int64(d.overlayEntries())*d.foldFraction > d.base.Entries()+2*d.g.NumEdges() {
+		d.Fold()
+	}
 	return nil
 }
 
-// bfsFrom runs a BFS over the adjacency in adj starting at src,
+// setEdge makes (u, v) present or absent in both neighbor lists and
+// reports whether that changed anything.
+func (d *DynamicIndex) setEdge(u, v graph.VertexID, present bool) bool {
+	outs, ins := d.outNeighbors(u), d.inNeighbors(v)
+	i, has := slices.BinarySearch(outs, v)
+	if has == present {
+		return false
+	}
+	j, _ := slices.BinarySearch(ins, u)
+	if present {
+		d.outAdj.Insert(u, outs, i, v)
+		d.inAdj.Insert(v, ins, j, u)
+		d.m++
+	} else {
+		d.outAdj.Remove(u, outs, i)
+		d.inAdj.Remove(v, ins, j)
+		d.m--
+	}
+	return true
+}
+
+// marks is an epoch-stamped vertex set, in the style of label's sweep
+// scratch: v is in the set iff stamp[v] == epoch, so emptying it is
+// one increment.
+type marks struct {
+	stamp []int32
+	epoch int32
+}
+
+func (m *marks) reset() {
+	m.epoch++
+	if m.epoch == 0 { // wrapped: stamps are stale, clear once
+		clear(m.stamp)
+		m.epoch = 1
+	}
+}
+
+func (m *marks) add(v graph.VertexID)      { m.stamp[v] = m.epoch }
+func (m *marks) has(v graph.VertexID) bool { return m.stamp[v] == m.epoch }
+
+// repairScratch is what one repair needs and the next can reuse: a
+// mark set per role, the BFS queue, the affected sets, and the A×D
+// reachability relation as a bit matrix.
+type repairScratch struct {
+	seen, inA, inD marks
+	posA, posD     []int32 // v's index in anc / des, where inA / inD has v
+	queue          []graph.VertexID
+	anc, des       []graph.VertexID
+	ranks          []order.Rank
+	reach          []uint64 // bit i·|des|+j: anc[i] reaches des[j]
+}
+
+func (sc *repairScratch) init(n int) {
+	sc.seen.stamp = make([]int32, n)
+	sc.inA.stamp = make([]int32, n)
+	sc.inD.stamp = make([]int32, n)
+	sc.posA = make([]int32, n)
+	sc.posD = make([]int32, n)
+}
+
+// bfs runs a BFS from src along out-edges (forward) or in-edges,
 // additionally traversing extra.U → extra.V as if present (for
 // deletions, whose removed edge's old walks must still be
 // considered), and reports every reached vertex including src.
-func (d *DynamicIndex) bfsFrom(adj [][]graph.VertexID, src graph.VertexID, extra graph.Edge, visit func(graph.VertexID)) {
-	seen := make([]bool, d.n)
-	queue := []graph.VertexID{src}
-	seen[src] = true
-	for len(queue) > 0 {
-		w := queue[0]
-		queue = queue[1:]
+func (d *DynamicIndex) bfs(forward bool, src graph.VertexID, extra graph.Edge, visit func(graph.VertexID)) {
+	adj, g := d.inAdj, d.g.Inverse()
+	if forward {
+		adj, g = d.outAdj, d.g
+	}
+	seen := &d.sc.seen
+	seen.reset()
+	seen.add(src)
+	queue := append(d.sc.queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		w := queue[head]
 		visit(w)
-		push := func(x graph.VertexID) {
-			if !seen[x] {
-				seen[x] = true
+		nbrs, ok := adj.Get(w)
+		if !ok {
+			nbrs = g.OutNeighbors(w)
+		}
+		for _, x := range nbrs {
+			if !seen.has(x) {
+				seen.add(x)
 				queue = append(queue, x)
 			}
 		}
-		for _, x := range adj[w] {
-			push(x)
-		}
-		if w == extra.U {
-			push(extra.V)
+		if w == extra.U && !seen.has(extra.V) {
+			seen.add(extra.V)
+			queue = append(queue, extra.V)
 		}
 	}
+	d.sc.queue = queue
 }
 
 // repair re-evaluates label membership for every pair that an update
@@ -223,11 +374,12 @@ func (d *DynamicIndex) bfsFrom(adj [][]graph.VertexID, src graph.VertexID, extra
 // are recovered by traversing the deleted edge as if present, and
 // re-evaluating a pair that did not change is harmless, so the sets
 // are taken generously).
-func (d *DynamicIndex) repair(u, v graph.VertexID) {
-	n := d.n
-	var anc, des []graph.VertexID
-	d.bfsFrom(d.inAdj, u, graph.Edge{U: v, V: u}, func(w graph.VertexID) { anc = append(anc, w) })
-	d.bfsFrom(d.outAdj, v, graph.Edge{U: u, V: v}, func(w graph.VertexID) { des = append(des, w) })
+func (d *DynamicIndex) repair(u, v graph.VertexID) error {
+	sc := &d.sc
+	anc, des := sc.anc[:0], sc.des[:0]
+	d.bfs(false, u, graph.Edge{U: v, V: u}, func(w graph.VertexID) { anc = append(anc, w) })
+	d.bfs(true, v, graph.Edge{U: u, V: v}, func(w graph.VertexID) { des = append(des, w) })
+	sc.anc, sc.des = anc, des
 
 	// The incremental sweep costs O(|A|·|D|·Δ) pair tests plus
 	// min(|A|,|D|) BFS traversals: a bargain for localized updates
@@ -236,29 +388,30 @@ func (d *DynamicIndex) repair(u, v graph.VertexID) {
 	// update touches a giant SCC or both affected sets span the
 	// graph. Fall back to the rebuild in those regimes — the order
 	// stays frozen either way, so the resulting labels are identical.
-	bfsSide := len(anc)
-	if len(des) < bfsSide {
-		bfsSide = len(des)
-	}
-	if int64(len(anc))*int64(len(des)) > 8*(int64(n)+d.m) ||
-		int64(bfsSide) > max(int64(n)/64, 32) {
-		d.stats.Rebuilds++
-		idx := Build(d.Graph(), d.ord)
-		for w := graph.VertexID(0); int(w) < n; w++ {
-			d.in[w] = append(d.in[w][:0], idx.InLabels(w)...)
-			d.out[w] = append(d.out[w][:0], idx.OutLabels(w)...)
+	// The rebuilt index and the graph it was built from become the new
+	// base, exactly as after a fold.
+	if int64(len(anc))*int64(len(des)) > 8*(int64(d.n)+d.m) ||
+		int64(min(len(anc), len(des))) > max(int64(d.n)/64, 32) {
+		g := d.Graph()
+		idx, err := d.build(g, d.ord)
+		if err != nil {
+			return fmt.Errorf("tol: rebuilding after an update of (%d,%d): %w", u, v, err)
 		}
-		return
+		d.stats.Rebuilds++
+		d.rebase(idx, g)
+		return nil
 	}
 	d.stats.Repairs++
 
-	inA := make([]bool, n)
-	for _, x := range anc {
-		inA[x] = true
+	sc.inA.reset()
+	for i, x := range anc {
+		sc.inA.add(x)
+		sc.posA[x] = int32(i)
 	}
-	inD := make([]bool, n)
-	for _, y := range des {
-		inD[y] = true
+	sc.inD.reset()
+	for j, y := range des {
+		sc.inD.add(y)
+		sc.posD[y] = int32(j)
 	}
 
 	// Fresh A×D reachability over the new graph (exact even for
@@ -268,62 +421,71 @@ func (d *DynamicIndex) repair(u, v graph.VertexID) {
 	// from a target y ∈ D — so BFS from whichever side is smaller:
 	// forward from each x ∈ A recording hits in D, or backward from
 	// each y ∈ D recording hits in A.
+	nd := len(des)
+	words := (len(anc)*nd + 63) / 64
+	sc.reach = slices.Grow(sc.reach[:0], words)[:words]
+	clear(sc.reach)
+	reach := sc.reach
 	none := graph.Edge{U: -1, V: -1}
-	reach := make(map[graph.VertexID]map[graph.VertexID]bool, bfsSide)
-	var reachAD func(x, y graph.VertexID) bool
 	if len(anc) <= len(des) {
-		for _, x := range anc {
-			m := make(map[graph.VertexID]bool)
-			d.bfsFrom(d.outAdj, x, none, func(w graph.VertexID) {
-				if inD[w] {
-					m[w] = true
+		for i, x := range anc {
+			d.bfs(true, x, none, func(w graph.VertexID) {
+				if sc.inD.has(w) {
+					bit := i*nd + int(sc.posD[w])
+					reach[bit>>6] |= 1 << (bit & 63)
 				}
 			})
-			reach[x] = m
 		}
-		reachAD = func(x, y graph.VertexID) bool { return reach[x][y] }
 	} else {
-		for _, y := range des {
-			m := make(map[graph.VertexID]bool)
-			d.bfsFrom(d.inAdj, y, none, func(w graph.VertexID) {
-				if inA[w] {
-					m[w] = true
+		for j, y := range des {
+			d.bfs(false, y, none, func(w graph.VertexID) {
+				if sc.inA.has(w) {
+					bit := int(sc.posA[w])*nd + j
+					reach[bit>>6] |= 1 << (bit & 63)
 				}
 			})
-			reach[y] = m
 		}
-		reachAD = func(x, y graph.VertexID) bool { return reach[y][x] }
+	}
+	reaches := func(i, j int) bool {
+		bit := i*nd + j
+		return reach[bit>>6]&(1<<(bit&63)) != 0
 	}
 
 	// Rank-ascending sweep: at rank r the labels below r are final.
-	ranks := make([]order.Rank, 0, len(anc)+len(des))
+	ranks := sc.ranks[:0]
 	for _, x := range anc {
 		ranks = append(ranks, d.ord.RankOf(x))
 	}
 	for _, y := range des {
-		if !inA[y] { // avoid double-processing vertices in both sets
+		if !sc.inA.has(y) { // avoid double-processing vertices in both sets
 			ranks = append(ranks, d.ord.RankOf(y))
 		}
 	}
-	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
+	slices.Sort(ranks)
+	sc.ranks = ranks
 
 	for _, r := range ranks {
 		x := d.ord.VertexAt(r)
-		if inA[x] {
+		if sc.inA.has(x) {
 			// x labels in-direction targets in D.
-			for _, y := range des {
-				want := reachAD(x, y) && disjointBelow(d.out[x], d.in[y], r)
-				d.in[y] = setMembership(d.in[y], r, want)
+			i, outX := int(sc.posA[x]), d.outLabels(x)
+			for j, y := range des {
+				inY := d.inLabels(y)
+				want := reaches(i, j) && disjointBelow(outX, inY, r)
+				setMembership(d.in, y, inY, r, want)
 			}
 		}
-		if inD[x] {
+		if sc.inD.has(x) {
 			// x labels out-direction targets in A.
-			for _, w := range anc {
-				want := reachAD(w, x) && disjointBelow(d.out[w], d.in[x], r)
-				d.out[w] = setMembership(d.out[w], r, want)
+			j, inX := int(sc.posD[x]), d.inLabels(x)
+			for i, w := range anc {
+				outW := d.outLabels(w)
+				want := reaches(i, j) && disjointBelow(outW, inX, r)
+				setMembership(d.out, w, outW, r, want)
 			}
 		}
 	}
+	return nil
 }
 
 // disjointBelow mirrors drl's refinement test: no common rank < bound.
@@ -342,38 +504,15 @@ func disjointBelow(a, b []order.Rank, bound order.Rank) bool {
 	return true
 }
 
-// setMembership inserts or removes rank r in a sorted list.
-func setMembership(list []order.Rank, r order.Rank, want bool) []order.Rank {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= r })
-	present := i < len(list) && list[i] == r
+// setMembership makes rank r present or absent in v's sorted list,
+// which reads as cur now; the list is copied into the overlay only if
+// that changes it.
+func setMembership(lists *graph.MutableOverlay[order.Rank], v graph.VertexID, cur []order.Rank, r order.Rank, want bool) {
+	i, present := slices.BinarySearch(cur, r)
 	switch {
 	case want && !present:
-		list = append(list, 0)
-		copy(list[i+1:], list[i:])
-		list[i] = r
+		lists.Insert(v, cur, i, r)
 	case !want && present:
-		list = append(list[:i], list[i+1:]...)
+		lists.Remove(v, cur, i)
 	}
-	return list
-}
-
-func sortedInsert(vs []graph.VertexID, v graph.VertexID) []graph.VertexID {
-	i := sort.Search(len(vs), func(i int) bool { return vs[i] >= v })
-	vs = append(vs, 0)
-	copy(vs[i+1:], vs[i:])
-	vs[i] = v
-	return vs
-}
-
-func sortedRemove(vs []graph.VertexID, v graph.VertexID) []graph.VertexID {
-	i := sort.Search(len(vs), func(i int) bool { return vs[i] >= v })
-	if i < len(vs) && vs[i] == v {
-		vs = append(vs[:i], vs[i+1:]...)
-	}
-	return vs
-}
-
-func contains(vs []graph.VertexID, v graph.VertexID) bool {
-	i := sort.Search(len(vs), func(i int) bool { return vs[i] >= v })
-	return i < len(vs) && vs[i] == v
 }

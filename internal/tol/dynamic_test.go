@@ -2,6 +2,7 @@ package tol
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -123,7 +124,7 @@ func TestDynamicInsertDeleteRoundTrip(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		u := graph.VertexID(rng.Intn(11))
 		v := graph.VertexID(rng.Intn(11))
-		if contains(g.OutNeighbors(u), v) {
+		if slices.Contains(g.OutNeighbors(u), v) {
 			continue
 		}
 		if err := d.InsertEdge(u, v); err != nil {

@@ -30,12 +30,22 @@ func (x *Index) AttachGraph(g *Graph) error {
 		return fmt.Errorf("reachlab: graph has %d vertices, index covers %d",
 			g.NumVertices(), x.NumVertices())
 	}
-	x.g = g.d
+	x.g, x.adj = g.d, nil
 	return nil
 }
 
 // HasGraph reports whether WitnessPath can answer.
 func (x *Index) HasGraph() bool { return x.g != nil }
+
+// outNeighbors returns N_out(v) in the graph this index covers: the
+// attached graph's list, or the epoch's own where an update changed it
+// — the rule label.Index reads a patched label list by.
+func (x *Index) outNeighbors(v VertexID) []VertexID {
+	if l, ok := x.adj.Get(v); ok {
+		return l
+	}
+	return x.g.OutNeighbors(v)
+}
 
 // WitnessPath returns an actual s→t vertex path, or nil when t is not
 // reachable from s. The search is a guided BFS: a frontier vertex's
@@ -70,7 +80,7 @@ func (x *Index) WitnessPath(s, t VertexID) ([]VertexID, error) {
 	queue := append(make([]VertexID, 0, 64), s)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, w := range x.g.OutNeighbors(v) {
+		for _, w := range x.outNeighbors(v) {
 			if parent[w] != -1 {
 				continue
 			}

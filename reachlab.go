@@ -152,7 +152,10 @@ type Index struct {
 	comp     []int32         // optional SCC-condensation mapping
 	compSize []int64         // per-component vertex counts (condensed only)
 	g        *graph.Digraph  // original graph, when available (witness paths)
-	stats    BuildStats
+	// adj, on an epoch an Updater published, holds the out-neighbor lists
+	// that differ from g as of that epoch's cut (see outNeighbors).
+	adj   *graph.Overlay[graph.VertexID]
+	stats BuildStats
 }
 
 // compSizes tallies how many original vertices each condensation

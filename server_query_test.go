@@ -75,8 +75,58 @@ func decodeNDJoin(t *testing.T, body *bufio.Scanner) (pairs [][2]int64, count, s
 	return pairs, count, scanned, done
 }
 
+// patchedTestServer serves what an Updater publishes between folds —
+// the maintainer's flat base under the label and neighbor lists a
+// seeded run of inserts and deletes has changed — beside the graph
+// those updates leave, for the oracle.
+func patchedTestServer(t *testing.T, cachePairs int) (*Graph, *MetricsRegistry, *httptest.Server) {
+	t.Helper()
+	const n = 60
+	d, err := newDynamic(randomDAG(n, 70, 3).d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var added [][2]VertexID
+	for k := 0; k < 30; k++ {
+		// Forward and backward edges alike: cycles among them.
+		u, v := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+		if err := d.InsertEdge(u, v); err != nil {
+			t.Fatal(err)
+		}
+		added = append(added, [2]VertexID{u, v})
+		if k%3 == 2 {
+			if err := d.DeleteEdge(added[k-2][0], added[k-2][1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	idx := &Index{idx: d.Snapshot()}
+	idx.g, idx.adj = d.SnapshotGraph()
+	if s := d.UpdateStats(); s.Repairs == 0 || idx.idx.Fold() == idx.idx || idx.adj.Len() == 0 {
+		t.Fatalf("the updates left no overlay to serve through: %+v", s)
+	}
+	reg := NewMetricsRegistry()
+	srv := httptest.NewServer(NewQueryHandlerOpts(idx, ServeOptions{Obs: reg, CachePairs: cachePairs}))
+	t.Cleanup(srv.Close)
+	return &Graph{d: d.Graph()}, reg, srv
+}
+
+// TestRichEndpointsMatchOracle runs every rich endpoint against the
+// BFS oracle twice: over a built, flat index, and over a patched epoch
+// as the update path publishes them.
 func TestRichEndpointsMatchOracle(t *testing.T) {
-	g, _, _, reg, srv := buildTestServer(t, 1024, DefaultMaxBatch)
+	t.Run("built", func(t *testing.T) {
+		g, _, _, reg, srv := buildTestServer(t, 1024, DefaultMaxBatch)
+		checkRichEndpoints(t, g, reg, srv)
+	})
+	t.Run("patched epoch", func(t *testing.T) {
+		g, reg, srv := patchedTestServer(t, 1024)
+		checkRichEndpoints(t, g, reg, srv)
+	})
+}
+
+func checkRichEndpoints(t *testing.T, g *Graph, reg *MetricsRegistry, srv *httptest.Server) {
 	n := g.NumVertices()
 	client := srv.Client()
 
@@ -221,11 +271,35 @@ func TestRichEndpointsMatchOracle(t *testing.T) {
 		}
 	}
 
-	// Cacheability split: path and from consulted the cache (pairs
+	// One batch, duplicates and shared sources included.
+	var batch batchRequest
+	for k := 0; k < 32; k++ {
+		batch.Pairs = append(batch.Pairs, [2]int64{int64(k * 5 % 8 * 7 % n), int64((k*17 + 3) % n)})
+	}
+	batch.Pairs = append(batch.Pairs, batch.Pairs[4], batch.Pairs[9])
+	raw, _ = json.Marshal(batch)
+	bresp, err := client.Post(srv.URL+"/reach/batch", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var br batchResponse
+	err = json.NewDecoder(bresp.Body).Decode(&br)
+	bresp.Body.Close()
+	if err != nil || len(br.Results) != len(batch.Pairs) {
+		t.Fatalf("batch: %v, %d results for %d pairs", err, len(br.Results), len(batch.Pairs))
+	}
+	for i, p := range batch.Pairs {
+		if want := g.ReachableBFS(VertexID(p[0]), VertexID(p[1])); br.Results[i] != want {
+			t.Fatalf("batch pair %d (%d,%d) = %v, oracle says %v", i, p[0], p[1], br.Results[i], want)
+		}
+	}
+
+	// Cacheability split: path, from and batch consulted the cache (pairs
 	// accounted, hits+misses reconcile); count and join did not count
-	// pairs. 60 path + Σ from targets is everything pair-counted.
+	// pairs. 60 path + Σ from targets + the batch is everything
+	// pair-counted.
 	pairsSeen := reg.CounterValue("reachlab_query_pairs_total")
-	wantSeen := int64(60 + len(targets)*((n+10)/11))
+	wantSeen := int64(60 + len(targets)*((n+10)/11) + len(batch.Pairs))
 	if pairsSeen != wantSeen {
 		t.Fatalf("pairs counter %d, want %d (count/join must not count pairs)", pairsSeen, wantSeen)
 	}

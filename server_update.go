@@ -19,12 +19,14 @@ import (
 // centralized dynamic maintainer:
 //
 //	POST /edges → wal.Log (durable) → [refresher] → tol.DynamicIndex
-//	                                       ↓ snapshot
+//	                                       ↓ snapshot: base + overlay
 //	                              QueryHandler.Swap (epoch k+1)
 //
-// Queries keep serving the frozen epoch-k index at full speed while
+// Queries keep serving the immutable epoch-k index at full speed while
 // the refresher drains the log in batches into the dynamic maintainer
-// and freezes the result into the next epoch. A write is acknowledged
+// and publishes the result as the next epoch: the flat base every
+// epoch shares plus the lists that differ from it as of the cut, so a
+// refresh costs its repairs, not the index. A write is acknowledged
 // only after its WAL append is fsync-durable, and the acknowledgement
 // carries the exact epoch that will first contain it, so a client can
 // poll X-Reachlab-Epoch (or /healthz) for read-your-writes.
@@ -84,12 +86,16 @@ type Updater struct {
 	appliedSeq uint64
 	cutSeq     uint64
 	inflight   bool
-	epochSeq   map[uint64]uint64
-	firstPend  time.Time // append time of the oldest unapplied write
+	epochSeq   [epochHistory]epochCut // slot epoch % epochHistory
+	firstPend  time.Time              // append time of the oldest unapplied write
 	closed     bool
 
 	stop chan struct{}
 	done chan struct{}
+	// tick, when set before Start, drives the refresher in place of the
+	// RefreshEvery ticker: one refresh per value received. Tests use it
+	// to advance epochs by count instead of by wall clock.
+	tick <-chan time.Time
 
 	// testHookMidRefresh, when set, runs after a refresh batch is cut
 	// and applied but before the snapshot swap — the window chaos
@@ -104,10 +110,22 @@ type Updater struct {
 	staleness   *obs.Gauge
 	repairs     *obs.Counter
 	rebuilds    *obs.Counter
-	nRefreshes  int64 // completed refresh swaps, under mu
-	statRepairs int64 // last folded tol.UpdateStats, under mu
-	statRebuild int64
+	folds       *obs.Counter
+	ovVertices  *obs.Gauge
+	ovEntries   *obs.Gauge
+	nRefreshes  int64           // completed refresh swaps, under mu
+	dynStats    tol.UpdateStats // last folded, under mu
 }
+
+// epochHistory is how many of the most recent epochs keep their cut:
+// the history Apply walks back through when refreshes outran an ack,
+// which is as many epochs as were published between a log append
+// returning and the next lock — a handful at the shortest tick. Older
+// epochs read as unknown, and the memory is fixed.
+const epochHistory = 1024
+
+// epochCut is one slot of the epoch → cut history.
+type epochCut struct{ epoch, seq uint64 }
 
 // NewUpdater builds the mutation path over g and log: it constructs
 // the dynamic maintainer, replays every record already in the log
@@ -135,13 +153,12 @@ func NewUpdater(g *Graph, log *wal.Log, opts UpdaterOptions) (*Updater, error) {
 	}
 	reg := opts.Obs
 	u := &Updater{
-		log:      log,
-		dyn:      dyn,
-		every:    every,
-		batch:    batch,
-		epochSeq: make(map[uint64]uint64),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		log:   log,
+		dyn:   dyn,
+		every: every,
+		batch: batch,
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 
 		walAppends:  reg.Counter("reachlab_wal_appends_total"),
 		refreshes:   reg.Counter("reachlab_refreshes_total"),
@@ -151,6 +168,9 @@ func NewUpdater(g *Graph, log *wal.Log, opts UpdaterOptions) (*Updater, error) {
 		staleness:   reg.Gauge("reachlab_update_staleness_ms"),
 		repairs:     reg.Counter("reachlab_dynamic_repairs_total"),
 		rebuilds:    reg.Counter("reachlab_dynamic_rebuilds_total"),
+		folds:       reg.Counter("reachlab_overlay_folds_total"),
+		ovVertices:  reg.Gauge("reachlab_overlay_vertices"),
+		ovEntries:   reg.Gauge("reachlab_overlay_entries"),
 	}
 	if err := u.replayAll(); err != nil {
 		return nil, err
@@ -181,27 +201,36 @@ func (u *Updater) applyRecord(r wal.Record) error {
 	return fmt.Errorf("reachlab: wal record %d: unknown op %d", r.Seq, byte(r.Op))
 }
 
-// foldDynStats turns the maintainer's cumulative repair/rebuild tally
-// into monotonic metric counters and the mu-guarded Stats view. Only
-// the refresher goroutine (or the constructor, before Start) calls
-// it — the maintainer itself is single-writer.
+// foldDynStats turns the maintainer's cumulative repair/rebuild/fold
+// tally into monotonic metric counters, its overlay's size into
+// gauges, and both into the mu-guarded Stats view. Only the refresher
+// goroutine (or the constructor, before Start) calls it — the
+// maintainer itself is single-writer.
 func (u *Updater) foldDynStats() {
 	s := u.dyn.UpdateStats()
 	u.mu.Lock()
-	dr, db := s.Repairs-u.statRepairs, s.Rebuilds-u.statRebuild
-	u.statRepairs, u.statRebuild = s.Repairs, s.Rebuilds
+	prev := u.dynStats
+	u.dynStats = s
 	u.mu.Unlock()
-	u.repairs.Add(dr)
-	u.rebuilds.Add(db)
+	u.repairs.Add(s.Repairs - prev.Repairs)
+	u.rebuilds.Add(s.Rebuilds - prev.Rebuilds)
+	u.folds.Add(s.Folds - prev.Folds)
+	u.ovVertices.Set(int64(s.OverlayLists))
+	u.ovEntries.Set(int64(s.OverlayEntries))
 }
 
-// Snapshot freezes the maintainer's current labels — the index a
-// QueryHandler paired with this updater should be constructed with.
-// The maintainer's graph rides along (one O(n+m) CSR materialization)
-// so every published epoch serves witness paths that are verifiable
-// against exactly the edges that epoch indexed.
+// Snapshot returns the maintainer's current state as an immutable
+// index — what a QueryHandler paired with this updater should be
+// constructed with, and what every refresh publishes. Labels and graph
+// are each the flat base all epochs share plus the lists that differ
+// from it as of this call, so the cost is the number of such lists:
+// nothing is frozen, copied or rebuilt. The graph rides along so every
+// epoch serves witness paths that walk exactly the edges it indexed.
+// Like the maintainer, it belongs to the refresher goroutine once
+// Start has run.
 func (u *Updater) Snapshot() *Index {
-	return &Index{idx: u.dyn.Snapshot(), g: u.dyn.Graph()}
+	g, adj := u.dyn.SnapshotGraph()
+	return &Index{idx: u.dyn.Snapshot(), g: g, adj: adj}
 }
 
 // AppliedSeq returns the highest log sequence number reflected in the
@@ -215,13 +244,24 @@ func (u *Updater) AppliedSeq() uint64 {
 // EpochSeq reports the highest log sequence number contained in
 // epoch. The epoch the handler started serving at covers everything
 // replayed before Start; epochs swapped in by the refresher record
-// their batch cut. Unknown epochs (pre-start, or swapped by something
-// other than the updater) report ok == false.
+// their batch cut. Unknown epochs (pre-start, swapped by something
+// other than the updater, or more than epochHistory epochs old) report
+// ok == false.
 func (u *Updater) EpochSeq(epoch uint64) (seq uint64, ok bool) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	seq, ok = u.epochSeq[epoch]
-	return seq, ok
+	return u.cutOf(epoch)
+}
+
+// cutOf and recordCut read and write the history ring, under mu.
+// Epochs start at 1, so a slot's zero value matches no epoch asked for.
+func (u *Updater) cutOf(epoch uint64) (seq uint64, ok bool) {
+	c := u.epochSeq[epoch%epochHistory]
+	return c.seq, c.epoch == epoch && epoch != 0
+}
+
+func (u *Updater) recordCut(epoch, seq uint64) {
+	u.epochSeq[epoch%epochHistory] = epochCut{epoch, seq}
 }
 
 // Start binds the updater to h (recording h's current epoch as
@@ -231,7 +271,7 @@ func (u *Updater) EpochSeq(epoch uint64) (seq uint64, ok bool) {
 func (u *Updater) Start(h *QueryHandler) {
 	u.mu.Lock()
 	u.h = h
-	u.epochSeq[h.Epoch()] = u.appliedSeq
+	u.recordCut(h.Epoch(), u.appliedSeq)
 	u.mu.Unlock()
 	go u.run()
 }
@@ -300,7 +340,7 @@ func (u *Updater) Apply(insert bool, a, b VertexID) (seq, epoch uint64, err erro
 		// window. Walk the recorded cuts back to the earliest cover.
 		epoch = pub
 		for {
-			prev, ok := u.epochSeq[epoch-1]
+			prev, ok := u.cutOf(epoch - 1)
 			if !ok || prev < seq {
 				break
 			}
@@ -327,17 +367,21 @@ func (u *Updater) Apply(insert bool, a, b VertexID) (seq, epoch uint64, err erro
 }
 
 // run is the background refresher: every tick, drain up to one batch
-// of durable log records into the maintainer, freeze a snapshot, and
+// of durable log records into the maintainer, take a snapshot, and
 // swap it in as the next epoch.
 func (u *Updater) run() {
 	defer close(u.done)
-	ticker := time.NewTicker(u.every)
-	defer ticker.Stop()
+	tick := u.tick
+	if tick == nil {
+		ticker := time.NewTicker(u.every)
+		defer ticker.Stop()
+		tick = ticker.C
+	}
 	for {
 		select {
 		case <-u.stop:
 			return
-		case <-ticker.C:
+		case <-tick:
 			u.refreshOnce()
 		}
 	}
@@ -347,8 +391,10 @@ func (u *Updater) run() {
 var errBatchFull = errors.New("batch full")
 
 // refreshOnce cuts the next contiguous batch from the log, applies it
-// to the maintainer, and swaps the frozen snapshot in. Runs on the
-// refresher goroutine only — the maintainer is single-writer.
+// to the maintainer, and swaps the snapshot in. Outside the
+// maintainer's own amortized fold (or a rebuild) nothing here is
+// proportional to the index or the graph. Runs on the refresher
+// goroutine only — the maintainer is single-writer.
 func (u *Updater) refreshOnce() {
 	start := time.Now()
 
@@ -411,13 +457,11 @@ func (u *Updater) refreshOnce() {
 			continue
 		}
 	}
-	u.foldDynStats()
 	if u.testHookMidRefresh != nil {
 		u.testHookMidRefresh()
 	}
-	// The graph snapshot keeps /reach/path consistent with the labels:
-	// an epoch's witness paths walk exactly the edges its labels cover.
-	idx := &Index{idx: u.dyn.Snapshot(), g: u.dyn.Graph()}
+	idx := u.Snapshot()
+	u.foldDynStats() // after the snapshot: the overlay sizes are the published epoch's
 
 	// Swap under mu so an Apply computing its promise never observes
 	// the new epoch with the old frontier (or vice versa). The swap
@@ -426,7 +470,7 @@ func (u *Updater) refreshOnce() {
 	epoch := u.h.Swap(idx)
 	u.appliedSeq = cut
 	u.inflight = false
-	u.epochSeq[epoch] = cut
+	u.recordCut(epoch, cut)
 	pending := u.log.SyncedSeq() - cut
 	if pending == 0 {
 		u.firstPend = time.Time{}
@@ -456,9 +500,16 @@ type UpdaterStats struct {
 	Refreshes  int64  `json:"refreshes"`
 	Repairs    int64  `json:"repairs"`
 	Rebuilds   int64  `json:"rebuilds"`
+	// The maintainer's copy-on-write overlay as of the last refresh: the
+	// per-vertex lists (in-label, out-label, out- and in-neighbor, each
+	// counted) that differ from the flat base, their total length, and
+	// how often the overlay has been folded into a new base.
+	OverlayVertices int   `json:"overlay_vertices"`
+	OverlayEntries  int   `json:"overlay_entries"`
+	OverlayFolds    int64 `json:"overlay_folds"`
 }
 
-// Stats returns the updater's current counters. Repair/rebuild and
+// Stats returns the updater's current counters. Maintainer and
 // refresh tallies come from the updater's own bookkeeping (folded
 // under mu at each refresh), not the metrics registry, so they are
 // exact even with instrumentation disabled.
@@ -466,7 +517,7 @@ func (u *Updater) Stats() UpdaterStats {
 	u.mu.Lock()
 	applied := u.appliedSeq
 	refreshes := u.nRefreshes
-	repairs, rebuilds := u.statRepairs, u.statRebuild
+	dyn := u.dynStats
 	u.mu.Unlock()
 	synced := u.log.SyncedSeq()
 	return UpdaterStats{
@@ -475,8 +526,12 @@ func (u *Updater) Stats() UpdaterStats {
 		AppliedSeq: applied,
 		SeqLag:     synced - applied,
 		Refreshes:  refreshes,
-		Repairs:    repairs,
-		Rebuilds:   rebuilds,
+		Repairs:    dyn.Repairs,
+		Rebuilds:   dyn.Rebuilds,
+
+		OverlayVertices: dyn.OverlayLists,
+		OverlayEntries:  dyn.OverlayEntries,
+		OverlayFolds:    dyn.Folds,
 	}
 }
 

@@ -2,11 +2,17 @@ package reachlab
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,6 +32,14 @@ func lineGraph(t *testing.T, n int) *Graph {
 // dir, updater, handler serving the replayed snapshot.
 func newUpdateServer(t *testing.T, g *Graph, opts UpdaterOptions) (*QueryHandler, *Updater, *wal.Log) {
 	t.Helper()
+	return startUpdateServer(t, g, opts, nil)
+}
+
+// startUpdateServer is newUpdateServer with the refresher turning on
+// tick instead of the clock when tick is not nil: one refresh per value
+// sent, and a send returns only once the refresh before it is over.
+func startUpdateServer(t *testing.T, g *Graph, opts UpdaterOptions, tick <-chan time.Time) (*QueryHandler, *Updater, *wal.Log) {
+	t.Helper()
 	log, err := wal.Open(filepath.Join(t.TempDir(), "edges.wal"))
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +49,8 @@ func newUpdateServer(t *testing.T, g *Graph, opts UpdaterOptions) (*QueryHandler
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewQueryHandlerObs(u.Snapshot(), nil)
+	u.tick = tick
+	h := NewQueryHandlerObs(u.Snapshot(), opts.Obs)
 	h.EnableUpdates(u)
 	u.Start(h)
 	t.Cleanup(u.Close)
@@ -262,8 +277,9 @@ func TestUpdaterRejects(t *testing.T) {
 // TestUpdaterStatsBlock: /stats grows an "updates" block when the
 // mutation path is enabled.
 func TestUpdaterStatsBlock(t *testing.T) {
-	g := lineGraph(t, 6)
-	h, _, _ := newUpdateServer(t, g, UpdaterOptions{RefreshEvery: 5 * time.Millisecond})
+	g := lineGraph(t, 100) // long enough that one repair's overlay is no fold's worth
+	reg := NewMetricsRegistry()
+	h, _, _ := newUpdateServer(t, g, UpdaterOptions{RefreshEvery: 5 * time.Millisecond, Obs: reg})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -288,6 +304,25 @@ func TestUpdaterStatsBlock(t *testing.T) {
 	}
 	if doc.Updates.Repairs+doc.Updates.Rebuilds != 1 {
 		t.Fatalf("update not counted as repair or rebuild: %+v", doc.Updates)
+	}
+	// The back edge repaired in place: the served epoch is the base under
+	// an overlay holding at least the two neighbor lists it changed, and
+	// /metrics says what /stats says.
+	if doc.Updates.OverlayVertices < 2 || doc.Updates.OverlayEntries < 2 || doc.Updates.OverlayFolds != 0 {
+		t.Fatalf("overlay not reported: %+v", doc.Updates)
+	}
+	var metrics bytes.Buffer
+	if err := reg.WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		fmt.Sprintf("reachlab_overlay_vertices %d\n", doc.Updates.OverlayVertices),
+		fmt.Sprintf("reachlab_overlay_entries %d\n", doc.Updates.OverlayEntries),
+		"reachlab_overlay_folds_total 0\n",
+	} {
+		if !strings.Contains(metrics.String(), line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
 	}
 }
 
@@ -326,5 +361,208 @@ func TestUpdaterRebuildCounter(t *testing.T) {
 	waitEpoch(t, h, epoch)
 	if s := u.Stats(); s.Rebuilds != 1 || s.Repairs != 1 {
 		t.Fatalf("leaf insert stats: %+v", s)
+	}
+}
+
+// TestUpdaterEpochHistoryBounded drives more refreshes than the
+// epoch → cut history holds, one tick behind every write, so each ack
+// is computed while the refresh the write before it started may still
+// be running. Every promise whose epoch is still in the history is
+// exact — across the slots the wrap reused — and every older epoch
+// reads as unknown, as the EpochSeq contract says.
+func TestUpdaterEpochHistoryBounded(t *testing.T) {
+	tick := make(chan time.Time)
+	h, u, log := startUpdateServer(t, lineGraph(t, 40), UpdaterOptions{RefreshBatch: 2}, tick)
+
+	type promise struct{ seq, epoch uint64 }
+	var acks []promise
+	for k := 0; h.Epoch() < epochHistory+200; k++ {
+		if k > 4*epochHistory {
+			t.Fatalf("%d writes made only %d epochs", k, h.Epoch())
+		}
+		// A skip edge over the line, then its removal: both repairs.
+		c := VertexID(k / 2 % 38)
+		seq, epoch, err := u.Apply(k%2 == 0, c, c+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acks = append(acks, promise{seq, epoch})
+		tick <- time.Now()
+	}
+	for u.AppliedSeq() < log.LastSeq() {
+		tick <- time.Now()
+	}
+
+	last := h.Epoch()
+	known := 0
+	for _, a := range acks {
+		cut, ok := u.EpochSeq(a.epoch)
+		if a.epoch+epochHistory <= last {
+			if ok {
+				t.Fatalf("epoch %d is %d epochs old and still known (history holds %d)", a.epoch, last-a.epoch, epochHistory)
+			}
+			continue
+		}
+		known++
+		if !ok {
+			t.Fatalf("promised epoch %d for seq %d is within the last %d of %d and unknown", a.epoch, a.seq, epochHistory, last)
+		}
+		if cut < a.seq {
+			t.Fatalf("epoch %d cut at %d excludes promised seq %d", a.epoch, cut, a.seq)
+		}
+		if prev, ok := u.EpochSeq(a.epoch - 1); ok && prev >= a.seq {
+			t.Fatalf("seq %d already present at epoch %d (cut %d), promised %d", a.seq, a.epoch-1, prev, a.epoch)
+		}
+	}
+	if known == 0 || known == len(acks) {
+		t.Fatalf("%d of %d promises within the history: the wrap was not crossed", known, len(acks))
+	}
+	if _, ok := u.EpochSeq(0); ok {
+		t.Fatal("epoch 0 known")
+	}
+	if _, ok := u.EpochSeq(last + 1); ok {
+		t.Fatal("an epoch not yet published is known")
+	}
+}
+
+// TestPublishedEpochsImmutable: an epoch the refresher published keeps
+// answering, serializing and walking paths exactly as at its cut while
+// 1,200 later inserts and deletes — repairs, rebuilds, and a fold forced
+// every fifth refresh — go through the maintainer it shares its base
+// with. Readers check the held epochs on their own goroutines all the
+// while (run under -race).
+func TestPublishedEpochsImmutable(t *testing.T) {
+	const n, groups, perGroup, readers = 300, 150, 8, 3
+	rng := rand.New(rand.NewSource(12))
+	g := randomCyclicGraph(n, n*8/10, 12) // sparse: most updates repair
+	edges := map[[2]VertexID]bool{}
+	for v := 0; v < n; v++ {
+		for _, w := range g.OutNeighbors(VertexID(v)) {
+			edges[[2]VertexID{VertexID(v), w}] = true
+		}
+	}
+
+	tick := make(chan time.Time)
+	h, u, _ := startUpdateServer(t, g, UpdaterOptions{}, tick)
+	// The hook runs on the refresher goroutine, the maintainer's owner.
+	refreshes := 0
+	u.testHookMidRefresh = func() {
+		if refreshes++; refreshes%5 == 0 {
+			u.dyn.Fold()
+		}
+	}
+
+	// held is one published epoch and what it answered when published.
+	type held struct {
+		epoch  uint64
+		idx    *Index
+		oracle *Graph
+		bytes  []byte
+	}
+	check := func(e held, rng *rand.Rand) string {
+		for k := 0; k < 40; k++ {
+			s, d := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+			want := e.oracle.ReachableBFS(s, d)
+			if e.idx.Reachable(s, d) != want {
+				return fmt.Sprintf("Reachable(%d,%d) = %v", s, d, !want)
+			}
+			path, err := e.idx.WitnessPath(s, d)
+			if err != nil || (path != nil) != want {
+				return fmt.Sprintf("WitnessPath(%d,%d) = %v, %v; reachable %v", s, d, path, err, want)
+			}
+			for i := 0; i+1 < len(path); i++ {
+				if !slices.Contains(e.oracle.OutNeighbors(path[i]), path[i+1]) {
+					return fmt.Sprintf("WitnessPath(%d,%d) hop %d→%d is not an edge of the epoch", s, d, path[i], path[i+1])
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if _, err := e.idx.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), e.bytes) {
+			return fmt.Sprintf("WriteTo differs from the bytes at publication (err %v)", err)
+		}
+		return ""
+	}
+
+	var (
+		mu    sync.Mutex
+		all   []held
+		done  = make(chan struct{})
+		racer sync.WaitGroup
+	)
+	for r := 0; r < readers; r++ {
+		racer.Add(1)
+		go func(r int) {
+			defer racer.Done()
+			rrng := rand.New(rand.NewSource(int64(300 + r)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				mine := slices.Clone(all)
+				mu.Unlock()
+				for _, e := range mine {
+					if msg := check(e, rrng); msg != "" {
+						t.Errorf("reader %d: epoch %d with %d epochs held: %s", r, e.epoch, len(mine), msg)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+
+	patched := 0
+	for k := 0; k < groups; k++ {
+		var promised uint64
+		for i := 0; i < perGroup; i++ {
+			e := [2]VertexID{VertexID(rng.Intn(n)), VertexID(rng.Intn(n))}
+			insert := !edges[e]
+			_, epoch, err := u.Apply(insert, e[0], e[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if edges[e] = insert; !insert {
+				delete(edges, e)
+			}
+			promised = epoch
+		}
+		for h.Epoch() < promised {
+			tick <- time.Now()
+		}
+		if k%10 != 0 {
+			continue
+		}
+		list := make([]Edge, 0, len(edges))
+		for e := range edges {
+			list = append(list, Edge{From: e[0], To: e[1]})
+		}
+		slices.SortFunc(list, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To)) })
+		e := held{epoch: h.Epoch(), idx: h.Index(), oracle: NewGraph(n, list)}
+		var buf bytes.Buffer
+		if _, err := e.idx.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		e.bytes = buf.Bytes()
+		if e.idx.adj != nil {
+			patched++
+		}
+		if msg := check(e, rng); msg != "" {
+			t.Fatalf("epoch %d, fresh from the refresher: %s", e.epoch, msg)
+		}
+		mu.Lock()
+		all = append(all, e)
+		mu.Unlock()
+	}
+	close(done)
+	racer.Wait()
+	for _, e := range all {
+		if msg := check(e, rng); msg != "" {
+			t.Fatalf("epoch %d after the last write: %s", e.epoch, msg)
+		}
+	}
+	if s := u.Stats(); s.OverlayFolds < 3 || s.Repairs == 0 || patched == 0 {
+		t.Fatalf("%+v, %d of %d held epochs patched: want folds, repairs and patched epochs", s, patched, len(all))
 	}
 }

@@ -75,10 +75,10 @@ type soakOp struct {
 }
 
 // soakSample is one successful read: what the server answered and at
-// which epoch it claims the answer was exact. kind 0 is a point or
-// batch /reach answer; 'c' is a /reach/count answer carrying count;
-// 'p' is a /reach/path answer carrying the witness path, whose every
-// hop must be an edge of that exact epoch's graph.
+// which epoch it claims the answer was exact. kind 0 is a point,
+// batch or /reach/from answer; 'c' is a /reach/count answer carrying
+// count; 'p' is a /reach/path answer carrying the witness path, whose
+// every hop must be an edge of that exact epoch's graph.
 type soakSample struct {
 	s, t      VertexID
 	reachable bool
@@ -151,13 +151,18 @@ func TestUpdateQuerySoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := NewUpdater(g, log, UpdaterOptions{
-		RefreshEvery: 2 * time.Millisecond,
-		RefreshBatch: 16,
-	})
+	u, err := NewUpdater(g, log, UpdaterOptions{RefreshBatch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The refresher turns on the test's ticks, not the clock (set before
+	// Start): the tick driver below sends one only after some reader has
+	// been answered at the serving epoch, so every epoch published while
+	// the readers run is sampled and the run's epoch count follows from
+	// its write count, however slowly -race or a loaded host turns the
+	// refresher over.
+	tick := make(chan time.Time)
+	u.tick = tick
 	// Chaos on the refresher: every few refreshes, stall between the
 	// batch apply and the snapshot swap — the widest window in which
 	// readers must keep getting old-epoch answers with the old-epoch
@@ -174,6 +179,35 @@ func TestUpdateQuerySoak(t *testing.T) {
 	u.Start(h)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
+
+	var (
+		sampledEpoch atomic.Uint64 // the highest epoch a reader was answered at
+		readersDone  atomic.Bool
+	)
+	tickStop := make(chan struct{})
+	var ticker sync.WaitGroup
+	ticker.Add(1)
+	go func() {
+		defer ticker.Done()
+		for {
+			for sampledEpoch.Load() < h.Epoch() && !readersDone.Load() {
+				select {
+				case <-tickStop:
+					return
+				case <-time.After(50 * time.Microsecond):
+				}
+			}
+			select {
+			case <-tickStop:
+				return
+			case tick <- time.Now():
+			}
+		}
+	}()
+	defer func() {
+		close(tickStop)
+		ticker.Wait()
+	}()
 
 	// --- writers: every ack recorded for the oracle ------------------
 	var (
@@ -284,6 +318,13 @@ func TestUpdateQuerySoak(t *testing.T) {
 				return len(local) > 0 && local[len(local)-1].epoch >= finalEpoch.Load()
 			}
 			for q := 0; q < perReader || (!caughtUp() && time.Now().Before(readUntil)); q++ {
+				if len(local) > 0 { // tell the tick driver how far the readers have seen
+					for e := local[len(local)-1].epoch; ; {
+						if cur := sampledEpoch.Load(); cur >= e || sampledEpoch.CompareAndSwap(cur, e) {
+							break
+						}
+					}
+				}
 				s := VertexID(rrng.Intn(soakN))
 				tt := VertexID(rrng.Intn(soakN))
 				switch roll := rrng.Intn(12); {
@@ -369,6 +410,30 @@ func TestUpdateQuerySoak(t *testing.T) {
 					}
 					local = append(local, soakSample{s: s, t: tt, reachable: pr.Reachable, epoch: epoch, kind: 'p', path: pr.Path})
 					continue
+				case roll == 5:
+					// One-source sweep: six targets under one epoch.
+					targets := []int64{int64(tt)}
+					for len(targets) < 6 {
+						targets = append(targets, int64(rrng.Intn(soakN)))
+					}
+					body, _ := json.Marshal(fromRequest{S: int64(s), Targets: targets})
+					resp, err := client.Post(srv.URL+"/reach/from", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Errorf("reader %d: from: %v", r, err)
+						return
+					}
+					var fr fromResponse
+					epoch, _ := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
+					err = json.NewDecoder(resp.Body).Decode(&fr)
+					resp.Body.Close()
+					if err != nil || len(fr.Results) != len(targets) {
+						t.Errorf("reader %d: from decode: %v (%d results)", r, err, len(fr.Results))
+						return
+					}
+					for i, x := range targets {
+						local = append(local, soakSample{s: s, t: VertexID(x), reachable: fr.Results[i], epoch: epoch})
+					}
+					continue
 				}
 				resp, err := client.Get(fmt.Sprintf("%s/reach?s=%d&t=%d", srv.URL, s, tt))
 				if err != nil {
@@ -392,6 +457,12 @@ func TestUpdateQuerySoak(t *testing.T) {
 	}
 
 	writers.Wait()
+	// The last write is a chain-local insert nothing follows: a repair,
+	// so the final epoch — which every reader stays to be answered at —
+	// is the shared base under a non-empty overlay.
+	if err := post(true, soakChainA+1, soakChainA+3); err != nil {
+		t.Fatal(err)
+	}
 	var lastPromised uint64
 	opsMu.Lock()
 	for _, op := range ops {
@@ -400,6 +471,7 @@ func TestUpdateQuerySoak(t *testing.T) {
 	opsMu.Unlock()
 	finalEpoch.Store(lastPromised)
 	rwg.Wait()
+	readersDone.Store(true) // the tick driver now drains the backlog unpaced
 	if t.Failed() {
 		return
 	}
@@ -518,10 +590,14 @@ func TestUpdateQuerySoak(t *testing.T) {
 		t.Fatalf("%d of %d samples contradict the oracle at their answered epoch", mismatches, len(samples))
 	}
 
-	// Both maintenance paths must have carried real traffic.
+	// Both maintenance paths must have carried real traffic, and the
+	// final epoch verified above must have been a base under an overlay.
 	stats := u.Stats()
 	if stats.Repairs == 0 || stats.Rebuilds == 0 {
 		t.Fatalf("soak did not exercise both maintenance paths: %+v", stats)
+	}
+	if stats.OverlayVertices == 0 {
+		t.Fatalf("the final epoch carries no overlay: %+v", stats)
 	}
 	t.Logf("soak: %d ops, %d samples across %d epochs, %d chaos-killed reads, stats %+v",
 		len(ops), len(samples), len(epochs), killed.Load(), stats)
