@@ -20,15 +20,14 @@
 //	drload -mode count -addr 127.0.0.1:8080 -verify-idx web.idx
 //	drload -mode join  -addr 127.0.0.1:8080 -batch 16 -verify-idx web.idx
 //
-// The rich modes reuse the serve-mode plumbing: path answers one
-// GET /reach/path per sampled pair (a server without the graph
-// attached answers 501, which counts as an error — run drserve with
-// -graph), count answers one GET /reach/count per sampled source, and
-// join POSTs each batch's sources×targets cross-product to
-// /reach/join and consumes the NDJSON stream. With -verify-idx a path
-// answer's reachable bit, a count's set size, and a join's exact pair
-// set are all checked against the local index; -verify-graph
-// additionally checks that every witness-path hop is a real edge.
+// Requests and answers are the wire types of internal/httpapi (the
+// contract table is DESIGN.md "HTTP contract"), so drload speaks to a
+// replica and to a router alike; each mode drives the endpoint it is
+// named for, one request per sampled pair (path, serve), source
+// (count) or batch (join: the batch's sources×targets cross product,
+// read through the contract's own stream check). A 501 — /reach/path
+// without drserve -graph — counts as an error like any other non-200.
+// -verify-graph additionally checks every witness-path hop is an edge.
 //
 // With -verify-idx the HTTP answers are checked against a locally
 // loaded copy of the index and any mismatch counts as an error; the
@@ -43,11 +42,11 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"slices"
@@ -57,6 +56,7 @@ import (
 	"repro"
 	"repro/internal/bench"
 	"repro/internal/graph"
+	"repro/internal/httpapi"
 )
 
 func main() {
@@ -148,40 +148,28 @@ func runServe(workload string, bases []string, verifyIdx, verifyGraph string, re
 			MaxIdleConnsPerHost: clients * 2,
 		},
 	}
-	endpoints := make([]bench.Client, len(bases))
+	// One verifying client per endpoint, of the kind the mode names.
 	var algo string
-	switch workload {
-	case "path":
+	var client func(*http.Client, string, *reachlab.Index) bench.Client
+	switch {
+	case workload == "path":
 		algo, batch = "http-path", 1
-		for i, base := range bases {
-			endpoints[i] = pathClient(httpc, base, oracle, pathGraph)
+		client = func(c *http.Client, base string, o *reachlab.Index) bench.Client {
+			return pathClient(c, base, o, pathGraph)
 		}
-	case "count":
-		algo, batch = "http-count", 1
-		for i, base := range bases {
-			endpoints[i] = countClient(httpc, base, oracle)
-		}
-	case "join":
-		if batch < 1 {
-			batch = 1
-		}
-		algo = fmt.Sprintf("http-join%d", batch)
-		for i, base := range bases {
-			endpoints[i] = joinClient(httpc, base, oracle)
-		}
+	case workload == "count":
+		algo, batch, client = "http-count", 1, countClient
+	case workload == "join":
+		batch = max(batch, 1)
+		algo, client = fmt.Sprintf("http-join%d", batch), joinClient
+	case batch > 1:
+		algo, client = fmt.Sprintf("http-batch%d", batch), batchClient
 	default:
-		algo = "http-single"
-		if batch > 1 {
-			algo = fmt.Sprintf("http-batch%d", batch)
-			for i, base := range bases {
-				endpoints[i] = batchClient(httpc, base, oracle)
-			}
-		} else {
-			batch = 1
-			for i, base := range bases {
-				endpoints[i] = singleClient(httpc, base, oracle)
-			}
-		}
+		algo, batch, client = "http-single", 1, singleClient
+	}
+	endpoints := make([]bench.Client, len(bases))
+	for i, base := range bases {
+		endpoints[i] = client(httpc, base, oracle)
 	}
 
 	opts := bench.LoadgenOptions{
@@ -235,6 +223,47 @@ func runServe(workload string, bases []string, verifyIdx, verifyGraph string, re
 	}
 }
 
+// exchange sends one request of the contract — e's method and route
+// plus query, with req (when non-nil) as its JSON body — and requires
+// a 200; the caller owns the response body.
+func exchange(httpc *http.Client, base string, e httpapi.Endpoint, query string, req any) (*http.Response, error) {
+	var body io.Reader
+	if req != nil {
+		raw, err := json.Marshal(req)
+		if err != nil {
+			return nil, err
+		}
+		body = bytes.NewReader(raw)
+	}
+	hr, err := http.NewRequest(e.Method, base+e.Route+query, body)
+	if err != nil {
+		return nil, err
+	}
+	if req != nil {
+		hr.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := httpc.Do(hr)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		return nil, fmt.Errorf("%s status %d", e.Label, resp.StatusCode)
+	}
+	return resp, nil
+}
+
+// call is exchange for the endpoints that answer one JSON document,
+// decoded into out.
+func call(httpc *http.Client, base string, e httpapi.Endpoint, query string, req, out any) error {
+	resp, err := exchange(httpc, base, e, query, req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
 // postEdge sends one durable edge mutation to an endpoint (a drserve
 // replica in update mode, or a drrouter which fans it to the fleet).
 func postEdge(httpc *http.Client, base string, insert bool, u, v graph.VertexID) error {
@@ -242,61 +271,24 @@ func postEdge(httpc *http.Client, base string, insert bool, u, v graph.VertexID)
 	if insert {
 		op = "insert"
 	}
-	raw, err := json.Marshal(struct {
-		Op string `json:"op"`
-		U  int64  `json:"u"`
-		V  int64  `json:"v"`
-	}{Op: op, U: int64(u), V: int64(v)})
-	if err != nil {
-		return err
-	}
-	resp, err := httpc.Post(base+"/edges", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("edge %s(%d,%d) status %d", op, u, v, resp.StatusCode)
-	}
-	return nil
+	var ack json.RawMessage // a replica's ack or a router's per-replica rows
+	return call(httpc, base, httpapi.Edges, "", httpapi.EdgeRequest{Op: op, U: int64(u), V: int64(v)}, &ack)
 }
 
 // postReload triggers one index reload on an endpoint (a drserve
 // replica, or a drrouter which fans it across the fleet).
 func postReload(httpc *http.Client, base, ref string) error {
-	body := "{}"
-	if ref != "" {
-		raw, err := json.Marshal(struct {
-			Ref string `json:"ref"`
-		}{Ref: ref})
-		if err != nil {
-			return err
-		}
-		body = string(raw)
-	}
-	resp, err := httpc.Post(base+"/admin/reload", "application/json", strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("reload status %d", resp.StatusCode)
-	}
-	return nil
+	var ack json.RawMessage
+	return call(httpc, base, httpapi.Reload, "", httpapi.ReloadRequest{Ref: ref}, &ack)
 }
 
 // serverVertices asks /stats for the vertex-ID space.
 func serverVertices(base string) int {
-	resp, err := http.Get(base + "/stats")
-	if err != nil {
-		fatal(fmt.Errorf("querying %s/stats: %w", base, err))
-	}
-	defer resp.Body.Close()
 	var stats struct {
 		Vertices int `json:"vertices"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		fatal(fmt.Errorf("decoding /stats: %w", err))
+	if err := call(http.DefaultClient, base, httpapi.Stats, "", nil, &stats); err != nil {
+		fatal(fmt.Errorf("querying %s/stats: %w", base, err))
 	}
 	if stats.Vertices <= 0 {
 		fatal(fmt.Errorf("server reports %d vertices", stats.Vertices))
@@ -308,18 +300,8 @@ func serverVertices(base string) int {
 func singleClient(httpc *http.Client, base string, oracle *reachlab.Index) bench.Client {
 	return func(pairs []graph.Edge) error {
 		p := pairs[0]
-		resp, err := httpc.Get(fmt.Sprintf("%s/reach?s=%d&t=%d", base, p.U, p.V))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("status %d", resp.StatusCode)
-		}
-		var body struct {
-			Reachable bool `json:"reachable"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		var body httpapi.ReachResponse
+		if err := call(httpc, base, httpapi.Reach, fmt.Sprintf("?s=%d&t=%d", p.U, p.V), nil, &body); err != nil {
 			return err
 		}
 		if oracle != nil && body.Reachable != oracle.Reachable(p.U, p.V) {
@@ -332,29 +314,12 @@ func singleClient(httpc *http.Client, base string, oracle *reachlab.Index) bench
 // batchClient answers a batch per request via POST /reach/batch.
 func batchClient(httpc *http.Client, base string, oracle *reachlab.Index) bench.Client {
 	return func(pairs []graph.Edge) error {
-		req := struct {
-			Pairs [][2]int64 `json:"pairs"`
-		}{Pairs: make([][2]int64, len(pairs))}
+		req := httpapi.BatchRequest{Pairs: make([][2]int64, len(pairs))}
 		for i, p := range pairs {
 			req.Pairs[i] = [2]int64{int64(p.U), int64(p.V)}
 		}
-		raw, err := json.Marshal(req)
-		if err != nil {
-			return err
-		}
-		resp, err := httpc.Post(base+"/reach/batch", "application/json", bytes.NewReader(raw))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("status %d", resp.StatusCode)
-		}
-		var body struct {
-			Count   int    `json:"count"`
-			Results []bool `json:"results"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		var body httpapi.BatchResponse
+		if err := call(httpc, base, httpapi.Batch, "", req, &body); err != nil {
 			return err
 		}
 		if body.Count != len(pairs) || len(body.Results) != len(pairs) {
@@ -379,19 +344,8 @@ func batchClient(httpc *http.Client, base string, oracle *reachlab.Index) bench.
 func pathClient(httpc *http.Client, base string, oracle *reachlab.Index, g *reachlab.Graph) bench.Client {
 	return func(pairs []graph.Edge) error {
 		p := pairs[0]
-		resp, err := httpc.Get(fmt.Sprintf("%s/reach/path?s=%d&t=%d", base, p.U, p.V))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("path status %d", resp.StatusCode)
-		}
-		var body struct {
-			Reachable bool    `json:"reachable"`
-			Path      []int64 `json:"path"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		var body httpapi.PathResponse
+		if err := call(httpc, base, httpapi.Path, fmt.Sprintf("?s=%d&t=%d", p.U, p.V), nil, &body); err != nil {
 			return err
 		}
 		if body.Reachable != (len(body.Path) > 0) {
@@ -401,13 +355,12 @@ func pathClient(httpc *http.Client, base string, oracle *reachlab.Index, g *reac
 			return fmt.Errorf("path(%d,%d): server says reachable=%v, index disagrees", p.U, p.V, body.Reachable)
 		}
 		if body.Reachable {
-			if body.Path[0] != int64(p.U) || body.Path[len(body.Path)-1] != int64(p.V) {
+			if body.Path[0] != p.U || body.Path[len(body.Path)-1] != p.V {
 				return fmt.Errorf("path(%d,%d): endpoints %d..%d", p.U, p.V, body.Path[0], body.Path[len(body.Path)-1])
 			}
 			if g != nil {
 				for i := 0; i+1 < len(body.Path); i++ {
-					u, v := graph.VertexID(body.Path[i]), graph.VertexID(body.Path[i+1])
-					if !hasEdge(g, u, v) {
+					if u, v := body.Path[i], body.Path[i+1]; !slices.Contains(g.OutNeighbors(u), v) {
 						return fmt.Errorf("path(%d,%d): hop %d->%d is not an edge", p.U, p.V, u, v)
 					}
 				}
@@ -417,33 +370,13 @@ func pathClient(httpc *http.Client, base string, oracle *reachlab.Index, g *reac
 	}
 }
 
-// hasEdge reports whether u->v is an edge of g.
-func hasEdge(g *reachlab.Graph, u, v graph.VertexID) bool {
-	for _, w := range g.OutNeighbors(u) {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // countClient answers one reachable-set-size request per sampled
 // source (the pair's s side) via GET /reach/count.
 func countClient(httpc *http.Client, base string, oracle *reachlab.Index) bench.Client {
 	return func(pairs []graph.Edge) error {
 		s := pairs[0].U
-		resp, err := httpc.Get(fmt.Sprintf("%s/reach/count?s=%d", base, s))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("count status %d", resp.StatusCode)
-		}
-		var body struct {
-			Count int `json:"count"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		var body httpapi.CountResponse
+		if err := call(httpc, base, httpapi.Count, fmt.Sprintf("?s=%d", s), nil, &body); err != nil {
 			return err
 		}
 		if oracle != nil {
@@ -456,93 +389,46 @@ func countClient(httpc *http.Client, base string, oracle *reachlab.Index) bench.
 }
 
 // joinClient POSTs each batch's deduplicated sources×targets
-// cross-product to /reach/join and consumes the NDJSON stream. The
-// protocol itself is always checked — strictly ascending (s, t)
-// pairs, a terminal done line whose count matches the pairs received,
-// a scanned tally equal to the cross product — and with an oracle the
-// result set is checked to be exactly the reachable subset.
+// cross-product to /reach/join and consumes the stream through
+// httpapi.ReadJoin, so the protocol itself is always checked —
+// strictly ascending (s, t) pairs, a terminal done line whose count
+// matches the pairs received — plus a scanned tally equal to the cross
+// product, and with an oracle the result set is checked to be exactly
+// the reachable subset.
 func joinClient(httpc *http.Client, base string, oracle *reachlab.Index) bench.Client {
 	return func(pairs []graph.Edge) error {
-		sources := make([]int64, 0, len(pairs))
-		targets := make([]int64, 0, len(pairs))
+		var req httpapi.JoinRequest
 		for _, p := range pairs {
-			sources = append(sources, int64(p.U))
-			targets = append(targets, int64(p.V))
+			req.Sources = append(req.Sources, int64(p.U))
+			req.Targets = append(req.Targets, int64(p.V))
 		}
-		sources, targets = dedupSort(sources), dedupSort(targets)
-		raw, err := json.Marshal(struct {
-			Sources []int64 `json:"sources"`
-			Targets []int64 `json:"targets"`
-		}{Sources: sources, Targets: targets})
-		if err != nil {
-			return err
-		}
-		resp, err := httpc.Post(base+"/reach/join", "application/json", bytes.NewReader(raw))
+		slices.Sort(req.Sources)
+		slices.Sort(req.Targets)
+		req.Sources, req.Targets = slices.Compact(req.Sources), slices.Compact(req.Targets)
+		resp, err := exchange(httpc, base, httpapi.Join, "", req)
 		if err != nil {
 			return err
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("join status %d", resp.StatusCode)
-		}
-		var (
-			sc        = bufio.NewScanner(resp.Body)
-			got       = 0
-			lastS     = int64(-1)
-			lastT     = int64(-1)
-			done      = false
-			doneCount = 0
-			doneScan  = 0
-		)
-		for sc.Scan() {
-			if done {
-				return fmt.Errorf("join: line after the done line")
+		sum, err := httpapi.ReadJoin(resp.Body, func(s, t int64) error {
+			if oracle != nil && !oracle.Reachable(graph.VertexID(s), graph.VertexID(t)) {
+				return fmt.Errorf("join: pair (%d,%d) is not reachable in the index", s, t)
 			}
-			var line struct {
-				S       *int64 `json:"s"`
-				T       *int64 `json:"t"`
-				Done    bool   `json:"done"`
-				Count   int    `json:"count"`
-				Scanned int    `json:"scanned"`
-			}
-			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-				return fmt.Errorf("join: bad line %q: %w", sc.Text(), err)
-			}
-			if line.Done {
-				done, doneCount, doneScan = true, line.Count, line.Scanned
-				continue
-			}
-			if line.S == nil || line.T == nil {
-				return fmt.Errorf("join: line %q is neither a pair nor done", sc.Text())
-			}
-			if *line.S < lastS || (*line.S == lastS && *line.T <= lastT) {
-				return fmt.Errorf("join: pair (%d,%d) not in ascending order after (%d,%d)", *line.S, *line.T, lastS, lastT)
-			}
-			lastS, lastT = *line.S, *line.T
-			if oracle != nil && !oracle.Reachable(graph.VertexID(*line.S), graph.VertexID(*line.T)) {
-				return fmt.Errorf("join: pair (%d,%d) is not reachable in the index", *line.S, *line.T)
-			}
-			got++
-		}
-		if err := sc.Err(); err != nil {
+			return nil
+		})
+		if err != nil {
 			return err
 		}
-		if !done {
-			return fmt.Errorf("join: stream ended without a done line (%d pairs in)", got)
-		}
-		if doneCount != got {
-			return fmt.Errorf("join: done line says %d pairs, stream carried %d", doneCount, got)
-		}
-		if doneScan != len(sources)*len(targets) {
-			return fmt.Errorf("join: scanned %d, cross product is %d×%d", doneScan, len(sources), len(targets))
+		if sum.Scanned != len(req.Sources)*len(req.Targets) {
+			return fmt.Errorf("join: scanned %d, cross product is %d×%d", sum.Scanned, len(req.Sources), len(req.Targets))
 		}
 		if oracle != nil {
+			tv := make([]graph.VertexID, len(req.Targets))
+			for i, t := range req.Targets {
+				tv[i] = graph.VertexID(t)
+			}
 			want := 0
-			for _, s := range sources {
-				tv := make([]graph.VertexID, len(targets))
-				for i, t := range targets {
-					tv[i] = graph.VertexID(t)
-				}
+			for _, s := range req.Sources {
 				for _, ok := range oracle.ReachableFrom(graph.VertexID(s), tv) {
 					if ok {
 						want++
@@ -551,18 +437,12 @@ func joinClient(httpc *http.Client, base string, oracle *reachlab.Index) bench.C
 			}
 			// Every streamed pair is reachable and distinct (ascending
 			// order), so matching cardinality means matching sets.
-			if got != want {
-				return fmt.Errorf("join: %d pairs streamed, index says the join has %d", got, want)
+			if sum.Count != want {
+				return fmt.Errorf("join: %d pairs streamed, index says the join has %d", sum.Count, want)
 			}
 		}
 		return nil
 	}
-}
-
-// dedupSort sorts vs ascending and removes duplicates.
-func dedupSort(vs []int64) []int64 {
-	slices.Sort(vs)
-	return slices.Compact(vs)
 }
 
 func loadIndex(path string) *reachlab.Index {

@@ -5,26 +5,21 @@
 // SIGHUP swap the frozen index and its cache atomically under live
 // traffic), and shuts down gracefully on SIGINT/SIGTERM, draining
 // in-flight queries before exiting. cmd/drrouter fans traffic across
-// several of these.
+// several of these. Every endpoint, body, limit and refusal is the
+// table in DESIGN.md "HTTP contract" (§17); the flags below only size
+// and feed what it describes.
 //
 // Usage:
 //
 //	drserve -idx graph.idx -listen :8080
 //	curl 'localhost:8080/reach?s=3&t=17'
 //	curl -d '{"pairs":[[3,17],[5,9]]}' 'localhost:8080/reach/batch'
-//	curl 'localhost:8080/stats'
 //
-// Rich queries (DESIGN.md §15): /reach/count and /reach/from amortize
-// one out-label scan across many targets, /reach/join streams the
-// reachable pairs of sources×targets as NDJSON, and /reach/path
-// reconstructs a concrete witness path — the latter needs the edge
-// list, so pass -graph alongside -idx to enable it:
+// /reach/path reconstructs a concrete witness path, which needs the
+// edge list: pass -graph alongside -idx to enable it (501 without):
 //
 //	drserve -idx graph.idx -graph graph.txt
 //	curl 'localhost:8080/reach/path?s=3&t=17'
-//	curl 'localhost:8080/reach/count?s=3'
-//	curl -d '{"s":3,"targets":[17,41,99]}' 'localhost:8080/reach/from'
-//	curl -d '{"sources":[3,5],"targets":[17,41]}' 'localhost:8080/reach/join'
 //
 //	# Rebuild the index elsewhere, then swap it in without dropping
 //	# a query (epoch advances; confirm via /stats index_epoch):
@@ -100,6 +95,14 @@ func main() {
 		updater *reachlab.Updater
 		edgeLog *wal.Log
 	)
+	// Every mode serves with these; only static mode adds a Loader.
+	serveOpts := reachlab.ServeOptions{
+		Obs:         reachlab.DefaultMetrics(),
+		CachePairs:  *cache,
+		CacheShards: *shards,
+		MaxBatch:    *maxBatch,
+		MaxJoin:     *maxJoin,
+	}
 	switch {
 	case *graphPath != "" && *budget > 0:
 		// Budgeted static mode: build a memory-bounded index over the
@@ -129,13 +132,7 @@ func main() {
 		st := idx.Stats()
 		fmt.Printf("serving %d vertices with label budget %d (%.2f MB labels, %d/%d vertices overflowed in/out) on %s\n",
 			idx.NumVertices(), st.LabelBudget, float64(st.Bytes)/(1<<20), st.OverflowedIn, st.OverflowedOut, *listen)
-		handler = reachlab.NewQueryHandlerOpts(idx, reachlab.ServeOptions{
-			Obs:         reachlab.DefaultMetrics(),
-			CachePairs:  *cache,
-			CacheShards: *shards,
-			MaxBatch:    *maxBatch,
-			MaxJoin:     *maxJoin,
-		})
+		handler = reachlab.NewQueryHandlerOpts(idx, serveOpts)
 
 	case *graphPath != "" && *walPath != "":
 		if *idxPath != "" {
@@ -167,13 +164,7 @@ func main() {
 			idx.NumVertices(), edgeLog.Count(), *refreshEvery, *refreshBatch, *listen)
 		// No Loader: in update mode the updater owns every epoch
 		// advance — /admin/reload answers 501, SIGHUP warns.
-		handler = reachlab.NewQueryHandlerOpts(idx, reachlab.ServeOptions{
-			Obs:         reachlab.DefaultMetrics(),
-			CachePairs:  *cache,
-			CacheShards: *shards,
-			MaxBatch:    *maxBatch,
-			MaxJoin:     *maxJoin,
-		})
+		handler = reachlab.NewQueryHandlerOpts(idx, serveOpts)
 		handler.EnableUpdates(updater)
 		updater.Start(handler)
 
@@ -221,14 +212,8 @@ func main() {
 		}
 		fmt.Printf("serving %d vertices (%.2f MB index, %d cache slots, witness paths %s) on %s (metrics at /metrics, profiles at /debug/pprof/)\n",
 			idx.NumVertices(), float64(st.Bytes)/(1<<20), *cache, paths, *listen)
-		handler = reachlab.NewQueryHandlerOpts(idx, reachlab.ServeOptions{
-			Obs:         reachlab.DefaultMetrics(),
-			CachePairs:  *cache,
-			CacheShards: *shards,
-			MaxBatch:    *maxBatch,
-			MaxJoin:     *maxJoin,
-			Loader:      loader,
-		})
+		serveOpts.Loader = loader
+		handler = reachlab.NewQueryHandlerOpts(idx, serveOpts)
 
 	case *graphPath != "":
 		fatal(fmt.Errorf("-graph alone is ambiguous: add -wal (update mode), -budget (bounded static mode), or -idx (witness paths over a static index)"))

@@ -20,13 +20,14 @@
 // marked down after DownAfter consecutive failures and readmitted
 // after UpAfter consecutive successes, with queries routing around it
 // the whole time. The probe also records the replica's serving epoch
-// and vertex count from the X-Reachlab-* headers, so /stats can show
-// whether an index reload has landed on every replica. Graceful
+// and vertex count from the contract's two response headers, so /stats
+// can show whether an index reload has landed on every replica. Graceful
 // drain (POST /admin/drain) stops routing new queries to a replica
 // and marks it drained once its outstanding count hits zero.
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -35,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
@@ -92,13 +94,33 @@ type replica struct {
 
 	state       atomic.Int32
 	outstanding atomic.Int64
-	epoch       atomic.Uint64 // last epoch seen on a probe (0 = unknown)
+	epoch       atomic.Uint64 // last epoch believed (0 = unknown); written by observeEpoch only
 	vertices    atomic.Int64  // last vertex count seen on a probe
 	forwards    atomic.Int64  // requests sent (including retries)
-	errors      atomic.Int64  // transport errors + 5xx from this replica
+	errors      atomic.Int64  // requests this replica failed (httpapi.Verdict's other side)
+
+	// epochMu orders epoch's writers (probes race reload answers);
+	// epochAt is when the believed observation completed.
+	epochMu sync.Mutex
+	epochAt time.Time
 
 	fails, oks int  // consecutive probe outcomes; health-loop private
 	admitted   bool // has ever been up; health-loop private
+}
+
+// observeEpoch records the epoch r reported to a request issued at
+// issued. A live process's epochs only rise, so a higher one always
+// wins; a lower one is believed only when its request was issued after
+// the stored observation completed — a restarted replica — and is
+// otherwise a stale answer overtaken on the wire (a /healthz answered
+// just before a reload's swap, landing after the reload's) and dropped.
+func (r *replica) observeEpoch(e uint64, issued time.Time) {
+	r.epochMu.Lock()
+	defer r.epochMu.Unlock()
+	if e >= r.epoch.Load() || issued.After(r.epochAt) {
+		r.epoch.Store(e)
+		r.epochAt = time.Now()
+	}
 }
 
 func (r *replica) getState() ReplicaState { return ReplicaState(r.state.Load()) }
@@ -123,10 +145,6 @@ type Options struct {
 	Mode Mode
 	// CheckInterval is the health-probe period (default 500ms).
 	CheckInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 2s).
-	ProbeTimeout time.Duration
-	// ProxyTimeout bounds one forwarded request attempt (default 10s).
-	ProxyTimeout time.Duration
 	// DownAfter is the consecutive probe failures before a replica is
 	// marked down (default 2).
 	DownAfter int
@@ -141,95 +159,58 @@ type Options struct {
 	// candidate replica has been tried (default 25ms).
 	RetryBackoff time.Duration
 	// MaxBatch caps the pair count of one /reach/batch request
-	// (default 8192, matching the replica-side default).
+	// (default httpapi.DefaultMaxBatch, as at a replica).
 	MaxBatch int
-	// Client issues probes and forwards; nil uses a private client
-	// with sensible connection pooling.
-	Client *http.Client
 	// Obs receives router counters and latency histograms; nil
 	// disables instrumentation.
 	Obs *obs.Registry
 }
 
-func (o Options) mode() Mode {
+// withDefaults fills the zero fields in for a pool of n replicas
+// (MaxBatch's default is the contract's: httpapi.NewMux applies it).
+func (o Options) withDefaults(n int) Options {
 	if o.Mode == "" {
-		return Replicated
+		o.Mode = Replicated
 	}
-	return o.Mode
-}
-
-func (o Options) checkInterval() time.Duration {
 	if o.CheckInterval <= 0 {
-		return 500 * time.Millisecond
+		o.CheckInterval = 500 * time.Millisecond
 	}
-	return o.CheckInterval
-}
-
-func (o Options) probeTimeout() time.Duration {
-	if o.ProbeTimeout <= 0 {
-		return 2 * time.Second
-	}
-	return o.ProbeTimeout
-}
-
-func (o Options) proxyTimeout() time.Duration {
-	if o.ProxyTimeout <= 0 {
-		return 10 * time.Second
-	}
-	return o.ProxyTimeout
-}
-
-func (o Options) downAfter() int {
 	if o.DownAfter <= 0 {
-		return 2
+		o.DownAfter = 2
 	}
-	return o.DownAfter
-}
-
-func (o Options) upAfter() int {
 	if o.UpAfter <= 0 {
-		return 2
+		o.UpAfter = 2
 	}
-	return o.UpAfter
-}
-
-func (o Options) maxAttempts(replicas int) int {
-	if o.MaxAttempts > 0 {
-		return o.MaxAttempts
+	if o.MaxAttempts <= 0 {
+		o.MaxAttempts = 4 * n
 	}
-	return 4 * replicas
-}
-
-func (o Options) retryBackoff() time.Duration {
 	if o.RetryBackoff <= 0 {
-		return 25 * time.Millisecond
+		o.RetryBackoff = 25 * time.Millisecond
 	}
-	return o.RetryBackoff
+	return o
 }
 
-func (o Options) maxBatch() int {
-	if o.MaxBatch <= 0 {
-		return 8192
-	}
-	return o.MaxBatch
-}
+// probeTimeout bounds one health probe and proxyTimeout one forwarded
+// request attempt.
+const (
+	probeTimeout = 2 * time.Second
+	proxyTimeout = 10 * time.Second
+)
 
 // Fleet is the replica pool plus its router. Create with New, start
 // health checking with Start, serve it as an http.Handler, stop with
 // Close.
 type Fleet struct {
-	opts     Options
-	mode     Mode
+	opts     Options    // defaults filled in
 	replicas []*replica // fixed order; position = shard index
 	httpc    *http.Client
-	mux      *http.ServeMux
+	mux      *httpapi.Mux
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	loopDone chan struct{}
 
 	// Metric handles, resolved once.
-	reg         *obs.Registry
 	unavailable *obs.Counter
 	retries     *obs.Counter
 	probeFails  *obs.Counter
@@ -241,26 +222,16 @@ type Fleet struct {
 // http:// URLs). The order is significant in Sharded mode: position
 // in the list is the shard index.
 func New(addrs []string, opts Options) (*Fleet, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("fleet: no replicas")
-	}
 	reg := opts.Obs
 	f := &Fleet{
-		opts:     opts,
-		mode:     opts.mode(),
-		httpc:    opts.Client,
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 
-		reg:         reg,
 		unavailable: reg.Counter("fleet_unavailable_total"),
 		retries:     reg.Counter("fleet_retries_total"),
 		probeFails:  reg.Counter("fleet_probe_failures_total"),
 		healthyG:    reg.Gauge("fleet_healthy_replicas"),
 		proxyHist:   reg.Histogram("fleet_proxy_seconds", obs.LatencyBuckets),
-	}
-	if f.mode != Replicated && f.mode != Sharded {
-		return nil, fmt.Errorf("fleet: unknown mode %q", opts.Mode)
 	}
 	seen := make(map[string]bool, len(addrs))
 	for _, a := range addrs {
@@ -286,14 +257,16 @@ func New(addrs []string, opts Options) (*Fleet, error) {
 	if len(f.replicas) == 0 {
 		return nil, fmt.Errorf("fleet: no replicas")
 	}
-	if f.httpc == nil {
-		f.httpc = &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConns:        4 * len(f.replicas) * 16,
-				MaxIdleConnsPerHost: 64,
-				IdleConnTimeout:     60 * time.Second,
-			},
-		}
+	f.opts = opts.withDefaults(len(f.replicas))
+	if f.opts.Mode != Replicated && f.opts.Mode != Sharded {
+		return nil, fmt.Errorf("fleet: unknown mode %q", opts.Mode)
+	}
+	f.httpc = &http.Client{
+		Transport: &http.Transport{
+			MaxIdleConns:        4 * len(f.replicas) * 16,
+			MaxIdleConnsPerHost: 64,
+			IdleConnTimeout:     60 * time.Second,
+		},
 	}
 	f.initMux()
 	return f, nil
@@ -316,7 +289,7 @@ func (f *Fleet) Close() {
 
 func (f *Fleet) healthLoop() {
 	defer close(f.loopDone)
-	t := time.NewTicker(f.opts.checkInterval())
+	t := time.NewTicker(f.opts.CheckInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -358,7 +331,7 @@ func (f *Fleet) probe(r *replica) {
 	}
 	switch r.getState() {
 	case StateUp:
-		if r.fails >= f.opts.downAfter() {
+		if r.fails >= f.opts.DownAfter {
 			r.setState(StateDown)
 		}
 	case StateDown:
@@ -366,7 +339,7 @@ func (f *Fleet) probe(r *replica) {
 		// never been up has no failure to be doubted for, and holding
 		// it back would keep a freshly started fleet answering 503 for
 		// a whole CheckInterval.
-		if r.oks >= f.opts.upAfter() || (ok && !r.admitted) {
+		if r.oks >= f.opts.UpAfter || (ok && !r.admitted) {
 			r.setState(StateUp)
 			r.admitted = true
 		}
@@ -374,7 +347,7 @@ func (f *Fleet) probe(r *replica) {
 		// A draining replica that stops answering is down, drained or
 		// not (mid-drain kill). One that finished its outstanding work
 		// is drained.
-		if r.fails >= f.opts.downAfter() {
+		if r.fails >= f.opts.DownAfter {
 			r.setState(StateDown)
 		} else if r.outstanding.Load() == 0 {
 			r.setState(StateDrained)
@@ -387,13 +360,14 @@ func (f *Fleet) probe(r *replica) {
 // probeOnce is the wire part of a probe: GET /healthz under the probe
 // timeout, recording the epoch/vertices headers on success.
 func (f *Fleet) probeOnce(r *replica) bool {
-	req, err := http.NewRequest(http.MethodGet, r.base+"/healthz", nil)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+httpapi.Healthz.Route, nil)
 	if err != nil {
 		return false
 	}
-	ctx, cancel := contextWithTimeout(f.opts.probeTimeout())
-	defer cancel()
-	resp, err := f.httpc.Do(req.WithContext(ctx))
+	issued := time.Now()
+	resp, err := f.httpc.Do(req)
 	if err != nil {
 		return false
 	}
@@ -402,10 +376,10 @@ func (f *Fleet) probeOnce(r *replica) bool {
 	if resp.StatusCode != http.StatusOK {
 		return false
 	}
-	if e, err := strconv.ParseUint(resp.Header.Get("X-Reachlab-Epoch"), 10, 64); err == nil {
-		r.epoch.Store(e)
+	if e, err := strconv.ParseUint(resp.Header.Get(httpapi.EpochHeader), 10, 64); err == nil {
+		r.observeEpoch(e, issued)
 	}
-	if v, err := strconv.ParseInt(resp.Header.Get("X-Reachlab-Vertices"), 10, 64); err == nil {
+	if v, err := strconv.ParseInt(resp.Header.Get(httpapi.VerticesHeader), 10, 64); err == nil {
 		r.vertices.Store(v)
 	}
 	return true
@@ -518,9 +492,6 @@ func (f *Fleet) Vertices() int64 {
 	}
 	return n
 }
-
-// Mode returns the routing mode.
-func (f *Fleet) Mode() Mode { return f.mode }
 
 // NumReplicas returns the fixed replica count (shard count in Sharded
 // mode).

@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -11,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // fakeReplica is a deterministic stand-in for a drserve replica: it
@@ -108,6 +111,12 @@ func (f *fakeReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
+		}
+		for _, p := range req.Pairs {
+			if p[0] < 0 || p[1] < 0 || p[0] >= int64(f.vertices) || p[1] >= int64(f.vertices) {
+				http.Error(w, "bad pair", http.StatusBadRequest)
+				return
+			}
 		}
 		results := make([]bool, len(req.Pairs))
 		f.mu.Lock()
@@ -283,7 +292,6 @@ func testFleet(t *testing.T, n int, mode Mode, wrap func(i int, h http.Handler) 
 	opts := Options{
 		Mode:          mode,
 		CheckInterval: 20 * time.Millisecond,
-		ProbeTimeout:  time.Second,
 		DownAfter:     2,
 		UpAfter:       2,
 		RetryBackoff:  5 * time.Millisecond,
@@ -562,7 +570,7 @@ func TestFirstAdmissionAndReadmission(t *testing.T) {
 		t.Cleanup(srv.Close)
 		addrs = append(addrs, strings.TrimPrefix(srv.URL, "http://"))
 	}
-	f, err := New(addrs, Options{CheckInterval: time.Hour, ProbeTimeout: time.Second, DownAfter: 2, UpAfter: 3})
+	f, err := New(addrs, Options{CheckInterval: time.Hour, DownAfter: 2, UpAfter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -952,5 +960,120 @@ func TestFleetEdgesFanout(t *testing.T) {
 		if n != before[i] {
 			t.Fatalf("replica %d recorded the rejected mutation (%d → %d ops)", fr.id, before[i], n)
 		}
+	}
+}
+
+// --- verdict vs failure -------------------------------------------
+
+// TestBatchRefusalRelayedVerbatim: a replica's 400 for an out-of-range
+// pair is its verdict on the batch — it comes back through the router
+// with the replica's own words, after one forward per shard asked, and
+// is charged to nobody: no retry, no replica error, no unavailable.
+func TestBatchRefusalRelayedVerbatim(t *testing.T) {
+	for _, mode := range []Mode{Replicated, Sharded} {
+		reg := obs.New()
+		_, _, f := testFleet(t, 3, mode, nil, func(o *Options) { o.Obs = reg })
+		waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 3 })
+		router := httptest.NewServer(f)
+		defer router.Close()
+
+		// Source 1 is in range and owned by shard 1; the bad pair's
+		// source 500 is owned by shard 2 (500 mod 3).
+		resp, err := http.Post(router.URL+"/reach/batch", "application/json", strings.NewReader(`{"pairs":[[1,2],[500,3]]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || string(body) != "bad pair\n" {
+			t.Errorf("%s: refusal came back as %d %q, want the replica's 400 %q", mode, resp.StatusCode, body, "bad pair\n")
+		}
+		var forwards, errs int64
+		for _, s := range f.Snapshot() {
+			forwards += s.Forwards
+			errs += s.Errors
+		}
+		wantForwards := int64(1)
+		if mode == Sharded {
+			wantForwards = 2
+		}
+		if forwards != wantForwards || errs != 0 {
+			t.Errorf("%s: %d forwards and %d replica errors, want %d and 0", mode, forwards, errs, wantForwards)
+		}
+		if n := reg.CounterValue("fleet_unavailable_total") + reg.CounterValue("fleet_retries_total"); n != 0 {
+			t.Errorf("%s: a refusal counted %d unavailable+retries", mode, n)
+		}
+		if n := reg.CounterValue(`fleet_http_errors_total{handler="batch"}`); n != 1 {
+			t.Errorf("%s: fleet_http_errors_total{handler=\"batch\"} = %d, want 1", mode, n)
+		}
+	}
+}
+
+// --- replica epoch bookkeeping --------------------------------------
+
+// TestStaleProbeDoesNotOverwriteReloadEpoch: a /healthz answered just
+// before a reload's swap can land after the reload's answer. Epochs of
+// a live process only rise, so the late, lower epoch is a stale answer
+// and must not replace the reload's; a lower epoch from a probe issued
+// after the stored observation is a restarted replica and is believed.
+func TestStaleProbeDoesNotOverwriteReloadEpoch(t *testing.T) {
+	var hold atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	fakes, _, f := testFleet(t, 1, Replicated, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/healthz" || !hold.CompareAndSwap(true, false) {
+				h.ServeHTTP(w, r)
+				return
+			}
+			// Answer with the epoch as of now, deliver it after the reload.
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			close(entered)
+			<-release
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			_, _ = w.Write(rec.Body.Bytes()) // the prober hung up? its problem
+		})
+	}, func(o *Options) { o.CheckInterval = time.Hour }) // every probe after Start's is the test's own
+	router := httptest.NewServer(f)
+	defer router.Close()
+	epoch := func() uint64 { return f.Snapshot()[0].Epoch }
+	if epoch() != 1 {
+		t.Fatalf("start-up probe recorded epoch %d, want 1", epoch())
+	}
+
+	hold.Store(true)
+	probed := make(chan struct{})
+	go func() {
+		defer close(probed)
+		f.probeAll()
+	}()
+	<-entered
+	resp, err := http.Post(router.URL+"/admin/reload", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || epoch() != 2 {
+		t.Fatalf("reload: status %d, router sees epoch %d, want 200 and 2", resp.StatusCode, epoch())
+	}
+	close(release)
+	<-probed
+	if epoch() != 2 {
+		t.Errorf("the probe answered before the reload overwrote its epoch: router sees %d, want 2", epoch())
+	}
+
+	// A live replica reaches epoch 7, then restarts and serves epoch 1.
+	fakes[0].epoch.Store(7)
+	f.probeAll()
+	if epoch() != 7 {
+		t.Fatalf("router sees epoch %d, want 7", epoch())
+	}
+	fakes[0].epoch.Store(1)
+	f.probeAll()
+	if epoch() != 1 {
+		t.Errorf("restarted replica: router still sees epoch %d, want 1", epoch())
 	}
 }

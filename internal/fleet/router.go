@@ -8,58 +8,53 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
-// The router half of the fleet: ServeHTTP fans /reach and
-// /reach/batch across the replica pool with bounded retries, serves
-// fleet-level /stats and /healthz, and exposes the admin verbs
-// (drain, readmit, fleet-wide reload).
-//
-// Endpoints:
-//
-//	GET  /reach?s=&t=                → proxied single query
-//	POST /reach/batch                → split/merged batch query
-//	GET  /reach/path?s=&t=           → proxied witness-path query (by source)
-//	GET  /reach/count?s=             → proxied reachable-set-size query (by source)
-//	POST /reach/from                 → proxied one-source sweep (by source)
-//	POST /reach/join                 → per-shard split/merged NDJSON join
-//	GET  /stats                      → {"vertices":N,"mode":...,"healthy":K,"replicas":[...]}
-//	GET  /healthz                    → 200 while ≥1 replica is up
-//	POST /edges                      → fan one edge mutation to every replica
-//	POST /admin/drain?replica=a:p    → graceful drain
-//	POST /admin/readmit?replica=a:p  → return a drained/down replica to probation
-//	POST /admin/reload               → fan POST /admin/reload to every replica
-//	GET  /metrics, /trace, /debug/pprof/ (obs.Mount)
+// The router half of the fleet. It serves the replica's endpoints in
+// the replicas' name — same requests, same answers, same refusals: the
+// contract of internal/httpapi (DESIGN.md "HTTP contract"), whose last
+// column is the routing rule each mount below applies — plus its own
+// /stats and /healthz and the admin verbs drain and readmit. An
+// upstream answer is relayed verbatim whenever it is the replica's
+// verdict (httpapi.Verdict); only a replica's failure is retried.
 
 func (f *Fleet) initMux() {
-	f.mux = http.NewServeMux()
-	f.mux.HandleFunc("GET /reach", f.handleReach)
-	f.mux.HandleFunc("POST /reach/batch", f.handleBatch)
-	f.mux.HandleFunc("GET /reach/path", f.handlePath)
-	f.mux.HandleFunc("GET /reach/count", f.handleCount)
-	f.mux.HandleFunc("POST /reach/from", f.handleFrom)
-	f.mux.HandleFunc("POST /reach/join", f.handleJoin)
-	f.mux.HandleFunc("POST /edges", f.handleEdges)
-	f.mux.HandleFunc("GET /stats", f.handleStats)
-	f.mux.HandleFunc("GET /healthz", f.handleHealthz)
-	f.mux.HandleFunc("POST /admin/drain", f.handleDrain)
-	f.mux.HandleFunc("POST /admin/readmit", f.handleReadmit)
-	f.mux.HandleFunc("POST /admin/reload", f.handleReload)
-	obs.Mount(f.mux, f.reg)
+	f.mux = httpapi.NewMux(f.opts.Obs, "fleet", f.opts.MaxBatch)
+	// Pass-through, placed by source: one replica's answer is the answer.
+	f.mux.Mount(httpapi.Reach, f.passThrough(httpapi.SourceInQuery))
+	f.mux.Mount(httpapi.Path, f.passThrough(httpapi.SourceInQuery))
+	f.mux.Mount(httpapi.Count, f.passThrough(httpapi.SourceInQuery))
+	f.mux.Mount(httpapi.From, f.passThrough(httpapi.SourceInBody))
+	// Split by shard and merged. A replicated pool has one shard, so a
+	// join passes through whole; a batch is still deduplicated.
+	f.mux.Mount(httpapi.Batch, f.handleBatch)
+	if f.opts.Mode == Sharded {
+		f.mux.Mount(httpapi.Join, f.handleJoin)
+	} else {
+		f.mux.Mount(httpapi.Join, f.passThrough(nil))
+	}
+	// Fanned out to every replica. A reload's answer also tells the router
+	// the replica's new epoch, so /stats shows it without waiting for a probe.
+	f.mux.Mount(httpapi.Reload, f.fanOut(func(rep *replica, issued time.Time, row httpapi.ReplicaOutcome) {
+		rep.observeEpoch(row.Epoch, issued)
+	}))
+	f.mux.Mount(httpapi.Edges, f.fanOut(nil))
+	// The router's own.
+	f.mux.Mount(httpapi.Stats, f.handleStats)
+	f.mux.HandleFunc(httpapi.Healthz.Pattern(), f.handleHealthz)
+	f.mux.Mount(httpapi.Drain, f.adminVerb(f.Drain))
+	f.mux.Mount(httpapi.Readmit, f.adminVerb(f.Readmit))
+	obs.Mount(f.mux.ServeMux, f.opts.Obs)
 }
 
 // ServeHTTP implements http.Handler.
 func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.mux.ServeHTTP(w, r)
-}
-
-func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
 }
 
 // drain discards a response body so the connection can be reused.
@@ -74,13 +69,12 @@ var errAllReplicasFailed = errors.New("fleet: no replica answered within the ret
 // shard owner, fail over to the least-loaded healthy replica, and
 // once every candidate has been tried, back off briefly and start a
 // fresh round — a replica marked down mid-flight gets routed around,
-// and one readmitted mid-flight picks queued work back up. The
-// response body (on success) and the serving replica are returned.
-func (f *Fleet) forward(preferred *replica, method, path string, body []byte) (*http.Response, []byte, *replica, error) {
-	attempts := f.opts.maxAttempts(len(f.replicas))
+// and one readmitted mid-flight picks queued work back up. What comes
+// back without an error is a replica's verdict, whatever its status.
+func (f *Fleet) forward(preferred *replica, method, path string, body []byte) (*http.Response, []byte, error) {
 	tried := make(map[*replica]bool)
 	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < f.opts.MaxAttempts; a++ {
 		r := f.pick(preferred, tried)
 		if r == nil {
 			// Every candidate tried (or none healthy): new round after
@@ -88,8 +82,8 @@ func (f *Fleet) forward(preferred *replica, method, path string, body []byte) (*
 			tried = make(map[*replica]bool)
 			select {
 			case <-f.stop:
-				return nil, nil, nil, errAllReplicasFailed
-			case <-time.After(f.opts.retryBackoff()):
+				return nil, nil, errAllReplicasFailed
+			case <-time.After(f.opts.RetryBackoff):
 			}
 			continue
 		}
@@ -102,49 +96,43 @@ func (f *Fleet) forward(preferred *replica, method, path string, body []byte) (*
 			lastErr = err
 			continue
 		}
-		return resp, data, r, nil
+		return resp, data, nil
 	}
 	if lastErr == nil {
 		lastErr = errAllReplicasFailed
 	}
-	return nil, nil, nil, lastErr
+	return nil, nil, lastErr
 }
 
 // try issues one attempt against one replica, counting outstanding
-// work and errors. 5xx statuses and transport failures count against
-// the replica and are retryable; any other status is a final answer.
+// work. A request that did not complete, or completed with a status
+// that is not a verdict, is the replica's failure: charged to it and
+// returned as an error, which forward retries elsewhere.
 func (f *Fleet) try(r *replica, method, path string, body []byte) (*http.Response, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, r.base+path, rd)
+	ctx, cancel := context.WithTimeout(context.Background(), proxyTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, r.base+path, bytes.NewReader(body)) // nil body: http.NoBody
 	if err != nil {
 		return nil, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	ctx, cancel := contextWithTimeout(f.opts.proxyTimeout())
-	defer cancel()
 	r.outstanding.Add(1)
 	r.forwards.Add(1)
-	resp, err := f.httpc.Do(req.WithContext(ctx))
-	if err != nil {
-		r.outstanding.Add(-1)
-		r.errors.Add(1)
-		return nil, nil, fmt.Errorf("fleet: %s: %w", r.addr, err)
+	resp, err := f.httpc.Do(req)
+	var data []byte
+	if err == nil {
+		data, err = io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		resp.Body.Close()
+		if err == nil && !httpapi.Verdict(resp.StatusCode) {
+			err = fmt.Errorf("status %d", resp.StatusCode)
+		}
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	resp.Body.Close()
 	r.outstanding.Add(-1)
 	if err != nil {
 		r.errors.Add(1)
-		return nil, nil, fmt.Errorf("fleet: %s: reading response: %w", r.addr, err)
-	}
-	if resp.StatusCode >= 500 {
-		r.errors.Add(1)
-		return nil, nil, fmt.Errorf("fleet: %s: status %d", r.addr, resp.StatusCode)
+		return nil, nil, fmt.Errorf("fleet: %s: %w", r.addr, err)
 	}
 	return resp, data, nil
 }
@@ -153,118 +141,156 @@ func (f *Fleet) try(r *replica, method, path string, body []byte) (*http.Respons
 // (nil in Replicated mode): shard(s) = s mod K over the fixed
 // replica list.
 func (f *Fleet) shardOwner(s int64) *replica {
-	if f.mode != Sharded || s < 0 {
+	if f.opts.Mode != Sharded || s < 0 {
 		return nil
 	}
 	return f.replicas[int(s%int64(len(f.replicas)))]
 }
 
-// fail counts and sends an HTTP error.
-func (f *Fleet) fail(w http.ResponseWriter, handler, msg string, code int) {
-	f.reg.Counter(obs.Label("fleet_http_errors_total", "handler", handler)).Inc()
-	http.Error(w, msg, code)
-}
-
-// handleReach proxies one single-pair query. The upstream response —
-// answer, client errors (400), and the epoch header — passes through
-// verbatim; only replica failures are absorbed by retries.
-func (f *Fleet) handleReach(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	f.reg.Counter(obs.Label("fleet_http_requests_total", "handler", "reach")).Inc()
-	var preferred *replica
-	if s, err := strconv.ParseInt(r.URL.Query().Get("s"), 10, 64); err == nil {
-		preferred = f.shardOwner(s)
-	}
-	resp, data, _, err := f.forward(preferred, http.MethodGet, "/reach?"+r.URL.RawQuery, nil)
-	if err != nil {
-		f.unavailable.Inc()
-		f.fail(w, "reach", err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	f.proxyHist.Observe(time.Since(start).Seconds())
-	copyResponse(w, resp, data)
-}
-
-// copyResponse relays an upstream response (status, content type,
-// epoch header, body) to the caller.
-func copyResponse(w http.ResponseWriter, resp *http.Response, data []byte) {
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if e := resp.Header.Get("X-Reachlab-Epoch"); e != "" {
-		w.Header().Set("X-Reachlab-Epoch", e)
-	}
-	w.WriteHeader(resp.StatusCode)
-	if _, err := w.Write(data); err != nil {
-		logDropped(err)
-	}
-}
-
-type batchRequest struct {
-	Pairs [][2]int64 `json:"pairs"`
-}
-
-type batchResponse struct {
-	Count   int    `json:"count"`
-	Results []bool `json:"results"`
-}
-
-// handleBatch splits a batch across the pool and merges the answers
-// back into caller order. In Replicated mode the whole (deduplicated)
-// batch goes to one replica; in Sharded mode each sub-batch goes to
-// its shard owner. Any sub-batch that exhausts its retries fails the
-// whole request — partial answers are never returned.
-func (f *Fleet) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	f.reg.Counter(obs.Label("fleet_http_requests_total", "handler", "batch")).Inc()
-	maxBatch := f.opts.maxBatch()
-	r.Body = http.MaxBytesReader(w, r.Body, int64(maxBatch)*32+4096)
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			f.fail(w, "batch", fmt.Sprintf("request body over %d bytes", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
+// passThrough relays a request whole to one replica and that replica's
+// verdict whole to the caller; the replica, not the router, validates
+// it. source says where the request names its source (nil: nowhere):
+// Sharded mode sends it to the owner, whose cache holds its hot pairs.
+func (f *Fleet) passThrough(source func(*http.Request, []byte) (int64, bool)) httpapi.ServeFunc {
+	return func(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		path := api.Route
+		var body []byte
+		if api.Method == http.MethodPost {
+			var ok bool
+			if body, ok = api.ReadBody(w, r); !ok {
+				return
+			}
+		} else {
+			path += "?" + r.URL.RawQuery
+		}
+		var preferred *replica
+		if source != nil {
+			if s, ok := source(r, body); ok {
+				preferred = f.shardOwner(s)
+			}
+		}
+		resp, data, err := f.forward(preferred, api.Method, path, body)
+		if err != nil {
+			f.unavailable.Inc()
+			api.Fail(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
-		f.fail(w, "batch", fmt.Sprintf("bad batch request: %v", err), http.StatusBadRequest)
-		return
+		f.proxyHist.Observe(time.Since(start).Seconds())
+		api.Relay(w, resp, data)
 	}
-	if len(req.Pairs) > maxBatch {
-		f.fail(w, "batch", fmt.Sprintf("batch of %d pairs exceeds limit %d", len(req.Pairs), maxBatch),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-	if len(req.Pairs) == 0 {
-		writeJSON(w, batchResponse{Count: 0, Results: []bool{}})
-		return
-	}
+}
 
-	plan := splitBatch(req.Pairs, f.shardCount())
+// subAnswer is one shard's part of a split request: the replica's
+// verdict on the sub-request, or err when the shard's retries ran out
+// or its 200 could not be read as the contract says.
+type subAnswer struct {
+	resp *http.Response
+	data []byte
+	err  error
 
-	// Resolve every shard group concurrently; answers land in the
-	// unique-pair slot table.
+	pairs   [][2]int64 // a sub-join's pairs and scanned tally
+	scanned int
+}
+
+// subRequest posts one shard's sub-request (owner preferred, any
+// healthy replica as fallback) and, if the verdict is a 200, has read
+// take the body in.
+func (f *Fleet) subRequest(api *httpapi.Handle, shard int, req any, read func(*subAnswer) error) (a subAnswer) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return subAnswer{err: err}
+	}
+	if a.resp, a.data, a.err = f.forward(f.shardOwner(int64(shard)), api.Method, api.Route, body); a.err == nil && a.resp.StatusCode == http.StatusOK {
+		a.err = read(&a)
+	}
+	return a
+}
+
+// settle decides a split request from its shards' answers, in shard
+// order: a failed shard fails the whole request with 502 — partial
+// answers are never returned — and a refusal (400 bad vertex, 413 over
+// a cap) is deterministic, so the first one speaks for the request and
+// is relayed verbatim. ok means every shard asked answered 200; epoch
+// is then the one they all served from, or "" when they disagree (a
+// rolling reload).
+func (f *Fleet) settle(api *httpapi.Handle, w http.ResponseWriter, subs []subAnswer) (epoch string, ok bool) {
+	uniform := true
+	for shard, a := range subs {
+		switch {
+		case a.err != nil:
+			f.unavailable.Inc()
+			api.Fail(w, fmt.Sprintf("shard %d: %v", shard, a.err), http.StatusBadGateway)
+			return "", false
+		case a.resp == nil: // nothing was asked of this shard
+		case a.resp.StatusCode != http.StatusOK:
+			api.Relay(w, a.resp, a.data)
+			return "", false
+		default:
+			if e := a.resp.Header.Get(httpapi.EpochHeader); epoch == "" {
+				epoch = e
+			} else if e != "" && e != epoch {
+				uniform = false
+			}
+		}
+	}
+	if !uniform {
+		epoch = ""
+	}
+	return epoch, true
+}
+
+// handleBatch deduplicates a batch, splits it across the pool — one
+// sub-batch per shard owner in Sharded mode, one in all otherwise — and
+// merges the answers back into caller order.
+func (f *Fleet) handleBatch(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	var req httpapi.BatchRequest
+	if !api.Decode(w, r, &req) {
+		return
+	}
+	shards := 1 // a replicated pool is one shard
+	if f.opts.Mode == Sharded {
+		shards = len(f.replicas)
+	}
+	plan := splitBatch(req.Pairs, shards)
+
+	// Every shard group concurrently; distinct groups fill distinct slots.
 	answers := make([]bool, len(plan.uniq))
-	epochs := make([]string, len(plan.groups))
-	errs := make([]error, len(plan.groups))
+	subs := make([]subAnswer, len(plan.groups))
 	var wg sync.WaitGroup
 	for gi, group := range plan.groups {
-		if len(group) == 0 {
+		// A shard with nothing to ask is skipped — except shard 0 of an
+		// empty batch: a replica answers it, epoch and all, like any other.
+		if len(group) == 0 && (gi > 0 || len(plan.uniq) > 0) {
 			continue
 		}
 		wg.Add(1)
 		go func(gi int, group []int) {
 			defer wg.Done()
-			epochs[gi], errs[gi] = f.resolveGroup(gi, group, plan.uniq, answers)
+			sub := httpapi.BatchRequest{Pairs: make([][2]int64, len(group))}
+			for k, u := range group {
+				sub.Pairs[k] = plan.uniq[u]
+			}
+			subs[gi] = f.subRequest(api, gi, sub, func(a *subAnswer) error {
+				var br httpapi.BatchResponse
+				if err := json.Unmarshal(a.data, &br); err != nil {
+					return fmt.Errorf("decoding sub-batch response: %w", err)
+				}
+				if len(br.Results) != len(group) {
+					return fmt.Errorf("sub-batch of %d pairs got %d answers", len(group), len(br.Results))
+				}
+				for k, u := range group {
+					answers[u] = br.Results[k]
+				}
+				return nil
+			})
 		}(gi, group)
 	}
 	wg.Wait()
-	for gi, err := range errs {
-		if err != nil {
-			f.unavailable.Inc()
-			f.fail(w, "batch", fmt.Sprintf("shard %d: %v", gi, err), http.StatusBadGateway)
-			return
-		}
+	epoch, ok := f.settle(api, w, subs)
+	if !ok {
+		return
 	}
 
 	// Merge: expand unique answers back to every caller position.
@@ -272,77 +298,11 @@ func (f *Fleet) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, u := range plan.posToUniq {
 		results[i] = answers[u]
 	}
-	// The epoch header is only meaningful when one epoch served the
-	// whole batch; during a rolling reload sub-batches may differ, in
-	// which case it is omitted.
-	if e := uniformEpoch(epochs); e != "" {
-		w.Header().Set("X-Reachlab-Epoch", e)
+	if epoch != "" {
+		w.Header().Set(httpapi.EpochHeader, epoch)
 	}
 	f.proxyHist.Observe(time.Since(start).Seconds())
-	writeJSON(w, batchResponse{Count: len(results), Results: results})
-}
-
-// resolveGroup sends one shard's unique pairs as a sub-batch (owner
-// preferred, any healthy replica as fallback) and scatters the
-// answers into the slot table. Distinct groups write distinct slots,
-// so no locking is needed.
-func (f *Fleet) resolveGroup(shard int, group []int, uniq [][2]int64, answers []bool) (epoch string, err error) {
-	sub := batchRequest{Pairs: make([][2]int64, len(group))}
-	for k, u := range group {
-		sub.Pairs[k] = uniq[u]
-	}
-	body, err := json.Marshal(sub)
-	if err != nil {
-		return "", err
-	}
-	var preferred *replica
-	if f.mode == Sharded {
-		preferred = f.replicas[shard]
-	}
-	resp, data, _, err := f.forward(preferred, http.MethodPost, "/reach/batch", body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("replica status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-	}
-	var br batchResponse
-	if err := json.Unmarshal(data, &br); err != nil {
-		return "", fmt.Errorf("decoding sub-batch response: %w", err)
-	}
-	if len(br.Results) != len(group) {
-		return "", fmt.Errorf("sub-batch of %d pairs got %d answers", len(group), len(br.Results))
-	}
-	for k, u := range group {
-		answers[u] = br.Results[k]
-	}
-	return resp.Header.Get("X-Reachlab-Epoch"), nil
-}
-
-// shardCount is the group fan-out of a batch: one group per replica
-// in Sharded mode, a single group in Replicated mode.
-func (f *Fleet) shardCount() int {
-	if f.mode == Sharded {
-		return len(f.replicas)
-	}
-	return 1
-}
-
-// uniformEpoch returns the epoch all non-empty groups agree on, or
-// "".
-func uniformEpoch(epochs []string) string {
-	u := ""
-	for _, e := range epochs {
-		if e == "" {
-			continue
-		}
-		if u == "" {
-			u = e
-		} else if u != e {
-			return ""
-		}
-	}
-	return u
+	httpapi.WriteJSON(w, httpapi.BatchResponse{Count: len(results), Results: results})
 }
 
 func (f *Fleet) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -360,8 +320,7 @@ func (f *Fleet) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // a reload landed everywhere. The top-level "vertices" field keeps
 // the response drop-in compatible with a single replica's /stats for
 // clients (drload) that only need the ID space.
-func (f *Fleet) handleStats(w http.ResponseWriter, _ *http.Request) {
-	f.reg.Counter(obs.Label("fleet_http_requests_total", "handler", "stats")).Inc()
+func (f *Fleet) handleStats(_ *httpapi.Handle, w http.ResponseWriter, _ *http.Request) {
 	snap := f.Snapshot()
 	healthy := 0
 	for _, s := range snap {
@@ -369,196 +328,82 @@ func (f *Fleet) handleStats(w http.ResponseWriter, _ *http.Request) {
 			healthy++
 		}
 	}
-	writeJSON(w, map[string]any{
+	httpapi.WriteJSON(w, map[string]any{
 		"vertices": f.Vertices(),
-		"mode":     string(f.mode),
+		"mode":     string(f.opts.Mode),
 		"healthy":  healthy,
 		"replicas": snap,
 	})
 }
 
-func (f *Fleet) handleDrain(w http.ResponseWriter, r *http.Request) {
-	f.reg.Counter(obs.Label("fleet_http_requests_total", "handler", "drain")).Inc()
-	if err := f.Drain(r.URL.Query().Get("replica")); err != nil {
-		f.fail(w, "drain", err.Error(), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, map[string]any{"replicas": f.Snapshot()})
-}
-
-func (f *Fleet) handleReadmit(w http.ResponseWriter, r *http.Request) {
-	f.reg.Counter(obs.Label("fleet_http_requests_total", "handler", "readmit")).Inc()
-	if err := f.Readmit(r.URL.Query().Get("replica")); err != nil {
-		f.fail(w, "readmit", err.Error(), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, map[string]any{"replicas": f.Snapshot()})
-}
-
-// replicaReload is one replica's outcome of a fleet-wide reload.
-type replicaReload struct {
-	Addr     string `json:"addr"`
-	Epoch    uint64 `json:"epoch,omitempty"`
-	Vertices int    `json:"vertices,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
-
-// handleReload fans POST /admin/reload out to every replica (all of
-// them, not just the healthy set — a draining or down-but-reachable
-// replica should come back serving the new epoch) and reports each
-// outcome. 200 when every replica reloaded; 502 with the per-replica
-// detail otherwise.
-func (f *Fleet) handleReload(w http.ResponseWriter, r *http.Request) {
-	f.reg.Counter(obs.Label("fleet_http_requests_total", "handler", "reload")).Inc()
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
-		f.fail(w, "reload", fmt.Sprintf("reading request: %v", err), http.StatusBadRequest)
-		return
-	}
-	outcomes := make([]replicaReload, len(f.replicas))
-	var wg sync.WaitGroup
-	for i, rep := range f.replicas {
-		wg.Add(1)
-		go func(i int, rep *replica) {
-			defer wg.Done()
-			outcomes[i] = f.reloadReplica(rep, body)
-		}(i, rep)
-	}
-	wg.Wait()
-	failed := false
-	for _, o := range outcomes {
-		if o.Error != "" {
-			failed = true
+// adminVerb serves drain and readmit: do the verb to ?replica=host:port
+// and answer with the pool's new state.
+func (f *Fleet) adminVerb(do func(name string) error) httpapi.ServeFunc {
+	return func(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
+		if err := do(r.URL.Query().Get("replica")); err != nil {
+			api.Fail(w, err.Error(), http.StatusNotFound)
+			return
 		}
-	}
-	code := http.StatusOK
-	if failed {
-		code = http.StatusBadGateway
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(map[string]any{"replicas": outcomes}); err != nil {
-		f.logDropped(err)
+		httpapi.WriteJSON(w, map[string]any{"replicas": f.Snapshot()})
 	}
 }
 
-func (f *Fleet) reloadReplica(rep *replica, body []byte) replicaReload {
-	out := replicaReload{Addr: rep.addr}
-	resp, data, err := f.try(rep, http.MethodPost, "/admin/reload", body)
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	if resp.StatusCode != http.StatusOK {
-		out.Error = fmt.Sprintf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-		return out
-	}
-	var rr struct {
-		Epoch    uint64 `json:"epoch"`
-		Vertices int    `json:"vertices"`
-	}
-	if err := json.Unmarshal(data, &rr); err != nil {
-		out.Error = fmt.Sprintf("decoding reload response: %v", err)
-		return out
-	}
-	out.Epoch, out.Vertices = rr.Epoch, rr.Vertices
-	rep.epoch.Store(rr.Epoch)
-	return out
-}
-
-// replicaEdge is one replica's acknowledgement of an edge mutation.
-type replicaEdge struct {
-	Addr  string `json:"addr"`
-	Seq   uint64 `json:"seq,omitempty"`
-	Epoch uint64 `json:"epoch,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-// handleEdges fans one POST /edges mutation out to every replica —
-// each keeps its own write-ahead log, so a replicated fleet stays
-// convergent only if every replica sees every write (the same
-// all-replicas discipline as reload; a draining replica still takes
-// writes so it comes back current). 200 when every replica durably
-// acknowledged; 502 with per-replica detail otherwise — the caller
-// must treat 502 as "retry until 200" since a partial write leaves
-// replicas divergent until it lands everywhere. A 4xx from the first
-// replica (malformed op, vertex out of range) is returned verbatim
-// without touching the rest: validation failures are deterministic,
-// so one verdict speaks for the pool.
-func (f *Fleet) handleEdges(w http.ResponseWriter, r *http.Request) {
-	f.reg.Counter(obs.Label("fleet_http_requests_total", "handler", "edges")).Inc()
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
-		f.fail(w, "edges", fmt.Sprintf("reading request: %v", err), http.StatusBadRequest)
-		return
-	}
-	// Probe the first replica alone so a validation error short-circuits.
-	first := f.mutateReplica(f.replicas[0], body)
-	if first.Error != "" && first.status >= 400 && first.status < 500 {
-		f.fail(w, "edges", first.Error, first.status)
-		return
-	}
-	outcomes := make([]replicaEdge, len(f.replicas))
-	outcomes[0] = first.replicaEdge
-	var wg sync.WaitGroup
-	for i, rep := range f.replicas[1:] {
-		wg.Add(1)
-		go func(i int, rep *replica) {
-			defer wg.Done()
-			outcomes[i] = f.mutateReplica(rep, body).replicaEdge
-		}(i+1, rep)
-	}
-	wg.Wait()
-	code := http.StatusOK
-	for _, o := range outcomes {
-		if o.Error != "" {
-			code = http.StatusBadGateway
+// fanOut serves the two requests that go to every replica — not just
+// the healthy set: a draining or down-but-reachable replica should come
+// back serving the new epoch and holding every write (each keeps its
+// own write-ahead log). The first replica is asked alone: a refusal
+// (malformed body, vertex out of range, 501 not configured) is
+// deterministic, so its verdict speaks for the pool and is relayed
+// verbatim without touching the rest. Otherwise the rest are asked
+// concurrently, each 200 is read into its replica's row (and shown to
+// landed, if any), and the answer is 200 when every replica did it,
+// else 502 with the rows — for /edges "retry until 200": a partial
+// write leaves the replicas divergent.
+func (f *Fleet) fanOut(landed func(rep *replica, issued time.Time, row httpapi.ReplicaOutcome)) httpapi.ServeFunc {
+	return func(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
+		body, ok := api.ReadBody(w, r)
+		if !ok {
+			return
 		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(map[string]any{"replicas": outcomes}); err != nil {
-		f.logDropped(err)
-	}
-}
-
-type edgeOutcome struct {
-	replicaEdge
-	status int
-}
-
-func (f *Fleet) mutateReplica(rep *replica, body []byte) edgeOutcome {
-	out := edgeOutcome{replicaEdge: replicaEdge{Addr: rep.addr}}
-	resp, data, err := f.try(rep, http.MethodPost, "/edges", body)
-	if err != nil {
-		out.Error = err.Error()
-		out.status = http.StatusBadGateway
-		return out
-	}
-	out.status = resp.StatusCode
-	if resp.StatusCode != http.StatusOK {
-		out.Error = fmt.Sprintf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-		return out
-	}
-	var ack struct {
-		Seq   uint64 `json:"seq"`
-		Epoch uint64 `json:"epoch"`
-	}
-	if err := json.Unmarshal(data, &ack); err != nil {
-		out.Error = fmt.Sprintf("decoding edge ack: %v", err)
-		return out
-	}
-	out.Seq, out.Epoch = ack.Seq, ack.Epoch
-	return out
-}
-
-// writeJSON mirrors the replica-side discipline: a mid-stream write
-// failure cannot be turned into an error response, so log and drop.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		logDropped(err)
+		rows := make([]httpapi.ReplicaOutcome, len(f.replicas))
+		// ask fills rep's row; a verdict that is not a 200 comes back to be relayed.
+		ask := func(i int, rep *replica) (*http.Response, []byte) {
+			rows[i].Addr = rep.addr
+			issued := time.Now()
+			resp, data, err := f.try(rep, api.Method, api.Route, body)
+			switch {
+			case err != nil:
+				rows[i].Error = err.Error()
+			case resp.StatusCode != http.StatusOK:
+				rows[i].Error = fmt.Sprintf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
+				return resp, data
+			case json.Unmarshal(data, &rows[i]) != nil:
+				rows[i].Error = fmt.Sprintf("unreadable answer: %s", bytes.TrimSpace(data))
+			case landed != nil:
+				landed(rep, issued, rows[i])
+			}
+			return nil, nil
+		}
+		if resp, data := ask(0, f.replicas[0]); resp != nil {
+			api.Relay(w, resp, data)
+			return
+		}
+		var wg sync.WaitGroup
+		for i, rep := range f.replicas[1:] {
+			wg.Add(1)
+			go func(i int, rep *replica) {
+				defer wg.Done()
+				ask(i, rep)
+			}(i+1, rep)
+		}
+		wg.Wait()
+		for _, row := range rows {
+			if row.Error != "" {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusBadGateway)
+				break
+			}
+		}
+		httpapi.WriteJSON(w, httpapi.FanoutResponse{Replicas: rows})
 	}
 }
-
-func (f *Fleet) logDropped(err error) { logDropped(err) }

@@ -2,310 +2,92 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
+	"slices"
 	"sync"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/httpapi"
 )
 
-// Rich-query routing. Path and count are single-source, so Sharded
-// mode routes them to the shard owner exactly like point queries —
-// the owner's cache holds that source's hot pairs. /reach/from is
-// single-source too: the router sniffs "s" out of the body for
-// affinity and forwards the body verbatim (the replica re-validates).
-// /reach/join fans out like batch: in Sharded mode the source list is
-// partitioned by owner, each shard scans its sources against the full
-// target list, and the router merges the NDJSON sub-streams back into
-// one sorted stream with a single summary line.
-
-// handlePath proxies one witness-path query to the source's owner.
-func (f *Fleet) handlePath(w http.ResponseWriter, r *http.Request) {
-	f.forwardBySource(w, r, "path", "/reach/path")
-}
-
-// handleCount proxies one reachable-set-size query to the source's
-// owner.
-func (f *Fleet) handleCount(w http.ResponseWriter, r *http.Request) {
-	f.forwardBySource(w, r, "count", "/reach/count")
-}
-
-// forwardBySource relays a GET endpoint whose "s" query parameter
-// decides shard affinity, passing the upstream response through
-// verbatim (handleReach's discipline).
-func (f *Fleet) forwardBySource(w http.ResponseWriter, r *http.Request, handler, path string) {
+// handleJoin routes a reachability join in Sharded mode (a replicated
+// pool passes it through whole). It partitions the sources by owner
+// (s mod K), sends each shard a sub-join over its sources and the full
+// target list, and merges: the source sets are disjoint, so
+// concatenating the sub-results and sorting by (s, t) reproduces
+// exactly the single-replica output, and the summary's count/scanned
+// are the sums (each replica deduplicates its own lists, so
+// Σ|srcs_k|·|tgts| == |srcs|·|tgts|). Each sub-stream is read through
+// httpapi.ReadJoin, so one without its done line — a truncated
+// upstream — fails the merge closed with 502 rather than relay a
+// silent partial answer.
+func (f *Fleet) handleJoin(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	f.reg.Counter(obs.Label("fleet_http_requests_total", "handler", handler)).Inc()
-	var preferred *replica
-	if s, err := strconv.ParseInt(r.URL.Query().Get("s"), 10, 64); err == nil {
-		preferred = f.shardOwner(s)
-	}
-	resp, data, _, err := f.forward(preferred, http.MethodGet, path+"?"+r.URL.RawQuery, nil)
-	if err != nil {
-		f.unavailable.Inc()
-		f.fail(w, handler, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	f.proxyHist.Observe(time.Since(start).Seconds())
-	copyResponse(w, resp, data)
-}
-
-// handleFrom proxies one one-source sweep. The body is forwarded
-// verbatim; the router only peeks at "s" for shard affinity and
-// leaves all validation to the replica.
-func (f *Fleet) handleFrom(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	f.reg.Counter(obs.Label("fleet_http_requests_total", "handler", "from")).Inc()
-	maxBatch := f.opts.maxBatch()
-	r.Body = http.MaxBytesReader(w, r.Body, int64(maxBatch)*32+4096)
-	body, err := readBody(r)
-	if err != nil {
-		f.failBody(w, "from", err)
-		return
-	}
-	var peek struct {
-		S int64 `json:"s"`
-	}
-	var preferred *replica
-	if json.Unmarshal(body, &peek) == nil {
-		preferred = f.shardOwner(peek.S)
-	}
-	resp, data, _, err := f.forward(preferred, http.MethodPost, "/reach/from", body)
-	if err != nil {
-		f.unavailable.Inc()
-		f.fail(w, "from", err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	f.proxyHist.Observe(time.Since(start).Seconds())
-	copyResponse(w, resp, data)
-}
-
-type joinRequest struct {
-	Sources []int64 `json:"sources"`
-	Targets []int64 `json:"targets"`
-}
-
-// joinLine decodes one NDJSON line of a replica's join stream: either
-// a result pair or the terminal summary, discriminated by "done".
-type joinLine struct {
-	S       *int64 `json:"s"`
-	T       *int64 `json:"t"`
-	Done    bool   `json:"done"`
-	Count   int    `json:"count"`
-	Scanned int    `json:"scanned"`
-}
-
-// handleJoin routes a reachability join. Replicated mode forwards the
-// whole request to one replica and relays its stream. Sharded mode
-// partitions the sources by owner (s mod K), sends each shard a
-// sub-join over its sources and the full target list, and merges: the
-// source sets are disjoint, so concatenating the sub-results and
-// sorting by (s, t) reproduces exactly the single-replica output, and
-// the summary's count/scanned are the sums (each replica deduplicates
-// its own lists, so Σ|srcs_k|·|tgts| == |srcs|·|tgts|). A sub-stream
-// without its done line means a truncated upstream — the merge fails
-// closed with 502 rather than relay a silent partial answer.
-func (f *Fleet) handleJoin(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	f.reg.Counter(obs.Label("fleet_http_requests_total", "handler", "join")).Inc()
-	maxBatch := f.opts.maxBatch()
-	r.Body = http.MaxBytesReader(w, r.Body, 2*(int64(maxBatch)*32+4096))
-	body, err := readBody(r)
-	if err != nil {
-		f.failBody(w, "join", err)
-		return
-	}
-	if f.mode != Sharded {
-		resp, data, _, err := f.forward(nil, http.MethodPost, "/reach/join", body)
-		if err != nil {
-			f.unavailable.Inc()
-			f.fail(w, "join", err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		f.proxyHist.Observe(time.Since(start).Seconds())
-		copyResponse(w, resp, data)
-		return
-	}
-
-	var req joinRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		f.fail(w, "join", fmt.Sprintf("bad join request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(req.Sources) > maxBatch || len(req.Targets) > maxBatch {
-		f.fail(w, "join", fmt.Sprintf("join lists of %d×%d exceed per-list limit %d",
-			len(req.Sources), len(req.Targets), maxBatch), http.StatusRequestEntityTooLarge)
+	var req httpapi.JoinRequest
+	if !api.Decode(w, r, &req) {
 		return
 	}
 	// Partition sources by shard owner; duplicates land on the same
 	// shard and are deduplicated there, exactly as one replica would.
+	// Vertex ranges are for a replica to check; settle relays its refusal.
 	k := len(f.replicas)
 	bySrc := make([][]int64, k)
 	for _, s := range req.Sources {
-		if s < 0 {
-			// Let a replica produce the canonical 400 for the bad entry.
-			bySrc[0] = append(bySrc[0], s)
-			continue
+		shard := 0 // a negative source: let a replica word the 400 for it
+		if s >= 0 {
+			shard = int(s % int64(k))
 		}
-		shard := int(s % int64(k))
 		bySrc[shard] = append(bySrc[shard], s)
 	}
 
-	type subResult struct {
-		pairs   [][2]int64
-		count   int
-		scanned int
-		epoch   string
-		status  int // non-200 upstream verdict, relayed verbatim
-		body    []byte
-		err     error
-	}
-	results := make([]subResult, k)
+	subs := make([]subAnswer, k)
 	var wg sync.WaitGroup
-	for shard := 0; shard < k; shard++ {
-		if len(bySrc[shard]) == 0 {
+	for shard, sources := range bySrc {
+		if len(sources) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(shard int) {
+		go func(shard int, sources []int64) {
 			defer wg.Done()
-			results[shard] = f.subJoin(shard, bySrc[shard], req.Targets)
-		}(shard)
+			sub := httpapi.JoinRequest{Sources: sources, Targets: req.Targets}
+			subs[shard] = f.subRequest(api, shard, sub, func(a *subAnswer) error {
+				sum, err := httpapi.ReadJoin(bytes.NewReader(a.data), func(s, t int64) error {
+					a.pairs = append(a.pairs, [2]int64{s, t})
+					return nil
+				})
+				a.scanned = sum.Scanned
+				return err
+			})
+		}(shard, sources)
 	}
 	wg.Wait()
-
-	pairs := make([][2]int64, 0)
-	count, scanned := 0, 0
-	epochs := make([]string, 0, k)
-	for shard := range results {
-		res := &results[shard]
-		if len(bySrc[shard]) == 0 {
-			continue
-		}
-		if res.err != nil {
-			f.unavailable.Inc()
-			f.fail(w, "join", fmt.Sprintf("shard %d: %v", shard, res.err), http.StatusBadGateway)
-			return
-		}
-		if res.status != http.StatusOK {
-			// Deterministic refusals (400 bad vertex, 413 over a cap)
-			// speak for the whole join: relay the first one verbatim.
-			f.reg.Counter(obs.Label("fleet_http_errors_total", "handler", "join")).Inc()
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			w.WriteHeader(res.status)
-			if _, err := w.Write(res.body); err != nil {
-				f.logDropped(err)
-			}
-			return
-		}
-		pairs = append(pairs, res.pairs...)
-		count += res.count
-		scanned += res.scanned
-		epochs = append(epochs, res.epoch)
+	epoch, ok := f.settle(api, w, subs)
+	if !ok {
+		return
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if e := uniformEpoch(epochs); e != "" {
-		w.Header().Set("X-Reachlab-Epoch", e)
+	var pairs [][2]int64
+	scanned := 0
+	for _, a := range subs {
+		pairs = append(pairs, a.pairs...)
+		scanned += a.scanned
 	}
-	enc := json.NewEncoder(w)
+	slices.SortFunc(pairs, func(a, b [2]int64) int { return slices.Compare(a[:], b[:]) })
+
+	w.Header().Set("Content-Type", httpapi.JoinStream)
+	if epoch != "" {
+		w.Header().Set(httpapi.EpochHeader, epoch)
+	}
+	jw := httpapi.NewJoinWriter(w)
 	for _, p := range pairs {
-		if err := enc.Encode(map[string]int64{"s": p[0], "t": p[1]}); err != nil {
-			f.logDropped(err)
+		if err := jw.Pair(p[0], p[1]); err != nil {
+			httpapi.LogDropped(err)
 			return
 		}
 	}
-	if err := enc.Encode(map[string]any{"done": true, "count": count, "scanned": scanned}); err != nil {
-		f.logDropped(err)
+	if err := jw.Done(scanned); err != nil {
+		httpapi.LogDropped(err)
 		return
 	}
 	f.proxyHist.Observe(time.Since(start).Seconds())
-}
-
-// subJoin sends one shard's sources (with the full target list) to the
-// shard owner and parses the NDJSON sub-stream back into pairs plus
-// the summary.
-func (f *Fleet) subJoin(shard int, sources, targets []int64) (out struct {
-	pairs   [][2]int64
-	count   int
-	scanned int
-	epoch   string
-	status  int
-	body    []byte
-	err     error
-}) {
-	body, err := json.Marshal(joinRequest{Sources: sources, Targets: targets})
-	if err != nil {
-		out.err = err
-		return out
-	}
-	resp, data, _, err := f.forward(f.replicas[shard], http.MethodPost, "/reach/join", body)
-	if err != nil {
-		out.err = err
-		return out
-	}
-	out.status = resp.StatusCode
-	out.epoch = resp.Header.Get("X-Reachlab-Epoch")
-	if resp.StatusCode != http.StatusOK {
-		out.body = data
-		return out
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	done := false
-	for dec.More() {
-		var line joinLine
-		if err := dec.Decode(&line); err != nil {
-			out.err = fmt.Errorf("decoding join stream: %w", err)
-			return out
-		}
-		switch {
-		case line.Done:
-			done = true
-			out.count = line.Count
-			out.scanned = line.Scanned
-		case line.S != nil && line.T != nil:
-			out.pairs = append(out.pairs, [2]int64{*line.S, *line.T})
-		default:
-			out.err = fmt.Errorf("unrecognized join stream line")
-			return out
-		}
-	}
-	if !done {
-		out.err = errors.New("join sub-stream truncated (no done line)")
-		return out
-	}
-	if out.count != len(out.pairs) {
-		out.err = fmt.Errorf("join summary claims %d pairs, stream carried %d", out.count, len(out.pairs))
-	}
-	return out
-}
-
-// readBody drains a MaxBytesReader-wrapped request body.
-func readBody(r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	var buf bytes.Buffer
-	_, err := buf.ReadFrom(r.Body)
-	return buf.Bytes(), err
-}
-
-// failBody maps a body-read failure to 413 (limit hit) or 400.
-func (f *Fleet) failBody(w http.ResponseWriter, handler string, err error) {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		f.fail(w, handler, fmt.Sprintf("request body over %d bytes", tooBig.Limit),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-	f.fail(w, handler, fmt.Sprintf("reading request: %v", err), http.StatusBadRequest)
 }

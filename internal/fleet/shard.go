@@ -1,7 +1,5 @@
 package fleet
 
-import "log"
-
 // Batch planning: a /reach/batch request is deduplicated and
 // partitioned by source rank before it is fanned out, then the
 // answers are expanded back into caller order. The plan is pure data
@@ -25,9 +23,6 @@ type batchPlan struct {
 // one upstream ask; every caller position keeps its answer because
 // the merge step expands through posToUniq.
 func splitBatch(pairs [][2]int64, k int) batchPlan {
-	if k < 1 {
-		k = 1
-	}
 	plan := batchPlan{
 		uniq:      make([][2]int64, 0, len(pairs)),
 		posToUniq: make([]int, len(pairs)),
@@ -49,10 +44,4 @@ func splitBatch(pairs [][2]int64, k int) batchPlan {
 		plan.posToUniq[i] = u
 	}
 	return plan
-}
-
-// logDropped records a response-write failure that cannot be
-// reported to the (gone) client.
-func logDropped(err error) {
-	log.Printf("fleet: writing JSON response: %v", err)
 }

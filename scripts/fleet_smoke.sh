@@ -2,8 +2,9 @@
 # End-to-end fleet smoke (make fleettest, CI fleet-smoke job): a
 # 3-replica drserve fleet behind drrouter in sharded mode, hammered by
 # drload with every answer verified against the index. The script
-# walks the full operational story — healthy fleet, kill -9 of a
-# replica with traffic still flowing, restart + automatic readmission,
+# walks the full operational story — healthy fleet, a replica's
+# refusals (400, 405) relayed as its own, kill -9 of a replica with
+# traffic still flowing, restart + automatic readmission,
 # a fleet-wide zero-downtime index reload (epoch check on every
 # replica), a reload-under-load burst, drain/readmit, and clean
 # SIGTERM shutdown of everything. drload exits nonzero on any failed
@@ -57,6 +58,16 @@ wait_healthy 3
 echo "== verified bursts through the router (single + batch)"
 "$work/bin/drload" -addr "$router" -clients 4 -requests 2000 -batch 1 -verify-idx "$work/graph.idx" -seed 3
 "$work/bin/drload" -addr "$router" -clients 4 -requests 500 -batch 16 -verify-idx "$work/graph.idx" -seed 4
+
+echo "== curl spot checks: a replica's refusals come back through the router as its own"
+expect_code() { # expect_code WANT WHAT curl-args...
+	want="$1"; what="$2"; shift 2
+	code="$(curl -s -o /dev/null -w '%{http_code}' "$@")"
+	[ "$code" = "$want" ] || { echo "$what answered $code through the router, want $want" >&2; exit 1; }
+}
+expect_code 400 "out-of-range batch pair" -X POST -d '{"pairs":[[0,1],[0,99999999]]}' "http://$router/reach/batch"
+expect_code 400 "t=notanumber" "http://$router/reach?s=0&t=notanumber"
+expect_code 405 "GET /reach/batch" "http://$router/reach/batch"
 
 echo "== verified burst against the replicas directly (-addrs spread)"
 "$work/bin/drload" -addrs "$r1,$r2,$r3" -clients 3 -requests 600 -batch 8 -verify-idx "$work/graph.idx" -seed 5

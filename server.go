@@ -1,17 +1,15 @@
 package reachlab
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/qcache"
 )
@@ -22,35 +20,19 @@ import (
 // wraps it into a standalone server; cmd/drrouter fans traffic across
 // a fleet of them (DESIGN.md §11).
 //
-// Endpoints:
-//
-//	GET  /reach?s=<id>&t=<id>  → {"s":3,"t":17,"reachable":true}
-//	POST /reach/batch          → {"count":2,"results":[true,false]}
-//	                             body: {"pairs":[[3,17],[5,9]]}
-//	GET  /reach/path?s=&t=     → {"s":3,"t":17,"reachable":true,"path":[3,8,17]}
-//	GET  /reach/count?s=<id>   → {"s":3,"count":941}
-//	POST /reach/from           → {"s":3,"count":2,"results":[true,false,true]}
-//	                             body: {"s":3,"targets":[17,9,3]}
-//	POST /reach/join           → NDJSON stream of {"s":..,"t":..} pairs,
-//	                             then {"done":true,"count":..,"scanned":..}
-//	                             body: {"sources":[..],"targets":[..]}
-//	POST /admin/reload         → {"epoch":2,"vertices":20000}
-//	                             body (optional): {"ref":"other.idx"}
-//	GET  /stats                → index statistics
-//	GET  /healthz              → 200 ok
-//	GET  /metrics              → Prometheus text exposition
-//	GET  /trace                → superstep traces (JSON)
-//	GET  /debug/pprof/         → net/http/pprof profiles
+// The endpoints, their bodies, limits and refusals are the HTTP
+// contract of internal/httpapi (DESIGN.md "HTTP contract"); this file
+// and server_query.go, server_update.go are what a replica does behind
+// it. /metrics, /trace and /debug/pprof/ are mounted beside them.
 //
 // The handler serves an *epoch* of the index: the frozen flat index
 // and its hot-pair cache live together in one immutable serveState
 // behind an atomic.Pointer, so a reload (Swap) replaces both as one
 // unit and no query ever observes a torn index or a cache entry from
-// a different index. Every /reach and /reach/batch response carries
-// the serving epoch in the X-Reachlab-Epoch header, /healthz carries
-// it too (plus X-Reachlab-Vertices) so a fleet health probe learns it
-// for free, and /stats reports index_epoch and index_vertices so
-// operators can confirm a reload landed on every replica.
+// a different index. Every query answer carries the serving epoch in
+// EpochHeader, /healthz carries it too (plus VerticesHeader) so a fleet
+// health probe learns it for free, and /stats reports index_epoch and
+// index_vertices so operators can confirm a reload landed.
 //
 // Per-query latency lands in the "reachlab_query_seconds" histogram
 // (single queries) and "reachlab_batch_seconds" / "reachlab_batch_pairs"
@@ -64,8 +46,7 @@ import (
 // accumulate the retired ones' totals).
 type QueryHandler struct {
 	state atomic.Pointer[serveState]
-	mux   *http.ServeMux
-	obs   *obs.Registry
+	mux   *httpapi.Mux
 
 	// reloadMu serializes Swap/Reload so epochs increment one at a
 	// time; queries never take it — they only load the state pointer.
@@ -80,7 +61,6 @@ type QueryHandler struct {
 	// Cache geometry, re-applied to the fresh cache of every epoch.
 	cachePairs  int
 	cacheShards int
-	maxBatch    int
 	maxJoin     int
 
 	// Hit/miss totals of retired epochs' caches, folded in at swap
@@ -144,28 +124,19 @@ type ServeOptions struct {
 	Loader func(ref string) (*Index, error)
 }
 
-// DefaultMaxBatch is the /reach/batch pair-count cap when
-// ServeOptions.MaxBatch is zero.
-const DefaultMaxBatch = 8192
-
-// DefaultMaxJoin is the /reach/join cross-product cap when
-// ServeOptions.MaxJoin is zero: a million scanned pairs keeps one
-// analytics request under a few hundred milliseconds of label sweeps.
-const DefaultMaxJoin = 1 << 20
+// The contract's constants under the names this package has always
+// exported them by: the caps behind ServeOptions.MaxBatch and MaxJoin's
+// zero values, and the two response headers.
+const (
+	DefaultMaxBatch = httpapi.DefaultMaxBatch
+	DefaultMaxJoin  = httpapi.DefaultMaxJoin
+	EpochHeader     = httpapi.EpochHeader
+	VerticesHeader  = httpapi.VerticesHeader
+)
 
 // defaultCacheShards spreads slot traffic across enough shards that
 // concurrent clients rarely contend on the same cache line.
 const defaultCacheShards = 64
-
-// EpochHeader is the response header carrying the serving epoch on
-// /reach, /reach/batch, and /healthz. A fleet router records it from
-// health probes and forwards it on proxied answers, so a client can
-// tell which index version produced each response.
-const EpochHeader = "X-Reachlab-Epoch"
-
-// VerticesHeader carries the served index's vertex count on /healthz,
-// so fleet probes learn the ID space without a /stats round trip.
-const VerticesHeader = "X-Reachlab-Vertices"
 
 // NewQueryHandler returns an http.Handler serving queries from idx,
 // reporting to the process-wide default registry.
@@ -186,22 +157,16 @@ func NewQueryHandlerOpts(idx *Index, opts ServeOptions) *QueryHandler {
 	if shards <= 0 {
 		shards = defaultCacheShards
 	}
-	maxBatch := opts.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
 	maxJoin := opts.MaxJoin
 	if maxJoin <= 0 {
 		maxJoin = DefaultMaxJoin
 	}
 	reg := opts.Obs
 	h := &QueryHandler{
-		mux:         http.NewServeMux(),
-		obs:         reg,
+		mux:         httpapi.NewMux(reg, "reachlab", opts.MaxBatch),
 		loader:      opts.Loader,
 		cachePairs:  opts.CachePairs,
 		cacheShards: shards,
-		maxBatch:    maxBatch,
 		maxJoin:     maxJoin,
 
 		pairsTotal:  reg.Counter("reachlab_query_pairs_total"),
@@ -225,23 +190,23 @@ func NewQueryHandlerOpts(idx *Index, opts ServeOptions) *QueryHandler {
 		epoch: 1,
 	})
 	h.epochGauge.Set(1)
-	h.mux.HandleFunc("GET /reach", h.reach)
-	h.mux.HandleFunc("POST /reach/batch", h.reachBatch)
-	h.mux.HandleFunc("GET /reach/path", h.reachPath)
-	h.mux.HandleFunc("GET /reach/count", h.reachCount)
-	h.mux.HandleFunc("POST /reach/from", h.reachFrom)
-	h.mux.HandleFunc("POST /reach/join", h.reachJoin)
-	h.mux.HandleFunc("POST /admin/reload", h.reload)
-	h.mux.HandleFunc("POST /edges", h.edges)
-	h.mux.HandleFunc("GET /stats", h.stats)
-	h.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+	h.mux.Mount(httpapi.Reach, h.reach)
+	h.mux.Mount(httpapi.Batch, h.reachBatch)
+	h.mux.Mount(httpapi.Path, h.reachPath)
+	h.mux.Mount(httpapi.Count, h.reachCount)
+	h.mux.Mount(httpapi.From, h.reachFrom)
+	h.mux.Mount(httpapi.Join, h.reachJoin)
+	h.mux.Mount(httpapi.Reload, h.reload)
+	h.mux.Mount(httpapi.Edges, h.edges)
+	h.mux.Mount(httpapi.Stats, h.stats)
+	h.mux.HandleFunc(httpapi.Healthz.Pattern(), func(w http.ResponseWriter, _ *http.Request) {
 		st := h.state.Load()
-		w.Header().Set(EpochHeader, strconv.FormatUint(st.epoch, 10))
+		setEpoch(w, st)
 		w.Header().Set(VerticesHeader, strconv.Itoa(st.idx.NumVertices()))
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	obs.Mount(h.mux, reg)
+	obs.Mount(h.mux.ServeMux, reg)
 	return h
 }
 
@@ -319,42 +284,70 @@ func (h *QueryHandler) cacheTotals(st *serveState) (hits, misses int64) {
 	return h.retiredHits.Load() + st.cache.Hits(), h.retiredMisses.Load() + st.cache.Misses()
 }
 
-func vertexParam(st *serveState, r *http.Request, name string) (VertexID, error) {
+// vertexParam reads the query parameter name as a vertex of st's
+// index; on failure it has refused the request (400) and ok is false.
+func vertexParam(api *httpapi.Handle, w http.ResponseWriter, st *serveState, r *http.Request, name string) (v VertexID, ok bool) {
 	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
+	n, err := strconv.Atoi(raw)
+	switch {
+	case raw == "":
+		err = fmt.Errorf("missing query parameter %q", name)
+	case err != nil:
+		err = fmt.Errorf("bad vertex %q: %v", raw, err)
+	case n < 0 || n >= st.idx.NumVertices():
+		err = fmt.Errorf("vertex %d out of range [0, %d)", n, st.idx.NumVertices())
+	default:
+		return VertexID(n), true
 	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("bad vertex %q: %v", raw, err)
-	}
-	if v < 0 || v >= st.idx.NumVertices() {
-		return 0, fmt.Errorf("vertex %d out of range [0, %d)", v, st.idx.NumVertices())
-	}
-	return VertexID(v), nil
+	api.Fail(w, err.Error(), http.StatusBadRequest)
+	return 0, false
 }
 
-// fail records an error for the handler and sends the HTTP error.
-func (h *QueryHandler) fail(w http.ResponseWriter, handler, msg string, code int) {
-	h.obs.Counter(obs.Label("reachlab_http_errors_total", "handler", handler)).Inc()
-	http.Error(w, msg, code)
+// pairParams is vertexParam for the s and t of /reach and /reach/path.
+func pairParams(api *httpapi.Handle, w http.ResponseWriter, st *serveState, r *http.Request) (s, t VertexID, ok bool) {
+	if s, ok = vertexParam(api, w, st, r, "s"); ok {
+		t, ok = vertexParam(api, w, st, r, "t")
+	}
+	return s, t, ok
 }
 
-// answer resolves one validated pair through st's cache (when
-// enabled) or the merge kernel, keeping the hit/miss counters exact:
-// every pair consults the cache at most once and counts exactly once.
-func (h *QueryHandler) answer(st *serveState, s, t VertexID) bool {
+// resolve answers validated pairs against one epoch. With the cache
+// off they go to kernel whole; with it on, every pair consults the
+// cache at most once and counts exactly once as a hit or a miss, the
+// misses go to kernel as one call — keeping whatever locality kernel
+// gets from seeing them together — and its answers backfill the cache.
+func (h *QueryHandler) resolve(st *serveState, pairs []Pair, kernel func([]Pair) []bool) []bool {
 	if st.cache == nil {
-		return st.idx.Reachable(s, t)
+		return kernel(pairs)
 	}
-	if ans, ok := st.cache.Get(int32(s), int32(t)); ok {
-		h.cacheHits.Inc()
-		return ans
+	results := make([]bool, len(pairs))
+	miss := make([]Pair, 0, len(pairs))
+	missPos := make([]int, 0, len(pairs))
+	for i, p := range pairs {
+		if ans, ok := st.cache.Get(int32(p.S), int32(p.T)); ok {
+			h.cacheHits.Inc()
+			results[i] = ans
+			continue
+		}
+		h.cacheMisses.Inc()
+		miss = append(miss, p)
+		missPos = append(missPos, i)
 	}
-	h.cacheMisses.Inc()
-	ans := st.idx.Reachable(s, t)
-	st.cache.Put(int32(s), int32(t), ans)
-	return ans
+	if len(miss) == 0 {
+		return results
+	}
+	for k, ans := range kernel(miss) {
+		st.cache.Put(int32(miss[k].S), int32(miss[k].T), ans)
+		results[missPos[k]] = ans
+	}
+	return results
+}
+
+// resolveOne is resolve for the single pair of /reach and /reach/path.
+func (h *QueryHandler) resolveOne(st *serveState, s, t VertexID) bool {
+	return h.resolve(st, []Pair{{S: s, T: t}}, func(p []Pair) []bool {
+		return []bool{st.idx.Reachable(p[0].S, p[0].T)}
+	})[0]
 }
 
 // setEpoch stamps the serving epoch on a response.
@@ -362,149 +355,71 @@ func setEpoch(w http.ResponseWriter, st *serveState) {
 	w.Header().Set(EpochHeader, strconv.FormatUint(st.epoch, 10))
 }
 
-type reachResponse struct {
-	S         VertexID `json:"s"`
-	T         VertexID `json:"t"`
-	Reachable bool     `json:"reachable"`
-}
-
-func (h *QueryHandler) reach(w http.ResponseWriter, r *http.Request) {
+func (h *QueryHandler) reach(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	h.obs.Counter(obs.Label("reachlab_http_requests_total", "handler", "reach")).Inc()
 	// One state load per request: the whole query — validation, cache,
 	// merge — runs against a single epoch.
 	st := h.state.Load()
-	s, err := vertexParam(st, r, "s")
-	if err != nil {
-		h.fail(w, "reach", err.Error(), http.StatusBadRequest)
-		return
-	}
-	t, err := vertexParam(st, r, "t")
-	if err != nil {
-		h.fail(w, "reach", err.Error(), http.StatusBadRequest)
+	s, t, ok := pairParams(api, w, st, r)
+	if !ok {
 		return
 	}
 	h.pairsTotal.Inc()
-	reachable := h.answer(st, s, t)
+	reachable := h.resolveOne(st, s, t)
 	h.queryHist.Observe(time.Since(start).Seconds())
 	setEpoch(w, st)
-	writeJSON(w, reachResponse{S: s, T: t, Reachable: reachable})
+	httpapi.WriteJSON(w, httpapi.ReachResponse{S: s, T: t, Reachable: reachable})
 }
 
-type batchRequest struct {
-	Pairs [][2]int64 `json:"pairs"`
-}
-
-type batchResponse struct {
-	Count   int    `json:"count"`
-	Results []bool `json:"results"`
-}
-
-// maxBatchBytes bounds the request body: the densest legal encoding
-// of a pair ("[1,2],") is a handful of bytes, so 32 bytes per allowed
-// pair plus slack rejects oversized bodies before they are buffered.
-func (h *QueryHandler) maxBatchBytes() int64 {
-	return int64(h.maxBatch)*32 + 4096
-}
-
-func (h *QueryHandler) reachBatch(w http.ResponseWriter, r *http.Request) {
+func (h *QueryHandler) reachBatch(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	h.obs.Counter(obs.Label("reachlab_http_requests_total", "handler", "batch")).Inc()
 	st := h.state.Load()
-	r.Body = http.MaxBytesReader(w, r.Body, h.maxBatchBytes())
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			h.fail(w, "batch", fmt.Sprintf("request body over %d bytes", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		h.fail(w, "batch", fmt.Sprintf("bad batch request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(req.Pairs) > h.maxBatch {
-		h.fail(w, "batch", fmt.Sprintf("batch of %d pairs exceeds limit %d", len(req.Pairs), h.maxBatch),
-			http.StatusRequestEntityTooLarge)
+	var req httpapi.BatchRequest
+	if !api.Decode(w, r, &req) {
 		return
 	}
 	n := int64(st.idx.NumVertices())
 	pairs := make([]Pair, len(req.Pairs))
 	for i, p := range req.Pairs {
 		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
-			h.fail(w, "batch", fmt.Sprintf("pair %d: vertex out of range [0, %d): [%d,%d]", i, n, p[0], p[1]),
+			api.Fail(w, fmt.Sprintf("pair %d: vertex out of range [0, %d): [%d,%d]", i, n, p[0], p[1]),
 				http.StatusBadRequest)
 			return
 		}
 		pairs[i] = Pair{S: VertexID(p[0]), T: VertexID(p[1])}
 	}
 	h.pairsTotal.Add(int64(len(pairs)))
-
-	results := make([]bool, len(pairs))
-	if st.cache == nil {
-		results = st.idx.ReachableBatch(pairs)
-	} else {
-		// Consult the cache per pair; resolve the misses as one batch
-		// (keeping the source-locality win) and backfill the cache.
-		missPairs := make([]Pair, 0, len(pairs))
-		missPos := make([]int, 0, len(pairs))
-		for i, p := range pairs {
-			if ans, ok := st.cache.Get(int32(p.S), int32(p.T)); ok {
-				h.cacheHits.Inc()
-				results[i] = ans
-				continue
-			}
-			h.cacheMisses.Inc()
-			missPairs = append(missPairs, p)
-			missPos = append(missPos, i)
-		}
-		for k, ans := range st.idx.ReachableBatch(missPairs) {
-			p := missPairs[k]
-			st.cache.Put(int32(p.S), int32(p.T), ans)
-			results[missPos[k]] = ans
-		}
-	}
+	// Misses resolve as one batch: the source-locality win survives the cache.
+	results := h.resolve(st, pairs, st.idx.ReachableBatch)
 	h.batchHist.Observe(time.Since(start).Seconds())
 	h.batchPairs.Observe(float64(len(pairs)))
 	setEpoch(w, st)
-	writeJSON(w, batchResponse{Count: len(results), Results: results})
-}
-
-type reloadRequest struct {
-	Ref string `json:"ref"`
-}
-
-type reloadResponse struct {
-	Epoch    uint64 `json:"epoch"`
-	Vertices int    `json:"vertices"`
+	httpapi.WriteJSON(w, httpapi.BatchResponse{Count: len(results), Results: results})
 }
 
 // reload serves POST /admin/reload: load the next index via the
 // configured Loader and swap it in. Queries keep flowing against the
 // old epoch while the load runs; the response reports the new epoch.
-func (h *QueryHandler) reload(w http.ResponseWriter, r *http.Request) {
-	h.obs.Counter(obs.Label("reachlab_http_requests_total", "handler", "reload")).Inc()
-	if h.loader == nil {
-		h.fail(w, "reload", "reload not configured on this replica", http.StatusNotImplemented)
+func (h *QueryHandler) reload(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
+	// Body first, as a router relaying it must: an over-limit or malformed
+	// body is refused the same way whether or not a loader is configured.
+	var req httpapi.ReloadRequest
+	if !api.Decode(w, r, &req) {
 		return
 	}
-	var req reloadRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
-	// An empty body means "reload the default source".
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		h.fail(w, "reload", fmt.Sprintf("bad reload request: %v", err), http.StatusBadRequest)
+	if h.loader == nil {
+		api.Fail(w, "reload not configured on this replica", http.StatusNotImplemented)
 		return
 	}
 	epoch, vertices, err := h.Reload(req.Ref)
 	if err != nil {
-		h.fail(w, "reload", err.Error(), http.StatusInternalServerError)
+		api.Fail(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, reloadResponse{Epoch: epoch, Vertices: vertices})
+	httpapi.WriteJSON(w, httpapi.ReloadResponse{Epoch: epoch, Vertices: vertices})
 }
 
-func (h *QueryHandler) stats(w http.ResponseWriter, _ *http.Request) {
-	h.obs.Counter(obs.Label("reachlab_http_requests_total", "handler", "stats")).Inc()
+func (h *QueryHandler) stats(_ *httpapi.Handle, w http.ResponseWriter, _ *http.Request) {
 	stSrv := h.state.Load()
 	st := stSrv.idx.Stats()
 	bs := stSrv.idx.BuildStats()
@@ -552,16 +467,5 @@ func (h *QueryHandler) stats(w http.ResponseWriter, _ *http.Request) {
 	if h.updater != nil {
 		doc["updates"] = h.updater.Stats()
 	}
-	writeJSON(w, doc)
-}
-
-// writeJSON encodes v directly onto the wire. If encoding fails the
-// status line and part of the body are already out, so sending
-// http.Error would splice an error page into a half-written JSON
-// document; log the failure and drop the connection output instead.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("reachlab: writing JSON response: %v", err)
-	}
+	httpapi.WriteJSON(w, doc)
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/graph"
+	"repro/internal/httpapi"
 )
 
 // buildTestServer builds an index over a seeded cyclic graph and
@@ -275,7 +276,7 @@ func TestBatchEndpointErrors(t *testing.T) {
 	t.Run("oversized-body", func(t *testing.T) {
 		// Valid JSON padded with whitespace past the byte cap: the
 		// MaxBytesReader must trip while the decoder is still scanning.
-		pad := strings.Repeat(" ", int(h.maxBatchBytes())+64)
+		pad := strings.Repeat(" ", int(httpapi.Batch.BodyLimit(maxBatch))+64)
 		if rec := post(`{"pairs": [[0, 1]]` + pad + `}`); rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("oversized body: status %d, want 413", rec.Code)
 		}

@@ -1,15 +1,12 @@
 package reachlab
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"slices"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/httpapi"
 )
 
 // Rich-query handlers: GET /reach/path, GET /reach/count,
@@ -23,141 +20,78 @@ import (
 // evict the interactive working set — neither touches the cache or the
 // pair counters.
 
-type pathResponse struct {
-	S         VertexID   `json:"s"`
-	T         VertexID   `json:"t"`
-	Reachable bool       `json:"reachable"`
-	Path      []VertexID `json:"path,omitempty"`
-}
-
-func (h *QueryHandler) reachPath(w http.ResponseWriter, r *http.Request) {
+func (h *QueryHandler) reachPath(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	h.obs.Counter(obs.Label("reachlab_http_requests_total", "handler", "path")).Inc()
 	st := h.state.Load()
-	s, err := vertexParam(st, r, "s")
-	if err != nil {
-		h.fail(w, "path", err.Error(), http.StatusBadRequest)
-		return
-	}
-	t, err := vertexParam(st, r, "t")
-	if err != nil {
-		h.fail(w, "path", err.Error(), http.StatusBadRequest)
+	s, t, ok := pairParams(api, w, st, r)
+	if !ok {
 		return
 	}
 	if !st.idx.HasGraph() {
 		// Refused before any pair accounting: a replica serving a bare
 		// index file answers booleans but cannot walk edges.
-		h.fail(w, "path", "witness paths unavailable: no graph attached to this index", http.StatusNotImplemented)
+		api.Fail(w, "witness paths unavailable: no graph attached to this index", http.StatusNotImplemented)
 		return
 	}
 	h.pairsTotal.Inc()
-	reachable := h.answer(st, s, t)
-	resp := pathResponse{S: s, T: t, Reachable: reachable}
-	if reachable {
-		path, err := st.idx.WitnessPath(s, t)
-		if err != nil {
-			h.fail(w, "path", err.Error(), http.StatusInternalServerError)
+	resp := httpapi.PathResponse{S: s, T: t, Reachable: h.resolveOne(st, s, t)}
+	if resp.Reachable {
+		var err error
+		if resp.Path, err = st.idx.WitnessPath(s, t); err != nil {
+			api.Fail(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		resp.Path = path
 	}
 	h.pathHist.Observe(time.Since(start).Seconds())
 	setEpoch(w, st)
-	writeJSON(w, resp)
+	httpapi.WriteJSON(w, resp)
 }
 
-type countResponse struct {
-	S     VertexID `json:"s"`
-	Count int      `json:"count"`
-}
-
-func (h *QueryHandler) reachCount(w http.ResponseWriter, r *http.Request) {
+func (h *QueryHandler) reachCount(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	h.obs.Counter(obs.Label("reachlab_http_requests_total", "handler", "count")).Inc()
 	st := h.state.Load()
-	s, err := vertexParam(st, r, "s")
-	if err != nil {
-		h.fail(w, "count", err.Error(), http.StatusBadRequest)
+	s, ok := vertexParam(api, w, st, r, "s")
+	if !ok {
 		return
 	}
 	count := st.idx.ReachableSetSize(s)
 	h.countHist.Observe(time.Since(start).Seconds())
 	setEpoch(w, st)
-	writeJSON(w, countResponse{S: s, Count: count})
+	httpapi.WriteJSON(w, httpapi.CountResponse{S: s, Count: count})
 }
 
-type fromRequest struct {
-	S       int64   `json:"s"`
-	Targets []int64 `json:"targets"`
-}
-
-type fromResponse struct {
-	S       VertexID `json:"s"`
-	Count   int      `json:"count"`
-	Results []bool   `json:"results"`
-}
-
-func (h *QueryHandler) reachFrom(w http.ResponseWriter, r *http.Request) {
+func (h *QueryHandler) reachFrom(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	h.obs.Counter(obs.Label("reachlab_http_requests_total", "handler", "from")).Inc()
 	st := h.state.Load()
-	r.Body = http.MaxBytesReader(w, r.Body, h.maxBatchBytes())
-	var req fromRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			h.fail(w, "from", fmt.Sprintf("request body over %d bytes", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		h.fail(w, "from", fmt.Sprintf("bad from request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(req.Targets) > h.maxBatch {
-		h.fail(w, "from", fmt.Sprintf("%d targets exceeds limit %d", len(req.Targets), h.maxBatch),
-			http.StatusRequestEntityTooLarge)
+	var req httpapi.FromRequest
+	if !api.Decode(w, r, &req) {
 		return
 	}
 	n := int64(st.idx.NumVertices())
 	if req.S < 0 || req.S >= n {
-		h.fail(w, "from", fmt.Sprintf("source %d out of range [0, %d)", req.S, n), http.StatusBadRequest)
+		api.Fail(w, fmt.Sprintf("source %d out of range [0, %d)", req.S, n), http.StatusBadRequest)
 		return
 	}
 	s := VertexID(req.S)
-	targets := make([]VertexID, len(req.Targets))
+	pairs := make([]Pair, len(req.Targets))
 	for i, t := range req.Targets {
 		if t < 0 || t >= n {
-			h.fail(w, "from", fmt.Sprintf("target %d: vertex out of range [0, %d): %d", i, n, t),
+			api.Fail(w, fmt.Sprintf("target %d: vertex out of range [0, %d): %d", i, n, t),
 				http.StatusBadRequest)
 			return
 		}
-		targets[i] = VertexID(t)
+		pairs[i] = Pair{S: s, T: VertexID(t)}
 	}
-	h.pairsTotal.Add(int64(len(targets)))
-
-	results := make([]bool, len(targets))
-	if st.cache == nil {
-		results = st.idx.ReachableFrom(s, targets)
-	} else {
-		// Consult the cache per target; sweep the misses in one
-		// ReachableFrom (keeping the single out-label load) and backfill.
-		missTargets := make([]VertexID, 0, len(targets))
-		missPos := make([]int, 0, len(targets))
-		for i, t := range targets {
-			if ans, ok := st.cache.Get(int32(s), int32(t)); ok {
-				h.cacheHits.Inc()
-				results[i] = ans
-				continue
-			}
-			h.cacheMisses.Inc()
-			missTargets = append(missTargets, t)
-			missPos = append(missPos, i)
+	h.pairsTotal.Add(int64(len(pairs)))
+	// Misses are swept in one ReachableFrom: the single out-label load
+	// survives the cache.
+	results := h.resolve(st, pairs, func(miss []Pair) []bool {
+		targets := make([]VertexID, len(miss))
+		for i, p := range miss {
+			targets[i] = p.T
 		}
-		for k, ans := range st.idx.ReachableFrom(s, missTargets) {
-			st.cache.Put(int32(s), int32(missTargets[k]), ans)
-			results[missPos[k]] = ans
-		}
-	}
+		return st.idx.ReachableFrom(s, targets)
+	})
 	count := 0
 	for _, ok := range results {
 		if ok {
@@ -165,94 +99,56 @@ func (h *QueryHandler) reachFrom(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	h.fromHist.Observe(time.Since(start).Seconds())
-	h.fromTargets.Observe(float64(len(targets)))
+	h.fromTargets.Observe(float64(len(pairs)))
 	setEpoch(w, st)
-	writeJSON(w, fromResponse{S: s, Count: count, Results: results})
-}
-
-type joinRequest struct {
-	Sources []int64 `json:"sources"`
-	Targets []int64 `json:"targets"`
-}
-
-// joinPair is one streamed result line; joinSummary is the terminal
-// line a complete stream always ends with — its absence tells the
-// client the stream was truncated.
-type joinPair struct {
-	S VertexID `json:"s"`
-	T VertexID `json:"t"`
-}
-
-type joinSummary struct {
-	Done    bool `json:"done"`
-	Count   int  `json:"count"`
-	Scanned int  `json:"scanned"`
+	httpapi.WriteJSON(w, httpapi.FromResponse{S: s, Count: count, Results: results})
 }
 
 // reachJoin streams the reachable (s, t) pairs of sources × targets as
-// NDJSON, one {"s":..,"t":..} object per line in ascending (s, t)
-// order, terminated by a {"done":true,...} summary line. Both input
+// the contract's join stream (internal/httpapi/join.go). Both input
 // lists are deduplicated and sorted before scanning; every refusal
 // (bad body, list or cross-product over the cap) happens before the
-// first body byte, so a non-200 is always a clean JSON error and a 200
-// is always NDJSON. A mid-stream write failure (client went away) is
+// first body byte, so a non-200 is always a plain error and a 200 is
+// always NDJSON. A mid-stream write failure (client went away) is
 // logged and dropped — the missing summary line marks the truncation.
-func (h *QueryHandler) reachJoin(w http.ResponseWriter, r *http.Request) {
+func (h *QueryHandler) reachJoin(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	h.obs.Counter(obs.Label("reachlab_http_requests_total", "handler", "join")).Inc()
 	st := h.state.Load()
-	// Two lists instead of batch's one: allow twice the body.
-	r.Body = http.MaxBytesReader(w, r.Body, 2*h.maxBatchBytes())
-	var req joinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			h.fail(w, "join", fmt.Sprintf("request body over %d bytes", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		h.fail(w, "join", fmt.Sprintf("bad join request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(req.Sources) > h.maxBatch || len(req.Targets) > h.maxBatch {
-		h.fail(w, "join", fmt.Sprintf("join lists of %d×%d exceed per-list limit %d",
-			len(req.Sources), len(req.Targets), h.maxBatch), http.StatusRequestEntityTooLarge)
+	var req httpapi.JoinRequest
+	if !api.Decode(w, r, &req) {
 		return
 	}
 	n := int64(st.idx.NumVertices())
 	srcs, err := joinVertices(req.Sources, n)
 	if err != nil {
-		h.fail(w, "join", "sources: "+err.Error(), http.StatusBadRequest)
+		api.Fail(w, "sources: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	tgts, err := joinVertices(req.Targets, n)
 	if err != nil {
-		h.fail(w, "join", "targets: "+err.Error(), http.StatusBadRequest)
+		api.Fail(w, "targets: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	scanned := len(srcs) * len(tgts)
 	if scanned > h.maxJoin {
-		h.fail(w, "join", fmt.Sprintf("join scans %d×%d=%d pairs, over limit %d",
+		api.Fail(w, fmt.Sprintf("join scans %d×%d=%d pairs, over limit %d",
 			len(srcs), len(tgts), scanned, h.maxJoin), http.StatusRequestEntityTooLarge)
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", httpapi.JoinStream)
 	setEpoch(w, st)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	count := 0
+	jw := httpapi.NewJoinWriter(w)
 	for _, s := range srcs {
 		// One sweep per source: the out-label loads once for the whole
 		// target list, the join's entire locality win.
-		row := st.idx.ReachableFrom(s, tgts)
-		for i, ok := range row {
+		for i, ok := range st.idx.ReachableFrom(s, tgts) {
 			if !ok {
 				continue
 			}
-			count++
-			if err := enc.Encode(joinPair{S: s, T: tgts[i]}); err != nil {
-				log.Printf("reachlab: join stream truncated: %v", err)
+			if err := jw.Pair(int64(s), int64(tgts[i])); err != nil {
+				httpapi.LogDropped(err)
 				return
 			}
 		}
@@ -260,12 +156,12 @@ func (h *QueryHandler) reachJoin(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	if err := enc.Encode(joinSummary{Done: true, Count: count, Scanned: scanned}); err != nil {
-		log.Printf("reachlab: join summary dropped: %v", err)
+	if err := jw.Done(scanned); err != nil {
+		httpapi.LogDropped(err)
 		return
 	}
 	h.joinHist.Observe(time.Since(start).Seconds())
-	h.joinResults.Observe(float64(count))
+	h.joinResults.Observe(float64(jw.Count()))
 }
 
 // joinVertices validates one join list against the ID space and

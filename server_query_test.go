@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/httpapi"
 )
 
 // HTTP-level suite for the rich-query endpoints: answers vs the BFS
@@ -272,7 +274,7 @@ func checkRichEndpoints(t *testing.T, g *Graph, reg *MetricsRegistry, srv *httpt
 	}
 
 	// One batch, duplicates and shared sources included.
-	var batch batchRequest
+	var batch httpapi.BatchRequest
 	for k := 0; k < 32; k++ {
 		batch.Pairs = append(batch.Pairs, [2]int64{int64(k * 5 % 8 * 7 % n), int64((k*17 + 3) % n)})
 	}
@@ -282,7 +284,7 @@ func checkRichEndpoints(t *testing.T, g *Graph, reg *MetricsRegistry, srv *httpt
 	if err != nil {
 		t.Fatal(err)
 	}
-	var br batchResponse
+	var br httpapi.BatchResponse
 	err = json.NewDecoder(bresp.Body).Decode(&br)
 	bresp.Body.Close()
 	if err != nil || len(br.Results) != len(batch.Pairs) {
@@ -458,7 +460,7 @@ func TestRichEndpointErrors(t *testing.T) {
 			{`{"s": 20, "targets": [1]}`, http.StatusBadRequest},
 			{`{"s": 0, "targets": [1, 99]}`, http.StatusBadRequest},
 			{`{"s": 0, "targets": [1, 2, 3, 4, 5]}`, http.StatusRequestEntityTooLarge},
-			{`{"s": 0, "targets": [1]` + strings.Repeat(" ", int(h.maxBatchBytes())+64) + `}`,
+			{`{"s": 0, "targets": [1]` + strings.Repeat(" ", int(httpapi.From.BodyLimit(maxBatch))+64) + `}`,
 				http.StatusRequestEntityTooLarge},
 		}
 		for _, c := range cases {
@@ -483,7 +485,7 @@ func TestRichEndpointErrors(t *testing.T) {
 			{`{"sources": [0], "targets": [1, 2, 3, 4, 5]}`, http.StatusRequestEntityTooLarge},
 			// Each list under the per-list cap, product over maxJoin.
 			{`{"sources": [0, 1, 2], "targets": [3, 4, 5]}`, http.StatusRequestEntityTooLarge},
-			{`{"sources": [0], "targets": [1]` + strings.Repeat(" ", 2*int(h.maxBatchBytes())+64) + `}`,
+			{`{"sources": [0], "targets": [1]` + strings.Repeat(" ", int(httpapi.Join.BodyLimit(maxBatch))+64) + `}`,
 				http.StatusRequestEntityTooLarge},
 		}
 		for _, c := range cases {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/httpapi"
 	"repro/internal/pregel"
 )
 
@@ -336,7 +337,7 @@ func (w *failingWriter) Write([]byte) (int, error) {
 // it logs and drops. No status may be forced after the fact.
 func TestWriteJSONFailure(t *testing.T) {
 	w := &failingWriter{header: make(http.Header)}
-	writeJSON(w, map[string]any{"k": "v"})
+	httpapi.WriteJSON(w, map[string]any{"k": "v"})
 	if w.code != 0 {
 		t.Errorf("writeJSON forced status %d after a mid-stream failure", w.code)
 	}
@@ -344,7 +345,7 @@ func TestWriteJSONFailure(t *testing.T) {
 	// An unencodable value likewise produces no error page: the
 	// recorder's body stays empty and the implicit 200 stands.
 	rec := httptest.NewRecorder()
-	writeJSON(rec, map[string]any{"fn": func() {}})
+	httpapi.WriteJSON(rec, map[string]any{"fn": func() {}})
 	if rec.Body.Len() != 0 {
 		t.Errorf("writeJSON wrote %q after an encode failure", rec.Body.String())
 	}

@@ -1,13 +1,13 @@
 package reachlab
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/tol"
 	"repro/internal/wal"
@@ -539,42 +539,22 @@ func (u *Updater) Stats() UpdaterStats {
 // /stats "updates" block to u. The handler must be serving u's
 // Snapshot and must not have a reload loader configured (the updater
 // owns all epoch advances); call before Start so no mutation can
-// race the binding.
-//
-//	POST /edges → {"op":"insert","u":3,"v":17}
-//	            ← {"op":"insert","u":3,"v":17,"seq":42,"epoch":7}
+// race the binding. The wire types are httpapi.EdgeRequest/EdgeResponse.
 func (h *QueryHandler) EnableUpdates(u *Updater) {
 	h.updater = u
-}
-
-type edgeRequest struct {
-	Op string `json:"op"`
-	U  int64  `json:"u"`
-	V  int64  `json:"v"`
-}
-
-type edgeResponse struct {
-	Op    string `json:"op"`
-	U     int64  `json:"u"`
-	V     int64  `json:"v"`
-	Seq   uint64 `json:"seq"`
-	Epoch uint64 `json:"epoch"`
 }
 
 // edges serves POST /edges: durably log one insert or delete and
 // acknowledge with its sequence number and the epoch that will first
 // contain it.
-func (h *QueryHandler) edges(w http.ResponseWriter, r *http.Request) {
-	h.obs.Counter(obs.Label("reachlab_http_requests_total", "handler", "edges")).Inc()
-	u := h.updater
-	if u == nil {
-		h.fail(w, "edges", "updates not enabled on this replica", http.StatusNotImplemented)
+func (h *QueryHandler) edges(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
+	var req httpapi.EdgeRequest
+	if !api.Decode(w, r, &req) { // body first, as in reload
 		return
 	}
-	var req edgeRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		h.fail(w, "edges", fmt.Sprintf("bad edge request: %v", err), http.StatusBadRequest)
+	u := h.updater
+	if u == nil {
+		api.Fail(w, "updates not enabled on this replica", http.StatusNotImplemented)
 		return
 	}
 	var insert bool
@@ -583,11 +563,11 @@ func (h *QueryHandler) edges(w http.ResponseWriter, r *http.Request) {
 		insert = true
 	case "delete":
 	default:
-		h.fail(w, "edges", fmt.Sprintf("bad op %q: want insert or delete", req.Op), http.StatusBadRequest)
+		api.Fail(w, fmt.Sprintf("bad op %q: want insert or delete", req.Op), http.StatusBadRequest)
 		return
 	}
 	if req.U != int64(VertexID(req.U)) || req.V != int64(VertexID(req.V)) {
-		h.fail(w, "edges", fmt.Sprintf("vertex out of int32 range: [%d,%d]", req.U, req.V), http.StatusBadRequest)
+		api.Fail(w, fmt.Sprintf("vertex out of int32 range: [%d,%d]", req.U, req.V), http.StatusBadRequest)
 		return
 	}
 	seq, epoch, err := u.Apply(insert, VertexID(req.U), VertexID(req.V))
@@ -599,8 +579,8 @@ func (h *QueryHandler) edges(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrVertexRange):
 			code = http.StatusBadRequest
 		}
-		h.fail(w, "edges", err.Error(), code)
+		api.Fail(w, err.Error(), code)
 		return
 	}
-	writeJSON(w, edgeResponse{Op: req.Op, U: req.U, V: req.V, Seq: seq, Epoch: epoch})
+	httpapi.WriteJSON(w, httpapi.EdgeResponse{Op: req.Op, U: req.U, V: req.V, Seq: seq, Epoch: epoch})
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/wal"
 )
 
@@ -57,9 +58,9 @@ func startUpdateServer(t *testing.T, g *Graph, opts UpdaterOptions, tick <-chan 
 	return h, u, log
 }
 
-func postEdge(t *testing.T, srv *httptest.Server, op string, u, v int) edgeResponse {
+func postEdge(t *testing.T, srv *httptest.Server, op string, u, v int) httpapi.EdgeResponse {
 	t.Helper()
-	body, _ := json.Marshal(edgeRequest{Op: op, U: int64(u), V: int64(v)})
+	body, _ := json.Marshal(httpapi.EdgeRequest{Op: op, U: int64(u), V: int64(v)})
 	resp, err := http.Post(srv.URL+"/edges", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +69,7 @@ func postEdge(t *testing.T, srv *httptest.Server, op string, u, v int) edgeRespo
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /edges %s(%d,%d): status %d", op, u, v, resp.StatusCode)
 	}
-	var ack edgeResponse
+	var ack httpapi.EdgeResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestUpdaterMutationVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var got reachResponse
+	var got httpapi.ReachResponse
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/wal"
 )
 
@@ -219,7 +220,7 @@ func TestUpdateQuerySoak(t *testing.T) {
 		if insert {
 			op = "insert"
 		}
-		body, _ := json.Marshal(edgeRequest{Op: op, U: int64(a), V: int64(b)})
+		body, _ := json.Marshal(httpapi.EdgeRequest{Op: op, U: int64(a), V: int64(b)})
 		resp, err := http.Post(srv.URL+"/edges", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return err
@@ -228,7 +229,7 @@ func TestUpdateQuerySoak(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("POST /edges %s(%d,%d): status %d", op, a, b, resp.StatusCode)
 		}
-		var ack edgeResponse
+		var ack httpapi.EdgeResponse
 		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 			return err
 		}
@@ -349,13 +350,13 @@ func TestUpdateQuerySoak(t *testing.T) {
 					for len(pairs) < 4 {
 						pairs = append(pairs, [2]int64{int64(rrng.Intn(soakN)), int64(rrng.Intn(soakN))})
 					}
-					body, _ := json.Marshal(batchRequest{Pairs: pairs})
+					body, _ := json.Marshal(httpapi.BatchRequest{Pairs: pairs})
 					resp, err := client.Post(srv.URL+"/reach/batch", "application/json", bytes.NewReader(body))
 					if err != nil {
 						t.Errorf("reader %d: batch: %v", r, err)
 						return
 					}
-					var br batchResponse
+					var br httpapi.BatchResponse
 					epoch, _ := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
 					err = json.NewDecoder(resp.Body).Decode(&br)
 					resp.Body.Close()
@@ -416,13 +417,13 @@ func TestUpdateQuerySoak(t *testing.T) {
 					for len(targets) < 6 {
 						targets = append(targets, int64(rrng.Intn(soakN)))
 					}
-					body, _ := json.Marshal(fromRequest{S: int64(s), Targets: targets})
+					body, _ := json.Marshal(httpapi.FromRequest{S: int64(s), Targets: targets})
 					resp, err := client.Post(srv.URL+"/reach/from", "application/json", bytes.NewReader(body))
 					if err != nil {
 						t.Errorf("reader %d: from: %v", r, err)
 						return
 					}
-					var fr fromResponse
+					var fr httpapi.FromResponse
 					epoch, _ := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
 					err = json.NewDecoder(resp.Body).Decode(&fr)
 					resp.Body.Close()
@@ -440,7 +441,7 @@ func TestUpdateQuerySoak(t *testing.T) {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}
-				var got reachResponse
+				var got httpapi.ReachResponse
 				epoch, _ := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
 				err = json.NewDecoder(resp.Body).Decode(&got)
 				resp.Body.Close()
