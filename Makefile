@@ -89,8 +89,9 @@ scale-smoke:
 
 # End-to-end rich-query smoke: drserve with witness paths enabled
 # (-idx + -graph), verified drload bursts at /reach/path, /reach/count,
-# and /reach/join, and curl spot checks of the refusal paths (CI's
-# serve-smoke job).
+# and /reach/join, curl spot checks of the refusal paths, and a
+# cap-sized join abandoned through a drrouter — the replica must count
+# it cancelled and the router charge nobody (CI's serve-smoke job).
 querytest:
 	./scripts/query_smoke.sh
 

@@ -64,22 +64,21 @@ func BuildOverClusterOpts(addrs []string, graphPath string, opts Options, copt C
 	if err != nil {
 		return nil, fmt.Errorf("reachlab: building over cluster: %w", err)
 	}
-	return &Index{
-		idx: idx,
-		stats: BuildStats{
-			Method:        opts.method(),
-			Workers:       len(addrs),
-			WallTime:      time.Since(start),
-			Compute:       met.ComputeTime,
-			Communication: met.TotalComm(),
-			Supersteps:    met.Supersteps,
-			Messages:      met.Messages,
-			BytesRemote:   met.BytesRemote,
+	x := newIndex(idx, nil, nil)
+	x.stats = BuildStats{
+		Method:        opts.method(),
+		Workers:       len(addrs),
+		WallTime:      time.Since(start),
+		Compute:       met.ComputeTime,
+		Communication: met.TotalComm(),
+		Supersteps:    met.Supersteps,
+		Messages:      met.Messages,
+		BytesRemote:   met.BytesRemote,
 
-			Retries:            met.Retries,
-			Recoveries:         met.Recoveries,
-			Checkpoints:        met.Checkpoints,
-			LastCheckpointStep: met.LastCheckpointStep,
-		},
-	}, nil
+		Retries:            met.Retries,
+		Recoveries:         met.Recoveries,
+		Checkpoints:        met.Checkpoints,
+		LastCheckpointStep: met.LastCheckpointStep,
+	}
+	return x, nil
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -1075,5 +1076,149 @@ func TestStaleProbeDoesNotOverwriteReloadEpoch(t *testing.T) {
 	f.probeAll()
 	if epoch() != 1 {
 		t.Errorf("restarted replica: router still sees epoch %d, want 1", epoch())
+	}
+}
+
+// --- a client that hangs up ----------------------------------------
+
+// TestClientHangUpChargedToNobody: when the client of a read goes away,
+// the forwards made for it are abandoned — each replica asked sees its
+// own request cancelled instead of working on for proxyTimeout — and
+// the abandonment is the client's doing: one forward per replica asked,
+// no error charged to any, no retry, no 503/502 counted; the request
+// counts once in fleet_http_canceled_total.
+func TestClientHangUpChargedToNobody(t *testing.T) {
+	for _, c := range []struct {
+		name, label, method, path, body string
+		asked                           int // replicas the request is split across
+	}{
+		{"pass-through", "reach", http.MethodGet, "/reach?s=4&t=7", "", 1},
+		{"split batch", "batch", http.MethodPost, "/reach/batch", `{"pairs":[[4,7],[5,9]]}`, 2},
+		{"split join", "join", http.MethodPost, "/reach/join", `{"sources":[4,5],"targets":[7,9]}`, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			started, released := make(chan struct{}, 2), make(chan struct{}, 2)
+			// A replica that never answers: it works until its request is cancelled.
+			stuck := func(_ int, h http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path == "/healthz" {
+						h.ServeHTTP(w, r)
+						return
+					}
+					// Body first, as a replica decodes it: net/http watches for
+					// the peer's hang-up only once the body has been read.
+					io.Copy(io.Discard, r.Body) //nolint:errcheck
+					started <- struct{}{}
+					<-r.Context().Done()
+					released <- struct{}{}
+				})
+			}
+			reg := obs.New()
+			_, _, f := testFleet(t, 2, Sharded, stuck, func(o *Options) { o.Obs = reg })
+			router := httptest.NewServer(f)
+			defer router.Close()
+
+			ctx, hangUp := context.WithCancel(context.Background())
+			req, err := http.NewRequestWithContext(ctx, c.method, router.URL+c.path, strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed := make(chan error, 1)
+			go func() {
+				resp, err := http.DefaultClient.Do(req)
+				if err == nil {
+					resp.Body.Close()
+				}
+				failed <- err
+			}()
+			for i := 0; i < c.asked; i++ {
+				<-started
+			}
+			hangUp()
+			if err := <-failed; err == nil {
+				t.Fatal("the abandoned request was answered")
+			}
+			for i := 0; i < c.asked; i++ {
+				select {
+				case <-released:
+				case <-time.After(5 * time.Second):
+					t.Fatal("a replica is still working for a client that hung up")
+				}
+			}
+			canceled := obs.Label("fleet_http_canceled_total", "handler", c.label)
+			waitFor(t, "the router to drop the request", func() bool { return reg.CounterValue(canceled) == 1 })
+			forwards := int64(0)
+			for _, s := range f.Snapshot() {
+				forwards += s.Forwards
+				if s.Errors != 0 || s.Forwards > 1 {
+					t.Errorf("replica %s: %d forwards, %d errors charged; want at most 1 and 0", s.Addr, s.Forwards, s.Errors)
+				}
+			}
+			if forwards != int64(c.asked) {
+				t.Errorf("%d forwards in all, want %d", forwards, c.asked)
+			}
+			for _, name := range []string{"fleet_retries_total", "fleet_unavailable_total",
+				obs.Label("fleet_http_errors_total", "handler", c.label)} {
+				if v := reg.CounterValue(name); v != 0 {
+					t.Errorf("%s = %d after a hang-up, want 0", name, v)
+				}
+			}
+		})
+	}
+}
+
+// TestFanOutSurvivesClientHangUp: a write is asked of every replica
+// even when its client goes away after the first was asked — fan-out is
+// detached from the inbound request, so a hang-up cannot leave the
+// replicas holding different logs.
+func TestFanOutSurvivesClientHangUp(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	slowFirst := func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i == 0 && r.URL.Path == "/edges" {
+				close(started)
+				<-release
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	fakes, _, f := testFleet(t, 3, Replicated, slowFirst, nil)
+	router := httptest.NewServer(f)
+	defer router.Close()
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, router.URL+"/edges", strings.NewReader(`{"op":"insert","u":3,"v":17}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		failed <- err
+	}()
+	<-started
+	hangUp()
+	if err := <-failed; err == nil {
+		t.Fatal("the abandoned write was answered")
+	}
+	close(release)
+	waitFor(t, "the write to land on every replica", func() bool {
+		for _, fr := range fakes {
+			fr.mu.Lock()
+			n := len(fr.edgeOps)
+			fr.mu.Unlock()
+			if n != 1 {
+				return false
+			}
+		}
+		return true
+	})
+	for _, s := range f.Snapshot() {
+		if s.Errors != 0 {
+			t.Errorf("replica %s charged %d errors for a client's hang-up", s.Addr, s.Errors)
+		}
 	}
 }

@@ -71,7 +71,9 @@ var errAllReplicasFailed = errors.New("fleet: no replica answered within the ret
 // fresh round — a replica marked down mid-flight gets routed around,
 // and one readmitted mid-flight picks queued work back up. What comes
 // back without an error is a replica's verdict, whatever its status.
-func (f *Fleet) forward(preferred *replica, method, path string, body []byte) (*http.Response, []byte, error) {
+// ctx is the inbound request's: once its client is gone the forward in
+// flight is abandoned and no other is tried.
+func (f *Fleet) forward(ctx context.Context, preferred *replica, method, path string, body []byte) (*http.Response, []byte, error) {
 	tried := make(map[*replica]bool)
 	var lastErr error
 	for a := 0; a < f.opts.MaxAttempts; a++ {
@@ -83,6 +85,8 @@ func (f *Fleet) forward(preferred *replica, method, path string, body []byte) (*
 			select {
 			case <-f.stop:
 				return nil, nil, errAllReplicasFailed
+			case <-ctx.Done():
+				return nil, nil, ctx.Err()
 			case <-time.After(f.opts.RetryBackoff):
 			}
 			continue
@@ -91,12 +95,11 @@ func (f *Fleet) forward(preferred *replica, method, path string, body []byte) (*
 			f.retries.Inc()
 		}
 		tried[r] = true
-		resp, data, err := f.try(r, method, path, body)
-		if err != nil {
-			lastErr = err
-			continue
+		resp, data, err := f.try(ctx, r, method, path, body)
+		if err == nil || ctx.Err() != nil {
+			return resp, data, err
 		}
-		return resp, data, nil
+		lastErr = err
 	}
 	if lastErr == nil {
 		lastErr = errAllReplicasFailed
@@ -107,9 +110,11 @@ func (f *Fleet) forward(preferred *replica, method, path string, body []byte) (*
 // try issues one attempt against one replica, counting outstanding
 // work. A request that did not complete, or completed with a status
 // that is not a verdict, is the replica's failure: charged to it and
-// returned as an error, which forward retries elsewhere.
-func (f *Fleet) try(r *replica, method, path string, body []byte) (*http.Response, []byte, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), proxyTimeout)
+// returned as an error, which forward retries elsewhere — unless it
+// ended because parent, the context the attempt was made under, was
+// cancelled: that is the client's doing, and is charged to nobody.
+func (f *Fleet) try(parent context.Context, r *replica, method, path string, body []byte) (*http.Response, []byte, error) {
+	ctx, cancel := context.WithTimeout(parent, proxyTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, r.base+path, bytes.NewReader(body)) // nil body: http.NoBody
 	if err != nil {
@@ -131,7 +136,9 @@ func (f *Fleet) try(r *replica, method, path string, body []byte) (*http.Respons
 	}
 	r.outstanding.Add(-1)
 	if err != nil {
-		r.errors.Add(1)
+		if parent.Err() == nil {
+			r.errors.Add(1)
+		}
 		return nil, nil, fmt.Errorf("fleet: %s: %w", r.addr, err)
 	}
 	return resp, data, nil
@@ -170,8 +177,12 @@ func (f *Fleet) passThrough(source func(*http.Request, []byte) (int64, bool)) ht
 				preferred = f.shardOwner(s)
 			}
 		}
-		resp, data, err := f.forward(preferred, api.Method, path, body)
+		resp, data, err := f.forward(r.Context(), preferred, api.Method, path, body)
 		if err != nil {
+			if r.Context().Err() != nil {
+				api.Canceled()
+				return
+			}
 			f.unavailable.Inc()
 			api.Fail(w, err.Error(), http.StatusServiceUnavailable)
 			return
@@ -196,12 +207,12 @@ type subAnswer struct {
 // subRequest posts one shard's sub-request (owner preferred, any
 // healthy replica as fallback) and, if the verdict is a 200, has read
 // take the body in.
-func (f *Fleet) subRequest(api *httpapi.Handle, shard int, req any, read func(*subAnswer) error) (a subAnswer) {
+func (f *Fleet) subRequest(ctx context.Context, api *httpapi.Handle, shard int, req any, read func(*subAnswer) error) (a subAnswer) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return subAnswer{err: err}
 	}
-	if a.resp, a.data, a.err = f.forward(f.shardOwner(int64(shard)), api.Method, api.Route, body); a.err == nil && a.resp.StatusCode == http.StatusOK {
+	if a.resp, a.data, a.err = f.forward(ctx, f.shardOwner(int64(shard)), api.Method, api.Route, body); a.err == nil && a.resp.StatusCode == http.StatusOK {
 		a.err = read(&a)
 	}
 	return a
@@ -213,8 +224,13 @@ func (f *Fleet) subRequest(api *httpapi.Handle, shard int, req any, read func(*s
 // a cap) is deterministic, so the first one speaks for the request and
 // is relayed verbatim. ok means every shard asked answered 200; epoch
 // is then the one they all served from, or "" when they disagree (a
-// rolling reload).
-func (f *Fleet) settle(api *httpapi.Handle, w http.ResponseWriter, subs []subAnswer) (epoch string, ok bool) {
+// rolling reload). A request whose client went away while its shards
+// were being asked is dropped unanswered, whatever they said.
+func (f *Fleet) settle(ctx context.Context, api *httpapi.Handle, w http.ResponseWriter, subs []subAnswer) (epoch string, ok bool) {
+	if ctx.Err() != nil {
+		api.Canceled()
+		return "", false
+	}
 	uniform := true
 	for shard, a := range subs {
 		switch {
@@ -272,7 +288,7 @@ func (f *Fleet) handleBatch(api *httpapi.Handle, w http.ResponseWriter, r *http.
 			for k, u := range group {
 				sub.Pairs[k] = plan.uniq[u]
 			}
-			subs[gi] = f.subRequest(api, gi, sub, func(a *subAnswer) error {
+			subs[gi] = f.subRequest(r.Context(), api, gi, sub, func(a *subAnswer) error {
 				var br httpapi.BatchResponse
 				if err := json.Unmarshal(a.data, &br); err != nil {
 					return fmt.Errorf("decoding sub-batch response: %w", err)
@@ -288,7 +304,7 @@ func (f *Fleet) handleBatch(api *httpapi.Handle, w http.ResponseWriter, r *http.
 		}(gi, group)
 	}
 	wg.Wait()
-	epoch, ok := f.settle(api, w, subs)
+	epoch, ok := f.settle(r.Context(), api, w, subs)
 	if !ok {
 		return
 	}
@@ -358,19 +374,22 @@ func (f *Fleet) adminVerb(do func(name string) error) httpapi.ServeFunc {
 // concurrently, each 200 is read into its replica's row (and shown to
 // landed, if any), and the answer is 200 when every replica did it,
 // else 502 with the rows — for /edges "retry until 200": a partial
-// write leaves the replicas divergent.
+// write leaves the replicas divergent. For the same reason the asking
+// is detached from the inbound request's cancellation: a client that
+// hangs up must not split a write or a reload across the fleet.
 func (f *Fleet) fanOut(landed func(rep *replica, issued time.Time, row httpapi.ReplicaOutcome)) httpapi.ServeFunc {
 	return func(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
 		body, ok := api.ReadBody(w, r)
 		if !ok {
 			return
 		}
+		ctx := context.WithoutCancel(r.Context())
 		rows := make([]httpapi.ReplicaOutcome, len(f.replicas))
 		// ask fills rep's row; a verdict that is not a 200 comes back to be relayed.
 		ask := func(i int, rep *replica) (*http.Response, []byte) {
 			rows[i].Addr = rep.addr
 			issued := time.Now()
-			resp, data, err := f.try(rep, api.Method, api.Route, body)
+			resp, data, err := f.try(ctx, rep, api.Method, api.Route, body)
 			switch {
 			case err != nil:
 				rows[i].Error = err.Error()

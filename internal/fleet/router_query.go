@@ -50,7 +50,7 @@ func (f *Fleet) handleJoin(api *httpapi.Handle, w http.ResponseWriter, r *http.R
 		go func(shard int, sources []int64) {
 			defer wg.Done()
 			sub := httpapi.JoinRequest{Sources: sources, Targets: req.Targets}
-			subs[shard] = f.subRequest(api, shard, sub, func(a *subAnswer) error {
+			subs[shard] = f.subRequest(r.Context(), api, shard, sub, func(a *subAnswer) error {
 				sum, err := httpapi.ReadJoin(bytes.NewReader(a.data), func(s, t int64) error {
 					a.pairs = append(a.pairs, [2]int64{s, t})
 					return nil
@@ -61,7 +61,7 @@ func (f *Fleet) handleJoin(api *httpapi.Handle, w http.ResponseWriter, r *http.R
 		}(shard, sources)
 	}
 	wg.Wait()
-	epoch, ok := f.settle(api, w, subs)
+	epoch, ok := f.settle(r.Context(), api, w, subs)
 	if !ok {
 		return
 	}

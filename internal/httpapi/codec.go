@@ -13,13 +13,21 @@ import (
 )
 
 // Handle is one mounted endpoint: its contract row, its body bound and
-// its error counter. It owns every way of refusing a request, so a
-// refusal reads and counts the same at a replica and at the router.
+// its error and cancel counters. It owns every way of refusing or
+// dropping a request, so either reads and counts the same at a replica
+// and at the router.
 type Handle struct {
 	Endpoint
 	maxBatch int
 	errors   *obs.Counter
+	canceled *obs.Counter
 }
+
+// Canceled counts a request dropped because its client went away (the
+// request's context is cancelled). The caller stops working on it and
+// writes nothing: nobody is left to read an answer, and it is not an
+// error of the endpoint's.
+func (h *Handle) Canceled() { h.canceled.Inc() }
 
 // Fail counts an error for the endpoint and sends it.
 func (h *Handle) Fail(w http.ResponseWriter, msg string, code int) {

@@ -99,9 +99,10 @@ func Verdict(status int) bool {
 }
 
 // Mux is an http.ServeMux that mounts contract endpoints with their
-// counters resolved once — "<prefix>_http_requests_total" and
-// "<prefix>_http_errors_total", labelled handler="<Endpoint.Label>" —
-// so serving a request builds no metric name and takes no registry lock.
+// counters resolved once — "<prefix>_http_requests_total",
+// "<prefix>_http_errors_total" and "<prefix>_http_canceled_total",
+// labelled handler="<Endpoint.Label>" — so serving a request builds no
+// metric name and takes no registry lock.
 type Mux struct {
 	*http.ServeMux
 	reg      *obs.Registry // nil disables the counters
@@ -127,6 +128,7 @@ func (m *Mux) Mount(e Endpoint, serve ServeFunc) {
 		Endpoint: e,
 		maxBatch: m.maxBatch,
 		errors:   m.reg.Counter(obs.Label(m.prefix+"_http_errors_total", "handler", e.Label)),
+		canceled: m.reg.Counter(obs.Label(m.prefix+"_http_canceled_total", "handler", e.Label)),
 	}
 	m.HandleFunc(e.Pattern(), func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()

@@ -1,7 +1,7 @@
 package label
 
 import (
-	"sync"
+	"context"
 
 	"repro/internal/graph"
 )
@@ -42,27 +42,13 @@ type Budgeted struct {
 	// complete label set the uncapped build would have produced a
 	// superset-witness for (see above), not a truncation.
 	inFull, outFull []bool
-
-	scratch sync.Pool // *bfsScratch, reused across queries and goroutines
-}
-
-// bfsScratch is the per-query BFS state, epoch-marked so reuse costs
-// no clearing: a vertex is visited iff mark[v] == epoch.
-type bfsScratch struct {
-	mark  []int32
-	epoch int32
-	queue []graph.VertexID
 }
 
 // NewBudgeted assembles a budgeted index from the capped Index, the
 // graph it covers, and the per-vertex completeness flags produced by
 // the builder. The graph is retained for fallback queries.
 func NewBudgeted(x *Index, g *graph.Digraph, budget int, inFull, outFull []bool) *Budgeted {
-	b := &Budgeted{x: x, g: g, budget: budget, inFull: inFull, outFull: outFull}
-	b.scratch.New = func() any {
-		return &bfsScratch{mark: make([]int32, g.NumVertices())}
-	}
-	return b
+	return &Budgeted{x: x, g: g, budget: budget, inFull: inFull, outFull: outFull}
 }
 
 // Index returns the capped label index (entries are factual; lists may
@@ -107,7 +93,10 @@ func (b *Budgeted) Reachable(s, t graph.VertexID) bool {
 	if b.outFull[s] && b.inFull[t] {
 		return false
 	}
-	return b.fallbackBFS(s, t)
+	w := walkPool.Get().(*walk)
+	defer walkPool.Put(w)
+	ans, _ := b.fallback(context.Background(), w, s, t) // only a cancelled ctx fails it
+	return ans
 }
 
 // ReachableBatch answers q(s, t) for every pair, in the callers'
@@ -120,8 +109,8 @@ func (b *Budgeted) ReachableBatch(pairs []Pair) []bool {
 	return res
 }
 
-// fallbackBFS resolves a label miss where at least one endpoint list
-// overflowed. Three regimes, in order of preference:
+// fallback resolves, on w, a label miss where at least one endpoint
+// list overflowed. Three regimes, in order of preference:
 //
 //   - t's in-label is complete: forward BFS from s; any frontier
 //     vertex with a complete out-label is resolved against L_in(t) by
@@ -130,63 +119,28 @@ func (b *Budgeted) ReachableBatch(pairs []Pair) []bool {
 //   - s's out-label is complete: the mirror image, backward from t.
 //   - both endpoints overflowed: a plain forward BFS (rare by
 //     construction — only the widest vertices overflow).
-func (b *Budgeted) fallbackBFS(s, t graph.VertexID) bool {
-	sc := b.scratch.Get().(*bfsScratch)
-	defer b.scratch.Put(sc)
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: marks are stale, reset once
-		clear(sc.mark)
-		sc.epoch = 1
-	}
-
-	backward := b.outFull[s] && !b.inFull[t]
-	start, goal := s, t
-	var next func(graph.VertexID) []graph.VertexID
-	prune := func(graph.VertexID) (hit, cut bool) { return false, false }
+func (b *Budgeted) fallback(ctx context.Context, w *walk, s, t graph.VertexID) (bool, error) {
+	n := b.g.NumVertices()
 	switch {
 	case b.inFull[t]:
-		next = b.g.OutNeighbors
-		prune = func(u graph.VertexID) (hit, cut bool) {
-			if !b.outFull[u] {
-				return false, false
+		in := b.x.InLabels(t)
+		return w.run(ctx, n, s, b.g.OutNeighbors, func(u graph.VertexID) (hit, cut bool) {
+			if u == t || !b.outFull[u] {
+				return u == t, false
 			}
 			// u's out-label is the complete story of what u reaches
 			// among label targets; t's in-label is complete too, so
 			// this one intersection decides u's whole subtree.
-			return intersects(b.x.OutLabels(u), b.x.InLabels(t)), true
-		}
-	case backward:
-		start, goal = t, s
-		next = b.g.InNeighbors
-		prune = func(u graph.VertexID) (hit, cut bool) {
-			if !b.inFull[u] {
-				return false, false
+			return intersects(b.x.OutLabels(u), in), true
+		}, false)
+	case b.outFull[s]:
+		out := b.x.OutLabels(s)
+		return w.run(ctx, n, t, b.g.InNeighbors, func(u graph.VertexID) (hit, cut bool) {
+			if u == s || !b.inFull[u] {
+				return u == s, false
 			}
-			return intersects(b.x.OutLabels(s), b.x.InLabels(u)), true
-		}
-	default:
-		next = b.g.OutNeighbors
+			return intersects(out, b.x.InLabels(u)), true
+		}, false)
 	}
-
-	sc.mark[start] = sc.epoch
-	sc.queue = append(sc.queue[:0], start)
-	for head := 0; head < len(sc.queue); head++ {
-		for _, u := range next(sc.queue[head]) {
-			if u == goal {
-				return true
-			}
-			if sc.mark[u] == sc.epoch {
-				continue
-			}
-			sc.mark[u] = sc.epoch
-			if hit, cut := prune(u); cut {
-				if hit {
-					return true
-				}
-				continue
-			}
-			sc.queue = append(sc.queue, u)
-		}
-	}
-	return false
+	return w.run(ctx, n, s, b.g.OutNeighbors, func(u graph.VertexID) (hit, cut bool) { return u == t, false }, false)
 }

@@ -12,9 +12,9 @@
 package label
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/order"
@@ -173,37 +173,33 @@ type Pair struct {
 // answers are identical to calling Reachable per pair.
 func (x *Index) ReachableBatch(pairs []Pair) []bool {
 	res := make([]bool, len(pairs))
-	if len(pairs) == 0 {
-		return res
+	// One packed key per pair orders it by (source, target) in a single
+	// integer compare; vertex IDs are non-negative int32s. Batches of the
+	// size the serving tier sends sort on the stack.
+	type keyed struct {
+		key uint64
+		pos int32
 	}
-	perm := make([]int32, len(pairs))
-	for i := range perm {
-		perm[i] = int32(i)
+	var small [64]keyed
+	keys := small[:0]
+	if len(pairs) > len(small) {
+		keys = make([]keyed, 0, len(pairs))
 	}
-	sort.Slice(perm, func(i, j int) bool {
-		pi, pj := pairs[perm[i]], pairs[perm[j]]
-		if pi.S != pj.S {
-			return pi.S < pj.S
-		}
-		return pi.T < pj.T
-	})
-	curS := graph.VertexID(-1)
+	for i, p := range pairs {
+		keys = append(keys, keyed{uint64(p.S)<<32 | uint64(p.T), int32(i)})
+	}
+	slices.SortFunc(keys, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
 	var out []order.Rank
-	prev := Pair{S: -1, T: -1}
-	prevAns := false
-	for _, k := range perm {
-		p := pairs[k]
-		if p == prev {
-			res[k] = prevAns
-			continue
+	prev, prevAns := ^uint64(0), false // no key has the top bit set
+	for _, k := range keys {
+		if k.key != prev {
+			p := pairs[k.pos]
+			if k.key>>32 != prev>>32 {
+				out = x.OutLabels(p.S)
+			}
+			prev, prevAns = k.key, intersects(out, x.InLabels(p.T))
 		}
-		if p.S != curS {
-			curS = p.S
-			out = x.OutLabels(p.S)
-		}
-		prevAns = intersects(out, x.InLabels(p.T))
-		prev = p
-		res[k] = prevAns
+		res[k.pos] = prevAns
 	}
 	return res
 }

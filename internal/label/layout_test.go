@@ -140,4 +140,12 @@ func TestReachableBatch(t *testing.T) {
 	if len(x.ReachableBatch(nil)) != 0 {
 		t.Error("empty batch must return an empty answer slice")
 	}
+	// A batch of the size the serving tier sends sorts its keys on the
+	// stack: the answer slice is the only allocation, and a larger
+	// batch adds just its key slice.
+	for _, c := range []struct{ pairs, allocs int }{{16, 1}, {64, 1}, {65, 2}, {500, 2}} {
+		if got := testing.AllocsPerRun(20, func() { x.ReachableBatch(pairs[:c.pairs]) }); int(got) != c.allocs {
+			t.Errorf("a batch of %d pairs allocates %v times, want %d", c.pairs, got, c.allocs)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package label
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,6 +16,7 @@ import (
 // — each query shape, each size accessor, Equal, Thaw, and WriteTo byte
 // for byte — and the base under the patch is left as it was.
 func TestPatchedMatchesFold(t *testing.T) {
+	ctx := context.Background()
 	for _, seed := range []int64{11, 12, 13} {
 		const n = 70 // over one bitset word
 		base := randomIndex(t, n, seed)
@@ -72,8 +74,11 @@ func TestPatchedMatchesFold(t *testing.T) {
 			t.Fatalf("seed %d: ReachableBatch differs", seed)
 		}
 		for s := graph.VertexID(0); s < n; s++ {
-			row := fx.ReachableFrom(s, all)
-			if !slices.Equal(px.ReachableFrom(s, all), row) || px.ReachableSetSize(s) != fx.ReachableSetSize(s) {
+			row, _ := fx.ReachableFrom(ctx, s, all)
+			prow, _ := px.ReachableFrom(ctx, s, all)
+			size, _ := fx.ReachableSetSize(ctx, s, nil)
+			psize, _ := px.ReachableSetSize(ctx, s, nil)
+			if !slices.Equal(prow, row) || psize != size {
 				t.Fatalf("seed %d: sweep from %d differs", seed, s)
 			}
 			for u, want := range row {

@@ -1,7 +1,7 @@
 package label
 
 import (
-	"sync"
+	"context"
 
 	"repro/internal/graph"
 )
@@ -13,35 +13,10 @@ import (
 // answers each target with a single scan of L_in(t) — the out side is
 // read exactly once no matter how many targets follow.
 
-// sweepScratch is the rank-mark table of one sweep, epoch-stamped so
-// pool reuse costs no clearing: rank r is marked iff mark[r] == epoch.
-type sweepScratch struct {
-	mark  []int32
-	epoch int32
-}
-
-// sweepPool recycles scratch tables across sweeps and goroutines. The
-// tables are sized to the largest rank space seen; a sweep over a
-// bigger index allocates afresh and the old table is dropped.
-var sweepPool sync.Pool
-
-// getSweep returns a scratch table covering n ranks with a fresh
-// epoch. Callers must return it with sweepPool.Put when done.
-func getSweep(n int) *sweepScratch {
-	sc, _ := sweepPool.Get().(*sweepScratch)
-	if sc == nil || len(sc.mark) < n {
-		sc = &sweepScratch{mark: make([]int32, n)}
-	}
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: marks are stale, reset once
-		clear(sc.mark)
-		sc.epoch = 1
-	}
-	return sc
-}
-
-// markOut stamps every rank of L_out(s) into the scratch table.
-func (x *Index) markOut(sc *sweepScratch, s graph.VertexID) {
+// markOut leaves exactly the ranks of L_out(s) stamped in the table —
+// a pooled walk's, of which a sweep uses nothing else.
+func (x *Index) markOut(sc *stamps, s graph.VertexID) {
+	sc.reset(x.n)
 	for _, r := range x.OutLabels(s) {
 		sc.mark[r] = sc.epoch
 	}
@@ -49,7 +24,7 @@ func (x *Index) markOut(sc *sweepScratch, s graph.VertexID) {
 
 // hitIn reports whether any rank of L_in(t) is stamped — exactly the
 // L_out(s) ∩ L_in(t) ≠ ∅ test against the marked source.
-func (x *Index) hitIn(sc *sweepScratch, t graph.VertexID) bool {
+func (x *Index) hitIn(sc *stamps, t graph.VertexID) bool {
 	for _, r := range x.InLabels(t) {
 		if sc.mark[r] == sc.epoch {
 			return true
@@ -61,36 +36,50 @@ func (x *Index) hitIn(sc *sweepScratch, t graph.VertexID) bool {
 // ReachableFrom answers q(s, t) for every target, identically to
 // calling Reachable(s, t) per target, in O(|L_out(s)| + Σ|L_in(t)|)
 // for the whole sweep: L_out(s) is loaded once into the mark table and
-// each target costs one scan of its in-label list.
-func (x *Index) ReachableFrom(s graph.VertexID, targets []graph.VertexID) []bool {
+// each target costs one scan of its in-label list. Like a traversal,
+// a sweep looks at ctx every cancelPoll steps and ends with its error.
+func (x *Index) ReachableFrom(ctx context.Context, s graph.VertexID, targets []graph.VertexID) ([]bool, error) {
 	res := make([]bool, len(targets))
-	if len(targets) == 0 {
-		return res
-	}
-	sc := getSweep(x.n)
-	defer sweepPool.Put(sc)
+	w := walkPool.Get().(*walk)
+	defer walkPool.Put(w)
+	sc := &w.seen
 	x.markOut(sc, s)
 	for i, t := range targets {
+		if i%cancelPoll == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		res[i] = x.hitIn(sc, t)
 	}
-	return res
+	return res, nil
 }
 
 // ReachableSetSize returns |{t : q(s, t)}| over the whole ID space —
-// the one-source sweep with counting instead of materialization. The
-// answer equals the number of true bits ReachableFrom(s, allVertices)
-// would return.
-func (x *Index) ReachableSetSize(s graph.VertexID) int {
-	sc := getSweep(x.n)
-	defer sweepPool.Put(sc)
+// the one-source sweep with counting instead of materialization: the
+// number of true bits ReachableFrom(s, allVertices) would return. A
+// non-nil weight makes it Σ weight[t] over that set instead (a
+// condensed index counts each component by its size).
+func (x *Index) ReachableSetSize(ctx context.Context, s graph.VertexID, weight []int64) (int, error) {
+	w := walkPool.Get().(*walk)
+	defer walkPool.Put(w)
+	sc := &w.seen
 	x.markOut(sc, s)
-	count := 0
+	var total int64
 	for t := graph.VertexID(0); int(t) < x.n; t++ {
+		if t%cancelPoll == 0 && ctx.Err() != nil {
+			return 0, ctx.Err()
+		}
 		if x.hitIn(sc, t) {
-			count++
+			total += weightOf(weight, t)
 		}
 	}
-	return count
+	return int(total), nil
+}
+
+func weightOf(weight []int64, t graph.VertexID) int64 {
+	if weight == nil {
+		return 1
+	}
+	return weight[t]
 }
 
 // Budgeted sweeps. Capped labels make a bare mark-table miss
@@ -103,75 +92,56 @@ func (x *Index) ReachableSetSize(s graph.VertexID) int {
 //     whole sweep collapses into one unpruned forward BFS from s —
 //     exact by construction and cheaper than per-target fallbacks.
 
-// descendants runs one unpruned forward BFS from s over the retained
-// graph, returning the scratch whose current epoch marks s and every
-// vertex it reaches. The caller must Put the scratch back.
-func (b *Budgeted) descendants(s graph.VertexID) *bfsScratch {
-	sc := b.scratch.Get().(*bfsScratch)
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: marks are stale, reset once
-		clear(sc.mark)
-		sc.epoch = 1
+// ReachableFrom answers q(s, t) for every target, identically to
+// calling Reachable(s, t) per target. Its traversals poll ctx and a
+// cancelled one ends the sweep with the context's error.
+func (b *Budgeted) ReachableFrom(ctx context.Context, s graph.VertexID, targets []graph.VertexID) ([]bool, error) {
+	res := make([]bool, len(targets))
+	if len(targets) == 0 {
+		return res, nil
 	}
-	sc.mark[s] = sc.epoch
-	sc.queue = append(sc.queue[:0], s)
-	for head := 0; head < len(sc.queue); head++ {
-		for _, u := range b.g.OutNeighbors(sc.queue[head]) {
-			if sc.mark[u] != sc.epoch {
-				sc.mark[u] = sc.epoch
-				sc.queue = append(sc.queue, u)
+	w := walkPool.Get().(*walk)
+	defer walkPool.Put(w)
+	if !b.outFull[s] {
+		if _, err := w.run(ctx, b.g.NumVertices(), s, b.g.OutNeighbors, nil, false); err != nil {
+			return nil, err
+		}
+		for i, t := range targets {
+			res[i] = w.seen.mark[t] == w.seen.epoch
+		}
+		return res, nil
+	}
+	marks := walkPool.Get().(*walk)
+	defer walkPool.Put(marks)
+	sc := &marks.seen
+	b.x.markOut(sc, s)
+	for i, t := range targets {
+		// Reflexivity before labels: s's own rank may be capped out.
+		res[i] = t == s || b.x.hitIn(sc, t)
+		if !res[i] && !b.inFull[t] {
+			var err error
+			if res[i], err = b.fallback(ctx, w, s, t); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return sc
+	return res, nil
 }
 
-// ReachableFrom answers q(s, t) for every target, identically to
-// calling Reachable(s, t) per target.
-func (b *Budgeted) ReachableFrom(s graph.VertexID, targets []graph.VertexID) []bool {
-	res := make([]bool, len(targets))
-	if len(targets) == 0 {
-		return res
+// ReachableSetSize returns |{t : q(s, t)}|, weighted as
+// Index.ReachableSetSize is. One unpruned BFS from s is exact
+// regardless of which lists overflowed and costs O(n + m) total, which
+// beats a label sweep whose misses against overflowed in-labels would
+// each need their own fallback.
+func (b *Budgeted) ReachableSetSize(ctx context.Context, s graph.VertexID, weight []int64) (int, error) {
+	w := walkPool.Get().(*walk)
+	defer walkPool.Put(w)
+	if _, err := w.run(ctx, b.g.NumVertices(), s, b.g.OutNeighbors, nil, false); err != nil {
+		return 0, err
 	}
-	if !b.outFull[s] {
-		sc := b.descendants(s)
-		defer b.scratch.Put(sc)
-		for i, t := range targets {
-			res[i] = sc.mark[t] == sc.epoch
-		}
-		return res
+	var total int64
+	for _, v := range w.queue {
+		total += weightOf(weight, v)
 	}
-	sc := getSweep(b.x.n)
-	defer sweepPool.Put(sc)
-	b.x.markOut(sc, s)
-	for i, t := range targets {
-		switch {
-		case t == s:
-			// Reflexivity before labels: s's own rank may be capped out.
-			res[i] = true
-		case b.x.hitIn(sc, t):
-			res[i] = true
-		case b.inFull[t]:
-			res[i] = false
-		default:
-			res[i] = b.fallbackBFS(s, t)
-		}
-	}
-	return res
-}
-
-// ReachableSetSize returns |{t : q(s, t)}|. One unpruned BFS from s is
-// exact regardless of which lists overflowed and costs O(n + m) total,
-// which beats a label sweep whose misses against overflowed in-labels
-// would each need their own fallback.
-func (b *Budgeted) ReachableSetSize(s graph.VertexID) int {
-	sc := b.descendants(s)
-	defer b.scratch.Put(sc)
-	count := 0
-	for v := range sc.mark {
-		if sc.mark[v] == sc.epoch {
-			count++
-		}
-	}
-	return count
+	return int(total), nil
 }

@@ -1,9 +1,11 @@
 package reachlab
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"slices"
+
+	"repro/internal/label"
 )
 
 // Rich queries over the frozen index: witness-path reconstruction,
@@ -61,6 +63,12 @@ func (x *Index) outNeighbors(v VertexID) []VertexID {
 // errors are ErrNoGraph and an attached graph that contradicts the
 // index (reachable by labels, no path by edges).
 func (x *Index) WitnessPath(s, t VertexID) ([]VertexID, error) {
+	return x.witnessPath(context.Background(), s, t)
+}
+
+// witnessPath is WitnessPath under a request's context, which the
+// guided BFS polls: cancelled, it ends the search with ctx's error.
+func (x *Index) witnessPath(ctx context.Context, s, t VertexID) ([]VertexID, error) {
 	if x.g == nil {
 		return nil, ErrNoGraph
 	}
@@ -70,72 +78,22 @@ func (x *Index) WitnessPath(s, t VertexID) ([]VertexID, error) {
 	if !x.Reachable(s, t) {
 		return nil, nil
 	}
-	// parent doubles as the visited set: -1 unvisited, -2 pruned (its
-	// label test failed once; never re-test it from another parent).
-	parent := make([]int32, x.g.NumVertices())
-	for i := range parent {
-		parent[i] = -1
+	// A vertex whose label test fails is cut: marked like any other, so
+	// never re-tested from another parent, and never expanded.
+	path, err := label.FindPath(ctx, x.g.NumVertices(), s, x.outNeighbors, func(w VertexID) (hit, cut bool) {
+		return w == t, !x.Reachable(w, t)
+	})
+	if path == nil && err == nil {
+		err = fmt.Errorf("reachlab: index says %d reaches %d but the attached graph has no path (graph/index mismatch)", s, t)
 	}
-	parent[s] = int32(s)
-	queue := append(make([]VertexID, 0, 64), s)
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, w := range x.outNeighbors(v) {
-			if parent[w] != -1 {
-				continue
-			}
-			if w == t {
-				path := []VertexID{t, v}
-				for u := v; u != s; {
-					u = VertexID(parent[u])
-					path = append(path, u)
-				}
-				slices.Reverse(path)
-				return path, nil
-			}
-			if !x.Reachable(w, t) {
-				parent[w] = -2
-				continue
-			}
-			parent[w] = int32(v)
-			queue = append(queue, w)
-		}
-	}
-	return nil, fmt.Errorf("reachlab: index says %d reaches %d but the attached graph has no path (graph/index mismatch)", s, t)
+	return path, err
 }
 
 // ReachableFrom answers q(s, t) for every target, identically to
 // calling Reachable per target, but loading L_out(s) once for the
 // whole sweep (see label.Index.ReachableFrom).
 func (x *Index) ReachableFrom(s VertexID, targets []VertexID) []bool {
-	if x.comp == nil {
-		if x.bidx != nil {
-			return x.bidx.ReachableFrom(s, targets)
-		}
-		return x.idx.ReachableFrom(s, targets)
-	}
-	// Condensed index: map endpoints through the component table;
-	// same-component targets are reachable without consulting labels.
-	cs := VertexID(x.comp[s])
-	res := make([]bool, len(targets))
-	sub := make([]VertexID, 0, len(targets))
-	subPos := make([]int, 0, len(targets))
-	for i, t := range targets {
-		ct := VertexID(x.comp[t])
-		if ct == cs {
-			res[i] = true
-			continue
-		}
-		sub = append(sub, ct)
-		subPos = append(subPos, i)
-	}
-	inner := x.idx.ReachableFrom
-	if x.bidx != nil {
-		inner = x.bidx.ReachableFrom
-	}
-	for k, ans := range inner(cs, sub) {
-		res[subPos[k]] = ans
-	}
+	res, _ := x.q.ReachableFrom(context.Background(), s, targets) // only a cancelled ctx fails it
 	return res
 }
 
@@ -143,26 +101,6 @@ func (x *Index) ReachableFrom(s VertexID, targets []VertexID) []bool {
 // space — for a condensed index each component hit is weighted by the
 // number of original vertices it contains.
 func (x *Index) ReachableSetSize(s VertexID) int {
-	if x.comp == nil {
-		if x.bidx != nil {
-			return x.bidx.ReachableSetSize(s)
-		}
-		return x.idx.ReachableSetSize(s)
-	}
-	cs := VertexID(x.comp[s])
-	all := make([]VertexID, x.idx.NumVertices())
-	for i := range all {
-		all[i] = VertexID(i)
-	}
-	inner := x.idx.ReachableFrom
-	if x.bidx != nil {
-		inner = x.bidx.ReachableFrom
-	}
-	var total int64
-	for c, ok := range inner(cs, all) {
-		if ok {
-			total += x.compSize[c]
-		}
-	}
-	return int(total)
+	n, _ := x.q.ReachableSetSize(context.Background(), s, nil) // only a cancelled ctx fails it
+	return n
 }

@@ -3,6 +3,7 @@ package reachlab
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -230,7 +231,7 @@ func TestRichQueriesStableAcrossRefreeze(t *testing.T) {
 // deserialized index refuses WitnessPath with ErrNoGraph until
 // AttachGraph supplies it — and then answers exactly like the
 // original. AttachGraph rejects a graph of the wrong size. The
-// roundtrip also exercises the condensed compSize rebuild.
+// roundtrip also exercises the condensed plan's component sizes.
 func TestWitnessPathGraphAttachment(t *testing.T) {
 	g := randomCyclicGraph(40, 130, 31)
 	n := g.NumVertices()
@@ -258,7 +259,7 @@ func TestWitnessPathGraphAttachment(t *testing.T) {
 			t.Fatalf("WitnessPath without graph: err = %v, want ErrNoGraph", err)
 		}
 		// Boolean sweeps need no graph and survive the roundtrip (the
-		// condensed variant rebuilds compSize in ReadIndex).
+		// condensed variant recounts its component sizes in ReadIndex).
 		for s := 0; s < n; s += 7 {
 			if !slices.Equal(loaded.ReachableFrom(VertexID(s), all), idx.ReachableFrom(VertexID(s), all)) {
 				t.Fatalf("ReachableFrom(%d) differs after roundtrip", s)
@@ -280,6 +281,50 @@ func TestWitnessPathGraphAttachment(t *testing.T) {
 			if erra != nil || errb != nil || !slices.Equal(pa, pb) {
 				t.Fatalf("WitnessPath(%d,%d) differs after attach: %v/%v vs %v/%v", s, tt, pa, erra, pb, errb)
 			}
+		}
+	}
+}
+
+// leastAllocated returns the fewest bytes one of ten calls of f
+// allocates: the cost of a warm call, whatever sync.Pool let go of in
+// between (under the race detector it drops a quarter of its Puts).
+func leastAllocated(f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 10; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestRichQueryMemoryIndependentOfN: a warm witness path and a warm
+// set-size count allocate for their answer, not for the graph — no
+// 4n-byte parent array per path, no n-entry target and answer lists
+// per count on a condensed index. A short chain and a 2-cycle sit in a
+// 65,536-vertex ID space; each query must stay under 1 KiB.
+func TestRichQueryMemoryIndependentOfN(t *testing.T) {
+	g := NewGraph(1<<16, []Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4}, {From: 4, To: 3}})
+	for _, opts := range []Options{{Method: MethodDRLShared}, {Method: MethodDRLShared, CondenseSCC: true}} {
+		idx, err := Build(context.Background(), g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := leastAllocated(func() {
+			if p, err := idx.WitnessPath(0, 4); err != nil || len(p) != 5 {
+				t.Fatalf("WitnessPath(0,4) = %v, %v", p, err)
+			}
+		}); b > 1024 {
+			t.Errorf("%+v: a warm WitnessPath allocates %d bytes over %d vertices", opts, b, g.NumVertices())
+		}
+		if b := leastAllocated(func() {
+			if c := idx.ReachableSetSize(0); c != 5 {
+				t.Fatalf("ReachableSetSize(0) = %d, want 5", c)
+			}
+		}); b > 1024 {
+			t.Errorf("%+v: a warm ReachableSetSize allocates %d bytes over %d vertices", opts, b, g.NumVertices())
 		}
 	}
 }

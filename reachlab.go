@@ -147,25 +147,91 @@ type BuildStats struct {
 // exception — it retains the graph for fallback queries and cannot be
 // serialized.
 type Index struct {
-	idx      *label.Index
-	bidx     *label.Budgeted // non-nil for memory-bounded builds; retains the graph
-	comp     []int32         // optional SCC-condensation mapping
-	compSize []int64         // per-component vertex counts (condensed only)
-	g        *graph.Digraph  // original graph, when available (witness paths)
+	// q is the representation that answers: the flat label index, the
+	// budgeted one, or either behind the SCC component table. newIndex
+	// picks it once; the query methods ask it and nothing else.
+	q    plan
+	idx  *label.Index    // the label payload: Stats, WriteTo, LabelIndex
+	bidx *label.Budgeted // non-nil for memory-bounded builds; retains the graph
+	comp []int32         // optional SCC-condensation mapping
+	g    *graph.Digraph  // original graph, when available (witness paths)
 	// adj, on an epoch an Updater published, holds the out-neighbor lists
 	// that differ from g as of that epoch's cut (see outNeighbors).
 	adj   *graph.Overlay[graph.VertexID]
 	stats BuildStats
 }
 
-// compSizes tallies how many original vertices each condensation
-// component contains; ReachableSetSize weights component hits by it.
-func compSizes(comp []int32, nc int) []int64 {
-	sizes := make([]int64, nc)
-	for _, c := range comp {
-		sizes[c]++
+// plan is what every representation of an index answers: label.Index
+// and label.Budgeted as they are, condensed around either. The two
+// one-source sweeps run under the request's context (a budgeted index
+// may traverse the graph for them) and fail only cancelled; a non-nil
+// weight makes the set size a weighted sum over the reached vertices.
+type plan interface {
+	Reachable(s, t VertexID) bool
+	ReachableBatch(pairs []Pair) []bool
+	ReachableFrom(ctx context.Context, s VertexID, targets []VertexID) ([]bool, error)
+	ReachableSetSize(ctx context.Context, s VertexID, weight []int64) (int, error)
+}
+
+// condensed is the plan of an index built over the SCC condensation:
+// endpoints map through the component table and the question goes to
+// the plan over components.
+type condensed struct {
+	plan
+	comp []int32
+	size []int64 // original vertices per component
+}
+
+// Reachable knows two vertices of one component reach each other
+// without consulting labels.
+func (c *condensed) Reachable(s, t VertexID) bool {
+	cs, ct := VertexID(c.comp[s]), VertexID(c.comp[t])
+	return cs == ct || c.plan.Reachable(cs, ct)
+}
+
+// The two list queries map every endpoint and ask on, same-component
+// ones included: a component reaches itself by its labels too, at the
+// cost of one short merge or scan — less than setting those queries
+// aside and scattering the other answers back would take.
+func (c *condensed) ReachableBatch(pairs []Pair) []bool {
+	sub := make([]Pair, len(pairs))
+	for i, p := range pairs {
+		sub[i] = Pair{S: VertexID(c.comp[p.S]), T: VertexID(c.comp[p.T])}
 	}
-	return sizes
+	return c.plan.ReachableBatch(sub)
+}
+
+func (c *condensed) ReachableFrom(ctx context.Context, s VertexID, targets []VertexID) ([]bool, error) {
+	sub := make([]VertexID, len(targets))
+	for i, t := range targets {
+		sub[i] = VertexID(c.comp[t])
+	}
+	return c.plan.ReachableFrom(ctx, VertexID(c.comp[s]), sub)
+}
+
+// ReachableSetSize counts over the original vertex space: each
+// component s's component reaches, by the vertices it contains (its
+// own weight argument is unused: nothing condenses a condensation).
+func (c *condensed) ReachableSetSize(ctx context.Context, s VertexID, _ []int64) (int, error) {
+	return c.plan.ReachableSetSize(ctx, VertexID(c.comp[s]), c.size)
+}
+
+// newIndex wraps a built, loaded or published label index — bidx its
+// budgeted form, comp the component table it was built over, either
+// may be nil — and resolves the plan its queries run on.
+func newIndex(idx *label.Index, bidx *label.Budgeted, comp []int32) *Index {
+	x := &Index{q: idx, idx: idx, bidx: bidx, comp: comp}
+	if bidx != nil {
+		x.q = bidx
+	}
+	if comp != nil {
+		c := &condensed{plan: x.q, comp: comp, size: make([]int64, idx.NumVertices())}
+		for _, of := range comp {
+			c.size[of]++
+		}
+		x.q = c
+	}
+	return x
 }
 
 // Build constructs the reachability index for g. The context cancels
@@ -213,10 +279,8 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 			return nil, buildError(ctx, "budgeted index", err)
 		}
 		stats.WallTime = time.Since(start)
-		x := &Index{idx: bidx.Index(), bidx: bidx, comp: comp, g: g.d, stats: stats}
-		if comp != nil {
-			x.compSize = compSizes(comp, x.idx.NumVertices())
-		}
+		x := newIndex(bidx.Index(), bidx, comp)
+		x.g, x.stats = g.d, stats
 		return x, nil
 	}
 
@@ -249,28 +313,22 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, buildError(ctx, "index", err)
 	}
-	x := &Index{
-		idx:  idx,
-		comp: comp,
-		g:    g.d,
-		stats: BuildStats{
-			Method:        method,
-			Workers:       opts.workers(),
-			WallTime:      time.Since(start),
-			Compute:       met.ComputeTime,
-			Communication: met.TotalComm(),
-			Supersteps:    met.Supersteps,
-			Messages:      met.Messages,
-			BytesRemote:   met.BytesRemote,
+	x := newIndex(idx, nil, comp)
+	x.g = g.d
+	x.stats = BuildStats{
+		Method:        method,
+		Workers:       opts.workers(),
+		WallTime:      time.Since(start),
+		Compute:       met.ComputeTime,
+		Communication: met.TotalComm(),
+		Supersteps:    met.Supersteps,
+		Messages:      met.Messages,
+		BytesRemote:   met.BytesRemote,
 
-			Retries:            met.Retries,
-			Recoveries:         met.Recoveries,
-			Checkpoints:        met.Checkpoints,
-			LastCheckpointStep: met.LastCheckpointStep,
-		},
-	}
-	if comp != nil {
-		x.compSize = compSizes(comp, x.idx.NumVertices())
+		Retries:            met.Retries,
+		Recoveries:         met.Recoveries,
+		Checkpoints:        met.Checkpoints,
+		LastCheckpointStep: met.LastCheckpointStep,
 	}
 	return x, nil
 }
@@ -289,18 +347,7 @@ func buildError(ctx context.Context, what string, err error) error {
 
 // Reachable answers q(s, t) from the index alone: true iff there is a
 // path from s to t in the indexed graph.
-func (x *Index) Reachable(s, t VertexID) bool {
-	if x.comp != nil {
-		s, t = VertexID(x.comp[s]), VertexID(x.comp[t])
-		if s == t {
-			return true
-		}
-	}
-	if x.bidx != nil {
-		return x.bidx.Reachable(s, t)
-	}
-	return x.idx.Reachable(s, t)
-}
+func (x *Index) Reachable(s, t VertexID) bool { return x.q.Reachable(s, t) }
 
 // Pair is one (source, target) query of a batch.
 type Pair = label.Pair
@@ -310,36 +357,7 @@ type Pair = label.Pair
 // batch is processed sorted by source so consecutive pairs sharing a
 // source reuse its out-label range — the cheap locality win the batch
 // HTTP endpoint exists to expose.
-func (x *Index) ReachableBatch(pairs []Pair) []bool {
-	if x.comp == nil {
-		if x.bidx != nil {
-			return x.bidx.ReachableBatch(pairs)
-		}
-		return x.idx.ReachableBatch(pairs)
-	}
-	// Condensed index: map both endpoints through the component table;
-	// same-component pairs are reachable without consulting labels.
-	res := make([]bool, len(pairs))
-	sub := make([]Pair, 0, len(pairs))
-	subPos := make([]int, 0, len(pairs))
-	for i, p := range pairs {
-		s, t := VertexID(x.comp[p.S]), VertexID(x.comp[p.T])
-		if s == t {
-			res[i] = true
-			continue
-		}
-		sub = append(sub, Pair{S: s, T: t})
-		subPos = append(subPos, i)
-	}
-	subRes := x.idx.ReachableBatch
-	if x.bidx != nil {
-		subRes = x.bidx.ReachableBatch
-	}
-	for k, ans := range subRes(sub) {
-		res[subPos[k]] = ans
-	}
-	return res
-}
+func (x *Index) ReachableBatch(pairs []Pair) []bool { return x.q.ReachableBatch(pairs) }
 
 // NumVertices returns the number of vertices the index covers (the
 // original graph's count for a condensed index).
@@ -452,17 +470,12 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := &Index{idx: idx, comp: comp}
-	if comp != nil {
-		// A component ID is known to be in range only now that the
-		// label index has said how many components there are.
-		nc := idx.NumVertices()
-		for _, c := range comp {
-			if int(c) >= nc {
-				return nil, errors.New("reachlab: corrupt component table")
-			}
+	// A component ID is known to be in range only now that the label
+	// index has said how many components there are.
+	for _, c := range comp {
+		if int(c) >= idx.NumVertices() {
+			return nil, errors.New("reachlab: corrupt component table")
 		}
-		x.compSize = compSizes(comp, nc)
 	}
-	return x, nil
+	return newIndex(idx, nil, comp), nil
 }

@@ -36,8 +36,9 @@ import (
 //
 // Per-query latency lands in the "reachlab_query_seconds" histogram
 // (single queries) and "reachlab_batch_seconds" / "reachlab_batch_pairs"
-// (batches); requests and errors are counted per handler in
-// "reachlab_http_requests_total" / "reachlab_http_errors_total". With
+// (batches); requests, errors and requests dropped because their client
+// went away are counted per handler in "reachlab_http_requests_total" /
+// "reachlab_http_errors_total" / "reachlab_http_canceled_total". With
 // the hot-pair cache enabled, every answered pair counts exactly once
 // in "reachlab_cache_hits_total" or "reachlab_cache_misses_total", and
 // "reachlab_query_pairs_total" counts the pairs themselves, so

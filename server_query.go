@@ -37,8 +37,12 @@ func (h *QueryHandler) reachPath(api *httpapi.Handle, w http.ResponseWriter, r *
 	resp := httpapi.PathResponse{S: s, T: t, Reachable: h.resolveOne(st, s, t)}
 	if resp.Reachable {
 		var err error
-		if resp.Path, err = st.idx.WitnessPath(s, t); err != nil {
-			api.Fail(w, err.Error(), http.StatusInternalServerError)
+		if resp.Path, err = st.idx.witnessPath(r.Context(), s, t); err != nil {
+			if r.Context().Err() != nil {
+				api.Canceled()
+			} else {
+				api.Fail(w, err.Error(), http.StatusInternalServerError)
+			}
 			return
 		}
 	}
@@ -54,7 +58,11 @@ func (h *QueryHandler) reachCount(api *httpapi.Handle, w http.ResponseWriter, r 
 	if !ok {
 		return
 	}
-	count := st.idx.ReachableSetSize(s)
+	count, err := st.idx.q.ReachableSetSize(r.Context(), s, nil)
+	if err != nil { // the sweep fails only cancelled
+		api.Canceled()
+		return
+	}
 	h.countHist.Observe(time.Since(start).Seconds())
 	setEpoch(w, st)
 	httpapi.WriteJSON(w, httpapi.CountResponse{S: s, Count: count})
@@ -85,13 +93,19 @@ func (h *QueryHandler) reachFrom(api *httpapi.Handle, w http.ResponseWriter, r *
 	h.pairsTotal.Add(int64(len(pairs)))
 	// Misses are swept in one ReachableFrom: the single out-label load
 	// survives the cache.
-	results := h.resolve(st, pairs, func(miss []Pair) []bool {
+	var err error
+	results := h.resolve(st, pairs, func(miss []Pair) (swept []bool) {
 		targets := make([]VertexID, len(miss))
 		for i, p := range miss {
 			targets[i] = p.T
 		}
-		return st.idx.ReachableFrom(s, targets)
+		swept, err = st.idx.q.ReachableFrom(r.Context(), s, targets)
+		return swept
 	})
+	if err != nil { // the sweep fails only cancelled; resolve cached nothing of it
+		api.Canceled()
+		return
+	}
 	count := 0
 	for _, ok := range results {
 		if ok {
@@ -109,8 +123,10 @@ func (h *QueryHandler) reachFrom(api *httpapi.Handle, w http.ResponseWriter, r *
 // lists are deduplicated and sorted before scanning; every refusal
 // (bad body, list or cross-product over the cap) happens before the
 // first body byte, so a non-200 is always a plain error and a 200 is
-// always NDJSON. A mid-stream write failure (client went away) is
-// logged and dropped — the missing summary line marks the truncation.
+// always NDJSON. A client that goes away mid-stream — a cancelled
+// context or a failed write, whichever shows first — ends the join
+// there, counted as cancelled; the missing summary line marks the
+// truncation.
 func (h *QueryHandler) reachJoin(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	st := h.state.Load()
@@ -142,12 +158,22 @@ func (h *QueryHandler) reachJoin(api *httpapi.Handle, w http.ResponseWriter, r *
 	jw := httpapi.NewJoinWriter(w)
 	for _, s := range srcs {
 		// One sweep per source: the out-label loads once for the whole
-		// target list, the join's entire locality win.
-		for i, ok := range st.idx.ReachableFrom(s, tgts) {
+		// target list, the join's entire locality win. Every sweep looks
+		// at the context first, so an abandoned join stops at the next
+		// source if not inside this one.
+		reached, err := st.idx.q.ReachableFrom(r.Context(), s, tgts)
+		if err != nil { // the sweep fails only cancelled
+			api.Canceled()
+			return
+		}
+		for i, ok := range reached {
 			if !ok {
 				continue
 			}
 			if err := jw.Pair(int64(s), int64(tgts[i])); err != nil {
+				// A stream that cannot be written is a client that has
+				// gone, seen here before net/http cancels the context.
+				api.Canceled()
 				httpapi.LogDropped(err)
 				return
 			}

@@ -103,7 +103,7 @@ func patchedTestServer(t *testing.T, cachePairs int) (*Graph, *MetricsRegistry, 
 			}
 		}
 	}
-	idx := &Index{idx: d.Snapshot()}
+	idx := newIndex(d.Snapshot(), nil, nil)
 	idx.g, idx.adj = d.SnapshotGraph()
 	if s := d.UpdateStats(); s.Repairs == 0 || idx.idx.Fold() == idx.idx || idx.adj.Len() == 0 {
 		t.Fatalf("the updates left no overlay to serve through: %+v", s)
@@ -750,5 +750,81 @@ func TestQueryHandlerConcurrentRich(t *testing.T) {
 	}
 	if hits+misses != pairs {
 		t.Errorf("cache counters do not reconcile across the swap: %d + %d != %d", hits, misses, pairs)
+	}
+}
+
+// cancelOnWrite is a client that hangs up once the first bytes of an
+// answer reach it.
+type cancelOnWrite struct {
+	*httptest.ResponseRecorder
+	hangUp context.CancelFunc
+}
+
+func (w *cancelOnWrite) Write(p []byte) (int, error) {
+	w.hangUp()
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestRichEndpointsCanceled: a request whose client has gone is
+// dropped, not answered — nothing written, one count in
+// reachlab_http_canceled_total for its endpoint, none in the error
+// counter — over a full index, whose sweeps read labels, and over a
+// budget-1 index, whose sweeps and fallbacks traverse the graph. A join
+// abandoned mid-stream stops at the next source, or at the write that
+// fails, and never writes its done line.
+func TestRichEndpointsCanceled(t *testing.T) {
+	// A 3,000-vertex chain: every traversal from its head outlasts the
+	// kernel's first look at the context.
+	const n = 3000
+	edges := make([]Edge, n-1)
+	for i := range edges {
+		edges[i] = Edge{From: VertexID(i), To: VertexID(i + 1)}
+	}
+	g := NewGraph(n, edges)
+	requests := []struct{ label, method, target, body string }{
+		{"path", http.MethodGet, "/reach/path?s=0&t=2999", ""},
+		{"count", http.MethodGet, "/reach/count?s=0", ""},
+		{"from", http.MethodPost, "/reach/from", `{"s": 0, "targets": [2999, 17]}`},
+		{"join", http.MethodPost, "/reach/join", `{"sources": [0, 1, 2], "targets": [2999, 17]}`},
+	}
+	for _, opts := range []Options{{Method: MethodDRLShared}, {LabelBudget: 1}} {
+		idx, err := Build(context.Background(), g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewMetricsRegistry()
+		h := NewQueryHandlerOpts(idx, ServeOptions{Obs: reg})
+		canceled := func(label string) int64 {
+			return reg.CounterValue(`reachlab_http_canceled_total{handler="` + label + `"}`)
+		}
+		for _, c := range requests {
+			ctx, hangUp := context.WithCancel(context.Background())
+			hangUp()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(c.method, c.target, strings.NewReader(c.body)).WithContext(ctx))
+			if rec.Body.Len() != 0 || canceled(c.label) != 1 {
+				t.Errorf("budget %d: abandoned %s wrote %q and counted %d cancels, want nothing and 1",
+					opts.LabelBudget, c.label, rec.Body.String(), canceled(c.label))
+			}
+			if errs := reg.CounterValue(`reachlab_http_errors_total{handler="` + c.label + `"}`); errs != 0 {
+				t.Errorf("budget %d: abandoned %s counted %d errors", opts.LabelBudget, c.label, errs)
+			}
+		}
+
+		ctx, hangUp := context.WithCancel(context.Background())
+		w := &cancelOnWrite{httptest.NewRecorder(), hangUp}
+		join := requests[3]
+		h.ServeHTTP(w, httptest.NewRequest(join.method, join.target, strings.NewReader(join.body)).WithContext(ctx))
+		if body := w.Body.String(); !strings.HasPrefix(body, `{"s":0,"t":17}`) || strings.Contains(body, `"s":1`) || strings.Contains(body, "done") {
+			t.Errorf("budget %d: join abandoned after its first line went on to write %q", opts.LabelBudget, body)
+		}
+		if canceled("join") != 2 {
+			t.Errorf("budget %d: mid-stream hang-up left the join cancel count at %d, want 2", opts.LabelBudget, canceled("join"))
+		}
+		// The hang-up can show as a failed write before the context says so.
+		h.ServeHTTP(&failingWriter{header: make(http.Header)}, httptest.NewRequest(join.method, join.target, strings.NewReader(join.body)))
+		if canceled("join") != 3 {
+			t.Errorf("budget %d: a join whose stream cannot be written left the cancel count at %d, want 3", opts.LabelBudget, canceled("join"))
+		}
 	}
 }

@@ -229,8 +229,9 @@ func (u *Updater) foldDynStats() {
 // Like the maintainer, it belongs to the refresher goroutine once
 // Start has run.
 func (u *Updater) Snapshot() *Index {
-	g, adj := u.dyn.SnapshotGraph()
-	return &Index{idx: u.dyn.Snapshot(), g: g, adj: adj}
+	x := newIndex(u.dyn.Snapshot(), nil, nil)
+	x.g, x.adj = u.dyn.SnapshotGraph()
+	return x
 }
 
 // AppliedSeq returns the highest log sequence number reflected in the
