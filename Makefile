@@ -64,8 +64,10 @@ bench-harness:
 	bash benchmark/run.sh -smoke
 
 # End-to-end serving smoke: drgen -> drlabel -> drserve under a drload
-# burst with answer verification and a graceful-shutdown check (CI's
-# serve-smoke job).
+# burst with answer verification and a graceful-shutdown check; then a
+# cluster build (drcluster -spawn 3 -flaky 3 -checkpoint 2) whose file
+# must be drlabel's byte for byte and open in drquery, drserve and
+# drload (CI's serve-smoke job).
 loadtest:
 	./scripts/serve_smoke.sh
 
@@ -118,7 +120,7 @@ examples:
 # Regenerates every table/figure (see results/runall.sh for the exact
 # configuration used in EXPERIMENTS.md).
 experiments: tools
-	cd results && ./runall.sh
+	bash results/runall.sh
 
 clean:
 	rm -rf bin drlint.json

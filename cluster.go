@@ -1,15 +1,14 @@
 package reachlab
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/drl"
-	"repro/internal/label"
+	"repro/internal/order"
 	"repro/internal/pregel"
 )
-
-type indexAlias = label.Index
 
 // Genuinely distributed construction: worker processes connected over
 // TCP (net/rpc) instead of simulated nodes inside one process. Each
@@ -44,41 +43,33 @@ func BuildOverCluster(addrs []string, graphPath string, opts Options) (*Index, e
 }
 
 // BuildOverClusterOpts is BuildOverCluster with explicit
-// fault-handling configuration.
+// fault-handling configuration. Of opts it honours Method, BatchSize,
+// BatchFactor and Order (each worker computes the named ordering
+// itself); the workers label the graph file as it is, in full, so
+// CondenseSCC and LabelBudget are refused.
 func BuildOverClusterOpts(addrs []string, graphPath string, opts Options, copt ClusterOptions) (*Index, error) {
 	start := time.Now()
-	var (
-		idx *indexAlias
-		met pregel.Metrics
-		err error
-	)
+	switch {
+	case opts.CondenseSCC:
+		return nil, errors.New("reachlab: Options.CondenseSCC is not supported over a cluster")
+	case opts.LabelBudget > 0:
+		return nil, errors.New("reachlab: Options.LabelBudget is not supported over a cluster")
+	}
+	var bp *drl.BatchParams // nil: DRL, the one-batch sequence
 	switch m := opts.method(); m {
 	case MethodDRL:
-		idx, met, err = drl.BuildOverRPCOpts(addrs, graphPath, copt)
 	case MethodDRLBatch:
-		idx, met, err = drl.BuildBatchOverRPCOpts(addrs, graphPath, opts.batchParams(), copt)
+		p := opts.batchParams()
+		bp = &p
 	default:
 		return nil, fmt.Errorf("reachlab: method %q does not support cluster deployment (use %q or %q)",
 			m, MethodDRL, MethodDRLBatch)
 	}
+	idx, met, err := drl.BuildOverCluster(addrs, graphPath, order.Strategy(opts.Order), bp, nil, copt)
 	if err != nil {
 		return nil, fmt.Errorf("reachlab: building over cluster: %w", err)
 	}
 	x := newIndex(idx, nil, nil)
-	x.stats = BuildStats{
-		Method:        opts.method(),
-		Workers:       len(addrs),
-		WallTime:      time.Since(start),
-		Compute:       met.ComputeTime,
-		Communication: met.TotalComm(),
-		Supersteps:    met.Supersteps,
-		Messages:      met.Messages,
-		BytesRemote:   met.BytesRemote,
-
-		Retries:            met.Retries,
-		Recoveries:         met.Recoveries,
-		Checkpoints:        met.Checkpoints,
-		LastCheckpointStep: met.LastCheckpointStep,
-	}
+	x.stats = buildStats(opts.method(), len(addrs), start, met)
 	return x, nil
 }

@@ -41,9 +41,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/drl"
-	"repro/internal/graph"
-	"repro/internal/label"
+	"repro"
 	"repro/internal/obs"
 	"repro/internal/pregel"
 )
@@ -54,7 +52,7 @@ func main() {
 		out     = flag.String("o", "", "output index path (required)")
 		workers = flag.String("workers", "", "comma-separated worker addresses")
 		spawn   = flag.Int("spawn", 0, "spawn this many local drworker processes instead")
-		method  = flag.String("method", "drl-batch", "drl or drl-batch")
+		method  = flag.String("method", string(reachlab.MethodDRLBatch), "drl or drl-batch")
 		b       = flag.Int("b", 2, "DRL_b initial batch size")
 		k       = flag.Float64("k", 2, "DRL_b batch increment factor")
 
@@ -82,8 +80,8 @@ func main() {
 		}()
 	}
 
-	copt := drl.ClusterOptions{
-		Retry: pregel.RetryPolicy{
+	copt := reachlab.ClusterOptions{
+		Retry: reachlab.RetryPolicy{
 			CallTimeout: *timeout,
 			MaxAttempts: *retries,
 			BaseBackoff: *backoff,
@@ -111,30 +109,22 @@ func main() {
 		fatal(fmt.Errorf("provide -workers addresses or -spawn N"))
 	}
 
-	var (
-		idx *label.Index
-		met pregel.Metrics
-		err error
-	)
 	start := time.Now()
-	switch *method {
-	case "drl":
-		idx, met, err = drl.BuildOverRPCOpts(addrs, *in, copt)
-	case "drl-batch":
-		idx, met, err = drl.BuildBatchOverRPCOpts(addrs, *in, drl.BatchParams{InitialSize: *b, Factor: *k}, copt)
-	default:
-		err = fmt.Errorf("unknown method %q (want drl or drl-batch)", *method)
-	}
+	idx, err := reachlab.BuildOverClusterOpts(addrs, *in, reachlab.Options{
+		Method:      reachlab.Method(*method),
+		BatchSize:   *b,
+		BatchFactor: *k,
+	}, copt)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("built over %d workers in %v (%d supersteps, %.2f MB remote traffic)\n",
-		len(addrs), time.Since(start).Round(time.Millisecond),
-		met.Supersteps, float64(met.BytesRemote)/(1<<20))
-	if met.Retries > 0 || met.Recoveries > 0 || met.Checkpoints > 0 {
-		fmt.Printf("fault handling: %d retried calls, %d recoveries, %d checkpoints (%.2f MB, last at superstep %d)\n",
-			met.Retries, met.Recoveries, met.Checkpoints,
-			float64(met.CheckpointBytes)/(1<<20), met.LastCheckpointStep)
+	bs := idx.BuildStats()
+	fmt.Printf("built with %s over %d workers in %v (%d supersteps, %.2f MB remote traffic)\n",
+		bs.Method, bs.Workers, time.Since(start).Round(time.Millisecond),
+		bs.Supersteps, float64(bs.BytesRemote)/(1<<20))
+	if bs.Retries > 0 || bs.Recoveries > 0 || bs.Checkpoints > 0 {
+		fmt.Printf("fault handling: %d retried calls, %d recoveries, %d checkpoints (last at superstep %d)\n",
+			bs.Retries, bs.Recoveries, bs.Checkpoints, bs.LastCheckpointStep)
 	}
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, reg); err != nil {
@@ -154,8 +144,7 @@ func main() {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s (%.2f MB on disk, %.2f MB in memory)\n", *out, float64(written)/(1<<20), float64(idx.SizeBytes())/(1<<20))
-	_ = graph.VertexID(0)
+	fmt.Printf("wrote %s (%.2f MB on disk, %.2f MB in memory)\n", *out, float64(written)/(1<<20), float64(idx.Stats().Bytes)/(1<<20))
 }
 
 // spawner manages local drworker processes: the initial fleet, plus

@@ -29,7 +29,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pregel"
 
-	_ "repro/internal/drl" // registers the drl and drl-batch programs
+	_ "repro/internal/drl" // registers the labeling program
 )
 
 func main() {

@@ -83,8 +83,7 @@ func BatchSequence(n int, p BatchParams) ([]Span, error) {
 // lies on a v→w walk".
 //
 // With Options.Workers = GOMAXPROCS this is the multi-core DRL_b^M of
-// Exp 3; the vertex-centric implementation is BuildDistributed with
-// DistOptions.Batch set.
+// Exp 3; the vertex-centric implementation is BuildDistributedBatch.
 func BuildBatch(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Options) (*label.Index, error) {
 	in, out, err := batchLabel(g, ord, bp, opt, math.MaxInt, nil, nil)
 	if err != nil {

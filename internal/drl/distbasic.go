@@ -10,8 +10,7 @@ import (
 )
 
 // Distributed DRL⁻ (the basic labeling method of Theorem 3 on the
-// vertex-centric system). Two engine runs over a persistent worker
-// set:
+// vertex-centric system). Two runs over a persistent worker set:
 //
 //	Phase A (filtering): every vertex floods its trimmed BFS in both
 //	directions — no Check pruning exists in DRL⁻. A blocked expansion
@@ -286,14 +285,17 @@ func (p *basicPhaseB) Finish(w *pregel.Worker) error {
 	return nil
 }
 
+// Collect encodes the labels of the worker's vertices for the gather.
+func (p *basicPhaseB) Collect(w *pregel.Worker) ([]byte, error) {
+	local := w.State.(*basicLocal)
+	return collectLabels(w, local.resIn, local.resOut), nil
+}
+
 // BuildDistributedBasic runs DRL⁻ on the vertex-centric system.
 func BuildDistributedBasic(g *graph.Digraph, ord *order.Ordering, opt DistOptions) (*label.Index, pregel.Metrics, error) {
-	var met pregel.Metrics
-	eng := pregel.New(g, pregel.Config{Workers: opt.Workers, Net: opt.Net, Cancel: opt.Cancel, Obs: opt.Obs})
-	m, err := eng.Run(&basicPhaseA{ord: ord, cancel: opt.Cancel})
-	met.Add(m)
-	if err != nil {
-		return nil, met, err
+	m := pregel.New(g, opt.config())
+	if _, err := m.Run(&basicPhaseA{ord: ord, cancel: opt.Cancel}); err != nil {
+		return nil, m.Metrics, err
 	}
 	shared := &basicShared{
 		ord:    ord,
@@ -301,27 +303,8 @@ func BuildDistributedBasic(g *graph.Digraph, ord *order.Ordering, opt DistOption
 		higBwd: make(map[graph.VertexID][]order.Rank),
 		cancel: opt.Cancel,
 	}
-	m, err = eng.Run(&basicPhaseB{shared: shared})
-	met.Add(m)
-	if err != nil {
-		return nil, met, err
+	if _, err := m.Run(&basicPhaseB{shared: shared}); err != nil {
+		return nil, m.Metrics, err
 	}
-	n := ord.N()
-	in := make([][]order.Rank, n)
-	out := make([][]order.Rank, n)
-	for _, wk := range eng.Workers() {
-		st := wk.State.(*basicLocal)
-		for v, lab := range st.resIn {
-			in[v] = lab
-		}
-		for v, lab := range st.resOut {
-			out[v] = lab
-		}
-		if wk.ID != 0 {
-			for v := graph.VertexID(wk.ID); int(v) < n; v += graph.VertexID(wk.P) {
-				met.BytesRemote += 4 * int64(len(in[v])+len(out[v]))
-			}
-		}
-	}
-	return label.FromLists(ord, in, out), met, nil
+	return gather(m, ord)
 }

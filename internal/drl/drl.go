@@ -21,9 +21,9 @@
 //	               per-vertex budget (label.Budgeted); same core.
 //
 // All of the above run shared-memory parallel across Options.Workers
-// goroutines. The genuinely distributed implementations (Algorithms 3
-// and 4 on the vertex-centric system) are in distributed.go and
-// distbatch.go; every variant produces an index identical to TOL's.
+// goroutines. The genuinely distributed implementation (Algorithms 3
+// and 4 on the vertex-centric system, one program) is in
+// distributed.go; every variant produces an index identical to TOL's.
 package drl
 
 import (

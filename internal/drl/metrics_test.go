@@ -106,8 +106,8 @@ func TestObsCountersMatchMetrics(t *testing.T) {
 	if got := reg.CounterValue("pregel_bcast_bytes_total"); got != met.BcastBytes {
 		t.Errorf("pregel_bcast_bytes_total = %d, metrics say %d", got, met.BcastBytes)
 	}
-	// met.BytesRemote additionally charges the final index gather
-	// (collectIndex), which happens outside the engine run.
+	// met.BytesRemote additionally charges the final index gather,
+	// which happens outside the runs.
 	remote := reg.CounterValue("pregel_bytes_remote_total")
 	if remote <= 0 || remote > met.BytesRemote {
 		t.Errorf("pregel_bytes_remote_total = %d, want in (0, %d]", remote, met.BytesRemote)

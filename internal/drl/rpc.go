@@ -13,66 +13,40 @@ import (
 	"repro/internal/pregel"
 )
 
-// RPC deployment: the DRL and DRL_b programs registered for the
-// multi-process transport (cmd/drworker + cmd/drcluster). Each worker
-// process loads the graph from shared storage, computes the (fully
-// deterministic) vertex order locally, and keeps its own replica of
-// the broadcast state — exactly the paper's deployment model, with
-// net/rpc over TCP standing in for MPI.
+// Cluster deployment: the labeling program registered for worker
+// processes (cmd/drworker + cmd/drcluster). Each worker loads the graph
+// from shared storage, computes the (fully deterministic) vertex order
+// the job names once, and keeps its own replica of the broadcast
+// state — exactly the paper's deployment model, with net/rpc over TCP
+// standing in for MPI.
+
+// jobOrder is the pregel.Config.Job key naming the job's ordering
+// strategy.
+const jobOrder = "order"
 
 func init() {
-	pregel.RegisterRPC("drl", pregel.RPCFactory{
-		New: func(params map[string]string, w *pregel.Worker) (pregel.Program, error) {
-			ord := order.Compute(w.Graph)
-			return &distProgram{shared: &distShared{
-				ord:     ord,
-				ibfsFwd: make(map[graph.VertexID][]order.Rank),
-				ibfsBwd: make(map[graph.VertexID][]order.Rank),
-			}}, nil
-		},
-		Collect: collectDist,
-	})
-	pregel.RegisterRPC("drl-batch", pregel.RPCFactory{
-		New: func(params map[string]string, w *pregel.Worker) (pregel.Program, error) {
-			bp, batch, err := parseBatchParams(params)
-			if err != nil {
+	pregel.RegisterRPC("drl", func(h *pregel.Host, params map[string]string) (pregel.Program, error) {
+		ord, _ := h.State.(*order.Ordering)
+		if ord == nil {
+			var err error
+			if ord, err = order.ComputeStrategy(h.Graph, order.Strategy(h.Job[jobOrder])); err != nil {
 				return nil, err
 			}
-			spans, err := BatchSequence(w.Graph.NumVertices(), bp)
-			if err != nil {
-				return nil, err
-			}
-			if batch < 0 || batch >= len(spans) {
-				return nil, fmt.Errorf("drl: batch %d out of range (%d batches)", batch, len(spans))
-			}
-			ord := order.Compute(w.Graph)
-			return &batchProgram{shared: newBatchShared(ord, spans[batch])}, nil
-		},
-		Collect: collectBatch,
+			h.State = ord
+		}
+		lo, err := strconv.Atoi(params["lo"])
+		if err != nil {
+			return nil, fmt.Errorf("drl: bad batch start %q: %w", params["lo"], err)
+		}
+		hi, err := strconv.Atoi(params["hi"])
+		if err != nil {
+			return nil, fmt.Errorf("drl: bad batch end %q: %w", params["hi"], err)
+		}
+		if lo < 0 || hi < lo || hi > ord.N() {
+			return nil, fmt.Errorf("drl: batch [%d, %d) outside the %d ranks", lo, hi, ord.N())
+		}
+		return &batchProgram{shared: newBatchShared(ord, Span{Lo: order.Rank(lo), Hi: order.Rank(hi)}, nil)}, nil
 	})
-}
-
-func parseBatchParams(params map[string]string) (BatchParams, int, error) {
-	bp := DefaultBatchParams()
-	if s, ok := params["b"]; ok {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return bp, 0, fmt.Errorf("drl: bad batch size %q: %w", s, err)
-		}
-		bp.InitialSize = v
-	}
-	if s, ok := params["k"]; ok {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return bp, 0, fmt.Errorf("drl: bad batch factor %q: %w", s, err)
-		}
-		bp.Factor = v
-	}
-	batch, err := strconv.Atoi(params["batch"])
-	if err != nil {
-		return bp, 0, fmt.Errorf("drl: bad batch index %q: %w", params["batch"], err)
-	}
-	return bp, batch, nil
 }
 
 // Result blob format: repeated records of
@@ -80,45 +54,25 @@ func parseBatchParams(params map[string]string) (BatchParams, int, error) {
 // u32 each.
 
 func appendResult(blob []byte, v graph.VertexID, in, out []order.Rank) []byte {
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(v))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(in)))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(out)))
-	blob = append(blob, hdr[:]...)
-	var rec [4]byte
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(v))
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(in)))
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(out)))
 	for _, r := range in {
-		binary.LittleEndian.PutUint32(rec[:], uint32(r))
-		blob = append(blob, rec[:]...)
+		blob = binary.LittleEndian.AppendUint32(blob, uint32(r))
 	}
 	for _, r := range out {
-		binary.LittleEndian.PutUint32(rec[:], uint32(r))
-		blob = append(blob, rec[:]...)
+		blob = binary.LittleEndian.AppendUint32(blob, uint32(r))
 	}
 	return blob
 }
 
-func collectDist(w *pregel.Worker) ([]byte, error) {
-	local, ok := w.State.(*distLocal)
-	if !ok {
-		return nil, fmt.Errorf("drl: worker %d holds no DRL state", w.ID)
-	}
+// collectLabels encodes the label lists of the vertices w owns.
+func collectLabels(w *pregel.Worker, in, out map[graph.VertexID][]order.Rank) []byte {
 	var blob []byte
 	w.OwnedVertices(func(v graph.VertexID) {
-		blob = appendResult(blob, v, local.resIn[v], local.resOut[v])
+		blob = appendResult(blob, v, in[v], out[v])
 	})
-	return blob, nil
-}
-
-func collectBatch(w *pregel.Worker) ([]byte, error) {
-	local, ok := w.State.(*batchLocal)
-	if !ok {
-		return nil, fmt.Errorf("drl: worker %d holds no DRL_b state", w.ID)
-	}
-	var blob []byte
-	w.OwnedVertices(func(v graph.VertexID) {
-		blob = appendResult(blob, v, local.in[v], local.out[v])
-	})
-	return blob, nil
+	return blob
 }
 
 func decodeResults(blobs [][]byte, n int) (in, out [][]order.Rank, err error) {
@@ -151,7 +105,7 @@ func decodeResults(blobs [][]byte, n int) (in, out [][]order.Rank, err error) {
 	return in, out, nil
 }
 
-// ClusterOptions tunes the fault handling of the RPC builders. The
+// ClusterOptions tunes the fault handling of the cluster builders. The
 // zero value uses pregel's defaults: per-call deadlines with bounded
 // exponential-backoff retries, checkpoints at run boundaries only.
 type ClusterOptions struct {
@@ -162,21 +116,53 @@ type ClusterOptions struct {
 	CheckpointEvery int
 	// Dial overrides the transport dialer (tests inject faults here).
 	Dial pregel.Dialer
-	// Net charges simulated wire time for checkpoint traffic.
+	// Net charges simulated wire time for exchanges and checkpoint
+	// traffic.
 	Net netsim.Model
 	// Obs receives master-side counters and the superstep trace
 	// (nil = off).
 	Obs *obs.Registry
 }
 
-func (o ClusterOptions) masterConfig() pregel.MasterConfig {
-	return pregel.MasterConfig{
-		Retry:           o.Retry,
-		CheckpointEvery: o.CheckpointEvery,
-		Dial:            o.Dial,
-		Net:             o.Net,
-		Obs:             o.Obs,
+// BuildOverCluster labels the graph at graphPath — readable by every
+// worker and the master — on the worker processes at addrs, under the
+// named ordering strategy: DRL_b over bp's batch sequence, or DRL
+// (Algorithm 3) when bp is nil. Closing cancel aborts the build at the
+// next superstep.
+func BuildOverCluster(addrs []string, graphPath string, strategy order.Strategy, bp *BatchParams, cancel <-chan struct{}, copt ClusterOptions) (*label.Index, pregel.Metrics, error) {
+	g, err := graph.LoadFile(graphPath)
+	if err != nil {
+		return nil, pregel.Metrics{}, err
 	}
+	ord, err := order.ComputeStrategy(g, strategy)
+	if err != nil {
+		return nil, pregel.Metrics{}, err
+	}
+	spans := oneBatch(g.NumVertices())
+	if bp != nil {
+		if spans, err = BatchSequence(g.NumVertices(), *bp); err != nil {
+			return nil, pregel.Metrics{}, err
+		}
+	}
+	m, err := pregel.DialClusterOpts(addrs, graphPath, pregel.Config{
+		Retry:           copt.Retry,
+		CheckpointEvery: copt.CheckpointEvery,
+		Dial:            copt.Dial,
+		Net:             copt.Net,
+		Cancel:          cancel,
+		Obs:             copt.Obs,
+		Job:             map[string]string{jobOrder: string(strategy)},
+	})
+	if err != nil {
+		return nil, pregel.Metrics{}, err
+	}
+	defer m.Close()
+	return labelSpans(m, ord, spans, copt.Obs, func(span Span) error {
+		return m.RunNamed("drl", map[string]string{
+			"lo": strconv.Itoa(int(span.Lo)),
+			"hi": strconv.Itoa(int(span.Hi)),
+		})
+	})
 }
 
 // BuildOverRPC runs DRL (Algorithm 3) on a cluster of worker
@@ -189,28 +175,7 @@ func BuildOverRPC(addrs []string, graphPath string) (*label.Index, pregel.Metric
 // BuildOverRPCOpts is BuildOverRPC with explicit fault-handling
 // options.
 func BuildOverRPCOpts(addrs []string, graphPath string, copt ClusterOptions) (*label.Index, pregel.Metrics, error) {
-	g, err := graph.LoadFile(graphPath)
-	if err != nil {
-		return nil, pregel.Metrics{}, err
-	}
-	ord := order.Compute(g)
-	m, err := pregel.DialClusterOpts(addrs, graphPath, copt.masterConfig())
-	if err != nil {
-		return nil, pregel.Metrics{}, err
-	}
-	defer m.Close()
-	if err := m.Run("drl", nil, 0); err != nil {
-		return nil, m.Metrics, err
-	}
-	blobs, err := m.Collect()
-	if err != nil {
-		return nil, m.Metrics, err
-	}
-	in, out, err := decodeResults(blobs, g.NumVertices())
-	if err != nil {
-		return nil, m.Metrics, err
-	}
-	return label.FromLists(ord, in, out), m.Metrics, nil
+	return BuildOverCluster(addrs, graphPath, "", nil, nil, copt)
 }
 
 // BuildBatchOverRPC runs DRL_b (Algorithm 4) on a cluster of worker
@@ -222,38 +187,5 @@ func BuildBatchOverRPC(addrs []string, graphPath string, bp BatchParams) (*label
 // BuildBatchOverRPCOpts is BuildBatchOverRPC with explicit
 // fault-handling options.
 func BuildBatchOverRPCOpts(addrs []string, graphPath string, bp BatchParams, copt ClusterOptions) (*label.Index, pregel.Metrics, error) {
-	g, err := graph.LoadFile(graphPath)
-	if err != nil {
-		return nil, pregel.Metrics{}, err
-	}
-	ord := order.Compute(g)
-	spans, err := BatchSequence(g.NumVertices(), bp)
-	if err != nil {
-		return nil, pregel.Metrics{}, err
-	}
-	m, err := pregel.DialClusterOpts(addrs, graphPath, copt.masterConfig())
-	if err != nil {
-		return nil, pregel.Metrics{}, err
-	}
-	defer m.Close()
-	bpNorm, _ := bp.normalized()
-	for i := range spans {
-		params := map[string]string{
-			"b":     strconv.Itoa(bpNorm.InitialSize),
-			"k":     strconv.FormatFloat(bpNorm.Factor, 'g', -1, 64),
-			"batch": strconv.Itoa(i),
-		}
-		if err := m.Run("drl-batch", params, 0); err != nil {
-			return nil, m.Metrics, err
-		}
-	}
-	blobs, err := m.Collect()
-	if err != nil {
-		return nil, m.Metrics, err
-	}
-	in, out, err := decodeResults(blobs, g.NumVertices())
-	if err != nil {
-		return nil, m.Metrics, err
-	}
-	return label.FromLists(ord, in, out), m.Metrics, nil
+	return BuildOverCluster(addrs, graphPath, "", &bp, nil, copt)
 }

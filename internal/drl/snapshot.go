@@ -11,25 +11,15 @@ import (
 )
 
 // Superstep-checkpoint state serialization (pregel.Snapshotter) for
-// the RPC-deployed programs. The encoding reuses the rank-list record
+// the labeling program. The encoding reuses the rank-list record
 // layout of the collect blobs and the on-disk index (internal/label):
 // little-endian u32 headers followed by u32 ranks, here grouped into
-// sections. Persistent state (what survives engine runs — the
+// sections. Persistent state (what survives runs — the
 // accumulated batch labels) comes first so a run-boundary restore can
 // stop after it; per-run state (visit status, inverted-list replicas)
 // follows.
 
-const (
-	snapVersion   = 1
-	snapKindDist  = 'd'
-	snapKindBatch = 'b'
-)
-
-func appendU32(blob []byte, v uint32) []byte {
-	var rec [4]byte
-	binary.LittleEndian.PutUint32(rec[:], v)
-	return append(blob, rec[:]...)
-}
+const snapVersion = 2
 
 func readU32(blob []byte) (uint32, []byte, error) {
 	if len(blob) < 4 {
@@ -53,7 +43,7 @@ func appendPairMap(blob []byte, a, b map[graph.VertexID][]order.Rank) []byte {
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	blob = appendU32(blob, uint32(len(keys)))
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(keys)))
 	for _, v := range keys {
 		blob = appendResult(blob, v, a[v], b[v])
 	}
@@ -106,7 +96,7 @@ func appendSeen(blob []byte, seen map[uint64]struct{}) []byte {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	blob = appendU32(blob, uint32(len(keys)))
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(keys)))
 	var rec [8]byte
 	for _, k := range keys {
 		binary.LittleEndian.PutUint64(rec[:], k)
@@ -131,84 +121,12 @@ func readSeen(blob []byte) (map[uint64]struct{}, []byte, error) {
 	return seen, blob, nil
 }
 
-func checkSnapHeader(blob []byte, kind byte) ([]byte, error) {
-	if len(blob) < 2 {
-		return nil, fmt.Errorf("drl: state blob too short")
-	}
-	if blob[0] != snapVersion {
-		return nil, fmt.Errorf("drl: unknown state version %d", blob[0])
-	}
-	if blob[1] != kind {
-		return nil, fmt.Errorf("drl: state blob kind %q, want %q", blob[1], kind)
-	}
-	return blob[2:], nil
-}
-
-// EncodeState serializes DRL's recoverable state: the worker-local
-// visit status, candidate lists, and cleaned results, plus this
-// worker's replica of the inverted lists. DRL has no cross-run
-// persistent state (one engine run per job).
-func (p *distProgram) EncodeState(w *pregel.Worker) ([]byte, error) {
-	blob := []byte{snapVersion, snapKindDist}
-	local, _ := w.State.(*distLocal)
-	if local == nil {
-		blob = append(blob, 0)
-	} else {
-		blob = append(blob, 1)
-		blob = appendSeen(blob, local.seen)
-		blob = appendPairMap(blob, local.listFwd, local.listBwd)
-		blob = appendPairMap(blob, local.resIn, local.resOut)
-	}
-	blob = appendPairMap(blob, p.shared.ibfsFwd, p.shared.ibfsBwd)
-	return blob, nil
-}
-
-// DecodeState restores the blob, replacing all current state. A
-// cross-run restore resets to empty: DRL runs once per job, so a
-// previous run's state never carries over.
-func (p *distProgram) DecodeState(w *pregel.Worker, blob []byte, sameRun bool) error {
-	if !sameRun {
-		w.State = nil
-		p.shared.ibfsFwd = make(map[graph.VertexID][]order.Rank)
-		p.shared.ibfsBwd = make(map[graph.VertexID][]order.Rank)
-		return nil
-	}
-	blob, err := checkSnapHeader(blob, snapKindDist)
-	if err != nil {
-		return err
-	}
-	if len(blob) < 1 {
-		return fmt.Errorf("drl: state blob too short")
-	}
-	hasLocal := blob[0] == 1
-	blob = blob[1:]
-	if !hasLocal {
-		w.State = nil
-	} else {
-		local := newDistLocal()
-		if local.seen, blob, err = readSeen(blob); err != nil {
-			return err
-		}
-		if local.listFwd, local.listBwd, blob, err = readPairMap(blob); err != nil {
-			return err
-		}
-		if local.resIn, local.resOut, blob, err = readPairMap(blob); err != nil {
-			return err
-		}
-		w.State = local
-	}
-	if p.shared.ibfsFwd, p.shared.ibfsBwd, _, err = readPairMap(blob); err != nil {
-		return err
-	}
-	return nil
-}
-
-// EncodeState serializes DRL_b's recoverable state. Persistent
+// EncodeState serializes the labeler's recoverable state. Persistent
 // section: the label lists accumulated across batches. Per-run
 // section: the in-batch visit status and candidate lists, the batch
 // sources' shared prior labels, and the inverted-list replica.
 func (p *batchProgram) EncodeState(w *pregel.Worker) ([]byte, error) {
-	blob := []byte{snapVersion, snapKindBatch}
+	blob := []byte{snapVersion}
 	local, _ := w.State.(*batchLocal)
 	if local == nil {
 		blob = append(blob, 0)
@@ -228,20 +146,20 @@ func (p *batchProgram) EncodeState(w *pregel.Worker) ([]byte, error) {
 // this batch's fresh program) applies only the accumulated labels and
 // leaves the per-run state empty, exactly as a fresh BeginRun would.
 func (p *batchProgram) DecodeState(w *pregel.Worker, blob []byte, sameRun bool) error {
-	blob, err := checkSnapHeader(blob, snapKindBatch)
-	if err != nil {
-		return err
-	}
-	if len(blob) < 1 {
+	if len(blob) < 2 {
 		return fmt.Errorf("drl: state blob too short")
 	}
-	hasLocal := blob[0] == 1
-	blob = blob[1:]
+	if blob[0] != snapVersion {
+		return fmt.Errorf("drl: unknown state version %d", blob[0])
+	}
+	hasLocal := blob[1] == 1
+	blob = blob[2:]
 	if !hasLocal {
 		w.State = nil
 		return nil
 	}
 	local := &batchLocal{}
+	var err error
 	if local.in, local.out, blob, err = readPairMap(blob); err != nil {
 		return err
 	}

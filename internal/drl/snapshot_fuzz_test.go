@@ -21,8 +21,8 @@ import (
 //     produce a spuriously "different" blob.
 //
 // The section codecs (appendSeen/readSeen, appendPairMap/readPairMap)
-// are checked in isolation and then composed through the distProgram
-// EncodeState/DecodeState pair.
+// are checked in isolation and then composed through the labeling
+// program's EncodeState/DecodeState pair.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(1))
@@ -82,26 +82,18 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatal("re-encoding the decoded pair maps is not byte-identical")
 		}
 
-		// Whole-checkpoint composition: a distProgram state built from
-		// the same material, encoded, restored into a fresh program,
-		// and encoded again must reproduce the first blob exactly.
-		local := newDistLocal()
-		local.seen = seen
-		local.listFwd = fwd
-		local.listBwd = bwd
-		local.resIn = gotFwd
-		local.resOut = gotBwd
+		// Whole-checkpoint composition: a program state built from the
+		// same material, encoded, restored into a fresh program, and
+		// encoded again must reproduce the first blob exactly.
+		local := &batchLocal{in: gotFwd, out: gotBwd, seen: seen, listFwd: fwd, listBwd: bwd}
 		w := &pregel.Worker{State: local}
-		p1 := &distProgram{shared: &distShared{ibfsFwd: fwd, ibfsBwd: bwd}}
+		p1 := &batchProgram{shared: &batchShared{srcOut: bwd, srcIn: fwd, ibfsFwd: fwd, ibfsBwd: bwd}}
 		blob, err := p1.EncodeState(w)
 		if err != nil {
 			t.Fatalf("EncodeState: %v", err)
 		}
 
-		p2 := &distProgram{shared: &distShared{
-			ibfsFwd: map[graph.VertexID][]order.Rank{},
-			ibfsBwd: map[graph.VertexID][]order.Rank{},
-		}}
+		p2 := &batchProgram{shared: newBatchShared(nil, Span{}, nil)}
 		w2 := &pregel.Worker{}
 		if err := p2.DecodeState(w2, blob, true); err != nil {
 			t.Fatalf("DecodeState: %v", err)
@@ -121,14 +113,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // accepted blob must re-encode to a decode-equivalent state (the
 // decoder never fabricates state it cannot round-trip).
 func FuzzSnapshotDecodeArbitrary(f *testing.F) {
-	f.Add([]byte{snapVersion, snapKindDist, 0})
-	f.Add([]byte{snapVersion, snapKindDist, 1, 0, 0, 0, 0})
-	f.Add([]byte{snapVersion, snapKindBatch, 1})
+	f.Add([]byte{snapVersion, 0})
+	f.Add([]byte{snapVersion, 1, 0, 0, 0, 0})
+	f.Add([]byte{snapVersion, 1})
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		p := &distProgram{shared: &distShared{
-			ibfsFwd: map[graph.VertexID][]order.Rank{},
-			ibfsBwd: map[graph.VertexID][]order.Rank{},
-		}}
+		p := &batchProgram{shared: newBatchShared(nil, Span{}, nil)}
 		w := &pregel.Worker{}
 		if err := p.DecodeState(w, blob, true); err != nil {
 			return // rejected cleanly
@@ -137,10 +126,7 @@ func FuzzSnapshotDecodeArbitrary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("EncodeState after accepting decode: %v", err)
 		}
-		p2 := &distProgram{shared: &distShared{
-			ibfsFwd: map[graph.VertexID][]order.Rank{},
-			ibfsBwd: map[graph.VertexID][]order.Rank{},
-		}}
+		p2 := &batchProgram{shared: newBatchShared(nil, Span{}, nil)}
 		w2 := &pregel.Worker{}
 		if err := p2.DecodeState(w2, re, true); err != nil {
 			t.Fatalf("decoder rejected its own re-encoding: %v", err)

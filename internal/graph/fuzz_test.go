@@ -2,13 +2,16 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// Fuzzers for the two on-disk formats: whatever the bytes, the
-// readers must either fail cleanly or produce a structurally valid
-// graph; valid graphs must round-trip.
+// Fuzzers for the two on-disk formats and LoadFile's choice between
+// them: whatever the bytes, the readers must either fail cleanly or
+// produce a structurally valid graph; valid graphs must round-trip.
 
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n")
@@ -82,16 +85,24 @@ func FuzzReadBinary2(f *testing.F) {
 	})
 }
 
+// FuzzReadBinary fuzzes LoadFile's dispatch on the first eight bytes:
+// whatever they are it fails cleanly or yields a consistent graph, and
+// the retired v1 magic is refused however the file continues.
 func FuzzReadBinary(f *testing.F) {
-	var seed bytes.Buffer
-	if err := WriteBinary(&seed, PaperExample()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
+	v1 := binary.LittleEndian.AppendUint64(nil, retiredMagic)
+	f.Add(binary.LittleEndian.AppendUint64(v1, 9)) // the head of a v1 header: magic, n
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, input []byte) {
-		g, err := ReadBinary(bytes.NewReader(input))
+		path := filepath.Join(dir, "g")
+		if err := os.WriteFile(path, input, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := LoadFile(path)
+		if bytes.HasPrefix(input, v1) && (err == nil || !strings.Contains(err.Error(), "re-save")) {
+			t.Fatalf("v1 magic not refused with the re-save hint: %v", err)
+		}
 		if err != nil {
 			return
 		}

@@ -158,10 +158,10 @@ func TestTextIORoundTrip(t *testing.T) {
 func TestBinaryIORoundTrip(t *testing.T) {
 	g := PaperExample()
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+	if err := WriteBinary2(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := ReadBinary2(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 }
 
 func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a graph file at all"))); err == nil {
+	if _, err := ReadBinary2(bytes.NewReader([]byte("not a graph file at all"))); err == nil {
 		t.Error("expected error for garbage input")
 	}
 }

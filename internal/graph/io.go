@@ -14,9 +14,10 @@ import (
 // Text edge-list format: one "u v" pair per line, whitespace separated,
 // '#' and '%' introduce comment lines (SNAP and Konect conventions).
 //
-// Binary format: a fixed header followed by the two CSR directions;
-// loading a binary graph is an order of magnitude faster than parsing
-// text and is the format cmd/drgen emits by default.
+// Binary format (io2.go): a page-aligned header and section table
+// followed by the two CSR directions; loading a binary graph is an
+// order of magnitude faster than parsing text and is the format
+// cmd/drgen emits by default.
 
 // ReadEdgeList parses a text edge list from r.
 func ReadEdgeList(r io.Reader) (*Digraph, error) {
@@ -83,67 +84,10 @@ func WriteEdgeList(w io.Writer, g *Digraph) error {
 	return bw.Flush()
 }
 
-const binaryMagic = uint64(0x44524c4752415048) // "DRLGRAPH"
-
-// WriteBinary writes g in the binary CSR format.
-func WriteBinary(w io.Writer, g *Digraph) error {
-	bw := bufio.NewWriter(w)
-	hdr := []uint64{binaryMagic, uint64(g.n), uint64(g.m)}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return fmt.Errorf("graph: writing binary header: %w", err)
-		}
-	}
-	for _, part := range []any{g.outOff, g.outAdj, g.inOff, g.inAdj} {
-		if err := binary.Write(bw, binary.LittleEndian, part); err != nil {
-			return fmt.Errorf("graph: writing binary section: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads a graph in the binary CSR format.
-func ReadBinary(r io.Reader) (*Digraph, error) {
-	br := bufio.NewReader(r)
-	var magic, n64, m64 uint64
-	for _, p := range []*uint64{&magic, &n64, &m64} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: reading binary header: %w", err)
-		}
-	}
-	if magic != binaryMagic {
-		return nil, errors.New("graph: not a binary graph file (bad magic)")
-	}
-	if n64 > 1<<31 || m64 > 1<<40 {
-		return nil, fmt.Errorf("graph: implausible binary header n=%d m=%d", n64, m64)
-	}
-	n, m := int(n64), int64(m64)
-	// Sections are read in bounded chunks so a corrupt header cannot
-	// force a giant upfront allocation: a truncated stream fails at
-	// the first missing chunk instead.
-	outOff, err := readInt64s(br, n+1)
-	if err != nil {
-		return nil, err
-	}
-	outAdj, err := readVertexIDs(br, m)
-	if err != nil {
-		return nil, err
-	}
-	inOff, err := readInt64s(br, n+1)
-	if err != nil {
-		return nil, err
-	}
-	inAdj, err := readVertexIDs(br, m)
-	if err != nil {
-		return nil, err
-	}
-	// Validate offsets and adjacency entries so a corrupt file cannot
-	// produce out-of-range slicing later.
-	if err := validateCSR(n, m, outOff, inOff, outAdj, inAdj); err != nil {
-		return nil, err
-	}
-	return newDigraph(int32(n), outOff, outAdj, inOff, inAdj), nil
-}
+// retiredMagic opened the first binary format ("DRLGRAPH": raw CSR
+// arrays behind a three-word header), which nothing has written since
+// SaveFile moved to v2. LoadFile refuses it by name.
+const retiredMagic = uint64(0x44524c4752415048)
 
 // chunkElems bounds single allocations while reading untrusted sizes.
 const chunkElems = 1 << 16
@@ -174,9 +118,8 @@ func readVertexIDs(r io.Reader, count int64) ([]VertexID, error) {
 	return out, nil
 }
 
-// LoadFile loads a graph from path, detecting the binary formats (v1
-// and v2) by their magic numbers and falling back to the text
-// edge-list parser.
+// LoadFile loads a graph from path, detecting the binary format by its
+// magic number and falling back to the text edge-list parser.
 func LoadFile(path string) (*Digraph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -198,8 +141,8 @@ func LoadFile(path string) (*Digraph, error) {
 		// Files shorter than 8 bytes cannot carry a magic number and
 		// fall through to the text parser ("1 2" is a valid graph).
 		switch binary.LittleEndian.Uint64(magic[:]) {
-		case binaryMagic:
-			return ReadBinary(f)
+		case retiredMagic:
+			return nil, fmt.Errorf("graph: %s is in the retired v1 binary format; re-save this graph with drgen", path)
 		case binaryMagic2:
 			return ReadBinary2(f)
 		}
@@ -207,9 +150,8 @@ func LoadFile(path string) (*Digraph, error) {
 	return ReadEdgeList(f)
 }
 
-// SaveFile writes g to path; binary chooses the format (the v2
-// mmap-friendly layout — WriteBinary still emits v1 for compatibility
-// tooling, and LoadFile reads both).
+// SaveFile writes g to path; binaryFormat chooses the mmap-friendly
+// binary layout over the text edge list.
 func SaveFile(path string, g *Digraph, binaryFormat bool) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -9,12 +9,11 @@ import (
 	"io"
 )
 
-// Binary CSR format v2: the mmap-friendly layout.
-//
-// v1 is a bare header plus the four CSR sections packed back to back —
-// fine for a buffered read, useless for mmap (sections land on
-// arbitrary byte offsets, so the int64/int32 views are unaligned). v2
-// page-aligns everything:
+// Binary CSR format v2: the mmap-friendly layout, and the only binary
+// format. (The retired v1 packed a bare header and the four CSR
+// sections back to back — fine for a buffered read, useless for mmap:
+// sections land on arbitrary byte offsets, so the int64/int32 views
+// are unaligned.) v2 page-aligns everything:
 //
 //	page 0        4096-byte header (fields below, zero padded)
 //	sections      outOff, outAdj, inOff, inAdj — each starting on a

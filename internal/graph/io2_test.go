@@ -52,47 +52,44 @@ func TestBinaryV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryV1AndV2LoadIdentically(t *testing.T) {
-	g := v2TestGraph(t)
-	dir := t.TempDir()
-	v1, v2 := filepath.Join(dir, "g1.bin"), filepath.Join(dir, "g2.bin")
+// v1File writes what the head of a retired v1 file looked like (magic,
+// n, m, then raw CSR arrays) — nothing can write a whole one any more.
+func v1File(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g1.bin")
+	head := binary.LittleEndian.AppendUint64(nil, retiredMagic)
+	head = binary.LittleEndian.AppendUint64(head, 3)
+	head = binary.LittleEndian.AppendUint64(head, 2)
+	if err := os.WriteFile(path, append(head, make([]byte, 64)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
-	f1, err := os.Create(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(f1, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := f1.Close(); err != nil {
-		t.Fatal(err)
-	}
+// TestLoadFileRefusesV1: SaveFile writes v2, and a file in the retired
+// format is answered with what to do about it, not parsed as text.
+func TestLoadFileRefusesV1(t *testing.T) {
+	g := v2TestGraph(t)
+	v2 := filepath.Join(t.TempDir(), "g2.bin")
 	if err := SaveFile(v2, g, true); err != nil {
 		t.Fatal(err)
 	}
-
-	// SaveFile's binary format is v2 now.
-	head := make([]byte, 8)
 	raw, err := os.ReadFile(v2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(head, raw)
-	if binary.LittleEndian.Uint64(head) != binaryMagic2 {
-		t.Fatalf("SaveFile wrote magic %#x, want v2", binary.LittleEndian.Uint64(head))
-	}
-
-	// LoadFile dispatches both magics to the same graph.
-	g1, err := LoadFile(v1)
-	if err != nil {
-		t.Fatalf("LoadFile v1: %v", err)
+	if magic := binary.LittleEndian.Uint64(raw); magic != binaryMagic2 {
+		t.Fatalf("SaveFile wrote magic %#x, want v2", magic)
 	}
 	g2, err := LoadFile(v2)
 	if err != nil {
 		t.Fatalf("LoadFile v2: %v", err)
 	}
-	assertIdenticalCSR(t, g, g1)
 	assertIdenticalCSR(t, g, g2)
+
+	if _, err := LoadFile(v1File(t)); err == nil || !strings.Contains(err.Error(), "re-save this graph with drgen") {
+		t.Fatalf("LoadFile v1: got %v, want the re-save refusal", err)
+	}
 }
 
 func TestMapFileMatchesReadBinary2(t *testing.T) {
@@ -121,22 +118,10 @@ func TestMapFileMatchesReadBinary2(t *testing.T) {
 }
 
 func TestMapFileRejectsNonV2(t *testing.T) {
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "g1.bin")
-	f, err := os.Create(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinary(f, v2TestGraph(t)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MapFile(v1); err == nil {
+	if _, err := MapFile(v1File(t)); err == nil {
 		t.Fatal("MapFile accepted a v1 file")
 	}
-	short := filepath.Join(dir, "short.bin")
+	short := filepath.Join(t.TempDir(), "short.bin")
 	if err := os.WriteFile(short, []byte("DRLGRPH2"), 0o644); err != nil {
 		t.Fatal(err)
 	}

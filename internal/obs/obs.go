@@ -6,9 +6,9 @@
 //
 // The paper's headline claims are quantitative — labeling time,
 // message volume per superstep, index size, query latency (§VI) — so
-// every layer that produces such a number (the pregel engine, the RPC
-// master, the DRL builders, the query server) records it here instead
-// of keeping it in one-shot structs only.
+// every layer that produces such a number (the pregel superstep loop,
+// the DRL builders, the query server) records it here instead of
+// keeping it in one-shot structs only.
 //
 // Nil-safety is part of the contract: a nil *Registry hands out nil
 // metric handles, and every method on a nil handle is a no-op. Call

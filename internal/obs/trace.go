@@ -6,7 +6,7 @@ import "sync"
 // observable shape of Fig. 5: who was active, how much was said, and
 // how long the barrier took.
 type StepTrace struct {
-	// Run distinguishes engine runs sharing one worker set (the batch
+	// Run distinguishes runs sharing one worker set (the batch
 	// algorithm runs once per batch).
 	Run int `json:"run"`
 	// Step is the superstep number within the run.
@@ -20,7 +20,7 @@ type StepTrace struct {
 	BytesRemote int64 `json:"bytes_remote"`
 	BcastBytes  int64 `json:"bcast_bytes"`
 	// Retries and Recoveries are the fault-handling activity charged
-	// to this step (RPC master only; always zero in-process).
+	// to this step (clusters only; always zero in-process).
 	Retries    int64 `json:"retries,omitempty"`
 	Recoveries int64 `json:"recoveries,omitempty"`
 	// ComputeNanos is the BSP makespan of the compute phase (slowest

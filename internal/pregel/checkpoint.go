@@ -1,6 +1,9 @@
 package pregel
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // Superstep checkpointing. The BSP barrier is the natural consistency
 // point: at a barrier every outbox has been drained into the master's
@@ -16,12 +19,11 @@ import "errors"
 // produces is bit-for-bit the one an undisturbed run produces.
 
 // Snapshotter is an optional Program extension that enables superstep
-// checkpointing over the RPC transport. Programs that do not
-// implement it still get per-call retries, but a crashed worker
-// aborts the run.
+// checkpointing on a cluster. Programs that do not implement it still
+// get per-call retries, but a crashed worker aborts the run.
 type Snapshotter interface {
 	// EncodeState serializes every piece of recoverable state: the
-	// persistent section first (state that survives engine runs, e.g.
+	// persistent section first (state that survives runs, e.g.
 	// accumulated batch labels), then the per-run section (visit
 	// status, replicated broadcast state).
 	EncodeState(w *Worker) ([]byte, error)
@@ -33,67 +35,72 @@ type Snapshotter interface {
 	DecodeState(w *Worker, blob []byte, sameRun bool) error
 }
 
-// CheckpointReply carries one worker's state snapshot. Supported is
-// false when the running program does not implement Snapshotter; the
-// master then disables checkpointing for the job instead of failing.
+// CheckpointReply carries the state snapshots of a host's partitions.
+// Supported is false when the running program does not implement
+// Snapshotter; the master then disables checkpointing for the job
+// instead of failing.
 type CheckpointReply struct {
 	Supported bool
-	Blob      []byte
+	Blobs     [][]byte
 }
 
-// RestoreArgs rewinds a worker to a checkpointed barrier. Step is the
-// next superstep the master will issue (so the worker's dedup cursor
+// RestoreArgs rewinds a host to a checkpointed barrier. Step is the
+// next superstep the master will issue (so the host's dedup cursor
 // becomes Step-1); SameRun distinguishes an in-run rollback from a
 // run-boundary restore onto a fresh program; Finished restores the
 // post-FinishRun state used when recovering during Collect.
 type RestoreArgs struct {
-	Blob     []byte
+	Blobs    [][]byte
 	Step     int
 	SameRun  bool
 	Finished bool
 }
 
-// Checkpoint encodes the worker's recoverable state at the current
-// barrier. Read-only, hence naturally idempotent under retry.
-func (s *WorkerServer) Checkpoint(_ struct{}, reply *CheckpointReply) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.prog == nil {
+// Checkpoint encodes the recoverable state of the host's partitions at
+// the current barrier. Read-only, hence naturally idempotent under
+// retry.
+func (h *Host) Checkpoint(_ struct{}, reply *CheckpointReply) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.prog == nil {
 		return errors.New("pregel: Checkpoint before BeginRun")
 	}
-	snap, ok := s.prog.(Snapshotter)
+	snap, ok := h.prog.(Snapshotter)
 	if !ok {
-		reply.Supported = false
 		return nil
 	}
-	blob, err := snap.EncodeState(s.w)
-	if err != nil {
-		return err
-	}
 	reply.Supported = true
-	reply.Blob = blob
+	reply.Blobs = make([][]byte, len(h.workers))
+	for k, w := range h.workers {
+		var err error
+		if reply.Blobs[k], err = snap.EncodeState(w); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// Restore rewinds the worker to a checkpointed barrier. Idempotent:
-// it installs absolute state, so a retried Restore lands in the same
+// Restore rewinds the host to a checkpointed barrier. Idempotent: it
+// installs absolute state, so a retried Restore lands in the same
 // place.
-func (s *WorkerServer) Restore(args RestoreArgs, _ *struct{}) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.prog == nil {
+func (h *Host) Restore(args RestoreArgs, _ *struct{}) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.prog == nil {
 		return errors.New("pregel: Restore before BeginRun")
 	}
-	snap, ok := s.prog.(Snapshotter)
+	snap, ok := h.prog.(Snapshotter)
 	if !ok {
 		return errors.New("pregel: program does not support checkpointing")
 	}
-	if err := snap.DecodeState(s.w, args.Blob, args.SameRun); err != nil {
-		return err
+	if len(args.Blobs) != len(h.workers) {
+		return fmt.Errorf("pregel: restoring %d partitions onto a host of %d", len(args.Blobs), len(h.workers))
 	}
-	s.lastStep = args.Step - 1
-	s.haveReply = false
-	s.lastReply = StepReply{}
-	s.finished = args.Finished
+	for k, w := range h.workers {
+		if err := snap.DecodeState(w, args.Blobs[k], args.SameRun); err != nil {
+			return err
+		}
+	}
+	h.resetRun(args.Step-1, args.Finished)
 	return nil
 }

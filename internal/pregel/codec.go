@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/invariant"
@@ -35,11 +34,6 @@ import (
 // wireVersion is the packet version byte. Bump it whenever the record
 // layout changes; decoders reject everything else.
 const wireVersion = 0x02
-
-// maxPooledPacket bounds the capacity of buffers returned to the
-// packet pool, so one huge superstep cannot pin its peak allocation
-// for the rest of the process lifetime.
-const maxPooledPacket = 1 << 20
 
 // Combiner merges the messages addressed to one destination vertex
 // before they are serialized — Pregel's classic message combiner. The
@@ -206,37 +200,4 @@ func decodePacket(buf []byte, dst []Msg) ([]Msg, error) {
 		return dst, fmt.Errorf("pregel: ragged packet: %d trailing bytes after %d records", len(rest), count)
 	}
 	return dst, nil
-}
-
-// packetRecords reads a packet's record count from its header without
-// decoding the records — the master's superstep trace uses it to
-// report per-worker delivery counts.
-func packetRecords(buf []byte) (int, error) {
-	if len(buf) == 0 || buf[0] != wireVersion {
-		return 0, fmt.Errorf("pregel: not a v%d packet", wireVersion)
-	}
-	count, k := binary.Uvarint(buf[1:])
-	if k <= 0 || count > uint64(len(buf)) {
-		return 0, fmt.Errorf("pregel: corrupt packet header")
-	}
-	return int(count), nil
-}
-
-// packetBuf is a pooled encode buffer. The in-process exchange is the
-// only place with a clean ownership window (encode → decode → barrier),
-// so it is the only place that recycles; RPC reply buffers are owned
-// by the net/rpc layer and the worker's duplicate-reply cache and must
-// stay un-pooled.
-type packetBuf struct{ b []byte }
-
-var packetPool = sync.Pool{New: func() any { return new(packetBuf) }}
-
-func getPacketBuf() *packetBuf { return packetPool.Get().(*packetBuf) }
-
-func putPacketBuf(pb *packetBuf) {
-	if cap(pb.b) > maxPooledPacket {
-		return
-	}
-	pb.b = pb.b[:0]
-	packetPool.Put(pb)
 }

@@ -252,19 +252,19 @@ func TestRPCStepRejectsCorruptPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Call(RPCServiceName+".Init", InitArgs{WorkerID: 0, NumWorkers: 1, GraphPath: graphFile(t)}, &struct{}{}); err != nil {
+	if err := c.Call(RPCServiceName+".Init", InitArgs{WorkerID: 0, NumWorkers: 1, GraphPath: graphFile(t)}, &InitReply{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Call(RPCServiceName+".BeginRun", BeginRunArgs{Program: "test-noop"}, &struct{}{}); err != nil {
 		t.Fatal(err)
 	}
 	var sr StepReply
-	err = c.Call(RPCServiceName+".Step", StepArgs{Step: 0, Packets: [][]byte{{0x7f, 0x01}}}, &sr)
+	err = c.Call(RPCServiceName+".Step", StepArgs{Step: 0, Packets: [][][]byte{{{0x7f, 0x01}}}}, &sr)
 	if err == nil || !strings.Contains(err.Error(), "wire version") {
 		t.Fatalf("bad-version packet: got %v, want a wire-version error", err)
 	}
 	ragged := append(append([]byte(nil), goldenPacket...), 0xee)
-	err = c.Call(RPCServiceName+".Step", StepArgs{Step: 0, Packets: [][]byte{ragged}}, &sr)
+	err = c.Call(RPCServiceName+".Step", StepArgs{Step: 0, Packets: [][][]byte{{ragged}}}, &sr)
 	if err == nil || !strings.Contains(err.Error(), "trailing bytes") {
 		t.Fatalf("ragged packet: got %v, want a ragged-tail error", err)
 	}
@@ -273,7 +273,7 @@ func TestRPCStepRejectsCorruptPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Call(RPCServiceName+".Step", StepArgs{Step: 0, Packets: [][]byte{good}}, &sr); err != nil {
+	if err := c.Call(RPCServiceName+".Step", StepArgs{Step: 0, Packets: [][][]byte{{good}}}, &sr); err != nil {
 		t.Fatalf("step 0 retry after corrupt packets: %v", err)
 	}
 }
@@ -300,17 +300,13 @@ func (p *xProgram) Finish(w *Worker) error    { return nil }
 func (p *xProgram) MessageCombiner() Combiner { return DedupCombiner }
 
 func init() {
-	RegisterRPC("test-x", RPCFactory{
-		New: func(params map[string]string, w *Worker) (Program, error) {
-			return &xProgram{}, nil
-		},
-	})
+	RegisterRPC("test-x", func(*Host, map[string]string) (Program, error) { return &xProgram{}, nil })
 }
 
-// TestCrossTransportMetricsMatch: the in-process engine and the RPC
-// master serialize with the same codec and must therefore account the
-// same Messages, BytesLocal, BytesRemote, and BcastBytes for the same
-// program on the same graph.
+// TestCrossTransportMetricsMatch: one in-process host holding both
+// partitions and two hosts behind TCP run the same loop and the same
+// Step, and must therefore account the same Messages, BytesLocal,
+// BytesRemote, and BcastBytes for the same program on the same graph.
 func TestCrossTransportMetricsMatch(t *testing.T) {
 	path := graphFile(t)
 	g, err := graph.LoadFile(path)
@@ -329,7 +325,7 @@ func TestCrossTransportMetricsMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if err := m.Run("test-x", nil, 0); err != nil {
+	if err := m.RunNamed("test-x", nil); err != nil {
 		t.Fatal(err)
 	}
 

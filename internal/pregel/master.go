@@ -1,0 +1,582 @@
+package pregel
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/rpc"
+	"sync"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/obs"
+)
+
+// checkpoint is one globally consistent barrier snapshot: the worker
+// state blobs plus the master's routing state feeding the step it
+// names.
+type checkpoint struct {
+	runID    int
+	step     int        // next superstep after restore
+	blobs    [][][]byte // per-host Snapshotter state, one blob per partition
+	pending  [][][]byte // packets destined to each worker at that step
+	bcasts   [][]byte
+	finished bool // taken after FinishRun (Collect-time recovery)
+}
+
+// Master is the superstep loop: the only code that routes packets,
+// tests quiescence, accumulates Metrics, feeds the "pregel_*" counters
+// and trace rows, honours Cancel and MaxSupersteps, and charges the
+// netsim model. It drives its hosts through Transports and does not
+// know whether they are drworker processes (DialCluster) or the one
+// host in its own process holding every partition (New).
+type Master struct {
+	cfg        Config
+	addrs      []string
+	graphPath  string
+	transports []Transport
+	host       *Host // the in-process host of New; nil on a cluster
+	p          int   // partitions, split evenly over the transports
+	n          int   // vertices, the default superstep bound's input
+
+	runID      int
+	lastRun    BeginRunArgs
+	ckpt       *checkpoint
+	ckptOff    bool // no Snapshotter, or nothing to lose; recovery impossible
+	recoveries int
+
+	rngMu   sync.Mutex
+	rng     *rand.Rand
+	statsMu sync.Mutex
+
+	// Metrics accumulates across runs.
+	Metrics Metrics
+}
+
+// New returns the loop over one in-process host holding cfg.Workers
+// partitions of g: the simulated cluster. The host is reached by
+// method calls under a single attempt with no deadline and is never
+// checkpointed — there is no process to lose. Worker state (and any
+// program state hung off Worker.State) survives across Run calls,
+// which is how the batch algorithm executes one run per batch while
+// accumulating labels.
+func New(g *graph.Digraph, cfg Config) *Master {
+	if cfg.Workers <= 0 {
+		cfg.Workers = 1
+	}
+	cfg.Retry = RetryPolicy{CallTimeout: -1, MaxAttempts: -1, MaxRecoveries: -1}.normalized()
+	h := &Host{}
+	h.hold(g, 0, cfg.Workers, cfg.Workers)
+	return &Master{
+		cfg:        cfg,
+		transports: []Transport{Direct{h}},
+		host:       h,
+		p:          cfg.Workers,
+		n:          g.NumVertices(),
+		ckptOff:    true,
+	}
+}
+
+// Workers returns the in-process host's worker set, e.g. for a program
+// driver to read per-worker state after a run. nil on a cluster.
+func (m *Master) Workers() []*Worker {
+	if m.host == nil {
+		return nil
+	}
+	return m.host.workers
+}
+
+// DialCluster connects to the worker addresses with default fault
+// handling and initializes each with its partition assignment.
+func DialCluster(addrs []string, graphPath string) (*Master, error) {
+	return DialClusterOpts(addrs, graphPath, Config{})
+}
+
+// DialClusterOpts is DialCluster with explicit configuration.
+func DialClusterOpts(addrs []string, graphPath string, cfg Config) (*Master, error) {
+	cfg.Retry = cfg.Retry.normalized()
+	if cfg.Dial == nil {
+		cfg.Dial = DialRPC
+	}
+	m := &Master{
+		cfg:       cfg,
+		addrs:     append([]string(nil), addrs...),
+		graphPath: graphPath,
+		p:         len(addrs),
+		rng:       rand.New(rand.NewSource(cfg.Retry.JitterSeed)),
+	}
+	for i, addr := range addrs {
+		t, err := cfg.Dial(addr)
+		if err != nil {
+			m.Close()
+			return nil, fmt.Errorf("pregel: dialing worker %d at %s: %w", i, addr, err)
+		}
+		m.transports = append(m.transports, t)
+	}
+	for i := range m.transports {
+		if err := m.initWorker(i); err != nil {
+			m.Close()
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+func (m *Master) initWorker(i int) error {
+	args := InitArgs{WorkerID: i, NumWorkers: m.p, GraphPath: m.graphPath, Job: m.cfg.Job}
+	r, err := masterCall[InitReply](m, i, "Init", args)
+	if err == nil {
+		m.n = r.NumVertices
+	}
+	return err
+}
+
+// Close drops the worker connections and reports every close error.
+func (m *Master) Close() error {
+	var errs []error
+	for i, t := range m.transports {
+		if t == nil {
+			continue
+		}
+		if err := t.Close(); err != nil && !errors.Is(err, rpc.ErrShutdown) {
+			errs = append(errs, fmt.Errorf("pregel: closing worker %d: %w", i, err))
+		}
+		m.transports[i] = nil
+	}
+	return errors.Join(errs...)
+}
+
+// callOnce performs one attempt with the per-attempt deadline. The
+// reply must be fresh per attempt: an abandoned (timed-out) call may
+// still write into its reply when the response eventually lands.
+func (m *Master) callOnce(t Transport, method string, args, reply any) error {
+	timeout := m.cfg.Retry.CallTimeout
+	if timeout <= 0 {
+		return t.Call(method, args, reply)
+	}
+	done := make(chan error, 1)
+	go func() { done <- t.Call(method, args, reply) }()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case err := <-done:
+		return err
+	case <-timer.C:
+		return fmt.Errorf("pregel: %s: %w", method, ErrCallTimeout)
+	}
+}
+
+// masterCall performs a retried call to host i. Transient errors
+// (timeouts, drops, dead connections) are retried with exponential
+// backoff + jitter; application errors surface immediately; exhausted
+// retries and out-of-sync workers come back as a *workerFailure that
+// the run loop recovers from via checkpoint restore.
+func masterCall[T any](m *Master, i int, method string, args any) (*T, error) {
+	pol := m.cfg.Retry
+	full := RPCServiceName + "." + method
+	var err error
+	for attempt := 1; ; attempt++ {
+		reply := new(T)
+		err = m.callOnce(m.transports[i], full, args, reply)
+		if err == nil {
+			return reply, nil
+		}
+		if !isTransient(err) {
+			if isOutOfSync(err) {
+				return nil, &workerFailure{workers: []int{i}, err: err}
+			}
+			return nil, err
+		}
+		if attempt >= pol.MaxAttempts {
+			break
+		}
+		m.statsMu.Lock()
+		m.Metrics.Retries++
+		m.statsMu.Unlock()
+		m.cfg.Obs.Counter("pregel_retries_total").Inc()
+		if d := pol.backoff(attempt, m.rng, &m.rngMu); d > 0 {
+			time.Sleep(d)
+		}
+	}
+	return nil, &workerFailure{
+		workers: []int{i},
+		err:     fmt.Errorf("%s failed after %d attempts: %w: %w", method, pol.MaxAttempts, ErrRetriesExhausted, err),
+	}
+}
+
+// takeCheckpoint snapshots every worker at the current barrier. step,
+// pending, and bcasts describe the superstep the snapshot feeds. The
+// stored pending/bcasts slices are adopted, not copied — the run loop
+// never mutates a routing slice after handing it over.
+func (m *Master) takeCheckpoint(step int, pending [][][]byte, bcasts [][]byte, finished bool) error {
+	if m.ckptOff {
+		return nil
+	}
+	blobs := make([][][]byte, len(m.transports))
+	var bytes int64
+	for i := range m.transports {
+		r, err := masterCall[CheckpointReply](m, i, "Checkpoint", struct{}{})
+		if err != nil {
+			return err
+		}
+		if !r.Supported {
+			m.ckptOff = true
+			return nil
+		}
+		blobs[i] = r.Blobs
+		for _, b := range r.Blobs {
+			bytes += int64(len(b))
+		}
+	}
+	m.ckpt = &checkpoint{
+		runID:    m.runID,
+		step:     step,
+		blobs:    blobs,
+		pending:  pending,
+		bcasts:   bcasts,
+		finished: finished,
+	}
+	m.Metrics.Checkpoints++
+	m.Metrics.CheckpointBytes += bytes
+	m.Metrics.LastCheckpointStep = step
+	m.Metrics.SimNetTime += m.cfg.Net.CheckpointCost(bytes, m.p)
+	m.cfg.Obs.Counter("pregel_checkpoints_total").Inc()
+	m.cfg.Obs.Counter("pregel_checkpoint_bytes_total").Add(bytes)
+	return nil
+}
+
+// recoverWorkers brings the cluster back to the last checkpoint after
+// the listed workers failed: re-dial and re-Init each failed worker,
+// re-BeginRun it, then restore every worker's state to the checkpoint
+// barrier so the superstep loop can rewind and replay.
+func (m *Master) recoverWorkers(failed []int, cause error) error {
+	pol := m.cfg.Retry
+	if m.recoveries >= pol.MaxRecoveries {
+		return fmt.Errorf("pregel: giving up after %d recoveries: %w", m.recoveries, cause)
+	}
+	if m.ckptOff {
+		return fmt.Errorf("%w (program has no Snapshotter): %v", ErrNoRecovery, cause)
+	}
+	m.recoveries++
+	m.statsMu.Lock()
+	m.Metrics.Recoveries++
+	m.statsMu.Unlock()
+	m.cfg.Obs.Counter("pregel_recoveries_total").Inc()
+
+	redialed := map[int]bool{}
+	for _, i := range failed {
+		if redialed[i] {
+			continue
+		}
+		redialed[i] = true
+		if t := m.transports[i]; t != nil {
+			t.Close()
+		}
+		t, err := m.redial(m.addrs[i])
+		if err != nil {
+			return fmt.Errorf("pregel: re-dialing worker %d at %s: %w (after %v)", i, m.addrs[i], err, cause)
+		}
+		m.transports[i] = t
+		if err := m.initWorker(i); err != nil {
+			return fmt.Errorf("pregel: re-initializing worker %d: %w", i, err)
+		}
+		if m.runID != 0 {
+			if _, err := masterCall[struct{}](m, i, "BeginRun", m.lastRun); err != nil {
+				return fmt.Errorf("pregel: re-starting run on worker %d: %w", i, err)
+			}
+		}
+	}
+
+	ck := m.ckpt
+	if ck == nil {
+		// Nothing has stepped yet (failure during the first run's
+		// BeginRun phase): the re-begun workers are already consistent.
+		return nil
+	}
+	sameRun := ck.runID == m.runID
+	for i := range m.transports {
+		args := RestoreArgs{Blobs: ck.blobs[i], SameRun: sameRun}
+		if sameRun {
+			args.Step = ck.step
+			args.Finished = ck.finished
+		}
+		if _, err := masterCall[struct{}](m, i, "Restore", args); err != nil {
+			return fmt.Errorf("pregel: restoring worker %d from checkpoint: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// redial re-opens a worker connection with the retry policy's backoff
+// (a restarting worker process needs a moment to rebind its port).
+func (m *Master) redial(addr string) (Transport, error) {
+	pol := m.cfg.Retry
+	var err error
+	for attempt := 1; ; attempt++ {
+		var t Transport
+		t, err = m.cfg.Dial(addr)
+		if err == nil {
+			return t, nil
+		}
+		if attempt >= pol.MaxAttempts {
+			return nil, err
+		}
+		if d := pol.backoff(attempt, m.rng, &m.rngMu); d > 0 {
+			time.Sleep(d)
+		}
+	}
+}
+
+// Run executes p on the in-process host until quiescence and returns
+// the cost metrics of this run. A Program value cannot cross a process
+// boundary: a cluster runs registered programs by name (RunNamed).
+func (m *Master) Run(p Program) (Metrics, error) {
+	if m.host == nil {
+		return Metrics{}, errors.New("pregel: a cluster runs registered programs by name, not a Program value")
+	}
+	return m.run(BeginRunArgs{prog: p})
+}
+
+// RunNamed drives one run of the registered program to quiescence,
+// transparently retrying flaky calls and restoring from the last
+// superstep checkpoint when a worker crashes.
+func (m *Master) RunNamed(program string, params map[string]string) error {
+	_, err := m.run(BeginRunArgs{Program: program, Params: params})
+	return err
+}
+
+// run returns what the run's supersteps cost (replayed ones included)
+// after adding it to m.Metrics; the fault-handling counters go to
+// m.Metrics alone.
+func (m *Master) run(args BeginRunArgs) (Metrics, error) {
+	m.runID++
+	args.RunID = m.runID
+	m.lastRun = args
+	var met Metrics
+	defer func() { m.Metrics.Add(met) }()
+	for {
+		err := m.runAttempt(&met)
+		if err == nil {
+			return met, nil
+		}
+		var wf *workerFailure
+		if !errors.As(err, &wf) {
+			return met, err
+		}
+		if rerr := m.recoverWorkers(wf.workers, err); rerr != nil {
+			return met, rerr
+		}
+	}
+}
+
+// runAttempt executes the run from wherever the hosts currently stand:
+// from scratch, or — after a recovery — from the last checkpoint of
+// the current run.
+func (m *Master) runAttempt(met *Metrics) error {
+	p := m.p
+	per := p / len(m.transports) // partitions per host: 1 on a cluster, P in process
+	step := 0
+	pending := make([][][]byte, p) // packets destined to each worker
+	var bcasts [][]byte
+
+	if ck := m.ckpt; ck != nil && ck.runID == m.runID {
+		if ck.finished {
+			return nil // the run completed before the failure
+		}
+		step = ck.step
+		if ck.pending != nil {
+			pending = ck.pending
+		}
+		bcasts = ck.bcasts
+	} else {
+		for i := range m.transports {
+			if _, err := masterCall[struct{}](m, i, "BeginRun", m.lastRun); err != nil {
+				return err
+			}
+		}
+		// Barrier-0 snapshot: captures state carried over from earlier
+		// runs so any in-run failure can rewind at least to here.
+		if err := m.takeCheckpoint(0, nil, nil, false); err != nil {
+			return err
+		}
+	}
+
+	maxSteps := m.cfg.MaxSupersteps
+	if maxSteps <= 0 {
+		maxSteps = 4*m.n + 64
+	}
+	reg := m.cfg.Obs
+	trace := reg.Trace("pregel")
+	cSteps := reg.Counter("pregel_supersteps_total")
+	cMsgs := reg.Counter("pregel_messages_total")
+	cBytesLocal := reg.Counter("pregel_bytes_local_total")
+	cBytesRemote := reg.Counter("pregel_bytes_remote_total")
+	cBcastBytes := reg.Counter("pregel_bcast_bytes_total")
+	hStep := reg.Histogram("pregel_superstep_seconds", nil)
+	reg.Gauge("pregel_workers").Set(int64(p))
+
+	replies := make([]*StepReply, len(m.transports))
+	errs := make([]error, len(m.transports))
+	stepOn := func(i int) {
+		args := StepArgs{Step: step, Packets: pending[i*per : (i+1)*per], Bcasts: bcasts}
+		replies[i], errs[i] = masterCall[StepReply](m, i, "Step", args)
+	}
+	for ; ; step++ {
+		if step > maxSteps {
+			return fmt.Errorf("pregel: no quiescence after %d supersteps", maxSteps)
+		}
+		if canceled(m.cfg.Cancel) {
+			return ErrCanceled
+		}
+		m.statsMu.Lock()
+		preRetries := m.Metrics.Retries
+		m.statsMu.Unlock()
+		start := time.Now()
+		if len(m.transports) == 1 {
+			stepOn(0)
+		} else {
+			var wg sync.WaitGroup
+			for i := range m.transports {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					stepOn(i)
+				}(i)
+			}
+			wg.Wait()
+		}
+		if err := mergeFailures(errs); err != nil {
+			return err
+		}
+
+		// Route, and account the step. The BSP makespan of the step is
+		// the slowest worker's Superstep; everything else the step took
+		// outside its hosts' busy time — encode, transfer, routing,
+		// decode — is communication.
+		row := obs.StepTrace{Run: m.runID, Step: step}
+		if trace != nil {
+			row.Workers = make([]obs.WorkerStep, 0, p)
+		}
+		var busy int64
+		delivered := false
+		next := make([][][]byte, p)
+		bcasts = nil
+		for h, r := range replies {
+			busy = max(busy, r.BusyNanos)
+			for k := range r.Workers {
+				i, w := h*per+k, &r.Workers[k]
+				row.ComputeNanos = max(row.ComputeNanos, w.ComputeNanos)
+				row.Messages += w.MsgsOut
+				if w.Active {
+					row.ActiveWorkers++
+				}
+				if trace != nil {
+					row.Workers = append(row.Workers, obs.WorkerStep{
+						Worker: i, ComputeNanos: w.ComputeNanos, Active: w.Active, MsgsIn: w.MsgsIn,
+					})
+				}
+				for dst, buf := range w.Out {
+					if len(buf) == 0 {
+						continue
+					}
+					delivered = true
+					if dst == i {
+						row.BytesLocal += int64(len(buf))
+					} else {
+						row.BytesRemote += int64(len(buf))
+					}
+					next[dst] = append(next[dst], buf)
+				}
+				// Every blob reaches all P workers.
+				for _, b := range w.Bcasts {
+					bcasts = append(bcasts, b)
+					row.BcastBytes += int64(len(b))
+					row.BytesRemote += int64(len(b)) * int64(p-1)
+				}
+			}
+		}
+		pending = next
+		comm := time.Since(start) - time.Duration(busy)
+
+		m.statsMu.Lock()
+		row.Retries = m.Metrics.Retries - preRetries
+		m.statsMu.Unlock()
+		met.Supersteps++
+		met.ComputeTime += time.Duration(row.ComputeNanos)
+		met.CommTime += comm
+		met.SimNetTime += m.cfg.Net.ExchangeCost(row.BytesRemote, p)
+		met.Messages += row.Messages
+		met.BytesLocal += row.BytesLocal
+		met.BytesRemote += row.BytesRemote
+		met.BcastBytes += row.BcastBytes
+		cSteps.Inc()
+		cMsgs.Add(row.Messages)
+		cBytesLocal.Add(row.BytesLocal)
+		cBytesRemote.Add(row.BytesRemote)
+		cBcastBytes.Add(row.BcastBytes)
+		row.WallNanos = row.ComputeNanos + comm.Nanoseconds()
+		hStep.Observe(time.Duration(row.WallNanos).Seconds())
+		if trace != nil {
+			trace.Record(row)
+		}
+
+		if !delivered && len(bcasts) == 0 && row.ActiveWorkers == 0 {
+			break
+		}
+		if k := m.cfg.CheckpointEvery; k > 0 && (step+1)%k == 0 {
+			if err := m.takeCheckpoint(step+1, pending, bcasts, false); err != nil {
+				return err
+			}
+		}
+	}
+	for i := range m.transports {
+		if _, err := masterCall[struct{}](m, i, "FinishRun", struct{}{}); err != nil {
+			return err
+		}
+	}
+	// Post-finish snapshot: the run boundary the next run (or a
+	// Collect-time recovery) restores from.
+	return m.takeCheckpoint(step+1, nil, nil, true)
+}
+
+// Collect gathers every worker's result blob, in worker order,
+// recovering crashed workers from the post-finish checkpoint.
+func (m *Master) Collect() ([][]byte, error) {
+	for {
+		blobs, err := m.collectAttempt()
+		if err == nil {
+			return blobs, nil
+		}
+		var wf *workerFailure
+		if !errors.As(err, &wf) {
+			return nil, err
+		}
+		if rerr := m.recoverWorkers(wf.workers, err); rerr != nil {
+			return nil, rerr
+		}
+	}
+}
+
+func (m *Master) collectAttempt() ([][]byte, error) {
+	blobs := make([][]byte, 0, m.p)
+	for i := range m.transports {
+		reply, err := masterCall[CollectReply](m, i, "Collect", struct{}{})
+		if err != nil {
+			return nil, err
+		}
+		blobs = append(blobs, reply.Blobs...)
+	}
+	return blobs, nil
+}
+
+func canceled(c <-chan struct{}) bool {
+	if c == nil {
+		return false
+	}
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
+}

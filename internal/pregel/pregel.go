@@ -5,17 +5,18 @@
 // mapping the paper uses). Computation proceeds in supersteps: every
 // worker runs the program's Superstep against the messages delivered
 // in the previous step, producing new messages and optional broadcast
-// blobs; the engine then performs the exchange. The run terminates
-// when a superstep produces no messages, no broadcasts, and every
-// worker has voted to halt.
+// blobs; the master then routes them. The run terminates when a
+// superstep produces no messages, no broadcasts, and every worker has
+// voted to halt.
 //
-// Messages destined for another worker are serialized into flat byte
-// buffers and decoded at the receiver, so the communication cost the
-// engine measures includes real encode/copy/decode work; wire latency
-// and bandwidth for the simulated cluster are added from a
-// netsim.Model. Workers run as goroutines in-process by default; a
-// net/rpc transport for genuinely separate worker processes lives in
-// rpc.go and is exercised by cmd/drworker and cmd/drcluster.
+// There is one superstep loop (Master) and one place a superstep
+// executes (Host). A Host holds one partition in a cmd/drworker
+// process reached over net/rpc, or all P partitions in the master's
+// own process reached by a method call (New) — the simulated cluster.
+// Either way every message is serialized into a packet and decoded at
+// the receiver, so the communication cost the loop measures includes
+// real encode/copy/decode work; wire latency and bandwidth for the
+// simulated cluster are added from a netsim.Model.
 package pregel
 
 import (
@@ -44,27 +45,48 @@ type Msg struct {
 	Val2 int32
 }
 
-// Config configures an engine.
+// Config configures the superstep loop. New reads Workers; the
+// DialCluster constructors take the worker count from their address
+// list and read Retry, CheckpointEvery, Dial and Job. The rest applies
+// to both.
 type Config struct {
-	// Workers is the number of computation nodes P (default 1).
+	// Workers is the number of computation nodes P of an in-process
+	// run (default 1).
 	Workers int
-	// Net is the simulated interconnect (zero value = free network).
+	// Net is the simulated interconnect (zero value = free network),
+	// charged per superstep exchange and per checkpoint.
 	Net netsim.Model
-	// Cancel aborts the run when closed.
+	// Cancel aborts the run at the next superstep boundary when closed.
 	Cancel <-chan struct{}
 	// MaxSupersteps aborts a run that fails to quiesce (a program
 	// bug). 0 means the default of 4·|V|+64, which suits the BFS-style
 	// programs; the token-passing DFS of BFL^D sets its own bound.
 	MaxSupersteps int
-	// Obs receives runtime counters ("pregel_*") and the per-superstep
-	// trace recorder named "pregel" (see internal/obs). nil disables
-	// observability at zero cost.
+	// Obs receives the loop's counters ("pregel_*", including the
+	// fault-handling family) and the per-superstep trace recorder
+	// named "pregel" (see internal/obs). nil disables observability at
+	// zero cost.
 	Obs *obs.Registry
+
+	// Retry bounds per-call deadlines and retries (zero value: use
+	// DefaultRetryPolicy).
+	Retry RetryPolicy
+	// CheckpointEvery snapshots worker state every k supersteps in
+	// addition to the run-boundary checkpoints a cluster master always
+	// takes. 0 means run-boundary checkpoints only.
+	CheckpointEvery int
+	// Dial opens worker connections; nil means DialRPC. Recovery
+	// re-invokes it for the failed worker's address.
+	Dial Dialer
+	// Job is handed to every worker's Init and from there to the
+	// program factories: what a job fixes once rather than per run
+	// (the labelers' ordering strategy).
+	Job map[string]string
 }
 
 // Program is a distributed vertex-centric computation. One Program
-// value is instantiated per worker via NewState; Superstep is invoked
-// once per worker per superstep, concurrently across workers.
+// value serves every partition a host holds; Superstep is invoked once
+// per worker per superstep, concurrently across workers.
 type Program interface {
 	// Superstep processes w.Inbox and w.BcastIn and emits messages and
 	// broadcasts through w. Returning active=false is the worker's
@@ -76,16 +98,24 @@ type Program interface {
 	Finish(w *Worker) error
 }
 
-// PreStepper is an optional Program extension. PreStep runs
-// single-threaded before each superstep's parallel compute phase,
-// after broadcasts have been delivered. Programs use it to apply the
-// broadcast blobs to replicated state exactly once: in a physical
-// cluster every worker would hold its own copy of the replica, but
-// in-process one shared copy is semantically identical (broadcast
-// bytes are still charged per receiving worker) and avoids multiplying
-// memory by P.
+// PreStepper is an optional Program extension. PreStep runs once per
+// host, single-threaded, before each superstep's parallel compute
+// phase and after broadcasts have been delivered, with the workers
+// that host holds. Programs use it to apply the broadcast blobs to
+// replicated state exactly once: in a physical cluster every worker
+// holds its own copy of the replica, and in-process one shared copy is
+// semantically identical (broadcast bytes are still charged per
+// receiving worker) and avoids multiplying memory by P.
 type PreStepper interface {
 	PreStep(workers []*Worker, step int) error
+}
+
+// Collector is an optional Program extension for jobs whose result is
+// gathered by the master: Collect encodes what the job's runs left in
+// one worker's state, and Master.Collect returns the blobs in worker
+// order.
+type Collector interface {
+	Collect(w *Worker) ([]byte, error)
 }
 
 // Worker is one computation node: a partition of the vertices plus
@@ -141,7 +171,7 @@ func (w *Worker) Send(m Msg) {
 }
 
 // Broadcast publishes a blob to every worker (delivered next
-// superstep, including back to the sender). The engine counts
+// superstep, including back to the sender). The loop counts
 // len(blob) × (P−1) remote bytes for it.
 func (w *Worker) Broadcast(blob []byte) {
 	if len(blob) == 0 {
@@ -154,26 +184,23 @@ func (w *Worker) Broadcast(blob []byte) {
 // it: computation vs communication.
 type Metrics struct {
 	Supersteps  int
-	ComputeTime time.Duration // max across workers, summed over steps
-	CommTime    time.Duration // measured exchange (serialize+copy+decode)
+	ComputeTime time.Duration // slowest worker's Superstep, summed over steps
+	CommTime    time.Duration // measured exchange (encode + transfer + route + decode)
 	SimNetTime  time.Duration // modeled wire latency + bandwidth
 	Messages    int64
 	BytesLocal  int64 // bytes that stayed on the owning worker
 	BytesRemote int64 // bytes that crossed worker boundaries
 	BcastBytes  int64
 
-	// Fault-handling counters, populated by the RPC master (always
-	// zero for the in-process engine): retried calls, checkpoint
-	// restores after worker failures, checkpoints taken, bytes moved
-	// by checkpoints, and the superstep of the newest checkpoint.
+	// Fault-handling counters (always zero in process, where there is
+	// no network to fail): retried calls, checkpoint restores after
+	// worker failures, checkpoints taken, bytes moved by checkpoints,
+	// and the superstep of the newest checkpoint.
 	Retries            int64
 	Recoveries         int64
 	Checkpoints        int64
 	CheckpointBytes    int64
 	LastCheckpointStep int
-
-	// prevRemote is internal bookkeeping for per-step netsim charging.
-	prevRemote int64
 }
 
 // TotalComm returns measured plus simulated communication time.
@@ -183,7 +210,7 @@ func (m *Metrics) TotalComm() time.Duration { return m.CommTime + m.SimNetTime }
 func (m *Metrics) Total() time.Duration { return m.ComputeTime + m.CommTime + m.SimNetTime }
 
 // Add accumulates other into m (used when an algorithm performs
-// several engine runs, e.g. one per batch).
+// several runs on several masters, e.g. BFL^D's three phases).
 func (m *Metrics) Add(other Metrics) {
 	m.Supersteps += other.Supersteps
 	m.ComputeTime += other.ComputeTime

@@ -46,7 +46,7 @@ func (p *floodProgram) Superstep(w *Worker, step int) (bool, error) {
 
 func (p *floodProgram) Finish(w *Worker) error { return nil }
 
-func floodResult(e *Engine, n int) []int32 {
+func floodResult(e *Master, n int) []int32 {
 	out := make([]int32, n)
 	for _, w := range e.Workers() {
 		st := w.State.(*floodState)

@@ -14,18 +14,14 @@ import (
 // handling and the registry.
 
 func init() {
-	RegisterRPC("test-noop", RPCFactory{
-		New: func(params map[string]string, w *Worker) (Program, error) {
-			return &noopProgram{}, nil
-		},
-		Collect: func(w *Worker) ([]byte, error) { return []byte{byte(w.ID)}, nil },
-	})
+	RegisterRPC("test-noop", func(*Host, map[string]string) (Program, error) { return &noopProgram{}, nil })
 }
 
 type noopProgram struct{}
 
 func (p *noopProgram) Superstep(w *Worker, step int) (bool, error) { return false, nil }
 func (p *noopProgram) Finish(w *Worker) error                      { return nil }
+func (p *noopProgram) Collect(w *Worker) ([]byte, error)           { return []byte{byte(w.ID)}, nil }
 
 func startWorker(t *testing.T) string {
 	t.Helper()
@@ -72,13 +68,13 @@ func TestRPCProtocolErrors(t *testing.T) {
 	}
 
 	// Init with a missing graph file.
-	err = c.Call(RPCServiceName+".Init", InitArgs{WorkerID: 0, NumWorkers: 1, GraphPath: "/nonexistent"}, &struct{}{})
+	err = c.Call(RPCServiceName+".Init", InitArgs{WorkerID: 0, NumWorkers: 1, GraphPath: "/nonexistent"}, &InitReply{})
 	if err == nil {
 		t.Error("Init with a bad path should fail")
 	}
 
 	// Proper init, then an unregistered program.
-	if err := c.Call(RPCServiceName+".Init", InitArgs{WorkerID: 0, NumWorkers: 1, GraphPath: graphFile(t)}, &struct{}{}); err != nil {
+	if err := c.Call(RPCServiceName+".Init", InitArgs{WorkerID: 0, NumWorkers: 1, GraphPath: graphFile(t)}, &InitReply{}); err != nil {
 		t.Fatal(err)
 	}
 	err = c.Call(RPCServiceName+".BeginRun", BeginRunArgs{Program: "does-not-exist"}, &struct{}{})
@@ -94,7 +90,7 @@ func TestRPCMasterFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if err := m.Run("test-noop", nil, 0); err != nil {
+	if err := m.RunNamed("test-noop", nil); err != nil {
 		t.Fatal(err)
 	}
 	blobs, err := m.Collect()

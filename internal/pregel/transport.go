@@ -10,11 +10,11 @@ import (
 	"time"
 )
 
-// Transport abstracts one master↔worker connection so the retry,
+// Transport abstracts one master↔host connection so the retry,
 // fault-injection, and checkpoint machinery is independent of the
-// wire protocol. The production implementation is net/rpc over TCP
-// (*rpc.Client satisfies the interface directly); tests substitute
-// decorated or scripted transports.
+// wire protocol. The implementations are net/rpc over TCP (*rpc.Client
+// satisfies the interface directly) and Direct, a method call on a
+// host in the same process; tests decorate either.
 type Transport interface {
 	// Call performs one synchronous RPC. serviceMethod is the full
 	// "Service.Method" name as in net/rpc.
@@ -32,6 +32,51 @@ func DialRPC(addr string) (Transport, error) {
 	return rpc.Dial("tcp", addr)
 }
 
+// Direct is the Transport to a host in the master's own process: the
+// call is a method call — no gob, no connection, no goroutine. What the
+// host's handler returns comes back wrapped as a handlerError, the
+// direct counterpart of rpc.ServerError.
+type Direct struct{ Host *Host }
+
+// handlerError marks an error as raised by a host's handler, not by
+// the transport: permanent, like rpc.ServerError, but keeping the
+// cause for errors.Is (a program's ErrCanceled must stay recognizable).
+type handlerError struct{ error }
+
+func (e handlerError) Unwrap() error { return e.error }
+
+// Call dispatches serviceMethod on the host. args and reply have the
+// types the method declares; anything else is a caller bug and panics
+// in the type assertion.
+func (d Direct) Call(serviceMethod string, args any, reply any) error {
+	var err error
+	switch h := d.Host; strings.TrimPrefix(serviceMethod, RPCServiceName+".") {
+	case "Init":
+		err = h.Init(args.(InitArgs), reply.(*InitReply))
+	case "BeginRun":
+		err = h.BeginRun(args.(BeginRunArgs), nil)
+	case "Step":
+		err = h.Step(args.(StepArgs), reply.(*StepReply))
+	case "FinishRun":
+		err = h.FinishRun(struct{}{}, nil)
+	case "Collect":
+		err = h.Collect(struct{}{}, reply.(*CollectReply))
+	case "Checkpoint":
+		err = h.Checkpoint(struct{}{}, reply.(*CheckpointReply))
+	case "Restore":
+		err = h.Restore(args.(RestoreArgs), nil)
+	default:
+		err = fmt.Errorf("pregel: no method %q", serviceMethod)
+	}
+	if err != nil {
+		return handlerError{err}
+	}
+	return nil
+}
+
+// Close is a no-op: the host lives as long as its process.
+func (d Direct) Close() error { return nil }
+
 // Sentinel errors for the fault-handling paths. Callers match them
 // with errors.Is.
 var (
@@ -46,7 +91,7 @@ var (
 	ErrNoRecovery = errors.New("pregel: worker failed and no recovery is possible")
 )
 
-// outOfSyncMsg prefixes worker-side errors that signal master/worker
+// outOfSyncMsg prefixes host-side errors that signal master/host
 // superstep disagreement. net/rpc flattens errors to strings, so the
 // master matches the prefix; such errors trigger checkpoint recovery
 // rather than plain retries.
@@ -58,16 +103,17 @@ func isOutOfSync(err error) bool {
 
 // isTransient reports whether err is worth retrying on the same
 // connection: timeouts, dropped or injected failures, and transport
-// breakage. Errors produced by the worker's handler arrive as
-// rpc.ServerError and are permanent — they signify a program or
-// protocol bug, not network weather (out-of-sync errors are handled
-// separately via recovery).
+// breakage. Errors produced by the host's handler arrive as
+// rpc.ServerError (or handlerError over Direct) and are permanent —
+// they signify a program or protocol bug, not network weather
+// (out-of-sync errors are handled separately via recovery).
 func isTransient(err error) bool {
 	if err == nil {
 		return false
 	}
 	var se rpc.ServerError
-	return !errors.As(err, &se)
+	var he handlerError
+	return !errors.As(err, &se) && !errors.As(err, &he)
 }
 
 // RetryPolicy bounds the master's per-call fault handling. The zero

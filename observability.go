@@ -8,7 +8,7 @@ import (
 
 // MetricsRegistry collects counters, gauges, latency histograms, and
 // per-superstep traces from every layer that is handed one: the pregel
-// engine and RPC master ("pregel_*" series plus the "pregel" trace),
+// superstep loop ("pregel_*" series plus the "pregel" trace),
 // the DRL builders ("drl_*"), and the query server ("reachlab_*").
 // The zero-dependency implementation lives in internal/obs; this alias
 // is the public handle so callers can plumb one registry through

@@ -3,9 +3,75 @@ package reachlab
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// startTestWorkers serves n cluster workers on ephemeral localhost
+// ports for the life of the test process.
+func startTestWorkers(t *testing.T, n int) []string {
+	t.Helper()
+	var addrs []string
+	for i := 0; i < n; i++ {
+		ready := make(chan string, 1)
+		//lint:ignore goleak test worker serves until the process exits; ready (sent inside pregel.ServeWorker) is the only handshake it needs
+		go func() {
+			if err := ServeWorker("127.0.0.1:0", ready); err != nil {
+				t.Log(err)
+			}
+		}()
+		addrs = append(addrs, <-ready)
+	}
+	return addrs
+}
+
+// TestClusterBuildOptions: a cluster build honours Options.Order — its
+// file is the in-process build's, byte for byte — and refuses the
+// options it cannot honour by name instead of building something else.
+func TestClusterBuildOptions(t *testing.T) {
+	g, err := GenerateGraph("web", 400, 3, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := SaveGraph(path, g, true); err != nil {
+		t.Fatal(err)
+	}
+	file := func(x *Index) []byte {
+		var buf bytes.Buffer
+		if _, err := x.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, method := range []Method{MethodDRL, MethodDRLBatch} {
+		opts := Options{Method: method, Order: "degree-sum", Workers: 2}
+		local, err := Build(context.Background(), g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster, err := BuildOverCluster(startTestWorkers(t, 2), path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(file(local), file(cluster)) {
+			t.Errorf("%s under degree-sum: the cluster's index file differs from the in-process build's", method)
+		}
+		if l, c := local.BuildStats(), cluster.BuildStats(); l.Supersteps != c.Supersteps || l.Messages != c.Messages || l.BytesRemote != c.BytesRemote {
+			t.Errorf("%s: in process {%d %d %d}, cluster {%d %d %d} supersteps/messages/remote bytes",
+				method, l.Supersteps, l.Messages, l.BytesRemote, c.Supersteps, c.Messages, c.BytesRemote)
+		}
+	}
+	for name, opts := range map[string]Options{
+		"CondenseSCC": {CondenseSCC: true},
+		"LabelBudget": {LabelBudget: 8},
+	} {
+		if _, err := BuildOverCluster(nil, path, opts); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("Options.%s over a cluster: got %v, want a refusal naming it", name, err)
+		}
+	}
+}
 
 // TestOrderStrategiesAllCorrect: any total order yields a correct
 // index; only the size varies.

@@ -33,7 +33,8 @@ const (
 	// for completeness and the paper's ablations.
 	MethodDRLBasic Method = "drl-basic"
 	// MethodDRL is the improved method (Algorithm 3) on the
-	// vertex-centric system.
+	// vertex-centric system: MethodDRLBatch with every vertex in one
+	// batch.
 	MethodDRL Method = "drl"
 	// MethodDRLBatch is DRL_b (Algorithm 4), the paper's best: batch
 	// labeling on the vertex-centric system. The default.
@@ -133,7 +134,7 @@ type BuildStats struct {
 	BytesRemote   int64
 
 	// Fault-handling activity (cluster builds; zero for in-process
-	// methods, which have no network to fail).
+	// methods, which have no process to lose).
 	Retries            int64 // per-call retry attempts
 	Recoveries         int64 // checkpoint-restore recoveries
 	Checkpoints        int64 // superstep checkpoints taken
@@ -288,6 +289,7 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 		idx *label.Index
 		met pregel.Metrics
 	)
+	dopt := drl.DistOptions{Workers: opts.workers(), Net: opts.net(), Cancel: cancel, Obs: opts.Obs}
 	switch method {
 	case MethodTOL:
 		idx, err = tol.BuildCancelable(gd, ord, cancel)
@@ -296,17 +298,11 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 			Workers: opts.workers(), Cancel: cancel, Obs: opts.Obs,
 		})
 	case MethodDRL:
-		idx, met, err = drl.BuildDistributed(gd, ord, drl.DistOptions{
-			Workers: opts.workers(), Net: opts.net(), Cancel: cancel, Obs: opts.Obs,
-		})
+		idx, met, err = drl.BuildDistributed(gd, ord, dopt)
 	case MethodDRLBasic:
-		idx, met, err = drl.BuildDistributedBasic(gd, ord, drl.DistOptions{
-			Workers: opts.workers(), Net: opts.net(), Cancel: cancel, Obs: opts.Obs,
-		})
+		idx, met, err = drl.BuildDistributedBasic(gd, ord, dopt)
 	case MethodDRLBatch:
-		idx, met, err = drl.BuildDistributedBatch(gd, ord, opts.batchParams(), drl.DistOptions{
-			Workers: opts.workers(), Net: opts.net(), Cancel: cancel, Obs: opts.Obs,
-		})
+		idx, met, err = drl.BuildDistributedBatch(gd, ord, opts.batchParams(), dopt)
 	default:
 		return nil, fmt.Errorf("reachlab: unknown method %q", method)
 	}
@@ -315,9 +311,16 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 	}
 	x := newIndex(idx, nil, comp)
 	x.g = g.d
-	x.stats = BuildStats{
+	x.stats = buildStats(method, opts.workers(), start, met)
+	return x, nil
+}
+
+// buildStats is the one place a vertex-centric run's metrics become a
+// BuildStats (met is zero for the methods that run no supersteps).
+func buildStats(method Method, workers int, start time.Time, met pregel.Metrics) BuildStats {
+	return BuildStats{
 		Method:        method,
-		Workers:       opts.workers(),
+		Workers:       workers,
 		WallTime:      time.Since(start),
 		Compute:       met.ComputeTime,
 		Communication: met.TotalComm(),
@@ -330,7 +333,6 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 		Checkpoints:        met.Checkpoints,
 		LastCheckpointStep: met.LastCheckpointStep,
 	}
-	return x, nil
 }
 
 // buildError wraps a builder's failure; a build the caller's context

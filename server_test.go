@@ -125,17 +125,7 @@ func TestStatsExposeFaultCounters(t *testing.T) {
 	if err := graph.SaveFile(path, g.d, true); err != nil {
 		t.Fatal(err)
 	}
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		ready := make(chan string, 1)
-		//lint:ignore goleak test worker serves until the process exits; ready (sent inside pregel.ServeWorker) is the only handshake it needs
-		go func() {
-			if err := ServeWorker("127.0.0.1:0", ready); err != nil {
-				t.Log(err)
-			}
-		}()
-		addrs = append(addrs, <-ready)
-	}
+	addrs := startTestWorkers(t, 2)
 	seed := int64(0)
 	copt := ClusterOptions{
 		Retry: RetryPolicy{
