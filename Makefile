@@ -64,10 +64,12 @@ bench-harness:
 	bash benchmark/run.sh -smoke
 
 # End-to-end serving smoke: drgen -> drlabel -> drserve under a drload
-# burst with answer verification and a graceful-shutdown check; then a
-# cluster build (drcluster -spawn 3 -flaky 3 -checkpoint 2) whose file
-# must be drlabel's byte for byte and open in drquery, drserve and
-# drload (CI's serve-smoke job).
+# burst with answer verification and a graceful-shutdown check; a
+# budgeted index (drlabel -budget 8) served from its file and graph and
+# checked against the full one, with the wrong-graph and no-graph
+# refusals at open; then a cluster build (drcluster -spawn 3 -flaky 3
+# -checkpoint 2) whose file must be drlabel's byte for byte and open in
+# drquery, drserve and drload (CI's serve-smoke job).
 loadtest:
 	./scripts/serve_smoke.sh
 
@@ -104,6 +106,7 @@ querytest:
 # epoch. Then the end-to-end smoke: drserve in update mode
 # (-graph/-wal) — POST /edges point checks with epoch-acknowledged
 # reads, a drload burst with concurrent writers, kill -9 + WAL replay
+# (restarting from the graph's binary file: both formats open)
 # verifying no acked write is lost, and a graceful-shutdown check
 # (CI's fleet-smoke job).
 updatetest:

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
 
 // TestLabelBudgetOption pins the public memory-bounded mode: answers
-// stay exact for any budget, stats report the cap and overflow, and
-// the index refuses serialization (it retains the graph).
+// stay exact for any budget, and stats report the cap and overflow.
 func TestLabelBudgetOption(t *testing.T) {
 	g, err := GenerateGraph("social", 300, 4, 7)
 	if err != nil {
@@ -69,9 +72,83 @@ func TestLabelBudgetOption(t *testing.T) {
 				t.Fatalf("budget %d: batch q(%d,%d) = %v, want %v", budget, p.S, p.T, batch[i], want)
 			}
 		}
-		if _, err := idx.WriteTo(&bytes.Buffer{}); err == nil {
-			t.Fatal("budgeted index serialized without error")
+	}
+}
+
+// TestBudgetedIndexRoundTrip: a budgeted index is a file like any
+// other. At every budget, over the graph and over its condensation,
+// from the parallel and the serial builder, the index OpenIndex brings
+// back with the graph answers every pair as BFS and as the built index
+// do, reports the same Stats, and writes the file's bytes again. What
+// the file cannot be opened with is refused before a query: no graph,
+// another graph, and — condensed — a component table that is not the
+// one the graph condenses to.
+func TestBudgetedIndexRoundTrip(t *testing.T) {
+	g := randomCyclicGraph(90, 130, 19)
+	other := randomCyclicGraph(90, 130, 18)
+	n := g.NumVertices()
+	dir := t.TempDir()
+	overflowed := 0
+	for _, budget := range []int{1, 2, 8, math.MaxInt} {
+		for _, condense := range []bool{false, true} {
+			for _, method := range []Method{"", MethodTOL} {
+				opts := Options{LabelBudget: budget, CondenseSCC: condense, Method: method}
+				built, err := Build(context.Background(), g, opts)
+				if err != nil {
+					t.Fatalf("%+v: %v", opts, err)
+				}
+				var file bytes.Buffer
+				if _, err := built.WriteTo(&file); err != nil {
+					t.Fatalf("%+v: %v", opts, err)
+				}
+				path := filepath.Join(dir, "b.idx")
+				if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := OpenIndex(path, g)
+				if err != nil {
+					t.Fatalf("%+v: %v", opts, err)
+				}
+				for s := VertexID(0); int(s) < n; s++ {
+					for u := VertexID(0); int(u) < n; u++ {
+						want := g.ReachableBFS(s, u)
+						if a, b := built.Reachable(s, u), loaded.Reachable(s, u); a != want || b != want {
+							t.Fatalf("%+v: q(%d,%d) = %v built, %v from the file, BFS says %v", opts, s, u, a, b, want)
+						}
+					}
+				}
+				st := loaded.Stats()
+				if st != built.Stats() || st.LabelBudget != budget {
+					t.Fatalf("%+v: Stats %+v from the file, %+v built", opts, st, built.Stats())
+				}
+				overflowed += st.OverflowedIn + st.OverflowedOut
+				var again bytes.Buffer
+				if _, err := loaded.WriteTo(&again); err != nil || !bytes.Equal(file.Bytes(), again.Bytes()) {
+					t.Fatalf("%+v: the loaded index writes %d bytes (%v), the file has %d", opts, again.Len(), err, file.Len())
+				}
+
+				if _, err := ReadIndex(bytes.NewReader(file.Bytes())); err == nil || !strings.Contains(err.Error(), "OpenIndex") {
+					t.Errorf("%+v: without a graph: err = %v, want one naming OpenIndex", opts, err)
+				}
+				if _, err := OpenIndex(path, other); err == nil || !strings.Contains(err.Error(), "wrong graph") {
+					t.Errorf("%+v: with another graph: err = %v, want a wrong-graph refusal", opts, err)
+				}
+				if condense {
+					// The table starts behind the 32-byte header and the 16-byte
+					// fingerprint with its length and one block's two header
+					// bytes; moving vertex 0 to another component leaves a
+					// well-formed file for a condensation g does not have.
+					bad := append([]byte(nil), file.Bytes()...)
+					bad[32+16+3] ^= 1
+					if _, err := readIndex(bytes.NewReader(bad), g); err == nil || !strings.Contains(err.Error(), "condensation") {
+						t.Errorf("%+v: with a foreign component table: err = %v, want a refusal naming the condensation", opts, err)
+					}
+				}
+			}
 		}
+	}
+	if overflowed == 0 {
+		t.Fatal("no budget overflowed any list: the fallback from a file is untested")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/drl"
+	"repro/internal/graph"
 	"repro/internal/order"
 	"repro/internal/pregel"
 )
@@ -65,11 +66,19 @@ func BuildOverClusterOpts(addrs []string, graphPath string, opts Options, copt C
 		return nil, fmt.Errorf("reachlab: method %q does not support cluster deployment (use %q or %q)",
 			m, MethodDRL, MethodDRLBatch)
 	}
-	idx, met, err := drl.BuildOverCluster(addrs, graphPath, order.Strategy(opts.Order), bp, nil, copt)
+	// The master reads the graph as well: for the order, and so that the
+	// index names its graph as an in-process build's does.
+	g, err := graph.LoadFile(graphPath)
+	if err != nil {
+		return nil, fmt.Errorf("reachlab: building over cluster: %w", err)
+	}
+	idx, met, err := drl.BuildOverClusterOf(addrs, g, graphPath, order.Strategy(opts.Order), bp, nil, copt)
 	if err != nil {
 		return nil, fmt.Errorf("reachlab: building over cluster: %w", err)
 	}
 	x := newIndex(idx, nil, nil)
+	fp := g.Fingerprint()
+	x.g, x.fp = g, &fp
 	x.stats = buildStats(opts.method(), len(addrs), start, met)
 	return x, nil
 }

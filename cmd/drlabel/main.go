@@ -6,8 +6,11 @@
 //	drlabel -i graph.bin -o graph.idx                    # DRL_b, 4 workers
 //	drlabel -i graph.el -method tol -o graph.idx
 //	drlabel -i graph.bin -method drl -workers 8 -o graph.idx
+//	drlabel -i big.bin -mmap -budget 32 -o big.idx       # size-restricted
 //
-// Methods: tol, drl-basic, drl, drl-batch (default), drl-shared.
+// Methods: tol, drl-basic, drl, drl-batch (default), drl-shared. -budget
+// caps every label list (drl-shared, the default then, or tol); the file
+// is served with its graph: drserve -idx big.idx -graph big.bin.
 package main
 
 import (
@@ -24,7 +27,8 @@ func main() {
 	var (
 		in      = flag.String("i", "", "input graph (text edge list or drgen binary; required)")
 		out     = flag.String("o", "", "output index path (required)")
-		method  = flag.String("method", string(reachlab.MethodDRLBatch), "construction method")
+		method  = flag.String("method", "", "construction method (default drl-batch; with -budget, drl-shared)")
+		budget  = flag.Int("budget", 0, "cap every label list at this many entries per vertex and direction (0 = a full index)")
 		workers = flag.Int("workers", 4, "computation nodes / threads")
 		b       = flag.Int("b", 2, "DRL_b initial batch size")
 		k       = flag.Float64("k", 2, "DRL_b batch increment factor")
@@ -66,6 +70,7 @@ func main() {
 		BatchSize:      *b,
 		BatchFactor:    *k,
 		NetworkLatency: *latency,
+		LabelBudget:    *budget,
 	})
 	if err != nil {
 		fatal(err)
@@ -78,6 +83,9 @@ func main() {
 		bs.Supersteps, bs.Messages)
 	fmt.Printf("index: %d entries, %.2f MB in memory, max label %d, avg label %.2f\n",
 		st.Entries, float64(st.Bytes)/(1<<20), st.MaxLabelSize, st.AvgLabelSize)
+	if *budget > 0 {
+		fmt.Printf("label budget %d: %d/%d vertices overflowed in/out\n", st.LabelBudget, st.OverflowedIn, st.OverflowedOut)
+	}
 
 	f, err := os.Create(*out)
 	if err != nil {

@@ -114,32 +114,33 @@ func splitAddrs(list string) []string {
 // request, verification, or reload error.
 func runServe(workload string, bases []string, verifyIdx, verifyGraph string, reloadEvery time.Duration, reloadRef string, writers int, writeEvery time.Duration, writeWindow, clients, requests int, duration time.Duration, batch int, zipfS float64, seed int64) {
 	vertices := serverVertices(bases[0])
-	var oracle *reachlab.Index
-	if verifyIdx != "" {
-		if writers > 0 {
-			fatal(fmt.Errorf("-verify-idx and -writers are incompatible: a static oracle cannot check a mutating graph (the soak test covers that)"))
-		}
-		oracle = loadIndex(verifyIdx)
-		if oracle.NumVertices() != vertices {
-			fatal(fmt.Errorf("-verify-idx covers %d vertices, server reports %d", oracle.NumVertices(), vertices))
-		}
-	}
 	var pathGraph *reachlab.Graph
 	if verifyGraph != "" {
 		if workload != "path" {
 			fatal(fmt.Errorf("-verify-graph only applies to -mode path"))
 		}
-		if oracle == nil {
+		if verifyIdx == "" {
 			fatal(fmt.Errorf("-verify-graph needs -verify-idx (the graph checks hops, the index checks the bit)"))
 		}
-		g, err := reachlab.LoadGraph(verifyGraph)
-		if err != nil {
+		var err error
+		if pathGraph, err = reachlab.LoadGraph(verifyGraph); err != nil {
 			fatal(err)
 		}
-		if g.NumVertices() != vertices {
-			fatal(fmt.Errorf("-verify-graph covers %d vertices, server reports %d", g.NumVertices(), vertices))
+	}
+	var oracle *reachlab.Index
+	if verifyIdx != "" {
+		if writers > 0 {
+			fatal(fmt.Errorf("-verify-idx and -writers are incompatible: a static oracle cannot check a mutating graph (the soak test covers that)"))
 		}
-		pathGraph = g
+		// Opening the index with the graph refuses a -verify-graph that is
+		// not the one -verify-idx was built over.
+		var err error
+		if oracle, err = reachlab.OpenIndex(verifyIdx, pathGraph); err != nil {
+			fatal(err)
+		}
+		if oracle.NumVertices() != vertices {
+			fatal(fmt.Errorf("-verify-idx covers %d vertices, server reports %d", oracle.NumVertices(), vertices))
+		}
 	}
 	httpc := &http.Client{
 		Timeout: 30 * time.Second,
@@ -443,19 +444,6 @@ func joinClient(httpc *http.Client, base string, oracle *reachlab.Index) bench.C
 		}
 		return nil
 	}
-}
-
-func loadIndex(path string) *reachlab.Index {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	idx, err := reachlab.ReadIndex(f)
-	if err != nil {
-		fatal(err)
-	}
-	return idx
 }
 
 func report(algo string, clients int, res bench.LoadgenResult) {

@@ -1,6 +1,7 @@
 // Command drquery answers reachability queries from a serialized
 // index — no graph access needed, which is the point of the
-// index-only approach.
+// index-only approach (an index built with drlabel -budget is the
+// exception: it needs -graph).
 //
 // Usage:
 //
@@ -32,7 +33,7 @@ import (
 func main() {
 	var (
 		idxPath   = flag.String("idx", "", "index file written by drlabel (required)")
-		graphPath = flag.String("graph", "", "edge list the index was built from (required by -path)")
+		graphPath = flag.String("graph", "", "graph file the index was built from (required by -path and by a budgeted index)")
 		bench     = flag.Int("bench", 0, "run this many random queries and report the mean latency")
 		seed      = flag.Int64("seed", 1, "random query seed for -bench")
 		doCount   = flag.Bool("count", false, "treat each argument as one source and report its reachable-set size")
@@ -45,23 +46,16 @@ func main() {
 	if *doCount && *doPath {
 		fatal(fmt.Errorf("-count and -path are mutually exclusive"))
 	}
-	f, err := os.Open(*idxPath)
-	if err != nil {
-		fatal(err)
-	}
-	idx, err := reachlab.ReadIndex(f)
-	f.Close()
-	if err != nil {
-		fatal(err)
-	}
+	var g *reachlab.Graph
 	if *graphPath != "" {
-		g, err := reachlab.LoadGraph(*graphPath)
-		if err != nil {
+		var err error
+		if g, err = reachlab.LoadGraph(*graphPath); err != nil {
 			fatal(err)
 		}
-		if err := idx.AttachGraph(g); err != nil {
-			fatal(err)
-		}
+	}
+	idx, err := reachlab.OpenIndex(*idxPath, g)
+	if err != nil {
+		fatal(err)
 	}
 	if *doPath && !idx.HasGraph() {
 		fatal(fmt.Errorf("-path needs the edge list: pass -graph"))

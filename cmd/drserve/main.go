@@ -15,10 +15,14 @@
 //	curl 'localhost:8080/reach?s=3&t=17'
 //	curl -d '{"pairs":[[3,17],[5,9]]}' 'localhost:8080/reach/batch'
 //
-// /reach/path reconstructs a concrete witness path, which needs the
-// edge list: pass -graph alongside -idx to enable it (501 without):
+// -graph alongside -idx hands the server the graph the index was built
+// over (-mmap maps a binary file instead of reading it). It is checked
+// against the fingerprint in the index file at start and on every
+// reload, enables /reach/path (501 without: a witness path is read off
+// the edges), and is what an index built with drlabel -budget answers
+// its overflowing queries from — such an index does not start without:
 //
-//	drserve -idx graph.idx -graph graph.txt
+//	drserve -idx graph.idx -graph graph.bin
 //	curl 'localhost:8080/reach/path?s=3&t=17'
 //
 //	# Rebuild the index elsewhere, then swap it in without dropping
@@ -33,19 +37,9 @@
 // into the next served epoch. A restart replays the log, so every
 // acknowledged write survives a crash:
 //
-//	drserve -graph graph.txt -wal edges.wal -refresh-every 2s
+//	drserve -graph graph.bin -wal edges.wal -refresh-every 2s
 //	curl -d '{"op":"insert","u":3,"v":17}' 'localhost:8080/edges'
 //	# → {"op":"insert","u":3,"v":17,"seq":1,"epoch":2}
-//
-// Budgeted mode serves graphs whose full index would not fit in
-// memory: -graph + -budget builds a memory-bounded index (at most
-// -budget label entries per vertex per direction; overflowing queries
-// fall back to a label-pruned BFS) with the parallel batch labeler,
-// one goroutine per core, and serves it statically. Add
-// -mmap to page the graph's adjacency from a binary v2 file on
-// demand instead of loading it:
-//
-//	drserve -graph big.bin -mmap -budget 32
 //
 // Observability (see DESIGN.md §7):
 //
@@ -62,7 +56,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -72,7 +65,7 @@ import (
 
 func main() {
 	var (
-		idxPath  = flag.String("idx", "", "index file written by drlabel (required unless -graph; also the default /admin/reload and SIGHUP source)")
+		idxPath  = flag.String("idx", "", "index file written by drlabel (required unless -wal; also the default /admin/reload and SIGHUP source)")
 		listen   = flag.String("listen", "127.0.0.1:8080", "address to listen on")
 		cache    = flag.Int("cache", 1<<20, "hot-pair cache capacity in entries (0 disables)")
 		shards   = flag.Int("cache-shards", 64, "hot-pair cache shard count")
@@ -80,13 +73,11 @@ func main() {
 		maxJoin  = flag.Int("max-join", reachlab.DefaultMaxJoin, "maximum scanned cross product |sources|×|targets| per /reach/join request")
 		grace    = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight queries")
 
-		graphPath    = flag.String("graph", "", "text edge list: with -wal, update mode; with -budget, bounded static mode; with -idx, enables /reach/path witness paths")
+		graphPath    = flag.String("graph", "", "graph file (text edge list or drgen binary): with -wal, the graph update mode starts from; with -idx, the indexed graph — checked against the index, enables /reach/path, required by a budgeted index")
+		mmapFlag     = flag.Bool("mmap", false, "memory-map -graph (binary files only) instead of reading it into RAM")
 		walPath      = flag.String("wal", "", "write-ahead edge log path (update mode; created if missing, replayed if present)")
 		refreshEvery = flag.Duration("refresh-every", reachlab.DefaultRefreshEvery, "update mode: interval between refresh swaps")
 		refreshBatch = flag.Int("refresh-batch", reachlab.DefaultRefreshBatch, "update mode: max log records applied per refresh swap")
-
-		budget   = flag.Int("budget", 0, "with -graph and no -wal: build a memory-bounded index capped at this many label entries per vertex per direction and serve it")
-		mmapFlag = flag.Bool("mmap", false, "budgeted mode: memory-map the graph (binary v2 files only) instead of reading it into RAM")
 	)
 	flag.Parse()
 
@@ -95,7 +86,7 @@ func main() {
 		updater *reachlab.Updater
 		edgeLog *wal.Log
 	)
-	// Every mode serves with these; only static mode adds a Loader.
+	// Both modes serve with these; only static mode adds a Loader.
 	serveOpts := reachlab.ServeOptions{
 		Obs:         reachlab.DefaultMetrics(),
 		CachePairs:  *cache,
@@ -103,49 +94,24 @@ func main() {
 		MaxBatch:    *maxBatch,
 		MaxJoin:     *maxJoin,
 	}
+	// -graph is opened one way, whichever mode then uses it. A mapping
+	// lasts as long as the process does.
+	var g *reachlab.Graph
+	var err error
 	switch {
-	case *graphPath != "" && *budget > 0:
-		// Budgeted static mode: build a memory-bounded index over the
-		// graph and serve it. The graph stays resident (the fallback
-		// query path walks it), so -mmap lets the kernel page its
-		// adjacency in and out instead of committing RAM up front.
-		if *walPath != "" {
-			fatal(fmt.Errorf("-budget serves a static bounded index; it cannot be combined with -wal update mode"))
-		}
-		if *idxPath != "" {
-			fatal(fmt.Errorf("-budget builds its index from -graph; it cannot be combined with -idx"))
-		}
-		var g *reachlab.Graph
-		var err error
-		if *mmapFlag {
-			g, _, err = reachlab.MapGraph(*graphPath)
-		} else {
-			g, err = reachlab.LoadGraph(*graphPath)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		idx, err := reachlab.Build(context.Background(), g, reachlab.Options{LabelBudget: *budget, Workers: runtime.GOMAXPROCS(0)})
-		if err != nil {
-			fatal(err)
-		}
-		st := idx.Stats()
-		fmt.Printf("serving %d vertices with label budget %d (%.2f MB labels, %d/%d vertices overflowed in/out) on %s\n",
-			idx.NumVertices(), st.LabelBudget, float64(st.Bytes)/(1<<20), st.OverflowedIn, st.OverflowedOut, *listen)
-		handler = reachlab.NewQueryHandlerOpts(idx, serveOpts)
-
-	case *graphPath != "" && *walPath != "":
+	case *graphPath == "":
+	case *mmapFlag:
+		g, _, err = reachlab.MapGraph(*graphPath)
+	default:
+		g, err = reachlab.LoadGraph(*graphPath)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	switch {
+	case g != nil && *walPath != "":
 		if *idxPath != "" {
 			fatal(fmt.Errorf("-wal and -idx are mutually exclusive (update mode serves the maintained snapshot)"))
-		}
-		f, err := os.Open(*graphPath)
-		if err != nil {
-			fatal(err)
-		}
-		g, err := reachlab.ReadGraph(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
 		}
 		edgeLog, err = wal.Open(*walPath)
 		if err != nil {
@@ -168,40 +134,17 @@ func main() {
 		handler.EnableUpdates(updater)
 		updater.Start(handler)
 
-	case *idxPath != "":
-		// Optional -graph alongside -idx attaches the edge list the
-		// index was built from, enabling /reach/path (witness paths
-		// need edges to walk; the serialized index carries only labels).
-		var pathGraph *reachlab.Graph
-		if *graphPath != "" {
-			g, err := reachlab.LoadGraph(*graphPath)
-			if err != nil {
-				fatal(err)
+	case *idxPath != "" && *walPath == "":
+		// The index file names the graph it was built over, so a -graph
+		// that is another one fails here, and fails a reload, instead of
+		// answering /reach/path and a budgeted index's fallbacks wrongly.
+		serveOpts.Loader = func(ref string) (*reachlab.Index, error) {
+			if ref == "" {
+				ref = *idxPath
 			}
-			pathGraph = g
+			return reachlab.OpenIndex(ref, g)
 		}
-		loader := func(ref string) (*reachlab.Index, error) {
-			path := ref
-			if path == "" {
-				path = *idxPath
-			}
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			idx, err := reachlab.ReadIndex(f)
-			if err != nil {
-				return nil, err
-			}
-			if pathGraph != nil {
-				if err := idx.AttachGraph(pathGraph); err != nil {
-					return nil, fmt.Errorf("attaching -graph to %s: %w", path, err)
-				}
-			}
-			return idx, nil
-		}
-		idx, err := loader("")
+		idx, err := serveOpts.Loader("")
 		if err != nil {
 			fatal(err)
 		}
@@ -212,14 +155,10 @@ func main() {
 		}
 		fmt.Printf("serving %d vertices (%.2f MB index, %d cache slots, witness paths %s) on %s (metrics at /metrics, profiles at /debug/pprof/)\n",
 			idx.NumVertices(), float64(st.Bytes)/(1<<20), *cache, paths, *listen)
-		serveOpts.Loader = loader
 		handler = reachlab.NewQueryHandlerOpts(idx, serveOpts)
 
-	case *graphPath != "":
-		fatal(fmt.Errorf("-graph alone is ambiguous: add -wal (update mode), -budget (bounded static mode), or -idx (witness paths over a static index)"))
-
 	default:
-		fatal(fmt.Errorf("missing -idx (static mode) or -graph/-wal (update mode)"))
+		fatal(fmt.Errorf("need -idx (static mode; -graph optional) or -graph with -wal (update mode)"))
 	}
 
 	srv := &http.Server{

@@ -54,12 +54,7 @@ func main() {
 	}
 
 	// A "query server" loads only the index file.
-	f, err = os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	served, err := reachlab.ReadIndex(f)
-	f.Close()
+	served, err := reachlab.OpenIndex(path, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

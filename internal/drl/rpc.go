@@ -134,6 +134,12 @@ func BuildOverCluster(addrs []string, graphPath string, strategy order.Strategy,
 	if err != nil {
 		return nil, pregel.Metrics{}, err
 	}
+	return BuildOverClusterOf(addrs, g, graphPath, strategy, bp, cancel, copt)
+}
+
+// BuildOverClusterOf is BuildOverCluster for a master that has already
+// loaded g, the graph at graphPath.
+func BuildOverClusterOf(addrs []string, g *graph.Digraph, graphPath string, strategy order.Strategy, bp *BatchParams, cancel <-chan struct{}, copt ClusterOptions) (*label.Index, pregel.Metrics, error) {
 	ord, err := order.ComputeStrategy(g, strategy)
 	if err != nil {
 		return nil, pregel.Metrics{}, err

@@ -155,6 +155,30 @@ func WriteBinary2(w io.Writer, g *Digraph) error {
 	return bw.Flush()
 }
 
+// Fingerprint identifies a graph by content, so that an index file can
+// name the graph it was built over and refuse every other when opened:
+// the vertex and edge counts and the CRC-32 (IEEE) of the out-CSR as a
+// v2 file stores it — outOff, then outAdj, little-endian, unpadded.
+// Adjacency lists are sorted and free of duplicates, so those bytes are
+// a function of the edge set alone: a graph parsed from text, copied
+// from a binary file or mapped from one has one fingerprint. The fields,
+// in this order and at these widths, are the graph part of an index
+// file (label/io.go).
+type Fingerprint struct {
+	N   int32
+	CRC uint32
+	M   int64
+}
+
+// Fingerprint computes g's fingerprint in one pass over the out-CSR.
+func (g *Digraph) Fingerprint() Fingerprint {
+	h := crc32.NewIEEE() // whose Write never fails
+	var buf [1 << 16]byte
+	_ = writeInt64sLE(h, buf[:], g.outOff)
+	_ = writeVertexIDsLE(h, buf[:], g.outAdj)
+	return Fingerprint{N: g.n, CRC: h.Sum32(), M: g.m}
+}
+
 func writeInt64sLE(w io.Writer, buf []byte, xs []int64) error {
 	for len(xs) > 0 {
 		k := min(len(xs), len(buf)/8)

@@ -3,8 +3,10 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -265,5 +267,72 @@ func TestSaveFileReportsCreateError(t *testing.T) {
 	err := SaveFile(filepath.Join(t.TempDir(), "no", "such", "dir", "g.bin"), v2TestGraph(t), true)
 	if err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestFingerprint: one graph has one fingerprint however it reached
+// memory — built from edges in any order, parsed from text, copied from
+// a binary file, mapped from one — and it is the CRC of the file's own
+// out-CSR bytes; one edge more, one edge moved, or one isolated vertex
+// more is another fingerprint.
+func TestFingerprint(t *testing.T) {
+	edges := randomTestEdges(300, 2500, 7)
+	g := fromEdgesSort(300, edges)
+	want := g.Fingerprint()
+	if want.N != 300 || want.M != g.NumEdges() {
+		t.Fatalf("fingerprint %v of %v", want, g)
+	}
+	dir := t.TempDir()
+	for _, binaryFormat := range []bool{false, true} {
+		path := filepath.Join(dir, "g")
+		if err := SaveFile(path, g, binaryFormat); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.Fingerprint(); got != want {
+			t.Errorf("loaded (binary %v): fingerprint %v, want %v", binaryFormat, got, want)
+		}
+	}
+	m, err := MapFile(filepath.Join(dir, "g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Fingerprint(); got != want {
+		t.Errorf("mapped: fingerprint %v, want %v", got, want)
+	}
+	file, err := os.ReadFile(filepath.Join(dir, "g"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := v2Layout(300, uint64(g.NumEdges()))
+	outCSR := append(append([]byte(nil), file[h.sec[0].off:][:h.sec[0].size]...), file[h.sec[1].off:][:h.sec[1].size]...)
+	if crc := crc32.ChecksumIEEE(outCSR); crc != want.CRC {
+		t.Errorf("CRC %08x, the file's out-CSR sections have %08x", want.CRC, crc)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	slices.Reverse(edges)
+	if got := FromEdges(300, edges).Fingerprint(); got != want {
+		t.Errorf("edges in reverse order: fingerprint %v, want %v", got, want)
+	}
+	moved := append([]Edge(nil), edges...)
+	moved[0].V = (moved[0].V + 1) % 300
+	for name, other := range map[string]*Digraph{
+		"an isolated vertex more": FromEdges(301, edges),
+		"an edge fewer":           FromEdges(300, edges[1:]),
+		"an edge moved":           FromEdges(300, moved),
+		"no edges":                FromEdges(300, nil),
+	} {
+		if got := other.Fingerprint(); got == want {
+			t.Errorf("%s: fingerprint %v again", name, got)
+		}
+	}
+	if a, b := FromEdges(0, nil).Fingerprint(), FromEdges(1, nil).Fingerprint(); a == b {
+		t.Errorf("the empty graph and the one-vertex graph share fingerprint %v", a)
 	}
 }

@@ -32,8 +32,8 @@ import (
 //
 // Every other pair falls back to a guarded BFS over the retained
 // graph, pruned by whichever endpoint label is complete. The graph is
-// therefore part of the index: a Budgeted cannot be serialized and
-// served without it.
+// therefore part of the index: its file (Extras) carries the budget,
+// the flags and the graph's fingerprint, and is reopened with the graph.
 type Budgeted struct {
 	x      *Index
 	g      *graph.Digraph
@@ -62,6 +62,9 @@ func (b *Budgeted) Budget() int { return b.budget }
 // the builder never refused it an entry.
 func (b *Budgeted) InFull(v graph.VertexID) bool  { return b.inFull[v] }
 func (b *Budgeted) OutFull(v graph.VertexID) bool { return b.outFull[v] }
+
+// Flags returns the two per-vertex completeness lists, read-only.
+func (b *Budgeted) Flags() (inFull, outFull []bool) { return b.inFull, b.outFull }
 
 // Overflowed returns how many vertices have an incomplete in-label and
 // out-label list respectively — the vertices whose queries may need

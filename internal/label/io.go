@@ -22,12 +22,17 @@ import (
 // loads the index. The ordering's rank permutation is embedded so a
 // reader can translate vertex IDs to ranks without the graph.
 //
-//	file    := magic(8) n(8) nIn(8) nOut(8) ints(n) labels labels
+//	file    := header [graph] [comp] [budget] ints(n) labels labels
+//	header  := magic(8) n(4) parts(4) nIn(8) nOut(8)
+//	graph   := n(4) crc(4) m(8)              parts&1: graph.Fingerprint
+//	comp    := uvarint(count) ints(count)    parts&2: component table
+//	budget  := uvarint(cap) block block      parts&4: inFull, outFull bits
 //	ints(k) := block*            one block per 4,096 values, k in all
 //	labels  := block*            one block per 4,096 vertices, in order
 //	block   := uvarint(entries) uvarint(bytes) payload(bytes)
 //
-// The four header words are little-endian; ints(n) is the rank
+// Fixed-width words are little-endian; parts says which of the three
+// optional parts (Extras) follow the header. ints(n) is the rank
 // permutation, the two labels sections are L_in and L_out. An ints
 // payload is one uvarint per value. A labels payload is, per vertex,
 // uvarint(len) followed by the list's gaps: the first rank, then
@@ -38,14 +43,14 @@ import (
 // before its payload is decoded, and the list lengths rebuild the
 // rest. That self-describing block header is what lets both directions
 // stream through an io.Writer / io.Reader and still run block-parallel.
-// DESIGN.md §16 is the normative description.
+// A bitset block has ⌈n/8⌉ entries, one a byte, vertex v at bit v%8 of
+// byte v/8. DESIGN.md §16 is the normative description.
 
 const (
-	indexMagic = uint64(0x44524c494e445832) // "DRLINDX2"
-	// fixedWidthMagic opened the retired format (raw int64 offsets and
-	// int32 ranks). Index files are derived artifacts, so it is refused
-	// rather than converted.
-	fixedWidthMagic = uint64(0x44524c494e444558) // "DRLINDEX"
+	indexMagic = uint64(0x44524c494e445833) // "DRLINDX3"
+
+	// The bits of header.Parts, in the order their parts follow it.
+	partGraph, partComp, partBudget = uint32(1), uint32(2), uint32(4)
 
 	// blockValues is the number of vertices (labels sections) or values
 	// (ints sections) one block covers: large enough that a block is
@@ -64,6 +69,31 @@ const (
 	// payload so the two header uvarints land contiguously before it.
 	blockHeaderRoom = 2 * binary.MaxVarintLen64
 )
+
+// retiredMagics opened the formats before this one — "DRLINDX2" inside
+// the root package's "RLIXNVE2" envelope, and the fixed-width "DRLINDEX"
+// and "RLIXNVE1". Index files are derived artifacts, so they are refused
+// rather than converted.
+var retiredMagics = []uint64{0x44524c494e445832, 0x524c49584e564532, 0x44524c494e444558, 0x524c49584e564531}
+
+// header is the file's fixed part, in binary.Read's layout of a struct.
+type header struct {
+	Magic     uint64
+	N, Parts  uint32
+	NIn, NOut uint64
+}
+
+// Extras are the optional parts of an index file: what an index needs
+// beyond its labels to be reopened as the index it was.
+type Extras struct {
+	Graph *graph.Fingerprint // of the indexed graph (the original one, under Comp); nil if unnamed
+	Comp  []int32            // original vertex → component, for an index over an SCC condensation
+	// Budget > 0 makes this a capped index (see Budgeted) whose lists are
+	// complete where InFull and OutFull say so. It answers from its graph
+	// as well, so Graph must be set.
+	Budget          int
+	InFull, OutFull []bool
+}
 
 // putUvarint32 writes v at b[pos:] and returns the position after it.
 // b must have binary.MaxVarintLen32 bytes of room. One- and two-byte
@@ -115,12 +145,34 @@ func sized(buf []byte, n int) []byte {
 	return slices.Grow(buf[:0], n)[:n]
 }
 
-// WriteInts writes vals — non-negative, as ranks and component IDs are
-// — as the ints section of the format: one uvarint per value, framed
-// in blocks. It returns the number of bytes written. (A negative value
-// would be written as one of 2³¹ or more, which ReadInts refuses.)
-func WriteInts[T ~int32](w io.Writer, vals []T) (int64, error) {
-	var written int64
+// writeCounter counts the bytes that reach w and, like bufio.Writer,
+// keeps the first error and writes nothing after it.
+type writeCounter struct {
+	w   io.Writer
+	n   int64
+	err error
+}
+
+func (t *writeCounter) Write(p []byte) (int, error) {
+	if t.err != nil {
+		return 0, t.err
+	}
+	k, err := t.w.Write(p)
+	t.n += int64(k)
+	if err != nil {
+		t.err = fmt.Errorf("label: writing index: %w", err)
+	}
+	return k, t.err
+}
+
+// put is Write for a caller that reads err when it has written all.
+func (t *writeCounter) put(p []byte) { _, _ = t.Write(p) }
+
+// writeInts writes vals — non-negative, as ranks and component IDs are
+// — as an ints section: one uvarint per value, framed in blocks. (A
+// negative value would be written as one of 2³¹ or more, which readInts
+// refuses.)
+func writeInts[T ~int32](w *writeCounter, vals []T) {
 	var buf []byte
 	for ; len(vals) > 0; vals = vals[min(len(vals), blockValues):] {
 		part := vals[:min(len(vals), blockValues)]
@@ -129,20 +181,15 @@ func WriteInts[T ~int32](w io.Writer, vals []T) (int64, error) {
 		for _, v := range part {
 			pos = putUvarint32(buf, pos, uint32(v))
 		}
-		k, err := w.Write(sealBlock(buf, pos, int64(len(part))))
-		written += int64(k)
-		if err != nil {
-			return written, fmt.Errorf("label: writing index: %w", err)
-		}
+		w.put(sealBlock(buf, pos, int64(len(part))))
 	}
-	return written, nil
 }
 
-// ReadInts reads the count values of an ints section, each of which
+// readInts reads the count values of an ints section, each of which
 // must be below limit (at most 1<<31). The result grows only as blocks
 // actually arrive, so a corrupt count fails at the first missing block
 // instead of forcing a giant allocation.
-func ReadInts[T ~int32](br *bufio.Reader, count int, limit uint64) ([]T, error) {
+func readInts[T ~int32](br *bufio.Reader, count int, limit uint64) ([]T, error) {
 	out := make([]T, 0, min(count, blockValues))
 	var buf []byte
 	for len(out) < count {
@@ -200,6 +247,37 @@ func readBlock(br *bufio.Reader, buf []byte) (entries uint64, payload []byte, er
 		}
 	}
 	return entries, payload, nil
+}
+
+// flagBlock encodes one direction's completeness flags as a bitset block.
+func flagBlock(full []bool) []byte {
+	buf := make([]byte, blockHeaderRoom+(len(full)+7)/8)
+	for v, f := range full {
+		if f {
+			buf[blockHeaderRoom+v/8] |= 1 << (v % 8)
+		}
+	}
+	return sealBlock(buf, len(buf), int64(len(buf)-blockHeaderRoom))
+}
+
+// readFlags is the inverse of flagBlock for n vertices, whose flags are
+// allocated once the block's bytes, an eighth as many, have arrived.
+func readFlags(br *bufio.Reader, n int) ([]bool, error) {
+	entries, payload, err := readBlock(br, nil)
+	if size := (n + 7) / 8; err == nil && (entries != uint64(size) || len(payload) != size) {
+		err = fmt.Errorf("corrupt block: %d entries in %d bytes of flags for %d vertices", entries, len(payload), n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	full := make([]bool, 8*len(payload))
+	for v := range full {
+		full[v] = payload[v/8]>>(v%8)&1 != 0
+	}
+	if slices.Contains(full[n:], true) {
+		return nil, fmt.Errorf("corrupt block: a flag is set for a vertex that is not below %d", n)
+	}
+	return full[:n], nil
 }
 
 // noEOF turns an end of input in the middle of a structure into the
@@ -298,27 +376,48 @@ func decodeLabelBlock(payload []byte, off []int64, dst []order.Rank, base int64,
 	return nil
 }
 
-// WriteTo serializes the index and returns the number of bytes
-// written. Label blocks are encoded on GOMAXPROCS goroutines and
-// written in vertex order, one Write call per block; a block's bytes
-// depend on the label sets alone, so the output is identical whatever
-// the worker count or scheduling, and a patched index writes the bytes
-// its Fold would.
-func (x *Index) WriteTo(w io.Writer) (int64, error) {
-	header := make([]byte, 0, 32)
+// WriteTo serializes the index as a file with no optional part and
+// returns the number of bytes written.
+func (x *Index) WriteTo(w io.Writer) (int64, error) { return x.WriteWith(w, Extras{}) }
+
+// WriteWith serializes the index and the optional parts e names, and
+// returns the number of bytes written. Label blocks are encoded on
+// GOMAXPROCS goroutines and written in vertex order, one Write call per
+// block; a block's bytes depend on the label sets alone, so the output
+// is identical whatever the worker count or scheduling, and a patched
+// index writes the bytes its Fold would.
+func (x *Index) WriteWith(out io.Writer, e Extras) (int64, error) {
+	if e.Budget > 0 && (e.Graph == nil || len(e.InFull) != x.n || len(e.OutFull) != x.n) {
+		return 0, errors.New("label: a capped index is written with its graph's fingerprint and one flag per vertex and direction")
+	}
+	w := &writeCounter{w: out}
 	nIn, nOut := x.entries()
-	for _, v := range []uint64{indexMagic, uint64(x.n), uint64(nIn), uint64(nOut)} {
-		header = binary.LittleEndian.AppendUint64(header, v)
+	h := header{Magic: indexMagic, N: uint32(x.n), NIn: uint64(nIn), NOut: uint64(nOut)}
+	if e.Graph != nil {
+		h.Parts |= partGraph
 	}
-	k, err := w.Write(header)
-	written := int64(k)
-	if err != nil {
-		return written, fmt.Errorf("label: writing index: %w", err)
+	if e.Comp != nil {
+		h.Parts |= partComp
 	}
-	m, err := WriteInts(w, x.ord.Ranks())
-	written += m
-	if err != nil {
-		return written, err
+	if e.Budget > 0 {
+		h.Parts |= partBudget
+	}
+	_ = binary.Write(w, binary.LittleEndian, h) // w remembers a failed write, and those after it do nothing
+	if e.Graph != nil {
+		_ = binary.Write(w, binary.LittleEndian, e.Graph)
+	}
+	if e.Comp != nil {
+		w.put(binary.AppendUvarint(nil, uint64(len(e.Comp))))
+		writeInts(w, e.Comp)
+	}
+	if e.Budget > 0 {
+		w.put(binary.AppendUvarint(nil, uint64(e.Budget)))
+		w.put(flagBlock(e.InFull))
+		w.put(flagBlock(e.OutFull))
+	}
+	writeInts(w, x.ord.Ranks())
+	if w.err != nil {
+		return w.n, w.err
 	}
 
 	perSection := blocksFor(x.n)
@@ -375,52 +474,62 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	defer wg.Wait()
 	defer close(stop)
 	for i := 0; i < blocks; i++ {
-		e := <-ready[i%window]
-		if e.err != nil {
-			return written, e.err
+		enc := <-ready[i%window]
+		if enc.err != nil {
+			return w.n, enc.err
 		}
-		k, err := w.Write(e.block)
-		written += int64(k)
-		if err != nil {
-			return written, fmt.Errorf("label: writing index: %w", err)
+		if w.put(enc.block); w.err != nil {
+			return w.n, w.err
 		}
-		free <- e.block[:0]
+		free <- enc.block[:0]
 	}
-	return written, nil
+	return w.n, nil
 }
 
-// Read deserializes an index written by WriteTo. The calling goroutine
-// reads the blocks in order; GOMAXPROCS goroutines decode them.
+// Read deserializes an index written by WriteTo — a file with no
+// optional part; one that has any belongs to reachlab.ReadIndex.
 func Read(r io.Reader) (*Index, error) {
+	x, e, err := ReadWith(r)
+	if err == nil && (e.Graph != nil || e.Comp != nil || e.Budget > 0) {
+		return nil, errors.New("label: this index file carries a graph fingerprint, a component table or a label budget; open it with reachlab.ReadIndex")
+	}
+	return x, err
+}
+
+// ReadWith deserializes an index written by WriteWith and the optional
+// parts its file carries. The calling goroutine reads the blocks in
+// order; GOMAXPROCS goroutines decode them.
+func ReadWith(r io.Reader) (*Index, Extras, error) {
+	var e Extras
 	br := bufio.NewReader(r)
-	var header [32]byte
-	if _, err := io.ReadFull(br, header[:]); err != nil {
-		return nil, fmt.Errorf("label: reading index header: %w", err)
+	var h header
+	if err := binary.Read(br, binary.LittleEndian, &h); err != nil {
+		return nil, e, fmt.Errorf("label: reading index header: %w", err)
 	}
-	magic := binary.LittleEndian.Uint64(header[0:])
-	n64 := binary.LittleEndian.Uint64(header[8:])
-	nIn := binary.LittleEndian.Uint64(header[16:])
-	nOut := binary.LittleEndian.Uint64(header[24:])
-	if magic == fixedWidthMagic {
-		return nil, errors.New("label: this index file is in the retired fixed-width format; rebuild the index")
+	if slices.Contains(retiredMagics, h.Magic) {
+		return nil, e, errors.New("label: this index file is in a retired format; rebuild the index")
 	}
-	if magic != indexMagic {
-		return nil, errors.New("label: not an index file (bad magic)")
+	if h.Magic != indexMagic {
+		return nil, e, errors.New("label: not an index file (bad magic)")
 	}
-	if n64 > 1<<31 || nIn > 1<<40 || nOut > 1<<40 {
-		return nil, fmt.Errorf("label: implausible index header n=%d", n64)
+	if h.N > 1<<31 || h.NIn > 1<<40 || h.NOut > 1<<40 || h.Parts > partGraph|partComp|partBudget || h.Parts&(partGraph|partBudget) == partBudget {
+		return nil, e, fmt.Errorf("label: implausible index header n=%d parts=%#x", h.N, h.Parts)
 	}
-	n := int(n64)
-	ordRanks, err := ReadInts[order.Rank](br, n, n64)
+	n, n64, nIn, nOut := int(h.N), uint64(h.N), h.NIn, h.NOut
+	e, err := readExtras(br, h.Parts, n)
 	if err != nil {
-		return nil, fmt.Errorf("label: reading rank permutation: %w", err)
+		return nil, e, fmt.Errorf("label: reading %w", err)
+	}
+	ordRanks, err := readInts[order.Rank](br, n, n64)
+	if err != nil {
+		return nil, e, fmt.Errorf("label: reading rank permutation: %w", err)
 	}
 	// n values have arrived, so n is no longer just a claim and may
 	// size allocations.
 	seen := make([]bool, n)
 	for v, r := range ordRanks {
 		if seen[r] {
-			return nil, fmt.Errorf("label: corrupt rank %d for vertex %d", r, v)
+			return nil, e, fmt.Errorf("label: corrupt rank %d for vertex %d", r, v)
 		}
 		seen[r] = true
 	}
@@ -434,10 +543,54 @@ func Read(r io.Reader) (*Index, error) {
 		err = derr
 	}
 	if err != nil {
-		return nil, fmt.Errorf("label: reading labels: %w", err)
+		return nil, e, fmt.Errorf("label: reading labels: %w", err)
 	}
 	x.ord = order.FromRanks(ordRanks)
-	return x, nil
+	return x, e, nil
+}
+
+// readExtras reads the optional parts the header announces for an index
+// of n vertices and checks each against n: component IDs and flagged
+// vertices are below it, and the fingerprint is of a graph of as many
+// vertices as the index answers for.
+func readExtras(br *bufio.Reader, parts uint32, n int) (e Extras, err error) {
+	covered := uint64(n)
+	if parts&partGraph != 0 {
+		e.Graph = new(graph.Fingerprint)
+		if err := binary.Read(br, binary.LittleEndian, e.Graph); err != nil {
+			return e, fmt.Errorf("graph fingerprint: %w", noEOF(err))
+		}
+	}
+	if parts&partComp != 0 {
+		if covered, err = binary.ReadUvarint(br); err == nil && covered > 1<<31 {
+			err = fmt.Errorf("implausible size %d", covered)
+		}
+		if err == nil {
+			e.Comp, err = readInts[int32](br, int(covered), uint64(n))
+		}
+		if err != nil {
+			return e, fmt.Errorf("component table: %w", noEOF(err))
+		}
+	}
+	if e.Graph != nil && int64(e.Graph.N) != int64(covered) {
+		return e, fmt.Errorf("graph fingerprint: it is of a graph of %d vertices, the index covers %d", e.Graph.N, covered)
+	}
+	if parts&partBudget != 0 {
+		budget, err := binary.ReadUvarint(br)
+		if err == nil && (budget == 0 || budget > math.MaxInt) {
+			err = fmt.Errorf("implausible cap %d", budget)
+		}
+		if e.Budget = int(budget); err == nil {
+			e.InFull, err = readFlags(br, n)
+		}
+		if err == nil {
+			e.OutFull, err = readFlags(br, n)
+		}
+		if err != nil {
+			return e, fmt.Errorf("label budget: %w", noEOF(err))
+		}
+	}
+	return e, nil
 }
 
 // decodeJob is one block on its way to a decode worker.

@@ -40,10 +40,10 @@ func refLabelBlock(out []byte, lists [][]order.Rank) []byte {
 }
 
 func writeToReference(x *Index) []byte {
-	var out []byte
-	for _, v := range []uint64{indexMagic, uint64(x.n), uint64(len(x.inLab)), uint64(len(x.outLab))} {
-		out = binary.LittleEndian.AppendUint64(out, v)
-	}
+	le := binary.LittleEndian
+	out := le.AppendUint64(nil, indexMagic)
+	out = le.AppendUint32(le.AppendUint32(out, uint32(x.n)), 0) // no optional part
+	out = le.AppendUint64(le.AppendUint64(out, uint64(len(x.inLab))), uint64(len(x.outLab)))
 	ranks := x.ord.Ranks()
 	for v0 := 0; v0 < x.n; v0 += 4096 {
 		var payload []byte
@@ -329,6 +329,8 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		_, k := binary.Uvarint(file[at:])
 		return append(append(append([]byte(nil), file[:at]...), repl...), file[at+k:]...)
 	}
+	// The header is magic(8) n(4) parts(4) nIn(8) nOut(8): word 1 is n
+	// and the parts word together, n in its low half.
 	header := func(word int, v uint64) []byte {
 		bad := append([]byte(nil), good...)
 		binary.LittleEndian.PutUint64(bad[8*word:], v)
@@ -343,6 +345,9 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		{"garbage", []byte("garbage"), "header"},
 		{"bad magic", header(0, 0x1122334455667788), "bad magic"},
 		{"n beyond plausible", header(1, 1<<31+1), "implausible"},
+		{"a fourth optional part", header(1, uint64(x.n)|8<<32), "implausible"},
+		{"a label budget and no graph", header(1, uint64(x.n)|uint64(partBudget)<<32), "implausible"},
+		{"an optional part, to Read", mustWriteWith(t, x, Extras{Graph: &graph.Fingerprint{N: int32(x.n)}}), "reachlab.ReadIndex"},
 		{"n inflated", header(1, 1<<31), "values where 4096 belong"},
 		{"n deflated", header(1, uint64(x.n-1)), "not below"},
 		{"nIn inflated", header(2, 1<<40), "where the header counts"},
@@ -379,13 +384,19 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// TestReadRefusesRetiredFormat: a file of the fixed-width format says
-// what to do about it.
+// TestReadRefusesRetiredFormat: a file of any format before this one —
+// the label file without optional parts, the fixed-width one before it,
+// and the root package's envelope around either — says what to do
+// about it.
 func TestReadRefusesRetiredFormat(t *testing.T) {
-	old := make([]byte, 32)
-	binary.LittleEndian.PutUint64(old, fixedWidthMagic)
-	_, err := Read(bytes.NewReader(old))
-	if err == nil || !strings.Contains(err.Error(), "rebuild the index") {
-		t.Fatalf("err = %v, want a rebuild message", err)
+	for _, magic := range []string{"DRLINDX2", "RLIXNVE2", "DRLINDEX", "RLIXNVE1"} {
+		old := make([]byte, 48)
+		for i := range magic { // the magics read as text in a big-endian word
+			old[7-i] = magic[i]
+		}
+		_, err := Read(bytes.NewReader(old))
+		if err == nil || !strings.Contains(err.Error(), "rebuild the index") {
+			t.Errorf("%s: err = %v, want a rebuild message", magic, err)
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/label"
 )
 
 // startTestWorkers serves n cluster workers on ephemeral localhost
@@ -136,7 +138,7 @@ func TestCondenseSCC(t *testing.T) {
 	}
 }
 
-// TestCondensedIndexRoundTrip: the envelope carries the component
+// TestCondensedIndexRoundTrip: the index file carries the component
 // table through serialization.
 func TestCondensedIndexRoundTrip(t *testing.T) {
 	g := NewGraph(11, testEdges())
@@ -166,8 +168,9 @@ func TestCondensedIndexRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The table is one block at byte 16: 11 values in 11 bytes, the
-	// first component ID at byte 18.
+	// Behind the 32-byte header and the 16-byte fingerprint, the table is
+	// its length at byte 48 and one block: 11 values in 11 bytes, the
+	// first component ID at byte 51.
 	damaged := func(at int, b byte) []byte {
 		bad := append([]byte(nil), file...)
 		bad[at] = b
@@ -177,22 +180,89 @@ func TestCondensedIndexRoundTrip(t *testing.T) {
 		file []byte
 		want string
 	}{
-		"component ID out of range":  {damaged(18, 0x7f), "corrupt component table"},
-		"table longer than claimed":  {damaged(8, 10), "component table"},
-		"table shorter than claimed": {damaged(8, 12), "component table"},
-		"retired envelope":           {damaged(0, '1'), "rebuild the index"},
+		"component ID out of range":  {damaged(51, 0x7f), "component table: corrupt block: value"},
+		"table longer than claimed":  {damaged(48, 10), "component table: corrupt block: 11 values where 10 belong"},
+		"table shorter than claimed": {damaged(48, 12), "component table: corrupt block: 11 values where 12 belong"},
+		"table cut short":            {file[:55], "component table: block payload: unexpected EOF"},
+		"table announced and absent": {file[:48], "component table: unexpected EOF"},
+		"to label.Read":              {file, "reachlab.ReadIndex"},
 	} {
-		if _, err := ReadIndex(bytes.NewReader(c.file)); err == nil || !strings.Contains(err.Error(), c.want) {
+		_, err := ReadIndex(bytes.NewReader(c.file))
+		if name == "to label.Read" {
+			_, err = label.Read(bytes.NewReader(c.file))
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one about %q", name, err, c.want)
 		}
 	}
 }
 
+// TestReadIndexRejectsGarbage damages, one field at a time, a file that
+// has all three optional parts — the index of the 11-vertex example's
+// condensation, capped at one label per list — and the magic of every
+// format before this one. Each must fail for its own reason.
 func TestReadIndexRejectsGarbage(t *testing.T) {
 	if _, err := ReadIndex(bytes.NewReader([]byte("garbage garbage garbage"))); err == nil {
 		t.Error("expected error for garbage input")
 	}
 	if _, err := ReadIndex(bytes.NewReader(nil)); err == nil {
 		t.Error("expected error for empty input")
+	}
+	g := NewGraph(11, testEdges())
+	idx, err := Build(context.Background(), g, Options{CondenseSCC: true, LabelBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	if _, err := readIndex(bytes.NewReader(file), g); err != nil {
+		t.Fatalf("the undamaged file: %v", err)
+	}
+	// header [0,32): magic, n at 8, the parts word at 12; fingerprint
+	// [32,48): its n at 32; table [48,62); then the cap at 62 and two
+	// bitset blocks of one byte each for the comps ≤ 8 components:
+	// entries, bytes, flags at 63–65 and 66–68.
+	comps := idx.LabelIndex().NumVertices()
+	if comps > 8 || len(file) < 69 {
+		t.Fatalf("fixture moved: %d components, %d bytes", comps, len(file))
+	}
+	damaged := func(at int, b byte) []byte {
+		bad := append([]byte(nil), file...)
+		bad[at] = b
+		return bad
+	}
+	retired := func(magic string) []byte {
+		bad := append([]byte(nil), file...)
+		for i := range magic { // the magics read as text in a big-endian word
+			bad[7-i] = magic[i]
+		}
+		return bad
+	}
+	for name, c := range map[string]struct {
+		file []byte
+		want string
+	}{
+		"the format before this one":    {retired("DRLINDX2"), "rebuild the index"},
+		"its envelope":                  {retired("RLIXNVE2"), "rebuild the index"},
+		"the fixed-width format":        {retired("DRLINDEX"), "rebuild the index"},
+		"the fixed-width envelope":      {retired("RLIXNVE1"), "rebuild the index"},
+		"a fourth optional part":        {damaged(12, 15), "implausible index header"},
+		"a budget and no fingerprint":   {damaged(12, 6), "implausible index header"},
+		"fingerprint cut short":         {file[:40], "graph fingerprint: unexpected EOF"},
+		"fingerprint of the wrong n":    {damaged(32, 12), "graph fingerprint: it is of a graph of 12 vertices, the index covers 11"},
+		"budget announced and absent":   {file[:62], "label budget: unexpected EOF"},
+		"a cap of zero":                 {damaged(62, 0), "label budget: implausible cap 0"},
+		"flags cut short":               {file[:65], "label budget: block payload: unexpected EOF"},
+		"second flags absent":           {file[:66], "label budget: block header: unexpected EOF"},
+		"flags longer than claimed":     {damaged(63, 0), "label budget: corrupt block: 0 entries in 1 bytes of flags"},
+		"flags' byte length lied about": {damaged(64, 2), "label budget: corrupt block: 1 entries in 2 bytes of flags"},
+		"a flag for a vertex ≥ n":       {damaged(68, file[68]|0x80), "label budget: corrupt block: a flag is set for a vertex that is not below"},
+	} {
+		if _, err := readIndex(bytes.NewReader(c.file), g); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one about %q", name, err, c.want)
+		}
 	}
 }

@@ -21,16 +21,20 @@ var ErrNoGraph = errors.New("reachlab: index has no attached graph (use AttachGr
 
 // AttachGraph attaches the indexed graph so WitnessPath can
 // reconstruct actual paths. The graph must be the one the index was
-// built from (same vertex space; for a condensed index, the original
-// pre-condensation graph). Builds attach it automatically; an index
-// loaded with ReadIndex starts without one.
+// built from (for a condensed index, the original pre-condensation
+// graph), and this is the one place that decides whether it is: by
+// fingerprint for an index a build made or a file brought back, by
+// vertex count for an epoch of an Updater, which carries none. Builds
+// attach the graph automatically; an index loaded with ReadIndex starts
+// without one.
 func (x *Index) AttachGraph(g *Graph) error {
-	if g == nil {
+	switch {
+	case g == nil:
 		return errors.New("reachlab: nil graph")
-	}
-	if g.NumVertices() != x.NumVertices() {
-		return fmt.Errorf("reachlab: graph has %d vertices, index covers %d",
-			g.NumVertices(), x.NumVertices())
+	case x.fp == nil && g.NumVertices() != x.NumVertices():
+		return fmt.Errorf("reachlab: graph has %d vertices, index covers %d", g.NumVertices(), x.NumVertices())
+	case x.fp != nil && g.d.Fingerprint() != *x.fp:
+		return fmt.Errorf("reachlab: wrong graph: the index was built over %+v, this one is %+v", *x.fp, g.d.Fingerprint())
 	}
 	x.g, x.adj = g.d, nil
 	return nil

@@ -5,6 +5,7 @@ import (
 	"context"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -230,8 +231,10 @@ func TestRichQueriesStableAcrossRefreeze(t *testing.T) {
 // TestWitnessPathGraphAttachment: serialization drops the graph, so a
 // deserialized index refuses WitnessPath with ErrNoGraph until
 // AttachGraph supplies it — and then answers exactly like the
-// original. AttachGraph rejects a graph of the wrong size. The
-// roundtrip also exercises the condensed plan's component sizes.
+// original. AttachGraph rejects every graph but the indexed one, the
+// same vertex count over other edges included, by the fingerprint the
+// file carries. The roundtrip also exercises the condensed plan's
+// component sizes.
 func TestWitnessPathGraphAttachment(t *testing.T) {
 	g := randomCyclicGraph(40, 130, 31)
 	n := g.NumVertices()
@@ -270,6 +273,10 @@ func TestWitnessPathGraphAttachment(t *testing.T) {
 		}
 		if err := loaded.AttachGraph(randomCyclicGraph(41, 130, 31)); err == nil {
 			t.Fatal("AttachGraph accepted a graph with the wrong vertex count")
+		}
+		err = loaded.AttachGraph(randomCyclicGraph(40, 130, 32))
+		if err == nil || strings.Count(err.Error(), "N:40 ") != 2 || loaded.HasGraph() {
+			t.Fatalf("AttachGraph of 40 vertices over other edges: err = %v, want a refusal naming both fingerprints", err)
 		}
 		if err := loaded.AttachGraph(g); err != nil {
 			t.Fatal(err)

@@ -1,12 +1,12 @@
 package reachlab
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"slices"
 	"time"
 
 	"repro/internal/drl"
@@ -83,8 +83,8 @@ type Options struct {
 	// empty or MethodDRLShared; Workers, BatchSize and BatchFactor
 	// apply, and the result does not depend on Workers) or, with
 	// MethodTOL, by the serial reference rounds; the vertex-centric
-	// methods are rejected. The resulting index retains the graph — it
-	// cannot be serialized with WriteTo.
+	// methods are rejected. The resulting index retains the graph, and
+	// its file is reopened with it (OpenIndex).
 	LabelBudget int
 }
 
@@ -145,8 +145,8 @@ type BuildStats struct {
 // self-contained: queries never touch the graph, so the index can be
 // serialized and served from a single machine regardless of where the
 // graph lives. A budgeted build (Options.LabelBudget) is the
-// exception — it retains the graph for fallback queries and cannot be
-// serialized.
+// exception — it retains the graph for fallback queries, so its file
+// is served from a machine that holds the graph too.
 type Index struct {
 	// q is the representation that answers: the flat label index, the
 	// budgeted one, or either behind the SCC component table. newIndex
@@ -156,6 +156,11 @@ type Index struct {
 	bidx *label.Budgeted // non-nil for memory-bounded builds; retains the graph
 	comp []int32         // optional SCC-condensation mapping
 	g    *graph.Digraph  // original graph, when available (witness paths)
+	// fp identifies the indexed graph, so that the index's file can say
+	// which graph it belongs to: set by a build or brought back from a
+	// file; nil on an epoch of an Updater or DynamicIndex, whose graph —
+	// base plus overlay — is no file anybody holds.
+	fp *graph.Fingerprint
 	// adj, on an epoch an Updater published, holds the out-neighbor lists
 	// that differ from g as of that epoch's cut (see outNeighbors).
 	adj   *graph.Overlay[graph.VertexID]
@@ -250,68 +255,59 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reachlab: %w", err)
 	}
-	method := opts.method()
+	method, workers, what := opts.method(), opts.workers(), "index"
 	start := time.Now()
 
 	var cancel <-chan struct{}
 	if ctx != nil {
 		cancel = ctx.Done()
 	}
-
-	if opts.LabelBudget > 0 {
+	var (
+		idx  *label.Index
+		bidx *label.Budgeted
+		met  pregel.Metrics
+	)
+	dopt := drl.DistOptions{Workers: workers, Net: opts.net(), Cancel: cancel, Obs: opts.Obs}
+	sopt := drl.Options{Workers: workers, Cancel: cancel, Obs: opts.Obs}
+	switch {
+	case opts.LabelBudget > 0:
 		// The cap rides on the shared-memory batch labeler (the default
 		// here) or on the serial reference rounds; the vertex-centric
 		// methods have no capped variant.
-		var stats BuildStats
-		var bidx *label.Budgeted
+		what = "budgeted index"
 		switch opts.Method {
 		case "", MethodDRLShared:
-			stats = BuildStats{Method: MethodDRLShared, Workers: opts.workers()}
-			bidx, err = drl.BuildBatchBudgeted(gd, ord, opts.batchParams(), opts.LabelBudget, drl.Options{
-				Workers: opts.workers(), Cancel: cancel, Obs: opts.Obs,
-			})
+			method = MethodDRLShared
+			bidx, err = drl.BuildBatchBudgeted(gd, ord, opts.batchParams(), opts.LabelBudget, sopt)
 		case MethodTOL:
-			stats = BuildStats{Method: MethodTOL, Workers: 1}
+			workers = 1
 			bidx, err = tol.BuildBudgeted(gd, ord, opts.LabelBudget, cancel)
 		default:
 			return nil, fmt.Errorf("reachlab: LabelBudget requires MethodDRLShared (the default when Method is empty) or MethodTOL, not %q", opts.Method)
 		}
-		if err != nil {
-			return nil, buildError(ctx, "budgeted index", err)
+		if err == nil {
+			idx = bidx.Index()
 		}
-		stats.WallTime = time.Since(start)
-		x := newIndex(bidx.Index(), bidx, comp)
-		x.g, x.stats = g.d, stats
-		return x, nil
-	}
-
-	var (
-		idx *label.Index
-		met pregel.Metrics
-	)
-	dopt := drl.DistOptions{Workers: opts.workers(), Net: opts.net(), Cancel: cancel, Obs: opts.Obs}
-	switch method {
-	case MethodTOL:
+	case method == MethodTOL:
 		idx, err = tol.BuildCancelable(gd, ord, cancel)
-	case MethodDRLShared:
-		idx, err = drl.BuildBatch(gd, ord, opts.batchParams(), drl.Options{
-			Workers: opts.workers(), Cancel: cancel, Obs: opts.Obs,
-		})
-	case MethodDRL:
+	case method == MethodDRLShared:
+		idx, err = drl.BuildBatch(gd, ord, opts.batchParams(), sopt)
+	case method == MethodDRL:
 		idx, met, err = drl.BuildDistributed(gd, ord, dopt)
-	case MethodDRLBasic:
+	case method == MethodDRLBasic:
 		idx, met, err = drl.BuildDistributedBasic(gd, ord, dopt)
-	case MethodDRLBatch:
+	case method == MethodDRLBatch:
 		idx, met, err = drl.BuildDistributedBatch(gd, ord, opts.batchParams(), dopt)
 	default:
 		return nil, fmt.Errorf("reachlab: unknown method %q", method)
 	}
 	if err != nil {
-		return nil, buildError(ctx, "index", err)
+		return nil, buildError(ctx, what, err)
 	}
-	x := newIndex(idx, nil, comp)
-	x.g = g.d
-	x.stats = buildStats(method, opts.workers(), start, met)
+	x := newIndex(idx, bidx, comp)
+	fp := g.d.Fingerprint()
+	x.g, x.fp = g.d, &fp
+	x.stats = buildStats(method, workers, start, met)
 	return x, nil
 }
 
@@ -410,74 +406,64 @@ func (x *Index) Stats() IndexStats {
 	return st
 }
 
-// The serialized form wraps the label payload in a small envelope so
-// condensed indexes can carry their component table: the magic, the
-// table's length, the table as an ints section of the label format
-// (label.WriteInts), then the label index itself.
-const (
-	indexEnvelopeMagic = uint64(0x524c49584e564532) // "RLIXNVE2"
-	// fixedWidthEnvelopeMagic opened the retired envelope, whose table
-	// and label payload were raw fixed-width integers.
-	fixedWidthEnvelopeMagic = uint64(0x524c49584e564531) // "RLIXNVE1"
-)
-
-// WriteTo serializes the index (see ReadIndex) and returns the number
-// of bytes written. Budgeted indexes are not serializable: their query
-// path needs the graph, which is not part of the index file format.
+// WriteTo serializes the index as one file (DESIGN.md §16) — the labels
+// and whichever of the graph's fingerprint, the component table and the
+// label budget with its flags the index has — and returns its size.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
+	e := label.Extras{Graph: x.fp, Comp: x.comp}
 	if x.bidx != nil {
-		return 0, errors.New("reachlab: a budgeted index retains its graph and cannot be serialized")
+		e.Budget = x.bidx.Budget()
+		e.InFull, e.OutFull = x.bidx.Flags()
 	}
-	envelope := binary.LittleEndian.AppendUint64(nil, indexEnvelopeMagic)
-	envelope = binary.LittleEndian.AppendUint64(envelope, uint64(len(x.comp)))
-	k, err := w.Write(envelope)
-	written := int64(k)
-	if err != nil {
-		return written, fmt.Errorf("reachlab: writing index: %w", err)
-	}
-	n, err := label.WriteInts(w, x.comp)
-	written += n
-	if err != nil {
-		return written, err
-	}
-	n, err = x.idx.WriteTo(w)
-	return written + n, err
+	return x.idx.WriteWith(w, e)
 }
 
-// ReadIndex deserializes an index written by WriteTo.
-func ReadIndex(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	var envelope [16]byte
-	if _, err := io.ReadFull(br, envelope[:]); err != nil {
-		return nil, fmt.Errorf("reachlab: reading index envelope: %w", err)
-	}
-	magic, compLen := binary.LittleEndian.Uint64(envelope[:]), binary.LittleEndian.Uint64(envelope[8:])
-	if magic == fixedWidthEnvelopeMagic {
-		return nil, errors.New("reachlab: this index file is in the retired fixed-width format; rebuild the index")
-	}
-	if magic != indexEnvelopeMagic {
-		return nil, errors.New("reachlab: not an index file (bad magic)")
-	}
-	if compLen > 1<<31 {
-		return nil, fmt.Errorf("reachlab: implausible component table size %d", compLen)
-	}
-	var comp []int32
-	if compLen > 0 {
-		var err error
-		if comp, err = label.ReadInts[int32](br, int(compLen), 1<<31); err != nil {
-			return nil, fmt.Errorf("reachlab: reading component table: %w", err)
-		}
-	}
-	idx, err := label.Read(br)
+// ReadIndex deserializes an index written by WriteTo. It has no graph
+// to give a budgeted index, which OpenIndex opens.
+func ReadIndex(r io.Reader) (*Index, error) { return readIndex(r, nil) }
+
+// OpenIndex reads the index file at path and, if g is not nil, attaches
+// g to it under AttachGraph's rule: another graph than the indexed one
+// is an error here, not a wrong answer later. A budgeted index needs g
+// to answer at all; one built over a condensation recomputes g's and
+// requires the component table the file carries.
+func OpenIndex(path string, g *Graph) (*Index, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	// A component ID is known to be in range only now that the label
-	// index has said how many components there are.
-	for _, c := range comp {
-		if int(c) >= idx.NumVertices() {
-			return nil, errors.New("reachlab: corrupt component table")
+	defer f.Close()
+	return readIndex(f, g)
+}
+
+func readIndex(r io.Reader, g *Graph) (*Index, error) {
+	idx, e, err := label.ReadWith(r)
+	if err != nil {
+		return nil, err
+	}
+	x := newIndex(idx, nil, e.Comp)
+	x.fp = e.Graph
+	if g != nil {
+		err = x.AttachGraph(g)
+	} else if e.Budget > 0 {
+		err = fmt.Errorf("reachlab: this index keeps at most %d labels per list and needs its graph for the rest: open it with OpenIndex and the graph it was built over (-graph, from the command line)", e.Budget)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if e.Budget == 0 {
+		return x, nil
+	}
+	// The graph is the indexed one, so the capped form can be made over
+	// it — over its condensation, if that is what was labeled.
+	gd := g.d
+	if e.Comp != nil {
+		var comp []int32
+		if gd, comp = graph.Condense(gd); !slices.Equal(comp, e.Comp) {
+			return nil, errors.New("reachlab: the graph's condensation is not the one this index was built over; rebuild the index")
 		}
 	}
-	return newIndex(idx, nil, comp), nil
+	b := newIndex(idx, label.NewBudgeted(idx, gd, e.Budget, e.InFull, e.OutFull), e.Comp)
+	b.g, b.fp = x.g, x.fp
+	return b, nil
 }

@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -320,25 +324,41 @@ func TestReloadStatsAndErrors(t *testing.T) {
 		}
 	})
 
+	// The loader is drserve's — OpenIndex with the graph it holds — and
+	// the reload names the index of another graph of as many vertices.
 	t.Run("loader-error-keeps-serving", func(t *testing.T) {
 		g := randomCyclicGraph(30, 90, 3)
 		idx, err := Build(context.Background(), g, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := NewQueryHandlerOpts(idx, ServeOptions{
-			Obs:    NewMetricsRegistry(),
-			Loader: func(ref string) (*Index, error) { return nil, fmt.Errorf("disk on fire") },
-		})
-		srv := httptest.NewServer(h)
-		defer srv.Close()
-		resp, err := srv.Client().Post(srv.URL+"/admin/reload", "application/json", nil)
+		other, err := Build(context.Background(), randomCyclicGraph(30, 90, 4), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var file bytes.Buffer
+		if _, err := other.WriteTo(&file); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "other.idx")
+		if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h := NewQueryHandlerOpts(idx, ServeOptions{
+			Obs:    NewMetricsRegistry(),
+			Loader: func(ref string) (*Index, error) { return OpenIndex(ref, g) },
+		})
+		srv := httptest.NewServer(h)
+		defer srv.Close()
+		resp, err := srv.Client().Post(srv.URL+"/admin/reload", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"ref":%q}`, path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("failed reload returned %d, want 500", resp.StatusCode)
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "wrong graph") {
+			t.Fatalf("reload to another graph's index returned %d %s, want 500 naming the wrong graph", resp.StatusCode, body)
 		}
 		// The old epoch keeps serving untouched.
 		if h.Epoch() != 1 {

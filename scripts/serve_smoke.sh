@@ -5,9 +5,25 @@
 # shutdown. drload exits nonzero on any failed request or wrong answer.
 # Then the same for an index a cluster built: three spawned drworker
 # processes, one of them killed mid-run, must write the very file
-# drlabel writes, and drquery, drserve and drload must open it.
+# drlabel writes, and drquery, drserve and drload must open it. In
+# between, a size-restricted index: drlabel -budget writes it, drserve
+# serves it from the file and the graph with every answer checked
+# against the full index, and an index opened with the wrong graph, or a
+# budgeted one with none, is refused at start.
 . "$(dirname "$0")/lib.sh"
 addr=127.0.0.1:18321
+
+# refused WHAT CMD... -> CMD must exit non-zero with WHAT on stderr
+refused() {
+	what="$1"
+	shift
+	if "$@" >/dev/null 2>"$work/refusal"; then
+		echo "not refused: $*" >&2
+		exit 1
+	fi
+	grep -q "$what" "$work/refusal" ||
+		{ echo "refused for another reason: $*" >&2; cat "$work/refusal" >&2; exit 1; }
+}
 
 build_tools drgen drlabel drserve drload drquery drcluster drworker
 make_fixture
@@ -27,6 +43,33 @@ echo "== drload burst: batch queries, verified against the index"
 echo "== graceful shutdown on SIGTERM"
 stop_ok "$srv_pid" drserve
 pids=""
+
+echo "== budgeted index: drlabel -budget 8, served from its file and the graph"
+# A citation graph: acyclic, so its lists are long enough for the cap to bite.
+"$work/bin/drgen" -family citation -n 20000 -deg 4 -seed 7 -o "$work/cit.bin"
+"$work/bin/drlabel" -i "$work/cit.bin" -o "$work/full.idx" -method drl-shared
+"$work/bin/drlabel" -i "$work/cit.bin" -o "$work/b.idx" -budget 8
+"$work/bin/drserve" -idx "$work/b.idx" -graph "$work/cit.bin" -mmap -listen "$addr" -grace 5s &
+srv_pid=$!
+pids="$srv_pid"
+wait_http "http://$addr/healthz" drserve
+"$work/bin/drgen" -family citation -n 20000 -deg 4 -seed 8 -o "$work/other.bin"
+"$work/bin/drload" -addr "$addr" -clients 4 -requests 500 -batch 16 -verify-idx "$work/full.idx" -seed 6
+"$work/bin/drload" -addr "$addr" -mode path -clients 4 -requests 300 -verify-idx "$work/full.idx" -verify-graph "$work/cit.bin" -seed 7
+refused "wrong graph" "$work/bin/drload" -addr "$addr" -mode path -requests 10 -verify-idx "$work/full.idx" -verify-graph "$work/other.bin"
+stats="$(curl -sf "http://$addr/stats")"
+echo "$stats" | grep -q '"label_budget":8,' ||
+	{ echo "/stats does not report label_budget 8: $stats" >&2; exit 1; }
+echo "$stats" | grep -q '"overflowed_in":[1-9]' && echo "$stats" | grep -q '"overflowed_out":[1-9]' ||
+	{ echo "/stats reports no overflowed lists, so no query fell back to the graph: $stats" >&2; exit 1; }
+stop_ok "$srv_pid" drserve
+pids=""
+
+echo "== refused at open: a budgeted index without its graph, any index with another graph"
+refused "needs its graph" "$work/bin/drserve" -idx "$work/b.idx" -listen "$addr"
+refused "wrong graph" "$work/bin/drserve" -idx "$work/b.idx" -graph "$work/other.bin" -listen "$addr"
+refused "wrong graph" "$work/bin/drserve" -idx "$work/full.idx" -graph "$work/other.bin" -listen "$addr"
+refused "wrong graph" "$work/bin/drquery" -idx "$work/full.idx" -graph "$work/other.bin" -path 0 1
 
 echo "== cluster build: 3 spawned workers, the first crashing after 3 supersteps"
 "$work/bin/drgen" -family web -n 5000 -deg 4 -seed 11 -o "$work/small.bin"

@@ -9,8 +9,9 @@
 #     matching delete restores the original answer;
 #   - a drload burst with concurrent writers (queries and mutations on
 #     the same server, every write acknowledged);
-#   - durability: kill -9 mid-stream, restart on the same WAL, and
-#     every acknowledged write must survive the replay;
+#   - durability: kill -9 mid-stream, restart on the same WAL — from
+#     the graph's binary file this time, so both formats are opened —
+#     and every acknowledged write must survive the replay;
 #   - graceful shutdown on SIGTERM.
 . "$(dirname "$0")/lib.sh"
 addr=127.0.0.1:18325
@@ -61,6 +62,7 @@ build_tools drgen drserve drload
 
 echo "== generate graph"
 "$work/bin/drgen" -family citation -n 2000 -deg 4 -seed 7 -text -o "$work/graph.txt"
+"$work/bin/drgen" -family citation -n 2000 -deg 4 -seed 7 -o "$work/graph.bin"
 
 echo "== start drserve in update mode"
 "$work/bin/drserve" -graph "$work/graph.txt" -wal "$work/edges.wal" \
@@ -118,7 +120,7 @@ seq2="$(ack_seq insert 7 1997)"
 kill -9 "$srv_pid"
 wait "$srv_pid" 2>/dev/null || true
 
-"$work/bin/drserve" -graph "$work/graph.txt" -wal "$work/edges.wal" \
+"$work/bin/drserve" -graph "$work/graph.bin" -wal "$work/edges.wal" \
 	-refresh-every 200ms -listen "$addr" -grace 5s &
 srv_pid=$!
 pids="$srv_pid"
