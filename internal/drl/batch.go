@@ -59,14 +59,10 @@ func BatchSequence(n int, p BatchParams) ([]Span, error) {
 	cur := float64(p.InitialSize)
 	lo := order.Rank(0)
 	for int(lo) < n {
-		size := int(cur)
-		if size < 1 {
-			size = 1
-		}
-		hi := lo + order.Rank(size)
-		if int(hi) > n {
-			hi = order.Rank(n)
-		}
+		// Clamped to the ranks that remain before converting: cur
+		// outgrows int (k = 1e19 does at once) and would convert to a
+		// negative size.
+		hi := lo + order.Rank(max(int(min(cur, float64(n-int(lo)))), 1))
 		spans = append(spans, Span{Lo: lo, Hi: hi})
 		lo = hi
 		cur *= p.Factor
@@ -90,6 +86,15 @@ func BuildBatch(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Optio
 		return nil, err
 	}
 	return label.FromLists(ord, in, out), nil
+}
+
+// BuildImproved is the improved labeling method DRL (Theorem 4):
+// trimmed BFSs from every vertex in both directions, then refinement
+// by inverted lists alone (Lemma 5). It is BuildBatch with the one
+// batch [0, n) — no prior labels exist, so the self pruning and the
+// label pruning fall away, exactly as for batchProgram's Algorithm 3.
+func BuildImproved(g *graph.Digraph, ord *order.Ordering, opt Options) (*label.Index, error) {
+	return BuildBatch(g, ord, BatchParams{InitialSize: max(g.NumVertices(), 1), Factor: 1}, opt)
 }
 
 // BuildBatchBudgeted is BuildBatch with every per-vertex label list

@@ -66,6 +66,15 @@ func TestBatchSequenceK1(t *testing.T) {
 	if len(spans) != 5 {
 		t.Fatalf("k=1, b=2 on 10 vertices should give 5 batches, got %v", spans)
 	}
+	// A factor past 2⁶³ must not wrap: the second batch is what is left,
+	// not 998 singletons from a size that converted to a negative int.
+	spans, err = BatchSequence(1000, BatchParams{InitialSize: 2, Factor: 1e19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spans) != 2 || spans[1] != (Span{Lo: 2, Hi: 1000}) {
+		t.Fatalf("k=1e19, b=2 on 1000 vertices should give {0,2} {2,1000}, got %d batches starting %v", len(spans), spans[:min(len(spans), 3)])
+	}
 }
 
 func TestBatchParamErrors(t *testing.T) {

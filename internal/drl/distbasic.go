@@ -1,7 +1,7 @@
 package drl
 
 import (
-	"sort"
+	"fmt"
 
 	"repro/internal/graph"
 	"repro/internal/label"
@@ -25,34 +25,31 @@ import (
 // communication volume dwarfs DRL's (Fig. 5) and why it misses the
 // cut-off on several datasets.
 
-const (
-	kindHigFwd uint8 = 2 // notify: Val-ranked vertex blocked my fwd BFS
-	kindHigBwd uint8 = 3
-)
+// kindHig+d is the notify kind of direction d: the Val-ranked vertex
+// blocked the destination's direction-d BFS. The flood kinds are the
+// directions themselves, so Kind&1 is the direction of every message
+// and of every hig blob tag.
+const kindHig uint8 = 2
 
 type basicLocal struct {
-	seen    map[uint64]struct{}
-	listFwd map[graph.VertexID][]order.Rank
-	listBwd map[graph.VertexID][]order.Rank
-	// higFwd[v] = BFS_hig(v) on G (ranks), assembled from notifies for
-	// owned sources v.
-	higFwd map[graph.VertexID][]order.Rank
-	higBwd map[graph.VertexID][]order.Rank
-	// elimFwd marks owned vertices that blocked at least one forward
-	// BFS: the eliminator sources of phase B.
-	elimFwd map[graph.VertexID]struct{}
-	elimBwd map[graph.VertexID]struct{}
-	// desSeen holds (kind, w, eliminator-rank) triples from phase B.
+	seen map[uint64]struct{}
+	list dirLists
+	// hig[d][v] = BFS_hig(v) in direction d (ranks), assembled from
+	// notifies for owned sources v.
+	hig dirLists
+	// elim[d] marks owned vertices that blocked at least one
+	// direction-d BFS: the eliminator sources of phase B.
+	elim [2]map[graph.VertexID]struct{}
+	// desSeen holds (d, w, eliminator-rank) triples from phase B.
 	desSeen map[uint64]struct{}
-	resIn   map[graph.VertexID][]order.Rank
-	resOut  map[graph.VertexID][]order.Rank
+	// res[kindFwd] is L_in, res[kindBwd] L_out (as batchLocal.lab).
+	res dirLists
 }
 
 // basicShared replicates the hig lists for the phase-B elimination.
 type basicShared struct {
 	ord    *order.Ordering
-	higFwd map[graph.VertexID][]order.Rank
-	higBwd map[graph.VertexID][]order.Rank
+	hig    dirLists
 	cancel <-chan struct{}
 }
 
@@ -67,28 +64,19 @@ func (p *basicPhaseA) Superstep(w *pregel.Worker, step int) (bool, error) {
 	if step == 0 {
 		local := &basicLocal{
 			seen:    make(map[uint64]struct{}),
-			listFwd: make(map[graph.VertexID][]order.Rank),
-			listBwd: make(map[graph.VertexID][]order.Rank),
-			higFwd:  make(map[graph.VertexID][]order.Rank),
-			higBwd:  make(map[graph.VertexID][]order.Rank),
-			elimFwd: make(map[graph.VertexID]struct{}),
-			elimBwd: make(map[graph.VertexID]struct{}),
+			list:    newDirLists(),
+			hig:     newDirLists(),
+			elim:    [2]map[graph.VertexID]struct{}{{}, {}},
 			desSeen: make(map[uint64]struct{}),
-			resIn:   make(map[graph.VertexID][]order.Rank),
-			resOut:  make(map[graph.VertexID][]order.Rank),
+			res:     newDirLists(),
 		}
 		w.State = local
 		w.OwnedVertices(func(v graph.VertexID) {
 			r := ord.RankOf(v)
-			local.seen[seenKey(kindFwd, v, r)] = struct{}{}
-			local.seen[seenKey(kindBwd, v, r)] = struct{}{}
-			local.listFwd[v] = append(local.listFwd[v], r)
-			local.listBwd[v] = append(local.listBwd[v], r)
-			for _, nb := range w.Graph.OutNeighbors(v) {
-				w.Send(pregel.Msg{Dst: nb, Kind: kindFwd, Val: int32(r)})
-			}
-			for _, nb := range w.Graph.InNeighbors(v) {
-				w.Send(pregel.Msg{Dst: nb, Kind: kindBwd, Val: int32(r)})
+			for d := kindFwd; d <= kindBwd; d++ {
+				local.seen[seenKey(d, v, r)] = struct{}{}
+				local.list[d][v] = append(local.list[d][v], r)
+				flood(w, d, v, int32(r))
 			}
 		})
 		return true, nil
@@ -98,14 +86,10 @@ func (p *basicPhaseA) Superstep(w *pregel.Worker, step int) (bool, error) {
 		if stepCanceled(i, p.cancel) {
 			return false, pregel.ErrCanceled
 		}
-		dst := m.Dst
+		d, dst := m.Kind&1, m.Dst
 		r := order.Rank(m.Val)
-		switch m.Kind {
-		case kindHigFwd:
-			local.higFwd[dst] = append(local.higFwd[dst], r)
-			continue
-		case kindHigBwd:
-			local.higBwd[dst] = append(local.higBwd[dst], r)
+		if m.Kind >= kindHig {
+			local.hig[d][dst] = append(local.hig[d][dst], r)
 			continue
 		}
 		rw := ord.RankOf(dst)
@@ -113,39 +97,24 @@ func (p *basicPhaseA) Superstep(w *pregel.Worker, step int) (bool, error) {
 		// the order test (Algorithm 2 line 8) — in particular the
 		// source itself, which otherwise would join its own BFS_hig
 		// when a cycle leads back to it.
-		if _, ok := local.seen[seenKey(m.Kind, dst, r)]; ok {
+		if _, ok := local.seen[seenKey(d, dst, r)]; ok {
 			continue
 		}
 		if r >= rw {
 			// Blocked: dst ∈ BFS_hig(source). Record dst as an
 			// eliminator and notify the source's owner once.
-			blockKey := seenKey(m.Kind+2, dst, r)
+			blockKey := seenKey(kindHig+d, dst, r)
 			if _, ok := local.seen[blockKey]; ok {
 				continue
 			}
 			local.seen[blockKey] = struct{}{}
-			src := ord.VertexAt(r)
-			if m.Kind == kindFwd {
-				local.elimFwd[dst] = struct{}{}
-				w.Send(pregel.Msg{Dst: src, Kind: kindHigFwd, Val: int32(rw)})
-			} else {
-				local.elimBwd[dst] = struct{}{}
-				w.Send(pregel.Msg{Dst: src, Kind: kindHigBwd, Val: int32(rw)})
-			}
+			local.elim[d][dst] = struct{}{}
+			w.Send(pregel.Msg{Dst: ord.VertexAt(r), Kind: kindHig + d, Val: int32(rw)})
 			continue
 		}
-		local.seen[seenKey(m.Kind, dst, r)] = struct{}{}
-		if m.Kind == kindFwd {
-			local.listFwd[dst] = append(local.listFwd[dst], r)
-			for _, nb := range w.Graph.OutNeighbors(dst) {
-				w.Send(pregel.Msg{Dst: nb, Kind: kindFwd, Val: m.Val})
-			}
-		} else {
-			local.listBwd[dst] = append(local.listBwd[dst], r)
-			for _, nb := range w.Graph.InNeighbors(dst) {
-				w.Send(pregel.Msg{Dst: nb, Kind: kindBwd, Val: m.Val})
-			}
-		}
+		local.seen[seenKey(d, dst, r)] = struct{}{}
+		local.list[d][dst] = append(local.list[d][dst], r)
+		flood(w, d, dst, m.Val)
 	}
 	return len(w.Inbox) > 0, nil
 }
@@ -163,25 +132,15 @@ type basicPhaseB struct {
 }
 
 func (p *basicPhaseB) PreStep(workers []*pregel.Worker, step int) error {
-	if len(workers) == 0 {
-		return nil
-	}
-	for _, blob := range workers[0].BcastIn {
-		if len(blob) == 0 {
-			continue
+	return eachBroadcast(workers, func(tag uint8, payload []byte) error {
+		d := tag - kindHig
+		if d > kindBwd {
+			return fmt.Errorf("drl: unknown broadcast tag %d", tag)
 		}
-		tgt := p.shared.higFwd
-		if blob[0] == kindHigBwd {
-			tgt = p.shared.higBwd
-		}
-		err := decodeEventPairs(blob[1:], func(v graph.VertexID, r order.Rank) {
-			tgt[v] = append(tgt[v], r)
+		return decodeEventPairs(payload, func(v graph.VertexID, r order.Rank) {
+			p.shared.hig[d][v] = append(p.shared.hig[d][v], r)
 		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // MessageCombiner deduplicates DES-flood messages; the receiving loop
@@ -198,31 +157,18 @@ func (p *basicPhaseB) Superstep(w *pregel.Worker, step int) (bool, error) {
 		// elimination result is a set and would survive reordering, but
 		// deterministic wire traffic is what keeps checkpoints and
 		// fault-injection replays byte-stable.
-		var evsF, evsB []visitEvent
-		for _, v := range sortedVertices(local.higFwd) {
-			for _, r := range local.higFwd[v] {
-				evsF = append(evsF, visitEvent{v: v, r: r})
+		for d := kindFwd; d <= kindBwd; d++ {
+			var evs []visitEvent
+			for _, v := range sortedKeys(local.hig[d]) {
+				for _, r := range local.hig[d][v] {
+					evs = append(evs, visitEvent{v: v, r: r})
+				}
 			}
-		}
-		for _, v := range sortedVertices(local.higBwd) {
-			for _, r := range local.higBwd[v] {
-				evsB = append(evsB, visitEvent{v: v, r: r})
-			}
-		}
-		w.Broadcast(encodeEventBlob(kindHigFwd, evsF))
-		w.Broadcast(encodeEventBlob(kindHigBwd, evsB))
-		for _, u := range sortedVertices(local.elimFwd) {
-			r := ord.RankOf(u)
-			local.desSeen[seenKey(kindFwd, u, r)] = struct{}{}
-			for _, nb := range w.Graph.OutNeighbors(u) {
-				w.Send(pregel.Msg{Dst: nb, Kind: kindFwd, Val: int32(r)})
-			}
-		}
-		for _, u := range sortedVertices(local.elimBwd) {
-			r := ord.RankOf(u)
-			local.desSeen[seenKey(kindBwd, u, r)] = struct{}{}
-			for _, nb := range w.Graph.InNeighbors(u) {
-				w.Send(pregel.Msg{Dst: nb, Kind: kindBwd, Val: int32(r)})
+			w.Broadcast(encodeEventBlob(kindHig+d, evs))
+			for _, u := range sortedKeys(local.elim[d]) {
+				r := ord.RankOf(u)
+				local.desSeen[seenKey(d, u, r)] = struct{}{}
+				flood(w, d, u, int32(r))
 			}
 		}
 		return true, nil
@@ -231,20 +177,13 @@ func (p *basicPhaseB) Superstep(w *pregel.Worker, step int) (bool, error) {
 		if stepCanceled(i, p.shared.cancel) {
 			return false, pregel.ErrCanceled
 		}
-		key := seenKey(m.Kind, m.Dst, order.Rank(m.Val))
+		d := m.Kind & 1
+		key := seenKey(d, m.Dst, order.Rank(m.Val))
 		if _, ok := local.desSeen[key]; ok {
 			continue
 		}
 		local.desSeen[key] = struct{}{}
-		if m.Kind == kindFwd {
-			for _, nb := range w.Graph.OutNeighbors(m.Dst) {
-				w.Send(pregel.Msg{Dst: nb, Kind: kindFwd, Val: m.Val})
-			}
-		} else {
-			for _, nb := range w.Graph.InNeighbors(m.Dst) {
-				w.Send(pregel.Msg{Dst: nb, Kind: kindBwd, Val: m.Val})
-			}
-		}
+		flood(w, d, m.Dst, m.Val)
 	}
 	return len(w.Inbox) > 0 || len(w.BcastIn) > 0, nil
 }
@@ -253,42 +192,17 @@ func (p *basicPhaseB) Superstep(w *pregel.Worker, step int) (bool, error) {
 // and sorts the survivors into label lists.
 func (p *basicPhaseB) Finish(w *pregel.Worker) error {
 	local := w.State.(*basicLocal)
-	ord := p.shared.ord
-	eliminated := func(kind uint8, tgt graph.VertexID, hig []order.Rank) bool {
-		for _, u := range hig {
-			if _, ok := local.desSeen[seenKey(kind, tgt, u)]; ok {
-				return true
-			}
+	for d := kindFwd; d <= kindBwd; d++ {
+		for v, list := range local.list[d] {
+			local.res[d][v] = uncovered(p.shared.ord, local.desSeen, d, v, list, p.shared.hig[d])
 		}
-		return false
-	}
-	for v, list := range local.listFwd {
-		keep := make([]order.Rank, 0, len(list))
-		for _, r := range list {
-			if !eliminated(kindFwd, v, p.shared.higFwd[ord.VertexAt(r)]) {
-				keep = append(keep, r)
-			}
-		}
-		sort.Slice(keep, func(i, j int) bool { return keep[i] < keep[j] })
-		local.resIn[v] = keep
-	}
-	for v, list := range local.listBwd {
-		keep := make([]order.Rank, 0, len(list))
-		for _, r := range list {
-			if !eliminated(kindBwd, v, p.shared.higBwd[ord.VertexAt(r)]) {
-				keep = append(keep, r)
-			}
-		}
-		sort.Slice(keep, func(i, j int) bool { return keep[i] < keep[j] })
-		local.resOut[v] = keep
 	}
 	return nil
 }
 
 // Collect encodes the labels of the worker's vertices for the gather.
 func (p *basicPhaseB) Collect(w *pregel.Worker) ([]byte, error) {
-	local := w.State.(*basicLocal)
-	return collectLabels(w, local.resIn, local.resOut), nil
+	return collectLabels(w, w.State.(*basicLocal).res), nil
 }
 
 // BuildDistributedBasic runs DRL⁻ on the vertex-centric system.
@@ -297,12 +211,7 @@ func BuildDistributedBasic(g *graph.Digraph, ord *order.Ordering, opt DistOption
 	if _, err := m.Run(&basicPhaseA{ord: ord, cancel: opt.Cancel}); err != nil {
 		return nil, m.Metrics, err
 	}
-	shared := &basicShared{
-		ord:    ord,
-		higFwd: make(map[graph.VertexID][]order.Rank),
-		higBwd: make(map[graph.VertexID][]order.Rank),
-		cancel: opt.Cancel,
-	}
+	shared := &basicShared{ord: ord, hig: newDirLists(), cancel: opt.Cancel}
 	if _, err := m.Run(&basicPhaseB{shared: shared}); err != nil {
 		return nil, m.Metrics, err
 	}

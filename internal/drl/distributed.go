@@ -1,8 +1,9 @@
 package drl
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/invariant"
@@ -43,15 +44,42 @@ func (o DistOptions) config() pregel.Config {
 	return pregel.Config{Workers: o.Workers, Net: o.Net, Cancel: o.Cancel, Obs: o.Obs}
 }
 
-// Message kinds: a v-sourced trimmed BFS step on G (building in-label
-// candidates) or on G̅ (building out-label candidates). Msg.Val
-// carries the source's rank. The same two values tag visit-event
-// blobs; blobLabels tags the batch-label share of Algorithm 4 line 8.
+// Direction is data. A flood message's Kind is the direction d of the
+// v-sourced trimmed BFS it belongs to and Msg.Val the source's rank;
+// every per-direction table below is a two-element array indexed by d:
+//
+//	d        floods along      writes       pruned with    Check consults
+//	kindFwd  out-neighbors     L_in(dst)    L_out(source)  ibfs[kindBwd]
+//	kindBwd  in-neighbors (G̅)  L_out(dst)   L_in(source)   ibfs[kindFwd]
+//
+// — Definition 4's two constructions are one construction on G and on
+// G̅, so everything but the adjacency (flood) is the same code. The
+// same two values tag visit-event blobs; blobLabels tags the
+// batch-label share of Algorithm 4 line 8.
 const (
 	kindFwd uint8 = iota
 	kindBwd
 	blobLabels
 )
+
+// dirLists is a pair of vertex → rank-list tables, one per direction.
+type dirLists [2]map[graph.VertexID][]order.Rank
+
+func newDirLists() dirLists {
+	return dirLists{make(map[graph.VertexID][]order.Rank), make(map[graph.VertexID][]order.Rank)}
+}
+
+// flood sends (d, val) to v's neighbors in direction d. It is the one
+// place that tells forward from backward.
+func flood(w *pregel.Worker, d uint8, v graph.VertexID, val int32) {
+	nbrs := w.Graph.OutNeighbors(v)
+	if d == kindBwd {
+		nbrs = w.Graph.InNeighbors(v)
+	}
+	for _, nb := range nbrs {
+		w.Send(pregel.Msg{Dst: nb, Kind: d, Val: val})
+	}
+}
 
 // seenKey packs (direction, vertex, source rank) for the per-worker
 // visited-status table (the paper's w.status hash, footnote 2).
@@ -65,27 +93,38 @@ func seenKey(kind uint8, w graph.VertexID, r order.Rank) uint64 {
 const checkCancelEvery = 1 << 16
 
 func stepCanceled(i int, cancel <-chan struct{}) bool {
-	if i%checkCancelEvery != 0 || cancel == nil {
-		return false
-	}
-	select {
-	case <-cancel:
-		return true
-	default:
-		return false
-	}
+	return i%checkCancelEvery == 0 && canceled(cancel)
 }
 
-// sortedVertices returns m's keys in increasing vertex order, the
-// deterministic iteration order every broadcast- or message-emitting
+// sortedKeys returns m's keys in increasing order, the deterministic
+// iteration order every broadcast-, message- or checkpoint-emitting
 // loop must use (mapdet).
-func sortedVertices[V any](m map[graph.VertexID]V) []graph.VertexID {
-	keys := make([]graph.VertexID, 0, len(m))
-	for v := range m {
-		keys = append(keys, v)
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
+}
+
+// eachBroadcast hands the blobs the previous step delivered to apply,
+// by tag byte and payload, once per host: workers[0]'s copy stands for
+// every worker's (pregel.PreStepper). A blob apply refuses aborts the
+// run.
+func eachBroadcast(workers []*pregel.Worker, apply func(tag uint8, payload []byte) error) error {
+	if len(workers) == 0 {
+		return nil
+	}
+	for _, blob := range workers[0].BcastIn {
+		if len(blob) == 0 {
+			continue
+		}
+		if err := apply(blob[0], blob[1:]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // batchShared is the state every worker holds a replica of in a real
@@ -98,37 +137,26 @@ type batchShared struct {
 	span Span
 	// cancel lets long supersteps honor the cut-off mid-step.
 	cancel <-chan struct{}
-	srcOut map[graph.VertexID][]order.Rank
-	srcIn  map[graph.VertexID][]order.Rank
-	// ibfsFwd[x] lists the ranks u whose *forward* BFS visited x —
-	// the inverted list consumed by the backward Check.
-	// ibfsBwd[x] is the symmetric list (IBFS_low of Definition 6)
-	// consumed by the forward Check.
-	ibfsFwd map[graph.VertexID][]order.Rank
-	ibfsBwd map[graph.VertexID][]order.Rank
+	// src[d][v] is the prior label list of batch source v that its
+	// direction-d BFS prunes with: the side direction 1-d writes.
+	src dirLists
+	// ibfs[d][x] lists the ranks u whose direction-d BFS visited x —
+	// the inverted list (IBFS_low of Definition 6) consumed by the
+	// Check of the opposite direction.
+	ibfs dirLists
 }
 
 func newBatchShared(ord *order.Ordering, span Span, cancel <-chan struct{}) *batchShared {
-	return &batchShared{
-		ord:     ord,
-		span:    span,
-		cancel:  cancel,
-		srcOut:  make(map[graph.VertexID][]order.Rank),
-		srcIn:   make(map[graph.VertexID][]order.Rank),
-		ibfsFwd: make(map[graph.VertexID][]order.Rank),
-		ibfsBwd: make(map[graph.VertexID][]order.Rank),
-	}
+	return &batchShared{ord: ord, span: span, cancel: cancel, src: newDirLists(), ibfs: newDirLists()}
 }
 
 // batchLocal is one worker's persistent state: the accumulated label
-// lists of its owned vertices, plus the per-batch visit status and
-// visitor lists.
+// lists of its owned vertices (lab[kindFwd] is L_in, lab[kindBwd] is
+// L_out), plus the per-batch visit status and visitor lists.
 type batchLocal struct {
-	in      map[graph.VertexID][]order.Rank
-	out     map[graph.VertexID][]order.Rank
-	seen    map[uint64]struct{}
-	listFwd map[graph.VertexID][]order.Rank
-	listBwd map[graph.VertexID][]order.Rank
+	lab  dirLists
+	seen map[uint64]struct{}
+	list dirLists
 }
 
 type batchProgram struct {
@@ -136,38 +164,23 @@ type batchProgram struct {
 }
 
 // PreStep applies the broadcasts of the previous step to the shared
-// replica: label shares and visit events. A corrupt blob aborts the
-// run.
+// replica: label shares and visit events.
 func (p *batchProgram) PreStep(workers []*pregel.Worker, step int) error {
-	if len(workers) == 0 {
-		return nil
-	}
 	s := p.shared
-	for _, blob := range workers[0].BcastIn {
-		if len(blob) == 0 {
-			continue
-		}
-		var err error
-		switch blob[0] {
+	return eachBroadcast(workers, func(tag uint8, payload []byte) error {
+		switch tag {
 		case blobLabels:
-			err = decodeLabelShares(blob[1:], func(v graph.VertexID, out, in []order.Rank) {
-				s.srcOut[v] = out
-				s.srcIn[v] = in
+			return decodeLabelShares(payload, func(v graph.VertexID, out, in []order.Rank) {
+				s.src[kindFwd][v] = out
+				s.src[kindBwd][v] = in
 			})
-		default:
-			tgt := s.ibfsFwd
-			if blob[0] == kindBwd {
-				tgt = s.ibfsBwd
-			}
-			err = decodeEventPairs(blob[1:], func(x graph.VertexID, r order.Rank) {
-				tgt[x] = append(tgt[x], r)
+		case kindFwd, kindBwd:
+			return decodeEventPairs(payload, func(x graph.VertexID, r order.Rank) {
+				s.ibfs[tag][x] = append(s.ibfs[tag][x], r)
 			})
 		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+		return fmt.Errorf("drl: unknown broadcast tag %d", tag)
+	})
 }
 
 // MessageCombiner deduplicates rank messages to the same destination
@@ -180,15 +193,11 @@ func (p *batchProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
 	if step == 0 {
 		local, _ := w.State.(*batchLocal)
 		if local == nil {
-			local = &batchLocal{
-				in:  make(map[graph.VertexID][]order.Rank),
-				out: make(map[graph.VertexID][]order.Rank),
-			}
+			local = &batchLocal{lab: newDirLists()}
 			w.State = local
 		}
 		local.seen = make(map[uint64]struct{})
-		local.listFwd = make(map[graph.VertexID][]order.Rank)
-		local.listBwd = make(map[graph.VertexID][]order.Rank)
+		local.list = newDirLists()
 
 		var shares []labelShare
 		span := p.shared.span
@@ -197,26 +206,22 @@ func (p *batchProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
 			if r < span.Lo || r >= span.Hi {
 				return
 			}
+			in, out := local.lab[kindFwd][v], local.lab[kindBwd][v]
 			// Self pruning (line 6): a prior-batch vertex on a cycle
 			// through v covers everything v could label.
-			if !disjointRanks(local.out[v], local.in[v]) {
+			if !disjointRanks(out, in) {
 				return
 			}
 			// Share the batch label sets (line 8). A source no prior
 			// batch labeled shares nothing: the receivers' lookup of a
 			// missing entry already reads as the empty set.
-			if len(local.out[v])+len(local.in[v]) > 0 {
-				shares = append(shares, labelShare{v: v, out: local.out[v], in: local.in[v]})
+			if len(out)+len(in) > 0 {
+				shares = append(shares, labelShare{v: v, out: out, in: in})
 			}
-			local.seen[seenKey(kindFwd, v, r)] = struct{}{}
-			local.seen[seenKey(kindBwd, v, r)] = struct{}{}
-			local.listFwd[v] = append(local.listFwd[v], r)
-			local.listBwd[v] = append(local.listBwd[v], r)
-			for _, nb := range w.Graph.OutNeighbors(v) {
-				w.Send(pregel.Msg{Dst: nb, Kind: kindFwd, Val: int32(r)})
-			}
-			for _, nb := range w.Graph.InNeighbors(v) {
-				w.Send(pregel.Msg{Dst: nb, Kind: kindBwd, Val: int32(r)})
+			for d := kindFwd; d <= kindBwd; d++ {
+				local.seen[seenKey(d, v, r)] = struct{}{}
+				local.list[d][v] = append(local.list[d][v], r)
+				flood(w, d, v, int32(r))
 			}
 		})
 		w.Broadcast(encodeLabelBlob(shares))
@@ -224,71 +229,68 @@ func (p *batchProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
 	}
 
 	local := w.State.(*batchLocal)
-	var pendFwd, pendBwd []visitEvent
+	var pend [2][]visitEvent
 	for i, m := range w.Inbox {
 		if stepCanceled(i, p.shared.cancel) {
 			return false, pregel.ErrCanceled
 		}
-		dst := m.Dst
+		d, dst := m.Kind&1, m.Dst
 		r := order.Rank(m.Val)
 		if r >= ord.RankOf(dst) {
 			// ord(source) ≤ ord(dst): the trimmed BFS blocks here.
 			continue
 		}
-		key := seenKey(m.Kind, dst, r)
+		key := seenKey(d, dst, r)
 		if _, ok := local.seen[key]; ok {
 			continue
 		}
 		v := ord.VertexAt(r)
 		// Batch-label pruning (line 12): a prior-batch vertex on a
 		// v→dst walk blocks the expansion permanently.
-		var ibfs []order.Rank
-		if m.Kind == kindFwd {
-			if !disjointRanks(p.shared.srcOut[v], local.in[dst]) {
-				continue
-			}
-			ibfs = p.shared.ibfsBwd[v]
-		} else {
-			if !disjointRanks(p.shared.srcIn[v], local.out[dst]) {
-				continue
-			}
-			ibfs = p.shared.ibfsFwd[v]
+		if !disjointRanks(p.shared.src[d][v], local.lab[d][dst]) {
+			continue
 		}
 		// Check (Algorithm 3 line 14): a known higher-order vertex u
 		// that reaches v backwards and has already visited dst proves
 		// a covering walk; prune the expansion.
-		if covered(local, m.Kind, dst, ibfs) {
+		if covered(local.seen, d, dst, p.shared.ibfs[1-d][v]) {
 			continue
 		}
 		local.seen[key] = struct{}{}
-		if m.Kind == kindFwd {
-			local.listFwd[dst] = append(local.listFwd[dst], r)
-			pendFwd = append(pendFwd, visitEvent{v: dst, r: r})
-			for _, nb := range w.Graph.OutNeighbors(dst) {
-				w.Send(pregel.Msg{Dst: nb, Kind: kindFwd, Val: m.Val})
-			}
-		} else {
-			local.listBwd[dst] = append(local.listBwd[dst], r)
-			pendBwd = append(pendBwd, visitEvent{v: dst, r: r})
-			for _, nb := range w.Graph.InNeighbors(dst) {
-				w.Send(pregel.Msg{Dst: nb, Kind: kindBwd, Val: m.Val})
-			}
-		}
+		local.list[d][dst] = append(local.list[d][dst], r)
+		pend[d] = append(pend[d], visitEvent{v: dst, r: r})
+		flood(w, d, dst, m.Val)
 	}
-	w.Broadcast(encodeEventBlob(kindFwd, pendFwd))
-	w.Broadcast(encodeEventBlob(kindBwd, pendBwd))
+	for d := kindFwd; d <= kindBwd; d++ {
+		w.Broadcast(encodeEventBlob(d, pend[d]))
+	}
 	return len(w.Inbox) > 0 || len(w.BcastIn) > 0, nil
 }
 
-// covered implements Check(v, w): true if some u ∈ ibfs (all of order
-// higher than v) has already visited w in the same direction.
-func covered(local *batchLocal, kind uint8, w graph.VertexID, ibfs []order.Rank) bool {
-	for _, u := range ibfs {
-		if _, ok := local.seen[seenKey(kind, w, u)]; ok {
+// covered implements Check(v, w): true if some u ∈ us (all of order
+// higher than v) has an entry (d, w, u) in seen — has already visited
+// w in direction d.
+func covered(seen map[uint64]struct{}, d uint8, w graph.VertexID, us []order.Rank) bool {
+	for _, u := range us {
+		if _, ok := seen[seenKey(d, w, u)]; ok {
 			return true
 		}
 	}
 	return false
+}
+
+// uncovered returns, sorted, the ranks r of list — the direction-d
+// visitors of w — that no witness covers: no u ∈ wit[vertex ranked r]
+// has an entry (d, w, u) in seen.
+func uncovered(ord *order.Ordering, seen map[uint64]struct{}, d uint8, w graph.VertexID, list []order.Rank, wit map[graph.VertexID][]order.Rank) []order.Rank {
+	keep := make([]order.Rank, 0, len(list))
+	for _, r := range list {
+		if !covered(seen, d, w, wit[ord.VertexAt(r)]) {
+			keep = append(keep, r)
+		}
+	}
+	slices.Sort(keep)
+	return keep
 }
 
 // Finish is the end-of-batch cleanup (Algorithm 3 lines 19-20): re-run
@@ -299,32 +301,16 @@ func covered(local *batchLocal, kind uint8, w graph.VertexID, ibfs []order.Rank)
 // argument), so this is exact.
 func (p *batchProgram) Finish(w *pregel.Worker) error {
 	local := w.State.(*batchLocal)
-	ord := p.shared.ord
-	for v, list := range local.listFwd {
-		keep := make([]order.Rank, 0, len(list))
-		for _, r := range list {
-			if !covered(local, kindFwd, v, p.shared.ibfsBwd[ord.VertexAt(r)]) {
-				keep = append(keep, r)
-			}
+	for d := kindFwd; d <= kindBwd; d++ {
+		for v, list := range local.list[d] {
+			keep := uncovered(p.shared.ord, local.seen, d, v, list, p.shared.ibfs[1-d])
+			local.lab[d][v] = append(local.lab[d][v], keep...)
+			// Visit events are seen-guarded, so a batch's survivors are a
+			// sorted set, and they outrank nothing accumulated before them:
+			// the list stays strictly increasing — the exact shape
+			// label.FromLists requires.
+			invariant.StrictlyIncreasing("drl: accumulated labels after batch merge", local.lab[d][v])
 		}
-		sort.Slice(keep, func(i, j int) bool { return keep[i] < keep[j] })
-		local.in[v] = append(local.in[v], keep...)
-		// Visit events are seen-guarded, so a batch's survivors are a
-		// sorted set, and they outrank nothing accumulated before them:
-		// the list stays strictly increasing — the exact shape
-		// label.FromLists requires.
-		invariant.StrictlyIncreasing("drl: accumulated L_in after batch merge", local.in[v])
-	}
-	for v, list := range local.listBwd {
-		keep := make([]order.Rank, 0, len(list))
-		for _, r := range list {
-			if !covered(local, kindBwd, v, p.shared.ibfsFwd[ord.VertexAt(r)]) {
-				keep = append(keep, r)
-			}
-		}
-		sort.Slice(keep, func(i, j int) bool { return keep[i] < keep[j] })
-		local.out[v] = append(local.out[v], keep...)
-		invariant.StrictlyIncreasing("drl: accumulated L_out after batch merge", local.out[v])
 	}
 	return nil
 }
@@ -335,7 +321,7 @@ func (p *batchProgram) Collect(w *pregel.Worker) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("drl: worker %d holds no labeling state", w.ID)
 	}
-	return collectLabels(w, local.in, local.out), nil
+	return collectLabels(w, local.lab), nil
 }
 
 // labelSpans is the one build driver: one run of the labeling program

@@ -5,18 +5,18 @@
 // For every vertex v the algorithms compute the backward label sets
 // L⁻_in(v) = {w | v ∈ L_in(w)} and L⁻_out(v) = {w | v ∈ L_out(w)}
 // (Definition 4) instead of running TOL's order-dependent pruning.
-// Four variants are provided, in increasing sophistication:
+// The variants, in increasing sophistication:
 //
 //	BuildNaive     Theorem 2:  DES(v) filtered by DES of every
 //	               higher-order descendant. Quadratic; test oracle.
 //	BuildBasic     Theorem 3 (DRL⁻): trimmed-BFS filtering, one full
 //	               BFS per BFS_hig(v) member for refinement.
-//	BuildImproved  Theorem 4 (DRL): trimmed-BFS filtering in both
-//	               directions, refinement via inverted lists — no
-//	               refinement BFSs at all.
 //	BuildBatch     §IV (DRL_b / DRL_b^M): batch sequence with
-//	               TOL-style pruning across batches and DRL-style
-//	               refinement inside each batch.
+//	               TOL-style pruning across batches and, inside each
+//	               batch, Theorem 4 (DRL): trimmed-BFS filtering in
+//	               both directions, refinement via inverted lists —
+//	               no refinement BFSs at all.
+//	BuildImproved  DRL itself: BuildBatch with the one batch [0, n).
 //	BuildBatchBudgeted  BuildBatch with every label list capped at a
 //	               per-vertex budget (label.Budgeted); same core.
 //
@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/label"
 	"repro/internal/obs"
 	"repro/internal/order"
 )
@@ -180,42 +179,4 @@ type rankLists struct {
 // Row returns the sorted rank list of vertex w.
 func (t *rankLists) Row(w graph.VertexID) []order.Rank {
 	return t.data[t.off[w]:t.off[w+1]]
-}
-
-// Entries returns the total number of (source, vertex) visit pairs.
-func (t *rankLists) Entries() int64 { return int64(len(t.data)) }
-
-// invertLows builds the vertex→visitors table from per-source low
-// lists indexed by rank. Iterating sources in increasing rank keeps
-// every row sorted.
-func invertLows(n int, lows [][]graph.VertexID) *rankLists {
-	t := &rankLists{off: make([]int64, n+1)}
-	t.invert(len(lows), func(i int) []graph.VertexID { return lows[i] }, 0, make([]int64, n))
-	return t
-}
-
-// allTrimmedLows runs the v-sourced trimmed BFS for every vertex of g
-// (the filtering phase run for all vertices at once) and returns the
-// per-rank BFS_low lists.
-func allTrimmedLows(g *graph.Digraph, ord *order.Ordering, opt Options) ([][]graph.VertexID, error) {
-	n := g.NumVertices()
-	lows := make([][]graph.VertexID, n)
-	scratches := make([]*label.Scratch, opt.workers())
-	for i := range scratches {
-		scratches[i] = label.NewScratch(n)
-	}
-	opt.Obs.Counter("drl_filter_rounds_total").Inc()
-	cBFS := opt.Obs.Counter("drl_trimmed_bfs_total")
-	cVisits := opt.Obs.Counter("drl_bfs_visits_total")
-	err := parallelRanks(0, order.Rank(n), opt.workers(), opt.Cancel, func(wk int, r order.Rank) {
-		v := ord.VertexAt(r)
-		low, _ := label.TrimmedBFS(g, ord, v, scratches[wk], nil, nil)
-		lows[r] = low
-		cBFS.Inc()
-		cVisits.Add(int64(len(low)))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return lows, nil
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/netsim"
 	"repro/internal/order"
+	"repro/internal/pregel"
 	"repro/internal/tol"
 )
 
@@ -225,5 +227,59 @@ func TestDistributedMetricsSane(t *testing.T) {
 	}
 	if met.SimNetTime == 0 {
 		t.Errorf("expected simulated network time with commodity model")
+	}
+}
+
+// TestDirectionSymmetry is the metamorphic identity the direction
+// tables rely on: L_out on G is L_in on G̅. Under one ordering every
+// builder's index of g.Inverse() has L_in and L_out exchanged at every
+// vertex, and the vertex-centric builds move exactly the same traffic
+// on G and G̅ — a slip in either direction's half shows here.
+func TestDirectionSymmetry(t *testing.T) {
+	type build func(*graph.Digraph, *order.Ordering) (*label.Index, pregel.Metrics, error)
+	shared := func(f func(*graph.Digraph, *order.Ordering) (*label.Index, error)) build {
+		return func(g *graph.Digraph, ord *order.Ordering) (*label.Index, pregel.Metrics, error) {
+			idx, err := f(g, ord)
+			return idx, pregel.Metrics{}, err
+		}
+	}
+	opt := DistOptions{Workers: 3}
+	builds := map[string]build{
+		"tol": shared(func(g *graph.Digraph, ord *order.Ordering) (*label.Index, error) { return tol.Build(g, ord), nil }),
+		"batch": shared(func(g *graph.Digraph, ord *order.Ordering) (*label.Index, error) {
+			return BuildBatch(g, ord, DefaultBatchParams(), Options{Workers: 2})
+		}),
+		"dist-drl": func(g *graph.Digraph, ord *order.Ordering) (*label.Index, pregel.Metrics, error) {
+			return BuildDistributed(g, ord, opt)
+		},
+		"dist-drlb": func(g *graph.Digraph, ord *order.Ordering) (*label.Index, pregel.Metrics, error) {
+			return BuildDistributedBatch(g, ord, DefaultBatchParams(), opt)
+		},
+		"dist-drlbasic": func(g *graph.Digraph, ord *order.Ordering) (*label.Index, pregel.Metrics, error) {
+			return BuildDistributedBasic(g, ord, opt)
+		},
+	}
+	for gname, g := range map[string]*graph.Digraph{"paper-example": graph.PaperExample(), "rand-cyclic": randomDigraph(150, 450, 5)} {
+		ord := order.Compute(g)
+		for bname, b := range builds {
+			idx, met, err := b(g, ord)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", gname, bname, err)
+			}
+			inv, metInv, err := b(g.Inverse(), ord)
+			if err != nil {
+				t.Fatalf("%s/%s on the inverse: %v", gname, bname, err)
+			}
+			for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
+				if !slices.Equal(idx.InLabels(v), inv.OutLabels(v)) || !slices.Equal(idx.OutLabels(v), inv.InLabels(v)) {
+					t.Fatalf("%s/%s: vertex %d: G has L_in %v L_out %v, G̅ has L_in %v L_out %v", gname, bname, v,
+						idx.InLabels(v), idx.OutLabels(v), inv.InLabels(v), inv.OutLabels(v))
+				}
+			}
+			if met.Supersteps != metInv.Supersteps || met.Messages != metInv.Messages ||
+				met.BytesRemote != metInv.BytesRemote || met.BcastBytes != metInv.BcastBytes {
+				t.Errorf("%s/%s: traffic differs between G and G̅:\n%+v\n%+v", gname, bname, met, metInv)
+			}
+		}
 	}
 }

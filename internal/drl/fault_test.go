@@ -149,6 +149,7 @@ func indexBytes(t *testing.T, idx *label.Index) []byte {
 // transports injecting drops, lost replies, and one worker crash —
 // the produced index must be byte-identical to the serial TOL oracle.
 func TestFaultScheduleEquivalence(t *testing.T) {
+	bp := DefaultBatchParams()
 	graphs := map[string]*graph.Digraph{
 		"rand-dag-11":    randomDAG(40, 90, 11),
 		"rand-cyclic-12": randomDigraph(35, 100, 12),
@@ -172,9 +173,9 @@ func TestFaultScheduleEquivalence(t *testing.T) {
 					err error
 				)
 				if algo == "drl" {
-					idx, met, err = BuildOverRPCOpts(fc.addrs(), path, copt)
+					idx, met, err = BuildOverCluster(fc.addrs(), path, "", nil, nil, copt)
 				} else {
-					idx, met, err = BuildBatchOverRPCOpts(fc.addrs(), path, DefaultBatchParams(), copt)
+					idx, met, err = BuildOverCluster(fc.addrs(), path, "", &bp, nil, copt)
 				}
 				if err != nil {
 					t.Fatalf("%s under faults: %v", algo, err)
@@ -211,7 +212,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	want := indexBytes(t, tol.Build(g, ord))
 
 	// Uninterrupted reference run on a healthy cluster.
-	refIdx, _, err := BuildOverRPC(startWorkers(t, 3), path)
+	refIdx, _, err := BuildOverCluster(startWorkers(t, 3), path, "", nil, nil, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		"w1": {Seed: 5, CrashAtCall: 7},
 		"w2": {},
 	})
-	idx, met, err := BuildOverRPCOpts(fc.addrs(), path, fastFaultOptions(fc))
+	idx, met, err := BuildOverCluster(fc.addrs(), path, "", nil, nil, fastFaultOptions(fc))
 	if err != nil {
 		t.Fatalf("build with mid-run crash: %v", err)
 	}
@@ -249,12 +250,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 	// Same round trip across run boundaries: DRL_b runs once per
 	// batch, and the crash lands in a middle batch.
+	bp := DefaultBatchParams()
 	fc = newFlakyCluster(t, map[string]pregel.FaultPlan{
 		"w0": {Seed: 6, CrashAtCall: 25},
 		"w1": {},
 		"w2": {},
 	})
-	idx, met, err = BuildBatchOverRPCOpts(fc.addrs(), path, DefaultBatchParams(), fastFaultOptions(fc))
+	idx, met, err = BuildOverCluster(fc.addrs(), path, "", &bp, nil, fastFaultOptions(fc))
 	if err != nil {
 		t.Fatalf("batch build with crash: %v", err)
 	}

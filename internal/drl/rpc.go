@@ -1,7 +1,6 @@
 package drl
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strconv"
 
@@ -49,57 +48,34 @@ func init() {
 	})
 }
 
-// Result blob format: repeated records of
-// (vertex u32, nIn u32, nOut u32, inRanks..., outRanks...), ranks as
-// u32 each.
-
-func appendResult(blob []byte, v graph.VertexID, in, out []order.Rank) []byte {
-	blob = binary.LittleEndian.AppendUint32(blob, uint32(v))
-	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(in)))
-	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(out)))
-	for _, r := range in {
-		blob = binary.LittleEndian.AppendUint32(blob, uint32(r))
-	}
-	for _, r := range out {
-		blob = binary.LittleEndian.AppendUint32(blob, uint32(r))
-	}
-	return blob
-}
-
-// collectLabels encodes the label lists of the vertices w owns.
-func collectLabels(w *pregel.Worker, in, out map[graph.VertexID][]order.Rank) []byte {
+// collectLabels encodes the label lists of the vertices w owns, one
+// u32 record (wire.go) per vertex in increasing vertex order.
+func collectLabels(w *pregel.Worker, lab dirLists) []byte {
 	var blob []byte
 	w.OwnedVertices(func(v graph.VertexID) {
-		blob = appendResult(blob, v, in[v], out[v])
+		blob = appendRecord(blob, v, [2][]order.Rank{lab[0][v], lab[1][v]})
 	})
 	return blob
 }
 
-func decodeResults(blobs [][]byte, n int) (in, out [][]order.Rank, err error) {
+// decodeResults reads the workers' collect replies, blobs[i] being
+// worker i's, into per-vertex L_in and L_out lists. The replies come
+// from other processes: a record readRecord refuses, or one for a
+// vertex its worker does not own, is an error naming the worker.
+func decodeResults(blobs [][]byte, n int) (in, out [][]order.Rank, _ error) {
 	in = make([][]order.Rank, n)
 	out = make([][]order.Rank, n)
-	for _, blob := range blobs {
+	for wk, blob := range blobs {
+		prev := graph.VertexID(-1)
 		for len(blob) > 0 {
-			if len(blob) < 12 {
-				return nil, nil, fmt.Errorf("drl: truncated result blob")
+			v, lists, rest, err := readRecord(blob, prev, n)
+			if err == nil && int(v)%len(blobs) != wk {
+				err = fmt.Errorf("vertex %d belongs to worker %d", v, int(v)%len(blobs))
 			}
-			v := graph.VertexID(binary.LittleEndian.Uint32(blob[0:4]))
-			nIn := int(binary.LittleEndian.Uint32(blob[4:8]))
-			nOut := int(binary.LittleEndian.Uint32(blob[8:12]))
-			blob = blob[12:]
-			if int(v) >= n || len(blob) < 4*(nIn+nOut) {
-				return nil, nil, fmt.Errorf("drl: corrupt result blob")
+			if err != nil {
+				return nil, nil, fmt.Errorf("drl: worker %d's collect reply: %w", wk, err)
 			}
-			ranks := func(k int) []order.Rank {
-				rs := make([]order.Rank, k)
-				for i := 0; i < k; i++ {
-					rs[i] = order.Rank(binary.LittleEndian.Uint32(blob[4*i:]))
-				}
-				blob = blob[4*k:]
-				return rs
-			}
-			in[v] = ranks(nIn)
-			out[v] = ranks(nOut)
+			in[v], out[v], prev, blob = lists[kindFwd], lists[kindBwd], v, rest
 		}
 	}
 	return in, out, nil
@@ -169,29 +145,4 @@ func BuildOverClusterOf(addrs []string, g *graph.Digraph, graphPath string, stra
 			"hi": strconv.Itoa(int(span.Hi)),
 		})
 	})
-}
-
-// BuildOverRPC runs DRL (Algorithm 3) on a cluster of worker
-// processes reachable at addrs; graphPath must be readable by every
-// worker and the master.
-func BuildOverRPC(addrs []string, graphPath string) (*label.Index, pregel.Metrics, error) {
-	return BuildOverRPCOpts(addrs, graphPath, ClusterOptions{})
-}
-
-// BuildOverRPCOpts is BuildOverRPC with explicit fault-handling
-// options.
-func BuildOverRPCOpts(addrs []string, graphPath string, copt ClusterOptions) (*label.Index, pregel.Metrics, error) {
-	return BuildOverCluster(addrs, graphPath, "", nil, nil, copt)
-}
-
-// BuildBatchOverRPC runs DRL_b (Algorithm 4) on a cluster of worker
-// processes: one coordinated run per batch, then a final gather.
-func BuildBatchOverRPC(addrs []string, graphPath string, bp BatchParams) (*label.Index, pregel.Metrics, error) {
-	return BuildBatchOverRPCOpts(addrs, graphPath, bp, ClusterOptions{})
-}
-
-// BuildBatchOverRPCOpts is BuildBatchOverRPC with explicit
-// fault-handling options.
-func BuildBatchOverRPCOpts(addrs []string, graphPath string, bp BatchParams, copt ClusterOptions) (*label.Index, pregel.Metrics, error) {
-	return BuildOverCluster(addrs, graphPath, "", &bp, nil, copt)
 }

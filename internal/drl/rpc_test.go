@@ -42,8 +42,9 @@ func TestRPCClusterMatchesTOL(t *testing.T) {
 	want := tol.Build(g, ord)
 
 	addrs := startWorkers(t, 3)
+	bp := DefaultBatchParams()
 
-	got, met, err := BuildBatchOverRPC(addrs, path, DefaultBatchParams())
+	got, met, err := BuildOverCluster(addrs, path, "", &bp, nil, ClusterOptions{})
 	if err != nil {
 		t.Fatalf("DRL_b over RPC: %v", err)
 	}
@@ -56,7 +57,7 @@ func TestRPCClusterMatchesTOL(t *testing.T) {
 
 	// A fresh cluster for DRL (worker state is per-job).
 	addrs = startWorkers(t, 4)
-	got, _, err = BuildOverRPC(addrs, path)
+	got, _, err = BuildOverCluster(addrs, path, "", nil, nil, ClusterOptions{})
 	if err != nil {
 		t.Fatalf("DRL over RPC: %v", err)
 	}
@@ -74,7 +75,8 @@ func TestRPCPaperExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs := startWorkers(t, 2)
-	idx, _, err := BuildBatchOverRPC(addrs, path, DefaultBatchParams())
+	bp := DefaultBatchParams()
+	idx, _, err := BuildOverCluster(addrs, path, "", &bp, nil, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

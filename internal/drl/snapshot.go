@@ -3,7 +3,8 @@ package drl
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/order"
@@ -11,10 +12,9 @@ import (
 )
 
 // Superstep-checkpoint state serialization (pregel.Snapshotter) for
-// the labeling program. The encoding reuses the rank-list record
-// layout of the collect blobs and the on-disk index (internal/label):
-// little-endian u32 headers followed by u32 ranks, here grouped into
-// sections. Persistent state (what survives runs — the
+// the labeling program. Every table is a section of the collect
+// blobs' u32 records (wire.go), one record per vertex carrying both
+// directions' lists. Persistent state (what survives runs — the
 // accumulated batch labels) comes first so a run-boundary restore can
 // stop after it; per-run state (visit status, inverted-list replicas)
 // follows.
@@ -23,84 +23,57 @@ const snapVersion = 2
 
 func readU32(blob []byte) (uint32, []byte, error) {
 	if len(blob) < 4 {
-		return 0, nil, fmt.Errorf("drl: truncated state blob")
+		return 0, nil, fmt.Errorf("state blob truncated")
 	}
 	return binary.LittleEndian.Uint32(blob[:4]), blob[4:], nil
 }
 
 // appendPairMap encodes two vertex→ranks maps over the union of
-// their keys as (count, then per key: vertex, lenA, lenB, ranks...)
-// records — the same record shape as the collect blobs. Keys are
-// sorted so checkpoints of identical state are byte-identical.
-func appendPairMap(blob []byte, a, b map[graph.VertexID][]order.Rank) []byte {
-	keys := make([]graph.VertexID, 0, len(a)+len(b))
-	for v := range a {
-		keys = append(keys, v)
-	}
-	for v := range b {
-		if _, ok := a[v]; !ok {
+// their keys as a count and then one u32 record (wire.go) per key.
+// Keys are sorted so checkpoints of identical state are
+// byte-identical — and because readRecord requires it.
+func appendPairMap(blob []byte, m dirLists) []byte {
+	keys := sortedKeys(m[0])
+	for v := range m[1] {
+		if _, ok := m[0][v]; !ok {
 			keys = append(keys, v)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(keys)))
 	for _, v := range keys {
-		blob = appendResult(blob, v, a[v], b[v])
+		blob = appendRecord(blob, v, [2][]order.Rank{m[0][v], m[1][v]})
 	}
 	return blob
 }
 
-func readPairMap(blob []byte) (a, b map[graph.VertexID][]order.Rank, rest []byte, err error) {
+func readPairMap(blob []byte) (dirLists, []byte, error) {
 	count, blob, err := readU32(blob)
 	if err != nil {
-		return nil, nil, nil, err
+		return dirLists{}, nil, err
 	}
-	a = make(map[graph.VertexID][]order.Rank, count)
-	b = make(map[graph.VertexID][]order.Rank, count)
+	m := newDirLists()
+	prev := graph.VertexID(-1)
 	for k := uint32(0); k < count; k++ {
-		if len(blob) < 12 {
-			return nil, nil, nil, fmt.Errorf("drl: truncated state record")
+		v, lists, rest, err := readRecord(blob, prev, math.MaxInt32)
+		if err != nil {
+			return m, nil, fmt.Errorf("state record %d of %d: %w", k, count, err)
 		}
-		v := graph.VertexID(binary.LittleEndian.Uint32(blob[0:4]))
-		nA := int(binary.LittleEndian.Uint32(blob[4:8]))
-		nB := int(binary.LittleEndian.Uint32(blob[8:12]))
-		blob = blob[12:]
-		if len(blob) < 4*(nA+nB) {
-			return nil, nil, nil, fmt.Errorf("drl: truncated state record")
-		}
-		take := func(n int) []order.Rank {
-			if n == 0 {
-				return nil
+		for d, rs := range lists {
+			if len(rs) > 0 {
+				m[d][v] = rs
 			}
-			rs := make([]order.Rank, n)
-			for i := 0; i < n; i++ {
-				rs[i] = order.Rank(binary.LittleEndian.Uint32(blob[4*i:]))
-			}
-			blob = blob[4*n:]
-			return rs
 		}
-		if rs := take(nA); rs != nil {
-			a[v] = rs
-		}
-		if rs := take(nB); rs != nil {
-			b[v] = rs
-		}
+		prev, blob = v, rest
 	}
-	return a, b, blob, nil
+	return m, blob, nil
 }
 
 // appendSeen encodes a visit-status set as a sorted u64 list.
 func appendSeen(blob []byte, seen map[uint64]struct{}) []byte {
-	keys := make([]uint64, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(keys)))
-	var rec [8]byte
-	for _, k := range keys {
-		binary.LittleEndian.PutUint64(rec[:], k)
-		blob = append(blob, rec[:]...)
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(seen)))
+	for _, k := range sortedKeys(seen) {
+		blob = binary.LittleEndian.AppendUint64(blob, k)
 	}
 	return blob
 }
@@ -111,7 +84,7 @@ func readSeen(blob []byte) (map[uint64]struct{}, []byte, error) {
 		return nil, nil, err
 	}
 	if len(blob) < 8*int(count) {
-		return nil, nil, fmt.Errorf("drl: truncated visit-status section")
+		return nil, nil, fmt.Errorf("visit-status section truncated")
 	}
 	seen := make(map[uint64]struct{}, count)
 	for k := uint32(0); k < count; k++ {
@@ -132,12 +105,12 @@ func (p *batchProgram) EncodeState(w *pregel.Worker) ([]byte, error) {
 		blob = append(blob, 0)
 	} else {
 		blob = append(blob, 1)
-		blob = appendPairMap(blob, local.in, local.out)
+		blob = appendPairMap(blob, local.lab)
 		blob = appendSeen(blob, local.seen)
-		blob = appendPairMap(blob, local.listFwd, local.listBwd)
+		blob = appendPairMap(blob, local.list)
 	}
-	blob = appendPairMap(blob, p.shared.srcOut, p.shared.srcIn)
-	blob = appendPairMap(blob, p.shared.ibfsFwd, p.shared.ibfsBwd)
+	blob = appendPairMap(blob, p.shared.src)
+	blob = appendPairMap(blob, p.shared.ibfs)
 	return blob, nil
 }
 
@@ -160,22 +133,25 @@ func (p *batchProgram) DecodeState(w *pregel.Worker, blob []byte, sameRun bool) 
 	}
 	local := &batchLocal{}
 	var err error
-	if local.in, local.out, blob, err = readPairMap(blob); err != nil {
-		return err
+	read := func(m *dirLists) {
+		if err == nil {
+			*m, blob, err = readPairMap(blob)
+		}
 	}
+	read(&local.lab)
 	if sameRun {
-		if local.seen, blob, err = readSeen(blob); err != nil {
-			return err
+		if err == nil {
+			local.seen, blob, err = readSeen(blob)
 		}
-		if local.listFwd, local.listBwd, blob, err = readPairMap(blob); err != nil {
-			return err
+		read(&local.list)
+		read(&p.shared.src)
+		read(&p.shared.ibfs)
+		if err == nil && len(blob) != 0 {
+			err = fmt.Errorf("%d trailing bytes", len(blob))
 		}
-		if p.shared.srcOut, p.shared.srcIn, blob, err = readPairMap(blob); err != nil {
-			return err
-		}
-		if p.shared.ibfsFwd, p.shared.ibfsBwd, _, err = readPairMap(blob); err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return fmt.Errorf("drl: worker %d's checkpoint: %w", w.ID, err)
 	}
 	w.State = local
 	return nil

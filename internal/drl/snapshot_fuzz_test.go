@@ -67,27 +67,27 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 
 		// Label/pair-map section.
-		pb := appendPairMap(nil, fwd, bwd)
-		gotFwd, gotBwd, rest, err := readPairMap(pb)
+		pb := appendPairMap(nil, dirLists{fwd, bwd})
+		got, rest, err := readPairMap(pb)
 		if err != nil {
 			t.Fatalf("readPairMap: %v", err)
 		}
 		if len(rest) != 0 {
 			t.Fatalf("readPairMap left %d trailing bytes", len(rest))
 		}
-		if !reflect.DeepEqual(gotFwd, fwd) || !reflect.DeepEqual(gotBwd, bwd) {
+		if !reflect.DeepEqual(got, dirLists{fwd, bwd}) {
 			t.Fatal("pair maps changed across round trip")
 		}
-		if pb2 := appendPairMap(nil, gotFwd, gotBwd); !bytes.Equal(pb, pb2) {
+		if pb2 := appendPairMap(nil, got); !bytes.Equal(pb, pb2) {
 			t.Fatal("re-encoding the decoded pair maps is not byte-identical")
 		}
 
 		// Whole-checkpoint composition: a program state built from the
 		// same material, encoded, restored into a fresh program, and
 		// encoded again must reproduce the first blob exactly.
-		local := &batchLocal{in: gotFwd, out: gotBwd, seen: seen, listFwd: fwd, listBwd: bwd}
+		local := &batchLocal{lab: got, seen: seen, list: dirLists{fwd, bwd}}
 		w := &pregel.Worker{State: local}
-		p1 := &batchProgram{shared: &batchShared{srcOut: bwd, srcIn: fwd, ibfsFwd: fwd, ibfsBwd: bwd}}
+		p1 := &batchProgram{shared: &batchShared{src: dirLists{bwd, fwd}, ibfs: dirLists{fwd, bwd}}}
 		blob, err := p1.EncodeState(w)
 		if err != nil {
 			t.Fatalf("EncodeState: %v", err)

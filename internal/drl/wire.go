@@ -239,3 +239,56 @@ func decodeLabelShares(payload []byte, fn func(v graph.VertexID, out, in []order
 	}
 	return nil
 }
+
+// The u32 record. What does not cross the wire every superstep — the
+// collect replies of the final gather and every section of a superstep
+// checkpoint (snapshot.go) — is a run of fixed-width records, one per
+// vertex with both directions' lists,
+//
+//	record := vertex(u32) n0(u32) n1(u32) ranks[n0](u32 each) ranks[n1]
+//
+// little-endian, in strictly increasing vertex order. The rank lists
+// are kept verbatim: a checkpoint's in-batch lists are in arrival order
+// and may repeat a rank, which the gap coding above cannot carry.
+
+func appendRecord(blob []byte, v graph.VertexID, lists [2][]order.Rank) []byte {
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(v))
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(lists[0])))
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(lists[1])))
+	for _, rs := range lists {
+		for _, r := range rs {
+			blob = binary.LittleEndian.AppendUint32(blob, uint32(r))
+		}
+	}
+	return blob
+}
+
+// readRecord is the one reader of the u32 record, and it is strict:
+// the bytes come from another process. It refuses a record cut short
+// by the end of blob, a vertex outside [0, bound), and a vertex not
+// after prev, the previous record's (-1 before the first) — so a
+// repeated vertex is an error, never a last-wins overwrite.
+func readRecord(blob []byte, prev graph.VertexID, bound int) (v graph.VertexID, lists [2][]order.Rank, rest []byte, err error) {
+	if len(blob) < 12 {
+		return 0, lists, nil, fmt.Errorf("record header truncated to %d bytes", len(blob))
+	}
+	id := int64(binary.LittleEndian.Uint32(blob))
+	n := [2]int64{int64(binary.LittleEndian.Uint32(blob[4:])), int64(binary.LittleEndian.Uint32(blob[8:]))}
+	blob = blob[12:]
+	switch {
+	case id >= int64(bound):
+		return 0, lists, nil, fmt.Errorf("vertex %d outside [0, %d)", id, bound)
+	case id <= int64(prev):
+		return 0, lists, nil, fmt.Errorf("vertex %d does not follow vertex %d", id, prev)
+	case 4*(n[0]+n[1]) > int64(len(blob)):
+		return 0, lists, nil, fmt.Errorf("vertex %d declares %d+%d ranks, %d bytes remain", id, n[0], n[1], len(blob))
+	}
+	for d, k := range n {
+		lists[d] = make([]order.Rank, k)
+		for i := range lists[d] {
+			lists[d][i] = order.Rank(binary.LittleEndian.Uint32(blob[4*i:]))
+		}
+		blob = blob[4*k:]
+	}
+	return graph.VertexID(id), lists, blob, nil
+}

@@ -2,11 +2,14 @@ package drl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/order"
+	"repro/internal/pregel"
 )
 
 func TestEventBlobRoundTrip(t *testing.T) {
@@ -127,12 +130,84 @@ func TestLabelBlobRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// FuzzBlobDecodeArbitrary feeds raw bytes to both blob decoders: they
-// must reject or accept without panicking on any input.
+// goodRecords is a well-formed reply of worker 1 of 3 over 10 vertices
+// (which owns 1, 4 and 7).
+func goodRecords() []byte {
+	return appendRecord(appendRecord(nil, 1, [2][]order.Rank{{0}, nil}), 4, [2][]order.Rank{nil, {2, 3}})
+}
+
+// corruptRecords is the refusal table of the u32 record. The first row
+// is twelve bytes a worker's Collect reply can carry: a reader that casts
+// the vertex word to int32 before checking it dies with "index
+// out of range [-1]" in the master. records is the count a checkpoint
+// section would announce the row's bytes with, 0 where the row is the
+// collect blob's alone: a section has no owner and no n (the replicas
+// span every vertex) and is followed by the next section.
+var corruptRecords = []struct {
+	name    string
+	blob    []byte
+	records uint32
+}{
+	{"vertex past 2^31", []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0}, 1},
+	{"vertex ≥ n", appendRecord(goodRecords(), 10, [2][]order.Rank{}), 0},
+	{"foreign vertex", appendRecord(goodRecords(), 5, [2][]order.Rank{}), 0},
+	{"repeated vertex", appendRecord(goodRecords(), 4, [2][]order.Rank{}), 3},
+	{"vertex reordered", appendRecord(appendRecord(nil, 4, [2][]order.Rank{}), 1, [2][]order.Rank{}), 2},
+	{"truncated tail", goodRecords()[:len(goodRecords())-2], 2},
+	{"counts overrun", []byte{7, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0}, 1},
+	{"trailing bytes", append(goodRecords(), 0x00), 0},
+}
+
+// TestCollectBlobRejectsCorrupt: a worker's reply cannot panic the
+// master or overwrite another vertex's labels — every corruption is an
+// error naming the worker.
+func TestCollectBlobRejectsCorrupt(t *testing.T) {
+	for _, row := range corruptRecords {
+		in, out, err := decodeResults([][]byte{nil, row.blob, nil}, 10)
+		if err == nil {
+			t.Errorf("%s: accepted as in=%v out=%v", row.name, in, out)
+		} else if !strings.Contains(err.Error(), "worker 1") {
+			t.Errorf("%s: error does not name the worker: %v", row.name, err)
+		}
+	}
+	in, out, err := decodeResults([][]byte{nil, goodRecords(), nil}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in[1], []order.Rank{0}) || !reflect.DeepEqual(out[4], []order.Rank{2, 3}) || len(in[4])+len(out[1]) != 0 {
+		t.Errorf("good reply decoded to in=%v out=%v", in, out)
+	}
+}
+
+// TestPairMapRejectsCorrupt runs the rows that apply to a checkpoint
+// section through readPairMap, alone and inside a checkpoint.
+func TestPairMapRejectsCorrupt(t *testing.T) {
+	for _, row := range corruptRecords {
+		if row.records == 0 {
+			continue
+		}
+		section := append(binary.LittleEndian.AppendUint32(nil, row.records), row.blob...)
+		if m, _, err := readPairMap(section); err == nil {
+			t.Errorf("%s: accepted as %v", row.name, m)
+		}
+		err := (&batchProgram{shared: newBatchShared(nil, Span{}, nil)}).DecodeState(
+			&pregel.Worker{ID: 2}, append([]byte{snapVersion, 1}, section...), true)
+		if err == nil || !strings.Contains(err.Error(), "worker 2") {
+			t.Errorf("%s in a checkpoint: want an error naming worker 2, got %v", row.name, err)
+		}
+	}
+}
+
+// FuzzBlobDecodeArbitrary feeds raw bytes to every decoder of another
+// process's bytes — the two broadcast blobs, the collect reply and the
+// checkpoint section: they must reject or accept without panicking on
+// any input.
 func FuzzBlobDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{blobVersion, 0x00})
 	f.Add(encodeEventBlob(kindFwd, []visitEvent{{v: 1, r: 0}, {v: 1, r: 2}})[1:])
 	f.Add(encodeLabelBlob([]labelShare{{v: 3, out: []order.Rank{1}}})[1:])
+	f.Add(appendRecord(nil, 1, [2][]order.Rank{{0}, {2, 3}}))
+	f.Add(appendPairMap(nil, dirLists{{4: {1, 1}}, {6: {0}}}))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var evs []visitEvent
 		if err := decodeEventPairs(payload, func(v graph.VertexID, r order.Rank) {
@@ -152,5 +227,35 @@ func FuzzBlobDecodeArbitrary(f *testing.F) {
 				t.Fatalf("decoder emitted negative vertex %d", v)
 			}
 		})
+		// As worker 1 of 3's reply over 64 vertices: whatever is
+		// accepted was written to that worker's own rows only.
+		if in, out, err := decodeResults([][]byte{nil, payload, nil}, 64); err == nil {
+			for v := range in {
+				if v%3 != 1 && len(in[v])+len(out[v]) > 0 {
+					t.Fatalf("worker 1's reply wrote vertex %d", v)
+				}
+			}
+		}
+		if m, _, err := readPairMap(payload); err == nil {
+			for d := range m {
+				for v := range m[d] {
+					if v < 0 {
+						t.Fatalf("section decoded a negative vertex %d", v)
+					}
+				}
+			}
+		}
 	})
+}
+
+// TestPreStepRejectsUnknownTag: a broadcast blob whose tag names no
+// family aborts the run instead of being read as some direction's events.
+func TestPreStepRejectsUnknownTag(t *testing.T) {
+	ws := []*pregel.Worker{{BcastIn: [][]byte{{7, blobVersion, 0}}}}
+	if err := (&batchProgram{shared: newBatchShared(nil, Span{}, nil)}).PreStep(ws, 1); err == nil {
+		t.Error("batchProgram accepted tag 7")
+	}
+	if err := (&basicPhaseB{shared: &basicShared{hig: newDirLists()}}).PreStep(ws, 1); err == nil {
+		t.Error("basicPhaseB accepted tag 7")
+	}
 }
