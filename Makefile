@@ -7,16 +7,17 @@ all: build vet test
 # What CI's check, lint and invariants jobs run: vet, build, the
 # project analyzers, the full test suite once under the race detector
 # (the RPC fault-handling tests are concurrency-heavy) with coverage,
-# 15 s of fuzzing the index-file decoder, 10 s each on the decoders of
-# what other processes send the labeler (broadcast blobs and collect
-# replies; checkpoints), and the suite again with runtime invariants
-# compiled in.
+# 15 s of fuzzing the index-file decoder and 10 s on its label-block
+# bit reader alone, 10 s each on the decoders of what other processes
+# send the labeler (broadcast blobs and collect replies; checkpoints),
+# and the suite again with runtime invariants compiled in.
 check:
 	go vet ./...
 	go build ./...
 	go run ./cmd/drlint ./...
 	go test -race -cover ./...
 	go test ./internal/label -run '^$$' -fuzz FuzzRead -fuzztime 15s
+	go test ./internal/label -run '^$$' -fuzz FuzzLabelBlock -fuzztime 10s
 	go test ./internal/drl -run '^$$' -fuzz FuzzBlobDecodeArbitrary -fuzztime 10s
 	go test ./internal/drl -run '^$$' -fuzz FuzzSnapshotDecodeArbitrary -fuzztime 10s
 	go test -tags=invariants ./...

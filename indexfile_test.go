@@ -1,0 +1,147 @@
+package reachlab
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"math/rand"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/label"
+	"repro/internal/order"
+)
+
+// labelsOffset returns where an index file's two labels sections
+// start: behind the header, the optional parts it announces and the
+// rank permutation (DESIGN.md §16).
+func labelsOffset(file []byte) int {
+	pos := 32
+	skip := func(values int) {
+		for ; values > 0; values -= 4096 {
+			_, k1 := binary.Uvarint(file[pos:])
+			size, k2 := binary.Uvarint(file[pos+k1:])
+			pos += k1 + k2 + int(size)
+		}
+	}
+	parts := binary.LittleEndian.Uint32(file[12:])
+	if parts&1 != 0 {
+		pos += 16
+	}
+	if parts&2 != 0 {
+		count, k := binary.Uvarint(file[pos:])
+		pos += k
+		skip(int(count))
+	}
+	if parts&4 != 0 {
+		_, k := binary.Uvarint(file[pos:])
+		pos += k
+		skip(1)
+		skip(1)
+	}
+	skip(int(binary.LittleEndian.Uint32(file[8:])))
+	return pos
+}
+
+// byteAlignedLabels returns the size of x's two labels sections in the
+// format before this one ("DRLINDX3"): per 4,096 vertices a block of
+// uvarint(entries) uvarint(bytes) and, per list, uvarint(len) and one
+// uvarint per gap r − prev − 1.
+func byteAlignedLabels(x *label.Index) int {
+	uvarint := func(v int) int { return len(binary.AppendUvarint(nil, uint64(v))) }
+	total := 0
+	for _, lists := range []func(graph.VertexID) []order.Rank{x.InLabels, x.OutLabels} {
+		for v0 := 0; v0 < x.NumVertices(); v0 += 4096 {
+			entries, size := 0, 0
+			for v := v0; v < min(v0+4096, x.NumVertices()); v++ {
+				list := lists(graph.VertexID(v))
+				entries += len(list)
+				size += uvarint(len(list))
+				prev := -1
+				for _, r := range list {
+					size += uvarint(int(r) - prev - 1)
+					prev = int(r)
+				}
+			}
+			total += uvarint(entries) + uvarint(size) + size
+		}
+	}
+	return total
+}
+
+// TestIndexFileBeatsByteAligned: the list coding's model is fitted to
+// each file, not tuned to the benchmark's graph — over every generator
+// family, condensed or not, capped or not, the labels sections are
+// smaller than the byte-aligned ones they replaced, and the file reads
+// back as the index that was built and answers as BFS does.
+func TestIndexFileBeatsByteAligned(t *testing.T) {
+	const n = 3000
+	for _, family := range gen.Families() {
+		g, err := GenerateGraph(string(family), n, 4, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []Options{{}, {CondenseSCC: true}, {LabelBudget: 8}, {CondenseSCC: true, LabelBudget: 8}} {
+			built, err := Build(context.Background(), g, opts)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", family, opts, err)
+			}
+			var file bytes.Buffer
+			if _, err := built.WriteTo(&file); err != nil {
+				t.Fatalf("%s %+v: %v", family, opts, err)
+			}
+			now, before := file.Len()-labelsOffset(file.Bytes()), byteAlignedLabels(built.idx)
+			if now >= before {
+				t.Errorf("%s %+v: labels sections of %d bytes, %d byte-aligned", family, opts, now, before)
+			}
+			loaded, err := readIndex(bytes.NewReader(file.Bytes()), g)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", family, opts, err)
+			}
+			if !built.idx.Equal(loaded.idx) {
+				t.Fatalf("%s %+v: the file changed the index: %s", family, opts, built.idx.Diff(loaded.idx))
+			}
+			rng := rand.New(rand.NewSource(9))
+			for q := 0; q < 400; q++ {
+				s, u := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+				if q%2 == 1 { // a pair a walk connects, so half of them are reachable
+					u = s
+					for hop := rng.Intn(6); hop > 0 && len(g.d.OutNeighbors(u)) > 0; hop-- {
+						u = g.d.OutNeighbors(u)[rng.Intn(len(g.d.OutNeighbors(u)))]
+					}
+				}
+				if got, want := loaded.Reachable(s, u), g.ReachableBFS(s, u); got != want {
+					t.Fatalf("%s %+v: q(%d,%d) = %v from the file, BFS says %v", family, opts, s, u, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestIndexFileSizeGolden pins the size of one seeded build's file, so
+// that an edit to the list coding or its model moves a number here (as
+// TestWireVolumeGolden does for the wire). Entries pin the labeler's
+// half; a moved size with the same entries is the codec's doing.
+func TestIndexFileSizeGolden(t *testing.T) {
+	g, err := GenerateGraph("citation", 20000, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := Build(context.Background(), g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if _, err := idx.WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	const entries, size = 594803, 527890
+	if got := idx.Stats().Entries; got != entries {
+		t.Errorf("%d label entries, want %d", got, entries)
+	}
+	if file.Len() != size {
+		t.Errorf("index file of %d bytes (%d in its labels sections, %d byte-aligned), want %d",
+			file.Len(), file.Len()-labelsOffset(file.Bytes()), byteAlignedLabels(idx.idx), size)
+	}
+}

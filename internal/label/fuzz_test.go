@@ -2,10 +2,13 @@ package label
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/order"
 )
 
 // mustWriteWith is mustWrite for a file with optional parts.
@@ -66,6 +69,64 @@ func FuzzRead(f *testing.F) {
 		}
 		if !reflect.DeepEqual(extras, extrasAgain) {
 			t.Fatalf("rewriting changed the optional parts: %+v, then %+v", extras, extrasAgain)
+		}
+	})
+}
+
+// FuzzLabelBlock reaches the bit reader without a header and a
+// permutation that must parse first: for any payload (model included),
+// vertex count, vertex ranks (four bytes each, taken modulo n) and entry
+// count, decodeLabelBlock must not panic — dst and off are cut to size,
+// so a write outside them would — nor touch off[0], the block before's;
+// and lists it accepts must be lists the encoder takes and the decoder
+// then returns again.
+func FuzzLabelBlock(f *testing.F) {
+	for _, x := range []*Index{sparseIndex(f, 40, 6, 4), edgeIndex(f)} {
+		vertices := min(x.n, 800)
+		block, err := appendLabelBlock(nil, x.InLabels, x.ord.Ranks(), 0, vertices, x.n)
+		if err != nil {
+			f.Fatal(err)
+		}
+		entries, payload := blockPayload(block)
+		var ranks []byte
+		for _, r := range x.ord.Ranks()[:vertices] {
+			ranks = binary.LittleEndian.AppendUint32(ranks, uint32(r))
+		}
+		f.Add(payload, ranks, uint32(x.n), uint16(entries))
+	}
+	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0, 0, 0, 0}, uint32(1), uint16(1))
+	f.Fuzz(func(t *testing.T, payload, rawRanks []byte, n uint32, entries uint16) {
+		if n = min(n, 1<<31); n == 0 {
+			return
+		}
+		ranks := make([]order.Rank, min(len(rawRanks)/4, blockValues))
+		for i := range ranks {
+			ranks[i] = order.Rank(binary.LittleEndian.Uint32(rawRanks[4*i:]) % n)
+		}
+		const base, sentinel = 1 << 40, -7
+		decode := func(payload []byte) ([]int64, []order.Rank, error) {
+			off, dst := make([]int64, len(ranks)+1), make([]order.Rank, entries)
+			off[0] = sentinel
+			err := decodeLabelBlock(payload, ranks, off, dst, base, int(n))
+			if off[0] != sentinel {
+				t.Fatal("off[0] written")
+			}
+			off[0] = base
+			return off, dst, err
+		}
+		off, dst, err := decode(payload)
+		if err != nil {
+			return
+		}
+		list := func(v graph.VertexID) []order.Rank { return dst[off[v]-base : off[v+1]-base] }
+		block, err := appendLabelBlock(nil, list, ranks, 0, len(ranks), int(n))
+		if err != nil {
+			t.Fatalf("accepted lists refused by the encoder: %v", err)
+		}
+		_, again := blockPayload(block)
+		off2, dst2, err := decode(again)
+		if err != nil || !slices.Equal(dst, dst2) || !slices.Equal(off, off2) {
+			t.Fatalf("re-encoded block decodes to other lists (%v)", err)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -34,20 +35,25 @@ import (
 // Fixed-width words are little-endian; parts says which of the three
 // optional parts (Extras) follow the header. ints(n) is the rank
 // permutation, the two labels sections are L_in and L_out. An ints
-// payload is one uvarint per value. A labels payload is, per vertex,
-// uvarint(len) followed by the list's gaps: the first rank, then
-// r − prev − 1 for every later one — a label list is a strictly
-// ascending set, so the gap to the next possible rank is what is left
-// to say, and no byte sequence decodes to a list out of order. Offsets
-// are not stored: a block's entry count places it in the flat array
-// before its payload is decoded, and the list lengths rebuild the
+// payload is one uvarint per value. A labels payload is the block's
+// model, kLen(1) kGap(1)*, and a bit stream, least significant bit
+// first, zero-padded to a byte: per vertex rice(kLen, len′<<1 | selfLast)
+// and len′ gaps rice(kGap[bits.Len32(next)], r − next), next being the
+// least rank the list may continue with (0, then r + 1) — a label list
+// is a strictly ascending set, so no bit string decodes to a list out
+// of order. selfLast says that the list ends, after those len′, with its
+// vertex's own rank, which the permutation tells. Ranks are
+// degree-ordered, so gaps grow with the rank they start from: hence a
+// Rice parameter per bit length of next.
+// Offsets are not stored: a block's entry count places it in the flat
+// array before its payload is decoded, and the list lengths rebuild the
 // rest. That self-describing block header is what lets both directions
 // stream through an io.Writer / io.Reader and still run block-parallel.
 // A bitset block has ⌈n/8⌉ entries, one a byte, vertex v at bit v%8 of
 // byte v/8. DESIGN.md §16 is the normative description.
 
 const (
-	indexMagic = uint64(0x44524c494e445833) // "DRLINDX3"
+	indexMagic = uint64(0x44524c494e445834) // "DRLINDX4"
 
 	// The bits of header.Parts, in the order their parts follow it.
 	partGraph, partComp, partBudget = uint32(1), uint32(2), uint32(4)
@@ -70,11 +76,11 @@ const (
 	blockHeaderRoom = 2 * binary.MaxVarintLen64
 )
 
-// retiredMagics opened the formats before this one — "DRLINDX2" inside
-// the root package's "RLIXNVE2" envelope, and the fixed-width "DRLINDEX"
-// and "RLIXNVE1". Index files are derived artifacts, so they are refused
-// rather than converted.
-var retiredMagics = []uint64{0x44524c494e445832, 0x524c49584e564532, 0x44524c494e444558, 0x524c49584e564531}
+// retiredMagics opened the formats before this one — the byte-aligned
+// "DRLINDX3", "DRLINDX2" inside the root package's "RLIXNVE2" envelope,
+// and the fixed-width "DRLINDEX" and "RLIXNVE1". Index files are derived
+// artifacts, so they are refused rather than converted.
+var retiredMagics = []uint64{0x44524c494e445833, 0x44524c494e445832, 0x524c49584e564532, 0x44524c494e444558, 0x524c49584e564531}
 
 // header is the file's fixed part, in binary.Read's layout of a struct.
 type header struct {
@@ -95,37 +101,146 @@ type Extras struct {
 	InFull, OutFull []bool
 }
 
-// putUvarint32 writes v at b[pos:] and returns the position after it.
-// b must have binary.MaxVarintLen32 bytes of room. One- and two-byte
-// values — 51% and 43% of the benchmark index's gaps — run the same
-// instructions, because a branch between them mispredicts on nearly
-// every other entry.
-func putUvarint32(b []byte, pos int, v uint32) int {
-	if v < 1<<14 {
-		hi := v >> 7
-		var more uint32
-		if hi != 0 {
-			more = 1
-		}
-		b[pos+1] = byte(hi)
-		b[pos] = byte(v&0x7f | more<<7)
-		return pos + 1 + int(more)
+// A labels block's values are Rice-coded: v>>k ones, a zero, v's low k
+// bits. From riceEscape ones on the code is those ones and v in 32
+// bits, so no value costs more than 52 bits whatever the parameter.
+const (
+	riceEscape = 20
+	maxRiceK   = 31
+)
+
+// riceModel holds one labels block's Rice parameters: [0] codes the
+// list headers, [1+b] a gap that starts at a rank of b bits
+// (bits.Len32(next)). A block opens with those its n can reach.
+type riceModel [34]uint8
+
+// modelLen returns how many parameters the blocks of n vertices carry.
+func modelLen(n int) int { return 2 + bits.Len32(uint32(max(n, 1)-1)) }
+
+// explicit returns the entries of a list that are written, and 1 if its
+// last one — self, its vertex's own rank — is left to the permutation.
+func explicit(list []order.Rank, self order.Rank) ([]order.Rank, uint32) {
+	if k := len(list) - 1; k >= 0 && list[k] == self {
+		return list[:k], 1
 	}
-	for v >= 0x80 {
-		b[pos] = byte(v) | 0x80
-		v >>= 7
-		pos++
-	}
-	b[pos] = byte(v)
-	return pos + 1
+	return list, 0
 }
 
-// uvarint32 decodes the uvarint at b[pos:], which must fit 32 bits,
-// and returns it with the position after it; ok is false when the
-// bytes end first or the value is wider.
-func uvarint32(b []byte, pos int) (v uint64, next int, ok bool) {
-	v, k := binary.Uvarint(b[pos:])
-	return v, pos + k, k > 0 && v <= math.MaxUint32
+// fitModel returns the parameters the lists of vertices [v0, v1) are
+// coded with, and how many entries they hold: per slot ⌊log₂(0.96 ·
+// mean)⌋ of the values it codes, the Rice parameter that takes the
+// fewest bits for a geometric distribution of that mean. Integer
+// arithmetic on sums, so a block's bytes are a function of its lists.
+func fitModel(list func(graph.VertexID) []order.Rank, ranks []order.Rank, v0, v1 int) (m riceModel, entries int) {
+	var sum, count [len(m)]uint64
+	for v := v0; v < v1; v++ {
+		list, selfLast := explicit(list(graph.VertexID(v)), ranks[v])
+		entries += len(list) + int(selfLast)
+		sum[0] += uint64(len(list))<<1 | uint64(selfLast)
+		next := uint32(0)
+		for _, r := range list {
+			slot := 1 + bits.Len32(next)
+			sum[slot] += uint64(uint32(r) - next)
+			count[slot]++
+			next = uint32(r) + 1
+		}
+	}
+	count[0] = uint64(v1 - v0)
+	for i, c := range count {
+		if x := sum[i] - sum[i]>>5 - sum[i]>>7; c > 0 && x >= c {
+			m[i] = uint8(min(bits.Len64(x/c)-1, maxRiceK))
+		}
+	}
+	return m, entries
+}
+
+// bitWriter appends codes of up to 56 bits to b, least significant bit
+// first, eight bytes at a time: b must have that much room past the end
+// of the last code.
+type bitWriter struct {
+	b   []byte
+	pos int    // where acc goes
+	acc uint64 // the n < 64 bits not yet in b
+	n   uint
+}
+
+func (w *bitWriter) put(code uint64, width uint) {
+	w.acc |= code << (w.n & 63)
+	if w.n += width; w.n >= 64 {
+		binary.LittleEndian.PutUint64(w.b[w.pos:], w.acc)
+		w.pos += 8
+		w.n -= 64
+		w.acc = code >> ((width - w.n) & 63) // what did not fit
+	}
+}
+
+// riceCode returns v's code under parameter k, and its width.
+func riceCode(v uint32, k uint8) (code uint64, width uint) {
+	if q := v >> k; q < riceEscape {
+		return uint64(1)<<q - 1 | uint64(v&(1<<k-1))<<(q+1), uint(q) + 1 + uint(k)
+	}
+	return 1<<riceEscape - 1 | uint64(v)<<riceEscape, riceEscape + 32
+}
+
+// end pads the stream with zero bits to a byte and returns where it ends.
+func (w *bitWriter) end() int {
+	binary.LittleEndian.PutUint64(w.b[w.pos:], w.acc)
+	return w.pos + int(w.n+7)>>3
+}
+
+// bitReader reads what bitWriter wrote. Past the end of b it reads zero
+// bits, each of which ends a code, so a loop bounded by counts ends; end
+// then reports the overrun.
+type bitReader struct {
+	b   []byte
+	pos int    // bytes taken into acc, those imagined past the end included
+	acc uint64 // the unread bits, the next one lowest
+	n   uint   // how many of them are known
+}
+
+// refill makes at least 56 bits — more than any code — known.
+func (r *bitReader) refill() {
+	if r.pos+8 <= len(r.b) {
+		r.acc |= binary.LittleEndian.Uint64(r.b[r.pos:]) << r.n
+		r.pos += int(63-r.n) >> 3
+		r.n |= 56
+		return
+	}
+	for ; r.n <= 56; r.n += 8 {
+		if r.pos < len(r.b) {
+			r.acc |= uint64(r.b[r.pos]) << r.n
+		}
+		r.pos++
+	}
+}
+
+// rice reads one value coded under parameter k.
+func (r *bitReader) rice(k uint8) (v uint32) {
+	r.refill()
+	width := uint(riceEscape + 32)
+	if q := uint(bits.TrailingZeros64(^r.acc)); q < riceEscape {
+		v, width = uint32(q)<<k|uint32(r.acc>>(q+1))&(1<<k-1), q+1+uint(k)
+	} else {
+		v = uint32(r.acc >> riceEscape)
+	}
+	r.acc >>= width
+	r.n -= width
+	return v
+}
+
+// end checks that the codes read stop in the last byte of b and that
+// the bits after them are zero.
+func (r *bitReader) end() error {
+	r.refill()
+	switch pad := 8*len(r.b) - (8*r.pos - int(r.n)); {
+	case pad < 0:
+		return errors.New("corrupt block: the lists run past the payload's end")
+	case pad >= 8:
+		return fmt.Errorf("corrupt block: %d bytes left over", pad/8)
+	case r.acc&(1<<pad-1) != 0:
+		return errors.New("corrupt block: padding bits set")
+	}
+	return nil
 }
 
 // sealBlock writes the block header in front of the payload that
@@ -179,7 +294,7 @@ func writeInts[T ~int32](w *writeCounter, vals []T) {
 		buf = sized(buf, blockHeaderRoom+binary.MaxVarintLen32*len(part))
 		pos := blockHeaderRoom
 		for _, v := range part {
-			pos = putUvarint32(buf, pos, uint32(v))
+			pos += binary.PutUvarint(buf[pos:], uint64(uint32(v)))
 		}
 		w.put(sealBlock(buf, pos, int64(len(part))))
 	}
@@ -194,7 +309,7 @@ func readInts[T ~int32](br *bufio.Reader, count int, limit uint64) ([]T, error) 
 	var buf []byte
 	for len(out) < count {
 		want := min(count-len(out), blockValues)
-		entries, payload, err := readBlock(br, buf)
+		entries, payload, err := readBlock(br, buf, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -205,12 +320,12 @@ func readInts[T ~int32](br *bufio.Reader, count int, limit uint64) ([]T, error) 
 		out = grow(out, want, count)
 		pos := 0
 		for i := 0; i < want; i++ {
-			v, next, ok := uvarint32(payload, pos)
-			if !ok || v >= limit {
+			v, k := binary.Uvarint(payload[pos:])
+			if k <= 0 || v >= limit {
 				return nil, fmt.Errorf("corrupt block: value %d of %d unreadable or not below %d", len(out), count, limit)
 			}
 			out = append(out, T(v))
-			pos = next
+			pos += k
 		}
 		if pos != len(payload) {
 			return nil, fmt.Errorf("corrupt block: %d bytes left over", len(payload)-pos)
@@ -222,10 +337,12 @@ func readInts[T ~int32](br *bufio.Reader, count int, limit uint64) ([]T, error) 
 // readBlock reads one block: its entry count and its payload, the
 // latter into buf (regrown as needed; hand the returned payload back
 // as the next call's buf to reuse it). The payload is read at most
-// payloadStep ahead of what has arrived, and every entry of either
-// section kind costs at least one byte, so once readBlock returns,
-// entries is backed by bytes received and safe to allocate against.
-func readBlock(br *bufio.Reader, buf []byte) (entries uint64, payload []byte, err error) {
+// payloadStep ahead of what has arrived, and a byte holds at most
+// perByte entries — a value or a flag byte of the ints and bitset
+// sections costs a byte, a label entry at least a bit — so once
+// readBlock returns, entries is backed by bytes received and safe to
+// allocate against.
+func readBlock(br *bufio.Reader, buf []byte, perByte uint64) (entries uint64, payload []byte, err error) {
 	entries, err = binary.ReadUvarint(br)
 	if err != nil {
 		return 0, nil, fmt.Errorf("block header: %w", noEOF(err))
@@ -234,7 +351,7 @@ func readBlock(br *bufio.Reader, buf []byte) (entries uint64, payload []byte, er
 	if err != nil {
 		return 0, nil, fmt.Errorf("block header: %w", noEOF(err))
 	}
-	if entries > size {
+	if entries > perByte*min(size, 1<<60) { // the min keeps the product within 64 bits
 		return 0, nil, fmt.Errorf("corrupt block: %d entries declared in %d bytes", entries, size)
 	}
 	payload = buf[:0]
@@ -263,7 +380,7 @@ func flagBlock(full []bool) []byte {
 // readFlags is the inverse of flagBlock for n vertices, whose flags are
 // allocated once the block's bytes, an eighth as many, have arrived.
 func readFlags(br *bufio.Reader, n int) ([]bool, error) {
-	entries, payload, err := readBlock(br, nil)
+	entries, payload, err := readBlock(br, nil, 1)
 	if size := (n + 7) / 8; err == nil && (entries != uint64(size) || len(payload) != size) {
 		err = fmt.Errorf("corrupt block: %d entries in %d bytes of flags for %d vertices", entries, len(payload), n)
 	}
@@ -289,91 +406,78 @@ func noEOF(err error) error {
 	return err
 }
 
-// appendLabelBlock encodes the label lists of vertices [v0, v1) into
-// buf as a finished block. Lists must be strictly ascending ranks in
-// [0, n): the gap coding cannot express anything else.
-func appendLabelBlock(buf []byte, list func(graph.VertexID) []order.Rank, v0, v1, n int) ([]byte, error) {
-	var entries int64
+// appendLabelBlock encodes the label lists of vertices [v0, v1), whose
+// ranks are ranks[v0:v1], into buf as a finished block. Lists must be
+// strictly ascending ranks in [0, n): the gap coding cannot express
+// anything else.
+func appendLabelBlock(buf []byte, list func(graph.VertexID) []order.Rank, ranks []order.Rank, v0, v1, n int) ([]byte, error) {
+	m, entries := fitModel(list, ranks, v0, v1)
+	// A code is at most 52 bits, and the writer stores 8 bytes at a time.
+	buf = sized(buf, blockHeaderRoom+modelLen(n)+7*(entries+v1-v0)+8)
+	w := bitWriter{b: buf, pos: blockHeaderRoom + copy(buf[blockHeaderRoom:], m[:modelLen(n)])}
 	for v := v0; v < v1; v++ {
-		entries += int64(len(list(graph.VertexID(v))))
-	}
-	buf = sized(buf, blockHeaderRoom+binary.MaxVarintLen32*(int(entries)+v1-v0))
-	pos := blockHeaderRoom
-	for v := v0; v < v1; v++ {
-		list := list(graph.VertexID(v))
-		pos = putUvarint32(buf, pos, uint32(len(list)))
-		if pos = putGaps(buf, pos, list); pos < 0 || len(list) > 0 && int(list[len(list)-1]) >= n {
+		list, selfLast := explicit(list(graph.VertexID(v)), ranks[v])
+		w.put(riceCode(uint32(len(list))<<1|selfLast, m[0]))
+		next := uint32(0) // the least rank the list may continue with
+		for _, r := range list {
+			if r < 0 || uint32(r) < next {
+				next = math.MaxUint32 // no ascent: refused as a rank beyond n is
+				break
+			}
+			w.put(riceCode(uint32(r)-next, m[1+bits.Len32(next)]))
+			next = uint32(r) + 1
+		}
+		if int64(next) > int64(n) || selfLast != 0 && uint32(ranks[v]) < next || len(list) > math.MaxInt32 {
 			return nil, fmt.Errorf("label: vertex %d's label list is not a strictly ascending set of ranks below %d; it cannot be serialized", v, n)
 		}
 	}
-	return sealBlock(buf, pos, entries), nil
+	return sealBlock(buf, w.end(), int64(entries)), nil
 }
 
-// putGaps writes list's gaps at b[pos:] and returns the position after
-// them, or -1 if the list does not ascend strictly from a rank ≥ 0. It
-// is a function of its own so that its loop, the encoder's hot one,
-// keeps its few variables in registers.
-func putGaps(b []byte, pos int, list []order.Rank) int {
-	next := order.Rank(0) // the least rank the list may continue with
-	for _, r := range list {
-		if r < next {
-			return -1
-		}
-		pos = putUvarint32(b, pos, uint32(r-next))
-		next = r + 1
+// decodeLabelBlock is the inverse of appendLabelBlock for the block of
+// the vertices whose ranks are ranks, whose entries land in dst, the
+// flat array's range starting at base: it fills dst and the end offsets
+// off[1:] (off[0] belongs to the block before; len(off) is
+// len(ranks)+1). Every rank is checked against n, and the payload must
+// hold exactly len(dst) entries in exactly its bytes.
+func decodeLabelBlock(payload []byte, ranks []order.Rank, off []int64, dst []order.Rank, base int64, n int) error {
+	var m riceModel
+	head := modelLen(n)
+	if len(payload) < head {
+		return errors.New("corrupt block: shorter than its model")
 	}
-	return pos
-}
-
-// decodeLabelBlock is the inverse of appendLabelBlock for a block of
-// len(off)-1 vertices whose entries land in dst, the flat array's
-// range starting at base: it fills dst and the end offsets off[1:]
-// (off[0] belongs to the block before). Every rank is checked against
-// n, and the payload must hold exactly len(dst) entries in exactly its
-// bytes.
-func decodeLabelBlock(payload []byte, off []int64, dst []order.Rank, base int64, n int) error {
-	pos, j := 0, 0
-	for i := 1; i < len(off); i++ {
-		count, next, ok := uvarint32(payload, pos)
-		if !ok || count > uint64(len(dst)-j) {
-			return errors.New("corrupt block: list length unreadable or beyond the block's entry count")
+	if copy(m[:], payload[:head]); slices.Max(m[:]) > maxRiceK {
+		return fmt.Errorf("corrupt block: a Rice parameter above %d", maxRiceK)
+	}
+	r := bitReader{b: payload[head:]}
+	j := 0
+	for i, self := range ranks {
+		hdr := r.rice(m[0])
+		if uint64(hdr>>1)+uint64(hdr&1) > uint64(len(dst)-j) {
+			return errors.New("corrupt block: list length beyond the block's entry count")
 		}
-		pos = next
-		r := uint64(0) // the least rank the list may continue with
-		for end := j + int(count); j < end; j++ {
-			// Gaps of one to three bytes — all of the benchmark index's —
-			// are decoded here: a call per gap made the loop a quarter
-			// slower.
-			if pos < len(payload) && payload[pos] < 0x80 {
-				r += uint64(payload[pos])
-				pos++
-			} else if pos+1 < len(payload) && payload[pos+1] < 0x80 {
-				r += uint64(payload[pos]&0x7f) | uint64(payload[pos+1])<<7
-				pos += 2
-			} else if pos+2 < len(payload) && payload[pos+2] < 0x80 {
-				r += uint64(payload[pos]&0x7f) | uint64(payload[pos+1]&0x7f)<<7 | uint64(payload[pos+2])<<14
-				pos += 3
-			} else {
-				gap, next, ok := uvarint32(payload, pos)
-				if !ok {
-					return errors.New("corrupt block: rank unreadable")
-				}
-				r += gap
-				pos = next
+		next := uint32(0) // the least rank the list may continue with
+		for end := j + int(hdr>>1); j < end; j++ {
+			rank := uint64(next) + uint64(r.rice(m[1+bits.Len32(next)]))
+			if rank >= uint64(n) {
+				return errors.New("corrupt block: rank out of range")
 			}
-			dst[j] = order.Rank(r)
-			r++
+			dst[j] = order.Rank(rank)
+			next = uint32(rank) + 1
 		}
-		// The list ascends, so its last rank bounds the others.
-		if r > uint64(n) {
-			return errors.New("corrupt block: rank out of range")
+		if hdr&1 != 0 {
+			if uint32(self) < next {
+				return errors.New("corrupt block: a list's implicit last entry, its vertex's own rank, is not above the ranks before it")
+			}
+			dst[j] = self
+			j++
 		}
-		off[i] = base + int64(j)
+		off[i+1] = base + int64(j)
 	}
-	if j != len(dst) || pos != len(payload) {
-		return errors.New("corrupt block: payload does not match its header")
+	if err := r.end(); err != nil || j == len(dst) {
+		return err
 	}
-	return nil
+	return errors.New("corrupt block: fewer entries than its header counts")
 }
 
 // WriteTo serializes the index as a file with no optional part and
@@ -427,7 +531,7 @@ func (x *Index) WriteWith(out io.Writer, e Extras) (int64, error) {
 		if i >= perSection {
 			list, i = x.OutLabels, i-perSection
 		}
-		return appendLabelBlock(buf, list, i*blockValues, min((i+1)*blockValues, x.n), x.n)
+		return appendLabelBlock(buf, list, x.ord.Ranks(), i*blockValues, min((i+1)*blockValues, x.n), x.n)
 	}
 
 	// Workers take block numbers in order, but each must first take one
@@ -536,8 +640,8 @@ func ReadWith(r io.Reader) (*Index, Extras, error) {
 
 	d := newBlockDecoder(n)
 	x := &Index{n: n}
-	if x.inOff, x.inLab, err = d.readLabels(br, nIn); err == nil {
-		x.outOff, x.outLab, err = d.readLabels(br, nOut)
+	if x.inOff, x.inLab, err = d.readLabels(br, ordRanks, nIn); err == nil {
+		x.outOff, x.outLab, err = d.readLabels(br, ordRanks, nOut)
 	}
 	if derr := d.wait(); err == nil {
 		err = derr
@@ -596,6 +700,7 @@ func readExtras(br *bufio.Reader, parts uint32, n int) (e Extras, err error) {
 // decodeJob is one block on its way to a decode worker.
 type decodeJob struct {
 	payload []byte
+	ranks   []order.Rank // of the block's vertices
 	off     []int64      // off[1:] are the block's end offsets to fill
 	dst     []order.Rank // the block's range of the flat array
 	base    int64        // where dst starts in the flat array
@@ -619,7 +724,7 @@ func newBlockDecoder(n int) *blockDecoder {
 		go func() {
 			defer d.workers.Done()
 			for j := range d.jobs {
-				if err := decodeLabelBlock(j.payload, j.off, j.dst, j.base, d.n); err != nil {
+				if err := decodeLabelBlock(j.payload, j.ranks, j.off, j.dst, j.base, d.n); err != nil {
 					d.once.Do(func() { d.err = err })
 				}
 			}
@@ -636,16 +741,17 @@ func (d *blockDecoder) wait() error {
 	return d.err
 }
 
-// readLabels reads one labels section of total entries and hands its
-// blocks to the workers; the offsets, rebuilt from the list lengths,
-// and the flat rank array it returns are complete once wait returns.
-// The whole section is read before the flat array is allocated: by
-// then every entry counted has a byte that arrived, the array can be
-// made at its final size — growing it block by block copied and
-// cleared as many bytes again as the array holds — and what is held
-// meanwhile is the section in its coded form, a third of the array.
-// The first section decodes while the second is read.
-func (d *blockDecoder) readLabels(br *bufio.Reader, total uint64) ([]int64, []order.Rank, error) {
+// readLabels reads one labels section of total entries, the lists of
+// the vertices of these ranks, and hands its blocks to the workers; the
+// offsets, rebuilt from the list lengths, and the flat rank array it
+// returns are complete once wait returns. The whole section is read
+// before the flat array is allocated: by then every entry counted has
+// a bit that arrived, the array can be made at its final size —
+// growing it block by block copied and cleared as many bytes again as
+// the array holds — and what is held meanwhile is the section in its
+// coded form, under a third of the array. The first section decodes
+// while the second is read.
+func (d *blockDecoder) readLabels(br *bufio.Reader, ranks []order.Rank, total uint64) ([]int64, []order.Rank, error) {
 	type block struct {
 		payload []byte
 		entries uint64
@@ -653,14 +759,12 @@ func (d *blockDecoder) readLabels(br *bufio.Reader, total uint64) ([]int64, []or
 	blocks := make([]block, 0, blocksFor(d.n))
 	var sum uint64
 	for v0 := 0; v0 < d.n; v0 += blockValues {
-		vertices := uint64(min(blockValues, d.n-v0))
-		entries, payload, err := readBlock(br, nil)
+		entries, payload, err := readBlock(br, nil, 8)
 		if err != nil {
 			return nil, nil, err
 		}
-		// Each list costs a length byte on top of a byte per entry.
-		if sum += entries; entries+vertices > uint64(len(payload)) || sum > total {
-			return nil, nil, fmt.Errorf("corrupt block: %d entries for the %d vertices from %d do not fit its %d bytes or the header's count", entries, vertices, v0, len(payload))
+		if sum += entries; sum > total {
+			return nil, nil, fmt.Errorf("corrupt block: the %d entries of the vertices from %d exceed the header's count", entries, v0)
 		}
 		blocks = append(blocks, block{payload, entries})
 	}
@@ -671,8 +775,8 @@ func (d *blockDecoder) readLabels(br *bufio.Reader, total uint64) ([]int64, []or
 	lab := make([]order.Rank, total)
 	base := uint64(0)
 	for i, b := range blocks {
-		v0 := i * blockValues
-		d.jobs <- decodeJob{payload: b.payload, off: off[v0 : min(v0+blockValues, d.n)+1], dst: lab[base : base+b.entries], base: int64(base)}
+		v0, v1 := i*blockValues, min((i+1)*blockValues, d.n)
+		d.jobs <- decodeJob{payload: b.payload, ranks: ranks[v0:v1], off: off[v0 : v1+1], dst: lab[base : base+b.entries], base: int64(base)}
 		base += b.entries
 	}
 	return off, lab, nil

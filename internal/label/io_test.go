@@ -15,8 +15,16 @@ import (
 )
 
 // The reference encoder: the file grammar of DESIGN.md §16 written
-// down once more, one goroutine, one append per value, no buffer
-// reuse. WriteTo must produce these bytes whatever GOMAXPROCS is.
+// down once more, one goroutine, one append per value and per bit, no
+// buffer reuse, its own model fit. WriteTo must produce these bytes
+// whatever GOMAXPROCS is.
+
+// blockPayload takes a block's header off: its entry count, its payload.
+func blockPayload(block []byte) (entries uint64, payload []byte) {
+	entries, k1 := binary.Uvarint(block)
+	_, k2 := binary.Uvarint(block[k1:])
+	return entries, block[k1+k2:]
+}
 
 func refBlock(out []byte, entries int, payload []byte) []byte {
 	out = binary.AppendUvarint(out, uint64(entries))
@@ -24,19 +32,124 @@ func refBlock(out []byte, entries int, payload []byte) []byte {
 	return append(out, payload...)
 }
 
-func refLabelBlock(out []byte, lists [][]order.Rank) []byte {
-	var payload []byte
+// refBits is a bit stream, a bool a bit.
+type refBits []bool
+
+func (b *refBits) uint(v uint64, width int) {
+	for i := 0; i < width; i++ {
+		*b = append(*b, v>>i&1 != 0)
+	}
+}
+
+// rice appends v under parameter k: v>>k ones, a zero, v's low k bits;
+// from 20 ones on, those and v in 32 bits.
+func (b *refBits) rice(k int, v uint64) {
+	q := min(v>>k, 20)
+	for i := uint64(0); i < q; i++ {
+		*b = append(*b, true)
+	}
+	if q == 20 {
+		b.uint(v, 32)
+		return
+	}
+	*b = append(*b, false)
+	b.uint(v, k)
+}
+
+// bytes packs the stream, first bit lowest, zero bits to the last byte's end.
+func (b refBits) bytes() []byte {
+	out := make([]byte, (len(b)+7)/8)
+	for i, bit := range b {
+		if bit {
+			out[i/8] |= 1 << (i % 8)
+		}
+	}
+	return out
+}
+
+// refSlot is the model slot of a gap that starts at next: next's bit length.
+func refSlot(next int64) int {
+	slot := 0
+	for ; next > 0; next >>= 1 {
+		slot++
+	}
+	return slot
+}
+
+// refValues returns what one list is written as: its header, and per
+// gap the slot it is coded under and its value. A last entry that is
+// the vertex's own rank is the header's low bit and no gap.
+func refValues(list []order.Rank, self order.Rank) (hdr uint64, slots []int, gaps []uint64) {
+	if len(list) > 0 && list[len(list)-1] == self {
+		list, hdr = list[:len(list)-1], 1
+	}
+	hdr |= uint64(len(list)) << 1
+	next := int64(0)
+	for _, r := range list {
+		slots, gaps = append(slots, refSlot(next)), append(gaps, uint64(int64(r)-next))
+		next = int64(r) + 1
+	}
+	return hdr, slots, gaps
+}
+
+// refModel is a block's parameters: hdr for the list headers, gap[b]
+// for the gaps that start at a rank of b bits.
+type refModel struct {
+	hdr int
+	gap [33]int
+}
+
+// refParam is the parameter for count values that add up to sum:
+// ⌊log₂(x/count)⌋ for x = sum − ⌊sum/32⌋ − ⌊sum/128⌋, 0 below 1.
+func refParam(sum, count uint64) (k int) {
+	if count == 0 {
+		return 0
+	}
+	for mean := (sum - sum/32 - sum/128) / count; mean > 1; mean /= 2 {
+		k++
+	}
+	return k
+}
+
+// refFit fits a block's model to its lists.
+func refFit(lists [][]order.Rank, ranks []order.Rank) (m refModel) {
+	var hdrSum uint64
+	var sum, count [33]uint64
+	for v, list := range lists {
+		hdr, slots, gaps := refValues(list, ranks[v])
+		hdrSum += hdr
+		for i, slot := range slots {
+			sum[slot] += gaps[i]
+			count[slot]++
+		}
+	}
+	m.hdr = refParam(hdrSum, uint64(len(lists)))
+	for slot := range m.gap {
+		m.gap[slot] = refParam(sum[slot], count[slot])
+	}
+	return m
+}
+
+// refLabelBlock is the block of lists, the label lists of vertices of
+// these ranks among n: the model — the header parameter and one per
+// slot a rank below n can start a gap in, a byte each — then the bits.
+func refLabelBlock(out []byte, lists [][]order.Rank, ranks []order.Rank, n int) []byte {
+	m := refFit(lists, ranks)
+	payload := []byte{byte(m.hdr)}
+	for slot := 0; slot <= refSlot(int64(n-1)); slot++ {
+		payload = append(payload, byte(m.gap[slot]))
+	}
+	var stream refBits
 	entries := 0
-	for _, list := range lists {
-		payload = binary.AppendUvarint(payload, uint64(len(list)))
-		prev := int64(-1)
-		for _, r := range list {
-			payload = binary.AppendUvarint(payload, uint64(int64(r)-prev-1))
-			prev = int64(r)
+	for v, list := range lists {
+		hdr, slots, gaps := refValues(list, ranks[v])
+		stream.rice(m.hdr, hdr)
+		for i, slot := range slots {
+			stream.rice(m.gap[slot], gaps[i])
 		}
 		entries += len(list)
 	}
-	return refBlock(out, entries, payload)
+	return refBlock(out, entries, append(payload, stream.bytes()...))
 }
 
 func writeToReference(x *Index) []byte {
@@ -56,10 +169,11 @@ func writeToReference(x *Index) []byte {
 	for _, labels := range []func(graph.VertexID) []order.Rank{x.InLabels, x.OutLabels} {
 		for v0 := 0; v0 < x.n; v0 += 4096 {
 			var lists [][]order.Rank
-			for v := v0; v < min(v0+4096, x.n); v++ {
-				lists = append(lists, labels(graph.VertexID(v)))
+			part := ranks[v0:min(v0+4096, x.n)]
+			for v := range part {
+				lists = append(lists, labels(graph.VertexID(v0+v)))
 			}
-			out = refLabelBlock(out, lists)
+			out = refLabelBlock(out, lists, part, x.n)
 		}
 	}
 	return out
@@ -88,10 +202,59 @@ func sparseIndex(t testing.TB, n, maxLen int, seed int64) *Index {
 	return FromLists(order.FromRanks(ranks), in, out)
 }
 
+// edgeIndex holds the shapes the list coding distinguishes. L_in: per
+// power of two 2^b below n, a gap that starts at 2^b − 1 and one that
+// starts at 2^b — either side of a model slot's boundary; six hundred
+// first ranks of 0 or 1 beside one of 4,000, which the slot's parameter
+// therefore escapes; and lists that are their vertex's own rank alone,
+// end with it, hold it before a larger one, or do not hold it. L_out:
+// every list its vertex's own rank and nothing else, so blocks with
+// nothing to code but headers.
+func edgeIndex(t testing.TB) *Index {
+	t.Helper()
+	const n = 5000
+	rng := rand.New(rand.NewSource(23))
+	ranks := make([]order.Rank, n)
+	for i := range ranks {
+		ranks[i] = order.Rank(i)
+	}
+	rng.Shuffle(n, func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
+	in, out := make([][]order.Rank, n), make([][]order.Rank, n)
+	v := 0
+	for b := 1; 1<<b+5 < n; b++ {
+		in[v], in[v+1] = []order.Rank{1<<b - 2, 1<<b + 3}, []order.Rank{1<<b - 1, 1<<b + 5}
+		v += 2
+	}
+	for ; v < 700; v++ {
+		in[v] = []order.Rank{order.Rank(v % 2)}
+	}
+	in[v] = []order.Rank{4000}
+	for v++; v < 800; v++ {
+		switch r := ranks[v]; {
+		case v%4 == 0 || r < 2 || r > n-2:
+			in[v] = []order.Rank{r}
+		case v%4 == 1:
+			in[v] = []order.Rank{r / 2, r}
+		case v%4 == 2:
+			in[v] = []order.Rank{r, r + 1}
+		default:
+			in[v] = []order.Rank{r + 1}
+		}
+	}
+	for v := range out {
+		out[v] = []order.Rank{ranks[v]}
+	}
+	x := FromLists(order.FromRanks(ranks), in, out)
+	if k := refFit(in[:blockValues], ranks).gap[0]; 4000>>k < 20 {
+		t.Fatalf("the edge fixture moved: a first rank of 4000 is not escaped under parameter %d", k)
+	}
+	return x
+}
+
 // ioFixtures covers the shapes the block codec has to get right: no
 // block, one short block, a vertex count that is not a multiple of the
-// block size, lists long enough for two-byte lengths, and sections
-// with no entries at all.
+// block size, lists long enough for wide headers, sections with no
+// entries at all, and edgeIndex's.
 func ioFixtures(t testing.TB) map[string]*Index {
 	small, _ := buildSmallIndex(t)
 	return map[string]*Index{
@@ -103,6 +266,7 @@ func ioFixtures(t testing.TB) map[string]*Index {
 		"block-exact":  sparseIndex(t, blockValues, 3, 6),
 		"no-entries":   sparseIndex(t, blockValues+17, 0, 8),
 		"long-lengths": sparseIndex(t, 700, 400, 9),
+		"edges":        edgeIndex(t),
 	}
 }
 
@@ -152,37 +316,38 @@ func TestWriteToMatchesReferenceEncoder(t *testing.T) {
 	}
 }
 
-// TestLabelBlockWideGaps: gaps that need four and five bytes (an index
-// of two million vertices or more) take the decoder's slow path; a
-// block is enough to reach it.
+// TestLabelBlockWideGaps: what only an index of two thousand million
+// vertices holds — the last rank there is, first in its list; gaps so
+// far beyond their parameter that they are escaped to 32 raw bits — is
+// reached at the block level.
 func TestLabelBlockWideGaps(t *testing.T) {
 	const n = 1 << 31
 	lists := [][]order.Rank{
-		{0, 1<<21 + 1, 1<<21 + 2},     // four-byte gap
+		{0, 1<<21 + 1, 1<<21 + 2},     // escaped, then a gap of zero
 		{},                            // an empty list between them
-		{5, 1<<28 + 6},                // five-byte gap
+		{5, 1<<28 + 6},                // ending in its vertex's rank, which is not written
 		{1<<31 - 1},                   // the last rank there is
-		{1 << 14, 1 << 15, 1<<31 - 2}, // three-byte first, five-byte later
+		{1 << 14, 1 << 15, 1<<31 - 2}, // its vertex's rank in the middle, so written
 	}
+	ranks := []order.Rank{7, 8, 1<<28 + 6, 9, 1 << 15}
 	off := []int64{0}
 	var lab []order.Rank
 	for _, l := range lists {
 		lab = append(lab, l...)
 		off = append(off, int64(len(lab)))
 	}
-	block, err := appendLabelBlock(nil, func(v graph.VertexID) []order.Rank { return lists[v] }, 0, len(lists), n)
+	block, err := appendLabelBlock(nil, func(v graph.VertexID) []order.Rank { return lists[v] }, ranks, 0, len(lists), n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := refLabelBlock(nil, lists); !bytes.Equal(block, want) {
+	if want := refLabelBlock(nil, lists, ranks, n); !bytes.Equal(block, want) {
 		t.Fatalf("block % x, reference % x", block, want)
 	}
-	_, k1 := binary.Uvarint(block)
-	_, k2 := binary.Uvarint(block[k1:])
+	_, payload := blockPayload(block)
 	const base = 1000
 	gotOff := make([]int64, len(off))
 	gotLab := make([]order.Rank, len(lab))
-	if err := decodeLabelBlock(block[k1+k2:], gotOff, gotLab, base, n); err != nil {
+	if err := decodeLabelBlock(payload, ranks, gotOff, gotLab, base, n); err != nil {
 		t.Fatal(err)
 	}
 	for i := range lab {
@@ -196,20 +361,23 @@ func TestLabelBlockWideGaps(t *testing.T) {
 		}
 	}
 	// The same bytes against a vertex count one too small.
-	if err := decodeLabelBlock(block[k1+k2:], gotOff, gotLab, base, n-1); err == nil {
+	if err := decodeLabelBlock(payload, ranks, gotOff, gotLab, base, n-1); err == nil {
 		t.Error("rank n-1 accepted in an index of n-1 vertices")
 	}
 }
 
 // TestWriteToRejectsUnsortedList: the Builder tolerates a repeated
-// Add, the gap coding cannot express one.
+// Add, the gap coding cannot express one — nor a list that holds its
+// vertex's own rank twice, the second time where it would go unwritten.
 func TestWriteToRejectsUnsortedList(t *testing.T) {
-	b := NewBuilder(order.FromRanks([]order.Rank{0, 1, 2}))
-	b.AddIn(1, 2)
-	b.AddIn(1, 2)
-	var buf bytes.Buffer
-	if _, err := b.Finalize().WriteTo(&buf); err == nil || !strings.Contains(err.Error(), "strictly ascending") {
-		t.Fatalf("err = %v, want the list refused", err)
+	for _, repeated := range []order.Rank{2, 1} {
+		b := NewBuilder(order.FromRanks([]order.Rank{0, 1, 2}))
+		b.AddIn(1, repeated)
+		b.AddIn(1, repeated)
+		var buf bytes.Buffer
+		if _, err := b.Finalize().WriteTo(&buf); err == nil || !strings.Contains(err.Error(), "strictly ascending") {
+			t.Fatalf("rank %d twice: err = %v, want the list refused", repeated, err)
+		}
 	}
 }
 
@@ -317,12 +485,6 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 	lastSize, _ := binary.Uvarint(good[lastOut+lastEntriesLen:])
 	inEntries := uint64(x.inOff[blockValues])
 
-	// The three-vertex index puts single bytes at known places: the
-	// permutation block at 32 (header 3 3, ranks at 34–36) and the
-	// in-label block at 37 (header 4 7, then 1 0 | 2 0 0 | 1 0).
-	small, _ := buildSmallIndex(t)
-	goodSmall := mustWrite(t, small)
-
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	// patch replaces the uvarint at file[at:] with repl.
 	patch := func(file []byte, at int, repl []byte) []byte {
@@ -334,6 +496,39 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 	header := func(word int, v uint64) []byte {
 		bad := append([]byte(nil), good...)
 		binary.LittleEndian.PutUint64(bad[8*word:], v)
+		return bad
+	}
+
+	// The three-vertex index puts single bytes at known places: the
+	// permutation block at 32 (header 3 3, ranks at 34–36), then L_in's
+	// one block. craft writes that block anew, with nIn in the header to
+	// match, and leaves the rest.
+	small, _ := buildSmallIndex(t)
+	goodSmall := mustWrite(t, small)
+	smallOut := blockStarts(t, goodSmall, small.n)[2]
+	craft := func(entries int, payload []byte) []byte {
+		file := append([]byte(nil), goodSmall[:37]...)
+		binary.LittleEndian.PutUint64(file[16:], uint64(entries))
+		return append(refBlock(file, entries, payload), goodSmall[smallOut:]...)
+	}
+	// lists is a payload: model — parameter 1 for the headers, 0 for the
+	// gaps of each of three slots — and per vertex a header and its gaps.
+	model := []byte{1, 0, 0, 0}
+	lists := func(groups ...[]uint64) []byte {
+		var b refBits
+		for _, g := range groups {
+			b.rice(1, g[0])
+			for _, gap := range g[1:] {
+				b.rice(0, gap)
+			}
+		}
+		return append(model[:4:4], b.bytes()...)
+	}
+	// L_in as it is — {0}, {0, 1}, {0} at ranks 0, 1, 2: ten bits.
+	goodIn := lists([]uint64{0<<1 | 1}, []uint64{1<<1 | 1, 0}, []uint64{1 << 1, 0})
+	with := func(at int, b byte) []byte {
+		bad := append([]byte(nil), goodIn...)
+		bad[at] = b
 		return bad
 	}
 
@@ -351,22 +546,30 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		{"n inflated", header(1, 1<<31), "values where 4096 belong"},
 		{"n deflated", header(1, uint64(x.n-1)), "not below"},
 		{"nIn inflated", header(2, 1<<40), "where the header counts"},
-		{"nIn deflated", header(2, uint64(len(x.inLab)-1)), "do not fit"},
+		{"nIn deflated", header(2, uint64(len(x.inLab)-1)), "exceed the header's count"},
 		{"nOut inflated", header(3, uint64(len(x.outLab)+1)), "where the header counts"},
 		{"duplicate rank", patch(goodSmall, 35, goodSmall[34:35]), "corrupt rank"},
 		{"rank n in the permutation", patch(goodSmall, 35, []byte{3}), "not below 3"},
 		{"permutation entry count", patch(good, starts[0], []byte{7}), "7 values where 4096 belong"},
+		{"a Rice parameter of 32 for the headers", craft(4, with(0, 32)), "Rice parameter above 31"},
+		{"a Rice parameter of 32 for a gap", craft(4, with(2, 32)), "Rice parameter above 31"},
+		{"a block shorter than its model", craft(4, model[:3]), "shorter than its model"},
 		{"block entry count huge", patch(good, firstIn, uv(1<<39)), "entries declared in"},
-		{"block entry count +1", patch(good, firstIn, uv(inEntries+1)), "the header's count"},
+		{"nine entries in a byte", craft(9, []byte{0}), "9 entries declared in 1 bytes"},
+		{"block entry count +1", patch(good, firstIn, uv(inEntries+1)), "exceed the header's count"},
 		{"block entry count -1", patch(good, firstIn, uv(inEntries-1)), "where the header counts"},
-		{"block and header entry count +1", patch(header(2, uint64(len(x.inLab)+1)), firstIn, uv(inEntries+1)), "does not match its header"},
+		{"block and header entry count +1", patch(header(2, uint64(len(x.inLab)+1)), firstIn, uv(inEntries+1)), "fewer entries than its header counts"},
 		{"block and header entry count -1", patch(header(2, uint64(len(x.inLab)-1)), firstIn, uv(inEntries-1)), "beyond the block's entry count"},
 		{"block byte length huge", patch(good, firstIn+entriesLen, uv(1<<39)), "unexpected EOF"},
-		{"block byte length -1", patch(good, lastOut+lastEntriesLen, uv(lastSize-1)), "unreadable"},
-		{"byte after the lists", append(patch(good, lastOut+lastEntriesLen, uv(lastSize+1)), 0), "does not match its header"},
-		{"list length beyond the block", patch(goodSmall, 37+2, []byte{5}), "beyond the block's entry count"},
-		{"gap to rank n", patch(goodSmall, 37+2+4, []byte{2}), "rank out of range"},
-		{"gap wider than 32 bits", patch(patch(goodSmall, 37+2+4, uv(1<<32)), 37+1, []byte{7 + 4}), "rank unreadable"},
+		{"block byte length -1", patch(good, lastOut+lastEntriesLen, uv(lastSize-1)), "run past the payload's end"},
+		{"byte after the lists", append(patch(good, lastOut+lastEntriesLen, uv(lastSize+1)), 0), "1 bytes left over"},
+		{"lists cut short", craft(4, goodIn[:5]), "run past the payload's end"},
+		{"padding bit set", craft(4, with(5, goodIn[5]|0x80)), "padding bits set"},
+		{"list length beyond the block", craft(4, lists([]uint64{9 << 1})), "beyond the block's entry count"},
+		{"implicit entry beyond the block", craft(1, lists([]uint64{1<<1 | 1, 0})), "beyond the block's entry count"},
+		{"gap to rank n", craft(4, lists([]uint64{0<<1 | 1}, []uint64{1<<1 | 1, 0}, []uint64{1 << 1, 3})), "rank out of range"},
+		{"escaped gap past rank n", craft(4, lists([]uint64{0<<1 | 1}, []uint64{1<<1 | 1, 0}, []uint64{1 << 1, 1<<32 - 1})), "rank out of range"},
+		{"own rank not above the ranks before it", craft(5, lists([]uint64{1<<1 | 1, 0}, []uint64{1<<1 | 1, 0}, []uint64{1 << 1, 0})), "not above the ranks before it"},
 	} {
 		var err error
 		used := allocatedBy(func() { _, err = Read(bytes.NewReader(c.file)) })
@@ -377,19 +580,26 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 			t.Errorf("%s: allocated %d bytes reading a %d-byte file", c.name, used, len(c.file))
 		}
 	}
-	for _, file := range [][]byte{good, goodSmall} {
-		if _, err := Read(bytes.NewReader(file)); err != nil {
+	for _, c := range []struct {
+		file []byte
+		want *Index
+	}{{good, x}, {goodSmall, small}, {craft(4, goodIn), small}} {
+		got, err := Read(bytes.NewReader(c.file))
+		if err != nil {
 			t.Fatalf("the undamaged file: %v", err)
+		}
+		if !c.want.Equal(got) {
+			t.Fatalf("the undamaged file reads back changed: %s", c.want.Diff(got))
 		}
 	}
 }
 
 // TestReadRefusesRetiredFormat: a file of any format before this one —
-// the label file without optional parts, the fixed-width one before it,
-// and the root package's envelope around either — says what to do
-// about it.
+// the byte-aligned one, the label file without optional parts, the
+// fixed-width one before it, and the root package's envelope around
+// either — says what to do about it.
 func TestReadRefusesRetiredFormat(t *testing.T) {
-	for _, magic := range []string{"DRLINDX2", "RLIXNVE2", "DRLINDEX", "RLIXNVE1"} {
+	for _, magic := range []string{"DRLINDX3", "DRLINDX2", "RLIXNVE2", "DRLINDEX", "RLIXNVE1"} {
 		old := make([]byte, 48)
 		for i := range magic { // the magics read as text in a big-endian word
 			old[7-i] = magic[i]

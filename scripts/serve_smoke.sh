@@ -8,8 +8,9 @@
 # drlabel writes, and drquery, drserve and drload must open it. In
 # between, a size-restricted index: drlabel -budget writes it, drserve
 # serves it from the file and the graph with every answer checked
-# against the full index, and an index opened with the wrong graph, or a
-# budgeted one with none, is refused at start.
+# against the full index, and an index opened with the wrong graph, a
+# budgeted one with none, or a file of the retired format is refused at
+# start.
 . "$(dirname "$0")/lib.sh"
 addr=127.0.0.1:18321
 
@@ -57,6 +58,10 @@ wait_http "http://$addr/healthz" drserve
 "$work/bin/drload" -addr "$addr" -clients 4 -requests 500 -batch 16 -verify-idx "$work/full.idx" -seed 6
 "$work/bin/drload" -addr "$addr" -mode path -clients 4 -requests 300 -verify-idx "$work/full.idx" -verify-graph "$work/cit.bin" -seed 7
 refused "wrong graph" "$work/bin/drload" -addr "$addr" -mode path -requests 10 -verify-idx "$work/full.idx" -verify-graph "$work/other.bin"
+# The format before this one, of which the 32-byte header is enough: the
+# magic "DRLINDX3" as a little-endian word, then n, parts, nIn, nOut of zero.
+printf '3XDNILRD\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0' >"$work/v3.idx"
+refused "rebuild the index" "$work/bin/drload" -addr "$addr" -requests 10 -verify-idx "$work/v3.idx"
 stats="$(curl -sf "http://$addr/stats")"
 echo "$stats" | grep -q '"label_budget":8,' ||
 	{ echo "/stats does not report label_budget 8: $stats" >&2; exit 1; }
@@ -70,6 +75,10 @@ refused "needs its graph" "$work/bin/drserve" -idx "$work/b.idx" -listen "$addr"
 refused "wrong graph" "$work/bin/drserve" -idx "$work/b.idx" -graph "$work/other.bin" -listen "$addr"
 refused "wrong graph" "$work/bin/drserve" -idx "$work/full.idx" -graph "$work/other.bin" -listen "$addr"
 refused "wrong graph" "$work/bin/drquery" -idx "$work/full.idx" -graph "$work/other.bin" -path 0 1
+
+echo "== refused at open: a file of the format before this one"
+refused "rebuild the index" "$work/bin/drserve" -idx "$work/v3.idx" -listen "$addr"
+refused "rebuild the index" "$work/bin/drquery" -idx "$work/v3.idx" -bench 1
 
 echo "== cluster build: 3 spawned workers, the first crashing after 3 supersteps"
 "$work/bin/drgen" -family web -n 5000 -deg 4 -seed 11 -o "$work/small.bin"
