@@ -7,6 +7,7 @@ all: build vet test
 # What CI's check, lint and invariants jobs run: vet, build, the
 # project analyzers, the full test suite once under the race detector
 # (the RPC fault-handling tests are concurrency-heavy) with coverage,
+# the six example programs (nothing else executes them),
 # 15 s of fuzzing the index-file decoder and 10 s on its label-block
 # bit reader alone, 10 s each on the decoders of what other processes
 # send the labeler (broadcast blobs and collect replies; checkpoints),
@@ -16,6 +17,7 @@ check:
 	go build ./...
 	go run ./cmd/drlint ./...
 	go test -race -cover ./...
+	$(MAKE) examples
 	go test ./internal/label -run '^$$' -fuzz FuzzRead -fuzztime 15s
 	go test ./internal/label -run '^$$' -fuzz FuzzLabelBlock -fuzztime 10s
 	go test ./internal/drl -run '^$$' -fuzz FuzzBlobDecodeArbitrary -fuzztime 10s
@@ -33,11 +35,10 @@ vet:
 	go vet ./...
 
 # Project-specific analyzers (internal/lint): the determinism suite
-# (mapdet, lockheld, errsink, atomichygiene) plus the serving-tier
-# concurrency suite (copylocks, tornload, goleak, wgmisuse, ackorder).
-# `go vet` runs first as a stdlib cross-check (its copylocks overlaps
-# ours); drlint remains the gate with the //lint:ignore waiver
-# discipline.
+# (mapdet, lockheld, errsink) plus the serving-tier concurrency suite
+# (tornload, goleak, wgmisuse). `go vet` runs first: its copylocks is
+# the only gate on a copied mutex. drlint is the gate for the rest,
+# with the //lint:ignore waiver discipline.
 lint:
 	go vet ./...
 	go run ./cmd/drlint ./...

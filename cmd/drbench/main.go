@@ -44,7 +44,6 @@ var experiments = []experiment{
 	{"fig9", of((*bench.Runner).Fig9, bench.PrintFig9)},
 	{"ablation-order", of((*bench.Runner).AblationOrder, bench.PrintAblationOrder)},
 	{"ablation-condense", of((*bench.Runner).AblationCondense, bench.PrintAblationCondense)},
-	{"extras", of((*bench.Runner).Extras, bench.PrintExtras)},
 }
 
 // of pairs a Runner experiment with its table printer.

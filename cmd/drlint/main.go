@@ -25,15 +25,12 @@
 //
 // on the flagged line or alone on the line above. The catalogue:
 //
-//	mapdet        order-sensitive effect inside a map iteration
-//	lockheld      mutex held across a blocking call
-//	errsink       discarded error from a Write/Encode/Flush call
-//	atomichygiene mixed sync/atomic and plain access to one variable
-//	copylocks     sync.Mutex/WaitGroup (or atomic box) copied by value
-//	tornload      same atomic.Pointer/Value loaded twice in one function
-//	goleak        goroutine with no join path back to its spawner
-//	wgmisuse      WaitGroup.Add inside the goroutine, or Done without Add
-//	ackorder      HTTP response or channel ack before the WAL Sync/Flush
+//	mapdet   order-sensitive effect inside a map iteration
+//	lockheld mutex held across a blocking call
+//	errsink  discarded error from a Write/Encode/Flush call
+//	tornload same atomic.Pointer/Value loaded twice in one function
+//	goleak   goroutine with no join path back to its spawner
+//	wgmisuse WaitGroup.Add inside the goroutine, or Done without Add
 package main
 
 import (
@@ -53,7 +50,7 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: drlint [-only names] [-json] [-v] [packages]\n\nanalyzers:\n")
 		for _, a := range lint.All() {
-			fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(os.Stderr, "  %-8s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()

@@ -289,29 +289,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestExtras(t *testing.T) {
-	r := tinyRunner()
-	rows, err := r.Extras(tinySuite(t)[:1], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	row := rows[0]
-	if row.GrailBytes <= 0 || row.BFLBytes <= 0 || row.TOLBytes <= 0 {
-		t.Errorf("missing sizes: %+v", row)
-	}
-	if row.GrailQuery <= 0 || row.BFLQuery <= 0 || row.TOLQuery <= 0 {
-		t.Errorf("missing query times: %+v", row)
-	}
-	var buf bytes.Buffer
-	PrintExtras(&buf, rows)
-	if !strings.Contains(buf.String(), "GRAIL") {
-		t.Error("extras output incomplete")
-	}
-}
-
 func TestBuildResultHelpers(t *testing.T) {
 	r := BuildResult{TimedOut: true}
 	if !r.INF() {

@@ -141,7 +141,6 @@ func TestSharedMemoryCancel(t *testing.T) {
 	close(cancel)
 	for name, build := range map[string]func() (*label.Index, error){
 		"naive":    func() (*label.Index, error) { return BuildNaive(g, ord, Options{Cancel: cancel, Workers: 2}) },
-		"basic":    func() (*label.Index, error) { return BuildBasic(g, ord, Options{Cancel: cancel, Workers: 2}) },
 		"improved": func() (*label.Index, error) { return BuildImproved(g, ord, Options{Cancel: cancel, Workers: 2}) },
 		"batch": func() (*label.Index, error) {
 			return BuildBatch(g, ord, DefaultBatchParams(), Options{Cancel: cancel, Workers: 2})

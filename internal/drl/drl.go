@@ -9,8 +9,6 @@
 //
 //	BuildNaive     Theorem 2:  DES(v) filtered by DES of every
 //	               higher-order descendant. Quadratic; test oracle.
-//	BuildBasic     Theorem 3 (DRL⁻): trimmed-BFS filtering, one full
-//	               BFS per BFS_hig(v) member for refinement.
 //	BuildBatch     §IV (DRL_b / DRL_b^M): batch sequence with
 //	               TOL-style pruning across batches and, inside each
 //	               batch, Theorem 4 (DRL): trimmed-BFS filtering in
@@ -23,7 +21,9 @@
 // All of the above run shared-memory parallel across Options.Workers
 // goroutines. The genuinely distributed implementation (Algorithms 3
 // and 4 on the vertex-centric system, one program) is in
-// distributed.go; every variant produces an index identical to TOL's.
+// distributed.go, and the DRL⁻ of Theorem 3 that the paper evaluates
+// is vertex-centric only (BuildDistributedBasic, distbasic.go); every
+// variant produces an index identical to TOL's.
 package drl
 
 import (

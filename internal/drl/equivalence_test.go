@@ -40,9 +40,6 @@ func builders() map[string]func(g *graph.Digraph, ord *order.Ordering) (*label.I
 		"naive": func(g *graph.Digraph, ord *order.Ordering) (*label.Index, error) {
 			return BuildNaive(g, ord, Options{Workers: 2})
 		},
-		"basic": func(g *graph.Digraph, ord *order.Ordering) (*label.Index, error) {
-			return BuildBasic(g, ord, Options{Workers: 2})
-		},
 		"improved": func(g *graph.Digraph, ord *order.Ordering) (*label.Index, error) {
 			return BuildImproved(g, ord, Options{Workers: 2})
 		},
@@ -64,6 +61,7 @@ func builders() map[string]func(g *graph.Digraph, ord *order.Ordering) (*label.I
 		"dist-drlb-p1":     batchByWorkers(1),
 		"dist-drlb-p4":     batchByWorkers(4),
 		"dist-drlbasic-p3": basicByWorkers(3),
+		"basic":            basicByWorkers(1), // DRL⁻ on one partition
 	}
 }
 

@@ -38,14 +38,6 @@ func (b *Builder) AddEdge(u, v VertexID) *Builder {
 	return b
 }
 
-// AddEdges records a batch of directed edges.
-func (b *Builder) AddEdges(edges []Edge) *Builder {
-	for _, e := range edges {
-		b.AddEdge(e.U, e.V)
-	}
-	return b
-}
-
 // EnsureVertices guarantees the built graph has at least n vertices.
 func (b *Builder) EnsureVertices(n int) *Builder {
 	if n > b.minVertices {
@@ -53,10 +45,6 @@ func (b *Builder) EnsureVertices(n int) *Builder {
 	}
 	return b
 }
-
-// NumEdgesAdded returns the number of AddEdge calls so far (before
-// deduplication).
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
 
 // Build finalizes the graph. The builder may be reused afterwards; the
 // built graph does not alias the builder's edge slice.

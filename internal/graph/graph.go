@@ -79,9 +79,6 @@ func (g *Digraph) Edges(dst []Edge) []Edge {
 	return dst
 }
 
-// Valid reports whether v is a vertex of g.
-func (g *Digraph) Valid(v VertexID) bool { return v >= 0 && int32(v) < g.n }
-
 // String returns a short human-readable summary.
 func (g *Digraph) String() string {
 	return fmt.Sprintf("Digraph(n=%d, m=%d)", g.n, g.m)

@@ -139,24 +139,6 @@ func sameSet(a, b []graph.VertexID) bool {
 	return true
 }
 
-// TestTrimmedBFSVisitAgrees checks the callback variant against the
-// materializing one.
-func TestTrimmedBFSVisitAgrees(t *testing.T) {
-	g := graph.PaperExample()
-	ord := order.Compute(g)
-	s1, s2 := NewScratch(g.NumVertices()), NewScratch(g.NumVertices())
-	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
-		low, hig := TrimmedBFS(g, ord, v, s1, nil, nil)
-		var low2, hig2 []graph.VertexID
-		TrimmedBFSVisit(g, ord, v, s2,
-			func(w graph.VertexID) { low2 = append(low2, w) },
-			func(w graph.VertexID) { hig2 = append(hig2, w) })
-		if !sameSet(low, low2) || !sameSet(hig, hig2) {
-			t.Fatalf("v%d: visit variant disagrees", v)
-		}
-	}
-}
-
 // TestScratchEpochWrap forces the epoch counter to wrap and checks
 // the lazy reset keeps results correct.
 func TestScratchEpochWrap(t *testing.T) {

@@ -75,38 +75,3 @@ func TrimmedBFS(g *graph.Digraph, ord *order.Ordering, v graph.VertexID, s *Scra
 	}
 	return low, hig
 }
-
-// TrimmedBFSVisit is TrimmedBFS without materializing the result
-// slices: visitLow is called for every BFS_low vertex (v included) and
-// visitHig for every distinct blocking vertex. Either callback may be
-// nil.
-func TrimmedBFSVisit(g *graph.Digraph, ord *order.Ordering, v graph.VertexID, s *Scratch, visitLow, visitHig func(w graph.VertexID)) {
-	epoch := s.next()
-	rv := ord.RankOf(v)
-	s.queue = s.queue[:0]
-	s.queue = append(s.queue, v)
-	s.mark[v] = epoch
-	if visitLow != nil {
-		visitLow(v)
-	}
-	for head := 0; head < len(s.queue); head++ {
-		u := s.queue[head]
-		for _, w := range g.OutNeighbors(u) {
-			if s.mark[w] == epoch {
-				continue
-			}
-			if ord.RankOf(w) > rv {
-				s.mark[w] = epoch
-				s.queue = append(s.queue, w)
-				if visitLow != nil {
-					visitLow(w)
-				}
-			} else if s.block[w] != epoch {
-				s.block[w] = epoch
-				if visitHig != nil {
-					visitHig(w)
-				}
-			}
-		}
-	}
-}

@@ -10,9 +10,12 @@
 // fragile — one unsorted map iteration feeding a label list, a wire
 // encoder, or a Pregel outbox silently breaks it, and only a
 // whole-index equality test much later would notice. The analyzers in
-// this package (mapdet, lockheld, errsink, atomichygiene) encode the
-// hazard classes reviewers would otherwise have to police by hand;
-// cmd/drlint is the driver that runs them over the module.
+// this package encode the hazard classes reviewers would otherwise
+// have to police by hand — mapdet, lockheld and errsink for the build
+// tier's determinism, tornload, goleak and wgmisuse for the serving
+// tier's concurrency — and each has been shown to fire on its own bug
+// re-introduced into the tree (DESIGN.md §8). cmd/drlint is the driver
+// that runs them over the module.
 //
 // Deliberate violations — e.g. the randomized BFL baseline, which
 // tolerates nondeterminism by design — are waived in source with
@@ -89,14 +92,11 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 }
 
 // All returns the catalogue of project analyzers in a stable order:
-// the four determinism analyzers from the build tier, then the five
-// concurrency-correctness analyzers guarding the serving/updating
-// tier (DESIGN.md §13).
+// the three determinism analyzers from the build tier, then the three
+// concurrency analyzers guarding the serving/updating tier
+// (DESIGN.md §8).
 func All() []*Analyzer {
-	return []*Analyzer{
-		MapDet, LockHeld, ErrSink, AtomicHygiene,
-		CopyLocks, TornLoad, GoLeak, WGMisuse, AckOrder,
-	}
+	return []*Analyzer{MapDet, LockHeld, ErrSink, TornLoad, GoLeak, WGMisuse}
 }
 
 // ByName resolves analyzer names; the empty list means All.

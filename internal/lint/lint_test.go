@@ -26,15 +26,12 @@ import (
 // test here runs in parallel.
 var sharedLoader = NewLoader()
 
-func TestMapDetGolden(t *testing.T)        { runGolden(t, MapDet, "mapdet") }
-func TestLockHeldGolden(t *testing.T)      { runGolden(t, LockHeld, "lockheld") }
-func TestErrSinkGolden(t *testing.T)       { runGolden(t, ErrSink, "errsink") }
-func TestAtomicHygieneGolden(t *testing.T) { runGolden(t, AtomicHygiene, "atomichygiene") }
-func TestCopyLocksGolden(t *testing.T)     { runGolden(t, CopyLocks, "copylocks") }
-func TestTornLoadGolden(t *testing.T)      { runGolden(t, TornLoad, "tornload") }
-func TestGoLeakGolden(t *testing.T)        { runGolden(t, GoLeak, "goleak") }
-func TestWGMisuseGolden(t *testing.T)      { runGolden(t, WGMisuse, "wgmisuse") }
-func TestAckOrderGolden(t *testing.T)      { runGolden(t, AckOrder, "ackorder") }
+func TestMapDetGolden(t *testing.T)   { runGolden(t, MapDet, "mapdet") }
+func TestLockHeldGolden(t *testing.T) { runGolden(t, LockHeld, "lockheld") }
+func TestErrSinkGolden(t *testing.T)  { runGolden(t, ErrSink, "errsink") }
+func TestTornLoadGolden(t *testing.T) { runGolden(t, TornLoad, "tornload") }
+func TestGoLeakGolden(t *testing.T)   { runGolden(t, GoLeak, "goleak") }
+func TestWGMisuseGolden(t *testing.T) { runGolden(t, WGMisuse, "wgmisuse") }
 
 func runGolden(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()
@@ -138,8 +135,8 @@ func TestJSONDiagnostics(t *testing.T) {
 	diags := []Diagnostic{
 		{
 			Pos:      token.Position{Filename: filepath.Join("/mod", "internal", "wal", "wal.go"), Line: 42, Column: 7},
-			Analyzer: "ackorder",
-			Message:  "ack before sync",
+			Analyzer: "errsink",
+			Message:  "error discarded",
 		},
 		{
 			Pos:      token.Position{Filename: "/elsewhere/out.go", Line: 1, Column: 1},
@@ -156,7 +153,7 @@ func TestJSONDiagnostics(t *testing.T) {
 		t.Fatalf("artifact does not round-trip: %v\n%s", err, data)
 	}
 	want := []JSONDiagnostic{
-		{File: "internal/wal/wal.go", Line: 42, Col: 7, Analyzer: "ackorder", Message: "ack before sync"},
+		{File: "internal/wal/wal.go", Line: 42, Col: 7, Analyzer: "errsink", Message: "error discarded"},
 		{File: "/elsewhere/out.go", Line: 1, Col: 1, Analyzer: "mapdet", Message: "outside the module"},
 	}
 	if len(got) != len(want) {

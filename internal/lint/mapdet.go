@@ -10,10 +10,12 @@ import (
 
 // MapDet flags map iterations whose loop body performs an
 // order-sensitive effect: appending to a slice that outlives the loop,
-// writing to an encoder/writer, or sending a Pregel message. Go
-// randomizes map iteration order, so any such loop emits its effects
-// in a different order on every run — the exact hazard class that
-// breaks the byte-identical-to-TOL guarantee (Theorems 2–4).
+// writing to an encoder/writer, or sending a Pregel message — directly
+// or through a same-package helper whose summary says it sends (the
+// vertex programs' flood). Go randomizes map iteration order, so any
+// such loop emits its effects in a different order on every run — the
+// exact hazard class that breaks the byte-identical-to-TOL guarantee
+// (Theorems 2–4).
 //
 // The canonical safe pattern — collect the keys, sort, then range the
 // sorted slice — is recognized: an append whose target is later passed
@@ -39,6 +41,7 @@ var mapdetFmtFuncs = map[string]bool{
 }
 
 func runMapDet(pass *Pass) error {
+	idx := buildIndex(pass)
 	seen := map[string]bool{} // dedupe pos+message across nested map ranges
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -54,7 +57,7 @@ func runMapDet(pass *Pass) error {
 				return true
 			}
 			fnBody := enclosingFuncBody(f, rs.Pos())
-			checkMapRange(pass, f, rs, fnBody, seen)
+			checkMapRange(pass, idx, rs, fnBody, seen)
 			return true
 		})
 	}
@@ -83,7 +86,7 @@ func enclosingFuncBody(f *ast.File, pos token.Pos) *ast.BlockStmt {
 	return best
 }
 
-func checkMapRange(pass *Pass, file *ast.File, rs *ast.RangeStmt, fnBody *ast.BlockStmt, seen map[string]bool) {
+func checkMapRange(pass *Pass, idx *pkgIndex, rs *ast.RangeStmt, fnBody *ast.BlockStmt, seen map[string]bool) {
 	keyObj := rangeKeyObject(pass, rs)
 	report := func(pos token.Pos, format string, args ...any) {
 		d := pass.Fset.Position(pos)
@@ -159,6 +162,12 @@ func checkMapRange(pass *Pass, file *ast.File, rs *ast.RangeStmt, fnBody *ast.Bl
 					report(x.Pos(), "%s.%s inside iteration over map %q: messages are emitted in random map order; iterate sorted keys instead", exprStringOr(sel.X, "worker"), sel.Sel.Name, mapName)
 				case mapdetWriteMethods[sel.Sel.Name] && !isPackageQualifier(pass, sel.X):
 					report(x.Pos(), "%s.%s inside iteration over map %q: bytes are written in random map order; iterate sorted keys instead", exprStringOr(sel.X, "writer"), sel.Sel.Name, mapName)
+				}
+			}
+			if fn := staticCallee(pass, x); fn != nil {
+				// Only this package's functions have a summary.
+				if sum := idx.summaries[fn]; sum != nil && sum.sends {
+					report(x.Pos(), "%s sends messages and is called inside iteration over map %q: they are emitted in random map order; iterate sorted keys instead", fn.Name(), mapName)
 				}
 			}
 			if pkg, name, ok := pkgFuncName(pass.Info, x); ok && pkg == "fmt" && mapdetFmtFuncs[name] {

@@ -6,33 +6,30 @@ import (
 	"go/types"
 )
 
-// This file is the shared whole-package pass behind the concurrency
-// analyzers (tornload, goleak, ackorder): a lightweight intra-package
-// call graph plus one summary per declared function, closed
-// transitively over same-package static calls. The summaries stand in
-// for a real CFG — they answer "does calling this function load that
-// atomic / reach a join point / fsync a writer / write a response",
-// which is exactly the fact the caller-side analyzers need one hop
-// away. Cross-package, interface, and func-value callees are left
-// unresolved on purpose: an unknown callee contributes nothing, so
-// the analyzers stay conservative instead of guessing.
+// This file is the shared whole-package pass behind tornload, goleak
+// and mapdet: a lightweight intra-package call graph plus one summary
+// per declared function, closed transitively over same-package static
+// calls. The summaries stand in for a real CFG — they answer "does
+// calling this function load that atomic / reach a join point / emit
+// a message", which is exactly the fact the caller-side analyzers
+// need one hop away. Cross-package, interface, and func-value callees
+// are left unresolved on purpose: an unknown callee contributes
+// nothing, so the analyzers stay conservative instead of guessing.
 
-// funcSummary aggregates the concurrency-relevant facts of one
-// declared function, including everything reachable through
-// same-package static calls.
+// funcSummary aggregates the facts of one declared function that some
+// analyzer reads, including everything reachable through same-package
+// static calls.
 type funcSummary struct {
 	// loads holds the atomic.Pointer/atomic.Value variables and fields
-	// the function calls .Load() on.
+	// the function calls .Load() on (tornload).
 	loads map[types.Object]bool
-	// syncs: the function calls a Sync() or Flush() method (the
-	// durable-write points ackorder gates on).
-	syncs bool
 	// joins: the function reaches a join point a spawner could use —
-	// WaitGroup.Done, a channel operation, a select, or a close.
+	// WaitGroup.Done, a channel operation, a select, or a close
+	// (goleak).
 	joins bool
-	// writesResponse: the function writes to (or hands off) an
-	// http.ResponseWriter.
-	writesResponse bool
+	// sends: the function calls a Send or Broadcast method — it emits a
+	// Pregel message, so calling it is order-sensitive (mapdet).
+	sends bool
 }
 
 // pkgIndex is the per-package analysis index: declared functions, the
@@ -83,14 +80,11 @@ func buildIndex(pass *Pass) *pkgIndex {
 						changed = true
 					}
 				}
-				if cs.syncs && !s.syncs {
-					s.syncs, changed = true, true
-				}
 				if cs.joins && !s.joins {
 					s.joins, changed = true, true
 				}
-				if cs.writesResponse && !s.writesResponse {
-					s.writesResponse, changed = true, true
+				if cs.sends && !s.sends {
+					s.sends, changed = true, true
 				}
 			}
 		}
@@ -129,25 +123,12 @@ func directFacts(pass *Pass, body *ast.BlockStmt) *funcSummary {
 					if namedOrPtrTo(pass.TypeOf(sel.X), "sync", "WaitGroup") {
 						s.joins = true
 					}
-				case "Sync", "Flush":
-					// http.Flusher.Flush pushes response bytes to the
-					// client — streaming, not durability.
-					if !isHTTPFlusher(pass.TypeOf(sel.X)) {
-						s.syncs = true
-					}
 				case "Load":
 					if obj := atomicLoadTarget(pass, x); obj != nil {
 						s.loads[obj] = true
 					}
-				case "Write", "WriteHeader":
-					if isResponseWriter(pass.TypeOf(sel.X)) {
-						s.writesResponse = true
-					}
-				}
-			}
-			for _, arg := range x.Args {
-				if isResponseWriter(pass.TypeOf(arg)) {
-					s.writesResponse = true
+				case "Send", "Broadcast":
+					s.sends = true
 				}
 			}
 		}
@@ -221,35 +202,6 @@ func atomicLoadTarget(pass *Pass, call *ast.CallExpr) types.Object {
 // different epochs.
 func isAtomicBox(t types.Type) bool {
 	return namedOrPtrTo(t, "sync/atomic", "Pointer") || namedOrPtrTo(t, "sync/atomic", "Value")
-}
-
-// isResponseWriter reports whether t is net/http.ResponseWriter.
-// isHTTPFlusher reports whether t is net/http.Flusher. Its Flush
-// pushes buffered response bytes toward the client — a streaming
-// progress signal, not a durability point — so it must not qualify a
-// function as durable-ack.
-func isHTTPFlusher(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == "Flusher" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
-}
-
-func isResponseWriter(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == "ResponseWriter" && obj.Pkg() != nil && obj.Pkg().Path() == "net/http"
 }
 
 // receiverBase renders the receiver chain of a method call for event

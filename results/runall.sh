@@ -11,7 +11,6 @@ set -ex
 ../bin/drbench -exp fig9   -suite medium -cutoff 60s                 > fig9.txt
 ../bin/drbench -exp ablation-order    -suite medium -cutoff 45s      > ablation_order.txt
 ../bin/drbench -exp ablation-condense -suite medium -cutoff 45s      > ablation_condense.txt
-../bin/drbench -exp extras -suite medium -cutoff 45s                 > extras.txt
 ../bin/drbench -exp fig7   -suite medium -cutoff 25s                 > fig7.txt
 ../bin/drbench -exp fig6   -suite medium -cutoff 25s                 > fig6.txt
 ../bin/drbench -exp table6 -suite medium -cutoff 30s                 > table6.txt
