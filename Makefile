@@ -10,8 +10,9 @@ all: build vet test
 # the six example programs (nothing else executes them),
 # 15 s of fuzzing the index-file decoder and 10 s on its label-block
 # bit reader alone, 10 s each on the decoders of what other processes
-# send the labeler (broadcast blobs and collect replies; checkpoints),
-# and the suite again with runtime invariants compiled in.
+# send the labeler (broadcast blobs and collect replies; checkpoints)
+# and of what a crash leaves in the edge log (WAL frames), and the
+# suite again with runtime invariants compiled in.
 check:
 	go vet ./...
 	go build ./...
@@ -22,6 +23,7 @@ check:
 	go test ./internal/label -run '^$$' -fuzz FuzzLabelBlock -fuzztime 10s
 	go test ./internal/drl -run '^$$' -fuzz FuzzBlobDecodeArbitrary -fuzztime 10s
 	go test ./internal/drl -run '^$$' -fuzz FuzzSnapshotDecodeArbitrary -fuzztime 10s
+	go test ./internal/wal -run '^$$' -fuzz FuzzWALDecodeArbitrary -fuzztime 10s
 	go test -tags=invariants ./...
 
 # check plus the end-to-end serving smoke — slower, optional locally;
@@ -109,15 +111,16 @@ querytest:
 # under the race detector — published epochs immutable beside 1,200
 # later writes and across folds, snapshots equal to fresh builds, the
 # epoch history ring, the tick-driven soak, rich queries on a patched
-# epoch. Then the end-to-end smoke: drserve in update mode
+# epoch, and the edge log's group commit and its refusal to write on
+# after a failed write. Then the end-to-end smoke: drserve in update mode
 # (-graph/-wal) — POST /edges point checks with epoch-acknowledged
 # reads, a drload burst with concurrent writers, kill -9 + WAL replay
 # (restarting from the graph's binary file: both formats open)
 # verifying no acked write is lost, and a graceful-shutdown check
 # (CI's fleet-smoke job).
 updatetest:
-	go test -race -run 'Snapshots|PublishedEpochs|EpochHistory|UpdateQuerySoak|RichEndpointsMatchOracle|InsertDeleteLeavesNoOverlay|RepairAllocs|RebuildGuards|PatchedMatchesFold|OverlayAgainstModel' \
-		. ./internal/tol ./internal/label ./internal/graph
+	go test -race -run 'Snapshots|PublishedEpochs|EpochHistory|UpdateQuerySoak|RichEndpointsMatchOracle|InsertDeleteLeavesNoOverlay|RepairAllocs|RebuildGuards|PatchedMatchesFold|OverlayAgainstModel|ConcurrentAppends|FailedWritePoisonsLog' \
+		. ./internal/tol ./internal/label ./internal/graph ./internal/wal
 	./scripts/update_smoke.sh
 
 tools:

@@ -77,7 +77,6 @@ func main() {
 		mmapFlag     = flag.Bool("mmap", false, "memory-map -graph (binary files only) instead of reading it into RAM")
 		walPath      = flag.String("wal", "", "write-ahead edge log path (update mode; created if missing, replayed if present)")
 		refreshEvery = flag.Duration("refresh-every", reachlab.DefaultRefreshEvery, "update mode: interval between refresh swaps")
-		refreshBatch = flag.Int("refresh-batch", reachlab.DefaultRefreshBatch, "update mode: max log records applied per refresh swap")
 	)
 	flag.Parse()
 
@@ -119,15 +118,14 @@ func main() {
 		}
 		updater, err = reachlab.NewUpdater(g, edgeLog, reachlab.UpdaterOptions{
 			RefreshEvery: *refreshEvery,
-			RefreshBatch: *refreshBatch,
 			Obs:          reachlab.DefaultMetrics(),
 		})
 		if err != nil {
 			fatal(err)
 		}
 		idx := updater.Snapshot()
-		fmt.Printf("serving %d vertices in update mode (%d log records replayed, refresh every %s, batch %d) on %s\n",
-			idx.NumVertices(), edgeLog.Count(), *refreshEvery, *refreshBatch, *listen)
+		fmt.Printf("serving %d vertices in update mode (%d log records replayed, refresh every %s) on %s\n",
+			idx.NumVertices(), edgeLog.Count(), *refreshEvery, *listen)
 		// No Loader: in update mode the updater owns every epoch
 		// advance — /admin/reload answers 501, SIGHUP warns.
 		handler = reachlab.NewQueryHandlerOpts(idx, serveOpts)

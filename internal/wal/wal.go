@@ -22,10 +22,15 @@
 // the last valid record, which a mid-append crash leaves behind) is
 // truncated away and reported, the standard WAL recovery contract.
 //
-// Append is group-committed: each call buffers its record under the
-// append lock and then joins the earliest fsync that covers it, so N
-// concurrent appenders pay ~one fsync instead of N. Append returns
-// only after its record is durable.
+// The file is read once, at Open; Replay hands those records out and
+// nothing reads the file after that. Writes are group-committed: Write
+// assigns the seq and writes the record under the append lock, and
+// SyncThrough joins the earliest fsync that covers it, so N concurrent
+// writers pay ~one fsync instead of N. Append is the two in sequence
+// and returns only after its record is durable. The first write or
+// fsync error is sticky: the log refuses every later write, sync and
+// close with it, so nothing is acknowledged behind bytes a restart
+// would cut off.
 package wal
 
 import (
@@ -74,11 +79,6 @@ var header = []byte{'R', 'L', 'W', 'A', 'L', 0x01}
 // uvarint64(10) + op(1) + 2×uvarint32(5) = 21 bytes, so anything
 // larger is corrupt and rejected before allocation.
 const maxPayload = 32
-
-// checkpointEvery is the record interval of the sparse seq→offset
-// index built during Open and extended by Append, which lets Replay
-// seek near its starting seq instead of scanning the whole file.
-const checkpointEvery = 4096
 
 // AppendRecord encodes r (whose Seq must exceed prevSeq) onto buf.
 // The frame is self-contained given prevSeq, so a reader that knows
@@ -180,14 +180,6 @@ func DecodeRecord(buf []byte, prevSeq uint64) (Record, int, error) {
 	return rec, consumed, nil
 }
 
-// checkpoint is one sparse replay index entry: the record with seq
-// Seq ends at byte offset Off (so decoding resumes there with
-// prevSeq = Seq).
-type checkpoint struct {
-	Seq uint64
-	Off int64
-}
-
 // Log is a durable, append-only edge log.
 type Log struct {
 	path string
@@ -195,12 +187,12 @@ type Log struct {
 
 	// mu guards seq assignment and the file write, keeping records in
 	// seq order on disk.
-	mu      sync.Mutex
-	lastSeq uint64
-	size    int64 // bytes written (durable or not)
-	count   uint64
-	cps     []checkpoint
-	encBuf  []byte
+	mu        sync.Mutex
+	lastSeq   uint64
+	count     uint64
+	encBuf    []byte
+	err       error    // the first write or fsync failure, returned ever after
+	recovered []Record // read at Open, handed out by Replay
 
 	// syncMu serializes fsync; syncedSeq is the group-commit frontier.
 	syncMu    sync.Mutex
@@ -210,9 +202,10 @@ type Log struct {
 }
 
 // Open opens (creating if absent) the log at path and recovers it:
-// the file is scanned, every valid record indexed, and a torn tail —
-// bytes after the last valid record — truncated away. Records before
-// the tear are never touched; corruption inside them is a hard error.
+// the file is scanned, every valid record kept for Replay, and a torn
+// tail — bytes after the last valid record — truncated away. Records
+// before the tear are never touched; corruption inside them is a hard
+// error.
 func Open(path string) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -240,7 +233,6 @@ func (l *Log) recover() error {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("wal: syncing header: %w", err)
 		}
-		l.size = int64(len(header))
 		return nil
 	}
 	if len(data) < len(header) || string(data[:5]) != "RLWAL" {
@@ -262,14 +254,11 @@ func (l *Log) recover() error {
 		}
 		off += int64(n)
 		prev = rec.Seq
-		l.count++
-		if l.count%checkpointEvery == 0 {
-			l.cps = append(l.cps, checkpoint{Seq: prev, Off: off})
-		}
+		l.recovered = append(l.recovered, rec)
 	}
 	l.lastSeq = prev
 	l.syncedSeq = prev
-	l.size = off
+	l.count = uint64(len(l.recovered))
 	if l.torn > 0 {
 		if err := l.f.Truncate(off); err != nil {
 			return fmt.Errorf("wal: truncating torn tail: %w", err)
@@ -289,8 +278,8 @@ func (l *Log) recover() error {
 func (l *Log) TornBytes() int64 { return l.torn }
 
 // LastSeq returns the highest assigned sequence number (recovered or
-// appended). Appends in flight may not be durable yet; SyncedSeq is
-// the durability frontier.
+// written). A written record may not be durable yet; SyncedSeq is the
+// durability frontier.
 func (l *Log) LastSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -311,109 +300,88 @@ func (l *Log) Count() uint64 {
 	return l.count
 }
 
-// Append assigns the next sequence number to the edge mutation,
-// writes it, and returns once the record is durable (fsynced). Calls
-// from concurrent goroutines are batched into shared fsyncs.
+// Append writes the edge mutation and returns its sequence number
+// once the record is durable: Write, then SyncThrough.
 func (l *Log) Append(op Op, u, v graph.VertexID) (uint64, error) {
+	seq, err := l.Write(op, u, v)
+	if err != nil {
+		return 0, err
+	}
+	return seq, l.SyncThrough(seq)
+}
+
+// Write assigns the next sequence number to the edge mutation and
+// writes its record without waiting for the fsync; SyncThrough(seq)
+// makes it durable. A failed write poisons the log: the file offset
+// may already sit past part of a frame, so a later record would land
+// behind bytes Open truncates as a torn tail.
+func (l *Log) Write(op Op, u, v graph.VertexID) (uint64, error) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return 0, l.err
+	}
 	seq := l.lastSeq + 1
 	buf, err := AppendRecord(l.encBuf[:0], l.lastSeq, Record{Seq: seq, Op: op, U: u, V: v})
 	if err != nil {
-		l.mu.Unlock()
 		return 0, err
 	}
 	l.encBuf = buf
 	if _, err := l.f.Write(buf); err != nil {
-		l.mu.Unlock()
-		return 0, fmt.Errorf("wal: appending record %d: %w", seq, err)
+		l.err = fmt.Errorf("wal: appending record %d: %w", seq, err)
+		return 0, l.err
 	}
 	l.lastSeq = seq
-	l.size += int64(len(buf))
 	l.count++
-	if l.count%checkpointEvery == 0 {
-		l.cps = append(l.cps, checkpoint{Seq: seq, Off: l.size})
-	}
-	l.mu.Unlock()
-	return seq, l.syncThrough(seq)
+	return seq, nil
 }
 
-// syncThrough blocks until every record up to seq is fsynced. The
+// SyncThrough blocks until every record up to seq is fsynced. The
 // first caller through the lock syncs on behalf of everyone whose
-// record is already written — group commit.
-func (l *Log) syncThrough(seq uint64) error {
+// record is already written — group commit. A failed fsync poisons
+// the log like a failed write.
+func (l *Log) SyncThrough(seq uint64) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
-	if l.syncedSeq >= seq {
-		return nil
-	}
 	l.mu.Lock()
-	frontier := l.lastSeq
+	frontier, err := l.lastSeq, l.err
 	l.mu.Unlock()
+	if err != nil || l.syncedSeq >= seq {
+		return err
+	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.err == nil {
+			l.err = fmt.Errorf("wal: fsync: %w", err)
+		}
+		return l.err
 	}
 	l.syncedSeq = frontier
 	return nil
 }
 
-// Sync forces an fsync of everything appended so far.
-func (l *Log) Sync() error {
+// Replay streams the records Open recovered, in order, through fn; fn
+// returning an error stops the replay and propagates. It does not read
+// the file, and it releases the records: a log is replayed once, before
+// anything is written to it.
+func (l *Log) Replay(fn func(Record) error) error {
 	l.mu.Lock()
-	frontier := l.lastSeq
+	recs := l.recovered
+	l.recovered = nil
 	l.mu.Unlock()
-	return l.syncThrough(frontier)
-}
-
-// Replay streams every record with seq > fromSeq, in order, through
-// fn; fn returning an error stops the replay and propagates. It reads
-// through an independent file handle and may run while appends
-// continue, but only records appended before the call are guaranteed
-// to be seen. A decode failure inside the replayed range is a hard
-// error — recovery at Open already removed the only legitimate
-// damage.
-func (l *Log) Replay(fromSeq uint64, fn func(Record) error) error {
-	l.mu.Lock()
-	end := l.size
-	start := checkpoint{Seq: 0, Off: int64(len(header))}
-	for _, cp := range l.cps {
-		if cp.Seq <= fromSeq {
-			start = cp
-		} else {
-			break
-		}
-	}
-	l.mu.Unlock()
-
-	f, err := os.Open(l.path)
-	if err != nil {
-		return fmt.Errorf("wal: opening for replay: %w", err)
-	}
-	defer f.Close()
-	data := make([]byte, end-start.Off)
-	if _, err := f.ReadAt(data, start.Off); err != nil {
-		return fmt.Errorf("wal: reading replay range: %w", err)
-	}
-	off := 0
-	prev := start.Seq
-	for off < len(data) {
-		rec, n, err := DecodeRecord(data[off:], prev)
-		if err != nil {
-			return fmt.Errorf("wal: replay at byte %d: %w", start.Off+int64(off), err)
-		}
-		off += n
-		prev = rec.Seq
-		if rec.Seq > fromSeq {
-			if err := fn(rec); err != nil {
-				return err
-			}
+	for _, r := range recs {
+		if err := fn(r); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Close syncs and closes the log.
+// Close syncs and closes the log; after a failed write or fsync it
+// returns that error.
 func (l *Log) Close() error {
-	err := l.Sync()
+	err := l.SyncThrough(l.LastSeq())
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

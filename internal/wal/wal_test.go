@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -39,31 +40,12 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if l.LastSeq() != 3 || l.SyncedSeq() != 3 || l.Count() != 3 {
 		t.Fatalf("last=%d synced=%d count=%d, want 3/3/3", l.LastSeq(), l.SyncedSeq(), l.Count())
 	}
-	var got []Record
-	if err := l.Replay(0, func(r Record) error { got = append(got, r); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	// Replay from an offset skips the prefix.
-	got = nil
-	if err := l.Replay(2, func(r Record) error { got = append(got, r); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != want[2] {
-		t.Fatalf("replay from seq 2: got %+v", got)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reopen: recovery restores the frontier with nothing torn.
+	// Reopen: recovery restores the frontier with nothing torn, and
+	// Replay hands back exactly the records written.
 	l2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +53,9 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	defer l2.Close()
 	if l2.LastSeq() != 3 || l2.TornBytes() != 0 {
 		t.Fatalf("reopen: last=%d torn=%d", l2.LastSeq(), l2.TornBytes())
+	}
+	if got := replayAll(t, l2); !slices.Equal(got, want) {
+		t.Fatalf("replayed %+v, want %+v", got, want)
 	}
 	seq, err := l2.Append(OpDelete, 3, 17)
 	if err != nil || seq != 4 {
@@ -125,6 +110,16 @@ func TestTornTailTruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// replayAll returns every record l recovered at Open.
+func replayAll(t *testing.T, l *Log) []Record {
+	t.Helper()
+	var got []Record
+	if err := l.Replay(func(r Record) error { got = append(got, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 // encodedLen returns the frame size of rec after prevSeq.
@@ -213,7 +208,8 @@ func TestAppendRejectsBadRecords(t *testing.T) {
 }
 
 // TestConcurrentAppends: group commit must keep seqs dense and unique
-// under concurrent appenders, and replay sees all of them in order.
+// under concurrent appenders, and a reopened log replays all of them in
+// order.
 func TestConcurrentAppends(t *testing.T) {
 	path := tmpLog(t)
 	l, err := Open(path)
@@ -255,49 +251,76 @@ func TestConcurrentAppends(t *testing.T) {
 			seen[s] = true
 		}
 	}
-	var prev uint64
-	if err := l.Replay(0, func(r Record) error {
-		if r.Seq != prev+1 {
-			t.Fatalf("replay gap: %d after %d", r.Seq, prev)
-		}
-		prev = r.Seq
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if prev != writers*each {
-		t.Fatalf("replayed through %d, want %d", prev, writers*each)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	l2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	got := replayAll(t, l2)
+	for i, r := range got {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("replay gap: %d at position %d", r.Seq, i)
+		}
+	}
+	if len(got) != writers*each {
+		t.Fatalf("replayed %d records, want %d", len(got), writers*each)
+	}
 }
 
-// TestCheckpointedReplay drives the log past several checkpoint
-// intervals and confirms replay-from-offset returns exactly the
-// suffix.
-func TestCheckpointedReplay(t *testing.T) {
+// TestFailedWritePoisonsLog: once a write fails, the log acknowledges
+// nothing more, even after the fault clears — the file offset may sit
+// past part of a frame, and a record acknowledged behind it would be
+// cut off at the next Open as a torn tail. The records acknowledged
+// before the failure are exactly what a restart recovers.
+func TestFailedWritePoisonsLog(t *testing.T) {
 	path := tmpLog(t)
 	l, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	total := 2*checkpointEvery + 37
-	for i := 0; i < total; i++ {
-		if _, err := l.Append(OpInsert, graph.VertexID(i%311), graph.VertexID((i+1)%311)); err != nil {
+	var want []Record
+	for i := 0; i < 3; i++ {
+		seq, err := l.Append(OpInsert, graph.VertexID(i), graph.VertexID(i+1))
+		if err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, Record{Seq: seq, Op: OpInsert, U: graph.VertexID(i), V: graph.VertexID(i + 1)})
 	}
-	from := uint64(checkpointEvery + 11)
-	var got []uint64
-	if err := l.Replay(from, func(r Record) error { got = append(got, r.Seq); return nil }); err != nil {
+
+	// A read-only handle on the same file makes exactly one write fail.
+	ro, err := os.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != total-int(from) {
-		t.Fatalf("replay from %d returned %d records, want %d", from, len(got), total-int(from))
+	rw := l.f
+	l.f = ro
+	if _, err := l.Append(OpInsert, 7, 8); err == nil {
+		t.Fatal("a write through a read-only handle succeeded")
 	}
-	if got[0] != from+1 || got[len(got)-1] != uint64(total) {
-		t.Fatalf("replay range [%d, %d], want [%d, %d]", got[0], got[len(got)-1], from+1, total)
+	l.f = rw
+	ro.Close()
+	if seq, err := l.Append(OpInsert, 8, 9); err == nil {
+		t.Fatalf("append after a failed write acknowledged seq %d", seq)
+	}
+	if _, err := l.Write(OpDelete, 8, 9); err == nil {
+		t.Fatal("write after a failed write accepted")
+	}
+	if err := l.SyncThrough(1); err == nil {
+		t.Fatal("sync after a failed write succeeded")
+	}
+	if err := l.Close(); err == nil {
+		t.Fatal("close after a failed write succeeded")
+	}
+
+	l2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := replayAll(t, l2); !slices.Equal(got, want) {
+		t.Fatalf("recovered %+v, want the %d records acknowledged before the failure %+v", got, len(want), want)
 	}
 }

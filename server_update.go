@@ -18,22 +18,26 @@ import (
 // serving-side answer here is a write-ahead edge log in front of the
 // centralized dynamic maintainer:
 //
-//	POST /edges → wal.Log (durable) → [refresher] → tol.DynamicIndex
-//	                                       ↓ snapshot: base + overlay
-//	                              QueryHandler.Swap (epoch k+1)
+//	POST /edges → wal.Log.Write + queue + promise (one lock) → fsync → ack
+//	                                  ↓ [refresher]
+//	                           tol.DynamicIndex
+//	                                  ↓ snapshot: base + overlay
+//	                           QueryHandler.Swap (epoch k+1)
 //
 // Queries keep serving the immutable epoch-k index at full speed while
-// the refresher drains the log in batches into the dynamic maintainer
-// and publishes the result as the next epoch: the flat base every
-// epoch shares plus the lists that differ from it as of the cut, so a
-// refresh costs its repairs, not the index. A write is acknowledged
-// only after its WAL append is fsync-durable, and the acknowledgement
-// carries the exact epoch that will first contain it, so a client can
-// poll X-Reachlab-Epoch (or /healthz) for read-your-writes.
+// the refresher drains the queue of written records in batches into
+// the dynamic maintainer and publishes the result as the next epoch:
+// the flat base every epoch shares plus the lists that differ from it
+// as of the cut, so a refresh costs its repairs, not the index. The
+// refresher never reads the log; the log is read once, at start-up. A
+// write is acknowledged only after its WAL record is fsync-durable, and
+// the acknowledgement carries the exact epoch that will first contain
+// it, so a client can poll X-Reachlab-Epoch (or /healthz) for
+// read-your-writes.
 //
 // Staleness is bounded by the refresh interval plus one batch drain:
 // an acknowledged write waits at most RefreshEvery for the next cut
-// plus ceil(backlog/RefreshBatch) swap cycles if a burst outran one
+// plus ceil(backlog/refreshBatch) swap cycles if a burst outran one
 // batch.
 
 // ErrUpdaterClosed is returned by Apply after Close.
@@ -48,46 +52,43 @@ type UpdaterOptions struct {
 	// RefreshEvery is the refresher's tick interval (default 2s):
 	// the staleness bound for a write arriving into an idle log.
 	RefreshEvery time.Duration
-	// RefreshBatch caps how many log records one refresh applies
-	// before freezing and swapping a snapshot (default 1024). A burst
-	// larger than one batch drains over several epochs.
-	RefreshBatch int
 	// Obs receives the update-path metrics; nil disables them.
 	Obs *MetricsRegistry
 }
 
-// DefaultRefreshEvery and DefaultRefreshBatch back the zero values of
-// UpdaterOptions.
-const (
-	DefaultRefreshEvery = 2 * time.Second
-	DefaultRefreshBatch = 1024
-)
+// DefaultRefreshEvery backs a zero UpdaterOptions.RefreshEvery.
+const DefaultRefreshEvery = 2 * time.Second
+
+// refreshBatch caps how many queued records one refresh applies before
+// it swaps a snapshot in; a burst larger than one batch drains over
+// several epochs. Tests lower Updater.batch instead.
+const refreshBatch = 1024
 
 // Updater owns the mutation path of one serving replica: the durable
 // edge log, the dynamic maintainer that absorbs it, and the epoch
 // bookkeeping that ties acknowledged sequence numbers to served
-// epochs. It must be the *only* source of QueryHandler.Swap calls —
-// update mode disables the reload loader so epochs advance in lock
-// step with log sequence numbers (the epoch-acknowledgement contract
-// breaks if anything else bumps the epoch).
+// epochs. It must be the *only* writer of its log and the *only*
+// source of QueryHandler.Swap calls — update mode disables the reload
+// loader so epochs advance in lock step with log sequence numbers (the
+// epoch-acknowledgement contract breaks if anything else bumps the
+// epoch).
 type Updater struct {
 	log   *wal.Log
 	dyn   *tol.DynamicIndex
 	every time.Duration
-	batch int
+	batch int // refreshBatch unless a test lowered it before Start
 
-	// mu guards the refresh plan: what the published epoch contains
-	// (appliedSeq), what the in-flight refresh will publish (cutSeq),
-	// and the epoch→seq history. Apply takes it briefly to compute
-	// the promised epoch; the refresher takes it around the swap, so
-	// a promise computed under mu is exact.
+	// mu orders the write path against the refresh plan. Apply holds it
+	// while it writes its record, queues it and computes its promise;
+	// the refresher holds it to mark a batch in flight and again to
+	// swap that batch's epoch in, so a promise computed under mu is
+	// exact: no refresh can have planned past a seq not yet written.
 	mu         sync.Mutex
 	h          *QueryHandler
-	appliedSeq uint64
-	cutSeq     uint64
-	inflight   bool
+	appliedSeq uint64                 // highest seq in the published epoch
+	queue      []wal.Record           // written above appliedSeq, in seq order
+	inflight   int                    // head of queue the running refresh applies
 	epochSeq   [epochHistory]epochCut // slot epoch % epochHistory
-	firstPend  time.Time              // append time of the oldest unapplied write
 	closed     bool
 
 	stop chan struct{}
@@ -117,21 +118,20 @@ type Updater struct {
 	dynStats    tol.UpdateStats // last folded, under mu
 }
 
-// epochHistory is how many of the most recent epochs keep their cut:
-// the history Apply walks back through when refreshes outran an ack,
-// which is as many epochs as were published between a log append
-// returning and the next lock — a handful at the shortest tick. Older
-// epochs read as unknown, and the memory is fixed.
+// epochHistory is how many of the most recent epochs keep the cut
+// EpochSeq reports. Older epochs read as unknown, and the memory is
+// fixed.
 const epochHistory = 1024
 
 // epochCut is one slot of the epoch → cut history.
 type epochCut struct{ epoch, seq uint64 }
 
-// NewUpdater builds the mutation path over g and log: it constructs
-// the dynamic maintainer, replays every record already in the log
-// (recovery — acknowledged writes survive a crash because they were
-// fsync-durable before the ack), and is then ready to Start. Call
-// Snapshot for the index the paired QueryHandler should serve from.
+// NewUpdater builds the mutation path over g and log, which must come
+// straight from wal.Open: it constructs the dynamic maintainer, replays
+// every record Open recovered (acknowledged writes survive a crash
+// because they were fsync-durable before the ack), and is then ready
+// to Start. Call Snapshot for the index the paired QueryHandler should
+// serve from.
 func NewUpdater(g *Graph, log *wal.Log, opts UpdaterOptions) (*Updater, error) {
 	if g == nil {
 		return nil, errors.New("reachlab: nil graph")
@@ -143,10 +143,6 @@ func NewUpdater(g *Graph, log *wal.Log, opts UpdaterOptions) (*Updater, error) {
 	if every <= 0 {
 		every = DefaultRefreshEvery
 	}
-	batch := opts.RefreshBatch
-	if batch <= 0 {
-		batch = DefaultRefreshBatch
-	}
 	dyn, err := newDynamic(g.d)
 	if err != nil {
 		return nil, err
@@ -156,7 +152,7 @@ func NewUpdater(g *Graph, log *wal.Log, opts UpdaterOptions) (*Updater, error) {
 		log:   log,
 		dyn:   dyn,
 		every: every,
-		batch: batch,
+		batch: refreshBatch,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 
@@ -172,23 +168,12 @@ func NewUpdater(g *Graph, log *wal.Log, opts UpdaterOptions) (*Updater, error) {
 		ovVertices:  reg.Gauge("reachlab_overlay_vertices"),
 		ovEntries:   reg.Gauge("reachlab_overlay_entries"),
 	}
-	if err := u.replayAll(); err != nil {
-		return nil, err
+	if err := log.Replay(u.applyRecord); err != nil {
+		return nil, fmt.Errorf("reachlab: wal replay: %w", err)
 	}
-	return u, nil
-}
-
-// replayAll drives every durable log record into the maintainer —
-// the crash-recovery path: the served snapshot then reflects every
-// acknowledged write.
-func (u *Updater) replayAll() error {
-	err := u.log.Replay(0, func(r wal.Record) error { return u.applyRecord(r) })
-	if err != nil {
-		return fmt.Errorf("reachlab: wal replay: %w", err)
-	}
-	u.appliedSeq = u.log.LastSeq()
+	u.appliedSeq = log.LastSeq()
 	u.foldDynStats()
-	return nil
+	return u, nil
 }
 
 func (u *Updater) applyRecord(r wal.Record) error {
@@ -251,16 +236,12 @@ func (u *Updater) AppliedSeq() uint64 {
 func (u *Updater) EpochSeq(epoch uint64) (seq uint64, ok bool) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return u.cutOf(epoch)
-}
-
-// cutOf and recordCut read and write the history ring, under mu.
-// Epochs start at 1, so a slot's zero value matches no epoch asked for.
-func (u *Updater) cutOf(epoch uint64) (seq uint64, ok bool) {
+	// Epochs start at 1, so a slot's zero value matches no epoch asked for.
 	c := u.epochSeq[epoch%epochHistory]
 	return c.seq, c.epoch == epoch && epoch != 0
 }
 
+// recordCut writes the history ring, under mu.
 func (u *Updater) recordCut(epoch, seq uint64) {
 	u.epochSeq[epoch%epochHistory] = epochCut{epoch, seq}
 }
@@ -314,62 +295,48 @@ func (u *Updater) Apply(insert bool, a, b VertexID) (seq, epoch uint64, err erro
 		u.mu.Unlock()
 		return 0, 0, ErrUpdaterClosed
 	}
-	u.mu.Unlock()
-	seq, err = u.log.Append(op, a, b)
+	seq, err = u.log.Write(op, a, b)
 	if err != nil {
+		u.mu.Unlock()
 		return 0, 0, fmt.Errorf("reachlab: wal append: %w", err)
 	}
-	u.walAppends.Inc()
-
-	// Promise the epoch that will first contain seq. base is the
-	// highest seq already spoken for (published, or cut by the
-	// in-flight refresh publishing as pub); every future refresh
-	// advances the frontier by at most RefreshBatch and by at least
-	// the full backlog-at-cut, so seq lands exactly
-	// ceil((seq-base)/RefreshBatch) swaps after base's epoch.
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	pub := uint64(1)
+	u.queue = append(u.queue, wal.Record{Seq: seq, Op: op, U: a, V: b})
+	u.setLag()
+	// Promise the epoch that will first contain seq. Every record before
+	// seq is queued, and each refresh takes min(batch, queued) from the
+	// head, so seq lands ceil((seq-base)/batch) swaps after the epoch
+	// holding base: the published frontier, or the last record of the
+	// running refresh, which publishes as the next epoch.
+	pub, base := uint64(1), u.appliedSeq
 	if u.h != nil {
 		pub = u.h.Epoch()
 	}
-	if seq <= u.appliedSeq {
-		// One or more whole refresh cycles completed between the append
-		// and this lock: seq is already inside a published epoch. The
-		// promise is the FIRST epoch whose cut covered it — the current
-		// epoch is too late whenever more than one swap fit in the
-		// window. Walk the recorded cuts back to the earliest cover.
-		epoch = pub
-		for {
-			prev, ok := u.cutOf(epoch - 1)
-			if !ok || prev < seq {
-				break
-			}
-			epoch--
-		}
-		return seq, epoch, nil
+	if u.inflight > 0 {
+		pub, base = pub+1, u.queue[u.inflight-1].Seq
 	}
-	base := u.appliedSeq
-	if u.inflight {
-		// The in-flight refresh cut at cutSeq and will publish as
-		// pub+1; seq is unpublished, so that epoch is either its home
-		// (seq ≤ cut) or the base the remaining backlog drains from.
-		base = u.cutSeq
-		pub++
+	epoch = pub + (seq-base+uint64(u.batch)-1)/uint64(u.batch)
+	u.mu.Unlock()
+
+	// The ack waits for the fsync, outside the lock so that writers
+	// share one and a refresh never waits on the disk.
+	if err := u.log.SyncThrough(seq); err != nil {
+		return 0, 0, fmt.Errorf("reachlab: wal append: %w", err)
 	}
-	epoch = pub
-	if seq > base {
-		epoch += (seq - base + uint64(u.batch) - 1) / uint64(u.batch)
-	}
-	if u.firstPend.IsZero() {
-		u.firstPend = time.Now()
-	}
+	u.walAppends.Inc()
 	return seq, epoch, nil
 }
 
+// setLag publishes the backlog — records written but not yet
+// published — and the swaps it will take to drain; under mu.
+func (u *Updater) setLag() {
+	n := len(u.queue)
+	u.seqLag.Set(int64(n))
+	u.epochLag.Set(int64((n + u.batch - 1) / u.batch))
+}
+
 // run is the background refresher: every tick, drain up to one batch
-// of durable log records into the maintainer, take a snapshot, and
-// swap it in as the next epoch.
+// of queued records into the maintainer, take a snapshot, and swap it
+// in as the next epoch.
 func (u *Updater) run() {
 	defer close(u.done)
 	tick := u.tick
@@ -388,75 +355,29 @@ func (u *Updater) run() {
 	}
 }
 
-// errBatchFull stops a replay cleanly once a refresh batch is cut.
-var errBatchFull = errors.New("batch full")
-
-// refreshOnce cuts the next contiguous batch from the log, applies it
-// to the maintainer, and swaps the snapshot in. Outside the
+// refreshOnce takes at most one batch off the head of the queue,
+// applies it to the maintainer, and swaps the snapshot in. Outside the
 // maintainer's own amortized fold (or a rebuild) nothing here is
-// proportional to the index or the graph. Runs on the refresher
-// goroutine only — the maintainer is single-writer.
+// proportional to the index or the graph, and nothing reads the log.
+// Runs on the refresher goroutine only — the maintainer is
+// single-writer.
 func (u *Updater) refreshOnce() {
 	start := time.Now()
-
-	// Plan the cut BEFORE reading the log, in the same critical
-	// section that marks the refresh in flight: from the instant this
-	// unlocks, every Apply sees exactly which seqs this refresh will
-	// publish, so its promise arithmetic is exact. (Planning after the
-	// replay left a window where a promise counted a seq into this
-	// refresh that the already-pinned replay could no longer include.)
-	// A failed attempt keeps the plan, and the retry honors it —
-	// promises made against the plan stay valid across retries.
+	// Taking the batch and marking it in flight is one critical section,
+	// so from the instant this unlocks every Apply knows which seqs this
+	// refresh publishes. Apply only appends, so the batch's slots stay
+	// as they are while they are applied outside the lock.
 	u.mu.Lock()
-	from := u.appliedSeq
-	cut := u.cutSeq
-	if !u.inflight {
-		cut = u.log.LastSeq()
-		if lim := from + uint64(u.batch); cut > lim {
-			cut = lim
-		}
-		if cut > from {
-			u.inflight = true
-			u.cutSeq = cut
-		}
-	}
+	recs := u.queue[:min(len(u.queue), u.batch)]
+	u.inflight = len(recs)
 	u.mu.Unlock()
-
-	if cut <= from {
-		u.seqLag.Set(0)
-		u.epochLag.Set(0)
-		u.staleness.Set(0)
+	if len(recs) == 0 {
 		return
 	}
-
-	var recs []wal.Record
-	err := u.log.Replay(from, func(r wal.Record) error {
-		recs = append(recs, r)
-		if r.Seq >= cut {
-			return errBatchFull
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, errBatchFull) {
-		// A read error leaves the published epoch serving; the next
-		// tick retries the same planned cut (inflight stays set).
-		u.seqLag.Set(int64(u.log.SyncedSeq() - from))
-		return
-	}
-	if len(recs) == 0 || recs[len(recs)-1].Seq != cut {
-		// The log delivered less than the plan — only possible on a
-		// torn read; retry the plan next tick.
-		u.seqLag.Set(int64(u.log.SyncedSeq() - from))
-		return
-	}
-
 	for _, r := range recs {
-		if err := u.applyRecord(r); err != nil {
-			// Only possible for an out-of-range vertex that slipped
-			// past Apply's validation (a foreign log). Skip: the
-			// record is a no-op on this graph.
-			continue
-		}
+		// Apply checked the range, so only a failed rebuild errs here; it
+		// leaves the maintainer as it was, and a restart replays the record.
+		_ = u.applyRecord(r)
 	}
 	if u.testHookMidRefresh != nil {
 		u.testHookMidRefresh()
@@ -469,21 +390,18 @@ func (u *Updater) refreshOnce() {
 	// itself is a pointer flip — queries never block on it.
 	u.mu.Lock()
 	epoch := u.h.Swap(idx)
-	u.appliedSeq = cut
-	u.inflight = false
-	u.recordCut(epoch, cut)
-	pending := u.log.SyncedSeq() - cut
-	if pending == 0 {
-		u.firstPend = time.Time{}
+	u.appliedSeq = recs[len(recs)-1].Seq
+	u.recordCut(epoch, u.appliedSeq)
+	u.queue = u.queue[len(recs):]
+	u.inflight = 0
+	u.setLag()
+	if len(u.queue) == 0 {
 		u.staleness.Set(0)
 	} else {
 		// The oldest unapplied write is no older than this refresh's
 		// start; carry that bound until the backlog drains.
-		u.firstPend = start
 		u.staleness.Set(time.Since(start).Milliseconds())
 	}
-	u.seqLag.Set(int64(pending))
-	u.epochLag.Set(int64((pending + uint64(u.batch) - 1) / uint64(u.batch)))
 	u.nRefreshes++
 	u.mu.Unlock()
 
@@ -494,10 +412,10 @@ func (u *Updater) refreshOnce() {
 // UpdateStats is one consistent view of the mutation path, served
 // under /stats as the "updates" block.
 type UpdaterStats struct {
-	LastSeq    uint64 `json:"last_seq"`    // highest acknowledged seq
+	LastSeq    uint64 `json:"last_seq"`    // highest written seq
 	SyncedSeq  uint64 `json:"synced_seq"`  // highest fsync-durable seq
 	AppliedSeq uint64 `json:"applied_seq"` // highest seq in the published epoch
-	SeqLag     uint64 `json:"seq_lag"`     // synced - applied
+	SeqLag     uint64 `json:"seq_lag"`     // last - applied: written, not yet published
 	Refreshes  int64  `json:"refreshes"`
 	Repairs    int64  `json:"repairs"`
 	Rebuilds   int64  `json:"rebuilds"`
@@ -515,18 +433,17 @@ type UpdaterStats struct {
 // under mu at each refresh), not the metrics registry, so they are
 // exact even with instrumentation disabled.
 func (u *Updater) Stats() UpdaterStats {
+	synced := u.log.SyncedSeq() // not under mu: it waits out an fsync
 	u.mu.Lock()
-	applied := u.appliedSeq
-	refreshes := u.nRefreshes
+	defer u.mu.Unlock()
+	last := u.log.LastSeq() // under mu, where Apply writes: never below applied
 	dyn := u.dynStats
-	u.mu.Unlock()
-	synced := u.log.SyncedSeq()
 	return UpdaterStats{
-		LastSeq:    u.log.LastSeq(),
+		LastSeq:    last,
 		SyncedSeq:  synced,
-		AppliedSeq: applied,
-		SeqLag:     synced - applied,
-		Refreshes:  refreshes,
+		AppliedSeq: u.appliedSeq,
+		SeqLag:     last - u.appliedSeq,
+		Refreshes:  u.nRefreshes,
 		Repairs:    dyn.Repairs,
 		Rebuilds:   dyn.Rebuilds,
 

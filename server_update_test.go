@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -36,10 +37,11 @@ func newUpdateServer(t *testing.T, g *Graph, opts UpdaterOptions) (*QueryHandler
 	return startUpdateServer(t, g, opts, nil)
 }
 
-// startUpdateServer is newUpdateServer with the refresher turning on
-// tick instead of the clock when tick is not nil: one refresh per value
-// sent, and a send returns only once the refresh before it is over.
-func startUpdateServer(t *testing.T, g *Graph, opts UpdaterOptions, tick <-chan time.Time) (*QueryHandler, *Updater, *wal.Log) {
+// startUpdateServer is newUpdateServer with prep, when not nil, run on
+// the updater before Start: the place to lower its batch or hand it a
+// tick channel to turn on instead of the clock (one refresh per value
+// sent; a send returns only once the refresh before it is over).
+func startUpdateServer(t *testing.T, g *Graph, opts UpdaterOptions, prep func(*Updater)) (*QueryHandler, *Updater, *wal.Log) {
 	t.Helper()
 	log, err := wal.Open(filepath.Join(t.TempDir(), "edges.wal"))
 	if err != nil {
@@ -50,7 +52,9 @@ func startUpdateServer(t *testing.T, g *Graph, opts UpdaterOptions, tick <-chan 
 	if err != nil {
 		t.Fatal(err)
 	}
-	u.tick = tick
+	if prep != nil {
+		prep(u)
+	}
 	h := NewQueryHandlerObs(u.Snapshot(), opts.Obs)
 	h.EnableUpdates(u)
 	u.Start(h)
@@ -137,10 +141,8 @@ func TestUpdaterMutationVisible(t *testing.T) {
 // across a burst larger than one refresh batch.
 func TestUpdaterEpochPromiseExact(t *testing.T) {
 	g := lineGraph(t, 50)
-	_, u, _ := newUpdateServer(t, g, UpdaterOptions{
-		RefreshEvery: 2 * time.Millisecond,
-		RefreshBatch: 3,
-	})
+	_, u, _ := startUpdateServer(t, g, UpdaterOptions{RefreshEvery: 2 * time.Millisecond},
+		func(u *Updater) { u.batch = 3 })
 
 	type promise struct{ seq, epoch uint64 }
 	var acks []promise
@@ -276,52 +278,76 @@ func TestUpdaterRejects(t *testing.T) {
 }
 
 // TestUpdaterStatsBlock: /stats grows an "updates" block when the
-// mutation path is enabled.
+// mutation path is enabled, and its backlog is what /metrics reports:
+// three acknowledged writes before a refresh are a seq_lag of 3, one
+// refresh later of 0.
 func TestUpdaterStatsBlock(t *testing.T) {
-	g := lineGraph(t, 100) // long enough that one repair's overlay is no fold's worth
+	g := lineGraph(t, 100) // long enough that three repairs' overlay is no fold's worth
 	reg := NewMetricsRegistry()
-	h, _, _ := newUpdateServer(t, g, UpdaterOptions{RefreshEvery: 5 * time.Millisecond, Obs: reg})
+	tick := make(chan time.Time)
+	h, _, _ := startUpdateServer(t, g, UpdaterOptions{Obs: reg}, func(u *Updater) { u.tick = tick })
 	srv := httptest.NewServer(h)
 	defer srv.Close()
+	get := func(path string) []byte {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	stats := func() UpdaterStats {
+		var doc struct {
+			Updates *UpdaterStats `json:"updates"`
+		}
+		if err := json.Unmarshal(get("/stats"), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Updates == nil {
+			t.Fatal("/stats has no updates block")
+		}
+		return *doc.Updates
+	}
 
-	ack := postEdge(t, srv, "insert", 5, 0)
+	// A back edge, then two skip edges: three repairs.
+	var ack httpapi.EdgeResponse
+	for _, e := range [][2]int{{5, 0}, {90, 92}, {93, 95}} {
+		ack = postEdge(t, srv, "insert", e[0], e[1])
+	}
+	if s := stats(); s.LastSeq != 3 || s.AppliedSeq != 0 || s.SeqLag != 3 {
+		t.Fatalf("before a refresh: %+v", s)
+	}
+	if m := string(get("/metrics")); !strings.Contains(m, "reachlab_update_seq_lag 3\n") {
+		t.Fatalf("/metrics lacks reachlab_update_seq_lag 3 before a refresh")
+	}
+
+	tick <- time.Now()
 	waitEpoch(t, h, ack.Epoch)
-	resp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	s := stats()
+	if s.LastSeq != 3 || s.AppliedSeq != 3 || s.SeqLag != 0 {
+		t.Fatalf("after a refresh: %+v", s)
 	}
-	defer resp.Body.Close()
-	var doc struct {
-		Updates *UpdaterStats `json:"updates"`
+	if s.Repairs+s.Rebuilds != 3 {
+		t.Fatalf("updates not counted as repairs or rebuilds: %+v", s)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Updates == nil {
-		t.Fatal("/stats has no updates block")
-	}
-	if doc.Updates.LastSeq != 1 || doc.Updates.AppliedSeq != 1 {
-		t.Fatalf("updates block %+v", doc.Updates)
-	}
-	if doc.Updates.Repairs+doc.Updates.Rebuilds != 1 {
-		t.Fatalf("update not counted as repair or rebuild: %+v", doc.Updates)
-	}
-	// The back edge repaired in place: the served epoch is the base under
-	// an overlay holding at least the two neighbor lists it changed, and
+	// The edges repaired in place: the served epoch is the base under an
+	// overlay holding at least the neighbor lists they changed, and
 	// /metrics says what /stats says.
-	if doc.Updates.OverlayVertices < 2 || doc.Updates.OverlayEntries < 2 || doc.Updates.OverlayFolds != 0 {
-		t.Fatalf("overlay not reported: %+v", doc.Updates)
+	if s.OverlayVertices < 2 || s.OverlayEntries < 2 || s.OverlayFolds != 0 {
+		t.Fatalf("overlay not reported: %+v", s)
 	}
-	var metrics bytes.Buffer
-	if err := reg.WritePrometheus(&metrics); err != nil {
-		t.Fatal(err)
-	}
+	metrics := string(get("/metrics"))
 	for _, line := range []string{
-		fmt.Sprintf("reachlab_overlay_vertices %d\n", doc.Updates.OverlayVertices),
-		fmt.Sprintf("reachlab_overlay_entries %d\n", doc.Updates.OverlayEntries),
+		fmt.Sprintf("reachlab_overlay_vertices %d\n", s.OverlayVertices),
+		fmt.Sprintf("reachlab_overlay_entries %d\n", s.OverlayEntries),
 		"reachlab_overlay_folds_total 0\n",
+		"reachlab_update_seq_lag 0\n",
 	} {
-		if !strings.Contains(metrics.String(), line) {
+		if !strings.Contains(metrics, line) {
 			t.Errorf("/metrics lacks %q", line)
 		}
 	}
@@ -373,7 +399,7 @@ func TestUpdaterRebuildCounter(t *testing.T) {
 // reads as unknown, as the EpochSeq contract says.
 func TestUpdaterEpochHistoryBounded(t *testing.T) {
 	tick := make(chan time.Time)
-	h, u, log := startUpdateServer(t, lineGraph(t, 40), UpdaterOptions{RefreshBatch: 2}, tick)
+	h, u, log := startUpdateServer(t, lineGraph(t, 40), UpdaterOptions{}, func(u *Updater) { u.tick, u.batch = tick, 2 })
 
 	type promise struct{ seq, epoch uint64 }
 	var acks []promise
@@ -444,7 +470,7 @@ func TestPublishedEpochsImmutable(t *testing.T) {
 	}
 
 	tick := make(chan time.Time)
-	h, u, _ := startUpdateServer(t, g, UpdaterOptions{}, tick)
+	h, u, _ := startUpdateServer(t, g, UpdaterOptions{}, func(u *Updater) { u.tick = tick })
 	// The hook runs on the refresher goroutine, the maintainer's owner.
 	refreshes := 0
 	u.testHookMidRefresh = func() {

@@ -152,18 +152,18 @@ func TestUpdateQuerySoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := NewUpdater(g, log, UpdaterOptions{RefreshBatch: 16})
+	u, err := NewUpdater(g, log, UpdaterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The refresher turns on the test's ticks, not the clock (set before
-	// Start): the tick driver below sends one only after some reader has
-	// been answered at the serving epoch, so every epoch published while
-	// the readers run is sampled and the run's epoch count follows from
-	// its write count, however slowly -race or a loaded host turns the
-	// refresher over.
+	// The refresher turns on the test's ticks, not the clock, and drains
+	// a burst over several epochs (both set before Start): the tick
+	// driver below sends one only after some reader has been answered at
+	// the serving epoch, so every epoch published while the readers run
+	// is sampled and the run's epoch count follows from its write count,
+	// however slowly -race or a loaded host turns the refresher over.
 	tick := make(chan time.Time)
-	u.tick = tick
+	u.tick, u.batch = tick, 16
 	// Chaos on the refresher: every few refreshes, stall between the
 	// batch apply and the snapshot swap — the widest window in which
 	// readers must keep getting old-epoch answers with the old-epoch
