@@ -9,7 +9,8 @@ all: build vet test
 # (the RPC fault-handling tests are concurrency-heavy) with coverage,
 # the six example programs (nothing else executes them),
 # 15 s of fuzzing the index-file decoder and 10 s on its label-block
-# bit reader alone, 10 s each on the decoders of what other processes
+# bit reader alone, 10 s on the query kernel over the two-tier label
+# layout, 10 s each on the decoders of what other processes
 # send the labeler (broadcast blobs and collect replies; checkpoints)
 # and of what a crash leaves in the edge log (WAL frames), and the
 # suite again with runtime invariants compiled in.
@@ -21,6 +22,7 @@ check:
 	$(MAKE) examples
 	go test ./internal/label -run '^$$' -fuzz FuzzRead -fuzztime 15s
 	go test ./internal/label -run '^$$' -fuzz FuzzLabelBlock -fuzztime 10s
+	go test ./internal/label -run '^$$' -fuzz FuzzTierKernel -fuzztime 10s
 	go test ./internal/drl -run '^$$' -fuzz FuzzBlobDecodeArbitrary -fuzztime 10s
 	go test ./internal/drl -run '^$$' -fuzz FuzzSnapshotDecodeArbitrary -fuzztime 10s
 	go test ./internal/wal -run '^$$' -fuzz FuzzWALDecodeArbitrary -fuzztime 10s

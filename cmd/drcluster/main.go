@@ -144,7 +144,7 @@ func main() {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s (%.2f MB on disk, %.2f MB in memory)\n", *out, float64(written)/(1<<20), float64(idx.Stats().Bytes)/(1<<20))
+	fmt.Printf("wrote %s (%.2f MB on disk, %.2f MB in memory)\n", *out, float64(written)/(1<<20), float64(idx.Stats().Resident)/(1<<20))
 }
 
 // spawner manages local drworker processes: the initial fleet, plus

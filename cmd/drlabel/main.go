@@ -82,7 +82,7 @@ func main() {
 		bs.Compute.Round(time.Millisecond), bs.Communication.Round(time.Millisecond),
 		bs.Supersteps, bs.Messages)
 	fmt.Printf("index: %d entries, %.2f MB in memory, max label %d, avg label %.2f\n",
-		st.Entries, float64(st.Bytes)/(1<<20), st.MaxLabelSize, st.AvgLabelSize)
+		st.Entries, float64(st.Resident)/(1<<20), st.MaxLabelSize, st.AvgLabelSize)
 	if *budget > 0 {
 		fmt.Printf("label budget %d: %d/%d vertices overflowed in/out\n", st.LabelBudget, st.OverflowedIn, st.OverflowedOut)
 	}
@@ -98,7 +98,7 @@ func main() {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %s (%.2f MB on disk, %.2f MB in memory)\n", *out, float64(written)/(1<<20), float64(st.Bytes)/(1<<20))
+	fmt.Printf("wrote %s (%.2f MB on disk, %.2f MB in memory)\n", *out, float64(written)/(1<<20), float64(st.Resident)/(1<<20))
 }
 
 func fatal(err error) {

@@ -152,7 +152,7 @@ func main() {
 			paths = "enabled"
 		}
 		fmt.Printf("serving %d vertices (%.2f MB index, %d cache slots, witness paths %s) on %s (metrics at /metrics, profiles at /debug/pprof/)\n",
-			idx.NumVertices(), float64(st.Bytes)/(1<<20), *cache, paths, *listen)
+			idx.NumVertices(), float64(st.Resident)/(1<<20), *cache, paths, *listen)
 		handler = reachlab.NewQueryHandlerOpts(idx, serveOpts)
 
 	default:

@@ -145,3 +145,25 @@ func TestIndexFileSizeGolden(t *testing.T) {
 			file.Len(), file.Len()-labelsOffset(file.Bytes()), byteAlignedLabels(idx.idx), size)
 	}
 }
+
+// TestIndexResidentBytesGolden pins what the label layout holds in
+// memory for one seeded build of 100,000 vertices — enough that both of
+// its tiers hold ranks — so that an edit to the layout moves a number
+// here. Entries pin the labeler's half: 2 bytes per first-tier rank, 4
+// per second-tier one, and 8 of offsets per vertex and direction (plus
+// one per block) make the rest.
+func TestIndexResidentBytesGolden(t *testing.T) {
+	g, err := GenerateGraph("citation", 100_000, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := Build(context.Background(), g, Options{Method: MethodDRLShared})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const entries, resident = 3366027, 8470114
+	st := idx.Stats()
+	if st.Entries != entries || st.Resident != resident {
+		t.Errorf("%d label entries in %d resident bytes, want %d in %d", st.Entries, st.Resident, entries, resident)
+	}
+}

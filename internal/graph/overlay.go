@@ -2,15 +2,15 @@ package graph
 
 import "slices"
 
-// Copy-on-write per-vertex lists over a flat, immutable base.
+// Copy-on-write per-vertex lists over a packed, immutable base.
 //
-// A flat array with offsets (this package's CSR adjacency, the label
-// package's rank arrays) cannot change one vertex's list without
-// rewriting everything behind it. An overlay holds the few lists that
-// differ from such a base; a reader takes the overlay's list where it
-// has one and the base's everywhere else. One bit per vertex says "no
-// override" without touching the map, so a vertex nobody edited costs
-// a reader two loads.
+// Lists packed back to back behind offsets (this package's CSR
+// adjacency, the label package's half-word chunks) cannot change one
+// vertex's list without rewriting everything behind it. An overlay
+// holds the few lists that differ from such a base; a reader takes the
+// overlay's list where it has one and the base's everywhere else. One
+// bit per vertex says "no override" without touching the map, so a
+// vertex nobody edited costs a reader two loads.
 //
 // MutableOverlay is the single writer's side and Overlay the frozen
 // view it hands to readers. The two share list storage: Freeze copies

@@ -126,7 +126,6 @@ func (b *Budgeted) fallback(ctx context.Context, w *walk, s, t graph.VertexID) (
 	n := b.g.NumVertices()
 	switch {
 	case b.inFull[t]:
-		in := b.x.InLabels(t)
 		return w.run(ctx, n, s, b.g.OutNeighbors, func(u graph.VertexID) (hit, cut bool) {
 			if u == t || !b.outFull[u] {
 				return u == t, false
@@ -134,15 +133,14 @@ func (b *Budgeted) fallback(ctx context.Context, w *walk, s, t graph.VertexID) (
 			// u's out-label is the complete story of what u reaches
 			// among label targets; t's in-label is complete too, so
 			// this one intersection decides u's whole subtree.
-			return intersects(b.x.OutLabels(u), in), true
+			return b.x.Reachable(u, t), true
 		}, false)
 	case b.outFull[s]:
-		out := b.x.OutLabels(s)
 		return w.run(ctx, n, t, b.g.InNeighbors, func(u graph.VertexID) (hit, cut bool) {
 			if u == s || !b.inFull[u] {
 				return u == s, false
 			}
-			return intersects(out, b.x.InLabels(u)), true
+			return b.x.Reachable(s, u), true
 		}, false)
 	}
 	return w.run(ctx, n, s, b.g.OutNeighbors, func(u graph.VertexID) (hit, cut bool) { return u == t, false }, false)

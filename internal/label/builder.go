@@ -1,16 +1,16 @@
 package label
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/invariant"
 	"repro/internal/order"
 )
 
 // Builder accumulates label entries and produces an immutable Index.
-// Entries may arrive in any order; Finalize sorts each per-vertex list
-// by rank.
+// Entries may arrive in any order and more than once; Finalize sorts
+// each per-vertex list by rank and keeps each rank once.
 type Builder struct {
 	n   int
 	ord *order.Ordering
@@ -32,24 +32,21 @@ func (b *Builder) AddIn(w graph.VertexID, r order.Rank) { b.in[w] = append(b.in[
 func (b *Builder) AddOut(w graph.VertexID, r order.Rank) { b.out[w] = append(b.out[w], r) }
 
 // Finalize sorts every label list and freezes the result into the
-// flat Index: every construction path funnels through Lists.Freeze.
+// served Index.
 func (b *Builder) Finalize() *Index {
 	return b.Lists().Freeze()
 }
 
-// Lists sorts every accumulated label list and returns the slice
-// layout, aliasing the Builder's backing slices (the Builder should
-// not be reused afterwards).
+// Lists sorts every accumulated label list, drops repeated ranks, and
+// returns the slice layout, aliasing the Builder's backing slices (the
+// Builder should not be reused afterwards).
 func (b *Builder) Lists() *Lists {
 	for v := 0; v < b.n; v++ {
 		sortRanks(b.in[v])
 		sortRanks(b.out[v])
-		// Builder tolerates duplicate Add calls (the merge in Reachable
-		// handles repeats), so only sortedness is promised here.
-		invariant.Sorted("label: L_in after Finalize sort", b.in[v])
-		invariant.Sorted("label: L_out after Finalize sort", b.out[v])
+		b.in[v], b.out[v] = slices.Compact(b.in[v]), slices.Compact(b.out[v])
 	}
-	return &Lists{n: b.n, ord: b.ord, in: b.in, out: b.out}
+	return NewLists(b.ord, b.in, b.out)
 }
 
 func sortRanks(rs []order.Rank) {
@@ -64,12 +61,7 @@ func sortRanks(rs []order.Rank) {
 // label *set* (TOL emits labels in round order, which is rank order,
 // and never labels a vertex twice). The lists are copied, not aliased.
 func FromLists(ord *order.Ordering, in, out [][]order.Rank) *Index {
-	n := ord.N()
-	for v := 0; v < n; v++ {
-		invariant.StrictlyIncreasing("label: FromLists in-list", in[v])
-		invariant.StrictlyIncreasing("label: FromLists out-list", out[v])
-	}
-	return (&Lists{n: n, ord: ord, in: in, out: out}).Freeze()
+	return NewLists(ord, in, out).Freeze()
 }
 
 // FromBackward assembles an Index from backward label sets: backIn[r]
@@ -79,44 +71,5 @@ func FromLists(ord *order.Ordering, in, out [][]order.Rank) *Index {
 // forward list sorted without a final sort.
 func FromBackward(ord *order.Ordering, backIn, backOut [][]graph.VertexID) *Index {
 	n := ord.N()
-	x := &Index{
-		n:      n,
-		ord:    ord,
-		inOff:  make([]int64, n+1),
-		outOff: make([]int64, n+1),
-	}
-	inCnt := make([]int64, n)
-	outCnt := make([]int64, n)
-	var inTotal, outTotal int64
-	for r := 0; r < n; r++ {
-		for _, w := range backIn[r] {
-			inCnt[w]++
-		}
-		for _, w := range backOut[r] {
-			outCnt[w]++
-		}
-		inTotal += int64(len(backIn[r]))
-		outTotal += int64(len(backOut[r]))
-	}
-	for v := 0; v < n; v++ {
-		x.inOff[v+1] = x.inOff[v] + inCnt[v]
-		x.outOff[v+1] = x.outOff[v] + outCnt[v]
-	}
-	x.inLab = make([]order.Rank, inTotal)
-	x.outLab = make([]order.Rank, outTotal)
-	inCur := make([]int64, n)
-	outCur := make([]int64, n)
-	copy(inCur, x.inOff[:n])
-	copy(outCur, x.outOff[:n])
-	for r := 0; r < n; r++ {
-		for _, w := range backIn[r] {
-			x.inLab[inCur[w]] = order.Rank(r)
-			inCur[w]++
-		}
-		for _, w := range backOut[r] {
-			x.outLab[outCur[w]] = order.Rank(r)
-			outCur[w]++
-		}
-	}
-	return x
+	return &Index{n: n, ord: ord, in: layoutBackward(n, backIn), out: layoutBackward(n, backOut)}
 }

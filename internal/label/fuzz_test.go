@@ -76,10 +76,9 @@ func FuzzRead(f *testing.F) {
 // FuzzLabelBlock reaches the bit reader without a header and a
 // permutation that must parse first: for any payload (model included),
 // vertex count, vertex ranks (four bytes each, taken modulo n) and entry
-// count, decodeLabelBlock must not panic — dst and off are cut to size,
-// so a write outside them would — nor touch off[0], the block before's;
-// and lists it accepts must be lists the encoder takes and the decoder
-// then returns again.
+// count, decodeLabelBlock must not panic; lists it accepts must be lists
+// the encoder takes and the decoder then returns again, and that the
+// chunk builder lays out as they are.
 func FuzzLabelBlock(f *testing.F) {
 	for _, x := range []*Index{sparseIndex(f, 40, 6, 4), edgeIndex(f)} {
 		vertices := min(x.n, 800)
@@ -103,30 +102,94 @@ func FuzzLabelBlock(f *testing.F) {
 		for i := range ranks {
 			ranks[i] = order.Rank(binary.LittleEndian.Uint32(rawRanks[4*i:]) % n)
 		}
-		const base, sentinel = 1 << 40, -7
-		decode := func(payload []byte) ([]int64, []order.Rank, error) {
-			off, dst := make([]int64, len(ranks)+1), make([]order.Rank, entries)
-			off[0] = sentinel
-			err := decodeLabelBlock(payload, ranks, off, dst, base, int(n))
-			if off[0] != sentinel {
-				t.Fatal("off[0] written")
-			}
-			off[0] = base
-			return off, dst, err
-		}
-		off, dst, err := decode(payload)
-		if err != nil {
+		var s, again blockLists
+		if decodeLabelBlock(payload, ranks, int(entries), int(n), &s) != nil {
 			return
 		}
-		list := func(v graph.VertexID) []order.Rank { return dst[off[v]-base : off[v+1]-base] }
-		block, err := appendLabelBlock(nil, list, ranks, 0, len(ranks), int(n))
+		if len(s.ends) != len(ranks) || len(s.lab) != int(entries) {
+			t.Fatalf("accepted a block as %d lists of %d entries, want %d of %d", len(s.ends), len(s.lab), len(ranks), entries)
+		}
+		block, err := appendLabelBlock(nil, func(v graph.VertexID) []order.Rank { return s.list(int(v)) }, ranks, 0, len(ranks), int(n))
 		if err != nil {
 			t.Fatalf("accepted lists refused by the encoder: %v", err)
 		}
-		_, again := blockPayload(block)
-		off2, dst2, err := decode(again)
-		if err != nil || !slices.Equal(dst, dst2) || !slices.Equal(off, off2) {
+		_, recoded := blockPayload(block)
+		if err := decodeLabelBlock(recoded, ranks, int(entries), int(n), &again); err != nil || !slices.Equal(s.lab, again.lab) || !slices.Equal(s.ends, again.ends) {
 			t.Fatalf("re-encoded block decodes to other lists (%v)", err)
+		}
+		c, _ := chunkOf(len(s.ends), s.list)
+		laid := layout{chunks: []chunk{c}}
+		for i := range ranks {
+			if got := laid.appendList(nil, graph.VertexID(i)); !slices.Equal(got, s.list(i)) {
+				t.Fatalf("list %d laid out as %v, decoded as %v", i, got, s.list(i))
+			}
+		}
+	})
+}
+
+// tierSet reads a rank set from raw, two bytes a rank: the first picks
+// a neighbourhood — of 0, of 2¹⁶, of 2¹⁷ or of 3·2¹⁶ — and the second an
+// offset in it, so sets cross the tier line and their second-tier ranks
+// share low half-words.
+func tierSet(raw []byte) []order.Rank {
+	var set []order.Rank
+	for i := 0; i+1 < len(raw); i += 2 {
+		set = append(set, order.Rank(max(int(raw[i]%4)*wideFrom+int(raw[i+1])-128, 0)))
+	}
+	slices.Sort(set)
+	return slices.Compact(set)
+}
+
+// FuzzTierKernel lays two drawn rank sets out through the chunk builder
+// either side of a block boundary — as L_out of a block's last vertex
+// and L_in of the next block's first — and checks every kernel path
+// against a plain set intersection: Reachable and a batch as the list
+// lengths choose, and each tier's merge and gallop forced, in both
+// argument orders.
+func FuzzTierKernel(f *testing.F) {
+	f.Add([]byte{0, 200, 1, 127, 1, 128, 2, 133}, []byte{1, 133, 3, 133})
+	f.Add([]byte{1, 140}, []byte{0, 1, 0, 9, 1, 100, 1, 120, 1, 130, 1, 140, 1, 150, 1, 160, 1, 170, 1, 180, 1, 190, 1, 200, 1, 210, 1, 220, 1, 230, 1, 240, 2, 250})
+	f.Add([]byte{}, []byte{1, 128})
+	const n = blockValues + 1
+	s, u := graph.VertexID(blockValues-1), graph.VertexID(blockValues)
+	ranks := make([]order.Rank, n)
+	for v := range ranks {
+		ranks[v] = order.Rank(v)
+	}
+	ord := order.FromRanks(ranks)
+	f.Fuzz(func(t *testing.T, rawOut, rawIn []byte) {
+		out, in := tierSet(rawOut), tierSet(rawIn)
+		want := false
+		for _, r := range out {
+			_, found := slices.BinarySearch(in, r)
+			want = want || found
+		}
+		outs, ins := make([][]order.Rank, n), make([][]order.Rank, n)
+		outs[s], ins[u] = out, in
+		outs[s-1], ins[u-1] = []order.Rank{1, wideFrom + 1}, []order.Rank{2, 2*wideFrom + 2}
+		x := FromLists(ord, ins, outs)
+		if !slices.Equal(x.OutLabels(s), out) || !slices.Equal(x.InLabels(u), in) {
+			t.Fatalf("laid out as %v and %v, want %v and %v", x.OutLabels(s), x.InLabels(u), out, in)
+		}
+		if got := x.Reachable(s, u); got != want {
+			t.Fatalf("Reachable = %v over %v and %v", got, out, in)
+		}
+		if got := x.ReachableBatch([]Pair{{s, u}, {s - 1, u}, {s, u}}); got[0] != want || got[2] != want {
+			t.Fatalf("ReachableBatch = %v over %v and %v", got, out, in)
+		}
+		a, aw := x.out.tiers(s)
+		b, bw := x.in.tiers(u)
+		for _, c := range []struct {
+			path string
+			got  bool
+		}{
+			{"merge", mergeIntersects(a, b) || mergeWide(aw, bw)},
+			{"gallop out into in", gallopIntersects(a, b) || gallopWide(aw, bw)},
+			{"gallop in into out", gallopIntersects(b, a) || gallopWide(bw, aw)},
+		} {
+			if c.got != want {
+				t.Fatalf("%s = %v over %v and %v", c.path, c.got, out, in)
+			}
 		}
 	})
 }

@@ -8,7 +8,8 @@
 // keeps every per-vertex label list sorted by construction — TOL and
 // the batch algorithms emit labels in decreasing order — so the
 // intersection at query time is a linear merge, the
-// O(|L_out(s)| + |L_in(t)|) bound of §II-A.
+// O(|L_out(s)| + |L_in(t)|) bound of §II-A, and small: most ranks fit a
+// half-word, which is what the served layout stores them in.
 package label
 
 import (
@@ -21,18 +22,15 @@ import (
 )
 
 // Index is an immutable reachability index: an in-label and an
-// out-label set per vertex, each a rank-sorted slice.
+// out-label set per vertex, held in the two-tier layout (layout.go).
 type Index struct {
-	n      int
-	ord    *order.Ordering
-	inOff  []int64
-	inLab  []order.Rank
-	outOff []int64
-	outLab []order.Rank
+	n       int
+	ord     *order.Ordering
+	in, out layout
 
 	// patch, on an index a maintainer published between folds, holds
-	// the lists that differ from the flat arrays (patch.go). Nil on
-	// every index a builder or Read produced.
+	// the lists that differ from the layout's (patch.go). Nil on every
+	// index a builder or Read produced.
 	patch *patch
 }
 
@@ -42,55 +40,66 @@ func (x *Index) NumVertices() int { return x.n }
 // Ordering returns the vertex order the index was built under.
 func (x *Index) Ordering() *order.Ordering { return x.ord }
 
-// InLabels returns L_in(v) as a rank-sorted read-only slice.
-func (x *Index) InLabels(v graph.VertexID) []order.Rank {
+// InLabels returns L_in(v) as a fresh rank-sorted slice. It allocates;
+// a loop over many lists reads through AppendInLabels instead.
+func (x *Index) InLabels(v graph.VertexID) []order.Rank { return x.AppendInLabels(nil, v) }
+
+// OutLabels returns L_out(v) as a fresh rank-sorted slice.
+func (x *Index) OutLabels(v graph.VertexID) []order.Rank { return x.AppendOutLabels(nil, v) }
+
+// AppendInLabels appends L_in(v), rank-sorted, to dst and returns the
+// extended slice: no allocation once dst has room.
+func (x *Index) AppendInLabels(dst []order.Rank, v graph.VertexID) []order.Rank {
 	if x.patch != nil {
-		return x.patchedIn(v)
+		if l, ok := x.patch.in.Get(v); ok {
+			return append(dst, l...)
+		}
 	}
-	return x.inLab[x.inOff[v]:x.inOff[v+1]]
+	return x.in.appendList(dst, v)
 }
 
-// OutLabels returns L_out(v) as a rank-sorted read-only slice.
-func (x *Index) OutLabels(v graph.VertexID) []order.Rank {
+// AppendOutLabels appends L_out(v) to dst as AppendInLabels does L_in(v).
+func (x *Index) AppendOutLabels(dst []order.Rank, v graph.VertexID) []order.Rank {
 	if x.patch != nil {
-		return x.patchedOut(v)
+		if l, ok := x.patch.out.Get(v); ok {
+			return append(dst, l...)
+		}
 	}
-	return x.outLab[x.outOff[v]:x.outOff[v+1]]
+	return x.out.appendList(dst, v)
 }
 
 // Reachable answers the reachability query q(s, t) from the index
-// alone: true iff L_out(s) ∩ L_in(t) ≠ ∅ (Definition 3). The two
-// sorted label lists are merged, never the graph touched. Both lists
-// live in the flat arrays, so the merge walks two dense ranges via
-// offset cursors with no per-vertex pointer chasing; the loop lives
-// in this method body because gc does not inline functions with
-// loops, and a call frame is measurable at single-digit-nanosecond
-// query latencies. Heavily skewed list pairs take the galloping path
-// instead. On a patched index a pair with an overridden endpoint
-// merges the overriding lists; every other pair, and every pair of an
-// unpatched index, runs the flat kernel below.
+// alone: true iff L_out(s) ∩ L_in(t) ≠ ∅ (Definition 3). The lists are
+// merged where they lie, tier by tier: the first tiers, and then — only
+// if both lists have one — the second. The first tiers' merge lives in
+// this method body because gc does not inline functions with loops, and
+// a call frame is measurable at these latencies; heavily skewed pairs
+// take the galloping path instead. On a patched index a pair with an
+// overridden endpoint merges the overriding lists.
 func (x *Index) Reachable(s, t graph.VertexID) bool {
 	if x.patch != nil && x.patch.touches(s, t) {
-		return intersects(x.OutLabels(s), x.InLabels(t))
+		return x.patchedReachable(s, t)
 	}
-	i, ae := x.outOff[s], x.outOff[s+1]
-	j, be := x.inOff[t], x.inOff[t+1]
-	if la, lb := ae-i, be-j; la > gallopRatio*lb || lb > gallopRatio*la {
-		return intersects(x.outLab[i:ae], x.inLab[j:be])
-	}
-	a, b := x.outLab, x.inLab
-	for i < ae && j < be {
-		av, bv := a[i], b[j]
-		if av == bv {
+	a, aw := x.out.tiers(s)
+	b, bw := x.in.tiers(t)
+	if la, lb := len(a), len(b); la > gallopRatio*lb || lb > gallopRatio*la {
+		if intersects(a, b) {
 			return true
 		}
-		if av < bv {
-			i++
-		} else {
-			j++
+	} else {
+		for i, j := 0, 0; i < la && j < lb; {
+			av, bv := a[i], b[j]
+			if av == bv {
+				return true
+			}
+			if av < bv {
+				i++
+			} else {
+				j++
+			}
 		}
 	}
-	return false
+	return len(aw) != 0 && len(bw) != 0 && intersectsWide(aw, bw)
 }
 
 // gallopRatio is the length skew beyond which the merge switches from
@@ -99,11 +108,12 @@ func (x *Index) Reachable(s, t graph.VertexID) bool {
 // the skew exceeds the log factor with room to spare.
 const gallopRatio = 16
 
-// intersects reports whether two rank-sorted lists share an element.
-// It is the query kernel: a linear merge for comparable lengths, a
-// galloping search when one list dwarfs the other (hub vertices have
-// single-digit labels, low-order vertices can carry hundreds).
-func intersects(a, b []order.Rank) bool {
+// intersects reports whether two ascending lists — first tiers, or
+// decoded rank lists — share an element. It is the query kernel: a
+// linear merge for comparable lengths, a galloping search when one list
+// dwarfs the other (hub vertices have single-digit labels, low-order
+// vertices can carry hundreds).
+func intersects[T uint16 | order.Rank](a, b []T) bool {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
@@ -113,8 +123,11 @@ func intersects(a, b []order.Rank) bool {
 	if len(b) >= gallopRatio*len(a) {
 		return gallopIntersects(a, b)
 	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
+	return mergeIntersects(a, b)
+}
+
+func mergeIntersects[T uint16 | order.Rank](a, b []T) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {
 		case a[i] == b[j]:
 			return true
@@ -131,17 +144,14 @@ func intersects(a, b []order.Rank) bool {
 // remaining suffix of the long one: exponential steps to bracket the
 // element, then a binary search inside the bracket. Both lists are
 // consumed left to right, so the whole pass is monotone.
-func gallopIntersects(short, long []order.Rank) bool {
+func gallopIntersects[T uint16 | order.Rank](short, long []T) bool {
 	pos := 0
 	for _, r := range short {
 		step := 1
 		for pos+step < len(long) && long[pos+step-1] < r {
 			step <<= 1
 		}
-		lo, hi := pos, pos+step
-		if hi > len(long) {
-			hi = len(long)
-		}
+		lo, hi := pos, min(pos+step, len(long))
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
 			if long[mid] < r {
@@ -161,6 +171,66 @@ func gallopIntersects(short, long []order.Rank) bool {
 	return false
 }
 
+// intersectsWide is intersects for two second tiers: the same choice
+// between merge and gallop, over ranks read as half-word pairs.
+func intersectsWide(a, b []uint16) bool {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(a) == 0 {
+		return false
+	}
+	if len(b) >= gallopRatio*len(a) {
+		return gallopWide(a, b)
+	}
+	return mergeWide(a, b)
+}
+
+func mergeWide(a, b []uint16) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		av, bv := wideAt(a, i), wideAt(b, j)
+		switch {
+		case av == bv:
+			return true
+		case av < bv:
+			i += 2
+		default:
+			j += 2
+		}
+	}
+	return false
+}
+
+// gallopWide is gallopIntersects over second tiers; positions count
+// ranks, not half-words.
+func gallopWide(short, long []uint16) bool {
+	n, pos := len(long)/2, 0
+	for i := 0; i < len(short); i += 2 {
+		r := wideAt(short, i)
+		step := 1
+		for pos+step < n && wideAt(long, 2*(pos+step-1)) < r {
+			step <<= 1
+		}
+		lo, hi := pos, min(pos+step, n)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if wideAt(long, 2*mid) < r {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == n {
+			return false
+		}
+		if wideAt(long, 2*lo) == r {
+			return true
+		}
+		pos = lo
+	}
+	return false
+}
+
 // Pair is one (source, target) query of a batch.
 type Pair struct {
 	S, T graph.VertexID
@@ -168,7 +238,7 @@ type Pair struct {
 
 // ReachableBatch answers q(s, t) for every pair, writing answers in
 // the callers' order. Pairs are processed sorted by (source, target)
-// so consecutive pairs sharing a source reuse its out-label range
+// so consecutive pairs sharing a source reuse its out-label tiers
 // (still hot in cache) and exact duplicates are answered once. The
 // answers are identical to calling Reachable per pair.
 func (x *Index) ReachableBatch(pairs []Pair) []bool {
@@ -189,15 +259,21 @@ func (x *Index) ReachableBatch(pairs []Pair) []bool {
 		keys = append(keys, keyed{uint64(p.S)<<32 | uint64(p.T), int32(i)})
 	}
 	slices.SortFunc(keys, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
-	var out []order.Rank
+	var a, aw []uint16
 	prev, prevAns := ^uint64(0), false // no key has the top bit set
 	for _, k := range keys {
 		if k.key != prev {
 			p := pairs[k.pos]
 			if k.key>>32 != prev>>32 {
-				out = x.OutLabels(p.S)
+				a, aw = x.out.tiers(p.S)
 			}
-			prev, prevAns = k.key, intersects(out, x.InLabels(p.T))
+			if x.patch != nil && x.patch.touches(p.S, p.T) {
+				prevAns = x.patchedReachable(p.S, p.T)
+			} else {
+				b, bw := x.in.tiers(p.T)
+				prevAns = intersects(a, b) || len(aw) != 0 && len(bw) != 0 && intersectsWide(aw, bw)
+			}
+			prev = k.key
 		}
 		res[k.pos] = prevAns
 	}
@@ -210,18 +286,25 @@ func (x *Index) Entries() int64 {
 	return in + out
 }
 
-// SizeBytes returns the byte footprint of the index payload: 4 bytes
-// per label entry plus the two offset arrays. This matches how the
-// paper reports "Index Size" in Table VI.
+// SizeBytes returns the index size as the paper accounts it in Table
+// VI: 4 bytes per label entry plus an 8-byte offset per vertex and
+// direction. It is not what the index occupies; Resident is.
 func (x *Index) SizeBytes() int64 {
-	return 4*x.Entries() + 8*int64(len(x.inOff)+len(x.outOff))
+	return 4*x.Entries() + 16*int64(x.n+1)
 }
+
+// Resident returns the bytes the layout's arrays hold in memory. The
+// overrides of a patched index are not counted: they are its
+// maintainer's, shared with every epoch published since the last fold.
+func (x *Index) Resident() int64 { return x.in.resident() + x.out.resident() }
 
 // MaxLabelSize returns Δ = max_v max(|L_in(v)|, |L_out(v)|).
 func (x *Index) MaxLabelSize() int {
 	best := 0
+	var in, out []order.Rank
 	for v := graph.VertexID(0); int(v) < x.n; v++ {
-		best = max(best, len(x.InLabels(v)), len(x.OutLabels(v)))
+		in, out = x.AppendInLabels(in[:0], v), x.AppendOutLabels(out[:0], v)
+		best = max(best, len(in), len(out))
 	}
 	return best
 }

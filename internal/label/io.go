@@ -45,10 +45,11 @@ import (
 // vertex's own rank, which the permutation tells. Ranks are
 // degree-ordered, so gaps grow with the rank they start from: hence a
 // Rice parameter per bit length of next.
-// Offsets are not stored: a block's entry count places it in the flat
-// array before its payload is decoded, and the list lengths rebuild the
-// rest. That self-describing block header is what lets both directions
-// stream through an io.Writer / io.Reader and still run block-parallel.
+// Offsets are not stored: a labels block is one chunk of the layout
+// (layout.go), whose offsets are relative to the chunk and rebuilt from
+// the list lengths, so a block decodes without knowing where any other
+// lands. That self-contained block is what lets both directions stream
+// through an io.Writer / io.Reader and still run block-parallel.
 // A bitset block has ⌈n/8⌉ entries, one a byte, vertex v at bit v%8 of
 // byte v/8. DESIGN.md §16 is the normative description.
 
@@ -70,6 +71,11 @@ const (
 	// most this much, so a false byte length costs one step before the
 	// input runs out. Real blocks are smaller and take one allocation.
 	payloadStep = 1 << 20
+
+	// maxBlockEntries bounds a block's entry count: a labels block
+	// becomes one chunk, whose offsets count half-words in a uint32 and
+	// an entry takes up to two. No ints or bitset block comes near it.
+	maxBlockEntries = math.MaxUint32 / 2
 
 	// blockHeaderRoom is the space an encoder leaves in front of a
 	// payload so the two header uvarints land contiguously before it.
@@ -341,7 +347,7 @@ func readInts[T ~int32](br *bufio.Reader, count int, limit uint64) ([]T, error) 
 // perByte entries — a value or a flag byte of the ints and bitset
 // sections costs a byte, a label entry at least a bit — so once
 // readBlock returns, entries is backed by bytes received and safe to
-// allocate against.
+// allocate against; it is also at most maxBlockEntries.
 func readBlock(br *bufio.Reader, buf []byte, perByte uint64) (entries uint64, payload []byte, err error) {
 	entries, err = binary.ReadUvarint(br)
 	if err != nil {
@@ -353,6 +359,9 @@ func readBlock(br *bufio.Reader, buf []byte, perByte uint64) (entries uint64, pa
 	}
 	if entries > perByte*min(size, 1<<60) { // the min keeps the product within 64 bits
 		return 0, nil, fmt.Errorf("corrupt block: %d entries declared in %d bytes", entries, size)
+	}
+	if entries > maxBlockEntries {
+		return 0, nil, fmt.Errorf("corrupt block: %d entries, more than a block's offsets can count", entries)
 	}
 	payload = buf[:0]
 	for uint64(len(payload)) < size {
@@ -435,12 +444,11 @@ func appendLabelBlock(buf []byte, list func(graph.VertexID) []order.Rank, ranks 
 }
 
 // decodeLabelBlock is the inverse of appendLabelBlock for the block of
-// the vertices whose ranks are ranks, whose entries land in dst, the
-// flat array's range starting at base: it fills dst and the end offsets
-// off[1:] (off[0] belongs to the block before; len(off) is
-// len(ranks)+1). Every rank is checked against n, and the payload must
-// hold exactly len(dst) entries in exactly its bytes.
-func decodeLabelBlock(payload []byte, ranks []order.Rank, off []int64, dst []order.Rank, base int64, n int) error {
+// the vertices whose ranks are ranks: it leaves their lists in s. Every
+// rank is checked against n, and the payload must hold exactly entries
+// entries in exactly its bytes.
+func decodeLabelBlock(payload []byte, ranks []order.Rank, entries, n int, s *blockLists) error {
+	s.reset()
 	var m riceModel
 	head := modelLen(n)
 	if len(payload) < head {
@@ -450,31 +458,29 @@ func decodeLabelBlock(payload []byte, ranks []order.Rank, off []int64, dst []ord
 		return fmt.Errorf("corrupt block: a Rice parameter above %d", maxRiceK)
 	}
 	r := bitReader{b: payload[head:]}
-	j := 0
-	for i, self := range ranks {
+	for _, self := range ranks {
 		hdr := r.rice(m[0])
-		if uint64(hdr>>1)+uint64(hdr&1) > uint64(len(dst)-j) {
+		if uint64(hdr>>1)+uint64(hdr&1) > uint64(entries-len(s.lab)) {
 			return errors.New("corrupt block: list length beyond the block's entry count")
 		}
 		next := uint32(0) // the least rank the list may continue with
-		for end := j + int(hdr>>1); j < end; j++ {
+		for k := hdr >> 1; k > 0; k-- {
 			rank := uint64(next) + uint64(r.rice(m[1+bits.Len32(next)]))
 			if rank >= uint64(n) {
 				return errors.New("corrupt block: rank out of range")
 			}
-			dst[j] = order.Rank(rank)
+			s.lab = append(s.lab, order.Rank(rank))
 			next = uint32(rank) + 1
 		}
 		if hdr&1 != 0 {
 			if uint32(self) < next {
 				return errors.New("corrupt block: a list's implicit last entry, its vertex's own rank, is not above the ranks before it")
 			}
-			dst[j] = self
-			j++
+			s.lab = append(s.lab, self)
 		}
-		off[i+1] = base + int64(j)
+		s.ends = append(s.ends, len(s.lab))
 	}
-	if err := r.end(); err != nil || j == len(dst) {
+	if err := r.end(); err != nil || len(s.lab) == entries {
 		return err
 	}
 	return errors.New("corrupt block: fewer entries than its header counts")
@@ -526,12 +532,16 @@ func (x *Index) WriteWith(out io.Writer, e Extras) (int64, error) {
 
 	perSection := blocksFor(x.n)
 	blocks := 2 * perSection
-	encode := func(i int, buf []byte) ([]byte, error) {
-		list := x.InLabels
+	// A worker decodes the block's lists out of the layout into its own
+	// s, once, and codes them from there.
+	encode := func(i int, buf []byte, s *blockLists) ([]byte, error) {
+		appendList := x.AppendInLabels
 		if i >= perSection {
-			list, i = x.OutLabels, i-perSection
+			appendList, i = x.AppendOutLabels, i-perSection
 		}
-		return appendLabelBlock(buf, list, x.ord.Ranks(), i*blockValues, min((i+1)*blockValues, x.n), x.n)
+		v0, v1 := i*blockValues, min((i+1)*blockValues, x.n)
+		s.fill(appendList, v0, v1)
+		return appendLabelBlock(buf, func(v graph.VertexID) []order.Rank { return s.list(int(v) - v0) }, x.ord.Ranks(), v0, v1, x.n)
 	}
 
 	// Workers take block numbers in order, but each must first take one
@@ -559,6 +569,7 @@ func (x *Index) WriteWith(out io.Writer, e Extras) (int64, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var s blockLists
 			for {
 				var buf []byte
 				select {
@@ -570,7 +581,7 @@ func (x *Index) WriteWith(out io.Writer, e Extras) (int64, error) {
 				if i >= blocks {
 					return
 				}
-				block, err := encode(i, buf)
+				block, err := encode(i, buf, &s)
 				ready[i%window] <- encoded{block, err}
 			}
 		}()
@@ -640,8 +651,8 @@ func ReadWith(r io.Reader) (*Index, Extras, error) {
 
 	d := newBlockDecoder(n)
 	x := &Index{n: n}
-	if x.inOff, x.inLab, err = d.readLabels(br, ordRanks, nIn); err == nil {
-		x.outOff, x.outLab, err = d.readLabels(br, ordRanks, nOut)
+	if x.in, err = d.readLabels(br, ordRanks, nIn); err == nil {
+		x.out, err = d.readLabels(br, ordRanks, nOut)
 	}
 	if derr := d.wait(); err == nil {
 		err = derr
@@ -701,14 +712,13 @@ func readExtras(br *bufio.Reader, parts uint32, n int) (e Extras, err error) {
 type decodeJob struct {
 	payload []byte
 	ranks   []order.Rank // of the block's vertices
-	off     []int64      // off[1:] are the block's end offsets to fill
-	dst     []order.Rank // the block's range of the flat array
-	base    int64        // where dst starts in the flat array
+	entries int
+	dst     *chunk // where the block's chunk goes
 }
 
 // blockDecoder is Read's worker pool. The reader goroutine calls
 // readLabels once per section and then wait; workers decode blocks
-// into the disjoint ranges the reader assigned them.
+// into the chunks the reader assigned them.
 type blockDecoder struct {
 	n       int
 	jobs    chan decodeJob // holds every block of both sections: the reader never waits to hand one over
@@ -723,10 +733,13 @@ func newBlockDecoder(n int) *blockDecoder {
 		d.workers.Add(1)
 		go func() {
 			defer d.workers.Done()
+			var s blockLists
 			for j := range d.jobs {
-				if err := decodeLabelBlock(j.payload, j.ranks, j.off, j.dst, j.base, d.n); err != nil {
+				if err := decodeLabelBlock(j.payload, j.ranks, j.entries, d.n, &s); err != nil {
 					d.once.Do(func() { d.err = err })
+					continue
 				}
+				*j.dst, _ = chunkOf(len(s.ends), s.list)
 			}
 		}()
 	}
@@ -742,44 +755,29 @@ func (d *blockDecoder) wait() error {
 }
 
 // readLabels reads one labels section of total entries, the lists of
-// the vertices of these ranks, and hands its blocks to the workers; the
-// offsets, rebuilt from the list lengths, and the flat rank array it
-// returns are complete once wait returns. The whole section is read
-// before the flat array is allocated: by then every entry counted has
-// a bit that arrived, the array can be made at its final size —
-// growing it block by block copied and cleared as many bytes again as
-// the array holds — and what is held meanwhile is the section in its
-// coded form, under a third of the array. The first section decodes
-// while the second is read.
-func (d *blockDecoder) readLabels(br *bufio.Reader, ranks []order.Rank, total uint64) ([]int64, []order.Rank, error) {
-	type block struct {
-		payload []byte
-		entries uint64
-	}
-	blocks := make([]block, 0, blocksFor(d.n))
+// the vertices of these ranks, and hands each block to the workers as
+// it arrives, to be decoded into its own chunk; the layout it returns is
+// complete once wait returns. A worker decodes through a scratch list
+// buffer of its own, so nothing the size of the section is allocated
+// but its chunks.
+func (d *blockDecoder) readLabels(br *bufio.Reader, ranks []order.Rank, total uint64) (layout, error) {
+	l := layout{chunks: make([]chunk, blocksFor(d.n)), entries: int64(total)}
 	var sum uint64
-	for v0 := 0; v0 < d.n; v0 += blockValues {
+	for k := range l.chunks {
+		v0, v1 := k*blockValues, min((k+1)*blockValues, d.n)
 		entries, payload, err := readBlock(br, nil, 8)
 		if err != nil {
-			return nil, nil, err
+			return layout{}, err
 		}
 		if sum += entries; sum > total {
-			return nil, nil, fmt.Errorf("corrupt block: the %d entries of the vertices from %d exceed the header's count", entries, v0)
+			return layout{}, fmt.Errorf("corrupt block: the %d entries of the vertices from %d exceed the header's count", entries, v0)
 		}
-		blocks = append(blocks, block{payload, entries})
+		d.jobs <- decodeJob{payload: payload, ranks: ranks[v0:v1], entries: int(entries), dst: &l.chunks[k]}
 	}
 	if sum != total {
-		return nil, nil, fmt.Errorf("corrupt index: %d label entries where the header counts %d", sum, total)
+		return layout{}, fmt.Errorf("corrupt index: %d label entries where the header counts %d", sum, total)
 	}
-	off := make([]int64, d.n+1)
-	lab := make([]order.Rank, total)
-	base := uint64(0)
-	for i, b := range blocks {
-		v0, v1 := i*blockValues, min((i+1)*blockValues, d.n)
-		d.jobs <- decodeJob{payload: b.payload, ranks: ranks[v0:v1], off: off[v0 : v1+1], dst: lab[base : base+b.entries], base: int64(base)}
-		base += b.entries
-	}
-	return off, lab, nil
+	return l, nil
 }
 
 // blocksFor returns the number of blocks that cover n values.

@@ -156,7 +156,8 @@ func writeToReference(x *Index) []byte {
 	le := binary.LittleEndian
 	out := le.AppendUint64(nil, indexMagic)
 	out = le.AppendUint32(le.AppendUint32(out, uint32(x.n)), 0) // no optional part
-	out = le.AppendUint64(le.AppendUint64(out, uint64(len(x.inLab))), uint64(len(x.outLab)))
+	nIn, nOut := x.entries()
+	out = le.AppendUint64(le.AppendUint64(out, uint64(nIn)), uint64(nOut))
 	ranks := x.ord.Ranks()
 	for v0 := 0; v0 < x.n; v0 += 4096 {
 		var payload []byte
@@ -330,11 +331,9 @@ func TestLabelBlockWideGaps(t *testing.T) {
 		{1 << 14, 1 << 15, 1<<31 - 2}, // its vertex's rank in the middle, so written
 	}
 	ranks := []order.Rank{7, 8, 1<<28 + 6, 9, 1 << 15}
-	off := []int64{0}
-	var lab []order.Rank
+	entries := 0
 	for _, l := range lists {
-		lab = append(lab, l...)
-		off = append(off, int64(len(lab)))
+		entries += len(l)
 	}
 	block, err := appendLabelBlock(nil, func(v graph.VertexID) []order.Rank { return lists[v] }, ranks, 0, len(lists), n)
 	if err != nil {
@@ -344,39 +343,53 @@ func TestLabelBlockWideGaps(t *testing.T) {
 		t.Fatalf("block % x, reference % x", block, want)
 	}
 	_, payload := blockPayload(block)
-	const base = 1000
-	gotOff := make([]int64, len(off))
-	gotLab := make([]order.Rank, len(lab))
-	if err := decodeLabelBlock(payload, ranks, gotOff, gotLab, base, n); err != nil {
+	var s blockLists
+	if err := decodeLabelBlock(payload, ranks, entries, n, &s); err != nil {
 		t.Fatal(err)
 	}
-	for i := range lab {
-		if gotLab[i] != lab[i] {
-			t.Fatalf("entry %d decoded as %d, want %d", i, gotLab[i], lab[i])
+	// Decoded, and laid out as a chunk whose second tiers reach 2³¹ − 1.
+	c, _ := chunkOf(len(s.ends), s.list)
+	laid := layout{chunks: []chunk{c}}
+	for i, want := range lists {
+		if got := s.list(i); !slices.Equal(got, want) {
+			t.Fatalf("list %d decoded as %v, want %v", i, got, want)
 		}
-	}
-	for i := 1; i < len(off); i++ {
-		if gotOff[i] != base+off[i] {
-			t.Fatalf("offset %d decoded as %d, want %d", i, gotOff[i], base+off[i])
+		if got := laid.appendList(nil, graph.VertexID(i)); !slices.Equal(got, want) {
+			t.Fatalf("list %d laid out as %v, want %v", i, got, want)
 		}
 	}
 	// The same bytes against a vertex count one too small.
-	if err := decodeLabelBlock(payload, ranks, gotOff, gotLab, base, n-1); err == nil {
+	if err := decodeLabelBlock(payload, ranks, entries, n-1, &s); err == nil {
 		t.Error("rank n-1 accepted in an index of n-1 vertices")
 	}
 }
 
-// TestWriteToRejectsUnsortedList: the Builder tolerates a repeated
-// Add, the gap coding cannot express one — nor a list that holds its
-// vertex's own rank twice, the second time where it would go unwritten.
+// TestWriteToRejectsUnsortedList: the gap coding cannot express a
+// repeated rank — nor a list that holds its vertex's own rank twice, the
+// second time where it would go unwritten — so the writer's block
+// encoder refuses such a list. No Index holds one: the Builder keeps a
+// rank added twice once, and the layout's builder asserts strict ascent.
 func TestWriteToRejectsUnsortedList(t *testing.T) {
+	ranks := []order.Rank{0, 1, 2}
 	for _, repeated := range []order.Rank{2, 1} {
-		b := NewBuilder(order.FromRanks([]order.Rank{0, 1, 2}))
-		b.AddIn(1, repeated)
-		b.AddIn(1, repeated)
-		var buf bytes.Buffer
-		if _, err := b.Finalize().WriteTo(&buf); err == nil || !strings.Contains(err.Error(), "strictly ascending") {
+		list := func(v graph.VertexID) []order.Rank {
+			if v == 1 {
+				return []order.Rank{repeated, repeated}
+			}
+			return nil
+		}
+		if _, err := appendLabelBlock(nil, list, ranks, 0, 3, 3); err == nil || !strings.Contains(err.Error(), "strictly ascending") {
 			t.Fatalf("rank %d twice: err = %v, want the list refused", repeated, err)
+		}
+		b := NewBuilder(order.FromRanks(ranks))
+		b.AddIn(1, repeated)
+		b.AddIn(1, repeated)
+		x := b.Finalize()
+		if got := x.InLabels(1); !slices.Equal(got, []order.Rank{repeated}) {
+			t.Fatalf("rank %d added twice: L_in(1) = %v", repeated, got)
+		}
+		if y, err := Read(bytes.NewReader(mustWrite(t, x))); err != nil || !x.Equal(y) {
+			t.Fatalf("rank %d added twice: the index does not round-trip (%v)", repeated, err)
 		}
 	}
 }
@@ -483,7 +496,11 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 	_, entriesLen := binary.Uvarint(good[firstIn:])
 	_, lastEntriesLen := binary.Uvarint(good[lastOut:])
 	lastSize, _ := binary.Uvarint(good[lastOut+lastEntriesLen:])
-	inEntries := uint64(x.inOff[blockValues])
+	inEntries := uint64(0)
+	for v := graph.VertexID(0); v < blockValues; v++ {
+		inEntries += uint64(len(x.InLabels(v)))
+	}
+	nIn, nOut := x.entries()
 
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	// patch replaces the uvarint at file[at:] with repl.
@@ -546,8 +563,8 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		{"n inflated", header(1, 1<<31), "values where 4096 belong"},
 		{"n deflated", header(1, uint64(x.n-1)), "not below"},
 		{"nIn inflated", header(2, 1<<40), "where the header counts"},
-		{"nIn deflated", header(2, uint64(len(x.inLab)-1)), "exceed the header's count"},
-		{"nOut inflated", header(3, uint64(len(x.outLab)+1)), "where the header counts"},
+		{"nIn deflated", header(2, uint64(nIn-1)), "exceed the header's count"},
+		{"nOut inflated", header(3, uint64(nOut+1)), "where the header counts"},
 		{"duplicate rank", patch(goodSmall, 35, goodSmall[34:35]), "corrupt rank"},
 		{"rank n in the permutation", patch(goodSmall, 35, []byte{3}), "not below 3"},
 		{"permutation entry count", patch(good, starts[0], []byte{7}), "7 values where 4096 belong"},
@@ -555,11 +572,12 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		{"a Rice parameter of 32 for a gap", craft(4, with(2, 32)), "Rice parameter above 31"},
 		{"a block shorter than its model", craft(4, model[:3]), "shorter than its model"},
 		{"block entry count huge", patch(good, firstIn, uv(1<<39)), "entries declared in"},
+		{"block entry count beyond uint32 half-word offsets", patch(patch(good, firstIn+entriesLen, uv(1<<29)), firstIn, uv(1<<31)), "more than a block's offsets can count"},
 		{"nine entries in a byte", craft(9, []byte{0}), "9 entries declared in 1 bytes"},
 		{"block entry count +1", patch(good, firstIn, uv(inEntries+1)), "exceed the header's count"},
 		{"block entry count -1", patch(good, firstIn, uv(inEntries-1)), "where the header counts"},
-		{"block and header entry count +1", patch(header(2, uint64(len(x.inLab)+1)), firstIn, uv(inEntries+1)), "fewer entries than its header counts"},
-		{"block and header entry count -1", patch(header(2, uint64(len(x.inLab)-1)), firstIn, uv(inEntries-1)), "beyond the block's entry count"},
+		{"block and header entry count +1", patch(header(2, uint64(nIn+1)), firstIn, uv(inEntries+1)), "fewer entries than its header counts"},
+		{"block and header entry count -1", patch(header(2, uint64(nIn-1)), firstIn, uv(inEntries-1)), "beyond the block's entry count"},
 		{"block byte length huge", patch(good, firstIn+entriesLen, uv(1<<39)), "unexpected EOF"},
 		{"block byte length -1", patch(good, lastOut+lastEntriesLen, uv(lastSize-1)), "run past the payload's end"},
 		{"byte after the lists", append(patch(good, lastOut+lastEntriesLen, uv(lastSize+1)), 0), "1 bytes left over"},

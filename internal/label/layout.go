@@ -1,0 +1,266 @@
+package label
+
+import (
+	"math"
+	"slices"
+
+	"repro/internal/graph"
+	"repro/internal/invariant"
+	"repro/internal/order"
+)
+
+// The served layout. Ranks are degree-ordered and a label list is
+// mostly hubs, so nearly every entry is a small rank: 95% of the
+// benchmark index's are below 2¹⁶. A list is therefore one run of
+// half-words in two tiers — its ranks below wideFrom one half-word each,
+// then the others two each, high half first. Both tiers ascend and every
+// rank of the first is below every rank of the second, so two lists
+// share a rank iff their first tiers do or their second tiers do: the
+// kernel merges tier by tier and never decodes.
+//
+// A direction's lists are chunked by the index file's block of
+// blockValues vertices. A chunk holds its vertices' runs back to back in
+// one []uint16 and, per vertex, two uint32 offsets relative to the chunk:
+// where its run starts and where its second tier starts (the next
+// vertex's start ends it). So a file block decodes into one chunk without
+// knowing where any other block lands, and no []order.Rank the size of
+// the index is ever held: every constructor lays chunks out through one
+// chunkBuilder.
+
+// wideFrom is the least rank of the second tier.
+const wideFrom = 1 << 16
+
+// layout is one direction's lists.
+type layout struct {
+	chunks  []chunk
+	entries int64 // Σ list lengths
+}
+
+// chunk holds the lists of up to blockValues consecutive vertices:
+// vertex i's is lab[off[2i]:off[2i+2]], its second tier from off[2i+1].
+type chunk struct {
+	off []uint32
+	lab []uint16
+}
+
+// tiers returns v's list as its two tiers: first-tier ranks, and
+// second-tier ranks as half-word pairs.
+func (l *layout) tiers(v graph.VertexID) (narrow, wide []uint16) {
+	c := &l.chunks[uint32(v)/blockValues]
+	i := 2 * (uint32(v) % blockValues)
+	start, split, end := c.off[i], c.off[i+1], c.off[i+2]
+	return c.lab[start:split], c.lab[split:end]
+}
+
+// wideAt returns the second-tier rank whose high half is w[i].
+func wideAt(w []uint16, i int) uint32 { return uint32(w[i])<<16 | uint32(w[i+1]) }
+
+// appendList appends v's list to dst as ranks.
+func (l *layout) appendList(dst []order.Rank, v graph.VertexID) []order.Rank {
+	narrow, wide := l.tiers(v)
+	n0 := len(dst)
+	dst = slices.Grow(dst, len(narrow)+len(wide)/2)[:n0+len(narrow)+len(wide)/2]
+	out := dst[n0:]
+	for j, r := range narrow {
+		out[j] = order.Rank(r)
+	}
+	out = out[len(narrow):]
+	for j := range out {
+		out[j] = order.Rank(wideAt(wide, 2*j))
+	}
+	return dst
+}
+
+// resident returns the bytes the direction's arrays hold.
+func (l *layout) resident() int64 {
+	var b int64
+	for _, c := range l.chunks {
+		b += 4*int64(cap(c.off)) + 2*int64(cap(c.lab))
+	}
+	return b
+}
+
+// chunkBuilder lays out one chunk; it is the only code that writes one.
+// Every entry is counted first, then the chunk is allocated at its final
+// size, then every entry is put — each list's in ascending order, the
+// lists in any order — entry by entry (count, put) or a whole list at a
+// time (countList, putList).
+type chunkBuilder struct {
+	c       chunk
+	cur     []uint32 // per vertex, where its next entry goes
+	entries int64
+}
+
+func newChunkBuilder(vertices int) *chunkBuilder {
+	return &chunkBuilder{c: chunk{off: make([]uint32, 2*vertices+1)}}
+}
+
+// count makes room for r in vertex i's list. Until alloc, off[2i+1]
+// counts the list's first-tier half-words and off[2i+2] its second's.
+func (b *chunkBuilder) count(i int, r order.Rank) {
+	if uint32(r) < wideFrom {
+		b.c.off[2*i+1]++
+	} else {
+		b.c.off[2*i+2] += 2
+	}
+	b.entries++
+}
+
+// countList makes room for the whole of vertex i's list, which is
+// ascending: its second tier is its tail of ranks from wideFrom on,
+// short enough to find from the end.
+func (b *chunkBuilder) countList(i int, list []order.Rank) {
+	k := len(list)
+	for k > 0 && uint32(list[k-1]) >= wideFrom {
+		k--
+	}
+	b.c.off[2*i+1] += uint32(k)
+	b.c.off[2*i+2] += 2 * uint32(len(list)-k)
+	b.entries += int64(len(list))
+}
+
+// alloc turns the counts into offsets and allocates the half-words.
+func (b *chunkBuilder) alloc() {
+	off := b.c.off
+	var sum uint64
+	for k := 1; k < len(off); k++ {
+		if sum += uint64(off[k]); sum > math.MaxUint32 {
+			panic("label: a block's lists exceed 2³² half-words")
+		}
+		off[k] = uint32(sum)
+	}
+	b.c.lab = make([]uint16, sum)
+	b.cur = make([]uint32, len(off)/2)
+	for i := range b.cur {
+		b.cur[i] = off[2*i]
+	}
+}
+
+// put stores r as vertex i's next entry.
+func (b *chunkBuilder) put(i int, r order.Rank) {
+	p := b.cur[i]
+	if uint32(r) < wideFrom {
+		b.c.lab[p] = uint16(r)
+		b.cur[i] = p + 1
+		return
+	}
+	b.c.lab[p], b.c.lab[p+1] = uint16(uint32(r)>>16), uint16(r)
+	b.cur[i] = p + 2
+}
+
+// putList stores the whole of vertex i's list, as countList counted it.
+func (b *chunkBuilder) putList(i int, list []order.Rank) {
+	off := b.c.off
+	narrow, wide := b.c.lab[off[2*i]:off[2*i+1]], b.c.lab[off[2*i+1]:off[2*i+2]]
+	for j, r := range list[:len(narrow)] {
+		narrow[j] = uint16(r)
+	}
+	for j, r := range list[len(narrow):] {
+		wide[2*j], wide[2*j+1] = uint16(uint32(r)>>16), uint16(r)
+	}
+	b.cur[i] = off[2*i+2]
+}
+
+// done returns the finished chunk. Under the invariants tag it checks
+// that every list got what was counted for it, that its first tier is
+// strictly increasing (and, being half-words, below 2¹⁶) and that its
+// second is strictly increasing and at or above 2¹⁶.
+func (b *chunkBuilder) done() chunk {
+	if invariant.Enabled {
+		off, lab := b.c.off, b.c.lab
+		for i, p := range b.cur {
+			invariant.Assert(p == off[2*i+2], "label: block vertex %d: %d of its half-words put, %d counted", i, p-off[2*i], off[2*i+2]-off[2*i])
+			invariant.StrictlyIncreasing("label: a list's first tier", lab[off[2*i]:off[2*i+1]])
+			wide := lab[off[2*i+1]:off[2*i+2]]
+			for k := 0; k < len(wide); k += 2 {
+				r := wideAt(wide, k)
+				invariant.Assert(r >= wideFrom, "label: block vertex %d: rank %d in the second tier", i, r)
+				invariant.Assert(k == 0 || r > wideAt(wide, k-2), "label: block vertex %d: second tier not strictly increasing at rank %d", i, r)
+			}
+		}
+	}
+	return b.c
+}
+
+// blockLists is one block's lists back to back, the i-th ending at
+// ends[i]: the shape a block has between its codes or its source lists
+// and its chunk. Reused from block to block.
+type blockLists struct {
+	lab  []order.Rank
+	ends []int
+}
+
+func (s *blockLists) reset() { s.lab, s.ends = s.lab[:0], s.ends[:0] }
+
+func (s *blockLists) list(i int) []order.Rank {
+	start := 0
+	if i > 0 {
+		start = s.ends[i-1]
+	}
+	return s.lab[start:s.ends[i]]
+}
+
+// fill takes the lists of vertices [v0, v1) from appendList.
+func (s *blockLists) fill(appendList func([]order.Rank, graph.VertexID) []order.Rank, v0, v1 int) {
+	s.reset()
+	for v := v0; v < v1; v++ {
+		s.lab = appendList(s.lab, graph.VertexID(v))
+		s.ends = append(s.ends, len(s.lab))
+	}
+}
+
+// chunkOf lays out a block of vertices' lists, list(i) the i-th's —
+// called twice per vertex, its result used before the next call.
+func chunkOf(vertices int, list func(i int) []order.Rank) (chunk, int64) {
+	b := newChunkBuilder(vertices)
+	for i := 0; i < vertices; i++ {
+		b.countList(i, list(i))
+	}
+	b.alloc()
+	for i := 0; i < vertices; i++ {
+		b.putList(i, list(i))
+	}
+	return b.done(), b.entries
+}
+
+// layoutOf lays out the lists of n vertices, list(v) v's as chunkOf
+// takes it, one block at a time.
+func layoutOf(n int, list func(graph.VertexID) []order.Rank) layout {
+	l := layout{chunks: make([]chunk, blocksFor(n))}
+	for k := range l.chunks {
+		v0 := k * blockValues
+		c, entries := chunkOf(min(blockValues, n-v0), func(i int) []order.Rank { return list(graph.VertexID(v0 + i)) })
+		l.chunks[k] = c
+		l.entries += entries
+	}
+	return l
+}
+
+// layoutBackward lays out the lists of n vertices given as backward
+// sets: back[r] holds every vertex whose list has rank r. Ranks are
+// taken in increasing order, so each list is put in order.
+func layoutBackward(n int, back [][]graph.VertexID) layout {
+	bs := make([]*chunkBuilder, blocksFor(n))
+	for k := range bs {
+		bs[k] = newChunkBuilder(min(blockValues, n-k*blockValues))
+	}
+	for r := 0; r < n; r++ {
+		for _, w := range back[r] {
+			bs[w/blockValues].count(int(w%blockValues), order.Rank(r))
+		}
+	}
+	for _, b := range bs {
+		b.alloc()
+	}
+	for r := 0; r < n; r++ {
+		for _, w := range back[r] {
+			bs[w/blockValues].put(int(w%blockValues), order.Rank(r))
+		}
+	}
+	l := layout{chunks: make([]chunk, len(bs))}
+	for k, b := range bs {
+		l.chunks[k] = b.done()
+		l.entries += b.entries
+	}
+	return l
+}

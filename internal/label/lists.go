@@ -9,16 +9,17 @@ import (
 // Lists is the slice layout of a reachability index: one independently
 // allocated rank slice per vertex and direction. It is the natural
 // shape while labels are being accumulated (the Builder works in it)
-// and the historical serving layout, kept as the reference the flat
-// Index is checked against — Lists.Reachable runs the plain §II-A
-// linear merge over the two per-vertex slices with no layout tricks.
+// and the reference the served Index is checked against —
+// Lists.Reachable runs the plain §II-A linear merge over the two
+// per-vertex slices with no layout tricks.
 //
-// For serving, Freeze converts to the read-optimized flat Index: one
-// contiguous rank array plus CSR-style offsets per direction, so a
-// query touches two offset words and two dense array ranges instead of
-// chasing per-vertex slice headers across the heap. Freeze and Thaw
-// are exact inverses on the label sets, so the two layouts answer
-// every query identically.
+// For serving, Freeze converts to the Index's two-tier layout
+// (layout.go): per block of vertices one half-word array and
+// block-relative offsets, so a query reads three offsets and two short
+// runs per list instead of chasing slice headers across the heap, at
+// about half the bytes of 32-bit ranks. Freeze and Thaw are exact
+// inverses on the label sets, so the two layouts answer every query
+// identically.
 type Lists struct {
 	n   int
 	ord *order.Ordering
@@ -27,12 +28,12 @@ type Lists struct {
 }
 
 // NewLists wraps per-vertex label lists (aliased, not copied) into the
-// slice layout. Each list must already be sorted by rank.
+// slice layout. Each list must be a label set: strictly increasing.
 func NewLists(ord *order.Ordering, in, out [][]order.Rank) *Lists {
 	l := &Lists{n: ord.N(), ord: ord, in: in, out: out}
 	for v := 0; v < l.n; v++ {
-		invariant.Sorted("label: NewLists in-list", in[v])
-		invariant.Sorted("label: NewLists out-list", out[v])
+		invariant.StrictlyIncreasing("label: NewLists in-list", in[v])
+		invariant.StrictlyIncreasing("label: NewLists out-list", out[v])
 	}
 	return l
 }
@@ -50,7 +51,7 @@ func (l *Lists) InLabels(v graph.VertexID) []order.Rank { return l.in[v] }
 func (l *Lists) OutLabels(v graph.VertexID) []order.Rank { return l.out[v] }
 
 // Reachable answers q(s, t) by the plain linear merge of L_out(s) and
-// L_in(t). This is the reference (pre-flat) query path: no galloping,
+// L_in(t). This is the reference query path: no galloping, no tiers,
 // no layout assumptions beyond sortedness.
 func (l *Lists) Reachable(s, t graph.VertexID) bool {
 	a, b := l.out[s], l.in[t]
@@ -68,52 +69,30 @@ func (l *Lists) Reachable(s, t graph.VertexID) bool {
 	return false
 }
 
-// Freeze assembles the read-optimized flat Index from the slice
-// layout: labels are packed into one contiguous array per direction
-// with vertex offsets alongside, in vertex order. The label sets are
-// copied, so the Lists may be mutated or dropped afterwards; the
-// frozen Index is immutable from here on (which is what lets the
-// serving layer cache query answers without any invalidation — see
-// DESIGN.md §10).
+// Freeze assembles the served Index from the slice layout, block by
+// block through the one chunk builder. The label sets are copied, so the
+// Lists may be mutated or dropped afterwards; the frozen Index is
+// immutable from here on (which is what lets the serving layer cache
+// query answers without any invalidation — see DESIGN.md §10).
 func (l *Lists) Freeze() *Index {
-	x := &Index{
-		n:      l.n,
-		ord:    l.ord,
-		inOff:  make([]int64, l.n+1),
-		outOff: make([]int64, l.n+1),
+	return &Index{
+		n:   l.n,
+		ord: l.ord,
+		in:  layoutOf(l.n, func(v graph.VertexID) []order.Rank { return l.in[v] }),
+		out: layoutOf(l.n, func(v graph.VertexID) []order.Rank { return l.out[v] }),
 	}
-	var inTotal, outTotal int64
-	for v := 0; v < l.n; v++ {
-		inTotal += int64(len(l.in[v]))
-		outTotal += int64(len(l.out[v]))
-	}
-	x.inLab = make([]order.Rank, 0, inTotal)
-	x.outLab = make([]order.Rank, 0, outTotal)
-	for v := 0; v < l.n; v++ {
-		invariant.Sorted("label: Freeze in-list", l.in[v])
-		invariant.Sorted("label: Freeze out-list", l.out[v])
-		x.inLab = append(x.inLab, l.in[v]...)
-		x.outLab = append(x.outLab, l.out[v]...)
-		x.inOff[v+1] = int64(len(x.inLab))
-		x.outOff[v+1] = int64(len(x.outLab))
-	}
-	return x
 }
 
-// Thaw is the inverse of Freeze: it copies the flat arrays back into
-// one independently allocated slice per vertex and direction. Tests
-// and benchmarks use it to reconstruct the pre-flat layout from any
-// built index.
+// Thaw is the inverse of Freeze: it copies every list out of the layout
+// into one independently allocated slice per vertex and direction. Tests
+// and benchmarks use it to reconstruct the slice layout from any built
+// index.
 func (x *Index) Thaw() *Lists {
 	in := make([][]order.Rank, x.n)
 	out := make([][]order.Rank, x.n)
 	for v := 0; v < x.n; v++ {
-		if lab := x.InLabels(graph.VertexID(v)); len(lab) > 0 {
-			in[v] = append(make([]order.Rank, 0, len(lab)), lab...)
-		}
-		if lab := x.OutLabels(graph.VertexID(v)); len(lab) > 0 {
-			out[v] = append(make([]order.Rank, 0, len(lab)), lab...)
-		}
+		in[v] = x.InLabels(graph.VertexID(v))
+		out[v] = x.OutLabels(graph.VertexID(v))
 	}
 	return &Lists{n: x.n, ord: x.ord, in: in, out: out}
 }

@@ -7,13 +7,13 @@ import (
 )
 
 // A patched Index is how a maintainer publishes an update without
-// re-freezing: the flat arrays of the last fold, shared and untouched,
+// re-laying-out: the layout of the last fold, shared and untouched,
 // under the label lists that have changed since. q(s, t) is a function
 // of L_out(s) and L_in(t) alone, so an override reaches exactly the
 // queries with that endpoint and every other query cannot tell the
 // patch is there. Whole-index operations (WriteTo, Equal, Thaw, the
-// size accessors) read through InLabels and OutLabels and so see the
-// logical index; Fold materializes it.
+// size accessors) read through AppendInLabels and AppendOutLabels and
+// so see the logical index; Fold materializes it.
 
 type patch struct {
 	in, out *graph.Overlay[order.Rank]
@@ -24,29 +24,22 @@ func (p *patch) touches(s, t graph.VertexID) bool {
 	return p.out.Has(s) || p.in.Has(t)
 }
 
-// patchedIn and patchedOut are the patched halves of InLabels and
-// OutLabels, kept out of line so those stay within the inlining budget
-// for the flat index every static caller has.
+// patchedReachable answers a pair that reads an override: both lists
+// decoded into pooled scratch, then merged. Kept out of line so that
+// Reachable's body stays the kernel every unpatched pair runs.
 //
 //go:noinline
-func (x *Index) patchedIn(v graph.VertexID) []order.Rank {
-	if l, ok := x.patch.in.Get(v); ok {
-		return l
-	}
-	return x.inLab[x.inOff[v]:x.inOff[v+1]]
-}
-
-//go:noinline
-func (x *Index) patchedOut(v graph.VertexID) []order.Rank {
-	if l, ok := x.patch.out.Get(v); ok {
-		return l
-	}
-	return x.outLab[x.outOff[v]:x.outOff[v+1]]
+func (x *Index) patchedReachable(s, t graph.VertexID) bool {
+	w := walkPool.Get().(*walk)
+	defer walkPool.Put(w)
+	w.lab[0] = x.AppendOutLabels(w.lab[0][:0], s)
+	w.lab[1] = x.AppendInLabels(w.lab[1][:0], t)
+	return intersects(w.lab[0], w.lab[1])
 }
 
 // entries returns Σ|L_in| and Σ|L_out| of the logical index.
 func (x *Index) entries() (in, out int64) {
-	in, out = int64(len(x.inLab)), int64(len(x.outLab))
+	in, out = x.in.entries, x.out.entries
 	if p := x.patch; p != nil {
 		in += int64(p.in.Entries() - p.in.Shadowed())
 		out += int64(p.out.Entries() - p.out.Shadowed())
@@ -56,7 +49,7 @@ func (x *Index) entries() (in, out int64) {
 
 // Patched returns the index that reads in[v] for L_in(v) and out[v]
 // for L_out(v) wherever the overlays hold v, and x's own lists
-// elsewhere. x must be flat. It shares x's arrays and the overlays'
+// elsewhere. x must be unpatched. It shares x's layout and the overlays'
 // lists, costs nothing in their size, and is x itself when both
 // overlays are empty.
 func (x *Index) Patched(in, out *graph.Overlay[order.Rank]) *Index {
@@ -77,26 +70,19 @@ func (x *Index) Patched(in, out *graph.Overlay[order.Rank]) *Index {
 	return &px
 }
 
-// Fold returns the flat index with x's label sets: x itself when it is
-// unpatched, otherwise fresh arrays with the overrides written in.
+// Fold returns the unpatched index with x's label sets: x itself when
+// it is unpatched, otherwise a fresh layout with the overrides written
+// in.
 func (x *Index) Fold() *Index {
 	if x.patch == nil {
 		return x
 	}
-	nIn, nOut := x.entries()
-	f := &Index{
-		n:      x.n,
-		ord:    x.ord,
-		inOff:  make([]int64, x.n+1),
-		inLab:  make([]order.Rank, 0, nIn),
-		outOff: make([]int64, x.n+1),
-		outLab: make([]order.Rank, 0, nOut),
+	var buf []order.Rank
+	decoded := func(appendList func([]order.Rank, graph.VertexID) []order.Rank) func(graph.VertexID) []order.Rank {
+		return func(v graph.VertexID) []order.Rank {
+			buf = appendList(buf[:0], v)
+			return buf
+		}
 	}
-	for v := graph.VertexID(0); int(v) < x.n; v++ {
-		f.inLab = append(f.inLab, x.InLabels(v)...)
-		f.outLab = append(f.outLab, x.OutLabels(v)...)
-		f.inOff[v+1] = int64(len(f.inLab))
-		f.outOff[v+1] = int64(len(f.outLab))
-	}
-	return f
+	return &Index{n: x.n, ord: x.ord, in: layoutOf(x.n, decoded(x.AppendInLabels)), out: layoutOf(x.n, decoded(x.AppendOutLabels))}
 }

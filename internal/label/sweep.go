@@ -13,20 +13,24 @@ import (
 // answers each target with a single scan of L_in(t) — the out side is
 // read exactly once no matter how many targets follow.
 
-// markOut leaves exactly the ranks of L_out(s) stamped in the table —
-// a pooled walk's, of which a sweep uses nothing else.
-func (x *Index) markOut(sc *stamps, s graph.VertexID) {
+// markOut leaves exactly the ranks of L_out(s) stamped in the mark
+// table of w, a pooled walk of which a sweep uses nothing else but its
+// list buffer.
+func (x *Index) markOut(w *walk, s graph.VertexID) {
+	sc := &w.seen
 	sc.reset(x.n)
-	for _, r := range x.OutLabels(s) {
+	w.lab[0] = x.AppendOutLabels(w.lab[0][:0], s)
+	for _, r := range w.lab[0] {
 		sc.mark[r] = sc.epoch
 	}
 }
 
 // hitIn reports whether any rank of L_in(t) is stamped — exactly the
 // L_out(s) ∩ L_in(t) ≠ ∅ test against the marked source.
-func (x *Index) hitIn(sc *stamps, t graph.VertexID) bool {
-	for _, r := range x.InLabels(t) {
-		if sc.mark[r] == sc.epoch {
+func (x *Index) hitIn(w *walk, t graph.VertexID) bool {
+	w.lab[0] = x.AppendInLabels(w.lab[0][:0], t)
+	for _, r := range w.lab[0] {
+		if w.seen.mark[r] == w.seen.epoch {
 			return true
 		}
 	}
@@ -42,13 +46,12 @@ func (x *Index) ReachableFrom(ctx context.Context, s graph.VertexID, targets []g
 	res := make([]bool, len(targets))
 	w := walkPool.Get().(*walk)
 	defer walkPool.Put(w)
-	sc := &w.seen
-	x.markOut(sc, s)
+	x.markOut(w, s)
 	for i, t := range targets {
 		if i%cancelPoll == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		res[i] = x.hitIn(sc, t)
+		res[i] = x.hitIn(w, t)
 	}
 	return res, nil
 }
@@ -61,14 +64,13 @@ func (x *Index) ReachableFrom(ctx context.Context, s graph.VertexID, targets []g
 func (x *Index) ReachableSetSize(ctx context.Context, s graph.VertexID, weight []int64) (int, error) {
 	w := walkPool.Get().(*walk)
 	defer walkPool.Put(w)
-	sc := &w.seen
-	x.markOut(sc, s)
+	x.markOut(w, s)
 	var total int64
 	for t := graph.VertexID(0); int(t) < x.n; t++ {
 		if t%cancelPoll == 0 && ctx.Err() != nil {
 			return 0, ctx.Err()
 		}
-		if x.hitIn(sc, t) {
+		if x.hitIn(w, t) {
 			total += weightOf(weight, t)
 		}
 	}
@@ -113,11 +115,10 @@ func (b *Budgeted) ReachableFrom(ctx context.Context, s graph.VertexID, targets 
 	}
 	marks := walkPool.Get().(*walk)
 	defer walkPool.Put(marks)
-	sc := &marks.seen
-	b.x.markOut(sc, s)
+	b.x.markOut(marks, s)
 	for i, t := range targets {
 		// Reflexivity before labels: s's own rank may be capped out.
-		res[i] = t == s || b.x.hitIn(sc, t)
+		res[i] = t == s || b.x.hitIn(marks, t)
 		if !res[i] && !b.inFull[t] {
 			var err error
 			if res[i], err = b.fallback(ctx, w, s, t); err != nil {

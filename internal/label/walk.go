@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/order"
 )
 
 // The one traversal a query can start: a budgeted index's guarded
@@ -36,13 +37,15 @@ func (m *stamps) reset(n int) {
 // walk is the scratch of a traversal and, after run, its result. It is
 // pooled across queries, goroutines and indexes (grown to the largest
 // graph seen), so a warm traversal allocates nothing; a label sweep
-// borrows one for its mark table alone (sweep.go).
+// borrows one for its mark table and a list buffer (sweep.go), a pair
+// that reads a patched list for two list buffers (patch.go).
 type walk struct {
 	seen  stamps           // discovered, expanded or not
 	queue []graph.VertexID // start, then every vertex visit let through, in discovery order
 	from  []int32          // with parents: the queue position of queue[i]'s discoverer
 	// expanded counts the vertices whose neighbor lists the last run read.
 	expanded int
+	lab      [2][]order.Rank // label lists decoded from the layout
 }
 
 var walkPool = sync.Pool{New: func() any { return new(walk) }}

@@ -9,11 +9,7 @@
 // instead of floating-point order values.
 package order
 
-import (
-	"sort"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Rank is a position in the total order; rank 0 is the highest-order
 // vertex (the first one TOL would label).
@@ -25,38 +21,16 @@ type Ordering struct {
 	rank []Rank
 	// vertex[r] is the vertex with rank r.
 	vertex []graph.VertexID
-	// key[v] is the degree product (d_in+1)(d_out+1) used to derive
-	// the order, kept for diagnostics and the OrdValue accessor.
-	key []int64
-	n   int
+	n      int
 }
 
-// Compute derives the paper's degree-product ordering for g.
+// Compute derives the paper's degree-product ordering for g: by
+// descending (d_in+1)(d_out+1), the +ID/(n+1) term making the larger ID
+// the higher order among equal products.
 func Compute(g *graph.Digraph) *Ordering {
-	n := g.NumVertices()
-	o := &Ordering{
-		rank:   make([]Rank, n),
-		vertex: make([]graph.VertexID, n),
-		key:    make([]int64, n),
-		n:      n,
-	}
-	for v := 0; v < n; v++ {
-		id := graph.VertexID(v)
-		o.key[v] = int64(g.InDegree(id)+1) * int64(g.OutDegree(id)+1)
-		o.vertex[v] = id
-	}
-	sort.SliceStable(o.vertex, func(i, j int) bool {
-		vi, vj := o.vertex[i], o.vertex[j]
-		if o.key[vi] != o.key[vj] {
-			return o.key[vi] > o.key[vj]
-		}
-		// The +ID/(n+1) term makes the larger ID the higher order.
-		return vi > vj
+	return computeByKey(g, func(v graph.VertexID) int64 {
+		return int64(g.InDegree(v)+1) * int64(g.OutDegree(v)+1)
 	})
-	for r, v := range o.vertex {
-		o.rank[v] = Rank(r)
-	}
-	return o
 }
 
 // FromRanks builds an Ordering from an explicit rank permutation,
@@ -88,15 +62,6 @@ func (o *Ordering) VertexAt(r Rank) graph.VertexID { return o.vertex[r] }
 
 // Higher reports whether ord(u) > ord(v).
 func (o *Ordering) Higher(u, v graph.VertexID) bool { return o.rank[u] < o.rank[v] }
-
-// OrdValue returns the paper's numeric ord(v) for display purposes
-// (e.g. Example 3 reports ord(v1) = 12.08 on the running example).
-func (o *Ordering) OrdValue(v graph.VertexID) float64 {
-	if o.key == nil {
-		return float64(o.n - int(o.rank[v]))
-	}
-	return float64(o.key[v]) + float64(v+1)/float64(o.n+1)
-}
 
 // Ranks returns the underlying vertex→rank slice. Callers must not
 // modify it.

@@ -67,24 +67,25 @@ func ComputeStrategy(g *graph.Digraph, s Strategy) (*Ordering, error) {
 }
 
 // computeByKey sorts descending by key, breaking ties upward by ID
-// (the same tie-break direction as the paper's formula).
+// (the same tie-break direction as the paper's formula). The keys live
+// only while the vertices are sorted.
 func computeByKey(g *graph.Digraph, key func(graph.VertexID) int64) *Ordering {
 	n := g.NumVertices()
 	o := &Ordering{
 		rank:   make([]Rank, n),
 		vertex: make([]graph.VertexID, n),
-		key:    make([]int64, n),
 		n:      n,
 	}
+	keys := make([]int64, n)
 	for v := 0; v < n; v++ {
 		id := graph.VertexID(v)
-		o.key[v] = key(id)
+		keys[v] = key(id)
 		o.vertex[v] = id
 	}
 	sort.SliceStable(o.vertex, func(i, j int) bool {
 		vi, vj := o.vertex[i], o.vertex[j]
-		if o.key[vi] != o.key[vj] {
-			return o.key[vi] > o.key[vj]
+		if keys[vi] != keys[vj] {
+			return keys[vi] > keys[vj]
 		}
 		return vi > vj
 	})

@@ -38,11 +38,11 @@ import (
 // O(deg) for the graph edit plus the localized repair sweep, and a
 // Snapshot costs the number of lists that differ — neither ever the
 // size of the index. Two events replace the base: a fold, when the
-// overlay has outgrown 1/foldFraction of it and is written into fresh
-// flat arrays, and the rebuild fallback (an update whose affected sets
-// cover most of the graph, where the incremental sweep would cost more
-// than a fresh build). UpdateStats reports how often each ran so a
-// serving tier can export them as counters.
+// overlay has outgrown 1/foldFraction of it and is written into a
+// fresh label layout and CSR, and the rebuild fallback (an update
+// whose affected sets cover most of the graph, where the incremental
+// sweep would cost more than a fresh build). UpdateStats reports how
+// often each ran so a serving tier can export them as counters.
 //
 // As in the original TOL, the total order is frozen at construction:
 // updates change degrees but not ranks. Queries remain exact; only
@@ -137,18 +137,22 @@ func (d *DynamicIndex) rebase(idx *label.Index, g *graph.Digraph) {
 	d.inAdj = graph.NewMutableOverlay[graph.VertexID](d.n)
 }
 
-func (d *DynamicIndex) inLabels(v graph.VertexID) []order.Rank {
+// inLabels returns L_in(v): the overlay's list, or the base's decoded
+// into *buf, which then holds it until the next call with that buffer.
+func (d *DynamicIndex) inLabels(v graph.VertexID, buf *[]order.Rank) []order.Rank {
 	if l, ok := d.in.Get(v); ok {
 		return l
 	}
-	return d.base.InLabels(v)
+	*buf = d.base.AppendInLabels((*buf)[:0], v)
+	return *buf
 }
 
-func (d *DynamicIndex) outLabels(v graph.VertexID) []order.Rank {
+func (d *DynamicIndex) outLabels(v graph.VertexID, buf *[]order.Rank) []order.Rank {
 	if l, ok := d.out.Get(v); ok {
 		return l
 	}
-	return d.base.OutLabels(v)
+	*buf = d.base.AppendOutLabels((*buf)[:0], v)
+	return *buf
 }
 
 func (d *DynamicIndex) outNeighbors(v graph.VertexID) []graph.VertexID {
@@ -207,7 +211,7 @@ func (d *DynamicIndex) Ordering() *order.Ordering { return d.ord }
 // Reachable answers q(s, t) from the maintained labels.
 func (d *DynamicIndex) Reachable(s, t graph.VertexID) bool {
 	// Every rank is below n: the whole of both lists is merged.
-	return !disjointBelow(d.outLabels(s), d.inLabels(t), order.Rank(d.n))
+	return !disjointBelow(d.outLabels(s, &d.sc.held), d.inLabels(t, &d.sc.each), order.Rank(d.n))
 }
 
 // Snapshot returns the current labels as an immutable Index: the base
@@ -216,7 +220,15 @@ func (d *DynamicIndex) Reachable(s, t graph.VertexID) bool {
 // copied — and the index it returns never changes, whatever updates,
 // folds and rebuilds follow.
 func (d *DynamicIndex) Snapshot() *label.Index {
-	return d.base.Patched(d.in.Freeze(d.base.InLabels), d.out.Freeze(d.base.OutLabels))
+	in := d.in.Freeze(func(v graph.VertexID) []order.Rank {
+		d.sc.each = d.base.AppendInLabels(d.sc.each[:0], v)
+		return d.sc.each
+	})
+	out := d.out.Freeze(func(v graph.VertexID) []order.Rank {
+		d.sc.each = d.base.AppendOutLabels(d.sc.each[:0], v)
+		return d.sc.each
+	})
+	return d.base.Patched(in, out)
 }
 
 // SnapshotGraph returns the current graph the way Snapshot returns the
@@ -314,8 +326,10 @@ func (m *marks) add(v graph.VertexID)      { m.stamp[v] = m.epoch }
 func (m *marks) has(v graph.VertexID) bool { return m.stamp[v] == m.epoch }
 
 // repairScratch is what one repair needs and the next can reuse: a
-// mark set per role, the BFS queue, the affected sets, and the A×D
-// reachability relation as a bit matrix.
+// mark set per role, the BFS queue, the affected sets, the A×D
+// reachability relation as a bit matrix, and two buffers base lists are
+// decoded into — one for the list a sweep step holds, one for each list
+// it tests against that one.
 type repairScratch struct {
 	seen, inA, inD marks
 	posA, posD     []int32 // v's index in anc / des, where inA / inD has v
@@ -323,6 +337,7 @@ type repairScratch struct {
 	anc, des       []graph.VertexID
 	ranks          []order.Rank
 	reach          []uint64 // bit i·|des|+j: anc[i] reaches des[j]
+	held, each     []order.Rank
 }
 
 func (sc *repairScratch) init(n int) {
@@ -468,18 +483,18 @@ func (d *DynamicIndex) repair(u, v graph.VertexID) error {
 		x := d.ord.VertexAt(r)
 		if sc.inA.has(x) {
 			// x labels in-direction targets in D.
-			i, outX := int(sc.posA[x]), d.outLabels(x)
+			i, outX := int(sc.posA[x]), d.outLabels(x, &sc.held)
 			for j, y := range des {
-				inY := d.inLabels(y)
+				inY := d.inLabels(y, &sc.each)
 				want := reaches(i, j) && disjointBelow(outX, inY, r)
 				setMembership(d.in, y, inY, r, want)
 			}
 		}
 		if sc.inD.has(x) {
 			// x labels out-direction targets in A.
-			j, inX := int(sc.posD[x]), d.inLabels(x)
+			j, inX := int(sc.posD[x]), d.inLabels(x, &sc.held)
 			for i, w := range anc {
-				outW := d.outLabels(w)
+				outW := d.outLabels(w, &sc.each)
 				want := reaches(i, j) && disjointBelow(outW, inX, r)
 				setMembership(d.out, w, outW, r, want)
 			}
@@ -506,7 +521,7 @@ func disjointBelow(a, b []order.Rank, bound order.Rank) bool {
 
 // setMembership makes rank r present or absent in v's sorted list,
 // which reads as cur now; the list is copied into the overlay only if
-// that changes it.
+// that changes it (so cur may be a scratch buffer).
 func setMembership(lists *graph.MutableOverlay[order.Rank], v graph.VertexID, cur []order.Rank, r order.Rank, want bool) {
 	i, present := slices.BinarySearch(cur, r)
 	switch {

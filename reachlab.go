@@ -148,7 +148,7 @@ type BuildStats struct {
 // exception — it retains the graph for fallback queries, so its file
 // is served from a machine that holds the graph too.
 type Index struct {
-	// q is the representation that answers: the flat label index, the
+	// q is the representation that answers: the plain label index, the
 	// budgeted one, or either behind the SCC component table. newIndex
 	// picks it once; the query methods ask it and nothing else.
 	q    plan
@@ -369,7 +369,7 @@ func (x *Index) NumVertices() int {
 // BuildStats returns the construction cost record.
 func (x *Index) BuildStats() BuildStats { return x.stats }
 
-// LabelIndex exposes the underlying flat label index for in-module
+// LabelIndex exposes the underlying label index for in-module
 // tooling (the benchmark harness and the metamorphic tests compare
 // indexes through it). The component table of a condensed index is
 // not part of it.
@@ -378,10 +378,14 @@ func (x *Index) LabelIndex() *label.Index { return x.idx }
 // IndexStats summarizes the index payload.
 type IndexStats struct {
 	Entries int64 // total label entries Σ(|L_in|+|L_out|)
-	// Bytes is the in-memory payload, 4 bytes per entry plus the offset
-	// arrays: how the paper's Table VI reports "index size". The index
-	// file is smaller; WriteTo returns its size.
-	Bytes        int64
+	// Bytes is the index size as the paper's Table VI accounts it: 4
+	// bytes per entry plus an 8-byte offset per vertex and direction. It
+	// is neither what the index occupies in memory (Resident) nor on disk
+	// (WriteTo returns that).
+	Bytes int64
+	// Resident is the bytes the label layout holds in memory: most ranks
+	// take two bytes there (internal/label's two-tier layout).
+	Resident     int64
 	MaxLabelSize int     // Δ of §II-A
 	AvgLabelSize float64 // mean label size per side
 
@@ -396,6 +400,7 @@ func (x *Index) Stats() IndexStats {
 	st := IndexStats{
 		Entries:      x.idx.Entries(),
 		Bytes:        x.idx.SizeBytes(),
+		Resident:     x.idx.Resident(),
 		MaxLabelSize: x.idx.MaxLabelSize(),
 		AvgLabelSize: x.idx.AvgLabelSize(),
 	}
