@@ -113,16 +113,18 @@ querytest:
 # under the race detector — published epochs immutable beside 1,200
 # later writes and across folds, snapshots equal to fresh builds, the
 # epoch history ring, the tick-driven soak, rich queries on a patched
-# epoch, and the edge log's group commit and its refusal to write on
-# after a failed write. Then the end-to-end smoke: drserve in update mode
+# epoch, the edge log's group commit and its refusal to write on after
+# a failed write, and the crash enumerations of the log and of
+# durable.WriteFile (every prefix of their file operations). Then the
+# end-to-end smoke: drserve in update mode
 # (-graph/-wal) — POST /edges point checks with epoch-acknowledged
 # reads, a drload burst with concurrent writers, kill -9 + WAL replay
 # (restarting from the graph's binary file: both formats open)
 # verifying no acked write is lost, and a graceful-shutdown check
 # (CI's fleet-smoke job).
 updatetest:
-	go test -race -run 'Snapshots|PublishedEpochs|EpochHistory|UpdateQuerySoak|RichEndpointsMatchOracle|InsertDeleteLeavesNoOverlay|RepairAllocs|RebuildGuards|PatchedMatchesFold|OverlayAgainstModel|ConcurrentAppends|FailedWritePoisonsLog' \
-		. ./internal/tol ./internal/label ./internal/graph ./internal/wal
+	go test -race -run 'Snapshots|PublishedEpochs|EpochHistory|UpdateQuerySoak|RichEndpointsMatchOracle|InsertDeleteLeavesNoOverlay|RepairAllocs|RebuildGuards|PatchedMatchesFold|OverlayAgainstModel|ConcurrentAppends|FailedWritePoisonsLog|CrashPoints' \
+		. ./internal/tol ./internal/label ./internal/graph ./internal/wal ./internal/durable
 	./scripts/update_smoke.sh
 
 tools:

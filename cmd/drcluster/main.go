@@ -32,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -42,6 +43,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/pregel"
 )
@@ -133,15 +135,11 @@ func main() {
 		fmt.Printf("wrote superstep trace to %s\n", *traceOut)
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	written, err := idx.WriteTo(f)
-	if err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	var written int64
+	if err := durable.WriteFile(*out, func(w io.Writer) (err error) {
+		written, err = idx.WriteTo(w)
+		return err
+	}); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s (%.2f MB on disk, %.2f MB in memory)\n", *out, float64(written)/(1<<20), float64(idx.Stats().Resident)/(1<<20))
@@ -245,17 +243,11 @@ func (s *spawner) cleanup() {
 // writeTrace dumps the per-superstep trace rows collected during the
 // build as indented JSON.
 func writeTrace(path string, reg *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(reg.TraceSnapshot()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return durable.WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(reg.TraceSnapshot())
+	})
 }
 
 func fatal(err error) {

@@ -17,10 +17,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro"
+	"repro/internal/durable"
 )
 
 func main() {
@@ -87,15 +89,11 @@ func main() {
 		fmt.Printf("label budget %d: %d/%d vertices overflowed in/out\n", st.LabelBudget, st.OverflowedIn, st.OverflowedOut)
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	written, err := idx.WriteTo(f)
-	if err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	var written int64
+	if err := durable.WriteFile(*out, func(w io.Writer) (err error) {
+		written, err = idx.WriteTo(w)
+		return err
+	}); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s (%.2f MB on disk, %.2f MB in memory)\n", *out, float64(written)/(1<<20), float64(st.Resident)/(1<<20))

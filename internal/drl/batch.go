@@ -212,7 +212,7 @@ func batchLabel(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Optio
 					continue
 				}
 				s.seen[w] = ep
-				if ord.RankOf(w) > rv && disjointRanks(srcLab, tgtLab[w]) {
+				if ord.RankOf(w) > rv && label.Disjoint(srcLab, tgtLab[w]) {
 					s.lows = append(s.lows, w)
 				}
 			}
@@ -230,7 +230,7 @@ func batchLabel(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Optio
 			ref := lowRef{wk: wk, lo: len(s.lows), mid: len(s.lows), hi: len(s.lows)}
 			// Self pruning (Algorithm 4 line 6): a higher-order vertex
 			// on a cycle through v means v joins no label set at all.
-			if disjointRanks(out[v], in[v]) {
+			if label.Disjoint(out[v], in[v]) {
 				batchTrimmed(g, s, v, r, out[v], in)
 				ref.mid = len(s.lows)
 				batchTrimmed(inv, s, v, r, in[v], out)
@@ -257,7 +257,7 @@ func batchLabel(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Optio
 			bRow := visitedBwd.Row(w)
 			for _, rv := range fRow {
 				v := ord.VertexAt(rv)
-				if disjointBelow(visitedBwd.Row(v), fRow, rv) {
+				if label.DisjointBelow(visitedBwd.Row(v), fRow, rv) {
 					if len(in[w]) < budget {
 						in[w] = append(in[w], rv)
 					} else {
@@ -269,7 +269,7 @@ func batchLabel(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Optio
 			}
 			for _, rv := range bRow {
 				v := ord.VertexAt(rv)
-				if disjointBelow(visitedFwd.Row(v), bRow, rv) {
+				if label.DisjointBelow(visitedFwd.Row(v), bRow, rv) {
 					if len(out[w]) < budget {
 						out[w] = append(out[w], rv)
 					} else {

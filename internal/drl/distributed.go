@@ -209,7 +209,7 @@ func (p *batchProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
 			in, out := local.lab[kindFwd][v], local.lab[kindBwd][v]
 			// Self pruning (line 6): a prior-batch vertex on a cycle
 			// through v covers everything v could label.
-			if !disjointRanks(out, in) {
+			if !label.Disjoint(out, in) {
 				return
 			}
 			// Share the batch label sets (line 8). A source no prior
@@ -247,7 +247,7 @@ func (p *batchProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
 		v := ord.VertexAt(r)
 		// Batch-label pruning (line 12): a prior-batch vertex on a
 		// v→dst walk blocks the expansion permanently.
-		if !disjointRanks(p.shared.src[d][v], local.lab[d][dst]) {
+		if !label.Disjoint(p.shared.src[d][v], local.lab[d][dst]) {
 			continue
 		}
 		// Check (Algorithm 3 line 14): a known higher-order vertex u

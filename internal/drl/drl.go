@@ -131,42 +131,6 @@ func parallelRanks(lo, hi order.Rank, workers int, cancel <-chan struct{}, fn fu
 	return nil
 }
 
-// disjointBelow reports whether the rank-sorted lists a and b share no
-// element strictly below bound. It is the refinement test of Lemma 5:
-// a common rank u < rank(v) between IBFS_low(v) and the visitors of w
-// proves a higher-order vertex on a v→w walk.
-func disjointBelow(a, b []order.Rank, bound order.Rank) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) && a[i] < bound && b[j] < bound {
-		switch {
-		case a[i] == b[j]:
-			return false
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return true
-}
-
-// disjointRanks reports whether two rank-sorted lists are disjoint
-// (the TOL/batch pruning test).
-func disjointRanks(a, b []order.Rank) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return false
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return true
-}
-
 // rankLists is a flat vertex → sorted-rank-list table: row w holds the
 // ranks of the sources whose (trimmed) BFS visited w. It doubles as
 // the inverted-list store: IBFS_low(v) on G is exactly row v of the

@@ -9,6 +9,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"repro/internal/durable"
 )
 
 // Text edge-list format: one "u v" pair per line, whitespace separated,
@@ -150,24 +152,13 @@ func LoadFile(path string) (*Digraph, error) {
 	return ReadEdgeList(f)
 }
 
-// SaveFile writes g to path; binaryFormat chooses the mmap-friendly
-// binary layout over the text edge list.
+// SaveFile writes g to path, replacing any file there atomically
+// (durable.WriteFile); binaryFormat chooses the mmap-friendly binary
+// layout over the text edge list.
 func SaveFile(path string, g *Digraph, binaryFormat bool) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("graph: %w", err)
-	}
+	write := func(w io.Writer) error { return WriteEdgeList(w, g) }
 	if binaryFormat {
-		err = WriteBinary2(f, g)
-	} else {
-		err = WriteEdgeList(f, g)
+		write = func(w io.Writer) error { return WriteBinary2(w, g) }
 	}
-	// Exactly one close, and its error reported exactly once: a write
-	// failure wins (the close error is then usually a consequence),
-	// a clean write surfaces the close error, which is where buffered
-	// filesystems report ENOSPC.
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("graph: closing %s: %w", path, cerr)
-	}
-	return err
+	return durable.WriteFile(path, write)
 }

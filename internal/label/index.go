@@ -126,6 +126,29 @@ func intersects[T uint16 | order.Rank](a, b []T) bool {
 	return mergeIntersects(a, b)
 }
 
+// Disjoint reports whether two rank-sorted lists share no element: the
+// pruning test of every labeler (TOL, DRL_b), the negation of the
+// query kernel's linear merge.
+func Disjoint(a, b []order.Rank) bool { return !mergeIntersects(a, b) }
+
+// DisjointBelow reports whether the rank-sorted lists a and b share no
+// element strictly below bound. It is the refinement test of Lemma 5:
+// a common rank u < rank(v) between IBFS_low(v) and the visitors of w
+// proves a higher-order vertex on a v→w walk.
+func DisjointBelow(a, b []order.Rank, bound order.Rank) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b) && a[i] < bound && b[j] < bound; {
+		switch {
+		case a[i] == b[j]:
+			return false
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return true
+}
+
 func mergeIntersects[T uint16 | order.Rank](a, b []T) bool {
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {

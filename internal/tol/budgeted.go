@@ -51,7 +51,7 @@ func BuildBudgeted(g *graph.Digraph, ord *order.Ordering, budget int, cancel <-c
 		des, _ = label.TrimmedBFS(g, ord, v, fw, des[:0], nil)
 		anc, _ = label.TrimmedBFS(inv, ord, v, bw, anc[:0], nil)
 		for _, w := range des {
-			if disjoint(out[v], in[w]) {
+			if label.Disjoint(out[v], in[w]) {
 				if len(in[w]) < budget {
 					in[w] = append(in[w], r)
 				} else {
@@ -62,7 +62,7 @@ func BuildBudgeted(g *graph.Digraph, ord *order.Ordering, budget int, cancel <-c
 			}
 		}
 		for _, w := range anc {
-			if disjoint(in[v], out[w]) {
+			if label.Disjoint(in[v], out[w]) {
 				if len(out[w]) < budget {
 					out[w] = append(out[w], r)
 				} else {

@@ -211,7 +211,7 @@ func (d *DynamicIndex) Ordering() *order.Ordering { return d.ord }
 // Reachable answers q(s, t) from the maintained labels.
 func (d *DynamicIndex) Reachable(s, t graph.VertexID) bool {
 	// Every rank is below n: the whole of both lists is merged.
-	return !disjointBelow(d.outLabels(s, &d.sc.held), d.inLabels(t, &d.sc.each), order.Rank(d.n))
+	return !label.DisjointBelow(d.outLabels(s, &d.sc.held), d.inLabels(t, &d.sc.each), order.Rank(d.n))
 }
 
 // Snapshot returns the current labels as an immutable Index: the base
@@ -486,7 +486,7 @@ func (d *DynamicIndex) repair(u, v graph.VertexID) error {
 			i, outX := int(sc.posA[x]), d.outLabels(x, &sc.held)
 			for j, y := range des {
 				inY := d.inLabels(y, &sc.each)
-				want := reaches(i, j) && disjointBelow(outX, inY, r)
+				want := reaches(i, j) && label.DisjointBelow(outX, inY, r)
 				setMembership(d.in, y, inY, r, want)
 			}
 		}
@@ -495,28 +495,12 @@ func (d *DynamicIndex) repair(u, v graph.VertexID) error {
 			j, inX := int(sc.posD[x]), d.inLabels(x, &sc.held)
 			for i, w := range anc {
 				outW := d.outLabels(w, &sc.each)
-				want := reaches(i, j) && disjointBelow(outW, inX, r)
+				want := reaches(i, j) && label.DisjointBelow(outW, inX, r)
 				setMembership(d.out, w, outW, r, want)
 			}
 		}
 	}
 	return nil
-}
-
-// disjointBelow mirrors drl's refinement test: no common rank < bound.
-func disjointBelow(a, b []order.Rank, bound order.Rank) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) && a[i] < bound && b[j] < bound {
-		switch {
-		case a[i] == b[j]:
-			return false
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return true
 }
 
 // setMembership makes rank r present or absent in v's sorted list,

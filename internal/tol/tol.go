@@ -66,12 +66,12 @@ func BuildCancelable(g *graph.Digraph, ord *order.Ordering, cancel <-chan struct
 		// rank r and can never produce an intersection because the
 		// opposite side still holds ranks < r at test time.
 		for _, w := range des {
-			if disjoint(out[v], in[w]) {
+			if label.Disjoint(out[v], in[w]) {
 				in[w] = append(in[w], r)
 			}
 		}
 		for _, w := range anc {
-			if disjoint(in[v], out[w]) {
+			if label.Disjoint(in[v], out[w]) {
 				out[w] = append(out[w], r)
 			}
 		}
@@ -82,22 +82,4 @@ func BuildCancelable(g *graph.Digraph, ord *order.Ordering, cancel <-chan struct
 // BuildDefault runs TOL under the paper's degree-product order.
 func BuildDefault(g *graph.Digraph) *label.Index {
 	return Build(g, order.Compute(g))
-}
-
-// disjoint reports whether two rank-sorted label lists have an empty
-// intersection. Entries of the current round's rank may be present on
-// one side only, so they never match (see Build).
-func disjoint(a, b []order.Rank) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return false
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return true
 }

@@ -20,7 +20,11 @@
 // error — a corrupt record is never silently skipped or mis-parsed.
 // The one sanctioned repair is at Open: a torn tail (the suffix after
 // the last valid record, which a mid-append crash leaves behind) is
-// truncated away and reported, the standard WAL recovery contract.
+// truncated away and reported. Every file operation goes through
+// internal/durable's seam, and TestWALCrashPoints crashes the log
+// after each one of a scripted run: Open never fails afterwards, and
+// it recovers a prefix of the records written that holds every record
+// acknowledged.
 //
 // The file is read once, at Open; Replay hands those records out and
 // nothing reads the file after that. Writes are group-committed: Write
@@ -40,8 +44,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/graph"
 )
 
@@ -183,7 +189,7 @@ func DecodeRecord(buf []byte, prevSeq uint64) (Record, int, error) {
 // Log is a durable, append-only edge log.
 type Log struct {
 	path string
-	f    *os.File
+	f    durable.File
 
 	// mu guards seq assignment and the file write, keeping records in
 	// seq order on disk.
@@ -205,14 +211,23 @@ type Log struct {
 // the file is scanned, every valid record kept for Replay, and a torn
 // tail — bytes after the last valid record — truncated away. Records
 // before the tear are never touched; corruption inside them is a hard
-// error.
-func Open(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// error. The log's directory is synced before Open returns, so the
+// entry naming the file is durable before any record is acknowledged.
+func Open(path string) (*Log, error) { return open(durable.OS, path) }
+
+func open(fsys durable.FS, path string) (*Log, error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND)
 	if err != nil {
 		return nil, err
 	}
 	l := &Log{path: path, f: f}
-	if err := l.recover(); err != nil {
+	err = l.recover()
+	if err == nil {
+		// On every Open, not only the one that creates the file: a
+		// predecessor may have crashed between creating and syncing it.
+		err = fsys.SyncDir(filepath.Dir(path))
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -220,7 +235,8 @@ func Open(path string) (*Log, error) {
 }
 
 // recover scans the file, validates the header and every record, and
-// truncates a torn tail.
+// truncates a torn tail; the file is opened O_APPEND, so writes land
+// after the last valid record.
 func (l *Log) recover() error {
 	data, err := io.ReadAll(l.f)
 	if err != nil {
@@ -266,9 +282,6 @@ func (l *Log) recover() error {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("wal: syncing truncation: %w", err)
 		}
-	}
-	if _, err := l.f.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: seeking past recovered records: %w", err)
 	}
 	return nil
 }
