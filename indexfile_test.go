@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -13,18 +14,23 @@ import (
 	"repro/internal/order"
 )
 
+// skipBlocks returns where the blocks that cover count values, 4,096
+// a block, end in file when they start at pos.
+func skipBlocks(file []byte, pos, count int) int {
+	for ; count > 0; count -= 4096 {
+		_, k1 := binary.Uvarint(file[pos:])
+		size, k2 := binary.Uvarint(file[pos+k1:])
+		pos += k1 + k2 + int(size)
+	}
+	return pos
+}
+
 // labelsOffset returns where an index file's two labels sections
 // start: behind the header, the optional parts it announces and the
-// rank permutation (DESIGN.md §16).
+// permutation's blocks, one per 4,096 ranks (DESIGN.md §16).
 func labelsOffset(file []byte) int {
 	pos := 32
-	skip := func(values int) {
-		for ; values > 0; values -= 4096 {
-			_, k1 := binary.Uvarint(file[pos:])
-			size, k2 := binary.Uvarint(file[pos+k1:])
-			pos += k1 + k2 + int(size)
-		}
-	}
+	skip := func(values int) { pos = skipBlocks(file, pos, values) }
 	parts := binary.LittleEndian.Uint32(file[12:])
 	if parts&1 != 0 {
 		pos += 16
@@ -44,8 +50,77 @@ func labelsOffset(file []byte) int {
 	return pos
 }
 
+// labelsSections returns the sizes of an index file's L_in and L_out
+// sections: a block per 4,096 vertices each.
+func labelsSections(file []byte) (in, out int) {
+	n := int(binary.LittleEndian.Uint32(file[8:]))
+	start := labelsOffset(file)
+	mid := skipBlocks(file, start, n)
+	return mid - start, skipBlocks(file, mid, n) - mid
+}
+
+// perListLabels returns the sizes of x's two labels sections in the
+// format before this one ("DRLINDX4"), which coded every list alone: per
+// 4,096 vertices a block of uvarint(entries) uvarint(bytes) and a
+// payload of its model — kLen, and a gap parameter per bit length a
+// rank below n has, each ⌊log₂(x/count)⌋ for x = Σ − ⌊Σ/32⌋ − ⌊Σ/128⌋ of
+// the values it codes — and the lists, rice(kLen, len′<<1 | selfLast)
+// and len′ gaps rice(kGap[bitlen(next)], r − next) each, zero-padded to
+// a byte.
+func perListLabels(x *label.Index) (in, out int) {
+	bitLen := func(v int) int { return bits.Len(uint(v)) }
+	param := func(sum, count int) int {
+		if count == 0 || sum-sum/32-sum/128 < count {
+			return 0
+		}
+		return bitLen((sum-sum/32-sum/128)/count) - 1
+	}
+	rice := func(k, v int) int {
+		if v>>k < 20 {
+			return v>>k + 1 + k
+		}
+		return 52
+	}
+	uvarint := func(v int) int { return len(binary.AppendUvarint(nil, uint64(v))) }
+	n := x.NumVertices()
+	sizes := [2]int{}
+	for dir, lists := range []func(graph.VertexID) []order.Rank{x.InLabels, x.OutLabels} {
+		for v0 := 0; v0 < n; v0 += 4096 {
+			type code struct{ slot, v int } // slot 0 the header, 1+b a gap from a rank of b bits
+			var codes []code
+			entries := 0
+			for v := v0; v < min(v0+4096, n); v++ {
+				list := lists(graph.VertexID(v))
+				entries += len(list)
+				self := 0
+				if k := len(list) - 1; k >= 0 && list[k] == x.Ordering().RankOf(graph.VertexID(v)) {
+					list, self = list[:k], 1
+				}
+				codes = append(codes, code{0, len(list)<<1 | self})
+				next := 0
+				for _, r := range list {
+					codes = append(codes, code{1 + bitLen(next), int(r) - next})
+					next = int(r) + 1
+				}
+			}
+			var sum, count [34]int
+			for _, c := range codes {
+				sum[c.slot] += c.v
+				count[c.slot]++
+			}
+			bits := 0
+			for _, c := range codes {
+				bits += rice(param(sum[c.slot], count[c.slot]), c.v)
+			}
+			size := 2 + bitLen(max(n, 1)-1) + (bits+7)/8
+			sizes[dir] += uvarint(entries) + uvarint(size) + size
+		}
+	}
+	return sizes[0], sizes[1]
+}
+
 // byteAlignedLabels returns the size of x's two labels sections in the
-// format before this one ("DRLINDX3"): per 4,096 vertices a block of
+// byte-aligned format ("DRLINDX3"): per 4,096 vertices a block of
 // uvarint(entries) uvarint(bytes) and, per list, uvarint(len) and one
 // uvarint per gap r − prev − 1.
 func byteAlignedLabels(x *label.Index) int {
@@ -73,8 +148,11 @@ func byteAlignedLabels(x *label.Index) int {
 // TestIndexFileBeatsByteAligned: the list coding's model is fitted to
 // each file, not tuned to the benchmark's graph — over every generator
 // family, condensed or not, capped or not, the labels sections are
-// smaller than the byte-aligned ones they replaced, and the file reads
-// back as the index that was built and answers as BFS does.
+// smaller than the byte-aligned ones of two formats ago, and each is no
+// larger than coding every list alone, as the format before this one
+// did: a block where inheriting does not pay does not inherit. The file
+// reads back as the index that was built, which writes the same bytes
+// again and answers as BFS does.
 func TestIndexFileBeatsByteAligned(t *testing.T) {
 	const n = 3000
 	for _, family := range gen.Families() {
@@ -95,12 +173,20 @@ func TestIndexFileBeatsByteAligned(t *testing.T) {
 			if now >= before {
 				t.Errorf("%s %+v: labels sections of %d bytes, %d byte-aligned", family, opts, now, before)
 			}
+			in, out := labelsSections(file.Bytes())
+			if aloneIn, aloneOut := perListLabels(built.idx); in > aloneIn || out > aloneOut {
+				t.Errorf("%s %+v: labels sections of %d and %d bytes, %d and %d with every list coded alone", family, opts, in, out, aloneIn, aloneOut)
+			}
 			loaded, err := readIndex(bytes.NewReader(file.Bytes()), g)
 			if err != nil {
 				t.Fatalf("%s %+v: %v", family, opts, err)
 			}
 			if !built.idx.Equal(loaded.idx) {
 				t.Fatalf("%s %+v: the file changed the index: %s", family, opts, built.idx.Diff(loaded.idx))
+			}
+			var again bytes.Buffer
+			if _, err := loaded.WriteTo(&again); err != nil || !bytes.Equal(again.Bytes(), file.Bytes()) {
+				t.Fatalf("%s %+v: the index read back writes other bytes (%v)", family, opts, err)
 			}
 			rng := rand.New(rand.NewSource(9))
 			for q := 0; q < 400; q++ {
@@ -122,7 +208,8 @@ func TestIndexFileBeatsByteAligned(t *testing.T) {
 // TestIndexFileSizeGolden pins the size of one seeded build's file, so
 // that an edit to the list coding or its model moves a number here (as
 // TestWireVolumeGolden does for the wire). Entries pin the labeler's
-// half; a moved size with the same entries is the codec's doing.
+// half; a moved size with the same entries is the codec's doing. The
+// index read back from the file writes it again, byte for byte.
 func TestIndexFileSizeGolden(t *testing.T) {
 	g, err := GenerateGraph("citation", 20000, 4, 1)
 	if err != nil {
@@ -136,13 +223,22 @@ func TestIndexFileSizeGolden(t *testing.T) {
 	if _, err := idx.WriteTo(&file); err != nil {
 		t.Fatal(err)
 	}
-	const entries, size = 594803, 527890
+	const entries, size = 594803, 279282
 	if got := idx.Stats().Entries; got != entries {
 		t.Errorf("%d label entries, want %d", got, entries)
 	}
 	if file.Len() != size {
-		t.Errorf("index file of %d bytes (%d in its labels sections, %d byte-aligned), want %d",
-			file.Len(), file.Len()-labelsOffset(file.Bytes()), byteAlignedLabels(idx.idx), size)
+		in, out := perListLabels(idx.idx)
+		t.Errorf("index file of %d bytes (%d in its labels sections, %d with every list alone, %d byte-aligned), want %d",
+			file.Len(), file.Len()-labelsOffset(file.Bytes()), in+out, byteAlignedLabels(idx.idx), size)
+	}
+	back, err := ReadIndex(bytes.NewReader(file.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if _, err := back.WriteTo(&again); err != nil || !bytes.Equal(again.Bytes(), file.Bytes()) {
+		t.Errorf("the index read back writes other bytes (%v)", err)
 	}
 }
 

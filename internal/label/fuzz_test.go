@@ -29,10 +29,12 @@ func FuzzRead(f *testing.F) {
 	f.Add(mustWrite(f, small))
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
-	// Several blocks per section, sections without entries, no blocks.
+	// Several blocks per section, sections without entries, no blocks,
+	// and lists that inherit.
 	f.Add(mustWrite(f, sparseIndex(f, blockValues+40, 2, 1)))
 	f.Add(mustWrite(f, sparseIndex(f, 9, 0, 2)))
 	f.Add(mustWrite(f, randomIndex(f, 0, 1)))
+	f.Add(mustWrite(f, hierIndex(f, 300, 90, 3)))
 	// One file per optional part: the three-vertex index as that of a
 	// three-vertex graph, of the condensation of a four-vertex one, and
 	// capped with some lists incomplete.
@@ -58,8 +60,9 @@ func FuzzRead(f *testing.F) {
 		_ = idx.SizeBytes()
 		// What ReadWith accepts is a set of strictly ascending lists and
 		// parts that fit them, so WriteWith must take it; the bytes may
-		// differ from the input (a uvarint has padded spellings), the
-		// index and its parts may not.
+		// differ from the input (a uvarint has padded spellings, and a
+		// list may be coded alone or inheriting), the index and its parts
+		// may not.
 		again, extrasAgain, err := ReadWith(bytes.NewReader(mustWriteWith(t, idx, extras)))
 		if err != nil {
 			t.Fatal(err)
@@ -73,56 +76,124 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
+// orderOf draws an order of len(raw)/2 vertices, at most a block's,
+// from raw: two bytes a vertex, a key, the vertices ranked by key and
+// then by ID.
+func orderOf(raw []byte) *order.Ordering {
+	n := min(len(raw)/2, blockValues)
+	vertices := make([]graph.VertexID, n)
+	for v := range vertices {
+		vertices[v] = graph.VertexID(v)
+	}
+	key := func(v graph.VertexID) uint16 { return binary.LittleEndian.Uint16(raw[2*v:]) }
+	slices.SortStableFunc(vertices, func(a, b graph.VertexID) int { return int(key(a)) - int(key(b)) })
+	return order.FromVertices(vertices)
+}
+
+// hierLists shapes label sets as a labeler's are, reading raw as a
+// stream of choices (zeros once it runs out): per rank in order, the
+// higher rank whose list it starts from, which of that list's ranks it
+// keeps, the ranks it adds — anywhere, its own and those above included
+// — and whether its own rank ends it.
+func hierLists(ord *order.Ordering, raw []byte) *Index {
+	next := func() int {
+		if len(raw) == 0 {
+			return 0
+		}
+		b := raw[0]
+		raw = raw[1:]
+		return int(b)
+	}
+	n := ord.N()
+	in, out := make([][]order.Rank, n), make([][]order.Rank, n)
+	for _, lists := range [][][]order.Rank{in, out} {
+		for r := 1; r < n; r++ {
+			var list []order.Rank
+			for _, h := range lists[ord.VertexAt(order.Rank((next()<<8|next())%r))] {
+				if next()%8 != 0 {
+					list = append(list, h)
+				}
+			}
+			for k := next() % 3; k > 0; k-- {
+				list = append(list, order.Rank((next()<<8|next())%n))
+			}
+			if next()%10 != 0 {
+				list = append(list, order.Rank(r))
+			}
+			sortRanks(list)
+			lists[ord.VertexAt(order.Rank(r))] = slices.Compact(list)
+		}
+	}
+	return FromLists(ord, in, out)
+}
+
 // FuzzLabelBlock reaches the bit reader without a header and a
 // permutation that must parse first: for any payload (model included),
-// vertex count, vertex ranks (four bytes each, taken modulo n) and entry
-// count, decodeLabelBlock must not panic; lists it accepts must be lists
-// the encoder takes and the decoder then returns again, and that the
-// chunk builder lays out as they are.
+// entry count and order of up to a block of vertices, decoding the
+// payload as the only block of a labels section must not panic, and
+// lists it accepts must be lists the encoder takes and the decoder then
+// returns again. Label sets shaped from the same bytes as a labeler's
+// are must round-trip through the block codec — where most of them
+// inherit — and through a whole file.
 func FuzzLabelBlock(f *testing.F) {
-	for _, x := range []*Index{sparseIndex(f, 40, 6, 4), edgeIndex(f)} {
-		vertices := min(x.n, 800)
-		block, err := appendLabelBlock(nil, x.InLabels, x.ord.Ranks(), 0, vertices, x.n)
+	for _, x := range []*Index{sparseIndex(f, 40, 6, 4), hierIndex(f, 300, 90, 5)} {
+		in, _ := x.sides()
+		var coder labelCoder
+		block, err := coder.appendLabelBlock(nil, in, x.ord, 0)
 		if err != nil {
 			f.Fatal(err)
 		}
 		entries, payload := blockPayload(block)
-		var ranks []byte
-		for _, r := range x.ord.Ranks()[:vertices] {
-			ranks = binary.LittleEndian.AppendUint32(ranks, uint32(r))
+		var keys []byte
+		for _, r := range x.ord.Ranks() {
+			keys = binary.LittleEndian.AppendUint16(keys, uint16(r))
 		}
-		f.Add(payload, ranks, uint32(x.n), uint16(entries))
+		f.Add(payload, keys, uint32(entries))
 	}
-	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0, 0, 0, 0}, uint32(1), uint16(1))
-	f.Fuzz(func(t *testing.T, payload, rawRanks []byte, n uint32, entries uint16) {
-		if n = min(n, 1<<31); n == 0 {
+	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0, 0}, uint32(1))
+	f.Add([]byte{0x81, 0, 0, 0, 0, 0, 0, 0xff, 0x0f}, []byte{0, 0, 1, 0, 2, 0}, uint32(4))
+	f.Fuzz(func(t *testing.T, payload, rawOrder []byte, entries uint32) {
+		ord := orderOf(rawOrder)
+		if ord.N() == 0 {
 			return
 		}
-		ranks := make([]order.Rank, min(len(rawRanks)/4, blockValues))
-		for i := range ranks {
-			ranks[i] = order.Rank(binary.LittleEndian.Uint32(rawRanks[4*i:]) % n)
-		}
-		var s, again blockLists
-		if decodeLabelBlock(payload, ranks, int(entries), int(n), &s) != nil {
-			return
-		}
-		if len(s.ends) != len(ranks) || len(s.lab) != int(entries) {
-			t.Fatalf("accepted a block as %d lists of %d entries, want %d of %d", len(s.ends), len(s.lab), len(ranks), entries)
-		}
-		block, err := appendLabelBlock(nil, func(v graph.VertexID) []order.Rank { return s.list(int(v)) }, ranks, 0, len(ranks), int(n))
-		if err != nil {
-			t.Fatalf("accepted lists refused by the encoder: %v", err)
-		}
-		_, recoded := blockPayload(block)
-		if err := decodeLabelBlock(recoded, ranks, int(entries), int(n), &again); err != nil || !slices.Equal(s.lab, again.lab) || !slices.Equal(s.ends, again.ends) {
-			t.Fatalf("re-encoded block decodes to other lists (%v)", err)
-		}
-		c, _ := chunkOf(len(s.ends), s.list)
-		laid := layout{chunks: []chunk{c}}
-		for i := range ranks {
-			if got := laid.appendList(nil, graph.VertexID(i)); !slices.Equal(got, s.list(i)) {
-				t.Fatalf("list %d laid out as %v, decoded as %v", i, got, s.list(i))
+		if s, err := decodeBlock(payload, ord, uint64(entries)); err == nil {
+			var coder labelCoder
+			block, err := coder.appendLabelBlock(nil, side{l: &s.l}, ord, 0)
+			if err != nil {
+				t.Fatalf("accepted lists refused by the encoder: %v", err)
 			}
+			count, recoded := blockPayload(block)
+			again, err := decodeBlock(recoded, ord, count)
+			if err != nil {
+				t.Fatalf("re-encoded block refused: %v", err)
+			}
+			for v := graph.VertexID(0); int(v) < ord.N(); v++ {
+				if a, b := s.l.appendList(nil, v), again.l.appendList(nil, v); !slices.Equal(a, b) {
+					t.Fatalf("list %d decoded as %v, re-encoded and decoded as %v", v, a, b)
+				}
+			}
+		}
+
+		x := hierLists(ord, payload)
+		in, _ := x.sides()
+		var coder labelCoder
+		block, err := coder.appendLabelBlock(nil, in, ord, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count, coded := blockPayload(block)
+		s, err := decodeBlock(coded, ord, count)
+		if err != nil {
+			t.Fatalf("shaped lists refused: %v", err)
+		}
+		for v := graph.VertexID(0); int(v) < ord.N(); v++ {
+			if a, b := x.InLabels(v), s.l.appendList(nil, v); !slices.Equal(a, b) {
+				t.Fatalf("list %d coded as %v, decoded as %v", v, a, b)
+			}
+		}
+		if y, err := Read(bytes.NewReader(mustWrite(t, x))); err != nil || !x.Equal(y) {
+			t.Fatalf("shaped lists do not round-trip through a file (%v)", err)
 		}
 	})
 }

@@ -50,22 +50,14 @@ func (x *Index) OutLabels(v graph.VertexID) []order.Rank { return x.AppendOutLab
 // AppendInLabels appends L_in(v), rank-sorted, to dst and returns the
 // extended slice: no allocation once dst has room.
 func (x *Index) AppendInLabels(dst []order.Rank, v graph.VertexID) []order.Rank {
-	if x.patch != nil {
-		if l, ok := x.patch.in.Get(v); ok {
-			return append(dst, l...)
-		}
-	}
-	return x.in.appendList(dst, v)
+	in, _ := x.sides()
+	return in.appendList(dst, v)
 }
 
 // AppendOutLabels appends L_out(v) to dst as AppendInLabels does L_in(v).
 func (x *Index) AppendOutLabels(dst []order.Rank, v graph.VertexID) []order.Rank {
-	if x.patch != nil {
-		if l, ok := x.patch.out.Get(v); ok {
-			return append(dst, l...)
-		}
-	}
-	return x.out.appendList(dst, v)
+	_, out := x.sides()
+	return out.appendList(dst, v)
 }
 
 // Reachable answers the reachability query q(s, t) from the index

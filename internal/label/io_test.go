@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -16,8 +17,8 @@ import (
 
 // The reference encoder: the file grammar of DESIGN.md §16 written
 // down once more, one goroutine, one append per value and per bit, no
-// buffer reuse, its own model fit. WriteTo must produce these bytes
-// whatever GOMAXPROCS is.
+// buffer reuse, its own model fit and its own choice of what inherits.
+// WriteTo must produce these bytes whatever GOMAXPROCS is.
 
 // blockPayload takes a block's header off: its entry count, its payload.
 func blockPayload(block []byte) (entries uint64, payload []byte) {
@@ -67,36 +68,20 @@ func (b refBits) bytes() []byte {
 	return out
 }
 
-// refSlot is the model slot of a gap that starts at next: next's bit length.
-func refSlot(next int64) int {
-	slot := 0
-	for ; next > 0; next >>= 1 {
-		slot++
-	}
-	return slot
+// refWidth is how many bits rice(k, v) appends.
+func refWidth(k int, v uint64) int {
+	var b refBits
+	b.rice(k, v)
+	return len(b)
 }
 
-// refValues returns what one list is written as: its header, and per
-// gap the slot it is coded under and its value. A last entry that is
-// the vertex's own rank is the header's low bit and no gap.
-func refValues(list []order.Rank, self order.Rank) (hdr uint64, slots []int, gaps []uint64) {
-	if len(list) > 0 && list[len(list)-1] == self {
-		list, hdr = list[:len(list)-1], 1
+// refBitLen is the bit length of v: 0 for 0.
+func refBitLen(v int64) int {
+	n := 0
+	for ; v > 0; v >>= 1 {
+		n++
 	}
-	hdr |= uint64(len(list)) << 1
-	next := int64(0)
-	for _, r := range list {
-		slots, gaps = append(slots, refSlot(next)), append(gaps, uint64(int64(r)-next))
-		next = int64(r) + 1
-	}
-	return hdr, slots, gaps
-}
-
-// refModel is a block's parameters: hdr for the list headers, gap[b]
-// for the gaps that start at a rank of b bits.
-type refModel struct {
-	hdr int
-	gap [33]int
+	return n
 }
 
 // refParam is the parameter for count values that add up to sum:
@@ -111,73 +96,268 @@ func refParam(sum, count uint64) (k int) {
 	return k
 }
 
-// refFit fits a block's model to its lists.
-func refFit(lists [][]order.Rank, ranks []order.Rank) (m refModel) {
-	var hdrSum uint64
-	var sum, count [33]uint64
-	for v, list := range lists {
-		hdr, slots, gaps := refValues(list, ranks[v])
-		hdrSum += hdr
-		for i, slot := range slots {
-			sum[slot] += gaps[i]
-			count[slot]++
+// refCode is one value of a labels block's stream and the name of the
+// parameter it is coded under: "len", "wide", "hub", "drops", "drop",
+// "gap0" … "gap32" — or "bit", a raw bit.
+type refCode struct {
+	param string
+	v     uint64
+}
+
+func refGap(next int64) string { return fmt.Sprintf("gap%d", refBitLen(next)) }
+
+// refFit fits a parameter to each name's values.
+func refFit(codes ...[]refCode) map[string]int {
+	sum, count := map[string]uint64{}, map[string]uint64{}
+	for _, cs := range codes {
+		for _, c := range cs {
+			sum[c.param] += c.v
+			count[c.param]++
 		}
 	}
-	m.hdr = refParam(hdrSum, uint64(len(lists)))
-	for slot := range m.gap {
-		m.gap[slot] = refParam(sum[slot], count[slot])
+	m := map[string]int{}
+	for p := range count {
+		m[p] = refParam(sum[p], count[p])
 	}
 	return m
 }
 
-// refLabelBlock is the block of lists, the label lists of vertices of
-// these ranks among n: the model — the header parameter and one per
-// slot a rank below n can start a gap in, a byte each — then the bits.
-func refLabelBlock(out []byte, lists [][]order.Rank, ranks []order.Rank, n int) []byte {
-	m := refFit(lists, ranks)
-	payload := []byte{byte(m.hdr)}
-	for slot := 0; slot <= refSlot(int64(n-1)); slot++ {
-		payload = append(payload, byte(m.gap[slot]))
-	}
-	var stream refBits
-	entries := 0
-	for v, list := range lists {
-		hdr, slots, gaps := refValues(list, ranks[v])
-		stream.rice(m.hdr, hdr)
-		for i, slot := range slots {
-			stream.rice(m.gap[slot], gaps[i])
+// refCost is the width of codes under m.
+func refCost(m map[string]int, codes []refCode) int {
+	bits := 0
+	for _, c := range codes {
+		if c.param == "bit" {
+			bits++
+		} else {
+			bits += refWidth(m[c.param], c.v)
 		}
-		entries += len(list)
 	}
-	return refBlock(out, entries, append(payload, stream.bytes()...))
+	return bits
 }
 
-func writeToReference(x *Index) []byte {
+// refGaps codes ascending ranks as gaps from next: 0, then r + 1.
+func refGaps(ranks []order.Rank) (codes []refCode) {
+	next := int64(0)
+	for _, r := range ranks {
+		codes = append(codes, refCode{refGap(next), uint64(int64(r) - next)})
+		next = int64(r) + 1
+	}
+	return codes
+}
+
+// refExplicit is the part of a list that is written: all of it, or all
+// but a last entry that is own.
+func refExplicit(list []order.Rank, own order.Rank) (written []order.Rank, self uint64) {
+	if len(list) > 0 && list[len(list)-1] == own {
+		return list[:len(list)-1], 1
+	}
+	return list, 0
+}
+
+// refDiff returns the positions of hub's entries list lacks and list's
+// entries hub lacks, by lookups.
+func refDiff(list, hub []order.Rank) (drops []uint64, res []order.Rank) {
+	for j, r := range hub {
+		if !slices.Contains(list, r) {
+			drops = append(drops, uint64(j))
+		}
+	}
+	for _, r := range list {
+		if !slices.Contains(hub, r) {
+			res = append(res, r)
+		}
+	}
+	return drops, res
+}
+
+// refSource is what a labels block is coded from: one direction's
+// lists and the order, of n vertices.
+type refSource struct {
+	list     func(graph.VertexID) []order.Rank
+	rankOf   func(graph.VertexID) order.Rank
+	vertexAt func(order.Rank) graph.VertexID
+	n        int
+}
+
+// refLabelBlock is block k of a labels section: the shapes of vertices
+// [4096k, 4096k+4096), then the lists of those ranks — each alone, or,
+// if that is the fewer bits with 24 of model bytes added, each with a
+// bit that says whether it inherits from the one of its last four
+// ranks below its own whose list differs from it in the fewest ranks
+// (the last such), as it does where that is estimated to cost fewer bits
+// than the list alone under the alone model. It returns the block and
+// how many of its lists inherit.
+func refLabelBlock(out []byte, src refSource, k int) ([]byte, int) {
+	n := src.n
+	lo, hi := k*4096, min(k*4096+4096, n)
+	var shapes []refCode
+	entries := 0
+	for v := lo; v < hi; v++ {
+		list := src.list(graph.VertexID(v))
+		entries += len(list)
+		written, self := refExplicit(list, src.rankOf(graph.VertexID(v)))
+		shapes = append(shapes, refCode{"len", uint64(len(written))<<1 | self})
+		if n > 65536 && len(written) > 0 {
+			wide := 0
+			for _, r := range written {
+				if r >= 65536 {
+					wide++
+				}
+			}
+			shapes = append(shapes, refCode{"wide", uint64(wide)})
+		}
+	}
+	var alone, mixed []refCode
+	var lists [][]order.Rank
+	for r := lo; r < hi; r++ {
+		written, _ := refExplicit(src.list(src.vertexAt(order.Rank(r))), order.Rank(r))
+		lists = append(lists, written)
+		alone = append(alone, refGaps(written)...)
+	}
+	m := refFit(alone)
+	inheriting := 0
+	for i, list := range lists {
+		if len(list) == 0 {
+			continue
+		}
+		own := lo + i
+		hub, tried := -1, 0
+		var drops []uint64
+		var res []order.Rank
+		for j := len(list) - 1; j >= 0 && tried < 4; j-- {
+			if int(list[j]) >= own {
+				continue
+			}
+			tried++
+			d, r := refDiff(list, src.list(src.vertexAt(list[j])))
+			if hub < 0 || len(d)+len(r) < len(drops)+len(res) {
+				hub, drops, res = int(list[j]), d, r
+			}
+		}
+		aloneBits := refCost(m, refGaps(list))
+		estimate := 0
+		if hub >= 0 {
+			gamma := func(v uint64) int { return 2*refBitLen(int64(v+1)) - 1 }
+			estimate = refBitLen(int64(hub)) + 1 + gamma(uint64(len(drops))) + refCost(m, refGaps(res))
+			for j, p := range drops {
+				if j > 0 {
+					p -= drops[j-1] + 1
+				}
+				estimate += gamma(p)
+			}
+		}
+		if hub < 0 || estimate >= aloneBits {
+			mixed = append(append(mixed, refCode{"bit", 0}), refGaps(list)...)
+			continue
+		}
+		inheriting++
+		mixed = append(mixed, refCode{"bit", 1}, refCode{"hub", uint64(hub)}, refCode{"drops", uint64(len(drops))})
+		for j, p := range drops {
+			if j > 0 {
+				p -= drops[j-1] + 1
+			}
+			mixed = append(mixed, refCode{"drop", p})
+		}
+		mixed = append(mixed, refGaps(res)...)
+	}
+	chosen, inherits := alone, false
+	if refCost(refFit(mixed), mixed)+24 < refCost(m, alone) {
+		chosen, inherits = mixed, true
+	} else {
+		inheriting = 0
+	}
+	m = refFit(shapes, chosen)
+	params := []string{"len"}
+	if n > 65536 {
+		params = append(params, "wide")
+	}
+	if inherits {
+		params = append(params, "hub", "drops", "drop")
+	}
+	for b := 0; b <= refBitLen(int64(max(n, 1)-1)); b++ {
+		params = append(params, fmt.Sprintf("gap%d", b))
+	}
+	var payload []byte
+	for _, p := range params {
+		payload = append(payload, byte(m[p]))
+	}
+	if inherits {
+		payload[0] |= 0x80
+	}
+	var stream refBits
+	for _, c := range append(shapes, chosen...) {
+		if c.param == "bit" {
+			stream.uint(c.v, 1)
+		} else {
+			stream.rice(m[c.param], c.v)
+		}
+	}
+	return refBlock(out, entries, append(payload, stream.bytes()...)), inheriting
+}
+
+// refPermBlock is a block of the rank→vertex sequence: the Rice
+// parameter that codes it in the fewest bits, the least such, then each
+// vertex as the zigzag of its difference from the one before.
+func refPermBlock(out []byte, vertices []graph.VertexID) []byte {
+	var zs []uint64
+	prev := int64(0)
+	for _, v := range vertices {
+		d := int64(v) - prev
+		z := uint64(2 * d)
+		if d < 0 {
+			z = uint64(-2*d - 1)
+		}
+		zs = append(zs, z)
+		prev = int64(v)
+	}
+	best, bestBits := 0, -1
+	for k := 0; k < 32; k++ {
+		bits := 0
+		for _, z := range zs {
+			bits += refWidth(k, z)
+		}
+		if bestBits < 0 || bits < bestBits {
+			best, bestBits = k, bits
+		}
+	}
+	var stream refBits
+	for _, z := range zs {
+		stream.rice(best, z)
+	}
+	return refBlock(out, len(vertices), append([]byte{byte(best)}, stream.bytes()...))
+}
+
+// writeToReference returns x's file and how many of its lists inherit.
+func writeToReference(x *Index) ([]byte, int) {
 	le := binary.LittleEndian
 	out := le.AppendUint64(nil, indexMagic)
 	out = le.AppendUint32(le.AppendUint32(out, uint32(x.n)), 0) // no optional part
 	nIn, nOut := x.entries()
 	out = le.AppendUint64(le.AppendUint64(out, uint64(nIn)), uint64(nOut))
-	ranks := x.ord.Ranks()
-	for v0 := 0; v0 < x.n; v0 += 4096 {
-		var payload []byte
-		part := ranks[v0:min(v0+4096, x.n)]
-		for _, r := range part {
-			payload = binary.AppendUvarint(payload, uint64(r))
-		}
-		out = refBlock(out, len(part), payload)
+	vertices := x.ord.Vertices()
+	for r0 := 0; r0 < x.n; r0 += 4096 {
+		out = refPermBlock(out, vertices[r0:min(r0+4096, x.n)])
 	}
-	for _, labels := range []func(graph.VertexID) []order.Rank{x.InLabels, x.OutLabels} {
-		for v0 := 0; v0 < x.n; v0 += 4096 {
-			var lists [][]order.Rank
-			part := ranks[v0:min(v0+4096, x.n)]
-			for v := range part {
-				lists = append(lists, labels(graph.VertexID(v0+v)))
-			}
-			out = refLabelBlock(out, lists, part, x.n)
+	inheriting := 0
+	for _, list := range []func(graph.VertexID) []order.Rank{x.InLabels, x.OutLabels} {
+		src := refSource{list: list, rankOf: x.ord.RankOf, vertexAt: x.ord.VertexAt, n: x.n}
+		for k := 0; k*4096 < x.n; k++ {
+			var inh int
+			out, inh = refLabelBlock(out, src, k)
+			inheriting += inh
 		}
 	}
-	return out
+	return out, inheriting
+}
+
+// shuffledRanks returns a random permutation of n ranks.
+func shuffledRanks(rng *rand.Rand, n int) []order.Rank {
+	ranks := make([]order.Rank, n)
+	for i := range ranks {
+		ranks[i] = order.Rank(i)
+	}
+	rng.Shuffle(n, func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
+	return ranks
 }
 
 // sparseIndex is an index of n vertices under a shuffled order whose
@@ -185,11 +365,7 @@ func writeToReference(x *Index) []byte {
 func sparseIndex(t testing.TB, n, maxLen int, seed int64) *Index {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	ranks := make([]order.Rank, n)
-	for i := range ranks {
-		ranks[i] = order.Rank(i)
-	}
-	rng.Shuffle(n, func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
+	ranks := shuffledRanks(rng, n)
 	in, out := make([][]order.Rank, n), make([][]order.Rank, n)
 	for v := 0; v < n; v++ {
 		for _, lists := range [][][]order.Rank{in, out} {
@@ -203,6 +379,38 @@ func sparseIndex(t testing.TB, n, maxLen int, seed int64) *Index {
 	return FromLists(order.FromRanks(ranks), in, out)
 }
 
+// hierIndex is an index of n vertices under a shuffled order whose
+// lists are shaped as a labeler's are: in rank order, each vertex's list
+// is a random higher-ranked vertex's less the ranks it drops (each with
+// chance 1 − keep/100), one or two ranks above its own, and, nine times
+// in ten, its own rank last. So most lists nearly contain a close hub's,
+// and inheriting pays.
+func hierIndex(t testing.TB, n, keep int, seed int64) *Index {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	ord := order.FromRanks(shuffledRanks(rng, n))
+	in, out := make([][]order.Rank, n), make([][]order.Rank, n)
+	for _, lists := range [][][]order.Rank{in, out} {
+		for r := 1; r < n; r++ {
+			var list []order.Rank
+			for _, h := range lists[ord.VertexAt(order.Rank(rng.Intn(r)))] {
+				if rng.Intn(100) < keep {
+					list = append(list, h)
+				}
+			}
+			for k := 1 + rng.Intn(2); k > 0; k-- {
+				list = append(list, order.Rank(rng.Intn(r)))
+			}
+			if rng.Intn(10) > 0 {
+				list = append(list, order.Rank(r))
+			}
+			sortRanks(list)
+			lists[ord.VertexAt(order.Rank(r))] = slices.Compact(list)
+		}
+	}
+	return FromLists(ord, in, out)
+}
+
 // edgeIndex holds the shapes the list coding distinguishes. L_in: per
 // power of two 2^b below n, a gap that starts at 2^b − 1 and one that
 // starts at 2^b — either side of a model slot's boundary; six hundred
@@ -210,16 +418,12 @@ func sparseIndex(t testing.TB, n, maxLen int, seed int64) *Index {
 // therefore escapes; and lists that are their vertex's own rank alone,
 // end with it, hold it before a larger one, or do not hold it. L_out:
 // every list its vertex's own rank and nothing else, so blocks with
-// nothing to code but headers.
+// nothing to code but shapes.
 func edgeIndex(t testing.TB) *Index {
 	t.Helper()
 	const n = 5000
 	rng := rand.New(rand.NewSource(23))
-	ranks := make([]order.Rank, n)
-	for i := range ranks {
-		ranks[i] = order.Rank(i)
-	}
-	rng.Shuffle(n, func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
+	ranks := shuffledRanks(rng, n)
 	in, out := make([][]order.Rank, n), make([][]order.Rank, n)
 	v := 0
 	for b := 1; 1<<b+5 < n; b++ {
@@ -230,6 +434,7 @@ func edgeIndex(t testing.TB) *Index {
 		in[v] = []order.Rank{order.Rank(v % 2)}
 	}
 	in[v] = []order.Rank{4000}
+	escaped := ranks[v]
 	for v++; v < 800; v++ {
 		switch r := ranks[v]; {
 		case v%4 == 0 || r < 2 || r > n-2:
@@ -246,7 +451,14 @@ func edgeIndex(t testing.TB) *Index {
 		out[v] = []order.Rank{ranks[v]}
 	}
 	x := FromLists(order.FromRanks(ranks), in, out)
-	if k := refFit(in[:blockValues], ranks).gap[0]; 4000>>k < 20 {
+	// The list {4000} is coded in the block of its vertex's rank; the
+	// first gap's parameter there, fitted alone, must escape it.
+	var gaps []refCode
+	for r := int(escaped) / 4096 * 4096; r < min(int(escaped)/4096*4096+4096, n); r++ {
+		written, _ := refExplicit(x.InLabels(x.ord.VertexAt(order.Rank(r))), order.Rank(r))
+		gaps = append(gaps, refGaps(written)...)
+	}
+	if k := refFit(gaps)["gap0"]; 4000>>k < 20 {
 		t.Fatalf("the edge fixture moved: a first rank of 4000 is not escaped under parameter %d", k)
 	}
 	return x
@@ -255,19 +467,22 @@ func edgeIndex(t testing.TB) *Index {
 // ioFixtures covers the shapes the block codec has to get right: no
 // block, one short block, a vertex count that is not a multiple of the
 // block size, lists long enough for wide headers, sections with no
-// entries at all, and edgeIndex's.
+// entries at all, edgeIndex's, and lists that inherit — in an index
+// whose ranks stay in the first tier and in one whose reach the second.
 func ioFixtures(t testing.TB) map[string]*Index {
 	small, _ := buildSmallIndex(t)
 	return map[string]*Index{
-		"small":        small,
-		"empty":        randomIndex(t, 0, 1),
-		"one-vertex":   sparseIndex(t, 1, 1, 3),
-		"dense":        randomIndex(t, 300, 7),
-		"ragged":       sparseIndex(t, 2*blockValues+123, 6, 5),
-		"block-exact":  sparseIndex(t, blockValues, 3, 6),
-		"no-entries":   sparseIndex(t, blockValues+17, 0, 8),
-		"long-lengths": sparseIndex(t, 700, 400, 9),
-		"edges":        edgeIndex(t),
+		"small":           small,
+		"empty":           randomIndex(t, 0, 1),
+		"one-vertex":      sparseIndex(t, 1, 1, 3),
+		"dense":           randomIndex(t, 300, 7),
+		"ragged":          sparseIndex(t, 2*blockValues+123, 6, 5),
+		"block-exact":     sparseIndex(t, blockValues, 3, 6),
+		"no-entries":      sparseIndex(t, blockValues+17, 0, 8),
+		"long-lengths":    sparseIndex(t, 700, 400, 9),
+		"edges":           edgeIndex(t),
+		"inheriting":      hierIndex(t, 3000, 90, 10),
+		"inheriting-wide": hierIndex(t, wideFrom+2500, 60, 11),
 	}
 }
 
@@ -290,11 +505,15 @@ func mustWrite(t testing.TB, x *Index) []byte {
 }
 
 // TestWriteToMatchesReferenceEncoder is the golden test of the block
-// encoder: the reference encoder's bytes at every worker count, and an
-// Equal index back from them.
+// encoder: the reference encoder's bytes at every worker count, an Equal
+// index back from them that writes them again, and lists that inherit
+// in both the fixtures built for it.
 func TestWriteToMatchesReferenceEncoder(t *testing.T) {
 	for name, x := range ioFixtures(t) {
-		want := writeToReference(x)
+		want, inheriting := writeToReference(x)
+		if strings.HasPrefix(name, "inheriting") && inheriting < x.n/4 {
+			t.Errorf("%s: %d of %d lists of each direction inherit", name, inheriting, x.n)
+		}
 		for _, procs := range []int{1, 2, 8} {
 			setProcs(t, procs)
 			got := mustWrite(t, x)
@@ -313,53 +532,71 @@ func TestWriteToMatchesReferenceEncoder(t *testing.T) {
 					t.Fatalf("%s: ordering lost in round trip at vertex %d", name, v)
 				}
 			}
+			if again := mustWrite(t, y); !bytes.Equal(again, got) {
+				t.Errorf("%s at GOMAXPROCS %d: the index read back writes other bytes", name, procs)
+			}
 		}
 	}
 }
 
+// bigPerm is the identity order of n vertices, n beyond what an
+// Ordering could hold.
+type bigPerm struct{ n int }
+
+func (p bigPerm) N() int                               { return p.n }
+func (p bigPerm) RankOf(v graph.VertexID) order.Rank   { return order.Rank(v) }
+func (p bigPerm) VertexAt(r order.Rank) graph.VertexID { return graph.VertexID(r) }
+
+// decodeBlock decodes a payload as block 0 of a labels section under
+// ord into the section it leaves.
+func decodeBlock(payload []byte, ord perm, entries uint64) (*section, error) {
+	var b listStream
+	c, err := b.readShapes(payload, ord, 0, entries)
+	if err != nil {
+		return nil, err
+	}
+	s := &section{l: layout{chunks: []chunk{c}, entries: int64(entries)}, ord: ord, blocks: []listStream{b}}
+	return s, s.decodeLists()
+}
+
 // TestLabelBlockWideGaps: what only an index of two thousand million
 // vertices holds — the last rank there is, first in its list; gaps so
-// far beyond their parameter that they are escaped to 32 raw bits — is
-// reached at the block level.
+// far beyond their parameter that they are escaped to 32 raw bits;
+// shapes that count second-tier ranks — is reached at the block level.
 func TestLabelBlockWideGaps(t *testing.T) {
 	const n = 1 << 31
-	lists := [][]order.Rank{
-		{0, 1<<21 + 1, 1<<21 + 2},     // escaped, then a gap of zero
-		{},                            // an empty list between them
-		{5, 1<<28 + 6},                // ending in its vertex's rank, which is not written
-		{1<<31 - 1},                   // the last rank there is
-		{1 << 14, 1 << 15, 1<<31 - 2}, // its vertex's rank in the middle, so written
-	}
-	ranks := []order.Rank{7, 8, 1<<28 + 6, 9, 1 << 15}
-	entries := 0
-	for _, l := range lists {
-		entries += len(l)
-	}
-	block, err := appendLabelBlock(nil, func(v graph.VertexID) []order.Rank { return lists[v] }, ranks, 0, len(lists), n)
+	lists := make([][]order.Rank, blockValues)
+	lists[0] = []order.Rank{0, 1<<21 + 1, 1<<21 + 2}            // escaped, then a gap of zero
+	lists[2] = []order.Rank{1, 2}                               // ending in its vertex's rank, which is not written
+	lists[3] = []order.Rank{1<<31 - 1}                          // the last rank there is
+	lists[5] = []order.Rank{1, 5, 1 << 15, 1<<31 - 2}           // its vertex's rank in the middle, so written
+	lists[6] = []order.Rank{0, 1<<21 + 1, 1<<21 + 2, 1<<31 - 1} // list 0's and one more
+	c, entries := chunkOf(len(lists), func(i int) []order.Rank { return lists[i] })
+	s := side{l: &layout{chunks: []chunk{c}}}
+	var coder labelCoder
+	block, err := coder.appendLabelBlock(nil, s, bigPerm{n}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := refLabelBlock(nil, lists, ranks, n); !bytes.Equal(block, want) {
+	src := refSource{list: func(v graph.VertexID) []order.Rank { return lists[v] }, rankOf: bigPerm{n}.RankOf, vertexAt: bigPerm{n}.VertexAt, n: n}
+	if want, _ := refLabelBlock(nil, src, 0); !bytes.Equal(block, want) {
 		t.Fatalf("block % x, reference % x", block, want)
 	}
-	_, payload := blockPayload(block)
-	var s blockLists
-	if err := decodeLabelBlock(payload, ranks, entries, n, &s); err != nil {
+	got, payload := blockPayload(block)
+	if got != uint64(entries) {
+		t.Fatalf("block counts %d entries, the lists hold %d", got, entries)
+	}
+	sec, err := decodeBlock(payload, bigPerm{n}, got)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Decoded, and laid out as a chunk whose second tiers reach 2³¹ − 1.
-	c, _ := chunkOf(len(s.ends), s.list)
-	laid := layout{chunks: []chunk{c}}
-	for i, want := range lists {
-		if got := s.list(i); !slices.Equal(got, want) {
-			t.Fatalf("list %d decoded as %v, want %v", i, got, want)
-		}
-		if got := laid.appendList(nil, graph.VertexID(i)); !slices.Equal(got, want) {
-			t.Fatalf("list %d laid out as %v, want %v", i, got, want)
+	for v, want := range lists {
+		if got := sec.l.appendList(nil, graph.VertexID(v)); !slices.Equal(got, want) {
+			t.Fatalf("list %d decoded as %v, want %v", v, got, want)
 		}
 	}
 	// The same bytes against a vertex count one too small.
-	if err := decodeLabelBlock(payload, ranks, entries, n-1, &s); err == nil {
+	if _, err := decodeBlock(payload, bigPerm{n - 1}, got); err == nil {
 		t.Error("rank n-1 accepted in an index of n-1 vertices")
 	}
 }
@@ -368,20 +605,18 @@ func TestLabelBlockWideGaps(t *testing.T) {
 // repeated rank — nor a list that holds its vertex's own rank twice, the
 // second time where it would go unwritten — so the writer's block
 // encoder refuses such a list. No Index holds one: the Builder keeps a
-// rank added twice once, and the layout's builder asserts strict ascent.
+// rank added twice once, and the layout's builder asserts strict ascent,
+// so the test lays the list out by hand.
 func TestWriteToRejectsUnsortedList(t *testing.T) {
-	ranks := []order.Rank{0, 1, 2}
+	ord := order.FromRanks([]order.Rank{0, 1, 2})
 	for _, repeated := range []order.Rank{2, 1} {
-		list := func(v graph.VertexID) []order.Rank {
-			if v == 1 {
-				return []order.Rank{repeated, repeated}
-			}
-			return nil
-		}
-		if _, err := appendLabelBlock(nil, list, ranks, 0, 3, 3); err == nil || !strings.Contains(err.Error(), "strictly ascending") {
+		// Vertex 1's list is lab[0:2], both in the first tier.
+		c := chunk{off: []uint32{0, 0, 0, 2, 2, 2, 2}, lab: []uint16{uint16(repeated), uint16(repeated)}}
+		var coder labelCoder
+		if _, err := coder.appendLabelBlock(nil, side{l: &layout{chunks: []chunk{c}}}, ord, 0); err == nil || !strings.Contains(err.Error(), "strictly ascending") {
 			t.Fatalf("rank %d twice: err = %v, want the list refused", repeated, err)
 		}
-		b := NewBuilder(order.FromRanks(ranks))
+		b := NewBuilder(ord)
 		b.AddIn(1, repeated)
 		b.AddIn(1, repeated)
 		x := b.Finalize()
@@ -475,6 +710,36 @@ func TestReadTruncatedMultiChunk(t *testing.T) {
 	}
 }
 
+// TestReadErrorIsDeterministic damages the lists of each block of a
+// section whose blocks inherit from one another — decoded on several
+// goroutines, a list waiting for its hub's block. Whatever the worker
+// count, every read ends, and with the error decoding the blocks one
+// after another meets.
+func TestReadErrorIsDeterministic(t *testing.T) {
+	x := hierIndex(t, 3*blockValues+100, 90, 12)
+	good := mustWrite(t, x)
+	starts := blockStarts(t, good, x.n)
+	perSection := len(starts) / 3
+	for k := 0; k < perSection-1; k++ { // the full blocks
+		at := starts[2*perSection+k+1] - 100 // among L_out's lists, not its shapes
+		bad := append([]byte(nil), good...)
+		bad[at] ^= 0x5a
+		var want string
+		for i, procs := range []int{1, 2, 8, 2, 8, 2, 8} {
+			setProcs(t, procs)
+			_, err := Read(bytes.NewReader(bad))
+			got := fmt.Sprint(err)
+			if i == 0 {
+				if want = got; err == nil {
+					t.Fatalf("byte %d damaged: the file reads", at)
+				}
+			} else if got != want {
+				t.Fatalf("byte %d damaged, GOMAXPROCS %d: %s; one goroutine: %s", at, procs, got, want)
+			}
+		}
+	}
+}
+
 // allocatedBy returns the bytes f allocates.
 func allocatedBy(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -484,9 +749,31 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// rc is one code of a crafted payload: rice(k, v), or a raw bit v where
+// k is −1.
+type rc struct {
+	k int
+	v uint64
+}
+
+// stream is a crafted payload: the model's bytes, then the codes.
+func stream(model []byte, codes ...rc) []byte {
+	var b refBits
+	for _, c := range codes {
+		if c.k < 0 {
+			b.uint(c.v, 1)
+		} else {
+			b.rice(c.k, c.v)
+		}
+	}
+	return append(slices.Clone(model), b.bytes()...)
+}
+
 // TestReadRejectsCorruptInput damages one field at a time. Each must
 // fail for its own reason, and none may allocate more than a small
-// multiple of the bytes that back it, whatever count it claims.
+// multiple of the bytes that back it, whatever count it claims — besides
+// what the vertices it really has take once their permutation has
+// arrived, which can be as little as two bits a vertex: 32 bytes each.
 func TestReadRejectsCorruptInput(t *testing.T) {
 	x := sparseIndex(t, 2*blockValues+50, 5, 17)
 	good := mustWrite(t, x)
@@ -496,10 +783,7 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 	_, entriesLen := binary.Uvarint(good[firstIn:])
 	_, lastEntriesLen := binary.Uvarint(good[lastOut:])
 	lastSize, _ := binary.Uvarint(good[lastOut+lastEntriesLen:])
-	inEntries := uint64(0)
-	for v := graph.VertexID(0); v < blockValues; v++ {
-		inEntries += uint64(len(x.InLabels(v)))
-	}
+	inEntries, _ := blockPayload(good[firstIn:])
 	nIn, nOut := x.entries()
 
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
@@ -516,108 +800,180 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		return bad
 	}
 
-	// The three-vertex index puts single bytes at known places: the
-	// permutation block at 32 (header 3 3, ranks at 34–36), then L_in's
-	// one block. craft writes that block anew, with nIn in the header to
-	// match, and leaves the rest.
+	// The three-vertex index, in the identity order, is one block a
+	// section: the permutation's, then L_in's, then L_out's. craft
+	// writes L_in's anew, with nIn in the header to match, and craftPerm
+	// the permutation's.
 	small, _ := buildSmallIndex(t)
 	goodSmall := mustWrite(t, small)
-	smallOut := blockStarts(t, goodSmall, small.n)[2]
+	smallStarts := blockStarts(t, goodSmall, small.n)
 	craft := func(entries int, payload []byte) []byte {
-		file := append([]byte(nil), goodSmall[:37]...)
+		file := append([]byte(nil), goodSmall[:smallStarts[1]]...)
 		binary.LittleEndian.PutUint64(file[16:], uint64(entries))
-		return append(refBlock(file, entries, payload), goodSmall[smallOut:]...)
+		return append(refBlock(file, entries, payload), goodSmall[smallStarts[2]:]...)
 	}
-	// lists is a payload: model — parameter 1 for the headers, 0 for the
-	// gaps of each of three slots — and per vertex a header and its gaps.
-	model := []byte{1, 0, 0, 0}
-	lists := func(groups ...[]uint64) []byte {
-		var b refBits
-		for _, g := range groups {
-			b.rice(1, g[0])
-			for _, gap := range g[1:] {
-				b.rice(0, gap)
-			}
+	craftPerm := func(entries int, payload []byte) []byte {
+		return append(refBlock(slices.Clone(goodSmall[:32]), entries, payload), goodSmall[smallStarts[1]:]...)
+	}
+	// A permutation payload: parameter 0, then the vertices' zigzag gaps.
+	perm := func(zs ...uint64) []byte {
+		var codes []rc
+		for _, z := range zs {
+			codes = append(codes, rc{0, z})
 		}
-		return append(model[:4:4], b.bytes()...)
+		return stream([]byte{0}, codes...)
 	}
-	// L_in as it is — {0}, {0, 1}, {0} at ranks 0, 1, 2: ten bits.
-	goodIn := lists([]uint64{0<<1 | 1}, []uint64{1<<1 | 1, 0}, []uint64{1 << 1, 0})
+	// L_in is {0}, {0, 1}, {0} at ranks 0, 1, 2. Its models: parameter 1
+	// for the shapes and 0 for the gaps of each of three slots — and, in
+	// a block whose lists may inherit, 0 for the hub, the drops and the
+	// dropped positions. The shapes are len′<<1 | selfLast: 0|1, 1|1, 1|0.
+	alone := []byte{1, 0, 0, 0}
+	inherits := []byte{1 | inheritsFlag, 0, 0, 0, 0, 0, 0}
+	shapes := []rc{{1, 0<<1 | 1}, {1, 1<<1 | 1}, {1, 1 << 1}}
+	in := func(model []byte, lists ...rc) []byte {
+		return stream(model, append(slices.Clone(shapes), lists...)...)
+	}
+	goodIn := in(alone, rc{0, 0}, rc{0, 0})
+	// Ranks 1 and 2 inheriting rank 0's {0} whole: bit, hub, no drops.
+	goodInherit := in(inherits, rc{-1, 1}, rc{0, 0}, rc{0, 0}, rc{-1, 1}, rc{0, 0}, rc{0, 0})
 	with := func(at int, b byte) []byte {
 		bad := append([]byte(nil), goodIn...)
 		bad[at] = b
 		return bad
 	}
 
-	for _, c := range []struct {
-		name string
-		file []byte
-		want string // part of the error
-	}{
-		{"garbage", []byte("garbage"), "header"},
-		{"bad magic", header(0, 0x1122334455667788), "bad magic"},
-		{"n beyond plausible", header(1, 1<<31+1), "implausible"},
-		{"a fourth optional part", header(1, uint64(x.n)|8<<32), "implausible"},
-		{"a label budget and no graph", header(1, uint64(x.n)|uint64(partBudget)<<32), "implausible"},
-		{"an optional part, to Read", mustWriteWith(t, x, Extras{Graph: &graph.Fingerprint{N: int32(x.n)}}), "reachlab.ReadIndex"},
-		{"n inflated", header(1, 1<<31), "values where 4096 belong"},
-		{"n deflated", header(1, uint64(x.n-1)), "not below"},
-		{"nIn inflated", header(2, 1<<40), "where the header counts"},
-		{"nIn deflated", header(2, uint64(nIn-1)), "exceed the header's count"},
-		{"nOut inflated", header(3, uint64(nOut+1)), "where the header counts"},
-		{"duplicate rank", patch(goodSmall, 35, goodSmall[34:35]), "corrupt rank"},
-		{"rank n in the permutation", patch(goodSmall, 35, []byte{3}), "not below 3"},
-		{"permutation entry count", patch(good, starts[0], []byte{7}), "7 values where 4096 belong"},
-		{"a Rice parameter of 32 for the headers", craft(4, with(0, 32)), "Rice parameter above 31"},
-		{"a Rice parameter of 32 for a gap", craft(4, with(2, 32)), "Rice parameter above 31"},
-		{"a block shorter than its model", craft(4, model[:3]), "shorter than its model"},
-		{"block entry count huge", patch(good, firstIn, uv(1<<39)), "entries declared in"},
-		{"block entry count beyond uint32 half-word offsets", patch(patch(good, firstIn+entriesLen, uv(1<<29)), firstIn, uv(1<<31)), "more than a block's offsets can count"},
-		{"nine entries in a byte", craft(9, []byte{0}), "9 entries declared in 1 bytes"},
-		{"block entry count +1", patch(good, firstIn, uv(inEntries+1)), "exceed the header's count"},
-		{"block entry count -1", patch(good, firstIn, uv(inEntries-1)), "where the header counts"},
-		{"block and header entry count +1", patch(header(2, uint64(nIn+1)), firstIn, uv(inEntries+1)), "fewer entries than its header counts"},
-		{"block and header entry count -1", patch(header(2, uint64(nIn-1)), firstIn, uv(inEntries-1)), "beyond the block's entry count"},
-		{"block byte length huge", patch(good, firstIn+entriesLen, uv(1<<39)), "unexpected EOF"},
-		{"block byte length -1", patch(good, lastOut+lastEntriesLen, uv(lastSize-1)), "run past the payload's end"},
-		{"byte after the lists", append(patch(good, lastOut+lastEntriesLen, uv(lastSize+1)), 0), "1 bytes left over"},
-		{"lists cut short", craft(4, goodIn[:5]), "run past the payload's end"},
-		{"padding bit set", craft(4, with(5, goodIn[5]|0x80)), "padding bits set"},
-		{"list length beyond the block", craft(4, lists([]uint64{9 << 1})), "beyond the block's entry count"},
-		{"implicit entry beyond the block", craft(1, lists([]uint64{1<<1 | 1, 0})), "beyond the block's entry count"},
-		{"gap to rank n", craft(4, lists([]uint64{0<<1 | 1}, []uint64{1<<1 | 1, 0}, []uint64{1 << 1, 3})), "rank out of range"},
-		{"escaped gap past rank n", craft(4, lists([]uint64{0<<1 | 1}, []uint64{1<<1 | 1, 0}, []uint64{1 << 1, 1<<32 - 1})), "rank out of range"},
-		{"own rank not above the ranks before it", craft(5, lists([]uint64{1<<1 | 1, 0}, []uint64{1<<1 | 1, 0}, []uint64{1 << 1, 0})), "not above the ranks before it"},
+	// An index of 2¹⁶ + 1 vertices, every list empty but vertex 0's
+	// L_in, which is one rank; its shape says how many are in the second
+	// tier. Its model has a parameter for those counts.
+	wide := wideIndexFile(t)
+	wideCraft := func(tier uint64, rank uint64) []byte {
+		model := make([]byte, 2+gapSlots(wideFrom+1))
+		model[0] = 1
+		codes := []rc{{1, 1 << 1}, {0, tier}}
+		for v := 1; v < blockValues; v++ {
+			codes = append(codes, rc{1, 0})
+		}
+		return wide(1, stream(model, append(codes, rc{0, rank})...))
+	}
+
+	type row struct {
+		name     string
+		file     []byte
+		want     string // part of the error
+		vertices int    // those of the file's index, where more than the 1 MB of slack holds
+	}
+	r := func(name string, file []byte, want string) row { return row{name, file, want, 0} }
+	for _, c := range []row{
+		r("garbage", []byte("garbage"), "header"),
+		r("bad magic", header(0, 0x1122334455667788), "bad magic"),
+		r("n beyond plausible", header(1, 1<<31+1), "implausible"),
+		r("a fourth optional part", header(1, uint64(x.n)|8<<32), "implausible"),
+		r("a label budget and no graph", header(1, uint64(x.n)|uint64(partBudget)<<32), "implausible"),
+		r("an optional part, to Read", mustWriteWith(t, x, Extras{Graph: &graph.Fingerprint{N: int32(x.n)}}), "reachlab.ReadIndex"),
+		r("n inflated", header(1, 1<<31), "values where 4096 belong"),
+		r("n deflated", header(1, uint64(x.n-1)), "a permutation gap leaves [0, 8241)"),
+		r("nIn inflated", header(2, 1<<40), "where the header counts"),
+		r("nIn deflated", header(2, uint64(nIn-1)), "exceed the header's count"),
+		r("nOut inflated", header(3, uint64(nOut+1)), "where the header counts"),
+		r("a vertex at two ranks", craftPerm(3, perm(0, 0, 2)), "a vertex at two ranks"),
+		r("a permutation gap below 0", craftPerm(3, perm(1, 2, 2)), "a permutation gap leaves [0, 3)"),
+		r("a permutation gap to n", craftPerm(3, perm(0, 2, 4)), "a permutation gap leaves [0, 3)"),
+		r("a permutation's parameter of 32", craftPerm(3, append([]byte{32}, perm(0, 2, 2)[1:]...)), "one above 31"),
+		r("permutation entry count", patch(good, starts[0], []byte{7}), "7 values where 4096 belong"),
+		r("permutation entry count huge", patch(good, starts[0], uv(1<<39)), "entries declared in"),
+		r("nine values in a byte", craftPerm(9, []byte{0}), "9 entries declared in 1 bytes"),
+		r("a Rice parameter of 32 for the shapes", craft(4, with(0, 32)), "Rice parameter above 31"),
+		r("a Rice parameter of 32 for a gap", craft(4, with(2, 32)), "Rice parameter above 31"),
+		r("a Rice parameter of 32 for the hubs", craft(4, append(slices.Clone(inherits[:1]), append([]byte{32}, goodInherit[2:]...)...)), "Rice parameter above 31"),
+		r("a block shorter than its model", craft(4, alone[:3]), "shorter than its model"),
+		r("a block shorter than its inheriting model", craft(4, inherits[:6]), "shorter than its model"),
+		r("block entry count beyond uint32 half-word offsets", patch(patch(good, firstIn+entriesLen, uv(1<<29)), firstIn, uv(1<<31)), "more than a block's offsets can count"),
+		r("block entry count +1", patch(good, firstIn, uv(inEntries+1)), "fewer entries than its header counts"),
+		r("block entry count -1", patch(good, firstIn, uv(inEntries-1)), "beyond the block's entry count"),
+		r("block and header entry count +1", patch(header(2, uint64(nIn+1)), firstIn, uv(inEntries+1)), "fewer entries than its header counts"),
+		r("block and header entry count -1", patch(header(2, uint64(nIn-1)), firstIn, uv(inEntries-1)), "beyond the block's entry count"),
+		r("block byte length huge", patch(good, firstIn+entriesLen, uv(1<<39)), "unexpected EOF"),
+		r("block byte length -1", patch(good, lastOut+lastEntriesLen, uv(lastSize-1)), "run past the payload's end"),
+		r("byte after the lists", append(patch(good, lastOut+lastEntriesLen, uv(lastSize+1)), 0), "1 bytes left over"),
+		r("lists cut short", craft(4, goodIn[:5]), "run past the payload's end"),
+		r("padding bit set", craft(4, with(5, goodIn[5]|0x80)), "padding bits set"),
+		r("list length beyond the block", craft(4, stream(alone, rc{1, 9 << 1})), "beyond the block's entry count"),
+		r("a list longer than n", craft(9, stream(alone, rc{1, 4 << 1}, rc{1, 2 << 1}, rc{1, 3 << 1})), "a list of 4 ranks below 3"),
+		r("implicit entry beyond the block", craft(1, stream(alone, rc{1, 1<<1 | 1})), "beyond the block's entry count"),
+		r("gap to rank n", craft(4, in(alone, rc{0, 0}, rc{0, 3})), "rank out of range"),
+		r("escaped gap past rank n", craft(4, in(alone, rc{0, 0}, rc{0, 1<<32 - 1})), "rank out of range"),
+		r("own rank not above a shape's length", craft(5, stream(alone, rc{1, 1<<1 | 1}, rc{1, 1<<1 | 1}, rc{1, 1 << 1}, rc{0, 0}, rc{0, 0})), "not above the ranks before it"),
+		r("own rank not above the ranks before it", craft(6, stream(alone, rc{1, 0<<1 | 1}, rc{1, 1<<1 | 1}, rc{1, 2<<1 | 1}, rc{0, 0}, rc{0, 0}, rc{0, 1})), "not above the ranks before it"),
+		r("a reference to its own rank", craft(4, in(inherits, rc{-1, 1}, rc{0, 1}, rc{0, 0}, rc{-1, 0}, rc{0, 0})), "inherits from a rank at or above its own"),
+		r("a reference above its own rank", craft(4, in(inherits, rc{-1, 1}, rc{0, 2}, rc{0, 0}, rc{-1, 0}, rc{0, 0})), "inherits from a rank at or above its own"),
+		r("a dropped position past the hub's list", craft(4, in(inherits, rc{-1, 1}, rc{0, 0}, rc{0, 1}, rc{0, 1}, rc{-1, 0}, rc{0, 0})), "dropped position past the end of its hub's list"),
+		r("more drops than the hub's list holds", craft(4, in(inherits, rc{-1, 1}, rc{0, 0}, rc{0, 2}, rc{0, 0}, rc{0, 0}, rc{-1, 0}, rc{0, 0})), "drops more entries than its hub's list holds"),
+		// Rank 2's shape says two ranks; it inherits {0} and adds 0 again.
+		r("an added rank colliding with an inherited one", craft(5, stream(inherits, rc{1, 0<<1 | 1}, rc{1, 1<<1 | 1}, rc{1, 2 << 1}, rc{-1, 1}, rc{0, 0}, rc{0, 0}, rc{-1, 1}, rc{0, 0}, rc{0, 0}, rc{0, 0})), "collide"),
+		// Rank 2's shape says one rank; it inherits rank 1's {0, 1}.
+		r("more inherited than the shape holds", craft(4, in(inherits, rc{-1, 0}, rc{0, 0}, rc{-1, 1}, rc{0, 1}, rc{0, 0})), "inherits more entries than its shape holds"),
+		r("an added rank past n", craft(5, stream(inherits, rc{1, 0<<1 | 1}, rc{1, 1<<1 | 1}, rc{1, 2 << 1}, rc{-1, 1}, rc{0, 0}, rc{0, 0}, rc{-1, 1}, rc{0, 0}, rc{0, 0}, rc{0, 3})), "rank out of range"),
+		{"a second-tier rank its shape does not count", wideCraft(0, wideFrom), "disagree with its shape's tier counts", wideFrom + 1},
+		{"a second-tier count with a first-tier rank", wideCraft(1, 5), "disagree with its shape's tier counts", wideFrom + 1},
+		{"a second-tier count beyond the list", wideCraft(2, wideFrom), "second-tier count beyond its list's length", wideFrom + 1},
 	} {
 		var err error
 		used := allocatedBy(func() { _, err = Read(bytes.NewReader(c.file)) })
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one about %q", c.name, err, c.want)
 		}
-		if budget := uint64(32*len(c.file) + 1<<20); used > budget {
+		if budget := uint64(32*len(c.file) + 32*c.vertices + 1<<20); used > budget {
 			t.Errorf("%s: allocated %d bytes reading a %d-byte file", c.name, used, len(c.file))
 		}
 	}
 	for _, c := range []struct {
+		name string
 		file []byte
-		want *Index
-	}{{good, x}, {goodSmall, small}, {craft(4, goodIn), small}} {
+		want func(*Index) bool
+	}{
+		{"the sparse index", good, x.Equal},
+		{"the small index", goodSmall, small.Equal},
+		{"the small index crafted", craft(4, goodIn), small.Equal},
+		{"the small index inheriting", craft(4, goodInherit), small.Equal},
+		{"one second-tier rank", wideCraft(1, wideFrom), func(y *Index) bool {
+			return slices.Equal(y.InLabels(0), []order.Rank{wideFrom}) && y.Entries() == 1
+		}},
+	} {
 		got, err := Read(bytes.NewReader(c.file))
 		if err != nil {
-			t.Fatalf("the undamaged file: %v", err)
+			t.Fatalf("%s, undamaged: %v", c.name, err)
 		}
-		if !c.want.Equal(got) {
-			t.Fatalf("the undamaged file reads back changed: %s", c.want.Diff(got))
+		if !c.want(got) {
+			t.Fatalf("%s, undamaged, reads back changed", c.name)
 		}
 	}
 }
 
+// wideIndexFile returns a function that writes the file of an index of
+// 2¹⁶ + 1 vertices in the identity order, with no label but what L_in's
+// first block, given as its entry count and payload, holds.
+func wideIndexFile(t testing.TB) func(entries int, payload []byte) []byte {
+	const n = wideFrom + 1
+	ranks := make([]order.Rank, n)
+	for v := range ranks {
+		ranks[v] = order.Rank(v)
+	}
+	file := mustWrite(t, FromLists(order.FromRanks(ranks), make([][]order.Rank, n), make([][]order.Rank, n)))
+	starts := blockStarts(t, file, n)
+	perSection := len(starts) / 3
+	return func(entries int, payload []byte) []byte {
+		out := append([]byte(nil), file[:starts[perSection]]...)
+		binary.LittleEndian.PutUint64(out[16:], uint64(entries))
+		return append(refBlock(out, entries, payload), file[starts[perSection+1]:]...)
+	}
+}
+
 // TestReadRefusesRetiredFormat: a file of any format before this one —
-// the byte-aligned one, the label file without optional parts, the
-// fixed-width one before it, and the root package's envelope around
-// either — says what to do about it.
+// the one that coded every list alone, the byte-aligned one, the label
+// file without optional parts, the fixed-width one before it, and the
+// root package's envelope around either — says what to do about it.
 func TestReadRefusesRetiredFormat(t *testing.T) {
-	for _, magic := range []string{"DRLINDX3", "DRLINDX2", "RLIXNVE2", "DRLINDEX", "RLIXNVE1"} {
+	for _, magic := range []string{"DRLINDX4", "DRLINDX3", "DRLINDX2", "RLIXNVE2", "DRLINDEX", "RLIXNVE1"} {
 		old := make([]byte, 48)
 		for i := range magic { // the magics read as text in a big-endian word
 			old[7-i] = magic[i]

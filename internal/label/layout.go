@@ -22,10 +22,11 @@ import (
 // blockValues vertices. A chunk holds its vertices' runs back to back in
 // one []uint16 and, per vertex, two uint32 offsets relative to the chunk:
 // where its run starts and where its second tier starts (the next
-// vertex's start ends it). So a file block decodes into one chunk without
-// knowing where any other block lands, and no []order.Rank the size of
-// the index is ever held: every constructor lays chunks out through one
-// chunkBuilder.
+// vertex's start ends it). So a file block's shapes lay out one chunk
+// without knowing where any other block lands, and no []order.Rank the
+// size of the index is ever held: every constructor lays chunks out
+// through one chunkBuilder, and the index file's reader allocates them
+// through its allocChunk and fills each list's slots whole.
 
 // wideFrom is the least rank of the second tier.
 const wideFrom = 1 << 16
@@ -55,6 +56,15 @@ func (l *layout) tiers(v graph.VertexID) (narrow, wide []uint16) {
 // wideAt returns the second-tier rank whose high half is w[i].
 func wideAt(w []uint16, i int) uint32 { return uint32(w[i])<<16 | uint32(w[i+1]) }
 
+// endsWith reports whether a list, given as its two tiers, ends with
+// rank r.
+func endsWith(narrow, wide []uint16, r uint32) bool {
+	if len(wide) > 0 {
+		return wideAt(wide, len(wide)-2) == r
+	}
+	return len(narrow) > 0 && uint32(narrow[len(narrow)-1]) == r
+}
+
 // appendList appends v's list to dst as ranks.
 func (l *layout) appendList(dst []order.Rank, v graph.VertexID) []order.Rank {
 	narrow, wide := l.tiers(v)
@@ -80,7 +90,7 @@ func (l *layout) resident() int64 {
 	return b
 }
 
-// chunkBuilder lays out one chunk; it is the only code that writes one.
+// chunkBuilder lays out one chunk from lists or entries it is given.
 // Every entry is counted first, then the chunk is allocated at its final
 // size, then every entry is put — each list's in ascending order, the
 // lists in any order — entry by entry (count, put) or a whole list at a
@@ -121,7 +131,17 @@ func (b *chunkBuilder) countList(i int, list []order.Rank) {
 
 // alloc turns the counts into offsets and allocates the half-words.
 func (b *chunkBuilder) alloc() {
-	off := b.c.off
+	b.c = allocChunk(b.c.off)
+	b.cur = make([]uint32, len(b.c.off)/2)
+	for i := range b.cur {
+		b.cur[i] = b.c.off[2*i]
+	}
+}
+
+// allocChunk turns per-vertex counts — off[2i+1] vertex i's first-tier
+// half-words, off[2i+2] its second tier's — into offsets, in place, and
+// allocates the chunk's half-words.
+func allocChunk(off []uint32) chunk {
 	var sum uint64
 	for k := 1; k < len(off); k++ {
 		if sum += uint64(off[k]); sum > math.MaxUint32 {
@@ -129,11 +149,7 @@ func (b *chunkBuilder) alloc() {
 		}
 		off[k] = uint32(sum)
 	}
-	b.c.lab = make([]uint16, sum)
-	b.cur = make([]uint32, len(off)/2)
-	for i := range b.cur {
-		b.cur[i] = off[2*i]
-	}
+	return chunk{off: off, lab: make([]uint16, sum)}
 }
 
 // put stores r as vertex i's next entry.
@@ -162,29 +178,39 @@ func (b *chunkBuilder) putList(i int, list []order.Rank) {
 }
 
 // done returns the finished chunk. Under the invariants tag it checks
-// that every list got what was counted for it, that its first tier is
-// strictly increasing (and, being half-words, below 2¹⁶) and that its
-// second is strictly increasing and at or above 2¹⁶.
+// that every list got what was counted for it, and assertTiers.
 func (b *chunkBuilder) done() chunk {
 	if invariant.Enabled {
-		off, lab := b.c.off, b.c.lab
+		off := b.c.off
 		for i, p := range b.cur {
 			invariant.Assert(p == off[2*i+2], "label: block vertex %d: %d of its half-words put, %d counted", i, p-off[2*i], off[2*i+2]-off[2*i])
-			invariant.StrictlyIncreasing("label: a list's first tier", lab[off[2*i]:off[2*i+1]])
-			wide := lab[off[2*i+1]:off[2*i+2]]
-			for k := 0; k < len(wide); k += 2 {
-				r := wideAt(wide, k)
-				invariant.Assert(r >= wideFrom, "label: block vertex %d: rank %d in the second tier", i, r)
-				invariant.Assert(k == 0 || r > wideAt(wide, k-2), "label: block vertex %d: second tier not strictly increasing at rank %d", i, r)
-			}
 		}
+		assertTiers(b.c)
 	}
 	return b.c
 }
 
+// assertTiers checks, under the invariants tag, that each of the chunk's
+// lists has a strictly increasing first tier (being half-words, below
+// 2¹⁶) and a strictly increasing second at or above 2¹⁶.
+func assertTiers(c chunk) {
+	if !invariant.Enabled {
+		return
+	}
+	for i := 0; i < len(c.off)/2; i++ {
+		invariant.StrictlyIncreasing("label: a list's first tier", c.lab[c.off[2*i]:c.off[2*i+1]])
+		wide := c.lab[c.off[2*i+1]:c.off[2*i+2]]
+		for k := 0; k < len(wide); k += 2 {
+			r := wideAt(wide, k)
+			invariant.Assert(r >= wideFrom, "label: block vertex %d: rank %d in the second tier", i, r)
+			invariant.Assert(k == 0 || r > wideAt(wide, k-2), "label: block vertex %d: second tier not strictly increasing at rank %d", i, r)
+		}
+	}
+}
+
 // blockLists is one block's lists back to back, the i-th ending at
-// ends[i]: the shape a block has between its codes or its source lists
-// and its chunk. Reused from block to block.
+// ends[i]: what the index file's writer codes a block's lists from.
+// Reused from block to block.
 type blockLists struct {
 	lab  []order.Rank
 	ends []int

@@ -1,0 +1,981 @@
+package label
+
+import (
+	"bufio"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/graph"
+	"repro/internal/order"
+)
+
+// The codecs of an index file's payloads (io.go has the framing): Rice
+// codes in a bit stream under a model of parameters fitted per block,
+// the permutation's zigzag gaps, and the labels blocks — a shape per
+// vertex, then per rank a list coded alone or by inheritance from one
+// of its closest hubs. DESIGN.md §16 is the normative description.
+
+// A value is Rice-coded: v>>k ones, a zero, v's low k bits. From
+// riceEscape ones on the code is those ones and v in 32 bits, so no
+// value costs more than 52 bits whatever the parameter.
+const (
+	riceEscape = 20
+	maxRiceK   = 31
+)
+
+// riceCode returns v's code under parameter k, and its width.
+func riceCode(v uint32, k uint8) (code uint64, width uint) {
+	if q := v >> k; q < riceEscape {
+		return uint64(1)<<q - 1 | uint64(v&(1<<k-1))<<(q+1), uint(q) + 1 + uint(k)
+	}
+	return 1<<riceEscape - 1 | uint64(v)<<riceEscape, riceEscape + 32
+}
+
+// riceWidth is the width riceCode returns.
+func riceWidth(v uint32, k uint8) uint64 {
+	if q := v >> k; q < riceEscape {
+		return uint64(q) + 1 + uint64(k)
+	}
+	return riceEscape + 32
+}
+
+// bitWriter appends codes of up to 56 bits to b, least significant bit
+// first, eight bytes at a time: b must have that much room past the end
+// of the last code.
+type bitWriter struct {
+	b   []byte
+	pos int    // where acc goes
+	acc uint64 // the n < 64 bits not yet in b
+	n   uint
+}
+
+func (w *bitWriter) put(code uint64, width uint) {
+	w.acc |= code << (w.n & 63)
+	if w.n += width; w.n >= 64 {
+		binary.LittleEndian.PutUint64(w.b[w.pos:], w.acc)
+		w.pos += 8
+		w.n -= 64
+		w.acc = code >> ((width - w.n) & 63) // what did not fit
+	}
+}
+
+// end pads the stream with zero bits to a byte and returns where it ends.
+func (w *bitWriter) end() int {
+	binary.LittleEndian.PutUint64(w.b[w.pos:], w.acc)
+	return w.pos + int(w.n+7)>>3
+}
+
+// bitReader reads what bitWriter wrote. Past the end of b it reads zero
+// bits, each of which ends a code, so a loop bounded by counts ends; end
+// then reports the overrun.
+type bitReader struct {
+	b   []byte
+	pos int    // bytes taken into acc, those imagined past the end included
+	acc uint64 // the unread bits, the next one lowest
+	n   uint   // how many of them are known
+}
+
+// refill makes at least 56 bits — more than any code — known.
+func (r *bitReader) refill() {
+	if r.pos+8 <= len(r.b) {
+		r.acc |= binary.LittleEndian.Uint64(r.b[r.pos:]) << r.n
+		r.pos += int(63-r.n) >> 3
+		r.n |= 56
+		return
+	}
+	for ; r.n <= 56; r.n += 8 {
+		if r.pos < len(r.b) {
+			r.acc |= uint64(r.b[r.pos]) << r.n
+		}
+		r.pos++
+	}
+}
+
+// rice reads one value coded under parameter k.
+func (r *bitReader) rice(k uint8) (v uint32) {
+	r.refill()
+	width := uint(riceEscape + 32)
+	if q := uint(bits.TrailingZeros64(^r.acc)); q < riceEscape {
+		v, width = uint32(q)<<k|uint32(r.acc>>(q+1))&(1<<k-1), q+1+uint(k)
+	} else {
+		v = uint32(r.acc >> riceEscape)
+	}
+	r.acc >>= width
+	r.n -= width
+	return v
+}
+
+// bit reads one raw bit.
+func (r *bitReader) bit() bool {
+	r.refill()
+	b := r.acc&1 != 0
+	r.acc >>= 1
+	r.n--
+	return b
+}
+
+// end checks that the codes read stop in the last byte of b and that
+// the bits after them are zero.
+func (r *bitReader) end() error {
+	r.refill()
+	switch pad := 8*len(r.b) - (8*r.pos - int(r.n)); {
+	case pad < 0:
+		return errors.New("corrupt block: the codes run past the payload's end")
+	case pad >= 8:
+		return fmt.Errorf("corrupt block: %d bytes left over", pad/8)
+	case r.acc&(1<<pad-1) != 0:
+		return errors.New("corrupt block: padding bits set")
+	}
+	return nil
+}
+
+// The permutation: per block of ranks, the parameter that codes the
+// block in the fewest bits (the least such), then per rank
+// rice(k, zigzag(v − prev)) of its vertex v, prev the vertex of the rank
+// before it in the block, 0 for the block's first. Any permutation
+// codes; the degree order, hundreds of runs of descending IDs, codes in
+// a few bits a vertex.
+
+func zigzag(d int64) uint32 { return uint32(d<<1 ^ d>>63) }
+
+// appendPermBlock codes vs, one block of the rank→vertex sequence, into
+// buf as a finished block.
+func appendPermBlock(buf []byte, vs []graph.VertexID) []byte {
+	var z [blockValues]uint32
+	prev, top := int64(0), uint32(0)
+	for i, v := range vs {
+		z[i] = zigzag(int64(v) - prev)
+		prev, top = int64(v), max(top, z[i])
+	}
+	// Past the bit length of the largest value every code is 1 + k bits,
+	// so no larger parameter can do better.
+	k, best := uint8(0), ^uint64(0)
+	for kk := uint8(0); int(kk) <= min(bits.Len32(top), maxRiceK); kk++ {
+		var sum uint64
+		for _, v := range z[:len(vs)] {
+			sum += riceWidth(v, kk)
+		}
+		if sum < best {
+			k, best = kk, sum
+		}
+	}
+	buf = sized(buf, blockHeaderRoom+1+7*len(vs)+8)
+	buf[blockHeaderRoom] = k
+	w := bitWriter{b: buf, pos: blockHeaderRoom + 1}
+	for _, v := range z[:len(vs)] {
+		w.put(riceCode(v, k))
+	}
+	return sealBlock(buf, w.end(), int64(len(vs)))
+}
+
+// readPermutation reads the permutation of an index of n vertices. The
+// sequence grows only as blocks arrive, so a false n fails at the first
+// missing block instead of forcing a giant allocation, and it becomes
+// the Ordering's own rank→vertex table.
+func readPermutation(br *bufio.Reader, n int) (*order.Ordering, error) {
+	vs := make([]graph.VertexID, 0, min(n, blockValues))
+	var buf []byte
+	for len(vs) < n {
+		want := min(n-len(vs), blockValues)
+		entries, payload, err := readBlock(br, buf, 8)
+		if err != nil {
+			return nil, err
+		}
+		buf = payload
+		if entries != uint64(want) {
+			return nil, fmt.Errorf("corrupt block: %d values where %d belong", entries, want)
+		}
+		if len(payload) == 0 || payload[0] > maxRiceK {
+			return nil, fmt.Errorf("corrupt block: no Rice parameter, or one above %d", maxRiceK)
+		}
+		vs = grow(vs, want, n)
+		r := bitReader{b: payload[1:]}
+		prev := int64(0)
+		for i := 0; i < want; i++ {
+			z := r.rice(payload[0])
+			v := prev + (int64(z>>1) ^ -int64(z&1))
+			if v < 0 || v >= int64(n) {
+				return nil, fmt.Errorf("corrupt block: a permutation gap leaves [0, %d)", n)
+			}
+			vs = append(vs, graph.VertexID(v))
+			prev = v
+		}
+		if err := r.end(); err != nil {
+			return nil, err
+		}
+	}
+	ord := order.FromVertices(vs)
+	if ord == nil {
+		return nil, errors.New("corrupt permutation: a vertex at two ranks")
+	}
+	return ord, nil
+}
+
+// The model of a labels block: one Rice parameter per slot. slotGap+b
+// codes the gap of a rank whose list could continue from a rank of b
+// bits (bits.Len32(next)): ranks are degree-ordered, so gaps grow with
+// where they start.
+const (
+	slotLen   = iota // a shape's len′<<1 | selfLast
+	slotWide         // a shape's explicit second-tier count
+	slotHub          // the rank an inheriting list names
+	slotDrops        // how many of its hub's entries it drops
+	slotDrop         // a dropped position, as a gap
+	slotGap          // the first of the gap slots
+	numSlots  = slotGap + 33
+
+	// slotMode is no parameter's: it marks a raw bit, set where a list
+	// of a block that may inherit does.
+	slotMode = 0xff
+
+	// inheritsFlag, in a model's first byte above kLen, says the block's
+	// lists carry that bit and may inherit.
+	inheritsFlag = 0x80
+)
+
+type riceModel [numSlots]uint8
+
+// gapSlots returns how many gap parameters the blocks of an index of n
+// vertices carry: one per bit length a rank below n can have.
+func gapSlots(n int) int { return 1 + bits.Len32(uint32(max(n, 1)-1)) }
+
+// modelSlots appends to dst the slots a block's model carries, in the
+// order it carries them: kLen, kWide where ranks reach the second tier,
+// kHub kDrops kDrop where lists may inherit, and the gap slots.
+func modelSlots(dst []uint8, n int, inherits bool) []uint8 {
+	dst = append(dst, slotLen)
+	if n > wideFrom {
+		dst = append(dst, slotWide)
+	}
+	if inherits {
+		dst = append(dst, slotHub, slotDrops, slotDrop)
+	}
+	for s := 0; s < gapSlots(n); s++ {
+		dst = append(dst, uint8(slotGap+s))
+	}
+	return dst
+}
+
+// parseModel takes a labels block's model off its payload.
+func parseModel(payload []byte, n int) (m riceModel, inherits bool, rest []byte, err error) {
+	if len(payload) == 0 {
+		return m, false, nil, errors.New("corrupt block: shorter than its model")
+	}
+	inherits = payload[0]&inheritsFlag != 0
+	var buf [numSlots]uint8
+	slots := modelSlots(buf[:0], n, inherits)
+	if len(payload) < len(slots) {
+		return m, false, nil, errors.New("corrupt block: shorter than its model")
+	}
+	for i, s := range slots {
+		m[s] = payload[i]
+	}
+	if m[slotLen] &^= inheritsFlag; slices.Max(m[:]) > maxRiceK {
+		return m, false, nil, fmt.Errorf("corrupt block: a Rice parameter above %d", maxRiceK)
+	}
+	return m, inherits, payload[len(slots):], nil
+}
+
+// A symbol is one value of a labels block's stream and the slot of the
+// model it is coded under.
+type symbol struct {
+	slot uint8
+	v    uint32
+}
+
+// fit returns the parameters the symbols are coded with: per slot
+// ⌊log₂(0.96 · mean)⌋ of the values it codes, the Rice parameter that
+// takes the fewest bits for a geometric distribution of that mean.
+// Integer arithmetic on sums, so a block's bytes are a function of its
+// symbols.
+func fit(groups ...[]symbol) (m riceModel) {
+	var sum, count [numSlots]uint64
+	for _, syms := range groups {
+		for _, s := range syms {
+			if s.slot != slotMode {
+				sum[s.slot] += uint64(s.v)
+				count[s.slot]++
+			}
+		}
+	}
+	for i, c := range count {
+		if x := sum[i] - sum[i]>>5 - sum[i]>>7; c > 0 && x >= c {
+			m[i] = uint8(min(bits.Len64(x/c)-1, maxRiceK))
+		}
+	}
+	return m
+}
+
+// bits returns the width of syms coded under m.
+func (m *riceModel) bits(syms []symbol) (n uint64) {
+	for _, s := range syms {
+		if s.slot == slotMode {
+			n++
+		} else {
+			n += riceWidth(s.v, m[s.slot])
+		}
+	}
+	return n
+}
+
+// symbols writes syms coded under m.
+func (w *bitWriter) symbols(m *riceModel, syms []symbol) {
+	for _, s := range syms {
+		if s.slot == slotMode {
+			w.put(uint64(s.v), 1)
+		} else {
+			w.put(riceCode(s.v, m[s.slot]))
+		}
+	}
+}
+
+// explicit returns the entries of a list that are written, and 1 if its
+// last one — self, its vertex's own rank — is left to the permutation.
+func explicit(list []order.Rank, self order.Rank) ([]order.Rank, uint32) {
+	if k := len(list) - 1; k >= 0 && list[k] == self {
+		return list[:k], 1
+	}
+	return list, 0
+}
+
+// appendGaps appends the gap symbols of ranks, which must be strictly
+// ascending and below n — the gap coding cannot express anything else —
+// and returns the least rank the list could continue with; ok is false
+// if they are not.
+func appendGaps(syms []symbol, ranks []order.Rank, n int) (_ []symbol, next uint32, ok bool) {
+	for _, r := range ranks {
+		if r < 0 || uint32(r) < next || int64(r) >= int64(n) {
+			return syms, next, false
+		}
+		syms = append(syms, symbol{uint8(slotGap + bits.Len32(next)), uint32(r) - next})
+		next = uint32(r) + 1
+	}
+	return syms, next, true
+}
+
+// diff splits list against a hub's list, both ascending: the positions
+// of the hub's entries list lacks, and list's entries the hub's lacks.
+// The hub's list less the first, merged with the second, is list.
+func diff(list, hub []order.Rank, drops []uint32, res []order.Rank) ([]uint32, []order.Rank) {
+	i, j := 0, 0
+	for i < len(list) && j < len(hub) {
+		switch {
+		case list[i] < hub[j]:
+			res = append(res, list[i])
+			i++
+		case list[i] > hub[j]:
+			drops = append(drops, uint32(j))
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	for ; j < len(hub); j++ {
+		drops = append(drops, uint32(j))
+	}
+	return drops, append(res, list[i:]...)
+}
+
+// hubCandidates is how many hubs a list may inherit from: its last
+// entries below its vertex's own rank — the closest hubs, whose lists
+// it most nearly contains.
+const hubCandidates = 4
+
+// perm is the order a labels section is coded under. *order.Ordering
+// is one; a test codes blocks of a vertex count no Ordering could hold.
+type perm interface {
+	N() int
+	RankOf(graph.VertexID) order.Rank
+	VertexAt(order.Rank) graph.VertexID
+}
+
+// side is one direction of an index as its lists are read: the layout,
+// and on a patched index the lists that override it.
+type side struct {
+	l    *layout
+	over *graph.Overlay[order.Rank]
+}
+
+func (x *Index) sides() (in, out side) {
+	in, out = side{l: &x.in}, side{l: &x.out}
+	if x.patch != nil {
+		in.over, out.over = x.patch.in, x.patch.out
+	}
+	return in, out
+}
+
+// appendList appends v's list to dst.
+func (s side) appendList(dst []order.Rank, v graph.VertexID) []order.Rank {
+	if l, ok := s.over.Get(v); ok {
+		return append(dst, l...)
+	}
+	return s.l.appendList(dst, v)
+}
+
+// length returns how many ranks v's list holds.
+func (s side) length(v graph.VertexID) int {
+	if l, ok := s.over.Get(v); ok {
+		return len(l)
+	}
+	narrow, wide := s.l.tiers(v)
+	return len(narrow) + len(wide)/2
+}
+
+// shape returns what the shape stream says of v's list, own being v's
+// rank: how many ranks are written (len′), whether the last is own and
+// left out (selfLast), and how many of the written are in the second
+// tier.
+func (s side) shape(v graph.VertexID, own order.Rank) (length, self, wide uint32) {
+	if l, ok := s.over.Get(v); ok {
+		list, self := explicit(l, own)
+		return uint32(len(list)), self, wideCount(list)
+	}
+	narrow, w := s.l.tiers(v)
+	length, wide = uint32(len(narrow)+len(w)/2), uint32(len(w)/2)
+	if endsWith(narrow, w, uint32(own)) {
+		length, self = length-1, 1
+		if uint32(own) >= wideFrom {
+			wide--
+		}
+	}
+	return length, self, wide
+}
+
+// labelCoder encodes labels blocks, its buffers reused block after
+// block: one per writer goroutine.
+type labelCoder struct {
+	hub                  []order.Rank
+	lists                blockLists  // the block's lists, in rank order
+	diffs                [2]listDiff // the best candidate's and the one being tried
+	shapes, alone, mixed []symbol    // the block's codes: shapes, and its lists alone or some inheriting
+}
+
+// listDiff is how a list differs from a hub's: diff's two results.
+type listDiff struct {
+	drops []uint32
+	res   []order.Rank
+}
+
+// appendLabelBlock codes block k of the labels section s under ord
+// into buf as a finished block: the shapes of the block's vertices, then
+// the lists of its ranks. Those lists are coded alone under a model
+// fitted to them; where that codes the block in more bits, they are
+// coded again with a mode bit each, a list inheriting where an estimate
+// under the first model says that is the cheaper, under a model fitted
+// to that. A block's bytes depend on the label sets alone.
+func (c *labelCoder) appendLabelBlock(buf []byte, s side, ord perm, k int) ([]byte, error) {
+	n := ord.N()
+	v0, v1 := k*blockValues, min((k+1)*blockValues, n)
+	c.shapes = c.shapes[:0]
+	entries := 0
+	for v := graph.VertexID(v0); int(v) < v1; v++ {
+		length, self, wide := s.shape(v, ord.RankOf(v))
+		entries += int(length + self)
+		c.shapes = append(c.shapes, symbol{slotLen, length<<1 | self})
+		if n > wideFrom && length > 0 {
+			c.shapes = append(c.shapes, symbol{slotWide, wide})
+		}
+	}
+
+	c.lists.fill(func(dst []order.Rank, r graph.VertexID) []order.Rank {
+		return s.appendList(dst, ord.VertexAt(order.Rank(r)))
+	}, v0, v1)
+	c.alone = c.alone[:0]
+	for r := v0; r < v1; r++ {
+		list, self := explicit(c.lists.list(r-v0), order.Rank(r))
+		var next uint32
+		var ok bool
+		if c.alone, next, ok = appendGaps(c.alone, list, n); !ok || self != 0 && next > uint32(r) || len(list) > math.MaxInt32 {
+			return nil, fmt.Errorf("label: vertex %d's label list is not a strictly ascending set of ranks below %d; it cannot be serialized", ord.VertexAt(order.Rank(r)), n)
+		}
+	}
+	lists, m, inherits := c.alone, fit(c.alone), false
+	if mixed := c.inheriting(s, ord, k, &m); mixed != nil {
+		lists, inherits = mixed, true
+	}
+	m = fit(c.shapes, lists)
+	var slots [numSlots]uint8
+	model := modelSlots(slots[:0], n, inherits)
+	// A code is at most 52 bits, and the writer stores 8 bytes at a time.
+	buf = sized(buf, blockHeaderRoom+len(model)+7*(len(c.shapes)+len(lists))+8)
+	for i, s := range model {
+		buf[blockHeaderRoom+i] = m[s]
+	}
+	if inherits {
+		buf[blockHeaderRoom] |= inheritsFlag
+	}
+	w := bitWriter{b: buf, pos: blockHeaderRoom + len(model)}
+	w.symbols(&m, c.shapes)
+	w.symbols(&m, lists)
+	return sealBlock(buf, w.end(), int64(entries)), nil
+}
+
+// inheriting codes block k's lists with a mode bit each and returns
+// those symbols if they take fewer bits than c.alone, model bytes
+// included; nil otherwise. A list inherits from the candidate hub whose
+// list differs from it in the fewest ranks, the closest on a tie, where
+// the estimate under alone — the model of the lists coded alone — says
+// that is cheaper than coding it alone.
+func (c *labelCoder) inheriting(s side, ord perm, k int, alone *riceModel) []symbol {
+	n := ord.N()
+	v0, v1 := k*blockValues, min((k+1)*blockValues, n)
+	c.mixed = c.mixed[:0]
+	inheriting := false
+	at := 0 // where the list's gaps are in c.alone
+	for r := v0; r < v1; r++ {
+		list, _ := explicit(c.lists.list(r-v0), order.Rank(r))
+		gaps := c.alone[at : at+len(list)]
+		if at += len(list); len(list) == 0 {
+			continue
+		}
+		hub, d := c.closestHub(s, ord, list, order.Rank(r))
+		if hub < 0 || inheritEstimate(hub, d, alone) >= alone.bits(gaps) {
+			c.mixed = append(append(c.mixed, symbol{slotMode, 0}), gaps...)
+			continue
+		}
+		inheriting = true
+		c.mixed = append(c.mixed, symbol{slotMode, 1}, symbol{slotHub, uint32(hub)}, symbol{slotDrops, uint32(len(d.drops))})
+		next := uint32(0)
+		for _, p := range d.drops {
+			c.mixed = append(c.mixed, symbol{slotDrop, p - next})
+			next = p + 1
+		}
+		c.mixed, _, _ = appendGaps(c.mixed, d.res, n)
+	}
+	if !inheriting {
+		return nil // the mode bits alone make it longer
+	}
+	m := fit(c.mixed)
+	if m.bits(c.mixed)+3*8 >= alone.bits(c.alone) {
+		return nil
+	}
+	return c.mixed
+}
+
+// closestHub returns the rank of the hub list, of those of list's last
+// hubCandidates ranks below own, that differs from list in the fewest
+// ranks, the closest (highest rank) on a tie, and how; −1 if list has no
+// rank below own. A list of ℓ ranks differs from list in at least
+// |ℓ − len(list)|, so a candidate whose length says it cannot win is not
+// compared: the closest hubs' lists are longest and nearly contained in
+// list, so one comparison a list is the rule.
+func (c *labelCoder) closestHub(s side, ord perm, list []order.Rank, own order.Rank) (order.Rank, *listDiff) {
+	hub, best, fewest, tried := order.Rank(-1), 0, 0, 0
+	for i := len(list) - 1; i >= 0 && tried < hubCandidates; i-- {
+		h := list[i]
+		if h >= own {
+			continue
+		}
+		tried++
+		if hub >= 0 && abs(s.length(ord.VertexAt(h))-len(list)) >= fewest {
+			continue // on a tie the earlier, closer candidate stands
+		}
+		c.hub = s.appendList(c.hub[:0], ord.VertexAt(h))
+		d := &c.diffs[1-best]
+		d.drops, d.res = diff(list, c.hub, d.drops[:0], d.res[:0])
+		if differ := len(d.drops) + len(d.res); hub < 0 || differ < fewest {
+			hub, best, fewest = h, 1-best, differ
+		}
+	}
+	return hub, &c.diffs[best]
+}
+
+func abs(x int) int { return max(x, -x) }
+
+// inheritEstimate is the estimated width of a list coded by inheritance
+// from the hub of rank hub: the hub's rank at one bit more than its bit
+// length, the drops as Elias γ codes, and the residual ranks' gaps
+// under m.
+func inheritEstimate(hub order.Rank, d *listDiff, m *riceModel) uint64 {
+	cost := uint64(bits.Len32(uint32(hub))) + 1 + gammaWidth(uint32(len(d.drops)))
+	next := uint32(0)
+	for _, p := range d.drops {
+		cost += gammaWidth(p - next)
+		next = p + 1
+	}
+	next = 0
+	for _, r := range d.res {
+		cost += riceWidth(uint32(r)-next, m[slotGap+bits.Len32(next)])
+		next = uint32(r) + 1
+	}
+	return cost
+}
+
+// gammaWidth is the width of v + 1's Elias γ code.
+func gammaWidth(v uint32) uint64 { return uint64(2*bits.Len64(uint64(v)+1) - 1) }
+
+// wideCount returns how many of an ascending list's ranks are in the
+// second tier: its tail from wideFrom on.
+func wideCount(list []order.Rank) uint32 {
+	k := len(list)
+	for k > 0 && uint32(list[k-1]) >= wideFrom {
+		k--
+	}
+	return uint32(len(list) - k)
+}
+
+// A section is one labels section between its reading and its
+// decoding: its chunks, allocated at their final size from the shapes
+// with every list's last slot marked (see readShapes), and per block the
+// model and the bit stream of its lists, which decodeLists takes in rank
+// order.
+type section struct {
+	l      layout
+	ord    perm
+	blocks []listStream
+	// decoded[k] is the rank up to which block k's lists are decoded, or
+	// −1 once the block has failed.
+	decoded []atomic.Int64
+}
+
+// listStream is one labels block's model and its lists' bits.
+type listStream struct {
+	m        riceModel
+	inherits bool
+	r        bitReader
+	drops    []uint32 // scratch: one list's dropped positions
+}
+
+// readSection reads one labels section of total entries under ord and
+// reads each block's shapes as it arrives. An inherited entry costs no
+// bits, so a block's entry count is bounded by its shapes — each list
+// at most n entries, all of them adding up to the count — and the
+// header's total, not by its bytes.
+func readSection(br *bufio.Reader, ord perm, total uint64) (*section, error) {
+	n := ord.N()
+	s := &section{l: layout{chunks: make([]chunk, blocksFor(n)), entries: int64(total)}, ord: ord, blocks: make([]listStream, blocksFor(n))}
+	var sum uint64
+	for k := range s.l.chunks {
+		entries, payload, err := readBlock(br, nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		if sum += entries; sum > total {
+			return nil, fmt.Errorf("corrupt block: the %d entries of the vertices from %d exceed the header's count", entries, k*blockValues)
+		}
+		if s.l.chunks[k], err = s.blocks[k].readShapes(payload, ord, k, entries); err != nil {
+			return nil, err
+		}
+	}
+	if sum != total {
+		return nil, fmt.Errorf("corrupt index: %d label entries where the header counts %d", sum, total)
+	}
+	return s, nil
+}
+
+// readShapes reads block k's model and the shapes of its vertices, and
+// returns their chunk: allocated at its final size, with every list's
+// last slot marked — its vertex's own rank where the list ends with it
+// (selfLast), that rank + 1 elsewhere. The list's decoder reads the mark
+// back, which is how selfLast reaches it in rank order without a bit per
+// vertex kept anywhere else, and overwrites the second kind. The stream
+// is left where the block's lists start.
+func (b *listStream) readShapes(payload []byte, ord perm, k int, entries uint64) (chunk, error) {
+	n := ord.N()
+	var err error
+	if b.m, b.inherits, payload, err = parseModel(payload, n); err != nil {
+		return chunk{}, err
+	}
+	b.r = bitReader{b: payload}
+	v0, v1 := k*blockValues, min((k+1)*blockValues, n)
+	off := make([]uint32, 2*(v1-v0)+1)
+	var self [blockValues / 64]uint64
+	for i := range v1 - v0 {
+		hdr := b.r.rice(b.m[slotLen])
+		length, last := uint64(hdr>>1), uint64(hdr&1)
+		if length+last > entries {
+			return chunk{}, errors.New("corrupt block: list length beyond the block's entry count")
+		}
+		if length+last > uint64(n) {
+			return chunk{}, fmt.Errorf("corrupt block: a list of %d ranks below %d", length+last, n)
+		}
+		entries -= length + last
+		wide := uint64(0)
+		if n > wideFrom && length > 0 {
+			if wide = uint64(b.r.rice(b.m[slotWide])); wide > length {
+				return chunk{}, errors.New("corrupt block: a second-tier count beyond its list's length")
+			}
+		}
+		if last != 0 {
+			own := uint64(ord.RankOf(graph.VertexID(v0 + i)))
+			if length > own || own < wideFrom && wide > 0 {
+				return chunk{}, errors.New("corrupt block: a list's implicit last entry, its vertex's own rank, is not above the ranks before it")
+			}
+			if own >= wideFrom {
+				wide++
+			}
+			self[i/64] |= 1 << (i % 64)
+		}
+		off[2*i+1], off[2*i+2] = uint32(length+last-wide), uint32(2*wide)
+	}
+	if entries != 0 {
+		return chunk{}, errors.New("corrupt block: fewer entries than its header counts")
+	}
+	c := allocChunk(off)
+	for i := range v1 - v0 {
+		if end := c.off[2*i+2]; end > c.off[2*i] {
+			mark := uint32(ord.RankOf(graph.VertexID(v0+i))) + 1 - uint32(self[i/64]>>(i%64)&1)
+			if c.off[2*i+1] < end {
+				c.lab[end-2], c.lab[end-1] = uint16(mark>>16), uint16(mark)
+			} else {
+				c.lab[end-1] = uint16(mark)
+			}
+		}
+	}
+	return c, nil
+}
+
+// decodeLists decodes the section's lists into the chunks readSection
+// laid out, on up to GOMAXPROCS goroutines that take its blocks in rank
+// order. A block's lists are decoded in rank order, so a list's hub is
+// in place before it — or, where the hub is in a block still being
+// decoded, once that block has got past it. A block's payload is let go
+// once its lists are decoded. Every block is decoded, or given up on
+// where a list of it waits on a block that failed: a list waits only on
+// lower blocks, so the lowest failing block's error is the one decoding
+// the blocks one after another would report, and that is the one
+// returned.
+func (s *section) decodeLists() error {
+	s.decoded = make([]atomic.Int64, len(s.blocks))
+	for k := range s.decoded {
+		s.decoded[k].Store(int64(k * blockValues))
+	}
+	errs := make([]error, len(s.blocks))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(s.blocks)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1) - 1); k < len(s.blocks); k = int(next.Add(1) - 1) {
+				if errs[k] = s.decodeBlock(k); errs[k] != nil {
+					s.decoded[k].Store(-1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil && err != errAbandoned {
+			return err
+		}
+	}
+	for _, c := range s.l.chunks {
+		assertTiers(c)
+	}
+	return nil
+}
+
+// errAbandoned is a block's when it stopped waiting for a lower one
+// that failed.
+var errAbandoned = errors.New("label: a lower block failed")
+
+func (s *section) decodeBlock(k int) error {
+	b := &s.blocks[k]
+	for r := k * blockValues; r < min((k+1)*blockValues, s.ord.N()); r++ {
+		if err := s.decodeList(b, uint32(r)); err != nil {
+			return err
+		}
+		s.decoded[k].Store(int64(r + 1))
+	}
+	err := b.r.end()
+	*b = listStream{}
+	return err
+}
+
+// await returns once the list of rank r is decoded, or false if its
+// block failed first.
+func (s *section) await(r uint32) bool {
+	for {
+		switch d := s.decoded[r/blockValues].Load(); {
+		case d > int64(r):
+			return true
+		case d < 0:
+			return false
+		}
+		runtime.Gosched()
+	}
+}
+
+var errRankRange = errors.New("corrupt block: rank out of range")
+
+// decodeList decodes the list of rank own into the slots its shape gave
+// it: alone, len′ gaps; or inheriting, the rank of its hub, the count
+// and positions of the hub's entries it drops, and the gaps of the
+// ranks it adds.
+func (s *section) decodeList(b *listStream, own uint32) error {
+	narrow, wide := s.l.tiers(s.ord.VertexAt(order.Rank(own)))
+	self := endsWith(narrow, wide, own)
+	if self && own < wideFrom {
+		narrow = narrow[:len(narrow)-1]
+	} else if self {
+		wide = wide[:len(wide)-2]
+	}
+	f := listFill{narrow: narrow, wide: wide}
+	count := len(narrow) + len(wide)/2
+	if count == 0 {
+		return nil
+	}
+	n := uint64(s.ord.N())
+	if b.inherits && b.r.bit() {
+		if err := s.inherit(b, &f, own, count); err != nil {
+			return err
+		}
+	} else {
+		for ; count > 0; count-- {
+			r := uint64(f.next) + uint64(b.r.rice(b.m[slotGap+bits.Len32(f.next)]))
+			if r >= n {
+				return errRankRange
+			}
+			if !f.put(uint32(r)) {
+				return f.err(uint32(r))
+			}
+		}
+	}
+	if self && f.next > own {
+		return errors.New("corrupt block: a list's implicit last entry, its vertex's own rank, is not above the ranks before it")
+	}
+	return nil
+}
+
+// inherit decodes an inheriting list of count explicit entries into f:
+// the hub's list less the dropped positions, merged with the residual
+// ranks, which are read one ahead of the merge.
+func (s *section) inherit(b *listStream, f *listFill, own uint32, count int) error {
+	n := uint64(s.ord.N())
+	hub := b.r.rice(b.m[slotHub])
+	if hub >= own {
+		return errors.New("corrupt block: a list inherits from a rank at or above its own")
+	}
+	if hub/blockValues != own/blockValues && !s.await(hub) {
+		return errAbandoned
+	}
+	hn, hw := s.l.tiers(s.ord.VertexAt(order.Rank(hub)))
+	hubLen := len(hn) + len(hw)/2
+	drops := b.r.rice(b.m[slotDrops])
+	if uint64(drops) > uint64(hubLen) {
+		return errors.New("corrupt block: a list drops more entries than its hub's list holds")
+	}
+	b.drops = b.drops[:0]
+	for next := uint64(0); drops > 0; drops-- {
+		p := next + uint64(b.r.rice(b.m[slotDrop]))
+		if p >= uint64(hubLen) {
+			return errors.New("corrupt block: a dropped position past the end of its hub's list")
+		}
+		b.drops = append(b.drops, uint32(p))
+		next = p + 1
+	}
+	q := residuals{r: &b.r, m: &b.m, left: count - (hubLen - len(b.drops))}
+	if q.left < 0 {
+		return errors.New("corrupt block: a list inherits more entries than its shape holds")
+	}
+	if err := q.advance(n); err != nil {
+		return err
+	}
+	d := 0
+	for j := 0; j < hubLen; j++ {
+		if d < len(b.drops) && b.drops[d] == uint32(j) {
+			d++
+			continue
+		}
+		var e uint32
+		if j < len(hn) {
+			e = uint32(hn[j])
+		} else {
+			e = wideAt(hw, 2*(j-len(hn)))
+		}
+		for q.head < uint64(e) {
+			if !f.put(uint32(q.head)) {
+				return f.err(uint32(q.head))
+			}
+			if err := q.advance(n); err != nil {
+				return err
+			}
+		}
+		if !f.put(e) {
+			return f.err(e)
+		}
+	}
+	for q.head != noResidual {
+		if !f.put(uint32(q.head)) {
+			return f.err(uint32(q.head))
+		}
+		if err := q.advance(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// noResidual is residuals.head once none is left: above every rank.
+const noResidual = 1 << 32
+
+// residuals reads an inheriting list's residual ranks, ascending, one
+// ahead: head is the next one to merge.
+type residuals struct {
+	r    *bitReader
+	m    *riceModel
+	left int
+	next uint32 // the least rank the next one may be
+	head uint64
+}
+
+func (q *residuals) advance(n uint64) error {
+	if q.left == 0 {
+		q.head = noResidual
+		return nil
+	}
+	q.left--
+	r := uint64(q.next) + uint64(q.r.rice(q.m[slotGap+bits.Len32(q.next)]))
+	if r >= n {
+		return errRankRange
+	}
+	q.head, q.next = r, uint32(r)+1
+	return nil
+}
+
+// listFill puts one list's ranks, ascending, into the slots its shape
+// gave it in a chunk: its first tier's, then its second's.
+type listFill struct {
+	narrow, wide []uint16
+	i, j         int
+	next         uint32 // the least rank the list may continue with
+}
+
+// put stores r and reports whether it could: above the ranks before it,
+// and in its tier with a slot left. err says why it could not.
+func (f *listFill) put(r uint32) bool {
+	if r < f.next {
+		return false
+	}
+	if r < wideFrom {
+		if f.i == len(f.narrow) {
+			return false
+		}
+		f.narrow[f.i] = uint16(r)
+		f.i++
+	} else {
+		if f.j == len(f.wide) {
+			return false
+		}
+		f.wide[f.j], f.wide[f.j+1] = uint16(r>>16), uint16(r)
+		f.j += 2
+	}
+	f.next = r + 1
+	return true
+}
+
+func (f *listFill) err(r uint32) error {
+	if r < f.next {
+		return errors.New("corrupt block: an inherited and an added rank collide")
+	}
+	return errors.New("corrupt block: a list's ranks disagree with its shape's tier counts")
+}

@@ -51,6 +51,25 @@ func FromRanks(ranks []Rank) *Ordering {
 	return o
 }
 
+// FromVertices builds an Ordering from its rank→vertex sequence, which
+// it keeps: vertices[r] is the vertex of rank r. It returns nil if
+// vertices is not a permutation of 0..n-1 — the check an index file's
+// reader needs, so it is an answer rather than FromRanks's panic.
+func FromVertices(vertices []graph.VertexID) *Ordering {
+	n := len(vertices)
+	o := &Ordering{rank: make([]Rank, n), vertex: vertices, n: n}
+	for i := range o.rank {
+		o.rank[i] = -1
+	}
+	for r, v := range vertices {
+		if v < 0 || int(v) >= n || o.rank[v] >= 0 {
+			return nil
+		}
+		o.rank[v] = Rank(r)
+	}
+	return o
+}
+
 // N returns the number of vertices in the order.
 func (o *Ordering) N() int { return o.n }
 
