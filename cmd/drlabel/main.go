@@ -23,6 +23,7 @@ import (
 
 	"repro"
 	"repro/internal/durable"
+	"repro/internal/label"
 )
 
 func main() {
@@ -97,6 +98,16 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s (%.2f MB on disk, %.2f MB in memory)\n", *out, float64(written)/(1<<20), float64(st.Resident)/(1<<20))
+	f, err := os.Open(*out)
+	if err != nil {
+		fatal(err)
+	}
+	defer f.Close()
+	sec, err := label.ReadSections(f)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("file sections: header and optional parts %d B, permutation %d B, L_in %d B, L_out %d B\n", sec.Head, sec.Perm, sec.In, sec.Out)
 }
 
 func fatal(err error) {

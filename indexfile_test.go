@@ -14,53 +14,21 @@ import (
 	"repro/internal/order"
 )
 
-// skipBlocks returns where the blocks that cover count values, 4,096
-// a block, end in file when they start at pos.
-func skipBlocks(file []byte, pos, count int) int {
-	for ; count > 0; count -= 4096 {
-		_, k1 := binary.Uvarint(file[pos:])
-		size, k2 := binary.Uvarint(file[pos+k1:])
-		pos += k1 + k2 + int(size)
+// sections returns how an index file's bytes divide.
+func sections(t *testing.T, file []byte) label.Sections {
+	t.Helper()
+	s, err := label.ReadSections(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return pos
-}
-
-// labelsOffset returns where an index file's two labels sections
-// start: behind the header, the optional parts it announces and the
-// permutation's blocks, one per 4,096 ranks (DESIGN.md §16).
-func labelsOffset(file []byte) int {
-	pos := 32
-	skip := func(values int) { pos = skipBlocks(file, pos, values) }
-	parts := binary.LittleEndian.Uint32(file[12:])
-	if parts&1 != 0 {
-		pos += 16
+	if total := s.Head + s.Perm + s.In + s.Out; total != int64(len(file)) {
+		t.Fatalf("the sections of a %d-byte file add up to %d", len(file), total)
 	}
-	if parts&2 != 0 {
-		count, k := binary.Uvarint(file[pos:])
-		pos += k
-		skip(int(count))
-	}
-	if parts&4 != 0 {
-		_, k := binary.Uvarint(file[pos:])
-		pos += k
-		skip(1)
-		skip(1)
-	}
-	skip(int(binary.LittleEndian.Uint32(file[8:])))
-	return pos
-}
-
-// labelsSections returns the sizes of an index file's L_in and L_out
-// sections: a block per 4,096 vertices each.
-func labelsSections(file []byte) (in, out int) {
-	n := int(binary.LittleEndian.Uint32(file[8:]))
-	start := labelsOffset(file)
-	mid := skipBlocks(file, start, n)
-	return mid - start, skipBlocks(file, mid, n) - mid
+	return s
 }
 
 // perListLabels returns the sizes of x's two labels sections in the
-// format before this one ("DRLINDX4"), which coded every list alone: per
+// format that coded every list alone ("DRLINDX4"): per
 // 4,096 vertices a block of uvarint(entries) uvarint(bytes) and a
 // payload of its model — kLen, and a gap parameter per bit length a
 // rank below n has, each ⌊log₂(x/count)⌋ for x = Σ − ⌊Σ/32⌋ − ⌊Σ/128⌋ of
@@ -148,9 +116,10 @@ func byteAlignedLabels(x *label.Index) int {
 // TestIndexFileBeatsByteAligned: the list coding's model is fitted to
 // each file, not tuned to the benchmark's graph — over every generator
 // family, condensed or not, capped or not, the labels sections are
-// smaller than the byte-aligned ones of two formats ago, and each is no
-// larger than coding every list alone, as the format before this one
-// did: a block where inheriting does not pay does not inherit. The file
+// smaller than the byte-aligned ones of three formats ago, and each is
+// no larger than coding every list alone, as the format before those
+// that inherit did: a block where inheriting does not pay does not
+// inherit. The file
 // reads back as the index that was built, which writes the same bytes
 // again and answers as BFS does.
 func TestIndexFileBeatsByteAligned(t *testing.T) {
@@ -169,13 +138,12 @@ func TestIndexFileBeatsByteAligned(t *testing.T) {
 			if _, err := built.WriteTo(&file); err != nil {
 				t.Fatalf("%s %+v: %v", family, opts, err)
 			}
-			now, before := file.Len()-labelsOffset(file.Bytes()), byteAlignedLabels(built.idx)
-			if now >= before {
+			sec := sections(t, file.Bytes())
+			if now, before := int(sec.In+sec.Out), byteAlignedLabels(built.idx); now >= before {
 				t.Errorf("%s %+v: labels sections of %d bytes, %d byte-aligned", family, opts, now, before)
 			}
-			in, out := labelsSections(file.Bytes())
-			if aloneIn, aloneOut := perListLabels(built.idx); in > aloneIn || out > aloneOut {
-				t.Errorf("%s %+v: labels sections of %d and %d bytes, %d and %d with every list coded alone", family, opts, in, out, aloneIn, aloneOut)
+			if aloneIn, aloneOut := perListLabels(built.idx); int(sec.In) > aloneIn || int(sec.Out) > aloneOut {
+				t.Errorf("%s %+v: labels sections of %d and %d bytes, %d and %d with every list coded alone", family, opts, sec.In, sec.Out, aloneIn, aloneOut)
 			}
 			loaded, err := readIndex(bytes.NewReader(file.Bytes()), g)
 			if err != nil {
@@ -205,11 +173,12 @@ func TestIndexFileBeatsByteAligned(t *testing.T) {
 	}
 }
 
-// TestIndexFileSizeGolden pins the size of one seeded build's file, so
-// that an edit to the list coding or its model moves a number here (as
-// TestWireVolumeGolden does for the wire). Entries pin the labeler's
-// half; a moved size with the same entries is the codec's doing. The
-// index read back from the file writes it again, byte for byte.
+// TestIndexFileSizeGolden pins the size of one seeded build's file,
+// section by section, so that an edit to the list coding or its model
+// moves a number here (as TestWireVolumeGolden does for the wire) and
+// says where. Entries pin the labeler's half; a moved size with the same
+// entries is the codec's doing. The index read back from the file writes
+// it again, byte for byte.
 func TestIndexFileSizeGolden(t *testing.T) {
 	g, err := GenerateGraph("citation", 20000, 4, 1)
 	if err != nil {
@@ -223,14 +192,15 @@ func TestIndexFileSizeGolden(t *testing.T) {
 	if _, err := idx.WriteTo(&file); err != nil {
 		t.Fatal(err)
 	}
-	const entries, size = 594803, 279282
+	const entries = 594803
+	want := label.Sections{Head: 48, Perm: 15765, In: 14734, Out: 182094}
 	if got := idx.Stats().Entries; got != entries {
 		t.Errorf("%d label entries, want %d", got, entries)
 	}
-	if file.Len() != size {
+	if got := sections(t, file.Bytes()); got != want {
 		in, out := perListLabels(idx.idx)
-		t.Errorf("index file of %d bytes (%d in its labels sections, %d with every list alone, %d byte-aligned), want %d",
-			file.Len(), file.Len()-labelsOffset(file.Bytes()), in+out, byteAlignedLabels(idx.idx), size)
+		t.Errorf("index file sections %+v (%d bytes; labels %d and %d with every list alone, %d byte-aligned), want %+v",
+			got, file.Len(), in, out, byteAlignedLabels(idx.idx), want)
 	}
 	back, err := ReadIndex(bytes.NewReader(file.Bytes()))
 	if err != nil {

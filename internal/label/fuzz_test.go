@@ -30,11 +30,15 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	// Several blocks per section, sections without entries, no blocks,
-	// and lists that inherit.
+	// and lists that inherit, some from three hubs or four.
 	f.Add(mustWrite(f, sparseIndex(f, blockValues+40, 2, 1)))
 	f.Add(mustWrite(f, sparseIndex(f, 9, 0, 2)))
 	f.Add(mustWrite(f, randomIndex(f, 0, 1)))
-	f.Add(mustWrite(f, hierIndex(f, 300, 90, 3)))
+	hier := hierIndex(f, 300, 90, 3)
+	if _, named := writeToReference(hier); named[3]+named[4] == 0 {
+		f.Fatalf("the inheriting seed moved: %v of its lists name 0 to 4 hubs", named)
+	}
+	f.Add(mustWrite(f, hier))
 	// One file per optional part: the three-vertex index as that of a
 	// three-vertex graph, of the condensation of a four-vertex one, and
 	// capped with some lists incomplete.
@@ -91,10 +95,11 @@ func orderOf(raw []byte) *order.Ordering {
 }
 
 // hierLists shapes label sets as a labeler's are, reading raw as a
-// stream of choices (zeros once it runs out): per rank in order, the
-// higher rank whose list it starts from, which of that list's ranks it
-// keeps, the ranks it adds — anywhere, its own and those above included
-// — and whether its own rank ends it.
+// stream of choices (zeros once it runs out): per rank in order, how
+// many higher ranks — one to four — whose lists' union it starts from,
+// which ranks those are, which of their ranks it keeps, the ranks it adds
+// — anywhere, its own and those above included — and whether its own
+// rank ends it.
 func hierLists(ord *order.Ordering, raw []byte) *Index {
 	next := func() int {
 		if len(raw) == 0 {
@@ -109,9 +114,11 @@ func hierLists(ord *order.Ordering, raw []byte) *Index {
 	for _, lists := range [][][]order.Rank{in, out} {
 		for r := 1; r < n; r++ {
 			var list []order.Rank
-			for _, h := range lists[ord.VertexAt(order.Rank((next()<<8|next())%r))] {
-				if next()%8 != 0 {
-					list = append(list, h)
+			for hubs := 1 + next()%4; hubs > 0; hubs-- {
+				for _, h := range lists[ord.VertexAt(order.Rank((next()<<8|next())%r))] {
+					if next()%8 != 0 {
+						list = append(list, h)
+					}
 				}
 			}
 			for k := next() % 3; k > 0; k-- {
@@ -151,7 +158,7 @@ func FuzzLabelBlock(f *testing.F) {
 		f.Add(payload, keys, uint32(entries))
 	}
 	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, []byte{0, 0}, uint32(1))
-	f.Add([]byte{0x81, 0, 0, 0, 0, 0, 0, 0xff, 0x0f}, []byte{0, 0, 1, 0, 2, 0}, uint32(4))
+	f.Add([]byte{0x81, 0, 0, 0, 0, 0, 0, 0, 0xff, 0x0f}, []byte{0, 0, 1, 0, 2, 0}, uint32(4))
 	f.Fuzz(func(t *testing.T, payload, rawOrder []byte, entries uint32) {
 		ord := orderOf(rawOrder)
 		if ord.N() == 0 {

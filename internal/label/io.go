@@ -46,15 +46,16 @@ import (
 // is a strictly ascending set, so no bit string decodes to a list out of
 // order. selfLast says that the list ends, after those len′, with its
 // vertex's own rank, which the permutation tells. In a block whose model
-// says so, a list opens with a bit, and a set bit says it inherits:
-// rice(kHub, rank h), below its own; rice(kDrops, c) and c gaps of
-// positions of L(h) it lacks; and the gaps of the ranks L(h) lacks,
-// len′ − (|L(h)| − c) of them. The reader decodes a section's lists in
-// rank order, so L(h) is in place when it is needed. DESIGN.md §16 is
-// the normative description.
+// says so, a list opens with rice(kHubs, c), and c > 0 says it inherits:
+// c ≤ 4 hubs rice(kHub, h), strictly ascending and below its own rank;
+// rice(kDrops, d) and d gaps of positions it lacks in U, the union of the
+// hubs' lists; and the gaps of the ranks U lacks, len′ − (|U| − d) of
+// them. The reader decodes a section's lists in rank order, so every
+// L(h) is in place when it is needed. DESIGN.md §16 is the normative
+// description.
 
 const (
-	indexMagic = uint64(0x44524c494e445835) // "DRLINDX5"
+	indexMagic = uint64(0x44524c494e445836) // "DRLINDX6"
 
 	// The bits of header.Parts, in the order their parts follow it.
 	partGraph, partComp, partBudget = uint32(1), uint32(2), uint32(4)
@@ -82,12 +83,13 @@ const (
 	blockHeaderRoom = 2 * binary.MaxVarintLen64
 )
 
-// retiredMagics opened the formats before this one — "DRLINDX4", whose
-// lists were each coded alone, in vertex order; the byte-aligned
-// "DRLINDX3", "DRLINDX2" inside the root package's "RLIXNVE2" envelope,
-// and the fixed-width "DRLINDEX" and "RLIXNVE1". Index files are derived
-// artifacts, so they are refused rather than converted.
-var retiredMagics = []uint64{0x44524c494e445834, 0x44524c494e445833, 0x44524c494e445832, 0x524c49584e564532, 0x44524c494e444558, 0x524c49584e564531}
+// retiredMagics opened the formats before this one — "DRLINDX5", whose
+// lists inherited from one hub each; "DRLINDX4", whose lists were each
+// coded alone, in vertex order; the byte-aligned "DRLINDX3", "DRLINDX2"
+// inside the root package's "RLIXNVE2" envelope, and the fixed-width
+// "DRLINDEX" and "RLIXNVE1". Index files are derived artifacts, so they
+// are refused rather than converted.
+var retiredMagics = []uint64{0x44524c494e445835, 0x44524c494e445834, 0x44524c494e445833, 0x44524c494e445832, 0x524c49584e564532, 0x44524c494e444558, 0x524c49584e564531}
 
 // header is the file's fixed part, in binary.Read's layout of a struct.
 type header struct {
@@ -404,26 +406,12 @@ func Read(r io.Reader) (*Index, error) {
 // order and lays each labels section out from its shapes; then one
 // goroutine a section decodes its lists, L_in's while L_out is read.
 func ReadWith(r io.Reader) (*Index, Extras, error) {
-	var e Extras
 	br := bufio.NewReader(r)
-	var h header
-	if err := binary.Read(br, binary.LittleEndian, &h); err != nil {
-		return nil, e, fmt.Errorf("label: reading index header: %w", err)
-	}
-	if slices.Contains(retiredMagics, h.Magic) {
-		return nil, e, errors.New("label: this index file is in a retired format; rebuild the index")
-	}
-	if h.Magic != indexMagic {
-		return nil, e, errors.New("label: not an index file (bad magic)")
-	}
-	if h.N > 1<<31 || h.NIn > 1<<40 || h.NOut > 1<<40 || h.Parts > partGraph|partComp|partBudget || h.Parts&(partGraph|partBudget) == partBudget {
-		return nil, e, fmt.Errorf("label: implausible index header n=%d parts=%#x", h.N, h.Parts)
+	h, e, err := readHead(br)
+	if err != nil {
+		return nil, e, err
 	}
 	n := int(h.N)
-	e, err := readExtras(br, h.Parts, n)
-	if err != nil {
-		return nil, e, fmt.Errorf("label: reading %w", err)
-	}
 	// Once the permutation has arrived, n is no longer just a claim and
 	// may size allocations.
 	ord, err := readPermutation(br, n)
@@ -447,6 +435,72 @@ func ReadWith(r io.Reader) (*Index, Extras, error) {
 		return nil, e, fmt.Errorf("label: reading labels: %w", err)
 	}
 	return &Index{n: n, ord: ord, in: in.l, out: out.l}, e, nil
+}
+
+// readHead reads a file's header and the optional parts it announces.
+func readHead(br *bufio.Reader) (h header, e Extras, err error) {
+	if err := binary.Read(br, binary.LittleEndian, &h); err != nil {
+		return h, e, fmt.Errorf("label: reading index header: %w", err)
+	}
+	if slices.Contains(retiredMagics, h.Magic) {
+		return h, e, errors.New("label: this index file is in a retired format; rebuild the index")
+	}
+	if h.Magic != indexMagic {
+		return h, e, errors.New("label: not an index file (bad magic)")
+	}
+	if h.N > 1<<31 || h.NIn > 1<<40 || h.NOut > 1<<40 || h.Parts > partGraph|partComp|partBudget || h.Parts&(partGraph|partBudget) == partBudget {
+		return h, e, fmt.Errorf("label: implausible index header n=%d parts=%#x", h.N, h.Parts)
+	}
+	if e, err = readExtras(br, h.Parts, int(h.N)); err != nil {
+		return h, e, fmt.Errorf("label: reading %w", err)
+	}
+	return h, e, nil
+}
+
+// Sections is how an index file's bytes divide: the header with the
+// optional parts it announces, the rank permutation, and the labels
+// sections of L_in and L_out.
+type Sections struct {
+	Head, Perm, In, Out int64
+}
+
+// ReadSections reads an index file through and returns how many bytes
+// each of its sections takes. It checks the header and the optional
+// parts as ReadWith does, and of the rest only the framing: the payloads
+// are read, not decoded.
+func ReadSections(r io.Reader) (Sections, error) {
+	var s Sections
+	count := &readCounter{r: r}
+	br := bufio.NewReader(count)
+	at := func() int64 { return count.n - int64(br.Buffered()) }
+	h, _, err := readHead(br)
+	if err != nil {
+		return s, err
+	}
+	s.Head = at()
+	var payload []byte
+	for _, size := range []*int64{&s.Perm, &s.In, &s.Out} {
+		start := at()
+		for k := blocksFor(int(h.N)); k > 0; k-- {
+			if _, payload, err = readBlock(br, payload, 0); err != nil {
+				return s, fmt.Errorf("label: reading index blocks: %w", err)
+			}
+		}
+		*size = at() - start
+	}
+	return s, nil
+}
+
+// readCounter counts the bytes read from r.
+type readCounter struct {
+	r io.Reader
+	n int64
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	k, err := c.r.Read(p)
+	c.n += int64(k)
+	return k, err
 }
 
 // readExtras reads the optional parts the header announces for an index

@@ -17,7 +17,7 @@ import (
 
 // The reference encoder: the file grammar of DESIGN.md §16 written
 // down once more, one goroutine, one append per value and per bit, no
-// buffer reuse, its own model fit and its own choice of what inherits.
+// buffer reuse, its own model fit and its own cover of each list by hubs.
 // WriteTo must produce these bytes whatever GOMAXPROCS is.
 
 // blockPayload takes a block's header off: its entry count, its payload.
@@ -84,6 +84,9 @@ func refBitLen(v int64) int {
 	return n
 }
 
+// refGamma is the width of v + 1's Elias γ code.
+func refGamma(v uint64) int { return 2*refBitLen(int64(v+1)) - 1 }
+
 // refParam is the parameter for count values that add up to sum:
 // ⌊log₂(x/count)⌋ for x = sum − ⌊sum/32⌋ − ⌊sum/128⌋, 0 below 1.
 func refParam(sum, count uint64) (k int) {
@@ -97,8 +100,8 @@ func refParam(sum, count uint64) (k int) {
 }
 
 // refCode is one value of a labels block's stream and the name of the
-// parameter it is coded under: "len", "wide", "hub", "drops", "drop",
-// "gap0" … "gap32" — or "bit", a raw bit.
+// parameter it is coded under: "len", "wide", "hubs", "hub", "drops",
+// "drop", "gap0" … "gap32".
 type refCode struct {
 	param string
 	v     uint64
@@ -126,11 +129,7 @@ func refFit(codes ...[]refCode) map[string]int {
 func refCost(m map[string]int, codes []refCode) int {
 	bits := 0
 	for _, c := range codes {
-		if c.param == "bit" {
-			bits++
-		} else {
-			bits += refWidth(m[c.param], c.v)
-		}
+		bits += refWidth(m[c.param], c.v)
 	}
 	return bits
 }
@@ -154,20 +153,10 @@ func refExplicit(list []order.Rank, own order.Rank) (written []order.Rank, self 
 	return list, 0
 }
 
-// refDiff returns the positions of hub's entries list lacks and list's
-// entries hub lacks, by lookups.
-func refDiff(list, hub []order.Rank) (drops []uint64, res []order.Rank) {
-	for j, r := range hub {
-		if !slices.Contains(list, r) {
-			drops = append(drops, uint64(j))
-		}
-	}
-	for _, r := range list {
-		if !slices.Contains(hub, r) {
-			res = append(res, r)
-		}
-	}
-	return drops, res
+// refHas reports whether the ascending set holds r.
+func refHas(set []order.Rank, r order.Rank) bool {
+	_, found := slices.BinarySearch(set, r)
+	return found
 }
 
 // refSource is what a labels block is coded from: one direction's
@@ -179,15 +168,105 @@ type refSource struct {
 	n        int
 }
 
+// refInherit is list coded against the union of the lists of hubs:
+// the hub count, the hubs, the count and gaps of the positions in the
+// union of its ranks the list lacks, and the gaps of the list's ranks the
+// union lacks; and that code's width as the encoder estimates it before
+// fitting — a hub at one bit more than its bit length, the drop count and
+// positions as Elias γ codes, the gaps under m.
+func refInherit(src refSource, list, hubs []order.Rank, m map[string]int) (codes []refCode, estimate int) {
+	var union, residual []order.Rank
+	for _, h := range hubs {
+		union = append(union, src.list(src.vertexAt(h))...)
+	}
+	slices.Sort(union)
+	union = slices.Compact(union)
+	for _, r := range list {
+		if !refHas(union, r) {
+			residual = append(residual, r)
+		}
+	}
+	codes = append(codes, refCode{"hubs", uint64(len(hubs))})
+	for _, h := range hubs {
+		codes = append(codes, refCode{"hub", uint64(h)})
+		estimate += refBitLen(int64(h)) + 1
+	}
+	var drops []uint64
+	for j, r := range union {
+		if !refHas(list, r) {
+			drops = append(drops, uint64(j))
+		}
+	}
+	codes = append(codes, refCode{"drops", uint64(len(drops))})
+	estimate += refGamma(uint64(len(drops)))
+	for j, p := range drops {
+		if j > 0 {
+			p -= drops[j-1] + 1
+		}
+		codes = append(codes, refCode{"drop", p})
+		estimate += refGamma(p)
+	}
+	gaps := refGaps(residual)
+	return append(codes, gaps...), estimate + refCost(m, gaps)
+}
+
+// refCover returns the hubs, ascending, that list — of rank own —
+// names, given m, the model of its block's lists coded alone. Round by
+// round, of the list's last four ranks below own that neither the union
+// of the lists of the hubs named so far holds nor are named themselves,
+// it takes the one whose list holds the most of the list's ranks the
+// union does not, less its ranks that neither the list nor the union
+// holds (the last such on a tie), and names it if that makes the
+// estimate of the list's code shorter than without it: up to four hubs,
+// none where the list alone is no longer.
+func refCover(src refSource, list []order.Rank, own order.Rank, m map[string]int) []order.Rank {
+	var hubs, union []order.Rank
+	cost := refCost(m, refGaps(list))
+	for len(hubs) < 4 {
+		best, most, tried := order.Rank(-1), 0, 0
+		for j := len(list) - 1; j >= 0 && tried < 4; j-- {
+			h := list[j]
+			if h >= own || refHas(union, h) || slices.Contains(hubs, h) {
+				continue
+			}
+			tried++
+			gain := 0
+			for _, r := range src.list(src.vertexAt(h)) {
+				switch inList, inUnion := refHas(list, r), refHas(union, r); {
+				case inList && !inUnion:
+					gain++
+				case !inList && !inUnion:
+					gain--
+				}
+			}
+			if best < 0 || gain > most {
+				best, most = h, gain
+			}
+		}
+		if best < 0 {
+			break
+		}
+		more := append(slices.Clone(hubs), best)
+		slices.Sort(more)
+		if _, estimate := refInherit(src, list, more, m); estimate >= cost {
+			break
+		} else {
+			cost = estimate
+		}
+		hubs = more
+		union = append(union, src.list(src.vertexAt(best))...)
+		slices.Sort(union)
+		union = slices.Compact(union)
+	}
+	return hubs
+}
+
 // refLabelBlock is block k of a labels section: the shapes of vertices
 // [4096k, 4096k+4096), then the lists of those ranks — each alone, or,
-// if that is the fewer bits with 24 of model bytes added, each with a
-// bit that says whether it inherits from the one of its last four
-// ranks below its own whose list differs from it in the fewest ranks
-// (the last such), as it does where that is estimated to cost fewer bits
-// than the list alone under the alone model. It returns the block and
-// how many of its lists inherit.
-func refLabelBlock(out []byte, src refSource, k int) ([]byte, int) {
+// if that is the fewer bits with 32 of model bytes added, each with a
+// hub count and coded against the hubs refCover names. It returns the
+// block and, per hub count, how many of its lists name that many.
+func refLabelBlock(out []byte, src refSource, k int) ([]byte, [5]int) {
 	n := src.n
 	lo, hi := k*4096, min(k*4096+4096, n)
 	var shapes []refCode
@@ -215,56 +294,25 @@ func refLabelBlock(out []byte, src refSource, k int) ([]byte, int) {
 		alone = append(alone, refGaps(written)...)
 	}
 	m := refFit(alone)
-	inheriting := 0
+	var named [5]int
+	inheriting := false
 	for i, list := range lists {
 		if len(list) == 0 {
 			continue
 		}
-		own := lo + i
-		hub, tried := -1, 0
-		var drops []uint64
-		var res []order.Rank
-		for j := len(list) - 1; j >= 0 && tried < 4; j-- {
-			if int(list[j]) >= own {
-				continue
-			}
-			tried++
-			d, r := refDiff(list, src.list(src.vertexAt(list[j])))
-			if hub < 0 || len(d)+len(r) < len(drops)+len(res) {
-				hub, drops, res = int(list[j]), d, r
-			}
-		}
-		aloneBits := refCost(m, refGaps(list))
-		estimate := 0
-		if hub >= 0 {
-			gamma := func(v uint64) int { return 2*refBitLen(int64(v+1)) - 1 }
-			estimate = refBitLen(int64(hub)) + 1 + gamma(uint64(len(drops))) + refCost(m, refGaps(res))
-			for j, p := range drops {
-				if j > 0 {
-					p -= drops[j-1] + 1
-				}
-				estimate += gamma(p)
-			}
-		}
-		if hub < 0 || estimate >= aloneBits {
-			mixed = append(append(mixed, refCode{"bit", 0}), refGaps(list)...)
+		hubs := refCover(src, list, order.Rank(lo+i), m)
+		if named[len(hubs)]++; len(hubs) == 0 {
+			mixed = append(append(mixed, refCode{"hubs", 0}), refGaps(list)...)
 			continue
 		}
-		inheriting++
-		mixed = append(mixed, refCode{"bit", 1}, refCode{"hub", uint64(hub)}, refCode{"drops", uint64(len(drops))})
-		for j, p := range drops {
-			if j > 0 {
-				p -= drops[j-1] + 1
-			}
-			mixed = append(mixed, refCode{"drop", p})
-		}
-		mixed = append(mixed, refGaps(res)...)
+		codes, _ := refInherit(src, list, hubs, m)
+		mixed, inheriting = append(mixed, codes...), true
 	}
 	chosen, inherits := alone, false
-	if refCost(refFit(mixed), mixed)+24 < refCost(m, alone) {
+	if inheriting && refCost(refFit(mixed), mixed)+32 < refCost(m, alone) {
 		chosen, inherits = mixed, true
 	} else {
-		inheriting = 0
+		named = [5]int{}
 	}
 	m = refFit(shapes, chosen)
 	params := []string{"len"}
@@ -272,7 +320,7 @@ func refLabelBlock(out []byte, src refSource, k int) ([]byte, int) {
 		params = append(params, "wide")
 	}
 	if inherits {
-		params = append(params, "hub", "drops", "drop")
+		params = append(params, "hubs", "hub", "drops", "drop")
 	}
 	for b := 0; b <= refBitLen(int64(max(n, 1)-1)); b++ {
 		params = append(params, fmt.Sprintf("gap%d", b))
@@ -286,13 +334,9 @@ func refLabelBlock(out []byte, src refSource, k int) ([]byte, int) {
 	}
 	var stream refBits
 	for _, c := range append(shapes, chosen...) {
-		if c.param == "bit" {
-			stream.uint(c.v, 1)
-		} else {
-			stream.rice(m[c.param], c.v)
-		}
+		stream.rice(m[c.param], c.v)
 	}
-	return refBlock(out, entries, append(payload, stream.bytes()...)), inheriting
+	return refBlock(out, entries, append(payload, stream.bytes()...)), named
 }
 
 // refPermBlock is a block of the rank→vertex sequence: the Rice
@@ -327,8 +371,9 @@ func refPermBlock(out []byte, vertices []graph.VertexID) []byte {
 	return refBlock(out, len(vertices), append([]byte{byte(best)}, stream.bytes()...))
 }
 
-// writeToReference returns x's file and how many of its lists inherit.
-func writeToReference(x *Index) ([]byte, int) {
+// writeToReference returns x's file and, per hub count, how many of its
+// lists name that many hubs.
+func writeToReference(x *Index) ([]byte, [5]int) {
 	le := binary.LittleEndian
 	out := le.AppendUint64(nil, indexMagic)
 	out = le.AppendUint32(le.AppendUint32(out, uint32(x.n)), 0) // no optional part
@@ -338,16 +383,18 @@ func writeToReference(x *Index) ([]byte, int) {
 	for r0 := 0; r0 < x.n; r0 += 4096 {
 		out = refPermBlock(out, vertices[r0:min(r0+4096, x.n)])
 	}
-	inheriting := 0
+	var named [5]int
 	for _, list := range []func(graph.VertexID) []order.Rank{x.InLabels, x.OutLabels} {
 		src := refSource{list: list, rankOf: x.ord.RankOf, vertexAt: x.ord.VertexAt, n: x.n}
 		for k := 0; k*4096 < x.n; k++ {
-			var inh int
-			out, inh = refLabelBlock(out, src, k)
-			inheriting += inh
+			var block [5]int
+			out, block = refLabelBlock(out, src, k)
+			for c, lists := range block {
+				named[c] += lists
+			}
 		}
 	}
-	return out, inheriting
+	return out, named
 }
 
 // shuffledRanks returns a random permutation of n ranks.
@@ -381,10 +428,13 @@ func sparseIndex(t testing.TB, n, maxLen int, seed int64) *Index {
 
 // hierIndex is an index of n vertices under a shuffled order whose
 // lists are shaped as a labeler's are: in rank order, each vertex's list
-// is a random higher-ranked vertex's less the ranks it drops (each with
-// chance 1 − keep/100), one or two ranks above its own, and, nine times
-// in ten, its own rank last. So most lists nearly contain a close hub's,
-// and inheriting pays.
+// is the union of the lists of one to four random vertices ranked above
+// it, less the ranks it drops (each with chance 1 − keep/100), plus one
+// or two ranks above its own and, nine times in ten, its own rank last.
+// The vertices a list is drawn from are among the first eighth of the
+// ranks, whose lists are drawn from one each, so lists stay short. Most
+// lists nearly contain a close hub's, many two or more hubs' together,
+// and inheriting from several pays.
 func hierIndex(t testing.TB, n, keep int, seed int64) *Index {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -393,9 +443,15 @@ func hierIndex(t testing.TB, n, keep int, seed int64) *Index {
 	for _, lists := range [][][]order.Rank{in, out} {
 		for r := 1; r < n; r++ {
 			var list []order.Rank
-			for _, h := range lists[ord.VertexAt(order.Rank(rng.Intn(r)))] {
-				if rng.Intn(100) < keep {
-					list = append(list, h)
+			hubs := 1
+			if r >= n/8 {
+				hubs += rng.Intn(4)
+			}
+			for ; hubs > 0; hubs-- {
+				for _, h := range lists[ord.VertexAt(order.Rank(rng.Intn(min(r, max(n/8, 1)))))] {
+					if rng.Intn(100) < keep {
+						list = append(list, h)
+					}
 				}
 			}
 			for k := 1 + rng.Intn(2); k > 0; k-- {
@@ -506,13 +562,15 @@ func mustWrite(t testing.TB, x *Index) []byte {
 
 // TestWriteToMatchesReferenceEncoder is the golden test of the block
 // encoder: the reference encoder's bytes at every worker count, an Equal
-// index back from them that writes them again, and lists that inherit
-// in both the fixtures built for it.
+// index back from them that writes them again, and — in the fixtures
+// built for it — lists that inherit, a quarter of them from two hubs or
+// more.
 func TestWriteToMatchesReferenceEncoder(t *testing.T) {
 	for name, x := range ioFixtures(t) {
-		want, inheriting := writeToReference(x)
-		if strings.HasPrefix(name, "inheriting") && inheriting < x.n/4 {
-			t.Errorf("%s: %d of %d lists of each direction inherit", name, inheriting, x.n)
+		want, named := writeToReference(x)
+		inheriting := named[1] + named[2] + named[3] + named[4]
+		if strings.HasPrefix(name, "inheriting") && (inheriting < x.n/4 || 4*(inheriting-named[1]) < inheriting) {
+			t.Errorf("%s: of %d vertices' two lists, %v name 0, 1, 2, 3 and 4 hubs", name, x.n, named)
 		}
 		for _, procs := range []int{1, 2, 8} {
 			setProcs(t, procs)
@@ -749,8 +807,7 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// rc is one code of a crafted payload: rice(k, v), or a raw bit v where
-// k is −1.
+// rc is one code of a crafted payload: rice(k, v).
 type rc struct {
 	k int
 	v uint64
@@ -760,13 +817,18 @@ type rc struct {
 func stream(model []byte, codes ...rc) []byte {
 	var b refBits
 	for _, c := range codes {
-		if c.k < 0 {
-			b.uint(c.v, 1)
-		} else {
-			b.rice(c.k, c.v)
-		}
+		b.rice(c.k, c.v)
 	}
 	return append(slices.Clone(model), b.bytes()...)
+}
+
+// zeros is values coded under parameter 0 each.
+func zeros(vs ...uint64) []rc {
+	codes := make([]rc, len(vs))
+	for i, v := range vs {
+		codes[i] = rc{0, v}
+	}
+	return codes
 }
 
 // TestReadRejectsCorruptInput damages one field at a time. Each must
@@ -825,17 +887,25 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 	}
 	// L_in is {0}, {0, 1}, {0} at ranks 0, 1, 2. Its models: parameter 1
 	// for the shapes and 0 for the gaps of each of three slots — and, in
-	// a block whose lists may inherit, 0 for the hub, the drops and the
-	// dropped positions. The shapes are len′<<1 | selfLast: 0|1, 1|1, 1|0.
+	// a block whose lists may inherit, 0 for the hub counts, the hubs, the
+	// drops and the dropped positions. The shapes are len′<<1 | selfLast:
+	// 0|1, 1|1, 1|0; withLast has rank 2's say it writes last ranks.
 	alone := []byte{1, 0, 0, 0}
-	inherits := []byte{1 | inheritsFlag, 0, 0, 0, 0, 0, 0}
+	inherits := []byte{1 | inheritsFlag, 0, 0, 0, 0, 0, 0, 0}
 	shapes := []rc{{1, 0<<1 | 1}, {1, 1<<1 | 1}, {1, 1 << 1}}
-	in := func(model []byte, lists ...rc) []byte {
-		return stream(model, append(slices.Clone(shapes), lists...)...)
+	in := func(model []byte, lists ...uint64) []byte {
+		return stream(model, append(slices.Clone(shapes), zeros(lists...)...)...)
 	}
-	goodIn := in(alone, rc{0, 0}, rc{0, 0})
-	// Ranks 1 and 2 inheriting rank 0's {0} whole: bit, hub, no drops.
-	goodInherit := in(inherits, rc{-1, 1}, rc{0, 0}, rc{0, 0}, rc{-1, 1}, rc{0, 0}, rc{0, 0})
+	withLast := func(last uint64, lists ...uint64) []byte {
+		return stream(inherits, append([]rc{{1, 0<<1 | 1}, {1, 1<<1 | 1}, {1, last << 1}}, zeros(lists...)...)...)
+	}
+	goodIn := in(alone, 0, 0)
+	// Ranks 1 and 2 inheriting rank 0's {0} whole: one hub, rank 0, no
+	// drops.
+	goodInherit := in(inherits, 1, 0, 0, 1, 0, 0)
+	// Rank 2 inheriting the union {0, 1} of ranks 0's and 1's lists less
+	// its rank 1: hubs 0 and 1, one drop, at position 1.
+	goodUnion := in(inherits, 1, 0, 0, 2, 0, 1, 1, 1)
 	with := func(at int, b byte) []byte {
 		bad := append([]byte(nil), goodIn...)
 		bad[at] = b
@@ -900,19 +970,30 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		r("list length beyond the block", craft(4, stream(alone, rc{1, 9 << 1})), "beyond the block's entry count"),
 		r("a list longer than n", craft(9, stream(alone, rc{1, 4 << 1}, rc{1, 2 << 1}, rc{1, 3 << 1})), "a list of 4 ranks below 3"),
 		r("implicit entry beyond the block", craft(1, stream(alone, rc{1, 1<<1 | 1})), "beyond the block's entry count"),
-		r("gap to rank n", craft(4, in(alone, rc{0, 0}, rc{0, 3})), "rank out of range"),
-		r("escaped gap past rank n", craft(4, in(alone, rc{0, 0}, rc{0, 1<<32 - 1})), "rank out of range"),
+		r("gap to rank n", craft(4, in(alone, 0, 3)), "rank out of range"),
+		r("escaped gap past rank n", craft(4, in(alone, 0, 1<<32-1)), "rank out of range"),
 		r("own rank not above a shape's length", craft(5, stream(alone, rc{1, 1<<1 | 1}, rc{1, 1<<1 | 1}, rc{1, 1 << 1}, rc{0, 0}, rc{0, 0})), "not above the ranks before it"),
 		r("own rank not above the ranks before it", craft(6, stream(alone, rc{1, 0<<1 | 1}, rc{1, 1<<1 | 1}, rc{1, 2<<1 | 1}, rc{0, 0}, rc{0, 0}, rc{0, 1})), "not above the ranks before it"),
-		r("a reference to its own rank", craft(4, in(inherits, rc{-1, 1}, rc{0, 1}, rc{0, 0}, rc{-1, 0}, rc{0, 0})), "inherits from a rank at or above its own"),
-		r("a reference above its own rank", craft(4, in(inherits, rc{-1, 1}, rc{0, 2}, rc{0, 0}, rc{-1, 0}, rc{0, 0})), "inherits from a rank at or above its own"),
-		r("a dropped position past the hub's list", craft(4, in(inherits, rc{-1, 1}, rc{0, 0}, rc{0, 1}, rc{0, 1}, rc{-1, 0}, rc{0, 0})), "dropped position past the end of its hub's list"),
-		r("more drops than the hub's list holds", craft(4, in(inherits, rc{-1, 1}, rc{0, 0}, rc{0, 2}, rc{0, 0}, rc{0, 0}, rc{-1, 0}, rc{0, 0})), "drops more entries than its hub's list holds"),
+		r("more hubs than four", craft(4, in(inherits, 5)), "names 5 hubs, more than 4"),
+		r("a reference to its own rank", craft(4, in(inherits, 1, 1, 0)), "inherits from a rank at or above its own"),
+		r("a reference above its own rank", craft(4, in(inherits, 1, 2, 0)), "inherits from a rank at or above its own"),
+		r("a reference above its own rank among several", craft(4, in(inherits, 0, 0, 2, 0, 2)), "inherits from a rank at or above its own"),
+		r("hubs in descending order", craft(4, in(inherits, 0, 0, 2, 1, 0)), "hubs are not strictly ascending"),
+		r("a hub named twice", craft(4, in(inherits, 0, 0, 2, 0, 0)), "hubs are not strictly ascending"),
+		r("a dropped position past the hub's list", craft(4, in(inherits, 1, 0, 1, 1)), "dropped position past the end of its hubs' lists"),
+		r("a dropped position past the hubs' union", craft(4, in(inherits, 0, 0, 2, 0, 1, 1, 2)), "dropped position past the end of its hubs' lists"),
+		r("more drops than the hub's list holds", craft(4, in(inherits, 1, 0, 2, 0, 0)), "drops more entries than its hubs' lists hold"),
+		r("more drops than the hubs' union holds", craft(4, in(inherits, 0, 0, 2, 0, 1, 3, 0, 0, 0)), "drops more entries than its hubs' lists hold"),
 		// Rank 2's shape says two ranks; it inherits {0} and adds 0 again.
-		r("an added rank colliding with an inherited one", craft(5, stream(inherits, rc{1, 0<<1 | 1}, rc{1, 1<<1 | 1}, rc{1, 2 << 1}, rc{-1, 1}, rc{0, 0}, rc{0, 0}, rc{-1, 1}, rc{0, 0}, rc{0, 0}, rc{0, 0})), "collide"),
+		r("an added rank colliding with an inherited one", craft(5, withLast(2, 1, 0, 0, 1, 0, 0, 0)), "collide"),
+		// Rank 2's shape says three ranks; it inherits {0, 1} from ranks 0
+		// and 1, and adds 1 again.
+		r("an added rank colliding with one of several hubs' entries", craft(6, withLast(3, 0, 0, 2, 0, 1, 0, 1)), "collide"),
 		// Rank 2's shape says one rank; it inherits rank 1's {0, 1}.
-		r("more inherited than the shape holds", craft(4, in(inherits, rc{-1, 0}, rc{0, 0}, rc{-1, 1}, rc{0, 1}, rc{0, 0})), "inherits more entries than its shape holds"),
-		r("an added rank past n", craft(5, stream(inherits, rc{1, 0<<1 | 1}, rc{1, 1<<1 | 1}, rc{1, 2 << 1}, rc{-1, 1}, rc{0, 0}, rc{0, 0}, rc{-1, 1}, rc{0, 0}, rc{0, 0}, rc{0, 3})), "rank out of range"),
+		r("more inherited than the shape holds", craft(4, in(inherits, 0, 0, 1, 1, 0)), "inherits more entries than its shape holds"),
+		// Rank 2's shape says one rank; it inherits {0, 1} from ranks 0 and 1.
+		r("more inherited from several hubs than the shape holds", craft(4, in(inherits, 0, 0, 2, 0, 1, 0)), "inherits more entries than its shape holds"),
+		r("an added rank past n", craft(5, withLast(2, 1, 0, 0, 1, 0, 0, 3)), "rank out of range"),
 		{"a second-tier rank its shape does not count", wideCraft(0, wideFrom), "disagree with its shape's tier counts", wideFrom + 1},
 		{"a second-tier count with a first-tier rank", wideCraft(1, 5), "disagree with its shape's tier counts", wideFrom + 1},
 		{"a second-tier count beyond the list", wideCraft(2, wideFrom), "second-tier count beyond its list's length", wideFrom + 1},
@@ -935,6 +1016,7 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		{"the small index", goodSmall, small.Equal},
 		{"the small index crafted", craft(4, goodIn), small.Equal},
 		{"the small index inheriting", craft(4, goodInherit), small.Equal},
+		{"the small index inheriting from two hubs", craft(4, goodUnion), small.Equal},
 		{"one second-tier rank", wideCraft(1, wideFrom), func(y *Index) bool {
 			return slices.Equal(y.InLabels(0), []order.Rank{wideFrom}) && y.Entries() == 1
 		}},
@@ -969,11 +1051,12 @@ func wideIndexFile(t testing.TB) func(entries int, payload []byte) []byte {
 }
 
 // TestReadRefusesRetiredFormat: a file of any format before this one —
-// the one that coded every list alone, the byte-aligned one, the label
+// the one whose lists inherited from one hub each, the one that coded
+// every list alone, the byte-aligned one, the label
 // file without optional parts, the fixed-width one before it, and the
 // root package's envelope around either — says what to do about it.
 func TestReadRefusesRetiredFormat(t *testing.T) {
-	for _, magic := range []string{"DRLINDX4", "DRLINDX3", "DRLINDX2", "RLIXNVE2", "DRLINDEX", "RLIXNVE1"} {
+	for _, magic := range []string{"DRLINDX5", "DRLINDX4", "DRLINDX3", "DRLINDX2", "RLIXNVE2", "DRLINDEX", "RLIXNVE1"} {
 		old := make([]byte, 48)
 		for i := range magic { // the magics read as text in a big-endian word
 			old[7-i] = magic[i]

@@ -19,8 +19,9 @@ import (
 // The codecs of an index file's payloads (io.go has the framing): Rice
 // codes in a bit stream under a model of parameters fitted per block,
 // the permutation's zigzag gaps, and the labels blocks — a shape per
-// vertex, then per rank a list coded alone or by inheritance from one
-// of its closest hubs. DESIGN.md §16 is the normative description.
+// vertex, then per rank a list coded alone or against the union of up to
+// four of its closest hubs' lists. DESIGN.md §16 is the normative
+// description.
 
 // A value is Rice-coded: v>>k ones, a zero, v's low k bits. From
 // riceEscape ones on the code is those ones and v in 32 bits, so no
@@ -110,15 +111,6 @@ func (r *bitReader) rice(k uint8) (v uint32) {
 	r.acc >>= width
 	r.n -= width
 	return v
-}
-
-// bit reads one raw bit.
-func (r *bitReader) bit() bool {
-	r.refill()
-	b := r.acc&1 != 0
-	r.acc >>= 1
-	r.n--
-	return b
 }
 
 // end checks that the codes read stop in the last byte of b and that
@@ -225,18 +217,15 @@ func readPermutation(br *bufio.Reader, n int) (*order.Ordering, error) {
 const (
 	slotLen   = iota // a shape's len′<<1 | selfLast
 	slotWide         // a shape's explicit second-tier count
-	slotHub          // the rank an inheriting list names
-	slotDrops        // how many of its hub's entries it drops
+	slotHubs         // how many hubs a list names
+	slotHub          // the rank of a hub it names
+	slotDrops        // how many of its hubs' union's entries it drops
 	slotDrop         // a dropped position, as a gap
 	slotGap          // the first of the gap slots
 	numSlots  = slotGap + 33
 
-	// slotMode is no parameter's: it marks a raw bit, set where a list
-	// of a block that may inherit does.
-	slotMode = 0xff
-
 	// inheritsFlag, in a model's first byte above kLen, says the block's
-	// lists carry that bit and may inherit.
+	// lists carry a hub count and may inherit.
 	inheritsFlag = 0x80
 )
 
@@ -248,14 +237,14 @@ func gapSlots(n int) int { return 1 + bits.Len32(uint32(max(n, 1)-1)) }
 
 // modelSlots appends to dst the slots a block's model carries, in the
 // order it carries them: kLen, kWide where ranks reach the second tier,
-// kHub kDrops kDrop where lists may inherit, and the gap slots.
+// kHubs kHub kDrops kDrop where lists may inherit, and the gap slots.
 func modelSlots(dst []uint8, n int, inherits bool) []uint8 {
 	dst = append(dst, slotLen)
 	if n > wideFrom {
 		dst = append(dst, slotWide)
 	}
 	if inherits {
-		dst = append(dst, slotHub, slotDrops, slotDrop)
+		dst = append(dst, slotHubs, slotHub, slotDrops, slotDrop)
 	}
 	for s := 0; s < gapSlots(n); s++ {
 		dst = append(dst, uint8(slotGap+s))
@@ -299,10 +288,8 @@ func fit(groups ...[]symbol) (m riceModel) {
 	var sum, count [numSlots]uint64
 	for _, syms := range groups {
 		for _, s := range syms {
-			if s.slot != slotMode {
-				sum[s.slot] += uint64(s.v)
-				count[s.slot]++
-			}
+			sum[s.slot] += uint64(s.v)
+			count[s.slot]++
 		}
 	}
 	for i, c := range count {
@@ -316,11 +303,7 @@ func fit(groups ...[]symbol) (m riceModel) {
 // bits returns the width of syms coded under m.
 func (m *riceModel) bits(syms []symbol) (n uint64) {
 	for _, s := range syms {
-		if s.slot == slotMode {
-			n++
-		} else {
-			n += riceWidth(s.v, m[s.slot])
-		}
+		n += riceWidth(s.v, m[s.slot])
 	}
 	return n
 }
@@ -328,11 +311,7 @@ func (m *riceModel) bits(syms []symbol) (n uint64) {
 // symbols writes syms coded under m.
 func (w *bitWriter) symbols(m *riceModel, syms []symbol) {
 	for _, s := range syms {
-		if s.slot == slotMode {
-			w.put(uint64(s.v), 1)
-		} else {
-			w.put(riceCode(s.v, m[s.slot]))
-		}
+		w.put(riceCode(s.v, m[s.slot]))
 	}
 }
 
@@ -360,34 +339,180 @@ func appendGaps(syms []symbol, ranks []order.Rank, n int) (_ []symbol, next uint
 	return syms, next, true
 }
 
-// diff splits list against a hub's list, both ascending: the positions
-// of the hub's entries list lacks, and list's entries the hub's lacks.
-// The hub's list less the first, merged with the second, is list.
-func diff(list, hub []order.Rank, drops []uint32, res []order.Rank) ([]uint32, []order.Rank) {
-	i, j := 0, 0
-	for i < len(list) && j < len(hub) {
-		switch {
-		case list[i] < hub[j]:
-			res = append(res, list[i])
-			i++
-		case list[i] > hub[j]:
-			drops = append(drops, uint32(j))
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	for ; j < len(hub); j++ {
-		drops = append(drops, uint32(j))
-	}
-	return drops, append(res, list[i:]...)
+const (
+	// maxHubs is how many hubs an inheriting list may name.
+	maxHubs = 4
+
+	// hubCandidates is how many hubs each round of a list's cover
+	// tries: its last ranks below its vertex's own that no hub named so
+	// far covers — the closest hubs, whose lists it most nearly contains.
+	hubCandidates = 4
+)
+
+// A hubCover is an ascending list as the union U of the lists of the
+// hubs it names leaves it: which of its ranks U holds, and U's ranks it
+// lacks.
+type hubCover struct {
+	hubs    []order.Rank // ascending
+	covered []uint64     // bit i (of word i/64) set where U holds the list's i-th rank
+	lacked  []lackedRank // U's ranks the list lacks, ascending
+	left    int          // how many of the list's ranks U does not hold
 }
 
-// hubCandidates is how many hubs a list may inherit from: its last
-// entries below its vertex's own rank — the closest hubs, whose lists
-// it most nearly contains.
-const hubCandidates = 4
+// A lackedRank is a rank r a list lacks, and how many of the list's
+// ranks are below it: r<<32 | below, so that they order as their ranks.
+type lackedRank uint64
+
+// reset makes c the cover of a list of length ranks by no hub.
+func (c *hubCover) reset(length int) {
+	words := (length + 63) / 64
+	c.hubs, c.lacked, c.left = c.hubs[:0], c.lacked[:0], length
+	c.covered = slices.Grow(c.covered[:0], words)[:words]
+	clear(c.covered)
+}
+
+// A hubMatch is a candidate hub of a list: its vertex and its list's
+// length, looked up once a list, and — from the first round that needs
+// it — how its list meets the list, found in one merge and applied to
+// the list's cover in every round that tries the candidate: which of the
+// list's ranks they share, and the hub's ranks the list lacks.
+type hubMatch struct {
+	hub     order.Rank
+	v       graph.VertexID
+	length  int
+	matched bool
+	shared  []uint64 // bit i set where the list's i-th rank is the hub's too
+	lacked  []lackedRank
+}
+
+// match finds how hub, the candidate's list, meets list.
+func (m *hubMatch) match(list, hub []order.Rank) {
+	lacked := slices.Grow(m.lacked[:0], len(hub))[:len(hub)]
+	shared := slices.Grow(m.shared[:0], (len(list)+63)/64)[:(len(list)+63)/64]
+	clear(shared)
+	// No branch on the ranks: a merge of two such lists would mispredict
+	// one at nearly every rank of the hub's.
+	i, j, k := 0, 0, 0
+	for i < len(list) && j < len(hub) {
+		a, b := list[i], hub[j]
+		lacked[k] = lackedRank(b)<<32 | lackedRank(i)
+		k += int(bit(a > b))
+		shared[uint(i)/64] |= uint64(bit(a == b)) << (uint(i) % 64)
+		i += int(bit(a <= b))
+		j += int(bit(a >= b))
+	}
+	for ; j < len(hub); j++ {
+		lacked[k] = lackedRank(hub[j])<<32 | lackedRank(len(list))
+		k++
+	}
+	m.matched, m.shared, m.lacked = true, shared, lacked[:k]
+}
+
+// with makes c the cover from with m's hub named too, and returns its
+// gain: how many more of the list's ranks c holds, less how many more
+// ranks it holds that the list lacks.
+func (c *hubCover) with(from *hubCover, m *hubMatch) int {
+	c.hubs = append(append(c.hubs[:0], from.hubs...), m.hub)
+	for k := len(c.hubs) - 1; k > 0 && c.hubs[k-1] > c.hubs[k]; k-- {
+		c.hubs[k-1], c.hubs[k] = c.hubs[k], c.hubs[k-1]
+	}
+	c.covered = append(c.covered[:0], from.covered...)
+	added := 0
+	for w, shared := range m.shared {
+		added += bits.OnesCount64(shared &^ c.covered[w])
+		c.covered[w] |= shared
+	}
+	c.left = from.left - added
+	c.lacked = union(c.lacked[:0], from.lacked, m.lacked)
+	return added - (len(c.lacked) - len(from.lacked))
+}
+
+// bit is 1 for true, 0 for false.
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// union appends to dst the union of the ascending a and b, ascending, in
+// a merge that does not branch on their values.
+func union[T lackedRank | uint32](dst, a, b []T) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(a)+len(b))[:n+len(a)+len(b)]
+	out := dst[n:]
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		out[k] = min(x, y)
+		k++
+		i += int(bit(x <= y))
+		j += int(bit(x >= y))
+	}
+	k += copy(out[k:], a[i:])
+	k += copy(out[k:], b[j:])
+	return dst[:n+k]
+}
+
+// code returns the width of list's code against c as an estimate
+// weighs it before its block's model is fitted — each hub's rank at one
+// bit more than its bit length, the drop count and positions as Elias γ
+// codes, the gaps under m, the model of the block's lists coded alone —
+// and, with emit, appends that code to syms: the hub count, the hubs'
+// ranks, the count and gap-coded positions in U of the ranks list lacks,
+// and the gaps of list's ranks U lacks. The hub count is left out of the
+// width, as it is from the alone code that width is weighed against.
+func (c *hubCover) code(syms []symbol, list []order.Rank, m *riceModel, emit bool) ([]symbol, uint64) {
+	if emit {
+		syms = append(syms, symbol{slotHubs, uint32(len(c.hubs))})
+	}
+	width := gammaWidth(uint32(len(c.lacked)))
+	for _, h := range c.hubs {
+		if width += uint64(bits.Len32(uint32(h))) + 1; emit {
+			syms = append(syms, symbol{slotHub, uint32(h)})
+		}
+	}
+	if emit {
+		syms = append(syms, symbol{slotDrops, uint32(len(c.lacked))})
+	}
+	next := uint32(0)
+	for k, e := range c.lacked {
+		// e's place in U: behind the list's ranks U holds that are below
+		// it, and the k lacked ranks before it.
+		pos := uint32(onesBelow(c.covered, int(uint32(e))) + k)
+		if width += gammaWidth(pos - next); emit {
+			syms = append(syms, symbol{slotDrop, pos - next})
+		}
+		next = pos + 1
+	}
+	next = 0
+	for w, held := range c.covered {
+		free := ^held
+		if rest := len(list) - 64*w; rest < 64 {
+			free &= 1<<rest - 1
+		}
+		for ; free != 0; free &= free - 1 {
+			r := uint32(list[64*w+bits.TrailingZeros64(free)])
+			slot := uint8(slotGap + bits.Len32(next))
+			if width += riceWidth(r-next, m[slot]); emit {
+				syms = append(syms, symbol{slot, r - next})
+			}
+			next = r + 1
+		}
+	}
+	return syms, width
+}
+
+// onesBelow returns how many of the bits below bit i of words are set.
+func onesBelow(words []uint64, i int) (n int) {
+	for _, w := range words[:i/64] {
+		n += bits.OnesCount64(w)
+	}
+	if i%64 != 0 {
+		n += bits.OnesCount64(words[i/64] & (1<<(i%64) - 1))
+	}
+	return n
+}
 
 // perm is the order a labels section is coded under. *order.Ordering
 // is one; a test codes blocks of a vertex count no Ordering could hold.
@@ -452,23 +577,20 @@ func (s side) shape(v graph.VertexID, own order.Rank) (length, self, wide uint32
 // labelCoder encodes labels blocks, its buffers reused block after
 // block: one per writer goroutine.
 type labelCoder struct {
-	hub                  []order.Rank
-	lists                blockLists  // the block's lists, in rank order
-	diffs                [2]listDiff // the best candidate's and the one being tried
+	lists                blockLists   // the block's lists, in rank order
+	hub                  []order.Rank // a candidate hub's list
+	candidates           []hubMatch   // a list's candidate hubs, the first known of them
+	known                int
+	covers               [3]hubCover // a list's cover, and it with the best and with the next candidate
+	code                 []symbol    // a list's code against its cover
 	shapes, alone, mixed []symbol    // the block's codes: shapes, and its lists alone or some inheriting
-}
-
-// listDiff is how a list differs from a hub's: diff's two results.
-type listDiff struct {
-	drops []uint32
-	res   []order.Rank
 }
 
 // appendLabelBlock codes block k of the labels section s under ord
 // into buf as a finished block: the shapes of the block's vertices, then
 // the lists of its ranks. Those lists are coded alone under a model
 // fitted to them; where that codes the block in more bits, they are
-// coded again with a mode bit each, a list inheriting where an estimate
+// coded again with a hub count each, a list inheriting where an estimate
 // under the first model says that is the cheaper, under a model fitted
 // to that. A block's bytes depend on the label sets alone.
 func (c *labelCoder) appendLabelBlock(buf []byte, s side, ord perm, k int) ([]byte, error) {
@@ -518,15 +640,11 @@ func (c *labelCoder) appendLabelBlock(buf []byte, s side, ord perm, k int) ([]by
 	return sealBlock(buf, w.end(), int64(entries)), nil
 }
 
-// inheriting codes block k's lists with a mode bit each and returns
-// those symbols if they take fewer bits than c.alone, model bytes
-// included; nil otherwise. A list inherits from the candidate hub whose
-// list differs from it in the fewest ranks, the closest on a tie, where
-// the estimate under alone — the model of the lists coded alone — says
-// that is cheaper than coding it alone.
+// inheriting codes block k's lists with a hub count each, every list
+// against its cover, and returns those symbols if they take fewer bits
+// than c.alone, the four more model bytes included; nil otherwise.
 func (c *labelCoder) inheriting(s side, ord perm, k int, alone *riceModel) []symbol {
-	n := ord.N()
-	v0, v1 := k*blockValues, min((k+1)*blockValues, n)
+	v0, v1 := k*blockValues, min((k+1)*blockValues, ord.N())
 	c.mixed = c.mixed[:0]
 	inheriting := false
 	at := 0 // where the list's gaps are in c.alone
@@ -536,77 +654,125 @@ func (c *labelCoder) inheriting(s side, ord perm, k int, alone *riceModel) []sym
 		if at += len(list); len(list) == 0 {
 			continue
 		}
-		hub, d := c.closestHub(s, ord, list, order.Rank(r))
-		if hub < 0 || inheritEstimate(hub, d, alone) >= alone.bits(gaps) {
-			c.mixed = append(append(c.mixed, symbol{slotMode, 0}), gaps...)
-			continue
+		if code := c.cover(s, ord, list, order.Rank(r), alone, alone.bits(gaps)); len(code) > 0 {
+			c.mixed, inheriting = append(c.mixed, code...), true
+		} else {
+			c.mixed = append(append(c.mixed, symbol{slotHubs, 0}), gaps...)
 		}
-		inheriting = true
-		c.mixed = append(c.mixed, symbol{slotMode, 1}, symbol{slotHub, uint32(hub)}, symbol{slotDrops, uint32(len(d.drops))})
-		next := uint32(0)
-		for _, p := range d.drops {
-			c.mixed = append(c.mixed, symbol{slotDrop, p - next})
-			next = p + 1
-		}
-		c.mixed, _, _ = appendGaps(c.mixed, d.res, n)
 	}
 	if !inheriting {
-		return nil // the mode bits alone make it longer
+		return nil // the hub counts alone make it longer
 	}
 	m := fit(c.mixed)
-	if m.bits(c.mixed)+3*8 >= alone.bits(c.alone) {
+	if m.bits(c.mixed)+4*8 >= alone.bits(c.alone) {
 		return nil
 	}
 	return c.mixed
 }
 
-// closestHub returns the rank of the hub list, of those of list's last
-// hubCandidates ranks below own, that differs from list in the fewest
-// ranks, the closest (highest rank) on a tie, and how; −1 if list has no
-// rank below own. A list of ℓ ranks differs from list in at least
-// |ℓ − len(list)|, so a candidate whose length says it cannot win is not
-// compared: the closest hubs' lists are longest and nearly contained in
-// list, so one comparison a list is the rule.
-func (c *labelCoder) closestHub(s side, ord perm, list []order.Rank, own order.Rank) (order.Rank, *listDiff) {
-	hub, best, fewest, tried := order.Rank(-1), 0, 0, 0
-	for i := len(list) - 1; i >= 0 && tried < hubCandidates; i-- {
-		h := list[i]
-		if h >= own {
-			continue
+// cover returns the code of list, of rank own, against the hubs a greedy
+// cover names, or nothing where coding it alone, in cost bits, is no
+// longer. Round by round, the candidate whose list gains most (see hubCover.with; the
+// closest on a tie) is named while the estimate under alone, the model
+// of the block's lists coded alone, says that shortens the list's code,
+// and up to maxHubs of them. A list's cover depends on the label sets
+// alone.
+func (c *labelCoder) cover(s side, ord perm, list []order.Rank, own order.Rank, alone *riceModel, cost uint64) []symbol {
+	cur := &c.covers[0]
+	cur.reset(len(list))
+	c.known = 0
+	for len(cur.hubs) < maxHubs {
+		next := c.candidate(s, ord, cur, list, own)
+		if next == nil {
+			break
 		}
-		tried++
-		if hub >= 0 && abs(s.length(ord.VertexAt(h))-len(list)) >= fewest {
-			continue // on a tie the earlier, closer candidate stands
+		_, width := next.code(nil, list, alone, false)
+		if width >= cost {
+			break
 		}
-		c.hub = s.appendList(c.hub[:0], ord.VertexAt(h))
-		d := &c.diffs[1-best]
-		d.drops, d.res = diff(list, c.hub, d.drops[:0], d.res[:0])
-		if differ := len(d.drops) + len(d.res); hub < 0 || differ < fewest {
-			hub, best, fewest = h, 1-best, differ
-		}
+		cost, cur = width, next
 	}
-	return hub, &c.diffs[best]
+	if len(cur.hubs) == 0 {
+		return nil
+	}
+	c.code, _ = cur.code(c.code[:0], list, alone, true)
+	return c.code
 }
 
-func abs(x int) int { return max(x, -x) }
+// candidate returns cur with one more hub: of list's last hubCandidates
+// ranks below own that cur neither holds nor names, the one whose list
+// gains most, the closest (highest rank) on a tie; nil if there is none.
+// A hub list of ℓ ranks gains at most min(ℓ, cur.left) less the ranks it
+// must hold beyond the list and U, so a candidate whose length says it
+// cannot win is not compared: the closest hubs' lists are long and
+// nearly contained in the list, so a round is one merge as a rule.
+func (c *labelCoder) candidate(s side, ord perm, cur *hubCover, list []order.Rank, own order.Rank) *hubCover {
+	var tries [hubCandidates]int // where in c.candidates the round's are
+	tried, known := 0, c.known
+	for w := len(cur.covered) - 1; w >= 0 && tried < hubCandidates; w-- {
+		free := ^cur.covered[w] // the ranks U lacks, the last first
+		if rest := len(list) - 64*w; rest < 64 {
+			free &= 1<<rest - 1
+		}
+		for ; free != 0 && tried < hubCandidates; free &^= 1 << (bits.Len64(free) - 1) {
+			if h := list[64*w+bits.Len64(free)-1]; h < own && !slices.Contains(cur.hubs, h) {
+				tries[tried] = c.candidateOf(h)
+				tried++
+			}
+		}
+	}
+	// New candidates' vertices, then their lists' lengths, are looked up
+	// together: the lookups miss the cache, and this way they miss it at
+	// once.
+	for k := known; k < c.known; k++ {
+		c.candidates[k].v = ord.VertexAt(c.candidates[k].hub)
+	}
+	for k := known; k < c.known; k++ {
+		c.candidates[k].length = s.length(c.candidates[k].v)
+	}
+	var best *hubCover
+	most := 0
+	for _, k := range tries[:tried] {
+		m := &c.candidates[k]
+		if !m.matched {
+			if best != nil && min(m.length, cur.left)-max(m.length-len(list)-len(cur.lacked), 0) <= most {
+				continue // on a tie the earlier, closer candidate stands
+			}
+			c.hub = s.appendList(c.hub[:0], m.v)
+			m.match(list, c.hub)
+		}
+		try := c.spare(cur, best)
+		if g := try.with(cur, m); best == nil || g > most {
+			best, most = try, g
+		}
+	}
+	return best
+}
 
-// inheritEstimate is the estimated width of a list coded by inheritance
-// from the hub of rank hub: the hub's rank at one bit more than its bit
-// length, the drops as Elias γ codes, and the residual ranks' gaps
-// under m.
-func inheritEstimate(hub order.Rank, d *listDiff, m *riceModel) uint64 {
-	cost := uint64(bits.Len32(uint32(hub))) + 1 + gammaWidth(uint32(len(d.drops)))
-	next := uint32(0)
-	for _, p := range d.drops {
-		cost += gammaWidth(p - next)
-		next = p + 1
+// candidateOf returns where in c.candidates the list's candidate h is, adding
+// it if no earlier round tried it.
+func (c *labelCoder) candidateOf(h order.Rank) int {
+	for k := range c.candidates[:c.known] {
+		if c.candidates[k].hub == h {
+			return k
+		}
 	}
-	next = 0
-	for _, r := range d.res {
-		cost += riceWidth(uint32(r)-next, m[slotGap+bits.Len32(next)])
-		next = uint32(r) + 1
+	if c.known == len(c.candidates) {
+		c.candidates = append(c.candidates, hubMatch{})
 	}
-	return cost
+	c.candidates[c.known].hub, c.candidates[c.known].matched = h, false
+	c.known++
+	return c.known - 1
+}
+
+// spare returns the one of c.covers that is neither a nor b.
+func (c *labelCoder) spare(a, b *hubCover) *hubCover {
+	for i := range c.covers {
+		if p := &c.covers[i]; p != a && p != b {
+			return p
+		}
+	}
+	panic("unreachable")
 }
 
 // gammaWidth is the width of v + 1's Elias γ code.
@@ -641,7 +807,14 @@ type listStream struct {
 	m        riceModel
 	inherits bool
 	r        bitReader
-	drops    []uint32 // scratch: one list's dropped positions
+}
+
+// unionScratch is a decoding goroutine's room for one inheriting list:
+// the union of its hubs' lists, at most maxHubs times the longest list,
+// and its dropped positions.
+type unionScratch struct {
+	union, merged, hub []uint32
+	drops              []uint32
 }
 
 // readSection reads one labels section of total entries under ord and
@@ -735,8 +908,8 @@ func (b *listStream) readShapes(payload []byte, ord perm, k int, entries uint64)
 
 // decodeLists decodes the section's lists into the chunks readSection
 // laid out, on up to GOMAXPROCS goroutines that take its blocks in rank
-// order. A block's lists are decoded in rank order, so a list's hub is
-// in place before it — or, where the hub is in a block still being
+// order. A block's lists are decoded in rank order, so a list's hubs are
+// in place before it — or, where a hub is in a block still being
 // decoded, once that block has got past it. A block's payload is let go
 // once its lists are decoded. Every block is decoded, or given up on
 // where a list of it waits on a block that failed: a list waits only on
@@ -755,8 +928,9 @@ func (s *section) decodeLists() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var u unionScratch
 			for k := int(next.Add(1) - 1); k < len(s.blocks); k = int(next.Add(1) - 1) {
-				if errs[k] = s.decodeBlock(k); errs[k] != nil {
+				if errs[k] = s.decodeBlock(k, &u); errs[k] != nil {
 					s.decoded[k].Store(-1)
 				}
 			}
@@ -778,10 +952,10 @@ func (s *section) decodeLists() error {
 // that failed.
 var errAbandoned = errors.New("label: a lower block failed")
 
-func (s *section) decodeBlock(k int) error {
+func (s *section) decodeBlock(k int, u *unionScratch) error {
 	b := &s.blocks[k]
 	for r := k * blockValues; r < min((k+1)*blockValues, s.ord.N()); r++ {
-		if err := s.decodeList(b, uint32(r)); err != nil {
+		if err := s.decodeList(b, uint32(r), u); err != nil {
 			return err
 		}
 		s.decoded[k].Store(int64(r + 1))
@@ -808,10 +982,10 @@ func (s *section) await(r uint32) bool {
 var errRankRange = errors.New("corrupt block: rank out of range")
 
 // decodeList decodes the list of rank own into the slots its shape gave
-// it: alone, len′ gaps; or inheriting, the rank of its hub, the count
-// and positions of the hub's entries it drops, and the gaps of the
-// ranks it adds.
-func (s *section) decodeList(b *listStream, own uint32) error {
+// it: alone, len′ gaps; or inheriting, the ranks of its hubs, the count
+// and positions of the entries of their union it drops, and the gaps of
+// the ranks it adds.
+func (s *section) decodeList(b *listStream, own uint32, u *unionScratch) error {
 	narrow, wide := s.l.tiers(s.ord.VertexAt(order.Rank(own)))
 	self := endsWith(narrow, wide, own)
 	if self && own < wideFrom {
@@ -825,8 +999,12 @@ func (s *section) decodeList(b *listStream, own uint32) error {
 		return nil
 	}
 	n := uint64(s.ord.N())
-	if b.inherits && b.r.bit() {
-		if err := s.inherit(b, &f, own, count); err != nil {
+	hubs := uint32(0)
+	if b.inherits {
+		hubs = b.r.rice(b.m[slotHubs])
+	}
+	if hubs > 0 {
+		if err := s.inherit(b, &f, own, count, hubs, u); err != nil {
 			return err
 		}
 	} else {
@@ -846,34 +1024,54 @@ func (s *section) decodeList(b *listStream, own uint32) error {
 	return nil
 }
 
-// inherit decodes an inheriting list of count explicit entries into f:
-// the hub's list less the dropped positions, merged with the residual
-// ranks, which are read one ahead of the merge.
-func (s *section) inherit(b *listStream, f *listFill, own uint32, count int) error {
+// inherit decodes a list of count explicit entries that names hubs hubs
+// into f: the union of the hubs' lists, merged in u, less the dropped
+// positions, merged with the residual ranks, which are read one ahead
+// of the merge.
+func (s *section) inherit(b *listStream, f *listFill, own uint32, count int, hubs uint32, u *unionScratch) error {
+	if hubs > maxHubs {
+		return fmt.Errorf("corrupt block: a list names %d hubs, more than %d", hubs, maxHubs)
+	}
 	n := uint64(s.ord.N())
-	hub := b.r.rice(b.m[slotHub])
-	if hub >= own {
-		return errors.New("corrupt block: a list inherits from a rank at or above its own")
+	var named [maxHubs]graph.VertexID
+	for k, next := 0, uint32(0); k < int(hubs); k++ {
+		hub := b.r.rice(b.m[slotHub])
+		switch {
+		case hub >= own:
+			return errors.New("corrupt block: a list inherits from a rank at or above its own")
+		case hub < next:
+			return errors.New("corrupt block: a list's hubs are not strictly ascending")
+		}
+		next = hub + 1
+		if hub/blockValues != own/blockValues && !s.await(hub) {
+			return errAbandoned
+		}
+		named[k] = s.ord.VertexAt(order.Rank(hub))
 	}
-	if hub/blockValues != own/blockValues && !s.await(hub) {
-		return errAbandoned
+	// The hubs' lists are looked up together, then merged: the lookups
+	// miss the cache, and this way they miss it at once.
+	var tiers [2 * maxHubs][]uint16
+	for k, v := range named[:hubs] {
+		tiers[2*k], tiers[2*k+1] = s.l.tiers(v)
 	}
-	hn, hw := s.l.tiers(s.ord.VertexAt(order.Rank(hub)))
-	hubLen := len(hn) + len(hw)/2
+	u.union = u.union[:0]
+	for k := range named[:hubs] {
+		u.add(tiers[2*k], tiers[2*k+1])
+	}
 	drops := b.r.rice(b.m[slotDrops])
-	if uint64(drops) > uint64(hubLen) {
-		return errors.New("corrupt block: a list drops more entries than its hub's list holds")
+	if uint64(drops) > uint64(len(u.union)) {
+		return errors.New("corrupt block: a list drops more entries than its hubs' lists hold")
 	}
-	b.drops = b.drops[:0]
+	u.drops = u.drops[:0]
 	for next := uint64(0); drops > 0; drops-- {
 		p := next + uint64(b.r.rice(b.m[slotDrop]))
-		if p >= uint64(hubLen) {
-			return errors.New("corrupt block: a dropped position past the end of its hub's list")
+		if p >= uint64(len(u.union)) {
+			return errors.New("corrupt block: a dropped position past the end of its hubs' lists")
 		}
-		b.drops = append(b.drops, uint32(p))
+		u.drops = append(u.drops, uint32(p))
 		next = p + 1
 	}
-	q := residuals{r: &b.r, m: &b.m, left: count - (hubLen - len(b.drops))}
+	q := residuals{r: &b.r, m: &b.m, left: count - (len(u.union) - len(u.drops))}
 	if q.left < 0 {
 		return errors.New("corrupt block: a list inherits more entries than its shape holds")
 	}
@@ -881,16 +1079,10 @@ func (s *section) inherit(b *listStream, f *listFill, own uint32, count int) err
 		return err
 	}
 	d := 0
-	for j := 0; j < hubLen; j++ {
-		if d < len(b.drops) && b.drops[d] == uint32(j) {
+	for j, e := range u.union {
+		if d < len(u.drops) && u.drops[d] == uint32(j) {
 			d++
 			continue
-		}
-		var e uint32
-		if j < len(hn) {
-			e = uint32(hn[j])
-		} else {
-			e = wideAt(hw, 2*(j-len(hn)))
 		}
 		for q.head < uint64(e) {
 			if !f.put(uint32(q.head)) {
@@ -913,6 +1105,22 @@ func (s *section) inherit(b *listStream, f *listFill, own uint32, count int) err
 		}
 	}
 	return nil
+}
+
+// add merges a list, given as its two tiers, into the union.
+func (u *unionScratch) add(narrow, wide []uint16) {
+	list := slices.Grow(u.hub[:0], len(narrow)+len(wide)/2)[:len(narrow)+len(wide)/2]
+	for k, r := range narrow {
+		list[k] = uint32(r)
+	}
+	for k := len(narrow); k < len(list); k++ {
+		list[k] = wideAt(wide, 2*(k-len(narrow)))
+	}
+	if len(u.union) == 0 { // the first hub's list is the union so far
+		u.union, u.hub = list, u.union
+		return
+	}
+	u.union, u.merged, u.hub = union(u.merged[:0], u.union, list), u.union, list
 }
 
 // noResidual is residuals.head once none is left: above every rank.

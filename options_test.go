@@ -245,7 +245,8 @@ func TestReadIndexRejectsGarbage(t *testing.T) {
 		file []byte
 		want string
 	}{
-		"the format before this one":    {retired("DRLINDX4"), "rebuild the index"},
+		"the format before this one":    {retired("DRLINDX5"), "rebuild the index"},
+		"the format of lists alone":     {retired("DRLINDX4"), "rebuild the index"},
 		"the byte-aligned format":       {retired("DRLINDX3"), "rebuild the index"},
 		"the one before that":           {retired("DRLINDX2"), "rebuild the index"},
 		"its envelope":                  {retired("RLIXNVE2"), "rebuild the index"},
