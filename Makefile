@@ -1,32 +1,36 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet lint lint-json invariants check check-full cover bench-harness loadtest fleettest updatetest scale-smoke querytest tools examples experiments clean
+.PHONY: all build test vet lint lint-json invariants check check-full fuzz cover bench-harness loadtest fleettest updatetest scale-smoke querytest tools examples experiments clean
 
 all: build vet test
 
 # What CI's check, lint and invariants jobs run: vet, build, the
 # project analyzers, the full test suite once under the race detector
 # (the RPC fault-handling tests are concurrency-heavy) with coverage,
-# the six example programs (nothing else executes them),
-# 15 s of fuzzing the index-file decoder and 10 s on its label-block
-# bit reader alone, 10 s on the query kernel over the two-tier label
-# layout, 10 s each on the decoders of what other processes
-# send the labeler (broadcast blobs and collect replies; checkpoints)
-# and of what a crash leaves in the edge log (WAL frames), and the
-# suite again with runtime invariants compiled in.
+# the six example programs (nothing else executes them), the fuzz
+# targets, and the suite again with runtime invariants compiled in.
 check:
 	go vet ./...
 	go build ./...
 	go run ./cmd/drlint ./...
 	go test -race -cover ./...
 	$(MAKE) examples
+	$(MAKE) fuzz
+	go test -tags=invariants ./...
+
+# The fuzz targets, with their budgets (make check and CI's check job
+# both run this): 15 s on the index-file decoder and 10 s on its
+# label-block bit reader alone, 10 s on the query kernel over the
+# two-tier label layout, and 10 s each on the decoders of what other
+# processes send the labeler (broadcast blobs and collect replies;
+# checkpoints) and of what a crash leaves in the edge log (WAL frames).
+fuzz:
 	go test ./internal/label -run '^$$' -fuzz FuzzRead -fuzztime 15s
 	go test ./internal/label -run '^$$' -fuzz FuzzLabelBlock -fuzztime 10s
 	go test ./internal/label -run '^$$' -fuzz FuzzTierKernel -fuzztime 10s
 	go test ./internal/drl -run '^$$' -fuzz FuzzBlobDecodeArbitrary -fuzztime 10s
 	go test ./internal/drl -run '^$$' -fuzz FuzzSnapshotDecodeArbitrary -fuzztime 10s
 	go test ./internal/wal -run '^$$' -fuzz FuzzWALDecodeArbitrary -fuzztime 10s
-	go test -tags=invariants ./...
 
 # check plus the end-to-end serving smoke — slower, optional locally;
 # CI's serve-smoke job runs it beside querytest and scale-smoke.
@@ -120,8 +124,9 @@ querytest:
 # (-graph/-wal) — POST /edges point checks with epoch-acknowledged
 # reads, a drload burst with concurrent writers, kill -9 + WAL replay
 # (restarting from the graph's binary file: both formats open)
-# verifying no acked write is lost, and a graceful-shutdown check
-# (CI's fleet-smoke job).
+# verifying no acked write is lost, a restart refused on a log with one
+# early acked record damaged and accepted once it is restored, and a
+# graceful-shutdown check (CI's fleet-smoke job).
 updatetest:
 	go test -race -run 'Snapshots|PublishedEpochs|EpochHistory|UpdateQuerySoak|RichEndpointsMatchOracle|InsertDeleteLeavesNoOverlay|RepairAllocs|RebuildGuards|PatchedMatchesFold|OverlayAgainstModel|ConcurrentAppends|FailedWritePoisonsLog|CrashPoints' \
 		. ./internal/tol ./internal/label ./internal/graph ./internal/wal ./internal/durable

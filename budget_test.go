@@ -28,8 +28,7 @@ func TestLabelBudgetOption(t *testing.T) {
 	for _, budget := range []int{1, 4, 1 << 20} {
 		grid = append(grid,
 			Options{LabelBudget: budget},
-			Options{LabelBudget: budget, Method: MethodDRLShared, Workers: 2},
-			Options{LabelBudget: budget, Method: MethodTOL})
+			Options{LabelBudget: budget, Method: MethodDRLShared, Workers: 2})
 	}
 	for _, opts := range grid {
 		budget := opts.LabelBudget
@@ -76,8 +75,8 @@ func TestLabelBudgetOption(t *testing.T) {
 }
 
 // TestBudgetedIndexRoundTrip: a budgeted index is a file like any
-// other. At every budget, over the graph and over its condensation,
-// from the parallel and the serial builder, the index OpenIndex brings
+// other. At every budget, over the graph and over its condensation, the
+// index OpenIndex brings
 // back with the graph answers every pair as BFS and as the built index
 // do, reports the same Stats, and writes the file's bytes again. What
 // the file cannot be opened with is refused before a query: no graph,
@@ -91,58 +90,56 @@ func TestBudgetedIndexRoundTrip(t *testing.T) {
 	overflowed := 0
 	for _, budget := range []int{1, 2, 8, math.MaxInt} {
 		for _, condense := range []bool{false, true} {
-			for _, method := range []Method{"", MethodTOL} {
-				opts := Options{LabelBudget: budget, CondenseSCC: condense, Method: method}
-				built, err := Build(context.Background(), g, opts)
-				if err != nil {
-					t.Fatalf("%+v: %v", opts, err)
-				}
-				var file bytes.Buffer
-				if _, err := built.WriteTo(&file); err != nil {
-					t.Fatalf("%+v: %v", opts, err)
-				}
-				path := filepath.Join(dir, "b.idx")
-				if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				loaded, err := OpenIndex(path, g)
-				if err != nil {
-					t.Fatalf("%+v: %v", opts, err)
-				}
-				for s := VertexID(0); int(s) < n; s++ {
-					for u := VertexID(0); int(u) < n; u++ {
-						want := g.ReachableBFS(s, u)
-						if a, b := built.Reachable(s, u), loaded.Reachable(s, u); a != want || b != want {
-							t.Fatalf("%+v: q(%d,%d) = %v built, %v from the file, BFS says %v", opts, s, u, a, b, want)
-						}
+			opts := Options{LabelBudget: budget, CondenseSCC: condense}
+			built, err := Build(context.Background(), g, opts)
+			if err != nil {
+				t.Fatalf("%+v: %v", opts, err)
+			}
+			var file bytes.Buffer
+			if _, err := built.WriteTo(&file); err != nil {
+				t.Fatalf("%+v: %v", opts, err)
+			}
+			path := filepath.Join(dir, "b.idx")
+			if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := OpenIndex(path, g)
+			if err != nil {
+				t.Fatalf("%+v: %v", opts, err)
+			}
+			for s := VertexID(0); int(s) < n; s++ {
+				for u := VertexID(0); int(u) < n; u++ {
+					want := g.ReachableBFS(s, u)
+					if a, b := built.Reachable(s, u), loaded.Reachable(s, u); a != want || b != want {
+						t.Fatalf("%+v: q(%d,%d) = %v built, %v from the file, BFS says %v", opts, s, u, a, b, want)
 					}
 				}
-				st := loaded.Stats()
-				if st != built.Stats() || st.LabelBudget != budget {
-					t.Fatalf("%+v: Stats %+v from the file, %+v built", opts, st, built.Stats())
-				}
-				overflowed += st.OverflowedIn + st.OverflowedOut
-				var again bytes.Buffer
-				if _, err := loaded.WriteTo(&again); err != nil || !bytes.Equal(file.Bytes(), again.Bytes()) {
-					t.Fatalf("%+v: the loaded index writes %d bytes (%v), the file has %d", opts, again.Len(), err, file.Len())
-				}
+			}
+			st := loaded.Stats()
+			if st != built.Stats() || st.LabelBudget != budget {
+				t.Fatalf("%+v: Stats %+v from the file, %+v built", opts, st, built.Stats())
+			}
+			overflowed += st.OverflowedIn + st.OverflowedOut
+			var again bytes.Buffer
+			if _, err := loaded.WriteTo(&again); err != nil || !bytes.Equal(file.Bytes(), again.Bytes()) {
+				t.Fatalf("%+v: the loaded index writes %d bytes (%v), the file has %d", opts, again.Len(), err, file.Len())
+			}
 
-				if _, err := ReadIndex(bytes.NewReader(file.Bytes())); err == nil || !strings.Contains(err.Error(), "OpenIndex") {
-					t.Errorf("%+v: without a graph: err = %v, want one naming OpenIndex", opts, err)
-				}
-				if _, err := OpenIndex(path, other); err == nil || !strings.Contains(err.Error(), "wrong graph") {
-					t.Errorf("%+v: with another graph: err = %v, want a wrong-graph refusal", opts, err)
-				}
-				if condense {
-					// The table starts behind the 32-byte header and the 16-byte
-					// fingerprint with its length and one block's two header
-					// bytes; moving vertex 0 to another component leaves a
-					// well-formed file for a condensation g does not have.
-					bad := append([]byte(nil), file.Bytes()...)
-					bad[32+16+3] ^= 1
-					if _, err := readIndex(bytes.NewReader(bad), g); err == nil || !strings.Contains(err.Error(), "condensation") {
-						t.Errorf("%+v: with a foreign component table: err = %v, want a refusal naming the condensation", opts, err)
-					}
+			if _, err := ReadIndex(bytes.NewReader(file.Bytes())); err == nil || !strings.Contains(err.Error(), "OpenIndex") {
+				t.Errorf("%+v: without a graph: err = %v, want one naming OpenIndex", opts, err)
+			}
+			if _, err := OpenIndex(path, other); err == nil || !strings.Contains(err.Error(), "wrong graph") {
+				t.Errorf("%+v: with another graph: err = %v, want a wrong-graph refusal", opts, err)
+			}
+			if condense {
+				// The table starts behind the 32-byte header and the 16-byte
+				// fingerprint with its length and one block's two header
+				// bytes; moving vertex 0 to another component leaves a
+				// well-formed file for a condensation g does not have.
+				bad := append([]byte(nil), file.Bytes()...)
+				bad[32+16+3] ^= 1
+				if _, err := readIndex(bytes.NewReader(bad), g); err == nil || !strings.Contains(err.Error(), "condensation") {
+					t.Errorf("%+v: with a foreign component table: err = %v, want a refusal naming the condensation", opts, err)
 				}
 			}
 		}
@@ -154,9 +151,9 @@ func TestBudgetedIndexRoundTrip(t *testing.T) {
 
 // TestLabelBudgetMethods pins which methods take a label budget and
 // what BuildStats then reports: the shared-memory batch labeler (also
-// the default when Method is empty) at the requested worker count, or
-// the serial TOL rounds at one; the vertex-centric methods have no
-// capped variant and are rejected.
+// the default when Method is empty) at the requested worker count. It
+// is the one budgeted builder: every other method is rejected with an
+// error naming the one that takes a budget.
 func TestLabelBudgetMethods(t *testing.T) {
 	g, err := GenerateGraph("citation", 50, 3, 1)
 	if err != nil {
@@ -170,7 +167,6 @@ func TestLabelBudgetMethods(t *testing.T) {
 		{Options{LabelBudget: 4}, MethodDRLShared, 4},
 		{Options{LabelBudget: 4, Workers: 3}, MethodDRLShared, 3},
 		{Options{LabelBudget: 4, Method: MethodDRLShared, Workers: 2}, MethodDRLShared, 2},
-		{Options{LabelBudget: 4, Method: MethodTOL, Workers: 8}, MethodTOL, 1},
 	} {
 		idx, err := Build(context.Background(), g, tc.opts)
 		if err != nil {
@@ -181,47 +177,43 @@ func TestLabelBudgetMethods(t *testing.T) {
 				tc.opts, st.Method, st.Workers, tc.wantMethod, tc.wantWorkers)
 		}
 	}
-	for _, m := range []Method{MethodDRL, MethodDRLBasic, MethodDRLBatch} {
-		if _, err := Build(context.Background(), g, Options{LabelBudget: 4, Method: m}); err == nil {
-			t.Errorf("LabelBudget with the vertex-centric method %q should be rejected", m)
+	for _, m := range []Method{MethodTOL, MethodDRL, MethodDRLBasic, MethodDRLBatch} {
+		if _, err := Build(context.Background(), g, Options{LabelBudget: 4, Method: m}); err == nil || !strings.Contains(err.Error(), "MethodDRLShared") {
+			t.Errorf("LabelBudget with the method %q: err = %v, want a refusal naming MethodDRLShared", m, err)
 		}
 	}
 }
 
 // TestLabelBudgetIndependentOfWorkers: the budgeted index is the same
 // index — entries and overflow marks — whatever the worker count, and
-// agrees with the serial reference on every sampled query.
+// agrees with BFS on every sampled query.
 func TestLabelBudgetIndependentOfWorkers(t *testing.T) {
 	g, err := GenerateGraph("web", 600, 4, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Build(context.Background(), g, Options{LabelBudget: 3, Method: MethodTOL})
+	ref, err := Build(context.Background(), g, Options{LabelBudget: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first *Index
-	for _, p := range []int{1, 2, 4, 8} {
+	if st := ref.Stats(); st.OverflowedIn+st.OverflowedOut == 0 {
+		t.Fatal("budget 3 overflowed nothing — the cap is untested")
+	}
+	for _, p := range []int{2, 4, 8} {
 		idx, err := Build(context.Background(), g, Options{LabelBudget: 3, Workers: p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if first == nil {
-			first = idx
-			if st := idx.Stats(); st.OverflowedIn+st.OverflowedOut == 0 {
-				t.Fatal("budget 3 overflowed nothing — the cap is untested")
-			}
+		if !ref.LabelIndex().Equal(idx.LabelIndex()) {
+			t.Fatalf("workers %d: %s", p, ref.LabelIndex().Diff(idx.LabelIndex()))
 		}
-		if !first.LabelIndex().Equal(idx.LabelIndex()) {
-			t.Fatalf("workers %d: %s", p, first.LabelIndex().Diff(idx.LabelIndex()))
-		}
-		if a, b := first.Stats(), idx.Stats(); a != b {
+		if a, b := ref.Stats(), idx.Stats(); a != b {
 			t.Fatalf("workers %d: stats %+v, want %+v", p, b, a)
 		}
 		for s := VertexID(0); int(s) < g.NumVertices(); s += 13 {
 			for u := VertexID(0); int(u) < g.NumVertices(); u += 7 {
-				if got, want := idx.Reachable(s, u), ref.Reachable(s, u); got != want {
-					t.Fatalf("workers %d: q(%d,%d) = %v, serial reference says %v", p, s, u, got, want)
+				if got, want := idx.Reachable(s, u), g.ReachableBFS(s, u); got != want {
+					t.Fatalf("workers %d: q(%d,%d) = %v, BFS says %v", p, s, u, got, want)
 				}
 			}
 		}
@@ -264,7 +256,7 @@ func TestLabelBudgetWithCondenseSCC(t *testing.T) {
 	for _, opts := range []Options{
 		{LabelBudget: 2, CondenseSCC: true},
 		{LabelBudget: 1, CondenseSCC: true, Method: MethodDRLShared, Workers: 3},
-		{LabelBudget: 2, CondenseSCC: true, Method: MethodTOL},
+		{LabelBudget: 2, CondenseSCC: true, Workers: 1},
 	} {
 		idx, err := Build(context.Background(), g, opts)
 		if err != nil {

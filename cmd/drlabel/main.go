@@ -9,8 +9,8 @@
 //	drlabel -i big.bin -mmap -budget 32 -o big.idx       # size-restricted
 //
 // Methods: tol, drl-basic, drl, drl-batch (default), drl-shared. -budget
-// caps every label list (drl-shared, the default then, or tol); the file
-// is served with its graph: drserve -idx big.idx -graph big.bin.
+// caps every label list (drl-shared only, the default then); the file is
+// served with its graph: drserve -idx big.idx -graph big.bin.
 package main
 
 import (

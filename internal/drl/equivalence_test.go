@@ -281,3 +281,15 @@ func TestDirectionSymmetry(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardFromBackward: BuildNaive's backward label sets become the
+// forward lists FromLists takes — each ascending, whatever order a
+// backward set lists its vertices in.
+func TestForwardFromBackward(t *testing.T) {
+	// Rank 0 labels vertices {2, 0}, rank 1 labels {0}, rank 2 nothing.
+	back := [][]graph.VertexID{{2, 0}, {0}, {}}
+	want := [][]order.Rank{{0, 1}, nil, {0}}
+	if got := forward(back); !slices.EqualFunc(got, want, slices.Equal[[]order.Rank]) {
+		t.Fatalf("forward(%v) = %v, want %v", back, got, want)
+	}
+}

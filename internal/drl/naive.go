@@ -76,5 +76,18 @@ func BuildNaive(g *graph.Digraph, ord *order.Ordering, opt Options) (*label.Inde
 	if err := run(inv, backOut); err != nil {
 		return nil, err
 	}
-	return label.FromBackward(ord, backIn, backOut), nil
+	return label.FromLists(ord, forward(backIn), forward(backOut)), nil
+}
+
+// forward turns backward label sets — back[r] holds every vertex whose
+// list has rank r (Definition 4) — into forward lists. Taking ranks in
+// increasing order leaves each list ascending, as BuildBatch's are.
+func forward(back [][]graph.VertexID) [][]order.Rank {
+	lists := make([][]order.Rank, len(back))
+	for r, ws := range back {
+		for _, w := range ws {
+			lists[w] = append(lists[w], order.Rank(r))
+		}
+	}
+	return lists
 }

@@ -19,7 +19,8 @@ type Edge struct {
 }
 
 // Digraph is an immutable directed graph in dual-direction CSR form.
-// Construct one with a Builder, FromEdges, or a loader from the io file.
+// Construct one with FromEdges (or FromEdgeStream) or a loader from the
+// io file.
 type Digraph struct {
 	n      int32
 	m      int64
@@ -105,4 +106,35 @@ func newDigraph(n int32, outOff []int64, outAdj []VertexID, inOff []int64, inAdj
 	}
 	g.inverse = inv
 	return g
+}
+
+// FromEdges builds a Digraph with n vertices from an edge list. The
+// input slice is neither modified nor copied. Duplicate edges are
+// removed; self-loops are kept (they never affect reachability but
+// appear in real datasets). It panics if an edge references a vertex
+// outside [0, n).
+//
+// The build is the parallel counting construction of parallel.go:
+// deterministic for every worker count, and byte-identical to the
+// global-sort builder the tests keep as its reference.
+func FromEdges(n int, edges []Edge) *Digraph {
+	return fromEdgesParallel(n, edges, 0)
+}
+
+// EdgePrefix returns the first fraction frac (0 < frac <= 1) of the
+// edge slice, rounding to the nearest edge. It is the scalability
+// workload of Exp 6 (Fig. 7): the i-th test graph contains the first
+// i/5 of the generated edge stream.
+func EdgePrefix(edges []Edge, frac float64) []Edge {
+	if frac <= 0 {
+		return nil
+	}
+	if frac >= 1 {
+		return edges
+	}
+	k := int(float64(len(edges))*frac + 0.5)
+	if k > len(edges) {
+		k = len(edges)
+	}
+	return edges[:k]
 }

@@ -11,12 +11,12 @@ import (
 )
 
 func TestBuilderBasics(t *testing.T) {
-	g := NewBuilder(0, 0).
-		AddEdge(0, 1).
-		AddEdge(1, 2).
-		AddEdge(0, 1). // duplicate
-		AddEdge(2, 2). // self-loop
-		Build()
+	g := FromEdges(3, []Edge{
+		{U: 0, V: 1},
+		{U: 1, V: 2},
+		{U: 0, V: 1}, // duplicate
+		{U: 2, V: 2}, // self-loop
+	})
 	if g.NumVertices() != 3 {
 		t.Errorf("NumVertices = %d, want 3", g.NumVertices())
 	}
@@ -34,8 +34,8 @@ func TestBuilderBasics(t *testing.T) {
 	}
 }
 
-func TestBuilderEnsureVertices(t *testing.T) {
-	g := NewBuilder(0, 0).AddEdge(0, 1).EnsureVertices(10).Build()
+func TestFromEdgesKeepsIsolatedVertices(t *testing.T) {
+	g := FromEdges(10, []Edge{{U: 0, V: 1}})
 	if g.NumVertices() != 10 {
 		t.Errorf("NumVertices = %d, want 10", g.NumVertices())
 	}

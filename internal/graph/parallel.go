@@ -10,12 +10,11 @@ import (
 	"sync/atomic"
 )
 
-// Parallel counting CSR construction.
+// Parallel counting CSR construction, behind FromEdges.
 //
-// The historical builder sorted a copy of the full edge slice with one
-// global sort.Slice — O(m log m) single-threaded and a second 8-byte-
-// per-edge allocation. At the 10⁸-edge scale both are the wall. This
-// file builds the same CSR by counting:
+// A global sort of a copy of the edge slice is O(m log m) single-
+// threaded and a second 8-byte-per-edge allocation; at the 10⁸-edge
+// scale both are the wall. This file builds the same CSR by counting:
 //
 //	pass 1  count raw out-degree per source (parallel, atomic adds)
 //	        + range-check every edge
@@ -30,10 +29,10 @@ import (
 //	        (count, place, per-bucket sort; no dedup needed)
 //
 // Each per-vertex neighborhood ends sorted ascending and deduplicated,
-// which is exactly the order the global (U, V) sort produced, so the
+// which is exactly the order a global (U, V) sort produces, so the
 // output is byte-identical to the sort-based builder (pinned by
-// TestFromEdgesMatchesReference). The input edge slice is never copied
-// or modified; transient memory is one raw-degree bucket array
+// TestParallelBuilderMatchesReference). The input edge slice is never
+// copied or modified; transient memory is one raw-degree bucket array
 // (4 bytes per raw edge) plus two n-sized counter arrays.
 
 // buildWorkers returns the parallelism for one CSR construction: the
@@ -101,8 +100,8 @@ func vertexCuts(n, workers int, off []int64) []int {
 	return cuts
 }
 
-// fromEdgesParallel is FromEdges's implementation: the parallel
-// counting build. workers <= 0 means "pick automatically".
+// fromEdgesParallel is FromEdges with an explicit worker count: the
+// output is identical for every count, and workers <= 0 picks one.
 func fromEdgesParallel(n int, edges []Edge, workers int) *Digraph {
 	if workers <= 0 {
 		workers = buildWorkers(len(edges))

@@ -4,8 +4,66 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
+
+// fromEdgesSort is the historical builder: copy the edge slice, one
+// global (U, V) sort, dedup, then counting placement. It is the
+// reference the parallel build is pinned byte-identical to.
+func fromEdgesSort(n int, edges []Edge) *Digraph {
+	for _, e := range edges {
+		if int(e.U) >= n || int(e.V) >= n || e.U < 0 || e.V < 0 {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for n=%d", e.U, e.V, n))
+		}
+	}
+	sorted := make([]Edge, len(edges))
+	copy(sorted, edges)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].U != sorted[j].U {
+			return sorted[i].U < sorted[j].U
+		}
+		return sorted[i].V < sorted[j].V
+	})
+	dedup := sorted[:0]
+	for i, e := range sorted {
+		if i > 0 && e == sorted[i-1] {
+			continue
+		}
+		dedup = append(dedup, e)
+	}
+	sorted = dedup
+	m := len(sorted)
+
+	outOff := make([]int64, n+1)
+	outAdj := make([]VertexID, m)
+	inOff := make([]int64, n+1)
+	inAdj := make([]VertexID, m)
+	for _, e := range sorted {
+		outOff[e.U+1]++
+		inOff[e.V+1]++
+	}
+	for i := 1; i <= n; i++ {
+		outOff[i] += outOff[i-1]
+		inOff[i] += inOff[i-1]
+	}
+	// Out adjacency is already in (U, V) order.
+	for i, e := range sorted {
+		outAdj[i] = e.V
+	}
+	// In adjacency: counting placement, then per-vertex sort.
+	cursor := make([]int64, n)
+	copy(cursor, inOff[:n])
+	for _, e := range sorted {
+		inAdj[cursor[e.V]] = e.U
+		cursor[e.V]++
+	}
+	for v := 0; v < n; v++ {
+		seg := inAdj[inOff[v]:inOff[v+1]]
+		sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
+	}
+	return newDigraph(int32(n), outOff, outAdj, inOff, inAdj)
+}
 
 // randomTestEdges produces a messy edge list: duplicates, self-loops,
 // a degree skew toward low vertex IDs, and (for spice) a few isolated
@@ -87,7 +145,7 @@ func TestParallelBuilderMatchesReference(t *testing.T) {
 			edges := randomTestEdges(tc.n, tc.m, tc.seed)
 			want := fromEdgesSort(tc.n, append([]Edge(nil), edges...))
 			for _, workers := range []int{1, 2, 3, 4, 8} {
-				got := FromEdgesParallel(tc.n, edges, workers)
+				got := fromEdgesParallel(tc.n, edges, workers)
 				assertIdenticalCSR(t, want, got)
 			}
 			got := FromEdges(tc.n, edges)
@@ -119,7 +177,7 @@ func TestParallelBuilderPanicsOutOfRange(t *testing.T) {
 					t.Errorf("edge %v: expected panic", bad)
 				}
 			}()
-			FromEdgesParallel(2, []Edge{{U: 0, V: 1}, bad}, 4)
+			fromEdgesParallel(2, []Edge{{U: 0, V: 1}, bad}, 4)
 		}()
 	}
 }

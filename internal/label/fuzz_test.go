@@ -127,7 +127,7 @@ func hierLists(ord *order.Ordering, raw []byte) *Index {
 			if next()%10 != 0 {
 				list = append(list, order.Rank(r))
 			}
-			sortRanks(list)
+			slices.Sort(list)
 			lists[ord.VertexAt(order.Rank(r))] = slices.Compact(list)
 		}
 	}
@@ -218,7 +218,7 @@ func tierSet(raw []byte) []order.Rank {
 	return slices.Compact(set)
 }
 
-// FuzzTierKernel lays two drawn rank sets out through the chunk builder
+// FuzzTierKernel lays two drawn rank sets out through FromLists
 // either side of a block boundary — as L_out of a block's last vertex
 // and L_in of the next block's first — and checks every kernel path
 // against a plain set intersection: Reachable and a batch as the list

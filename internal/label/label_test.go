@@ -3,6 +3,7 @@ package label
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -157,16 +158,9 @@ func TestScratchEpochWrap(t *testing.T) {
 func buildSmallIndex(t testing.TB) (*Index, *order.Ordering) {
 	t.Helper()
 	ord := order.FromRanks([]order.Rank{0, 1, 2})
-	b := NewBuilder(ord)
-	b.AddIn(1, 0)
-	b.AddIn(1, 1)
-	b.AddIn(2, 0)
-	b.AddOut(0, 0)
-	b.AddOut(1, 1)
-	b.AddOut(2, 2)
-	b.AddIn(0, 0)
-	b.AddOut(2, 0)
-	return b.Finalize(), ord
+	in := [][]order.Rank{{0}, {0, 1}, {0}}
+	out := [][]order.Rank{{0}, {1}, {0, 2}}
+	return FromLists(ord, in, out), ord
 }
 
 func TestIndexAccessors(t *testing.T) {
@@ -204,33 +198,12 @@ func TestIndexEqualAndDiff(t *testing.T) {
 	if !a.Equal(b) || a.Diff(b) != "" {
 		t.Error("identical indexes should compare equal")
 	}
-	c := NewBuilder(ord)
-	c.AddIn(1, 0)
-	d := c.Finalize()
+	d := FromLists(ord, [][]order.Rank{nil, {0}, nil}, make([][]order.Rank, 3))
 	if a.Equal(d) {
 		t.Error("different indexes compare equal")
 	}
 	if a.Diff(d) == "" {
 		t.Error("Diff should describe the difference")
-	}
-}
-
-func TestFromBackwardMatchesBuilder(t *testing.T) {
-	ord := order.FromRanks([]order.Rank{1, 0, 2})
-	// Backward sets: rank 0 (vertex 1) labels {0, 2} in, {1} out;
-	// rank 1 (vertex 0) labels {0} in; rank 2 labels nothing.
-	backIn := [][]graph.VertexID{{0, 2}, {0}, {}}
-	backOut := [][]graph.VertexID{{1}, {}, {}}
-	x := FromBackward(ord, backIn, backOut)
-
-	b := NewBuilder(ord)
-	b.AddIn(0, 0)
-	b.AddIn(2, 0)
-	b.AddIn(0, 1)
-	b.AddOut(1, 0)
-	y := b.Finalize()
-	if !x.Equal(y) {
-		t.Fatalf("FromBackward differs from Builder: %s", x.Diff(y))
 	}
 }
 
@@ -261,20 +234,22 @@ func TestSerializationRoundTrip(t *testing.T) {
 func TestReachableMatchesSetIntersection(t *testing.T) {
 	f := func(aRaw, bRaw []uint8) bool {
 		ord := order.FromRanks([]order.Rank{0, 1})
-		b := NewBuilder(ord)
 		am := map[order.Rank]bool{}
+		var a, b []order.Rank
 		for _, r := range aRaw {
-			b.AddOut(0, order.Rank(r))
+			a = append(a, order.Rank(r))
 			am[order.Rank(r)] = true
 		}
 		overlap := false
 		for _, r := range bRaw {
-			b.AddIn(1, order.Rank(r))
+			b = append(b, order.Rank(r))
 			if am[order.Rank(r)] {
 				overlap = true
 			}
 		}
-		x := b.Finalize()
+		slices.Sort(a)
+		slices.Sort(b)
+		x := FromLists(ord, [][]order.Rank{nil, slices.Compact(b)}, [][]order.Rank{slices.Compact(a), nil})
 		return x.Reachable(0, 1) == overlap
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -23,9 +23,8 @@ import (
 // one []uint16 and, per vertex, two uint32 offsets relative to the chunk:
 // where its run starts and where its second tier starts (the next
 // vertex's start ends it). So a file block's shapes lay out one chunk
-// without knowing where any other block lands, and no []order.Rank the
-// size of the index is ever held: every constructor lays chunks out
-// through one chunkBuilder, and the index file's reader allocates them
+// without knowing where any other block lands: every constructor lays
+// chunks out through chunkOf, and the index file's reader allocates them
 // through its allocChunk and fills each list's slots whole.
 
 // wideFrom is the least rank of the second tier.
@@ -90,54 +89,6 @@ func (l *layout) resident() int64 {
 	return b
 }
 
-// chunkBuilder lays out one chunk from lists or entries it is given.
-// Every entry is counted first, then the chunk is allocated at its final
-// size, then every entry is put — each list's in ascending order, the
-// lists in any order — entry by entry (count, put) or a whole list at a
-// time (countList, putList).
-type chunkBuilder struct {
-	c       chunk
-	cur     []uint32 // per vertex, where its next entry goes
-	entries int64
-}
-
-func newChunkBuilder(vertices int) *chunkBuilder {
-	return &chunkBuilder{c: chunk{off: make([]uint32, 2*vertices+1)}}
-}
-
-// count makes room for r in vertex i's list. Until alloc, off[2i+1]
-// counts the list's first-tier half-words and off[2i+2] its second's.
-func (b *chunkBuilder) count(i int, r order.Rank) {
-	if uint32(r) < wideFrom {
-		b.c.off[2*i+1]++
-	} else {
-		b.c.off[2*i+2] += 2
-	}
-	b.entries++
-}
-
-// countList makes room for the whole of vertex i's list, which is
-// ascending: its second tier is its tail of ranks from wideFrom on,
-// short enough to find from the end.
-func (b *chunkBuilder) countList(i int, list []order.Rank) {
-	k := len(list)
-	for k > 0 && uint32(list[k-1]) >= wideFrom {
-		k--
-	}
-	b.c.off[2*i+1] += uint32(k)
-	b.c.off[2*i+2] += 2 * uint32(len(list)-k)
-	b.entries += int64(len(list))
-}
-
-// alloc turns the counts into offsets and allocates the half-words.
-func (b *chunkBuilder) alloc() {
-	b.c = allocChunk(b.c.off)
-	b.cur = make([]uint32, len(b.c.off)/2)
-	for i := range b.cur {
-		b.cur[i] = b.c.off[2*i]
-	}
-}
-
 // allocChunk turns per-vertex counts — off[2i+1] vertex i's first-tier
 // half-words, off[2i+2] its second tier's — into offsets, in place, and
 // allocates the chunk's half-words.
@@ -150,44 +101,6 @@ func allocChunk(off []uint32) chunk {
 		off[k] = uint32(sum)
 	}
 	return chunk{off: off, lab: make([]uint16, sum)}
-}
-
-// put stores r as vertex i's next entry.
-func (b *chunkBuilder) put(i int, r order.Rank) {
-	p := b.cur[i]
-	if uint32(r) < wideFrom {
-		b.c.lab[p] = uint16(r)
-		b.cur[i] = p + 1
-		return
-	}
-	b.c.lab[p], b.c.lab[p+1] = uint16(uint32(r)>>16), uint16(r)
-	b.cur[i] = p + 2
-}
-
-// putList stores the whole of vertex i's list, as countList counted it.
-func (b *chunkBuilder) putList(i int, list []order.Rank) {
-	off := b.c.off
-	narrow, wide := b.c.lab[off[2*i]:off[2*i+1]], b.c.lab[off[2*i+1]:off[2*i+2]]
-	for j, r := range list[:len(narrow)] {
-		narrow[j] = uint16(r)
-	}
-	for j, r := range list[len(narrow):] {
-		wide[2*j], wide[2*j+1] = uint16(uint32(r)>>16), uint16(r)
-	}
-	b.cur[i] = off[2*i+2]
-}
-
-// done returns the finished chunk. Under the invariants tag it checks
-// that every list got what was counted for it, and assertTiers.
-func (b *chunkBuilder) done() chunk {
-	if invariant.Enabled {
-		off := b.c.off
-		for i, p := range b.cur {
-			invariant.Assert(p == off[2*i+2], "label: block vertex %d: %d of its half-words put, %d counted", i, p-off[2*i], off[2*i+2]-off[2*i])
-		}
-		assertTiers(b.c)
-	}
-	return b.c
 }
 
 // assertTiers checks, under the invariants tag, that each of the chunk's
@@ -235,18 +148,36 @@ func (s *blockLists) fill(appendList func([]order.Rank, graph.VertexID) []order.
 	}
 }
 
-// chunkOf lays out a block of vertices' lists, list(i) the i-th's —
-// called twice per vertex, its result used before the next call.
+// chunkOf lays out a block of vertices' lists, list(i) the i-th's,
+// ascending — called twice per vertex, its result used before the next
+// call: once to count the list's half-words, once to put them. A list's
+// second tier is its tail of ranks from wideFrom on, short enough to
+// find from the end.
 func chunkOf(vertices int, list func(i int) []order.Rank) (chunk, int64) {
-	b := newChunkBuilder(vertices)
+	off := make([]uint32, 2*vertices+1)
+	var entries int64
 	for i := 0; i < vertices; i++ {
-		b.countList(i, list(i))
+		l := list(i)
+		k := len(l)
+		for k > 0 && uint32(l[k-1]) >= wideFrom {
+			k--
+		}
+		off[2*i+1], off[2*i+2] = uint32(k), 2*uint32(len(l)-k)
+		entries += int64(len(l))
 	}
-	b.alloc()
+	c := allocChunk(off)
 	for i := 0; i < vertices; i++ {
-		b.putList(i, list(i))
+		l := list(i)
+		narrow, wide := c.lab[off[2*i]:off[2*i+1]], c.lab[off[2*i+1]:off[2*i+2]]
+		for j, r := range l[:len(narrow)] {
+			narrow[j] = uint16(r)
+		}
+		for j, r := range l[len(narrow):] {
+			wide[2*j], wide[2*j+1] = uint16(uint32(r)>>16), uint16(r)
+		}
 	}
-	return b.done(), b.entries
+	assertTiers(c)
+	return c, entries
 }
 
 // layoutOf lays out the lists of n vertices, list(v) v's as chunkOf
@@ -258,35 +189,6 @@ func layoutOf(n int, list func(graph.VertexID) []order.Rank) layout {
 		c, entries := chunkOf(min(blockValues, n-v0), func(i int) []order.Rank { return list(graph.VertexID(v0 + i)) })
 		l.chunks[k] = c
 		l.entries += entries
-	}
-	return l
-}
-
-// layoutBackward lays out the lists of n vertices given as backward
-// sets: back[r] holds every vertex whose list has rank r. Ranks are
-// taken in increasing order, so each list is put in order.
-func layoutBackward(n int, back [][]graph.VertexID) layout {
-	bs := make([]*chunkBuilder, blocksFor(n))
-	for k := range bs {
-		bs[k] = newChunkBuilder(min(blockValues, n-k*blockValues))
-	}
-	for r := 0; r < n; r++ {
-		for _, w := range back[r] {
-			bs[w/blockValues].count(int(w%blockValues), order.Rank(r))
-		}
-	}
-	for _, b := range bs {
-		b.alloc()
-	}
-	for r := 0; r < n; r++ {
-		for _, w := range back[r] {
-			bs[w/blockValues].put(int(w%blockValues), order.Rank(r))
-		}
-	}
-	l := layout{chunks: make([]chunk, len(bs))}
-	for k, b := range bs {
-		l.chunks[k] = b.done()
-		l.entries += b.entries
 	}
 	return l
 }

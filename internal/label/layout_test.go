@@ -2,6 +2,7 @@ package label
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -9,7 +10,7 @@ import (
 )
 
 // randomIndex builds an index with random (sorted, duplicate-free)
-// label lists through the Builder, alongside the raw per-vertex lists.
+// label lists through FromLists.
 func randomIndex(t testing.TB, n int, seed int64) *Index {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -18,18 +19,18 @@ func randomIndex(t testing.TB, n int, seed int64) *Index {
 		ranks[i] = order.Rank(i)
 	}
 	rng.Shuffle(n, func(i, j int) { ranks[i], ranks[j] = ranks[j], ranks[i] })
-	b := NewBuilder(order.FromRanks(ranks))
+	in, out := make([][]order.Rank, n), make([][]order.Rank, n)
 	for v := 0; v < n; v++ {
 		for r := 0; r < n; r++ {
 			if rng.Intn(4) == 0 {
-				b.AddIn(graph.VertexID(v), order.Rank(r))
+				in[v] = append(in[v], order.Rank(r))
 			}
 			if rng.Intn(4) == 0 {
-				b.AddOut(graph.VertexID(v), order.Rank(r))
+				out[v] = append(out[v], order.Rank(r))
 			}
 		}
 	}
-	return b.Finalize()
+	return FromLists(order.FromRanks(ranks), in, out)
 }
 
 // TestFreezeThawRoundTrip: Thaw∘Freeze is the identity on label sets,
@@ -90,7 +91,7 @@ func TestGallopIntersects(t *testing.T) {
 				out = append(out, order.Rank(r))
 			}
 		}
-		sortRanks(out)
+		slices.Sort(out)
 		return out
 	}
 	rng := rand.New(rand.NewSource(42))

@@ -7,9 +7,9 @@ import (
 )
 
 // Lists is the slice layout of a reachability index: one independently
-// allocated rank slice per vertex and direction. It is the natural
-// shape while labels are being accumulated (the Builder works in it)
-// and the reference the served Index is checked against —
+// allocated rank slice per vertex and direction. It is the shape every
+// builder accumulates labels in (FromLists freezes it) and the
+// reference the served Index is checked against —
 // Lists.Reachable runs the plain §II-A linear merge over the two
 // per-vertex slices with no layout tricks.
 //
@@ -36,6 +36,15 @@ func NewLists(ord *order.Ordering, in, out [][]order.Rank) *Lists {
 		invariant.StrictlyIncreasing("label: NewLists out-list", out[v])
 	}
 	return l
+}
+
+// FromLists assembles an Index from per-vertex label lists: the one
+// way a builder's labels become an Index. Each list must be a label set,
+// strictly increasing (TOL emits labels in round order, which is rank
+// order, and never labels a vertex twice). The lists are copied, not
+// aliased.
+func FromLists(ord *order.Ordering, in, out [][]order.Rank) *Index {
+	return NewLists(ord, in, out).Freeze()
 }
 
 // NumVertices returns the number of vertices the label sets cover.

@@ -211,22 +211,17 @@ func cappedTOL(g *graph.Digraph, budget int) *Budgeted {
 			out[s], in[d] = append(out[s], best), append(in[d], best)
 		}
 	}
-	b := NewBuilder(ord)
 	inFull, outFull := make([]bool, n), make([]bool, n)
-	capList := func(l []order.Rank, add func(order.Rank)) (full bool) {
+	capList := func(l []order.Rank) ([]order.Rank, bool) {
 		slices.Sort(l)
 		l = slices.Compact(l)
-		for _, r := range l[:min(len(l), budget)] {
-			add(r)
-		}
-		return len(l) <= budget
+		return l[:min(len(l), budget)], len(l) <= budget
 	}
-	for v := 0; v < n; v++ {
-		v := graph.VertexID(v)
-		inFull[v] = capList(in[v], func(r order.Rank) { b.AddIn(v, r) })
-		outFull[v] = capList(out[v], func(r order.Rank) { b.AddOut(v, r) })
+	for v := range in {
+		in[v], inFull[v] = capList(in[v])
+		out[v], outFull[v] = capList(out[v])
 	}
-	return NewBudgeted(b.Finalize(), g, budget, inFull, outFull)
+	return NewBudgeted(FromLists(ord, in, out), g, budget, inFull, outFull)
 }
 
 // tally sums up the fallbacks of one regime: how many ran, the vertices

@@ -14,7 +14,8 @@
 // it sees the old entry, the new entry, or empty. Collisions simply
 // overwrite (direct-mapped, no chains, no eviction bookkeeping), which
 // bounds memory exactly and keeps both paths to a handful of
-// instructions.
+// instructions. The cache counts nothing: its one caller tallies hits
+// and misses per request.
 package qcache
 
 import (
@@ -63,8 +64,6 @@ type Cache struct {
 	shards    []shard
 	shardMask uint64
 	slotMask  uint64
-	hits      atomic.Int64
-	misses    atomic.Int64
 }
 
 type shard struct {
@@ -111,17 +110,15 @@ func (c *Cache) slot(s, t int32) *atomic.Uint64 {
 }
 
 // Get returns the cached answer for (s, t) and whether one was
-// present, counting the lookup as a hit or miss.
+// present.
 func (c *Cache) Get(s, t int32) (reachable, ok bool) {
 	if c == nil {
 		return false, false
 	}
 	w := c.slot(s, t).Load()
 	if w&occupiedBit == 0 || (w>>sourceShift)&vertexMask != uint64(s) || (w>>targetShift)&vertexMask != uint64(t) {
-		c.misses.Add(1)
 		return false, false
 	}
-	c.hits.Add(1)
 	return w&answerBit != 0, true
 }
 
@@ -133,22 +130,6 @@ func (c *Cache) Put(s, t int32, reachable bool) {
 		return
 	}
 	c.slot(s, t).Store(pack(s, t, reachable))
-}
-
-// Hits returns the number of Get calls answered from the cache.
-func (c *Cache) Hits() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.hits.Load()
-}
-
-// Misses returns the number of Get calls not answered from the cache.
-func (c *Cache) Misses() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.misses.Load()
 }
 
 // Capacity returns the total number of slots (0 for a nil cache).

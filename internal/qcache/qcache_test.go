@@ -23,9 +23,6 @@ func TestBasicPutGet(t *testing.T) {
 	if _, ok := c.Get(17, 3); ok {
 		t.Fatal("reversed pair must not hit")
 	}
-	if c.Hits() != 2 || c.Misses() != 2 {
-		t.Fatalf("hits=%d misses=%d, want 2/2", c.Hits(), c.Misses())
-	}
 }
 
 func TestZeroPairDistinctFromEmpty(t *testing.T) {
@@ -58,8 +55,8 @@ func TestNilCacheIsNoop(t *testing.T) {
 	if _, ok := c.Get(1, 2); ok {
 		t.Error("nil cache must always miss")
 	}
-	if c.Hits() != 0 || c.Misses() != 0 || c.Capacity() != 0 || c.Shards() != 0 {
-		t.Error("nil cache counters must read zero")
+	if c.Capacity() != 0 || c.Shards() != 0 {
+		t.Error("nil cache geometry must read zero")
 	}
 }
 
@@ -71,24 +68,29 @@ func TestNoWrongAnswers(t *testing.T) {
 	c := New(256, 4)
 	answer := func(s, u int32) bool { return (s^u)&1 == 0 }
 	rng := rand.New(rand.NewSource(1))
+	hits := 0
 	for i := 0; i < 100000; i++ {
 		s, u := rng.Int31n(1<<20), rng.Int31n(1<<20)
 		if r, ok := c.Get(s, u); ok && r != answer(s, u) {
 			t.Fatalf("Get(%d,%d) returned %v, Put stored %v", s, u, r, answer(s, u))
 		}
 		c.Put(s, u, answer(s, u))
-		if r, ok := c.Get(s, u); ok && r != answer(s, u) {
+		r, ok := c.Get(s, u)
+		if ok && r != answer(s, u) {
 			t.Fatalf("read-back Get(%d,%d) = %v, want %v", s, u, r, answer(s, u))
 		}
+		if ok {
+			hits++
+		}
 	}
-	if c.Hits() == 0 {
+	if hits == 0 {
 		t.Error("expected some hits over 100k skewed lookups")
 	}
 }
 
 // TestConcurrent hammers one cache from many goroutines (run under
 // -race by make check). Correctness bar: hits never return a wrong
-// answer and hits+misses equals the number of Gets.
+// answer.
 func TestConcurrent(t *testing.T) {
 	c := New(4096, 16)
 	answer := func(s, u int32) bool { return (3*s+u)%7 == 0 }
@@ -110,7 +112,4 @@ func TestConcurrent(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	if got := c.Hits() + c.Misses(); got != workers*each {
-		t.Errorf("hits+misses = %d, want %d", got, workers*each)
-	}
 }

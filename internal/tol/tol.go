@@ -20,6 +20,7 @@ package tol
 
 import (
 	"errors"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/label"
@@ -39,11 +40,24 @@ func Build(g *graph.Digraph, ord *order.Ordering) *label.Index {
 }
 
 // BuildCancelable is Build with a cancellation channel, checked once
-// per labeling round.
+// per 256 labeling rounds.
 func BuildCancelable(g *graph.Digraph, ord *order.Ordering, cancel <-chan struct{}) (*label.Index, error) {
+	in, out, err := rounds(g, ord, math.MaxInt, nil, nil, cancel)
+	if err != nil {
+		return nil, err
+	}
+	return label.FromLists(ord, in, out), nil
+}
+
+// rounds is Algorithm 1, the one round loop behind Build and
+// BuildBudgeted. It returns the per-vertex label lists. A list holding
+// budget entries takes no more: the refused entry clears the vertex's
+// inFull/outFull mark instead. The unbudgeted builds pass a budget no
+// list reaches and nil marks.
+func rounds(g *graph.Digraph, ord *order.Ordering, budget int, inFull, outFull []bool, cancel <-chan struct{}) (in, out [][]order.Rank, err error) {
 	n := g.NumVertices()
-	in := make([][]order.Rank, n)
-	out := make([][]order.Rank, n)
+	in = make([][]order.Rank, n)
+	out = make([][]order.Rank, n)
 
 	fw := label.NewScratch(n)
 	bw := label.NewScratch(n)
@@ -54,7 +68,7 @@ func BuildCancelable(g *graph.Digraph, ord *order.Ordering, cancel <-chan struct
 		if r%256 == 0 && cancel != nil {
 			select {
 			case <-cancel:
-				return nil, ErrCanceled
+				return nil, nil, ErrCanceled
 			default:
 			}
 		}
@@ -67,19 +81,24 @@ func BuildCancelable(g *graph.Digraph, ord *order.Ordering, cancel <-chan struct
 		// opposite side still holds ranks < r at test time.
 		for _, w := range des {
 			if label.Disjoint(out[v], in[w]) {
-				in[w] = append(in[w], r)
+				if len(in[w]) < budget {
+					in[w] = append(in[w], r)
+				} else {
+					// A needed entry was refused: from here on a miss
+					// in L_in(w) proves nothing.
+					inFull[w] = false
+				}
 			}
 		}
 		for _, w := range anc {
 			if label.Disjoint(in[v], out[w]) {
-				out[w] = append(out[w], r)
+				if len(out[w]) < budget {
+					out[w] = append(out[w], r)
+				} else {
+					outFull[w] = false
+				}
 			}
 		}
 	}
-	return label.FromLists(ord, in, out), nil
-}
-
-// BuildDefault runs TOL under the paper's degree-product order.
-func BuildDefault(g *graph.Digraph) *label.Index {
-	return Build(g, order.Compute(g))
+	return in, out, nil
 }

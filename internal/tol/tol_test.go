@@ -84,7 +84,7 @@ func TestPaperExampleOrder(t *testing.T) {
 // index answers exactly the BFS ground truth for every vertex pair.
 func TestCoverConstraint(t *testing.T) {
 	g := graph.PaperExample()
-	idx := BuildDefault(g)
+	idx := Build(g, order.Compute(g))
 	checkCover(t, g, idx)
 }
 

@@ -20,11 +20,14 @@
 // error — a corrupt record is never silently skipped or mis-parsed.
 // The one sanctioned repair is at Open: a torn tail (the suffix after
 // the last valid record, which a mid-append crash leaves behind) is
-// truncated away and reported. Every file operation goes through
-// internal/durable's seam, and TestWALCrashPoints crashes the log
-// after each one of a scripted run: Open never fails afterwards, and
-// it recovers a prefix of the records written that holds every record
-// acknowledged.
+// truncated away and reported. A damaged record that a valid one
+// follows is no tail — a crash leaves only a prefix of the unsynced
+// bytes, so what follows was acknowledged — and Open refuses the file,
+// naming the record, and leaves it as it is. Every file operation goes
+// through internal/durable's seam, and TestWALCrashPoints crashes the
+// log after each one of a scripted run: Open never fails afterwards,
+// and it recovers a prefix of the records written that holds every
+// record acknowledged.
 //
 // The file is read once, at Open; Replay hands those records out and
 // nothing reads the file after that. Writes are group-committed: Write
@@ -210,9 +213,10 @@ type Log struct {
 // Open opens (creating if absent) the log at path and recovers it:
 // the file is scanned, every valid record kept for Replay, and a torn
 // tail — bytes after the last valid record — truncated away. Records
-// before the tear are never touched; corruption inside them is a hard
-// error. The log's directory is synced before Open returns, so the
-// entry naming the file is durable before any record is acknowledged.
+// before the tear are never touched, and a damaged record with a valid
+// one after it is a hard error that leaves the file untouched. The
+// log's directory is synced before Open returns, so the entry naming
+// the file is durable before any record is acknowledged.
 func Open(path string) (*Log, error) { return open(durable.OS, path) }
 
 func open(fsys durable.FS, path string) (*Log, error) {
@@ -262,9 +266,19 @@ func (l *Log) recover() error {
 	for off < int64(len(data)) {
 		rec, n, err := DecodeRecord(data[off:], prev)
 		if err != nil {
-			// Everything after the last valid record is a torn tail: a
-			// crash mid-append can only damage the suffix, because
-			// records are written in order and acknowledged after fsync.
+			// A crash mid-append can only damage the suffix, because
+			// records are written in order and acknowledged after fsync:
+			// a damaged frame whose length still frames it, with the next
+			// record decoding after it, is corruption of acknowledged
+			// bytes, not a tear.
+			if plen, k := binary.Uvarint(data[off:]); k > 0 && plen >= 1 && plen <= maxPayload {
+				next := off + int64(k) + int64(plen) + 4
+				if next < int64(len(data)) {
+					if after, _, aerr := DecodeRecord(data[next:], prev+1); aerr == nil && after.Seq == prev+2 {
+						return fmt.Errorf("wal: %s: record %d at byte %d is corrupt (%v) and record %d after it is intact: refusing to truncate acknowledged records", l.path, prev+1, off, err, prev+2)
+					}
+				}
+			}
 			l.torn = int64(len(data)) - off
 			break
 		}

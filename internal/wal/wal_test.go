@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,6 +115,77 @@ func TestTornTailTruncated(t *testing.T) {
 }
 
 // replayAll returns every record l recovered at Open.
+// TestMidLogCorruptionRefused: a damaged record with an intact one after
+// it is not a torn tail — the records after it were acknowledged — so
+// Open fails naming the damaged record's seq and offset, and leaves the
+// file as it was. Restored, the file opens with every record; damage to
+// the last record is still a tail and is truncated.
+func TestMidLogCorruptionRefused(t *testing.T) {
+	path := tmpLog(t)
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append(OpInsert, graph.VertexID(i), graph.VertexID(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec1 := encodedLen(t, 0, Record{Seq: 1, Op: OpInsert, U: 0, V: 1})
+	rec2 := encodedLen(t, 1, Record{Seq: 2, Op: OpInsert, U: 1, V: 2})
+	start := len(header) + rec1
+	// Every byte of record 2 but its length prefix.
+	for i := start + 1; i < start+rec2; i++ {
+		bad := append([]byte(nil), data...)
+		bad[i] ^= 0x01
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(path)
+		if want := fmt.Sprintf("record 2 at byte %d", start); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("byte %d flipped: Open err = %v, want one naming %q", i, err, want)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, bad) {
+			t.Fatalf("byte %d flipped: the refused file changed (%d bytes, was %d; %v)", i, len(after), len(bad), err)
+		}
+	}
+
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Open(path)
+	if err != nil {
+		t.Fatalf("restored: %v", err)
+	}
+	if got := replayAll(t, l); len(got) != 3 || l.TornBytes() != 0 {
+		t.Fatalf("restored: replayed %d records, %d torn bytes; want 3 and 0", len(got), l.TornBytes())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	bad := append([]byte(nil), data...)
+	bad[len(bad)-1] ^= 0x01
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Open(path)
+	if err != nil {
+		t.Fatalf("last record damaged: %v", err)
+	}
+	if l.Count() != 2 || l.TornBytes() != int64(len(data)-start-rec2) {
+		t.Fatalf("last record damaged: %d records, %d torn bytes; want 2 and %d", l.Count(), l.TornBytes(), len(data)-start-rec2)
+	}
+	l.Close()
+}
+
 func replayAll(t *testing.T, l *Log) []Record {
 	t.Helper()
 	var got []Record

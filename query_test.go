@@ -36,7 +36,7 @@ func queryVariants() []struct {
 		{"budget-2-scc", Options{LabelBudget: 2, CondenseSCC: true}},
 		{"budget-1-shared", Options{LabelBudget: 1, Method: MethodDRLShared, Workers: 3}},
 		{"budget-1-shared-scc", Options{LabelBudget: 1, Method: MethodDRLShared, Workers: 3, CondenseSCC: true}},
-		{"budget-1-tol", Options{LabelBudget: 1, Method: MethodTOL}},
+		{"budget-1-serial", Options{LabelBudget: 1, Workers: 1}},
 	}
 }
 

@@ -81,9 +81,8 @@ type Options struct {
 	// flagged endpoint fall back to a label-pruned BFS over the graph.
 	// The index is built by the shared-memory batch labeler (Method
 	// empty or MethodDRLShared; Workers, BatchSize and BatchFactor
-	// apply, and the result does not depend on Workers) or, with
-	// MethodTOL, by the serial reference rounds; the vertex-centric
-	// methods are rejected. The resulting index retains the graph, and
+	// apply, and the result does not depend on Workers); every other
+	// method is rejected. The resulting index retains the graph, and
 	// its file is reopened with it (OpenIndex).
 	LabelBudget int
 }
@@ -271,21 +270,13 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 	sopt := drl.Options{Workers: workers, Cancel: cancel, Obs: opts.Obs}
 	switch {
 	case opts.LabelBudget > 0:
-		// The cap rides on the shared-memory batch labeler (the default
-		// here) or on the serial reference rounds; the vertex-centric
-		// methods have no capped variant.
-		what = "budgeted index"
-		switch opts.Method {
-		case "", MethodDRLShared:
-			method = MethodDRLShared
-			bidx, err = drl.BuildBatchBudgeted(gd, ord, opts.batchParams(), opts.LabelBudget, sopt)
-		case MethodTOL:
-			workers = 1
-			bidx, err = tol.BuildBudgeted(gd, ord, opts.LabelBudget, cancel)
-		default:
-			return nil, fmt.Errorf("reachlab: LabelBudget requires MethodDRLShared (the default when Method is empty) or MethodTOL, not %q", opts.Method)
+		// One builder per budget: the cap rides on the shared-memory
+		// batch labeler, and no other method has a capped variant.
+		if opts.Method != "" && opts.Method != MethodDRLShared {
+			return nil, fmt.Errorf("reachlab: LabelBudget requires MethodDRLShared (the default when Method is empty), not %q", opts.Method)
 		}
-		if err == nil {
+		method, what = MethodDRLShared, "budgeted index"
+		if bidx, err = drl.BuildBatchBudgeted(gd, ord, opts.batchParams(), opts.LabelBudget, sopt); err == nil {
 			idx = bidx.Index()
 		}
 	case method == MethodTOL:

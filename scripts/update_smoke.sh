@@ -12,6 +12,9 @@
 #   - durability: kill -9 mid-stream, restart on the same WAL — from
 #     the graph's binary file this time, so both formats are opened —
 #     and every acknowledged write must survive the replay;
+#   - corruption: with one byte of an early acknowledged record flipped
+#     the restart must refuse the log, and with the byte restored it
+#     must serve every acknowledged write again;
 #   - graceful shutdown on SIGTERM.
 . "$(dirname "$0")/lib.sh"
 addr=127.0.0.1:18325
@@ -132,6 +135,43 @@ applied="$(stat_field applied_seq)"
 }
 [ "$(reach 5 1998)" = "true" ] || { echo "acked insert(5,1998) lost" >&2; exit 1; }
 [ "$(reach 7 1997)" = "true" ] || { echo "acked insert(7,1997) lost" >&2; exit 1; }
+
+echo "== corruption: a damaged early record is refused, not truncated"
+stop_ok "$srv_pid" drserve
+pids=""
+# Byte 8 is the op of record 1 (the 6-byte header, then its length and
+# seq delta): the first point write, acknowledged, with records after it.
+wal="$work/edges.wal"
+orig="$(od -An -tu1 -j 8 -N 1 "$wal" | tr -d ' ')"
+put_byte() {
+	printf "\\$(printf '%03o' "$1")" | dd of="$wal" bs=1 seek=8 conv=notrunc 2>/dev/null
+}
+put_byte $((orig ^ 1))
+size="$(wc -c <"$wal")"
+rc=0
+timeout 30 "$work/bin/drserve" -graph "$work/graph.bin" -wal "$wal" -listen "$addr" \
+	2>"$work/corrupt.err" >/dev/null || rc=$?
+[ "$rc" -ne 0 ] || { echo "drserve started on a corrupt log" >&2; exit 1; }
+grep -q "record 1 at byte 6 is corrupt" "$work/corrupt.err" || {
+	echo "drserve refused the corrupt log without naming the record:" >&2
+	cat "$work/corrupt.err" >&2
+	exit 1
+}
+[ "$(wc -c <"$wal")" -eq "$size" ] || { echo "the refused log was truncated" >&2; exit 1; }
+put_byte "$orig"
+
+"$work/bin/drserve" -graph "$work/graph.bin" -wal "$wal" \
+	-refresh-every 200ms -listen "$addr" -grace 5s &
+srv_pid=$!
+pids="$srv_pid"
+wait_http "http://$addr/healthz" drserve
+applied="$(stat_field applied_seq)"
+[ "$applied" -ge "$seq2" ] || {
+	echo "acked seq $seq2 lost after restoring the byte: applied_seq=$applied" >&2
+	exit 1
+}
+[ "$(reach 5 1998)" = "true" ] || { echo "acked insert(5,1998) lost after restoring the byte" >&2; exit 1; }
+[ "$(reach 7 1997)" = "true" ] || { echo "acked insert(7,1997) lost after restoring the byte" >&2; exit 1; }
 
 echo "== graceful shutdown on SIGTERM"
 stop_ok "$srv_pid" drserve

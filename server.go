@@ -42,9 +42,10 @@ import (
 // the hot-pair cache enabled, every answered pair counts exactly once
 // in "reachlab_cache_hits_total" or "reachlab_cache_misses_total", and
 // "reachlab_query_pairs_total" counts the pairs themselves, so
-// hits + misses == pairs always reconciles (cache counters are summed
-// across epochs: each swap starts a fresh cache, CacheStats and /stats
-// accumulate the retired ones' totals).
+// hits + misses == pairs always reconciles. The same tallies feed the
+// handler's own lifetime counters, which CacheStats and /stats read:
+// one count per outcome, across every epoch, with or without a
+// registry.
 type QueryHandler struct {
 	state atomic.Pointer[serveState]
 	mux   *httpapi.Mux
@@ -64,10 +65,9 @@ type QueryHandler struct {
 	cacheShards int
 	maxJoin     int
 
-	// Hit/miss totals of retired epochs' caches, folded in at swap
-	// time so lifetime counters survive the swap.
-	retiredHits   atomic.Int64
-	retiredMisses atomic.Int64
+	// Lifetime cache outcomes across epochs, added to once per request
+	// by resolve.
+	hits, misses atomic.Int64
 
 	// Hot-path metric handles, resolved once.
 	pairsTotal  *obs.Counter
@@ -228,8 +228,6 @@ func (h *QueryHandler) Swap(idx *Index) uint64 {
 
 func (h *QueryHandler) swapLocked(idx *Index) uint64 {
 	cur := h.state.Load()
-	h.retiredHits.Add(cur.cache.Hits())
-	h.retiredMisses.Add(cur.cache.Misses())
 	next := &serveState{
 		idx:   idx,
 		cache: qcache.New(h.cachePairs, h.cacheShards),
@@ -273,16 +271,7 @@ func (h *QueryHandler) Index() *Index { return h.state.Load().idx }
 // counts, summed across every epoch served so far (zeros when the
 // cache is disabled).
 func (h *QueryHandler) CacheStats() (hits, misses int64) {
-	return h.cacheTotals(h.state.Load())
-}
-
-// cacheTotals sums the lifetime cache counters for one state
-// snapshot: the serving cache's live counts plus the totals folded in
-// from retired epochs. Callers that already hold a snapshot must use
-// this rather than CacheStats, which takes a fresh one — mixing two
-// snapshots in one report tears across an epoch swap.
-func (h *QueryHandler) cacheTotals(st *serveState) (hits, misses int64) {
-	return h.retiredHits.Load() + st.cache.Hits(), h.retiredMisses.Load() + st.cache.Misses()
+	return h.hits.Load(), h.misses.Load()
 }
 
 // vertexParam reads the query parameter name as a vertex of st's
@@ -313,10 +302,11 @@ func pairParams(api *httpapi.Handle, w http.ResponseWriter, st *serveState, r *h
 }
 
 // resolve answers validated pairs against one epoch. With the cache
-// off they go to kernel whole; with it on, every pair consults the
-// cache at most once and counts exactly once as a hit or a miss, the
-// misses go to kernel as one call — keeping whatever locality kernel
-// gets from seeing them together — and its answers backfill the cache.
+// off they go to kernel whole. With it on, every pair consults the
+// cache once, and the request's hits and misses are added once to the
+// lifetime and once to the obs counters; the misses go to kernel as one
+// call — keeping whatever locality kernel gets from seeing them
+// together — and its answers backfill the cache.
 func (h *QueryHandler) resolve(st *serveState, pairs []Pair, kernel func([]Pair) []bool) []bool {
 	if st.cache == nil {
 		return kernel(pairs)
@@ -326,14 +316,17 @@ func (h *QueryHandler) resolve(st *serveState, pairs []Pair, kernel func([]Pair)
 	missPos := make([]int, 0, len(pairs))
 	for i, p := range pairs {
 		if ans, ok := st.cache.Get(int32(p.S), int32(p.T)); ok {
-			h.cacheHits.Inc()
 			results[i] = ans
 			continue
 		}
-		h.cacheMisses.Inc()
 		miss = append(miss, p)
 		missPos = append(missPos, i)
 	}
+	hits, misses := int64(len(pairs)-len(miss)), int64(len(miss))
+	h.hits.Add(hits)
+	h.misses.Add(misses)
+	h.cacheHits.Add(hits)
+	h.cacheMisses.Add(misses)
 	if len(miss) == 0 {
 		return results
 	}
@@ -424,10 +417,7 @@ func (h *QueryHandler) stats(_ *httpapi.Handle, w http.ResponseWriter, _ *http.R
 	stSrv := h.state.Load()
 	st := stSrv.idx.Stats()
 	bs := stSrv.idx.BuildStats()
-	// One snapshot for the whole document: CacheStats would load the
-	// state a second time, and a reload between the two loads would
-	// report epoch N's capacity with epoch N+1's hit counts.
-	hits, misses := h.cacheTotals(stSrv)
+	hits, misses := h.CacheStats()
 	doc := map[string]any{
 		"vertices": stSrv.idx.NumVertices(),
 		// Epoch bookkeeping: index_epoch advances by one per reload,

@@ -409,7 +409,7 @@ func (u *Updater) refreshOnce() {
 	u.refreshHist.Observe(time.Since(start).Seconds())
 }
 
-// UpdateStats is one consistent view of the mutation path, served
+// UpdaterStats is one consistent view of the mutation path, served
 // under /stats as the "updates" block.
 type UpdaterStats struct {
 	LastSeq    uint64 `json:"last_seq"`    // highest written seq
