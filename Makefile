@@ -71,9 +71,11 @@ cover:
 # compiles it: an API break against what it imports (tol.Build,
 # tol.BuildBudgeted, drl.BuildBatch, label.Budgeted, label.Read,
 # Index.Thaw/Freeze/WriteTo, the root package) would otherwise show up
-# only when the benchmark is next run. Its unit tests, then its
-# 2,000-vertex smoke over all four workloads (CI's bench-harness job).
+# only when the benchmark is next run. Root `go vet ./...` never
+# reaches it either. Its vet, its unit tests, then its 2,000-vertex
+# smoke over all four workloads (CI's bench-harness job).
 bench-harness:
+	cd benchmark && go vet ./...
 	cd benchmark && go test ./...
 	bash benchmark/run.sh -smoke
 

@@ -75,13 +75,10 @@ func TestLabelBudgetOption(t *testing.T) {
 }
 
 // TestBudgetedIndexRoundTrip: a budgeted index is a file like any
-// other. At every budget, over the graph and over its condensation, the
-// index OpenIndex brings
-// back with the graph answers every pair as BFS and as the built index
-// do, reports the same Stats, and writes the file's bytes again. What
-// the file cannot be opened with is refused before a query: no graph,
-// another graph, and — condensed — a component table that is not the
-// one the graph condenses to.
+// other. At every budget, the index OpenIndex brings back with the graph
+// answers every pair as BFS and as the built index do, reports the same
+// Stats, and writes the file's bytes again. What the file cannot be
+// opened with is refused before a query: no graph, and another graph.
 func TestBudgetedIndexRoundTrip(t *testing.T) {
 	g := randomCyclicGraph(90, 130, 19)
 	other := randomCyclicGraph(90, 130, 18)
@@ -89,59 +86,46 @@ func TestBudgetedIndexRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	overflowed := 0
 	for _, budget := range []int{1, 2, 8, math.MaxInt} {
-		for _, condense := range []bool{false, true} {
-			opts := Options{LabelBudget: budget, CondenseSCC: condense}
-			built, err := Build(context.Background(), g, opts)
-			if err != nil {
-				t.Fatalf("%+v: %v", opts, err)
-			}
-			var file bytes.Buffer
-			if _, err := built.WriteTo(&file); err != nil {
-				t.Fatalf("%+v: %v", opts, err)
-			}
-			path := filepath.Join(dir, "b.idx")
-			if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := OpenIndex(path, g)
-			if err != nil {
-				t.Fatalf("%+v: %v", opts, err)
-			}
-			for s := VertexID(0); int(s) < n; s++ {
-				for u := VertexID(0); int(u) < n; u++ {
-					want := g.ReachableBFS(s, u)
-					if a, b := built.Reachable(s, u), loaded.Reachable(s, u); a != want || b != want {
-						t.Fatalf("%+v: q(%d,%d) = %v built, %v from the file, BFS says %v", opts, s, u, a, b, want)
-					}
+		opts := Options{LabelBudget: budget}
+		built, err := Build(context.Background(), g, opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		var file bytes.Buffer
+		if _, err := built.WriteTo(&file); err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		path := filepath.Join(dir, "b.idx")
+		if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := OpenIndex(path, g)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		for s := VertexID(0); int(s) < n; s++ {
+			for u := VertexID(0); int(u) < n; u++ {
+				want := g.ReachableBFS(s, u)
+				if a, b := built.Reachable(s, u), loaded.Reachable(s, u); a != want || b != want {
+					t.Fatalf("%+v: q(%d,%d) = %v built, %v from the file, BFS says %v", opts, s, u, a, b, want)
 				}
 			}
-			st := loaded.Stats()
-			if st != built.Stats() || st.LabelBudget != budget {
-				t.Fatalf("%+v: Stats %+v from the file, %+v built", opts, st, built.Stats())
-			}
-			overflowed += st.OverflowedIn + st.OverflowedOut
-			var again bytes.Buffer
-			if _, err := loaded.WriteTo(&again); err != nil || !bytes.Equal(file.Bytes(), again.Bytes()) {
-				t.Fatalf("%+v: the loaded index writes %d bytes (%v), the file has %d", opts, again.Len(), err, file.Len())
-			}
+		}
+		st := loaded.Stats()
+		if st != built.Stats() || st.LabelBudget != budget {
+			t.Fatalf("%+v: Stats %+v from the file, %+v built", opts, st, built.Stats())
+		}
+		overflowed += st.OverflowedIn + st.OverflowedOut
+		var again bytes.Buffer
+		if _, err := loaded.WriteTo(&again); err != nil || !bytes.Equal(file.Bytes(), again.Bytes()) {
+			t.Fatalf("%+v: the loaded index writes %d bytes (%v), the file has %d", opts, again.Len(), err, file.Len())
+		}
 
-			if _, err := ReadIndex(bytes.NewReader(file.Bytes())); err == nil || !strings.Contains(err.Error(), "OpenIndex") {
-				t.Errorf("%+v: without a graph: err = %v, want one naming OpenIndex", opts, err)
-			}
-			if _, err := OpenIndex(path, other); err == nil || !strings.Contains(err.Error(), "wrong graph") {
-				t.Errorf("%+v: with another graph: err = %v, want a wrong-graph refusal", opts, err)
-			}
-			if condense {
-				// The table starts behind the 32-byte header and the 16-byte
-				// fingerprint with its length and one block's two header
-				// bytes; moving vertex 0 to another component leaves a
-				// well-formed file for a condensation g does not have.
-				bad := append([]byte(nil), file.Bytes()...)
-				bad[32+16+3] ^= 1
-				if _, err := readIndex(bytes.NewReader(bad), g); err == nil || !strings.Contains(err.Error(), "condensation") {
-					t.Errorf("%+v: with a foreign component table: err = %v, want a refusal naming the condensation", opts, err)
-				}
-			}
+		if _, err := ReadIndex(bytes.NewReader(file.Bytes())); err == nil || !strings.Contains(err.Error(), "OpenIndex") {
+			t.Errorf("%+v: without a graph: err = %v, want one naming OpenIndex", opts, err)
+		}
+		if _, err := OpenIndex(path, other); err == nil || !strings.Contains(err.Error(), "wrong graph") {
+			t.Errorf("%+v: with another graph: err = %v, want a wrong-graph refusal", opts, err)
 		}
 	}
 	if overflowed == 0 {
@@ -248,23 +232,23 @@ func TestLabelBudgetBuildCanceled(t *testing.T) {
 	}
 }
 
+// TestLabelBudgetWithCondenseSCC: a budgeted index of the SCC
+// condensation, queried through the component table, answers as BFS
+// does on the graph, for every budgeted build path.
 func TestLabelBudgetWithCondenseSCC(t *testing.T) {
 	g, err := GenerateGraph("social", 120, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, opts := range []Options{
-		{LabelBudget: 2, CondenseSCC: true},
-		{LabelBudget: 1, CondenseSCC: true, Method: MethodDRLShared, Workers: 3},
-		{LabelBudget: 2, CondenseSCC: true, Workers: 1},
+		{LabelBudget: 2},
+		{LabelBudget: 1, Method: MethodDRLShared, Workers: 3},
+		{LabelBudget: 2, Workers: 1},
 	} {
-		idx, err := Build(context.Background(), g, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		idx, comp := buildCondensed(t, g, opts)
 		for s := VertexID(0); int(s) < g.NumVertices(); s += 7 {
 			for u := VertexID(0); int(u) < g.NumVertices(); u += 11 {
-				if got, want := idx.Reachable(s, u), g.ReachableBFS(s, u); got != want {
+				if got, want := idx.Reachable(VertexID(comp[s]), VertexID(comp[u])), g.ReachableBFS(s, u); got != want {
 					t.Fatalf("%+v: q(%d,%d) = %v, want %v", opts, s, u, got, want)
 				}
 			}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/drl"
 	"repro/internal/graph"
-	"repro/internal/order"
 	"repro/internal/pregel"
 )
 
@@ -44,16 +43,12 @@ func BuildOverCluster(addrs []string, graphPath string, opts Options) (*Index, e
 }
 
 // BuildOverClusterOpts is BuildOverCluster with explicit
-// fault-handling configuration. Of opts it honours Method, BatchSize,
-// BatchFactor and Order (each worker computes the named ordering
-// itself); the workers label the graph file as it is, in full, so
-// CondenseSCC and LabelBudget are refused.
+// fault-handling configuration. Of opts it honours Method, BatchSize
+// and BatchFactor; the workers label the graph file as it is, in full,
+// so LabelBudget is refused.
 func BuildOverClusterOpts(addrs []string, graphPath string, opts Options, copt ClusterOptions) (*Index, error) {
 	start := time.Now()
-	switch {
-	case opts.CondenseSCC:
-		return nil, errors.New("reachlab: Options.CondenseSCC is not supported over a cluster")
-	case opts.LabelBudget > 0:
+	if opts.LabelBudget > 0 {
 		return nil, errors.New("reachlab: Options.LabelBudget is not supported over a cluster")
 	}
 	var bp *drl.BatchParams // nil: DRL, the one-batch sequence
@@ -72,11 +67,11 @@ func BuildOverClusterOpts(addrs []string, graphPath string, opts Options, copt C
 	if err != nil {
 		return nil, fmt.Errorf("reachlab: building over cluster: %w", err)
 	}
-	idx, met, err := drl.BuildOverClusterOf(addrs, g, graphPath, order.Strategy(opts.Order), bp, nil, copt)
+	idx, met, err := drl.BuildOverClusterOf(addrs, g, graphPath, bp, nil, copt)
 	if err != nil {
 		return nil, fmt.Errorf("reachlab: building over cluster: %w", err)
 	}
-	x := newIndex(idx, nil, nil)
+	x := newIndex(idx, nil)
 	fp := g.Fingerprint()
 	x.g, x.fp = g, &fp
 	x.stats = buildStats(opts.method(), len(addrs), start, met)

@@ -94,5 +94,5 @@ func (x *DynamicIndex) UpdateStats() UpdateStats {
 // number of such lists, not the size of the index, and later updates
 // never show through it.
 func (x *DynamicIndex) Snapshot() *Index {
-	return newIndex(x.d.Snapshot(), nil, nil)
+	return newIndex(x.d.Snapshot(), nil)
 }

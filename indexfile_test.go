@@ -115,7 +115,7 @@ func byteAlignedLabels(x *label.Index) int {
 
 // TestIndexFileBeatsByteAligned: the list coding's model is fitted to
 // each file, not tuned to the benchmark's graph — over every generator
-// family, condensed or not, capped or not, the labels sections are
+// family, capped or not, the labels sections are
 // smaller than the byte-aligned ones of three formats ago, and each is
 // no larger than coding every list alone, as the format before those
 // that inherit did: a block where inheriting does not pay does not
@@ -129,7 +129,7 @@ func TestIndexFileBeatsByteAligned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []Options{{}, {CondenseSCC: true}, {LabelBudget: 8}, {CondenseSCC: true, LabelBudget: 8}} {
+		for _, opts := range []Options{{}, {LabelBudget: 8}} {
 			built, err := Build(context.Background(), g, opts)
 			if err != nil {
 				t.Fatalf("%s %+v: %v", family, opts, err)

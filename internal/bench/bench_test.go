@@ -282,6 +282,9 @@ func TestAblations(t *testing.T) {
 	if len(crows) != 1 || crows[0].CondVertices >= crows[0].RawVertices {
 		t.Fatalf("condensation should shrink the web graph: %+v", crows)
 	}
+	if raw, cond := crows[0].Raw.Index, crows[0].Condensed.Index; raw == nil || cond == nil || cond.Entries() >= raw.Entries() {
+		t.Fatalf("labeling the condensation should take fewer entries than the raw graph: %+v", crows[0])
+	}
 	buf.Reset()
 	PrintAblationCondense(&buf, crows)
 	if !strings.Contains(buf.String(), "Index size") {

@@ -51,7 +51,7 @@ func TestInProcessMatchesCluster(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				outIdx, out, err := BuildOverCluster(startWorkers(t, p), path, "", bp, nil, ClusterOptions{Net: lat, Obs: regOut})
+				outIdx, out, err := BuildOverClusterOf(startWorkers(t, p), g, path, bp, nil, ClusterOptions{Net: lat, Obs: regOut})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,35 +83,29 @@ func TestInProcessMatchesCluster(t *testing.T) {
 	}
 }
 
-// TestClusterHonoursOrder: the ordering strategy travels to the workers
-// by name, so a cluster build under a non-default order equals the
-// in-process build under the same order — and not the default one's.
+// TestClusterHonoursOrder: the order is not sent; every worker computes
+// the degree-product order from its copy of the graph, so a cluster
+// build equals TOL under that order — and not under another one.
 func TestClusterHonoursOrder(t *testing.T) {
 	g := randomDigraph(60, 170, 21)
 	path := saveGraph(t, g)
-	ord, err := order.ComputeStrategy(g, order.StrategyDegreeSum)
+	want := tol.Build(g, order.Compute(g))
+	other, err := order.ComputeStrategy(g, order.StrategyDegreeSum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := BuildDistributedBatch(g, ord, DefaultBatchParams(), DistOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def := tol.Build(g, order.Compute(g)); def.Equal(want) {
+	if tol.Build(g, other).Equal(want) {
 		t.Fatal("degree-sum and the default order label this graph alike; the test proves nothing")
 	}
 	bp := DefaultBatchParams()
 	for name, batch := range map[string]*BatchParams{"drl": nil, "drl-batch": &bp} {
-		got, _, err := BuildOverCluster(startWorkers(t, 3), path, order.StrategyDegreeSum, batch, nil, ClusterOptions{})
+		got, _, err := BuildOverClusterOf(startWorkers(t, 3), g, path, batch, nil, ClusterOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !want.Equal(got) {
-			t.Errorf("%s over a cluster under degree-sum differs from the in-process build: %s", name, want.Diff(got))
+			t.Errorf("%s over a cluster differs from TOL under the degree-product order: %s", name, want.Diff(got))
 		}
-	}
-	if _, _, err := BuildOverCluster(startWorkers(t, 1), path, "no-such-order", nil, nil, ClusterOptions{}); err == nil {
-		t.Error("an unknown ordering strategy must fail the build")
 	}
 }
 
@@ -138,13 +132,14 @@ func TestClusterCancel(t *testing.T) {
 	for v := 0; v < 11; v++ {
 		edges = append(edges, graph.Edge{U: graph.VertexID(v), V: graph.VertexID(v + 1)})
 	}
-	path := saveGraph(t, graph.FromEdges(12, edges))
+	g := graph.FromEdges(12, edges)
+	path := saveGraph(t, g)
 	cancel, once := make(chan struct{}), new(sync.Once)
 	copt := ClusterOptions{Dial: func(addr string) (pregel.Transport, error) {
 		inner, err := pregel.DialRPC(addr)
 		return cancelAtStep{inner, 2, cancel, once}, err
 	}}
-	_, met, err := BuildOverCluster(startWorkers(t, 3), path, "", nil, cancel, copt)
+	_, met, err := BuildOverClusterOf(startWorkers(t, 3), g, path, nil, cancel, copt)
 	if !errors.Is(err, pregel.ErrCanceled) {
 		t.Fatalf("got %v, want pregel.ErrCanceled", err)
 	}

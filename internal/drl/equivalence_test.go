@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/netsim"
@@ -202,6 +203,45 @@ func TestIndexEqualsTOLAdversarialOrders(t *testing.T) {
 				t.Fatalf("trial %d %s: index differs: %s", trial, bname, want.Diff(got))
 			}
 		}
+	}
+}
+
+// TestOrderStrategiesYieldTOL: any total order yields TOL's index under
+// that order, and so a correct one; the ordering heuristic moves only
+// the size, and the paper's degree product beats a random order. (The
+// ablation-order experiment measures how much.)
+func TestOrderStrategiesYieldTOL(t *testing.T) {
+	g, err := gen.Generate(gen.Params{Family: gen.Web, N: 400, AvgDegree: 3, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[order.Strategy]int64{}
+	for _, strat := range order.Strategies() {
+		ord, err := order.ComputeStrategy(g, strat)
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		got, err := BuildBatch(g, ord, DefaultBatchParams(), Options{Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		if want := tol.Build(g, ord); !want.Equal(got) {
+			t.Fatalf("%s: BuildBatch differs from TOL: %s", strat, want.Diff(got))
+		}
+		for s := graph.VertexID(0); s < 60; s++ {
+			for d := graph.VertexID(340); d < 400; d++ {
+				if got.Reachable(s, d) != graph.Reachable(g, s, d) {
+					t.Fatalf("%s: wrong answer for (%d,%d)", strat, s, d)
+				}
+			}
+		}
+		entries[strat] = got.Entries()
+	}
+	if dp, rnd := entries[order.StrategyDegreeProduct], entries[order.StrategyRandom]; dp > rnd {
+		t.Errorf("degree-product (%d entries) should beat random order (%d entries)", dp, rnd)
+	}
+	if _, err := order.ComputeStrategy(g, "nope"); err == nil {
+		t.Error("an unknown order strategy should be refused")
 	}
 }
 

@@ -173,9 +173,9 @@ func TestFaultScheduleEquivalence(t *testing.T) {
 					err error
 				)
 				if algo == "drl" {
-					idx, met, err = BuildOverCluster(fc.addrs(), path, "", nil, nil, copt)
+					idx, met, err = BuildOverClusterOf(fc.addrs(), g, path, nil, nil, copt)
 				} else {
-					idx, met, err = BuildOverCluster(fc.addrs(), path, "", &bp, nil, copt)
+					idx, met, err = BuildOverClusterOf(fc.addrs(), g, path, &bp, nil, copt)
 				}
 				if err != nil {
 					t.Fatalf("%s under faults: %v", algo, err)
@@ -212,7 +212,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	want := indexBytes(t, tol.Build(g, ord))
 
 	// Uninterrupted reference run on a healthy cluster.
-	refIdx, _, err := BuildOverCluster(startWorkers(t, 3), path, "", nil, nil, ClusterOptions{})
+	refIdx, _, err := BuildOverClusterOf(startWorkers(t, 3), g, path, nil, nil, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		"w1": {Seed: 5, CrashAtCall: 7},
 		"w2": {},
 	})
-	idx, met, err := BuildOverCluster(fc.addrs(), path, "", nil, nil, fastFaultOptions(fc))
+	idx, met, err := BuildOverClusterOf(fc.addrs(), g, path, nil, nil, fastFaultOptions(fc))
 	if err != nil {
 		t.Fatalf("build with mid-run crash: %v", err)
 	}
@@ -256,7 +256,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		"w1": {},
 		"w2": {},
 	})
-	idx, met, err = BuildOverCluster(fc.addrs(), path, "", &bp, nil, fastFaultOptions(fc))
+	idx, met, err = BuildOverClusterOf(fc.addrs(), g, path, &bp, nil, fastFaultOptions(fc))
 	if err != nil {
 		t.Fatalf("batch build with crash: %v", err)
 	}

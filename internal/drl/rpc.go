@@ -15,22 +15,15 @@ import (
 // Cluster deployment: the labeling program registered for worker
 // processes (cmd/drworker + cmd/drcluster). Each worker loads the graph
 // from shared storage, computes the (fully deterministic) vertex order
-// the job names once, and keeps its own replica of the broadcast
-// state — exactly the paper's deployment model, with net/rpc over TCP
-// standing in for MPI.
-
-// jobOrder is the pregel.Config.Job key naming the job's ordering
-// strategy.
-const jobOrder = "order"
+// once per job, and keeps its own replica of the broadcast state —
+// exactly the paper's deployment model, with net/rpc over TCP standing
+// in for MPI.
 
 func init() {
 	pregel.RegisterRPC("drl", func(h *pregel.Host, params map[string]string) (pregel.Program, error) {
 		ord, _ := h.State.(*order.Ordering)
 		if ord == nil {
-			var err error
-			if ord, err = order.ComputeStrategy(h.Graph, order.Strategy(h.Job[jobOrder])); err != nil {
-				return nil, err
-			}
+			ord = order.Compute(h.Graph)
 			h.State = ord
 		}
 		lo, err := strconv.Atoi(params["lo"])
@@ -100,28 +93,16 @@ type ClusterOptions struct {
 	Obs *obs.Registry
 }
 
-// BuildOverCluster labels the graph at graphPath — readable by every
-// worker and the master — on the worker processes at addrs, under the
-// named ordering strategy: DRL_b over bp's batch sequence, or DRL
+// BuildOverClusterOf labels g, the graph at graphPath — readable by
+// every worker and the master, which has loaded it — on the worker
+// processes at addrs: DRL_b over bp's batch sequence, or DRL
 // (Algorithm 3) when bp is nil. Closing cancel aborts the build at the
 // next superstep.
-func BuildOverCluster(addrs []string, graphPath string, strategy order.Strategy, bp *BatchParams, cancel <-chan struct{}, copt ClusterOptions) (*label.Index, pregel.Metrics, error) {
-	g, err := graph.LoadFile(graphPath)
-	if err != nil {
-		return nil, pregel.Metrics{}, err
-	}
-	return BuildOverClusterOf(addrs, g, graphPath, strategy, bp, cancel, copt)
-}
-
-// BuildOverClusterOf is BuildOverCluster for a master that has already
-// loaded g, the graph at graphPath.
-func BuildOverClusterOf(addrs []string, g *graph.Digraph, graphPath string, strategy order.Strategy, bp *BatchParams, cancel <-chan struct{}, copt ClusterOptions) (*label.Index, pregel.Metrics, error) {
-	ord, err := order.ComputeStrategy(g, strategy)
-	if err != nil {
-		return nil, pregel.Metrics{}, err
-	}
+func BuildOverClusterOf(addrs []string, g *graph.Digraph, graphPath string, bp *BatchParams, cancel <-chan struct{}, copt ClusterOptions) (*label.Index, pregel.Metrics, error) {
+	ord := order.Compute(g)
 	spans := oneBatch(g.NumVertices())
 	if bp != nil {
+		var err error
 		if spans, err = BatchSequence(g.NumVertices(), *bp); err != nil {
 			return nil, pregel.Metrics{}, err
 		}
@@ -133,7 +114,6 @@ func BuildOverClusterOf(addrs []string, g *graph.Digraph, graphPath string, stra
 		Net:             copt.Net,
 		Cancel:          cancel,
 		Obs:             copt.Obs,
-		Job:             map[string]string{jobOrder: string(strategy)},
 	})
 	if err != nil {
 		return nil, pregel.Metrics{}, err

@@ -44,7 +44,7 @@ func TestRPCClusterMatchesTOL(t *testing.T) {
 	addrs := startWorkers(t, 3)
 	bp := DefaultBatchParams()
 
-	got, met, err := BuildOverCluster(addrs, path, "", &bp, nil, ClusterOptions{})
+	got, met, err := BuildOverClusterOf(addrs, g, path, &bp, nil, ClusterOptions{})
 	if err != nil {
 		t.Fatalf("DRL_b over RPC: %v", err)
 	}
@@ -57,7 +57,7 @@ func TestRPCClusterMatchesTOL(t *testing.T) {
 
 	// A fresh cluster for DRL (worker state is per-job).
 	addrs = startWorkers(t, 4)
-	got, _, err = BuildOverCluster(addrs, path, "", nil, nil, ClusterOptions{})
+	got, _, err = BuildOverClusterOf(addrs, g, path, nil, nil, ClusterOptions{})
 	if err != nil {
 		t.Fatalf("DRL over RPC: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestRPCPaperExample(t *testing.T) {
 	}
 	addrs := startWorkers(t, 2)
 	bp := DefaultBatchParams()
-	idx, _, err := BuildOverCluster(addrs, path, "", &bp, nil, ClusterOptions{})
+	idx, _, err := BuildOverClusterOf(addrs, g, path, &bp, nil, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

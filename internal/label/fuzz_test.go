@@ -39,13 +39,13 @@ func FuzzRead(f *testing.F) {
 		f.Fatalf("the inheriting seed moved: %v of its lists name 0 to 4 hubs", named)
 	}
 	f.Add(mustWrite(f, hier))
-	// One file per optional part: the three-vertex index as that of a
-	// three-vertex graph, of the condensation of a four-vertex one, and
-	// capped with some lists incomplete.
+	// The optional parts: the three-vertex index as that of a
+	// three-vertex graph, and capped as well — with some lists
+	// incomplete, and with every list incomplete under a cap of one.
 	fp := &graph.Fingerprint{N: 3, CRC: 0xfeedface, M: 2}
 	f.Add(mustWriteWith(f, small, Extras{Graph: fp}))
-	f.Add(mustWriteWith(f, small, Extras{Comp: []int32{0, 1, 1, 2}}))
 	f.Add(mustWriteWith(f, small, Extras{Graph: fp, Budget: 2, InFull: []bool{true, false, true}, OutFull: []bool{false, true, true}}))
+	f.Add(mustWriteWith(f, small, Extras{Graph: fp, Budget: 1, InFull: make([]bool, 3), OutFull: make([]bool, 3)}))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		idx, extras, err := ReadWith(bytes.NewReader(input))
 		if _, plainErr := Read(bytes.NewReader(input)); (plainErr == nil) != (err == nil && reflect.DeepEqual(extras, Extras{})) {

@@ -21,21 +21,20 @@ import (
 // loads the index. The ordering's rank permutation is embedded so a
 // reader can translate vertex IDs to ranks without the graph.
 //
-//	file    := header [graph] [comp] [budget] perm labels labels
+//	file    := header [graph] [budget] perm labels labels
 //	header  := magic(8) n(4) parts(4) nIn(8) nOut(8)
 //	graph   := n(4) crc(4) m(8)              parts&1: graph.Fingerprint
-//	comp    := uvarint(count) ints(count)    parts&2: component table
 //	budget  := uvarint(cap) block block      parts&4: inFull, outFull bits
-//	ints(k) := block*            one block per 4,096 values, k in all
 //	perm    := block*            one block per 4,096 ranks, in order
 //	labels  := block*            block i: vertices and ranks [4096i, 4096i+4096)
 //	block   := uvarint(entries) uvarint(bytes) payload(bytes)
 //
-// Fixed-width words are little-endian; parts says which of the three
-// optional parts (Extras) follow the header. perm is the rank→vertex
-// sequence, the two labels sections are L_in and L_out. An ints payload
-// is one uvarint per value; a perm payload a Rice parameter and per rank
-// the Rice code of the zigzag gap from the vertex of the rank before.
+// Fixed-width words are little-endian; parts says which of the two
+// optional parts (Extras) follow the header, and a file with parts&2 —
+// an index over an SCC condensation, which no build makes — is refused.
+// perm is the rank→vertex sequence, the two labels sections are L_in
+// and L_out. A perm payload is a Rice parameter and per rank the Rice
+// code of the zigzag gap from the vertex of the rank before.
 // A labels payload is the block's model and a bit stream, least
 // significant bit first, zero-padded to a byte: first the shape of each
 // of the block's vertices, in vertex order — rice(kLen, len′<<1 |
@@ -57,11 +56,12 @@ import (
 const (
 	indexMagic = uint64(0x44524c494e445836) // "DRLINDX6"
 
-	// The bits of header.Parts, in the order their parts follow it.
-	partGraph, partComp, partBudget = uint32(1), uint32(2), uint32(4)
+	// The bits of header.Parts, in the order their parts follow it;
+	// partCondensed marks a file readHead refuses.
+	partGraph, partCondensed, partBudget = uint32(1), uint32(2), uint32(4)
 
-	// blockValues is the number of vertices and ranks (labels sections),
-	// ranks (the permutation) or values (ints sections) one block covers:
+	// blockValues is the number of vertices and ranks (labels sections)
+	// or ranks (the permutation) one block covers:
 	// large enough that a block is tens to hundreds of kilobytes — one
 	// Write call, one encode job — and small enough that a
 	// 200,000-vertex index is ~150 blocks to spread over the workers.
@@ -101,8 +101,7 @@ type header struct {
 // Extras are the optional parts of an index file: what an index needs
 // beyond its labels to be reopened as the index it was.
 type Extras struct {
-	Graph *graph.Fingerprint // of the indexed graph (the original one, under Comp); nil if unnamed
-	Comp  []int32            // original vertex → component, for an index over an SCC condensation
+	Graph *graph.Fingerprint // of the indexed graph; nil if unnamed
 	// Budget > 0 makes this a capped index (see Budgeted) whose lists are
 	// complete where InFull and OutFull say so. It answers from its graph
 	// as well, so Graph must be set.
@@ -150,62 +149,12 @@ func (t *writeCounter) Write(p []byte) (int, error) {
 // put is Write for a caller that reads err when it has written all.
 func (t *writeCounter) put(p []byte) { _, _ = t.Write(p) }
 
-// writeInts writes vals — non-negative, as component IDs are — as an
-// ints section: one uvarint per value, framed in blocks. (A negative
-// value would be written as one of 2³¹ or more, which readInts refuses.)
-func writeInts(w *writeCounter, vals []int32) {
-	var buf []byte
-	for ; len(vals) > 0; vals = vals[min(len(vals), blockValues):] {
-		part := vals[:min(len(vals), blockValues)]
-		buf = sized(buf, blockHeaderRoom+binary.MaxVarintLen32*len(part))
-		pos := blockHeaderRoom
-		for _, v := range part {
-			pos += binary.PutUvarint(buf[pos:], uint64(uint32(v)))
-		}
-		w.put(sealBlock(buf, pos, int64(len(part))))
-	}
-}
-
-// readInts reads the count values of an ints section, each of which
-// must be below limit (at most 1<<31). The result grows only as blocks
-// actually arrive, so a corrupt count fails at the first missing block
-// instead of forcing a giant allocation.
-func readInts(br *bufio.Reader, count int, limit uint64) ([]int32, error) {
-	out := make([]int32, 0, min(count, blockValues))
-	var buf []byte
-	for len(out) < count {
-		want := min(count-len(out), blockValues)
-		entries, payload, err := readBlock(br, buf, 1)
-		if err != nil {
-			return nil, err
-		}
-		buf = payload
-		if entries != uint64(want) {
-			return nil, fmt.Errorf("corrupt block: %d values where %d belong", entries, want)
-		}
-		out = grow(out, want, count)
-		pos := 0
-		for i := 0; i < want; i++ {
-			v, k := binary.Uvarint(payload[pos:])
-			if k <= 0 || v >= limit {
-				return nil, fmt.Errorf("corrupt block: value %d of %d unreadable or not below %d", len(out), count, limit)
-			}
-			out = append(out, int32(v))
-			pos += k
-		}
-		if pos != len(payload) {
-			return nil, fmt.Errorf("corrupt block: %d bytes left over", len(payload)-pos)
-		}
-	}
-	return out, nil
-}
-
 // readBlock reads one block: its entry count and its payload, the
 // latter into buf (regrown as needed; hand the returned payload back
 // as the next call's buf to reuse it). The payload is read at most
 // payloadStep ahead of what has arrived, and a byte holds at most
-// perByte entries — a value or a flag byte of the ints and bitset
-// sections costs a byte, a permutation value at least a bit — so once
+// perByte entries — a flag byte of a bitset section costs a byte, a
+// permutation value at least a bit — so once
 // readBlock returns, entries is backed by bytes received and safe to
 // allocate against; it is also at most maxBlockEntries. A labels block
 // passes perByte 0: an inherited entry costs no bits, so its shapes
@@ -297,19 +246,12 @@ func (x *Index) WriteWith(out io.Writer, e Extras) (int64, error) {
 	if e.Graph != nil {
 		h.Parts |= partGraph
 	}
-	if e.Comp != nil {
-		h.Parts |= partComp
-	}
 	if e.Budget > 0 {
 		h.Parts |= partBudget
 	}
 	_ = binary.Write(w, binary.LittleEndian, h) // w remembers a failed write, and those after it do nothing
 	if e.Graph != nil {
 		_ = binary.Write(w, binary.LittleEndian, e.Graph)
-	}
-	if e.Comp != nil {
-		w.put(binary.AppendUvarint(nil, uint64(len(e.Comp))))
-		writeInts(w, e.Comp)
 	}
 	if e.Budget > 0 {
 		w.put(binary.AppendUvarint(nil, uint64(e.Budget)))
@@ -395,8 +337,8 @@ func (x *Index) WriteWith(out io.Writer, e Extras) (int64, error) {
 // optional part; one that has any belongs to reachlab.ReadIndex.
 func Read(r io.Reader) (*Index, error) {
 	x, e, err := ReadWith(r)
-	if err == nil && (e.Graph != nil || e.Comp != nil || e.Budget > 0) {
-		return nil, errors.New("label: this index file carries a graph fingerprint, a component table or a label budget; open it with reachlab.ReadIndex")
+	if err == nil && (e.Graph != nil || e.Budget > 0) {
+		return nil, errors.New("label: this index file carries a graph fingerprint or a label budget; open it with reachlab.ReadIndex")
 	}
 	return x, err
 }
@@ -448,7 +390,10 @@ func readHead(br *bufio.Reader) (h header, e Extras, err error) {
 	if h.Magic != indexMagic {
 		return h, e, errors.New("label: not an index file (bad magic)")
 	}
-	if h.N > 1<<31 || h.NIn > 1<<40 || h.NOut > 1<<40 || h.Parts > partGraph|partComp|partBudget || h.Parts&(partGraph|partBudget) == partBudget {
+	if h.Parts&partCondensed != 0 {
+		return h, e, errors.New("label: this index was built over an SCC condensation, which is no longer served; rebuild the index")
+	}
+	if h.N > 1<<31 || h.NIn > 1<<40 || h.NOut > 1<<40 || h.Parts > partGraph|partBudget || h.Parts&(partGraph|partBudget) == partBudget {
 		return h, e, fmt.Errorf("label: implausible index header n=%d parts=%#x", h.N, h.Parts)
 	}
 	if e, err = readExtras(br, h.Parts, int(h.N)); err != nil {
@@ -504,30 +449,18 @@ func (c *readCounter) Read(p []byte) (int, error) {
 }
 
 // readExtras reads the optional parts the header announces for an index
-// of n vertices and checks each against n: component IDs and flagged
-// vertices are below it, and the fingerprint is of a graph of as many
-// vertices as the index answers for.
+// of n vertices and checks each against n: flagged vertices are below
+// it, and the fingerprint is of a graph of as many vertices as the index
+// answers for.
 func readExtras(br *bufio.Reader, parts uint32, n int) (e Extras, err error) {
-	covered := uint64(n)
 	if parts&partGraph != 0 {
 		e.Graph = new(graph.Fingerprint)
 		if err := binary.Read(br, binary.LittleEndian, e.Graph); err != nil {
 			return e, fmt.Errorf("graph fingerprint: %w", noEOF(err))
 		}
-	}
-	if parts&partComp != 0 {
-		if covered, err = binary.ReadUvarint(br); err == nil && covered > 1<<31 {
-			err = fmt.Errorf("implausible size %d", covered)
+		if int64(e.Graph.N) != int64(n) {
+			return e, fmt.Errorf("graph fingerprint: it is of a graph of %d vertices, the index covers %d", e.Graph.N, n)
 		}
-		if err == nil {
-			e.Comp, err = readInts(br, int(covered), uint64(n))
-		}
-		if err != nil {
-			return e, fmt.Errorf("component table: %w", noEOF(err))
-		}
-	}
-	if e.Graph != nil && int64(e.Graph.N) != int64(covered) {
-		return e, fmt.Errorf("graph fingerprint: it is of a graph of %d vertices, the index covers %d", e.Graph.N, covered)
 	}
 	if parts&partBudget != 0 {
 		budget, err := binary.ReadUvarint(br)

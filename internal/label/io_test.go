@@ -934,6 +934,7 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		r("n beyond plausible", header(1, 1<<31+1), "implausible"),
 		r("a fourth optional part", header(1, uint64(x.n)|8<<32), "implausible"),
 		r("a label budget and no graph", header(1, uint64(x.n)|uint64(partBudget)<<32), "implausible"),
+		r("an SCC condensation's component table", header(1, uint64(x.n)|uint64(partGraph|partCondensed)<<32), "built over an SCC condensation, which is no longer served; rebuild the index"),
 		r("an optional part, to Read", mustWriteWith(t, x, Extras{Graph: &graph.Fingerprint{N: int32(x.n)}}), "reachlab.ReadIndex"),
 		r("n inflated", header(1, 1<<31), "values where 4096 belong"),
 		r("n deflated", header(1, uint64(x.n-1)), "a permutation gap leaves [0, 8241)"),

@@ -76,8 +76,8 @@ func TestPatchedMatchesFold(t *testing.T) {
 		for s := graph.VertexID(0); s < n; s++ {
 			row, _ := fx.ReachableFrom(ctx, s, all)
 			prow, _ := px.ReachableFrom(ctx, s, all)
-			size, _ := fx.ReachableSetSize(ctx, s, nil)
-			psize, _ := px.ReachableSetSize(ctx, s, nil)
+			size, _ := fx.ReachableSetSize(ctx, s)
+			psize, _ := px.ReachableSetSize(ctx, s)
 			if !slices.Equal(prow, row) || psize != size {
 				t.Fatalf("seed %d: sweep from %d differs", seed, s)
 			}

@@ -58,30 +58,21 @@ func (x *Index) ReachableFrom(ctx context.Context, s graph.VertexID, targets []g
 
 // ReachableSetSize returns |{t : q(s, t)}| over the whole ID space —
 // the one-source sweep with counting instead of materialization: the
-// number of true bits ReachableFrom(s, allVertices) would return. A
-// non-nil weight makes it Σ weight[t] over that set instead (a
-// condensed index counts each component by its size).
-func (x *Index) ReachableSetSize(ctx context.Context, s graph.VertexID, weight []int64) (int, error) {
+// number of true bits ReachableFrom(s, allVertices) would return.
+func (x *Index) ReachableSetSize(ctx context.Context, s graph.VertexID) (int, error) {
 	w := walkPool.Get().(*walk)
 	defer walkPool.Put(w)
 	x.markOut(w, s)
-	var total int64
+	total := 0
 	for t := graph.VertexID(0); int(t) < x.n; t++ {
 		if t%cancelPoll == 0 && ctx.Err() != nil {
 			return 0, ctx.Err()
 		}
 		if x.hitIn(w, t) {
-			total += weightOf(weight, t)
+			total++
 		}
 	}
-	return int(total), nil
-}
-
-func weightOf(weight []int64, t graph.VertexID) int64 {
-	if weight == nil {
-		return 1
-	}
-	return weight[t]
+	return total, nil
 }
 
 // Budgeted sweeps. Capped labels make a bare mark-table miss
@@ -129,20 +120,15 @@ func (b *Budgeted) ReachableFrom(ctx context.Context, s graph.VertexID, targets 
 	return res, nil
 }
 
-// ReachableSetSize returns |{t : q(s, t)}|, weighted as
-// Index.ReachableSetSize is. One unpruned BFS from s is exact
-// regardless of which lists overflowed and costs O(n + m) total, which
-// beats a label sweep whose misses against overflowed in-labels would
-// each need their own fallback.
-func (b *Budgeted) ReachableSetSize(ctx context.Context, s graph.VertexID, weight []int64) (int, error) {
+// ReachableSetSize returns |{t : q(s, t)}|. One unpruned BFS from s is
+// exact regardless of which lists overflowed and costs O(n + m) total,
+// which beats a label sweep whose misses against overflowed in-labels
+// would each need their own fallback.
+func (b *Budgeted) ReachableSetSize(ctx context.Context, s graph.VertexID) (int, error) {
 	w := walkPool.Get().(*walk)
 	defer walkPool.Put(w)
 	if _, err := w.run(ctx, b.g.NumVertices(), s, b.g.OutNeighbors, nil, false); err != nil {
 		return 0, err
 	}
-	var total int64
-	for _, v := range w.queue {
-		total += weightOf(weight, v)
-	}
-	return int(total), nil
+	return len(w.queue), nil
 }

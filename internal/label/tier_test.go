@@ -129,7 +129,7 @@ func TestTierKernelTable(t *testing.T) {
 					size++
 				}
 			}
-			if got, err := x.ReachableSetSize(ctx, src, nil); err != nil || got != size {
+			if got, err := x.ReachableSetSize(ctx, src); err != nil || got != size {
 				t.Fatalf("ReachableSetSize(%d) = %d (%v), the reference %d", src, got, err, size)
 			}
 		}

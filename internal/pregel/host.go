@@ -37,8 +37,8 @@ const RPCServiceName = "DRLWorker"
 
 // ProgramFactory creates the program for one run inside a host. It is
 // called once per run (the batch algorithm runs once per batch) with
-// the run's parameters; h.Job carries the job's, and worker state and
-// h.State persist across the job's runs.
+// the run's parameters; worker state and h.State persist across the
+// job's runs.
 type ProgramFactory func(h *Host, params map[string]string) (Program, error)
 
 var (
@@ -71,8 +71,6 @@ type InitArgs struct {
 	// GraphPath is loaded by the worker itself: in a real deployment
 	// every node reads its partition from shared storage.
 	GraphPath string
-	// Job is the master's Config.Job.
-	Job map[string]string
 }
 
 // InitReply tells the master the size of the graph the worker loaded,
@@ -110,7 +108,9 @@ type WorkerReply struct {
 	MsgsIn int
 	Out    [][]byte // Out[dst] = the packet for worker dst, nil for none
 	Bcasts [][]byte
-	// ComputeNanos is the duration of this worker's Superstep alone.
+	// ComputeNanos is the duration of this worker's Superstep plus its
+	// host's PreStep: every worker of a physical cluster applies the
+	// broadcasts to its own replica, so each pays for PreStep.
 	ComputeNanos int64
 	// MsgsOut is the number of records the worker put on the wire this
 	// step (post-combining).
@@ -142,11 +142,10 @@ type CollectReply struct {
 // and FinishRun on a per-run flag, so every mutating call is
 // effectively exactly-once under the master's at-least-once retries.
 type Host struct {
-	// Graph, Job and State are for program factories: the graph Init
-	// loaded, the job parameters it was given, and whatever a factory
-	// keeps between the job's runs (reset by every Init).
+	// Graph and State are for program factories: the graph Init loaded,
+	// and whatever a factory keeps between the job's runs (reset by every
+	// Init).
 	Graph *graph.Digraph
-	Job   map[string]string
 	State any
 
 	mu      sync.Mutex
@@ -208,7 +207,6 @@ func (h *Host) Init(args InitArgs, reply *InitReply) error {
 		return fmt.Errorf("worker %d: loading graph: %w", args.WorkerID, err)
 	}
 	h.hold(g, args.WorkerID, 1, args.NumWorkers)
-	h.Job = args.Job
 	reply.NumVertices = g.NumVertices()
 	return nil
 }
@@ -320,10 +318,11 @@ func (h *Host) Step(args StepArgs, reply *StepReply) error {
 			return err
 		}
 	}
+	pre := time.Since(busy)
 	if err := h.each(func(k int, w *Worker) (err error) {
 		start := time.Now()
 		out[k].Active, err = h.prog.Superstep(w, args.Step)
-		out[k].ComputeNanos = time.Since(start).Nanoseconds()
+		out[k].ComputeNanos = (pre + time.Since(start)).Nanoseconds()
 		return err
 	}); err != nil {
 		return err

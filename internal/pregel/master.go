@@ -123,7 +123,7 @@ func DialClusterOpts(addrs []string, graphPath string, cfg Config) (*Master, err
 }
 
 func (m *Master) initWorker(i int) error {
-	args := InitArgs{WorkerID: i, NumWorkers: m.p, GraphPath: m.graphPath, Job: m.cfg.Job}
+	args := InitArgs{WorkerID: i, NumWorkers: m.p, GraphPath: m.graphPath}
 	r, err := masterCall[InitReply](m, i, "Init", args)
 	if err == nil {
 		m.n = r.NumVertices
@@ -450,9 +450,9 @@ func (m *Master) runAttempt(met *Metrics) error {
 		}
 
 		// Route, and account the step. The BSP makespan of the step is
-		// the slowest worker's Superstep; everything else the step took
-		// outside its hosts' busy time — encode, transfer, routing,
-		// decode — is communication.
+		// the slowest worker's PreStep and Superstep; everything else the
+		// step took outside its hosts' busy time — encode, transfer,
+		// routing, decode — is communication.
 		row := obs.StepTrace{Run: m.runID, Step: step}
 		if trace != nil {
 			row.Workers = make([]obs.WorkerStep, 0, p)

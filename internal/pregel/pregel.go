@@ -47,7 +47,7 @@ type Msg struct {
 
 // Config configures the superstep loop. New reads Workers; the
 // DialCluster constructors take the worker count from their address
-// list and read Retry, CheckpointEvery, Dial and Job. The rest applies
+// list and read Retry, CheckpointEvery and Dial. The rest applies
 // to both.
 type Config struct {
 	// Workers is the number of computation nodes P of an in-process
@@ -78,10 +78,6 @@ type Config struct {
 	// Dial opens worker connections; nil means DialRPC. Recovery
 	// re-invokes it for the failed worker's address.
 	Dial Dialer
-	// Job is handed to every worker's Init and from there to the
-	// program factories: what a job fixes once rather than per run
-	// (the labelers' ordering strategy).
-	Job map[string]string
 }
 
 // Program is a distributed vertex-centric computation. One Program

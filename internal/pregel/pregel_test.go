@@ -217,6 +217,39 @@ func TestMaxSuperstepsGuard(t *testing.T) {
 	}
 }
 
+// sleepyPreStep spends 5 ms in PreStep and nothing in Superstep, for
+// steps supersteps.
+type sleepyPreStep struct{ steps int }
+
+func (p *sleepyPreStep) PreStep(workers []*Worker, step int) error {
+	time.Sleep(5 * time.Millisecond)
+	return nil
+}
+
+func (p *sleepyPreStep) Superstep(w *Worker, step int) (bool, error) {
+	return step+1 < p.steps, nil
+}
+
+func (p *sleepyPreStep) Finish(w *Worker) error { return nil }
+
+// TestPreStepIsCompute: the time a host spends in PreStep — applying
+// broadcasts to the replica every worker of a real cluster holds — is
+// compute, not communication and not lost.
+func TestPreStepIsCompute(t *testing.T) {
+	const steps = 12
+	e := New(ring(6), Config{Workers: 3})
+	met, err := e.Run(&sleepyPreStep{steps: steps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met.Supersteps != steps {
+		t.Fatalf("%d supersteps, want %d", met.Supersteps, steps)
+	}
+	if want := 10 * 5 * time.Millisecond; met.ComputeTime < want {
+		t.Errorf("ComputeTime = %v over %d PreSteps of 5 ms, want ≥ %v", met.ComputeTime, steps, want)
+	}
+}
+
 // TestMsgCodecRoundTrip quick-checks the wire encoding.
 func TestMsgCodecRoundTrip(t *testing.T) {
 	f := func(dst uint32, kind uint8, val, val2 int32) bool {

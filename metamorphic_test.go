@@ -167,17 +167,9 @@ func TestMetamorphicSwapPreservesRefreeze(t *testing.T) {
 }
 
 // TestMetamorphicBatchEquality: ReachableBatch must agree with
-// Reachable pair-for-pair on every method, including the condensed
-// index whose component table the batch path has to map through.
+// Reachable pair-for-pair on every method.
 func TestMetamorphicBatchEquality(t *testing.T) {
 	variants := metamorphicVariants()
-	variants = append(variants, struct {
-		name string
-		opts Options
-	}{"tol-condensed", Options{Method: MethodTOL, CondenseSCC: true}})
-
-	// A cyclic graph makes the condensed variant's component table
-	// nontrivial.
 	g := randomCyclicGraph(80, 260, 5)
 	rng := rand.New(rand.NewSource(6))
 	pairs := make([]Pair, 700)

@@ -1,10 +1,6 @@
 package reachlab
 
-import (
-	"net/http"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // MetricsRegistry collects counters, gauges, latency histograms, and
 // per-superstep traces from every layer that is handed one: the pregel
@@ -12,8 +8,7 @@ import (
 // the DRL builders ("drl_*"), and the query server ("reachlab_*").
 // The zero-dependency implementation lives in internal/obs; this alias
 // is the public handle so callers can plumb one registry through
-// Options, ClusterOptions, and NewQueryHandlerObs, then expose it with
-// MountObservability.
+// Options, ClusterOptions, and NewQueryHandlerObs.
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns a fresh, empty registry.
@@ -22,11 +17,3 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.New() }
 // DefaultMetrics returns the process-wide default registry, used by
 // NewQueryHandler and the cmd/ binaries.
 func DefaultMetrics() *MetricsRegistry { return obs.Default }
-
-// MountObservability registers the observability endpoints on mux:
-// GET /metrics (Prometheus text format), GET /trace (JSON superstep
-// traces), and the net/http/pprof profiling handlers under
-// /debug/pprof/.
-func MountObservability(mux *http.ServeMux, reg *MetricsRegistry) {
-	obs.Mount(mux, reg)
-}

@@ -3,11 +3,16 @@ package reachlab
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/label"
+	"repro/internal/order"
+	"repro/internal/tol"
 )
 
 // startTestWorkers serves n cluster workers on ephemeral localhost
@@ -28,9 +33,9 @@ func startTestWorkers(t *testing.T, n int) []string {
 	return addrs
 }
 
-// TestClusterBuildOptions: a cluster build honours Options.Order — its
-// file is the in-process build's, byte for byte — and refuses the
-// options it cannot honour by name instead of building something else.
+// TestClusterBuildOptions: a cluster build's file is the in-process
+// build's, byte for byte, and the cluster refuses the option it cannot
+// honour by name instead of building something else.
 func TestClusterBuildOptions(t *testing.T) {
 	g, err := GenerateGraph("web", 400, 3, 6)
 	if err != nil {
@@ -48,7 +53,7 @@ func TestClusterBuildOptions(t *testing.T) {
 		return buf.Bytes()
 	}
 	for _, method := range []Method{MethodDRL, MethodDRLBatch} {
-		opts := Options{Method: method, Order: "degree-sum", Workers: 2}
+		opts := Options{Method: method, Workers: 2}
 		local, err := Build(context.Background(), g, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -58,36 +63,33 @@ func TestClusterBuildOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(file(local), file(cluster)) {
-			t.Errorf("%s under degree-sum: the cluster's index file differs from the in-process build's", method)
+			t.Errorf("%s: the cluster's index file differs from the in-process build's", method)
 		}
 		if l, c := local.BuildStats(), cluster.BuildStats(); l.Supersteps != c.Supersteps || l.Messages != c.Messages || l.BytesRemote != c.BytesRemote {
 			t.Errorf("%s: in process {%d %d %d}, cluster {%d %d %d} supersteps/messages/remote bytes",
 				method, l.Supersteps, l.Messages, l.BytesRemote, c.Supersteps, c.Messages, c.BytesRemote)
 		}
 	}
-	for name, opts := range map[string]Options{
-		"CondenseSCC": {CondenseSCC: true},
-		"LabelBudget": {LabelBudget: 8},
-	} {
-		if _, err := BuildOverCluster(nil, path, opts); err == nil || !strings.Contains(err.Error(), name) {
-			t.Errorf("Options.%s over a cluster: got %v, want a refusal naming it", name, err)
-		}
+	if _, err := BuildOverCluster(nil, path, Options{LabelBudget: 8}); err == nil || !strings.Contains(err.Error(), "LabelBudget") {
+		t.Errorf("Options.LabelBudget over a cluster: got %v, want a refusal naming it", err)
 	}
 }
 
 // TestOrderStrategiesAllCorrect: any total order yields a correct
-// index; only the size varies.
+// index; only the size varies, and Build, whatever its method, fixes
+// the paper's degree-product order, which beats a random one.
 func TestOrderStrategiesAllCorrect(t *testing.T) {
 	g, err := GenerateGraph("web", 400, 3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := map[string]int64{}
-	for _, strat := range []string{"", "degree-product", "degree-sum", "out-degree", "id", "random"} {
-		idx, err := Build(context.Background(), g, Options{Order: strat, Workers: 2})
+	sizes := map[order.Strategy]int64{}
+	for _, strat := range order.Strategies() {
+		ord, err := order.ComputeStrategy(g.d, strat)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
+		idx := tol.Build(g.d, ord)
 		for s := VertexID(0); s < 60; s++ {
 			for d := VertexID(340); d < 400; d++ {
 				if idx.Reachable(s, d) != g.ReachableBFS(s, d) {
@@ -95,19 +97,43 @@ func TestOrderStrategiesAllCorrect(t *testing.T) {
 				}
 			}
 		}
-		sizes[strat] = idx.Stats().Entries
+		sizes[strat] = idx.Entries()
 	}
-	if sizes["degree-product"] > sizes["random"] {
+	if sizes[order.StrategyDegreeProduct] > sizes[order.StrategyRandom] {
 		t.Errorf("degree-product (%d entries) should beat random order (%d entries)",
-			sizes["degree-product"], sizes["random"])
+			sizes[order.StrategyDegreeProduct], sizes[order.StrategyRandom])
 	}
-	if _, err := Build(context.Background(), g, Options{Order: "nope"}); err == nil {
+	want := tol.Build(g.d, order.Compute(g.d))
+	for _, method := range []Method{MethodTOL, MethodDRL, MethodDRLBatch, MethodDRLShared} {
+		idx, err := Build(context.Background(), g, Options{Method: method, Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		if !want.Equal(idx.LabelIndex()) {
+			t.Errorf("%s: Build's index is not the degree-product order's: %s", method, want.Diff(idx.LabelIndex()))
+		}
+	}
+	if _, err := order.ComputeStrategy(g.d, "nope"); err == nil {
 		t.Error("unknown order strategy should fail")
 	}
 }
 
-// TestCondenseSCC: the condensed index answers like the raw one and
-// is smaller on cyclic graphs.
+// buildCondensed builds g's SCC condensation, a DAG, and returns its
+// index with the component of every vertex of g: the preprocessing the
+// condensation ablation measures.
+func buildCondensed(t *testing.T, g *Graph, opts Options) (*Index, []int32) {
+	t.Helper()
+	dag, comp := graph.Condense(g.d)
+	idx, err := Build(context.Background(), &Graph{d: dag}, opts)
+	if err != nil {
+		t.Fatalf("%+v over the condensation: %v", opts, err)
+	}
+	return idx, comp
+}
+
+// TestCondenseSCC: an index of the condensation answers like the raw
+// graph's once queries go through the component table, and is smaller
+// on cyclic graphs.
 func TestCondenseSCC(t *testing.T) {
 	g, err := GenerateGraph("social", 1500, 4, 77)
 	if err != nil {
@@ -117,17 +143,14 @@ func TestCondenseSCC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cond, err := Build(context.Background(), g, Options{Workers: 2, CondenseSCC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cond.NumVertices() != g.NumVertices() {
-		t.Errorf("condensed index must still cover %d vertices, got %d",
-			g.NumVertices(), cond.NumVertices())
+	cond, comp := buildCondensed(t, g, Options{Workers: 2})
+	if len(comp) != g.NumVertices() || cond.NumVertices() >= g.NumVertices() {
+		t.Errorf("%d components for %d vertices, %d in the table: a social graph must condense",
+			cond.NumVertices(), g.NumVertices(), len(comp))
 	}
 	for s := VertexID(0); s < 80; s++ {
 		for d := VertexID(1400); d < 1500; d++ {
-			if raw.Reachable(s, d) != cond.Reachable(s, d) {
+			if raw.Reachable(s, d) != cond.Reachable(VertexID(comp[s]), VertexID(comp[d])) {
 				t.Fatalf("condensed index disagrees on (%d,%d)", s, d)
 			}
 		}
@@ -138,69 +161,43 @@ func TestCondenseSCC(t *testing.T) {
 	}
 }
 
-// TestCondensedIndexRoundTrip: the index file carries the component
-// table through serialization.
-func TestCondensedIndexRoundTrip(t *testing.T) {
-	g := NewGraph(11, testEdges())
-	idx, err := Build(context.Background(), g, Options{CondenseSCC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	n, err := idx.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-	}
-	file := buf.Bytes()
-	got, err := ReadIndex(bytes.NewReader(file))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := VertexID(0); s < 11; s++ {
-		for d := VertexID(0); d < 11; d++ {
-			want := g.ReachableBFS(s, d)
-			if got.Reachable(s, d) != want {
-				t.Fatalf("loaded condensed index wrong on (%d,%d)", s, d)
-			}
-		}
-	}
+// condensedFile is the file an earlier build wrote for the 11-vertex
+// example under the removed CondenseSCC option: header, fingerprint,
+// the component table, then the lists.
+const condensedFile = "3658444e494c524406000000030000000e0000000000000006000000000000000b0000009b4b91d30f000000000000000b0b0b0205050502050201000403060402b3942a0e09010000000077db0a00060700000000005505"
 
-	// Behind the 32-byte header and the 16-byte fingerprint, the table is
-	// its length at byte 48 and one block: 11 values in 11 bytes, the
-	// first component ID at byte 51.
-	damaged := func(at int, b byte) []byte {
-		bad := append([]byte(nil), file...)
-		bad[at] = b
-		return bad
+// TestCondensedIndexRoundTrip: an index file that carries a component
+// table no longer round-trips. Every reader refuses it by name at its
+// header, so the file is rebuilt rather than misread.
+func TestCondensedIndexRoundTrip(t *testing.T) {
+	file, err := hex.DecodeString(condensedFile)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, c := range map[string]struct {
-		file []byte
-		want string
-	}{
-		"component ID out of range":  {damaged(51, 0x7f), "component table: corrupt block: value"},
-		"table longer than claimed":  {damaged(48, 10), "component table: corrupt block: 11 values where 10 belong"},
-		"table shorter than claimed": {damaged(48, 12), "component table: corrupt block: 11 values where 12 belong"},
-		"table cut short":            {file[:55], "component table: block payload: unexpected EOF"},
-		"table announced and absent": {file[:48], "component table: unexpected EOF"},
-		"to label.Read":              {file, "reachlab.ReadIndex"},
+	const want = "built over an SCC condensation, which is no longer served; rebuild the index"
+	g := NewGraph(11, testEdges())
+	path := filepath.Join(t.TempDir(), "cond.idx")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range map[string]func() error{
+		"ReadIndex":  func() error { _, err := ReadIndex(bytes.NewReader(file)); return err },
+		"readIndex":  func() error { _, err := readIndex(bytes.NewReader(file), g); return err },
+		"OpenIndex":  func() error { _, err := OpenIndex(path, g); return err },
+		"label.Read": func() error { _, err := label.Read(bytes.NewReader(file)); return err },
 	} {
-		_, err := ReadIndex(bytes.NewReader(c.file))
-		if name == "to label.Read" {
-			_, err = label.Read(bytes.NewReader(c.file))
-		}
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want one about %q", name, err, c.want)
+		if err := read(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one about %q", name, err, want)
 		}
 	}
 }
 
 // TestReadIndexRejectsGarbage damages, one field at a time, a file that
-// has all three optional parts — the index of the 11-vertex example's
-// condensation, capped at one label per list — and the magic of every
-// format before this one. Each must fail for its own reason.
+// has both optional parts — the index of the 11-vertex example, capped
+// at one label per list — and the magic of every format before this
+// one, and announces the component table of an index over an SCC
+// condensation, which no build makes any more (TestCondensedIndexRoundTrip
+// reads such a file whole). Each must fail for its own reason.
 func TestReadIndexRejectsGarbage(t *testing.T) {
 	if _, err := ReadIndex(bytes.NewReader([]byte("garbage garbage garbage"))); err == nil {
 		t.Error("expected error for garbage input")
@@ -209,7 +206,7 @@ func TestReadIndexRejectsGarbage(t *testing.T) {
 		t.Error("expected error for empty input")
 	}
 	g := NewGraph(11, testEdges())
-	idx, err := Build(context.Background(), g, Options{CondenseSCC: true, LabelBudget: 1})
+	idx, err := Build(context.Background(), g, Options{LabelBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +219,11 @@ func TestReadIndexRejectsGarbage(t *testing.T) {
 		t.Fatalf("the undamaged file: %v", err)
 	}
 	// header [0,32): magic, n at 8, the parts word at 12; fingerprint
-	// [32,48): its n at 32; table [48,62); then the cap at 62 and two
-	// bitset blocks of one byte each for the comps ≤ 8 components:
-	// entries, bytes, flags at 63–65 and 66–68.
-	comps := idx.LabelIndex().NumVertices()
-	if comps > 8 || len(file) < 69 {
-		t.Fatalf("fixture moved: %d components, %d bytes", comps, len(file))
+	// [32,48): its n at 32; then the cap at 48 and two bitset blocks of
+	// two bytes each for the 11 vertices: entries, bytes, flags at 49–52
+	// and 53–56.
+	if len(file) < 57 || file[12] != 5 {
+		t.Fatalf("fixture moved: %d bytes, parts %#x", len(file), file[12])
 	}
 	damaged := func(at int, b byte) []byte {
 		bad := append([]byte(nil), file...)
@@ -252,17 +248,18 @@ func TestReadIndexRejectsGarbage(t *testing.T) {
 		"its envelope":                  {retired("RLIXNVE2"), "rebuild the index"},
 		"the fixed-width format":        {retired("DRLINDEX"), "rebuild the index"},
 		"the fixed-width envelope":      {retired("RLIXNVE1"), "rebuild the index"},
-		"a fourth optional part":        {damaged(12, 15), "implausible index header"},
-		"a budget and no fingerprint":   {damaged(12, 6), "implausible index header"},
+		"an SCC condensation's table":   {damaged(12, 7), "built over an SCC condensation, which is no longer served; rebuild the index"},
+		"a fourth optional part":        {damaged(12, 13), "implausible index header"},
+		"a budget and no fingerprint":   {damaged(12, 4), "implausible index header"},
 		"fingerprint cut short":         {file[:40], "graph fingerprint: unexpected EOF"},
 		"fingerprint of the wrong n":    {damaged(32, 12), "graph fingerprint: it is of a graph of 12 vertices, the index covers 11"},
-		"budget announced and absent":   {file[:62], "label budget: unexpected EOF"},
-		"a cap of zero":                 {damaged(62, 0), "label budget: implausible cap 0"},
-		"flags cut short":               {file[:65], "label budget: block payload: unexpected EOF"},
-		"second flags absent":           {file[:66], "label budget: block header: unexpected EOF"},
-		"flags longer than claimed":     {damaged(63, 0), "label budget: corrupt block: 0 entries in 1 bytes of flags"},
-		"flags' byte length lied about": {damaged(64, 2), "label budget: corrupt block: 1 entries in 2 bytes of flags"},
-		"a flag for a vertex ≥ n":       {damaged(68, file[68]|0x80), "label budget: corrupt block: a flag is set for a vertex that is not below"},
+		"budget announced and absent":   {file[:48], "label budget: unexpected EOF"},
+		"a cap of zero":                 {damaged(48, 0), "label budget: implausible cap 0"},
+		"flags cut short":               {file[:51], "label budget: block payload: unexpected EOF"},
+		"second flags absent":           {file[:53], "label budget: block header: unexpected EOF"},
+		"flags longer than claimed":     {damaged(49, 0), "label budget: corrupt block: 0 entries in 2 bytes of flags"},
+		"flags' byte length lied about": {damaged(50, 3), "label budget: corrupt block: 2 entries in 3 bytes of flags"},
+		"a flag for a vertex ≥ n":       {damaged(56, file[56]|0x80), "label budget: corrupt block: a flag is set for a vertex that is not below"},
 	} {
 		if _, err := readIndex(bytes.NewReader(c.file), g); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one about %q", name, err, c.want)

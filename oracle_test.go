@@ -9,8 +9,7 @@ import (
 // randomCyclicGraph samples m uniform directed edges over n vertices.
 // At these densities the graph always contains directed cycles (and so
 // nontrivial SCCs), which is what makes it a worthwhile oracle target:
-// cycles exercise both the label pruning and, with CondenseSCC, the
-// component-table query path.
+// cycles exercise the label pruning.
 func randomCyclicGraph(n, m int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	edges := make([]Edge, 0, m)
@@ -25,7 +24,7 @@ func randomCyclicGraph(n, m int, seed int64) *Graph {
 
 // TestReachableMatchesBFSOracle is the randomized query-equivalence
 // property: for seeded random cyclic digraphs, every construction
-// method (and the SCC-condensed variant) must answer ~1000 query pairs
+// method must answer ~1000 query pairs
 // exactly as the index-free BFS oracle does.
 func TestReachableMatchesBFSOracle(t *testing.T) {
 	type variant struct {
@@ -37,8 +36,6 @@ func TestReachableMatchesBFSOracle(t *testing.T) {
 		{"drl", Options{Method: MethodDRL, Workers: 3}},
 		{"drl-batch", Options{Method: MethodDRLBatch, Workers: 4}},
 		{"drl-shared", Options{Method: MethodDRLShared, Workers: 4}},
-		{"tol-condensed", Options{Method: MethodTOL, CondenseSCC: true}},
-		{"drl-batch-condensed", Options{Method: MethodDRLBatch, Workers: 4, CondenseSCC: true}},
 	}
 	seeds := []int64{11, 12, 13}
 	if testing.Short() {

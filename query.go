@@ -21,8 +21,7 @@ var ErrNoGraph = errors.New("reachlab: index has no attached graph (use AttachGr
 
 // AttachGraph attaches the indexed graph so WitnessPath can
 // reconstruct actual paths. The graph must be the one the index was
-// built from (for a condensed index, the original pre-condensation
-// graph), and this is the one place that decides whether it is: by
+// built from, and this is the one place that decides whether it is: by
 // fingerprint for an index a build made or a file brought back, by
 // vertex count for an epoch of an Updater, which carries none. Builds
 // attach the graph automatically; an index loaded with ReadIndex starts
@@ -59,9 +58,7 @@ func (x *Index) outNeighbors(v VertexID) []VertexID {
 // intersection prunes every branch that cannot reach t. Since every
 // vertex on every s→t path reaches t, all s→t paths survive the
 // pruning, so the BFS still finds a shortest path; the pruning only
-// removes dead branches. For a condensed index Reachable maps through
-// the component table, so the walk transparently threads through SCCs
-// of the original graph.
+// removes dead branches.
 //
 // The path is positions s..t inclusive; s == t yields [s]. The only
 // errors are ErrNoGraph and an attached graph that contradicts the
@@ -101,10 +98,8 @@ func (x *Index) ReachableFrom(s VertexID, targets []VertexID) []bool {
 	return res
 }
 
-// ReachableSetSize returns |{t : q(s, t)}| over the original vertex
-// space — for a condensed index each component hit is weighted by the
-// number of original vertices it contains.
+// ReachableSetSize returns |{t : q(s, t)}| over the whole vertex space.
 func (x *Index) ReachableSetSize(s VertexID) int {
-	n, _ := x.q.ReachableSetSize(context.Background(), s, nil) // only a cancelled ctx fails it
+	n, _ := x.q.ReachableSetSize(context.Background(), s) // only a cancelled ctx fails it
 	return n
 }

@@ -7,36 +7,42 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // Oracle suite for the rich-query primitives: WitnessPath,
 // ReachableFrom, and ReachableSetSize verified against BFS ground
-// truth over seeded cyclic digraphs, across every build method, with
-// and without SCC condensation, and under label budgets down to 1 —
-// the same variant grid oracle_test.go runs for boolean queries.
+// truth over seeded cyclic digraphs and their SCC condensations, across
+// every build method and under label budgets down to 1 — the same
+// variant grid oracle_test.go runs for boolean queries.
 
 // queryVariants is the build grid every primitive must agree across.
+// The -scc variants label the graph's SCC condensation — a DAG, the
+// input the condensation ablation labels — instead of the graph.
 func queryVariants() []struct {
-	name string
-	opts Options
+	name     string
+	opts     Options
+	condense bool
 } {
 	return []struct {
-		name string
-		opts Options
+		name     string
+		opts     Options
+		condense bool
 	}{
-		{"tol", Options{Method: MethodTOL}},
-		{"drl-basic", Options{Method: MethodDRLBasic, Workers: 2}},
-		{"drl", Options{Method: MethodDRL, Workers: 2}},
-		{"drl-batch", Options{Method: MethodDRLBatch, Workers: 2}},
-		{"drl-shared", Options{Method: MethodDRLShared, Workers: 2}},
-		{"tol-scc", Options{Method: MethodTOL, CondenseSCC: true}},
-		{"drl-batch-scc", Options{Method: MethodDRLBatch, Workers: 2, CondenseSCC: true}},
-		{"budget-1", Options{LabelBudget: 1}},
-		{"budget-4", Options{LabelBudget: 4}},
-		{"budget-2-scc", Options{LabelBudget: 2, CondenseSCC: true}},
-		{"budget-1-shared", Options{LabelBudget: 1, Method: MethodDRLShared, Workers: 3}},
-		{"budget-1-shared-scc", Options{LabelBudget: 1, Method: MethodDRLShared, Workers: 3, CondenseSCC: true}},
-		{"budget-1-serial", Options{LabelBudget: 1, Workers: 1}},
+		{"tol", Options{Method: MethodTOL}, false},
+		{"drl-basic", Options{Method: MethodDRLBasic, Workers: 2}, false},
+		{"drl", Options{Method: MethodDRL, Workers: 2}, false},
+		{"drl-batch", Options{Method: MethodDRLBatch, Workers: 2}, false},
+		{"drl-shared", Options{Method: MethodDRLShared, Workers: 2}, false},
+		{"tol-scc", Options{Method: MethodTOL}, true},
+		{"drl-batch-scc", Options{Method: MethodDRLBatch, Workers: 2}, true},
+		{"budget-1", Options{LabelBudget: 1}, false},
+		{"budget-4", Options{LabelBudget: 4}, false},
+		{"budget-2-scc", Options{LabelBudget: 2}, true},
+		{"budget-1-shared", Options{LabelBudget: 1, Method: MethodDRLShared, Workers: 3}, false},
+		{"budget-1-shared-scc", Options{LabelBudget: 1, Method: MethodDRLShared, Workers: 3}, true},
+		{"budget-1-serial", Options{LabelBudget: 1, Workers: 1}, false},
 	}
 }
 
@@ -120,17 +126,21 @@ func TestRichQueriesMatchBFSOracle(t *testing.T) {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		g := randomCyclicGraph(60, 200, seed)
-		n := g.NumVertices()
-		dist := bfsAllDistances(g)
-		edges := edgeSet(g)
-		all := make([]VertexID, n)
-		for i := range all {
-			all[i] = VertexID(i)
-		}
-
+		raw := randomCyclicGraph(60, 200, seed)
+		cond, _ := graph.Condense(raw.d)
 		for _, v := range queryVariants() {
 			t.Run(v.name, func(t *testing.T) {
+				g := raw
+				if v.condense {
+					g = &Graph{d: cond}
+				}
+				n := g.NumVertices()
+				dist := bfsAllDistances(g)
+				edges := edgeSet(g)
+				all := make([]VertexID, n)
+				for i := range all {
+					all[i] = VertexID(i)
+				}
 				idx, err := Build(context.Background(), g, v.opts)
 				if err != nil {
 					t.Fatal(err)
@@ -138,7 +148,7 @@ func TestRichQueriesMatchBFSOracle(t *testing.T) {
 				if !idx.HasGraph() {
 					t.Fatal("freshly built index has no graph attached")
 				}
-				if v.opts.LabelBudget > 0 && v.opts.LabelBudget < 3 && !v.opts.CondenseSCC {
+				if v.opts.LabelBudget > 0 && v.opts.LabelBudget < 3 && !v.condense {
 					// The small budgets exist to exercise the fallback; a
 					// graph this dense must overflow somewhere. (Condensation
 					// shrinks labels enough that small budgets may fit.)
@@ -203,7 +213,7 @@ func TestRichQueriesStableAcrossRefreeze(t *testing.T) {
 	for i := range all {
 		all[i] = VertexID(i)
 	}
-	for _, opts := range []Options{{}, {CondenseSCC: true}, {LabelBudget: 2}} {
+	for _, opts := range []Options{{}, {LabelBudget: 2}} {
 		a, err := Build(context.Background(), g, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -233,8 +243,7 @@ func TestRichQueriesStableAcrossRefreeze(t *testing.T) {
 // AttachGraph supplies it — and then answers exactly like the
 // original. AttachGraph rejects every graph but the indexed one, the
 // same vertex count over other edges included, by the fingerprint the
-// file carries. The roundtrip also exercises the condensed plan's
-// component sizes.
+// file carries.
 func TestWitnessPathGraphAttachment(t *testing.T) {
 	g := randomCyclicGraph(40, 130, 31)
 	n := g.NumVertices()
@@ -242,52 +251,49 @@ func TestWitnessPathGraphAttachment(t *testing.T) {
 	for i := range all {
 		all[i] = VertexID(i)
 	}
-	for _, opts := range []Options{{}, {CondenseSCC: true}} {
-		idx, err := Build(context.Background(), g, opts)
-		if err != nil {
-			t.Fatal(err)
+	idx, err := Build(context.Background(), g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadIndex(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.HasGraph() {
+		t.Fatal("deserialized index claims a graph")
+	}
+	if _, err := loaded.WitnessPath(0, 1); err != ErrNoGraph {
+		t.Fatalf("WitnessPath without graph: err = %v, want ErrNoGraph", err)
+	}
+	// Boolean sweeps need no graph and survive the roundtrip.
+	for s := 0; s < n; s += 7 {
+		if !slices.Equal(loaded.ReachableFrom(VertexID(s), all), idx.ReachableFrom(VertexID(s), all)) {
+			t.Fatalf("ReachableFrom(%d) differs after roundtrip", s)
 		}
-		var buf bytes.Buffer
-		if _, err := idx.WriteTo(&buf); err != nil {
-			t.Fatal(err)
+		if loaded.ReachableSetSize(VertexID(s)) != idx.ReachableSetSize(VertexID(s)) {
+			t.Fatalf("ReachableSetSize(%d) differs after roundtrip", s)
 		}
-		loaded, err := ReadIndex(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loaded.HasGraph() {
-			t.Fatal("deserialized index claims a graph")
-		}
-		if _, err := loaded.WitnessPath(0, 1); err != ErrNoGraph {
-			t.Fatalf("WitnessPath without graph: err = %v, want ErrNoGraph", err)
-		}
-		// Boolean sweeps need no graph and survive the roundtrip (the
-		// condensed variant recounts its component sizes in ReadIndex).
-		for s := 0; s < n; s += 7 {
-			if !slices.Equal(loaded.ReachableFrom(VertexID(s), all), idx.ReachableFrom(VertexID(s), all)) {
-				t.Fatalf("ReachableFrom(%d) differs after roundtrip", s)
-			}
-			if loaded.ReachableSetSize(VertexID(s)) != idx.ReachableSetSize(VertexID(s)) {
-				t.Fatalf("ReachableSetSize(%d) differs after roundtrip", s)
-			}
-		}
-		if err := loaded.AttachGraph(randomCyclicGraph(41, 130, 31)); err == nil {
-			t.Fatal("AttachGraph accepted a graph with the wrong vertex count")
-		}
-		err = loaded.AttachGraph(randomCyclicGraph(40, 130, 32))
-		if err == nil || strings.Count(err.Error(), "N:40 ") != 2 || loaded.HasGraph() {
-			t.Fatalf("AttachGraph of 40 vertices over other edges: err = %v, want a refusal naming both fingerprints", err)
-		}
-		if err := loaded.AttachGraph(g); err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < 200; k++ {
-			s, tt := VertexID(k%n), VertexID((k*11+2)%n)
-			pa, erra := idx.WitnessPath(s, tt)
-			pb, errb := loaded.WitnessPath(s, tt)
-			if erra != nil || errb != nil || !slices.Equal(pa, pb) {
-				t.Fatalf("WitnessPath(%d,%d) differs after attach: %v/%v vs %v/%v", s, tt, pa, erra, pb, errb)
-			}
+	}
+	if err := loaded.AttachGraph(randomCyclicGraph(41, 130, 31)); err == nil {
+		t.Fatal("AttachGraph accepted a graph with the wrong vertex count")
+	}
+	err = loaded.AttachGraph(randomCyclicGraph(40, 130, 32))
+	if err == nil || strings.Count(err.Error(), "N:40 ") != 2 || loaded.HasGraph() {
+		t.Fatalf("AttachGraph of 40 vertices over other edges: err = %v, want a refusal naming both fingerprints", err)
+	}
+	if err := loaded.AttachGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 200; k++ {
+		s, tt := VertexID(k%n), VertexID((k*11+2)%n)
+		pa, erra := idx.WitnessPath(s, tt)
+		pb, errb := loaded.WitnessPath(s, tt)
+		if erra != nil || errb != nil || !slices.Equal(pa, pb) {
+			t.Fatalf("WitnessPath(%d,%d) differs after attach: %v/%v vs %v/%v", s, tt, pa, erra, pb, errb)
 		}
 	}
 }
@@ -310,11 +316,11 @@ func leastAllocated(f func()) uint64 {
 // TestRichQueryMemoryIndependentOfN: a warm witness path and a warm
 // set-size count allocate for their answer, not for the graph — no
 // 4n-byte parent array per path, no n-entry target and answer lists
-// per count on a condensed index. A short chain and a 2-cycle sit in a
-// 65,536-vertex ID space; each query must stay under 1 KiB.
+// per count. A short chain and a 2-cycle sit in a 65,536-vertex ID
+// space; each query must stay under 1 KiB.
 func TestRichQueryMemoryIndependentOfN(t *testing.T) {
 	g := NewGraph(1<<16, []Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 3, To: 4}, {From: 4, To: 3}})
-	for _, opts := range []Options{{Method: MethodDRLShared}, {Method: MethodDRLShared, CondenseSCC: true}} {
+	for _, opts := range []Options{{Method: MethodDRLShared}} {
 		idx, err := Build(context.Background(), g, opts)
 		if err != nil {
 			t.Fatal(err)

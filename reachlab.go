@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"time"
 
 	"repro/internal/drl"
@@ -60,17 +59,6 @@ type Options struct {
 	// of the cluster interconnect. Zero disables network simulation;
 	// it never applies to MethodTOL or MethodDRLShared.
 	NetworkLatency time.Duration
-	// Order selects the total-order heuristic: "degree-product"
-	// (default, the paper's choice), "degree-sum", "out-degree",
-	// "id", or "random". Any total order yields a correct index; the
-	// heuristic trades index size and build time.
-	Order string
-	// CondenseSCC builds the index over the SCC condensation instead
-	// of the raw graph and maps queries through the component table.
-	// The paper does not condense (distributed SCC is expensive,
-	// §II-C); this option quantifies the trade-off on centralized
-	// builds.
-	CondenseSCC bool
 	// Obs receives build-time counters and superstep traces; nil
 	// disables observability (see MetricsRegistry).
 	Obs *MetricsRegistry
@@ -147,14 +135,13 @@ type BuildStats struct {
 // exception — it retains the graph for fallback queries, so its file
 // is served from a machine that holds the graph too.
 type Index struct {
-	// q is the representation that answers: the plain label index, the
-	// budgeted one, or either behind the SCC component table. newIndex
-	// picks it once; the query methods ask it and nothing else.
+	// q is the representation that answers: the plain label index or the
+	// budgeted one. newIndex picks it once; the query methods ask it and
+	// nothing else.
 	q    plan
 	idx  *label.Index    // the label payload: Stats, WriteTo, LabelIndex
 	bidx *label.Budgeted // non-nil for memory-bounded builds; retains the graph
-	comp []int32         // optional SCC-condensation mapping
-	g    *graph.Digraph  // original graph, when available (witness paths)
+	g    *graph.Digraph  // the indexed graph, when available (witness paths)
 	// fp identifies the indexed graph, so that the index's file can say
 	// which graph it belongs to: set by a build or brought back from a
 	// file; nil on an epoch of an Updater or DynamicIndex, whose graph —
@@ -166,75 +153,23 @@ type Index struct {
 	stats BuildStats
 }
 
-// plan is what every representation of an index answers: label.Index
-// and label.Budgeted as they are, condensed around either. The two
-// one-source sweeps run under the request's context (a budgeted index
-// may traverse the graph for them) and fail only cancelled; a non-nil
-// weight makes the set size a weighted sum over the reached vertices.
+// plan is what both representations of an index answer: label.Index
+// and label.Budgeted as they are. The two one-source sweeps run under
+// the request's context (a budgeted index may traverse the graph for
+// them) and fail only cancelled.
 type plan interface {
 	Reachable(s, t VertexID) bool
 	ReachableBatch(pairs []Pair) []bool
 	ReachableFrom(ctx context.Context, s VertexID, targets []VertexID) ([]bool, error)
-	ReachableSetSize(ctx context.Context, s VertexID, weight []int64) (int, error)
-}
-
-// condensed is the plan of an index built over the SCC condensation:
-// endpoints map through the component table and the question goes to
-// the plan over components.
-type condensed struct {
-	plan
-	comp []int32
-	size []int64 // original vertices per component
-}
-
-// Reachable knows two vertices of one component reach each other
-// without consulting labels.
-func (c *condensed) Reachable(s, t VertexID) bool {
-	cs, ct := VertexID(c.comp[s]), VertexID(c.comp[t])
-	return cs == ct || c.plan.Reachable(cs, ct)
-}
-
-// The two list queries map every endpoint and ask on, same-component
-// ones included: a component reaches itself by its labels too, at the
-// cost of one short merge or scan — less than setting those queries
-// aside and scattering the other answers back would take.
-func (c *condensed) ReachableBatch(pairs []Pair) []bool {
-	sub := make([]Pair, len(pairs))
-	for i, p := range pairs {
-		sub[i] = Pair{S: VertexID(c.comp[p.S]), T: VertexID(c.comp[p.T])}
-	}
-	return c.plan.ReachableBatch(sub)
-}
-
-func (c *condensed) ReachableFrom(ctx context.Context, s VertexID, targets []VertexID) ([]bool, error) {
-	sub := make([]VertexID, len(targets))
-	for i, t := range targets {
-		sub[i] = VertexID(c.comp[t])
-	}
-	return c.plan.ReachableFrom(ctx, VertexID(c.comp[s]), sub)
-}
-
-// ReachableSetSize counts over the original vertex space: each
-// component s's component reaches, by the vertices it contains (its
-// own weight argument is unused: nothing condenses a condensation).
-func (c *condensed) ReachableSetSize(ctx context.Context, s VertexID, _ []int64) (int, error) {
-	return c.plan.ReachableSetSize(ctx, VertexID(c.comp[s]), c.size)
+	ReachableSetSize(ctx context.Context, s VertexID) (int, error)
 }
 
 // newIndex wraps a built, loaded or published label index — bidx its
-// budgeted form, comp the component table it was built over, either
-// may be nil — and resolves the plan its queries run on.
-func newIndex(idx *label.Index, bidx *label.Budgeted, comp []int32) *Index {
-	x := &Index{q: idx, idx: idx, bidx: bidx, comp: comp}
+// budgeted form, or nil — and resolves the plan its queries run on.
+func newIndex(idx *label.Index, bidx *label.Budgeted) *Index {
+	x := &Index{q: idx, idx: idx, bidx: bidx}
 	if bidx != nil {
 		x.q = bidx
-	}
-	if comp != nil {
-		c := &condensed{plan: x.q, comp: comp, size: make([]int64, idx.NumVertices())}
-		for _, of := range comp {
-			c.size[of]++
-		}
-		x.q = c
 	}
 	return x
 }
@@ -246,14 +181,7 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 		return nil, errors.New("reachlab: nil graph")
 	}
 	gd := g.d
-	var comp []int32
-	if opts.CondenseSCC {
-		gd, comp = graph.Condense(gd)
-	}
-	ord, err := order.ComputeStrategy(gd, order.Strategy(opts.Order))
-	if err != nil {
-		return nil, fmt.Errorf("reachlab: %w", err)
-	}
+	ord := order.Compute(gd)
 	method, workers, what := opts.method(), opts.workers(), "index"
 	start := time.Now()
 
@@ -265,6 +193,7 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 		idx  *label.Index
 		bidx *label.Budgeted
 		met  pregel.Metrics
+		err  error
 	)
 	dopt := drl.DistOptions{Workers: workers, Net: opts.net(), Cancel: cancel, Obs: opts.Obs}
 	sopt := drl.Options{Workers: workers, Cancel: cancel, Obs: opts.Obs}
@@ -295,9 +224,9 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, buildError(ctx, what, err)
 	}
-	x := newIndex(idx, bidx, comp)
-	fp := g.d.Fingerprint()
-	x.g, x.fp = g.d, &fp
+	x := newIndex(idx, bidx)
+	fp := gd.Fingerprint()
+	x.g, x.fp = gd, &fp
 	x.stats = buildStats(method, workers, start, met)
 	return x, nil
 }
@@ -348,22 +277,15 @@ type Pair = label.Pair
 // HTTP endpoint exists to expose.
 func (x *Index) ReachableBatch(pairs []Pair) []bool { return x.q.ReachableBatch(pairs) }
 
-// NumVertices returns the number of vertices the index covers (the
-// original graph's count for a condensed index).
-func (x *Index) NumVertices() int {
-	if x.comp != nil {
-		return len(x.comp)
-	}
-	return x.idx.NumVertices()
-}
+// NumVertices returns the number of vertices the index covers.
+func (x *Index) NumVertices() int { return x.idx.NumVertices() }
 
 // BuildStats returns the construction cost record.
 func (x *Index) BuildStats() BuildStats { return x.stats }
 
 // LabelIndex exposes the underlying label index for in-module
 // tooling (the benchmark harness and the metamorphic tests compare
-// indexes through it). The component table of a condensed index is
-// not part of it.
+// indexes through it).
 func (x *Index) LabelIndex() *label.Index { return x.idx }
 
 // IndexStats summarizes the index payload.
@@ -403,10 +325,10 @@ func (x *Index) Stats() IndexStats {
 }
 
 // WriteTo serializes the index as one file (DESIGN.md §16) — the labels
-// and whichever of the graph's fingerprint, the component table and the
-// label budget with its flags the index has — and returns its size.
+// and whichever of the graph's fingerprint and the label budget with its
+// flags the index has — and returns its size.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
-	e := label.Extras{Graph: x.fp, Comp: x.comp}
+	e := label.Extras{Graph: x.fp}
 	if x.bidx != nil {
 		e.Budget = x.bidx.Budget()
 		e.InFull, e.OutFull = x.bidx.Flags()
@@ -421,8 +343,7 @@ func ReadIndex(r io.Reader) (*Index, error) { return readIndex(r, nil) }
 // OpenIndex reads the index file at path and, if g is not nil, attaches
 // g to it under AttachGraph's rule: another graph than the indexed one
 // is an error here, not a wrong answer later. A budgeted index needs g
-// to answer at all; one built over a condensation recomputes g's and
-// requires the component table the file carries.
+// to answer at all.
 func OpenIndex(path string, g *Graph) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -437,7 +358,7 @@ func readIndex(r io.Reader, g *Graph) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := newIndex(idx, nil, e.Comp)
+	x := newIndex(idx, nil)
 	x.fp = e.Graph
 	if g != nil {
 		err = x.AttachGraph(g)
@@ -450,16 +371,8 @@ func readIndex(r io.Reader, g *Graph) (*Index, error) {
 	if e.Budget == 0 {
 		return x, nil
 	}
-	// The graph is the indexed one, so the capped form can be made over
-	// it — over its condensation, if that is what was labeled.
-	gd := g.d
-	if e.Comp != nil {
-		var comp []int32
-		if gd, comp = graph.Condense(gd); !slices.Equal(comp, e.Comp) {
-			return nil, errors.New("reachlab: the graph's condensation is not the one this index was built over; rebuild the index")
-		}
-	}
-	b := newIndex(idx, label.NewBudgeted(idx, gd, e.Budget, e.InFull, e.OutFull), e.Comp)
+	// The graph is the indexed one, so the capped form can be made over it.
+	b := newIndex(idx, label.NewBudgeted(idx, g.d, e.Budget, e.InFull, e.OutFull))
 	b.g, b.fp = x.g, x.fp
 	return b, nil
 }

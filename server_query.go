@@ -58,7 +58,7 @@ func (h *QueryHandler) reachCount(api *httpapi.Handle, w http.ResponseWriter, r 
 	if !ok {
 		return
 	}
-	count, err := st.idx.q.ReachableSetSize(r.Context(), s, nil)
+	count, err := st.idx.q.ReachableSetSize(r.Context(), s)
 	if err != nil { // the sweep fails only cancelled
 		api.Canceled()
 		return

@@ -103,7 +103,7 @@ func patchedTestServer(t *testing.T, cachePairs int) (*Graph, *MetricsRegistry, 
 			}
 		}
 	}
-	idx := newIndex(d.Snapshot(), nil, nil)
+	idx := newIndex(d.Snapshot(), nil)
 	idx.g, idx.adj = d.SnapshotGraph()
 	if s := d.UpdateStats(); s.Repairs == 0 || idx.idx.Fold() == idx.idx || idx.adj.Len() == 0 {
 		t.Fatalf("the updates left no overlay to serve through: %+v", s)
@@ -572,8 +572,9 @@ func TestQueryHandlerConcurrentRich(t *testing.T) {
 	g, _, h, reg, srv := buildTestServer(t, 2048, DefaultMaxBatch)
 	n := g.NumVertices()
 	// The swapped-in index is built from the same graph, so oracle
-	// answers stay valid across the swap.
-	idx2, err := Build(context.Background(), g, Options{CondenseSCC: true})
+	// answers stay valid across the swap; its budget makes it answer
+	// through the other plan.
+	idx2, err := Build(context.Background(), g, Options{LabelBudget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

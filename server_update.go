@@ -214,7 +214,7 @@ func (u *Updater) foldDynStats() {
 // Like the maintainer, it belongs to the refresher goroutine once
 // Start has run.
 func (u *Updater) Snapshot() *Index {
-	x := newIndex(u.dyn.Snapshot(), nil, nil)
+	x := newIndex(u.dyn.Snapshot(), nil)
 	x.g, x.adj = u.dyn.SnapshotGraph()
 	return x
 }
