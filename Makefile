@@ -68,12 +68,12 @@ cover:
 
 # The benchmark harness is a module of its own (benchmark/go.mod with
 # `replace repro => ../`), so `go test ./...` from the root never
-# compiles it: an API break against what it imports (tol.Build,
-# tol.BuildBudgeted, drl.BuildBatch, label.Budgeted, label.Read,
-# Index.Thaw/Freeze/WriteTo, the root package) would otherwise show up
-# only when the benchmark is next run. Root `go vet ./...` never
-# reaches it either. Its vet, its unit tests, then its 2,000-vertex
-# smoke over all four workloads (CI's bench-harness job).
+# compiles it: an API break against what it imports (ROADMAP.md's
+# house rules list every name, from tol.Build to qcache, wal.Open,
+# ServeOptions and fleet) would otherwise show up only when the
+# benchmark is next run. Root `go vet ./...` never reaches it either.
+# Its vet, its unit tests, then its 2,000-vertex smoke over all four
+# workloads (CI's bench-harness job).
 bench-harness:
 	cd benchmark && go vet ./...
 	cd benchmark && go test ./...

@@ -3,7 +3,9 @@ package reachlab
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -177,8 +179,9 @@ func TestIndexFileBeatsByteAligned(t *testing.T) {
 // section by section, so that an edit to the list coding or its model
 // moves a number here (as TestWireVolumeGolden does for the wire) and
 // says where. Entries pin the labeler's half; a moved size with the same
-// entries is the codec's doing. The index read back from the file writes
-// it again, byte for byte.
+// entries is the codec's doing. The file's sha256 pins every byte, so an
+// edit meant to leave the format alone must leave it alone. The index
+// read back from the file writes it again, byte for byte.
 func TestIndexFileSizeGolden(t *testing.T) {
 	g, err := GenerateGraph("citation", 20000, 4, 1)
 	if err != nil {
@@ -194,6 +197,7 @@ func TestIndexFileSizeGolden(t *testing.T) {
 	}
 	const entries = 594803
 	want := label.Sections{Head: 48, Perm: 15765, In: 14734, Out: 182094}
+	const sum = "f07263eb278485b83979e5bd83c9be07c2b8e131aeda0d72febd291be7bde364"
 	if got := idx.Stats().Entries; got != entries {
 		t.Errorf("%d label entries, want %d", got, entries)
 	}
@@ -201,6 +205,9 @@ func TestIndexFileSizeGolden(t *testing.T) {
 		in, out := perListLabels(idx.idx)
 		t.Errorf("index file sections %+v (%d bytes; labels %d and %d with every list alone, %d byte-aligned), want %+v",
 			got, file.Len(), in, out, byteAlignedLabels(idx.idx), want)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(file.Bytes())); got != sum {
+		t.Errorf("index file sha256 %s, want %s", got, sum)
 	}
 	back, err := ReadIndex(bytes.NewReader(file.Bytes()))
 	if err != nil {

@@ -232,10 +232,12 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) { return x.WriteWith(w, Extr
 
 // WriteWith serializes the index and the optional parts e names, and
 // returns the number of bytes written. Permutation and label blocks are
-// encoded on GOMAXPROCS goroutines and written in order, one Write call
-// per block; a block's bytes depend on the label sets alone, so the
-// output is identical whatever the worker count or scheduling, and a
-// patched index writes the bytes its Fold would.
+// encoded on GOMAXPROCS goroutines, then written in order, one Write
+// call per block, so the whole encoded file is in memory at once (2.2 MB
+// for a 17.7 MB resident index of 200,000 vertices). A block's bytes
+// depend on the label sets alone, so the output is identical whatever
+// the worker count or scheduling, and a patched index writes the bytes
+// its Fold would.
 func (x *Index) WriteWith(out io.Writer, e Extras) (int64, error) {
 	if e.Budget > 0 && (e.Graph == nil || len(e.InFull) != x.n || len(e.OutFull) != x.n) {
 		return 0, errors.New("label: a capped index is written with its graph's fingerprint and one flag per vertex and direction")
@@ -263,7 +265,6 @@ func (x *Index) WriteWith(out io.Writer, e Extras) (int64, error) {
 	}
 
 	perSection := blocksFor(x.n)
-	blocks := 3 * perSection
 	inSide, outSide := x.sides()
 	encode := func(i int, buf []byte, c *labelCoder) ([]byte, error) {
 		switch k := i % perSection; i / perSection {
@@ -276,59 +277,36 @@ func (x *Index) WriteWith(out io.Writer, e Extras) (int64, error) {
 		}
 	}
 
-	// Workers take block numbers in order, but each must first take one
-	// of the window buffers to encode into, and a buffer returns to the
-	// free list only when the block it held has been written. So at most
-	// window blocks are ahead of the writer, block i owns
-	// ready[i%window], and memory is bounded by window buffers however
-	// large the index.
+	// Each worker encodes into a buffer of its own and keeps a copy of
+	// each block, sized to it.
 	type encoded struct {
 		block []byte
 		err   error
 	}
-	workers := min(runtime.GOMAXPROCS(0), blocks)
-	window := 2 * workers
-	free := make(chan []byte, window)
-	ready := make([]chan encoded, window)
-	for i := range ready {
-		free <- nil
-		ready[i] = make(chan encoded, 1)
-	}
+	blocks := make([]encoded, 3*perSection)
 	var next atomic.Int64
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
+	for range min(runtime.GOMAXPROCS(0), len(blocks)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var c labelCoder
-			for {
-				var buf []byte
-				select {
-				case buf = <-free:
-				case <-stop:
-					return
-				}
-				i := int(next.Add(1) - 1)
-				if i >= blocks {
-					return
-				}
+			var buf []byte
+			for i := int(next.Add(1) - 1); i < len(blocks); i = int(next.Add(1) - 1) {
 				block, err := encode(i, buf, &c)
-				ready[i%window] <- encoded{block, err}
+				blocks[i] = encoded{slices.Clone(block), err}
+				buf = block[:0]
 			}
 		}()
 	}
-	defer wg.Wait()
-	defer close(stop)
-	for i := 0; i < blocks; i++ {
-		enc := <-ready[i%window]
+	wg.Wait()
+	for _, enc := range blocks {
 		if enc.err != nil {
 			return w.n, enc.err
 		}
 		if w.put(enc.block); w.err != nil {
 			return w.n, w.err
 		}
-		free <- enc.block[:0]
 	}
 	return w.n, nil
 }
@@ -344,9 +322,9 @@ func Read(r io.Reader) (*Index, error) {
 }
 
 // ReadWith deserializes an index written by WriteWith and the optional
-// parts its file carries. The calling goroutine reads the blocks in
-// order and lays each labels section out from its shapes; then one
-// goroutine a section decodes its lists, L_in's while L_out is read.
+// parts its file carries. It reads the blocks in order, lays each labels
+// section out from its shapes, then decodes that section's lists in rank
+// order, all on the calling goroutine.
 func ReadWith(r io.Reader) (*Index, Extras, error) {
 	br := bufio.NewReader(r)
 	h, e, err := readHead(br)
@@ -360,23 +338,16 @@ func ReadWith(r io.Reader) (*Index, Extras, error) {
 	if err != nil {
 		return nil, e, fmt.Errorf("label: reading rank permutation: %w", err)
 	}
-	in, err := readSection(br, ord, h.NIn)
-	if err != nil {
-		return nil, e, fmt.Errorf("label: reading labels: %w", err)
+	var sides [2]*section
+	for i, total := range []uint64{h.NIn, h.NOut} {
+		if sides[i], err = readSection(br, ord, total); err == nil {
+			err = sides[i].decodeLists()
+		}
+		if err != nil {
+			return nil, e, fmt.Errorf("label: reading labels: %w", err)
+		}
 	}
-	inDecoded := make(chan error, 1)
-	go func() { inDecoded <- in.decodeLists() }()
-	out, err := readSection(br, ord, h.NOut)
-	if err == nil {
-		err = out.decodeLists()
-	}
-	if inErr := <-inDecoded; err == nil {
-		err = inErr
-	}
-	if err != nil {
-		return nil, e, fmt.Errorf("label: reading labels: %w", err)
-	}
-	return &Index{n: n, ord: ord, in: in.l, out: out.l}, e, nil
+	return &Index{n: n, ord: ord, in: sides[0].l, out: sides[1].l}, e, nil
 }
 
 // readHead reads a file's header and the optional parts it announces.

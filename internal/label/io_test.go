@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -609,11 +610,12 @@ func (p bigPerm) VertexAt(r order.Rank) graph.VertexID { return graph.VertexID(r
 // ord into the section it leaves.
 func decodeBlock(payload []byte, ord perm, entries uint64) (*section, error) {
 	var b listStream
-	c, err := b.readShapes(payload, ord, 0, entries)
+	self := make([]uint64, blockValues/64)
+	c, err := b.readShapes(payload, ord, 0, entries, self)
 	if err != nil {
 		return nil, err
 	}
-	s := &section{l: layout{chunks: []chunk{c}, entries: int64(entries)}, ord: ord, blocks: []listStream{b}}
+	s := &section{l: layout{chunks: []chunk{c}, entries: int64(entries)}, ord: ord, self: self, blocks: []listStream{b}}
 	return s, s.decodeLists()
 }
 
@@ -764,10 +766,10 @@ func TestReadTruncatedMultiChunk(t *testing.T) {
 }
 
 // TestReadErrorIsDeterministic damages the lists of each block of a
-// section whose blocks inherit from one another — decoded on several
-// goroutines, a list waiting for its hub's block. Whatever the worker
-// count, every read ends, and with the error decoding the blocks one
-// after another meets.
+// section whose blocks inherit from one another. The reader decodes
+// them on one goroutine, in rank order, so whatever GOMAXPROCS is,
+// every read ends with the same error: a decoder whose error depends on
+// scheduling would fail here.
 func TestReadErrorIsDeterministic(t *testing.T) {
 	x := hierIndex(t, 3*blockValues+100, 90, 12)
 	good := mustWrite(t, x)
@@ -1060,6 +1062,36 @@ func TestReadRefusesRetiredFormat(t *testing.T) {
 		_, err := Read(bytes.NewReader(old))
 		if err == nil || !strings.Contains(err.Error(), "rebuild the index") {
 			t.Errorf("%s: err = %v, want a rebuild message", magic, err)
+		}
+	}
+}
+
+// benchIndex is the fixture of BenchmarkIndexWrite and BenchmarkIndexRead:
+// a labeler-shaped index of 20,000 vertices, five blocks a section.
+func benchIndex(b *testing.B) *Index { return hierIndex(b, 20000, 90, 1) }
+
+// BenchmarkIndexWrite times WriteTo alone, into io.Discard.
+func BenchmarkIndexWrite(b *testing.B) {
+	x := benchIndex(b)
+	b.SetBytes(int64(len(mustWrite(b, x))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := x.WriteTo(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIndexRead times Read alone, from the file in memory.
+func BenchmarkIndexRead(b *testing.B) {
+	file := mustWrite(b, benchIndex(b))
+	b.SetBytes(int64(len(file)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Read(bytes.NewReader(file)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

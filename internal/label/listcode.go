@@ -7,10 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/order"
@@ -371,22 +368,17 @@ func (c *hubCover) reset(length int) {
 	clear(c.covered)
 }
 
-// A hubMatch is a candidate hub of a list: its vertex and its list's
-// length, looked up once a list, and — from the first round that needs
-// it — how its list meets the list, found in one merge and applied to
-// the list's cover in every round that tries the candidate: which of the
-// list's ranks they share, and the hub's ranks the list lacks.
+// A hubMatch is how a candidate hub's list meets a list, found in one
+// merge: which of the list's ranks they share, and the hub's ranks the
+// list lacks.
 type hubMatch struct {
-	hub     order.Rank
-	v       graph.VertexID
-	length  int
-	matched bool
-	shared  []uint64 // bit i set where the list's i-th rank is the hub's too
-	lacked  []lackedRank
+	hub    order.Rank
+	shared []uint64 // bit i set where the list's i-th rank is the hub's too
+	lacked []lackedRank
 }
 
-// match finds how hub, the candidate's list, meets list.
-func (m *hubMatch) match(list, hub []order.Rank) {
+// match finds how hub, the list of rank h, meets list.
+func (m *hubMatch) match(list []order.Rank, h order.Rank, hub []order.Rank) {
 	lacked := slices.Grow(m.lacked[:0], len(hub))[:len(hub)]
 	shared := slices.Grow(m.shared[:0], (len(list)+63)/64)[:(len(list)+63)/64]
 	clear(shared)
@@ -405,7 +397,7 @@ func (m *hubMatch) match(list, hub []order.Rank) {
 		lacked[k] = lackedRank(hub[j])<<32 | lackedRank(len(list))
 		k++
 	}
-	m.matched, m.shared, m.lacked = true, shared, lacked[:k]
+	m.hub, m.shared, m.lacked = h, shared, lacked[:k]
 }
 
 // with makes c the cover from with m's hub named too, and returns its
@@ -545,15 +537,6 @@ func (s side) appendList(dst []order.Rank, v graph.VertexID) []order.Rank {
 	return s.l.appendList(dst, v)
 }
 
-// length returns how many ranks v's list holds.
-func (s side) length(v graph.VertexID) int {
-	if l, ok := s.over.Get(v); ok {
-		return len(l)
-	}
-	narrow, wide := s.l.tiers(v)
-	return len(narrow) + len(wide)/2
-}
-
 // shape returns what the shape stream says of v's list, own being v's
 // rank: how many ranks are written (len′), whether the last is own and
 // left out (selfLast), and how many of the written are in the second
@@ -579,11 +562,10 @@ func (s side) shape(v graph.VertexID, own order.Rank) (length, self, wide uint32
 type labelCoder struct {
 	lists                blockLists   // the block's lists, in rank order
 	hub                  []order.Rank // a candidate hub's list
-	candidates           []hubMatch   // a list's candidate hubs, the first known of them
-	known                int
-	covers               [3]hubCover // a list's cover, and it with the best and with the next candidate
-	code                 []symbol    // a list's code against its cover
-	shapes, alone, mixed []symbol    // the block's codes: shapes, and its lists alone or some inheriting
+	match                hubMatch     // and how it meets the list
+	covers               [3]hubCover  // a list's cover, and it with the best and with the next candidate
+	code                 []symbol     // a list's code against its cover
+	shapes, alone, mixed []symbol     // the block's codes: shapes, and its lists alone or some inheriting
 }
 
 // appendLabelBlock codes block k of the labels section s under ord
@@ -680,7 +662,6 @@ func (c *labelCoder) inheriting(s side, ord perm, k int, alone *riceModel) []sym
 func (c *labelCoder) cover(s side, ord perm, list []order.Rank, own order.Rank, alone *riceModel, cost uint64) []symbol {
 	cur := &c.covers[0]
 	cur.reset(len(list))
-	c.known = 0
 	for len(cur.hubs) < maxHubs {
 		next := c.candidate(s, ord, cur, list, own)
 		if next == nil {
@@ -702,67 +683,29 @@ func (c *labelCoder) cover(s side, ord perm, list []order.Rank, own order.Rank, 
 // candidate returns cur with one more hub: of list's last hubCandidates
 // ranks below own that cur neither holds nor names, the one whose list
 // gains most, the closest (highest rank) on a tie; nil if there is none.
-// A hub list of ℓ ranks gains at most min(ℓ, cur.left) less the ranks it
-// must hold beyond the list and U, so a candidate whose length says it
-// cannot win is not compared: the closest hubs' lists are long and
-// nearly contained in the list, so a round is one merge as a rule.
 func (c *labelCoder) candidate(s side, ord perm, cur *hubCover, list []order.Rank, own order.Rank) *hubCover {
-	var tries [hubCandidates]int // where in c.candidates the round's are
-	tried, known := 0, c.known
+	var best *hubCover
+	most, tried := 0, 0
 	for w := len(cur.covered) - 1; w >= 0 && tried < hubCandidates; w-- {
 		free := ^cur.covered[w] // the ranks U lacks, the last first
 		if rest := len(list) - 64*w; rest < 64 {
 			free &= 1<<rest - 1
 		}
 		for ; free != 0 && tried < hubCandidates; free &^= 1 << (bits.Len64(free) - 1) {
-			if h := list[64*w+bits.Len64(free)-1]; h < own && !slices.Contains(cur.hubs, h) {
-				tries[tried] = c.candidateOf(h)
-				tried++
+			h := list[64*w+bits.Len64(free)-1]
+			if h >= own || slices.Contains(cur.hubs, h) {
+				continue
 			}
-		}
-	}
-	// New candidates' vertices, then their lists' lengths, are looked up
-	// together: the lookups miss the cache, and this way they miss it at
-	// once.
-	for k := known; k < c.known; k++ {
-		c.candidates[k].v = ord.VertexAt(c.candidates[k].hub)
-	}
-	for k := known; k < c.known; k++ {
-		c.candidates[k].length = s.length(c.candidates[k].v)
-	}
-	var best *hubCover
-	most := 0
-	for _, k := range tries[:tried] {
-		m := &c.candidates[k]
-		if !m.matched {
-			if best != nil && min(m.length, cur.left)-max(m.length-len(list)-len(cur.lacked), 0) <= most {
-				continue // on a tie the earlier, closer candidate stands
+			tried++
+			c.hub = s.appendList(c.hub[:0], ord.VertexAt(h))
+			c.match.match(list, h, c.hub)
+			try := c.spare(cur, best)
+			if g := try.with(cur, &c.match); best == nil || g > most {
+				best, most = try, g // on a tie the earlier, closer candidate stands
 			}
-			c.hub = s.appendList(c.hub[:0], m.v)
-			m.match(list, c.hub)
-		}
-		try := c.spare(cur, best)
-		if g := try.with(cur, m); best == nil || g > most {
-			best, most = try, g
 		}
 	}
 	return best
-}
-
-// candidateOf returns where in c.candidates the list's candidate h is, adding
-// it if no earlier round tried it.
-func (c *labelCoder) candidateOf(h order.Rank) int {
-	for k := range c.candidates[:c.known] {
-		if c.candidates[k].hub == h {
-			return k
-		}
-	}
-	if c.known == len(c.candidates) {
-		c.candidates = append(c.candidates, hubMatch{})
-	}
-	c.candidates[c.known].hub, c.candidates[c.known].matched = h, false
-	c.known++
-	return c.known - 1
 }
 
 // spare returns the one of c.covers that is neither a nor b.
@@ -789,17 +732,14 @@ func wideCount(list []order.Rank) uint32 {
 }
 
 // A section is one labels section between its reading and its
-// decoding: its chunks, allocated at their final size from the shapes
-// with every list's last slot marked (see readShapes), and per block the
-// model and the bit stream of its lists, which decodeLists takes in rank
-// order.
+// decoding: its chunks, allocated at their final size from the shapes,
+// the vertices whose shapes say selfLast, and per block the model and
+// the bit stream of its lists, which decodeLists takes in rank order.
 type section struct {
 	l      layout
 	ord    perm
+	self   []uint64 // bit v set where v's list ends with its own rank, not written
 	blocks []listStream
-	// decoded[k] is the rank up to which block k's lists are decoded, or
-	// −1 once the block has failed.
-	decoded []atomic.Int64
 }
 
 // listStream is one labels block's model and its lists' bits.
@@ -809,7 +749,7 @@ type listStream struct {
 	r        bitReader
 }
 
-// unionScratch is a decoding goroutine's room for one inheriting list:
+// unionScratch is the decoder's room for one inheriting list:
 // the union of its hubs' lists, at most maxHubs times the longest list,
 // and its dropped positions.
 type unionScratch struct {
@@ -824,7 +764,7 @@ type unionScratch struct {
 // header's total, not by its bytes.
 func readSection(br *bufio.Reader, ord perm, total uint64) (*section, error) {
 	n := ord.N()
-	s := &section{l: layout{chunks: make([]chunk, blocksFor(n)), entries: int64(total)}, ord: ord, blocks: make([]listStream, blocksFor(n))}
+	s := &section{l: layout{chunks: make([]chunk, blocksFor(n)), entries: int64(total)}, ord: ord, self: make([]uint64, (n+63)/64), blocks: make([]listStream, blocksFor(n))}
 	var sum uint64
 	for k := range s.l.chunks {
 		entries, payload, err := readBlock(br, nil, 0)
@@ -834,7 +774,7 @@ func readSection(br *bufio.Reader, ord perm, total uint64) (*section, error) {
 		if sum += entries; sum > total {
 			return nil, fmt.Errorf("corrupt block: the %d entries of the vertices from %d exceed the header's count", entries, k*blockValues)
 		}
-		if s.l.chunks[k], err = s.blocks[k].readShapes(payload, ord, k, entries); err != nil {
+		if s.l.chunks[k], err = s.blocks[k].readShapes(payload, ord, k, entries, s.self); err != nil {
 			return nil, err
 		}
 	}
@@ -844,14 +784,11 @@ func readSection(br *bufio.Reader, ord perm, total uint64) (*section, error) {
 	return s, nil
 }
 
-// readShapes reads block k's model and the shapes of its vertices, and
-// returns their chunk: allocated at its final size, with every list's
-// last slot marked — its vertex's own rank where the list ends with it
-// (selfLast), that rank + 1 elsewhere. The list's decoder reads the mark
-// back, which is how selfLast reaches it in rank order without a bit per
-// vertex kept anywhere else, and overwrites the second kind. The stream
-// is left where the block's lists start.
-func (b *listStream) readShapes(payload []byte, ord perm, k int, entries uint64) (chunk, error) {
+// readShapes reads block k's model and the shapes of its vertices, sets
+// the bits of self of those that say selfLast, and returns their chunk,
+// allocated at its final size. The stream is left where the block's
+// lists start.
+func (b *listStream) readShapes(payload []byte, ord perm, k int, entries uint64, self []uint64) (chunk, error) {
 	n := ord.N()
 	var err error
 	if b.m, b.inherits, payload, err = parseModel(payload, n); err != nil {
@@ -860,7 +797,6 @@ func (b *listStream) readShapes(payload []byte, ord perm, k int, entries uint64)
 	b.r = bitReader{b: payload}
 	v0, v1 := k*blockValues, min((k+1)*blockValues, n)
 	off := make([]uint32, 2*(v1-v0)+1)
-	var self [blockValues / 64]uint64
 	for i := range v1 - v0 {
 		hdr := b.r.rice(b.m[slotLen])
 		length, last := uint64(hdr>>1), uint64(hdr&1)
@@ -885,98 +821,38 @@ func (b *listStream) readShapes(payload []byte, ord perm, k int, entries uint64)
 			if own >= wideFrom {
 				wide++
 			}
-			self[i/64] |= 1 << (i % 64)
+			self[(v0+i)/64] |= 1 << ((v0 + i) % 64)
 		}
 		off[2*i+1], off[2*i+2] = uint32(length+last-wide), uint32(2*wide)
 	}
 	if entries != 0 {
 		return chunk{}, errors.New("corrupt block: fewer entries than its header counts")
 	}
-	c := allocChunk(off)
-	for i := range v1 - v0 {
-		if end := c.off[2*i+2]; end > c.off[2*i] {
-			mark := uint32(ord.RankOf(graph.VertexID(v0+i))) + 1 - uint32(self[i/64]>>(i%64)&1)
-			if c.off[2*i+1] < end {
-				c.lab[end-2], c.lab[end-1] = uint16(mark>>16), uint16(mark)
-			} else {
-				c.lab[end-1] = uint16(mark)
-			}
-		}
-	}
-	return c, nil
+	return allocChunk(off), nil
 }
 
 // decodeLists decodes the section's lists into the chunks readSection
-// laid out, on up to GOMAXPROCS goroutines that take its blocks in rank
-// order. A block's lists are decoded in rank order, so a list's hubs are
-// in place before it — or, where a hub is in a block still being
-// decoded, once that block has got past it. A block's payload is let go
-// once its lists are decoded. Every block is decoded, or given up on
-// where a list of it waits on a block that failed: a list waits only on
-// lower blocks, so the lowest failing block's error is the one decoding
-// the blocks one after another would report, and that is the one
-// returned.
+// laid out, block after block and each block's in rank order, so a
+// list's hubs, all of lower rank, are in place before it. A block's
+// payload is let go once its lists are decoded.
 func (s *section) decodeLists() error {
-	s.decoded = make([]atomic.Int64, len(s.blocks))
-	for k := range s.decoded {
-		s.decoded[k].Store(int64(k * blockValues))
-	}
-	errs := make([]error, len(s.blocks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(s.blocks)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var u unionScratch
-			for k := int(next.Add(1) - 1); k < len(s.blocks); k = int(next.Add(1) - 1) {
-				if errs[k] = s.decodeBlock(k, &u); errs[k] != nil {
-					s.decoded[k].Store(-1)
-				}
+	var u unionScratch
+	for k := range s.blocks {
+		b := &s.blocks[k]
+		for r := k * blockValues; r < min((k+1)*blockValues, s.ord.N()); r++ {
+			if err := s.decodeList(b, uint32(r), &u); err != nil {
+				return err
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil && err != errAbandoned {
+		}
+		if err := b.r.end(); err != nil {
 			return err
 		}
+		*b = listStream{}
 	}
 	for _, c := range s.l.chunks {
 		assertTiers(c)
 	}
 	return nil
-}
-
-// errAbandoned is a block's when it stopped waiting for a lower one
-// that failed.
-var errAbandoned = errors.New("label: a lower block failed")
-
-func (s *section) decodeBlock(k int, u *unionScratch) error {
-	b := &s.blocks[k]
-	for r := k * blockValues; r < min((k+1)*blockValues, s.ord.N()); r++ {
-		if err := s.decodeList(b, uint32(r), u); err != nil {
-			return err
-		}
-		s.decoded[k].Store(int64(r + 1))
-	}
-	err := b.r.end()
-	*b = listStream{}
-	return err
-}
-
-// await returns once the list of rank r is decoded, or false if its
-// block failed first.
-func (s *section) await(r uint32) bool {
-	for {
-		switch d := s.decoded[r/blockValues].Load(); {
-		case d > int64(r):
-			return true
-		case d < 0:
-			return false
-		}
-		runtime.Gosched()
-	}
 }
 
 var errRankRange = errors.New("corrupt block: rank out of range")
@@ -986,11 +862,14 @@ var errRankRange = errors.New("corrupt block: rank out of range")
 // and positions of the entries of their union it drops, and the gaps of
 // the ranks it adds.
 func (s *section) decodeList(b *listStream, own uint32, u *unionScratch) error {
-	narrow, wide := s.l.tiers(s.ord.VertexAt(order.Rank(own)))
-	self := endsWith(narrow, wide, own)
+	v := s.ord.VertexAt(order.Rank(own))
+	narrow, wide := s.l.tiers(v)
+	self := s.self[v/64]>>(v%64)&1 != 0
 	if self && own < wideFrom {
+		narrow[len(narrow)-1] = uint16(own)
 		narrow = narrow[:len(narrow)-1]
 	} else if self {
+		wide[len(wide)-2], wide[len(wide)-1] = uint16(own>>16), uint16(own)
 		wide = wide[:len(wide)-2]
 	}
 	f := listFill{narrow: narrow, wide: wide}
@@ -1033,7 +912,7 @@ func (s *section) inherit(b *listStream, f *listFill, own uint32, count int, hub
 		return fmt.Errorf("corrupt block: a list names %d hubs, more than %d", hubs, maxHubs)
 	}
 	n := uint64(s.ord.N())
-	var named [maxHubs]graph.VertexID
+	u.union = u.union[:0]
 	for k, next := 0, uint32(0); k < int(hubs); k++ {
 		hub := b.r.rice(b.m[slotHub])
 		switch {
@@ -1043,20 +922,7 @@ func (s *section) inherit(b *listStream, f *listFill, own uint32, count int, hub
 			return errors.New("corrupt block: a list's hubs are not strictly ascending")
 		}
 		next = hub + 1
-		if hub/blockValues != own/blockValues && !s.await(hub) {
-			return errAbandoned
-		}
-		named[k] = s.ord.VertexAt(order.Rank(hub))
-	}
-	// The hubs' lists are looked up together, then merged: the lookups
-	// miss the cache, and this way they miss it at once.
-	var tiers [2 * maxHubs][]uint16
-	for k, v := range named[:hubs] {
-		tiers[2*k], tiers[2*k+1] = s.l.tiers(v)
-	}
-	u.union = u.union[:0]
-	for k := range named[:hubs] {
-		u.add(tiers[2*k], tiers[2*k+1])
+		u.add(s.l.tiers(s.ord.VertexAt(order.Rank(hub))))
 	}
 	drops := b.r.rice(b.m[slotDrops])
 	if uint64(drops) > uint64(len(u.union)) {
