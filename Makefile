@@ -8,7 +8,8 @@ all: build vet test
 # project analyzers, the full test suite once under the race detector
 # (the RPC fault-handling tests are concurrency-heavy) with coverage,
 # the six example programs (nothing else executes them), the fuzz
-# targets, and the suite again with runtime invariants compiled in.
+# targets, one iteration of the query kernel's benchmark (so it cannot
+# rot), and the suite again with runtime invariants compiled in.
 check:
 	go vet ./...
 	go build ./...
@@ -16,6 +17,7 @@ check:
 	go test -race -cover ./...
 	$(MAKE) examples
 	$(MAKE) fuzz
+	go test ./internal/label -run '^$$' -bench Reachable -benchtime 1x
 	go test -tags=invariants ./...
 
 # The fuzz targets, with their budgets (make check and CI's check job

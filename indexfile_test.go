@@ -223,8 +223,9 @@ func TestIndexFileSizeGolden(t *testing.T) {
 // memory for one seeded build of 100,000 vertices — enough that both of
 // its tiers hold ranks — so that an edit to the layout moves a number
 // here. Entries pin the labeler's half: 2 bytes per first-tier rank, 4
-// per second-tier one, and 8 of offsets per vertex and direction (plus
-// one per block) make the rest.
+// per stored second-tier one, none for a second-tier own rank at a
+// list's end, 2 for the head of a run with a second tier, and a 4-byte
+// word per vertex and direction (plus one per block) make the rest.
 func TestIndexResidentBytesGolden(t *testing.T) {
 	g, err := GenerateGraph("citation", 100_000, 4, 1)
 	if err != nil {
@@ -234,7 +235,7 @@ func TestIndexResidentBytesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const entries, resident = 3366027, 8470114
+	const entries, resident = 3366027, 7394406
 	st := idx.Stats()
 	if st.Entries != entries || st.Resident != resident {
 		t.Errorf("%d label entries in %d resident bytes, want %d in %d", st.Entries, st.Resident, entries, resident)

@@ -218,25 +218,58 @@ func tierSet(raw []byte) []order.Rank {
 	return slices.Compact(set)
 }
 
+// endOwn returns set with own as its last rank, as a list that ends
+// with its vertex's own rank: the ranks above own dropped, own added.
+func endOwn(set []order.Rank, own order.Rank) []order.Rank {
+	k, _ := slices.BinarySearch(set, own)
+	return append(set[:k:k], own)
+}
+
 // FuzzTierKernel lays two drawn rank sets out through FromLists
-// either side of a block boundary — as L_out of a block's last vertex
-// and L_in of the next block's first — and checks every kernel path
-// against a plain set intersection: Reachable and a batch as the list
-// lengths choose, and each tier's merge and gallop forced, in both
-// argument orders.
+// either side of a block boundary and of 2¹⁶ — as L_out of a block's
+// last vertex s and L_in of the next block's first u, ranked 65,535 and
+// 65,536 or, as flags' bit 0 says, the other way round — and checks
+// every kernel path against a plain set intersection: Reachable and a
+// batch as the list lengths choose, and each tier's merge and gallop
+// forced, in both argument orders. Flags' bits 1 and 2 end L_out(s) and
+// L_in(u) with their vertex's own rank, which the layout leaves out of
+// the run where it is in the second tier: so a list ends with its own
+// rank stored or left out, on either side of the pair.
 func FuzzTierKernel(f *testing.F) {
-	f.Add([]byte{0, 200, 1, 127, 1, 128, 2, 133}, []byte{1, 133, 3, 133})
-	f.Add([]byte{1, 140}, []byte{0, 1, 0, 9, 1, 100, 1, 120, 1, 130, 1, 140, 1, 150, 1, 160, 1, 170, 1, 180, 1, 190, 1, 200, 1, 210, 1, 220, 1, 230, 1, 240, 2, 250})
-	f.Add([]byte{}, []byte{1, 128})
-	const n = blockValues + 1
-	s, u := graph.VertexID(blockValues-1), graph.VertexID(blockValues)
-	ranks := make([]order.Rank, n)
-	for v := range ranks {
-		ranks[v] = order.Rank(v)
+	f.Add([]byte{0, 200, 1, 127, 1, 128, 2, 133}, []byte{1, 133, 3, 133}, byte(0))
+	f.Add([]byte{1, 140}, []byte{0, 1, 0, 9, 1, 100, 1, 120, 1, 130, 1, 140, 1, 150, 1, 160, 1, 170, 1, 180, 1, 190, 1, 200, 1, 210, 1, 220, 1, 230, 1, 240, 2, 250}, byte(0))
+	f.Add([]byte{}, []byte{1, 128}, byte(0))
+	// Each own rank in the other list.
+	f.Add([]byte{0, 5, 1, 128}, []byte{0, 5, 1, 127}, byte(6))
+	// The same, ranks swapped.
+	f.Add([]byte{0, 5, 1, 128}, []byte{0, 5, 1, 127}, byte(7))
+	// A gallop onto a stored own rank, and one onto a left-out own rank.
+	f.Add([]byte{0, 5}, []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 0, 11, 0, 12, 0, 13, 0, 14, 0, 15, 0, 16, 0, 17, 1, 127}, byte(2))
+	f.Add([]byte{1, 128, 1, 129, 1, 130, 1, 131, 1, 132, 1, 133, 1, 134, 1, 135, 1, 136, 1, 137, 1, 138, 1, 139, 1, 140, 1, 141, 1, 142, 1, 143, 1, 144, 1, 145, 1, 146, 1, 147, 1, 148, 1, 149, 1, 150, 1, 151}, []byte{}, byte(4))
+	// Own ranks alone.
+	f.Add([]byte{}, []byte{}, byte(6))
+	const n = wideFrom + blockValues
+	s, u := graph.VertexID(wideFrom-1), graph.VertexID(wideFrom)
+	var ords [2]*order.Ordering
+	for k := range ords {
+		ranks := make([]order.Rank, n)
+		for v := range ranks {
+			ranks[v] = order.Rank(v)
+		}
+		if k == 1 {
+			ranks[s], ranks[u] = ranks[u], ranks[s]
+		}
+		ords[k] = order.FromRanks(ranks)
 	}
-	ord := order.FromRanks(ranks)
-	f.Fuzz(func(t *testing.T, rawOut, rawIn []byte) {
+	f.Fuzz(func(t *testing.T, rawOut, rawIn []byte, flags byte) {
+		ord := ords[flags&1]
 		out, in := tierSet(rawOut), tierSet(rawIn)
+		if flags&2 != 0 {
+			out = endOwn(out, ord.RankOf(s))
+		}
+		if flags&4 != 0 {
+			in = endOwn(in, ord.RankOf(u))
+		}
 		want := false
 		for _, r := range out {
 			_, found := slices.BinarySearch(in, r)
@@ -255,15 +288,18 @@ func FuzzTierKernel(f *testing.F) {
 		if got := x.ReachableBatch([]Pair{{s, u}, {s - 1, u}, {s, u}}); got[0] != want || got[2] != want {
 			t.Fatalf("ReachableBatch = %v over %v and %v", got, out, in)
 		}
-		a, aw := x.out.tiers(s)
-		b, bw := x.in.tiers(u)
+		a, aw, _ := x.out.tiers(s)
+		b, bw, _ := x.in.tiers(u)
+		_, wa := x.out.run(s)
+		_, wb := x.in.run(u)
+		ra, rb := x.own(wa, s), x.own(wb, u)
 		for _, c := range []struct {
 			path string
 			got  bool
 		}{
-			{"merge", mergeIntersects(a, b) || mergeWide(aw, bw)},
-			{"gallop out into in", gallopIntersects(a, b) || gallopWide(aw, bw)},
-			{"gallop in into out", gallopIntersects(b, a) || gallopWide(bw, aw)},
+			{"merge", mergeIntersects(a, b) || mergeWide(aw, ra, bw, rb)},
+			{"gallop out into in", gallopIntersects(a, b) || gallopWide(aw, ra, bw, rb)},
+			{"gallop in into out", gallopIntersects(b, a) || gallopWide(bw, rb, aw, ra)},
 		} {
 			if c.got != want {
 				t.Fatalf("%s = %v over %v and %v", c.path, c.got, out, in)

@@ -15,6 +15,7 @@ package label
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -63,17 +64,26 @@ func (x *Index) AppendOutLabels(dst []order.Rank, v graph.VertexID) []order.Rank
 // Reachable answers the reachability query q(s, t) from the index
 // alone: true iff L_out(s) ∩ L_in(t) ≠ ∅ (Definition 3). The lists are
 // merged where they lie, tier by tier: the first tiers, and then — only
-// if both lists have one — the second. The first tiers' merge lives in
-// this method body because gc does not inline functions with loops, and
-// a call frame is measurable at these latencies; heavily skewed pairs
-// take the galloping path instead. On a patched index a pair with an
-// overridden endpoint merges the overriding lists.
+// if both lists have one — the second, where a list's own rank, if it is
+// not stored, is read from the ordering and merged as the tier's last
+// element. The first tiers' merge lives in this method body because gc
+// does not inline functions with loops, and a call frame is measurable
+// at these latencies; heavily skewed pairs take the galloping path
+// instead. On a patched index a pair with an overridden endpoint merges
+// the overriding lists.
 func (x *Index) Reachable(s, t graph.VertexID) bool {
 	if x.patch != nil && x.patch.touches(s, t) {
 		return x.patchedReachable(s, t)
 	}
-	a, aw := x.out.tiers(s)
-	b, bw := x.in.tiers(t)
+	a, wa := x.out.run(s)
+	b, wb := x.in.run(t)
+	var aw, bw []uint16
+	if wa&wideBit != 0 {
+		a, aw = splitRun(a)
+	}
+	if wb&wideBit != 0 {
+		b, bw = splitRun(b)
+	}
 	if la, lb := len(a), len(b); la > gallopRatio*lb || lb > gallopRatio*la {
 		if intersects(a, b) {
 			return true
@@ -91,7 +101,16 @@ func (x *Index) Reachable(s, t graph.VertexID) bool {
 			}
 		}
 	}
-	return len(aw) != 0 && len(bw) != 0 && intersectsWide(aw, bw)
+	return hasWide(aw, wa) && hasWide(bw, wb) && meetsWide(aw, x.own(wa, s), bw, x.own(wb, t))
+}
+
+// own returns v's rank where its list's word w says the list ends with
+// it, not stored, and noSelf otherwise.
+func (x *Index) own(w uint32, v graph.VertexID) uint32 {
+	if w&selfBit != 0 {
+		return uint32(x.ord.RankOf(v))
+	}
+	return noSelf
 }
 
 // gallopRatio is the length skew beyond which the merge switches from
@@ -186,23 +205,46 @@ func gallopIntersects[T uint16 | order.Rank](short, long []T) bool {
 	return false
 }
 
-// intersectsWide is intersects for two second tiers: the same choice
-// between merge and gallop, over ranks read as half-word pairs.
-func intersectsWide(a, b []uint16) bool {
-	if len(a) > len(b) {
-		a, b = b, a
+// The second tiers. A list's own rank, where its word says the list
+// ends with it but the run leaves it out, is its second tier's virtual
+// last element; noSelf stands for it where there is none.
+
+// noSelf is the own rank of a list that does not end with one left out
+// of its run: it is no rank.
+const noSelf = math.MaxUint32
+
+// hasWide reports whether a list, given as its second tier and its
+// word, has a second tier: stored ranks, or its own rank left out.
+func hasWide(wide []uint16, w uint32) bool { return len(wide) != 0 || w&selfBit != 0 }
+
+// meetsWide reports whether two second tiers, each followed by its
+// list's own rank (or noSelf), share a rank: the same choice between
+// merge and gallop as the first tiers', over ranks read as half-word
+// pairs.
+func meetsWide(a []uint16, ra uint32, b []uint16, rb uint32) bool {
+	la, lb := len(a)/2, len(b)/2
+	if ra != noSelf {
+		la++
 	}
-	if len(a) == 0 {
-		return false
+	if rb != noSelf {
+		lb++
 	}
-	if len(b) >= gallopRatio*len(a) {
-		return gallopWide(a, b)
+	switch {
+	case la > gallopRatio*lb:
+		return gallopWide(b, rb, a, ra)
+	case lb > gallopRatio*la:
+		return gallopWide(a, ra, b, rb)
 	}
-	return mergeWide(a, b)
+	return mergeWide(a, ra, b, rb)
 }
 
-func mergeWide(a, b []uint16) bool {
-	for i, j := 0, 0; i < len(a) && j < len(b); {
+// mergeWide merges two second tiers of comparable lengths. Once one
+// stored tier is spent, what is left of the other lies above all of it,
+// so of the spent list only its own rank can still meet it — or the
+// other's own rank.
+func mergeWide(a []uint16, ra uint32, b []uint16, rb uint32) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
 		av, bv := wideAt(a, i), wideAt(b, j)
 		switch {
 		case av == bv:
@@ -213,20 +255,44 @@ func mergeWide(a, b []uint16) bool {
 			j += 2
 		}
 	}
-	return false
+	if i == len(a) && ra != noSelf {
+		return ownIn(b[j:], ra, rb)
+	}
+	return j == len(b) && rb != noSelf && ownIn(a[i:], rb, ra)
 }
 
-// gallopWide is gallopIntersects over second tiers; positions count
-// ranks, not half-words.
-func gallopWide(short, long []uint16) bool {
-	n, pos := len(long)/2, 0
-	for i := 0; i < len(short); i += 2 {
-		r := wideAt(short, i)
+// ownIn reports whether r, one list's own rank, is in what is left of
+// the other — the ascending second-tier ranks rest, then its own rank
+// other — scanning rest as a merge would.
+func ownIn(rest []uint16, r, other uint32) bool {
+	for k := 0; k < len(rest); k += 2 {
+		if v := wideAt(rest, k); v >= r {
+			return v == r
+		}
+	}
+	return r == other
+}
+
+// gallopWide is gallopIntersects over the second tier short followed
+// by its own rank rs, and long followed by rl; positions in long count
+// ranks, not half-words. Once an element lies past long's stored end,
+// so does the rest of short's, and only rl can meet them; an element
+// that does not lies below rl.
+func gallopWide(short []uint16, rs uint32, long []uint16, rl uint32) bool {
+	n, pos, m := len(short)/2, 0, len(long)/2
+	if rs != noSelf {
+		n++
+	}
+	for i := 0; i < n; i++ {
+		r := rs
+		if 2*i < len(short) {
+			r = wideAt(short, 2*i)
+		}
 		step := 1
-		for pos+step < n && wideAt(long, 2*(pos+step-1)) < r {
+		for pos+step < m && wideAt(long, 2*(pos+step-1)) < r {
 			step <<= 1
 		}
-		lo, hi := pos, min(pos+step, n)
+		lo, hi := pos, min(pos+step, m)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
 			if wideAt(long, 2*mid) < r {
@@ -235,8 +301,8 @@ func gallopWide(short, long []uint16) bool {
 				hi = mid
 			}
 		}
-		if lo == n {
-			return false
+		if lo == m {
+			return rl != noSelf && ownIn(short[2*i:], rl, rs)
 		}
 		if wideAt(long, 2*lo) == r {
 			return true
@@ -275,18 +341,26 @@ func (x *Index) ReachableBatch(pairs []Pair) []bool {
 	}
 	slices.SortFunc(keys, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
 	var a, aw []uint16
+	var wa uint32
 	prev, prevAns := ^uint64(0), false // no key has the top bit set
 	for _, k := range keys {
 		if k.key != prev {
 			p := pairs[k.pos]
 			if k.key>>32 != prev>>32 {
-				a, aw = x.out.tiers(p.S)
+				a, wa = x.out.run(p.S)
+				if aw = nil; wa&wideBit != 0 {
+					a, aw = splitRun(a)
+				}
 			}
 			if x.patch != nil && x.patch.touches(p.S, p.T) {
 				prevAns = x.patchedReachable(p.S, p.T)
 			} else {
-				b, bw := x.in.tiers(p.T)
-				prevAns = intersects(a, b) || len(aw) != 0 && len(bw) != 0 && intersectsWide(aw, bw)
+				b, wb := x.in.run(p.T)
+				var bw []uint16
+				if wb&wideBit != 0 {
+					b, bw = splitRun(b)
+				}
+				prevAns = intersects(a, b) || hasWide(aw, wa) && hasWide(bw, wb) && meetsWide(aw, x.own(wa, p.S), bw, x.own(wb, p.T))
 			}
 			prev = k.key
 		}

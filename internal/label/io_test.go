@@ -611,11 +611,11 @@ func (p bigPerm) VertexAt(r order.Rank) graph.VertexID { return graph.VertexID(r
 func decodeBlock(payload []byte, ord perm, entries uint64) (*section, error) {
 	var b listStream
 	self := make([]uint64, blockValues/64)
-	c, err := b.readShapes(payload, ord, 0, entries, self)
+	c, _, err := b.readShapes(payload, ord, 0, entries, nil, self)
 	if err != nil {
 		return nil, err
 	}
-	s := &section{l: layout{chunks: []chunk{c}, entries: int64(entries)}, ord: ord, self: self, blocks: []listStream{b}}
+	s := &section{l: layout{ord: ord, chunks: []chunk{c}, entries: int64(entries)}, ord: ord, self: self, blocks: []listStream{b}}
 	return s, s.decodeLists()
 }
 
@@ -631,8 +631,8 @@ func TestLabelBlockWideGaps(t *testing.T) {
 	lists[3] = []order.Rank{1<<31 - 1}                          // the last rank there is
 	lists[5] = []order.Rank{1, 5, 1 << 15, 1<<31 - 2}           // its vertex's rank in the middle, so written
 	lists[6] = []order.Rank{0, 1<<21 + 1, 1<<21 + 2, 1<<31 - 1} // list 0's and one more
-	c, entries := chunkOf(len(lists), func(i int) []order.Rank { return lists[i] })
-	s := side{l: &layout{chunks: []chunk{c}}}
+	c, entries := chunkOf(bigPerm{n}, 0, len(lists), func(i int) []order.Rank { return lists[i] })
+	s := side{l: &layout{ord: bigPerm{n}, chunks: []chunk{c}}}
 	var coder labelCoder
 	block, err := coder.appendLabelBlock(nil, s, bigPerm{n}, 0)
 	if err != nil {
@@ -670,16 +670,22 @@ func TestLabelBlockWideGaps(t *testing.T) {
 // round-trips.
 func TestWriteToRejectsUnsortedList(t *testing.T) {
 	ord := order.FromRanks([]order.Rank{0, 1, 2})
-	for _, repeated := range []order.Rank{2, 1} {
-		// Vertex 1's list is lab[0:2], both in the first tier.
-		c := chunk{off: []uint32{0, 0, 0, 2, 2, 2, 2}, lab: []uint16{uint16(repeated), uint16(repeated)}}
+	for _, c := range []struct {
+		repeated order.Rank
+		word     []uint32
+		lab      []uint16
+	}{
+		{2, []uint32{0, 0, 2, 2}, []uint16{2, 2}}, // vertex 1's run stores rank 2 twice
+		{1, []uint32{0, 0, 2, 2}, []uint16{1, 1}}, // and rank 1, its own, twice
+	} {
 		var coder labelCoder
-		if _, err := coder.appendLabelBlock(nil, side{l: &layout{chunks: []chunk{c}}}, ord, 0); err == nil || !strings.Contains(err.Error(), "strictly ascending") {
-			t.Fatalf("rank %d twice: err = %v, want the list refused", repeated, err)
+		l := &layout{ord: ord, chunks: []chunk{{word: c.word, lab: c.lab}}}
+		if _, err := coder.appendLabelBlock(nil, side{l: l}, ord, 0); err == nil || !strings.Contains(err.Error(), "strictly ascending") {
+			t.Fatalf("rank %d twice: err = %v, want the list refused", c.repeated, err)
 		}
-		x := FromLists(ord, [][]order.Rank{nil, {repeated}, nil}, make([][]order.Rank, 3))
+		x := FromLists(ord, [][]order.Rank{nil, {c.repeated}, nil}, make([][]order.Rank, 3))
 		if y, err := Read(bytes.NewReader(mustWrite(t, x))); err != nil || !x.Equal(y) {
-			t.Fatalf("rank %d once: the index does not round-trip (%v)", repeated, err)
+			t.Fatalf("rank %d once: the index does not round-trip (%v)", c.repeated, err)
 		}
 	}
 }

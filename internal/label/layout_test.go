@@ -1,6 +1,7 @@
 package label
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -147,6 +148,47 @@ func TestReachableBatch(t *testing.T) {
 	for _, c := range []struct{ pairs, allocs int }{{16, 1}, {64, 1}, {65, 2}, {500, 2}} {
 		if got := testing.AllocsPerRun(20, func() { x.ReachableBatch(pairs[:c.pairs]) }); int(got) != c.allocs {
 			t.Errorf("a batch of %d pairs allocates %v times, want %d", c.pairs, got, c.allocs)
+		}
+	}
+}
+
+// TestLongFirstTier: a list with a second tier and 65,535 or more
+// first-tier ranks — all 2¹⁶ of them at most — has a head too long for
+// one half-word, so it takes a second. Such lists read back whole,
+// answer queries at either end of either tier, and survive the index
+// file and Thaw.
+func TestLongFirstTier(t *testing.T) {
+	const n = wideFrom + 3
+	ranks := make([]order.Rank, n)
+	for v := range ranks {
+		ranks[v] = order.Rank(v)
+	}
+	ord := order.FromRanks(ranks)
+	in, out := make([][]order.Rank, n), make([][]order.Rank, n)
+	all := span(0, wideFrom, 1)
+	out[n-1] = append(slices.Clone(all), wideFrom, n-1)           // all of tier 1, then tier 2 and its own rank
+	out[n-2] = append(slices.Clone(all[1:]), wideFrom+1)          // 65,535 in tier 1
+	out[n-3] = append(slices.Clone(all[:wideFrom-2]), wideFrom+1) // 65,534: one head half-word
+	in[0], in[1], in[2] = []order.Rank{wideFrom - 1}, []order.Rank{wideFrom}, []order.Rank{0, wideFrom + 1}
+	in[3] = []order.Rank{n - 1}
+	x := FromLists(ord, in, out)
+	for _, v := range []graph.VertexID{n - 1, n - 2, n - 3} {
+		if got := x.OutLabels(v); !slices.Equal(got, out[v]) {
+			t.Fatalf("L_out(%d) reads back with %d ranks, want %d", v, len(got), len(out[v]))
+		}
+	}
+	back, err := Read(bytes.NewReader(mustWrite(t, x)))
+	if err != nil || !x.Equal(back) {
+		t.Fatalf("the index does not round-trip (%v)", err)
+	}
+	ref := x.Thaw()
+	for _, y := range []*Index{x, back, ref.Freeze()} {
+		for _, s := range []graph.VertexID{n - 1, n - 2, n - 3} {
+			for u := graph.VertexID(0); u < 4; u++ {
+				if got, want := y.Reachable(s, u), ref.Reachable(s, u); got != want {
+					t.Fatalf("Reachable(%d, %d) = %v, the reference %v", s, u, got, want)
+				}
+			}
 		}
 	}
 }

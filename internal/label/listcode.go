@@ -546,13 +546,13 @@ func (s side) shape(v graph.VertexID, own order.Rank) (length, self, wide uint32
 		list, self := explicit(l, own)
 		return uint32(len(list)), self, wideCount(list)
 	}
-	narrow, w := s.l.tiers(v)
+	narrow, w, implicit := s.l.tiers(v)
 	length, wide = uint32(len(narrow)+len(w)/2), uint32(len(w)/2)
-	if endsWith(narrow, w, uint32(own)) {
+	switch {
+	case implicit:
+		self = 1
+	case len(w) == 0 && len(narrow) > 0 && uint32(narrow[len(narrow)-1]) == uint32(own):
 		length, self = length-1, 1
-		if uint32(own) >= wideFrom {
-			wide--
-		}
 	}
 	return length, self, wide
 }
@@ -721,24 +721,16 @@ func (c *labelCoder) spare(a, b *hubCover) *hubCover {
 // gammaWidth is the width of v + 1's Elias γ code.
 func gammaWidth(v uint32) uint64 { return uint64(2*bits.Len64(uint64(v)+1) - 1) }
 
-// wideCount returns how many of an ascending list's ranks are in the
-// second tier: its tail from wideFrom on.
-func wideCount(list []order.Rank) uint32 {
-	k := len(list)
-	for k > 0 && uint32(list[k-1]) >= wideFrom {
-		k--
-	}
-	return uint32(len(list) - k)
-}
-
 // A section is one labels section between its reading and its
-// decoding: its chunks, allocated at their final size from the shapes,
-// the vertices whose shapes say selfLast, and per block the model and
-// the bit stream of its lists, which decodeLists takes in rank order.
+// decoding: its chunks, allocated at their final size from the shapes —
+// a shape's selfLast is its word's selfBit where the own rank is in the
+// second tier, and otherwise a slot the reader puts it in — and per
+// block the model and the bit stream of its lists, which decodeLists
+// takes in rank order.
 type section struct {
 	l      layout
 	ord    perm
-	self   []uint64 // bit v set where v's list ends with its own rank, not written
+	self   []uint64 // bit v set where v's list ends with its own first-tier rank, not written
 	blocks []listStream
 }
 
@@ -764,8 +756,9 @@ type unionScratch struct {
 // header's total, not by its bytes.
 func readSection(br *bufio.Reader, ord perm, total uint64) (*section, error) {
 	n := ord.N()
-	s := &section{l: layout{chunks: make([]chunk, blocksFor(n)), entries: int64(total)}, ord: ord, self: make([]uint64, (n+63)/64), blocks: make([]listStream, blocksFor(n))}
+	s := &section{l: layout{ord: ord, chunks: make([]chunk, blocksFor(n)), entries: int64(total)}, ord: ord, self: make([]uint64, (n+63)/64), blocks: make([]listStream, blocksFor(n))}
 	var sum uint64
+	var shapes []shape
 	for k := range s.l.chunks {
 		entries, payload, err := readBlock(br, nil, 0)
 		if err != nil {
@@ -774,7 +767,7 @@ func readSection(br *bufio.Reader, ord perm, total uint64) (*section, error) {
 		if sum += entries; sum > total {
 			return nil, fmt.Errorf("corrupt block: the %d entries of the vertices from %d exceed the header's count", entries, k*blockValues)
 		}
-		if s.l.chunks[k], err = s.blocks[k].readShapes(payload, ord, k, entries, s.self); err != nil {
+		if s.l.chunks[k], shapes, err = s.blocks[k].readShapes(payload, ord, k, entries, shapes[:0], s.self); err != nil {
 			return nil, err
 		}
 	}
@@ -784,51 +777,54 @@ func readSection(br *bufio.Reader, ord perm, total uint64) (*section, error) {
 	return s, nil
 }
 
-// readShapes reads block k's model and the shapes of its vertices, sets
-// the bits of self of those that say selfLast, and returns their chunk,
-// allocated at its final size. The stream is left where the block's
-// lists start.
-func (b *listStream) readShapes(payload []byte, ord perm, k int, entries uint64, self []uint64) (chunk, error) {
+// readShapes reads block k's model and the shapes of its vertices into
+// shapes (returned, for the next block to reuse), sets the bits of self
+// of those whose own first-tier rank ends their list, and returns their
+// chunk, allocated at its final size. The stream is left where the
+// block's lists start.
+func (b *listStream) readShapes(payload []byte, ord perm, k int, entries uint64, shapes []shape, self []uint64) (chunk, []shape, error) {
 	n := ord.N()
 	var err error
 	if b.m, b.inherits, payload, err = parseModel(payload, n); err != nil {
-		return chunk{}, err
+		return chunk{}, shapes, err
 	}
 	b.r = bitReader{b: payload}
 	v0, v1 := k*blockValues, min((k+1)*blockValues, n)
-	off := make([]uint32, 2*(v1-v0)+1)
 	for i := range v1 - v0 {
 		hdr := b.r.rice(b.m[slotLen])
 		length, last := uint64(hdr>>1), uint64(hdr&1)
 		if length+last > entries {
-			return chunk{}, errors.New("corrupt block: list length beyond the block's entry count")
+			return chunk{}, shapes, errors.New("corrupt block: list length beyond the block's entry count")
 		}
 		if length+last > uint64(n) {
-			return chunk{}, fmt.Errorf("corrupt block: a list of %d ranks below %d", length+last, n)
+			return chunk{}, shapes, fmt.Errorf("corrupt block: a list of %d ranks below %d", length+last, n)
 		}
 		entries -= length + last
 		wide := uint64(0)
 		if n > wideFrom && length > 0 {
 			if wide = uint64(b.r.rice(b.m[slotWide])); wide > length {
-				return chunk{}, errors.New("corrupt block: a second-tier count beyond its list's length")
+				return chunk{}, shapes, errors.New("corrupt block: a second-tier count beyond its list's length")
 			}
 		}
+		sh := shape{narrow: uint32(length - wide), wide: uint32(wide)}
 		if last != 0 {
 			own := uint64(ord.RankOf(graph.VertexID(v0 + i)))
 			if length > own || own < wideFrom && wide > 0 {
-				return chunk{}, errors.New("corrupt block: a list's implicit last entry, its vertex's own rank, is not above the ranks before it")
+				return chunk{}, shapes, errors.New("corrupt block: a list's implicit last entry, its vertex's own rank, is not above the ranks before it")
 			}
 			if own >= wideFrom {
-				wide++
+				sh.self = true
+			} else {
+				sh.narrow++
+				self[(v0+i)/64] |= 1 << ((v0 + i) % 64)
 			}
-			self[(v0+i)/64] |= 1 << ((v0 + i) % 64)
 		}
-		off[2*i+1], off[2*i+2] = uint32(length+last-wide), uint32(2*wide)
+		shapes = append(shapes, sh)
 	}
 	if entries != 0 {
-		return chunk{}, errors.New("corrupt block: fewer entries than its header counts")
+		return chunk{}, shapes, errors.New("corrupt block: fewer entries than its header counts")
 	}
-	return allocChunk(off), nil
+	return allocChunk(shapes), shapes, nil
 }
 
 // decodeLists decodes the section's lists into the chunks readSection
@@ -849,8 +845,8 @@ func (s *section) decodeLists() error {
 		}
 		*b = listStream{}
 	}
-	for _, c := range s.l.chunks {
-		assertTiers(c)
+	for k, c := range s.l.chunks {
+		assertTiers(c, s.ord, k*blockValues)
 	}
 	return nil
 }
@@ -863,14 +859,11 @@ var errRankRange = errors.New("corrupt block: rank out of range")
 // the ranks it adds.
 func (s *section) decodeList(b *listStream, own uint32, u *unionScratch) error {
 	v := s.ord.VertexAt(order.Rank(own))
-	narrow, wide := s.l.tiers(v)
-	self := s.self[v/64]>>(v%64)&1 != 0
-	if self && own < wideFrom {
+	narrow, wide, implicit := s.l.tiers(v)
+	self := implicit || s.self[v/64]>>(v%64)&1 != 0
+	if self && !implicit {
 		narrow[len(narrow)-1] = uint16(own)
 		narrow = narrow[:len(narrow)-1]
-	} else if self {
-		wide[len(wide)-2], wide[len(wide)-1] = uint16(own>>16), uint16(own)
-		wide = wide[:len(wide)-2]
 	}
 	f := listFill{narrow: narrow, wide: wide}
 	count := len(narrow) + len(wide)/2
@@ -922,7 +915,8 @@ func (s *section) inherit(b *listStream, f *listFill, own uint32, count int, hub
 			return errors.New("corrupt block: a list's hubs are not strictly ascending")
 		}
 		next = hub + 1
-		u.add(s.l.tiers(s.ord.VertexAt(order.Rank(hub))))
+		narrow, wide, self := s.l.tiers(s.ord.VertexAt(order.Rank(hub)))
+		u.add(narrow, wide, self, hub)
 	}
 	drops := b.r.rice(b.m[slotDrops])
 	if uint64(drops) > uint64(len(u.union)) {
@@ -973,14 +967,18 @@ func (s *section) inherit(b *listStream, f *listFill, own uint32, count int, hub
 	return nil
 }
 
-// add merges a list, given as its two tiers, into the union.
-func (u *unionScratch) add(narrow, wide []uint16) {
-	list := slices.Grow(u.hub[:0], len(narrow)+len(wide)/2)[:len(narrow)+len(wide)/2]
+// add merges a list into the union, given as its two tiers and, where
+// self says so, its last rank own, not stored.
+func (u *unionScratch) add(narrow, wide []uint16, self bool, own uint32) {
+	list := slices.Grow(u.hub[:0], len(narrow)+len(wide)/2+1)[:len(narrow)+len(wide)/2]
 	for k, r := range narrow {
 		list[k] = uint32(r)
 	}
 	for k := len(narrow); k < len(list); k++ {
 		list[k] = wideAt(wide, 2*(k-len(narrow)))
+	}
+	if self {
+		list = append(list, own)
 	}
 	if len(u.union) == 0 { // the first hub's list is the union so far
 		u.union, u.hub = list, u.union

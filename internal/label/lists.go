@@ -87,8 +87,8 @@ func (l *Lists) Freeze() *Index {
 	return &Index{
 		n:   l.n,
 		ord: l.ord,
-		in:  layoutOf(l.n, func(v graph.VertexID) []order.Rank { return l.in[v] }),
-		out: layoutOf(l.n, func(v graph.VertexID) []order.Rank { return l.out[v] }),
+		in:  layoutOf(l.ord, func(v graph.VertexID) []order.Rank { return l.in[v] }),
+		out: layoutOf(l.ord, func(v graph.VertexID) []order.Rank { return l.out[v] }),
 	}
 }
 

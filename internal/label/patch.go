@@ -84,5 +84,5 @@ func (x *Index) Fold() *Index {
 			return buf
 		}
 	}
-	return &Index{n: x.n, ord: x.ord, in: layoutOf(x.n, decoded(x.AppendInLabels)), out: layoutOf(x.n, decoded(x.AppendOutLabels))}
+	return &Index{n: x.n, ord: x.ord, in: layoutOf(x.ord, decoded(x.AppendInLabels)), out: layoutOf(x.ord, decoded(x.AppendOutLabels))}
 }

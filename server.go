@@ -426,7 +426,11 @@ func (h *QueryHandler) stats(_ *httpapi.Handle, w http.ResponseWriter, _ *http.R
 		"index_epoch":    stSrv.epoch,
 		"index_vertices": stSrv.idx.NumVertices(),
 		"entries":        st.Entries,
+		// bytes is the paper's Table VI accounting (IndexStats.Bytes),
+		// resident_bytes what this replica's label layout holds
+		// (IndexStats.Resident).
 		"bytes":          st.Bytes,
+		"resident_bytes": st.Resident,
 		"max_label_size": st.MaxLabelSize,
 		"avg_label_size": st.AvgLabelSize,
 		// Memory-bounded builds only (Options.LabelBudget): the cap and

@@ -88,9 +88,11 @@ func TestQueryHandlerStatsAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats struct {
-		Vertices int   `json:"vertices"`
-		Entries  int64 `json:"entries"`
-		Build    struct {
+		Vertices      int   `json:"vertices"`
+		Entries       int64 `json:"entries"`
+		Bytes         int64 `json:"bytes"`
+		ResidentBytes int64 `json:"resident_bytes"`
+		Build         struct {
 			Method     string `json:"method"`
 			Workers    int    `json:"workers"`
 			Supersteps int    `json:"supersteps"`
@@ -102,6 +104,14 @@ func TestQueryHandlerStatsAndHealth(t *testing.T) {
 	resp.Body.Close()
 	if stats.Vertices != 11 || stats.Entries == 0 {
 		t.Errorf("stats = %+v", stats)
+	}
+	// bytes is the paper's Table VI accounting, 4 bytes an entry and 16
+	// a vertex (one more for the end offsets); resident_bytes is what the
+	// replica's layout holds: 2 bytes a rank, all below 2¹⁶ here, and a
+	// 4-byte word a vertex and direction (one more for the end).
+	const entries, resident = 31, 158
+	if stats.Entries != entries || stats.Bytes != 4*entries+16*(11+1) || stats.ResidentBytes != resident {
+		t.Errorf("%d entries in %d bytes, %d resident; want %d in %d, %d resident", stats.Entries, stats.Bytes, stats.ResidentBytes, entries, 4*entries+16*(11+1), resident)
 	}
 	if stats.Build.Method != string(MethodDRLBatch) || stats.Build.Supersteps == 0 {
 		t.Errorf("build section = %+v", stats.Build)
