@@ -8,8 +8,9 @@ all: build vet test
 # project analyzers, the full test suite once under the race detector
 # (the RPC fault-handling tests are concurrency-heavy) with coverage,
 # the six example programs (nothing else executes them), the fuzz
-# targets, one iteration of the query kernel's benchmark (so it cannot
-# rot), and the suite again with runtime invariants compiled in.
+# targets, one iteration each of the query kernel's and the CSR
+# builder's benchmarks (so they cannot rot), and the suite again with
+# runtime invariants compiled in.
 check:
 	go vet ./...
 	go build ./...
@@ -18,6 +19,7 @@ check:
 	$(MAKE) examples
 	$(MAKE) fuzz
 	go test ./internal/label -run '^$$' -bench Reachable -benchtime 1x
+	go test ./internal/graph -run '^$$' -bench FromEdges -benchtime 1x
 	go test -tags=invariants ./...
 
 # The fuzz targets, with their budgets (make check and CI's check job

@@ -93,10 +93,21 @@ func EmitEdges(p Params, emit func(graph.Edge) error) error {
 	}
 }
 
+// edgesPerVertex is the number of edges a vertex emits at average
+// degree avg (4 where avg is unset), at least one.
+func edgesPerVertex(avg float64) int {
+	if avg <= 0 {
+		avg = 4
+	}
+	return max(1, int(avg+0.5))
+}
+
 // Edges generates the edge stream for p as a slice. The stream order
 // matters: the scalability experiment (Fig. 7) takes prefixes of it.
+// The slice is sized once for N × edgesPerVertex edges; a family that
+// emits more (social's reciprocal edges) grows it.
 func Edges(p Params) ([]graph.Edge, error) {
-	var edges []graph.Edge
+	edges := make([]graph.Edge, 0, max(p.N, 0)*edgesPerVertex(p.AvgDegree))
 	if err := EmitEdges(p, func(e graph.Edge) error {
 		edges = append(edges, e)
 		return nil
@@ -144,10 +155,7 @@ func GenerateStreamed(p Params) (*graph.Digraph, error) {
 // it consumes the rng exactly as indexing the edge slice used to.
 func webEdges(n int, avg float64, rng *rand.Rand, emit func(graph.Edge) error) error {
 	const copyP, backP = 0.55, 0.12
-	perVertex := int(avg + 0.5)
-	if perVertex < 1 {
-		perVertex = 1
-	}
+	perVertex := edgesPerVertex(avg)
 	var targets []graph.VertexID
 	put := func(u, v int) error {
 		targets = append(targets, graph.VertexID(v))
@@ -185,10 +193,7 @@ func webEdges(n int, avg float64, rng *rand.Rand, emit func(graph.Edge) error) e
 // labels small on real citation graphs) with recency (papers mostly
 // cite the recent literature).
 func citationEdges(n int, avg float64, rng *rand.Rand, emit func(graph.Edge) error) error {
-	perVertex := int(avg + 0.5)
-	if perVertex < 1 {
-		perVertex = 1
-	}
+	perVertex := edgesPerVertex(avg)
 	// Papers live in research areas and overwhelmingly cite within
 	// their own area; the occasional cross-area citation goes to a
 	// well-cited paper. This community structure is what keeps the
@@ -230,10 +235,7 @@ func citationEdges(n int, avg float64, rng *rand.Rand, emit func(graph.Edge) err
 // regime). The target pool replaces the edge history as in webEdges.
 func socialEdges(n int, avg float64, rng *rand.Rand, emit func(graph.Edge) error) error {
 	const reciprocateP = 0.3
-	perVertex := int(avg + 0.5)
-	if perVertex < 1 {
-		perVertex = 1
-	}
+	perVertex := edgesPerVertex(avg)
 	var targets []graph.VertexID
 	put := func(u, v int) error {
 		targets = append(targets, graph.VertexID(v))
@@ -339,10 +341,7 @@ func biologyEdges(n int, avg float64, rng *rand.Rand, emit func(graph.Edge) erro
 			}
 		}
 	}
-	perAnnot := int(avg + 0.5)
-	if perAnnot < 1 {
-		perAnnot = 1
-	}
+	perAnnot := edgesPerVertex(avg)
 	for v := terms; v < n; v++ {
 		for j := 0; j < perAnnot; j++ {
 			t := rng.Intn(terms)

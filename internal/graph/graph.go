@@ -18,9 +18,10 @@ type Edge struct {
 	U, V VertexID
 }
 
-// Digraph is an immutable directed graph in dual-direction CSR form.
-// Construct one with FromEdges (or FromEdgeStream) or a loader from the
-// io file.
+// Digraph is an immutable directed graph in dual-direction CSR form,
+// every neighborhood sorted and free of duplicates. Construct one with
+// FromEdges or FromEdgeStream (one builder, build.go) or a loader from
+// the io files.
 type Digraph struct {
 	n      int32
 	m      int64
@@ -111,14 +112,15 @@ func newDigraph(n int32, outOff []int64, outAdj []VertexID, inOff []int64, inAdj
 // FromEdges builds a Digraph with n vertices from an edge list. The
 // input slice is neither modified nor copied. Duplicate edges are
 // removed; self-loops are kept (they never affect reachability but
-// appear in real datasets). It panics if an edge references a vertex
-// outside [0, n).
-//
-// The build is the parallel counting construction of parallel.go:
-// deterministic for every worker count, and byte-identical to the
-// global-sort builder the tests keep as its reference.
+// appear in real datasets). It is FromEdgeStream over the slice, and
+// panics where that returns an error: an out-of-range vertex count, or
+// an edge referencing a vertex outside [0, n).
 func FromEdges(n int, edges []Edge) *Digraph {
-	return fromEdgesParallel(n, edges, 0)
+	g, err := FromEdgeStream(n, StreamOfEdges(edges))
+	if err != nil {
+		panic(err.Error())
+	}
+	return g
 }
 
 // EdgePrefix returns the first fraction frac (0 < frac <= 1) of the

@@ -21,13 +21,14 @@ import (
 // order of magnitude faster than parsing text and is the format
 // cmd/drgen emits by default.
 
-// ReadEdgeList parses a text edge list from r.
+// ReadEdgeList parses a text edge list from r. A vertex ID too large
+// for a graph's vertex count is an error, not a panic.
 func ReadEdgeList(r io.Reader) (*Digraph, error) {
 	edges, n, err := ReadEdges(r)
 	if err != nil {
 		return nil, err
 	}
-	return FromEdges(n, edges), nil
+	return FromEdgeStream(n, StreamOfEdges(edges))
 }
 
 // ReadEdges parses a text edge list and returns the raw edges plus the

@@ -216,15 +216,18 @@ func TestLoadFileShortFiles(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
 		name, content string
-		wantErr       bool
+		wantErr       string // a substring of the error; "" loads
 		vertices      int
 	}{
-		{"empty", "", false, 0},
-		{"five-bytes", "1 2\n", false, 3}, // shorter than a magic number
-		{"seven-bytes", "10 11\n", false, 12},
-		{"comment-only", "# nothing here\n", false, 0},
-		{"eight-byte-text", "3 4\n5 6\n", false, 7},
-		{"garbage", "not a graph at all\n", true, 0},
+		{"empty", "", "", 0},
+		{"five-bytes", "1 2\n", "", 3}, // shorter than a magic number
+		{"seven-bytes", "10 11\n", "", 12},
+		{"comment-only", "# nothing here\n", "", 0},
+		{"eight-byte-text", "3 4\n5 6\n", "", 7},
+		{"garbage", "not a graph at all\n", "bad source vertex", 0},
+		// The largest int32 ID asks for 2³¹ vertices, one more than a
+		// graph can have: refused before anything is sized by it.
+		{"vertex-count-overflow", "0 2147483647\n", "vertex count 2147483648 out of range", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -233,9 +236,9 @@ func TestLoadFileShortFiles(t *testing.T) {
 				t.Fatal(err)
 			}
 			g, err := LoadFile(path)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatal("expected error")
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
 				}
 				return
 			}

@@ -177,13 +177,21 @@ func (d *DynamicIndex) Graph() *graph.Digraph {
 	if _, out := d.SnapshotGraph(); out == nil {
 		return d.g
 	}
-	edges := make([]graph.Edge, 0, d.m)
-	for u := graph.VertexID(0); int(u) < d.n; u++ {
-		for _, v := range d.outNeighbors(u) {
-			edges = append(edges, graph.Edge{U: u, V: v})
+	// The builder replays the adjacency twice; no edge slice is made.
+	g, err := graph.FromEdgeStream(d.n, func(emit func(graph.Edge) error) error {
+		for u := graph.VertexID(0); int(u) < d.n; u++ {
+			for _, v := range d.outNeighbors(u) {
+				if err := emit(graph.Edge{U: u, V: v}); err != nil {
+					return err
+				}
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		panic(err) // the adjacency is in range and replays identically
 	}
-	return graph.FromEdges(d.n, edges)
+	return g
 }
 
 // NumVertices returns the (fixed) vertex count.
