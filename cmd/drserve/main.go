@@ -1,6 +1,6 @@
 // Command drserve serves reachability queries from a serialized index
 // over HTTP — one replica of the paper's deployment model. It fronts
-// the index with a sharded hot-pair answer cache and a batch endpoint,
+// the index with a hot-pair answer cache and a batch endpoint,
 // hot-reloads the index with zero downtime (POST /admin/reload or
 // SIGHUP swap the frozen index and its cache atomically under live
 // traffic), and shuts down gracefully on SIGINT/SIGTERM, draining
@@ -8,6 +8,12 @@
 // several of these. Every endpoint, body, limit and refusal is the
 // table in DESIGN.md "HTTP contract" (§17); the flags below only size
 // and feed what it describes.
+//
+// The cache is one table of -cache 4-byte slots (rounded up to a power
+// of two; 4 MB at the default 2^20), replaced whole at every reload. It
+// holds only pairs whose IDs are both below 2^k, k = min(31,
+// ⌊(30 + log₂ slots)/2⌋) — 2^25 at the default size; a larger ID is
+// answered by the index every time.
 //
 // Usage:
 //
@@ -67,8 +73,7 @@ func main() {
 	var (
 		idxPath  = flag.String("idx", "", "index file written by drlabel (required unless -wal; also the default /admin/reload and SIGHUP source)")
 		listen   = flag.String("listen", "127.0.0.1:8080", "address to listen on")
-		cache    = flag.Int("cache", 1<<20, "hot-pair cache capacity in entries (0 disables)")
-		shards   = flag.Int("cache-shards", 64, "hot-pair cache shard count")
+		cache    = flag.Int("cache", 1<<20, "hot-pair cache size in 4-byte slots, rounded up to a power of two (0 disables); it holds pairs whose IDs are both below 2^k, k = min(31, ⌊(30 + log₂ slots)/2⌋) — 2^25 at the default")
 		maxBatch = flag.Int("max-batch", reachlab.DefaultMaxBatch, "maximum pairs per /reach/batch request and entries per /reach/from and /reach/join list")
 		maxJoin  = flag.Int("max-join", reachlab.DefaultMaxJoin, "maximum scanned cross product |sources|×|targets| per /reach/join request")
 		grace    = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight queries")
@@ -87,11 +92,10 @@ func main() {
 	)
 	// Both modes serve with these; only static mode adds a Loader.
 	serveOpts := reachlab.ServeOptions{
-		Obs:         reachlab.DefaultMetrics(),
-		CachePairs:  *cache,
-		CacheShards: *shards,
-		MaxBatch:    *maxBatch,
-		MaxJoin:     *maxJoin,
+		Obs:        reachlab.DefaultMetrics(),
+		CachePairs: *cache,
+		MaxBatch:   *maxBatch,
+		MaxJoin:    *maxJoin,
 	}
 	// -graph is opened one way, whichever mode then uses it. A mapping
 	// lasts as long as the process does.

@@ -1,19 +1,26 @@
-// Package qcache is a sharded, lock-free, fixed-size cache for
-// reachability query answers, sitting in front of the query server's
-// merge kernel. It exists because serving traffic is heavily skewed —
-// a zipfian population keeps re-asking the same hot (s, t) pairs — and
-// because the index is immutable once frozen, so a cached answer can
-// never go stale and the cache needs no invalidation path at all (see
-// DESIGN.md §10).
+// Package qcache is a lock-free, fixed-size cache for reachability
+// query answers, sitting in front of the query server's merge kernel.
+// It exists because serving traffic is heavily skewed — a zipfian
+// population keeps re-asking the same hot (s, t) pairs — and because
+// the index is immutable once frozen, so a cached answer can never go
+// stale and the cache needs no invalidation path at all (see DESIGN.md
+// §10).
 //
-// The structure is a power-of-two array of power-of-two shards, each
-// shard a direct-mapped array of 64-bit slots. A slot packs the whole
-// entry — source, target, answer, and an occupancy bit — into one
-// uint64 that is read and written with a single atomic operation, so
-// a reader can never observe a half-written (pair, answer) binding:
-// it sees the old entry, the new entry, or empty. Collisions simply
-// overwrite (direct-mapped, no chains, no eviction bookkeeping), which
-// bounds memory exactly and keeps both paths to a handful of
+// The structure is one power-of-two table of 32-bit slots, direct
+// mapped. A pair whose IDs are both below 2^k (k = min(31, ⌊(30 +
+// log₂ slots)/2⌋): 25 at 2^20 slots) forms a 2k-bit key; an invertible
+// mix turns the key into a 2k-bit word whose low bits address the slot
+// and whose high bits — the quotient, at most 30 of them — are what
+// the slot stores, beside the answer and an occupancy bit. The address
+// and the quotient together name exactly one pair, so every hit is
+// exact. A pair outside that range, negative IDs included, is never
+// stored and always misses.
+//
+// A slot is read and written with a single atomic operation, so a
+// reader can never observe a half-written (pair, answer) binding: it
+// sees the old entry, the new entry, or empty. Collisions simply
+// overwrite (no chains, no eviction bookkeeping), which bounds memory
+// exactly — 4 bytes a slot — and keeps both paths to a handful of
 // instructions. The cache counts nothing: its one caller tallies hits
 // and misses per request.
 package qcache
@@ -23,90 +30,84 @@ import (
 	"sync/atomic"
 )
 
-// Slot packing: bit 0 = occupied, bit 1 = answer, bits 2..32 = target,
-// bits 33..63 = source. VertexIDs are int32 and non-negative, so 31
-// bits per vertex suffice and the occupied bit keeps every live entry
-// nonzero (an all-zero word always means "empty slot").
+// Slot packing: bit 0 = occupied, bit 1 = answer, bits 2..31 = the
+// quotient. The occupied bit keeps every live entry nonzero (an
+// all-zero word always means "empty slot").
 const (
 	occupiedBit = 1 << 0
 	answerBit   = 1 << 1
-	targetShift = 2
-	sourceShift = 33
-	vertexMask  = 1<<31 - 1
+	quotShift   = 2
+	quotBits    = 32 - quotShift
 )
 
-func pack(s, t int32, reachable bool) uint64 {
-	w := uint64(s)<<sourceShift | uint64(t)<<targetShift | occupiedBit
-	if reachable {
-		w |= answerBit
+// The mix's two odd multipliers, MurmurHash3's fmix64 constants; only
+// their low 2k bits take part.
+const (
+	mul1 = 0xff51afd7ed558ccd
+	mul2 = 0xc4ceb9fe1a85ec53
+)
+
+// mix is a bijection on 2k-bit words (keyMask = 2^2k − 1): xor-shifts
+// by k, which are their own inverses at this width, around two
+// multiplications by odd constants mod 2^2k. The first shift folds the
+// source into the target's half, the multiplications carry low bits
+// upward and the shifts carry high bits down, so the low (address) bits
+// depend on every key bit.
+func mix(x uint64, k uint, keyMask uint64) uint64 {
+	x ^= x >> k
+	x = x * mul1 & keyMask
+	x ^= x >> k
+	x = x * mul2 & keyMask
+	x ^= x >> k
+	return x
+}
+
+// geometry is what a table's size fixes: its slot index width, the key
+// width k per endpoint and the two masks. It is worked out once per
+// table, so Get and Put do not derive it per call.
+type geometry struct {
+	slotBits, k       uint
+	keyMask, slotMask uint64
+}
+
+// geometryOf is the geometry of a table of 2^slotBits slots. k is the
+// largest width per endpoint whose 2k-bit key leaves a quotient of at
+// most quotBits bits, capped at the 31 bits a non-negative int32 has.
+func geometryOf(slotBits uint) geometry {
+	k := min(31, (quotBits+slotBits)/2)
+	return geometry{slotBits: slotBits, k: k, keyMask: 1<<(2*k) - 1, slotMask: 1<<slotBits - 1}
+}
+
+// locate is where the pair (s, t) lives: the slot index and the
+// quotient stored there. ok is false for a pair outside the keyable
+// range, which the cache never holds.
+func (g geometry) locate(s, t int32) (slot uint64, quot uint32, ok bool) {
+	k := g.k & 63 // k ≤ 31; the mask spares the shifts their overflow guard
+	if (uint32(s)|uint32(t))>>k != 0 {
+		return 0, 0, false
 	}
-	return w
+	x := mix(uint64(s)<<k|uint64(t), k, g.keyMask)
+	return x & g.slotMask, uint32(x >> g.slotBits), true
 }
 
-// hash mixes the packed pair (without the answer bits) into a
-// well-distributed 64-bit value — splitmix64's finalizer, chosen so
-// that the shard index (top bits) and slot index (low bits) of
-// neighboring vertex pairs land far apart.
-func hash(s, t int32) uint64 {
-	z := uint64(s)<<32 | uint64(uint32(t))
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-// Cache is a sharded hot-pair cache. The zero value is not usable;
-// call New. A nil *Cache is a valid no-op: Get always misses and Put
-// does nothing, so call sites need no cache-enabled branches.
+// Cache is a hot-pair cache. The zero value is not usable; call New. A
+// nil *Cache is a valid no-op: Get always misses and Put does nothing,
+// so call sites need no cache-enabled branches.
 type Cache struct {
-	shards    []shard
-	shardMask uint64
-	slotMask  uint64
+	slots []atomic.Uint32
+	geometry
 }
 
-type shard struct {
-	slots []atomic.Uint64
-}
-
-// New returns a cache holding about capacity entries across nShards
-// shards. Both values are rounded up to powers of two; capacity is at
-// least one slot per shard. New(0, n) and a nil cache both disable
-// caching.
+// New returns a cache of capacity slots rounded up to a power of two.
+// nShards is ignored: the table is one array (the parameter stays
+// while the benchmark harness passes it). New(0, n) and a nil cache
+// both disable caching.
 func New(capacity, nShards int) *Cache {
 	if capacity <= 0 {
 		return nil
 	}
-	if nShards < 1 {
-		nShards = 1
-	}
-	nShards = ceilPow2(nShards)
-	perShard := ceilPow2((capacity + nShards - 1) / nShards)
-	c := &Cache{
-		shards:    make([]shard, nShards),
-		shardMask: uint64(nShards - 1),
-		slotMask:  uint64(perShard - 1),
-	}
-	for i := range c.shards {
-		c.shards[i].slots = make([]atomic.Uint64, perShard)
-	}
-	return c
-}
-
-func ceilPow2(v int) int {
-	if v <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(v-1))
-}
-
-// slot locates the one slot the pair may live in: top hash bits pick
-// the shard, low bits the slot within it.
-func (c *Cache) slot(s, t int32) *atomic.Uint64 {
-	h := hash(s, t)
-	sh := &c.shards[(h>>32)&c.shardMask]
-	return &sh.slots[h&c.slotMask]
+	slotBits := uint(bits.Len(uint(capacity - 1)))
+	return &Cache{slots: make([]atomic.Uint32, 1<<slotBits), geometry: geometryOf(slotBits)}
 }
 
 // Get returns the cached answer for (s, t) and whether one was
@@ -115,35 +116,40 @@ func (c *Cache) Get(s, t int32) (reachable, ok bool) {
 	if c == nil {
 		return false, false
 	}
-	w := c.slot(s, t).Load()
-	if w&occupiedBit == 0 || (w>>sourceShift)&vertexMask != uint64(s) || (w>>targetShift)&vertexMask != uint64(t) {
+	i, q, ok := c.locate(s, t)
+	if !ok {
+		return false, false
+	}
+	w := c.slots[i].Load()
+	if w&occupiedBit == 0 || w>>quotShift != q {
 		return false, false
 	}
 	return w&answerBit != 0, true
 }
 
 // Put records the answer for (s, t), overwriting whatever pair shared
-// the slot. Answers are immutable per pair (the index never changes),
-// so racing Puts for the same pair write the same word.
+// the slot; a pair outside the keyable range is dropped. Answers are
+// immutable per pair (the index never changes), so racing Puts for the
+// same pair write the same word.
 func (c *Cache) Put(s, t int32, reachable bool) {
 	if c == nil {
 		return
 	}
-	c.slot(s, t).Store(pack(s, t, reachable))
+	i, q, ok := c.locate(s, t)
+	if !ok {
+		return
+	}
+	w := q<<quotShift | occupiedBit
+	if reachable {
+		w |= answerBit
+	}
+	c.slots[i].Store(w)
 }
 
-// Capacity returns the total number of slots (0 for a nil cache).
+// Capacity returns the number of slots (0 for a nil cache).
 func (c *Cache) Capacity() int {
 	if c == nil {
 		return 0
 	}
-	return len(c.shards) * int(c.slotMask+1)
-}
-
-// Shards returns the shard count (0 for a nil cache).
-func (c *Cache) Shards() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.shards)
+	return len(c.slots)
 }

@@ -60,10 +60,9 @@ type QueryHandler struct {
 	// startup, before the handler sees traffic.
 	updater *Updater
 
-	// Cache geometry, re-applied to the fresh cache of every epoch.
-	cachePairs  int
-	cacheShards int
-	maxJoin     int
+	// Cache size, re-applied to the fresh cache of every epoch.
+	cachePairs int
+	maxJoin    int
 
 	// Lifetime cache outcomes across epochs, added to once per request
 	// by resolve.
@@ -102,13 +101,13 @@ type ServeOptions struct {
 	// disables instrumentation (/metrics and /trace serve empty
 	// documents).
 	Obs *MetricsRegistry
-	// CachePairs sizes the sharded hot-pair answer cache (rounded up
-	// to a power of two). Zero disables the cache. Within one epoch
-	// the index is immutable, so cached answers never need
+	// CachePairs sizes the hot-pair answer cache in 4-byte slots
+	// (rounded up to a power of two). Zero disables the cache. Within
+	// one epoch the index is immutable, so cached answers never need
 	// invalidation; a reload swaps in a fresh cache with the index.
 	CachePairs int
-	// CacheShards is the shard count of the cache (default 64,
-	// rounded up to a power of two).
+	// CacheShards is ignored: the cache is one table. The field stays
+	// while the benchmark harness sets it.
 	CacheShards int
 	// MaxBatch caps the pair count of one /reach/batch request and the
 	// per-list length of /reach/from and /reach/join; larger requests
@@ -135,10 +134,6 @@ const (
 	VerticesHeader  = httpapi.VerticesHeader
 )
 
-// defaultCacheShards spreads slot traffic across enough shards that
-// concurrent clients rarely contend on the same cache line.
-const defaultCacheShards = 64
-
 // NewQueryHandler returns an http.Handler serving queries from idx,
 // reporting to the process-wide default registry.
 func NewQueryHandler(idx *Index) *QueryHandler {
@@ -154,21 +149,16 @@ func NewQueryHandlerObs(idx *Index, reg *obs.Registry) *QueryHandler {
 // NewQueryHandlerOpts is the fully configurable constructor: cache
 // size, batch cap, reload loader, and metrics registry.
 func NewQueryHandlerOpts(idx *Index, opts ServeOptions) *QueryHandler {
-	shards := opts.CacheShards
-	if shards <= 0 {
-		shards = defaultCacheShards
-	}
 	maxJoin := opts.MaxJoin
 	if maxJoin <= 0 {
 		maxJoin = DefaultMaxJoin
 	}
 	reg := opts.Obs
 	h := &QueryHandler{
-		mux:         httpapi.NewMux(reg, "reachlab", opts.MaxBatch),
-		loader:      opts.Loader,
-		cachePairs:  opts.CachePairs,
-		cacheShards: shards,
-		maxJoin:     maxJoin,
+		mux:        httpapi.NewMux(reg, "reachlab", opts.MaxBatch),
+		loader:     opts.Loader,
+		cachePairs: opts.CachePairs,
+		maxJoin:    maxJoin,
 
 		pairsTotal:  reg.Counter("reachlab_query_pairs_total"),
 		cacheHits:   reg.Counter("reachlab_cache_hits_total"),
@@ -187,7 +177,7 @@ func NewQueryHandlerOpts(idx *Index, opts ServeOptions) *QueryHandler {
 	}
 	h.state.Store(&serveState{
 		idx:   idx,
-		cache: qcache.New(opts.CachePairs, shards),
+		cache: qcache.New(opts.CachePairs, 0),
 		epoch: 1,
 	})
 	h.epochGauge.Set(1)
@@ -230,7 +220,7 @@ func (h *QueryHandler) swapLocked(idx *Index) uint64 {
 	cur := h.state.Load()
 	next := &serveState{
 		idx:   idx,
-		cache: qcache.New(h.cachePairs, h.cacheShards),
+		cache: qcache.New(h.cachePairs, 0),
 		epoch: cur.epoch + 1,
 	}
 	h.state.Store(next)
@@ -439,9 +429,11 @@ func (h *QueryHandler) stats(_ *httpapi.Handle, w http.ResponseWriter, _ *http.R
 		"label_budget":   st.LabelBudget,
 		"overflowed_in":  st.OverflowedIn,
 		"overflowed_out": st.OverflowedOut,
+		// The cache's table is capacity slots of 4 bytes: bytes is
+		// what it holds beside the index's resident_bytes.
 		"cache": map[string]any{
 			"capacity": stSrv.cache.Capacity(),
-			"shards":   stSrv.cache.Shards(),
+			"bytes":    4 * stSrv.cache.Capacity(),
 			"hits":     hits,
 			"misses":   misses,
 		},

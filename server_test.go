@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -81,17 +82,18 @@ func TestQueryHandlerErrors(t *testing.T) {
 }
 
 func TestQueryHandlerStatsAndHealth(t *testing.T) {
-	srv := httptest.NewServer(NewQueryHandler(testIndex(t)))
+	srv := httptest.NewServer(NewQueryHandlerOpts(testIndex(t), ServeOptions{CachePairs: 1000}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stats struct {
-		Vertices      int   `json:"vertices"`
-		Entries       int64 `json:"entries"`
-		Bytes         int64 `json:"bytes"`
-		ResidentBytes int64 `json:"resident_bytes"`
+		Vertices      int              `json:"vertices"`
+		Entries       int64            `json:"entries"`
+		Bytes         int64            `json:"bytes"`
+		ResidentBytes int64            `json:"resident_bytes"`
+		Cache         map[string]int64 `json:"cache"`
 		Build         struct {
 			Method     string `json:"method"`
 			Workers    int    `json:"workers"`
@@ -115,6 +117,11 @@ func TestQueryHandlerStatsAndHealth(t *testing.T) {
 	}
 	if stats.Build.Method != string(MethodDRLBatch) || stats.Build.Supersteps == 0 {
 		t.Errorf("build section = %+v", stats.Build)
+	}
+	// The cache block: 1,000 pairs round up to 2¹⁰ slots of 4 bytes.
+	wantCache := map[string]int64{"capacity": 1024, "bytes": 4096, "hits": 0, "misses": 0}
+	if !maps.Equal(stats.Cache, wantCache) {
+		t.Errorf("cache = %v, want %v", stats.Cache, wantCache)
 	}
 	resp, err = http.Get(srv.URL + "/healthz")
 	if err != nil {
