@@ -4,15 +4,17 @@
 
 all: build vet test
 
-# What CI's check, lint and invariants jobs run: vet, build, the
-# project analyzers, the full test suite once under the race detector
-# (the RPC fault-handling tests are concurrency-heavy) with coverage,
-# the six example programs (nothing else executes them), the fuzz
-# targets, one iteration each of the query kernel's, the CSR builder's
-# and the pair cache's benchmarks (so they cannot rot), and the suite
-# again with runtime invariants compiled in.
+# What CI's check, lint and invariants jobs run: vet, the formatting
+# gate (gofmt lists no file), build, the project analyzers, the full
+# test suite once under the race detector (the RPC fault-handling tests
+# are concurrency-heavy) with coverage, the six example programs
+# (nothing else executes them), the fuzz targets, one iteration each of
+# the query kernel's, the CSR builder's and the pair cache's benchmarks
+# (so they cannot rot), and the suite again with runtime invariants
+# compiled in.
 check:
 	go vet ./...
+	test -z "$$(gofmt -l .)"
 	go build ./...
 	go run ./cmd/drlint ./...
 	go test -race -cover ./...

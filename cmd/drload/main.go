@@ -14,7 +14,7 @@
 //	drload -addrs 127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003 -batch 16
 //	drload -addrs 127.0.0.1:8080 -reload-every 500ms -duration 10s
 //
-//	# Hammer the rich read endpoints (DESIGN.md §15): witness paths,
+//	# Hammer the rich read endpoints (DESIGN.md §7): witness paths,
 //	# set sizes, and streaming joins, each verified against the index:
 //	drload -mode path  -addr 127.0.0.1:8080 -verify-idx web.idx -verify-graph web.bin
 //	drload -mode count -addr 127.0.0.1:8080 -verify-idx web.idx

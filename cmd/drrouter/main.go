@@ -1,11 +1,11 @@
 // Command drrouter is the fleet frontend: it serves a drserve
-// replica's whole API (DESIGN.md "HTTP contract", §17 — the table's
+// replica's whole API (DESIGN.md "HTTP contract", §12 — the table's
 // last column is what the router does with each endpoint) across N
 // replicas, either replicated (any replica answers; least-outstanding
 // wins) or sharded by source (shard(s) = s mod K), with periodic health
 // checks, automatic removal/readmission of misbehaving replicas,
 // graceful drain, and a fleet-wide index reload that swaps every
-// replica to a new epoch with zero downtime (DESIGN.md §11).
+// replica to a new epoch with zero downtime (DESIGN.md §9).
 //
 // Usage:
 //

@@ -6,7 +6,7 @@
 // traffic), and shuts down gracefully on SIGINT/SIGTERM, draining
 // in-flight queries before exiting. cmd/drrouter fans traffic across
 // several of these. Every endpoint, body, limit and refusal is the
-// table in DESIGN.md "HTTP contract" (§17); the flags below only size
+// table in DESIGN.md "HTTP contract" (§12); the flags below only size
 // and feed what it describes.
 //
 // The cache is one table of -cache 4-byte slots (rounded up to a power
@@ -37,7 +37,7 @@
 //	curl -X POST -d '{"ref":"new.idx"}' 'localhost:8080/admin/reload'
 //	kill -HUP <pid>                                            # same as empty reload
 //
-// Update mode (DESIGN.md §12) serves a *mutable* graph: -graph + -wal
+// Update mode (DESIGN.md §10) serves a *mutable* graph: -graph + -wal
 // replace -idx, POST /edges appends durable edge mutations to the
 // write-ahead log, and a background refresher drains them in batches
 // into the next served epoch. A restart replays the log, so every
@@ -47,7 +47,7 @@
 //	curl -d '{"op":"insert","u":3,"v":17}' 'localhost:8080/edges'
 //	# → {"op":"insert","u":3,"v":17,"seq":1,"epoch":2}
 //
-// Observability (see DESIGN.md §7):
+// Observability (see DESIGN.md §13):
 //
 //	curl 'localhost:8080/metrics'                          # Prometheus text
 //	curl 'localhost:8080/trace'                            # superstep traces

@@ -16,7 +16,7 @@ import (
 )
 
 // The tests below pin the five-point contract of BuildBatchBudgeted
-// (DESIGN.md, "Budgeted labels"), one named test per point, over the
+// (DESIGN.md §5, "Budgeted labels"), one named test per point, over the
 // whole grid of budgetGraphs × budgetGrid × batchGrid. Every graph is
 // small enough for an all-pairs BFS oracle.
 

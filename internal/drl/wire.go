@@ -15,7 +15,7 @@ import (
 // B), and batch label shares (Algorithm 4 line 8) — and at P workers
 // every blob byte is charged (P−1)× to BytesRemote, so these blobs
 // dominate the build's communication volume. They get the same
-// treatment as the point-to-point message codec (DESIGN.md §9):
+// treatment as the point-to-point message codec (DESIGN.md §11):
 //
 //	event blob := tag(1) version(1) uvarint(count) pair*
 //	pair       := uvarint(dv) uvarint(dv>0 ? r : dr)

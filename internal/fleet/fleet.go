@@ -1,6 +1,6 @@
 // Package fleet is the horizontally scaled serving tier: a router
 // that fans reachability queries across N drserve replicas, each
-// holding the same frozen flat index (DESIGN.md §11).
+// holding the same frozen flat index (DESIGN.md §9).
 //
 // Two routing modes share one replica pool:
 //

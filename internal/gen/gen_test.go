@@ -89,7 +89,7 @@ func TestEdgeValidity(t *testing.T) {
 }
 
 // TestFamilyRegimes asserts the structural property each family
-// stands in for (the substitution contract of DESIGN.md §3).
+// stands in for (the substitution contract of DESIGN.md §1).
 func TestFamilyRegimes(t *testing.T) {
 	build := func(f Family, deg float64) (*graph.Digraph, graph.Stats) {
 		g, err := Generate(Params{Family: f, N: 4000, AvgDegree: deg, Seed: 9})

@@ -27,7 +27,7 @@ import (
 //     outFull(s) ∧ inFull(t) is a sound "unreachable".
 //
 // Both builders — the parallel drl.BuildBatchBudgeted and the serial
-// reference tol.BuildBudgeted — uphold the two facts (DESIGN.md §14
+// reference tol.BuildBudgeted — uphold the two facts (DESIGN.md §5
 // has the argument for each).
 //
 // Every other pair falls back to a guarded BFS over the retained

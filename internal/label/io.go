@@ -50,7 +50,7 @@ import (
 // rice(kDrops, d) and d gaps of positions it lacks in U, the union of the
 // hubs' lists; and the gaps of the ranks U lacks, len′ − (|U| − d) of
 // them. The reader decodes a section's lists in rank order, so every
-// L(h) is in place when it is needed. DESIGN.md §16 is the normative
+// L(h) is in place when it is needed. DESIGN.md §11 is the normative
 // description.
 
 const (

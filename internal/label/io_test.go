@@ -16,7 +16,7 @@ import (
 	"repro/internal/order"
 )
 
-// The reference encoder: the file grammar of DESIGN.md §16 written
+// The reference encoder: the file grammar of DESIGN.md §11 written
 // down once more, one goroutine, one append per value and per bit, no
 // buffer reuse, its own model fit and its own cover of each list by hubs.
 // WriteTo must produce these bytes whatever GOMAXPROCS is.

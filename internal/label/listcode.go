@@ -17,7 +17,7 @@ import (
 // codes in a bit stream under a model of parameters fitted per block,
 // the permutation's zigzag gaps, and the labels blocks — a shape per
 // vertex, then per rank a list coded alone or against the union of up to
-// four of its closest hubs' lists. DESIGN.md §16 is the normative
+// four of its closest hubs' lists. DESIGN.md §11 is the normative
 // description.
 
 // A value is Rice-coded: v>>k ones, a zero, v's low k bits. From

@@ -82,7 +82,7 @@ func (l *Lists) Reachable(s, t graph.VertexID) bool {
 // block through the one chunk builder. The label sets are copied, so the
 // Lists may be mutated or dropped afterwards; the frozen Index is
 // immutable from here on (which is what lets the serving layer cache
-// query answers without any invalidation — see DESIGN.md §10).
+// query answers without any invalidation — see DESIGN.md §8).
 func (l *Lists) Freeze() *Index {
 	return &Index{
 		n:   l.n,

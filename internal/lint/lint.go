@@ -14,7 +14,7 @@
 // have to police by hand — mapdet, lockheld and errsink for the build
 // tier's determinism, tornload, goleak and wgmisuse for the serving
 // tier's concurrency — and each has been shown to fire on its own bug
-// re-introduced into the tree (DESIGN.md §8). cmd/drlint is the driver
+// re-introduced into the tree (DESIGN.md §13). cmd/drlint is the driver
 // that runs them over the module.
 //
 // Deliberate violations — e.g. the randomized BFL baseline, which
@@ -94,7 +94,7 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 // All returns the catalogue of project analyzers in a stable order:
 // the three determinism analyzers from the build tier, then the three
 // concurrency analyzers guarding the serving/updating tier
-// (DESIGN.md §8).
+// (DESIGN.md §13).
 func All() []*Analyzer {
 	return []*Analyzer{MapDet, LockHeld, ErrSink, TornLoad, GoLeak, WGMisuse}
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/invariant"
 )
 
-// Message wire format, version 2 (see DESIGN.md §9 for the normative
+// Message wire format, version 2 (see DESIGN.md §11 for the normative
 // spec). One packet carries every message one sender worker addresses
 // to one receiver worker in one superstep:
 //

@@ -36,7 +36,7 @@ var ErrCanceled = errors.New("pregel: run canceled")
 // labeling programs put a vertex rank in Val and a direction flag in
 // Kind; the distributed-DFS token of BFL carries the sender in Val
 // and a running counter in Val2. On the wire a Msg is a variable-size
-// delta+varint record (see codec.go and DESIGN.md §9), not a fixed
+// delta+varint record (see codec.go and DESIGN.md §11), not a fixed
 // 13-byte struct dump.
 type Msg struct {
 	Dst  graph.VertexID

@@ -4,7 +4,7 @@
 // population keeps re-asking the same hot (s, t) pairs — and because
 // the index is immutable once frozen, so a cached answer can never go
 // stale and the cache needs no invalidation path at all (see DESIGN.md
-// §10).
+// §8).
 //
 // The structure is one power-of-two table of 32-bit slots, direct
 // mapped. A pair whose IDs are both below 2^k (k = min(31, ⌊(30 +

@@ -1,5 +1,5 @@
 // Package wal is the durable write-ahead edge log of the serving
-// tier's mutation path (DESIGN.md §12): POST /edges appends here
+// tier's mutation path (DESIGN.md §10): POST /edges appends here
 // first, the background refresher folds the log into the dynamic
 // index in batches, and after a crash the log replays into a fresh
 // index — an acknowledged write is never lost.

@@ -324,7 +324,7 @@ func (x *Index) Stats() IndexStats {
 	return st
 }
 
-// WriteTo serializes the index as one file (DESIGN.md §16) — the labels
+// WriteTo serializes the index as one file (DESIGN.md §11) — the labels
 // and whichever of the graph's fingerprint and the label budget with its
 // flags the index has — and returns its size.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {

@@ -18,7 +18,7 @@ import (
 // the paper's deployment: the distributed graph stays put, the
 // compact index answers queries from one machine (§I). cmd/drserve
 // wraps it into a standalone server; cmd/drrouter fans traffic across
-// a fleet of them (DESIGN.md §11).
+// a fleet of them (DESIGN.md §9).
 //
 // The endpoints, their bodies, limits and refusals are the HTTP
 // contract of internal/httpapi (DESIGN.md "HTTP contract"); this file

@@ -11,7 +11,7 @@ import (
 
 // Rich-query handlers: GET /reach/path, GET /reach/count,
 // POST /reach/from, POST /reach/join. Cacheability differs per
-// endpoint (DESIGN.md §15): path and from are pair queries, so they
+// endpoint (DESIGN.md §8): path and from are pair queries, so they
 // consult the hot-pair cache and count into reachlab_query_pairs_total
 // — the hits+misses == pairs reconciliation covers them. A path answer
 // caches only its reachable bit (the path itself is cheap to

@@ -13,7 +13,7 @@ import (
 	"repro/internal/wal"
 )
 
-// The mutation path for the serving tier (DESIGN.md §12). The paper's
+// The mutation path for the serving tier (DESIGN.md §10). The paper's
 // §II-B Remark leaves index maintenance under updates open; the
 // serving-side answer here is a write-ahead edge log in front of the
 // centralized dynamic maintainer:
