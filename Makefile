@@ -9,9 +9,9 @@ all: build vet test
 # test suite once under the race detector (the RPC fault-handling tests
 # are concurrency-heavy) with coverage, the six example programs
 # (nothing else executes them), the fuzz targets, one iteration each of
-# the query kernel's, the CSR builder's and the pair cache's benchmarks
-# (so they cannot rot), and the suite again with runtime invariants
-# compiled in.
+# the query kernel's, the CSR builder's, the labeler's and the pair
+# cache's benchmarks (so they cannot rot), and the suite again with
+# runtime invariants compiled in.
 check:
 	go vet ./...
 	test -z "$$(gofmt -l .)"
@@ -22,6 +22,7 @@ check:
 	$(MAKE) fuzz
 	go test ./internal/label -run '^$$' -bench Reachable -benchtime 1x
 	go test ./internal/graph -run '^$$' -bench FromEdges -benchtime 1x
+	go test ./internal/drl -run '^$$' -bench BuildBatch -benchtime 1x
 	go test ./internal/qcache -run '^$$' -bench Cache -benchtime 1x
 	go test -tags=invariants ./...
 

@@ -82,9 +82,6 @@ func (g *Graph) NumEdges() int64 { return g.d.NumEdges() }
 // OutNeighbors returns N_out(v) as a read-only slice.
 func (g *Graph) OutNeighbors(v VertexID) []VertexID { return g.d.OutNeighbors(v) }
 
-// InNeighbors returns N_in(v) as a read-only slice.
-func (g *Graph) InNeighbors(v VertexID) []VertexID { return g.d.InNeighbors(v) }
-
 // ReachableBFS answers q(s, t) by an online BFS — the index-free
 // ground truth, linear in the graph size per query.
 func (g *Graph) ReachableBFS(s, t VertexID) bool {

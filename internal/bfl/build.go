@@ -65,10 +65,11 @@ func Build(g *graph.Digraph, opt Options) (*Index, error) {
 		x.hashBit[v] = hashVertex(graph.VertexID(v), bits)
 	}
 	x.computeIntervals(g)
-	if err := x.fixpointLabels(g, x.labelOut, opt.Cancel); err != nil {
+	inv := g.Inverse()
+	if err := x.fixpointLabels(g, inv, x.labelOut, opt.Cancel); err != nil {
 		return nil, err
 	}
-	if err := x.fixpointLabels(g.Inverse(), x.labelIn, opt.Cancel); err != nil {
+	if err := x.fixpointLabels(inv, g, x.labelIn, opt.Cancel); err != nil {
 		return nil, err
 	}
 	return x, nil
@@ -122,10 +123,11 @@ func (x *Index) computeIntervals(g *graph.Digraph) {
 }
 
 // fixpointLabels computes lab[v] ⊇ {h(u) | u reachable from v in dir}
-// by worklist propagation; on DAGs this is a single reverse-
-// topological pass, on cyclic graphs it iterates to the fixpoint so
-// the labels stay sound (the paper runs BFL on non-acyclic inputs).
-func (x *Index) fixpointLabels(dir *graph.Digraph, lab []uint64, cancel <-chan struct{}) error {
+// by worklist propagation over dir and its transpose rev; on DAGs this
+// is a single reverse-topological pass, on cyclic graphs it iterates
+// to the fixpoint so the labels stay sound (the paper runs BFL on
+// non-acyclic inputs).
+func (x *Index) fixpointLabels(dir, rev *graph.Digraph, lab []uint64, cancel <-chan struct{}) error {
 	n := dir.NumVertices()
 	w := x.words
 	// Seed: own hash bit.
@@ -162,7 +164,7 @@ func (x *Index) fixpointLabels(dir *graph.Digraph, lab []uint64, cancel <-chan s
 			}
 		}
 		if changed {
-			for _, p := range dir.InNeighbors(v) {
+			for _, p := range rev.OutNeighbors(v) {
 				if !inQueue[p] {
 					inQueue[p] = true
 					queue = append(queue, p)

@@ -54,7 +54,10 @@ type dfsLocal struct {
 // dfsProgram runs the token-passing DFS and assigns interval labels
 // with a single global clock (incremented on discovery and finish).
 type dfsProgram struct {
-	n      int
+	n int
+	// inv is the graph's transpose, whose out-neighbors are the
+	// in-neighbors the token's owner notifies.
+	inv    *graph.Digraph
 	cancel <-chan struct{}
 }
 
@@ -150,7 +153,7 @@ func (p *dfsProgram) runToken(w *pregel.Worker, local *dfsLocal, a tokenAction) 
 				local.parent[v] = a.parent
 			}
 			// Notify owners of in-neighbors so they skip v as a child.
-			for _, nb := range w.Graph.InNeighbors(v) {
+			for _, nb := range p.inv.OutNeighbors(v) {
 				if !w.Owns(nb) {
 					w.Send(pregel.Msg{Dst: nb, Kind: dfsMark, Val: int32(v)})
 				}
@@ -218,7 +221,9 @@ type lblLocal struct {
 type lblProgram struct {
 	words32 int
 	bits    int
-	cancel  <-chan struct{}
+	// rev is the transpose of the graph the labels propagate over.
+	rev    *graph.Digraph
+	cancel <-chan struct{}
 }
 
 func (p *lblProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
@@ -234,7 +239,7 @@ func (p *lblProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
 			lab[bit/32] |= 1 << (uint(bit) % 32)
 			local.lab[v] = lab
 			word := bit / 32
-			for _, nb := range w.Graph.InNeighbors(v) {
+			for _, nb := range p.rev.OutNeighbors(v) {
 				w.Send(pregel.Msg{Dst: nb, Kind: lblWord, Val: word, Val2: int32(lab[word])})
 			}
 		})
@@ -268,7 +273,7 @@ func (p *lblProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
 	for v, words := range local.dirty {
 		lab := local.lab[v]
 		for word := range words {
-			for _, nb := range w.Graph.InNeighbors(v) {
+			for _, nb := range p.rev.OutNeighbors(v) {
 				//lint:ignore mapdet BFL is randomized by design: label words merge by commutative OR, so emission order cannot change the index
 				w.Send(pregel.Msg{Dst: nb, Kind: lblWord, Val: word, Val2: int32(lab[word])})
 			}
@@ -295,9 +300,12 @@ func BuildDistributed(g *graph.Digraph, opt Options, dopt DistOptions) (*Index, 
 		MaxSupersteps: 8*(n+int(g.NumEdges())) + 64,
 	}
 
+	// The transpose, which every phase walks, for the build.
+	inv := g.Inverse()
+
 	// Phase 1: token-passing DFS for the intervals.
 	eng := pregel.New(g, cfg)
-	m, err := eng.Run(&dfsProgram{n: n, cancel: dopt.Cancel})
+	m, err := eng.Run(&dfsProgram{n: n, inv: inv, cancel: dopt.Cancel})
 	met.Add(m)
 	if err != nil {
 		return nil, met, fmt.Errorf("bfl: distributed DFS: %w", err)
@@ -326,11 +334,11 @@ func BuildDistributed(g *graph.Digraph, opt Options, dopt DistOptions) (*Index, 
 
 	// Phase 2+3: Bloom labels in both directions, in parallel.
 	for _, dir := range []struct {
-		g   *graph.Digraph
-		lab []uint64
-	}{{g, x.labelOut}, {g.Inverse(), x.labelIn}} {
+		g, rev *graph.Digraph
+		lab    []uint64
+	}{{g, inv, x.labelOut}, {inv, g, x.labelIn}} {
 		eng := pregel.New(dir.g, cfg)
-		m, err := eng.Run(&lblProgram{words32: bits / 32, bits: bits, cancel: dopt.Cancel})
+		m, err := eng.Run(&lblProgram{words32: bits / 32, bits: bits, rev: dir.rev, cancel: dopt.Cancel})
 		met.Add(m)
 		if err != nil {
 			return nil, met, fmt.Errorf("bfl: label propagation: %w", err)

@@ -197,7 +197,8 @@ func batchLabel(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Optio
 	// batchTrimmed is the trimmed BFS with batch-label pruning: the
 	// expansion into w is blocked both at higher-order vertices
 	// (Algorithm 2) and where srcLab ∩ tgtLab[w] ≠ ∅ — a vertex from a
-	// previous batch lies on a v→w walk (Algorithm 4). BFS_low(v) is
+	// previous batch lies on a v→w walk (Algorithm 4). An empty srcLab
+	// meets nothing, so tgtLab[w] is not read at all. BFS_low(v) is
 	// appended to the worker's arena.
 	batchTrimmed := func(dir *graph.Digraph, s *batchScratch, v graph.VertexID, rv order.Rank, srcLab []order.Rank, tgtLab [][]order.Rank) {
 		s.epoch++
@@ -212,7 +213,7 @@ func batchLabel(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Optio
 					continue
 				}
 				s.seen[w] = ep
-				if ord.RankOf(w) > rv && label.Disjoint(srcLab, tgtLab[w]) {
+				if ord.RankOf(w) > rv && (len(srcLab) == 0 || label.Disjoint(srcLab, tgtLab[w])) {
 					s.lows = append(s.lows, w)
 				}
 			}

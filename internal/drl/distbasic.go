@@ -49,6 +49,7 @@ type basicLocal struct {
 // basicShared replicates the hig lists for the phase-B elimination.
 type basicShared struct {
 	ord    *order.Ordering
+	adj    dirGraphs
 	hig    dirLists
 	cancel <-chan struct{}
 }
@@ -56,6 +57,7 @@ type basicShared struct {
 // basicPhaseA floods all trimmed BFSs and gathers hig sets.
 type basicPhaseA struct {
 	ord    *order.Ordering
+	adj    dirGraphs
 	cancel <-chan struct{}
 }
 
@@ -76,7 +78,7 @@ func (p *basicPhaseA) Superstep(w *pregel.Worker, step int) (bool, error) {
 			for d := kindFwd; d <= kindBwd; d++ {
 				local.seen[seenKey(d, v, r)] = struct{}{}
 				local.list[d][v] = append(local.list[d][v], r)
-				flood(w, d, v, int32(r))
+				flood(w, p.adj, d, v, int32(r))
 			}
 		})
 		return true, nil
@@ -114,7 +116,7 @@ func (p *basicPhaseA) Superstep(w *pregel.Worker, step int) (bool, error) {
 		}
 		local.seen[seenKey(d, dst, r)] = struct{}{}
 		local.list[d][dst] = append(local.list[d][dst], r)
-		flood(w, d, dst, m.Val)
+		flood(w, p.adj, d, dst, m.Val)
 	}
 	return len(w.Inbox) > 0, nil
 }
@@ -168,7 +170,7 @@ func (p *basicPhaseB) Superstep(w *pregel.Worker, step int) (bool, error) {
 			for _, u := range sortedKeys(local.elim[d]) {
 				r := ord.RankOf(u)
 				local.desSeen[seenKey(d, u, r)] = struct{}{}
-				flood(w, d, u, int32(r))
+				flood(w, p.shared.adj, d, u, int32(r))
 			}
 		}
 		return true, nil
@@ -183,7 +185,7 @@ func (p *basicPhaseB) Superstep(w *pregel.Worker, step int) (bool, error) {
 			continue
 		}
 		local.desSeen[key] = struct{}{}
-		flood(w, d, m.Dst, m.Val)
+		flood(w, p.shared.adj, d, m.Dst, m.Val)
 	}
 	return len(w.Inbox) > 0 || len(w.BcastIn) > 0, nil
 }
@@ -208,10 +210,11 @@ func (p *basicPhaseB) Collect(w *pregel.Worker) ([]byte, error) {
 // BuildDistributedBasic runs DRL⁻ on the vertex-centric system.
 func BuildDistributedBasic(g *graph.Digraph, ord *order.Ordering, opt DistOptions) (*label.Index, pregel.Metrics, error) {
 	m := pregel.New(g, opt.config())
-	if _, err := m.Run(&basicPhaseA{ord: ord, cancel: opt.Cancel}); err != nil {
+	adj := dirGraphs{g, g.Inverse()}
+	if _, err := m.Run(&basicPhaseA{ord: ord, adj: adj, cancel: opt.Cancel}); err != nil {
 		return nil, m.Metrics, err
 	}
-	shared := &basicShared{ord: ord, hig: newDirLists(), cancel: opt.Cancel}
+	shared := &basicShared{ord: ord, adj: adj, hig: newDirLists(), cancel: opt.Cancel}
 	if _, err := m.Run(&basicPhaseB{shared: shared}); err != nil {
 		return nil, m.Metrics, err
 	}

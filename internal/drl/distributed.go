@@ -69,14 +69,14 @@ func newDirLists() dirLists {
 	return dirLists{make(map[graph.VertexID][]order.Rank), make(map[graph.VertexID][]order.Rank)}
 }
 
+// dirGraphs is the graph in both directions, indexed by d: G, and its
+// transpose G̅, which a build derives once and holds until it returns.
+type dirGraphs [2]*graph.Digraph
+
 // flood sends (d, val) to v's neighbors in direction d. It is the one
 // place that tells forward from backward.
-func flood(w *pregel.Worker, d uint8, v graph.VertexID, val int32) {
-	nbrs := w.Graph.OutNeighbors(v)
-	if d == kindBwd {
-		nbrs = w.Graph.InNeighbors(v)
-	}
-	for _, nb := range nbrs {
+func flood(w *pregel.Worker, adj dirGraphs, d uint8, v graph.VertexID, val int32) {
+	for _, nb := range adj[d].OutNeighbors(v) {
 		w.Send(pregel.Msg{Dst: nb, Kind: d, Val: val})
 	}
 }
@@ -134,6 +134,7 @@ func eachBroadcast(workers []*pregel.Worker, apply func(tag uint8, payload []byt
 // pregel.PreStepper).
 type batchShared struct {
 	ord  *order.Ordering
+	adj  dirGraphs
 	span Span
 	// cancel lets long supersteps honor the cut-off mid-step.
 	cancel <-chan struct{}
@@ -146,8 +147,8 @@ type batchShared struct {
 	ibfs dirLists
 }
 
-func newBatchShared(ord *order.Ordering, span Span, cancel <-chan struct{}) *batchShared {
-	return &batchShared{ord: ord, span: span, cancel: cancel, src: newDirLists(), ibfs: newDirLists()}
+func newBatchShared(ord *order.Ordering, adj dirGraphs, span Span, cancel <-chan struct{}) *batchShared {
+	return &batchShared{ord: ord, adj: adj, span: span, cancel: cancel, src: newDirLists(), ibfs: newDirLists()}
 }
 
 // batchLocal is one worker's persistent state: the accumulated label
@@ -221,7 +222,7 @@ func (p *batchProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
 			for d := kindFwd; d <= kindBwd; d++ {
 				local.seen[seenKey(d, v, r)] = struct{}{}
 				local.list[d][v] = append(local.list[d][v], r)
-				flood(w, d, v, int32(r))
+				flood(w, p.shared.adj, d, v, int32(r))
 			}
 		})
 		w.Broadcast(encodeLabelBlob(shares))
@@ -259,7 +260,7 @@ func (p *batchProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
 		local.seen[key] = struct{}{}
 		local.list[d][dst] = append(local.list[d][dst], r)
 		pend[d] = append(pend[d], visitEvent{v: dst, r: r})
-		flood(w, d, dst, m.Val)
+		flood(w, p.shared.adj, d, dst, m.Val)
 	}
 	for d := kindFwd; d <= kindBwd; d++ {
 		w.Broadcast(encodeEventBlob(d, pend[d]))
@@ -366,8 +367,9 @@ func gather(m *pregel.Master, ord *order.Ordering) (*label.Index, pregel.Metrics
 
 func buildInProcess(g *graph.Digraph, ord *order.Ordering, spans []Span, opt DistOptions) (*label.Index, pregel.Metrics, error) {
 	m := pregel.New(g, opt.config())
+	adj := dirGraphs{g, g.Inverse()}
 	return labelSpans(m, ord, spans, opt.Obs, func(span Span) error {
-		_, err := m.Run(&batchProgram{shared: newBatchShared(ord, span, opt.Cancel)})
+		_, err := m.Run(&batchProgram{shared: newBatchShared(ord, adj, span, opt.Cancel)})
 		return err
 	})
 }

@@ -15,17 +15,24 @@ import (
 // Cluster deployment: the labeling program registered for worker
 // processes (cmd/drworker + cmd/drcluster). Each worker loads the graph
 // from shared storage, computes the (fully deterministic) vertex order
-// once per job, and keeps its own replica of the broadcast state —
-// exactly the paper's deployment model, with net/rpc over TCP standing
-// in for MPI.
+// and the graph's transpose once per job, and keeps its own replica of
+// the broadcast state — exactly the paper's deployment model, with
+// net/rpc over TCP standing in for MPI.
+
+// job is what a worker host keeps between the runs of one build.
+type job struct {
+	ord *order.Ordering
+	adj dirGraphs
+}
 
 func init() {
 	pregel.RegisterRPC("drl", func(h *pregel.Host, params map[string]string) (pregel.Program, error) {
-		ord, _ := h.State.(*order.Ordering)
-		if ord == nil {
-			ord = order.Compute(h.Graph)
-			h.State = ord
+		j, _ := h.State.(*job)
+		if j == nil {
+			j = &job{ord: order.Compute(h.Graph), adj: dirGraphs{h.Graph, h.Graph.Inverse()}}
+			h.State = j
 		}
+		ord := j.ord
 		lo, err := strconv.Atoi(params["lo"])
 		if err != nil {
 			return nil, fmt.Errorf("drl: bad batch start %q: %w", params["lo"], err)
@@ -37,7 +44,7 @@ func init() {
 		if lo < 0 || hi < lo || hi > ord.N() {
 			return nil, fmt.Errorf("drl: batch [%d, %d) outside the %d ranks", lo, hi, ord.N())
 		}
-		return &batchProgram{shared: newBatchShared(ord, Span{Lo: order.Rank(lo), Hi: order.Rank(hi)}, nil)}, nil
+		return &batchProgram{shared: newBatchShared(ord, j.adj, Span{Lo: order.Rank(lo), Hi: order.Rank(hi)}, nil)}, nil
 	})
 }
 

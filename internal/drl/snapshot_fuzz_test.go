@@ -93,7 +93,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatalf("EncodeState: %v", err)
 		}
 
-		p2 := &batchProgram{shared: newBatchShared(nil, Span{}, nil)}
+		p2 := &batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}
 		w2 := &pregel.Worker{}
 		if err := p2.DecodeState(w2, blob, true); err != nil {
 			t.Fatalf("DecodeState: %v", err)
@@ -117,7 +117,7 @@ func FuzzSnapshotDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{snapVersion, 1, 0, 0, 0, 0})
 	f.Add([]byte{snapVersion, 1})
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		p := &batchProgram{shared: newBatchShared(nil, Span{}, nil)}
+		p := &batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}
 		w := &pregel.Worker{}
 		if err := p.DecodeState(w, blob, true); err != nil {
 			return // rejected cleanly
@@ -126,7 +126,7 @@ func FuzzSnapshotDecodeArbitrary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("EncodeState after accepting decode: %v", err)
 		}
-		p2 := &batchProgram{shared: newBatchShared(nil, Span{}, nil)}
+		p2 := &batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}
 		w2 := &pregel.Worker{}
 		if err := p2.DecodeState(w2, re, true); err != nil {
 			t.Fatalf("decoder rejected its own re-encoding: %v", err)

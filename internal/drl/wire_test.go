@@ -190,7 +190,7 @@ func TestPairMapRejectsCorrupt(t *testing.T) {
 		if m, _, err := readPairMap(section); err == nil {
 			t.Errorf("%s: accepted as %v", row.name, m)
 		}
-		err := (&batchProgram{shared: newBatchShared(nil, Span{}, nil)}).DecodeState(
+		err := (&batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}).DecodeState(
 			&pregel.Worker{ID: 2}, append([]byte{snapVersion, 1}, section...), true)
 		if err == nil || !strings.Contains(err.Error(), "worker 2") {
 			t.Errorf("%s in a checkpoint: want an error naming worker 2, got %v", row.name, err)
@@ -252,7 +252,7 @@ func FuzzBlobDecodeArbitrary(f *testing.F) {
 // family aborts the run instead of being read as some direction's events.
 func TestPreStepRejectsUnknownTag(t *testing.T) {
 	ws := []*pregel.Worker{{BcastIn: [][]byte{{7, blobVersion, 0}}}}
-	if err := (&batchProgram{shared: newBatchShared(nil, Span{}, nil)}).PreStep(ws, 1); err == nil {
+	if err := (&batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}).PreStep(ws, 1); err == nil {
 		t.Error("batchProgram accepted tag 7")
 	}
 	if err := (&basicPhaseB{shared: &basicShared{hig: newDirLists()}}).PreStep(ws, 1); err == nil {

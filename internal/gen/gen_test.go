@@ -60,9 +60,15 @@ func TestDeterminism(t *testing.T) {
 		if ram.NumVertices() != streamed.NumVertices() || ram.NumEdges() != streamed.NumEdges() {
 			t.Fatalf("%s: streamed shape %v differs from in-RAM %v", f, streamed, ram)
 		}
+		// Neither holds its in-direction: each Inverse() is a fresh
+		// transpose.
+		ramInv, streamedInv := ram.Inverse(), streamed.Inverse()
+		if ramInv == ram.Inverse() || streamedInv == streamed.Inverse() {
+			t.Fatalf("%s: a generated graph holds its in-direction", f)
+		}
 		for v := graph.VertexID(0); int(v) < ram.NumVertices(); v++ {
 			if !slices.Equal(ram.OutNeighbors(v), streamed.OutNeighbors(v)) ||
-				!slices.Equal(ram.InNeighbors(v), streamed.InNeighbors(v)) {
+				!slices.Equal(ramInv.OutNeighbors(v), streamedInv.OutNeighbors(v)) {
 				t.Fatalf("%s: streamed adjacency of v%d differs from in-RAM", f, v)
 			}
 		}

@@ -22,8 +22,10 @@ import (
 //	        bucket; a replay that diverges from pass 1 is an error
 //	pass 3  sort + dedup each bucket, then compact the survivors into
 //	        the out-CSR (parallel over edge-balanced vertex ranges)
-//	pass 4  derive the in-CSR by a stable counting sort of the out-CSR
-//	        (parallel, each worker owning a stretch of every bucket)
+//
+// The graph holds that out-CSR alone. Its transpose, when Inverse is
+// asked for one, is a stable counting sort of it (inFromOut: parallel,
+// each worker owning a stretch of every bucket).
 //
 // Each neighborhood ends sorted ascending and deduplicated, exactly
 // the order a global (U, V) sort produces, so the CSR is identical for
@@ -62,8 +64,8 @@ func FromEdgeStream(n int, stream EdgeStreamFunc) (*Digraph, error) {
 }
 
 // fromEdgeStream is FromEdgeStream with an explicit worker count for
-// passes 3 and 4: the output is identical for every count, and
-// workers <= 0 picks one.
+// pass 3: the output is identical for every count, and workers <= 0
+// picks one.
 func fromEdgeStream(n int, stream EdgeStreamFunc, workers int) (*Digraph, error) {
 	if n < 0 || int64(n) > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: vertex count %d out of range", n)
@@ -116,8 +118,7 @@ func fromEdgeStream(n int, stream EdgeStreamFunc, workers int) (*Digraph, error)
 		workers = buildWorkers(n, raw)
 	}
 	outOff, outAdj := dedupCompact(n, prov, rawOff, cnt, workers)
-	inOff, inAdj := inFromOut(n, outOff, outAdj, workers)
-	return newDigraph(int32(n), outOff, outAdj, inOff, inAdj), nil
+	return &Digraph{n: int32(n), m: int64(len(outAdj)), outOff: outOff, outAdj: outAdj}, nil
 }
 
 // buildWorkers returns the parallelism for building the CSR of n

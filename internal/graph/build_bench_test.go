@@ -9,11 +9,12 @@ import (
 
 var buildSink *graph.Digraph
 
-// BenchmarkFromEdges times one CSR build, both directions, from the
-// edge slice of a generated 200,000-vertex graph of average degree 4:
-// citation (a DAG, in-degrees skewed toward landmark papers) and
-// social (reciprocal edges, one giant SCC). Generation is outside the
-// timer. Compare two versions over alternating runs on the same host.
+// BenchmarkFromEdges times one CSR build, the out-direction a graph
+// holds, from the edge slice of a generated 200,000-vertex graph of
+// average degree 4: citation (a DAG, in-degrees skewed toward landmark
+// papers) and social (reciprocal edges, one giant SCC). Generation is
+// outside the timer. Compare two versions over alternating runs on the
+// same host.
 func BenchmarkFromEdges(b *testing.B) {
 	for _, family := range []gen.Family{gen.Citation, gen.Social} {
 		p := gen.Params{Family: family, N: 200_000, AvgDegree: 4, Seed: 1}

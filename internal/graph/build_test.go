@@ -10,7 +10,9 @@ import (
 
 // fromEdgesSort is the historical builder: copy the edge slice, one
 // global (U, V) sort, dedup, then counting placement. It is the
-// reference the counting build is pinned byte-identical to.
+// reference the counting build is pinned byte-identical to, and holds
+// both directions, as a graph read from a v2 file does: its Inverse()
+// is the reference in-CSR.
 func fromEdgesSort(n int, edges []Edge) *Digraph {
 	for _, e := range edges {
 		if int(e.U) >= n || int(e.V) >= n || e.U < 0 || e.V < 0 {
@@ -88,42 +90,36 @@ func randomTestEdges(n, m int, seed int64) []Edge {
 	return edges
 }
 
-// assertIdenticalCSR requires the raw CSR arrays to match exactly —
-// the byte-identical guarantee the counting builder is pinned to, one
-// level stricter than assertSameGraph's neighbor-list comparison.
+// assertIdenticalCSR requires got's raw CSR arrays, one direction, to
+// match want's exactly — the byte-identical guarantee the counting
+// builder is pinned to, one level stricter than assertSameGraph's
+// neighbor-list comparison. Called on two Inverse() results it
+// compares the in-direction.
 func assertIdenticalCSR(t *testing.T, want, got *Digraph) {
 	t.Helper()
 	if want.n != got.n || want.m != got.m {
 		t.Fatalf("shape differs: n=%d/%d m=%d/%d", want.n, got.n, want.m, got.m)
 	}
-	pairs := []struct {
-		name string
-		a, b []int64
-	}{{"outOff", want.outOff, got.outOff}, {"inOff", want.inOff, got.inOff}}
-	for _, p := range pairs {
-		if len(p.a) != len(p.b) {
-			t.Fatalf("%s length differs: %d vs %d", p.name, len(p.a), len(p.b))
-		}
-		for i := range p.a {
-			if p.a[i] != p.b[i] {
-				t.Fatalf("%s[%d] = %d, want %d", p.name, i, p.b[i], p.a[i])
-			}
+	if i := firstDiff(want.outOff, got.outOff); i >= 0 {
+		t.Fatalf("offsets differ at %d (lengths %d, %d)", i, len(got.outOff), len(want.outOff))
+	}
+	if i := firstDiff(want.outAdj, got.outAdj); i >= 0 {
+		t.Fatalf("adjacency differs at %d (lengths %d, %d)", i, len(got.outAdj), len(want.outAdj))
+	}
+}
+
+// firstDiff returns the first index at which a and b differ, or -1 if
+// they are equal.
+func firstDiff[T comparable](a, b []T) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
 		}
 	}
-	adjPairs := []struct {
-		name string
-		a, b []VertexID
-	}{{"outAdj", want.outAdj, got.outAdj}, {"inAdj", want.inAdj, got.inAdj}}
-	for _, p := range adjPairs {
-		if len(p.a) != len(p.b) {
-			t.Fatalf("%s length differs: %d vs %d", p.name, len(p.a), len(p.b))
-		}
-		for i := range p.a {
-			if p.a[i] != p.b[i] {
-				t.Fatalf("%s[%d] = %d, want %d", p.name, i, p.b[i], p.a[i])
-			}
-		}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
 	}
+	return -1
 }
 
 // hubTestEdges returns the edges of a star over n vertices, every
@@ -174,8 +170,11 @@ func TestParallelBuilderMatchesReference(t *testing.T) {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				assertIdenticalCSR(t, want, got)
+				assertIdenticalCSR(t, want.Inverse(), got.transpose(workers))
 			}
-			assertIdenticalCSR(t, want, FromEdges(tc.n, tc.edges))
+			g := FromEdges(tc.n, tc.edges)
+			assertIdenticalCSR(t, want, g)
+			assertIdenticalCSR(t, want.Inverse(), g.Inverse())
 		})
 	}
 }
@@ -188,6 +187,7 @@ func TestParallelBuilderNoEdges(t *testing.T) {
 		t.Fatalf("FromEdgeStream: %v", err)
 	}
 	assertIdenticalCSR(t, want, streamed)
+	assertIdenticalCSR(t, want.Inverse(), streamed.Inverse())
 }
 
 func TestParallelBuilderPanicsOutOfRange(t *testing.T) {

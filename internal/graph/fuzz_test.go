@@ -13,13 +13,21 @@ import (
 // them: whatever the bytes, the readers must either fail cleanly or
 // produce a structurally valid graph; valid graphs must round-trip.
 
+// edgeListSeeds are FuzzReadEdgeList's seeds; TestInverse transposes
+// the graphs of those that parse.
+var edgeListSeeds = []string{
+	"0 1\n1 2\n",
+	"# comment\n% konect\n3 4\n",
+	"",
+	"a b\n",
+	"-1 5\n",
+	"1 2 3 extra\n",
+}
+
 func FuzzReadEdgeList(f *testing.F) {
-	f.Add("0 1\n1 2\n")
-	f.Add("# comment\n% konect\n3 4\n")
-	f.Add("")
-	f.Add("a b\n")
-	f.Add("-1 5\n")
-	f.Add("1 2 3 extra\n")
+	for _, s := range edgeListSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadEdgeList(strings.NewReader(input))
 		if err != nil {
@@ -61,8 +69,9 @@ func FuzzReadBinary2(f *testing.F) {
 			return
 		}
 		var inSum, outSum int64
+		inv := g.Inverse()
 		for v := VertexID(0); int(v) < g.NumVertices(); v++ {
-			inSum += int64(g.InDegree(v))
+			inSum += int64(inv.OutDegree(v))
 			outSum += int64(g.OutDegree(v))
 		}
 		if inSum != g.NumEdges() || outSum != g.NumEdges() {
@@ -108,8 +117,9 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		// Any accepted graph must have consistent degrees.
 		var inSum, outSum int64
+		inv := g.Inverse()
 		for v := VertexID(0); int(v) < g.NumVertices(); v++ {
-			inSum += int64(g.InDegree(v))
+			inSum += int64(inv.OutDegree(v))
 			outSum += int64(g.OutDegree(v))
 		}
 		if inSum != g.NumEdges() || outSum != g.NumEdges() {

@@ -1,10 +1,11 @@
 // Package graph provides the directed-graph substrate used by every
 // labeling algorithm in this repository.
 //
-// Graphs are stored in compressed sparse row (CSR) form in both edge
-// directions, so out-neighborhoods and in-neighborhoods are contiguous
-// slices and the inverse graph is available without copying. Vertex
-// identifiers are dense int32 values in [0, N).
+// A graph is one direction: its out-edges in compressed sparse row
+// (CSR) form, so every out-neighborhood is a contiguous slice. The
+// in-edges are the out-edges of the inverse graph, which Inverse
+// returns and whoever walks in-edges holds for as long as it does.
+// Vertex identifiers are dense int32 values in [0, N).
 package graph
 
 import "fmt"
@@ -18,7 +19,7 @@ type Edge struct {
 	U, V VertexID
 }
 
-// Digraph is an immutable directed graph in dual-direction CSR form,
+// Digraph is an immutable directed graph in out-direction CSR form,
 // every neighborhood sorted and free of duplicates. Construct one with
 // FromEdges or FromEdgeStream (one builder, build.go) or a loader from
 // the io files.
@@ -27,11 +28,11 @@ type Digraph struct {
 	m      int64
 	outOff []int64
 	outAdj []VertexID
-	inOff  []int64
-	inAdj  []VertexID
 
-	// inverse caches the view with edge directions swapped. The two
-	// views share all four slices.
+	// inverse is the transpose where g comes with one: the in-sections
+	// of the v2 file g was read or mapped from, or the graph g was
+	// derived from by Inverse. Otherwise it is nil, and g holds one
+	// direction only.
 	inverse *Digraph
 }
 
@@ -48,26 +49,29 @@ func (g *Digraph) OutNeighbors(v VertexID) []VertexID {
 	return g.outAdj[g.outOff[v]:g.outOff[v+1]]
 }
 
-// InNeighbors returns the in-neighborhood N_in(v) as a shared,
-// read-only slice sorted by vertex ID.
-func (g *Digraph) InNeighbors(v VertexID) []VertexID {
-	return g.inAdj[g.inOff[v]:g.inOff[v+1]]
-}
-
 // OutDegree returns d_out(v).
 func (g *Digraph) OutDegree(v VertexID) int {
 	return int(g.outOff[v+1] - g.outOff[v])
 }
 
-// InDegree returns d_in(v).
-func (g *Digraph) InDegree(v VertexID) int {
-	return int(g.inOff[v+1] - g.inOff[v])
+// Inverse returns the inverse graph G̅: same vertices, every edge
+// reversed, so its out-neighborhoods are g's in-neighborhoods. A graph
+// from a v2 file returns the file's own in-sections, and the inverse
+// of an Inverse is the graph it came from: neither copies anything.
+// Any other graph derives a fresh transpose per call (build.go's
+// stable counting sort), which the caller owns and g does not keep.
+func (g *Digraph) Inverse() *Digraph {
+	if g.inverse != nil {
+		return g.inverse
+	}
+	return g.transpose(buildWorkers(int(g.n), g.m))
 }
 
-// Inverse returns the inverse graph G̅: same vertices, every edge
-// reversed. The returned graph shares storage with g and is built once.
-func (g *Digraph) Inverse() *Digraph {
-	return g.inverse
+// transpose derives G̅ with the given number of workers; the result is
+// the same for every count.
+func (g *Digraph) transpose(workers int) *Digraph {
+	inOff, inAdj := inFromOut(int(g.n), g.outOff, g.outAdj, workers)
+	return &Digraph{n: g.n, m: g.m, outOff: inOff, outAdj: inAdj, inverse: g}
 }
 
 // Edges appends every edge of g to dst and returns the extended slice.
@@ -86,26 +90,11 @@ func (g *Digraph) String() string {
 	return fmt.Sprintf("Digraph(n=%d, m=%d)", g.n, g.m)
 }
 
-// newDigraph assembles the dual CSR views and links the inverse.
+// newDigraph assembles a graph and its inverse from both directions'
+// CSR arrays — a v2 file's four sections — and links the two.
 func newDigraph(n int32, outOff []int64, outAdj []VertexID, inOff []int64, inAdj []VertexID) *Digraph {
-	g := &Digraph{
-		n:      n,
-		m:      int64(len(outAdj)),
-		outOff: outOff,
-		outAdj: outAdj,
-		inOff:  inOff,
-		inAdj:  inAdj,
-	}
-	inv := &Digraph{
-		n:       n,
-		m:       g.m,
-		outOff:  inOff,
-		outAdj:  inAdj,
-		inOff:   outOff,
-		inAdj:   outAdj,
-		inverse: g,
-	}
-	g.inverse = inv
+	g := &Digraph{n: n, m: int64(len(outAdj)), outOff: outOff, outAdj: outAdj}
+	g.inverse = &Digraph{n: n, m: g.m, outOff: inOff, outAdj: inAdj, inverse: g}
 	return g
 }
 

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -26,11 +28,13 @@ func TestBuilderBasics(t *testing.T) {
 	if got := g.OutNeighbors(0); len(got) != 1 || got[0] != 1 {
 		t.Errorf("OutNeighbors(0) = %v", got)
 	}
-	if got := g.InNeighbors(2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("InNeighbors(2) = %v", got)
+	// In-neighbors are the transpose's out-neighbors.
+	inv := g.Inverse()
+	if got := inv.OutNeighbors(2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("in-neighbors of 2 = %v", got)
 	}
-	if g.OutDegree(2) != 1 || g.InDegree(0) != 0 {
-		t.Errorf("degrees wrong: out(2)=%d in(0)=%d", g.OutDegree(2), g.InDegree(0))
+	if g.OutDegree(2) != 1 || inv.OutDegree(0) != 0 {
+		t.Errorf("degrees wrong: out(2)=%d in(0)=%d", g.OutDegree(2), inv.OutDegree(0))
 	}
 }
 
@@ -59,17 +63,97 @@ func TestInverseIsInvolution(t *testing.T) {
 	if inv.Inverse() != g {
 		t.Fatal("Inverse().Inverse() should return the original")
 	}
-	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
-		out := g.OutNeighbors(v)
-		in := inv.InNeighbors(v)
-		if len(out) != len(in) {
-			t.Fatalf("v%d: |out|=%d but |inverse.in|=%d", v, len(out), len(in))
-		}
-		for i := range out {
-			if out[i] != in[i] {
-				t.Fatalf("v%d: out %v != inverse in %v", v, out, in)
+	// Every edge u → w of g is w → u in the inverse, and nothing else is.
+	if inv.NumEdges() != g.NumEdges() {
+		t.Fatalf("inverse has %d edges, want %d", inv.NumEdges(), g.NumEdges())
+	}
+	for u := VertexID(0); int(u) < g.NumVertices(); u++ {
+		for _, w := range g.OutNeighbors(u) {
+			if !slices.Contains(inv.OutNeighbors(w), u) {
+				t.Fatalf("edge v%d→v%d missing from the inverse", u, w)
 			}
 		}
+	}
+}
+
+// csrBytes is the resident size of g's CSR arrays, plus its held
+// transpose's where it holds one.
+func csrBytes(g *Digraph) int64 {
+	b := 8*int64(cap(g.outOff)) + 4*int64(cap(g.outAdj))
+	if inv := g.inverse; inv != nil {
+		b += 8*int64(cap(inv.outOff)) + 4*int64(cap(inv.outAdj))
+	}
+	return b
+}
+
+func TestInverse(t *testing.T) {
+	// A graph built in memory is its out-CSR alone: 8(n+1) + 4m bytes.
+	const n = 1000
+	edges := randomTestEdges(n, 5000, 11)
+	streamed, err := FromEdgeStream(n, StreamOfEdges(edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Digraph{"FromEdges": FromEdges(n, edges), "FromEdgeStream": streamed} {
+		if g.inverse != nil {
+			t.Errorf("%s: the graph holds an in-direction", name)
+		}
+		if got, want := csrBytes(g), 8*int64(n+1)+4*g.NumEdges(); got != want || got != 27_816 {
+			t.Errorf("%s: resident CSR is %d B, want 8(n+1) + 4m = %d B = 27,816 B", name, got, want)
+		}
+	}
+
+	// Inverse() is the reference transpose, owned by the caller, and
+	// its own inverse is the graph it came from.
+	cases := map[string]struct {
+		n     int
+		edges []Edge
+	}{
+		"star":                 {1000, hubTestEdges(1000, 0, false)},
+		"reverse-star":         {1000, hubTestEdges(1000, 0, true)},
+		"hub-from-every-range": {2000, append(hubTestEdges(2000, 1000, false), randomTestEdges(2000, 6000, 9)...)},
+	}
+	for i, seed := range edgeListSeeds {
+		if g, err := ReadEdgeList(strings.NewReader(seed)); err == nil {
+			cases[fmt.Sprintf("fuzz-seed-%d", i)] = struct {
+				n     int
+				edges []Edge
+			}{g.NumVertices(), g.Edges(nil)}
+		}
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			g := FromEdges(tc.n, tc.edges)
+			inv := g.Inverse()
+			assertIdenticalCSR(t, fromEdgesSort(tc.n, tc.edges).Inverse(), inv)
+			if g.inverse != nil {
+				t.Error("Inverse() left its transpose on the graph")
+			}
+			if inv.Inverse() != g {
+				t.Error("Inverse().Inverse() is not the graph")
+			}
+		})
+	}
+
+	// A graph from a v2 file hands out the file's own in-sections: the
+	// mapped ones, without allocating.
+	want := fromEdgesSort(300, randomTestEdges(300, 2500, 7))
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := SaveFile(path, want, true); err != nil {
+		t.Fatal(err)
+	}
+	m, err := MapFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	inv := m.Inverse()
+	assertIdenticalCSR(t, want.Inverse(), inv)
+	if inv != m.inverse || inv.Inverse() != m.Digraph {
+		t.Error("the mapped graph's Inverse() is not the view of its in-sections")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { inv = m.Inverse() }); allocs != 0 {
+		t.Errorf("the mapped graph's Inverse() allocates %v times", allocs)
 	}
 }
 
@@ -80,7 +164,7 @@ func TestPaperExampleStructure(t *testing.T) {
 		t.Fatalf("got %v, want 11 vertices and 15 edges", g)
 	}
 	// N_in(v2) = {v6}; N_out(v2) = {v1, v3, v4, v5} (Example 1).
-	if got := g.InNeighbors(1); len(got) != 1 || got[0] != 5 {
+	if got := g.Inverse().OutNeighbors(1); len(got) != 1 || got[0] != 5 {
 		t.Errorf("N_in(v2) = %v, want [v6]", got)
 	}
 	want := []VertexID{0, 2, 3, 4}
@@ -97,7 +181,7 @@ func TestPaperExampleStructure(t *testing.T) {
 	if des := Descendants(g, 1); len(des) != 11 {
 		t.Errorf("|DES(v2)| = %d, want 11", len(des))
 	}
-	anc := Ancestors(g, 1)
+	anc := Descendants(g.Inverse(), 1)
 	sort.Slice(anc, func(i, j int) bool { return anc[i] < anc[j] })
 	wantAnc := []VertexID{1, 2, 3, 5}
 	if len(anc) != len(wantAnc) {
@@ -372,6 +456,7 @@ func TestCSRInvariants(t *testing.T) {
 			return false
 		}
 		var inSum, outSum int64
+		inv := g.Inverse()
 		for v := VertexID(0); int(v) < n; v++ {
 			out := g.OutNeighbors(v)
 			for i := 1; i < len(out); i++ {
@@ -379,7 +464,7 @@ func TestCSRInvariants(t *testing.T) {
 					return false
 				}
 			}
-			in := g.InNeighbors(v)
+			in := inv.OutNeighbors(v)
 			for i := 1; i < len(in); i++ {
 				if in[i-1] >= in[i] {
 					return false

@@ -128,7 +128,9 @@ func decodeV2Header(b []byte) (v2Header, error) {
 
 // WriteBinary2 writes g in the v2 format. It streams: sections are
 // encoded through one fixed 64 KiB buffer in file order, never
-// materializing a byte-level copy of the CSR, so the writer adds O(1)
+// materializing a byte-level copy of the CSR. The in-sections are
+// g.Inverse()'s out-CSR, which the writer holds for the one write
+// (nothing new where g came from a v2 file): beyond that it adds O(1)
 // memory however large the graph.
 func WriteBinary2(w io.Writer, g *Digraph) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -136,8 +138,9 @@ func WriteBinary2(w io.Writer, g *Digraph) error {
 	if _, err := bw.Write(encodeV2Header(h)); err != nil {
 		return fmt.Errorf("graph: writing binary v2 header: %w", err)
 	}
+	inv := g.Inverse()
 	var buf [1 << 16]byte
-	for i, part := range []any{g.outOff, g.outAdj, g.inOff, g.inAdj} {
+	for i, part := range []any{g.outOff, g.outAdj, inv.outOff, inv.outAdj} {
 		var err error
 		switch s := part.(type) {
 		case []int64:

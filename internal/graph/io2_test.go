@@ -50,6 +50,7 @@ func TestBinaryV2RoundTrip(t *testing.T) {
 				t.Fatalf("ReadBinary2: %v", err)
 			}
 			assertIdenticalCSR(t, tc.g, got)
+			assertIdenticalCSR(t, tc.g.Inverse(), got.Inverse())
 		})
 	}
 }
@@ -105,6 +106,7 @@ func TestMapFileMatchesReadBinary2(t *testing.T) {
 		t.Fatalf("MapFile: %v", err)
 	}
 	assertIdenticalCSR(t, g, m.Digraph)
+	assertIdenticalCSR(t, g.Inverse(), m.Inverse())
 	// The mapped view must satisfy every accessor, not just raw arrays.
 	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
 		if got, want := m.OutDegree(v), g.OutDegree(v); got != want {

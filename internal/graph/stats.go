@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Stats summarizes a graph for the Table V dataset inventory.
 type Stats struct {
@@ -15,24 +18,25 @@ type Stats struct {
 	Acyclic      bool
 }
 
-// ComputeStats gathers the Stats of g. It runs SCC and is therefore
-// linear in the graph size.
+// ComputeStats gathers the Stats of g. It counts in-degrees from the
+// out-adjacency and runs SCC, and is therefore linear in the graph
+// size.
 func ComputeStats(g *Digraph) Stats {
 	s := Stats{Vertices: g.NumVertices(), Edges: g.NumEdges()}
+	inDeg := make([]int32, g.NumVertices())
 	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
 		if d := g.OutDegree(v); d > s.MaxOutDegree {
 			s.MaxOutDegree = d
 		}
-		if d := g.InDegree(v); d > s.MaxInDegree {
-			s.MaxInDegree = d
-		}
 		for _, w := range g.OutNeighbors(v) {
+			inDeg[w]++
 			if w == v {
 				s.SelfLoops++
 			}
 		}
 	}
 	if s.Vertices > 0 {
+		s.MaxInDegree = int(slices.Max(inDeg))
 		s.AvgDegree = float64(s.Edges) / float64(s.Vertices)
 	}
 	scc := SCC(g)

@@ -47,6 +47,7 @@ func Reachable(g *Digraph, s, t VertexID) bool {
 }
 
 // Descendants returns DES(v): every vertex v can reach, including v.
+// Over g.Inverse() it is ANC(v), every vertex that can reach v.
 func Descendants(g *Digraph, v VertexID) []VertexID {
 	var out []VertexID
 	BFS(g, v, func(u VertexID) bool {
@@ -54,11 +55,6 @@ func Descendants(g *Digraph, v VertexID) []VertexID {
 		return true
 	})
 	return out
-}
-
-// Ancestors returns ANC(v): every vertex that can reach v, including v.
-func Ancestors(g *Digraph, v VertexID) []VertexID {
-	return Descendants(g.Inverse(), v)
 }
 
 // PostOrder returns the vertices of g in DFS finishing order, running

@@ -2,6 +2,7 @@ package label
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -35,9 +36,13 @@ import (
 // therefore part of the index: its file (Extras) carries the budget,
 // the flags and the graph's fingerprint, and is reopened with the graph.
 type Budgeted struct {
-	x      *Index
-	g      *graph.Digraph
-	budget int
+	x *Index
+	g *graph.Digraph
+	// inverse derives g's transpose at the first backward fallback and
+	// holds it from then on: an index whose fallbacks all run forward
+	// never pays for one.
+	inverse func() *graph.Digraph
+	budget  int
 	// inFull[v] / outFull[v] report that L_in(v) / L_out(v) is the
 	// complete label set the uncapped build would have produced a
 	// superset-witness for (see above), not a truncation.
@@ -46,9 +51,10 @@ type Budgeted struct {
 
 // NewBudgeted assembles a budgeted index from the capped Index, the
 // graph it covers, and the per-vertex completeness flags produced by
-// the builder. The graph is retained for fallback queries.
+// the builder. The graph is retained for fallback queries, and its
+// transpose from the first fallback that walks backward.
 func NewBudgeted(x *Index, g *graph.Digraph, budget int, inFull, outFull []bool) *Budgeted {
-	return &Budgeted{x: x, g: g, budget: budget, inFull: inFull, outFull: outFull}
+	return &Budgeted{x: x, g: g, inverse: sync.OnceValue(g.Inverse), budget: budget, inFull: inFull, outFull: outFull}
 }
 
 // Index returns the capped label index (entries are factual; lists may
@@ -136,7 +142,7 @@ func (b *Budgeted) fallback(ctx context.Context, w *walk, s, t graph.VertexID) (
 			return b.x.Reachable(u, t), true
 		}, false)
 	case b.outFull[s]:
-		return w.run(ctx, n, t, b.g.InNeighbors, func(u graph.VertexID) (hit, cut bool) {
+		return w.run(ctx, n, t, b.inverse().OutNeighbors, func(u graph.VertexID) (hit, cut bool) {
 			if u == s || !b.inFull[u] {
 				return u == s, false
 			}

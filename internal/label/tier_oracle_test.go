@@ -132,9 +132,10 @@ func TestTiersMatchBFS(t *testing.T) {
 	// two endpoints, so no update trips the rebuild guard.
 	d := tol.NewDynamicFrom(g, ord, full, nil)
 	var touched []graph.VertexID
+	inv := g.Inverse()
 	for len(touched) < 2*40 {
 		u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
-		if g.InDegree(u) == 0 && g.OutDegree(v) == 0 && u != v {
+		if inv.OutDegree(u) == 0 && g.OutDegree(v) == 0 && u != v {
 			if err := d.InsertEdge(u, v); err != nil {
 				t.Fatal(err)
 			}

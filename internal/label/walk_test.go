@@ -75,7 +75,7 @@ func TestWalkMatchesBFS(t *testing.T) {
 		}
 
 		for name, next := range map[string]func(graph.VertexID) []graph.VertexID{
-			"out": g.OutNeighbors, "in": g.InNeighbors, "overlay": overlaid,
+			"out": g.OutNeighbors, "in": g.Inverse().OutNeighbors, "overlay": overlaid,
 		} {
 			for s := graph.VertexID(0); int(s) < n; s += 7 {
 				dist := bfsDist(n, s, next)

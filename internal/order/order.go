@@ -28,9 +28,21 @@ type Ordering struct {
 // descending (d_in+1)(d_out+1), the +ID/(n+1) term making the larger ID
 // the higher order among equal products.
 func Compute(g *graph.Digraph) *Ordering {
+	in := inDegrees(g)
 	return computeByKey(g, func(v graph.VertexID) int64 {
-		return int64(g.InDegree(v)+1) * int64(g.OutDegree(v)+1)
+		return int64(in[v]+1) * int64(g.OutDegree(v)+1)
 	})
+}
+
+// inDegrees counts d_in(v) of every vertex from g's out-adjacency.
+func inDegrees(g *graph.Digraph) []int32 {
+	in := make([]int32, g.NumVertices())
+	for u := range in {
+		for _, v := range g.OutNeighbors(graph.VertexID(u)) {
+			in[v]++
+		}
+	}
+	return in
 }
 
 // FromRanks builds an Ordering from an explicit rank permutation,

@@ -13,7 +13,7 @@ import (
 // (v+1)/(n+1), computed from the graph (Example 3 reports ord(v1) =
 // 12.08 on the running example).
 func ordValue(g *graph.Digraph, v graph.VertexID) float64 {
-	return float64((g.InDegree(v)+1)*(g.OutDegree(v)+1)) + float64(v+1)/float64(g.NumVertices()+1)
+	return float64((g.Inverse().OutDegree(v)+1)*(g.OutDegree(v)+1)) + float64(v+1)/float64(g.NumVertices()+1)
 }
 
 func TestComputePaperExample(t *testing.T) {

@@ -43,8 +43,9 @@ func ComputeStrategy(g *graph.Digraph, s Strategy) (*Ordering, error) {
 	case StrategyDegreeProduct, "":
 		return Compute(g), nil
 	case StrategyDegreeSum:
+		in := inDegrees(g)
 		return computeByKey(g, func(v graph.VertexID) int64 {
-			return int64(g.InDegree(v) + g.OutDegree(v))
+			return int64(int(in[v]) + g.OutDegree(v))
 		}), nil
 	case StrategyOutDegree:
 		return computeByKey(g, func(v graph.VertexID) int64 {

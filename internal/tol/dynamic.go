@@ -59,8 +59,11 @@ type DynamicIndex struct {
 
 	// base and g are the index and the graph as of the last fold or
 	// rebuild: immutable, and shared with every snapshot taken since.
+	// inv is g's transpose, which only the maintainer walks: derived
+	// with each new g and dropped with it.
 	base *label.Index
 	g    *graph.Digraph
+	inv  *graph.Digraph
 	// The lists that differ from them: rank-sorted label lists and
 	// ID-sorted neighbor lists.
 	in, out       *graph.MutableOverlay[order.Rank]
@@ -130,6 +133,9 @@ func NewDynamicFrom(g *graph.Digraph, ord *order.Ordering, idx *label.Index, bui
 
 // rebase makes idx and g the base and empties the overlay.
 func (d *DynamicIndex) rebase(idx *label.Index, g *graph.Digraph) {
+	if g != d.g {
+		d.inv = g.Inverse()
+	}
 	d.base, d.g, d.m = idx, g, g.NumEdges()
 	d.in = graph.NewMutableOverlay[order.Rank](d.n)
 	d.out = graph.NewMutableOverlay[order.Rank](d.n)
@@ -166,7 +172,7 @@ func (d *DynamicIndex) inNeighbors(v graph.VertexID) []graph.VertexID {
 	if l, ok := d.inAdj.Get(v); ok {
 		return l
 	}
-	return d.g.InNeighbors(v)
+	return d.inv.OutNeighbors(v)
 }
 
 // Graph materializes the current graph as an immutable Digraph: a full
@@ -244,7 +250,7 @@ func (d *DynamicIndex) Snapshot() *label.Index {
 // that differ from it (nil if none do). A reader takes out[v] where
 // the overlay has v and base.OutNeighbors(v) elsewhere.
 func (d *DynamicIndex) SnapshotGraph() (base *graph.Digraph, out *graph.Overlay[graph.VertexID]) {
-	d.inAdj.Compact(d.g.InNeighbors) // never published, but bounded by the same rule
+	d.inAdj.Compact(d.inv.OutNeighbors) // never published, but bounded by the same rule
 	return d.g, d.outAdj.Freeze(d.g.OutNeighbors)
 }
 
@@ -361,7 +367,7 @@ func (sc *repairScratch) init(n int) {
 // deletions, whose removed edge's old walks must still be
 // considered), and reports every reached vertex including src.
 func (d *DynamicIndex) bfs(forward bool, src graph.VertexID, extra graph.Edge, visit func(graph.VertexID)) {
-	adj, g := d.inAdj, d.g.Inverse()
+	adj, g := d.inAdj, d.inv
 	if forward {
 		adj, g = d.outAdj, d.g
 	}

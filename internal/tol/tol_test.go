@@ -63,8 +63,9 @@ func TestPaperExampleOrder(t *testing.T) {
 	g := graph.PaperExample()
 	ord := order.Compute(g)
 	// ord(v) = (d_in+1)(d_out+1) + (v+1)/(n+1), from the graph.
+	inv := g.Inverse()
 	ordValue := func(v graph.VertexID) float64 {
-		return float64((g.InDegree(v)+1)*(g.OutDegree(v)+1)) + float64(v+1)/float64(g.NumVertices()+1)
+		return float64((inv.OutDegree(v)+1)*(g.OutDegree(v)+1)) + float64(v+1)/float64(g.NumVertices()+1)
 	}
 	if got := ordValue(0); got < 12.08-0.01 || got > 12.08+0.01 {
 		t.Errorf("ord(v1) = %.2f, want 12.08", got)
