@@ -1,13 +1,15 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet lint lint-json invariants check check-full fuzz cover bench-harness loadtest fleettest updatetest scale-smoke querytest tools examples experiments clean
+.PHONY: all build test vet lint lint-json invariants check check-full fuzz cover mutate bench-harness loadtest fleettest updatetest scale-smoke querytest tools examples experiments clean
 
 all: build vet test
 
 # What CI's check, lint and invariants jobs run: vet, the formatting
 # gate (gofmt lists no file), build, the project analyzers, the full
-# test suite once under the race detector (the RPC fault-handling tests
-# are concurrency-heavy) with coverage, the six example programs
+# test suite under the race detector (the RPC fault-handling tests are
+# concurrency-heavy) and again with coverage — apart, because -race
+# forces -covermode=atomic and that pair runs internal/label past the
+# 10-minute test timeout — the six example programs
 # (nothing else executes them), the fuzz targets, one iteration each of
 # the query kernel's, the CSR builder's, the labeler's and the pair
 # cache's benchmarks (so they cannot rot), and the suite again with
@@ -17,7 +19,8 @@ check:
 	test -z "$$(gofmt -l .)"
 	go build ./...
 	go run ./cmd/drlint ./...
-	go test -race -cover ./...
+	go test -race ./...
+	go test -cover ./...
 	$(MAKE) examples
 	$(MAKE) fuzz
 	go test ./internal/label -run '^$$' -bench Reachable -benchtime 1x
@@ -73,6 +76,14 @@ test:
 
 cover:
 	go test -cover ./...
+
+# The mutation driver (internal/lint/mutate_test.go) over PKGS, a
+# comma-separated list of module-relative directories or .go files:
+# one row per mutant — killed, survived or uncompilable. Not part of
+# check or CI; results/mutants.txt holds the last table and each
+# survivor's verdict.
+mutate:
+	go test ./internal/lint -run TestMutate -count=1 -timeout 0 -v -args -mutate=$(PKGS)
 
 # The benchmark harness is a module of its own (benchmark/go.mod with
 # `replace repro => ../`), so `go test ./...` from the root never

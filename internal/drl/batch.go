@@ -23,20 +23,14 @@ type BatchParams struct {
 // DefaultBatchParams returns the paper's default b = 2, k = 2.
 func DefaultBatchParams() BatchParams { return BatchParams{InitialSize: 2, Factor: 2} }
 
-func (p BatchParams) normalized() (BatchParams, error) {
-	if p.InitialSize == 0 {
-		p.InitialSize = 2
-	}
-	if p.Factor == 0 {
-		p.Factor = 2
-	}
-	if p.InitialSize < 0 {
-		return p, fmt.Errorf("drl: initial batch size %d must be positive", p.InitialSize)
+func (p BatchParams) validate() error {
+	if p.InitialSize < 1 {
+		return fmt.Errorf("drl: initial batch size %d must be positive", p.InitialSize)
 	}
 	if p.Factor < 1 {
-		return p, fmt.Errorf("drl: batch factor %g must be >= 1", p.Factor)
+		return fmt.Errorf("drl: batch factor %g must be >= 1", p.Factor)
 	}
-	return p, nil
+	return nil
 }
 
 // Span is a half-open rank interval [Lo, Hi) forming one batch.
@@ -51,8 +45,7 @@ func (s Span) Size() int { return int(s.Hi - s.Lo) }
 // [V_1, …, V_g] of Definition 7: batch i takes the next ⌊b·k^(i-1)⌋
 // highest-order vertices (at least one per batch).
 func BatchSequence(n int, p BatchParams) ([]Span, error) {
-	p, err := p.normalized()
-	if err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	var spans []Span

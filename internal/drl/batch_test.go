@@ -78,11 +78,10 @@ func TestBatchSequenceK1(t *testing.T) {
 }
 
 func TestBatchParamErrors(t *testing.T) {
-	if _, err := BatchSequence(5, BatchParams{InitialSize: -1, Factor: 2}); err == nil {
-		t.Error("negative b must fail")
-	}
-	if _, err := BatchSequence(5, BatchParams{InitialSize: 2, Factor: 0.5}); err == nil {
-		t.Error("k < 1 must fail")
+	for _, p := range []BatchParams{{InitialSize: -1, Factor: 2}, {InitialSize: 0, Factor: 2}, {InitialSize: 2, Factor: 0.5}, {InitialSize: 2}} {
+		if _, err := BatchSequence(5, p); err == nil {
+			t.Errorf("b = %d, k = %g must fail (b < 1 or k < 1)", p.InitialSize, p.Factor)
+		}
 	}
 	if _, err := BuildBatch(graph.PaperExample(), order.Compute(graph.PaperExample()),
 		BatchParams{Factor: 0.1}, Options{}); err == nil {

@@ -150,10 +150,7 @@ func readRankDeltas(rest []byte, n int) ([]order.Rank, []byte, error) {
 		if d > math.MaxInt32 {
 			return nil, nil, fmt.Errorf("drl: corrupt label blob: rank out of range")
 		}
-		r := int64(d)
-		if i > 0 {
-			r += prev
-		}
+		r := prev + int64(d)
 		if r > math.MaxInt32 {
 			return nil, nil, fmt.Errorf("drl: corrupt label blob: rank out of range")
 		}

@@ -3,6 +3,7 @@ package drl
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,7 +41,27 @@ func TestEventBlobRoundTrip(t *testing.T) {
 	if blob2 := encodeEventBlob(kindBwd, got); !bytes.Equal(blob, blob2) {
 		t.Fatal("re-encoding the decoded events is not byte-identical")
 	}
+	// The largest vertex and rank the format carries, as a first pair:
+	// a gap and a rank of exactly 2^31-1.
+	top := []visitEvent{{v: math.MaxInt32, r: math.MaxInt32}}
+	got = got[:0]
+	if err := decodeEventPairs(encodeEventBlob(kindFwd, top)[1:], func(v graph.VertexID, r order.Rank) {
+		got = append(got, visitEvent{v: v, r: r})
+	}); err != nil || !reflect.DeepEqual(got, top) {
+		t.Fatalf("round trip of %v: got %v (%v)", top, got, err)
+	}
 }
+
+// uvarints appends each x to b as a uvarint.
+func uvarints(b []byte, xs ...uint64) []byte {
+	for _, x := range xs {
+		b = binary.AppendUvarint(b, x)
+	}
+	return b
+}
+
+// overlong is a varint that overflows 64 bits.
+var overlong = []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
 
 func TestEventBlobRejectsCorrupt(t *testing.T) {
 	blob := encodeEventBlob(kindFwd, []visitEvent{{v: 5, r: 3}, {v: 6, r: 1}})
@@ -60,6 +81,20 @@ func TestEventBlobRejectsCorrupt(t *testing.T) {
 	ragged := append(append([]byte(nil), payload...), 0x01)
 	if err := decodeEventPairs(ragged, nop); err == nil {
 		t.Error("trailing bytes must fail")
+	}
+	for _, row := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"vertex gap overflowing 64 bits", append(append([]byte{blobVersion, 1}, overlong...), 0)},
+		{"rank overflowing 64 bits", append([]byte{blobVersion, 1, 1}, overlong...)},
+		{"vertex gap past 2^63", uvarints([]byte{blobVersion}, 1, 1<<63, 0)},
+		{"vertex past 2^31", uvarints([]byte{blobVersion}, 2, math.MaxInt32, 0, math.MaxInt32, 0)},
+		{"rank past 2^31", uvarints([]byte{blobVersion}, 2, 0, math.MaxInt32, 0, math.MaxInt32)},
+	} {
+		if err := decodeEventPairs(row.payload, nop); err == nil {
+			t.Errorf("%s: accepted", row.name)
+		}
 	}
 }
 
@@ -107,6 +142,14 @@ func TestLabelBlobRoundTrip(t *testing.T) {
 	check(12, []order.Rank{0, 4, 9}, nil)
 	check(2, nil, []order.Rank{3})
 	check(30, []order.Rank{1}, []order.Rank{0, 2})
+	// The largest vertex and rank the format carries, as a first share
+	// and a first rank.
+	clear(got)
+	if err := decodeLabelShares(encodeLabelBlob([]labelShare{{v: math.MaxInt32, out: []order.Rank{math.MaxInt32}}})[1:],
+		func(v graph.VertexID, out, in []order.Rank) { got[v] = [2][]order.Rank{out, in} }); err != nil {
+		t.Fatal(err)
+	}
+	check(math.MaxInt32, []order.Rank{math.MaxInt32}, nil)
 }
 
 func TestLabelBlobRejectsCorrupt(t *testing.T) {
@@ -127,6 +170,24 @@ func TestLabelBlobRejectsCorrupt(t *testing.T) {
 	ragged := append(append([]byte(nil), payload...), 0x00)
 	if err := decodeLabelShares(ragged, sink); err == nil {
 		t.Error("trailing bytes must fail")
+	}
+	for _, row := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"vertex gap overflowing 64 bits", append(append([]byte{blobVersion, 1}, overlong...), 0, 0)},
+		{"vertex gap past 2^63", uvarints([]byte{blobVersion}, 1, 1<<63, 0, 0)},
+		{"vertex past 2^31", uvarints([]byte{blobVersion}, 2, math.MaxInt32, 0, 0, math.MaxInt32, 0, 0)},
+		{"rank count overflowing 64 bits", append(append([]byte{blobVersion, 1, 0}, overlong...), 0)},
+		{"rank delta past 2^63", uvarints([]byte{blobVersion}, 1, 0, 1, 0, 1<<63)},
+		{"rank past 2^31", uvarints([]byte{blobVersion}, 1, 0, 2, 0, math.MaxInt32, math.MaxInt32)},
+		{"rank count past the payload", uvarints([]byte{blobVersion}, 1, 0, 1<<62, 0)},
+		{"in-rank count overflowing 64 bits", append([]byte{blobVersion, 1, 0, 0}, overlong...)},
+		{"share cut before its in-rank count", uvarints([]byte{blobVersion}, 1, 0, 0)},
+	} {
+		if err := decodeLabelShares(row.payload, sink); err == nil {
+			t.Errorf("%s: accepted", row.name)
+		}
 	}
 }
 
@@ -169,6 +230,10 @@ func TestCollectBlobRejectsCorrupt(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "worker 1") {
 			t.Errorf("%s: error does not name the worker: %v", row.name, err)
 		}
+	}
+	// A last record with no ranks is its 12-byte header alone.
+	if _, _, err := decodeResults([][]byte{nil, appendRecord(goodRecords(), 7, [2][]order.Rank{}), nil}, 10); err != nil {
+		t.Errorf("a reply ending in an empty record: %v", err)
 	}
 	in, out, err := decodeResults([][]byte{nil, goodRecords(), nil}, 10)
 	if err != nil {
@@ -250,8 +315,9 @@ func FuzzBlobDecodeArbitrary(f *testing.F) {
 
 // TestPreStepRejectsUnknownTag: a broadcast blob whose tag names no
 // family aborts the run instead of being read as some direction's events.
+// An empty blob before it, which carries no tag, is passed over.
 func TestPreStepRejectsUnknownTag(t *testing.T) {
-	ws := []*pregel.Worker{{BcastIn: [][]byte{{7, blobVersion, 0}}}}
+	ws := []*pregel.Worker{{BcastIn: [][]byte{{}, {7, blobVersion, 0}}}}
 	if err := (&batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}).PreStep(ws, 1); err == nil {
 		t.Error("batchProgram accepted tag 7")
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -75,5 +76,14 @@ func TestWriteFileFailureKeepsTarget(t *testing.T) {
 	}
 	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
 		t.Fatalf("directory after a failed write: %v, %v", ents, err)
+	}
+	// A directory that is not there fails where it is opened, with the
+	// file system's own error.
+	missing := filepath.Join(dir, "missing")
+	if err := durable.WriteFile(filepath.Join(missing, "served.idx"), func(io.Writer) error { return nil }); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("WriteFile into a missing directory returned %v, want ErrNotExist", err)
+	}
+	if err := durable.OS.SyncDir(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("SyncDir of a missing directory returned %v, want ErrNotExist", err)
 	}
 }

@@ -140,14 +140,14 @@ func (b *Budgeted) fallback(ctx context.Context, w *walk, s, t graph.VertexID) (
 			// among label targets; t's in-label is complete too, so
 			// this one intersection decides u's whole subtree.
 			return b.x.Reachable(u, t), true
-		}, false)
+		})
 	case b.outFull[s]:
 		return w.run(ctx, n, t, b.inverse().OutNeighbors, func(u graph.VertexID) (hit, cut bool) {
 			if u == s || !b.inFull[u] {
 				return u == s, false
 			}
 			return b.x.Reachable(s, u), true
-		}, false)
+		})
 	}
-	return w.run(ctx, n, s, b.g.OutNeighbors, func(u graph.VertexID) (hit, cut bool) { return u == t, false }, false)
+	return w.run(ctx, n, s, b.g.OutNeighbors, func(u graph.VertexID) (hit, cut bool) { return u == t, false })
 }

@@ -128,9 +128,6 @@ func intersects[T uint16 | order.Rank](a, b []T) bool {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
-	if len(a) == 0 {
-		return false
-	}
 	if len(b) >= gallopRatio*len(a) {
 		return gallopIntersects(a, b)
 	}

@@ -540,6 +540,10 @@ func ioFixtures(t testing.TB) map[string]*Index {
 		"edges":           edgeIndex(t),
 		"inheriting":      hierIndex(t, 3000, 90, 10),
 		"inheriting-wide": hierIndex(t, wideFrom+2500, 60, 11),
+		"tier-line":       sparseIndex(t, wideFrom, 3, 12), // n = 2¹⁶: no rank in the second tier, so no model slot for it
+		// Vertex 1 ranked first: the permutation's zigzag gaps 2 and 1
+		// cost 5 bits under parameter 0 and under 1, and the least wins.
+		"tied-parameters": FromLists(order.FromRanks([]order.Rank{1, 0}), make([][]order.Rank, 2), make([][]order.Rank, 2)),
 	}
 }
 
@@ -663,7 +667,7 @@ func TestLabelBlockWideGaps(t *testing.T) {
 
 // TestWriteToRejectsUnsortedList: the gap coding cannot express a
 // repeated rank — nor a list that holds its vertex's own rank twice, the
-// second time where it would go unwritten — so the writer's block
+// second time where it would go unwritten, nor rank n — so the writer's block
 // encoder refuses such a list. No Index holds one — FromLists takes
 // label sets, and the layout asserts strict ascent — so the test lays the
 // list out by hand, and checks that the list holding the rank once
@@ -688,17 +692,28 @@ func TestWriteToRejectsUnsortedList(t *testing.T) {
 			t.Fatalf("rank %d once: the index does not round-trip (%v)", c.repeated, err)
 		}
 	}
+	// Nor can it express rank n: vertex 1's run stores rank 3.
+	var coder labelCoder
+	l := &layout{ord: ord, chunks: []chunk{{word: []uint32{0, 0, 1, 1}, lab: []uint16{3}}}}
+	if _, err := coder.appendLabelBlock(nil, side{l: l}, ord, 0); err == nil || !strings.Contains(err.Error(), "ranks below 3") {
+		t.Fatalf("rank n: err = %v, want the list refused", err)
+	}
 }
 
-// failAfter accepts limit bytes and then fails every write.
-type failAfter struct{ limit, n int }
+// failAfter fails the write that would take it past limit bytes,
+// keeping those up to limit, and takes every write after that one: a
+// writer that writes on after an error shows as bytes past limit.
+type failAfter struct {
+	limit, n int
+	failed   bool
+}
 
 var errSink = errors.New("sink full")
 
 func (w *failAfter) Write(p []byte) (int, error) {
-	if w.n+len(p) > w.limit {
+	if !w.failed && w.n+len(p) > w.limit {
 		k := w.limit - w.n
-		w.n = w.limit
+		w.n, w.failed = w.limit, true
 		return k, errSink
 	}
 	w.n += len(p)
@@ -707,7 +722,8 @@ func (w *failAfter) Write(p []byte) (int, error) {
 
 // TestWriteToReportsWriterError fails the sink in the header, in the
 // permutation, and in the first and a late label block: WriteTo must
-// return the sink's error and the byte count the sink took, with its
+// return the sink's error and the byte count the sink took, write
+// nothing after the error, with its
 // encode workers gone (the race detector and -count would show a
 // straggler writing into a recycled buffer).
 func TestWriteToReportsWriterError(t *testing.T) {
@@ -721,9 +737,19 @@ func TestWriteToReportsWriterError(t *testing.T) {
 			if !errors.Is(err, errSink) {
 				t.Fatalf("limit %d: err = %v, want the writer's error", limit, err)
 			}
-			if n != int64(w.n) {
+			if n != int64(w.n) || w.n != limit {
 				t.Fatalf("limit %d: WriteTo reported %d bytes, the writer took %d", limit, n, w.n)
 			}
+		}
+		// A capped index is written with its graph, or not at all.
+		if _, err := x.WriteWith(io.Discard, Extras{Budget: 4}); err == nil {
+			t.Fatal("a capped index written without its graph's fingerprint and flags")
+		}
+		// A graph's fingerprint is written after the header, so a header
+		// write that fails has one more write behind it.
+		w := &failAfter{limit: 20}
+		if n, err := x.WriteWith(w, Extras{Graph: &graph.Fingerprint{N: int32(x.n)}}); !errors.Is(err, errSink) || n != 20 || w.n != 20 {
+			t.Fatalf("header fails: WriteWith reported %d bytes and %v, the writer took %d", n, err, w.n)
 		}
 	}
 }
@@ -852,6 +878,7 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 	nIn, nOut := x.entries()
 
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	overlong := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01} // overflows 64 bits
 	// patch replaces the uvarint at file[at:] with repl.
 	patch := func(file []byte, at int, repl []byte) []byte {
 		_, k := binary.Uvarint(file[at:])
@@ -936,6 +963,9 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		vertices int    // those of the file's index, where more than the 1 MB of slack holds
 	}
 	r := func(name string, file []byte, want string) row { return row{name, file, want, 0} }
+	if _, err := ReadSections(bytes.NewReader([]byte("garbage"))); err == nil {
+		t.Error("ReadSections took a file with no header")
+	}
 	for _, c := range []row{
 		r("garbage", []byte("garbage"), "header"),
 		r("bad magic", header(0, 0x1122334455667788), "bad magic"),
@@ -949,26 +979,34 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		r("nIn inflated", header(2, 1<<40), "where the header counts"),
 		r("nIn deflated", header(2, uint64(nIn-1)), "exceed the header's count"),
 		r("nOut inflated", header(3, uint64(nOut+1)), "where the header counts"),
+		r("nOut at the plausible bound", header(3, 1<<40), "where the header counts"),
 		r("a vertex at two ranks", craftPerm(3, perm(0, 0, 2)), "a vertex at two ranks"),
 		r("a permutation gap below 0", craftPerm(3, perm(1, 2, 2)), "a permutation gap leaves [0, 3)"),
 		r("a permutation gap to n", craftPerm(3, perm(0, 2, 4)), "a permutation gap leaves [0, 3)"),
 		r("a permutation's parameter of 32", craftPerm(3, append([]byte{32}, perm(0, 2, 2)[1:]...)), "one above 31"),
 		r("permutation entry count", patch(good, starts[0], []byte{7}), "7 values where 4096 belong"),
 		r("permutation entry count huge", patch(good, starts[0], uv(1<<39)), "entries declared in"),
+		r("permutation entry count overflowing 64 bits", patch(good, starts[0], overlong), "block header: binary: varint overflows"),
 		r("nine values in a byte", craftPerm(9, []byte{0}), "9 entries declared in 1 bytes"),
 		r("a Rice parameter of 32 for the shapes", craft(4, with(0, 32)), "Rice parameter above 31"),
 		r("a Rice parameter of 32 for a gap", craft(4, with(2, 32)), "Rice parameter above 31"),
 		r("a Rice parameter of 32 for the hubs", craft(4, append(slices.Clone(inherits[:1]), append([]byte{32}, goodInherit[2:]...)...)), "Rice parameter above 31"),
 		r("a block shorter than its model", craft(4, alone[:3]), "shorter than its model"),
+		r("an empty labels block", craft(4, nil), "shorter than its model"),
 		r("a block shorter than its inheriting model", craft(4, inherits[:6]), "shorter than its model"),
 		r("block entry count beyond uint32 half-word offsets", patch(patch(good, firstIn+entriesLen, uv(1<<29)), firstIn, uv(1<<31)), "more than a block's offsets can count"),
+		r("block entry count at the bound", patch(good, firstIn, uv(maxBlockEntries)), "exceed the header's count"),
 		r("block entry count +1", patch(good, firstIn, uv(inEntries+1)), "fewer entries than its header counts"),
 		r("block entry count -1", patch(good, firstIn, uv(inEntries-1)), "beyond the block's entry count"),
 		r("block and header entry count +1", patch(header(2, uint64(nIn+1)), firstIn, uv(inEntries+1)), "fewer entries than its header counts"),
 		r("block and header entry count -1", patch(header(2, uint64(nIn-1)), firstIn, uv(inEntries-1)), "beyond the block's entry count"),
 		r("block byte length huge", patch(good, firstIn+entriesLen, uv(1<<39)), "unexpected EOF"),
+		r("block byte length overflowing 64 bits", patch(good, firstIn+entriesLen, overlong), "block header: binary: varint overflows"),
 		r("block byte length -1", patch(good, lastOut+lastEntriesLen, uv(lastSize-1)), "run past the payload's end"),
 		r("byte after the lists", append(patch(good, lastOut+lastEntriesLen, uv(lastSize+1)), 0), "1 bytes left over"),
+		// Gaps 0, 2 and -1 code in exactly 8 bits, so the byte after them
+		// is a whole byte of padding.
+		r("byte after codes that end on a byte", craftPerm(3, append(perm(0, 4, 1), 0)), "1 bytes left over"),
 		r("lists cut short", craft(4, goodIn[:5]), "run past the payload's end"),
 		r("padding bit set", craft(4, with(5, goodIn[5]|0x80)), "padding bits set"),
 		r("list length beyond the block", craft(4, stream(alone, rc{1, 9 << 1})), "beyond the block's entry count"),
@@ -1019,6 +1057,8 @@ func TestReadRejectsCorruptInput(t *testing.T) {
 		{"the sparse index", good, x.Equal},
 		{"the small index", goodSmall, small.Equal},
 		{"the small index crafted", craft(4, goodIn), small.Equal},
+		{"the small index, its permutation under parameter 31", craftPerm(3, stream([]byte{31}, rc{31, 0}, rc{31, 2}, rc{31, 2})), small.Equal},
+		{"the small index, its shapes under parameter 31", craft(4, stream([]byte{31, 0, 0, 0}, rc{31, 0<<1 | 1}, rc{31, 1<<1 | 1}, rc{31, 1 << 1}, rc{0, 0}, rc{0, 0})), small.Equal},
 		{"the small index inheriting", craft(4, goodInherit), small.Equal},
 		{"the small index inheriting from two hubs", craft(4, goodUnion), small.Equal},
 		{"one second-tier rank", wideCraft(1, wideFrom), func(y *Index) bool {

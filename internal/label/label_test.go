@@ -140,21 +140,6 @@ func sameSet(a, b []graph.VertexID) bool {
 	return true
 }
 
-// TestScratchEpochWrap forces the epoch counter to wrap and checks
-// the lazy reset keeps results correct.
-func TestScratchEpochWrap(t *testing.T) {
-	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	ord := order.Compute(g)
-	s := NewScratch(3)
-	s.epoch = -3 // three calls from wrapping
-	for i := 0; i < 8; i++ {
-		low, _ := TrimmedBFS(g, ord, 2, s, nil, nil)
-		if len(low) == 0 || low[0] != 2 {
-			t.Fatalf("iteration %d: low = %v", i, low)
-		}
-	}
-}
-
 func buildSmallIndex(t testing.TB) (*Index, *order.Ordering) {
 	t.Helper()
 	ord := order.FromRanks([]order.Rank{0, 1, 2})
@@ -179,6 +164,13 @@ func TestIndexAccessors(t *testing.T) {
 	}
 	if x.AvgLabelSize() != 8.0/6.0 {
 		t.Errorf("AvgLabelSize = %f", x.AvgLabelSize())
+	}
+	empty := FromLists(order.FromRanks(nil), nil, nil)
+	if empty.AvgLabelSize() != 0 {
+		t.Errorf("AvgLabelSize of an empty index = %f, want 0", empty.AvgLabelSize())
+	}
+	if d := x.Diff(empty); d != "vertex count 3 vs 0" {
+		t.Errorf("Diff against the empty index = %q", d)
 	}
 	if x.SizeBytes() <= 0 {
 		t.Error("SizeBytes should be positive")

@@ -14,7 +14,8 @@ import (
 // TestPatchedMatchesFold: an index patched with random list edits and
 // the flat index its Fold gives are the same index to every operation
 // — each query shape, each size accessor, Equal, Thaw, and WriteTo byte
-// for byte — and the base under the patch is left as it was.
+// for byte — the base under the patch is left as it was, and the
+// patched index refuses a second patch.
 func TestPatchedMatchesFold(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{11, 12, 13} {
@@ -41,7 +42,8 @@ func TestPatchedMatchesFold(t *testing.T) {
 				toggle(out, base.OutLabels)
 			}
 		}
-		px := base.Patched(in.Freeze(base.InLabels), out.Freeze(base.OutLabels))
+		pin, pout := in.Freeze(base.InLabels), out.Freeze(base.OutLabels)
+		px := base.Patched(pin, pout)
 		fx := px.Fold()
 		if px == base || fx == px || fx.patch != nil {
 			t.Fatalf("seed %d: Patched or Fold returned its receiver", seed)
@@ -90,6 +92,14 @@ func TestPatchedMatchesFold(t *testing.T) {
 		if !bytes.Equal(writeBytes(t, base), baseBytes) {
 			t.Fatalf("seed %d: patching changed the base", seed)
 		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("seed %d: a patched index took a second patch", seed)
+				}
+			}()
+			px.Patched(pin, pout)
+		}()
 	}
 	base := randomIndex(t, 10, 1)
 	if base.Patched(nil, nil) != base || base.Fold() != base {

@@ -17,11 +17,10 @@ import (
 // table of w, a pooled walk of which a sweep uses nothing else but its
 // list buffer.
 func (x *Index) markOut(w *walk, s graph.VertexID) {
-	sc := &w.seen
-	sc.reset(x.n)
+	w.seen.Reset(x.n)
 	w.lab[0] = x.AppendOutLabels(w.lab[0][:0], s)
 	for _, r := range w.lab[0] {
-		sc.mark[r] = sc.epoch
+		w.seen.mark[r] = w.seen.epoch
 	}
 }
 
@@ -90,17 +89,14 @@ func (x *Index) ReachableSetSize(ctx context.Context, s graph.VertexID) (int, er
 // cancelled one ends the sweep with the context's error.
 func (b *Budgeted) ReachableFrom(ctx context.Context, s graph.VertexID, targets []graph.VertexID) ([]bool, error) {
 	res := make([]bool, len(targets))
-	if len(targets) == 0 {
-		return res, nil
-	}
 	w := walkPool.Get().(*walk)
 	defer walkPool.Put(w)
 	if !b.outFull[s] {
-		if _, err := w.run(ctx, b.g.NumVertices(), s, b.g.OutNeighbors, nil, false); err != nil {
+		if _, err := w.run(ctx, b.g.NumVertices(), s, b.g.OutNeighbors, nil); err != nil {
 			return nil, err
 		}
 		for i, t := range targets {
-			res[i] = w.seen.mark[t] == w.seen.epoch
+			res[i] = w.seen.Has(t)
 		}
 		return res, nil
 	}
@@ -127,7 +123,7 @@ func (b *Budgeted) ReachableFrom(ctx context.Context, s graph.VertexID, targets 
 func (b *Budgeted) ReachableSetSize(ctx context.Context, s graph.VertexID) (int, error) {
 	w := walkPool.Get().(*walk)
 	defer walkPool.Put(w)
-	if _, err := w.run(ctx, b.g.NumVertices(), s, b.g.OutNeighbors, nil, false); err != nil {
+	if _, err := w.run(ctx, b.g.NumVertices(), s, b.g.OutNeighbors, nil); err != nil {
 		return 0, err
 	}
 	return len(w.queue), nil

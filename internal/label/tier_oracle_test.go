@@ -56,10 +56,12 @@ func meetAt(a, b []order.Rank) []order.Rank {
 // vertices with no own rank in either list, pruned because a cycle
 // through a vertex of higher order covers them (the citation graph is
 // acyclic, so the test closes cycles with back edges); vertices whose
-// capped list refused its own rank; and the vertices ranked 65,535 and
-// 65,536, whose own ranks fall either side of the tier line. From each
-// of those the one-source sweeps (ReachableFrom, ReachableSetSize) and
-// a witness search (FindPath, pruned by the index) are checked as well.
+// capped list refused its own rank; the vertices ranked 65,535 and
+// 65,536, whose own ranks fall either side of the tier line; and pairs
+// whose capped labels miss although the source's out-list is complete.
+// From each of those the one-source sweeps (ReachableFrom,
+// ReachableSetSize) and a witness search (FindPath, pruned by the index)
+// are checked as well.
 func TestTiersMatchBFS(t *testing.T) {
 	const n, budget = 140_000, 8
 	ctx := context.Background()
@@ -127,6 +129,27 @@ func TestTiersMatchBFS(t *testing.T) {
 	}
 	special := slices.Concat(selfless[0], selfless[1], refused[0], refused[1],
 		[]graph.VertexID{ord.VertexAt(1<<16 - 1), ord.VertexAt(1 << 16)})
+	// And pairs a capped sweep cannot answer from labels: a source whose
+	// capped out-list is complete and a target it reaches whose capped
+	// in-list overflowed, with no rank in common — the sweep's per-target
+	// fallback decides them.
+	var missFrom, missTo []graph.VertexID
+	for s := graph.VertexID(0); int(s) < n && len(missFrom) < 2; s++ {
+		if !capped.OutFull(s) {
+			continue
+		}
+		graph.BFS(g, s, func(u graph.VertexID) bool {
+			if u != s && !capped.InFull(u) && !capped.Index().Reachable(s, u) {
+				missFrom, missTo = append(missFrom, s), append(missTo, u)
+				return false
+			}
+			return true
+		})
+	}
+	if len(missFrom) == 0 {
+		t.Fatal("the graph moved: no complete out-list misses a reachable target's capped in-list")
+	}
+	special = slices.Concat(special, missFrom, missTo)
 
 	// Repairs: edges from sources to sinks, whose affected sets are the
 	// two endpoints, so no update trips the rebuild guard.

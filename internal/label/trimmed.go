@@ -18,32 +18,17 @@ import (
 // Scratch holds the reusable state for repeated trimmed BFS calls.
 // It is not safe for concurrent use; allocate one per goroutine.
 type Scratch struct {
-	mark  []int32 // epoch when the vertex was last visited or blocked
-	block []int32 // epoch when the vertex was last recorded in BFS_hig
-	epoch int32
+	mark  Marks // visited or blocked
+	block Marks // recorded in BFS_hig
 	queue []graph.VertexID
 }
 
 // NewScratch returns a Scratch for graphs with n vertices.
 func NewScratch(n int) *Scratch {
-	return &Scratch{
-		mark:  make([]int32, n),
-		block: make([]int32, n),
-		epoch: 0,
-		queue: make([]graph.VertexID, 0, 256),
-	}
-}
-
-func (s *Scratch) next() int32 {
-	s.epoch++
-	if s.epoch == 0 { // wrapped around: reset lazily
-		for i := range s.mark {
-			s.mark[i] = 0
-			s.block[i] = 0
-		}
-		s.epoch = 1
-	}
-	return s.epoch
+	s := &Scratch{queue: make([]graph.VertexID, 0, 256)}
+	s.mark.Reset(n)
+	s.block.Reset(n)
+	return s
 }
 
 // TrimmedBFS runs Algorithm 2 from v on g under ord, appending results
@@ -51,24 +36,24 @@ func (s *Scratch) next() int32 {
 // Vertices appear in low in BFS discovery order, so low[0] == v; hig
 // is deduplicated.
 func TrimmedBFS(g *graph.Digraph, ord *order.Ordering, v graph.VertexID, s *Scratch, low, hig []graph.VertexID) (outLow, outHig []graph.VertexID) {
-	epoch := s.next()
+	s.mark.Reset(g.NumVertices())
+	s.block.Reset(g.NumVertices())
 	rv := ord.RankOf(v)
-	s.queue = s.queue[:0]
-	s.queue = append(s.queue, v)
-	s.mark[v] = epoch
+	s.queue = append(s.queue[:0], v)
+	s.mark.Add(v)
 	low = append(low, v)
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
 		for _, w := range g.OutNeighbors(u) {
-			if s.mark[w] == epoch {
+			if s.mark.Has(w) {
 				continue
 			}
 			if ord.RankOf(w) > rv { // ord(w) < ord(v): keep expanding
-				s.mark[w] = epoch
+				s.mark.Add(w)
 				s.queue = append(s.queue, w)
 				low = append(low, w)
-			} else if s.block[w] != epoch { // block expansion via w
-				s.block[w] = epoch
+			} else if !s.block.Has(w) { // block expansion via w
+				s.block.Add(w)
 				hig = append(hig, w)
 			}
 		}

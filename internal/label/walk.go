@@ -15,24 +15,32 @@ import (
 // neighbor function — CSR out, CSR in, or an epoch's overlay adjacency
 // — and in what visit says of each vertex the search discovers.
 
-// stamps is an epoch-stamped mark table: i is marked iff mark[i] ==
-// epoch, so a pooled table is reused without clearing.
-type stamps struct {
+// Marks is an epoch-stamped vertex set, the one mark table of every
+// repeated traversal: label's walks, sweeps and trimmed BFS, and tol's
+// maintainer. v is in the set iff mark[v] == epoch, so emptying it is
+// one increment and a pooled table is reused without clearing.
+type Marks struct {
 	mark  []int32
 	epoch int32
 }
 
-// reset leaves the table covering n entries, none of them marked.
-func (m *stamps) reset(n int) {
+// Reset empties the set and makes it cover at least n entries.
+func (m *Marks) Reset(n int) {
 	if len(m.mark) < n {
 		m.mark, m.epoch = make([]int32, n), 0
 	}
 	m.epoch++
-	if m.epoch == 0 { // wrapped: marks are stale, reset once
+	if m.epoch == 0 { // wrapped: marks are stale, clear once
 		clear(m.mark)
 		m.epoch = 1
 	}
 }
+
+// Add puts v in the set.
+func (m *Marks) Add(v graph.VertexID) { m.mark[v] = m.epoch }
+
+// Has reports whether v is in the set.
+func (m *Marks) Has(v graph.VertexID) bool { return m.mark[v] == m.epoch }
 
 // walk is the scratch of a traversal and, after run, its result. It is
 // pooled across queries, goroutines and indexes (grown to the largest
@@ -40,9 +48,9 @@ func (m *stamps) reset(n int) {
 // borrows one for its mark table and a list buffer (sweep.go), a pair
 // that reads a patched list for two list buffers (patch.go).
 type walk struct {
-	seen  stamps           // discovered, expanded or not
+	seen  Marks            // discovered, expanded or not
 	queue []graph.VertexID // start, then every vertex visit let through, in discovery order
-	from  []int32          // with parents: the queue position of queue[i]'s discoverer
+	from  []int32          // the queue position of queue[i]'s discoverer
 	// expanded counts the vertices whose neighbor lists the last run read.
 	expanded int
 	lab      [2][]order.Rank // label lists decoded from the layout
@@ -58,13 +66,13 @@ const cancelPoll = 1024
 // of n vertices. Each vertex is handed to visit once, when first
 // discovered: hit ends the search there with found == true, cut keeps
 // the vertex out of the queue so nothing is discovered through it. A
-// nil visit lets every vertex through. With parents the discovery
-// chain is kept (FindPath reads it back). A cancelled ctx ends the
-// search with its error.
+// nil visit lets every vertex through. The discovery chain is kept
+// (FindPath reads it back). A cancelled ctx ends the search with its
+// error.
 func (w *walk) run(ctx context.Context, n int, start graph.VertexID, next func(graph.VertexID) []graph.VertexID,
-	visit func(graph.VertexID) (hit, cut bool), parents bool) (found bool, err error) {
-	w.seen.reset(n)
-	w.seen.mark[start] = w.seen.epoch
+	visit func(graph.VertexID) (hit, cut bool)) (found bool, err error) {
+	w.seen.Reset(n)
+	w.seen.Add(start)
 	w.queue = append(w.queue[:0], start)
 	w.from = append(w.from[:0], 0)
 	for head := 0; head < len(w.queue); head++ {
@@ -74,10 +82,10 @@ func (w *walk) run(ctx context.Context, n int, start graph.VertexID, next func(g
 		}
 		w.expanded = head + 1
 		for _, u := range next(w.queue[head]) {
-			if w.seen.mark[u] == w.seen.epoch {
+			if w.seen.Has(u) {
 				continue
 			}
-			w.seen.mark[u] = w.seen.epoch
+			w.seen.Add(u)
 			var hit, cut bool
 			if visit != nil {
 				hit, cut = visit(u)
@@ -86,9 +94,7 @@ func (w *walk) run(ctx context.Context, n int, start graph.VertexID, next func(g
 				continue
 			}
 			w.queue = append(w.queue, u)
-			if parents {
-				w.from = append(w.from, int32(head))
-			}
+			w.from = append(w.from, int32(head))
 			if hit {
 				return true, nil
 			}
@@ -104,7 +110,7 @@ func FindPath(ctx context.Context, n int, start graph.VertexID, next func(graph.
 	visit func(graph.VertexID) (hit, cut bool)) ([]graph.VertexID, error) {
 	w := walkPool.Get().(*walk)
 	defer walkPool.Put(w)
-	if found, err := w.run(ctx, n, start, next, visit, true); !found {
+	if found, err := w.run(ctx, n, start, next, visit); !found {
 		return nil, err
 	}
 	i := len(w.queue) - 1 // the hit was queued last

@@ -86,7 +86,7 @@ func TestWalkMatchesBFS(t *testing.T) {
 					}
 				}
 				w := walkPool.Get().(*walk)
-				if found, err := w.run(context.Background(), n, s, next, nil, false); found || err != nil {
+				if found, err := w.run(context.Background(), n, s, next, nil); found || err != nil {
 					t.Fatalf("%s seed %d: unguided walk from %d: found=%v err=%v", name, seed, s, found, err)
 				}
 				if len(w.queue) != reached || w.expanded != reached {
@@ -94,7 +94,7 @@ func TestWalkMatchesBFS(t *testing.T) {
 						name, seed, s, len(w.queue), w.expanded, reached)
 				}
 				for v, d := range dist {
-					if (w.seen.mark[v] == w.seen.epoch) != (d >= 0) {
+					if w.seen.Has(graph.VertexID(v)) != (d >= 0) {
 						t.Fatalf("%s seed %d: walk from %d marks %d wrongly (dist %d)", name, seed, s, v, d)
 					}
 				}
@@ -125,6 +125,35 @@ func TestWalkMatchesBFS(t *testing.T) {
 	}
 }
 
+// TestMarksEpochWrap runs walks across the mark table's epoch wrap,
+// each from a vertex with descendants, against the BFS oracle: at the
+// wrap every never-marked entry reads as the new epoch until the table
+// is cleared, so an unguarded walk would reach nothing past its start.
+func TestMarksEpochWrap(t *testing.T) {
+	const n = 60
+	g := randomDigraph(n, 2*n, 1)
+	var w walk
+	w.seen.Reset(n)
+	w.seen.epoch = -3 // the third run's reset wraps
+	runs := 0
+	for s := graph.VertexID(0); runs < 6; s++ {
+		dist := bfsDist(n, s, g.OutNeighbors)
+		if slices.Max(dist) < 1 {
+			continue
+		}
+		runs++
+		if _, err := w.run(context.Background(), n, s, g.OutNeighbors, nil); err != nil {
+			t.Fatal(err)
+		}
+		for v, d := range dist {
+			if w.seen.Has(graph.VertexID(v)) != (d >= 0) {
+				t.Fatalf("run %d from %d (epoch %d): vertex %d marked %v, BFS distance %d",
+					runs, s, w.seen.epoch, v, w.seen.Has(graph.VertexID(v)), d)
+			}
+		}
+	}
+}
+
 // TestWalkCutAndHit: a cut vertex is marked but nothing is discovered
 // through it, and a hit ends the search at once.
 func TestWalkCutAndHit(t *testing.T) {
@@ -136,12 +165,12 @@ func TestWalkCutAndHit(t *testing.T) {
 	if path, err := FindPath(context.Background(), 5, 0, g.OutNeighbors, cut4); err != nil || !slices.Equal(path, []graph.VertexID{0, 1, 2, 3}) {
 		t.Fatalf("path=%v err=%v, want the long way round the cut vertex", path, err)
 	}
-	if found, err := w.run(context.Background(), 5, 0, g.OutNeighbors, cut4, false); !found || err != nil {
+	if found, err := w.run(context.Background(), 5, 0, g.OutNeighbors, cut4); !found || err != nil {
 		t.Fatalf("found=%v err=%v, want the hit found", found, err)
 	}
-	if w.seen.mark[4] != w.seen.epoch || slices.Contains(w.queue, 4) {
+	if !w.seen.Has(4) || slices.Contains(w.queue, 4) {
 		t.Fatalf("cut vertex 4: marked=%v queued=%v, want marked and not queued",
-			w.seen.mark[4] == w.seen.epoch, slices.Contains(w.queue, 4))
+			w.seen.Has(4), slices.Contains(w.queue, 4))
 	}
 	if w.expanded != 3 { // 0, 1 and 2 were read; the hit came off 2's list
 		t.Fatalf("expanded %d, want 3", w.expanded)
@@ -170,7 +199,7 @@ func TestWalkCancel(t *testing.T) {
 				cancel()
 			}
 			return false, false
-		}, false)
+		})
 		if found || err != context.Canceled {
 			t.Fatalf("cancel at %d: found=%v err=%v, want context.Canceled", at, found, err)
 		}

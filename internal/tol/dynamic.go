@@ -133,10 +133,7 @@ func NewDynamicFrom(g *graph.Digraph, ord *order.Ordering, idx *label.Index, bui
 
 // rebase makes idx and g the base and empties the overlay.
 func (d *DynamicIndex) rebase(idx *label.Index, g *graph.Digraph) {
-	if g != d.g {
-		d.inv = g.Inverse()
-	}
-	d.base, d.g, d.m = idx, g, g.NumEdges()
+	d.base, d.g, d.inv, d.m = idx, g, g.Inverse(), g.NumEdges()
 	d.in = graph.NewMutableOverlay[order.Rank](d.n)
 	d.out = graph.NewMutableOverlay[order.Rank](d.n)
 	d.outAdj = graph.NewMutableOverlay[graph.VertexID](d.n)
@@ -320,32 +317,13 @@ func (d *DynamicIndex) setEdge(u, v graph.VertexID, present bool) bool {
 	return true
 }
 
-// marks is an epoch-stamped vertex set, in the style of label's sweep
-// scratch: v is in the set iff stamp[v] == epoch, so emptying it is
-// one increment.
-type marks struct {
-	stamp []int32
-	epoch int32
-}
-
-func (m *marks) reset() {
-	m.epoch++
-	if m.epoch == 0 { // wrapped: stamps are stale, clear once
-		clear(m.stamp)
-		m.epoch = 1
-	}
-}
-
-func (m *marks) add(v graph.VertexID)      { m.stamp[v] = m.epoch }
-func (m *marks) has(v graph.VertexID) bool { return m.stamp[v] == m.epoch }
-
 // repairScratch is what one repair needs and the next can reuse: a
 // mark set per role, the BFS queue, the affected sets, the A×D
 // reachability relation as a bit matrix, and two buffers base lists are
 // decoded into — one for the list a sweep step holds, one for each list
 // it tests against that one.
 type repairScratch struct {
-	seen, inA, inD marks
+	seen, inA, inD label.Marks
 	posA, posD     []int32 // v's index in anc / des, where inA / inD has v
 	queue          []graph.VertexID
 	anc, des       []graph.VertexID
@@ -355,25 +333,20 @@ type repairScratch struct {
 }
 
 func (sc *repairScratch) init(n int) {
-	sc.seen.stamp = make([]int32, n)
-	sc.inA.stamp = make([]int32, n)
-	sc.inD.stamp = make([]int32, n)
 	sc.posA = make([]int32, n)
 	sc.posD = make([]int32, n)
 }
 
-// bfs runs a BFS from src along out-edges (forward) or in-edges,
-// additionally traversing extra.U → extra.V as if present (for
-// deletions, whose removed edge's old walks must still be
-// considered), and reports every reached vertex including src.
-func (d *DynamicIndex) bfs(forward bool, src graph.VertexID, extra graph.Edge, visit func(graph.VertexID)) {
+// bfs runs a BFS from src along out-edges (forward) or in-edges and
+// reports every reached vertex including src.
+func (d *DynamicIndex) bfs(forward bool, src graph.VertexID, visit func(graph.VertexID)) {
 	adj, g := d.inAdj, d.inv
 	if forward {
 		adj, g = d.outAdj, d.g
 	}
 	seen := &d.sc.seen
-	seen.reset()
-	seen.add(src)
+	seen.Reset(d.n)
+	seen.Add(src)
 	queue := append(d.sc.queue[:0], src)
 	for head := 0; head < len(queue); head++ {
 		w := queue[head]
@@ -383,14 +356,10 @@ func (d *DynamicIndex) bfs(forward bool, src graph.VertexID, extra graph.Edge, v
 			nbrs = g.OutNeighbors(w)
 		}
 		for _, x := range nbrs {
-			if !seen.has(x) {
-				seen.add(x)
+			if !seen.Has(x) {
+				seen.Add(x)
 				queue = append(queue, x)
 			}
-		}
-		if w == extra.U && !seen.has(extra.V) {
-			seen.add(extra.V)
-			queue = append(queue, extra.V)
 		}
 	}
 	d.sc.queue = queue
@@ -398,16 +367,14 @@ func (d *DynamicIndex) bfs(forward bool, src graph.VertexID, extra graph.Edge, v
 
 // repair re-evaluates label membership for every pair that an update
 // of edge (u, v) can affect: sources A = ANC(u), targets D = DES(v),
-// both in the *union* of the old and new graphs (computed on the new
-// adjacency plus the updated edge; for a deletion the old-graph sets
-// are recovered by traversing the deleted edge as if present, and
-// re-evaluating a pair that did not change is harmless, so the sets
-// are taken generously).
+// which are the same in the old and the new graph: a path into u
+// through u → v reaches u before that edge, and a path out of v through
+// it returns to v after it, so each has a part without the edge.
 func (d *DynamicIndex) repair(u, v graph.VertexID) error {
 	sc := &d.sc
 	anc, des := sc.anc[:0], sc.des[:0]
-	d.bfs(false, u, graph.Edge{U: v, V: u}, func(w graph.VertexID) { anc = append(anc, w) })
-	d.bfs(true, v, graph.Edge{U: u, V: v}, func(w graph.VertexID) { des = append(des, w) })
+	d.bfs(false, u, func(w graph.VertexID) { anc = append(anc, w) })
+	d.bfs(true, v, func(w graph.VertexID) { des = append(des, w) })
 	sc.anc, sc.des = anc, des
 
 	// The incremental sweep costs O(|A|·|D|·Δ) pair tests plus
@@ -432,14 +399,14 @@ func (d *DynamicIndex) repair(u, v graph.VertexID) error {
 	}
 	d.stats.Repairs++
 
-	sc.inA.reset()
+	sc.inA.Reset(d.n)
 	for i, x := range anc {
-		sc.inA.add(x)
+		sc.inA.Add(x)
 		sc.posA[x] = int32(i)
 	}
-	sc.inD.reset()
+	sc.inD.Reset(d.n)
 	for j, y := range des {
-		sc.inD.add(y)
+		sc.inD.Add(y)
 		sc.posD[y] = int32(j)
 	}
 
@@ -455,11 +422,10 @@ func (d *DynamicIndex) repair(u, v graph.VertexID) error {
 	sc.reach = slices.Grow(sc.reach[:0], words)[:words]
 	clear(sc.reach)
 	reach := sc.reach
-	none := graph.Edge{U: -1, V: -1}
 	if len(anc) <= len(des) {
 		for i, x := range anc {
-			d.bfs(true, x, none, func(w graph.VertexID) {
-				if sc.inD.has(w) {
+			d.bfs(true, x, func(w graph.VertexID) {
+				if sc.inD.Has(w) {
 					bit := i*nd + int(sc.posD[w])
 					reach[bit>>6] |= 1 << (bit & 63)
 				}
@@ -467,8 +433,8 @@ func (d *DynamicIndex) repair(u, v graph.VertexID) error {
 		}
 	} else {
 		for j, y := range des {
-			d.bfs(false, y, none, func(w graph.VertexID) {
-				if sc.inA.has(w) {
+			d.bfs(false, y, func(w graph.VertexID) {
+				if sc.inA.Has(w) {
 					bit := int(sc.posA[w])*nd + j
 					reach[bit>>6] |= 1 << (bit & 63)
 				}
@@ -486,7 +452,7 @@ func (d *DynamicIndex) repair(u, v graph.VertexID) error {
 		ranks = append(ranks, d.ord.RankOf(x))
 	}
 	for _, y := range des {
-		if !sc.inA.has(y) { // avoid double-processing vertices in both sets
+		if !sc.inA.Has(y) { // avoid double-processing vertices in both sets
 			ranks = append(ranks, d.ord.RankOf(y))
 		}
 	}
@@ -495,7 +461,7 @@ func (d *DynamicIndex) repair(u, v graph.VertexID) error {
 
 	for _, r := range ranks {
 		x := d.ord.VertexAt(r)
-		if sc.inA.has(x) {
+		if sc.inA.Has(x) {
 			// x labels in-direction targets in D.
 			i, outX := int(sc.posA[x]), d.outLabels(x, &sc.held)
 			for j, y := range des {
@@ -504,7 +470,7 @@ func (d *DynamicIndex) repair(u, v graph.VertexID) error {
 				setMembership(d.in, y, inY, r, want)
 			}
 		}
-		if sc.inD.has(x) {
+		if sc.inD.Has(x) {
 			// x labels out-direction targets in A.
 			j, inX := int(sc.posD[x]), d.inLabels(x, &sc.held)
 			for i, w := range anc {

@@ -102,6 +102,9 @@ func TestDynamicNoOps(t *testing.T) {
 	if d.Graph().NumEdges() != 15 {
 		t.Fatalf("edge count changed: %d", d.Graph().NumEdges())
 	}
+	if d.Fold(); d.UpdateStats().Folds != 0 {
+		t.Fatal("a fold with nothing to fold counted one")
+	}
 }
 
 func TestDynamicRangeErrors(t *testing.T) {
@@ -111,6 +114,13 @@ func TestDynamicRangeErrors(t *testing.T) {
 	}
 	if err := d.DeleteEdge(-1, 0); err == nil {
 		t.Error("expected range error on delete")
+	}
+	n := graph.VertexID(d.NumVertices())
+	if err := d.InsertEdge(n, 0); err == nil {
+		t.Error("expected range error on insert from vertex n")
+	}
+	if err := d.InsertEdge(0, n); err == nil {
+		t.Error("expected range error on insert to vertex n")
 	}
 }
 

@@ -69,6 +69,7 @@ func FuzzWALDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{}, uint64(0))
 	f.Add([]byte{0x04, 0x01, 0x01, 0x00, 0x00}, uint64(0))
 	f.Add(bytes.Repeat([]byte{0xff}, 40), uint64(9))
+	f.Add(crcFrame([]byte{0x01}), uint64(0)) // CRC-valid, cut after the seq delta
 	f.Fuzz(func(t *testing.T, data []byte, prevSeq uint64) {
 		rec, n, err := DecodeRecord(data, prevSeq)
 		if err != nil {

@@ -289,13 +289,12 @@ func (l *Log) recover() error {
 	l.lastSeq = prev
 	l.syncedSeq = prev
 	l.count = uint64(len(l.recovered))
-	if l.torn > 0 {
-		if err := l.f.Truncate(off); err != nil {
-			return fmt.Errorf("wal: truncating torn tail: %w", err)
-		}
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: syncing truncation: %w", err)
-		}
+	// Truncating where no tail was torn keeps the file as it is.
+	if err := l.f.Truncate(off); err != nil {
+		return fmt.Errorf("wal: truncating torn tail: %w", err)
+	}
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: syncing truncation: %w", err)
 	}
 	return nil
 }

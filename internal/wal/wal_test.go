@@ -2,7 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -156,6 +159,17 @@ func TestMidLogCorruptionRefused(t *testing.T) {
 			t.Fatalf("byte %d flipped: the refused file changed (%d bytes, was %d; %v)", i, len(after), len(bad), err)
 		}
 	}
+	// Record 2 damaged into a frame of the shortest and the longest
+	// length a frame may declare, record 3 intact after it.
+	for _, plen := range []int{1, maxPayload} {
+		bad := slices.Concat(data[:start], []byte{byte(plen)}, make([]byte, plen+4), data[start+rec2:])
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "record 2") {
+			t.Fatalf("record 2 damaged into a %d-byte frame: Open err = %v, want one naming record 2", plen, err)
+		}
+	}
 
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -214,6 +228,13 @@ func TestCorruptionRejected(t *testing.T) {
 	if got, n, err := DecodeRecord(frame, 0); err != nil || n != len(frame) || got != rec {
 		t.Fatalf("clean decode: %+v %d %v", got, n, err)
 	}
+	// The last seq and the last vertices there are decode too.
+	top := Record{Seq: math.MaxUint64, Op: OpDelete, U: math.MaxInt32, V: math.MaxInt32}
+	if topFrame, err := AppendRecord(nil, 7, top); err != nil {
+		t.Fatal(err)
+	} else if got, _, err := DecodeRecord(topFrame, 7); err != nil || got != top {
+		t.Fatalf("decode of seq 2^64-1: %+v %v", got, err)
+	}
 	// Flip each byte in turn: every corruption must be rejected, never
 	// mis-parsed into a different record.
 	for i := range frame {
@@ -241,6 +262,23 @@ func TestCorruptionRejected(t *testing.T) {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
 	}
+	// A frame whose CRC holds over a payload cut short after its seq
+	// delta: only the payload's own structure can refuse it.
+	if _, _, err := DecodeRecord(crcFrame([]byte{0x01}), 0); err == nil {
+		t.Fatal("CRC-valid frame holding only a seq delta accepted")
+	}
+	// And one whose U overflows 64 bits.
+	overlongU := []byte{0x01, byte(OpInsert), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00}
+	if _, _, err := DecodeRecord(crcFrame(overlongU), 0); err == nil {
+		t.Fatal("CRC-valid frame with an overlong U accepted")
+	}
+}
+
+// crcFrame frames payload as AppendRecord does — length, payload, CRC
+// — whatever the payload holds.
+func crcFrame(payload []byte) []byte {
+	frame := append([]byte{byte(len(payload))}, payload...)
+	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
 }
 
 func TestBadOpenRejected(t *testing.T) {
@@ -261,6 +299,13 @@ func TestBadOpenRejected(t *testing.T) {
 	if _, err := Open(badVer); err == nil {
 		t.Fatal("future-version WAL accepted")
 	}
+	short := filepath.Join(dir, "short.wal")
+	if err := os.WriteFile(short, header[:3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(short); err == nil {
+		t.Fatal("a file shorter than the header accepted as WAL")
+	}
 }
 
 func TestAppendRejectsBadRecords(t *testing.T) {
@@ -277,6 +322,12 @@ func TestAppendRejectsBadRecords(t *testing.T) {
 	}
 	if l.LastSeq() != 0 {
 		t.Errorf("rejected appends advanced the frontier to %d", l.LastSeq())
+	}
+	// The frame encoder itself refuses a seq that does not advance.
+	for _, seq := range []uint64{4, 5} {
+		if _, err := AppendRecord(nil, 5, Record{Seq: seq, Op: OpInsert, U: 1, V: 2}); err == nil {
+			t.Errorf("seq %d after 5 encoded", seq)
+		}
 	}
 }
 
