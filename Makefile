@@ -34,7 +34,8 @@ check:
 # label-block bit reader alone, 10 s on the query kernel over the
 # two-tier label layout, and 10 s each on the decoders of what other
 # processes send the labeler (broadcast blobs and collect replies;
-# checkpoints) and of what a crash leaves in the edge log (WAL frames).
+# checkpoints), of what a crash leaves in the edge log (WAL frames) and
+# of the join stream a replica sends the router.
 fuzz:
 	go test ./internal/label -run '^$$' -fuzz FuzzRead -fuzztime 15s
 	go test ./internal/label -run '^$$' -fuzz FuzzLabelBlock -fuzztime 10s
@@ -42,6 +43,7 @@ fuzz:
 	go test ./internal/drl -run '^$$' -fuzz FuzzBlobDecodeArbitrary -fuzztime 10s
 	go test ./internal/drl -run '^$$' -fuzz FuzzSnapshotDecodeArbitrary -fuzztime 10s
 	go test ./internal/wal -run '^$$' -fuzz FuzzWALDecodeArbitrary -fuzztime 10s
+	go test ./internal/httpapi -run '^$$' -fuzz FuzzReadJoin -fuzztime 10s
 
 # check plus the end-to-end serving smoke — slower, optional locally;
 # CI's serve-smoke job runs it beside querytest and scale-smoke.

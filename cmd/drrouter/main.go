@@ -40,26 +40,18 @@ import (
 
 func main() {
 	var (
-		replicas  = flag.String("replicas", "", "comma-separated replica addresses (host:port, required)")
-		mode      = flag.String("mode", "replicated", "routing mode: replicated or sharded")
-		listen    = flag.String("listen", "127.0.0.1:8080", "address to listen on")
-		check     = flag.Duration("check-every", 500*time.Millisecond, "health-probe interval")
-		downAfter = flag.Int("down-after", 2, "consecutive probe failures before a replica is marked down")
-		upAfter   = flag.Int("up-after", 2, "consecutive probe successes before a down replica is readmitted")
-		attempts  = flag.Int("max-attempts", 0, "per-query forwarding budget (0 = 4 × replicas)")
-		backoff   = flag.Duration("retry-backoff", 25*time.Millisecond, "pause between retry rounds")
-		maxBatch  = flag.Int("max-batch", 8192, "maximum pairs per /reach/batch request")
-		grace     = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight queries")
+		replicas = flag.String("replicas", "", "comma-separated replica addresses (host:port, required)")
+		mode     = flag.String("mode", "replicated", "routing mode: replicated or sharded")
+		listen   = flag.String("listen", "127.0.0.1:8080", "address to listen on")
+		check    = flag.Duration("check-every", 500*time.Millisecond, "health-probe interval")
+		maxBatch = flag.Int("max-batch", 8192, "maximum pairs per /reach/batch request")
+		grace    = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight queries")
 	)
 	flag.Parse()
 	addrs := strings.Split(*replicas, ",")
 	f, err := fleet.New(addrs, fleet.Options{
 		Mode:          fleet.Mode(*mode),
 		CheckInterval: *check,
-		DownAfter:     *downAfter,
-		UpAfter:       *upAfter,
-		MaxAttempts:   *attempts,
-		RetryBackoff:  *backoff,
 		MaxBatch:      *maxBatch,
 		Obs:           obs.Default,
 	})

@@ -67,6 +67,8 @@ func contractTable() []contractRow {
 		{name: "batch-malformed", method: post, path: "/reach/batch", body: `{"pairs":[[3,17],[4`, want: all(400), forwards: none},
 		{name: "batch-out-of-range", method: post, path: "/reach/batch", body: `{"pairs":[[3,17],[3,999]]}`, want: all(400), forwards: one},
 		{name: "batch-negative", method: post, path: "/reach/batch", body: `{"pairs":[[-1,0]]}`, want: all(400), forwards: one},
+		{name: "batch-target-n", method: post, path: "/reach/batch", body: `{"pairs":[[3,80]]}`, want: all(400), forwards: one},
+		{name: "batch-at-cap", method: post, path: "/reach/batch", body: `{"pairs":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,8]]}`, want: all(200), forwards: [2]int{1, 3}},
 		{name: "batch-over-cap", method: post, path: "/reach/batch", body: `{"pairs":[` + strings.TrimSuffix(strings.Repeat("[0,1],", contractMaxBatch+1), ",") + `]}`, want: all(413), forwards: none},
 		{name: "batch-over-limit", method: post, path: "/reach/batch", body: `{"pairs":[[0,1]]` + pad(httpapi.Batch) + `}`, want: all(413), forwards: none},
 		{name: "batch-wrong-method", method: get, path: "/reach/batch", want: all(405), forwards: none},
@@ -84,11 +86,13 @@ func contractTable() []contractRow {
 		{name: "from", method: post, path: "/reach/from", body: `{"s":3,"targets":[17,9,3]}`, want: all(200), forwards: one},
 		{name: "from-malformed", method: post, path: "/reach/from", body: `{"s":3,"targets":[`, want: all(400), forwards: one},
 		{name: "from-out-of-range", method: post, path: "/reach/from", body: `{"s":3,"targets":[17,80]}`, want: all(400), forwards: one},
+		{name: "from-at-cap", method: post, path: "/reach/from", body: `{"s":3,"targets":[1,2,3,4,5,6,7,8]}`, want: all(200), forwards: one},
 		{name: "from-over-cap", method: post, path: "/reach/from", body: `{"s":3,"targets":[1,2,3,4,5,6,7,8,9]}`, want: all(413), forwards: one},
 		{name: "from-over-limit", method: post, path: "/reach/from", body: `{"s":3,"targets":[1]` + pad(httpapi.From) + `}`, want: all(413), forwards: none},
 		{name: "from-wrong-method", method: get, path: "/reach/from", want: all(405), forwards: none},
 
 		{name: "join", method: post, path: "/reach/join", body: `{"sources":[5,3,4,3],"targets":[17,9,5,3]}`, want: all(200), forwards: [2]int{1, 3}},
+		{name: "join-zero", method: post, path: "/reach/join", body: `{"sources":[0],"targets":[3,0]}`, want: all(200), forwards: one},
 		{name: "join-malformed", method: post, path: "/reach/join", body: `{"sources":[`, want: all(400), forwards: [2]int{1, 0}},
 		{name: "join-out-of-range", method: post, path: "/reach/join", body: `{"sources":[999],"targets":[3]}`, want: all(400), forwards: one},
 		{name: "join-over-cap", method: post, path: "/reach/join", body: `{"sources":[1],"targets":[1,2,3,4,5,6,7,8,9]}`, want: all(413), forwards: [2]int{1, 0}},
@@ -100,6 +104,7 @@ func contractTable() []contractRow {
 		{name: "edges-malformed", method: post, path: "/edges", body: `{"op":`, want: all(400), forwards: one},
 		{name: "edges-bad-op", method: post, path: "/edges", body: `{"op":"upsert","u":1,"v":2}`, want: [3]int{501, 501, 400}, forwards: one},
 		{name: "edges-out-of-range", method: post, path: "/edges", body: `{"op":"insert","u":3,"v":80}`, want: [3]int{501, 501, 400}, forwards: one},
+		{name: "edges-source-n", method: post, path: "/edges", body: `{"op":"insert","u":80,"v":3}`, want: [3]int{501, 501, 400}, forwards: one},
 		{name: "edges-over-limit", method: post, path: "/edges", body: `{"op":"insert","u":3,"v":17` + pad(httpapi.Edges) + `}`, want: all(413), forwards: none},
 		{name: "edges-wrong-method", method: get, path: "/edges", want: all(405), forwards: none},
 

@@ -81,13 +81,7 @@ func newFleetFixture(t *testing.T, opts fleetFixtureOptions) *fleetFixture {
 		addrs[i] = strings.TrimPrefix(srv.URL, "http://")
 	}
 
-	f, err := fleet.New(addrs, fleet.Options{
-		Mode:          opts.mode,
-		CheckInterval: 20 * time.Millisecond,
-		DownAfter:     2,
-		UpAfter:       2,
-		RetryBackoff:  5 * time.Millisecond,
-	})
+	f, err := fleet.New(addrs, fleet.Options{Mode: opts.mode, CheckInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,12 +403,22 @@ func TestFleetDrainKillReadmitUnderLoad(t *testing.T) {
 	// Kill while out of rotation.
 	fx.chaos[1].Kill(true)
 
-	// Readmitting a corpse must park it at down, not up.
+	// Readmitting a corpse must park it at down, not up, and there it
+	// stays through the probe rounds it fails.
 	resp, err = httpc.Post(fx.router.URL+"/admin/readmit?replica="+victim, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	waitState("down")
+	drops, _, _ := fx.chaos[1].Counts()
+	deadline := time.Now().Add(5 * time.Second)
+	for d, _, _ := fx.chaos[1].Counts(); d < drops+4; d, _, _ = fx.chaos[1].Counts() {
+		if time.Now().After(deadline) {
+			t.Fatal("the corpse's probes were never refused")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	waitState("down")
 
 	// Revive; the health loop readmits it.
@@ -424,7 +428,7 @@ func TestFleetDrainKillReadmitUnderLoad(t *testing.T) {
 	// It serves traffic again.
 	reg := fx.handlers[1]
 	h0, m0 := reg.CacheStats()
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for {
 		h, m := reg.CacheStats()
 		if h+m > h0+m0 {

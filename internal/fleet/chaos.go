@@ -43,11 +43,11 @@ type ChaosOptions struct {
 	DropRate float64
 	// DelayRate stalls the request by Delay before serving it.
 	DelayRate float64
-	// Delay is the injected stall (default 5ms).
+	// Delay is the injected stall.
 	Delay time.Duration
 	// ErrorRate starts a burst of BurstLen consecutive 503 responses.
 	ErrorRate float64
-	// BurstLen is the length of one 5xx burst (default 1).
+	// BurstLen is the length of one 5xx burst; below 1 it is 1.
 	BurstLen int
 	// ExemptHealth spares GET /healthz from injected faults, so the
 	// replica misbehaves toward queries while still probing healthy —
@@ -58,12 +58,6 @@ type ChaosOptions struct {
 
 // NewChaos wraps next in a fault injector.
 func NewChaos(next http.Handler, opts ChaosOptions) *Chaos {
-	if opts.Delay <= 0 {
-		opts.Delay = 5 * time.Millisecond
-	}
-	if opts.BurstLen <= 0 {
-		opts.BurstLen = 1
-	}
 	return &Chaos{
 		next: next,
 		opts: opts,
@@ -106,7 +100,7 @@ func (c *Chaos) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	delay := roll < c.opts.DelayRate
 	roll = c.rng.Float64()
 	if roll < c.opts.ErrorRate {
-		c.burst = c.opts.BurstLen - 1
+		c.burst = c.opts.BurstLen - 1 // the rest of the burst; none below 1
 		c.mu.Unlock()
 		c.fails.Add(1)
 		http.Error(w, "injected fault: unavailable", http.StatusServiceUnavailable)

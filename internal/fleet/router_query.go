@@ -12,7 +12,7 @@ import (
 
 // handleJoin routes a reachability join in Sharded mode (a replicated
 // pool passes it through whole). It partitions the sources by owner
-// (s mod K), sends each shard a sub-join over its sources and the full
+// (shardOf), sends each shard a sub-join over its sources and the full
 // target list, and merges: the source sets are disjoint, so
 // concatenating the sub-results and sorting by (s, t) reproduces
 // exactly the single-replica output, and the summary's count/scanned
@@ -33,10 +33,7 @@ func (f *Fleet) handleJoin(api *httpapi.Handle, w http.ResponseWriter, r *http.R
 	k := len(f.replicas)
 	bySrc := make([][]int64, k)
 	for _, s := range req.Sources {
-		shard := 0 // a negative source: let a replica word the 400 for it
-		if s >= 0 {
-			shard = int(s % int64(k))
-		}
+		shard := shardOf(s, k)
 		bySrc[shard] = append(bySrc[shard], s)
 	}
 

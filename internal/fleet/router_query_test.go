@@ -221,7 +221,8 @@ func flatten(pairs [][2]int64) []int64 {
 
 // TestJoinErrorPaths: a deterministic replica 400 relays verbatim; a
 // truncated sub-stream (no done line) fails closed with 502 instead of
-// a silent partial merge.
+// a silent partial merge, and so does a sub-batch answered with fewer
+// results than it asked.
 func TestJoinErrorPaths(t *testing.T) {
 	truncate := false
 	_, _, f := testFleet(t, 3, Sharded, func(i int, h http.Handler) http.Handler {
@@ -233,6 +234,11 @@ func TestJoinErrorPaths(t *testing.T) {
 				// A stream that dies before its summary line.
 				w.Header().Set("Content-Type", "application/x-ndjson")
 				fmt.Fprintln(w, `{"s":1,"t":3}`)
+				return
+			}
+			if truncate && r.URL.Path == "/reach/batch" {
+				w.Header().Set("Content-Type", "application/json")
+				fmt.Fprintln(w, `{"count":0,"results":[]}`)
 				return
 			}
 			h.ServeHTTP(w, r)
@@ -263,6 +269,16 @@ func TestJoinErrorPaths(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("truncated join status %d, want 502", resp.StatusCode)
+	}
+
+	// A short sub-batch → 502.
+	resp, err = http.Post(router.URL+"/reach/batch", "application/json", strings.NewReader(`{"pairs":[[0,3],[1,3],[4,9]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("short sub-batch status %d, want 502", resp.StatusCode)
 	}
 }
 

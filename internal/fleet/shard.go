@@ -6,15 +6,21 @@ package fleet
 // — no I/O — so the split/merge invariants (caller order preserved,
 // duplicates asked once) are unit-testable without a fleet.
 
+// shardOf is the router's one shard rule: shard(s) = s mod k over k
+// shards, and a negative source, which no replica serves, goes to shard
+// 0, whose replica words the refusal.
+func shardOf(s int64, k int) int {
+	return int(max(s, 0) % int64(k))
+}
+
 // batchPlan is the split of one incoming batch.
 type batchPlan struct {
 	// uniq holds the distinct pairs in first-appearance order.
 	uniq [][2]int64
 	// posToUniq maps each caller position to its pair's slot in uniq.
 	posToUniq []int
-	// groups[g] lists uniq indices owned by shard g (shard(s) =
-	// s mod len(groups)); with one group everything lands in
-	// groups[0]. Within a group, uniq order (and therefore caller
+	// groups[g] lists uniq indices owned by shard g (shardOf over
+	// len(groups)); with one group everything lands in groups[0]. Within a group, uniq order (and therefore caller
 	// first-appearance order) is preserved.
 	groups [][]int
 }
@@ -35,10 +41,7 @@ func splitBatch(pairs [][2]int64, k int) batchPlan {
 			u = len(plan.uniq)
 			slot[p] = u
 			plan.uniq = append(plan.uniq, p)
-			g := 0
-			if k > 1 && p[0] >= 0 {
-				g = int(p[0] % int64(k))
-			}
+			g := shardOf(p[0], k)
 			plan.groups[g] = append(plan.groups[g], u)
 		}
 		plan.posToUniq[i] = u

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -286,18 +288,22 @@ func TestJoinStreamRoundTrip(t *testing.T) {
 
 // TestJoinStreamRejected: one rejected stream per protocol rule, plus
 // the consumer's own error stopping the read.
+// rejectedJoinStreams breach the join stream's grammar, each with the
+// words ReadJoin's error must use.
+var rejectedJoinStreams = []struct{ name, stream, want string }{
+	{"line after done", `{"s":1,"t":2}` + "\n" + `{"done":true,"count":1,"scanned":1}` + "\n" + `{"s":3,"t":4}` + "\n", "line after the done line"},
+	{"no done", `{"s":1,"t":2}` + "\n" + `{"s":1,"t":3}` + "\n", "ended without a done line (2 pairs in)"},
+	{"empty", ``, "ended without a done line (0 pairs in)"},
+	{"count mismatch", `{"s":1,"t":2}` + "\n" + `{"done":true,"count":2,"scanned":1}` + "\n", "done line says 2 pairs, stream carried 1"},
+	{"descending pair", `{"s":2,"t":2}` + "\n" + `{"s":1,"t":9}` + "\n" + `{"done":true,"count":2,"scanned":4}` + "\n", "pair (1,9) not in ascending order after (2,2)"},
+	{"repeated pair", `{"s":2,"t":2}` + "\n" + `{"s":2,"t":2}` + "\n" + `{"done":true,"count":2,"scanned":4}` + "\n", "pair (2,2) not in ascending order after (2,2)"},
+	{"neither pair nor done", `{"s":1}` + "\n" + `{"done":true,"count":0,"scanned":1}` + "\n", "neither a pair nor done"},
+	{"not json", `{"s":1,"t":` + "\n", "bad line"},
+}
+
 func TestJoinStreamRejected(t *testing.T) {
 	keep := func(int64, int64) error { return nil }
-	for _, c := range []struct{ name, stream, want string }{
-		{"line after done", `{"s":1,"t":2}` + "\n" + `{"done":true,"count":1,"scanned":1}` + "\n" + `{"s":3,"t":4}` + "\n", "line after the done line"},
-		{"no done", `{"s":1,"t":2}` + "\n" + `{"s":1,"t":3}` + "\n", "ended without a done line (2 pairs in)"},
-		{"empty", ``, "ended without a done line (0 pairs in)"},
-		{"count mismatch", `{"s":1,"t":2}` + "\n" + `{"done":true,"count":2,"scanned":1}` + "\n", "done line says 2 pairs, stream carried 1"},
-		{"descending pair", `{"s":2,"t":2}` + "\n" + `{"s":1,"t":9}` + "\n" + `{"done":true,"count":2,"scanned":4}` + "\n", "pair (1,9) not in ascending order after (2,2)"},
-		{"repeated pair", `{"s":2,"t":2}` + "\n" + `{"s":2,"t":2}` + "\n" + `{"done":true,"count":2,"scanned":4}` + "\n", "pair (2,2) not in ascending order after (2,2)"},
-		{"neither pair nor done", `{"s":1}` + "\n" + `{"done":true,"count":0,"scanned":1}` + "\n", "neither a pair nor done"},
-		{"not json", `{"s":1,"t":` + "\n", "bad line"},
-	} {
+	for _, c := range rejectedJoinStreams {
 		if _, err := ReadJoin(strings.NewReader(c.stream), keep); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
@@ -306,4 +312,52 @@ func TestJoinStreamRejected(t *testing.T) {
 	if _, err := ReadJoin(strings.NewReader(`{"s":1,"t":2}`+"\n"), func(int64, int64) error { return stop }); err != stop {
 		t.Errorf("consumer error came back as %v", err)
 	}
+}
+
+// FuzzReadJoin holds ReadJoin, which reads every replica's join stream
+// at the router, to its grammar on arbitrary input: it never panics;
+// what it accepts is strictly ascending and as long as its summary
+// says; and JoinWriter writes it again as a stream that reads back to
+// the same pairs and summary.
+func FuzzReadJoin(f *testing.F) {
+	for _, c := range rejectedJoinStreams {
+		f.Add([]byte(c.stream))
+	}
+	f.Add([]byte(`{"s":0,"t":0}` + "\n" + `{"s":0,"t":3}` + "\n" + `{"done":true,"count":2,"scanned":2}` + "\n"))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		read := func(r io.Reader) ([][2]int64, JoinSummary, error) {
+			var pairs [][2]int64
+			sum, err := ReadJoin(r, func(s, t int64) error {
+				pairs = append(pairs, [2]int64{s, t})
+				return nil
+			})
+			return pairs, sum, err
+		}
+		pairs, sum, err := read(bytes.NewReader(stream))
+		if err != nil {
+			return
+		}
+		for i := 1; i < len(pairs); i++ {
+			if p, q := pairs[i-1], pairs[i]; q[0] < p[0] || (q[0] == p[0] && q[1] <= p[1]) {
+				t.Fatalf("accepted pair %v after %v", q, p)
+			}
+		}
+		if !sum.Done || sum.Count != len(pairs) {
+			t.Fatalf("accepted %d pairs under the summary %+v", len(pairs), sum)
+		}
+		var again bytes.Buffer
+		jw := NewJoinWriter(&again)
+		for _, p := range pairs {
+			if err := jw.Pair(p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := jw.Done(sum.Scanned); err != nil {
+			t.Fatal(err)
+		}
+		pairs2, sum2, err := read(&again)
+		if err != nil || sum2 != sum || !slices.Equal(pairs2, pairs) {
+			t.Fatalf("written again, the stream reads back as %v %+v (%v), want %v %+v", pairs2, sum2, err, pairs, sum)
+		}
+	})
 }

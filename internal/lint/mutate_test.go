@@ -42,15 +42,17 @@ var (
 const mutantTimeout = 2 * time.Minute
 
 // oracleSuites run, after the owning package's tests pass on a
-// mutant, to judge it against the BFS oracles, TOL equality and the
-// end-to-end suites.
-var oracleSuites = []string{".", "./internal/drl", "./internal/tol"}
+// mutant, to judge it against the BFS oracles, TOL equality, the
+// end-to-end suites and the router's tests, whose serving-cost golden
+// and replica table hold the replica too.
+var oracleSuites = []string{".", "./internal/drl", "./internal/fleet", "./internal/tol"}
 
 // mutant is one rewrite of one file: the bytes [off, end) of the
 // source become repl.
 type mutant struct {
 	file     string // module-relative, slash-separated
 	line     int
+	col      int // byte column, 1-based: tells apart two mutants of one line
 	off, end int
 	op       string // operator name, as the table prints it
 	orig     string // the replaced source text
@@ -58,7 +60,7 @@ type mutant struct {
 }
 
 func (m mutant) String() string {
-	return fmt.Sprintf("%s:%d %s: %s → %s", m.file, m.line, m.op, oneLine(m.orig), m.repl)
+	return fmt.Sprintf("%s:%d:%d %s: %s → %s", m.file, m.line, m.col, m.op, oneLine(m.orig), m.repl)
 }
 
 func oneLine(s string) string { return strings.Join(strings.Fields(s), " ") }
@@ -91,8 +93,9 @@ func mutants(name string, src []byte) ([]mutant, error) {
 	}
 	var ms []mutant
 	add := func(op string, from, to token.Pos, repl string) {
-		off, end := fset.Position(from).Offset, fset.Position(to).Offset
-		ms = append(ms, mutant{file: name, line: fset.Position(from).Line, off: off, end: end,
+		pos := fset.Position(from)
+		off, end := pos.Offset, fset.Position(to).Offset
+		ms = append(ms, mutant{file: name, line: pos.Line, col: pos.Column, off: off, end: end,
 			op: op, orig: string(src[off:end]), repl: repl})
 	}
 	declared := map[*ast.Ident]bool{}
@@ -295,20 +298,20 @@ func TestMutantsFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		file + ":17 if→false: fwd && x.outFull[v] → false",
-		file + ":17 if→true: fwd && x.outFull[v] → true",
-		file + ":17 swap: outFull → inFull",
-		file + ":18 swap: kindFwd → kindBwd",
-		file + ":23 boundary: < → <=",
-		file + ":24 if→false: i >= len(x.inFull) → false",
-		file + ":24 if→true: i >= len(x.inFull) → true",
-		file + ":24 boundary: >= → >",
-		file + ":24 swap: inFull → outFull",
-		file + ":28 swap: kindBwd → kindFwd",
-		file + ":34 if→false: v > 0 → false",
-		file + ":34 if→true: v > 0 → true",
-		file + ":34 boundary: > → >=",
-		file + ":35 inverse: g.Inverse() → g",
+		file + ":17:5 if→false: fwd && x.outFull[v] → false",
+		file + ":17:5 if→true: fwd && x.outFull[v] → true",
+		file + ":17:14 swap: outFull → inFull",
+		file + ":18:10 swap: kindFwd → kindBwd",
+		file + ":23:16 boundary: < → <=",
+		file + ":24:6 if→false: i >= len(x.inFull) → false",
+		file + ":24:6 if→true: i >= len(x.inFull) → true",
+		file + ":24:8 boundary: >= → >",
+		file + ":24:17 swap: inFull → outFull",
+		file + ":28:9 swap: kindBwd → kindFwd",
+		file + ":34:5 if→false: v > 0 → false",
+		file + ":34:5 if→true: v > 0 → true",
+		file + ":34:7 boundary: > → >=",
+		file + ":35:10 inverse: g.Inverse() → g",
 	}
 	var got []string
 	for _, m := range ms {

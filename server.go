@@ -134,20 +134,9 @@ const (
 	VerticesHeader  = httpapi.VerticesHeader
 )
 
-// NewQueryHandler returns an http.Handler serving queries from idx,
-// reporting to the process-wide default registry.
-func NewQueryHandler(idx *Index) *QueryHandler {
-	return NewQueryHandlerOpts(idx, ServeOptions{Obs: obs.Default})
-}
-
-// NewQueryHandlerObs is NewQueryHandler reporting to reg (nil disables
-// instrumentation; /metrics and /trace then serve empty documents).
-func NewQueryHandlerObs(idx *Index, reg *obs.Registry) *QueryHandler {
-	return NewQueryHandlerOpts(idx, ServeOptions{Obs: reg})
-}
-
-// NewQueryHandlerOpts is the fully configurable constructor: cache
-// size, batch cap, reload loader, and metrics registry.
+// NewQueryHandlerOpts returns an http.Handler serving queries from idx
+// as opts configure it: metrics registry, cache size, caps and reload
+// loader. The zero ServeOptions serves uninstrumented and uncached.
 func NewQueryHandlerOpts(idx *Index, opts ServeOptions) *QueryHandler {
 	maxJoin := opts.MaxJoin
 	if maxJoin <= 0 {

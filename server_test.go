@@ -31,7 +31,7 @@ func testIndex(t *testing.T) *Index {
 }
 
 func TestQueryHandlerReach(t *testing.T) {
-	srv := httptest.NewServer(NewQueryHandler(testIndex(t)))
+	srv := httptest.NewServer(NewQueryHandlerOpts(testIndex(t), ServeOptions{}))
 	defer srv.Close()
 
 	cases := []struct {
@@ -61,7 +61,7 @@ func TestQueryHandlerReach(t *testing.T) {
 }
 
 func TestQueryHandlerErrors(t *testing.T) {
-	srv := httptest.NewServer(NewQueryHandler(testIndex(t)))
+	srv := httptest.NewServer(NewQueryHandlerOpts(testIndex(t), ServeOptions{}))
 	defer srv.Close()
 	for _, url := range []string{
 		"/reach",           // missing params
@@ -164,7 +164,7 @@ func TestStatsExposeFaultCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewQueryHandler(idx))
+	srv := httptest.NewServer(NewQueryHandlerOpts(idx, ServeOptions{}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
@@ -201,7 +201,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewQueryHandlerObs(idx, reg))
+	srv := httptest.NewServer(NewQueryHandlerOpts(idx, ServeOptions{Obs: reg}))
 	defer srv.Close()
 
 	// One good query, one rejected query, one stats call.
@@ -251,7 +251,7 @@ func TestTraceEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewQueryHandlerObs(idx, reg))
+	srv := httptest.NewServer(NewQueryHandlerOpts(idx, ServeOptions{Obs: reg}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/trace")
 	if err != nil {
@@ -289,7 +289,7 @@ func TestStatsDiskLoadedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewQueryHandlerObs(loaded, NewMetricsRegistry()))
+	srv := httptest.NewServer(NewQueryHandlerOpts(loaded, ServeOptions{Obs: NewMetricsRegistry()}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {

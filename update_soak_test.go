@@ -175,7 +175,7 @@ func TestUpdateQuerySoak(t *testing.T) {
 			time.Sleep(3 * time.Millisecond)
 		}
 	}
-	h := NewQueryHandlerObs(u.Snapshot(), nil)
+	h := NewQueryHandlerOpts(u.Snapshot(), ServeOptions{})
 	h.EnableUpdates(u)
 	u.Start(h)
 	srv := httptest.NewServer(h)
