@@ -133,12 +133,6 @@ type epochCut struct{ epoch, seq uint64 }
 // to Start. Call Snapshot for the index the paired QueryHandler should
 // serve from.
 func NewUpdater(g *Graph, log *wal.Log, opts UpdaterOptions) (*Updater, error) {
-	if g == nil {
-		return nil, errors.New("reachlab: nil graph")
-	}
-	if log == nil {
-		return nil, errors.New("reachlab: nil wal")
-	}
 	every := opts.RefreshEvery
 	if every <= 0 {
 		every = DefaultRefreshEvery
@@ -161,7 +155,6 @@ func NewUpdater(g *Graph, log *wal.Log, opts UpdaterOptions) (*Updater, error) {
 		refreshHist: reg.Histogram("reachlab_refresh_seconds", obs.LatencyBuckets),
 		seqLag:      reg.Gauge("reachlab_update_seq_lag"),
 		epochLag:    reg.Gauge("reachlab_update_epoch_lag"),
-		staleness:   reg.Gauge("reachlab_update_staleness_ms"),
 		repairs:     reg.Counter("reachlab_dynamic_repairs_total"),
 		rebuilds:    reg.Counter("reachlab_dynamic_rebuilds_total"),
 		folds:       reg.Counter("reachlab_overlay_folds_total"),
@@ -395,13 +388,6 @@ func (u *Updater) refreshOnce() {
 	u.queue = u.queue[len(recs):]
 	u.inflight = 0
 	u.setLag()
-	if len(u.queue) == 0 {
-		u.staleness.Set(0)
-	} else {
-		// The oldest unapplied write is no older than this refresh's
-		// start; carry that bound until the backlog drains.
-		u.staleness.Set(time.Since(start).Milliseconds())
-	}
 	u.nRefreshes++
 	u.mu.Unlock()
 
