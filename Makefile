@@ -9,7 +9,8 @@ all: build vet test
 # test suite under the race detector (the RPC fault-handling tests are
 # concurrency-heavy) and again with coverage — apart, because -race
 # forces -covermode=atomic and that pair runs internal/label past the
-# 10-minute test timeout — the six example programs
+# 10-minute test timeout — the serving-cost golden once more without
+# either, because both skip its allocation rows, the six example programs
 # (nothing else executes them), the fuzz targets, one iteration each of
 # the query kernel's, the CSR builder's, the labeler's and the pair
 # cache's benchmarks (so they cannot rot), and the suite again with
@@ -21,6 +22,7 @@ check:
 	go run ./cmd/drlint ./...
 	go test -race ./...
 	go test -cover ./...
+	go test ./internal/fleet -run TestServingCostGolden
 	$(MAKE) examples
 	$(MAKE) fuzz
 	go test ./internal/label -run '^$$' -bench Reachable -benchtime 1x

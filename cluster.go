@@ -17,36 +17,26 @@ import (
 // wrap these entry points; examples/distributed drives them
 // in-process.
 
-// ClusterOptions tunes the fault handling of cluster builds: per-call
-// deadlines and retry bounds, and how often worker state is
-// checkpointed for crash recovery. The zero value uses the defaults.
+// ClusterOptions tunes a cluster build: how often worker state is
+// checkpointed for crash recovery, the dialer and the observability
+// registry. Per-call deadlines and retries are fixed. The zero value
+// checkpoints at run boundaries only.
 type ClusterOptions = drl.ClusterOptions
-
-// RetryPolicy bounds per-call deadlines and retries for cluster
-// builds (see ClusterOptions.Retry).
-type RetryPolicy = pregel.RetryPolicy
 
 // ServeWorker hosts one labeling cluster worker on addr (use
 // "host:0" for an ephemeral port). The bound address is sent on ready
 // if non-nil; the call then blocks serving requests.
 func ServeWorker(addr string, ready chan<- string) error {
-	return pregel.ServeWorker(addr, ready)
+	return pregel.ServeWorker(addr, ready, pregel.WorkerOptions{})
 }
 
 // BuildOverCluster constructs the index on a cluster of running
-// workers with default fault handling. graphPath must be readable by
-// the master and every worker (the paper's shared-storage
-// deployment). Only MethodDRL and MethodDRLBatch run over the cluster
-// transport.
-func BuildOverCluster(addrs []string, graphPath string, opts Options) (*Index, error) {
-	return BuildOverClusterOpts(addrs, graphPath, opts, ClusterOptions{})
-}
-
-// BuildOverClusterOpts is BuildOverCluster with explicit
-// fault-handling configuration. Of opts it honours Method, BatchSize
-// and BatchFactor; the workers label the graph file as it is, in full,
-// so LabelBudget is refused.
-func BuildOverClusterOpts(addrs []string, graphPath string, opts Options, copt ClusterOptions) (*Index, error) {
+// workers. graphPath must be readable by the master and every worker
+// (the paper's shared-storage deployment). Only MethodDRL and
+// MethodDRLBatch run over the cluster transport. Of opts it honours
+// Method, BatchSize and BatchFactor; the workers label the graph file
+// as it is, in full, so LabelBudget is refused.
+func BuildOverCluster(addrs []string, graphPath string, opts Options, copt ClusterOptions) (*Index, error) {
 	start := time.Now()
 	if opts.LabelBudget > 0 {
 		return nil, errors.New("reachlab: Options.LabelBudget is not supported over a cluster")

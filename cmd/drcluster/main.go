@@ -12,13 +12,12 @@
 //
 //	drcluster -i graph.bin -o graph.idx -spawn 4
 //
-// Fault handling is tunable: -timeout, -retries, and -backoff bound
-// the per-call retry policy, and -checkpoint k snapshots worker state
-// every k supersteps so a crashed worker can be re-dialed and resumed
-// from the last barrier. In spawn mode a dead worker process is
-// respawned on the same port automatically; -flaky N makes the first
-// spawned worker kill itself after N supersteps to demonstrate the
-// recovery path end to end.
+// Per-call deadlines and retries are fixed; -checkpoint k snapshots
+// worker state every k supersteps so a crashed worker can be re-dialed
+// and resumed from the last barrier. In spawn mode a dead worker
+// process is respawned on the same port automatically; -flaky N makes
+// the first spawned worker kill itself after N supersteps to
+// demonstrate the recovery path end to end.
 //
 // Observability: -obs addr serves /metrics (Prometheus text), /trace
 // (superstep trace JSON), and /debug/pprof on addr while the build
@@ -58,11 +57,8 @@ func main() {
 		b       = flag.Int("b", 2, "DRL_b initial batch size")
 		k       = flag.Float64("k", 2, "DRL_b batch increment factor")
 
-		timeout = flag.Duration("timeout", 0, "per-call deadline (0 = default 30s, negative = none)")
-		retries = flag.Int("retries", 0, "attempts per call (0 = default 4, negative = single attempt)")
-		backoff = flag.Duration("backoff", 0, "base retry backoff (0 = default 50ms)")
-		ckpt    = flag.Int("checkpoint", 0, "checkpoint worker state every k supersteps (0 = run boundaries only)")
-		flaky   = flag.Int("flaky", 0, "spawn mode: first worker crashes after N supersteps (fault demo)")
+		ckpt  = flag.Int("checkpoint", 0, "checkpoint worker state every k supersteps (0 = run boundaries only)")
+		flaky = flag.Int("flaky", 0, "spawn mode: first worker crashes after N supersteps (fault demo)")
 
 		obsAddr  = flag.String("obs", "", "serve /metrics, /trace, and /debug/pprof on this address during the build")
 		traceOut = flag.String("trace", "", "write the superstep trace JSON to this file after the build")
@@ -82,15 +78,7 @@ func main() {
 		}()
 	}
 
-	copt := reachlab.ClusterOptions{
-		Retry: reachlab.RetryPolicy{
-			CallTimeout: *timeout,
-			MaxAttempts: *retries,
-			BaseBackoff: *backoff,
-		},
-		CheckpointEvery: *ckpt,
-		Obs:             reg,
-	}
+	copt := reachlab.ClusterOptions{CheckpointEvery: *ckpt, Obs: reg}
 
 	var addrs []string
 	if *spawn > 0 {
@@ -112,7 +100,7 @@ func main() {
 	}
 
 	start := time.Now()
-	idx, err := reachlab.BuildOverClusterOpts(addrs, *in, reachlab.Options{
+	idx, err := reachlab.BuildOverCluster(addrs, *in, reachlab.Options{
 		Method:      reachlab.Method(*method),
 		BatchSize:   *b,
 		BatchFactor: *k,

@@ -60,7 +60,7 @@ func main() {
 
 	ready := make(chan string, 1)
 	errc := make(chan error, 1)
-	go func() { errc <- pregel.ServeWorkerOpts(*listen, ready, opts) }()
+	go func() { errc <- pregel.ServeWorker(*listen, ready, opts) }()
 	select {
 	case addr := <-ready:
 		fmt.Printf("drworker listening on %s\n", addr)

@@ -57,7 +57,7 @@ func main() {
 	start := time.Now()
 	idx, err := reachlab.BuildOverCluster(addrs, graphPath, reachlab.Options{
 		Method: reachlab.MethodDRLBatch,
-	})
+	}, reachlab.ClusterOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

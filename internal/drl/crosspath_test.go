@@ -2,6 +2,8 @@ package drl
 
 import (
 	"errors"
+	"net/rpc"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,8 +22,9 @@ import (
 // all three partitions, reached by method calls) and a real one (three
 // hosts behind TCP) run the same driver, loop and Step, so besides the
 // index — TOL's, from both — every count must agree: the traffic, the
-// result gather included in BytesRemote, the batches, and the netsim
-// charge per superstep.
+// result gather included in BytesRemote, and the batches; in process
+// the netsim charge per superstep is checked too, and that no
+// checkpoint was taken.
 func TestInProcessMatchesCluster(t *testing.T) {
 	const p = 3
 	web, err := gen.Generate(gen.Params{Family: gen.Web, N: 600, AvgDegree: 3, Seed: 5})
@@ -51,7 +54,7 @@ func TestInProcessMatchesCluster(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				outIdx, out, err := BuildOverClusterOf(startWorkers(t, p), g, path, bp, nil, ClusterOptions{Net: lat, Obs: regOut})
+				outIdx, out, err := BuildOverClusterOf(startWorkers(t, p), g, path, bp, nil, ClusterOptions{Obs: regOut})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,13 +73,13 @@ func TestInProcessMatchesCluster(t *testing.T) {
 				if a, b := regIn.CounterValue("drl_batches_total"), regOut.CounterValue("drl_batches_total"); algo == "drl-batch" && (a == 0 || a != b) {
 					t.Errorf("drl_batches_total: in process %d, cluster %d", a, b)
 				}
-				// One barrier latency per superstep on both paths; the
-				// cluster also pays one per checkpoint it took.
+				if in.Checkpoints != 0 || in.CheckpointBytes != 0 {
+					t.Errorf("in process: %d checkpoints of %d bytes, want none (there is no process to lose)", in.Checkpoints, in.CheckpointBytes)
+				}
+				// One barrier latency per superstep in process; a real
+				// cluster has no simulated network to charge.
 				if got, want := in.SimNetTime, time.Duration(in.Supersteps)*lat.BarrierLatency; got != want {
 					t.Errorf("in-process SimNetTime = %v, want %v", got, want)
-				}
-				if got, want := out.SimNetTime, time.Duration(int64(out.Supersteps)+out.Checkpoints)*lat.BarrierLatency; got != want {
-					t.Errorf("cluster SimNetTime = %v, want %v", got, want)
 				}
 			})
 		}
@@ -145,5 +148,49 @@ func TestClusterCancel(t *testing.T) {
 	}
 	if met.Supersteps != 3 {
 		t.Errorf("%d supersteps ran, want the 3 issued before the cancel was seen", met.Supersteps)
+	}
+}
+
+// collectFault is a Transport whose Collect calls a worker refuses
+// (refuse) or answers with a reply gather must not trust.
+type collectFault struct {
+	pregel.Transport
+	refuse bool
+}
+
+func (c collectFault) Call(method string, args, reply any) error {
+	if method != pregel.RPCServiceName+".Collect" {
+		return c.Transport.Call(method, args, reply)
+	}
+	if c.refuse {
+		return rpc.ServerError("collect refused")
+	}
+	err := c.Transport.Call(method, args, reply)
+	r := reply.(*pregel.CollectReply)
+	r.Blobs[0] = append(r.Blobs[0], 0xff) // a record cut short
+	return err
+}
+
+// TestClusterGatherRefusals: a build whose Collect fails, and one
+// whose collect reply decodeResults refuses, both end in the error
+// that says so, not in an index.
+func TestClusterGatherRefusals(t *testing.T) {
+	g := randomDigraph(40, 90, 11)
+	path := saveGraph(t, g)
+	for _, tc := range []struct {
+		refuse bool
+		want   string
+	}{
+		{true, "collect refused"},
+		{false, "collect reply"},
+	} {
+		copt := ClusterOptions{Dial: func(addr string) (pregel.Transport, error) {
+			inner, err := pregel.DialRPC(addr)
+			return collectFault{inner, tc.refuse}, err
+		}}
+		idx, _, err := BuildOverClusterOf(startWorkers(t, 3), g, path, nil, nil, copt)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("refuse=%v: got index %v and error %v, want an error containing %q", tc.refuse, idx != nil, err, tc.want)
+		}
 	}
 }

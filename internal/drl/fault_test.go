@@ -2,11 +2,12 @@ package drl
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/label"
@@ -18,7 +19,7 @@ import (
 // flakyCluster is the fault-injection test harness: a set of real
 // worker servers reached through FaultTransports that drop calls, lose
 // replies, and crash on a deterministic seeded schedule. Logical
-// worker names ("w0", "w1", ...) are what the master dials; a crash
+// worker names ("w0", "w1", ...) are what the master dials; a re-dial
 // starts a replacement server on a fresh port and reroutes the name,
 // so the master's re-dial lands on a genuinely state-less process —
 // exactly a restarted worker.
@@ -55,43 +56,30 @@ func (fc *flakyCluster) addrs() []string {
 	return names
 }
 
-// dial is the pregel.Dialer. A re-dial after a crash gets a plan
+// dial is the pregel.Dialer. The master re-dials only a worker it
+// gave up on, so a re-dial lands on a replacement server under a plan
 // without the crash point: the replacement process is healthy (drops
 // and lost replies persist — the network is still the network).
 func (fc *flakyCluster) dial(logical string) (pregel.Transport, error) {
 	fc.mu.Lock()
-	real, ok := fc.route[logical]
-	plan := fc.plans[logical]
-	fc.dials[logical]++
-	if fc.dials[logical] > 1 {
-		plan.CrashAtCall = 0
-		plan.Seed += int64(1000 * fc.dials[logical]) // fresh schedule per incarnation
-	}
-	fc.mu.Unlock()
+	defer fc.mu.Unlock()
+	plan, ok := fc.plans[logical]
 	if !ok {
 		return nil, fmt.Errorf("flakyCluster: unknown worker %q", logical)
 	}
-	inner, err := pregel.DialRPC(real)
+	fc.dials[logical]++
+	if n := fc.dials[logical]; n > 1 {
+		plan.CrashAtCall = 0
+		plan.Seed += int64(1000 * n) // fresh schedule per incarnation
+		fc.route[logical] = startWorkers(fc.t, 1)[0]
+	}
+	inner, err := pregel.DialRPC(fc.route[logical])
 	if err != nil {
 		return nil, err
 	}
 	ft := pregel.NewFaultTransport(inner, plan)
-	if plan.CrashAtCall > 0 {
-		ft.OnCrash = func() { fc.replace(logical) }
-	}
-	fc.mu.Lock()
 	fc.transports = append(fc.transports, ft)
-	fc.mu.Unlock()
 	return ft, nil
-}
-
-// replace stands up a replacement worker server and reroutes the
-// logical name to it.
-func (fc *flakyCluster) replace(logical string) {
-	addr := startWorkers(fc.t, 1)[0]
-	fc.mu.Lock()
-	fc.route[logical] = addr
-	fc.mu.Unlock()
 }
 
 // stats sums the injected-fault counters across every transport the
@@ -105,22 +93,15 @@ func (fc *flakyCluster) stats() pregel.FaultStats {
 		sum.Calls += st.Calls
 		sum.Drops += st.Drops
 		sum.LostReplies += st.LostReplies
-		sum.Delays += st.Delays
 		sum.Crashes += st.Crashes
 	}
 	return sum
 }
 
-// fastFaultOptions returns ClusterOptions tuned for tests: short
-// backoffs, plenty of attempts, checkpoints every 2 supersteps.
-func fastFaultOptions(fc *flakyCluster) ClusterOptions {
+// faultOptions returns the ClusterOptions of the fault tests:
+// checkpoints every 2 supersteps.
+func faultOptions(fc *flakyCluster) ClusterOptions {
 	return ClusterOptions{
-		Retry: pregel.RetryPolicy{
-			CallTimeout: 5 * time.Second,
-			MaxAttempts: 8,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  5 * time.Millisecond,
-		},
 		CheckpointEvery: 2,
 		Dial:            fc.dial,
 	}
@@ -166,7 +147,7 @@ func TestFaultScheduleEquivalence(t *testing.T) {
 					"w1": {Seed: 202, DropProb: 0.10, LostReplyProb: 0.10, CrashAtCall: 9},
 					"w2": {Seed: 303, DropProb: 0.15, LostReplyProb: 0.15},
 				})
-				copt := fastFaultOptions(fc)
+				copt := faultOptions(fc)
 				var (
 					idx *label.Index
 					met pregel.Metrics
@@ -228,7 +209,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		"w1": {Seed: 5, CrashAtCall: 7},
 		"w2": {},
 	})
-	idx, met, err := BuildOverClusterOf(fc.addrs(), g, path, nil, nil, fastFaultOptions(fc))
+	idx, met, err := BuildOverClusterOf(fc.addrs(), g, path, nil, nil, faultOptions(fc))
 	if err != nil {
 		t.Fatalf("build with mid-run crash: %v", err)
 	}
@@ -256,7 +237,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		"w1": {},
 		"w2": {},
 	})
-	idx, met, err = BuildOverClusterOf(fc.addrs(), g, path, &bp, nil, fastFaultOptions(fc))
+	idx, met, err = BuildOverClusterOf(fc.addrs(), g, path, &bp, nil, faultOptions(fc))
 	if err != nil {
 		t.Fatalf("batch build with crash: %v", err)
 	}
@@ -265,5 +246,54 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if met.Recoveries == 0 {
 		t.Error("expected a checkpoint recovery in the batch build")
+	}
+}
+
+// dieAtRun is a Transport to a worker that dies as the master begins
+// run k: that BeginRun and every later call fail as a dead
+// connection's would.
+type dieAtRun struct {
+	pregel.Transport
+	run  int
+	dead *atomic.Bool
+}
+
+func (d dieAtRun) Call(method string, args, reply any) error {
+	if a, ok := args.(pregel.BeginRunArgs); ok && a.RunID == d.run {
+		d.dead.Store(true)
+	}
+	if d.dead.Load() {
+		return errors.New("connection reset by peer")
+	}
+	return d.Transport.Call(method, args, reply)
+}
+
+// TestRunBoundaryRecovery: a worker lost while the second batch begins
+// is replaced and restored from the first batch's post-finish
+// checkpoint, which carries only its labels onto the new batch, and the
+// build still equals TOL.
+func TestRunBoundaryRecovery(t *testing.T) {
+	g := randomDigraph(50, 140, 33)
+	path := saveGraph(t, g)
+	want := indexBytes(t, tol.Build(g, order.Compute(g)))
+	addrs := startWorkers(t, 3)
+	var dials atomic.Int64
+	copt := ClusterOptions{Dial: func(addr string) (pregel.Transport, error) {
+		if addr == addrs[1] && dials.Add(1) > 1 {
+			addr = startWorkers(t, 1)[0] // the replacement
+		}
+		inner, err := pregel.DialRPC(addr)
+		if addr == addrs[1] {
+			return dieAtRun{inner, 2, new(atomic.Bool)}, err
+		}
+		return inner, err
+	}}
+	bp := DefaultBatchParams()
+	idx, met, err := BuildOverClusterOf(addrs, g, path, &bp, nil, copt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(indexBytes(t, idx), want) || met.Recoveries != 1 {
+		t.Errorf("after %d recoveries the index equals TOL's: %v; want 1 recovery and TOL's index", met.Recoveries, bytes.Equal(indexBytes(t, idx), want))
 	}
 }

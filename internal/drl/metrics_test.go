@@ -89,8 +89,9 @@ func TestObsCountersMatchMetrics(t *testing.T) {
 	g := randomDigraph(80, 240, 63)
 	ord := order.Compute(g)
 
+	const workers = 4
 	reg := obs.New()
-	_, met, err := BuildDistributed(g, ord, DistOptions{Workers: 4, Obs: reg})
+	_, met, err := BuildDistributed(g, ord, DistOptions{Workers: workers, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +130,8 @@ func TestObsCountersMatchMetrics(t *testing.T) {
 		}
 	}
 
-	// The superstep trace covers every superstep and its message sum
-	// reproduces the counter.
+	// The superstep trace covers every superstep with a row per
+	// worker, and its message sum reproduces the counter.
 	steps := reg.Trace("pregel").Steps()
 	if len(steps) != met.Supersteps {
 		t.Fatalf("trace has %d rows, want %d", len(steps), met.Supersteps)
@@ -138,6 +139,9 @@ func TestObsCountersMatchMetrics(t *testing.T) {
 	var traced int64
 	for _, s := range steps {
 		traced += s.Messages
+		if len(s.Workers) != workers {
+			t.Fatalf("superstep %d traces %d workers, want %d", s.Step, len(s.Workers), workers)
+		}
 	}
 	if traced != met.Messages {
 		t.Errorf("trace messages sum to %d, metrics say %d", traced, met.Messages)

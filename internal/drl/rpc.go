@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/label"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/order"
 	"repro/internal/pregel"
@@ -15,24 +14,13 @@ import (
 // Cluster deployment: the labeling program registered for worker
 // processes (cmd/drworker + cmd/drcluster). Each worker loads the graph
 // from shared storage, computes the (fully deterministic) vertex order
-// and the graph's transpose once per job, and keeps its own replica of
-// the broadcast state — exactly the paper's deployment model, with
-// net/rpc over TCP standing in for MPI.
-
-// job is what a worker host keeps between the runs of one build.
-type job struct {
-	ord *order.Ordering
-	adj dirGraphs
-}
+// and the graph's transpose for each batch, and keeps its own replica
+// of the broadcast state — the paper's deployment model, with net/rpc
+// over TCP standing in for MPI.
 
 func init() {
 	pregel.RegisterRPC("drl", func(h *pregel.Host, params map[string]string) (pregel.Program, error) {
-		j, _ := h.State.(*job)
-		if j == nil {
-			j = &job{ord: order.Compute(h.Graph), adj: dirGraphs{h.Graph, h.Graph.Inverse()}}
-			h.State = j
-		}
-		ord := j.ord
+		ord := order.Compute(h.Graph)
 		lo, err := strconv.Atoi(params["lo"])
 		if err != nil {
 			return nil, fmt.Errorf("drl: bad batch start %q: %w", params["lo"], err)
@@ -44,7 +32,8 @@ func init() {
 		if lo < 0 || hi < lo || hi > ord.N() {
 			return nil, fmt.Errorf("drl: batch [%d, %d) outside the %d ranks", lo, hi, ord.N())
 		}
-		return &batchProgram{shared: newBatchShared(ord, j.adj, Span{Lo: order.Rank(lo), Hi: order.Rank(hi)}, nil)}, nil
+		adj := dirGraphs{h.Graph, h.Graph.Inverse()}
+		return &batchProgram{shared: newBatchShared(ord, adj, Span{Lo: order.Rank(lo), Hi: order.Rank(hi)}, nil)}, nil
 	})
 }
 
@@ -81,20 +70,15 @@ func decodeResults(blobs [][]byte, n int) (in, out [][]order.Rank, _ error) {
 	return in, out, nil
 }
 
-// ClusterOptions tunes the fault handling of the cluster builders. The
-// zero value uses pregel's defaults: per-call deadlines with bounded
-// exponential-backoff retries, checkpoints at run boundaries only.
+// ClusterOptions tunes a cluster build. Per-call deadlines and retries
+// are pregel's constants; the zero value checkpoints at run boundaries
+// only.
 type ClusterOptions struct {
-	// Retry bounds per-call deadlines and retries.
-	Retry pregel.RetryPolicy
 	// CheckpointEvery additionally snapshots worker state every k
 	// supersteps (0 = run-boundary checkpoints only).
 	CheckpointEvery int
 	// Dial overrides the transport dialer (tests inject faults here).
 	Dial pregel.Dialer
-	// Net charges simulated wire time for exchanges and checkpoint
-	// traffic.
-	Net netsim.Model
 	// Obs receives master-side counters and the superstep trace
 	// (nil = off).
 	Obs *obs.Registry
@@ -114,11 +98,9 @@ func BuildOverClusterOf(addrs []string, g *graph.Digraph, graphPath string, bp *
 			return nil, pregel.Metrics{}, err
 		}
 	}
-	m, err := pregel.DialClusterOpts(addrs, graphPath, pregel.Config{
-		Retry:           copt.Retry,
+	m, err := pregel.DialCluster(addrs, graphPath, pregel.Config{
 		CheckpointEvery: copt.CheckpointEvery,
 		Dial:            copt.Dial,
-		Net:             copt.Net,
 		Cancel:          cancel,
 		Obs:             copt.Obs,
 	})

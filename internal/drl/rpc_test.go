@@ -2,6 +2,7 @@ package drl
 
 import (
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/graph"
@@ -20,7 +21,7 @@ func startWorkers(t *testing.T, n int) []string {
 		ready := make(chan string, 1)
 		//lint:ignore goleak test worker serves until the process exits; ready (sent inside pregel.ServeWorker) is the only handshake it needs
 		go func() {
-			if err := pregel.ServeWorker("127.0.0.1:0", ready); err != nil {
+			if err := pregel.ServeWorker("127.0.0.1:0", ready, pregel.WorkerOptions{}); err != nil {
 				// The listener dies when the test process exits.
 				t.Log(err)
 			}
@@ -86,6 +87,36 @@ func TestRPCPaperExample(t *testing.T) {
 			if got := idx.Reachable(graph.VertexID(s), graph.VertexID(d)); got != want {
 				t.Fatalf("q(%d,%d) = %v, want %v", s, d, got, want)
 			}
+		}
+	}
+}
+
+// TestRPCRefusesBadBatch: the batch a master names reaches a worker
+// from another process, so the worker refuses one it cannot parse or
+// that lies outside its graph's ranks, and accepts an empty one.
+func TestRPCRefusesBadBatch(t *testing.T) {
+	g := graph.PaperExample()
+	path := saveGraph(t, g)
+	n := g.NumVertices()
+	for _, row := range []struct {
+		lo, hi string
+		ok     bool
+	}{
+		{"0", strconv.Itoa(n), true},
+		{"2", "2", true},
+		{"x", "1", false},
+		{"0", "y", false},
+		{"-1", "1", false},
+		{"2", "1", false},
+		{"0", strconv.Itoa(n + 1), false},
+	} {
+		h := &pregel.Host{}
+		if err := h.Init(pregel.InitArgs{NumWorkers: 1, GraphPath: path}, &pregel.InitReply{}); err != nil {
+			t.Fatal(err)
+		}
+		err := h.BeginRun(pregel.BeginRunArgs{RunID: 1, Program: "drl", Params: map[string]string{"lo": row.lo, "hi": row.hi}}, nil)
+		if (err == nil) != row.ok {
+			t.Errorf("batch [%s, %s) of %d ranks: error %v, want accepted %v", row.lo, row.hi, n, err, row.ok)
 		}
 	}
 }

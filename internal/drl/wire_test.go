@@ -245,7 +245,9 @@ func TestCollectBlobRejectsCorrupt(t *testing.T) {
 }
 
 // TestPairMapRejectsCorrupt runs the rows that apply to a checkpoint
-// section through readPairMap, alone and inside a checkpoint.
+// section through readPairMap, alone and inside a checkpoint; sections
+// too short for their count through both section readers; and
+// checkpoints too short for their header.
 func TestPairMapRejectsCorrupt(t *testing.T) {
 	for _, row := range corruptRecords {
 		if row.records == 0 {
@@ -257,8 +259,40 @@ func TestPairMapRejectsCorrupt(t *testing.T) {
 		}
 		err := (&batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}).DecodeState(
 			&pregel.Worker{ID: 2}, append([]byte{snapVersion, 1}, section...), true)
-		if err == nil || !strings.Contains(err.Error(), "worker 2") {
-			t.Errorf("%s in a checkpoint: want an error naming worker 2, got %v", row.name, err)
+		if err == nil || !strings.Contains(err.Error(), "worker 2") || !strings.Contains(err.Error(), "state record") {
+			t.Errorf("%s in a checkpoint: want an error naming worker 2 and the record, got %v", row.name, err)
+		}
+	}
+	// A section cut inside its count, the visit-status one too, and one
+	// holding fewer entries than its count.
+	if m, _, err := readPairMap([]byte{1, 0}); err == nil {
+		t.Errorf("a pair map cut inside its count: accepted as %v", m)
+	}
+	for _, section := range [][]byte{{1}, {1, 0, 0, 0}} {
+		if seen, _, err := readSeen(section); err == nil {
+			t.Errorf("visit-status section %v: accepted as %v", section, seen)
+		}
+	}
+	// A checkpoint too short for its version and local-state flag, one
+	// of another version, and one with a byte after its five empty
+	// sections are refused; the shortest one accepted is a worker that
+	// held no state yet.
+	empty := append([]byte{snapVersion, 1}, make([]byte, 5*4)...)
+	for _, row := range []struct {
+		blob []byte
+		ok   bool
+	}{
+		{nil, false},
+		{[]byte{snapVersion}, false},
+		{[]byte{snapVersion + 1, 0}, false},
+		{append(empty, 0), false},
+		{empty, true},
+		{[]byte{snapVersion, 0}, true},
+	} {
+		w := &pregel.Worker{ID: 2, State: "stale"}
+		err := (&batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}).DecodeState(w, row.blob, true)
+		if (err == nil) != row.ok || row.ok && w.State == "stale" {
+			t.Errorf("checkpoint %v: error %v, state %v", row.blob, err, w.State)
 		}
 	}
 }

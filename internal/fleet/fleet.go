@@ -168,10 +168,9 @@ func (o Options) withDefaults() Options {
 // The health and retry rules. A replica is marked down after downAfter
 // consecutive failed probes, and one that has been up and went down is
 // readmitted after upAfter consecutive successes (one that has never
-// been up is admitted by its first). A query has attemptsPerReplica
-// attempts per replica in the pool, across retry rounds: each forward
-// spends one, and so does each retryBackoff pause taken once every
-// candidate has been tried.
+// been up is admitted by its first). A query is forwarded in up to
+// attemptsPerReplica rounds, each trying every healthy replica once,
+// with a retryBackoff pause between rounds.
 // probeTimeout bounds one health probe and proxyTimeout one forwarded
 // request attempt.
 const (

@@ -754,9 +754,8 @@ func TestDrainAndMidDrainKill(t *testing.T) {
 	}
 
 	// Every replica failing queries while it probes healthy: a query
-	// spends its whole budget of attemptsPerReplica × 3 = 12 attempts —
-	// three rounds of three forwards, each followed by a backoff — and
-	// is answered 503.
+	// spends its whole budget, attemptsPerReplica = 4 rounds of three
+	// forwards with a backoff between rounds, and is answered 503.
 	for _, fr := range fakes {
 		fr.failReach.Store(true)
 	}
@@ -772,8 +771,8 @@ func TestDrainAndMidDrainKill(t *testing.T) {
 	for _, s := range f.Snapshot() {
 		spent += s.Forwards
 	}
-	if resp.StatusCode != http.StatusServiceUnavailable || spent != 9 {
-		t.Fatalf("a query every replica fails: status %d after %d forwards, want 503 after 9", resp.StatusCode, spent)
+	if resp.StatusCode != http.StatusServiceUnavailable || spent != 12 {
+		t.Fatalf("a query every replica fails: status %d after %d forwards, want 503 after 12", resp.StatusCode, spent)
 	}
 
 	// Drain replica 2 via the admin endpoint.

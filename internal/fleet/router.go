@@ -65,23 +65,19 @@ func drain(resp *http.Response) {
 // errAllReplicasFailed reports an exhausted retry budget.
 var errAllReplicasFailed = errors.New("fleet: no replica answered within the retry budget")
 
-// forward sends one request to the pool with retries: prefer the
-// shard owner, fail over to the least-loaded healthy replica, and
-// once every candidate has been tried, back off briefly and start a
-// fresh round — a replica marked down mid-flight gets routed around,
-// and one readmitted mid-flight picks queued work back up. What comes
-// back without an error is a replica's verdict, whatever its status.
-// ctx is the inbound request's: once its client is gone the forward in
-// flight is abandoned and no other is tried.
+// forward sends one request to the pool in up to attemptsPerReplica
+// rounds: each round prefers the shard owner and fails over to the
+// least-loaded healthy replica until every candidate has been tried
+// once, and a brief backoff separates the rounds — a replica marked
+// down mid-flight gets routed around, and one readmitted mid-flight
+// picks queued work back up. What comes back without an error is a
+// replica's verdict, whatever its status. ctx is the inbound
+// request's: once its client is gone the forward in flight is
+// abandoned and no other is tried.
 func (f *Fleet) forward(ctx context.Context, preferred *replica, method, path string, body []byte) (*http.Response, []byte, error) {
-	tried := make(map[*replica]bool)
 	lastErr := errAllReplicasFailed
-	for a := 0; a < attemptsPerReplica*len(f.replicas); a++ {
-		r := f.pick(preferred, tried)
-		if r == nil {
-			// Every candidate tried (or none healthy): new round after
-			// a backoff so a flapping replica can come back.
-			tried = make(map[*replica]bool)
+	for round := 0; round < attemptsPerReplica; round++ {
+		if round > 0 {
 			select {
 			case <-f.stop:
 				return nil, nil, errAllReplicasFailed
@@ -89,17 +85,19 @@ func (f *Fleet) forward(ctx context.Context, preferred *replica, method, path st
 				return nil, nil, ctx.Err()
 			case <-time.After(retryBackoff):
 			}
-			continue
 		}
-		if a > 0 {
-			f.retries.Inc()
+		tried := make(map[*replica]bool)
+		for r := f.pick(preferred, tried); r != nil; r = f.pick(preferred, tried) {
+			if round > 0 || len(tried) > 0 {
+				f.retries.Inc()
+			}
+			tried[r] = true
+			resp, data, err := f.try(ctx, r, method, path, body)
+			if err == nil || ctx.Err() != nil {
+				return resp, data, err
+			}
+			lastErr = err
 		}
-		tried[r] = true
-		resp, data, err := f.try(ctx, r, method, path, body)
-		if err == nil || ctx.Err() != nil {
-			return resp, data, err
-		}
-		lastErr = err
 	}
 	return nil, nil, lastErr
 }

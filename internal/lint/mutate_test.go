@@ -57,10 +57,15 @@ type mutant struct {
 	op       string // operator name, as the table prints it
 	orig     string // the replaced source text
 	repl     string
+	shown    string // what the table prints for orig, if not orig itself
 }
 
 func (m mutant) String() string {
-	return fmt.Sprintf("%s:%d:%d %s: %s → %s", m.file, m.line, m.col, m.op, oneLine(m.orig), m.repl)
+	orig := m.shown
+	if orig == "" {
+		orig = oneLine(m.orig)
+	}
+	return fmt.Sprintf("%s:%d:%d %s: %s → %s", m.file, m.line, m.col, m.op, orig, m.repl)
 }
 
 func oneLine(s string) string { return strings.Join(strings.Fields(s), " ") }
@@ -84,7 +89,11 @@ var boundaryFlips = map[token.Token]token.Token{
 //     without an init clause;
 //   - "boundary": < ↔ <= and > ↔ >=;
 //   - "swap": kindFwd ↔ kindBwd and inFull ↔ outFull;
-//   - "inverse": x.Inverse() → x.
+//   - "inverse": x.Inverse() → x;
+//   - "body→zero": a function's non-empty body returns the zero
+//     values of its results — `{ return *new(T1), … }` when they are
+//     unnamed, a bare `return` when they are named, `{}` when there
+//     are none — so a function no test needs survives.
 func mutants(name string, src []byte) ([]mutant, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "", src, parser.SkipObjectResolution)
@@ -99,8 +108,29 @@ func mutants(name string, src []byte) ([]mutant, error) {
 			op: op, orig: string(src[off:end]), repl: repl})
 	}
 	declared := map[*ast.Ident]bool{}
+	text := func(n ast.Node) string {
+		return string(src[fset.Position(n.Pos()).Offset:fset.Position(n.End()).Offset])
+	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body == nil || len(n.Body.List) == 0 {
+				break
+			}
+			repl := "{}"
+			if res := n.Type.Results; res != nil && len(res.List) > 0 {
+				if len(res.List[0].Names) > 0 {
+					repl = "{ return }"
+				} else {
+					zeros := make([]string, len(res.List))
+					for i, r := range res.List {
+						zeros[i] = "*new(" + text(r.Type) + ")"
+					}
+					repl = "{ return " + strings.Join(zeros, ", ") + " }"
+				}
+			}
+			add("body→zero", n.Body.Pos(), n.Body.End(), repl)
+			ms[len(ms)-1].shown = n.Name.Name + " {…}"
 		case *ast.Field:
 			for _, id := range n.Names {
 				declared[id] = true
@@ -124,8 +154,7 @@ func mutants(name string, src []byte) ([]mutant, error) {
 			}
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Inverse" && len(n.Args) == 0 {
-				x := fset.Position(sel.X.Pos()).Offset
-				add("inverse", n.Pos(), n.End(), string(src[x:fset.Position(sel.X.End()).Offset]))
+				add("inverse", n.Pos(), n.End(), text(sel.X))
 			}
 		}
 		return true
@@ -286,7 +315,8 @@ func killedBy(dir, bin string, known, flags []string) (string, bool) {
 
 // TestMutantsFixture pins the enumeration on a fixture file, without
 // running anything: every operator fires where it should and nowhere
-// else (declarations, an if with an init clause), in source order.
+// else (declarations, an if with an init clause, an empty body), in
+// source order.
 func TestMutantsFixture(t *testing.T) {
 	const file = "testdata/src/mutate/mutate.go"
 	src, err := os.ReadFile(file)
@@ -298,6 +328,8 @@ func TestMutantsFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
+		file + ":14:34 body→zero: Inverse {…} → { return *new(*graph) }",
+		file + ":16:48 body→zero: direction {…} → { return *new(int) }",
 		file + ":17:5 if→false: fwd && x.outFull[v] → false",
 		file + ":17:5 if→true: fwd && x.outFull[v] → true",
 		file + ":17:14 swap: outFull → inFull",
@@ -308,10 +340,15 @@ func TestMutantsFixture(t *testing.T) {
 		file + ":24:8 boundary: >= → >",
 		file + ":24:17 swap: inFull → outFull",
 		file + ":28:9 swap: kindBwd → kindFwd",
+		file + ":31:25 body→zero: check {…} → { return *new(error) }",
+		file + ":33:35 body→zero: walk {…} → { return *new(*graph) }",
 		file + ":34:5 if→false: v > 0 → false",
 		file + ":34:5 if→true: v > 0 → true",
 		file + ":34:7 boundary: > → >=",
 		file + ":35:10 inverse: g.Inverse() → g",
+		file + ":40:22 body→zero: reset {…} → {}",
+		file + ":42:32 body→zero: split {…} → { return }",
+		file + ":44:45 body→zero: pair {…} → { return *new(*index), *new(error) }",
 	}
 	var got []string
 	for _, m := range ms {

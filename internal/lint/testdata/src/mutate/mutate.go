@@ -36,3 +36,11 @@ func walk(g *graph, v int) *graph {
 	}
 	return g
 }
+
+func reset(g *graph) { g.inv = nil }
+
+func split(v int) (lo, hi int) { return v / 2, v - v/2 }
+
+func (x *index) pair(v int) (*index, error) { return x, check(v) }
+
+func noop() {} // an empty body: not mutated

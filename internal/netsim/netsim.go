@@ -39,15 +39,6 @@ func Commodity() Model {
 // configuration, where exchanges are shared-memory).
 func Zero() Model { return Model{} }
 
-// CheckpointCost returns the simulated time for one superstep
-// checkpoint that moved ckptBytes of worker state to the master among
-// p workers. A checkpoint is a barrier (every worker pauses at the
-// snapshot point) plus a state transfer, so it is priced like an
-// exchange of the same volume.
-func (m Model) CheckpointCost(ckptBytes int64, p int) time.Duration {
-	return m.ExchangeCost(ckptBytes, p)
-}
-
 // ExchangeCost returns the simulated time for one superstep exchange
 // that moved remoteBytes across worker boundaries among p workers.
 func (m Model) ExchangeCost(remoteBytes int64, p int) time.Duration {

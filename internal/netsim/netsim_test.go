@@ -44,17 +44,3 @@ func TestZeroBandwidthMeansLatencyOnly(t *testing.T) {
 		t.Errorf("latency-only model charged %v", got)
 	}
 }
-
-func TestCheckpointCost(t *testing.T) {
-	m := Commodity()
-	if m.CheckpointCost(1<<20, 1) != 0 {
-		t.Error("a single worker checkpoints for free (no wire)")
-	}
-	// A checkpoint is priced like an exchange of the same volume.
-	if got, want := m.CheckpointCost(1<<20, 4), m.ExchangeCost(1<<20, 4); got != want {
-		t.Errorf("checkpoint cost = %v, want exchange-equivalent %v", got, want)
-	}
-	if Zero().CheckpointCost(1<<30, 32) != 0 {
-		t.Error("zero model must be free")
-	}
-}

@@ -82,16 +82,13 @@ func (h *Host) Checkpoint(_ struct{}, reply *CheckpointReply) error {
 
 // Restore rewinds the host to a checkpointed barrier. Idempotent: it
 // installs absolute state, so a retried Restore lands in the same
-// place.
+// place. Before BeginRun there is no program, so no Snapshotter.
 func (h *Host) Restore(args RestoreArgs, _ *struct{}) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.prog == nil {
-		return errors.New("pregel: Restore before BeginRun")
-	}
 	snap, ok := h.prog.(Snapshotter)
 	if !ok {
-		return errors.New("pregel: program does not support checkpointing")
+		return errors.New("pregel: no running program that supports checkpointing")
 	}
 	if len(args.Blobs) != len(h.workers) {
 		return fmt.Errorf("pregel: restoring %d partitions onto a host of %d", len(args.Blobs), len(h.workers))

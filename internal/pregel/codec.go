@@ -62,9 +62,6 @@ type CombinerProvider interface {
 // the run by (Kind, Val, Val2), which keeps the wire bytes
 // deterministic regardless of outbox append order.
 func DedupCombiner(msgs []Msg) []Msg {
-	if len(msgs) < 2 {
-		return msgs
-	}
 	sort.Slice(msgs, func(i, j int) bool {
 		a, b := msgs[i], msgs[j]
 		if a.Kind != b.Kind {

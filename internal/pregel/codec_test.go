@@ -2,6 +2,7 @@ package pregel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/rpc"
 	"strings"
 	"testing"
@@ -91,6 +92,33 @@ func TestDecodeRejectsBadHeader(t *testing.T) {
 	// Record count larger than the remaining payload could ever hold.
 	if _, err := decodePacket([]byte{wireVersion, 0xff, 0xff, 0x03}, nil); err == nil {
 		t.Error("absurd record count must be rejected before allocating")
+	}
+	if _, err := decodePacket(binary.AppendUvarint([]byte{wireVersion}, 1<<62), nil); err == nil {
+		t.Error("a record count no slice can hold must be rejected before allocating")
+	}
+	if _, err := decodePacket([]byte{wireVersion}, nil); err == nil {
+		t.Error("a packet without its record count must be rejected")
+	}
+	// One record whose fields a decoder must not wrap or skip past:
+	// the Dst delta, Val and Val2, each over int32 or an overlong
+	// varint.
+	overlong := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	record := func(dst, val, val2 []byte) []byte {
+		p := append([]byte{wireVersion, 1}, dst...)
+		p = append(p, 0) // kind
+		return append(append(p, val...), val2...)
+	}
+	zero := []byte{0}
+	for name, p := range map[string][]byte{
+		"Dst over int32":   record(binary.AppendUvarint(nil, 1<<31), zero, zero),
+		"Dst overlong":     record(overlong, zero, zero),
+		"Val over int32":   record(zero, binary.AppendVarint(nil, 1<<31), zero),
+		"Val overlong":     record(zero, overlong, zero),
+		"Val2 below int32": record(zero, zero, binary.AppendVarint(nil, -1<<31-1)),
+	} {
+		if _, err := decodePacket(p, nil); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -320,7 +348,7 @@ func TestCrossTransportMetricsMatch(t *testing.T) {
 	}
 
 	addrs := []string{startWorker(t), startWorker(t)}
-	m, err := DialCluster(addrs, path)
+	m, err := DialCluster(addrs, path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,22 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 )
 
 // FaultTransport decorates an inner Transport with deterministic,
 // seeded failures: call drops (the request never reaches the worker),
-// lost replies (the call executes but the response is discarded),
-// delays (exercising the master's per-call deadline), and a one-shot
-// crash after which every call fails until the master re-dials. It is
-// the test double for real network weather — the master cannot tell
-// an injected fault from a genuine one.
+// lost replies (the call executes but the response is discarded), and
+// a one-shot crash after which every call fails until the master
+// re-dials. It is the test double for real network weather — the
+// master cannot tell an injected fault from a genuine one.
 type FaultTransport struct {
-	// OnCrash, if set, runs once when the crash point is reached —
-	// harnesses use it to stand up a replacement worker. It is called
-	// without the transport lock held.
-	OnCrash func()
-
 	inner Transport
 	plan  FaultPlan
 
@@ -41,9 +34,6 @@ type FaultPlan struct {
 	// LostReplyProb lets the call execute on the worker but discards
 	// the reply — the dangerous half of at-most-once delivery.
 	LostReplyProb float64
-	// DelayProb stalls the call by Delay before forwarding it.
-	DelayProb float64
-	Delay     time.Duration
 	// CrashAtCall, when positive, fails every call from the Nth
 	// onwards (1-based) as if the worker process died. One-shot: a
 	// fresh transport from the Dialer is healthy again.
@@ -55,7 +45,6 @@ type FaultStats struct {
 	Calls       int
 	Drops       int
 	LostReplies int
-	Delays      int
 	Crashes     int
 }
 
@@ -75,7 +64,7 @@ func NewFaultTransport(inner Transport, plan FaultPlan) *FaultTransport {
 	}
 }
 
-// Call injects the planned faults around inner.Call. Exactly three
+// Call injects the planned faults around inner.Call. Exactly two
 // random draws happen per call regardless of outcome, so the fault
 // schedule depends only on the call sequence, not on which faults
 // fired earlier.
@@ -90,18 +79,10 @@ func (t *FaultTransport) Call(serviceMethod string, args any, reply any) error {
 	call := t.calls
 	drop := t.rng.Float64() < t.plan.DropProb
 	lost := t.rng.Float64() < t.plan.LostReplyProb
-	delay := time.Duration(0)
-	if t.rng.Float64() < t.plan.DelayProb {
-		delay = t.plan.Delay
-	}
 	if t.plan.CrashAtCall > 0 && call >= t.plan.CrashAtCall {
 		t.crashed = true
 		t.stats.Crashes++
-		onCrash := t.OnCrash
 		t.mu.Unlock()
-		if onCrash != nil {
-			onCrash()
-		}
 		return fmt.Errorf("%s (call %d): %w", serviceMethod, call, ErrInjectedCrash)
 	}
 	if drop {
@@ -109,16 +90,10 @@ func (t *FaultTransport) Call(serviceMethod string, args any, reply any) error {
 	} else if lost {
 		t.stats.LostReplies++
 	}
-	if delay > 0 {
-		t.stats.Delays++
-	}
 	t.mu.Unlock()
 
 	if drop {
 		return fmt.Errorf("%s (call %d): %w", serviceMethod, call, ErrInjectedDrop)
-	}
-	if delay > 0 {
-		time.Sleep(delay)
 	}
 	err := t.inner.Call(serviceMethod, args, reply)
 	if err == nil && lost {

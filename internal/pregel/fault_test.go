@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // Failure-path coverage for the master↔host protocol: injected drops,
@@ -41,7 +43,7 @@ func startWorkerOpts(t *testing.T, opts WorkerOptions) string {
 	t.Helper()
 	ready := make(chan string, 1)
 	go func() {
-		if err := ServeWorkerOpts("127.0.0.1:0", ready, opts); err != nil {
+		if err := ServeWorker("127.0.0.1:0", ready, opts); err != nil {
 			t.Log(err)
 		}
 	}()
@@ -88,6 +90,7 @@ func eachCluster(t *testing.T, fn func(t *testing.T, c testCluster)) {
 type stubTransport struct {
 	inner    Transport
 	dieAfter string // method suffix after which the connection "dies"
+	dieOn    string // method suffix whose call finds it dead
 	closeErr error
 
 	mu     sync.Mutex
@@ -97,6 +100,9 @@ type stubTransport struct {
 
 func (s *stubTransport) Call(method string, args, reply any) error {
 	s.mu.Lock()
+	if s.dieOn != "" && strings.HasSuffix(method, "."+s.dieOn) {
+		s.dead = true
+	}
 	if s.dead {
 		s.mu.Unlock()
 		return fmt.Errorf("stub: connection reset by peer")
@@ -127,24 +133,30 @@ func (s *stubTransport) wasClosed() bool {
 	return s.closed
 }
 
-// fastRetry keeps test retries snappy and deterministic.
-func fastRetry() RetryPolicy {
-	return RetryPolicy{
-		CallTimeout: 2 * time.Second,
-		MaxAttempts: 8,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  5 * time.Millisecond,
+// fastRetry keeps test retries snappy: a test sets it on a master
+// once DialCluster has returned, so the Init calls run under the
+// cluster's constants.
+func fastRetry() retryPolicy {
+	return retryPolicy{
+		callTimeout: 2 * time.Second,
+		attempts:    8,
+		baseBackoff: time.Millisecond,
+		maxBackoff:  5 * time.Millisecond,
+		recoveries:  maxRecoveries,
 	}
 }
 
 // countingInner counts calls without any real connection.
-type countingInner struct{ calls int }
+type countingInner struct {
+	calls  int
+	closed bool
+}
 
 func (c *countingInner) Call(method string, args, reply any) error {
 	c.calls++
 	return nil
 }
-func (c *countingInner) Close() error { return nil }
+func (c *countingInner) Close() error { c.closed = true; return nil }
 
 func TestFaultTransportDeterministic(t *testing.T) {
 	plan := FaultPlan{Seed: 7, DropProb: 0.3, LostReplyProb: 0.2, CrashAtCall: 40}
@@ -178,15 +190,27 @@ func TestFaultTransportDeterministic(t *testing.T) {
 	if a[len(a)-1] != "crash" {
 		t.Errorf("calls past the crash point should fail, got %s", a[len(a)-1])
 	}
-	ft := NewFaultTransport(&countingInner{}, plan)
+	if a[plan.CrashAtCall-2] == "crash" || a[plan.CrashAtCall-1] != "crash" {
+		t.Errorf("calls %d and %d: %s, %s; want the crash at call %d", plan.CrashAtCall-1, plan.CrashAtCall,
+			a[plan.CrashAtCall-2], a[plan.CrashAtCall-1], plan.CrashAtCall)
+	}
+	inner := &countingInner{}
+	ft := NewFaultTransport(inner, plan)
 	for i := 0; i < 45; i++ {
 		ft.Call("Svc.M", struct{}{}, &struct{}{})
 	}
 	if !ft.Crashed() {
 		t.Error("transport should report crashed")
 	}
-	if st := ft.Stats(); st.Crashes != 1 || st.Drops == 0 {
-		t.Errorf("unexpected fault stats: %+v", st)
+	// A drop and a lost reply both come back as ErrInjectedDrop; the
+	// counters tell them apart and add up to what the caller saw.
+	drops := strings.Count(strings.Join(a[:plan.CrashAtCall-1], ","), "drop")
+	if st := ft.Stats(); st.Crashes != 1 || st.Drops == 0 || st.LostReplies == 0 || st.Drops+st.LostReplies != drops {
+		t.Errorf("fault stats %+v, want one crash and drops plus lost replies = the %d failed calls", st, drops)
+	}
+	ft.Close()
+	if !inner.closed {
+		t.Error("Close left the inner transport open")
 	}
 }
 
@@ -208,11 +232,12 @@ func TestMasterRetriesTransientDrops(t *testing.T) {
 			seed++
 			return NewFaultTransport(inner, FaultPlan{Seed: seed, DropProb: 0.3}), nil
 		}
-		m, err := DialClusterOpts(addrs, graphFile(t), Config{Retry: fastRetry(), Dial: dial})
+		m, err := DialCluster(addrs, graphFile(t), Config{Dial: dial})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
+		m.retry = fastRetry()
 		if err := m.RunNamed("test-noop", nil); err != nil {
 			t.Fatal(err)
 		}
@@ -239,19 +264,22 @@ func TestMasterRetriesTransientDrops(t *testing.T) {
 func TestMasterStepTimeout(t *testing.T) {
 	eachCluster(t, func(t *testing.T, c testCluster) {
 		var executed atomic.Int64
+		reg := obs.New()
 		addr := c.start(t, WorkerOptions{
 			StepHook: func(int) { executed.Add(1) },
+			Obs:      reg,
 		})
-		pol := fastRetry()
-		pol.CallTimeout = 40 * time.Millisecond
-		pol.MaxAttempts = 12
-		pol.BaseBackoff = 10 * time.Millisecond
-		pol.MaxBackoff = 20 * time.Millisecond
-		m, err := DialClusterOpts([]string{addr}, graphFile(t), Config{Retry: pol, Dial: c.dial})
+		m, err := DialCluster([]string{addr}, graphFile(t), Config{Dial: c.dial})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
+		m.retry = retryPolicy{
+			callTimeout: 40 * time.Millisecond,
+			attempts:    12,
+			baseBackoff: 10 * time.Millisecond,
+			maxBackoff:  20 * time.Millisecond,
+		}
 		if err := m.RunNamed("test-slow", nil); err != nil {
 			t.Fatalf("run with a slow first superstep: %v", err)
 		}
@@ -260,6 +288,9 @@ func TestMasterStepTimeout(t *testing.T) {
 		}
 		if n := executed.Load(); n != 1 {
 			t.Errorf("superstep executed %d times on the worker, dedup should keep it at 1", n)
+		}
+		if n := reg.CounterValue("pregel_worker_steps_total"); n != 1 {
+			t.Errorf("pregel_worker_steps_total = %d, want the 1 executed superstep", n)
 		}
 	})
 }
@@ -277,14 +308,14 @@ func TestMasterRetryExhaustion(t *testing.T) {
 			}
 			return &stubTransport{inner: inner, dieAfter: "BeginRun"}, nil
 		}
-		pol := fastRetry()
-		pol.MaxAttempts = 3
-		pol.MaxRecoveries = -1 // disable recovery: surface the raw failure
-		m, err := DialClusterOpts(addrs, graphFile(t), Config{Retry: pol, Dial: dial})
+		m, err := DialCluster(addrs, graphFile(t), Config{Dial: dial})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
+		m.retry = fastRetry()
+		m.retry.attempts = 3
+		m.retry.recoveries = 0 // no recovery: surface the raw failure
 		err = m.RunNamed("test-noop", nil)
 		if err == nil {
 			t.Fatal("run against a dead worker should fail")
@@ -294,6 +325,10 @@ func TestMasterRetryExhaustion(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "worker") {
 			t.Errorf("error should name the failed worker: %v", err)
+		}
+		// The first call to the dead worker had its three attempts.
+		if m.Metrics.Retries != 2 {
+			t.Errorf("%d retries, want 2: three attempts of one call", m.Metrics.Retries)
 		}
 	})
 }
@@ -313,13 +348,13 @@ func TestMasterNoSnapshotterNoRecovery(t *testing.T) {
 			// program cannot snapshot, then loses the worker.
 			return &stubTransport{inner: inner, dieAfter: "Checkpoint"}, nil
 		}
-		pol := fastRetry()
-		pol.MaxAttempts = 2
-		m, err := DialClusterOpts(addrs, graphFile(t), Config{Retry: pol, Dial: dial})
+		m, err := DialCluster(addrs, graphFile(t), Config{Dial: dial})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
+		m.retry = fastRetry()
+		m.retry.attempts = 2
 		err = m.RunNamed("test-noop", nil)
 		if err == nil {
 			t.Fatal("expected failure")
@@ -342,7 +377,7 @@ func TestMasterCloseErrors(t *testing.T) {
 		}
 		return &stubTransport{inner: inner, closeErr: sentinel}, nil
 	}
-	m, err := DialClusterOpts(addrs, graphFile(t), Config{Dial: dial})
+	m, err := DialCluster(addrs, graphFile(t), Config{Dial: dial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +406,7 @@ func TestDialClusterClosesOnFailure(t *testing.T) {
 		opened = append(opened, st)
 		return st, nil
 	}
-	if _, err := DialClusterOpts([]string{good, "bad"}, graphFile(t), Config{Dial: dial}); err == nil {
+	if _, err := DialCluster([]string{good, "bad"}, graphFile(t), Config{Dial: dial}); err == nil {
 		t.Fatal("dialing a bad address should fail")
 	}
 	if len(opened) != 1 || !opened[0].wasClosed() {
@@ -381,9 +416,7 @@ func TestDialClusterClosesOnFailure(t *testing.T) {
 	// Same contract when Init fails after all dials succeeded.
 	opened = nil
 	addrs := []string{startWorker(t), startWorker(t)}
-	pol := fastRetry()
-	pol.MaxAttempts = 1
-	if _, err := DialClusterOpts(addrs, "/nonexistent-graph", Config{Retry: pol, Dial: dial}); err == nil {
+	if _, err := DialCluster(addrs, "/nonexistent-graph", Config{Dial: dial}); err == nil {
 		t.Fatal("Init with a bad graph path should fail")
 	}
 	for i, st := range opened {
@@ -427,6 +460,9 @@ func testWorkerStepDedupAndOutOfSync(t *testing.T, tc testCluster) {
 	if err == nil || !isOutOfSync(err) {
 		t.Errorf("skipped step should be out-of-sync, got %v", err)
 	}
+	if err := c.Call(RPCServiceName+".Step", StepArgs{Step: 1}, &r3); err == nil {
+		t.Error("a step with packets for no partition should fail")
+	}
 	// Duplicate BeginRun for the same run is a no-op (dedup cursor intact).
 	mustCall("BeginRun", BeginRunArgs{RunID: 1, Program: "test-noop"}, &struct{}{})
 	var r4 StepReply
@@ -469,6 +505,12 @@ func testCheckpointProtocolErrors(t *testing.T, tc testCluster) {
 	}
 	if err := c.Call(RPCServiceName+".Restore", RestoreArgs{}, &struct{}{}); err == nil {
 		t.Error("Restore for a Snapshotter-less program should fail")
+	}
+	if err := c.Call(RPCServiceName+".BeginRun", BeginRunArgs{RunID: 2, Program: "test-snapflood"}, &struct{}{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Call(RPCServiceName+".Restore", RestoreArgs{}, &struct{}{}); err == nil {
+		t.Error("Restore with no blob for the host's partition should fail")
 	}
 }
 
@@ -514,17 +556,19 @@ func init() {
 // master must re-dial (landing on a fresh, state-less host), restore
 // everyone from the last superstep checkpoint and finish with the
 // result of an undisturbed run — over TCP and over Direct alike, with
-// the same retries, recoveries and checkpoints counted.
+// the same retries, recoveries and checkpoints counted. The ring is
+// long enough that a run outlasts 64 supersteps, the bound a master
+// would set had Init not told it the graph's size.
 func TestMasterRecoversFromCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ring.bin")
-	if err := graph.SaveFile(path, ring(24), true); err != nil {
+	if err := graph.SaveFile(path, ring(80), true); err != nil {
 		t.Fatal(err)
 	}
 	type counters struct{ retries, recoveries, checkpoints int64 }
 	var seen []counters
 	eachCluster(t, func(t *testing.T, c testCluster) {
-		clean, err := DialClusterOpts([]string{c.start(t, WorkerOptions{}), c.start(t, WorkerOptions{}), c.start(t, WorkerOptions{})},
-			path, Config{Retry: fastRetry(), Dial: c.dial})
+		clean, err := DialCluster([]string{c.start(t, WorkerOptions{}), c.start(t, WorkerOptions{}), c.start(t, WorkerOptions{})},
+			path, Config{Dial: c.dial})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -560,11 +604,12 @@ func TestMasterRecoversFromCheckpoint(t *testing.T) {
 			}
 			return NewFaultTransport(inner, plan), nil
 		}
-		m, err := DialClusterOpts([]string{"w0", "w1", "w2"}, path, Config{Retry: fastRetry(), CheckpointEvery: 3, Dial: dial})
+		m, err := DialCluster([]string{"w0", "w1", "w2"}, path, Config{CheckpointEvery: 3, Dial: dial})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
+		m.retry = fastRetry()
 		if err := m.RunNamed("test-snapflood", nil); err != nil {
 			t.Fatalf("run with a mid-run crash: %v", err)
 		}
@@ -582,5 +627,146 @@ func TestMasterRecoversFromCheckpoint(t *testing.T) {
 	})
 	if len(seen) == 2 && seen[0] != seen[1] {
 		t.Errorf("same seeds, different {retries recoveries checkpoints}: tcp %v, direct %v", seen[0], seen[1])
+	}
+}
+
+// skipStep hands its host, once, the superstep after the one the
+// master issued, as a host that missed a step would see it.
+type skipStep struct {
+	Transport
+	once *sync.Once
+}
+
+func (s skipStep) Call(method string, args, reply any) error {
+	if a, ok := args.(StepArgs); ok && a.Step == 5 {
+		s.once.Do(func() { a.Step++; args = a })
+	}
+	return s.Transport.Call(method, args, reply)
+}
+
+// TestMasterRecoversFromOutOfSync: a host that answers out-of-sync is
+// recovered from the last checkpoint like a crashed one, and the run
+// collects what an undisturbed run does.
+func TestMasterRecoversFromOutOfSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ring.bin")
+	if err := graph.SaveFile(path, ring(24), true); err != nil {
+		t.Fatal(err)
+	}
+	eachCluster(t, func(t *testing.T, c testCluster) {
+		run := func(dial Dialer) (*Master, [][]byte) {
+			m, err := DialCluster([]string{c.start(t, WorkerOptions{}), c.start(t, WorkerOptions{})}, path, Config{CheckpointEvery: 2, Dial: dial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m.Close() })
+			if err := m.RunNamed("test-snapflood", nil); err != nil {
+				t.Fatal(err)
+			}
+			blobs, err := m.Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, blobs
+		}
+		_, want := run(c.dial)
+		once := new(sync.Once)
+		m, got := run(func(addr string) (Transport, error) {
+			inner, err := c.dial(addr)
+			return skipStep{inner, once}, err
+		})
+		if !reflect.DeepEqual(got, want) || m.Metrics.Recoveries != 1 {
+			t.Errorf("collected %v after %d recoveries, want %v after 1", got, m.Metrics.Recoveries, want)
+		}
+	})
+}
+
+// TestMasterRecoveryLimits: a worker lost before the first checkpoint
+// is recovered with nothing to restore, one lost right after it is
+// restored to superstep 0, one lost as the master collects is restored
+// to the finished run, and two lost in one superstep are recovered
+// together. A re-dial gets its attempts and, when every one fails,
+// ends the run with its error; a worker that dies every time it begins
+// a run costs exactly the recovery bound before the master gives up.
+func TestMasterRecoveryLimits(t *testing.T) {
+	eachCluster(t, func(t *testing.T, c testCluster) {
+		// dialer hands out plain connections, except the ones dies names
+		// by dial number, which die after the given method ("on Collect":
+		// at the collect), and the ones fails names, which fail.
+		dialer := func(dies map[int]string, fails ...int) Dialer {
+			n := 0
+			return func(addr string) (Transport, error) {
+				if n++; slices.Contains(fails, n) {
+					return nil, errors.New("no route to host")
+				}
+				inner, err := c.dial(addr)
+				if err != nil || dies[n] == "" {
+					return inner, err
+				}
+				if on, ok := strings.CutPrefix(dies[n], "on "); ok {
+					return &stubTransport{inner: inner, dieOn: on}, nil
+				}
+				return &stubTransport{inner: inner, dieAfter: dies[n]}, nil
+			}
+		}
+		run := func(dial Dialer, recoveries, hosts int) (*Master, error) {
+			var addrs []string
+			for range hosts {
+				addrs = append(addrs, c.start(t, WorkerOptions{}))
+			}
+			m, err := DialCluster(addrs, graphFile(t), Config{Dial: dial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m.Close() })
+			m.retry = fastRetry()
+			m.retry.attempts = 2
+			m.retry.recoveries = recoveries
+			if err := m.RunNamed("test-snapflood", nil); err != nil {
+				return m, err
+			}
+			_, err = m.Collect()
+			return m, err
+		}
+		for _, dies := range []string{"Init", "Checkpoint", "on Collect"} {
+			if m, err := run(dialer(map[int]string{1: dies}), 1, 1); err != nil || m.Metrics.Recoveries != 1 {
+				t.Errorf("lost after %s: %v after %d recoveries, want success after 1", dies, err, m.Metrics.Recoveries)
+			}
+		}
+		// Two workers lost in one superstep cost one recovery.
+		if m, err := run(dialer(map[int]string{1: "on Step", 2: "on Step"}), 1, 2); err != nil || m.Metrics.Recoveries != 1 {
+			t.Errorf("two workers lost at once: %v after %d recoveries, want success after 1", err, m.Metrics.Recoveries)
+		}
+		if m, err := run(dialer(map[int]string{1: "BeginRun"}, 2), 1, 1); err != nil || m.Metrics.Recoveries != 1 {
+			t.Errorf("a re-dial whose first attempt fails: %v after %d recoveries, want success after 1", err, m.Metrics.Recoveries)
+		}
+		if _, err := run(dialer(map[int]string{1: "BeginRun"}, 2, 3), 1, 1); err == nil || !strings.Contains(err.Error(), "re-dialing") {
+			t.Errorf("a re-dial whose two attempts fail: got %v", err)
+		}
+		always := map[int]string{1: "BeginRun", 2: "BeginRun", 3: "BeginRun", 4: "BeginRun"}
+		if m, err := run(dialer(always), 2, 1); err == nil || m.Metrics.Recoveries != 2 {
+			t.Errorf("a worker that always dies: %v after %d recoveries, want an error after 2", err, m.Metrics.Recoveries)
+		}
+	})
+}
+
+// TestBackoff: the pause before retry a+1 doubles from the base with
+// half-width jitter, up to the cap.
+func TestBackoff(t *testing.T) {
+	pol := retryPolicy{callTimeout, maxAttempts, baseBackoff, maxBackoff, maxRecoveries}
+	for _, row := range []struct {
+		attempt int
+		full    time.Duration
+	}{{1, baseBackoff}, {2, 2 * baseBackoff}, {3, 4 * baseBackoff}, {10, maxBackoff}} {
+		seen := map[time.Duration]bool{}
+		for i := 0; i < 20; i++ {
+			d := pol.backoff(row.attempt)
+			if d < row.full/2 || d > row.full {
+				t.Fatalf("backoff(%d) = %v, want within [%v, %v]", row.attempt, d, row.full/2, row.full)
+			}
+			seen[d] = true
+		}
+		if len(seen) == 1 {
+			t.Errorf("backoff(%d) drew %d pauses alike: no jitter", row.attempt, 20)
+		}
 	}
 }

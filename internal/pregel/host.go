@@ -27,18 +27,17 @@ import (
 //
 // The transport assumes real network weather: every master→host call
 // runs under a per-attempt deadline with bounded exponential backoff +
-// jitter retries (RetryPolicy), hosts deduplicate repeated calls so a
-// retried superstep never executes twice, and crashed workers are
-// re-dialed and restored from the last superstep checkpoint (see
-// checkpoint.go for the recovery model).
+// jitter retries (the master's constants), hosts deduplicate repeated
+// calls so a retried superstep never executes twice, and crashed
+// workers are re-dialed and restored from the last superstep
+// checkpoint (see checkpoint.go for the recovery model).
 
 // RPCServiceName is the registered net/rpc service name.
 const RPCServiceName = "DRLWorker"
 
 // ProgramFactory creates the program for one run inside a host. It is
 // called once per run (the batch algorithm runs once per batch) with
-// the run's parameters; worker state and h.State persist across the
-// job's runs.
+// the run's parameters; worker state persists across the job's runs.
 type ProgramFactory func(h *Host, params map[string]string) (Program, error)
 
 var (
@@ -142,11 +141,8 @@ type CollectReply struct {
 // and FinishRun on a per-run flag, so every mutating call is
 // effectively exactly-once under the master's at-least-once retries.
 type Host struct {
-	// Graph and State are for program factories: the graph Init loaded,
-	// and whatever a factory keeps between the job's runs (reset by every
-	// Init).
+	// Graph is for program factories: the graph Init loaded.
 	Graph *graph.Digraph
-	State any
 
 	mu      sync.Mutex
 	workers []*Worker
@@ -178,7 +174,7 @@ type WorkerOptions struct {
 // hold makes h the host of partitions [first, first+count) of p over g
 // and forgets any earlier job.
 func (h *Host) hold(g *graph.Digraph, first, count, p int) {
-	h.Graph, h.State = g, nil
+	h.Graph = g
 	h.workers = make([]*Worker, count)
 	for k := range h.workers {
 		h.workers[k] = &Worker{ID: first + k, P: p, Graph: g, outbox: make([][]Msg, p)}
@@ -361,15 +357,13 @@ func (h *Host) Step(args StepArgs, reply *StepReply) error {
 	h.lastReply = *reply
 	h.haveReply = true
 	h.stepCount++
-	if h.obs != nil {
-		var msgsOut int64
-		for k := range out {
-			msgsOut += out[k].MsgsOut
-		}
-		h.obs.Counter("pregel_worker_steps_total").Inc()
-		h.obs.Counter("pregel_worker_messages_out_total").Add(msgsOut)
-		h.obs.Histogram("pregel_worker_step_seconds", nil).Observe(time.Duration(reply.BusyNanos).Seconds())
+	var msgsOut int64
+	for k := range out {
+		msgsOut += out[k].MsgsOut
 	}
+	h.obs.Counter("pregel_worker_steps_total").Inc()
+	h.obs.Counter("pregel_worker_messages_out_total").Add(msgsOut)
+	h.obs.Histogram("pregel_worker_step_seconds", nil).Observe(time.Duration(reply.BusyNanos).Seconds())
 	if h.stepHook != nil {
 		h.stepHook(h.stepCount)
 	}
@@ -417,12 +411,7 @@ func (h *Host) Collect(_ struct{}, reply *CollectReply) error {
 // ServeWorker listens on addr and serves the worker service until the
 // listener fails. It returns the bound address through ready (useful
 // with ":0") and blocks.
-func ServeWorker(addr string, ready chan<- string) error {
-	return ServeWorkerOpts(addr, ready, WorkerOptions{})
-}
-
-// ServeWorkerOpts is ServeWorker with worker tuning options.
-func ServeWorkerOpts(addr string, ready chan<- string, opts WorkerOptions) error {
+func ServeWorker(addr string, ready chan<- string, opts WorkerOptions) error {
 	srv := rpc.NewServer()
 	if err := srv.RegisterName(RPCServiceName, &Host{stepHook: opts.StepHook, obs: opts.Obs}); err != nil {
 		return err

@@ -24,6 +24,39 @@ type checkpoint struct {
 	finished bool // taken after FinishRun (Collect-time recovery)
 }
 
+// The master's fault handling on a cluster: each attempt of a call has
+// callTimeout to answer, a call has maxAttempts attempts with an
+// exponential backoff from baseBackoff up to maxBackoff between them,
+// and one master recovers from at most maxRecoveries worker failures.
+const (
+	callTimeout   = 30 * time.Second
+	maxAttempts   = 4
+	baseBackoff   = 50 * time.Millisecond
+	maxBackoff    = 2 * time.Second
+	maxRecoveries = 4
+)
+
+// retryPolicy is one master's fault handling: the constants above on a
+// cluster, and in process (New) a single attempt with no deadline and
+// no recovery. Tests lower it.
+type retryPolicy struct {
+	callTimeout             time.Duration // 0: no deadline
+	attempts                int
+	baseBackoff, maxBackoff time.Duration
+	recoveries              int
+}
+
+// backoff returns the sleep before retry attempt+1 (attempt counts
+// from 1): exponential with half-width jitter, capped at maxBackoff.
+func (p retryPolicy) backoff(attempt int) time.Duration {
+	d := p.baseBackoff
+	for i := 1; i < attempt && d < p.maxBackoff; i++ {
+		d *= 2
+	}
+	half := int64(min(d, p.maxBackoff) / 2)
+	return time.Duration(half + rand.Int63n(half+1))
+}
+
 // Master is the superstep loop: the only code that routes packets,
 // tests quiescence, accumulates Metrics, feeds the "pregel_*" counters
 // and trace rows, honours Cancel and MaxSupersteps, and charges the
@@ -32,6 +65,7 @@ type checkpoint struct {
 // host in its own process holding every partition (New).
 type Master struct {
 	cfg        Config
+	retry      retryPolicy
 	addrs      []string
 	graphPath  string
 	transports []Transport
@@ -39,14 +73,11 @@ type Master struct {
 	p          int   // partitions, split evenly over the transports
 	n          int   // vertices, the default superstep bound's input
 
-	runID      int
-	lastRun    BeginRunArgs
-	ckpt       *checkpoint
-	ckptOff    bool // no Snapshotter, or nothing to lose; recovery impossible
-	recoveries int
+	runID   int
+	lastRun BeginRunArgs
+	ckpt    *checkpoint
+	ckptOff bool // no Snapshotter, or nothing to lose; recovery impossible
 
-	rngMu   sync.Mutex
-	rng     *rand.Rand
 	statsMu sync.Mutex
 
 	// Metrics accumulates across runs.
@@ -64,11 +95,11 @@ func New(g *graph.Digraph, cfg Config) *Master {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	cfg.Retry = RetryPolicy{CallTimeout: -1, MaxAttempts: -1, MaxRecoveries: -1}.normalized()
 	h := &Host{}
 	h.hold(g, 0, cfg.Workers, cfg.Workers)
 	return &Master{
 		cfg:        cfg,
+		retry:      retryPolicy{attempts: 1},
 		transports: []Transport{Direct{h}},
 		host:       h,
 		p:          cfg.Workers,
@@ -77,33 +108,24 @@ func New(g *graph.Digraph, cfg Config) *Master {
 	}
 }
 
-// Workers returns the in-process host's worker set, e.g. for a program
-// driver to read per-worker state after a run. nil on a cluster.
+// Workers returns the worker set of a master New built, e.g. for a
+// program driver to read per-worker state after a run.
 func (m *Master) Workers() []*Worker {
-	if m.host == nil {
-		return nil
-	}
 	return m.host.workers
 }
 
-// DialCluster connects to the worker addresses with default fault
-// handling and initializes each with its partition assignment.
-func DialCluster(addrs []string, graphPath string) (*Master, error) {
-	return DialClusterOpts(addrs, graphPath, Config{})
-}
-
-// DialClusterOpts is DialCluster with explicit configuration.
-func DialClusterOpts(addrs []string, graphPath string, cfg Config) (*Master, error) {
-	cfg.Retry = cfg.Retry.normalized()
+// DialCluster connects to the worker addresses and initializes each
+// with its partition assignment.
+func DialCluster(addrs []string, graphPath string, cfg Config) (*Master, error) {
 	if cfg.Dial == nil {
 		cfg.Dial = DialRPC
 	}
 	m := &Master{
 		cfg:       cfg,
+		retry:     retryPolicy{callTimeout, maxAttempts, baseBackoff, maxBackoff, maxRecoveries},
 		addrs:     append([]string(nil), addrs...),
 		graphPath: graphPath,
 		p:         len(addrs),
-		rng:       rand.New(rand.NewSource(cfg.Retry.JitterSeed)),
 	}
 	for i, addr := range addrs {
 		t, err := cfg.Dial(addr)
@@ -150,8 +172,8 @@ func (m *Master) Close() error {
 // reply must be fresh per attempt: an abandoned (timed-out) call may
 // still write into its reply when the response eventually lands.
 func (m *Master) callOnce(t Transport, method string, args, reply any) error {
-	timeout := m.cfg.Retry.CallTimeout
-	if timeout <= 0 {
+	timeout := m.retry.callTimeout
+	if timeout == 0 {
 		return t.Call(method, args, reply)
 	}
 	done := make(chan error, 1)
@@ -172,7 +194,7 @@ func (m *Master) callOnce(t Transport, method string, args, reply any) error {
 // retries and out-of-sync workers come back as a *workerFailure that
 // the run loop recovers from via checkpoint restore.
 func masterCall[T any](m *Master, i int, method string, args any) (*T, error) {
-	pol := m.cfg.Retry
+	pol := m.retry
 	full := RPCServiceName + "." + method
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -187,20 +209,18 @@ func masterCall[T any](m *Master, i int, method string, args any) (*T, error) {
 			}
 			return nil, err
 		}
-		if attempt >= pol.MaxAttempts {
+		if attempt >= pol.attempts {
 			break
 		}
 		m.statsMu.Lock()
 		m.Metrics.Retries++
 		m.statsMu.Unlock()
 		m.cfg.Obs.Counter("pregel_retries_total").Inc()
-		if d := pol.backoff(attempt, m.rng, &m.rngMu); d > 0 {
-			time.Sleep(d)
-		}
+		time.Sleep(pol.backoff(attempt))
 	}
 	return nil, &workerFailure{
 		workers: []int{i},
-		err:     fmt.Errorf("%s failed after %d attempts: %w: %w", method, pol.MaxAttempts, ErrRetriesExhausted, err),
+		err:     fmt.Errorf("%s failed after %d attempts: %w: %w", method, pol.attempts, ErrRetriesExhausted, err),
 	}
 }
 
@@ -239,7 +259,6 @@ func (m *Master) takeCheckpoint(step int, pending [][][]byte, bcasts [][]byte, f
 	m.Metrics.Checkpoints++
 	m.Metrics.CheckpointBytes += bytes
 	m.Metrics.LastCheckpointStep = step
-	m.Metrics.SimNetTime += m.cfg.Net.CheckpointCost(bytes, m.p)
 	m.cfg.Obs.Counter("pregel_checkpoints_total").Inc()
 	m.cfg.Obs.Counter("pregel_checkpoint_bytes_total").Add(bytes)
 	return nil
@@ -250,25 +269,18 @@ func (m *Master) takeCheckpoint(step int, pending [][][]byte, bcasts [][]byte, f
 // re-BeginRun it, then restore every worker's state to the checkpoint
 // barrier so the superstep loop can rewind and replay.
 func (m *Master) recoverWorkers(failed []int, cause error) error {
-	pol := m.cfg.Retry
-	if m.recoveries >= pol.MaxRecoveries {
-		return fmt.Errorf("pregel: giving up after %d recoveries: %w", m.recoveries, cause)
+	if m.Metrics.Recoveries >= int64(m.retry.recoveries) {
+		return fmt.Errorf("pregel: giving up after %d recoveries: %w", m.Metrics.Recoveries, cause)
 	}
 	if m.ckptOff {
 		return fmt.Errorf("%w (program has no Snapshotter): %v", ErrNoRecovery, cause)
 	}
-	m.recoveries++
 	m.statsMu.Lock()
 	m.Metrics.Recoveries++
 	m.statsMu.Unlock()
 	m.cfg.Obs.Counter("pregel_recoveries_total").Inc()
 
-	redialed := map[int]bool{}
 	for _, i := range failed {
-		if redialed[i] {
-			continue
-		}
-		redialed[i] = true
 		if t := m.transports[i]; t != nil {
 			t.Close()
 		}
@@ -280,10 +292,8 @@ func (m *Master) recoverWorkers(failed []int, cause error) error {
 		if err := m.initWorker(i); err != nil {
 			return fmt.Errorf("pregel: re-initializing worker %d: %w", i, err)
 		}
-		if m.runID != 0 {
-			if _, err := masterCall[struct{}](m, i, "BeginRun", m.lastRun); err != nil {
-				return fmt.Errorf("pregel: re-starting run on worker %d: %w", i, err)
-			}
+		if _, err := masterCall[struct{}](m, i, "BeginRun", m.lastRun); err != nil {
+			return fmt.Errorf("pregel: re-starting run on worker %d: %w", i, err)
 		}
 	}
 
@@ -310,30 +320,23 @@ func (m *Master) recoverWorkers(failed []int, cause error) error {
 // redial re-opens a worker connection with the retry policy's backoff
 // (a restarting worker process needs a moment to rebind its port).
 func (m *Master) redial(addr string) (Transport, error) {
-	pol := m.cfg.Retry
-	var err error
 	for attempt := 1; ; attempt++ {
-		var t Transport
-		t, err = m.cfg.Dial(addr)
+		t, err := m.cfg.Dial(addr)
 		if err == nil {
 			return t, nil
 		}
-		if attempt >= pol.MaxAttempts {
+		if attempt >= m.retry.attempts {
 			return nil, err
 		}
-		if d := pol.backoff(attempt, m.rng, &m.rngMu); d > 0 {
-			time.Sleep(d)
-		}
+		time.Sleep(m.retry.backoff(attempt))
 	}
 }
 
 // Run executes p on the in-process host until quiescence and returns
 // the cost metrics of this run. A Program value cannot cross a process
-// boundary: a cluster runs registered programs by name (RunNamed).
+// boundary: a cluster runs registered programs by name (RunNamed), and
+// its workers refuse a run that names none.
 func (m *Master) Run(p Program) (Metrics, error) {
-	if m.host == nil {
-		return Metrics{}, errors.New("pregel: a cluster runs registered programs by name, not a Program value")
-	}
 	return m.run(BeginRunArgs{prog: p})
 }
 
@@ -356,9 +359,6 @@ func (m *Master) run(args BeginRunArgs) (Metrics, error) {
 	defer func() { m.Metrics.Add(met) }()
 	for {
 		err := m.runAttempt(&met)
-		if err == nil {
-			return met, nil
-		}
 		var wf *workerFailure
 		if !errors.As(err, &wf) {
 			return met, err
@@ -380,14 +380,9 @@ func (m *Master) runAttempt(met *Metrics) error {
 	var bcasts [][]byte
 
 	if ck := m.ckpt; ck != nil && ck.runID == m.runID {
-		if ck.finished {
-			return nil // the run completed before the failure
-		}
-		step = ck.step
-		if ck.pending != nil {
-			pending = ck.pending
-		}
-		bcasts = ck.bcasts
+		// An in-run checkpoint: a finished run's is taken last, so no
+		// attempt of the same run follows it.
+		step, pending, bcasts = ck.step, ck.pending, ck.bcasts
 	} else {
 		for i := range m.transports {
 			if _, err := masterCall[struct{}](m, i, "BeginRun", m.lastRun); err != nil {
@@ -396,7 +391,7 @@ func (m *Master) runAttempt(met *Metrics) error {
 		}
 		// Barrier-0 snapshot: captures state carried over from earlier
 		// runs so any in-run failure can rewind at least to here.
-		if err := m.takeCheckpoint(0, nil, nil, false); err != nil {
+		if err := m.takeCheckpoint(0, pending, nil, false); err != nil {
 			return err
 		}
 	}
@@ -432,19 +427,15 @@ func (m *Master) runAttempt(met *Metrics) error {
 		preRetries := m.Metrics.Retries
 		m.statsMu.Unlock()
 		start := time.Now()
-		if len(m.transports) == 1 {
-			stepOn(0)
-		} else {
-			var wg sync.WaitGroup
-			for i := range m.transports {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					stepOn(i)
-				}(i)
-			}
-			wg.Wait()
+		var wg sync.WaitGroup
+		for i := range m.transports {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				stepOn(i)
+			}(i)
 		}
+		wg.Wait()
 		if err := mergeFailures(errs); err != nil {
 			return err
 		}
@@ -453,10 +444,7 @@ func (m *Master) runAttempt(met *Metrics) error {
 		// the slowest worker's PreStep and Superstep; everything else the
 		// step took outside its hosts' busy time — encode, transfer,
 		// routing, decode — is communication.
-		row := obs.StepTrace{Run: m.runID, Step: step}
-		if trace != nil {
-			row.Workers = make([]obs.WorkerStep, 0, p)
-		}
+		row := obs.StepTrace{Run: m.runID, Step: step, Workers: make([]obs.WorkerStep, 0, p)}
 		var busy int64
 		delivered := false
 		next := make([][][]byte, p)
@@ -470,11 +458,9 @@ func (m *Master) runAttempt(met *Metrics) error {
 				if w.Active {
 					row.ActiveWorkers++
 				}
-				if trace != nil {
-					row.Workers = append(row.Workers, obs.WorkerStep{
-						Worker: i, ComputeNanos: w.ComputeNanos, Active: w.Active, MsgsIn: w.MsgsIn,
-					})
-				}
+				row.Workers = append(row.Workers, obs.WorkerStep{
+					Worker: i, ComputeNanos: w.ComputeNanos, Active: w.Active, MsgsIn: w.MsgsIn,
+				})
 				for dst, buf := range w.Out {
 					if len(buf) == 0 {
 						continue
@@ -516,9 +502,7 @@ func (m *Master) runAttempt(met *Metrics) error {
 		cBcastBytes.Add(row.BcastBytes)
 		row.WallNanos = row.ComputeNanos + comm.Nanoseconds()
 		hStep.Observe(time.Duration(row.WallNanos).Seconds())
-		if trace != nil {
-			trace.Record(row)
-		}
+		trace.Record(row)
 
 		if !delivered && len(bcasts) == 0 && row.ActiveWorkers == 0 {
 			break
@@ -570,9 +554,6 @@ func (m *Master) collectAttempt() ([][]byte, error) {
 }
 
 func canceled(c <-chan struct{}) bool {
-	if c == nil {
-		return false
-	}
 	select {
 	case <-c:
 		return true

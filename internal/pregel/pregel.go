@@ -45,16 +45,15 @@ type Msg struct {
 	Val2 int32
 }
 
-// Config configures the superstep loop. New reads Workers; the
-// DialCluster constructors take the worker count from their address
-// list and read Retry, CheckpointEvery and Dial. The rest applies
-// to both.
+// Config configures the superstep loop. New reads Workers and Net;
+// DialCluster takes the worker count from its address list and reads
+// CheckpointEvery and Dial. The rest applies to both.
 type Config struct {
 	// Workers is the number of computation nodes P of an in-process
 	// run (default 1).
 	Workers int
-	// Net is the simulated interconnect (zero value = free network),
-	// charged per superstep exchange and per checkpoint.
+	// Net is the simulated interconnect of an in-process run (zero
+	// value = free network), charged per superstep exchange.
 	Net netsim.Model
 	// Cancel aborts the run at the next superstep boundary when closed.
 	Cancel <-chan struct{}
@@ -68,9 +67,6 @@ type Config struct {
 	// zero cost.
 	Obs *obs.Registry
 
-	// Retry bounds per-call deadlines and retries (zero value: use
-	// DefaultRetryPolicy).
-	Retry RetryPolicy
 	// CheckpointEvery snapshots worker state every k supersteps in
 	// addition to the run-boundary checkpoints a cluster master always
 	// takes. 0 means run-boundary checkpoints only.
@@ -205,8 +201,10 @@ func (m *Metrics) TotalComm() time.Duration { return m.CommTime + m.SimNetTime }
 // Total returns the full modeled index time.
 func (m *Metrics) Total() time.Duration { return m.ComputeTime + m.CommTime + m.SimNetTime }
 
-// Add accumulates other into m (used when an algorithm performs
-// several runs on several masters, e.g. BFL^D's three phases).
+// Add accumulates other's cost counters into m (used when an algorithm
+// performs several runs on several masters, e.g. BFL^D's three phases).
+// The fault-handling counters are not summed: a master keeps them in
+// its own Metrics, and a run's cost carries none.
 func (m *Metrics) Add(other Metrics) {
 	m.Supersteps += other.Supersteps
 	m.ComputeTime += other.ComputeTime
@@ -216,11 +214,4 @@ func (m *Metrics) Add(other Metrics) {
 	m.BytesLocal += other.BytesLocal
 	m.BytesRemote += other.BytesRemote
 	m.BcastBytes += other.BcastBytes
-	m.Retries += other.Retries
-	m.Recoveries += other.Recoveries
-	m.Checkpoints += other.Checkpoints
-	m.CheckpointBytes += other.CheckpointBytes
-	if other.Checkpoints > 0 {
-		m.LastCheckpointStep = other.LastCheckpointStep
-	}
 }

@@ -2,6 +2,7 @@ package pregel
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -109,8 +110,8 @@ func TestMetricsAccounting(t *testing.T) {
 	if met.SimNetTime == 0 {
 		t.Error("commodity model should charge simulated time")
 	}
-	if met.Total() < met.TotalComm() {
-		t.Error("Total must include communication")
+	if met.Total() < met.TotalComm() || met.TotalComm() != met.CommTime+met.SimNetTime {
+		t.Error("TotalComm must be measured plus simulated communication, and Total must include it")
 	}
 	// One worker: everything is local and the network is free.
 	e1 := New(g, Config{Workers: 1, Net: netsim.Commodity()})
@@ -164,11 +165,17 @@ func TestBroadcastReachesEveryWorker(t *testing.T) {
 	}
 }
 
-// errProgram fails on a chosen step.
-type errProgram struct{ failStep int }
+// errProgram fails on a chosen step, with err or else "boom".
+type errProgram struct {
+	failStep int
+	err      error
+}
 
 func (p *errProgram) Superstep(w *Worker, step int) (bool, error) {
 	if step == p.failStep && w.ID == 0 {
+		if p.err != nil {
+			return false, p.err
+		}
 		return false, errors.New("boom")
 	}
 	w.OwnedVertices(func(v graph.VertexID) {
@@ -187,6 +194,11 @@ func TestProgramErrorPropagates(t *testing.T) {
 	e := New(ring(6), Config{Workers: 2})
 	if _, err := e.Run(&errProgram{failStep: 1}); err == nil || err.Error() != "boom" {
 		t.Fatalf("want boom, got %v", err)
+	}
+	// A program's own error stays recognizable through the host.
+	e = New(ring(6), Config{Workers: 2})
+	if _, err := e.Run(&errProgram{failStep: 1, err: ErrCanceled}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 }
 
@@ -212,8 +224,12 @@ func (p *spinProgram) Finish(w *Worker) error { return nil }
 
 func TestMaxSuperstepsGuard(t *testing.T) {
 	e := New(ring(4), Config{Workers: 1, MaxSupersteps: 10})
-	if _, err := e.Run(&spinProgram{}); err == nil {
-		t.Fatal("expected non-quiescence error")
+	met, err := e.Run(&spinProgram{})
+	if err == nil || !strings.Contains(err.Error(), "after 10 supersteps") {
+		t.Fatalf("got %v, want the non-quiescence error naming the bound", err)
+	}
+	if met.Supersteps != 11 {
+		t.Errorf("%d supersteps ran, want supersteps 0 through 10", met.Supersteps)
 	}
 }
 
@@ -268,6 +284,9 @@ func TestMsgCodecRoundTrip(t *testing.T) {
 }
 
 func TestOwnership(t *testing.T) {
+	if n := len(New(ring(10), Config{}).Workers()); n != 1 {
+		t.Errorf("a zero Config.Workers runs %d workers, want 1", n)
+	}
 	e := New(ring(10), Config{Workers: 3})
 	seen := map[graph.VertexID]int{}
 	for _, w := range e.Workers() {

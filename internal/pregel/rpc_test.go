@@ -1,10 +1,12 @@
 package pregel
 
 import (
+	"net"
 	"net/rpc"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -27,7 +29,7 @@ func startWorker(t *testing.T) string {
 	t.Helper()
 	ready := make(chan string, 1)
 	go func() {
-		if err := ServeWorker("127.0.0.1:0", ready); err != nil {
+		if err := ServeWorker("127.0.0.1:0", ready, WorkerOptions{}); err != nil {
 			t.Log(err)
 		}
 	}()
@@ -73,9 +75,12 @@ func TestRPCProtocolErrors(t *testing.T) {
 		t.Error("Init with a bad path should fail")
 	}
 
-	// Proper init, then an unregistered program.
+	// Proper init, a step before any run, then an unregistered program.
 	if err := c.Call(RPCServiceName+".Init", InitArgs{WorkerID: 0, NumWorkers: 1, GraphPath: graphFile(t)}, &InitReply{}); err != nil {
 		t.Fatal(err)
+	}
+	if err := c.Call(RPCServiceName+".Step", StepArgs{Packets: make([][][]byte, 1)}, &sr); err == nil {
+		t.Error("Step after Init, before BeginRun, should fail")
 	}
 	err = c.Call(RPCServiceName+".BeginRun", BeginRunArgs{Program: "does-not-exist"}, &struct{}{})
 	if err == nil || !strings.Contains(err.Error(), "registered") {
@@ -85,7 +90,7 @@ func TestRPCProtocolErrors(t *testing.T) {
 
 func TestRPCMasterFlow(t *testing.T) {
 	addrs := []string{startWorker(t), startWorker(t)}
-	m, err := DialCluster(addrs, graphFile(t))
+	m, err := DialCluster(addrs, graphFile(t), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +111,42 @@ func TestRPCMasterFlow(t *testing.T) {
 }
 
 func TestDialClusterBadAddress(t *testing.T) {
-	if _, err := DialCluster([]string{"127.0.0.1:1"}, "x"); err == nil {
+	if _, err := DialCluster([]string{"127.0.0.1:1"}, "x", Config{}); err == nil {
 		t.Error("dialing a closed port should fail")
+	}
+}
+
+// TestServeWorker: a worker that cannot listen says so, and one given
+// no ready channel serves all the same.
+func TestServeWorker(t *testing.T) {
+	if err := ServeWorker("256.0.0.1:0", nil, WorkerOptions{}); err == nil {
+		t.Error("listening on an address that is not one should fail")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	go func() {
+		if err := ServeWorker(addr, nil, WorkerOptions{}); err != nil {
+			t.Log(err)
+		}
+	}()
+	var c *rpc.Client
+	for deadline := time.Now().Add(5 * time.Second); c == nil; time.Sleep(10 * time.Millisecond) {
+		if c, err = rpc.Dial("tcp", addr); err != nil && time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+	}
+	defer c.Close()
+	call := c.Go(RPCServiceName+".Init", InitArgs{GraphPath: "/nonexistent"}, &InitReply{}, nil)
+	select {
+	case <-call.Done:
+		if call.Error == nil {
+			t.Error("Init with a bad path should fail")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a worker started without a ready channel does not answer")
 	}
 }

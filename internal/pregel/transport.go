@@ -3,11 +3,8 @@ package pregel
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/rpc"
 	"strings"
-	"sync"
-	"time"
 )
 
 // Transport abstracts one master↔host connection so the retry,
@@ -101,104 +98,16 @@ func isOutOfSync(err error) bool {
 	return err != nil && strings.Contains(err.Error(), outOfSyncMsg)
 }
 
-// isTransient reports whether err is worth retrying on the same
-// connection: timeouts, dropped or injected failures, and transport
-// breakage. Errors produced by the host's handler arrive as
+// isTransient reports whether a call's error is worth retrying on the
+// same connection: timeouts, dropped or injected failures, and
+// transport breakage. Errors produced by the host's handler arrive as
 // rpc.ServerError (or handlerError over Direct) and are permanent —
 // they signify a program or protocol bug, not network weather
 // (out-of-sync errors are handled separately via recovery).
 func isTransient(err error) bool {
-	if err == nil {
-		return false
-	}
 	var se rpc.ServerError
 	var he handlerError
 	return !errors.As(err, &se) && !errors.As(err, &he)
-}
-
-// RetryPolicy bounds the master's per-call fault handling. The zero
-// value means "use DefaultRetryPolicy"; set a field negative to
-// disable that mechanism explicitly.
-type RetryPolicy struct {
-	// CallTimeout is the per-attempt deadline. 0 picks the default;
-	// negative disables deadlines.
-	CallTimeout time.Duration
-	// MaxAttempts is the total number of tries per call (first attempt
-	// included). 0 picks the default; negative means a single attempt.
-	MaxAttempts int
-	// BaseBackoff is the backoff before the second attempt; it doubles
-	// per attempt (with jitter) up to MaxBackoff.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// JitterSeed seeds the deterministic backoff jitter (tests).
-	JitterSeed int64
-	// MaxRecoveries bounds re-dial + checkpoint-restore cycles per
-	// master. 0 picks the default; negative disables recovery.
-	MaxRecoveries int
-}
-
-// DefaultRetryPolicy returns the production defaults: 30 s per call,
-// 4 attempts with 50 ms–2 s exponential backoff, 4 recoveries.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		CallTimeout:   30 * time.Second,
-		MaxAttempts:   4,
-		BaseBackoff:   50 * time.Millisecond,
-		MaxBackoff:    2 * time.Second,
-		MaxRecoveries: 4,
-	}
-}
-
-// normalized resolves the zero-value-means-default convention.
-func (p RetryPolicy) normalized() RetryPolicy {
-	def := DefaultRetryPolicy()
-	if p.CallTimeout == 0 {
-		p.CallTimeout = def.CallTimeout
-	} else if p.CallTimeout < 0 {
-		p.CallTimeout = 0
-	}
-	if p.MaxAttempts == 0 {
-		p.MaxAttempts = def.MaxAttempts
-	} else if p.MaxAttempts < 0 {
-		p.MaxAttempts = 1
-	}
-	if p.BaseBackoff == 0 {
-		p.BaseBackoff = def.BaseBackoff
-	} else if p.BaseBackoff < 0 {
-		p.BaseBackoff = 0
-	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = def.MaxBackoff
-	}
-	if p.MaxRecoveries == 0 {
-		p.MaxRecoveries = def.MaxRecoveries
-	} else if p.MaxRecoveries < 0 {
-		p.MaxRecoveries = 0
-	}
-	return p
-}
-
-// backoff returns the sleep before retry attempt+1 (attempt counts
-// from 1): exponential with half-width jitter, capped at MaxBackoff.
-func (p RetryPolicy) backoff(attempt int, rng *rand.Rand, mu *sync.Mutex) time.Duration {
-	if p.BaseBackoff <= 0 {
-		return 0
-	}
-	d := p.BaseBackoff
-	for i := 1; i < attempt && d < p.MaxBackoff; i++ {
-		d *= 2
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	half := int64(d / 2)
-	if half <= 0 {
-		return d
-	}
-	mu.Lock()
-	j := rng.Int63n(half + 1)
-	mu.Unlock()
-	return time.Duration(half + j)
 }
 
 // workerFailure marks an error as recoverable by re-dialing the named

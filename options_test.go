@@ -35,7 +35,8 @@ func startTestWorkers(t *testing.T, n int) []string {
 
 // TestClusterBuildOptions: a cluster build's file is the in-process
 // build's, byte for byte, and the cluster refuses the option it cannot
-// honour by name instead of building something else.
+// honour, a graph its master cannot read and a worker it cannot reach
+// with an error instead of building something else.
 func TestClusterBuildOptions(t *testing.T) {
 	g, err := GenerateGraph("web", 400, 3, 6)
 	if err != nil {
@@ -58,7 +59,7 @@ func TestClusterBuildOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cluster, err := BuildOverCluster(startTestWorkers(t, 2), path, opts)
+		cluster, err := BuildOverCluster(startTestWorkers(t, 2), path, opts, ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +71,15 @@ func TestClusterBuildOptions(t *testing.T) {
 				method, l.Supersteps, l.Messages, l.BytesRemote, c.Supersteps, c.Messages, c.BytesRemote)
 		}
 	}
-	if _, err := BuildOverCluster(nil, path, Options{LabelBudget: 8}); err == nil || !strings.Contains(err.Error(), "LabelBudget") {
+	if _, err := BuildOverCluster(nil, path, Options{LabelBudget: 8}, ClusterOptions{}); err == nil || !strings.Contains(err.Error(), "LabelBudget") {
 		t.Errorf("Options.LabelBudget over a cluster: got %v, want a refusal naming it", err)
+	}
+	missing := filepath.Join(t.TempDir(), "missing.bin")
+	if _, err := BuildOverCluster(nil, missing, Options{}, ClusterOptions{}); err == nil || !strings.Contains(err.Error(), "missing.bin") {
+		t.Errorf("a graph the master cannot read: got %v, want an error naming it", err)
+	}
+	if x, err := BuildOverCluster([]string{"127.0.0.1:1"}, path, Options{}, ClusterOptions{}); err == nil {
+		t.Errorf("a worker nobody listens for: got an index (%v), want the dial's error", x != nil)
 	}
 }
 

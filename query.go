@@ -64,20 +64,21 @@ func (x *Index) outNeighbors(v VertexID) []VertexID {
 // errors are ErrNoGraph and an attached graph that contradicts the
 // index (reachable by labels, no path by edges).
 func (x *Index) WitnessPath(s, t VertexID) ([]VertexID, error) {
-	return x.witnessPath(context.Background(), s, t)
-}
-
-// witnessPath is WitnessPath under a request's context, which the
-// guided BFS polls: cancelled, it ends the search with ctx's error.
-func (x *Index) witnessPath(ctx context.Context, s, t VertexID) ([]VertexID, error) {
 	if x.g == nil {
 		return nil, ErrNoGraph
 	}
+	if s != t && !x.Reachable(s, t) {
+		return nil, nil
+	}
+	return x.walkPath(context.Background(), s, t)
+}
+
+// walkPath is WitnessPath's guided BFS for a pair the caller has
+// found reachable, on an index with a graph attached. It polls ctx:
+// cancelled, it ends the search with ctx's error.
+func (x *Index) walkPath(ctx context.Context, s, t VertexID) ([]VertexID, error) {
 	if s == t {
 		return []VertexID{s}, nil
-	}
-	if !x.Reachable(s, t) {
-		return nil, nil
 	}
 	// A vertex whose label test fails is cut: marked like any other, so
 	// never re-tested from another parent, and never expanded.

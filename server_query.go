@@ -35,16 +35,17 @@ func (h *QueryHandler) reachPath(api *httpapi.Handle, w http.ResponseWriter, r *
 	}
 	h.pairsTotal.Inc()
 	resp := httpapi.PathResponse{S: s, T: t, Reachable: h.resolveOne(st, s, t)}
-	// An unreachable pair has no path, which witnessPath answers from
-	// the labels without walking an edge.
-	var err error
-	if resp.Path, err = st.idx.witnessPath(r.Context(), s, t); err != nil {
-		if r.Context().Err() != nil {
-			api.Canceled()
-		} else {
-			api.Fail(w, err.Error(), http.StatusInternalServerError)
+	// An unreachable pair has no path: only a reachable one walks edges.
+	if resp.Reachable {
+		var err error
+		if resp.Path, err = st.idx.walkPath(r.Context(), s, t); err != nil {
+			if r.Context().Err() != nil {
+				api.Canceled()
+			} else {
+				api.Fail(w, err.Error(), http.StatusInternalServerError)
+			}
+			return
 		}
-		return
 	}
 	h.pathHist.Observe(time.Since(start).Seconds())
 	setEpoch(w, st)

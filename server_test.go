@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/httpapi"
@@ -145,11 +144,6 @@ func TestStatsExposeFaultCounters(t *testing.T) {
 	addrs := startTestWorkers(t, 2)
 	seed := int64(0)
 	copt := ClusterOptions{
-		Retry: RetryPolicy{
-			MaxAttempts: 8,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  5 * time.Millisecond,
-		},
 		CheckpointEvery: 2,
 		Dial: func(addr string) (pregel.Transport, error) {
 			inner, err := pregel.DialRPC(addr)
@@ -160,7 +154,7 @@ func TestStatsExposeFaultCounters(t *testing.T) {
 			return pregel.NewFaultTransport(inner, pregel.FaultPlan{Seed: seed, DropProb: 0.25}), nil
 		},
 	}
-	idx, err := BuildOverClusterOpts(addrs, path, Options{}, copt)
+	idx, err := BuildOverCluster(addrs, path, Options{}, copt)
 	if err != nil {
 		t.Fatal(err)
 	}
