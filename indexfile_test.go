@@ -16,15 +16,16 @@ import (
 	"repro/internal/order"
 )
 
-// sections returns how an index file's bytes divide.
+// sections returns how an index file's bytes divide; its 4-byte
+// checksum is in no section.
 func sections(t *testing.T, file []byte) label.Sections {
 	t.Helper()
 	s, err := label.ReadSections(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total := s.Head + s.Perm + s.In + s.Out; total != int64(len(file)) {
-		t.Fatalf("the sections of a %d-byte file add up to %d", len(file), total)
+	if total := s.Head + s.Perm + s.In + s.Out; total+4 != int64(len(file)) {
+		t.Fatalf("the sections of a %d-byte file add up to %d, and its checksum to 4 more", len(file), total)
 	}
 	return s
 }
@@ -197,7 +198,7 @@ func TestIndexFileSizeGolden(t *testing.T) {
 	}
 	const entries = 594803
 	want := label.Sections{Head: 48, Perm: 15765, In: 14734, Out: 182094}
-	const sum = "f07263eb278485b83979e5bd83c9be07c2b8e131aeda0d72febd291be7bde364"
+	const size, sum = 212645, "3a8f8fd9b8502b97fefb4b2066ba427f328b4d41b6380ba52aeb53719e852f4b"
 	if got := idx.Stats().Entries; got != entries {
 		t.Errorf("%d label entries, want %d", got, entries)
 	}
@@ -206,8 +207,8 @@ func TestIndexFileSizeGolden(t *testing.T) {
 		t.Errorf("index file sections %+v (%d bytes; labels %d and %d with every list alone, %d byte-aligned), want %+v",
 			got, file.Len(), in, out, byteAlignedLabels(idx.idx), want)
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(file.Bytes())); got != sum {
-		t.Errorf("index file sha256 %s, want %s", got, sum)
+	if got := fmt.Sprintf("%x", sha256.Sum256(file.Bytes())); file.Len() != size || got != sum {
+		t.Errorf("index file of %d bytes with sha256 %s, want %d bytes with %s", file.Len(), got, size, sum)
 	}
 	back, err := ReadIndex(bytes.NewReader(file.Bytes()))
 	if err != nil {
@@ -239,5 +240,41 @@ func TestIndexResidentBytesGolden(t *testing.T) {
 	st := idx.Stats()
 	if st.Entries != entries || st.Resident != resident {
 		t.Errorf("%d label entries in %d resident bytes, want %d in %d", st.Entries, st.Resident, entries, resident)
+	}
+}
+
+// TestIndexFileBitFlips flips every bit of two files, one bit at a time:
+// a citation index of 500 vertices and a capped index of 60 that names
+// its graph. Every flip must be refused — by the decoder or, where the
+// damaged bytes still decode, by the checksum. Without the checksum a
+// quarter of these flips read back, without error, as another index.
+func TestIndexFileBitFlips(t *testing.T) {
+	for _, c := range []struct{ n, budget int }{{500, 0}, {60, 2}} {
+		g, err := GenerateGraph("citation", c.n, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := Build(context.Background(), g, Options{LabelBudget: c.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in, out := idx.Stats().OverflowedIn, idx.Stats().OverflowedOut; c.budget > 0 && in+out == 0 {
+			t.Fatalf("n=%d: the budget of %d caps no list", c.n, c.budget)
+		}
+		var file bytes.Buffer
+		if _, err := idx.WriteTo(&file); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := label.ReadWith(bytes.NewReader(file.Bytes())); err != nil {
+			t.Fatalf("n=%d: %v", c.n, err)
+		}
+		bad := file.Bytes()
+		for bit := range 8 * len(bad) {
+			bad[bit/8] ^= 1 << (bit % 8)
+			if _, _, err := label.ReadWith(bytes.NewReader(bad)); err == nil {
+				t.Errorf("n=%d: the flip of bit %d of byte %d of %d is read", c.n, bit%8, bit/8, len(bad))
+			}
+			bad[bit/8] ^= 1 << (bit % 8)
+		}
 	}
 }
