@@ -93,7 +93,12 @@ var boundaryFlips = map[token.Token]token.Token{
 //   - "body→zero": a function's non-empty body returns the zero
 //     values of its results — `{ return *new(T1), … }` when they are
 //     unnamed, a bare `return` when they are named, `{}` when there
-//     are none — so a function no test needs survives.
+//     are none — so a function no test needs survives;
+//   - "index+1" and "index-1": the index of an index expression, one
+//     more and one less (a generic instantiation parses the same way
+//     and is uncompilable);
+//   - "drop": a continue or break statement, or a return whose last
+//     result is err, becomes a comment.
 func mutants(name string, src []byte) ([]mutant, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "", src, parser.SkipObjectResolution)
@@ -155,6 +160,19 @@ func mutants(name string, src []byte) ([]mutant, error) {
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Inverse" && len(n.Args) == 0 {
 				add("inverse", n.Pos(), n.End(), text(sel.X))
+			}
+		case *ast.IndexExpr:
+			add("index+1", n.Index.Pos(), n.Index.End(), text(n.Index)+"+1")
+			add("index-1", n.Index.Pos(), n.Index.End(), text(n.Index)+"-1")
+		case *ast.BranchStmt:
+			if n.Tok == token.CONTINUE || n.Tok == token.BREAK {
+				add("drop", n.Pos(), n.End(), "/* dropped */")
+			}
+		case *ast.ReturnStmt:
+			if k := len(n.Results); k > 0 {
+				if id, ok := n.Results[k-1].(*ast.Ident); ok && id.Name == "err" {
+					add("drop", n.Pos(), n.End(), "/* dropped */")
+				}
 			}
 		}
 		return true
@@ -315,8 +333,8 @@ func killedBy(dir, bin string, known, flags []string) (string, bool) {
 
 // TestMutantsFixture pins the enumeration on a fixture file, without
 // running anything: every operator fires where it should and nowhere
-// else (declarations, an if with an init clause, an empty body), in
-// source order.
+// else (declarations, an if with an init clause, an empty body, a
+// return whose last result is not err), in source order.
 func TestMutantsFixture(t *testing.T) {
 	const file = "testdata/src/mutate/mutate.go"
 	src, err := os.ReadFile(file)
@@ -333,12 +351,15 @@ func TestMutantsFixture(t *testing.T) {
 		file + ":17:5 if→false: fwd && x.outFull[v] → false",
 		file + ":17:5 if→true: fwd && x.outFull[v] → true",
 		file + ":17:14 swap: outFull → inFull",
+		file + ":17:22 index+1: v → v+1",
+		file + ":17:22 index-1: v → v-1",
 		file + ":18:10 swap: kindFwd → kindBwd",
 		file + ":23:16 boundary: < → <=",
 		file + ":24:6 if→false: i >= len(x.inFull) → false",
 		file + ":24:6 if→true: i >= len(x.inFull) → true",
 		file + ":24:8 boundary: >= → >",
 		file + ":24:17 swap: inFull → outFull",
+		file + ":25:4 drop: break → /* dropped */",
 		file + ":28:9 swap: kindBwd → kindFwd",
 		file + ":31:25 body→zero: check {…} → { return *new(error) }",
 		file + ":33:35 body→zero: walk {…} → { return *new(*graph) }",
@@ -349,6 +370,16 @@ func TestMutantsFixture(t *testing.T) {
 		file + ":40:22 body→zero: reset {…} → {}",
 		file + ":42:32 body→zero: split {…} → { return }",
 		file + ":44:45 body→zero: pair {…} → { return *new(*index), *new(error) }",
+		file + ":48:35 body→zero: first {…} → { return *new(int), *new(error) }",
+		file + ":50:6 if→false: v < 0 → false",
+		file + ":50:6 if→true: v < 0 → true",
+		file + ":50:8 boundary: < → <=",
+		file + ":51:4 drop: continue → /* dropped */",
+		file + ":54:6 if→false: err != nil → false",
+		file + ":54:6 if→true: err != nil → true",
+		file + ":55:4 drop: return 0, err → /* dropped */",
+		file + ":57:13 index+1: v&1 → v&1+1",
+		file + ":57:13 index-1: v&1 → v&1-1",
 	}
 	var got []string
 	for _, m := range ms {

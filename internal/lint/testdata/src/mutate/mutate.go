@@ -44,3 +44,17 @@ func split(v int) (lo, hi int) { return v / 2, v - v/2 }
 func (x *index) pair(v int) (*index, error) { return x, check(v) }
 
 func noop() {} // an empty body: not mutated
+
+func first(vs []int) (int, error) {
+	for _, v := range vs {
+		if v < 0 {
+			continue
+		}
+		err := check(v)
+		if err != nil {
+			return 0, err
+		}
+		return vs[v&1], nil
+	}
+	return 0, nil // its last result is not err: not dropped
+}
