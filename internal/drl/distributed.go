@@ -165,9 +165,13 @@ type batchProgram struct {
 }
 
 // PreStep applies the broadcasts of the previous step to the shared
-// replica: label shares and visit events.
+// replica: label shares and visit events. Step 0 starts it empty, as
+// a restore at the run's boundary brings back the last batch's.
 func (p *batchProgram) PreStep(workers []*pregel.Worker, step int) error {
 	s := p.shared
+	if step == 0 {
+		s.src, s.ibfs = newDirLists(), newDirLists()
+	}
 	return eachBroadcast(workers, func(tag uint8, payload []byte) error {
 		switch tag {
 		case blobLabels:

@@ -114,11 +114,11 @@ func (p *batchProgram) EncodeState(w *pregel.Worker) ([]byte, error) {
 	return blob, nil
 }
 
-// DecodeState restores the blob. A run-boundary restore (sameRun
-// false — the blob is the previous batch's post-finish snapshot onto
-// this batch's fresh program) applies only the accumulated labels and
-// leaves the per-run state empty, exactly as a fresh BeginRun would.
-func (p *batchProgram) DecodeState(w *pregel.Worker, blob []byte, sameRun bool) error {
+// DecodeState restores the blob. At a run boundary the blob is the
+// previous batch's post-finish snapshot, restored onto this batch's
+// fresh program: its visit status and replicas come back with the
+// labels, and step 0 (Superstep, PreStep) replaces them.
+func (p *batchProgram) DecodeState(w *pregel.Worker, blob []byte) error {
 	if len(blob) < 2 {
 		return fmt.Errorf("drl: state blob too short")
 	}
@@ -139,16 +139,14 @@ func (p *batchProgram) DecodeState(w *pregel.Worker, blob []byte, sameRun bool) 
 		}
 	}
 	read(&local.lab)
-	if sameRun {
-		if err == nil {
-			local.seen, blob, err = readSeen(blob)
-		}
-		read(&local.list)
-		read(&p.shared.src)
-		read(&p.shared.ibfs)
-		if err == nil && len(blob) != 0 {
-			err = fmt.Errorf("%d trailing bytes", len(blob))
-		}
+	if err == nil {
+		local.seen, blob, err = readSeen(blob)
+	}
+	read(&local.list)
+	read(&p.shared.src)
+	read(&p.shared.ibfs)
+	if err == nil && len(blob) != 0 {
+		err = fmt.Errorf("%d trailing bytes", len(blob))
 	}
 	if err != nil {
 		return fmt.Errorf("drl: worker %d's checkpoint: %w", w.ID, err)

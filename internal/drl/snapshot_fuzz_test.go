@@ -95,7 +95,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 
 		p2 := &batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}
 		w2 := &pregel.Worker{}
-		if err := p2.DecodeState(w2, blob, true); err != nil {
+		if err := p2.DecodeState(w2, blob); err != nil {
 			t.Fatalf("DecodeState: %v", err)
 		}
 		blob2, err := p2.EncodeState(w2)
@@ -119,7 +119,7 @@ func FuzzSnapshotDecodeArbitrary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		p := &batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}
 		w := &pregel.Worker{}
-		if err := p.DecodeState(w, blob, true); err != nil {
+		if err := p.DecodeState(w, blob); err != nil {
 			return // rejected cleanly
 		}
 		re, err := p.EncodeState(w)
@@ -128,7 +128,7 @@ func FuzzSnapshotDecodeArbitrary(f *testing.F) {
 		}
 		p2 := &batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}
 		w2 := &pregel.Worker{}
-		if err := p2.DecodeState(w2, re, true); err != nil {
+		if err := p2.DecodeState(w2, re); err != nil {
 			t.Fatalf("decoder rejected its own re-encoding: %v", err)
 		}
 		re2, err := p2.EncodeState(w2)

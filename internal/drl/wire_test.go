@@ -258,7 +258,7 @@ func TestPairMapRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: accepted as %v", row.name, m)
 		}
 		err := (&batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}).DecodeState(
-			&pregel.Worker{ID: 2}, append([]byte{snapVersion, 1}, section...), true)
+			&pregel.Worker{ID: 2}, append([]byte{snapVersion, 1}, section...))
 		if err == nil || !strings.Contains(err.Error(), "worker 2") || !strings.Contains(err.Error(), "state record") {
 			t.Errorf("%s in a checkpoint: want an error naming worker 2 and the record, got %v", row.name, err)
 		}
@@ -290,7 +290,7 @@ func TestPairMapRejectsCorrupt(t *testing.T) {
 		{[]byte{snapVersion, 0}, true},
 	} {
 		w := &pregel.Worker{ID: 2, State: "stale"}
-		err := (&batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}).DecodeState(w, row.blob, true)
+		err := (&batchProgram{shared: newBatchShared(nil, dirGraphs{}, Span{}, nil)}).DecodeState(w, row.blob)
 		if (err == nil) != row.ok || row.ok && w.State == "stale" {
 			t.Errorf("checkpoint %v: error %v, state %v", row.blob, err, w.State)
 		}

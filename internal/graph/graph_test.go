@@ -497,3 +497,49 @@ func assertSameGraph(t *testing.T, a, b *Digraph) {
 		}
 	}
 }
+
+// TransitiveClosureSize counts Σ_v |DES(v)| with one BFS per vertex.
+// It is quadratic and intended only for small analysis runs (Table V
+// style statistics on test graphs).
+func TransitiveClosureSize(g *Digraph) int64 {
+	var total int64
+	n := g.NumVertices()
+	seen := make([]int32, n)
+	for i := range seen {
+		seen[i] = -1
+	}
+	queue := make([]VertexID, 0, 64)
+	for v := VertexID(0); int(v) < n; v++ {
+		queue = queue[:0]
+		queue = append(queue, v)
+		seen[v] = int32(v)
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			total++
+			for _, w := range g.OutNeighbors(u) {
+				if seen[w] != int32(v) {
+					seen[w] = int32(v)
+					queue = append(queue, w)
+				}
+			}
+		}
+	}
+	return total
+}
+
+// IsAcyclic reports whether g contains no directed cycle (self-loops
+// count as cycles).
+func IsAcyclic(g *Digraph) bool {
+	r := SCC(g)
+	if r.LargestComponent() > 1 {
+		return false
+	}
+	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
+		for _, w := range g.OutNeighbors(v) {
+			if w == v {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -114,20 +114,3 @@ func SCC(g *Digraph) *SCCResult {
 	}
 	return &SCCResult{Component: comp, Sizes: sizes}
 }
-
-// IsAcyclic reports whether g contains no directed cycle (self-loops
-// count as cycles).
-func IsAcyclic(g *Digraph) bool {
-	r := SCC(g)
-	if r.LargestComponent() > 1 {
-		return false
-	}
-	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
-		for _, w := range g.OutNeighbors(v) {
-			if w == v {
-				return false
-			}
-		}
-	}
-	return true
-}

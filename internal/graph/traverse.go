@@ -99,32 +99,3 @@ func PostOrder(g *Digraph) []VertexID {
 	}
 	return order
 }
-
-// TransitiveClosureSize counts Σ_v |DES(v)| with one BFS per vertex.
-// It is quadratic and intended only for small analysis runs (Table V
-// style statistics on test graphs).
-func TransitiveClosureSize(g *Digraph) int64 {
-	var total int64
-	n := g.NumVertices()
-	seen := make([]int32, n)
-	for i := range seen {
-		seen[i] = -1
-	}
-	queue := make([]VertexID, 0, 64)
-	for v := VertexID(0); int(v) < n; v++ {
-		queue = queue[:0]
-		queue = append(queue, v)
-		seen[v] = int32(v)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			total++
-			for _, w := range g.OutNeighbors(u) {
-				if seen[w] != int32(v) {
-					seen[w] = int32(v)
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return total
-}

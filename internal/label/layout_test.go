@@ -167,7 +167,7 @@ func TestLongFirstTier(t *testing.T) {
 	in, out := make([][]order.Rank, n), make([][]order.Rank, n)
 	all := span(0, wideFrom, 1)
 	out[n-1] = append(slices.Clone(all), wideFrom, n-1)           // all of tier 1, then tier 2 and its own rank
-	out[n-2] = append(slices.Clone(all[1:]), wideFrom+1)          // 65,535 in tier 1
+	out[n-2] = append(slices.Clone(all[1:]), wideFrom)            // 65,535 in tier 1 and a stored second tier (wideFrom+1 would be its own rank, not stored)
 	out[n-3] = append(slices.Clone(all[:wideFrom-2]), wideFrom+1) // 65,534: one head half-word
 	in[0], in[1], in[2] = []order.Rank{wideFrom - 1}, []order.Rank{wideFrom}, []order.Rank{0, wideFrom + 1}
 	in[3] = []order.Rank{n - 1}

@@ -174,3 +174,36 @@ func TestTraceRing(t *testing.T) {
 		t.Errorf("total = %d, want 10", tr.Total())
 	}
 }
+
+// Quantile estimates the q-quantile (0 <= q <= 1) as the upper bound
+// of the bucket holding it — an over-estimate by at most one bucket
+// width, which is what fixed buckets can promise. Returns 0 with no
+// observations; observations beyond the last bound report the last
+// bound.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h == nil {
+		return 0
+	}
+	total := h.count.Load()
+	if total == 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	target := int64(q*float64(total) + 0.5)
+	if target < 1 {
+		target = 1
+	}
+	var cum int64
+	for i := range h.bounds {
+		cum += h.counts[i].Load()
+		if cum >= target {
+			return h.bounds[i]
+		}
+	}
+	return h.bounds[len(h.bounds)-1]
+}

@@ -28,11 +28,12 @@ type Snapshotter interface {
 	// status, replicated broadcast state).
 	EncodeState(w *Worker) ([]byte, error)
 	// DecodeState rebuilds state from an EncodeState blob, replacing —
-	// not merging with — whatever the program currently holds. When
-	// sameRun is false the blob was taken at a previous run's boundary
-	// and only the persistent section must be applied; the per-run
-	// section is dead and the fresh run's state must stay empty.
-	DecodeState(w *Worker, blob []byte, sameRun bool) error
+	// not merging with — whatever the program currently holds. A blob
+	// taken at a previous run's boundary is restored onto the next
+	// run's fresh program, which then starts again at step 0: its per-run
+	// section comes back too, so step 0 (and PreStep at step 0) must set
+	// the per-run state anew rather than assume it empty.
+	DecodeState(w *Worker, blob []byte) error
 }
 
 // CheckpointReply carries the state snapshots of a host's partitions.
@@ -46,13 +47,12 @@ type CheckpointReply struct {
 
 // RestoreArgs rewinds a host to a checkpointed barrier. Step is the
 // next superstep the master will issue (so the host's dedup cursor
-// becomes Step-1); SameRun distinguishes an in-run rollback from a
-// run-boundary restore onto a fresh program; Finished restores the
-// post-FinishRun state used when recovering during Collect.
+// becomes Step-1), 0 for a restore at a run's boundary; Finished
+// restores the post-FinishRun state used when recovering during
+// Collect.
 type RestoreArgs struct {
 	Blobs    [][]byte
 	Step     int
-	SameRun  bool
 	Finished bool
 }
 
@@ -94,7 +94,7 @@ func (h *Host) Restore(args RestoreArgs, _ *struct{}) error {
 		return fmt.Errorf("pregel: restoring %d partitions onto a host of %d", len(args.Blobs), len(h.workers))
 	}
 	for k, w := range h.workers {
-		if err := snap.DecodeState(w, args.Blobs[k], args.SameRun); err != nil {
+		if err := snap.DecodeState(w, args.Blobs[k]); err != nil {
 			return err
 		}
 	}

@@ -105,13 +105,6 @@ func (t *FaultTransport) Call(serviceMethod string, args any, reply any) error {
 // Close closes the inner transport.
 func (t *FaultTransport) Close() error { return t.inner.Close() }
 
-// Crashed reports whether the crash point has been reached.
-func (t *FaultTransport) Crashed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.crashed
-}
-
 // Stats returns a snapshot of the injected-fault counters.
 func (t *FaultTransport) Stats() FaultStats {
 	t.mu.Lock()

@@ -531,8 +531,8 @@ func (p *snapFlood) EncodeState(w *Worker) ([]byte, error) {
 	return blob, nil
 }
 
-func (p *snapFlood) DecodeState(w *Worker, blob []byte, sameRun bool) error {
-	if len(blob) == 0 || !sameRun {
+func (p *snapFlood) DecodeState(w *Worker, blob []byte) error {
+	if len(blob) == 0 {
 		w.State = nil
 		return nil
 	}
@@ -769,4 +769,11 @@ func TestBackoff(t *testing.T) {
 			t.Errorf("backoff(%d) drew %d pauses alike: no jitter", row.attempt, 20)
 		}
 	}
+}
+
+// Crashed reports whether the crash point has been reached.
+func (t *FaultTransport) Crashed() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.crashed
 }

@@ -303,10 +303,9 @@ func (m *Master) recoverWorkers(failed []int, cause error) error {
 		// BeginRun phase): the re-begun workers are already consistent.
 		return nil
 	}
-	sameRun := ck.runID == m.runID
 	for i := range m.transports {
-		args := RestoreArgs{Blobs: ck.blobs[i], SameRun: sameRun}
-		if sameRun {
+		args := RestoreArgs{Blobs: ck.blobs[i]}
+		if ck.runID == m.runID {
 			args.Step = ck.step
 			args.Finished = ck.finished
 		}

@@ -299,10 +299,6 @@ func (l *Log) recover() error {
 	return nil
 }
 
-// TornBytes reports how many trailing bytes recovery discarded (0 for
-// a cleanly closed log).
-func (l *Log) TornBytes() int64 { return l.torn }
-
 // LastSeq returns the highest assigned sequence number (recovered or
 // written). A written record may not be durable yet; SyncedSeq is the
 // durability frontier.

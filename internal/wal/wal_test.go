@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/graph"
 )
 
@@ -306,7 +308,30 @@ func TestBadOpenRejected(t *testing.T) {
 	if _, err := Open(short); err == nil {
 		t.Fatal("a file shorter than the header accepted as WAL")
 	}
+	// A log whose every read fails, opened through Open's file system
+	// seam: Open reports the read, and leaves the file as it was.
+	if _, err := open(unreadableFS{durable.OS}, badVer); err == nil || !strings.Contains(err.Error(), "reading") {
+		t.Fatalf("a log that cannot be read: err = %v, want the read error", err)
+	}
+	if got, err := os.ReadFile(badVer); err != nil || !bytes.Equal(got, h) {
+		t.Fatalf("the unreadable log changed: %q (%v)", got, err)
+	}
 }
+
+// unreadableFS opens files whose every read fails.
+type unreadableFS struct{ durable.FS }
+
+func (fs unreadableFS) OpenFile(path string, flag int) (durable.File, error) {
+	f, err := fs.FS.OpenFile(path, flag)
+	if err != nil {
+		return nil, err
+	}
+	return unreadableFile{f}, nil
+}
+
+type unreadableFile struct{ durable.File }
+
+func (unreadableFile) Read([]byte) (int, error) { return 0, errors.New("input/output error") }
 
 func TestAppendRejectsBadRecords(t *testing.T) {
 	l, err := Open(tmpLog(t))
@@ -448,3 +473,7 @@ func TestFailedWritePoisonsLog(t *testing.T) {
 		t.Fatalf("recovered %+v, want the %d records acknowledged before the failure %+v", got, len(want), want)
 	}
 }
+
+// TornBytes reports how many trailing bytes recovery discarded (0 for
+// a cleanly closed log).
+func (l *Log) TornBytes() int64 { return l.torn }
