@@ -175,14 +175,15 @@ func TestCondenseSCC(t *testing.T) {
 const condensedFile = "3658444e494c524406000000030000000e0000000000000006000000000000000b0000009b4b91d30f000000000000000b0b0b0205050502050201000403060402b3942a0e09010000000077db0a00060700000000005505"
 
 // TestCondensedIndexRoundTrip: an index file that carries a component
-// table no longer round-trips. Every reader refuses it by name at its
-// header, so the file is rebuilt rather than misread.
+// table no longer round-trips. It is a v6 file, and every reader refuses
+// it at its header's retired magic, so the file is rebuilt rather than
+// misread.
 func TestCondensedIndexRoundTrip(t *testing.T) {
 	file, err := hex.DecodeString(condensedFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "built over an SCC condensation, which is no longer served; rebuild the index"
+	const want = "retired format; rebuild the index"
 	g := NewGraph(11, testEdges())
 	path := filepath.Join(t.TempDir(), "cond.idx")
 	if err := os.WriteFile(path, file, 0o644); err != nil {
@@ -204,8 +205,8 @@ func TestCondensedIndexRoundTrip(t *testing.T) {
 // has both optional parts — the index of the 11-vertex example, capped
 // at one label per list — and the magic of every format before this
 // one, and announces the component table of an index over an SCC
-// condensation, which no build makes any more (TestCondensedIndexRoundTrip
-// reads such a file whole). Each must fail for its own reason.
+// condensation, which no v7 file has (TestCondensedIndexRoundTrip
+// reads a v6 one whole). Each must fail for its own reason.
 func TestReadIndexRejectsGarbage(t *testing.T) {
 	if _, err := ReadIndex(bytes.NewReader([]byte("garbage garbage garbage"))); err == nil {
 		t.Error("expected error for garbage input")
@@ -249,14 +250,15 @@ func TestReadIndexRejectsGarbage(t *testing.T) {
 		file []byte
 		want string
 	}{
-		"the format before this one":    {retired("DRLINDX5"), "rebuild the index"},
+		"the format before this one":    {retired("DRLINDX6"), "rebuild the index"},
+		"the format of one hub a list":  {retired("DRLINDX5"), "rebuild the index"},
 		"the format of lists alone":     {retired("DRLINDX4"), "rebuild the index"},
 		"the byte-aligned format":       {retired("DRLINDX3"), "rebuild the index"},
 		"the one before that":           {retired("DRLINDX2"), "rebuild the index"},
 		"its envelope":                  {retired("RLIXNVE2"), "rebuild the index"},
 		"the fixed-width format":        {retired("DRLINDEX"), "rebuild the index"},
 		"the fixed-width envelope":      {retired("RLIXNVE1"), "rebuild the index"},
-		"an SCC condensation's table":   {damaged(12, 7), "built over an SCC condensation, which is no longer served; rebuild the index"},
+		"an SCC condensation's table":   {damaged(12, 7), "implausible index header"},
 		"a fourth optional part":        {damaged(12, 13), "implausible index header"},
 		"a budget and no fingerprint":   {damaged(12, 4), "implausible index header"},
 		"fingerprint cut short":         {file[:40], "graph fingerprint: unexpected EOF"},
