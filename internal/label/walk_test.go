@@ -265,7 +265,8 @@ type tally struct{ queries, expanded, weighted int }
 // from the three hand-written loops this kernel replaced (counting a
 // vertex when its neighbor list was read) and must not move unless the
 // traversal is meant to change — the bidirectional fallback lowers
-// them, a port leaves them equal.
+// them, a port leaves them equal. A sweep from s over such a target
+// traverses too, so under a cancelled context it ends with its error.
 func TestFallbackExpansionsGolden(t *testing.T) {
 	const n = 400
 	rng := rand.New(rand.NewSource(11))
@@ -283,6 +284,8 @@ func TestFallbackExpansionsGolden(t *testing.T) {
 	}
 	w := walkPool.Get().(*walk)
 	defer walkPool.Put(w)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, budget := range []int{1, 2, 4, 8} {
 		b := cappedTOL(g, budget)
 		var got [3]tally
@@ -308,6 +311,9 @@ func TestFallbackExpansionsGolden(t *testing.T) {
 			regime.queries++
 			regime.expanded += w.expanded
 			regime.weighted += regime.queries * w.expanded
+			if _, err := b.ReachableFrom(canceled, s, []graph.VertexID{d}); err != context.Canceled {
+				t.Fatalf("budget %d: a cancelled sweep from %d over %d: err = %v, want context.Canceled", budget, s, d, err)
+			}
 		}
 		if got != golden[budget] {
 			t.Errorf("budget %d: fallbacks (forward, backward, unpruned) = %v, golden %v", budget, got, golden[budget])
