@@ -200,7 +200,6 @@ type Fleet struct {
 	retries     *obs.Counter
 	probeFails  *obs.Counter
 	healthyG    *obs.Gauge
-	proxyHist   *obs.Histogram
 }
 
 // New builds a fleet over the given replica addresses (host:port or
@@ -216,7 +215,6 @@ func New(addrs []string, opts Options) (*Fleet, error) {
 		retries:     reg.Counter("fleet_retries_total"),
 		probeFails:  reg.Counter("fleet_probe_failures_total"),
 		healthyG:    reg.Gauge("fleet_healthy_replicas"),
-		proxyHist:   reg.Histogram("fleet_proxy_seconds", obs.LatencyBuckets),
 	}
 	seen := make(map[string]bool, len(addrs))
 	for _, a := range addrs {

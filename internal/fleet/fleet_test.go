@@ -1227,6 +1227,67 @@ func TestBatchRefusalRelayedVerbatim(t *testing.T) {
 	}
 }
 
+// TestRouterTimesEveryRequest: the router's mux times every mounted
+// request once, whatever its outcome — answers, a relayed 400, its own
+// 400 and 413, a 404 from an admin verb and a join whose client went
+// away — so per handler the latency histogram's count is the request
+// counter's value.
+func TestRouterTimesEveryRequest(t *testing.T) {
+	reg := obs.New()
+	_, servers, f := testFleet(t, 2, Sharded, nil, func(o *Options) { o.Obs = reg; o.MaxBatch = 4 })
+	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 2 })
+	replica := strings.TrimPrefix(servers[0].URL, "http://")
+	gone, hangUp := context.WithCancel(context.Background())
+	hangUp()
+	for _, c := range []struct {
+		method, target, body string
+		ctx                  context.Context
+	}{
+		{http.MethodGet, "/reach?s=1&t=6", "", nil},
+		{http.MethodGet, "/reach?s=999&t=2", "", nil},
+		{http.MethodPost, "/reach/batch", `{"pairs":[[1,6],[2,1]]}`, nil},
+		{http.MethodPost, "/reach/batch", `{"pairs":[[0,1],[0,2],[0,3],[0,4],[0,5]]}`, nil},
+		{http.MethodPost, "/reach/batch", `{"pairs":[[1,`, nil},
+		{http.MethodGet, "/reach/path?s=1&t=6", "", nil},
+		{http.MethodGet, "/reach/count?s=1", "", nil},
+		{http.MethodPost, "/reach/from", `{"s":1,"targets":[6,0]}`, nil},
+		{http.MethodPost, "/reach/join", `{"sources":[1,2],"targets":[6]}`, nil},
+		{http.MethodPost, "/reach/join", `{"sources":[1,2],"targets":[6]}`, gone},
+		{http.MethodPost, "/admin/reload", ``, nil},
+		{http.MethodPost, "/edges", `{"op":"insert","u":1,"v":2}`, nil},
+		{http.MethodGet, "/stats", "", nil},
+		{http.MethodPost, "/admin/drain?replica=" + replica, "", nil},
+		{http.MethodPost, "/admin/readmit?replica=" + replica, "", nil},
+		{http.MethodPost, "/admin/readmit?replica=nowhere:1", "", nil},
+	} {
+		req := httptest.NewRequest(c.method, c.target, strings.NewReader(c.body))
+		if c.ctx != nil {
+			req = req.WithContext(c.ctx)
+		}
+		f.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	for _, e := range []string{"reach", "batch", "path", "count", "from", "join", "reload", "edges", "stats", "drain", "readmit"} {
+		requests := reg.CounterValue(obs.Label("fleet_http_requests_total", "handler", e))
+		timed := reg.Histogram(obs.Label("fleet_http_request_seconds", "handler", e), nil).Count()
+		if requests == 0 || timed != requests {
+			t.Errorf("%s: %d requests, %d timed; want every request timed once", e, requests, timed)
+		}
+	}
+	for _, want := range []struct {
+		name string
+		n    int64
+	}{
+		{obs.Label("fleet_http_errors_total", "handler", "reach"), 1},
+		{obs.Label("fleet_http_errors_total", "handler", "batch"), 2},
+		{obs.Label("fleet_http_canceled_total", "handler", "join"), 1},
+		{obs.Label("fleet_http_errors_total", "handler", "readmit"), 1},
+	} {
+		if got := reg.CounterValue(want.name); got != want.n {
+			t.Errorf("%s = %d, want %d: the traffic is not the mix it means to be", want.name, got, want.n)
+		}
+	}
+}
+
 // --- replica epoch bookkeeping --------------------------------------
 
 // TestStaleProbeDoesNotOverwriteReloadEpoch: a /healthz answered just

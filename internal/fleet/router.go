@@ -152,7 +152,6 @@ func (f *Fleet) shardOwner(s int64) *replica {
 // Sharded mode sends it to the owner, whose cache holds its hot pairs.
 func (f *Fleet) passThrough(source func(*http.Request, []byte) (int64, bool)) httpapi.ServeFunc {
 	return func(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		path := api.Route
 		var body []byte
 		if api.Method == http.MethodPost {
@@ -179,7 +178,6 @@ func (f *Fleet) passThrough(source func(*http.Request, []byte) (int64, bool)) ht
 			api.Fail(w, err.Error(), http.StatusServiceUnavailable)
 			return
 		}
-		f.proxyHist.Observe(time.Since(start).Seconds())
 		api.Relay(w, resp, data)
 	}
 }
@@ -249,7 +247,6 @@ func (f *Fleet) settle(ctx context.Context, api *httpapi.Handle, w http.Response
 // sub-batch per shard owner in Sharded mode, one in all otherwise — and
 // merges the answers back into caller order.
 func (f *Fleet) handleBatch(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	var req httpapi.BatchRequest
 	if !api.Decode(w, r, &req) {
 		return
@@ -306,7 +303,6 @@ func (f *Fleet) handleBatch(api *httpapi.Handle, w http.ResponseWriter, r *http.
 	if epoch != "" {
 		w.Header().Set(httpapi.EpochHeader, epoch)
 	}
-	f.proxyHist.Observe(time.Since(start).Seconds())
 	httpapi.WriteJSON(w, httpapi.BatchResponse{Count: len(results), Results: results})
 }
 

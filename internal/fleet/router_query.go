@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/httpapi"
 )
@@ -22,7 +21,6 @@ import (
 // upstream — fails the merge closed with 502 rather than relay a
 // silent partial answer.
 func (f *Fleet) handleJoin(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	var req httpapi.JoinRequest
 	if !api.Decode(w, r, &req) {
 		return
@@ -84,7 +82,5 @@ func (f *Fleet) handleJoin(api *httpapi.Handle, w http.ResponseWriter, r *http.R
 	}
 	if err := jw.Done(scanned); err != nil {
 		httpapi.LogDropped(err)
-		return
 	}
-	f.proxyHist.Observe(time.Since(start).Seconds())
 }

@@ -11,6 +11,7 @@ package httpapi
 
 import (
 	"net/http"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -99,13 +100,14 @@ func Verdict(status int) bool {
 }
 
 // Mux is an http.ServeMux that mounts contract endpoints with their
-// counters resolved once — "<prefix>_http_requests_total",
-// "<prefix>_http_errors_total" and "<prefix>_http_canceled_total",
-// labelled handler="<Endpoint.Label>" — so serving a request builds no
-// metric name and takes no registry lock.
+// metrics resolved once — the counters "<prefix>_http_requests_total",
+// "<prefix>_http_errors_total" and "<prefix>_http_canceled_total" and
+// the latency histogram "<prefix>_http_request_seconds", each labelled
+// handler="<Endpoint.Label>" — so serving a request builds no metric
+// name and takes no registry lock.
 type Mux struct {
 	*http.ServeMux
-	reg      *obs.Registry // nil disables the counters
+	reg      *obs.Registry // nil disables the metrics
 	prefix   string
 	maxBatch int // entries allowed per body list
 }
@@ -121,9 +123,12 @@ func NewMux(reg *obs.Registry, prefix string, maxBatch int) *Mux {
 // ServeFunc serves one mounted endpoint; the Handle is how it refuses.
 type ServeFunc func(*Handle, http.ResponseWriter, *http.Request)
 
-// Mount serves e with serve, counting each request.
+// Mount serves e with serve, counting each request and timing it: the
+// mux is the one place a request is timed, once, whatever its outcome —
+// an answer, a refusal, a relayed error or a dropped client.
 func (m *Mux) Mount(e Endpoint, serve ServeFunc) {
 	requests := m.reg.Counter(obs.Label(m.prefix+"_http_requests_total", "handler", e.Label))
+	seconds := m.reg.Histogram(obs.Label(m.prefix+"_http_request_seconds", "handler", e.Label), obs.LatencyBuckets)
 	h := &Handle{
 		Endpoint: e,
 		maxBatch: m.maxBatch,
@@ -131,7 +136,9 @@ func (m *Mux) Mount(e Endpoint, serve ServeFunc) {
 		canceled: m.reg.Counter(obs.Label(m.prefix+"_http_canceled_total", "handler", e.Label)),
 	}
 	m.HandleFunc(e.Pattern(), func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
 		requests.Inc()
 		serve(h, w, r)
+		seconds.Observe(time.Since(start).Seconds())
 	})
 }

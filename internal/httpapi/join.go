@@ -59,9 +59,6 @@ func (jw *JoinWriter) Done(scanned int) error {
 	return jw.enc.Encode(JoinSummary{Done: true, Count: jw.count, Scanned: scanned})
 }
 
-// Count is the number of pairs written so far.
-func (jw *JoinWriter) Count() int { return jw.count }
-
 // ReadJoin consumes a join stream, handing each pair to pair in order,
 // and returns its summary. Any breach of the grammar above — a line
 // that is neither, a pair out of order, anything after the summary, no

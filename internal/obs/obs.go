@@ -17,6 +17,7 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -208,8 +209,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Histogram returns the histogram registered under name, creating it
 // with the given bucket upper bounds on first use (nil bounds =
-// LatencyBuckets). The bounds of an existing histogram win; histogram
-// names must not carry labels.
+// LatencyBuckets). The bounds of an existing histogram win. The name
+// may carry labels inline, as Counter's does.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
@@ -269,45 +270,37 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	type series struct {
 		fam, name string
 		kind      string // "counter" | "gauge" | "histogram"
-		write     func(io.Writer) error
+		write     func(io.Writer)
 	}
 	r.mu.Lock()
 	var all []series
 	for name, c := range r.counters {
-		name, c := name, c
-		all = append(all, series{family(name), name, "counter", func(w io.Writer) error {
-			_, err := fmt.Fprintf(w, "%s %d\n", name, c.Value())
-			return err
+		all = append(all, series{family(name), name, "counter", func(w io.Writer) {
+			fmt.Fprintf(w, "%s %d\n", name, c.Value())
 		}})
 	}
 	for name, g := range r.gauges {
-		name, g := name, g
-		all = append(all, series{family(name), name, "gauge", func(w io.Writer) error {
-			_, err := fmt.Fprintf(w, "%s %d\n", name, g.Value())
-			return err
+		all = append(all, series{family(name), name, "gauge", func(w io.Writer) {
+			fmt.Fprintf(w, "%s %d\n", name, g.Value())
 		}})
 	}
 	for name, h := range r.hists {
-		name, h := name, h
-		all = append(all, series{name, name, "histogram", func(w io.Writer) error {
+		fam := family(name)
+		labels := name[len(fam):] // `{k="v"}`, or "" for an unlabelled series
+		le := "{"                 // the bucket's labels, with le last
+		if labels != "" {
+			le = labels[:len(labels)-1] + ","
+		}
+		all = append(all, series{fam, name, "histogram", func(w io.Writer) {
 			var cum int64
 			for i, bound := range h.bounds {
 				cum += h.counts[i].Load()
-				if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n",
-					name, strconv.FormatFloat(bound, 'g', -1, 64), cum); err != nil {
-					return err
-				}
+				fmt.Fprintf(w, "%s_bucket%sle=%q} %d\n", fam, le, strconv.FormatFloat(bound, 'g', -1, 64), cum)
 			}
 			cum += h.counts[len(h.bounds)].Load()
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum %s\n", name,
-				strconv.FormatFloat(h.Sum(), 'g', -1, 64)); err != nil {
-				return err
-			}
-			_, err := fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
-			return err
+			fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"} %d\n", fam, le, cum)
+			fmt.Fprintf(w, "%s_sum%s %s\n", fam, labels, strconv.FormatFloat(h.Sum(), 'g', -1, 64))
+			fmt.Fprintf(w, "%s_count%s %d\n", fam, labels, h.Count())
 		}})
 	}
 	r.mu.Unlock()
@@ -318,19 +311,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		return all[i].name < all[j].name
 	})
+	// A bufio.Writer keeps the first write error and takes nothing after
+	// it, so the one Flush reports whatever failed.
+	bw := bufio.NewWriter(w)
 	lastFam := ""
 	for _, s := range all {
 		if s.fam != lastFam {
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", s.fam, s.kind); err != nil {
-				return err
-			}
+			fmt.Fprintf(bw, "# TYPE %s %s\n", s.fam, s.kind)
 			lastFam = s.fam
 		}
-		if err := s.write(w); err != nil {
-			return err
-		}
+		s.write(bw)
 	}
-	return nil
+	return bw.Flush()
 }
 
 // Label renders one inline Prometheus label: Label("h", "handler",

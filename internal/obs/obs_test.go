@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"errors"
 	"math"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -34,9 +37,12 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
 	r.Counter("a").Add(1)
 	r.Gauge("b").Set(1)
+	r.Gauge("b").Add(1)
 	r.Histogram("c", nil).Observe(1)
 	r.Trace("d").Record(StepTrace{})
-	if r.Counter("a").Value() != 0 || r.Trace("d").Total() != 0 {
+	if r.Counter("a").Value() != 0 || r.CounterValue("a") != 0 || r.Gauge("b").Value() != 0 ||
+		r.Histogram("c", nil).Count() != 0 || r.Histogram("c", nil).Sum() != 0 ||
+		r.Trace("d").Total() != 0 || r.Trace("d").Steps() != nil {
 		t.Error("nil registry leaked state")
 	}
 	var sb strings.Builder
@@ -111,6 +117,12 @@ func TestHistogramQuantile(t *testing.T) {
 	if empty.Quantile(0.5) != 0 || empty.Count() != 0 {
 		t.Error("nil histogram not zero")
 	}
+	// No bounds are LatencyBuckets.
+	d := newHistogram(nil)
+	d.Observe(3e-6)
+	if got := d.Quantile(0.5); got != 5e-6 {
+		t.Errorf("q50 of 3µs under the default buckets = %g, want 5e-06", got)
+	}
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
@@ -119,9 +131,15 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r.Counter(Label("http_requests_total", "handler", "reach")).Add(3)
 	r.Counter(Label("http_requests_total", "handler", "stats")).Add(1)
 	r.Gauge("workers").Set(5)
+	// A family with both unlabelled and labelled series, and a family
+	// whose name extends it and sorts between the two.
+	r.Gauge(Label("workers", "pool", "b")).Set(2)
+	r.Counter("workers_started_total").Inc()
 	h := r.Histogram("query_seconds", []float64{0.001, 0.01})
 	h.Observe(0.0005)
 	h.Observe(0.5)
+	r.Histogram(Label("http_request_seconds", "handler", "batch"), []float64{0.001}).Observe(0.002)
+	r.Histogram(Label("http_request_seconds", "handler", "reach"), []float64{0.001}).Observe(0.0005)
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -130,31 +148,74 @@ func TestWritePrometheusFormat(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE pregel_messages_total counter\npregel_messages_total 42\n",
-		"http_requests_total{handler=\"reach\"} 3\n",
-		"http_requests_total{handler=\"stats\"} 1\n",
-		"# TYPE workers gauge\nworkers 5\n",
+		"http_requests_total{handler=\"reach\"} 3\nhttp_requests_total{handler=\"stats\"} 1\n",
+		"# TYPE workers gauge\nworkers 5\nworkers{pool=\"b\"} 2\n",
 		"# TYPE query_seconds histogram\n",
 		"query_seconds_bucket{le=\"0.001\"} 1\n",
 		"query_seconds_bucket{le=\"0.01\"} 1\n",
 		"query_seconds_bucket{le=\"+Inf\"} 2\n",
 		"query_seconds_sum 0.5005\n",
 		"query_seconds_count 2\n",
+		"http_request_seconds_bucket{handler=\"batch\",le=\"0.001\"} 0\n",
+		"http_request_seconds_bucket{handler=\"batch\",le=\"+Inf\"} 1\n",
+		"http_request_seconds_sum{handler=\"batch\"} 0.002\n",
+		"http_request_seconds_count{handler=\"batch\"} 1\n",
+		"http_request_seconds_bucket{handler=\"reach\",le=\"0.001\"} 1\n",
+		"http_request_seconds_count{handler=\"reach\"} 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	// One TYPE line per family, even with several labeled series.
-	if strings.Count(out, "# TYPE http_requests_total") != 1 {
-		t.Errorf("family http_requests_total should have exactly one TYPE line:\n%s", out)
+	// One TYPE line per family, families sorted, even with several
+	// labelled series, and every other line a text-0.0.4 sample:
+	// name{k="v",…} value, with a bucket's le last.
+	sample := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"\\]*")*\})? \S+$`)
+	labelKey := regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="`)
+	var typed []string // the families of the TYPE lines, in order
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			typed = append(typed, strings.Fields(fam)[0])
+			continue
+		}
+		m := sample.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("not a text-0.0.4 sample line: %q", line)
+			continue
+		}
+		var keys []string
+		for _, k := range labelKey.FindAllStringSubmatch(m[2], -1) {
+			keys = append(keys, k[1])
+		}
+		bucket := strings.HasSuffix(m[1], "_bucket")
+		if le := slices.Index(keys, "le"); bucket && le != len(keys)-1 || !bucket && le >= 0 {
+			t.Errorf("le is not the last label of exactly the bucket lines: %q", line)
+		}
 	}
-	// Deterministic: a second render is byte-identical.
-	var sb2 strings.Builder
-	r.WritePrometheus(&sb2)
-	if sb2.String() != out {
-		t.Error("non-deterministic exposition output")
+	families := []string{"http_request_seconds", "http_requests_total", "pregel_messages_total",
+		"query_seconds", "workers", "workers_started_total"}
+	if !slices.Equal(typed, families) {
+		t.Errorf("TYPE lines for %v, want one a family, sorted: %v\n%s", typed, families, out)
+	}
+	// A writer that fails is reported, not written past.
+	if err := r.WritePrometheus(failWriter{}); err == nil {
+		t.Error("WritePrometheus into a failing writer returned no error")
+	}
+	// Deterministic: every render is byte-identical, though each walks
+	// the registry's maps in a new order.
+	for range 10 {
+		var again strings.Builder
+		r.WritePrometheus(&again)
+		if again.String() != out {
+			t.Fatal("non-deterministic exposition output")
+		}
 	}
 }
+
+// failWriter refuses every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("writer gone") }
 
 func TestTraceRing(t *testing.T) {
 	tr := NewTrace(4)

@@ -9,7 +9,8 @@
 # replica), a reload-under-load burst, drain/readmit, and clean
 # SIGTERM shutdown of everything. drload exits nonzero on any failed
 # request or wrong answer, so a single dropped or stale query fails
-# the smoke.
+# the smoke; the router's /metrics must have timed every batch request
+# it counted.
 . "$(dirname "$0")/lib.sh"
 router=127.0.0.1:19400
 r1=127.0.0.1:19401
@@ -58,6 +59,7 @@ wait_healthy 3
 echo "== verified bursts through the router (single + batch)"
 "$work/bin/drload" -addr "$router" -clients 4 -requests 2000 -batch 1 -verify-idx "$work/graph.idx" -seed 3
 "$work/bin/drload" -addr "$router" -clients 4 -requests 500 -batch 16 -verify-idx "$work/graph.idx" -seed 4
+timed_once "$router" fleet batch
 
 echo "== curl spot checks: a replica's refusals come back through the router as its own"
 expect_code() { # expect_code WANT WHAT curl-args...

@@ -43,6 +43,16 @@ wait_http() {
 	done
 }
 
+# timed_once ADDR PREFIX HANDLER -> ADDR's /metrics must have timed
+# as many HANDLER requests as it counted (the mux times each once)
+timed_once() {
+	m="$(curl -sf "http://$1/metrics")"
+	n="$(printf '%s\n' "$m" | sed -n "s/^$2_http_requests_total{handler=\"$3\"} //p")"
+	c="$(printf '%s\n' "$m" | sed -n "s/^$2_http_request_seconds_count{handler=\"$3\"} //p")"
+	[ -n "$n" ] && [ "$n" = "$c" ] ||
+		{ echo "$1: $n $3 requests counted, ${c:-none} timed" >&2; exit 1; }
+}
+
 # stop_ok PID WHAT -> SIGTERM, then the process must exit 0
 stop_ok() {
 	kill -TERM "$1"

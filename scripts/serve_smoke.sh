@@ -2,7 +2,8 @@
 # End-to-end serving smoke (make loadtest, CI serve-smoke job):
 # generate a graph, build its index, start drserve, fire drload bursts
 # with every answer verified against the index, check graceful
-# shutdown. drload exits nonzero on any failed request or wrong answer.
+# shutdown. drload exits nonzero on any failed request or wrong answer,
+# and drserve's /metrics must have timed every batch request it counted.
 # Then the same for an index a cluster built: three spawned drworker
 # processes, one of them killed mid-run, must write the very file
 # drlabel writes, and drquery, drserve and drload must open it. In
@@ -40,6 +41,7 @@ echo "== drload burst: single queries, verified against the index"
 
 echo "== drload burst: batch queries, verified against the index"
 "$work/bin/drload" -addr "$addr" -clients 4 -requests 500 -batch 16 -verify-idx "$work/graph.idx" -seed 4
+timed_once "$addr" reachlab batch
 
 echo "== graceful shutdown on SIGTERM"
 stop_ok "$srv_pid" drserve

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/httpapi"
 	"repro/internal/obs"
@@ -34,17 +33,17 @@ import (
 // health probe learns it for free, and /stats reports index_epoch and
 // index_vertices so operators can confirm a reload landed.
 //
-// Per-query latency lands in the "reachlab_query_seconds" histogram
-// (single queries) and "reachlab_batch_seconds" / "reachlab_batch_pairs"
-// (batches); requests, errors and requests dropped because their client
-// went away are counted per handler in "reachlab_http_requests_total" /
-// "reachlab_http_errors_total" / "reachlab_http_canceled_total". With
-// the hot-pair cache enabled, every answered pair counts exactly once
-// in "reachlab_cache_hits_total" or "reachlab_cache_misses_total", and
-// "reachlab_query_pairs_total" counts the pairs themselves, so
-// hits + misses == pairs always reconciles. The same tallies feed the
-// handler's own lifetime counters, which CacheStats and /stats read:
-// one count per outcome, across every epoch, with or without a
+// Every mounted request is counted and timed once, by the mux, per
+// handler: "reachlab_http_requests_total", "reachlab_http_errors_total",
+// "reachlab_http_canceled_total" (requests dropped because their client
+// went away) and the latency histogram "reachlab_http_request_seconds",
+// whatever the request's outcome. Every pair a request asks about is
+// counted once in "reachlab_query_pairs_total", by resolve; with the
+// hot-pair cache enabled, each also counts exactly once in
+// "reachlab_cache_hits_total" or "reachlab_cache_misses_total", so
+// hits + misses == pairs reconciles by construction. The same tallies
+// feed the handler's own lifetime counters, which CacheStats and /stats
+// read: one count per outcome, across every epoch, with or without a
 // registry.
 type QueryHandler struct {
 	state atomic.Pointer[serveState]
@@ -74,15 +73,6 @@ type QueryHandler struct {
 	cacheMisses *obs.Counter
 	reloads     *obs.Counter
 	epochGauge  *obs.Gauge
-	queryHist   *obs.Histogram
-	batchHist   *obs.Histogram
-	batchPairs  *obs.Histogram
-	pathHist    *obs.Histogram
-	countHist   *obs.Histogram
-	fromHist    *obs.Histogram
-	fromTargets *obs.Histogram
-	joinHist    *obs.Histogram
-	joinResults *obs.Histogram
 }
 
 // serveState is one epoch of serving: an immutable index and the
@@ -154,15 +144,6 @@ func NewQueryHandlerOpts(idx *Index, opts ServeOptions) *QueryHandler {
 		cacheMisses: reg.Counter("reachlab_cache_misses_total"),
 		reloads:     reg.Counter("reachlab_reloads_total"),
 		epochGauge:  reg.Gauge("reachlab_index_epoch"),
-		queryHist:   reg.Histogram("reachlab_query_seconds", obs.LatencyBuckets),
-		batchHist:   reg.Histogram("reachlab_batch_seconds", obs.LatencyBuckets),
-		batchPairs:  reg.Histogram("reachlab_batch_pairs", obs.SizeBuckets),
-		pathHist:    reg.Histogram("reachlab_path_seconds", obs.LatencyBuckets),
-		countHist:   reg.Histogram("reachlab_count_seconds", obs.LatencyBuckets),
-		fromHist:    reg.Histogram("reachlab_from_seconds", obs.LatencyBuckets),
-		fromTargets: reg.Histogram("reachlab_from_targets", obs.SizeBuckets),
-		joinHist:    reg.Histogram("reachlab_join_seconds", obs.LatencyBuckets),
-		joinResults: reg.Histogram("reachlab_join_results", obs.SizeBuckets),
 	}
 	h.state.Store(&serveState{
 		idx:   idx,
@@ -280,13 +261,15 @@ func pairParams(api *httpapi.Handle, w http.ResponseWriter, st *serveState, r *h
 	return s, t, ok
 }
 
-// resolve answers validated pairs against one epoch. With the cache
-// off they go to kernel whole. With it on, every pair consults the
-// cache once, and the request's hits and misses are added once to the
-// lifetime and once to the obs counters; the misses go to kernel as one
-// call — keeping whatever locality kernel gets from seeing them
-// together — and its answers backfill the cache.
+// resolve answers validated pairs against one epoch; every pair any
+// endpoint answers passes through here, and is counted here once. With
+// the cache off they go to kernel whole. With it on, every pair
+// consults the cache once, and the request's hits and misses are added
+// once to the lifetime and once to the obs counters; the misses go to
+// kernel as one call — keeping whatever locality kernel gets from
+// seeing them together — and its answers backfill the cache.
 func (h *QueryHandler) resolve(st *serveState, pairs []Pair, kernel func([]Pair) []bool) []bool {
+	h.pairsTotal.Add(int64(len(pairs)))
 	if st.cache == nil {
 		return kernel(pairs)
 	}
@@ -329,7 +312,6 @@ func setEpoch(w http.ResponseWriter, st *serveState) {
 }
 
 func (h *QueryHandler) reach(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	// One state load per request: the whole query — validation, cache,
 	// merge — runs against a single epoch.
 	st := h.state.Load()
@@ -337,15 +319,12 @@ func (h *QueryHandler) reach(api *httpapi.Handle, w http.ResponseWriter, r *http
 	if !ok {
 		return
 	}
-	h.pairsTotal.Inc()
 	reachable := h.resolveOne(st, s, t)
-	h.queryHist.Observe(time.Since(start).Seconds())
 	setEpoch(w, st)
 	httpapi.WriteJSON(w, httpapi.ReachResponse{S: s, T: t, Reachable: reachable})
 }
 
 func (h *QueryHandler) reachBatch(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	st := h.state.Load()
 	var req httpapi.BatchRequest
 	if !api.Decode(w, r, &req) {
@@ -361,11 +340,8 @@ func (h *QueryHandler) reachBatch(api *httpapi.Handle, w http.ResponseWriter, r 
 		}
 		pairs[i] = Pair{S: VertexID(p[0]), T: VertexID(p[1])}
 	}
-	h.pairsTotal.Add(int64(len(pairs)))
 	// Misses resolve as one batch: the source-locality win survives the cache.
 	results := h.resolve(st, pairs, st.idx.ReachableBatch)
-	h.batchHist.Observe(time.Since(start).Seconds())
-	h.batchPairs.Observe(float64(len(pairs)))
 	setEpoch(w, st)
 	httpapi.WriteJSON(w, httpapi.BatchResponse{Count: len(results), Results: results})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"time"
 
 	"repro/internal/httpapi"
 )
@@ -21,7 +20,6 @@ import (
 // pair counters.
 
 func (h *QueryHandler) reachPath(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	st := h.state.Load()
 	s, t, ok := pairParams(api, w, st, r)
 	if !ok {
@@ -33,7 +31,6 @@ func (h *QueryHandler) reachPath(api *httpapi.Handle, w http.ResponseWriter, r *
 		api.Fail(w, "witness paths unavailable: no graph attached to this index", http.StatusNotImplemented)
 		return
 	}
-	h.pairsTotal.Inc()
 	resp := httpapi.PathResponse{S: s, T: t, Reachable: h.resolveOne(st, s, t)}
 	// An unreachable pair has no path: only a reachable one walks edges.
 	if resp.Reachable {
@@ -47,13 +44,11 @@ func (h *QueryHandler) reachPath(api *httpapi.Handle, w http.ResponseWriter, r *
 			return
 		}
 	}
-	h.pathHist.Observe(time.Since(start).Seconds())
 	setEpoch(w, st)
 	httpapi.WriteJSON(w, resp)
 }
 
 func (h *QueryHandler) reachCount(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	st := h.state.Load()
 	s, ok := vertexParam(api, w, st, r, "s")
 	if !ok {
@@ -64,13 +59,11 @@ func (h *QueryHandler) reachCount(api *httpapi.Handle, w http.ResponseWriter, r 
 		api.Canceled()
 		return
 	}
-	h.countHist.Observe(time.Since(start).Seconds())
 	setEpoch(w, st)
 	httpapi.WriteJSON(w, httpapi.CountResponse{S: s, Count: count})
 }
 
 func (h *QueryHandler) reachFrom(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	st := h.state.Load()
 	var req httpapi.FromRequest
 	if !api.Decode(w, r, &req) {
@@ -91,7 +84,6 @@ func (h *QueryHandler) reachFrom(api *httpapi.Handle, w http.ResponseWriter, r *
 		}
 		pairs[i] = Pair{S: s, T: VertexID(t)}
 	}
-	h.pairsTotal.Add(int64(len(pairs)))
 	// Misses are swept in one ReachableFrom: the single out-label load
 	// survives the cache.
 	var err error
@@ -113,8 +105,6 @@ func (h *QueryHandler) reachFrom(api *httpapi.Handle, w http.ResponseWriter, r *
 			count++
 		}
 	}
-	h.fromHist.Observe(time.Since(start).Seconds())
-	h.fromTargets.Observe(float64(len(pairs)))
 	setEpoch(w, st)
 	httpapi.WriteJSON(w, httpapi.FromResponse{S: s, Count: count, Results: results})
 }
@@ -129,7 +119,6 @@ func (h *QueryHandler) reachFrom(api *httpapi.Handle, w http.ResponseWriter, r *
 // there, counted as cancelled; the missing summary line marks the
 // truncation.
 func (h *QueryHandler) reachJoin(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
 	st := h.state.Load()
 	var req httpapi.JoinRequest
 	if !api.Decode(w, r, &req) {
@@ -186,10 +175,7 @@ func (h *QueryHandler) reachJoin(api *httpapi.Handle, w http.ResponseWriter, r *
 	}
 	if err := jw.Done(scanned); err != nil {
 		httpapi.LogDropped(err)
-		return
 	}
-	h.joinHist.Observe(time.Since(start).Seconds())
-	h.joinResults.Observe(float64(jw.Count()))
 }
 
 // joinVertices validates one join list against the ID space and

@@ -228,10 +228,67 @@ func TestMetricsEndpoint(t *testing.T) {
 		`reachlab_http_requests_total{handler="reach"} 2`,
 		`reachlab_http_errors_total{handler="reach"} 1`,
 		`reachlab_http_requests_total{handler="stats"} 1`,
-		"reachlab_query_seconds_count 1",
+		`reachlab_http_request_seconds_count{handler="reach"} 2`,
 	} {
 		if !strings.Contains(doc, line) {
 			t.Errorf("/metrics missing %q\n--- document:\n%s", line, doc)
+		}
+	}
+}
+
+// TestEveryRequestTimedOnce: the mux times every mounted request once,
+// whatever its outcome — answers, a 400, a 413, a 501 and a join whose
+// client went away — so per handler the latency histogram's count is
+// the request counter's value.
+func TestEveryRequestTimedOnce(t *testing.T) {
+	idx := testIndex(t)
+	reg := NewMetricsRegistry()
+	h := NewQueryHandlerOpts(idx, ServeOptions{Obs: reg, CachePairs: 64, MaxBatch: 4,
+		Loader: func(string) (*Index, error) { return idx, nil }})
+	gone, hangUp := context.WithCancel(context.Background())
+	hangUp()
+	for _, c := range []struct {
+		method, target, body string
+		ctx                  context.Context
+	}{
+		{http.MethodGet, "/reach?s=1&t=6", "", nil},
+		{http.MethodGet, "/reach?s=99&t=2", "", nil},
+		{http.MethodPost, "/reach/batch", `{"pairs":[[1,6],[6,1]]}`, nil},
+		{http.MethodPost, "/reach/batch", `{"pairs":[[0,1],[0,2],[0,3],[0,4],[0,5]]}`, nil},
+		{http.MethodPost, "/reach/batch", `{"pairs":[[1,`, nil},
+		{http.MethodGet, "/reach/path?s=1&t=6", "", nil},
+		{http.MethodGet, "/reach/count?s=1", "", nil},
+		{http.MethodGet, "/reach/count?s=-1", "", nil},
+		{http.MethodPost, "/reach/from", `{"s":1,"targets":[6,0]}`, nil},
+		{http.MethodPost, "/reach/join", `{"sources":[1,2],"targets":[6]}`, nil},
+		{http.MethodPost, "/reach/join", `{"sources":[1,2],"targets":[6]}`, gone},
+		{http.MethodPost, "/admin/reload", ``, nil},
+		{http.MethodPost, "/edges", `{"op":"insert","u":1,"v":2}`, nil},
+		{http.MethodGet, "/stats", "", nil},
+	} {
+		req := httptest.NewRequest(c.method, c.target, strings.NewReader(c.body))
+		if c.ctx != nil {
+			req = req.WithContext(c.ctx)
+		}
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	for _, e := range []string{"reach", "batch", "path", "count", "from", "join", "reload", "edges", "stats"} {
+		requests := reg.CounterValue(`reachlab_http_requests_total{handler="` + e + `"}`)
+		timed := reg.Histogram(`reachlab_http_request_seconds{handler="`+e+`"}`, nil).Count()
+		if requests == 0 || timed != requests {
+			t.Errorf("%s: %d requests, %d timed; want every request timed once", e, requests, timed)
+		}
+	}
+	for _, want := range []struct {
+		name string
+		n    int64
+	}{
+		{`reachlab_http_errors_total{handler="batch"}`, 2},
+		{`reachlab_http_canceled_total{handler="join"}`, 1},
+		{`reachlab_http_errors_total{handler="edges"}`, 1},
+	} {
+		if got := reg.CounterValue(want.name); got != want.n {
+			t.Errorf("%s = %d, want %d: the traffic is not the mix it means to be", want.name, got, want.n)
 		}
 	}
 }

@@ -108,7 +108,6 @@ type Updater struct {
 	refreshHist *obs.Histogram
 	seqLag      *obs.Gauge
 	epochLag    *obs.Gauge
-	staleness   *obs.Gauge
 	repairs     *obs.Counter
 	rebuilds    *obs.Counter
 	folds       *obs.Counter
