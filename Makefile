@@ -9,7 +9,9 @@ all: build vet test
 # test suite under the race detector (the RPC fault-handling tests are
 # concurrency-heavy) and again with coverage — apart, because -race
 # forces -covermode=atomic and that pair runs internal/label past the
-# 10-minute test timeout — the serving-cost golden once more without
+# 10-minute test timeout — the cluster fault tests twenty times under
+# -race as a determinism gate (their backoffs run on the fake clock,
+# so this takes seconds), the serving-cost golden once more without
 # either, because both skip its allocation rows, the six example programs
 # (nothing else executes them), the fuzz targets, one iteration each of
 # the query kernel's, the CSR builder's, the labeler's and the pair
@@ -22,6 +24,7 @@ check:
 	go run ./cmd/drlint ./...
 	go test -race ./...
 	go test -cover ./...
+	go test -race -count=20 -run 'Fault|Retry|Recover|Checkpoint|Timeout' ./internal/pregel ./internal/drl
 	go test ./internal/fleet -run TestServingCostGolden
 	$(MAKE) examples
 	$(MAKE) fuzz

@@ -43,17 +43,15 @@ func main() {
 		replicas = flag.String("replicas", "", "comma-separated replica addresses (host:port, required)")
 		mode     = flag.String("mode", "replicated", "routing mode: replicated or sharded")
 		listen   = flag.String("listen", "127.0.0.1:8080", "address to listen on")
-		check    = flag.Duration("check-every", 500*time.Millisecond, "health-probe interval")
 		maxBatch = flag.Int("max-batch", 8192, "maximum pairs per /reach/batch request")
 		grace    = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight queries")
 	)
 	flag.Parse()
 	addrs := strings.Split(*replicas, ",")
 	f, err := fleet.New(addrs, fleet.Options{
-		Mode:          fleet.Mode(*mode),
-		CheckInterval: *check,
-		MaxBatch:      *maxBatch,
-		Obs:           obs.Default,
+		Mode:     fleet.Mode(*mode),
+		MaxBatch: *maxBatch,
+		Obs:      obs.Default,
 	})
 	if err != nil {
 		fatal(err)

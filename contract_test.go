@@ -9,8 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fleet"
 	"repro/internal/httpapi"
 	"repro/internal/wal"
@@ -165,6 +165,10 @@ func sendContractRow(t *testing.T, base string, row contractRow) contractAnswer 
 // the cheap way — a verdict costs one forward, a refusal of its own
 // none, and nothing is ever charged to a replica as an error.
 func TestRouterMatchesReplica(t *testing.T) {
+	// A fake clock nobody advances: the updating replicas' refreshers and
+	// the routers' probes never tick, so the epoch stays where the table
+	// expects it and every probe after Start's is the table's own.
+	clock.Fake(t)
 	g := randomCyclicGraph(80, 260, 17)
 	built, err := Build(context.Background(), g, Options{})
 	if err != nil {
@@ -204,7 +208,6 @@ func TestRouterMatchesReplica(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			u.tick = make(chan time.Time) // never ticks: the epoch stays where the table expects it
 			h := NewQueryHandlerOpts(u.Snapshot(), opts)
 			h.EnableUpdates(u)
 			u.Start(h)
@@ -224,7 +227,7 @@ func TestRouterMatchesReplica(t *testing.T) {
 					defer srv.Close()
 					addrs[i] = strings.TrimPrefix(srv.URL, "http://")
 				}
-				f, err := fleet.New(addrs, fleet.Options{Mode: mode, CheckInterval: time.Hour, MaxBatch: contractMaxBatch})
+				f, err := fleet.New(addrs, fleet.Options{Mode: mode, MaxBatch: contractMaxBatch})
 				if err != nil {
 					t.Fatal(err)
 				}

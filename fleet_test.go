@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/clock"
 	"repro/internal/fleet"
 	"repro/internal/graph"
 )
@@ -81,12 +82,31 @@ func newFleetFixture(t *testing.T, opts fleetFixtureOptions) *fleetFixture {
 		addrs[i] = strings.TrimPrefix(srv.URL, "http://")
 	}
 
-	f, err := fleet.New(addrs, fleet.Options{Mode: opts.mode, CheckInterval: 20 * time.Millisecond})
+	// The router probes on a fake clock, advanced by its 500 ms probe
+	// interval every 20 ms of real time: at a test's pace.
+	clk := clock.Fake(t)
+	f, err := fleet.New(addrs, fleet.Options{Mode: opts.mode})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Start()
 	t.Cleanup(f.Close)
+	stop, paced := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(paced)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+				clk.Advance(500 * time.Millisecond)
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		<-paced
+	})
 	fx.fleet = f
 	fx.router = httptest.NewServer(f)
 	t.Cleanup(fx.router.Close)

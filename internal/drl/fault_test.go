@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/graph"
 	"repro/internal/label"
 	"repro/internal/order"
@@ -130,6 +131,7 @@ func indexBytes(t *testing.T, idx *label.Index) []byte {
 // transports injecting drops, lost replies, and one worker crash —
 // the produced index must be byte-identical to the serial TOL oracle.
 func TestFaultScheduleEquivalence(t *testing.T) {
+	clock.Fake(t) // the master's backoffs, at their constants, in virtual time
 	bp := DefaultBatchParams()
 	graphs := map[string]*graph.Digraph{
 		"rand-dag-11":    randomDAG(40, 90, 11),
@@ -187,6 +189,7 @@ func TestFaultScheduleEquivalence(t *testing.T) {
 // replacement process, and verifies the resumed build matches both an
 // uninterrupted run and the TOL oracle byte for byte.
 func TestCheckpointRoundTrip(t *testing.T) {
+	clock.Fake(t) // the master's backoffs, at their constants, in virtual time
 	g := randomDigraph(50, 140, 33)
 	path := saveGraph(t, g)
 	ord := order.Compute(g)
@@ -273,6 +276,7 @@ func (d dieAtRun) Call(method string, args, reply any) error {
 // checkpoint, which carries only its labels onto the new batch, and the
 // build still equals TOL.
 func TestRunBoundaryRecovery(t *testing.T) {
+	clock.Fake(t) // the master's backoffs, at their constants, in virtual time
 	g := randomDigraph(50, 140, 33)
 	path := saveGraph(t, g)
 	want := indexBytes(t, tol.Build(g, order.Compute(g)))

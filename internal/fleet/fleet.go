@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
@@ -143,8 +144,6 @@ type ReplicaStatus struct {
 type Options struct {
 	// Mode is Replicated (default) or Sharded.
 	Mode Mode
-	// CheckInterval is the health-probe period (default 500ms).
-	CheckInterval time.Duration
 	// MaxBatch caps the pair count of one /reach/batch request
 	// (default httpapi.DefaultMaxBatch, as at a replica).
 	MaxBatch int
@@ -159,21 +158,20 @@ func (o Options) withDefaults() Options {
 	if o.Mode == "" {
 		o.Mode = Replicated
 	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = 500 * time.Millisecond
-	}
 	return o
 }
 
-// The health and retry rules. A replica is marked down after downAfter
-// consecutive failed probes, and one that has been up and went down is
-// readmitted after upAfter consecutive successes (one that has never
-// been up is admitted by its first). A query is forwarded in up to
+// The health and retry rules. Every replica is probed each
+// checkInterval; one is marked down after downAfter consecutive failed
+// probes, and one that has been up and went down is readmitted after
+// upAfter consecutive successes (one that has never been up is
+// admitted by its first). A query is forwarded in up to
 // attemptsPerReplica rounds, each trying every healthy replica once,
 // with a retryBackoff pause between rounds.
 // probeTimeout bounds one health probe and proxyTimeout one forwarded
 // request attempt.
 const (
+	checkInterval      = 500 * time.Millisecond
 	downAfter          = 2
 	upAfter            = 2
 	attemptsPerReplica = 4
@@ -260,7 +258,8 @@ func New(addrs []string, opts Options) (*Fleet, error) {
 // loop.
 func (f *Fleet) Start() {
 	f.probeAll()
-	go f.healthLoop()
+	tick, stop := clock.NewTicker(checkInterval) // here, so no tick after Start is lost
+	go f.healthLoop(tick, stop)
 }
 
 // Close stops the health loop. In-flight forwarded requests finish on
@@ -270,15 +269,14 @@ func (f *Fleet) Close() {
 	<-f.loopDone
 }
 
-func (f *Fleet) healthLoop() {
+func (f *Fleet) healthLoop(tick <-chan time.Time, stop func()) {
 	defer close(f.loopDone)
-	t := time.NewTicker(f.opts.CheckInterval)
-	defer t.Stop()
+	defer stop()
 	for {
 		select {
 		case <-f.stop:
 			return
-		case <-t.C:
+		case <-tick:
 			f.probeAll()
 		}
 	}
@@ -321,7 +319,7 @@ func (f *Fleet) probe(r *replica) {
 		// upAfter guards against a replica that flaps; one that has
 		// never been up has no failure to be doubted for, and holding
 		// it back would keep a freshly started fleet answering 503 for
-		// a whole CheckInterval.
+		// a whole checkInterval.
 		if r.oks >= upAfter || (ok && !r.admitted) {
 			r.setState(StateUp)
 			r.admitted = true

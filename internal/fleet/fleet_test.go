@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
@@ -274,8 +275,38 @@ func (f *fakeReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // testFleet spins up n fake replicas (optionally wrapped) and a
-// started Fleet over them with snappy test timings.
+// started Fleet over them, probing at the pace of the test's clock.
 func testFleet(t *testing.T, n int, mode Mode, wrap func(i int, h http.Handler) http.Handler, opt func(*Options)) ([]*fakeReplica, []*httptest.Server, *Fleet) {
+	t.Helper()
+	clk := clock.Fake(t)
+	fakes, servers, f := startFleet(t, n, mode, wrap, opt)
+	pace(t, clk)
+	return fakes, servers, f
+}
+
+// pace advances clk by checkInterval every 20 ms of real time until the
+// test ends, so the health loop probes at a test's pace.
+func pace(t *testing.T, clk *clock.Manual) {
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+				clk.Advance(checkInterval)
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+	})
+}
+
+// startFleet is testFleet on whatever clock the test has installed.
+func startFleet(t *testing.T, n int, mode Mode, wrap func(i int, h http.Handler) http.Handler, opt func(*Options)) ([]*fakeReplica, []*httptest.Server, *Fleet) {
 	t.Helper()
 	fakes := make([]*fakeReplica, n)
 	servers := make([]*httptest.Server, n)
@@ -290,7 +321,7 @@ func testFleet(t *testing.T, n int, mode Mode, wrap func(i int, h http.Handler) 
 		t.Cleanup(servers[i].Close)
 		addrs[i] = strings.TrimPrefix(servers[i].URL, "http://")
 	}
-	opts := Options{Mode: mode, CheckInterval: 20 * time.Millisecond}
+	opts := Options{Mode: mode}
 	if opt != nil {
 		opt(&opts)
 	}
@@ -589,9 +620,11 @@ func TestHealthFlapReadmission(t *testing.T) {
 // every live replica, so the router serves before the first tick; a
 // replica that was not live then is admitted by its first successful
 // probe; a replica that has been up and failed needs upAfter of them;
-// a dead address is never admitted. The health loop's interval is an
-// hour, so every round after Start's is one the test runs itself.
+// a dead address is never admitted. The health loop's clock is a fake
+// nobody advances, so every round after Start's is one the test runs
+// itself.
 func TestFirstAdmissionAndReadmission(t *testing.T) {
+	clock.Fake(t)
 	live, late := newFakeReplica(0, 100), newFakeReplica(1, 100)
 	late.failHealth.Store(true)
 	var addrs []string
@@ -600,7 +633,7 @@ func TestFirstAdmissionAndReadmission(t *testing.T) {
 		t.Cleanup(srv.Close)
 		addrs = append(addrs, strings.TrimPrefix(srv.URL, "http://"))
 	}
-	f, err := New(addrs, Options{CheckInterval: time.Hour})
+	f, err := New(addrs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,8 +715,9 @@ func TestFirstAdmissionAndReadmission(t *testing.T) {
 
 // TestNewRefusalsAndDefaults: a blank entry is skipped; a duplicate
 // replica (in any spelling), an empty list and an unknown mode are
-// refused; the zero Options route replicated and probe every 500 ms.
+// refused; the zero Options route replicated.
 func TestNewRefusalsAndDefaults(t *testing.T) {
+	clock.Fake(t) // no probe after Start's
 	for _, c := range []struct {
 		addrs    []string
 		mode     Mode
@@ -707,22 +741,14 @@ func TestNewRefusalsAndDefaults(t *testing.T) {
 			t.Errorf("New(%q, %q) = %v, want an error naming %q", c.addrs, c.mode, err, c.err)
 		}
 	}
-	for _, c := range []struct{ set, want time.Duration }{
-		{0, 500 * time.Millisecond},
-		{-time.Second, 500 * time.Millisecond},
-		{time.Second, time.Second},
-	} {
-		f, err := New([]string{"a:1"}, Options{CheckInterval: c.set})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.opts.Mode != Replicated || f.opts.CheckInterval != c.want {
-			t.Errorf("New with CheckInterval %v: mode %q, probing every %v; want replicated, every %v", c.set, f.opts.Mode, f.opts.CheckInterval, c.want)
-		}
+	if f, err := New([]string{"a:1"}, Options{}); err != nil {
+		t.Fatal(err)
+	} else if f.opts.Mode != Replicated {
+		t.Errorf("the zero Options route %q, want replicated", f.opts.Mode)
 	}
 	// An address no URL can be made of is taken, never admitted, and
 	// fails its row of a fan-out, which goes to every replica.
-	f, err := New([]string{"bad%zz:1"}, Options{CheckInterval: time.Hour})
+	f, err := New([]string{"bad%zz:1"}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1189,41 +1215,43 @@ func TestFleetEdgesFanout(t *testing.T) {
 // is charged to nobody: no retry, no replica error, no unavailable.
 func TestBatchRefusalRelayedVerbatim(t *testing.T) {
 	for _, mode := range []Mode{Replicated, Sharded} {
-		reg := obs.New()
-		_, _, f := testFleet(t, 3, mode, nil, func(o *Options) { o.Obs = reg })
-		waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 3 })
-		router := httptest.NewServer(f)
-		defer router.Close()
+		t.Run(string(mode), func(t *testing.T) {
+			reg := obs.New()
+			_, _, f := testFleet(t, 3, mode, nil, func(o *Options) { o.Obs = reg })
+			waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 3 })
+			router := httptest.NewServer(f)
+			defer router.Close()
 
-		// Source 1 is in range and owned by shard 1; the bad pair's
-		// source 500 is owned by shard 2 (500 mod 3).
-		resp, err := http.Post(router.URL+"/reach/batch", "application/json", strings.NewReader(`{"pairs":[[1,2],[500,3]]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || string(body) != "bad pair\n" {
-			t.Errorf("%s: refusal came back as %d %q, want the replica's 400 %q", mode, resp.StatusCode, body, "bad pair\n")
-		}
-		var forwards, errs int64
-		for _, s := range f.Snapshot() {
-			forwards += s.Forwards
-			errs += s.Errors
-		}
-		wantForwards := int64(1)
-		if mode == Sharded {
-			wantForwards = 2
-		}
-		if forwards != wantForwards || errs != 0 {
-			t.Errorf("%s: %d forwards and %d replica errors, want %d and 0", mode, forwards, errs, wantForwards)
-		}
-		if n := reg.CounterValue("fleet_unavailable_total") + reg.CounterValue("fleet_retries_total"); n != 0 {
-			t.Errorf("%s: a refusal counted %d unavailable+retries", mode, n)
-		}
-		if n := reg.CounterValue(`fleet_http_errors_total{handler="batch"}`); n != 1 {
-			t.Errorf("%s: fleet_http_errors_total{handler=\"batch\"} = %d, want 1", mode, n)
-		}
+			// Source 1 is in range and owned by shard 1; the bad pair's
+			// source 500 is owned by shard 2 (500 mod 3).
+			resp, err := http.Post(router.URL+"/reach/batch", "application/json", strings.NewReader(`{"pairs":[[1,2],[500,3]]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || string(body) != "bad pair\n" {
+				t.Errorf("%s: refusal came back as %d %q, want the replica's 400 %q", mode, resp.StatusCode, body, "bad pair\n")
+			}
+			var forwards, errs int64
+			for _, s := range f.Snapshot() {
+				forwards += s.Forwards
+				errs += s.Errors
+			}
+			wantForwards := int64(1)
+			if mode == Sharded {
+				wantForwards = 2
+			}
+			if forwards != wantForwards || errs != 0 {
+				t.Errorf("%s: %d forwards and %d replica errors, want %d and 0", mode, forwards, errs, wantForwards)
+			}
+			if n := reg.CounterValue("fleet_unavailable_total") + reg.CounterValue("fleet_retries_total"); n != 0 {
+				t.Errorf("%s: a refusal counted %d unavailable+retries", mode, n)
+			}
+			if n := reg.CounterValue(`fleet_http_errors_total{handler="batch"}`); n != 1 {
+				t.Errorf("%s: fleet_http_errors_total{handler=\"batch\"} = %d, want 1", mode, n)
+			}
+		})
 	}
 }
 
@@ -1298,7 +1326,8 @@ func TestRouterTimesEveryRequest(t *testing.T) {
 func TestStaleProbeDoesNotOverwriteReloadEpoch(t *testing.T) {
 	var hold atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
-	fakes, _, f := testFleet(t, 1, Replicated, func(_ int, h http.Handler) http.Handler {
+	clock.Fake(t) // nobody advances it: every probe after Start's is the test's own
+	fakes, _, f := startFleet(t, 1, Replicated, func(_ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != "/healthz" || !hold.CompareAndSwap(true, false) {
 				h.ServeHTTP(w, r)
@@ -1315,7 +1344,7 @@ func TestStaleProbeDoesNotOverwriteReloadEpoch(t *testing.T) {
 			w.WriteHeader(rec.Code)
 			_, _ = w.Write(rec.Body.Bytes()) // the prober hung up? its problem
 		})
-	}, func(o *Options) { o.CheckInterval = time.Hour }) // every probe after Start's is the test's own
+	}, nil)
 	router := httptest.NewServer(f)
 	defer router.Close()
 	epoch := func() uint64 { return f.Snapshot()[0].Epoch }

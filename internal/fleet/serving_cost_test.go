@@ -12,9 +12,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	reachlab "repro"
+	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
@@ -158,7 +158,7 @@ var costLayers = []struct {
 			hop.replicas[a] = h
 			regs = append(regs, reg)
 		}
-		f, err := New(addrs, Options{Mode: Sharded, CheckInterval: time.Hour, Obs: obs.New()})
+		f, err := New(addrs, Options{Mode: Sharded, Obs: obs.New()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,6 +195,7 @@ func allocsReason() string {
 // the body bytes each way, the requests the replicas served, their
 // cache outcomes and the router's retries.
 func TestServingCostGolden(t *testing.T) {
+	clock.Fake(t) // nobody advances it: no probe after Start's joins the counts
 	g, err := reachlab.GenerateGraph("citation", 20000, 4, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -27,13 +28,14 @@ func init() {
 	RegisterRPC("test-slow", func(*Host, map[string]string) (Program, error) { return &slowProgram{}, nil })
 }
 
-// slowProgram stalls its first superstep long past the per-call
-// deadline, exercising timeout + retry + worker-side deduplication.
+// slowProgram stalls its first superstep until the fake clock passes
+// the per-call deadline, exercising timeout + retry + worker-side
+// deduplication.
 type slowProgram struct{}
 
 func (p *slowProgram) Superstep(w *Worker, step int) (bool, error) {
 	if step == 0 {
-		time.Sleep(150 * time.Millisecond)
+		clock.Sleep(callTimeout)
 	}
 	return false, nil
 }
@@ -58,7 +60,8 @@ type testCluster struct {
 }
 
 // eachCluster runs fn against real TCP workers and against hosts in
-// this process behind Direct transports.
+// this process behind Direct transports, each on a fake clock: the
+// master's backoffs take no real time.
 func eachCluster(t *testing.T, fn func(t *testing.T, c testCluster)) {
 	var mu sync.Mutex
 	hosts := map[string]*Host{}
@@ -80,7 +83,10 @@ func eachCluster(t *testing.T, fn func(t *testing.T, c testCluster)) {
 			return Direct{h}, nil
 		}},
 	} {
-		t.Run(c.name, func(t *testing.T) { fn(t, c) })
+		t.Run(c.name, func(t *testing.T) {
+			clock.Fake(t)
+			fn(t, c)
+		})
 	}
 }
 
@@ -131,19 +137,6 @@ func (s *stubTransport) wasClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closed
-}
-
-// fastRetry keeps test retries snappy: a test sets it on a master
-// once DialCluster has returned, so the Init calls run under the
-// cluster's constants.
-func fastRetry() retryPolicy {
-	return retryPolicy{
-		callTimeout: 2 * time.Second,
-		attempts:    8,
-		baseBackoff: time.Millisecond,
-		maxBackoff:  5 * time.Millisecond,
-		recoveries:  maxRecoveries,
-	}
 }
 
 // countingInner counts calls without any real connection.
@@ -237,7 +230,7 @@ func TestMasterRetriesTransientDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		m.retry = fastRetry()
+		m.retry.attempts = 8
 		if err := m.RunNamed("test-noop", nil); err != nil {
 			t.Fatal(err)
 		}
@@ -258,9 +251,10 @@ func TestMasterRetriesTransientDrops(t *testing.T) {
 	}
 }
 
-// TestMasterStepTimeout times out a superstep that outlives the
-// per-call deadline; the retried Step must hit the worker's dedup
-// cache instead of recomputing, and the run must still succeed.
+// TestMasterStepTimeout times out a superstep that outlives the 30 s
+// per-call deadline on the fake clock; the retried Step must hit the
+// worker's dedup cache instead of recomputing, and the run must still
+// succeed.
 func TestMasterStepTimeout(t *testing.T) {
 	eachCluster(t, func(t *testing.T, c testCluster) {
 		var executed atomic.Int64
@@ -274,12 +268,6 @@ func TestMasterStepTimeout(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		m.retry = retryPolicy{
-			callTimeout: 40 * time.Millisecond,
-			attempts:    12,
-			baseBackoff: 10 * time.Millisecond,
-			maxBackoff:  20 * time.Millisecond,
-		}
 		if err := m.RunNamed("test-slow", nil); err != nil {
 			t.Fatalf("run with a slow first superstep: %v", err)
 		}
@@ -313,7 +301,6 @@ func TestMasterRetryExhaustion(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		m.retry = fastRetry()
 		m.retry.attempts = 3
 		m.retry.recoveries = 0 // no recovery: surface the raw failure
 		err = m.RunNamed("test-noop", nil)
@@ -353,7 +340,6 @@ func TestMasterNoSnapshotterNoRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		m.retry = fastRetry()
 		m.retry.attempts = 2
 		err = m.RunNamed("test-noop", nil)
 		if err == nil {
@@ -609,7 +595,7 @@ func TestMasterRecoversFromCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		m.retry = fastRetry()
+		m.retry.attempts = 8
 		if err := m.RunNamed("test-snapflood", nil); err != nil {
 			t.Fatalf("run with a mid-run crash: %v", err)
 		}
@@ -718,7 +704,6 @@ func TestMasterRecoveryLimits(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { m.Close() })
-			m.retry = fastRetry()
 			m.retry.attempts = 2
 			m.retry.recoveries = recoveries
 			if err := m.RunNamed("test-snapflood", nil); err != nil {
@@ -752,14 +737,13 @@ func TestMasterRecoveryLimits(t *testing.T) {
 // TestBackoff: the pause before retry a+1 doubles from the base with
 // half-width jitter, up to the cap.
 func TestBackoff(t *testing.T) {
-	pol := retryPolicy{callTimeout, maxAttempts, baseBackoff, maxBackoff, maxRecoveries}
 	for _, row := range []struct {
 		attempt int
 		full    time.Duration
 	}{{1, baseBackoff}, {2, 2 * baseBackoff}, {3, 4 * baseBackoff}, {10, maxBackoff}} {
 		seen := map[time.Duration]bool{}
 		for i := 0; i < 20; i++ {
-			d := pol.backoff(row.attempt)
+			d := backoff(row.attempt)
 			if d < row.full/2 || d > row.full {
 				t.Fatalf("backoff(%d) = %v, want within [%v, %v]", row.attempt, d, row.full/2, row.full)
 			}

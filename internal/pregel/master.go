@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -38,22 +39,21 @@ const (
 
 // retryPolicy is one master's fault handling: the constants above on a
 // cluster, and in process (New) a single attempt with no deadline and
-// no recovery. Tests lower it.
+// no recovery.
 type retryPolicy struct {
-	callTimeout             time.Duration // 0: no deadline
-	attempts                int
-	baseBackoff, maxBackoff time.Duration
-	recoveries              int
+	callTimeout time.Duration // 0: no deadline
+	attempts    int
+	recoveries  int
 }
 
 // backoff returns the sleep before retry attempt+1 (attempt counts
 // from 1): exponential with half-width jitter, capped at maxBackoff.
-func (p retryPolicy) backoff(attempt int) time.Duration {
-	d := p.baseBackoff
-	for i := 1; i < attempt && d < p.maxBackoff; i++ {
+func backoff(attempt int) time.Duration {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	half := int64(min(d, p.maxBackoff) / 2)
+	half := int64(min(d, maxBackoff) / 2)
 	return time.Duration(half + rand.Int63n(half+1))
 }
 
@@ -122,7 +122,7 @@ func DialCluster(addrs []string, graphPath string, cfg Config) (*Master, error) 
 	}
 	m := &Master{
 		cfg:       cfg,
-		retry:     retryPolicy{callTimeout, maxAttempts, baseBackoff, maxBackoff, maxRecoveries},
+		retry:     retryPolicy{callTimeout, maxAttempts, maxRecoveries},
 		addrs:     append([]string(nil), addrs...),
 		graphPath: graphPath,
 		p:         len(addrs),
@@ -176,14 +176,16 @@ func (m *Master) callOnce(t Transport, method string, args, reply any) error {
 	if timeout == 0 {
 		return t.Call(method, args, reply)
 	}
+	// The deadline starts before the call does, so a call that advances
+	// a fake clock past it finds it armed.
+	timer, stop := clock.NewTimer(timeout)
+	defer stop()
 	done := make(chan error, 1)
 	go func() { done <- t.Call(method, args, reply) }()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
 	select {
 	case err := <-done:
 		return err
-	case <-timer.C:
+	case <-timer:
 		return fmt.Errorf("pregel: %s: %w", method, ErrCallTimeout)
 	}
 }
@@ -216,7 +218,7 @@ func masterCall[T any](m *Master, i int, method string, args any) (*T, error) {
 		m.Metrics.Retries++
 		m.statsMu.Unlock()
 		m.cfg.Obs.Counter("pregel_retries_total").Inc()
-		time.Sleep(pol.backoff(attempt))
+		clock.Sleep(backoff(attempt))
 	}
 	return nil, &workerFailure{
 		workers: []int{i},
@@ -327,7 +329,7 @@ func (m *Master) redial(addr string) (Transport, error) {
 		if attempt >= m.retry.attempts {
 			return nil, err
 		}
-		time.Sleep(m.retry.backoff(attempt))
+		clock.Sleep(backoff(attempt))
 	}
 }
 

@@ -50,7 +50,7 @@ wait_http "http://$r1/healthz" "replica 1"
 wait_http "http://$r2/healthz" "replica 2"
 wait_http "http://$r3/healthz" "replica 3"
 "$work/bin/drrouter" -replicas "$r1,$r2,$r3" -mode sharded -listen "$router" \
-	-check-every 100ms -grace 5s &
+	-grace 5s &
 router_pid=$!
 pids="$pids $router_pid"
 wait_http "http://$router/healthz" "router"

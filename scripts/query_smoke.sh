@@ -43,7 +43,7 @@ echo "== drload burst: streaming joins, exact result set verified"
 	-verify-idx "$work/graph.idx" -seed 5
 
 echo "== abandoned join through drrouter: the replica stops, nobody is charged"
-"$work/bin/drrouter" -replicas "$addr" -listen "$router" -check-every 100ms -grace 5s &
+"$work/bin/drrouter" -replicas "$addr" -listen "$router" -grace 5s &
 router_pid=$!
 pids="$srv_pid $router_pid"
 wait_http "http://$router/reach?s=0&t=0" drrouter

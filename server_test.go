@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/graph"
 	"repro/internal/httpapi"
 	"repro/internal/pregel"
@@ -136,6 +137,7 @@ func TestQueryHandlerStatsAndHealth(t *testing.T) {
 // a lossy transport and checks the retry/checkpoint counters surface
 // on /stats.
 func TestStatsExposeFaultCounters(t *testing.T) {
+	clock.Fake(t) // the master's backoffs in virtual time
 	g := NewGraph(11, testEdges())
 	path := filepath.Join(t.TempDir(), "g.bin")
 	if err := graph.SaveFile(path, g.d, true); err != nil {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/tol"
@@ -93,10 +94,6 @@ type Updater struct {
 
 	stop chan struct{}
 	done chan struct{}
-	// tick, when set before Start, drives the refresher in place of the
-	// RefreshEvery ticker: one refresh per value received. Tests use it
-	// to advance epochs by count instead of by wall clock.
-	tick <-chan time.Time
 
 	// testHookMidRefresh, when set, runs after a refresh batch is cut
 	// and applied but before the snapshot swap — the window chaos
@@ -247,7 +244,8 @@ func (u *Updater) Start(h *QueryHandler) {
 	u.h = h
 	u.recordCut(h.Epoch(), u.appliedSeq)
 	u.mu.Unlock()
-	go u.run()
+	tick, stop := clock.NewTicker(u.every) // here, so no tick after Start is lost
+	go u.run(tick, stop)
 }
 
 // Close stops the refresher (waiting for an in-flight refresh to
@@ -329,14 +327,9 @@ func (u *Updater) setLag() {
 // run is the background refresher: every tick, drain up to one batch
 // of queued records into the maintainer, take a snapshot, and swap it
 // in as the next epoch.
-func (u *Updater) run() {
+func (u *Updater) run(tick <-chan time.Time, stop func()) {
 	defer close(u.done)
-	tick := u.tick
-	if tick == nil {
-		ticker := time.NewTicker(u.every)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
+	defer stop()
 	for {
 		select {
 		case <-u.stop:

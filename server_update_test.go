@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/httpapi"
 	"repro/internal/wal"
 )
@@ -305,8 +306,8 @@ func TestUpdaterRejects(t *testing.T) {
 func TestUpdaterStatsBlock(t *testing.T) {
 	g := lineGraph(t, 100) // long enough that three repairs' overlay is no fold's worth
 	reg := NewMetricsRegistry()
-	tick := make(chan time.Time)
-	h, _, _ := startUpdateServer(t, g, UpdaterOptions{Obs: reg}, func(u *Updater) { u.tick = tick })
+	clk := clock.Fake(t)
+	h, u, _ := startUpdateServer(t, g, UpdaterOptions{Obs: reg}, nil)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	get := func(path string) []byte {
@@ -346,7 +347,7 @@ func TestUpdaterStatsBlock(t *testing.T) {
 		t.Fatalf("/metrics lacks reachlab_update_seq_lag 3 before a refresh")
 	}
 
-	tick <- time.Now()
+	clk.Advance(u.every)
 	waitEpoch(t, h, ack.Epoch)
 	s := stats()
 	if s.LastSeq != 3 || s.AppliedSeq != 3 || s.SeqLag != 0 {
@@ -419,8 +420,8 @@ func TestUpdaterRebuildCounter(t *testing.T) {
 // exact — across the slots the wrap reused — and every older epoch
 // reads as unknown, as the EpochSeq contract says.
 func TestUpdaterEpochHistoryBounded(t *testing.T) {
-	tick := make(chan time.Time)
-	h, u, log := startUpdateServer(t, lineGraph(t, 40), UpdaterOptions{}, func(u *Updater) { u.tick, u.batch = tick, 2 })
+	clk := clock.Fake(t)
+	h, u, log := startUpdateServer(t, lineGraph(t, 40), UpdaterOptions{}, func(u *Updater) { u.batch = 2 })
 
 	type promise struct{ seq, epoch uint64 }
 	var acks []promise
@@ -435,10 +436,10 @@ func TestUpdaterEpochHistoryBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		acks = append(acks, promise{seq, epoch})
-		tick <- time.Now()
+		clk.Advance(u.every)
 	}
 	for u.AppliedSeq() < log.LastSeq() {
-		tick <- time.Now()
+		clk.Advance(u.every)
 	}
 
 	last := h.Epoch()
@@ -490,8 +491,8 @@ func TestPublishedEpochsImmutable(t *testing.T) {
 		}
 	}
 
-	tick := make(chan time.Time)
-	h, u, _ := startUpdateServer(t, g, UpdaterOptions{}, func(u *Updater) { u.tick = tick })
+	clk := clock.Fake(t)
+	h, u, _ := startUpdateServer(t, g, UpdaterOptions{}, nil)
 	// The hook runs on the refresher goroutine, the maintainer's owner.
 	var refreshes atomic.Int64
 	u.testHookMidRefresh = func() {
@@ -577,7 +578,7 @@ func TestPublishedEpochsImmutable(t *testing.T) {
 			promised = epoch
 		}
 		for h.Epoch() < promised {
-			tick <- time.Now()
+			clk.Advance(u.every)
 		}
 		if k%10 != 0 {
 			continue

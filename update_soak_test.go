@@ -29,6 +29,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/httpapi"
 	"repro/internal/wal"
 )
@@ -156,14 +157,15 @@ func TestUpdateQuerySoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The refresher turns on the test's ticks, not the clock, and drains
-	// a burst over several epochs (both set before Start): the tick
-	// driver below sends one only after some reader has been answered at
-	// the serving epoch, so every epoch published while the readers run
-	// is sampled and the run's epoch count follows from its write count,
-	// however slowly -race or a loaded host turns the refresher over.
-	tick := make(chan time.Time)
-	u.tick, u.batch = tick, 16
+	// The refresher turns on a fake clock the test advances, and drains
+	// a burst over several epochs (the batch set before Start): the tick
+	// driver below advances it only after some reader has been answered
+	// at the serving epoch, so every epoch published while the readers
+	// run is sampled and the run's epoch count follows from its write
+	// count, however slowly -race or a loaded host turns the refresher
+	// over.
+	clk := clock.Fake(t)
+	u.batch = 16
 	// Chaos on the refresher: every few refreshes, stall between the
 	// batch apply and the snapshot swap — the widest window in which
 	// readers must keep getting old-epoch answers with the old-epoch
@@ -201,14 +203,16 @@ func TestUpdateQuerySoak(t *testing.T) {
 			select {
 			case <-tickStop:
 				return
-			case tick <- time.Now():
+			default:
+				clk.Advance(u.every) // returns once the refresher has the tick
 			}
 		}
 	}()
-	defer func() {
+	stopTicks := sync.OnceFunc(func() {
 		close(tickStop)
 		ticker.Wait()
-	}()
+	})
+	defer stopTicks()
 
 	// --- writers: every ack recorded for the oracle ------------------
 	var (
@@ -608,6 +612,7 @@ func TestUpdateQuerySoak(t *testing.T) {
 		oracle.apply(ops[opIdx])
 		opIdx++
 	}
+	stopTicks()
 	u.Close()
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
