@@ -255,31 +255,3 @@ func TestLabelBudgetWithCondenseSCC(t *testing.T) {
 		}
 	}
 }
-
-func TestGenerateGraphStreamedMatches(t *testing.T) {
-	for _, family := range []string{"web", "citation", "social", "knowledge", "biology", "synthetic"} {
-		a, err := GenerateGraph(family, 2000, 4, 42)
-		if err != nil {
-			t.Fatalf("%s: %v", family, err)
-		}
-		b, err := GenerateGraphStreamed(family, 2000, 4, 42)
-		if err != nil {
-			t.Fatalf("%s streamed: %v", family, err)
-		}
-		if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
-			t.Fatalf("%s: shape differs: %d/%d vs %d/%d", family,
-				a.NumVertices(), a.NumEdges(), b.NumVertices(), b.NumEdges())
-		}
-		for v := VertexID(0); int(v) < a.NumVertices(); v++ {
-			ao, bo := a.OutNeighbors(v), b.OutNeighbors(v)
-			if len(ao) != len(bo) {
-				t.Fatalf("%s: v%d out-degree differs", family, v)
-			}
-			for i := range ao {
-				if ao[i] != bo[i] {
-					t.Fatalf("%s: v%d adjacency differs", family, v)
-				}
-			}
-		}
-	}
-}

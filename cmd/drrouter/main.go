@@ -2,10 +2,12 @@
 // replica's whole API (DESIGN.md "HTTP contract", §12 — the table's
 // last column is what the router does with each endpoint) across N
 // replicas, either replicated (any replica answers; least-outstanding
-// wins) or sharded by source (shard(s) = s mod K), with periodic health
-// checks, automatic removal/readmission of misbehaving replicas,
-// graceful drain, and a fleet-wide index reload that swaps every
-// replica to a new epoch with zero downtime (DESIGN.md §9).
+// wins) or sharded by source (shard(s) = s mod K; a join, which reads
+// no cache, goes whole to one replica), with periodic health checks,
+// automatic removal/readmission of misbehaving replicas, graceful
+// drain, and a fleet-wide index reload that swaps every replica to a
+// new epoch with zero downtime (DESIGN.md §9). It refuses what a
+// replica refuses, with the contract's caps; no flag sets them.
 //
 // Usage:
 //
@@ -43,15 +45,13 @@ func main() {
 		replicas = flag.String("replicas", "", "comma-separated replica addresses (host:port, required)")
 		mode     = flag.String("mode", "replicated", "routing mode: replicated or sharded")
 		listen   = flag.String("listen", "127.0.0.1:8080", "address to listen on")
-		maxBatch = flag.Int("max-batch", 8192, "maximum pairs per /reach/batch request")
 		grace    = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight queries")
 	)
 	flag.Parse()
 	addrs := strings.Split(*replicas, ",")
 	f, err := fleet.New(addrs, fleet.Options{
-		Mode:     fleet.Mode(*mode),
-		MaxBatch: *maxBatch,
-		Obs:      obs.Default,
+		Mode: fleet.Mode(*mode),
+		Obs:  obs.Default,
 	})
 	if err != nil {
 		fatal(err)

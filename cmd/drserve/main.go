@@ -7,7 +7,9 @@
 // in-flight queries before exiting. cmd/drrouter fans traffic across
 // several of these. Every endpoint, body, limit and refusal is the
 // table in DESIGN.md "HTTP contract" (§12); the flags below only size
-// and feed what it describes.
+// and feed what it describes. Its caps — 8,192 pairs a batch or
+// entries a list, 2^20 pairs a join — are the contract's constants, so
+// no flag sets them and every replica and router refuses alike.
 //
 // The cache is one table of -cache 4-byte slots (rounded up to a power
 // of two; 4 MB at the default 2^20), replaced whole at every reload. It
@@ -71,12 +73,10 @@ import (
 
 func main() {
 	var (
-		idxPath  = flag.String("idx", "", "index file written by drlabel (required unless -wal; also the default /admin/reload and SIGHUP source)")
-		listen   = flag.String("listen", "127.0.0.1:8080", "address to listen on")
-		cache    = flag.Int("cache", 1<<20, "hot-pair cache size in 4-byte slots, rounded up to a power of two (0 disables); it holds pairs whose IDs are both below 2^k, k = min(31, ⌊(30 + log₂ slots)/2⌋) — 2^25 at the default")
-		maxBatch = flag.Int("max-batch", reachlab.DefaultMaxBatch, "maximum pairs per /reach/batch request and entries per /reach/from and /reach/join list")
-		maxJoin  = flag.Int("max-join", reachlab.DefaultMaxJoin, "maximum scanned cross product |sources|×|targets| per /reach/join request")
-		grace    = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight queries")
+		idxPath = flag.String("idx", "", "index file written by drlabel (required unless -wal; also the default /admin/reload and SIGHUP source)")
+		listen  = flag.String("listen", "127.0.0.1:8080", "address to listen on")
+		cache   = flag.Int("cache", 1<<20, "hot-pair cache size in 4-byte slots, rounded up to a power of two (0 disables); it holds pairs whose IDs are both below 2^k, k = min(31, ⌊(30 + log₂ slots)/2⌋) — 2^25 at the default")
+		grace   = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight queries")
 
 		graphPath    = flag.String("graph", "", "graph file (text edge list or drgen binary): with -wal, the graph update mode starts from; with -idx, the indexed graph — checked against the index, enables /reach/path, required by a budgeted index")
 		mmapFlag     = flag.Bool("mmap", false, "memory-map -graph (binary files only) instead of reading it into RAM")
@@ -94,8 +94,6 @@ func main() {
 	serveOpts := reachlab.ServeOptions{
 		Obs:        reachlab.DefaultMetrics(),
 		CachePairs: *cache,
-		MaxBatch:   *maxBatch,
-		MaxJoin:    *maxJoin,
 	}
 	// -graph is opened one way, whichever mode then uses it. A mapping
 	// lasts as long as the process does.

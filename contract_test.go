@@ -3,10 +3,12 @@ package reachlab
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,12 +18,10 @@ import (
 	"repro/internal/wal"
 )
 
-// The caps every server of TestRouterMatchesReplica runs with, small so
-// the over-limit rows stay small.
-const (
-	contractMaxBatch = 8
-	contractMaxJoin  = 32
-)
+// contractVertices is the fixture's ID space: large enough that a join
+// of in-range vertices can scan more than MaxJoin pairs, whether its
+// sources sit on one shard of three or on all of them.
+const contractVertices = 1800
 
 // A contractRow is one request of the table, what a lone replica must
 // answer it with in each replica configuration (static, bare, updating
@@ -36,9 +36,10 @@ type contractRow struct {
 	// forwards is how many upstream requests the router may spend on the
 	// row in Replicated and in Sharded mode: one for a verdict it relays,
 	// none for a request it refuses itself, one per shard it splits
-	// across. fanned says in which configurations the row instead goes
-	// to all three replicas (in the others the first replica asked
-	// refuses it, and that is the one forward).
+	// across (and one more to ask a refused split batch again whole).
+	// fanned says in which configurations the row instead goes to all
+	// three replicas (in the others the first replica asked refuses it,
+	// and that is the one forward).
 	forwards [2]int
 	fanned   [3]bool
 	// rewritten marks rows whose 200 body the router composes itself
@@ -47,10 +48,35 @@ type contractRow struct {
 	rewritten bool
 }
 
-func contractTable() []contractRow {
+// contractTable is the request table over a fixture of n vertices.
+func contractTable(n int) []contractRow {
 	pad := func(e httpapi.Endpoint) string {
-		return strings.Repeat(" ", int(e.BodyLimit(contractMaxBatch))+64)
+		return strings.Repeat(" ", int(e.BodyLimit())+64)
 	}
+	// list joins count entries made by entry(i) into a JSON list body.
+	list := func(count int, entry func(i int) string) string {
+		parts := make([]string, count)
+		for i := range parts {
+			parts[i] = entry(i)
+		}
+		return "[" + strings.Join(parts, ",") + "]"
+	}
+	vertex := func(step int) func(i int) string {
+		return func(i int) string { return strconv.Itoa(i * step % n) }
+	}
+	// A join whose deduplicated product is over MaxJoin: on shard 0 of
+	// three alone, and spread over every shard.
+	oneShard := (n + 2) / 3
+	oneShardTargets := httpapi.MaxJoin/oneShard + 1
+	spread := 1025
+	spreadTargets := httpapi.MaxJoin/spread + 1
+	outOfRangeLast := func(i int) string {
+		if i == spreadTargets-1 {
+			return strconv.Itoa(n)
+		}
+		return strconv.Itoa(i)
+	}
+	pair := func(i int) string { return fmt.Sprintf("[%d,%d]", i%n, (i/n+i+1)%n) }
 	const get, post = http.MethodGet, http.MethodPost
 	all := func(code int) [3]int { return [3]int{code, code, code} }
 	one, none := [2]int{1, 1}, [2]int{0, 0}
@@ -59,23 +85,27 @@ func contractTable() []contractRow {
 		{name: "reach-same", method: get, path: "/reach?s=5&t=5", want: all(200), forwards: one},
 		{name: "reach-malformed", method: get, path: "/reach?s=3&t=notanumber", want: all(400), forwards: one},
 		{name: "reach-missing", method: get, path: "/reach?t=3", want: all(400), forwards: one},
-		{name: "reach-out-of-range", method: get, path: "/reach?s=3&t=80", want: all(400), forwards: one},
+		{name: "reach-out-of-range", method: get, path: fmt.Sprintf("/reach?s=3&t=%d", n), want: all(400), forwards: one},
 		{name: "reach-wrong-method", method: post, path: "/reach?s=3&t=17", want: all(405), forwards: none},
 
 		{name: "batch", method: post, path: "/reach/batch", body: `{"pairs":[[3,17],[4,9],[3,17],[5,5]]}`, want: all(200), forwards: [2]int{1, 3}},
 		{name: "batch-empty", method: post, path: "/reach/batch", body: `{"pairs":[]}`, want: all(200), forwards: one},
 		{name: "batch-malformed", method: post, path: "/reach/batch", body: `{"pairs":[[3,17],[4`, want: all(400), forwards: none},
-		{name: "batch-out-of-range", method: post, path: "/reach/batch", body: `{"pairs":[[3,17],[3,999]]}`, want: all(400), forwards: one},
+		{name: "batch-out-of-range", method: post, path: "/reach/batch", body: fmt.Sprintf(`{"pairs":[[3,17],[3,%d]]}`, n), want: all(400), forwards: one},
+		// Deduplicated (replicated) or split (sharded), the batch the
+		// replicas refuse is not the caller's, yet the refusal must name
+		// the caller's pair 3.
+		{name: "batch-out-of-range-reshaped", method: post, path: "/reach/batch", body: fmt.Sprintf(`{"pairs":[[4,9],[3,17],[3,17],[3,%d]]}`, n), want: all(400), forwards: [2]int{2, 3}},
 		{name: "batch-negative", method: post, path: "/reach/batch", body: `{"pairs":[[-1,0]]}`, want: all(400), forwards: one},
-		{name: "batch-target-n", method: post, path: "/reach/batch", body: `{"pairs":[[3,80]]}`, want: all(400), forwards: one},
-		{name: "batch-at-cap", method: post, path: "/reach/batch", body: `{"pairs":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,8]]}`, want: all(200), forwards: [2]int{1, 3}},
-		{name: "batch-over-cap", method: post, path: "/reach/batch", body: `{"pairs":[` + strings.TrimSuffix(strings.Repeat("[0,1],", contractMaxBatch+1), ",") + `]}`, want: all(413), forwards: none},
+		{name: "batch-target-n", method: post, path: "/reach/batch", body: fmt.Sprintf(`{"pairs":[[3,%d]]}`, n), want: all(400), forwards: one},
+		{name: "batch-at-cap", method: post, path: "/reach/batch", body: `{"pairs":` + list(httpapi.MaxBatch, pair) + `}`, want: all(200), forwards: [2]int{1, 3}},
+		{name: "batch-over-cap", method: post, path: "/reach/batch", body: `{"pairs":` + list(httpapi.MaxBatch+1, pair) + `}`, want: all(413), forwards: none},
 		{name: "batch-over-limit", method: post, path: "/reach/batch", body: `{"pairs":[[0,1]]` + pad(httpapi.Batch) + `}`, want: all(413), forwards: none},
 		{name: "batch-wrong-method", method: get, path: "/reach/batch", want: all(405), forwards: none},
 
 		{name: "path", method: get, path: "/reach/path?s=5&t=5", want: [3]int{200, 501, 200}, forwards: one},
 		{name: "path-malformed", method: get, path: "/reach/path?s=0&t=notanumber", want: all(400), forwards: one},
-		{name: "path-out-of-range", method: get, path: "/reach/path?s=80&t=0", want: all(400), forwards: one},
+		{name: "path-out-of-range", method: get, path: fmt.Sprintf("/reach/path?s=%d&t=0", n), want: all(400), forwards: one},
 		{name: "path-wrong-method", method: post, path: "/reach/path?s=0&t=0", want: all(405), forwards: none},
 
 		{name: "count", method: get, path: "/reach/count?s=3", want: all(200), forwards: one},
@@ -85,26 +115,30 @@ func contractTable() []contractRow {
 
 		{name: "from", method: post, path: "/reach/from", body: `{"s":3,"targets":[17,9,3]}`, want: all(200), forwards: one},
 		{name: "from-malformed", method: post, path: "/reach/from", body: `{"s":3,"targets":[`, want: all(400), forwards: one},
-		{name: "from-out-of-range", method: post, path: "/reach/from", body: `{"s":3,"targets":[17,80]}`, want: all(400), forwards: one},
-		{name: "from-at-cap", method: post, path: "/reach/from", body: `{"s":3,"targets":[1,2,3,4,5,6,7,8]}`, want: all(200), forwards: one},
-		{name: "from-over-cap", method: post, path: "/reach/from", body: `{"s":3,"targets":[1,2,3,4,5,6,7,8,9]}`, want: all(413), forwards: one},
+		{name: "from-out-of-range", method: post, path: "/reach/from", body: fmt.Sprintf(`{"s":3,"targets":[17,%d]}`, n), want: all(400), forwards: one},
+		{name: "from-at-cap", method: post, path: "/reach/from", body: `{"s":3,"targets":` + list(httpapi.MaxBatch, vertex(1)) + `}`, want: all(200), forwards: one},
+		{name: "from-over-cap", method: post, path: "/reach/from", body: `{"s":3,"targets":` + list(httpapi.MaxBatch+1, vertex(1)) + `}`, want: all(413), forwards: one},
 		{name: "from-over-limit", method: post, path: "/reach/from", body: `{"s":3,"targets":[1]` + pad(httpapi.From) + `}`, want: all(413), forwards: none},
 		{name: "from-wrong-method", method: get, path: "/reach/from", want: all(405), forwards: none},
 
-		{name: "join", method: post, path: "/reach/join", body: `{"sources":[5,3,4,3],"targets":[17,9,5,3]}`, want: all(200), forwards: [2]int{1, 3}},
+		{name: "join", method: post, path: "/reach/join", body: `{"sources":[5,3,4,3],"targets":[17,9,5,3]}`, want: all(200), forwards: one},
 		{name: "join-zero", method: post, path: "/reach/join", body: `{"sources":[0],"targets":[3,0]}`, want: all(200), forwards: one},
-		{name: "join-malformed", method: post, path: "/reach/join", body: `{"sources":[`, want: all(400), forwards: [2]int{1, 0}},
-		{name: "join-out-of-range", method: post, path: "/reach/join", body: `{"sources":[999],"targets":[3]}`, want: all(400), forwards: one},
-		{name: "join-over-cap", method: post, path: "/reach/join", body: `{"sources":[1],"targets":[1,2,3,4,5,6,7,8,9]}`, want: all(413), forwards: [2]int{1, 0}},
-		{name: "join-over-product", method: post, path: "/reach/join", body: `{"sources":[0,3,6,9,12,15],"targets":[1,2,3,4,5,6]}`, want: all(413), forwards: one},
+		{name: "join-malformed", method: post, path: "/reach/join", body: `{"sources":[`, want: all(400), forwards: one},
+		{name: "join-out-of-range", method: post, path: "/reach/join", body: fmt.Sprintf(`{"sources":[%d],"targets":[3]}`, n), want: all(400), forwards: one},
+		{name: "join-over-cap", method: post, path: "/reach/join", body: `{"sources":[1],"targets":` + list(httpapi.MaxBatch+1, vertex(1)) + `}`, want: all(413), forwards: one},
+		{name: "join-over-product", method: post, path: "/reach/join", body: `{"sources":` + list(oneShard, vertex(3)) + `,"targets":` + list(oneShardTargets, vertex(1)) + `}`, want: all(413), forwards: one},
+		// Split by shard, no sub-join would be over the cap.
+		{name: "join-over-product-spread", method: post, path: "/reach/join", body: `{"sources":` + list(spread, vertex(1)) + `,"targets":` + list(spreadTargets, vertex(1)) + `}`, want: all(413), forwards: one},
+		// A bad vertex is refused before the product is: 400, not 413.
+		{name: "join-over-product-out-of-range", method: post, path: "/reach/join", body: `{"sources":` + list(spread, vertex(1)) + `,"targets":` + list(spreadTargets, outOfRangeLast) + `}`, want: all(400), forwards: one},
 		{name: "join-over-limit", method: post, path: "/reach/join", body: `{"sources":[0],"targets":[1]` + pad(httpapi.Join) + `}`, want: all(413), forwards: none},
 		{name: "join-wrong-method", method: get, path: "/reach/join", want: all(405), forwards: none},
 
 		{name: "edges", method: post, path: "/edges", body: `{"op":"insert","u":3,"v":17}`, want: [3]int{501, 501, 200}, forwards: one, fanned: [3]bool{false, false, true}, rewritten: true},
 		{name: "edges-malformed", method: post, path: "/edges", body: `{"op":`, want: all(400), forwards: one},
 		{name: "edges-bad-op", method: post, path: "/edges", body: `{"op":"upsert","u":1,"v":2}`, want: [3]int{501, 501, 400}, forwards: one},
-		{name: "edges-out-of-range", method: post, path: "/edges", body: `{"op":"insert","u":3,"v":80}`, want: [3]int{501, 501, 400}, forwards: one},
-		{name: "edges-source-n", method: post, path: "/edges", body: `{"op":"insert","u":80,"v":3}`, want: [3]int{501, 501, 400}, forwards: one},
+		{name: "edges-out-of-range", method: post, path: "/edges", body: fmt.Sprintf(`{"op":"insert","u":3,"v":%d}`, n), want: [3]int{501, 501, 400}, forwards: one},
+		{name: "edges-source-n", method: post, path: "/edges", body: fmt.Sprintf(`{"op":"insert","u":%d,"v":3}`, n), want: [3]int{501, 501, 400}, forwards: one},
 		{name: "edges-over-limit", method: post, path: "/edges", body: `{"op":"insert","u":3,"v":17` + pad(httpapi.Edges) + `}`, want: all(413), forwards: none},
 		{name: "edges-wrong-method", method: get, path: "/edges", want: all(405), forwards: none},
 
@@ -169,7 +203,7 @@ func TestRouterMatchesReplica(t *testing.T) {
 	// the routers' probes never tick, so the epoch stays where the table
 	// expects it and every probe after Start's is the table's own.
 	clock.Fake(t)
-	g := randomCyclicGraph(80, 260, 17)
+	g := randomCyclicGraph(contractVertices, 3*contractVertices, 17)
 	built, err := Build(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +219,7 @@ func TestRouterMatchesReplica(t *testing.T) {
 		}
 		return idx
 	}
-	opts := ServeOptions{MaxBatch: contractMaxBatch, MaxJoin: contractMaxJoin, CachePairs: 256}
+	opts := ServeOptions{CachePairs: 256}
 	configs := []struct {
 		name    string
 		replica func(t *testing.T) http.Handler
@@ -227,7 +261,7 @@ func TestRouterMatchesReplica(t *testing.T) {
 					defer srv.Close()
 					addrs[i] = strings.TrimPrefix(srv.URL, "http://")
 				}
-				f, err := fleet.New(addrs, fleet.Options{Mode: mode, MaxBatch: contractMaxBatch})
+				f, err := fleet.New(addrs, fleet.Options{Mode: mode})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -243,7 +277,7 @@ func TestRouterMatchesReplica(t *testing.T) {
 					return forwards, errors
 				}
 
-				for _, row := range contractTable() {
+				for _, row := range contractTable(g.NumVertices()) {
 					want := sendContractRow(t, lone.URL, row)
 					if want.status != row.want[ci] {
 						t.Errorf("%s: the replica answered %d %q, the table expects %d", row.name, want.status, want.body, row.want[ci])

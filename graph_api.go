@@ -109,21 +109,3 @@ func GenerateGraph(family string, n int, avgDegree float64, seed int64) (*Graph,
 	}
 	return &Graph{d: d}, nil
 }
-
-// GenerateGraphStreamed is GenerateGraph without the intermediate
-// edge slice: the generator streams its edges twice (count pass,
-// placement pass) and peak memory is the finished CSR plus the
-// generator's attachment pools. The result is byte-identical to
-// GenerateGraph with the same parameters.
-func GenerateGraphStreamed(family string, n int, avgDegree float64, seed int64) (*Graph, error) {
-	d, err := gen.GenerateStreamed(gen.Params{
-		Family:    gen.Family(family),
-		N:         n,
-		AvgDegree: avgDegree,
-		Seed:      seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("reachlab: %w", err)
-	}
-	return &Graph{d: d}, nil
-}

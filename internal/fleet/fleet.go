@@ -10,7 +10,8 @@
 //     (shard(s) = s mod K over the fixed replica list), so each
 //     replica's hot-pair cache sees only its slice of the source
 //     space and stays hot. Batches are split into per-shard
-//     sub-batches and the answers merged back into caller order.
+//     sub-batches and the answers merged back into caller order;
+//     a join, which never reads the cache, passes through whole.
 //
 // Sharding is an affinity policy, not a data partition — every
 // replica holds the full index — so when a shard's owner is down the
@@ -144,16 +145,12 @@ type ReplicaStatus struct {
 type Options struct {
 	// Mode is Replicated (default) or Sharded.
 	Mode Mode
-	// MaxBatch caps the pair count of one /reach/batch request
-	// (default httpapi.DefaultMaxBatch, as at a replica).
-	MaxBatch int
 	// Obs receives router counters and latency histograms; nil
 	// disables instrumentation.
 	Obs *obs.Registry
 }
 
-// withDefaults fills the zero fields in (MaxBatch's default is the
-// contract's: httpapi.NewMux applies it).
+// withDefaults fills the zero fields in.
 func (o Options) withDefaults() Options {
 	if o.Mode == "" {
 		o.Mode = Replicated

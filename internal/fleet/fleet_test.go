@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
@@ -474,18 +475,13 @@ func TestShardedBatchMergeOrderAndDedup(t *testing.T) {
 	// Shards at different epochs (a rolling reload): a split answer
 	// carries no epoch header at all.
 	fakes[1].epoch.Store(2)
-	for _, c := range []struct{ path, body string }{
-		{"/reach/batch", string(raw)},
-		{"/reach/join", `{"sources":[0,1],"targets":[7]}`},
-	} {
-		resp, err = http.Post(router.URL+c.path, "application/json", strings.NewReader(c.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if e, ok := resp.Header["X-Reachlab-Epoch"]; resp.StatusCode != http.StatusOK || ok {
-			t.Errorf("%s over epochs 1 and 2: status %d, epoch header %q; want 200 and none", c.path, resp.StatusCode, e)
-		}
+	resp, err = http.Post(router.URL+"/reach/batch", "application/json", strings.NewReader(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if e, ok := resp.Header["X-Reachlab-Epoch"]; resp.StatusCode != http.StatusOK || ok {
+		t.Errorf("batch over epochs 1 and 2: status %d, epoch header %q; want 200 and none", resp.StatusCode, e)
 	}
 }
 
@@ -1211,8 +1207,10 @@ func TestFleetEdgesFanout(t *testing.T) {
 
 // TestBatchRefusalRelayedVerbatim: a replica's 400 for an out-of-range
 // pair is its verdict on the batch — it comes back through the router
-// with the replica's own words, after one forward per shard asked, and
-// is charged to nobody: no retry, no replica error, no unavailable.
+// with the replica's own words, after one forward per shard asked (and,
+// when the batch was split, one more that asks the caller's own batch
+// again), and is charged to nobody: no retry, no replica error, no
+// unavailable.
 func TestBatchRefusalRelayedVerbatim(t *testing.T) {
 	for _, mode := range []Mode{Replicated, Sharded} {
 		t.Run(string(mode), func(t *testing.T) {
@@ -1240,7 +1238,7 @@ func TestBatchRefusalRelayedVerbatim(t *testing.T) {
 			}
 			wantForwards := int64(1)
 			if mode == Sharded {
-				wantForwards = 2
+				wantForwards = 3
 			}
 			if forwards != wantForwards || errs != 0 {
 				t.Errorf("%s: %d forwards and %d replica errors, want %d and 0", mode, forwards, errs, wantForwards)
@@ -1262,7 +1260,7 @@ func TestBatchRefusalRelayedVerbatim(t *testing.T) {
 // counter's value.
 func TestRouterTimesEveryRequest(t *testing.T) {
 	reg := obs.New()
-	_, servers, f := testFleet(t, 2, Sharded, nil, func(o *Options) { o.Obs = reg; o.MaxBatch = 4 })
+	_, servers, f := testFleet(t, 2, Sharded, nil, func(o *Options) { o.Obs = reg })
 	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 2 })
 	replica := strings.TrimPrefix(servers[0].URL, "http://")
 	gone, hangUp := context.WithCancel(context.Background())
@@ -1274,7 +1272,7 @@ func TestRouterTimesEveryRequest(t *testing.T) {
 		{http.MethodGet, "/reach?s=1&t=6", "", nil},
 		{http.MethodGet, "/reach?s=999&t=2", "", nil},
 		{http.MethodPost, "/reach/batch", `{"pairs":[[1,6],[2,1]]}`, nil},
-		{http.MethodPost, "/reach/batch", `{"pairs":[[0,1],[0,2],[0,3],[0,4],[0,5]]}`, nil},
+		{http.MethodPost, "/reach/batch", `{"pairs":[` + strings.TrimSuffix(strings.Repeat("[0,1],", httpapi.MaxBatch+1), ",") + `]}`, nil},
 		{http.MethodPost, "/reach/batch", `{"pairs":[[1,`, nil},
 		{http.MethodGet, "/reach/path?s=1&t=6", "", nil},
 		{http.MethodGet, "/reach/count?s=1", "", nil},
@@ -1415,7 +1413,7 @@ func TestClientHangUpChargedToNobody(t *testing.T) {
 	}{
 		{"pass-through", "reach", http.MethodGet, "/reach?s=4&t=7", "", 1},
 		{"split batch", "batch", http.MethodPost, "/reach/batch", `{"pairs":[[4,7],[5,9]]}`, 2},
-		{"split join", "join", http.MethodPost, "/reach/join", `{"sources":[4,5],"targets":[7,9]}`, 2},
+		{"join", "join", http.MethodPost, "/reach/join", `{"sources":[4,5],"targets":[7,9]}`, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			started, released := make(chan struct{}, 2), make(chan struct{}, 2)

@@ -24,20 +24,18 @@ import (
 // verdict (httpapi.Verdict); only a replica's failure is retried.
 
 func (f *Fleet) initMux() {
-	f.mux = httpapi.NewMux(f.opts.Obs, "fleet", f.opts.MaxBatch)
-	// Pass-through, placed by source: one replica's answer is the answer.
+	f.mux = httpapi.NewMux(f.opts.Obs, "fleet")
+	// Pass-through: one replica's answer is the answer. A single-source
+	// request is placed by its source; a join reads no cache, so it has
+	// no owner and goes to any replica, whole, in both modes.
 	f.mux.Mount(httpapi.Reach, f.passThrough(httpapi.SourceInQuery))
 	f.mux.Mount(httpapi.Path, f.passThrough(httpapi.SourceInQuery))
 	f.mux.Mount(httpapi.Count, f.passThrough(httpapi.SourceInQuery))
 	f.mux.Mount(httpapi.From, f.passThrough(httpapi.SourceInBody))
-	// Split by shard and merged. A replicated pool has one shard, so a
-	// join passes through whole; a batch is still deduplicated.
+	f.mux.Mount(httpapi.Join, f.passThrough(nil))
+	// Split by shard and merged. A replicated pool has one shard; a batch
+	// is still deduplicated.
 	f.mux.Mount(httpapi.Batch, f.handleBatch)
-	if f.opts.Mode == Sharded {
-		f.mux.Mount(httpapi.Join, f.handleJoin)
-	} else {
-		f.mux.Mount(httpapi.Join, f.passThrough(nil))
-	}
 	// Fanned out to every replica. A reload's answer also tells the router
 	// the replica's new epoch, so /stats shows it without waiting for a probe.
 	f.mux.Mount(httpapi.Reload, f.fanOut(func(rep *replica, issued time.Time, row httpapi.ReplicaOutcome) {
@@ -168,53 +166,77 @@ func (f *Fleet) passThrough(source func(*http.Request, []byte) (int64, bool)) ht
 				preferred = f.shardOwner(s)
 			}
 		}
-		resp, data, err := f.forward(r.Context(), preferred, api.Method, path, body)
-		if err != nil {
-			if r.Context().Err() != nil {
-				api.Canceled()
-				return
-			}
-			f.unavailable.Inc()
-			api.Fail(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		api.Relay(w, resp, data)
+		f.proxy(api, w, r, preferred, path, body)
 	}
 }
 
-// subAnswer is one shard's part of a split request: the replica's
-// verdict on the sub-request, or err when the shard's retries ran out
-// or its 200 could not be read as the contract says.
+// proxy forwards one request (preferred first, if up) and relays the
+// verdict that comes back: 503 when no replica gave one, and nothing
+// when the client went away first.
+func (f *Fleet) proxy(api *httpapi.Handle, w http.ResponseWriter, r *http.Request, preferred *replica, path string, body []byte) {
+	resp, data, err := f.forward(r.Context(), preferred, api.Method, path, body)
+	if err != nil {
+		if r.Context().Err() != nil {
+			api.Canceled()
+			return
+		}
+		f.unavailable.Inc()
+		api.Fail(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	api.Relay(w, resp, data)
+}
+
+// subAnswer is one shard's part of a split batch: the replica's verdict
+// on the sub-batch, or err when the shard's retries ran out or its 200
+// could not be read as the contract says.
 type subAnswer struct {
 	resp *http.Response
 	data []byte
 	err  error
-
-	pairs   [][2]int64 // a sub-join's pairs and scanned tally
-	scanned int
 }
 
-// subRequest posts one shard's sub-request (owner preferred, any
-// healthy replica as fallback) and, if the verdict is a 200, has read
-// take the body in.
-func (f *Fleet) subRequest(ctx context.Context, api *httpapi.Handle, shard int, req any, read func(*subAnswer) error) (a subAnswer) {
-	body, _ := json.Marshal(req) // lists of integers: encoding cannot fail
-	if a.resp, a.data, a.err = f.forward(ctx, f.shardOwner(int64(shard)), api.Method, api.Route, body); a.err == nil && a.resp.StatusCode == http.StatusOK {
-		a.err = read(&a)
+// subBatch posts the sub-batch of the plan's unique pairs in group to
+// shard (owner preferred, any healthy replica as fallback) and, if the
+// verdict is a 200, writes its answers into their slots of answers.
+func (f *Fleet) subBatch(ctx context.Context, shard int, plan batchPlan, group []int, answers []bool) (a subAnswer) {
+	sub := httpapi.BatchRequest{Pairs: make([][2]int64, len(group))}
+	for k, u := range group {
+		sub.Pairs[k] = plan.uniq[u]
+	}
+	body, _ := json.Marshal(sub) // lists of integers: encoding cannot fail
+	a.resp, a.data, a.err = f.forward(ctx, f.shardOwner(int64(shard)), http.MethodPost, httpapi.Batch.Route, body)
+	if a.err != nil || a.resp.StatusCode != http.StatusOK {
+		return a
+	}
+	var br httpapi.BatchResponse
+	switch err := json.Unmarshal(a.data, &br); {
+	case err != nil:
+		a.err = fmt.Errorf("decoding sub-batch response: %w", err)
+	case len(br.Results) != len(group):
+		a.err = fmt.Errorf("sub-batch of %d pairs got %d answers", len(group), len(br.Results))
+	default:
+		for k, u := range group {
+			answers[u] = br.Results[k]
+		}
 	}
 	return a
 }
 
-// settle decides a split request from its shards' answers, in shard
+// settle decides a split batch from its shards' answers, in shard
 // order: a failed shard fails the whole request with 502 — partial
-// answers are never returned — and a refusal (400 bad vertex, 413 over
-// a cap) is deterministic, so the first one speaks for the request and
-// is relayed verbatim. ok means every shard asked answered 200; epoch
-// is then the one they all served from, or "" when they disagree (a
-// rolling reload). A request whose client went away while its shards
-// were being asked is dropped unanswered, whatever they said.
-func (f *Fleet) settle(ctx context.Context, api *httpapi.Handle, w http.ResponseWriter, subs []subAnswer) (epoch string, ok bool) {
-	if ctx.Err() != nil {
+// answers are never returned — and a refusal (400 bad vertex) is
+// deterministic, so the first one speaks for the request. It names the
+// offending pair by its place in the sub-batch, though; so unless that
+// sub-batch was the caller's whole batch as asked (nothing split off,
+// no duplicate dropped), one replica is asked again with the caller's
+// batch and its verdict is relayed, else the sub-batch's is, verbatim.
+// ok means every shard asked answered 200; epoch is then the one they
+// all served from, or "" when they disagree (a rolling reload). A
+// request whose client went away while its shards were being asked is
+// dropped unanswered, whatever they said.
+func (f *Fleet) settle(api *httpapi.Handle, w http.ResponseWriter, r *http.Request, req *httpapi.BatchRequest, plan batchPlan, subs []subAnswer) (epoch string, ok bool) {
+	if r.Context().Err() != nil {
 		api.Canceled()
 		return "", false
 	}
@@ -226,6 +248,10 @@ func (f *Fleet) settle(ctx context.Context, api *httpapi.Handle, w http.Response
 			api.Fail(w, fmt.Sprintf("shard %d: %v", shard, a.err), http.StatusBadGateway)
 			return "", false
 		case a.resp == nil: // nothing was asked of this shard
+		case a.resp.StatusCode != http.StatusOK && len(plan.groups[shard]) < len(req.Pairs):
+			body, _ := json.Marshal(req)
+			f.proxy(api, w, r, nil, api.Route, body)
+			return "", false
 		case a.resp.StatusCode != http.StatusOK:
 			api.Relay(w, a.resp, a.data)
 			return "", false
@@ -270,27 +296,11 @@ func (f *Fleet) handleBatch(api *httpapi.Handle, w http.ResponseWriter, r *http.
 		wg.Add(1)
 		go func(gi int, group []int) {
 			defer wg.Done()
-			sub := httpapi.BatchRequest{Pairs: make([][2]int64, len(group))}
-			for k, u := range group {
-				sub.Pairs[k] = plan.uniq[u]
-			}
-			subs[gi] = f.subRequest(r.Context(), api, gi, sub, func(a *subAnswer) error {
-				var br httpapi.BatchResponse
-				if err := json.Unmarshal(a.data, &br); err != nil {
-					return fmt.Errorf("decoding sub-batch response: %w", err)
-				}
-				if len(br.Results) != len(group) {
-					return fmt.Errorf("sub-batch of %d pairs got %d answers", len(group), len(br.Results))
-				}
-				for k, u := range group {
-					answers[u] = br.Results[k]
-				}
-				return nil
-			})
+			subs[gi] = f.subBatch(r.Context(), gi, plan, group, answers)
 		}(gi, group)
 	}
 	wg.Wait()
-	epoch, ok := f.settle(r.Context(), api, w, subs)
+	epoch, ok := f.settle(api, w, r, &req, plan, subs)
 	if !ok {
 		return
 	}

@@ -2,13 +2,17 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/httpapi"
 )
 
 // dedupSorted returns vs sorted with duplicates removed — the list
@@ -148,20 +152,28 @@ func TestShardedRichQueryAffinity(t *testing.T) {
 	}
 }
 
-// TestShardedJoinSplitMerge: a join through the router must reproduce
-// the single-replica answer exactly — same pair set in (s, t) order,
-// summed count/scanned, uniform epoch — with each replica scanning
-// only its own sources.
-func TestShardedJoinSplitMerge(t *testing.T) {
-	fakes, _, f := testFleet(t, 3, Sharded, nil, nil)
+// TestShardedJoinPassesThrough: a join through the sharded router goes
+// whole to one replica — a join reads no cache, so it has no owner — and
+// its stream comes back untouched.
+func TestShardedJoinPassesThrough(t *testing.T) { joinPassesThrough(t, Sharded) }
+
+// TestReplicatedJoinPassthrough: in Replicated mode too the join
+// forwards whole and the NDJSON stream relays untouched.
+func TestReplicatedJoinPassthrough(t *testing.T) { joinPassesThrough(t, Replicated) }
+
+// joinPassesThrough sends one join through a router in mode over three
+// replicas: the answer must be the single-replica answer — pair set in
+// (s, t) order, count and scanned, epoch — from exactly one replica.
+func joinPassesThrough(t *testing.T, mode Mode) {
+	fakes, _, f := testFleet(t, 3, mode, nil, nil)
 	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 3 })
 	router := httptest.NewServer(f)
 	defer router.Close()
 
-	sources := []int64{5, 0, 7, 2, 5, 9, 0, 14} // duplicates on purpose
+	sources := []int64{5, 0, 7, 2, 5, 9, 0, 14} // duplicates, and every shard
 	targets := []int64{3, 3, 8, 1, 42, 17}
 	body, _ := json.Marshal(map[string]any{"sources": sources, "targets": targets})
-	resp, err := http.Post(router.URL+"/reach/join", "application/x-ndjson", strings.NewReader(string(body)))
+	resp, err := http.Post(router.URL+"/reach/join", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,38 +188,19 @@ func TestShardedJoinSplitMerge(t *testing.T) {
 		t.Errorf("join epoch header %q, want \"1\"", e)
 	}
 	pairs, count, scanned := decodeJoinStream(t, bufio.NewScanner(resp.Body))
-
 	wantPairs, wantScanned := joinOracle(sources, targets)
-	if !slices.Equal(flatten(pairs), flatten(wantPairs)) {
-		t.Errorf("join pairs = %v, want %v", pairs, wantPairs)
+	if !slices.Equal(flatten(pairs), flatten(wantPairs)) || count != len(wantPairs) || scanned != wantScanned {
+		t.Errorf("join = %v (count %d, scanned %d), want %v (%d, %d)",
+			pairs, count, scanned, wantPairs, len(wantPairs), wantScanned)
 	}
-	if count != len(wantPairs) || scanned != wantScanned {
-		t.Errorf("join summary count=%d scanned=%d, want %d/%d", count, scanned, len(wantPairs), wantScanned)
+	calls := 0
+	for _, fr := range fakes {
+		fr.mu.Lock()
+		calls += fr.joinCalls
+		fr.mu.Unlock()
 	}
-	if !slices.IsSortedFunc(pairs, func(a, b [2]int64) int {
-		if a[0] != b[0] {
-			return int(a[0] - b[0])
-		}
-		return int(a[1] - b[1])
-	}) {
-		t.Errorf("join pairs not sorted by (s, t): %v", pairs)
-	}
-
-	// Source partition: each replica joined only its own sources, and
-	// every unique source was scanned exactly once fleet-wide.
-	seen := map[int64]int{}
-	for i, fr := range fakes {
-		for _, s := range fr.servedSources() {
-			if int(s%3) != i {
-				t.Errorf("replica %d joined source %d (shard %d)", i, s, s%3)
-			}
-			seen[s]++
-		}
-	}
-	for _, s := range dedupSorted(sources) {
-		if seen[s] != 1 {
-			t.Errorf("source %d scanned %d times, want 1", s, seen[s])
-		}
+	if calls != 1 {
+		t.Errorf("join hit %d replicas in %s mode, want 1", calls, mode)
 	}
 }
 
@@ -219,16 +212,14 @@ func flatten(pairs [][2]int64) []int64 {
 	return out
 }
 
-// TestJoinErrorPaths: a deterministic replica 400 relays verbatim; a
-// truncated sub-stream (no done line) fails closed with 502 instead of
-// a silent partial merge, and so does a sub-batch answered with fewer
-// results than it asked.
+// TestJoinErrorPaths: a deterministic replica 400 relays verbatim, and
+// so does a join stream that ends before its done line — the missing
+// line is what tells the client it is short; a sub-batch answered with
+// fewer results than it asked fails closed with 502 instead of a silent
+// partial merge.
 func TestJoinErrorPaths(t *testing.T) {
 	truncate := false
 	_, _, f := testFleet(t, 3, Sharded, func(i int, h http.Handler) http.Handler {
-		if i != 1 {
-			return h
-		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if truncate && r.URL.Path == "/reach/join" {
 				// A stream that dies before its summary line.
@@ -236,7 +227,7 @@ func TestJoinErrorPaths(t *testing.T) {
 				fmt.Fprintln(w, `{"s":1,"t":3}`)
 				return
 			}
-			if truncate && r.URL.Path == "/reach/batch" {
+			if truncate && i == 1 && r.URL.Path == "/reach/batch" {
 				w.Header().Set("Content-Type", "application/json")
 				fmt.Fprintln(w, `{"count":0,"results":[]}`)
 				return
@@ -259,16 +250,20 @@ func TestJoinErrorPaths(t *testing.T) {
 		t.Fatalf("bad-vertex join status %d, want 400", resp.StatusCode)
 	}
 
-	// Truncated sub-stream → 502, not a partial result.
+	// Truncated stream → relayed as it came, and the reader refuses it.
 	truncate = true
 	body, _ = json.Marshal(map[string]any{"sources": []int64{0, 1, 2}, "targets": []int64{3, 9}})
 	resp, err = http.Post(router.URL+"/reach/join", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("truncated join status %d, want 502", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || string(raw) != `{"s":1,"t":3}`+"\n" {
+		t.Fatalf("truncated join: %d %q, want the replica's 200 as sent", resp.StatusCode, raw)
+	}
+	if _, err := httpapi.ReadJoin(bytes.NewReader(raw), func(s, t int64) error { return nil }); err == nil {
+		t.Error("ReadJoin accepted a join stream without its done line")
 	}
 
 	// A short sub-batch → 502.
@@ -279,41 +274,5 @@ func TestJoinErrorPaths(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("short sub-batch status %d, want 502", resp.StatusCode)
-	}
-}
-
-// TestReplicatedJoinPassthrough: in Replicated mode the join forwards
-// whole and the NDJSON stream relays untouched.
-func TestReplicatedJoinPassthrough(t *testing.T) {
-	fakes, _, f := testFleet(t, 2, Replicated, nil, nil)
-	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 2 })
-	router := httptest.NewServer(f)
-	defer router.Close()
-
-	sources, targets := []int64{4, 2, 2}, []int64{0, 1, 2, 3}
-	body, _ := json.Marshal(map[string]any{"sources": sources, "targets": targets})
-	resp, err := http.Post(router.URL+"/reach/join", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("join status %d", resp.StatusCode)
-	}
-	pairs, count, scanned := decodeJoinStream(t, bufio.NewScanner(resp.Body))
-	wantPairs, wantScanned := joinOracle(sources, targets)
-	if !slices.Equal(flatten(pairs), flatten(wantPairs)) || count != len(wantPairs) || scanned != wantScanned {
-		t.Errorf("join = %v (count %d, scanned %d), want %v (%d, %d)",
-			pairs, count, scanned, wantPairs, len(wantPairs), wantScanned)
-	}
-	// Exactly one replica did the whole join.
-	calls := 0
-	for _, fr := range fakes {
-		fr.mu.Lock()
-		calls += fr.joinCalls
-		fr.mu.Unlock()
-	}
-	if calls != 1 {
-		t.Errorf("join hit %d replicas in Replicated mode, want 1", calls)
 	}
 }

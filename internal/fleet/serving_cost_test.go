@@ -208,7 +208,7 @@ func TestServingCostGolden(t *testing.T) {
 	want := map[string]costRow{
 		"replica-cached":   {allocs: 26, bytes: 2441, reqBytes: 597958, respBytes: 489702, subRequests: 4101, hits: 24457, misses: 41096},
 		"replica-uncached": {allocs: 23, bytes: 2171, reqBytes: 597958, respBytes: 489702, subRequests: 4101},
-		"router-sharded-2": {allocs: 175, bytes: 15218, reqBytes: 597958, respBytes: 489702, hopBytes: 1224042, subRequests: 8198, hits: 24734, misses: 40398},
+		"router-sharded-2": {allocs: 173, bytes: 14990, reqBytes: 597958, respBytes: 489702, hopBytes: 1223956, subRequests: 8197, hits: 24734, misses: 40398},
 	}
 	skipAllocs := allocsReason()
 	got := map[string]costRow{}

@@ -18,7 +18,6 @@ import (
 // and at the router.
 type Handle struct {
 	Endpoint
-	maxBatch int
 	errors   *obs.Counter
 	canceled *obs.Counter
 }
@@ -51,7 +50,7 @@ func (h *Handle) failBody(w http.ResponseWriter, err error) {
 // bounds: bytes while reading, entries per list once read. On failure
 // it has already refused the request and returns false.
 func (h *Handle) Decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, h.BodyLimit(h.maxBatch))
+	r.Body = http.MaxBytesReader(w, r.Body, h.BodyLimit())
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil && !(h.emptyOK && errors.Is(err, io.EOF)) {
 		h.failBody(w, err)
 		return false
@@ -59,16 +58,16 @@ func (h *Handle) Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	var over string
 	switch req := v.(type) {
 	case *BatchRequest:
-		if len(req.Pairs) > h.maxBatch {
-			over = fmt.Sprintf("batch of %d pairs exceeds limit %d", len(req.Pairs), h.maxBatch)
+		if len(req.Pairs) > MaxBatch {
+			over = fmt.Sprintf("batch of %d pairs exceeds limit %d", len(req.Pairs), MaxBatch)
 		}
 	case *FromRequest:
-		if len(req.Targets) > h.maxBatch {
-			over = fmt.Sprintf("%d targets exceeds limit %d", len(req.Targets), h.maxBatch)
+		if len(req.Targets) > MaxBatch {
+			over = fmt.Sprintf("%d targets exceeds limit %d", len(req.Targets), MaxBatch)
 		}
 	case *JoinRequest:
-		if len(req.Sources) > h.maxBatch || len(req.Targets) > h.maxBatch {
-			over = fmt.Sprintf("join lists of %d×%d exceed per-list limit %d", len(req.Sources), len(req.Targets), h.maxBatch)
+		if len(req.Sources) > MaxBatch || len(req.Targets) > MaxBatch {
+			over = fmt.Sprintf("join lists of %d×%d exceed per-list limit %d", len(req.Sources), len(req.Targets), MaxBatch)
 		}
 	}
 	if over != "" {
@@ -82,7 +81,7 @@ func (h *Handle) Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // with the same refusals as Decode — what the router does with a body
 // it forwards without looking inside.
 func (h *Handle) ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, h.BodyLimit(h.maxBatch)))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, h.BodyLimit()))
 	if err != nil {
 		h.failBody(w, err)
 		return nil, false

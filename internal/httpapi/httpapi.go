@@ -60,27 +60,29 @@ const (
 	// so fleet probes learn the ID space without a /stats round trip.
 	VerticesHeader = "X-Reachlab-Vertices"
 
-	// DefaultMaxBatch caps the pair count of one /reach/batch request and
-	// the per-list length of /reach/from and /reach/join.
-	DefaultMaxBatch = 8192
-	// DefaultMaxJoin caps the scanned cross product of one /reach/join: a
+	// MaxBatch caps the pair count of one /reach/batch request and the
+	// per-list length of /reach/from and /reach/join. It is the
+	// contract's, not a server's: a router and every replica behind it
+	// refuse the same requests.
+	MaxBatch = 8192
+	// MaxJoin caps the scanned cross product of one /reach/join: a
 	// million pairs keeps one analytics request under a few hundred
 	// milliseconds of label sweeps.
-	DefaultMaxJoin = 1 << 20
+	MaxJoin = 1 << 20
 
 	// smallBody bounds the fixed-shape documents (/edges, /admin/reload).
 	smallBody = 1 << 16
 )
 
-// BodyLimit bounds the endpoint's request body for a server whose lists
-// are capped at maxBatch entries: the densest legal encoding of a pair
-// ("[1,2],") is a handful of bytes, so 32 bytes per allowed entry plus
-// slack rejects an oversized body before it is buffered.
-func (e Endpoint) BodyLimit(maxBatch int) int64 {
+// BodyLimit bounds the endpoint's request body: the densest legal
+// encoding of a pair ("[1,2],") is a handful of bytes, so 32 bytes per
+// allowed list entry plus slack rejects an oversized body before it is
+// buffered.
+func (e Endpoint) BodyLimit() int64 {
 	if e.lists == 0 {
 		return smallBody
 	}
-	return int64(e.lists) * (int64(maxBatch)*32 + 4096)
+	return int64(e.lists) * (MaxBatch*32 + 4096)
 }
 
 // Verdict reports whether the status of an upstream exchange that
@@ -107,17 +109,13 @@ func Verdict(status int) bool {
 // name and takes no registry lock.
 type Mux struct {
 	*http.ServeMux
-	reg      *obs.Registry // nil disables the metrics
-	prefix   string
-	maxBatch int // entries allowed per body list
+	reg    *obs.Registry // nil disables the metrics
+	prefix string
 }
 
-// NewMux returns an empty Mux; maxBatch <= 0 means DefaultMaxBatch.
-func NewMux(reg *obs.Registry, prefix string, maxBatch int) *Mux {
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	return &Mux{ServeMux: http.NewServeMux(), reg: reg, prefix: prefix, maxBatch: maxBatch}
+// NewMux returns an empty Mux.
+func NewMux(reg *obs.Registry, prefix string) *Mux {
+	return &Mux{ServeMux: http.NewServeMux(), reg: reg, prefix: prefix}
 }
 
 // ServeFunc serves one mounted endpoint; the Handle is how it refuses.
@@ -131,7 +129,6 @@ func (m *Mux) Mount(e Endpoint, serve ServeFunc) {
 	seconds := m.reg.Histogram(obs.Label(m.prefix+"_http_request_seconds", "handler", e.Label), obs.LatencyBuckets)
 	h := &Handle{
 		Endpoint: e,
-		maxBatch: m.maxBatch,
 		errors:   m.reg.Counter(obs.Label(m.prefix+"_http_errors_total", "handler", e.Label)),
 		canceled: m.reg.Counter(obs.Label(m.prefix+"_http_canceled_total", "handler", e.Label)),
 	}

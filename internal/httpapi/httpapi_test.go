@@ -85,14 +85,14 @@ func TestEndpointTable(t *testing.T) {
 	for _, c := range []struct {
 		e              Endpoint
 		pattern, label string
-		limit          int64 // at maxBatch 4
+		limit          int64
 	}{
 		{Reach, "GET /reach", "reach", 1 << 16},
-		{Batch, "POST /reach/batch", "batch", 4*32 + 4096},
+		{Batch, "POST /reach/batch", "batch", 8192*32 + 4096},
 		{Path, "GET /reach/path", "path", 1 << 16},
 		{Count, "GET /reach/count", "count", 1 << 16},
-		{From, "POST /reach/from", "from", 4*32 + 4096},
-		{Join, "POST /reach/join", "join", 2 * (4*32 + 4096)},
+		{From, "POST /reach/from", "from", 8192*32 + 4096},
+		{Join, "POST /reach/join", "join", 2 * (8192*32 + 4096)},
 		{Reload, "POST /admin/reload", "reload", 1 << 16},
 		{Edges, "POST /edges", "edges", 1 << 16},
 		{Stats, "GET /stats", "stats", 1 << 16},
@@ -100,16 +100,16 @@ func TestEndpointTable(t *testing.T) {
 		{Drain, "POST /admin/drain", "drain", 1 << 16},
 		{Readmit, "POST /admin/readmit", "readmit", 1 << 16},
 	} {
-		if c.e.Pattern() != c.pattern || c.e.Label != c.label || c.e.BodyLimit(4) != c.limit {
+		if c.e.Pattern() != c.pattern || c.e.Label != c.label || c.e.BodyLimit() != c.limit {
 			t.Errorf("%s: pattern %q label %q limit %d, want %q %q %d",
-				c.e.Route, c.e.Pattern(), c.e.Label, c.e.BodyLimit(4), c.pattern, c.label, c.limit)
+				c.e.Route, c.e.Pattern(), c.e.Label, c.e.BodyLimit(), c.pattern, c.label, c.limit)
 		}
 	}
 	if EpochHeader != "X-Reachlab-Epoch" || VerticesHeader != "X-Reachlab-Vertices" {
 		t.Errorf("header names %q, %q", EpochHeader, VerticesHeader)
 	}
-	if DefaultMaxBatch != 8192 || DefaultMaxJoin != 1<<20 {
-		t.Errorf("default caps %d, %d", DefaultMaxBatch, DefaultMaxJoin)
+	if MaxBatch != 8192 || MaxJoin != 1<<20 {
+		t.Errorf("caps %d, %d", MaxBatch, MaxJoin)
 	}
 }
 
@@ -124,11 +124,11 @@ func TestVerdict(t *testing.T) {
 	}
 }
 
-// mounted serves e on a fresh Mux (maxBatch 4) with serve and returns
-// the registry its counters land in.
+// mounted serves e on a fresh Mux with serve and returns the registry
+// its counters land in.
 func mounted(e Endpoint, serve func(*Handle, http.ResponseWriter, *http.Request)) (*Mux, *obs.Registry) {
 	reg := obs.New()
-	m := NewMux(reg, "test", 4)
+	m := NewMux(reg, "test")
 	m.Mount(e, serve)
 	return m, reg
 }
@@ -137,7 +137,11 @@ func mounted(e Endpoint, serve func(*Handle, http.ResponseWriter, *http.Request)
 // a body past the byte bound or a list past the entry cap is 413, the
 // reload body alone may be empty, and each refusal counts one error.
 func TestDecodeRefusals(t *testing.T) {
-	pad := func(e Endpoint) string { return strings.Repeat(" ", int(e.BodyLimit(4))+64) }
+	pad := func(e Endpoint) string { return strings.Repeat(" ", int(e.BodyLimit())+64) }
+	// list is n entries of JSON, one cap's worth at n = MaxBatch.
+	list := func(n int, entry string) string {
+		return strings.TrimSuffix(strings.Repeat(entry+",", n), ",")
+	}
 	for _, c := range []struct {
 		e    Endpoint
 		v    func() any
@@ -148,12 +152,16 @@ func TestDecodeRefusals(t *testing.T) {
 		{Batch, func() any { return new(BatchRequest) }, `{"pairs":[[0,1]]}`, 200, ""},
 		{Batch, func() any { return new(BatchRequest) }, `{"pairs":[[0,1],[2`, 400, "bad batch request: "},
 		{Batch, func() any { return new(BatchRequest) }, ``, 400, "bad batch request: EOF"},
-		{Batch, func() any { return new(BatchRequest) }, `{"pairs":[[0,1]]` + pad(Batch) + `}`, 413, "request body over 4224 bytes"},
-		{Batch, func() any { return new(BatchRequest) }, `{"pairs":[[0,1],[0,1],[0,1],[0,1],[0,1]]}`, 413, "batch of 5 pairs exceeds limit 4"},
-		{From, func() any { return new(FromRequest) }, `{"s":0,"targets":[1,2,3,4,5]}`, 413, "5 targets exceeds limit 4"},
+		{Batch, func() any { return new(BatchRequest) }, `{"pairs":[[0,1]]` + pad(Batch) + `}`, 413, "request body over 266240 bytes"},
+		{Batch, func() any { return new(BatchRequest) }, `{"pairs":[` + list(MaxBatch, "[0,1]") + `]}`, 200, ""},
+		{Batch, func() any { return new(BatchRequest) }, `{"pairs":[` + list(MaxBatch+1, "[0,1]") + `]}`, 413, "batch of 8193 pairs exceeds limit 8192"},
+		{From, func() any { return new(FromRequest) }, `{"s":0,"targets":[` + list(MaxBatch, "1") + `]}`, 200, ""},
+		{From, func() any { return new(FromRequest) }, `{"s":0,"targets":[` + list(MaxBatch+1, "1") + `]}`, 413, "8193 targets exceeds limit 8192"},
 		{From, func() any { return new(FromRequest) }, `nope`, 400, "bad from request: "},
-		{Join, func() any { return new(JoinRequest) }, `{"sources":[0],"targets":[1,2,3,4,5]}`, 413, "join lists of 1×5 exceed per-list limit 4"},
-		{Join, func() any { return new(JoinRequest) }, `{"sources":[0],"targets":[1]` + pad(Join) + `}`, 413, "request body over 8448 bytes"},
+		{Join, func() any { return new(JoinRequest) }, `{"sources":[` + list(MaxBatch, "0") + `],"targets":[` + list(MaxBatch, "1") + `]}`, 200, ""},
+		{Join, func() any { return new(JoinRequest) }, `{"sources":[0],"targets":[` + list(MaxBatch+1, "1") + `]}`, 413, "join lists of 1×8193 exceed per-list limit 8192"},
+		{Join, func() any { return new(JoinRequest) }, `{"sources":[` + list(MaxBatch+1, "0") + `],"targets":[1]}`, 413, "join lists of 8193×1 exceed per-list limit 8192"},
+		{Join, func() any { return new(JoinRequest) }, `{"sources":[0],"targets":[1]` + pad(Join) + `}`, 413, "request body over 532480 bytes"},
 		{Edges, func() any { return new(EdgeRequest) }, `{"op":`, 400, "bad edge request: "},
 		{Edges, func() any { return new(EdgeRequest) }, `{"op":"insert"` + pad(Edges) + `}`, 413, "request body over 65536 bytes"},
 		{Reload, func() any { return new(ReloadRequest) }, ``, 200, ""},

@@ -33,7 +33,7 @@ import (
 
 var (
 	mutateFlag = flag.String("mutate", "", "comma-separated module-relative directories or .go files whose non-test files TestMutate mutates")
-	mutateRun  = flag.String("mutate.run", "", "regexp: run only the mutants whose table row (file:line op: from → to) matches")
+	mutateRun  = flag.String("mutate.run", "", "regexp: run only the mutants whose key (file:line:column op) matches")
 )
 
 // mutantTimeout bounds each command a mutant runs: its compile, each
@@ -60,12 +60,19 @@ type mutant struct {
 	shown    string // what the table prints for orig, if not orig itself
 }
 
+// key names the mutant without its text, "file:line:column op": what
+// -mutate.run selects on, so that a filter on the operator does not
+// also pick a mutant whose source happens to spell its name.
+func (m mutant) key() string {
+	return fmt.Sprintf("%s:%d:%d %s", m.file, m.line, m.col, m.op)
+}
+
 func (m mutant) String() string {
 	orig := m.shown
 	if orig == "" {
 		orig = oneLine(m.orig)
 	}
-	return fmt.Sprintf("%s:%d:%d %s: %s → %s", m.file, m.line, m.col, m.op, orig, m.repl)
+	return fmt.Sprintf("%s: %s → %s", m.key(), orig, m.repl)
 }
 
 func oneLine(s string) string { return strings.Join(strings.Fields(s), " ") }
@@ -287,7 +294,7 @@ func TestMutate(t *testing.T) {
 			}
 		}
 		for _, m := range ms {
-			if !only.MatchString(m.String()) {
+			if !only.MatchString(m.key()) {
 				continue
 			}
 			if err := os.WriteFile(mutFile, slices.Concat(src[:m.off], []byte(m.repl), src[m.end:]), 0o644); err != nil {
@@ -380,6 +387,10 @@ func TestMutantsFixture(t *testing.T) {
 		file + ":55:4 drop: return 0, err → /* dropped */",
 		file + ":57:13 index+1: v&1 → v&1+1",
 		file + ":57:13 index-1: v&1 → v&1-1",
+		file + ":64:34 body→zero: over {…} → { return *new(bool) }",
+		file + ":65:5 if→false: drops > limit → false",
+		file + ":65:5 if→true: drops > limit → true",
+		file + ":65:11 boundary: > → >=",
 	}
 	var got []string
 	for _, m := range ms {
@@ -387,5 +398,22 @@ func TestMutantsFixture(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("mutants of %s:\n%s\nwant:\n%s", file, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// -mutate.run sees the key alone: an operator filter picks that
+	// operator's rows and not over's, whose text says "drops".
+	only := regexp.MustCompile(`index[+-]1|drop`)
+	var picked []string
+	for _, m := range ms {
+		if only.MatchString(m.key()) {
+			picked = append(picked, m.key())
+		}
+	}
+	wantPicked := []string{
+		file + ":17:22 index+1", file + ":17:22 index-1", file + ":25:4 drop",
+		file + ":51:4 drop", file + ":55:4 drop", file + ":57:13 index+1", file + ":57:13 index-1",
+	}
+	if !slices.Equal(picked, wantPicked) {
+		t.Errorf("-mutate.run=%s picks %q, want %q", only, picked, wantPicked)
 	}
 }

@@ -58,3 +58,12 @@ func first(vs []int) (int, error) {
 	}
 	return 0, nil // its last result is not err: not dropped
 }
+
+// over's condition mentions drops: its mutants are if→ and boundary
+// ones all the same, and a filter on the operator must not pick them.
+func over(drops, limit int) bool {
+	if drops > limit {
+		return true
+	}
+	return false
+}

@@ -3,7 +3,8 @@
 # 3-replica drserve fleet behind drrouter in sharded mode, hammered by
 # drload with every answer verified against the index. The script
 # walks the full operational story — healthy fleet, a replica's
-# refusals (400, 405) relayed as its own, kill -9 of a replica with
+# refusals (400, 405, a join over the cap's 413) relayed as its own,
+# kill -9 of a replica with
 # traffic still flowing, restart + automatic readmission,
 # a fleet-wide zero-downtime index reload (epoch check on every
 # replica), a reload-under-load burst, drain/readmit, and clean
@@ -65,11 +66,17 @@ echo "== curl spot checks: a replica's refusals come back through the router as 
 expect_code() { # expect_code WANT WHAT curl-args...
 	want="$1"; what="$2"; shift 2
 	code="$(curl -s -o /dev/null -w '%{http_code}' "$@")"
-	[ "$code" = "$want" ] || { echo "$what answered $code through the router, want $want" >&2; exit 1; }
+	[ "$code" = "$want" ] || { echo "$what answered $code, want $want" >&2; exit 1; }
 }
 expect_code 400 "out-of-range batch pair" -X POST -d '{"pairs":[[0,1],[0,99999999]]}' "http://$router/reach/batch"
 expect_code 400 "t=notanumber" "http://$router/reach?s=0&t=notanumber"
 expect_code 405 "GET /reach/batch" "http://$router/reach/batch"
+# 1,025 sources on all three shards × 1,024 targets scans more than the
+# join cap, 2^20 pairs, though no shard's part of it would: the router
+# passes a join through whole, so it refuses it as a lone replica does.
+join="{\"sources\":[$(seq -s, 0 1024)],\"targets\":[$(seq -s, 1 1024)]}"
+expect_code 413 "a join over the cap at a replica" -X POST -d "$join" "http://$r1/reach/join"
+expect_code 413 "a join over the cap through the router" -X POST -d "$join" "http://$router/reach/join"
 
 echo "== verified burst against the replicas directly (-addrs spread)"
 "$work/bin/drload" -addrs "$r1,$r2,$r3" -clients 3 -requests 600 -batch 8 -verify-idx "$work/graph.idx" -seed 5

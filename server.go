@@ -61,7 +61,6 @@ type QueryHandler struct {
 
 	// Cache size, re-applied to the fresh cache of every epoch.
 	cachePairs int
-	maxJoin    int
 
 	// Lifetime cache outcomes across epochs, added to once per request
 	// by resolve.
@@ -99,14 +98,6 @@ type ServeOptions struct {
 	// CacheShards is ignored: the cache is one table. The field stays
 	// while the benchmark harness sets it.
 	CacheShards int
-	// MaxBatch caps the pair count of one /reach/batch request and the
-	// per-list length of /reach/from and /reach/join; larger requests
-	// are refused with 413. Default DefaultMaxBatch.
-	MaxBatch int
-	// MaxJoin caps the scanned cross product |sources|·|targets| of one
-	// /reach/join request (after deduplication); larger joins are
-	// refused with 413 before the stream starts. Default DefaultMaxJoin.
-	MaxJoin int
 	// Loader produces the next index for POST /admin/reload (and
 	// drserve's SIGHUP): ref is the request's "ref" field, "" meaning
 	// "the default source" (drserve reloads its -idx path). Nil
@@ -115,29 +106,25 @@ type ServeOptions struct {
 }
 
 // The contract's constants under the names this package has always
-// exported them by: the caps behind ServeOptions.MaxBatch and MaxJoin's
-// zero values, and the two response headers.
+// exported them by: the caps every replica and router enforce (a larger
+// batch or list, or a larger deduplicated join product, is refused with
+// 413), and the two response headers.
 const (
-	DefaultMaxBatch = httpapi.DefaultMaxBatch
-	DefaultMaxJoin  = httpapi.DefaultMaxJoin
+	DefaultMaxBatch = httpapi.MaxBatch
+	DefaultMaxJoin  = httpapi.MaxJoin
 	EpochHeader     = httpapi.EpochHeader
 	VerticesHeader  = httpapi.VerticesHeader
 )
 
 // NewQueryHandlerOpts returns an http.Handler serving queries from idx
-// as opts configure it: metrics registry, cache size, caps and reload
+// as opts configure it: metrics registry, cache size and reload
 // loader. The zero ServeOptions serves uninstrumented and uncached.
 func NewQueryHandlerOpts(idx *Index, opts ServeOptions) *QueryHandler {
-	maxJoin := opts.MaxJoin
-	if maxJoin <= 0 {
-		maxJoin = DefaultMaxJoin
-	}
 	reg := opts.Obs
 	h := &QueryHandler{
-		mux:        httpapi.NewMux(reg, "reachlab", opts.MaxBatch),
+		mux:        httpapi.NewMux(reg, "reachlab"),
 		loader:     opts.Loader,
 		cachePairs: opts.CachePairs,
-		maxJoin:    maxJoin,
 
 		pairsTotal:  reg.Counter("reachlab_query_pairs_total"),
 		cacheHits:   reg.Counter("reachlab_cache_hits_total"),

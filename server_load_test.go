@@ -22,7 +22,7 @@ import (
 // buildTestServer builds an index over a seeded cyclic graph and
 // serves it with the hot-pair cache enabled, returning the pieces the
 // load tests need.
-func buildTestServer(t *testing.T, cachePairs, maxBatch int) (*Graph, *Index, *QueryHandler, *MetricsRegistry, *httptest.Server) {
+func buildTestServer(t *testing.T, cachePairs int) (*Graph, *Index, *QueryHandler, *MetricsRegistry, *httptest.Server) {
 	t.Helper()
 	g := randomCyclicGraph(60, 200, 3)
 	idx, err := Build(context.Background(), g, Options{})
@@ -30,7 +30,7 @@ func buildTestServer(t *testing.T, cachePairs, maxBatch int) (*Graph, *Index, *Q
 		t.Fatal(err)
 	}
 	reg := NewMetricsRegistry()
-	h := NewQueryHandlerOpts(idx, ServeOptions{Obs: reg, CachePairs: cachePairs, MaxBatch: maxBatch})
+	h := NewQueryHandlerOpts(idx, ServeOptions{Obs: reg, CachePairs: cachePairs})
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return g, idx, h, reg, srv
@@ -42,7 +42,7 @@ func buildTestServer(t *testing.T, cachePairs, maxBatch int) (*Graph, *Index, *Q
 // afterwards the cache counters must reconcile exactly:
 // hits + misses == pairs asked.
 func TestQueryHandlerConcurrent(t *testing.T) {
-	g, _, h, reg, srv := buildTestServer(t, 4096, DefaultMaxBatch)
+	g, _, h, reg, srv := buildTestServer(t, 4096)
 	n := g.NumVertices()
 
 	const workers = 8
@@ -148,7 +148,7 @@ func TestQueryHandlerConcurrent(t *testing.T) {
 // mode with answer verification, and must come back with zero errors
 // and sane accounting.
 func TestLoadgenSoakHTTP(t *testing.T) {
-	g, _, _, reg, srv := buildTestServer(t, 2048, DefaultMaxBatch)
+	g, _, _, reg, srv := buildTestServer(t, 2048)
 	n := g.NumVertices()
 
 	const batchLen = 8
@@ -224,8 +224,8 @@ func TestBatchEndpointErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const maxBatch = 4
-	h := NewQueryHandlerOpts(idx, ServeOptions{Obs: NewMetricsRegistry(), CachePairs: 64, MaxBatch: maxBatch})
+	const maxBatch = DefaultMaxBatch
+	h := NewQueryHandlerOpts(idx, ServeOptions{Obs: NewMetricsRegistry(), CachePairs: 64})
 
 	post := func(body string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodPost, "/reach/batch", strings.NewReader(body))
@@ -276,7 +276,7 @@ func TestBatchEndpointErrors(t *testing.T) {
 	t.Run("oversized-body", func(t *testing.T) {
 		// Valid JSON padded with whitespace past the byte cap: the
 		// MaxBytesReader must trip while the decoder is still scanning.
-		pad := strings.Repeat(" ", int(httpapi.Batch.BodyLimit(maxBatch))+64)
+		pad := strings.Repeat(" ", int(httpapi.Batch.BodyLimit())+64)
 		if rec := post(`{"pairs": [[0, 1]]` + pad + `}`); rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("oversized body: status %d, want 413", rec.Code)
 		}

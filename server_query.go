@@ -136,9 +136,9 @@ func (h *QueryHandler) reachJoin(api *httpapi.Handle, w http.ResponseWriter, r *
 		return
 	}
 	scanned := len(srcs) * len(tgts)
-	if scanned > h.maxJoin {
+	if scanned > httpapi.MaxJoin {
 		api.Fail(w, fmt.Sprintf("join scans %d×%d=%d pairs, over limit %d",
-			len(srcs), len(tgts), scanned, h.maxJoin), http.StatusRequestEntityTooLarge)
+			len(srcs), len(tgts), scanned, httpapi.MaxJoin), http.StatusRequestEntityTooLarge)
 		return
 	}
 

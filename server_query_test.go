@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -119,7 +120,7 @@ func patchedTestServer(t *testing.T, cachePairs int) (*Graph, *MetricsRegistry, 
 // as the update path publishes them.
 func TestRichEndpointsMatchOracle(t *testing.T) {
 	t.Run("built", func(t *testing.T) {
-		g, _, _, reg, srv := buildTestServer(t, 1024, DefaultMaxBatch)
+		g, _, _, reg, srv := buildTestServer(t, 1024)
 		checkRichEndpoints(t, g, reg, srv)
 	})
 	t.Run("patched epoch", func(t *testing.T) {
@@ -330,7 +331,7 @@ func dedupInt64(vs []int64) []int64 {
 // reachable bit from the hot-pair cache while still rebuilding the
 // path, and the answers agree.
 func TestPathCacheHit(t *testing.T) {
-	_, _, _, reg, srv := buildTestServer(t, 256, DefaultMaxBatch)
+	_, _, _, reg, srv := buildTestServer(t, 256)
 	var first, second struct {
 		Reachable bool    `json:"reachable"`
 		Path      []int64 `json:"path"`
@@ -411,20 +412,26 @@ func TestRichEndpointErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const maxBatch = 4
-	const maxJoin = 6
-	h := NewQueryHandlerOpts(idx, ServeOptions{
-		Obs: NewMetricsRegistry(), CachePairs: 64, MaxBatch: maxBatch, MaxJoin: maxJoin,
-	})
-	do := func(method, target, body string) *httptest.ResponseRecorder {
-		var r *httptest.ResponseRecorder
+	h := NewQueryHandlerOpts(idx, ServeOptions{Obs: NewMetricsRegistry(), CachePairs: 64})
+	serve := func(h http.Handler, method, target, body string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(method, target, strings.NewReader(body))
 		if body != "" {
 			req.Header.Set("Content-Type", "application/json")
 		}
-		r = httptest.NewRecorder()
+		r := httptest.NewRecorder()
 		h.ServeHTTP(r, req)
 		return r
+	}
+	do := func(method, target, body string) *httptest.ResponseRecorder {
+		return serve(h, method, target, body)
+	}
+	// list is a JSON list of count entries: from, from+step, …
+	list := func(count, from, step int) string {
+		parts := make([]string, count)
+		for i := range parts {
+			parts[i] = strconv.Itoa(from + i*step)
+		}
+		return "[" + strings.Join(parts, ",") + "]"
 	}
 
 	t.Run("path-bad-params", func(t *testing.T) {
@@ -459,8 +466,8 @@ func TestRichEndpointErrors(t *testing.T) {
 			{`{"s": -1, "targets": [1]}`, http.StatusBadRequest},
 			{`{"s": 20, "targets": [1]}`, http.StatusBadRequest},
 			{`{"s": 0, "targets": [1, 99]}`, http.StatusBadRequest},
-			{`{"s": 0, "targets": [1, 2, 3, 4, 5]}`, http.StatusRequestEntityTooLarge},
-			{`{"s": 0, "targets": [1]` + strings.Repeat(" ", int(httpapi.From.BodyLimit(maxBatch))+64) + `}`,
+			{`{"s": 0, "targets": ` + list(DefaultMaxBatch+1, 1, 0) + `}`, http.StatusRequestEntityTooLarge},
+			{`{"s": 0, "targets": [1]` + strings.Repeat(" ", int(httpapi.From.BodyLimit())+64) + `}`,
 				http.StatusRequestEntityTooLarge},
 		}
 		for _, c := range cases {
@@ -481,11 +488,9 @@ func TestRichEndpointErrors(t *testing.T) {
 			{`{"sources": [0], "targets": [1`, http.StatusBadRequest},
 			{`{"sources": [0, -1], "targets": [1]}`, http.StatusBadRequest},
 			{`{"sources": [0], "targets": [20]}`, http.StatusBadRequest},
-			{`{"sources": [0, 1, 2, 3, 4], "targets": [1]}`, http.StatusRequestEntityTooLarge},
-			{`{"sources": [0], "targets": [1, 2, 3, 4, 5]}`, http.StatusRequestEntityTooLarge},
-			// Each list under the per-list cap, product over maxJoin.
-			{`{"sources": [0, 1, 2], "targets": [3, 4, 5]}`, http.StatusRequestEntityTooLarge},
-			{`{"sources": [0], "targets": [1]` + strings.Repeat(" ", int(httpapi.Join.BodyLimit(maxBatch))+64) + `}`,
+			{`{"sources": ` + list(DefaultMaxBatch+1, 0, 0) + `, "targets": [1]}`, http.StatusRequestEntityTooLarge},
+			{`{"sources": [0], "targets": ` + list(DefaultMaxBatch+1, 1, 0) + `}`, http.StatusRequestEntityTooLarge},
+			{`{"sources": [0], "targets": [1]` + strings.Repeat(" ", int(httpapi.Join.BodyLimit())+64) + `}`,
 				http.StatusRequestEntityTooLarge},
 		}
 		for _, c := range cases {
@@ -500,10 +505,26 @@ func TestRichEndpointErrors(t *testing.T) {
 		if rec := do(http.MethodGet, "/reach/join", ""); rec.Code != http.StatusMethodNotAllowed {
 			t.Errorf("GET join: status %d, want 405", rec.Code)
 		}
-		// Duplicates dedup below the product cap: 3 unique × 2 unique = 6.
-		rec := do(http.MethodPost, "/reach/join", `{"sources": [0, 0, 1, 2], "targets": [3, 3, 4, 4]}`)
-		if rec.Code != http.StatusOK {
-			t.Errorf("deduplicated join under the cap: status %d, want 200", rec.Code)
+
+		// The product cap needs an ID space past 1,024 vertices; with no
+		// edges, only s = t is reachable, so a join at the cap streams
+		// little.
+		wide, err := Build(context.Background(), NewGraph(1100, nil), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hw := NewQueryHandlerOpts(wide, ServeOptions{})
+		// Each list under the per-list cap, product over DefaultMaxJoin.
+		rec := serve(hw, http.MethodPost, "/reach/join", `{"sources": `+list(1025, 0, 1)+`, "targets": `+list(1024, 0, 1)+`}`)
+		if rec.Code != http.StatusRequestEntityTooLarge || rec.Body.String() != "join scans 1025×1024=1049600 pairs, over limit 1048576\n" {
+			t.Errorf("join over the product cap: %d %q, want 413", rec.Code, rec.Body.String())
+		}
+		// Duplicates dedup down to the cap: 2,048 sources, 1,024 unique.
+		sources := list(1024, 0, 1)
+		rec = serve(hw, http.MethodPost, "/reach/join", `{"sources": `+sources[:len(sources)-1]+","+sources[1:]+`, "targets": `+list(1024, 0, 1)+`}`)
+		sum, err := httpapi.ReadJoin(rec.Body, func(s, t int64) error { return nil })
+		if rec.Code != http.StatusOK || err != nil || sum.Scanned != DefaultMaxJoin || sum.Count != 1024 {
+			t.Errorf("deduplicated join at the cap: status %d, summary %+v, %v; want 200 scanning %d", rec.Code, sum, err, DefaultMaxJoin)
 		}
 	})
 
@@ -533,7 +554,7 @@ func FuzzJoinRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	h := NewQueryHandlerOpts(idx, ServeOptions{Obs: NewMetricsRegistry(), MaxBatch: 8, MaxJoin: 32})
+	h := NewQueryHandlerOpts(idx, ServeOptions{Obs: NewMetricsRegistry()})
 	f.Add(`{"sources": [0, 1], "targets": [2, 3]}`)
 	f.Add(`{"sources": [], "targets": []}`)
 	f.Add(`{"sources": [19], "targets": [0]}`)
@@ -569,7 +590,7 @@ func FuzzJoinRequest(f *testing.F) {
 // the epoch that served it — both epochs serve an equivalent index —
 // and afterwards the pair-cache counters must reconcile exactly.
 func TestQueryHandlerConcurrentRich(t *testing.T) {
-	g, _, h, reg, srv := buildTestServer(t, 2048, DefaultMaxBatch)
+	g, _, h, reg, srv := buildTestServer(t, 2048)
 	n := g.NumVertices()
 	// The swapped-in index is built from the same graph, so oracle
 	// answers stay valid across the swap; its budget makes it answer

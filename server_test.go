@@ -245,7 +245,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestEveryRequestTimedOnce(t *testing.T) {
 	idx := testIndex(t)
 	reg := NewMetricsRegistry()
-	h := NewQueryHandlerOpts(idx, ServeOptions{Obs: reg, CachePairs: 64, MaxBatch: 4,
+	h := NewQueryHandlerOpts(idx, ServeOptions{Obs: reg, CachePairs: 64,
 		Loader: func(string) (*Index, error) { return idx, nil }})
 	gone, hangUp := context.WithCancel(context.Background())
 	hangUp()
@@ -256,7 +256,7 @@ func TestEveryRequestTimedOnce(t *testing.T) {
 		{http.MethodGet, "/reach?s=1&t=6", "", nil},
 		{http.MethodGet, "/reach?s=99&t=2", "", nil},
 		{http.MethodPost, "/reach/batch", `{"pairs":[[1,6],[6,1]]}`, nil},
-		{http.MethodPost, "/reach/batch", `{"pairs":[[0,1],[0,2],[0,3],[0,4],[0,5]]}`, nil},
+		{http.MethodPost, "/reach/batch", `{"pairs":[` + strings.TrimSuffix(strings.Repeat("[0,1],", DefaultMaxBatch+1), ",") + `]}`, nil},
 		{http.MethodPost, "/reach/batch", `{"pairs":[[1,`, nil},
 		{http.MethodGet, "/reach/path?s=1&t=6", "", nil},
 		{http.MethodGet, "/reach/count?s=1", "", nil},
