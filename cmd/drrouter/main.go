@@ -2,12 +2,12 @@
 // replica's whole API (DESIGN.md "HTTP contract", §12 — the table's
 // last column is what the router does with each endpoint) across N
 // replicas, either replicated (any replica answers; least-outstanding
-// wins) or sharded by source (shard(s) = s mod K; a join, which reads
-// no cache, goes whole to one replica), with periodic health checks,
-// automatic removal/readmission of misbehaving replicas, graceful
-// drain, and a fleet-wide index reload that swaps every replica to a
-// new epoch with zero downtime (DESIGN.md §9). It refuses what a
-// replica refuses, with the contract's caps; no flag sets them.
+// wins) or sharded by source (shard(s) = s mod K; a batch or a join,
+// which names many sources, goes whole to one replica), with periodic
+// health checks, automatic removal/readmission of misbehaving replicas,
+// graceful drain, and a fleet-wide index reload that swaps every
+// replica to a new epoch with zero downtime (DESIGN.md §9). It refuses
+// what a replica refuses, with the contract's caps; no flag sets them.
 //
 // Usage:
 //

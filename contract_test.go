@@ -35,8 +35,7 @@ type contractRow struct {
 	want   [3]int // the replica's status: static, bare, updating
 	// forwards is how many upstream requests the router may spend on the
 	// row in Replicated and in Sharded mode: one for a verdict it relays,
-	// none for a request it refuses itself, one per shard it splits
-	// across (and one more to ask a refused split batch again whole).
+	// none for a request it refuses itself.
 	// fanned says in which configurations the row instead goes to all
 	// three replicas (in the others the first replica asked refuses it,
 	// and that is the one forward).
@@ -88,18 +87,17 @@ func contractTable(n int) []contractRow {
 		{name: "reach-out-of-range", method: get, path: fmt.Sprintf("/reach?s=3&t=%d", n), want: all(400), forwards: one},
 		{name: "reach-wrong-method", method: post, path: "/reach?s=3&t=17", want: all(405), forwards: none},
 
-		{name: "batch", method: post, path: "/reach/batch", body: `{"pairs":[[3,17],[4,9],[3,17],[5,5]]}`, want: all(200), forwards: [2]int{1, 3}},
+		{name: "batch", method: post, path: "/reach/batch", body: `{"pairs":[[3,17],[4,9],[3,17],[5,5]]}`, want: all(200), forwards: one},
 		{name: "batch-empty", method: post, path: "/reach/batch", body: `{"pairs":[]}`, want: all(200), forwards: one},
-		{name: "batch-malformed", method: post, path: "/reach/batch", body: `{"pairs":[[3,17],[4`, want: all(400), forwards: none},
+		{name: "batch-malformed", method: post, path: "/reach/batch", body: `{"pairs":[[3,17],[4`, want: all(400), forwards: one},
 		{name: "batch-out-of-range", method: post, path: "/reach/batch", body: fmt.Sprintf(`{"pairs":[[3,17],[3,%d]]}`, n), want: all(400), forwards: one},
-		// Deduplicated (replicated) or split (sharded), the batch the
-		// replicas refuse is not the caller's, yet the refusal must name
-		// the caller's pair 3.
-		{name: "batch-out-of-range-reshaped", method: post, path: "/reach/batch", body: fmt.Sprintf(`{"pairs":[[4,9],[3,17],[3,17],[3,%d]]}`, n), want: all(400), forwards: [2]int{2, 3}},
+		// Duplicates and sources on two shards: the refusal must name the
+		// caller's pair 3, as the replica that sees the whole batch does.
+		{name: "batch-out-of-range-reshaped", method: post, path: "/reach/batch", body: fmt.Sprintf(`{"pairs":[[4,9],[3,17],[3,17],[3,%d]]}`, n), want: all(400), forwards: one},
 		{name: "batch-negative", method: post, path: "/reach/batch", body: `{"pairs":[[-1,0]]}`, want: all(400), forwards: one},
 		{name: "batch-target-n", method: post, path: "/reach/batch", body: fmt.Sprintf(`{"pairs":[[3,%d]]}`, n), want: all(400), forwards: one},
-		{name: "batch-at-cap", method: post, path: "/reach/batch", body: `{"pairs":` + list(httpapi.MaxBatch, pair) + `}`, want: all(200), forwards: [2]int{1, 3}},
-		{name: "batch-over-cap", method: post, path: "/reach/batch", body: `{"pairs":` + list(httpapi.MaxBatch+1, pair) + `}`, want: all(413), forwards: none},
+		{name: "batch-at-cap", method: post, path: "/reach/batch", body: `{"pairs":` + list(httpapi.MaxBatch, pair) + `}`, want: all(200), forwards: one},
+		{name: "batch-over-cap", method: post, path: "/reach/batch", body: `{"pairs":` + list(httpapi.MaxBatch+1, pair) + `}`, want: all(413), forwards: one},
 		{name: "batch-over-limit", method: post, path: "/reach/batch", body: `{"pairs":[[0,1]]` + pad(httpapi.Batch) + `}`, want: all(413), forwards: none},
 		{name: "batch-wrong-method", method: get, path: "/reach/batch", want: all(405), forwards: none},
 
@@ -151,7 +149,7 @@ func contractTable(n int) []contractRow {
 		// After the reloads above a static replica serves epoch 3; the
 		// header must say so through the router too.
 		{name: "reach-after-reload", method: get, path: "/reach?s=3&t=17", want: all(200), forwards: one},
-		{name: "batch-after-reload", method: post, path: "/reach/batch", body: `{"pairs":[[3,17],[4,9]]}`, want: all(200), forwards: [2]int{1, 2}},
+		{name: "batch-after-reload", method: post, path: "/reach/batch", body: `{"pairs":[[3,17],[4,9]]}`, want: all(200), forwards: one},
 	}
 }
 

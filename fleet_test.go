@@ -173,8 +173,7 @@ func (fx *fleetFixture) verifyingBatchClient(httpc *http.Client) bench.Client {
 
 // TestFleetModesOracle drives both routing modes over real indexes:
 // every single and batch answer through the router must match the
-// BFS oracle, and in sharded mode the epoch header must survive the
-// split/merge.
+// BFS oracle, and a single answer carries the epoch header.
 func TestFleetModesOracle(t *testing.T) {
 	for _, mode := range []fleet.Mode{fleet.Replicated, fleet.Sharded} {
 		t.Run(string(mode), func(t *testing.T) {
@@ -210,7 +209,7 @@ func TestFleetModesOracle(t *testing.T) {
 			for i := range pairs {
 				pairs[i] = graph.Edge{U: VertexID((i * 3) % n), V: VertexID((i*11 + 1) % n)}
 			}
-			// Duplicates on purpose: merge must restore caller order.
+			// Duplicates on purpose: one answer a pair, in caller order.
 			pairs = append(pairs, pairs[:10]...)
 			if err := bc(pairs); err != nil {
 				t.Fatal(err)

@@ -4,14 +4,17 @@
 //
 // Two routing modes share one replica pool:
 //
-//   - Replicated: any replica can answer any pair; the router picks
-//     the healthy replica with the fewest outstanding requests.
-//   - Sharded: the pair space is partitioned by source rank
-//     (shard(s) = s mod K over the fixed replica list), so each
-//     replica's hot-pair cache sees only its slice of the source
-//     space and stays hot. Batches are split into per-shard
-//     sub-batches and the answers merged back into caller order;
-//     a join, which never reads the cache, passes through whole.
+//   - Replicated: any replica can answer any request; the router
+//     picks the healthy replica with the fewest outstanding requests.
+//   - Sharded: a single-source request (/reach, /reach/path,
+//     /reach/count, /reach/from) goes to the replica owning its
+//     source's shard (shard(s) = s mod K over the fixed replica list),
+//     so that replica's caches see only its slice of the source space.
+//     A batch or a join names many sources and is routed as in
+//     Replicated mode.
+//
+// Every query is passed through whole: one replica answers it, and its
+// verdict, epoch header included, is relayed verbatim.
 //
 // Sharding is an affinity policy, not a data partition — every
 // replica holds the full index — so when a shard's owner is down the
@@ -30,6 +33,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -49,9 +53,9 @@ const (
 	// Replicated routes every query to the least-loaded healthy
 	// replica.
 	Replicated Mode = "replicated"
-	// Sharded routes each pair to the replica owning its source's
-	// shard, falling back to any healthy replica when the owner is
-	// out.
+	// Sharded routes each single-source request to the replica owning
+	// its source's shard, falling back to any healthy replica when the
+	// owner is out; batches and joins go to the least-loaded one.
 	Sharded Mode = "sharded"
 )
 
@@ -143,7 +147,8 @@ type ReplicaStatus struct {
 
 // Options configures a Fleet. The zero value gives sane defaults.
 type Options struct {
-	// Mode is Replicated (default) or Sharded.
+	// Mode is Replicated (default) or Sharded; it places only the
+	// single-source requests.
 	Mode Mode
 	// Obs receives router counters and latency histograms; nil
 	// disables instrumentation.
@@ -350,7 +355,8 @@ func (f *Fleet) probeOnce(r *replica) bool {
 		return false
 	}
 	defer resp.Body.Close()
-	drain(resp)
+	// Read to the end, so the connection goes back to the pool.
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20)) //nolint:errcheck
 	if resp.StatusCode != http.StatusOK {
 		return false
 	}

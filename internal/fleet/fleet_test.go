@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -113,6 +114,10 @@ func (f *fakeReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if len(req.Pairs) > httpapi.MaxBatch {
+			http.Error(w, "too many pairs", http.StatusRequestEntityTooLarge)
 			return
 		}
 		for _, p := range req.Pairs {
@@ -357,131 +362,71 @@ func stateOf(f *Fleet, addr string) string {
 	return "missing"
 }
 
-// --- splitBatch: the pure split/merge invariants -------------------
+// --- sharded batch over real HTTP: whole, to one replica ----------
 
-func TestSplitBatchInvariants(t *testing.T) {
-	pairs := [][2]int64{
-		{5, 1}, {0, 2}, {5, 1}, {3, 3}, {4, 0}, {0, 2}, {6, 6}, {5, 1}, {1, 9},
-	}
-	for _, k := range []int{1, 2, 3, 7} {
-		plan := splitBatch(pairs, k)
-
-		// Duplicates collapsed: uniq holds each distinct pair once, in
-		// first-appearance order.
-		seen := make(map[[2]int64]bool)
-		for _, p := range plan.uniq {
-			if seen[p] {
-				t.Fatalf("k=%d: pair %v appears twice in uniq", k, p)
-			}
-			seen[p] = true
-		}
-		if len(plan.uniq) != 6 {
-			t.Fatalf("k=%d: %d unique pairs, want 6", k, len(plan.uniq))
-		}
-
-		// Caller order: posToUniq maps every position back to its own
-		// pair.
-		for i, u := range plan.posToUniq {
-			if plan.uniq[u] != pairs[i] {
-				t.Fatalf("k=%d: position %d maps to %v, want %v", k, i, plan.uniq[u], pairs[i])
-			}
-		}
-
-		// Partition: every uniq index in exactly one group, and in the
-		// group its source owns.
-		covered := make([]int, len(plan.uniq))
-		for g, group := range plan.groups {
-			for _, u := range group {
-				covered[u]++
-				if want := int(plan.uniq[u][0] % int64(k)); want != g {
-					t.Fatalf("k=%d: pair %v in group %d, want %d", k, plan.uniq[u], g, want)
-				}
-			}
-		}
-		for u, c := range covered {
-			if c != 1 {
-				t.Fatalf("k=%d: uniq %d covered %d times", k, u, c)
-			}
-		}
-	}
-}
-
-// --- sharded batch over real HTTP: order invariance + dedup --------
-
-func TestShardedBatchMergeOrderAndDedup(t *testing.T) {
+// TestShardedBatchPassesThroughWhole: a batch names many sources, so
+// the sharded router sends it whole — duplicates, caller order and all —
+// to one replica, and relays that replica's answer verbatim. During a
+// rolling reload the answer therefore carries the epoch it was served
+// from: the answering replica's, never a mix and never none.
+func TestShardedBatchPassesThroughWhole(t *testing.T) {
 	fakes, _, f := testFleet(t, 3, Sharded, nil, nil)
 	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 3 })
-
 	router := httptest.NewServer(f)
 	defer router.Close()
 
-	// A batch with duplicates and interleaved shard owners.
+	// A batch with duplicates and sources on every shard.
 	pairs := [][2]int64{
 		{0, 7}, {1, 7}, {2, 7}, {0, 7}, {4, 1}, {5, 2}, {3, 9}, {1, 7}, {8, 8}, {0, 7},
 	}
 	raw, _ := json.Marshal(map[string]any{"pairs": pairs})
-	resp, err := http.Post(router.URL+"/reach/batch", "application/json", strings.NewReader(string(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d", resp.StatusCode)
-	}
-	var body struct {
-		Count   int    `json:"count"`
-		Results []bool `json:"results"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-
-	// Answers in caller order.
-	if body.Count != len(pairs) || len(body.Results) != len(pairs) {
-		t.Fatalf("answered %d/%d results for %d pairs", body.Count, len(body.Results), len(pairs))
-	}
-	for i, p := range pairs {
-		if want := fakeAnswer(p[0], p[1]); body.Results[i] != want {
-			t.Errorf("pair %d %v: got %v, want %v", i, p, body.Results[i], want)
+	// The rolling reload: replica k moves to epoch 2 before batch k, so
+	// the first two batches meet a fleet at epochs 1 and 2.
+	for k, fr := range fakes {
+		fr.epoch.Store(2)
+		before := make([]int, len(fakes))
+		for i, fr := range fakes {
+			before[i] = len(fr.servedPairs())
 		}
-	}
-	// Epoch header present when every shard serves the same epoch.
-	if e := resp.Header.Get("X-Reachlab-Epoch"); e != "1" {
-		t.Errorf("uniform epoch header = %q, want \"1\"", e)
-	}
-
-	// Each replica saw only its shard's sources, and each unique pair
-	// was asked exactly once across the fleet (duplicates collapsed).
-	total := 0
-	askedOnce := make(map[[2]int64]int)
-	for i, fr := range fakes {
-		for _, p := range fr.servedPairs() {
-			if int(p[0]%3) != i {
-				t.Errorf("replica %d served source %d (shard %d)", i, p[0], p[0]%3)
+		resp, err := http.Post(router.URL+"/reach/batch", "application/json", strings.NewReader(string(raw)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Count   int    `json:"count"`
+			Results []bool `json:"results"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("batch %d: status %d, %v", k, resp.StatusCode, err)
+		}
+		if body.Count != len(pairs) || len(body.Results) != len(pairs) {
+			t.Fatalf("batch %d: answered %d/%d results for %d pairs", k, body.Count, len(body.Results), len(pairs))
+		}
+		for i, p := range pairs {
+			if want := fakeAnswer(p[0], p[1]); body.Results[i] != want {
+				t.Errorf("batch %d, pair %d %v: got %v, want %v", k, i, p, body.Results[i], want)
 			}
-			askedOnce[p]++
-			total++
 		}
-	}
-	if total != 7 {
-		t.Errorf("fleet served %d pairs, want 7 unique", total)
-	}
-	for p, c := range askedOnce {
-		if c != 1 {
-			t.Errorf("pair %v asked %d times, want 1", p, c)
+		answered := -1
+		for i, fr := range fakes {
+			served := fr.servedPairs()[before[i]:]
+			if len(served) == 0 {
+				continue
+			}
+			if answered >= 0 || !slices.Equal(served, pairs) {
+				t.Fatalf("batch %d: replica %d served %v; want the whole batch at one replica", k, i, served)
+			}
+			answered = i
 		}
-	}
-
-	// Shards at different epochs (a rolling reload): a split answer
-	// carries no epoch header at all.
-	fakes[1].epoch.Store(2)
-	resp, err = http.Post(router.URL+"/reach/batch", "application/json", strings.NewReader(string(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if e, ok := resp.Header["X-Reachlab-Epoch"]; resp.StatusCode != http.StatusOK || ok {
-		t.Errorf("batch over epochs 1 and 2: status %d, epoch header %q; want 200 and none", resp.StatusCode, e)
+		if answered < 0 {
+			t.Fatalf("batch %d: no replica served it", k)
+		}
+		want := strconv.FormatUint(fakes[answered].epoch.Load(), 10)
+		if e := resp.Header.Get("X-Reachlab-Epoch"); e != want {
+			t.Errorf("batch %d over a rolling reload: epoch header %q, want replica %d's %q", k, e, answered, want)
+		}
 	}
 }
 
@@ -781,11 +726,15 @@ func TestDrainAndMidDrainKill(t *testing.T) {
 	for _, fr := range fakes {
 		fr.failReach.Store(true)
 	}
+	asked := time.Now()
 	resp, err := http.Get(router.URL + "/reach?s=1&t=2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if took := time.Since(asked); took < (attemptsPerReplica-1)*retryBackoff {
+		t.Errorf("a query every replica fails was answered after %v, under its %d backoffs of %v", took, attemptsPerReplica-1, retryBackoff)
+	}
 	for _, fr := range fakes {
 		fr.failReach.Store(false)
 	}
@@ -1135,7 +1084,17 @@ func postEdges(t *testing.T, url, body string) (*http.Response, map[string]any) 
 // 502 with per-replica detail, and a validation error short-circuits
 // as the replica's 4xx without spraying the pool.
 func TestFleetEdgesFanout(t *testing.T) {
-	fakes, _, f := testFleet(t, 3, Replicated, nil, nil)
+	// lastSays, when set, is the last replica's own answer to /edges.
+	var lastSays atomic.Value
+	fakes, _, f := testFleet(t, 3, Replicated, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if say, _ := lastSays.Load().(func(http.ResponseWriter)); i == 2 && r.URL.Path == "/edges" && say != nil {
+				say(w)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}, nil)
 	router := httptest.NewServer(f)
 	defer router.Close()
 
@@ -1181,6 +1140,34 @@ func TestFleetEdgesFanout(t *testing.T) {
 	}
 	fakes[2].failEdges.Store(false)
 
+	// The last replica alone refuses the write, or answers 200 with a
+	// body that is no outcome: 502, and its own row says which.
+	for _, c := range []struct {
+		say  func(http.ResponseWriter)
+		want string
+	}{
+		{func(w http.ResponseWriter) { http.Error(w, "updates not enabled", http.StatusNotImplemented) }, "status 501: updates not enabled"},
+		{func(w http.ResponseWriter) { fmt.Fprintln(w, "ok") }, "unreadable answer: ok"},
+	} {
+		lastSays.Store(c.say)
+		resp, doc = postEdges(t, router.URL, `{"op":"insert","u":4,"v":9}`)
+		rows, _ := doc["replicas"].([]any)
+		if resp.StatusCode != http.StatusBadGateway || len(rows) != 3 {
+			t.Fatalf("the last replica answering %q: status %d, %v; want 502 with 3 rows", c.want, resp.StatusCode, doc)
+		}
+		for i, o := range rows {
+			want := ""
+			if i == 2 {
+				want = c.want
+			}
+			m, _ := o.(map[string]any)
+			if got, _ := m["error"].(string); got != want {
+				t.Errorf("the last replica answering %q: row %d is %v, want error %q", c.want, i, o, want)
+			}
+		}
+	}
+	lastSays.Store((func(http.ResponseWriter))(nil))
+
 	// A malformed op is rejected deterministically: 400 straight back,
 	// and no replica records it.
 	before := make([]int, len(fakes))
@@ -1207,10 +1194,8 @@ func TestFleetEdgesFanout(t *testing.T) {
 
 // TestBatchRefusalRelayedVerbatim: a replica's 400 for an out-of-range
 // pair is its verdict on the batch — it comes back through the router
-// with the replica's own words, after one forward per shard asked (and,
-// when the batch was split, one more that asks the caller's own batch
-// again), and is charged to nobody: no retry, no replica error, no
-// unavailable.
+// with the replica's own words, after one forward in either mode, and
+// is charged to nobody: no retry, no replica error, no unavailable.
 func TestBatchRefusalRelayedVerbatim(t *testing.T) {
 	for _, mode := range []Mode{Replicated, Sharded} {
 		t.Run(string(mode), func(t *testing.T) {
@@ -1236,12 +1221,8 @@ func TestBatchRefusalRelayedVerbatim(t *testing.T) {
 				forwards += s.Forwards
 				errs += s.Errors
 			}
-			wantForwards := int64(1)
-			if mode == Sharded {
-				wantForwards = 3
-			}
-			if forwards != wantForwards || errs != 0 {
-				t.Errorf("%s: %d forwards and %d replica errors, want %d and 0", mode, forwards, errs, wantForwards)
+			if forwards != 1 || errs != 0 {
+				t.Errorf("%s: %d forwards and %d replica errors, want 1 and 0", mode, forwards, errs)
 			}
 			if n := reg.CounterValue("fleet_unavailable_total") + reg.CounterValue("fleet_retries_total"); n != 0 {
 				t.Errorf("%s: a refusal counted %d unavailable+retries", mode, n)
@@ -1254,10 +1235,9 @@ func TestBatchRefusalRelayedVerbatim(t *testing.T) {
 }
 
 // TestRouterTimesEveryRequest: the router's mux times every mounted
-// request once, whatever its outcome — answers, a relayed 400, its own
-// 400 and 413, a 404 from an admin verb and a join whose client went
-// away — so per handler the latency histogram's count is the request
-// counter's value.
+// request once, whatever its outcome — answers, relayed 400s and 413, a
+// 404 from an admin verb and a join whose client went away — so per
+// handler the latency histogram's count is the request counter's value.
 func TestRouterTimesEveryRequest(t *testing.T) {
 	reg := obs.New()
 	_, servers, f := testFleet(t, 2, Sharded, nil, func(o *Options) { o.Obs = reg })
@@ -1403,20 +1383,19 @@ func TestStaleProbeDoesNotOverwriteReloadEpoch(t *testing.T) {
 // TestClientHangUpChargedToNobody: when the client of a read goes away,
 // the forwards made for it are abandoned — each replica asked sees its
 // own request cancelled instead of working on for proxyTimeout — and
-// the abandonment is the client's doing: one forward per replica asked,
-// no error charged to any, no retry, no 503/502 counted; the request
-// counts once in fleet_http_canceled_total.
+// the abandonment is the client's doing: one forward to the one replica
+// asked, no error charged to any, no retry, no 503/502 counted; the
+// request counts once in fleet_http_canceled_total.
 func TestClientHangUpChargedToNobody(t *testing.T) {
 	for _, c := range []struct {
 		name, label, method, path, body string
-		asked                           int // replicas the request is split across
 	}{
-		{"pass-through", "reach", http.MethodGet, "/reach?s=4&t=7", "", 1},
-		{"split batch", "batch", http.MethodPost, "/reach/batch", `{"pairs":[[4,7],[5,9]]}`, 2},
-		{"join", "join", http.MethodPost, "/reach/join", `{"sources":[4,5],"targets":[7,9]}`, 1},
+		{"pass-through", "reach", http.MethodGet, "/reach?s=4&t=7", ""},
+		{"batch", "batch", http.MethodPost, "/reach/batch", `{"pairs":[[4,7],[5,9]]}`},
+		{"join", "join", http.MethodPost, "/reach/join", `{"sources":[4,5],"targets":[7,9]}`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			started, released := make(chan struct{}, 2), make(chan struct{}, 2)
+			started, released := make(chan struct{}, 1), make(chan struct{}, 1)
 			// A replica that never answers: it works until its request is cancelled.
 			stuck := func(_ int, h http.Handler) http.Handler {
 				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -1450,19 +1429,15 @@ func TestClientHangUpChargedToNobody(t *testing.T) {
 				}
 				failed <- err
 			}()
-			for i := 0; i < c.asked; i++ {
-				<-started
-			}
+			<-started
 			hangUp()
 			if err := <-failed; err == nil {
 				t.Fatal("the abandoned request was answered")
 			}
-			for i := 0; i < c.asked; i++ {
-				select {
-				case <-released:
-				case <-time.After(5 * time.Second):
-					t.Fatal("a replica is still working for a client that hung up")
-				}
+			select {
+			case <-released:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a replica is still working for a client that hung up")
 			}
 			canceled := obs.Label("fleet_http_canceled_total", "handler", c.label)
 			waitFor(t, "the router to drop the request", func() bool { return reg.CounterValue(canceled) == 1 })
@@ -1473,8 +1448,8 @@ func TestClientHangUpChargedToNobody(t *testing.T) {
 					t.Errorf("replica %s: %d forwards, %d errors charged; want at most 1 and 0", s.Addr, s.Forwards, s.Errors)
 				}
 			}
-			if forwards != int64(c.asked) {
-				t.Errorf("%d forwards in all, want %d", forwards, c.asked)
+			if forwards != 1 {
+				t.Errorf("%d forwards in all, want 1", forwards)
 			}
 			for _, name := range []string{"fleet_retries_total", "fleet_unavailable_total",
 				obs.Label("fleet_http_errors_total", "handler", c.label)} {

@@ -26,16 +26,14 @@ import (
 func (f *Fleet) initMux() {
 	f.mux = httpapi.NewMux(f.opts.Obs, "fleet")
 	// Pass-through: one replica's answer is the answer. A single-source
-	// request is placed by its source; a join reads no cache, so it has
-	// no owner and goes to any replica, whole, in both modes.
+	// request is placed by its source; a batch or a join names many, so
+	// it has no owner and goes to any replica, whole, in both modes.
 	f.mux.Mount(httpapi.Reach, f.passThrough(httpapi.SourceInQuery))
 	f.mux.Mount(httpapi.Path, f.passThrough(httpapi.SourceInQuery))
 	f.mux.Mount(httpapi.Count, f.passThrough(httpapi.SourceInQuery))
 	f.mux.Mount(httpapi.From, f.passThrough(httpapi.SourceInBody))
+	f.mux.Mount(httpapi.Batch, f.passThrough(nil))
 	f.mux.Mount(httpapi.Join, f.passThrough(nil))
-	// Split by shard and merged. A replicated pool has one shard; a batch
-	// is still deduplicated.
-	f.mux.Mount(httpapi.Batch, f.handleBatch)
 	// Fanned out to every replica. A reload's answer also tells the router
 	// the replica's new epoch, so /stats shows it without waiting for a probe.
 	f.mux.Mount(httpapi.Reload, f.fanOut(func(rep *replica, issued time.Time, row httpapi.ReplicaOutcome) {
@@ -53,11 +51,6 @@ func (f *Fleet) initMux() {
 // ServeHTTP implements http.Handler.
 func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.mux.ServeHTTP(w, r)
-}
-
-// drain discards a response body so the connection can be reused.
-func drain(resp *http.Response) {
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20)) //nolint:errcheck
 }
 
 // errAllReplicasFailed reports an exhausted retry budget.
@@ -144,10 +137,19 @@ func (f *Fleet) shardOwner(s int64) *replica {
 	return f.replicas[shardOf(s, len(f.replicas))]
 }
 
+// shardOf is the router's one shard rule: shard(s) = s mod k over k
+// shards, and a negative source, which no replica serves, goes to shard
+// 0, whose replica words the refusal.
+func shardOf(s int64, k int) int {
+	return int(max(s, 0) % int64(k))
+}
+
 // passThrough relays a request whole to one replica and that replica's
 // verdict whole to the caller; the replica, not the router, validates
 // it. source says where the request names its source (nil: nowhere):
-// Sharded mode sends it to the owner, whose cache holds its hot pairs.
+// Sharded mode tries the owner first, whose cache holds its hot pairs.
+// When no replica gives a verdict the answer is 503, and nothing when
+// the client went away first.
 func (f *Fleet) passThrough(source func(*http.Request, []byte) (int64, bool)) httpapi.ServeFunc {
 	return func(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
 		path := api.Route
@@ -166,154 +168,17 @@ func (f *Fleet) passThrough(source func(*http.Request, []byte) (int64, bool)) ht
 				preferred = f.shardOwner(s)
 			}
 		}
-		f.proxy(api, w, r, preferred, path, body)
-	}
-}
-
-// proxy forwards one request (preferred first, if up) and relays the
-// verdict that comes back: 503 when no replica gave one, and nothing
-// when the client went away first.
-func (f *Fleet) proxy(api *httpapi.Handle, w http.ResponseWriter, r *http.Request, preferred *replica, path string, body []byte) {
-	resp, data, err := f.forward(r.Context(), preferred, api.Method, path, body)
-	if err != nil {
-		if r.Context().Err() != nil {
-			api.Canceled()
-			return
-		}
-		f.unavailable.Inc()
-		api.Fail(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	api.Relay(w, resp, data)
-}
-
-// subAnswer is one shard's part of a split batch: the replica's verdict
-// on the sub-batch, or err when the shard's retries ran out or its 200
-// could not be read as the contract says.
-type subAnswer struct {
-	resp *http.Response
-	data []byte
-	err  error
-}
-
-// subBatch posts the sub-batch of the plan's unique pairs in group to
-// shard (owner preferred, any healthy replica as fallback) and, if the
-// verdict is a 200, writes its answers into their slots of answers.
-func (f *Fleet) subBatch(ctx context.Context, shard int, plan batchPlan, group []int, answers []bool) (a subAnswer) {
-	sub := httpapi.BatchRequest{Pairs: make([][2]int64, len(group))}
-	for k, u := range group {
-		sub.Pairs[k] = plan.uniq[u]
-	}
-	body, _ := json.Marshal(sub) // lists of integers: encoding cannot fail
-	a.resp, a.data, a.err = f.forward(ctx, f.shardOwner(int64(shard)), http.MethodPost, httpapi.Batch.Route, body)
-	if a.err != nil || a.resp.StatusCode != http.StatusOK {
-		return a
-	}
-	var br httpapi.BatchResponse
-	switch err := json.Unmarshal(a.data, &br); {
-	case err != nil:
-		a.err = fmt.Errorf("decoding sub-batch response: %w", err)
-	case len(br.Results) != len(group):
-		a.err = fmt.Errorf("sub-batch of %d pairs got %d answers", len(group), len(br.Results))
-	default:
-		for k, u := range group {
-			answers[u] = br.Results[k]
-		}
-	}
-	return a
-}
-
-// settle decides a split batch from its shards' answers, in shard
-// order: a failed shard fails the whole request with 502 — partial
-// answers are never returned — and a refusal (400 bad vertex) is
-// deterministic, so the first one speaks for the request. It names the
-// offending pair by its place in the sub-batch, though; so unless that
-// sub-batch was the caller's whole batch as asked (nothing split off,
-// no duplicate dropped), one replica is asked again with the caller's
-// batch and its verdict is relayed, else the sub-batch's is, verbatim.
-// ok means every shard asked answered 200; epoch is then the one they
-// all served from, or "" when they disagree (a rolling reload). A
-// request whose client went away while its shards were being asked is
-// dropped unanswered, whatever they said.
-func (f *Fleet) settle(api *httpapi.Handle, w http.ResponseWriter, r *http.Request, req *httpapi.BatchRequest, plan batchPlan, subs []subAnswer) (epoch string, ok bool) {
-	if r.Context().Err() != nil {
-		api.Canceled()
-		return "", false
-	}
-	uniform := true
-	for shard, a := range subs {
+		resp, data, err := f.forward(r.Context(), preferred, api.Method, path, body)
 		switch {
-		case a.err != nil:
-			f.unavailable.Inc()
-			api.Fail(w, fmt.Sprintf("shard %d: %v", shard, a.err), http.StatusBadGateway)
-			return "", false
-		case a.resp == nil: // nothing was asked of this shard
-		case a.resp.StatusCode != http.StatusOK && len(plan.groups[shard]) < len(req.Pairs):
-			body, _ := json.Marshal(req)
-			f.proxy(api, w, r, nil, api.Route, body)
-			return "", false
-		case a.resp.StatusCode != http.StatusOK:
-			api.Relay(w, a.resp, a.data)
-			return "", false
+		case err == nil:
+			api.Relay(w, resp, data)
+		case r.Context().Err() != nil:
+			api.Canceled()
 		default:
-			if e := a.resp.Header.Get(httpapi.EpochHeader); epoch == "" {
-				epoch = e
-			} else if e != "" && e != epoch {
-				uniform = false
-			}
+			f.unavailable.Inc()
+			api.Fail(w, err.Error(), http.StatusServiceUnavailable)
 		}
 	}
-	if !uniform {
-		epoch = ""
-	}
-	return epoch, true
-}
-
-// handleBatch deduplicates a batch, splits it across the pool — one
-// sub-batch per shard owner in Sharded mode, one in all otherwise — and
-// merges the answers back into caller order.
-func (f *Fleet) handleBatch(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
-	var req httpapi.BatchRequest
-	if !api.Decode(w, r, &req) {
-		return
-	}
-	shards := 1 // a replicated pool is one shard
-	if f.opts.Mode == Sharded {
-		shards = len(f.replicas)
-	}
-	plan := splitBatch(req.Pairs, shards)
-
-	// Every shard group concurrently; distinct groups fill distinct slots.
-	answers := make([]bool, len(plan.uniq))
-	subs := make([]subAnswer, len(plan.groups))
-	var wg sync.WaitGroup
-	for gi, group := range plan.groups {
-		// A shard with nothing to ask is skipped — except shard 0 of an
-		// empty batch: a replica answers it, epoch and all, like any other.
-		if len(group) == 0 && (gi > 0 || len(plan.uniq) > 0) {
-			continue
-		}
-		wg.Add(1)
-		go func(gi int, group []int) {
-			defer wg.Done()
-			subs[gi] = f.subBatch(r.Context(), gi, plan, group, answers)
-		}(gi, group)
-	}
-	wg.Wait()
-	epoch, ok := f.settle(api, w, r, &req, plan, subs)
-	if !ok {
-		return
-	}
-
-	// Merge: expand unique answers back to every caller position.
-	results := make([]bool, len(req.Pairs))
-	for i, u := range plan.posToUniq {
-		results[i] = answers[u]
-	}
-	if epoch != "" {
-		w.Header().Set(httpapi.EpochHeader, epoch)
-	}
-	httpapi.WriteJSON(w, httpapi.BatchResponse{Count: len(results), Results: results})
 }
 
 func (f *Fleet) handleHealthz(w http.ResponseWriter, _ *http.Request) {

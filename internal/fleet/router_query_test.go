@@ -214,12 +214,11 @@ func flatten(pairs [][2]int64) []int64 {
 
 // TestJoinErrorPaths: a deterministic replica 400 relays verbatim, and
 // so does a join stream that ends before its done line — the missing
-// line is what tells the client it is short; a sub-batch answered with
-// fewer results than it asked fails closed with 502 instead of a silent
-// partial merge.
+// line is what tells the client it is short — and a batch answered with
+// fewer results than it asked, whose count is what tells the client.
 func TestJoinErrorPaths(t *testing.T) {
 	truncate := false
-	_, _, f := testFleet(t, 3, Sharded, func(i int, h http.Handler) http.Handler {
+	_, _, f := testFleet(t, 3, Sharded, func(_ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if truncate && r.URL.Path == "/reach/join" {
 				// A stream that dies before its summary line.
@@ -227,7 +226,7 @@ func TestJoinErrorPaths(t *testing.T) {
 				fmt.Fprintln(w, `{"s":1,"t":3}`)
 				return
 			}
-			if truncate && i == 1 && r.URL.Path == "/reach/batch" {
+			if truncate && r.URL.Path == "/reach/batch" {
 				w.Header().Set("Content-Type", "application/json")
 				fmt.Fprintln(w, `{"count":0,"results":[]}`)
 				return
@@ -266,13 +265,14 @@ func TestJoinErrorPaths(t *testing.T) {
 		t.Error("ReadJoin accepted a join stream without its done line")
 	}
 
-	// A short sub-batch → 502.
+	// A short batch → relayed as it came.
 	resp, err = http.Post(router.URL+"/reach/batch", "application/json", strings.NewReader(`{"pairs":[[0,3],[1,3],[4,9]]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("short sub-batch status %d, want 502", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || string(raw) != `{"count":0,"results":[]}`+"\n" {
+		t.Fatalf("short batch: %d %q, want the replica's 200 as sent", resp.StatusCode, raw)
 	}
 }

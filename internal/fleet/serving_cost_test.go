@@ -102,7 +102,7 @@ func (*replayBody) Close() error { return nil }
 // tallied.
 type inProcess struct {
 	replicas map[string]http.Handler
-	bytes    atomic.Int64 // shards and probes go concurrently
+	bytes    atomic.Int64 // forwards and probes go concurrently
 }
 
 func (p *inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -208,7 +208,7 @@ func TestServingCostGolden(t *testing.T) {
 	want := map[string]costRow{
 		"replica-cached":   {allocs: 26, bytes: 2441, reqBytes: 597958, respBytes: 489702, subRequests: 4101, hits: 24457, misses: 41096},
 		"replica-uncached": {allocs: 23, bytes: 2171, reqBytes: 597958, respBytes: 489702, subRequests: 4101},
-		"router-sharded-2": {allocs: 173, bytes: 14990, reqBytes: 597958, respBytes: 489702, hopBytes: 1223956, subRequests: 8197, hits: 24734, misses: 40398},
+		"router-sharded-2": {allocs: 60, bytes: 6223, reqBytes: 597958, respBytes: 489702, hopBytes: 1087666, subRequests: 4101, hits: 24446, misses: 41107},
 	}
 	skipAllocs := allocsReason()
 	got := map[string]costRow{}

@@ -11,7 +11,8 @@
 # SIGTERM shutdown of everything. drload exits nonzero on any failed
 # request or wrong answer, so a single dropped or stale query fails
 # the smoke; the router's /metrics must have timed every batch request
-# it counted.
+# it counted, and its replicas must have served exactly as many: a
+# batch is passed to one replica whole.
 . "$(dirname "$0")/lib.sh"
 router=127.0.0.1:19400
 r1=127.0.0.1:19401
@@ -61,6 +62,7 @@ echo "== verified bursts through the router (single + batch)"
 "$work/bin/drload" -addr "$router" -clients 4 -requests 2000 -batch 1 -verify-idx "$work/graph.idx" -seed 3
 "$work/bin/drload" -addr "$router" -clients 4 -requests 500 -batch 16 -verify-idx "$work/graph.idx" -seed 4
 timed_once "$router" fleet batch
+forwarded_whole "$router" batch "$r1" "$r2" "$r3"
 
 echo "== curl spot checks: a replica's refusals come back through the router as its own"
 expect_code() { # expect_code WANT WHAT curl-args...

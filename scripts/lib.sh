@@ -53,6 +53,21 @@ timed_once() {
 		{ echo "$1: $n $3 requests counted, ${c:-none} timed" >&2; exit 1; }
 }
 
+# forwarded_whole ROUTER HANDLER REPLICA... -> the replicas' HANDLER
+# requests must sum to the ROUTER's: each one was passed to one replica
+forwarded_whole() {
+	fw_router="$1" fw_handler="$2"
+	shift 2
+	fw_sum=0
+	for fw_r in "$@"; do
+		fw_n="$(curl -sf "http://$fw_r/metrics" | sed -n "s/^reachlab_http_requests_total{handler=\"$fw_handler\"} //p")"
+		fw_sum=$((fw_sum + ${fw_n:-0}))
+	done
+	fw_n="$(curl -sf "http://$fw_router/metrics" | sed -n "s/^fleet_http_requests_total{handler=\"$fw_handler\"} //p")"
+	[ -n "$fw_n" ] && [ "$fw_n" = "$fw_sum" ] ||
+		{ echo "$fw_router: ${fw_n:-no} $fw_handler requests, its replicas served $fw_sum" >&2; exit 1; }
+}
+
 # stop_ok PID WHAT -> SIGTERM, then the process must exit 0
 stop_ok() {
 	kill -TERM "$1"
