@@ -115,8 +115,8 @@ bench-harness:
 loadtest:
 	./scripts/serve_smoke.sh
 
-# End-to-end fleet smoke: 3 drserve replicas behind drrouter in
-# sharded mode — verified drload bursts, refusal spot checks through
+# End-to-end fleet smoke: 3 drserve replicas behind drrouter —
+# verified drload bursts, refusal spot checks through
 # the router (400 for an out-of-range batch pair and for t=notanumber,
 # 405 for GET /reach/batch, as at a replica), kill -9 + readmission,
 # fleet-wide zero-downtime reload with an epoch check on every

@@ -68,7 +68,6 @@ func main() {
 		writers   = flag.Int("writers", 0, "concurrent writer loops POSTing /edges mutations (update mix; target must run drserve -graph/-wal)")
 		writeWin  = flag.Int("write-window", 0, "restrict writer edges to the newest N vertex IDs (citation-growth regime; 0 = whole ID space)")
 		writeEv   = flag.Duration("write-every", 0, "throttle each writer to one mutation per period (0 = back-to-back)")
-		reloadRef = flag.String("reload-ref", "", "index ref sent with -reload-every reloads (default: the endpoint's own default source)")
 		verifyIdx = flag.String("verify-idx", "", "index file to check HTTP answers against")
 		verifyG   = flag.String("verify-graph", "", "path mode: edge list to check witness-path hops against (needs -verify-idx)")
 		clients   = flag.Int("clients", 8, "concurrent client loops")
@@ -91,7 +90,7 @@ func main() {
 	if len(endpoints) == 0 {
 		fatal(fmt.Errorf("no endpoints in -addr/-addrs"))
 	}
-	runServe(*mode, endpoints, *verifyIdx, *verifyG, *reloadEv, *reloadRef, *writers, *writeEv, *writeWin, *clients, *requests, *duration, *batch, *zipfS, *seed)
+	runServe(*mode, endpoints, *verifyIdx, *verifyG, *reloadEv, *writers, *writeEv, *writeWin, *clients, *requests, *duration, *batch, *zipfS, *seed)
 }
 
 // splitAddrs parses a comma-separated endpoint list into base URLs.
@@ -112,7 +111,7 @@ func splitAddrs(list string) []string {
 
 // runServe drives one or more live endpoints and exits nonzero on any
 // request, verification, or reload error.
-func runServe(workload string, bases []string, verifyIdx, verifyGraph string, reloadEvery time.Duration, reloadRef string, writers int, writeEvery time.Duration, writeWindow, clients, requests int, duration time.Duration, batch int, zipfS float64, seed int64) {
+func runServe(workload string, bases []string, verifyIdx, verifyGraph string, reloadEvery time.Duration, writers int, writeEvery time.Duration, writeWindow, clients, requests int, duration time.Duration, batch int, zipfS float64, seed int64) {
 	vertices := serverVertices(bases[0])
 	var pathGraph *reachlab.Graph
 	if verifyGraph != "" {
@@ -185,7 +184,7 @@ func runServe(workload string, bases []string, verifyIdx, verifyGraph string, re
 	if reloadEvery > 0 {
 		opts.DisruptEvery = reloadEvery
 		opts.Disrupt = func(k int) error {
-			return postReload(httpc, bases[k%len(bases)], reloadRef)
+			return postReload(httpc, bases[k%len(bases)])
 		}
 	}
 	if writers > 0 {
@@ -276,11 +275,11 @@ func postEdge(httpc *http.Client, base string, insert bool, u, v graph.VertexID)
 	return call(httpc, base, httpapi.Edges, "", httpapi.EdgeRequest{Op: op, U: int64(u), V: int64(v)}, &ack)
 }
 
-// postReload triggers one index reload on an endpoint (a drserve
-// replica, or a drrouter which fans it across the fleet).
-func postReload(httpc *http.Client, base, ref string) error {
+// postReload triggers one index reload of the endpoint's default source
+// (on a drserve replica, or a drrouter which fans it across the fleet).
+func postReload(httpc *http.Client, base string) error {
 	var ack json.RawMessage
-	return call(httpc, base, httpapi.Reload, "", httpapi.ReloadRequest{Ref: ref}, &ack)
+	return call(httpc, base, httpapi.Reload, "", httpapi.ReloadRequest{}, &ack)
 }
 
 // serverVertices asks /stats for the vertex-ID space.

@@ -1,9 +1,8 @@
 // Command drrouter is the fleet frontend: it serves a drserve
 // replica's whole API (DESIGN.md "HTTP contract", §12 — the table's
 // last column is what the router does with each endpoint) across N
-// replicas, either replicated (any replica answers; least-outstanding
-// wins) or sharded by source (shard(s) = s mod K; a batch or a join,
-// which names many sources, goes whole to one replica), with periodic
+// replicas — every query goes whole to the healthy replica with the
+// fewest outstanding forwards, ties to the first listed — with periodic
 // health checks, automatic removal/readmission of misbehaving replicas,
 // graceful drain, and a fleet-wide index reload that swaps every
 // replica to a new epoch with zero downtime (DESIGN.md §9). It refuses
@@ -14,7 +13,7 @@
 //	drserve -idx graph.idx -listen 127.0.0.1:9001 &
 //	drserve -idx graph.idx -listen 127.0.0.1:9002 &
 //	drserve -idx graph.idx -listen 127.0.0.1:9003 &
-//	drrouter -replicas 127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003 -mode sharded
+//	drrouter -replicas 127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003
 //
 //	curl 'localhost:8080/reach?s=3&t=17'                  # same API as drserve
 //	curl -d '{"pairs":[[3,17],[5,9]]}' 'localhost:8080/reach/batch'
@@ -43,23 +42,19 @@ import (
 func main() {
 	var (
 		replicas = flag.String("replicas", "", "comma-separated replica addresses (host:port, required)")
-		mode     = flag.String("mode", "replicated", "routing mode: replicated or sharded")
 		listen   = flag.String("listen", "127.0.0.1:8080", "address to listen on")
 		grace    = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight queries")
 	)
 	flag.Parse()
 	addrs := strings.Split(*replicas, ",")
-	f, err := fleet.New(addrs, fleet.Options{
-		Mode: fleet.Mode(*mode),
-		Obs:  obs.Default,
-	})
+	f, err := fleet.New(addrs, fleet.Options{Obs: obs.Default})
 	if err != nil {
 		fatal(err)
 	}
 	f.Start()
 	defer f.Close()
-	fmt.Printf("routing %s across %d replicas on %s (replica state at /stats)\n",
-		*mode, f.NumReplicas(), *listen)
+	fmt.Printf("routing across %d replicas on %s (replica state at /stats)\n",
+		f.NumReplicas(), *listen)
 
 	srv := &http.Server{
 		Addr:              *listen,

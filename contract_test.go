@@ -19,8 +19,8 @@ import (
 )
 
 // contractVertices is the fixture's ID space: large enough that a join
-// of in-range vertices can scan more than MaxJoin pairs, whether its
-// sources sit on one shard of three or on all of them.
+// of in-range vertices can scan more than MaxJoin pairs, whether it
+// names every third vertex as a source or a run of them.
 const contractVertices = 1800
 
 // A contractRow is one request of the table, what a lone replica must
@@ -34,12 +34,12 @@ type contractRow struct {
 	body   string
 	want   [3]int // the replica's status: static, bare, updating
 	// forwards is how many upstream requests the router may spend on the
-	// row in Replicated and in Sharded mode: one for a verdict it relays,
-	// none for a request it refuses itself.
+	// row: one for a verdict it relays, none for a request it refuses
+	// itself.
 	// fanned says in which configurations the row instead goes to all
 	// three replicas (in the others the first replica asked refuses it,
 	// and that is the one forward).
-	forwards [2]int
+	forwards int
 	fanned   [3]bool
 	// rewritten marks rows whose 200 body the router composes itself
 	// (the per-replica rows of a fan-out); everywhere else the bytes
@@ -63,10 +63,10 @@ func contractTable(n int) []contractRow {
 	vertex := func(step int) func(i int) string {
 		return func(i int) string { return strconv.Itoa(i * step % n) }
 	}
-	// A join whose deduplicated product is over MaxJoin: on shard 0 of
-	// three alone, and spread over every shard.
-	oneShard := (n + 2) / 3
-	oneShardTargets := httpapi.MaxJoin/oneShard + 1
+	// A join whose deduplicated product is over MaxJoin: over every third
+	// vertex, and over a run of them.
+	thirds := (n + 2) / 3
+	thirdsTargets := httpapi.MaxJoin/thirds + 1
 	spread := 1025
 	spreadTargets := httpapi.MaxJoin/spread + 1
 	outOfRangeLast := func(i int) string {
@@ -78,7 +78,7 @@ func contractTable(n int) []contractRow {
 	pair := func(i int) string { return fmt.Sprintf("[%d,%d]", i%n, (i/n+i+1)%n) }
 	const get, post = http.MethodGet, http.MethodPost
 	all := func(code int) [3]int { return [3]int{code, code, code} }
-	one, none := [2]int{1, 1}, [2]int{0, 0}
+	const one, none = 1, 0
 	return []contractRow{
 		{name: "reach", method: get, path: "/reach?s=3&t=17", want: all(200), forwards: one},
 		{name: "reach-same", method: get, path: "/reach?s=5&t=5", want: all(200), forwards: one},
@@ -91,8 +91,8 @@ func contractTable(n int) []contractRow {
 		{name: "batch-empty", method: post, path: "/reach/batch", body: `{"pairs":[]}`, want: all(200), forwards: one},
 		{name: "batch-malformed", method: post, path: "/reach/batch", body: `{"pairs":[[3,17],[4`, want: all(400), forwards: one},
 		{name: "batch-out-of-range", method: post, path: "/reach/batch", body: fmt.Sprintf(`{"pairs":[[3,17],[3,%d]]}`, n), want: all(400), forwards: one},
-		// Duplicates and sources on two shards: the refusal must name the
-		// caller's pair 3, as the replica that sees the whole batch does.
+		// Duplicates and many sources: the refusal must name the caller's
+		// pair 3, as the replica that sees the whole batch does.
 		{name: "batch-out-of-range-reshaped", method: post, path: "/reach/batch", body: fmt.Sprintf(`{"pairs":[[4,9],[3,17],[3,17],[3,%d]]}`, n), want: all(400), forwards: one},
 		{name: "batch-negative", method: post, path: "/reach/batch", body: `{"pairs":[[-1,0]]}`, want: all(400), forwards: one},
 		{name: "batch-target-n", method: post, path: "/reach/batch", body: fmt.Sprintf(`{"pairs":[[3,%d]]}`, n), want: all(400), forwards: one},
@@ -124,8 +124,7 @@ func contractTable(n int) []contractRow {
 		{name: "join-malformed", method: post, path: "/reach/join", body: `{"sources":[`, want: all(400), forwards: one},
 		{name: "join-out-of-range", method: post, path: "/reach/join", body: fmt.Sprintf(`{"sources":[%d],"targets":[3]}`, n), want: all(400), forwards: one},
 		{name: "join-over-cap", method: post, path: "/reach/join", body: `{"sources":[1],"targets":` + list(httpapi.MaxBatch+1, vertex(1)) + `}`, want: all(413), forwards: one},
-		{name: "join-over-product", method: post, path: "/reach/join", body: `{"sources":` + list(oneShard, vertex(3)) + `,"targets":` + list(oneShardTargets, vertex(1)) + `}`, want: all(413), forwards: one},
-		// Split by shard, no sub-join would be over the cap.
+		{name: "join-over-product", method: post, path: "/reach/join", body: `{"sources":` + list(thirds, vertex(3)) + `,"targets":` + list(thirdsTargets, vertex(1)) + `}`, want: all(413), forwards: one},
 		{name: "join-over-product-spread", method: post, path: "/reach/join", body: `{"sources":` + list(spread, vertex(1)) + `,"targets":` + list(spreadTargets, vertex(1)) + `}`, want: all(413), forwards: one},
 		// A bad vertex is refused before the product is: 400, not 413.
 		{name: "join-over-product-out-of-range", method: post, path: "/reach/join", body: `{"sources":` + list(spread, vertex(1)) + `,"targets":` + list(spreadTargets, outOfRangeLast) + `}`, want: all(400), forwards: one},
@@ -187,11 +186,12 @@ func sendContractRow(t *testing.T, base string, row contractRow) contractAnswer 
 // to the letter. One request table — every endpoint; good, malformed,
 // out-of-range, over-limit, wrong-method, empty-batch and not-configured
 // rows — is sent to a lone replica and through a router over three
-// replicas built the same way, in both routing modes, for three replica
-// configurations: static (a built index with its graph and a reload
-// loader), bare (a ReadIndex-loaded index: no graph, no loader, no
-// updater — the index-only replica) and updating (update mode, whose
-// refresher never ticks). Status, Content-Type and epoch header must be
+// replicas built the same way, under each value of the ignored
+// fleet.Options.Mode (the benchmark harness sets Sharded) to the same
+// expectations, for three replica configurations: static (a built index
+// with its graph and a reload loader), bare (a ReadIndex-loaded index:
+// no graph, no loader, no updater — the index-only replica) and
+// updating (update mode, whose refresher never ticks). Status, Content-Type and epoch header must be
 // equal on every row and the body bytes too, except where the router
 // composes its own per-replica document; and the router must get there
 // the cheap way — a verdict costs one forward, a refusal of its own
@@ -249,7 +249,7 @@ func TestRouterMatchesReplica(t *testing.T) {
 	}
 
 	for ci, cfg := range configs {
-		for mi, mode := range []fleet.Mode{fleet.Replicated, fleet.Sharded} {
+		for _, mode := range []fleet.Mode{fleet.Replicated, fleet.Sharded} {
 			t.Run(cfg.name+"/"+string(mode), func(t *testing.T) {
 				lone := httptest.NewServer(cfg.replica(t))
 				defer lone.Close()
@@ -294,7 +294,7 @@ func TestRouterMatchesReplica(t *testing.T) {
 					if got.body != want.body && !(row.rewritten && want.status == http.StatusOK) {
 						t.Errorf("%s: router body %.200q, replica body %.200q", row.name, got.body, want.body)
 					}
-					wantForwards := int64(row.forwards[mi])
+					wantForwards := int64(row.forwards)
 					if row.fanned[ci] {
 						wantForwards = int64(len(addrs))
 					}

@@ -39,7 +39,7 @@ type fleetFixture struct {
 
 type fleetFixtureOptions struct {
 	replicas int
-	mode     fleet.Mode
+	mode     fleet.Mode          // ignored by the router; TestFleetModesOracle sets each value
 	chaos    *fleet.ChaosOptions // applied per replica with seed+i
 	// loader, when set, is installed on every replica so
 	// /admin/reload works; it receives the fixture for bookkeeping.
@@ -171,9 +171,10 @@ func (fx *fleetFixture) verifyingBatchClient(httpc *http.Client) bench.Client {
 	}
 }
 
-// TestFleetModesOracle drives both routing modes over real indexes:
-// every single and batch answer through the router must match the
-// BFS oracle, and a single answer carries the epoch header.
+// TestFleetModesOracle drives the router over real indexes under each
+// value of the ignored fleet.Options.Mode: every single and batch answer
+// through the router must match the BFS oracle, and a single answer
+// carries the epoch header.
 func TestFleetModesOracle(t *testing.T) {
 	for _, mode := range []fleet.Mode{fleet.Replicated, fleet.Sharded} {
 		t.Run(string(mode), func(t *testing.T) {
@@ -226,7 +227,6 @@ func TestFleetModesOracle(t *testing.T) {
 func TestFleetChaosSoak(t *testing.T) {
 	fx := newFleetFixture(t, fleetFixtureOptions{
 		replicas: 3,
-		mode:     fleet.Sharded,
 		chaos: &fleet.ChaosOptions{
 			Seed:         400,
 			DropRate:     0.05,
@@ -263,7 +263,7 @@ func TestFleetChaosSoak(t *testing.T) {
 }
 
 // TestFleetReloadUnderLoadSoak is the tentpole gate: verified batch
-// traffic flows through the sharded router while every replica's
+// traffic flows through the router while every replica's
 // index is hot-swapped over and over via the fleet-wide
 // /admin/reload. Across ≥3 epoch swaps there must be zero failed
 // requests and zero answers disagreeing with the BFS oracle, and
@@ -271,7 +271,6 @@ func TestFleetChaosSoak(t *testing.T) {
 func TestFleetReloadUnderLoadSoak(t *testing.T) {
 	fx := newFleetFixture(t, fleetFixtureOptions{
 		replicas: 3,
-		mode:     fleet.Sharded,
 		loader: func(fx *fleetFixture, ref string) (*Index, error) {
 			// A "new build" of the same graph: round-trip the index
 			// through its serialized form so every swap installs a
@@ -365,7 +364,6 @@ func TestFleetReloadUnderLoadSoak(t *testing.T) {
 func TestFleetDrainKillReadmitUnderLoad(t *testing.T) {
 	fx := newFleetFixture(t, fleetFixtureOptions{
 		replicas: 3,
-		mode:     fleet.Replicated,
 		chaos:    &fleet.ChaosOptions{Seed: 50}, // all rates zero: a pure kill switch
 	})
 	httpc := fx.router.Client()

@@ -2,23 +2,11 @@
 // that fans reachability queries across N drserve replicas, each
 // holding the same frozen flat index (DESIGN.md §9).
 //
-// Two routing modes share one replica pool:
-//
-//   - Replicated: any replica can answer any request; the router
-//     picks the healthy replica with the fewest outstanding requests.
-//   - Sharded: a single-source request (/reach, /reach/path,
-//     /reach/count, /reach/from) goes to the replica owning its
-//     source's shard (shard(s) = s mod K over the fixed replica list),
-//     so that replica's caches see only its slice of the source space.
-//     A batch or a join names many sources and is routed as in
-//     Replicated mode.
-//
-// Every query is passed through whole: one replica answers it, and its
-// verdict, epoch header included, is relayed verbatim.
-//
-// Sharding is an affinity policy, not a data partition — every
-// replica holds the full index — so when a shard's owner is down the
-// router falls back to any healthy replica and no query is lost.
+// The router has one placement rule: every query goes whole to the
+// healthy replica with the fewest outstanding forwards, ties to the
+// first in the list, and that replica's verdict, epoch header included,
+// is relayed verbatim. Every replica holds the full index, so any one
+// can answer any query, and when one is out the rest absorb its share.
 //
 // Replica health is probed periodically (GET /healthz): a replica is
 // marked down after downAfter consecutive failures and readmitted
@@ -46,17 +34,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Mode selects how the router spreads traffic across replicas.
+// Mode is ignored: the router has one placement rule (pick). The type
+// and its constants stay while the benchmark harness sets them.
 type Mode string
 
 const (
-	// Replicated routes every query to the least-loaded healthy
-	// replica.
 	Replicated Mode = "replicated"
-	// Sharded routes each single-source request to the replica owning
-	// its source's shard, falling back to any healthy replica when the
-	// owner is out; batches and joins go to the least-loaded one.
-	Sharded Mode = "sharded"
+	Sharded    Mode = "sharded"
 )
 
 // ReplicaState is the router's view of one replica.
@@ -147,20 +131,12 @@ type ReplicaStatus struct {
 
 // Options configures a Fleet. The zero value gives sane defaults.
 type Options struct {
-	// Mode is Replicated (default) or Sharded; it places only the
-	// single-source requests.
+	// Mode is ignored (see Mode). The field stays while the benchmark
+	// harness sets it.
 	Mode Mode
 	// Obs receives router counters and latency histograms; nil
 	// disables instrumentation.
 	Obs *obs.Registry
-}
-
-// withDefaults fills the zero fields in.
-func (o Options) withDefaults() Options {
-	if o.Mode == "" {
-		o.Mode = Replicated
-	}
-	return o
 }
 
 // The health and retry rules. Every replica is probed each
@@ -186,8 +162,8 @@ const (
 // health checking with Start, serve it as an http.Handler, stop with
 // Close.
 type Fleet struct {
-	opts     Options    // defaults filled in
-	replicas []*replica // fixed order; position = shard index
+	opts     Options
+	replicas []*replica // fixed order; position breaks ties in pick
 	httpc    *http.Client
 	mux      *httpapi.Mux
 
@@ -203,8 +179,7 @@ type Fleet struct {
 }
 
 // New builds a fleet over the given replica addresses (host:port or
-// http:// URLs). The order is significant in Sharded mode: position
-// in the list is the shard index.
+// http:// URLs). Under equal load the first in the list is picked.
 func New(addrs []string, opts Options) (*Fleet, error) {
 	reg := opts.Obs
 	f := &Fleet{
@@ -240,10 +215,7 @@ func New(addrs []string, opts Options) (*Fleet, error) {
 	if len(f.replicas) == 0 {
 		return nil, fmt.Errorf("fleet: no replicas")
 	}
-	f.opts = opts.withDefaults()
-	if f.opts.Mode != Replicated && f.opts.Mode != Sharded {
-		return nil, fmt.Errorf("fleet: unknown mode %q", opts.Mode)
-	}
+	f.opts = opts
 	f.httpc = &http.Client{
 		Transport: &http.Transport{
 			MaxIdleConns:        4 * len(f.replicas) * 16,
@@ -380,14 +352,12 @@ func (f *Fleet) healthy() []*replica {
 	return up
 }
 
-// pick chooses the next replica to try: the preferred one (shard
-// owner) when it is up and untried, otherwise the least-outstanding
-// healthy untried replica. Ties break by list position, so selection
-// is deterministic under equal load.
-func (f *Fleet) pick(preferred *replica, tried map[*replica]bool) *replica {
-	if preferred != nil && preferred.getState() == StateUp && !tried[preferred] {
-		return preferred
-	}
+// pick chooses the next replica to try: the healthy untried one with
+// the fewest outstanding forwards, ties to the first in the list. At
+// low load that is always the first replica, whose cache then sees the
+// whole stream: with no load to balance, spreading the stream over
+// several caches would lower the hit rate and buy nothing.
+func (f *Fleet) pick(tried map[*replica]bool) *replica {
 	var best *replica
 	var bestOut int64
 	for _, r := range f.replicas {
@@ -448,7 +418,7 @@ func (f *Fleet) Readmit(name string) error {
 	return nil
 }
 
-// Snapshot reports every replica's current status, in shard order.
+// Snapshot reports every replica's current status, in list order.
 func (f *Fleet) Snapshot() []ReplicaStatus {
 	out := make([]ReplicaStatus, len(f.replicas))
 	for i, r := range f.replicas {
@@ -475,6 +445,5 @@ func (f *Fleet) Vertices() int64 {
 	return n
 }
 
-// NumReplicas returns the fixed replica count (shard count in Sharded
-// mode).
+// NumReplicas returns the fixed replica count.
 func (f *Fleet) NumReplicas() int { return len(f.replicas) }

@@ -31,7 +31,6 @@ type fakeReplica struct {
 
 	mu         sync.Mutex
 	served     [][2]int64 // every pair answered, in arrival order
-	sources    []int64    // every rich-query source answered (path/count/from/join)
 	batchCalls int
 	joinCalls  int
 
@@ -57,12 +56,6 @@ func (f *fakeReplica) servedPairs() [][2]int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([][2]int64(nil), f.served...)
-}
-
-func (f *fakeReplica) servedSources() []int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]int64(nil), f.sources...)
 }
 
 // fakeCount is the deterministic reachable-set size every fake
@@ -150,9 +143,6 @@ func (f *fakeReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad pair", http.StatusBadRequest)
 			return
 		}
-		f.mu.Lock()
-		f.sources = append(f.sources, s)
-		f.mu.Unlock()
 		w.Header().Set("X-Reachlab-Epoch", strconv.FormatUint(f.epoch.Load(), 10))
 		w.Header().Set("Content-Type", "application/json")
 		if fakeAnswer(s, t) {
@@ -170,9 +160,6 @@ func (f *fakeReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad source", http.StatusBadRequest)
 			return
 		}
-		f.mu.Lock()
-		f.sources = append(f.sources, s)
-		f.mu.Unlock()
 		w.Header().Set("X-Reachlab-Epoch", strconv.FormatUint(f.epoch.Load(), 10))
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"s":%d,"count":%d}`+"\n", s, f.fakeCount(s))
@@ -193,9 +180,6 @@ func (f *fakeReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad source", http.StatusBadRequest)
 			return
 		}
-		f.mu.Lock()
-		f.sources = append(f.sources, req.S)
-		f.mu.Unlock()
 		results := make([]bool, len(req.Targets))
 		count := 0
 		for i, t := range req.Targets {
@@ -232,7 +216,6 @@ func (f *fakeReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		tgts := dedupSorted(req.Targets)
 		f.mu.Lock()
 		f.joinCalls++
-		f.sources = append(f.sources, srcs...)
 		f.mu.Unlock()
 		w.Header().Set("X-Reachlab-Epoch", strconv.FormatUint(f.epoch.Load(), 10))
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -282,10 +265,10 @@ func (f *fakeReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // testFleet spins up n fake replicas (optionally wrapped) and a
 // started Fleet over them, probing at the pace of the test's clock.
-func testFleet(t *testing.T, n int, mode Mode, wrap func(i int, h http.Handler) http.Handler, opt func(*Options)) ([]*fakeReplica, []*httptest.Server, *Fleet) {
+func testFleet(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler, opt func(*Options)) ([]*fakeReplica, []*httptest.Server, *Fleet) {
 	t.Helper()
 	clk := clock.Fake(t)
-	fakes, servers, f := startFleet(t, n, mode, wrap, opt)
+	fakes, servers, f := startFleet(t, n, wrap, opt)
 	pace(t, clk)
 	return fakes, servers, f
 }
@@ -312,7 +295,7 @@ func pace(t *testing.T, clk *clock.Manual) {
 }
 
 // startFleet is testFleet on whatever clock the test has installed.
-func startFleet(t *testing.T, n int, mode Mode, wrap func(i int, h http.Handler) http.Handler, opt func(*Options)) ([]*fakeReplica, []*httptest.Server, *Fleet) {
+func startFleet(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler, opt func(*Options)) ([]*fakeReplica, []*httptest.Server, *Fleet) {
 	t.Helper()
 	fakes := make([]*fakeReplica, n)
 	servers := make([]*httptest.Server, n)
@@ -327,7 +310,7 @@ func startFleet(t *testing.T, n int, mode Mode, wrap func(i int, h http.Handler)
 		t.Cleanup(servers[i].Close)
 		addrs[i] = strings.TrimPrefix(servers[i].URL, "http://")
 	}
-	opts := Options{Mode: mode}
+	var opts Options
 	if opt != nil {
 		opt(&opts)
 	}
@@ -362,20 +345,20 @@ func stateOf(f *Fleet, addr string) string {
 	return "missing"
 }
 
-// --- sharded batch over real HTTP: whole, to one replica ----------
+// --- batch over real HTTP: whole, to one replica -----------------
 
-// TestShardedBatchPassesThroughWhole: a batch names many sources, so
-// the sharded router sends it whole — duplicates, caller order and all —
-// to one replica, and relays that replica's answer verbatim. During a
-// rolling reload the answer therefore carries the epoch it was served
-// from: the answering replica's, never a mix and never none.
-func TestShardedBatchPassesThroughWhole(t *testing.T) {
-	fakes, _, f := testFleet(t, 3, Sharded, nil, nil)
+// TestBatchPassesThroughWhole: the router sends a batch whole —
+// duplicates, caller order and all — to one replica, and relays that
+// replica's answer verbatim. During a rolling reload the answer
+// therefore carries the epoch it was served from: the answering
+// replica's, never a mix and never none.
+func TestBatchPassesThroughWhole(t *testing.T) {
+	fakes, _, f := testFleet(t, 3, nil, nil)
 	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 3 })
 	router := httptest.NewServer(f)
 	defer router.Close()
 
-	// A batch with duplicates and sources on every shard.
+	// A batch with duplicates and many sources.
 	pairs := [][2]int64{
 		{0, 7}, {1, 7}, {2, 7}, {0, 7}, {4, 1}, {5, 2}, {3, 9}, {1, 7}, {8, 8}, {0, 7},
 	}
@@ -430,42 +413,6 @@ func TestShardedBatchPassesThroughWhole(t *testing.T) {
 	}
 }
 
-// TestShardedSingleQueryAffinity: single queries land on the shard
-// owner when it is healthy.
-func TestShardedSingleQueryAffinity(t *testing.T) {
-	fakes, _, f := testFleet(t, 3, Sharded, nil, nil)
-	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 3 })
-	router := httptest.NewServer(f)
-	defer router.Close()
-
-	for s := int64(0); s < 9; s++ {
-		resp, err := http.Get(fmt.Sprintf("%s/reach?s=%d&t=1", router.URL, s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body struct {
-			Reachable bool `json:"reachable"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if want := fakeAnswer(s, 1); body.Reachable != want {
-			t.Errorf("reach(%d,1) = %v, want %v", s, body.Reachable, want)
-		}
-	}
-	for i, fr := range fakes {
-		for _, p := range fr.servedPairs() {
-			if int(p[0]%3) != i {
-				t.Errorf("replica %d served source %d", i, p[0])
-			}
-		}
-		if n := len(fr.servedPairs()); n != 3 {
-			t.Errorf("replica %d served %d queries, want 3", i, n)
-		}
-	}
-}
-
 // --- health flap: down, routed around, readmitted ------------------
 
 // TestHealthFlapReadmission marks a replica down mid-traffic and
@@ -473,7 +420,7 @@ func TestShardedSingleQueryAffinity(t *testing.T) {
 // around the outage, and the replica serves again after readmission.
 func TestHealthFlapReadmission(t *testing.T) {
 	reg := obs.New()
-	fakes, servers, f := testFleet(t, 2, Replicated, nil, func(o *Options) { o.Obs = reg })
+	fakes, servers, f := testFleet(t, 2, nil, func(o *Options) { o.Obs = reg })
 	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 2 })
 	router := httptest.NewServer(f)
 	defer router.Close()
@@ -654,11 +601,11 @@ func TestFirstAdmissionAndReadmission(t *testing.T) {
 	}
 }
 
-// TestNewRefusalsAndDefaults: a blank entry is skipped; a duplicate
-// replica (in any spelling), an empty list and an unknown mode are
-// refused; the zero Options route replicated.
+// TestNewRefusalsAndDefaults: a blank entry is skipped, and Mode is
+// taken and ignored; a duplicate replica (in any spelling) and an
+// empty list are refused.
 func TestNewRefusalsAndDefaults(t *testing.T) {
-	clock.Fake(t) // no probe after Start's
+	clk := clock.Fake(t) // no probe after Start's but this test's own
 	for _, c := range []struct {
 		addrs    []string
 		mode     Mode
@@ -670,7 +617,6 @@ func TestNewRefusalsAndDefaults(t *testing.T) {
 		{[]string{"a:1", "http://a:1"}, "", 0, "duplicate replica a:1"},
 		{[]string{" ", ""}, "", 0, "no replicas"},
 		{nil, "", 0, "no replicas"},
-		{[]string{"a:1"}, "hashed", 0, `unknown mode "hashed"`},
 	} {
 		f, err := New(c.addrs, Options{Mode: c.mode})
 		switch {
@@ -682,19 +628,23 @@ func TestNewRefusalsAndDefaults(t *testing.T) {
 			t.Errorf("New(%q, %q) = %v, want an error naming %q", c.addrs, c.mode, err, c.err)
 		}
 	}
-	if f, err := New([]string{"a:1"}, Options{}); err != nil {
-		t.Fatal(err)
-	} else if f.opts.Mode != Replicated {
-		t.Errorf("the zero Options route %q, want replicated", f.opts.Mode)
-	}
 	// An address no URL can be made of is taken, never admitted, and
-	// fails its row of a fan-out, which goes to every replica.
-	f, err := New([]string{"bad%zz:1"}, Options{})
+	// fails its row of a fan-out, which goes to every replica. Close
+	// stops the health loop: two ticks after it probe nobody (a live
+	// loop would have finished the first tick's probe by the time it
+	// takes the second).
+	reg := obs.New()
+	f, err := New([]string{"bad%zz:1"}, Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Start()
 	f.Close()
+	clk.Advance(checkInterval)
+	clk.Advance(checkInterval)
+	if n := reg.CounterValue("fleet_probe_failures_total"); n != 1 {
+		t.Errorf("%d failed probes after Start and Close, want Start's 1", n)
+	}
 	if s := f.Snapshot()[0].State; s != "down" {
 		t.Errorf("replica bad%%zz:1 is %s after its probe, want down", s)
 	}
@@ -708,7 +658,7 @@ func TestNewRefusalsAndDefaults(t *testing.T) {
 // --- drain: graceful removal, then mid-drain kill ------------------
 
 func TestDrainAndMidDrainKill(t *testing.T) {
-	fakes, servers, f := testFleet(t, 3, Replicated, nil, nil)
+	fakes, servers, f := testFleet(t, 3, nil, nil)
 	_ = fakes
 	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 3 })
 	router := httptest.NewServer(f)
@@ -915,7 +865,7 @@ func TestChaosDeterministicSchedule(t *testing.T) {
 // correctly — zero failures reach the client.
 func TestRouterAbsorbsChaos(t *testing.T) {
 	chaos := make([]*Chaos, 3)
-	_, _, f := testFleet(t, 3, Sharded, func(i int, h http.Handler) http.Handler {
+	_, _, f := testFleet(t, 3, func(i int, h http.Handler) http.Handler {
 		chaos[i] = NewChaos(h, ChaosOptions{
 			Seed:         int64(100 + i),
 			DropRate:     0.08,
@@ -998,7 +948,7 @@ func TestRouterAbsorbsChaos(t *testing.T) {
 // TestFleetStatsAndReloadFanout: /stats reports per-replica epochs;
 // /admin/reload advances every replica and the outcome says so.
 func TestFleetStatsAndReloadFanout(t *testing.T) {
-	fakes, _, f := testFleet(t, 3, Replicated, nil, nil)
+	fakes, _, f := testFleet(t, 3, nil, nil)
 	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 3 })
 	router := httptest.NewServer(f)
 	defer router.Close()
@@ -1043,9 +993,8 @@ func TestFleetStatsAndReloadFanout(t *testing.T) {
 	}
 	defer sresp.Body.Close()
 	var stats struct {
-		Vertices int64  `json:"vertices"`
-		Mode     string `json:"mode"`
-		Healthy  int    `json:"healthy"`
+		Vertices int64 `json:"vertices"`
+		Healthy  int   `json:"healthy"`
 		Replicas []struct {
 			Addr  string `json:"addr"`
 			State string `json:"state"`
@@ -1055,7 +1004,7 @@ func TestFleetStatsAndReloadFanout(t *testing.T) {
 	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Vertices != 100 || stats.Mode != "replicated" || stats.Healthy != 3 {
+	if stats.Vertices != 100 || stats.Healthy != 3 {
 		t.Errorf("stats = %+v", stats)
 	}
 	for _, r := range stats.Replicas {
@@ -1086,7 +1035,7 @@ func postEdges(t *testing.T, url, body string) (*http.Response, map[string]any) 
 func TestFleetEdgesFanout(t *testing.T) {
 	// lastSays, when set, is the last replica's own answer to /edges.
 	var lastSays atomic.Value
-	fakes, _, f := testFleet(t, 3, Replicated, func(i int, h http.Handler) http.Handler {
+	fakes, _, f := testFleet(t, 3, func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if say, _ := lastSays.Load().(func(http.ResponseWriter)); i == 2 && r.URL.Path == "/edges" && say != nil {
 				say(w)
@@ -1194,19 +1143,19 @@ func TestFleetEdgesFanout(t *testing.T) {
 
 // TestBatchRefusalRelayedVerbatim: a replica's 400 for an out-of-range
 // pair is its verdict on the batch — it comes back through the router
-// with the replica's own words, after one forward in either mode, and
-// is charged to nobody: no retry, no replica error, no unavailable.
+// with the replica's own words, after one forward whichever Mode is
+// set (it is ignored), and is charged to nobody: no retry, no replica
+// error, no unavailable.
 func TestBatchRefusalRelayedVerbatim(t *testing.T) {
 	for _, mode := range []Mode{Replicated, Sharded} {
 		t.Run(string(mode), func(t *testing.T) {
 			reg := obs.New()
-			_, _, f := testFleet(t, 3, mode, nil, func(o *Options) { o.Obs = reg })
+			_, _, f := testFleet(t, 3, nil, func(o *Options) { o.Mode, o.Obs = mode, reg })
 			waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 3 })
 			router := httptest.NewServer(f)
 			defer router.Close()
 
-			// Source 1 is in range and owned by shard 1; the bad pair's
-			// source 500 is owned by shard 2 (500 mod 3).
+			// Pair (1,2) is in range; (500,3) is not.
 			resp, err := http.Post(router.URL+"/reach/batch", "application/json", strings.NewReader(`{"pairs":[[1,2],[500,3]]}`))
 			if err != nil {
 				t.Fatal(err)
@@ -1240,7 +1189,7 @@ func TestBatchRefusalRelayedVerbatim(t *testing.T) {
 // handler the latency histogram's count is the request counter's value.
 func TestRouterTimesEveryRequest(t *testing.T) {
 	reg := obs.New()
-	_, servers, f := testFleet(t, 2, Sharded, nil, func(o *Options) { o.Obs = reg })
+	_, servers, f := testFleet(t, 2, nil, func(o *Options) { o.Obs = reg })
 	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 2 })
 	replica := strings.TrimPrefix(servers[0].URL, "http://")
 	gone, hangUp := context.WithCancel(context.Background())
@@ -1305,7 +1254,7 @@ func TestStaleProbeDoesNotOverwriteReloadEpoch(t *testing.T) {
 	var hold atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
 	clock.Fake(t) // nobody advances it: every probe after Start's is the test's own
-	fakes, _, f := startFleet(t, 1, Replicated, func(_ int, h http.Handler) http.Handler {
+	fakes, _, f := startFleet(t, 1, func(_ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != "/healthz" || !hold.CompareAndSwap(true, false) {
 				h.ServeHTTP(w, r)
@@ -1412,7 +1361,7 @@ func TestClientHangUpChargedToNobody(t *testing.T) {
 				})
 			}
 			reg := obs.New()
-			_, _, f := testFleet(t, 2, Sharded, stuck, func(o *Options) { o.Obs = reg })
+			_, _, f := testFleet(t, 2, stuck, func(o *Options) { o.Obs = reg })
 			router := httptest.NewServer(f)
 			defer router.Close()
 
@@ -1476,7 +1425,7 @@ func TestFanOutSurvivesClientHangUp(t *testing.T) {
 			h.ServeHTTP(w, r)
 		})
 	}
-	fakes, _, f := testFleet(t, 3, Replicated, slowFirst, nil)
+	fakes, _, f := testFleet(t, 3, slowFirst, nil)
 	router := httptest.NewServer(f)
 	defer router.Close()
 

@@ -25,15 +25,11 @@ import (
 
 func (f *Fleet) initMux() {
 	f.mux = httpapi.NewMux(f.opts.Obs, "fleet")
-	// Pass-through: one replica's answer is the answer. A single-source
-	// request is placed by its source; a batch or a join names many, so
-	// it has no owner and goes to any replica, whole, in both modes.
-	f.mux.Mount(httpapi.Reach, f.passThrough(httpapi.SourceInQuery))
-	f.mux.Mount(httpapi.Path, f.passThrough(httpapi.SourceInQuery))
-	f.mux.Mount(httpapi.Count, f.passThrough(httpapi.SourceInQuery))
-	f.mux.Mount(httpapi.From, f.passThrough(httpapi.SourceInBody))
-	f.mux.Mount(httpapi.Batch, f.passThrough(nil))
-	f.mux.Mount(httpapi.Join, f.passThrough(nil))
+	// Pass-through: every query goes whole to the least-loaded healthy
+	// replica, and that replica's answer is the answer.
+	for _, e := range []httpapi.Endpoint{httpapi.Reach, httpapi.Path, httpapi.Count, httpapi.From, httpapi.Batch, httpapi.Join} {
+		f.mux.Mount(e, f.passThrough)
+	}
 	// Fanned out to every replica. A reload's answer also tells the router
 	// the replica's new epoch, so /stats shows it without waiting for a probe.
 	f.mux.Mount(httpapi.Reload, f.fanOut(func(rep *replica, issued time.Time, row httpapi.ReplicaOutcome) {
@@ -57,15 +53,14 @@ func (f *Fleet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 var errAllReplicasFailed = errors.New("fleet: no replica answered within the retry budget")
 
 // forward sends one request to the pool in up to attemptsPerReplica
-// rounds: each round prefers the shard owner and fails over to the
-// least-loaded healthy replica until every candidate has been tried
-// once, and a brief backoff separates the rounds — a replica marked
-// down mid-flight gets routed around, and one readmitted mid-flight
-// picks queued work back up. What comes back without an error is a
-// replica's verdict, whatever its status. ctx is the inbound
-// request's: once its client is gone the forward in flight is
-// abandoned and no other is tried.
-func (f *Fleet) forward(ctx context.Context, preferred *replica, method, path string, body []byte) (*http.Response, []byte, error) {
+// rounds: each round tries the healthy replicas in pick's order until
+// every one has been tried once, and a brief backoff separates the
+// rounds — a replica marked down mid-flight gets routed around, and one
+// readmitted mid-flight picks queued work back up. What comes back
+// without an error is a replica's verdict, whatever its status. ctx is
+// the inbound request's: once its client is gone the forward in flight
+// is abandoned and no other is tried.
+func (f *Fleet) forward(ctx context.Context, method, path string, body []byte) (*http.Response, []byte, error) {
 	lastErr := errAllReplicasFailed
 	for round := 0; round < attemptsPerReplica; round++ {
 		if round > 0 {
@@ -78,7 +73,7 @@ func (f *Fleet) forward(ctx context.Context, preferred *replica, method, path st
 			}
 		}
 		tried := make(map[*replica]bool)
-		for r := f.pick(preferred, tried); r != nil; r = f.pick(preferred, tried) {
+		for r := f.pick(tried); r != nil; r = f.pick(tried) {
 			if round > 0 || len(tried) > 0 {
 				f.retries.Inc()
 			}
@@ -127,57 +122,30 @@ func (f *Fleet) try(parent context.Context, r *replica, method, path string, bod
 	return resp, data, nil
 }
 
-// shardOwner returns the replica owning source s in Sharded mode
-// (nil in Replicated mode): the replica at position shardOf(s, K) of
-// the fixed list.
-func (f *Fleet) shardOwner(s int64) *replica {
-	if f.opts.Mode != Sharded {
-		return nil
-	}
-	return f.replicas[shardOf(s, len(f.replicas))]
-}
-
-// shardOf is the router's one shard rule: shard(s) = s mod k over k
-// shards, and a negative source, which no replica serves, goes to shard
-// 0, whose replica words the refusal.
-func shardOf(s int64, k int) int {
-	return int(max(s, 0) % int64(k))
-}
-
 // passThrough relays a request whole to one replica and that replica's
 // verdict whole to the caller; the replica, not the router, validates
-// it. source says where the request names its source (nil: nowhere):
-// Sharded mode tries the owner first, whose cache holds its hot pairs.
-// When no replica gives a verdict the answer is 503, and nothing when
-// the client went away first.
-func (f *Fleet) passThrough(source func(*http.Request, []byte) (int64, bool)) httpapi.ServeFunc {
-	return func(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
-		path := api.Route
-		var body []byte
-		if api.Method == http.MethodPost {
-			var ok bool
-			if body, ok = api.ReadBody(w, r); !ok {
-				return
-			}
-		} else {
-			path += "?" + r.URL.RawQuery
+// it. When no replica gives a verdict the answer is 503, and nothing
+// when the client went away first.
+func (f *Fleet) passThrough(api *httpapi.Handle, w http.ResponseWriter, r *http.Request) {
+	path := api.Route
+	var body []byte
+	if api.Method == http.MethodPost {
+		var ok bool
+		if body, ok = api.ReadBody(w, r); !ok {
+			return
 		}
-		var preferred *replica
-		if source != nil {
-			if s, ok := source(r, body); ok {
-				preferred = f.shardOwner(s)
-			}
-		}
-		resp, data, err := f.forward(r.Context(), preferred, api.Method, path, body)
-		switch {
-		case err == nil:
-			api.Relay(w, resp, data)
-		case r.Context().Err() != nil:
-			api.Canceled()
-		default:
-			f.unavailable.Inc()
-			api.Fail(w, err.Error(), http.StatusServiceUnavailable)
-		}
+	} else {
+		path += "?" + r.URL.RawQuery
+	}
+	resp, data, err := f.forward(r.Context(), api.Method, path, body)
+	switch {
+	case err == nil:
+		api.Relay(w, resp, data)
+	case r.Context().Err() != nil:
+		api.Canceled()
+	default:
+		f.unavailable.Inc()
+		api.Fail(w, err.Error(), http.StatusServiceUnavailable)
 	}
 }
 
@@ -206,7 +174,6 @@ func (f *Fleet) handleStats(_ *httpapi.Handle, w http.ResponseWriter, _ *http.Re
 	}
 	httpapi.WriteJSON(w, map[string]any{
 		"vertices": f.Vertices(),
-		"mode":     string(f.opts.Mode),
 		"healthy":  healthy,
 		"replicas": snap,
 	})

@@ -77,10 +77,10 @@ func decodeJoinStream(t *testing.T, body *bufio.Scanner) (pairs [][2]int64, coun
 	return pairs, count, scanned
 }
 
-// TestShardedRichQueryAffinity: path, count, and from land on the
-// shard owner with correct pass-through answers and epoch headers.
-func TestShardedRichQueryAffinity(t *testing.T) {
-	fakes, _, f := testFleet(t, 3, Sharded, nil, nil)
+// TestRichQueriesPassThrough: path, count, and from come back through
+// the router with the replica's answers and epoch headers.
+func TestRichQueriesPassThrough(t *testing.T) {
+	fakes, _, f := testFleet(t, 3, nil, nil)
 	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 3 })
 	router := httptest.NewServer(f)
 	defer router.Close()
@@ -141,36 +141,32 @@ func TestShardedRichQueryAffinity(t *testing.T) {
 			t.Errorf("from(%d) = %v, want %v", s, fr.Results, want)
 		}
 	}
-
-	// Every rich query landed on its source's shard owner.
-	for i, fr := range fakes {
-		for _, s := range fr.servedSources() {
-			if int(s%3) != i {
-				t.Errorf("replica %d answered source %d (shard %d)", i, s, s%3)
-			}
-		}
-	}
 }
 
-// TestShardedJoinPassesThrough: a join through the sharded router goes
-// whole to one replica — a join reads no cache, so it has no owner — and
-// its stream comes back untouched.
-func TestShardedJoinPassesThrough(t *testing.T) { joinPassesThrough(t, Sharded) }
+// TestReplicatedJoinPassthrough: with all three replicas up, a join
+// forwards whole and its NDJSON stream relays untouched.
+func TestReplicatedJoinPassthrough(t *testing.T) { joinPassesThrough(t, false) }
 
-// TestReplicatedJoinPassthrough: in Replicated mode too the join
-// forwards whole and the NDJSON stream relays untouched.
-func TestReplicatedJoinPassthrough(t *testing.T) { joinPassesThrough(t, Replicated) }
+// TestJoinPassesThroughReplicaDown: with one replica dead and marked
+// down, the join still goes whole to exactly one of the live two.
+func TestJoinPassesThroughReplicaDown(t *testing.T) { joinPassesThrough(t, true) }
 
-// joinPassesThrough sends one join through a router in mode over three
-// replicas: the answer must be the single-replica answer — pair set in
-// (s, t) order, count and scanned, epoch — from exactly one replica.
-func joinPassesThrough(t *testing.T, mode Mode) {
-	fakes, _, f := testFleet(t, 3, mode, nil, nil)
+// joinPassesThrough sends one join through a router over three
+// replicas, the last killed first if killOne: the answer must be the
+// single-replica answer — pair set in (s, t) order, count and scanned,
+// epoch — from exactly one live replica.
+func joinPassesThrough(t *testing.T, killOne bool) {
+	fakes, servers, f := testFleet(t, 3, nil, nil)
 	waitFor(t, "all replicas up", func() bool { return len(f.healthy()) == 3 })
+	if killOne {
+		servers[2].Close()
+		dead := strings.TrimPrefix(servers[2].URL, "http://")
+		waitFor(t, "killed replica down", func() bool { return stateOf(f, dead) == "down" })
+	}
 	router := httptest.NewServer(f)
 	defer router.Close()
 
-	sources := []int64{5, 0, 7, 2, 5, 9, 0, 14} // duplicates, and every shard
+	sources := []int64{5, 0, 7, 2, 5, 9, 0, 14} // with duplicates
 	targets := []int64{3, 3, 8, 1, 42, 17}
 	body, _ := json.Marshal(map[string]any{"sources": sources, "targets": targets})
 	resp, err := http.Post(router.URL+"/reach/join", "application/json", strings.NewReader(string(body)))
@@ -200,7 +196,7 @@ func joinPassesThrough(t *testing.T, mode Mode) {
 		fr.mu.Unlock()
 	}
 	if calls != 1 {
-		t.Errorf("join hit %d replicas in %s mode, want 1", calls, mode)
+		t.Errorf("join hit %d replicas, want 1", calls)
 	}
 }
 
@@ -218,7 +214,7 @@ func flatten(pairs [][2]int64) []int64 {
 // fewer results than it asked, whose count is what tells the client.
 func TestJoinErrorPaths(t *testing.T) {
 	truncate := false
-	_, _, f := testFleet(t, 3, Sharded, func(_ int, h http.Handler) http.Handler {
+	_, _, f := testFleet(t, 3, func(_ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if truncate && r.URL.Path == "/reach/join" {
 				// A stream that dies before its summary line.

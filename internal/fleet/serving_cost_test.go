@@ -43,7 +43,7 @@ type costRow struct {
 }
 
 // costStream is the fixed input: 4,096 batch-16 requests of zipf pairs,
-// then a few rich queries and a batch whose sources all sit on shard 0.
+// then a few rich queries and a batch that repeats a pair.
 func costStream(g *reachlab.Graph, idx *reachlab.Index) []costRequest {
 	const batch = 16
 	n := g.NumVertices()
@@ -149,7 +149,7 @@ var costLayers = []struct {
 		h, reg := newReplica(idx, 0)
 		return costLayer{h: h, regs: []*obs.Registry{reg}}
 	}},
-	{"router-sharded-2", func(t *testing.T, idx *reachlab.Index) costLayer {
+	{"router-2", func(t *testing.T, idx *reachlab.Index) costLayer {
 		hop := &inProcess{replicas: map[string]http.Handler{}}
 		var regs []*obs.Registry
 		addrs := []string{"replica0", "replica1"}
@@ -158,7 +158,7 @@ var costLayers = []struct {
 			hop.replicas[a] = h
 			regs = append(regs, reg)
 		}
-		f, err := New(addrs, Options{Mode: Sharded, Obs: obs.New()})
+		f, err := New(addrs, Options{Obs: obs.New()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,10 +190,13 @@ func allocsReason() string {
 }
 
 // TestServingCostGolden pushes one fixed stream through a replica with
-// its cache, one without, and a sharded two-replica router, and pins
-// per layer the allocations and bytes per request (on one toolchain),
-// the body bytes each way, the requests the replicas served, their
-// cache outcomes and the router's retries.
+// its cache, one without, and a two-replica router, and pins per layer
+// the allocations and bytes per request (on one toolchain), the body
+// bytes each way, the requests the replicas served, their cache
+// outcomes and the router's retries. The stream is sequential, so the
+// router never has two forwards out and its tie rule sends every
+// request to its first replica: its cache outcomes are the cached
+// replica's, hit for hit.
 func TestServingCostGolden(t *testing.T) {
 	clock.Fake(t) // nobody advances it: no probe after Start's joins the counts
 	g, err := reachlab.GenerateGraph("citation", 20000, 4, 1)
@@ -208,7 +211,7 @@ func TestServingCostGolden(t *testing.T) {
 	want := map[string]costRow{
 		"replica-cached":   {allocs: 26, bytes: 2441, reqBytes: 597958, respBytes: 489702, subRequests: 4101, hits: 24457, misses: 41096},
 		"replica-uncached": {allocs: 23, bytes: 2171, reqBytes: 597958, respBytes: 489702, subRequests: 4101},
-		"router-sharded-2": {allocs: 60, bytes: 6223, reqBytes: 597958, respBytes: 489702, hopBytes: 1087666, subRequests: 4101, hits: 24446, misses: 41107},
+		"router-2":         {allocs: 60, bytes: 6223, reqBytes: 597958, respBytes: 489702, hopBytes: 1087666, subRequests: 4101, hits: 24457, misses: 41096},
 	}
 	skipAllocs := allocsReason()
 	got := map[string]costRow{}
@@ -247,6 +250,10 @@ func TestServingCostGolden(t *testing.T) {
 		if g, w := got[layer.name], want[layer.name]; g != w {
 			t.Errorf("%s: %+v, want %+v", layer.name, g, w)
 		}
+	}
+	if r, c := got["router-2"], got["replica-cached"]; r.hits != c.hits || r.misses != c.misses {
+		t.Errorf("router-2's cache outcomes %d/%d differ from replica-cached's %d/%d: the sequential stream left its first replica",
+			r.hits, r.misses, c.hits, c.misses)
 	}
 	if t.Failed() {
 		var b strings.Builder

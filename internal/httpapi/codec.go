@@ -7,7 +7,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"strconv"
 
 	"repro/internal/obs"
 )
@@ -87,24 +86,6 @@ func (h *Handle) ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		return nil, false
 	}
 	return body, true
-}
-
-// SourceInQuery and SourceInBody say where a single-source request
-// names its source — the "s" query parameter of the GET endpoints, the
-// "s" field of a /reach/from body — for a router that places requests
-// by source. ok is false when none can be read: the request is then
-// placed anywhere and the replica words the refusal.
-func SourceInQuery(r *http.Request, _ []byte) (s int64, ok bool) {
-	s, err := strconv.ParseInt(r.URL.Query().Get("s"), 10, 64)
-	return s, err == nil
-}
-
-func SourceInBody(_ *http.Request, body []byte) (s int64, ok bool) {
-	var peek struct {
-		S int64 `json:"s"`
-	}
-	err := json.Unmarshal(body, &peek)
-	return peek.S, err == nil
 }
 
 // Relay passes an upstream verdict on verbatim: status, content type,

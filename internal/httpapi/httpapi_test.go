@@ -241,23 +241,6 @@ func TestRelay(t *testing.T) {
 	}
 }
 
-// TestSourceExtractors: where a single-source request names its source.
-func TestSourceExtractors(t *testing.T) {
-	r := httptest.NewRequest(http.MethodGet, "/reach?s=41&t=2", nil)
-	if s, ok := SourceInQuery(r, nil); !ok || s != 41 {
-		t.Errorf("SourceInQuery = %d, %v", s, ok)
-	}
-	if _, ok := SourceInQuery(httptest.NewRequest(http.MethodGet, "/reach?s=x", nil), nil); ok {
-		t.Error("SourceInQuery read a source out of s=x")
-	}
-	if s, ok := SourceInBody(nil, []byte(`{"s":41,"targets":[1]}`)); !ok || s != 41 {
-		t.Errorf("SourceInBody = %d, %v", s, ok)
-	}
-	if _, ok := SourceInBody(nil, []byte(`{"s":`)); ok {
-		t.Error("SourceInBody read a source out of a truncated body")
-	}
-}
-
 // TestJoinStreamRoundTrip: what the writer emits the reader accepts,
 // pair for pair, and the summary comes back whole.
 func TestJoinStreamRoundTrip(t *testing.T) {

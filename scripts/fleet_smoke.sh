@@ -1,6 +1,6 @@
 #!/bin/sh
 # End-to-end fleet smoke (make fleettest, CI fleet-smoke job): a
-# 3-replica drserve fleet behind drrouter in sharded mode, hammered by
+# 3-replica drserve fleet behind drrouter, hammered by
 # drload with every answer verified against the index. The script
 # walks the full operational story — healthy fleet, a replica's
 # refusals (400, 405, a join over the cap's 413) relayed as its own,
@@ -44,14 +44,14 @@ start_replica() { # start_replica addr
 build_tools drgen drlabel drserve drrouter drload
 make_fixture
 
-echo "== start 3 replicas + sharded router"
+echo "== start 3 replicas + router"
 start_replica "$r1"; p1=$!; pids="$pids $p1"
 start_replica "$r2"; p2=$!; pids="$pids $p2"
 start_replica "$r3"; p3=$!; pids="$pids $p3"
 wait_http "http://$r1/healthz" "replica 1"
 wait_http "http://$r2/healthz" "replica 2"
 wait_http "http://$r3/healthz" "replica 3"
-"$work/bin/drrouter" -replicas "$r1,$r2,$r3" -mode sharded -listen "$router" \
+"$work/bin/drrouter" -replicas "$r1,$r2,$r3" -listen "$router" \
 	-grace 5s &
 router_pid=$!
 pids="$pids $router_pid"
@@ -73,9 +73,9 @@ expect_code() { # expect_code WANT WHAT curl-args...
 expect_code 400 "out-of-range batch pair" -X POST -d '{"pairs":[[0,1],[0,99999999]]}' "http://$router/reach/batch"
 expect_code 400 "t=notanumber" "http://$router/reach?s=0&t=notanumber"
 expect_code 405 "GET /reach/batch" "http://$router/reach/batch"
-# 1,025 sources on all three shards × 1,024 targets scans more than the
-# join cap, 2^20 pairs, though no shard's part of it would: the router
-# passes a join through whole, so it refuses it as a lone replica does.
+# 1,025 sources × 1,024 targets scans more than the join cap, 2^20
+# pairs: the router passes a join through whole, so it refuses it as a
+# lone replica does.
 join="{\"sources\":[$(seq -s, 0 1024)],\"targets\":[$(seq -s, 1 1024)]}"
 expect_code 413 "a join over the cap at a replica" -X POST -d "$join" "http://$r1/reach/join"
 expect_code 413 "a join over the cap through the router" -X POST -d "$join" "http://$router/reach/join"
