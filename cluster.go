@@ -1,6 +1,7 @@
 package reachlab
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -35,8 +36,9 @@ func ServeWorker(addr string, ready chan<- string) error {
 // (the paper's shared-storage deployment). Only MethodDRL and
 // MethodDRLBatch run over the cluster transport. Of opts it honours
 // Method, BatchSize and BatchFactor; the workers label the graph file
-// as it is, in full, so LabelBudget is refused.
-func BuildOverCluster(addrs []string, graphPath string, opts Options, copt ClusterOptions) (*Index, error) {
+// as it is, in full, so LabelBudget is refused. ctx stops the build at
+// the next superstep, or in the call it interrupts, and nothing retries.
+func BuildOverCluster(ctx context.Context, addrs []string, graphPath string, opts Options, copt ClusterOptions) (*Index, error) {
 	start := time.Now()
 	if opts.LabelBudget > 0 {
 		return nil, errors.New("reachlab: Options.LabelBudget is not supported over a cluster")
@@ -57,7 +59,7 @@ func BuildOverCluster(addrs []string, graphPath string, opts Options, copt Clust
 	if err != nil {
 		return nil, fmt.Errorf("reachlab: building over cluster: %w", err)
 	}
-	idx, met, err := drl.BuildOverClusterOf(addrs, g, graphPath, bp, nil, copt)
+	idx, met, err := drl.BuildOverClusterOf(ctx, addrs, g, graphPath, bp, copt)
 	if err != nil {
 		return nil, fmt.Errorf("reachlab: building over cluster: %w", err)
 	}

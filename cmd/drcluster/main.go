@@ -19,6 +19,9 @@
 // the first spawned worker kill itself after N supersteps to
 // demonstrate the recovery path end to end.
 //
+// SIGINT or SIGTERM stops the build at the next superstep and exits 1.
+// Whatever ends it, drcluster stops the workers it spawned.
+//
 // Observability: -obs addr serves /metrics (Prometheus text), /trace
 // (superstep trace JSON), and /debug/pprof on addr while the build
 // runs; -trace file writes the collected superstep trace to a file
@@ -27,6 +30,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -35,10 +39,12 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro"
@@ -48,6 +54,14 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "drcluster:", err)
+		os.Exit(1)
+	}
+}
+
+// run returns its errors, so the spawned workers' cleanup runs first.
+func run() error {
 	var (
 		in      = flag.String("i", "", "input graph file, readable by every worker (required)")
 		out     = flag.String("o", "", "output index path (required)")
@@ -65,7 +79,7 @@ func main() {
 	)
 	flag.Parse()
 	if *in == "" || *out == "" {
-		fatal(fmt.Errorf("both -i and -o are required"))
+		return errors.New("both -i and -o are required")
 	}
 
 	reg := obs.Default
@@ -79,34 +93,35 @@ func main() {
 	}
 
 	copt := reachlab.ClusterOptions{CheckpointEvery: *ckpt, Obs: reg}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	var addrs []string
 	if *spawn > 0 {
 		sp, err := newSpawner()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer sp.cleanup()
-		addrs, err = sp.start(*spawn, *flaky)
-		if err != nil {
-			fatal(err)
+		if addrs, err = sp.start(*spawn, *flaky); err != nil {
+			return err
 		}
 		// Re-dials after a worker crash respawn the process first.
 		copt.Dial = sp.dial
 	} else if *workers != "" {
 		addrs = strings.Split(*workers, ",")
 	} else {
-		fatal(fmt.Errorf("provide -workers addresses or -spawn N"))
+		return errors.New("provide -workers addresses or -spawn N")
 	}
 
 	start := time.Now()
-	idx, err := reachlab.BuildOverCluster(addrs, *in, reachlab.Options{
+	idx, err := reachlab.BuildOverCluster(ctx, addrs, *in, reachlab.Options{
 		Method:      reachlab.Method(*method),
 		BatchSize:   *b,
 		BatchFactor: *k,
 	}, copt)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	bs := idx.BuildStats()
 	fmt.Printf("built with %s over %d workers in %v (%d supersteps, %.2f MB remote traffic)\n",
@@ -118,7 +133,7 @@ func main() {
 	}
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, reg); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("wrote superstep trace to %s\n", *traceOut)
 	}
@@ -128,9 +143,10 @@ func main() {
 		written, err = idx.WriteTo(w)
 		return err
 	}); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("wrote %s (%.2f MB on disk, %.2f MB in memory)\n", *out, float64(written)/(1<<20), float64(idx.Stats().Resident)/(1<<20))
+	return nil
 }
 
 // spawner manages local drworker processes: the initial fleet, plus
@@ -236,9 +252,4 @@ func writeTrace(path string, reg *obs.Registry) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(reg.TraceSnapshot())
 	})
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "drcluster:", err)
-	os.Exit(1)
 }

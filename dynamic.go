@@ -2,6 +2,7 @@ package reachlab
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/drl"
 	"repro/internal/graph"
@@ -46,7 +47,7 @@ func newDynamic(g *graph.Digraph) (*tol.DynamicIndex, error) {
 	ord := order.Compute(g)
 	idx, err := batchBuild(g, ord)
 	if err != nil {
-		return nil, buildError(nil, "index", err)
+		return nil, fmt.Errorf("reachlab: building index: %w", err)
 	}
 	return tol.NewDynamicFrom(g, ord, idx, batchBuild), nil
 }

@@ -55,7 +55,7 @@ func main() {
 
 	// The master drives the batched labeling across the cluster.
 	start := time.Now()
-	idx, err := reachlab.BuildOverCluster(addrs, graphPath, reachlab.Options{
+	idx, err := reachlab.BuildOverCluster(context.Background(), addrs, graphPath, reachlab.Options{
 		Method: reachlab.MethodDRLBatch,
 	}, reachlab.ClusterOptions{})
 	if err != nil {

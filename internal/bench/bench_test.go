@@ -2,12 +2,18 @@ package bench
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/drl"
+	"repro/internal/graph"
+	"repro/internal/label"
 	"repro/internal/netsim"
 	"repro/internal/order"
+	"repro/internal/pregel"
 )
 
 // tinyRunner is a fast configuration for the test suite.
@@ -289,6 +295,26 @@ func TestAblations(t *testing.T) {
 	PrintAblationCondense(&buf, crows)
 	if !strings.Contains(buf.String(), "Index size") {
 		t.Error("ablation-condense output incomplete")
+	}
+}
+
+// TestBuildCutoff: a build the cut-off stops is INF, and one that
+// fails any other way is not. The stopped build waits for its context,
+// so the cut-off always comes first, however slow the host.
+func TestBuildCutoff(t *testing.T) {
+	r := tinyRunner()
+	r.Cutoff = time.Nanosecond
+	stopped := r.build("stopped", func(ctx context.Context) (*label.Index, pregel.Metrics, error) {
+		<-ctx.Done()
+		return nil, pregel.Metrics{}, ctx.Err()
+	})
+	if !stopped.TimedOut || !stopped.INF() || !errors.Is(stopped.Err, context.Canceled) {
+		t.Errorf("a build stopped at the cut-off: TimedOut %v, INF %v, err %v; want INF", stopped.TimedOut, stopped.INF(), stopped.Err)
+	}
+	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	failed := r.RunDRLbParams(g, order.Compute(g), drl.BatchParams{Factor: 0.1}, 2)
+	if failed.TimedOut || failed.INF() || failed.Err == nil {
+		t.Errorf("a build refused its batch parameters: TimedOut %v, INF %v, err %v; want an error, not INF", failed.TimedOut, failed.INF(), failed.Err)
 	}
 }
 

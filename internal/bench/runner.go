@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"time"
@@ -72,66 +73,28 @@ type BuildResult struct {
 // INF reports whether the result should print as "INF" (cut-off hit).
 func (r BuildResult) INF() bool { return r.TimedOut }
 
-// cutoffChan returns a channel that closes at the cut-off, plus a stop
-// function.
-func (r *Runner) cutoffChan() (<-chan struct{}, func()) {
+// cutoff returns a context the cut-off cancels, plus a stop function.
+func (r *Runner) cutoff() (context.Context, func()) {
+	ctx, cancel := context.WithCancel(context.Background())
 	if r.Cutoff <= 0 {
-		return nil, func() {}
+		return ctx, cancel
 	}
-	ch := make(chan struct{})
-	t := time.AfterFunc(r.Cutoff, func() { close(ch) })
-	return ch, func() { t.Stop() }
+	t := time.AfterFunc(r.Cutoff, cancel)
+	return ctx, func() { t.Stop(); cancel() }
 }
 
-func isCancel(err error) bool {
-	return errors.Is(err, drl.ErrCanceled) ||
-		errors.Is(err, pregel.ErrCanceled) ||
-		errors.Is(err, tol.ErrCanceled) ||
-		errors.Is(err, bfl.ErrCanceled)
-}
-
-// RunTOL measures the serial TOL baseline (wall time on one node).
-func (r *Runner) RunTOL(g *graph.Digraph, ord *order.Ordering) BuildResult {
-	cancel, stop := r.cutoffChan()
+// build runs one label-index build under the cut-off and measures it;
+// a build stopped at the cut-off is INF, one that fails otherwise is
+// not. The builds that exchange no messages report zero Metrics, and
+// their wall time is all compute.
+func (r *Runner) build(algo string, run func(ctx context.Context) (*label.Index, pregel.Metrics, error)) BuildResult {
+	ctx, stop := r.cutoff()
 	defer stop()
 	start := time.Now()
-	idx, err := tol.BuildCancelable(g, ord, cancel)
-	dur := time.Since(start)
-	res := BuildResult{Algo: "TOL", Total: dur, Comp: dur}
-	if err != nil {
-		res.TimedOut = isCancel(err)
-		res.Err = err
-		return res
+	idx, met, err := run(ctx)
+	if met.Supersteps == 0 {
+		met.ComputeTime = time.Since(start)
 	}
-	res.Index = idx
-	res.Bytes = idx.SizeBytes()
-	return res
-}
-
-// RunDRLbM measures the shared-memory multi-core DRL_b^M with the
-// runner's worker count as the thread count.
-func (r *Runner) RunDRLbM(g *graph.Digraph, ord *order.Ordering) BuildResult {
-	cancel, stop := r.cutoffChan()
-	defer stop()
-	start := time.Now()
-	idx, err := drl.BuildBatch(g, ord, drl.DefaultBatchParams(), drl.Options{
-		Workers: r.Workers,
-		Cancel:  cancel,
-	})
-	dur := time.Since(start)
-	res := BuildResult{Algo: "DRLbM", Total: dur, Comp: dur}
-	if err != nil {
-		res.TimedOut = isCancel(err)
-		res.Err = err
-		return res
-	}
-	res.Index = idx
-	res.Bytes = idx.SizeBytes()
-	return res
-}
-
-// distResult converts a distributed build into a BuildResult.
-func distResult(algo string, idx *label.Index, met pregel.Metrics, err error) BuildResult {
 	res := BuildResult{
 		Algo:        algo,
 		Total:       met.Total(),
@@ -142,13 +105,30 @@ func distResult(algo string, idx *label.Index, met pregel.Metrics, err error) Bu
 		BytesRemote: met.BytesRemote,
 	}
 	if err != nil {
-		res.TimedOut = isCancel(err)
+		res.TimedOut = errors.Is(err, context.Canceled)
 		res.Err = err
 		return res
 	}
 	res.Index = idx
 	res.Bytes = idx.SizeBytes()
 	return res
+}
+
+// RunTOL measures the serial TOL baseline (wall time on one node).
+func (r *Runner) RunTOL(g *graph.Digraph, ord *order.Ordering) BuildResult {
+	return r.build("TOL", func(ctx context.Context) (*label.Index, pregel.Metrics, error) {
+		idx, err := tol.BuildCancelable(ctx, g, ord)
+		return idx, pregel.Metrics{}, err
+	})
+}
+
+// RunDRLbM measures the shared-memory multi-core DRL_b^M with the
+// runner's worker count as the thread count.
+func (r *Runner) RunDRLbM(g *graph.Digraph, ord *order.Ordering) BuildResult {
+	return r.build("DRLbM", func(ctx context.Context) (*label.Index, pregel.Metrics, error) {
+		idx, err := drl.BuildBatch(g, ord, drl.DefaultBatchParams(), drl.Options{Workers: r.Workers, Ctx: ctx})
+		return idx, pregel.Metrics{}, err
+	})
 }
 
 // RunDRL measures the distributed DRL (Algorithm 3).
@@ -158,12 +138,9 @@ func (r *Runner) RunDRL(g *graph.Digraph, ord *order.Ordering) BuildResult {
 
 // RunDRLWorkers is RunDRL at an explicit worker count (Exp 5).
 func (r *Runner) RunDRLWorkers(g *graph.Digraph, ord *order.Ordering, p int) BuildResult {
-	cancel, stop := r.cutoffChan()
-	defer stop()
-	idx, met, err := drl.BuildDistributed(g, ord, drl.DistOptions{
-		Workers: p, Net: r.Net, Cancel: cancel,
+	return r.build("DRL", func(ctx context.Context) (*label.Index, pregel.Metrics, error) {
+		return drl.BuildDistributed(g, ord, drl.DistOptions{Workers: p, Net: r.Net, Ctx: ctx})
 	})
-	return distResult("DRL", idx, met, err)
 }
 
 // RunDRLb measures the distributed DRL_b (Algorithm 4).
@@ -174,12 +151,9 @@ func (r *Runner) RunDRLb(g *graph.Digraph, ord *order.Ordering) BuildResult {
 // RunDRLbParams is RunDRLb with explicit batch parameters and worker
 // count (Exps 5, 7, 8).
 func (r *Runner) RunDRLbParams(g *graph.Digraph, ord *order.Ordering, bp drl.BatchParams, p int) BuildResult {
-	cancel, stop := r.cutoffChan()
-	defer stop()
-	idx, met, err := drl.BuildDistributedBatch(g, ord, bp, drl.DistOptions{
-		Workers: p, Net: r.Net, Cancel: cancel,
+	return r.build("DRLb", func(ctx context.Context) (*label.Index, pregel.Metrics, error) {
+		return drl.BuildDistributedBatch(g, ord, bp, drl.DistOptions{Workers: p, Net: r.Net, Ctx: ctx})
 	})
-	return distResult("DRLb", idx, met, err)
 }
 
 // RunDRLMinus measures the distributed basic method DRL⁻.
@@ -189,12 +163,9 @@ func (r *Runner) RunDRLMinus(g *graph.Digraph, ord *order.Ordering) BuildResult 
 
 // RunDRLMinusWorkers is RunDRLMinus at an explicit worker count.
 func (r *Runner) RunDRLMinusWorkers(g *graph.Digraph, ord *order.Ordering, p int) BuildResult {
-	cancel, stop := r.cutoffChan()
-	defer stop()
-	idx, met, err := drl.BuildDistributedBasic(g, ord, drl.DistOptions{
-		Workers: p, Net: r.Net, Cancel: cancel,
+	return r.build("DRL-", func(ctx context.Context) (*label.Index, pregel.Metrics, error) {
+		return drl.BuildDistributedBasic(g, ord, drl.DistOptions{Workers: p, Net: r.Net, Ctx: ctx})
 	})
-	return distResult("DRL-", idx, met, err)
 }
 
 // BFLResult is the measurement of a BFL build (centralized or
@@ -213,14 +184,14 @@ func (r BFLResult) INF() bool { return r.TimedOut }
 
 // RunBFLC measures the centralized BFL baseline.
 func (r *Runner) RunBFLC(g *graph.Digraph) BFLResult {
-	cancel, stop := r.cutoffChan()
+	ctx, stop := r.cutoff()
 	defer stop()
 	start := time.Now()
-	idx, err := bfl.Build(g, bfl.Options{Cancel: cancel})
+	idx, err := bfl.Build(g, bfl.Options{Ctx: ctx})
 	dur := time.Since(start)
 	res := BFLResult{Algo: "BFLC", Total: dur}
 	if err != nil {
-		res.TimedOut = isCancel(err)
+		res.TimedOut = errors.Is(err, context.Canceled)
 		res.Err = err
 		return res
 	}
@@ -231,14 +202,14 @@ func (r *Runner) RunBFLC(g *graph.Digraph) BFLResult {
 
 // RunBFLD measures the distributed BFL (token-passing DFS).
 func (r *Runner) RunBFLD(g *graph.Digraph) BFLResult {
-	cancel, stop := r.cutoffChan()
+	ctx, stop := r.cutoff()
 	defer stop()
 	idx, met, err := bfl.BuildDistributed(g, bfl.Options{}, bfl.DistOptions{
-		Workers: r.Workers, Net: r.Net, Cancel: cancel,
+		Workers: r.Workers, Net: r.Net, Ctx: ctx,
 	})
 	res := BFLResult{Algo: "BFLD", Total: met.Total()}
 	if err != nil {
-		res.TimedOut = isCancel(err)
+		res.TimedOut = errors.Is(err, context.Canceled)
 		res.Err = err
 		return res
 	}

@@ -1,34 +1,19 @@
 package bfl
 
 import (
-	"errors"
+	"context"
 	"fmt"
 
 	"repro/internal/graph"
 )
-
-// ErrCanceled is returned when a build is aborted via Options.Cancel.
-var ErrCanceled = errors.New("bfl: build canceled")
-
-func isCanceled(c <-chan struct{}) bool {
-	if c == nil {
-		return false
-	}
-	select {
-	case <-c:
-		return true
-	default:
-		return false
-	}
-}
 
 // Options configures BFL index construction.
 type Options struct {
 	// Bits is the Bloom label width (default DefaultBits). Must be a
 	// multiple of 64.
 	Bits int
-	// Cancel aborts the build when closed.
-	Cancel <-chan struct{}
+	// Ctx stops the build with its error when done (nil: never).
+	Ctx context.Context
 }
 
 func (o Options) bits() (int, error) {
@@ -66,10 +51,10 @@ func Build(g *graph.Digraph, opt Options) (*Index, error) {
 	}
 	x.computeIntervals(g)
 	inv := g.Inverse()
-	if err := x.fixpointLabels(g, inv, x.labelOut, opt.Cancel); err != nil {
+	if err := x.fixpointLabels(opt.Ctx, g, inv, x.labelOut); err != nil {
 		return nil, err
 	}
-	if err := x.fixpointLabels(inv, g, x.labelIn, opt.Cancel); err != nil {
+	if err := x.fixpointLabels(opt.Ctx, inv, g, x.labelIn); err != nil {
 		return nil, err
 	}
 	return x, nil
@@ -127,7 +112,7 @@ func (x *Index) computeIntervals(g *graph.Digraph) {
 // is a single reverse-topological pass, on cyclic graphs it iterates
 // to the fixpoint so the labels stay sound (the paper runs BFL on
 // non-acyclic inputs).
-func (x *Index) fixpointLabels(dir, rev *graph.Digraph, lab []uint64, cancel <-chan struct{}) error {
+func (x *Index) fixpointLabels(ctx context.Context, dir, rev *graph.Digraph, lab []uint64) error {
 	n := dir.NumVertices()
 	w := x.words
 	// Seed: own hash bit.
@@ -149,8 +134,8 @@ func (x *Index) fixpointLabels(dir, rev *graph.Digraph, lab []uint64, cancel <-c
 		v := queue[head]
 		inQueue[v] = false
 		steps++
-		if steps%4096 == 0 && isCanceled(cancel) {
-			return ErrCanceled
+		if steps%4096 == 0 && ctx != nil && ctx.Err() != nil {
+			return ctx.Err()
 		}
 		changed := false
 		lv := lab[int(v)*w : (int(v)+1)*w]

@@ -1,6 +1,7 @@
 package bfl
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -29,7 +30,7 @@ import (
 type DistOptions struct {
 	Workers int
 	Net     netsim.Model
-	Cancel  <-chan struct{}
+	Ctx     context.Context
 }
 
 // Message kinds of the DFS token protocol and label propagation.
@@ -57,8 +58,8 @@ type dfsProgram struct {
 	n int
 	// inv is the graph's transpose, whose out-neighbors are the
 	// in-neighbors the token's owner notifies.
-	inv    *graph.Digraph
-	cancel <-chan struct{}
+	inv *graph.Digraph
+	ctx context.Context
 }
 
 func (p *dfsProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
@@ -78,8 +79,8 @@ func (p *dfsProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
 		return true, nil
 	}
 	local := w.State.(*dfsLocal)
-	if isCanceled(p.cancel) {
-		return false, pregel.ErrCanceled
+	if p.ctx != nil && p.ctx.Err() != nil {
+		return false, p.ctx.Err()
 	}
 	// Apply visit notifications before moving the token so the holder
 	// skips known-visited children without a probe round-trip.
@@ -222,8 +223,8 @@ type lblProgram struct {
 	words32 int
 	bits    int
 	// rev is the transpose of the graph the labels propagate over.
-	rev    *graph.Digraph
-	cancel <-chan struct{}
+	rev *graph.Digraph
+	ctx context.Context
 }
 
 func (p *lblProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
@@ -252,8 +253,8 @@ func (p *lblProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
 	for i, m := range w.Inbox {
 		// Supersteps of the fixpoint can carry millions of word
 		// updates on dense graphs; honor the cut-off mid-step.
-		if i%(1<<17) == 0 && isCanceled(p.cancel) {
-			return false, pregel.ErrCanceled
+		if i%(1<<17) == 0 && p.ctx != nil && p.ctx.Err() != nil {
+			return false, p.ctx.Err()
 		}
 		v := m.Dst
 		lab := local.lab[v]
@@ -296,7 +297,7 @@ func BuildDistributed(g *graph.Digraph, opt Options, dopt DistOptions) (*Index, 
 	cfg := pregel.Config{
 		Workers:       dopt.Workers,
 		Net:           dopt.Net,
-		Cancel:        dopt.Cancel,
+		Ctx:           dopt.Ctx,
 		MaxSupersteps: 8*(n+int(g.NumEdges())) + 64,
 	}
 
@@ -305,7 +306,7 @@ func BuildDistributed(g *graph.Digraph, opt Options, dopt DistOptions) (*Index, 
 
 	// Phase 1: token-passing DFS for the intervals.
 	eng := pregel.New(g, cfg)
-	m, err := eng.Run(&dfsProgram{n: n, inv: inv, cancel: dopt.Cancel})
+	m, err := eng.Run(&dfsProgram{n: n, inv: inv, ctx: dopt.Ctx})
 	met.Add(m)
 	if err != nil {
 		return nil, met, fmt.Errorf("bfl: distributed DFS: %w", err)
@@ -338,7 +339,7 @@ func BuildDistributed(g *graph.Digraph, opt Options, dopt DistOptions) (*Index, 
 		lab    []uint64
 	}{{g, inv, x.labelOut}, {inv, g, x.labelIn}} {
 		eng := pregel.New(dir.g, cfg)
-		m, err := eng.Run(&lblProgram{words32: bits / 32, bits: bits, rev: dir.rev, cancel: dopt.Cancel})
+		m, err := eng.Run(&lblProgram{words32: bits / 32, bits: bits, rev: dir.rev, ctx: dopt.Ctx})
 		met.Add(m)
 		if err != nil {
 			return nil, met, fmt.Errorf("bfl: label propagation: %w", err)

@@ -218,7 +218,7 @@ func batchLabel(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Optio
 		for _, s := range scratches {
 			s.lows = s.lows[:0]
 		}
-		err := parallelRanks(span.Lo, span.Hi, opt.workers(), opt.Cancel, func(wk int, r order.Rank) {
+		err := parallelRanks(span.Lo, span.Hi, opt.workers(), opt.Ctx, func(wk int, r order.Rank) {
 			v := ord.VertexAt(r)
 			s := scratches[wk]
 			ref := lowRef{wk: wk, lo: len(s.lows), mid: len(s.lows), hi: len(s.lows)}
@@ -245,7 +245,7 @@ func batchLabel(g *graph.Digraph, ord *order.Ordering, bp BatchParams, opt Optio
 		// In-batch refinement (Lemma 5) plus label append; new ranks
 		// all exceed previously appended ones, so lists stay sorted.
 		cRefine.Inc()
-		err = parallelRanks(0, order.Rank(n), opt.workers(), opt.Cancel, func(_ int, i order.Rank) {
+		err = parallelRanks(0, order.Rank(n), opt.workers(), opt.Ctx, func(_ int, i order.Rank) {
 			w := graph.VertexID(i)
 			fRow := visitedFwd.Row(w)
 			bRow := visitedBwd.Row(w)

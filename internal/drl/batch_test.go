@@ -1,6 +1,8 @@
 package drl
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -136,17 +138,17 @@ func TestBackwardLabelDuality(t *testing.T) {
 func TestSharedMemoryCancel(t *testing.T) {
 	g := randomDigraph(3000, 12000, 5)
 	ord := order.Compute(g)
-	cancel := make(chan struct{})
-	close(cancel)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for name, build := range map[string]func() (*label.Index, error){
-		"naive":    func() (*label.Index, error) { return BuildNaive(g, ord, Options{Cancel: cancel, Workers: 2}) },
-		"improved": func() (*label.Index, error) { return BuildImproved(g, ord, Options{Cancel: cancel, Workers: 2}) },
+		"naive":    func() (*label.Index, error) { return BuildNaive(g, ord, Options{Ctx: ctx, Workers: 2}) },
+		"improved": func() (*label.Index, error) { return BuildImproved(g, ord, Options{Ctx: ctx, Workers: 2}) },
 		"batch": func() (*label.Index, error) {
-			return BuildBatch(g, ord, DefaultBatchParams(), Options{Cancel: cancel, Workers: 2})
+			return BuildBatch(g, ord, DefaultBatchParams(), Options{Ctx: ctx, Workers: 2})
 		},
 	} {
-		if _, err := build(); err == nil {
-			t.Errorf("%s: expected cancellation", name)
+		if _, err := build(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
 	}
 }

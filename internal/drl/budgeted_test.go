@@ -2,6 +2,7 @@ package drl
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -284,17 +285,17 @@ func TestBudgetedRejectsBadBudget(t *testing.T) {
 	}
 }
 
-// TestBudgetedCancel: a closed cancel channel ends the build with
-// ErrCanceled, and every worker goroutine has exited by then.
+// TestBudgetedCancel: a cancelled context ends the build with
+// context.Canceled, and every worker goroutine has exited by then.
 func TestBudgetedCancel(t *testing.T) {
 	g := randomDigraph(3000, 12000, 5)
 	ord := order.Compute(g)
-	cancel := make(chan struct{})
-	close(cancel)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	before := runtime.NumGoroutine()
 	for _, p := range []int{1, 4} {
-		if _, err := BuildBatchBudgeted(g, ord, DefaultBatchParams(), 4, Options{Cancel: cancel, Workers: p}); err != ErrCanceled {
-			t.Fatalf("workers %d: err = %v, want ErrCanceled", p, err)
+		if _, err := BuildBatchBudgeted(g, ord, DefaultBatchParams(), 4, Options{Ctx: ctx, Workers: p}); err != context.Canceled {
+			t.Fatalf("workers %d: err = %v, want context.Canceled", p, err)
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)

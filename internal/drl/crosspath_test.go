@@ -1,6 +1,7 @@
 package drl
 
 import (
+	"context"
 	"errors"
 	"net/rpc"
 	"strings"
@@ -54,7 +55,7 @@ func TestInProcessMatchesCluster(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				outIdx, out, err := BuildOverClusterOf(startWorkers(t, p), g, path, bp, nil, ClusterOptions{Obs: regOut})
+				outIdx, out, err := BuildOverClusterOf(context.Background(), startWorkers(t, p), g, path, bp, ClusterOptions{Obs: regOut})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -102,7 +103,7 @@ func TestClusterHonoursOrder(t *testing.T) {
 	}
 	bp := DefaultBatchParams()
 	for name, batch := range map[string]*BatchParams{"drl": nil, "drl-batch": &bp} {
-		got, _, err := BuildOverClusterOf(startWorkers(t, 3), g, path, batch, nil, ClusterOptions{})
+		got, _, err := BuildOverClusterOf(context.Background(), startWorkers(t, 3), g, path, batch, ClusterOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -112,24 +113,35 @@ func TestClusterHonoursOrder(t *testing.T) {
 	}
 }
 
-// cancelAtStep closes cancel when the master issues the given superstep.
+// cancelAtStep cancels the build's context in the first call of the
+// given superstep and fails that call as a dropped connection would —
+// at once, or, with hang set, only once hang is closed.
 type cancelAtStep struct {
 	pregel.Transport
 	step   int
-	cancel chan struct{}
+	cancel context.CancelFunc
 	once   *sync.Once
+	hang   chan struct{}
 }
 
 func (c cancelAtStep) Call(method string, args, reply any) error {
+	hit := false
 	if a, ok := args.(pregel.StepArgs); ok && a.Step == c.step {
-		c.once.Do(func() { close(c.cancel) })
+		c.once.Do(func() { c.cancel(); hit = true })
 	}
-	return c.Transport.Call(method, args, reply)
+	if !hit {
+		return c.Transport.Call(method, args, reply)
+	}
+	if c.hang != nil {
+		<-c.hang
+	}
+	return rpc.ErrShutdown
 }
 
-// TestClusterCancel: Cancel closing while superstep 2 is in flight lets
-// that superstep finish and starts no other — three supersteps counted,
-// whatever the clock says.
+// TestClusterCancel: a context cancelled while superstep 2 is in
+// flight ends the build with context.Canceled and no other superstep —
+// two counted, whatever the clock says. The call it interrupted is
+// neither waited for, retried nor recovered from.
 func TestClusterCancel(t *testing.T) {
 	var edges []graph.Edge
 	for v := 0; v < 11; v++ {
@@ -137,17 +149,45 @@ func TestClusterCancel(t *testing.T) {
 	}
 	g := graph.FromEdges(12, edges)
 	path := saveGraph(t, g)
-	cancel, once := make(chan struct{}), new(sync.Once)
-	copt := ClusterOptions{Dial: func(addr string) (pregel.Transport, error) {
-		inner, err := pregel.DialRPC(addr)
-		return cancelAtStep{inner, 2, cancel, once}, err
-	}}
-	_, met, err := BuildOverClusterOf(startWorkers(t, 3), g, path, nil, cancel, copt)
-	if !errors.Is(err, pregel.ErrCanceled) {
-		t.Fatalf("got %v, want pregel.ErrCanceled", err)
-	}
-	if met.Supersteps != 3 {
-		t.Errorf("%d supersteps ran, want the 3 issued before the cancel was seen", met.Supersteps)
+	for _, hang := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		release := make(chan struct{})
+		defer close(release)
+		c := cancelAtStep{step: 2, cancel: cancel, once: new(sync.Once)}
+		if hang {
+			c.hang = release
+		}
+		copt := ClusterOptions{Dial: func(addr string) (pregel.Transport, error) {
+			inner, err := pregel.DialRPC(addr)
+			c := c
+			c.Transport = inner
+			return c, err
+		}}
+		type result struct {
+			met pregel.Metrics
+			err error
+		}
+		addrs, done := startWorkers(t, 3), make(chan result, 1)
+		go func() {
+			_, met, err := BuildOverClusterOf(ctx, addrs, g, path, nil, copt)
+			done <- result{met, err}
+		}()
+		var r result
+		select {
+		case r = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("hang %v: the build still waits on the call its context interrupted", hang)
+		}
+		if !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("hang %v: got %v, want context.Canceled", hang, r.err)
+		}
+		if r.met.Supersteps != 2 {
+			t.Errorf("hang %v: %d supersteps ran, want the 2 finished before the cancel", hang, r.met.Supersteps)
+		}
+		if r.met.Retries != 0 || r.met.Recoveries != 0 {
+			t.Errorf("hang %v: %d retries and %d recoveries after the cancel, want none", hang, r.met.Retries, r.met.Recoveries)
+		}
 	}
 }
 
@@ -188,7 +228,7 @@ func TestClusterGatherRefusals(t *testing.T) {
 			inner, err := pregel.DialRPC(addr)
 			return collectFault{inner, tc.refuse}, err
 		}}
-		idx, _, err := BuildOverClusterOf(startWorkers(t, 3), g, path, nil, nil, copt)
+		idx, _, err := BuildOverClusterOf(context.Background(), startWorkers(t, 3), g, path, nil, copt)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("refuse=%v: got index %v and error %v, want an error containing %q", tc.refuse, idx != nil, err, tc.want)
 		}

@@ -1,6 +1,7 @@
 package drl
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -48,17 +49,17 @@ type basicLocal struct {
 
 // basicShared replicates the hig lists for the phase-B elimination.
 type basicShared struct {
-	ord    *order.Ordering
-	adj    dirGraphs
-	hig    dirLists
-	cancel <-chan struct{}
+	ord *order.Ordering
+	adj dirGraphs
+	hig dirLists
+	ctx context.Context
 }
 
 // basicPhaseA floods all trimmed BFSs and gathers hig sets.
 type basicPhaseA struct {
-	ord    *order.Ordering
-	adj    dirGraphs
-	cancel <-chan struct{}
+	ord *order.Ordering
+	adj dirGraphs
+	ctx context.Context
 }
 
 func (p *basicPhaseA) Superstep(w *pregel.Worker, step int) (bool, error) {
@@ -85,8 +86,8 @@ func (p *basicPhaseA) Superstep(w *pregel.Worker, step int) (bool, error) {
 	}
 	local := w.State.(*basicLocal)
 	for i, m := range w.Inbox {
-		if stepCanceled(i, p.cancel) {
-			return false, pregel.ErrCanceled
+		if stepCanceled(i, p.ctx) {
+			return false, p.ctx.Err()
 		}
 		d, dst := m.Kind&1, m.Dst
 		r := order.Rank(m.Val)
@@ -176,8 +177,8 @@ func (p *basicPhaseB) Superstep(w *pregel.Worker, step int) (bool, error) {
 		return true, nil
 	}
 	for i, m := range w.Inbox {
-		if stepCanceled(i, p.shared.cancel) {
-			return false, pregel.ErrCanceled
+		if stepCanceled(i, p.shared.ctx) {
+			return false, p.shared.ctx.Err()
 		}
 		d := m.Kind & 1
 		key := seenKey(d, m.Dst, order.Rank(m.Val))
@@ -211,10 +212,10 @@ func (p *basicPhaseB) Collect(w *pregel.Worker) ([]byte, error) {
 func BuildDistributedBasic(g *graph.Digraph, ord *order.Ordering, opt DistOptions) (*label.Index, pregel.Metrics, error) {
 	m := pregel.New(g, opt.config())
 	adj := dirGraphs{g, g.Inverse()}
-	if _, err := m.Run(&basicPhaseA{ord: ord, adj: adj, cancel: opt.Cancel}); err != nil {
+	if _, err := m.Run(&basicPhaseA{ord: ord, adj: adj, ctx: opt.Ctx}); err != nil {
 		return nil, m.Metrics, err
 	}
-	shared := &basicShared{ord: ord, adj: adj, hig: newDirLists(), cancel: opt.Cancel}
+	shared := &basicShared{ord: ord, adj: adj, hig: newDirLists(), ctx: opt.Ctx}
 	if _, err := m.Run(&basicPhaseB{shared: shared}); err != nil {
 		return nil, m.Metrics, err
 	}

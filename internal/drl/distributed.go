@@ -2,6 +2,7 @@ package drl
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 
@@ -34,14 +35,14 @@ type DistOptions struct {
 	Workers int
 	// Net is the simulated interconnect model.
 	Net netsim.Model
-	// Cancel aborts the build when closed.
-	Cancel <-chan struct{}
+	// Ctx stops the build with its error when done (nil: never).
+	Ctx context.Context
 	// Obs receives the loop's counters and the superstep trace (nil = off).
 	Obs *obs.Registry
 }
 
 func (o DistOptions) config() pregel.Config {
-	return pregel.Config{Workers: o.Workers, Net: o.Net, Cancel: o.Cancel, Obs: o.Obs}
+	return pregel.Config{Workers: o.Workers, Net: o.Net, Ctx: o.Ctx, Obs: o.Obs}
 }
 
 // Direction is data. A flood message's Kind is the direction d of the
@@ -92,8 +93,8 @@ func seenKey(kind uint8, w graph.VertexID, r order.Rank) uint64 {
 // between cut-off checks inside one superstep.
 const checkCancelEvery = 1 << 16
 
-func stepCanceled(i int, cancel <-chan struct{}) bool {
-	return i%checkCancelEvery == 0 && canceled(cancel)
+func stepCanceled(i int, ctx context.Context) bool {
+	return i%checkCancelEvery == 0 && ctx != nil && ctx.Err() != nil
 }
 
 // sortedKeys returns m's keys in increasing order, the deterministic
@@ -136,8 +137,8 @@ type batchShared struct {
 	ord  *order.Ordering
 	adj  dirGraphs
 	span Span
-	// cancel lets long supersteps honor the cut-off mid-step.
-	cancel <-chan struct{}
+	// ctx lets long supersteps honor the cut-off mid-step.
+	ctx context.Context
 	// src[d][v] is the prior label list of batch source v that its
 	// direction-d BFS prunes with: the side direction 1-d writes.
 	src dirLists
@@ -147,8 +148,8 @@ type batchShared struct {
 	ibfs dirLists
 }
 
-func newBatchShared(ord *order.Ordering, adj dirGraphs, span Span, cancel <-chan struct{}) *batchShared {
-	return &batchShared{ord: ord, adj: adj, span: span, cancel: cancel, src: newDirLists(), ibfs: newDirLists()}
+func newBatchShared(ord *order.Ordering, adj dirGraphs, span Span, ctx context.Context) *batchShared {
+	return &batchShared{ord: ord, adj: adj, span: span, ctx: ctx, src: newDirLists(), ibfs: newDirLists()}
 }
 
 // batchLocal is one worker's persistent state: the accumulated label
@@ -236,8 +237,8 @@ func (p *batchProgram) Superstep(w *pregel.Worker, step int) (bool, error) {
 	local := w.State.(*batchLocal)
 	var pend [2][]visitEvent
 	for i, m := range w.Inbox {
-		if stepCanceled(i, p.shared.cancel) {
-			return false, pregel.ErrCanceled
+		if stepCanceled(i, p.shared.ctx) {
+			return false, p.shared.ctx.Err()
 		}
 		d, dst := m.Kind&1, m.Dst
 		r := order.Rank(m.Val)
@@ -373,7 +374,7 @@ func buildInProcess(g *graph.Digraph, ord *order.Ordering, spans []Span, opt Dis
 	m := pregel.New(g, opt.config())
 	adj := dirGraphs{g, g.Inverse()}
 	return labelSpans(m, ord, spans, opt.Obs, func(span Span) error {
-		_, err := m.Run(&batchProgram{shared: newBatchShared(ord, adj, span, opt.Cancel)})
+		_, err := m.Run(&batchProgram{shared: newBatchShared(ord, adj, span, opt.Ctx)})
 		return err
 	})
 }

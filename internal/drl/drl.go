@@ -27,7 +27,7 @@
 package drl
 
 import (
-	"errors"
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -37,16 +37,12 @@ import (
 	"repro/internal/order"
 )
 
-// ErrCanceled is returned when a build is aborted through a cancel
-// channel (the experiment harness's cut-off timer).
-var ErrCanceled = errors.New("drl: labeling canceled")
-
 // Options configures the shared-memory builders.
 type Options struct {
 	// Workers is the number of goroutines (default: GOMAXPROCS).
 	Workers int
-	// Cancel aborts the build when closed.
-	Cancel <-chan struct{}
+	// Ctx stops the build with its error when done (nil: never).
+	Ctx context.Context
 	// Obs receives build-path counters ("drl_*"); nil disables.
 	Obs *obs.Registry
 }
@@ -56,18 +52,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func canceled(c <-chan struct{}) bool {
-	if c == nil {
-		return false
-	}
-	select {
-	case <-c:
-		return true
-	default:
-		return false
-	}
 }
 
 // rankChunk is how many consecutive ranks a parallelRanks worker takes
@@ -82,16 +66,20 @@ func rankChunk(ranks, workers int) int {
 }
 
 // parallelRanks runs fn(rank) for every rank in [lo, hi) across the
-// given number of goroutines, checking cancel between chunks. fn must
-// be safe for concurrent invocation on distinct ranks.
-func parallelRanks(lo, hi order.Rank, workers int, cancel <-chan struct{}, fn func(worker int, r order.Rank)) error {
+// given number of goroutines, checking ctx (nil: never done) between
+// chunks and returning its error. fn must be safe for concurrent
+// invocation on distinct ranks.
+func parallelRanks(lo, hi order.Rank, workers int, ctx context.Context, fn func(worker int, r order.Rank)) error {
 	if hi <= lo {
 		return nil
 	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if workers <= 1 {
 		for r := lo; r < hi; r++ {
-			if r%1024 == 0 && canceled(cancel) {
-				return ErrCanceled
+			if r%1024 == 0 && ctx.Err() != nil {
+				return ctx.Err()
 			}
 			fn(0, r)
 		}
@@ -100,18 +88,12 @@ func parallelRanks(lo, hi order.Rank, workers int, cancel <-chan struct{}, fn fu
 	chunk := int64(rankChunk(int(hi-lo), workers))
 	var next atomic.Int64
 	next.Store(int64(lo))
-	var aborted atomic.Bool
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			for {
-				// cancel is closed, not sent on, so every worker sees it.
-				if canceled(cancel) {
-					aborted.Store(true)
-					return
-				}
+			for ctx.Err() == nil {
 				end := next.Add(chunk)
 				start := end - chunk
 				if start >= int64(hi) {
@@ -125,10 +107,7 @@ func parallelRanks(lo, hi order.Rank, workers int, cancel <-chan struct{}, fn fu
 		}(wk)
 	}
 	wg.Wait()
-	if aborted.Load() {
-		return ErrCanceled
-	}
-	return nil
+	return ctx.Err()
 }
 
 // rankLists is a flat vertex → sorted-rank-list table: row w holds the

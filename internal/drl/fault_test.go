@@ -2,6 +2,7 @@ package drl
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -156,9 +157,9 @@ func TestFaultScheduleEquivalence(t *testing.T) {
 					err error
 				)
 				if algo == "drl" {
-					idx, met, err = BuildOverClusterOf(fc.addrs(), g, path, nil, nil, copt)
+					idx, met, err = BuildOverClusterOf(context.Background(), fc.addrs(), g, path, nil, copt)
 				} else {
-					idx, met, err = BuildOverClusterOf(fc.addrs(), g, path, &bp, nil, copt)
+					idx, met, err = BuildOverClusterOf(context.Background(), fc.addrs(), g, path, &bp, copt)
 				}
 				if err != nil {
 					t.Fatalf("%s under faults: %v", algo, err)
@@ -196,7 +197,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	want := indexBytes(t, tol.Build(g, ord))
 
 	// Uninterrupted reference run on a healthy cluster.
-	refIdx, _, err := BuildOverClusterOf(startWorkers(t, 3), g, path, nil, nil, ClusterOptions{})
+	refIdx, _, err := BuildOverClusterOf(context.Background(), startWorkers(t, 3), g, path, nil, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		"w1": {Seed: 5, CrashAtCall: 7},
 		"w2": {},
 	})
-	idx, met, err := BuildOverClusterOf(fc.addrs(), g, path, nil, nil, faultOptions(fc))
+	idx, met, err := BuildOverClusterOf(context.Background(), fc.addrs(), g, path, nil, faultOptions(fc))
 	if err != nil {
 		t.Fatalf("build with mid-run crash: %v", err)
 	}
@@ -240,7 +241,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		"w1": {},
 		"w2": {},
 	})
-	idx, met, err = BuildOverClusterOf(fc.addrs(), g, path, &bp, nil, faultOptions(fc))
+	idx, met, err = BuildOverClusterOf(context.Background(), fc.addrs(), g, path, &bp, faultOptions(fc))
 	if err != nil {
 		t.Fatalf("batch build with crash: %v", err)
 	}
@@ -293,7 +294,7 @@ func TestRunBoundaryRecovery(t *testing.T) {
 		return inner, err
 	}}
 	bp := DefaultBatchParams()
-	idx, met, err := BuildOverClusterOf(addrs, g, path, &bp, nil, copt)
+	idx, met, err := BuildOverClusterOf(context.Background(), addrs, g, path, &bp, copt)
 	if err != nil {
 		t.Fatal(err)
 	}

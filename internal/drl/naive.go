@@ -56,7 +56,7 @@ func BuildNaive(g *graph.Digraph, ord *order.Ordering, opt Options) (*label.Inde
 	}
 
 	run := func(dir *graph.Digraph, back [][]graph.VertexID) error {
-		return parallelRanks(0, order.Rank(n), opt.workers(), opt.Cancel, func(wk int, r order.Rank) {
+		return parallelRanks(0, order.Rank(n), opt.workers(), opt.Ctx, func(wk int, r order.Rank) {
 			v := ord.VertexAt(r)
 			s := scratches[wk]
 			des := graph.Descendants(dir, v)

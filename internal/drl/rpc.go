@@ -1,6 +1,7 @@
 package drl
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -87,9 +88,10 @@ type ClusterOptions struct {
 // BuildOverClusterOf labels g, the graph at graphPath — readable by
 // every worker and the master, which has loaded it — on the worker
 // processes at addrs: DRL_b over bp's batch sequence, or DRL
-// (Algorithm 3) when bp is nil. Closing cancel aborts the build at the
-// next superstep.
-func BuildOverClusterOf(addrs []string, g *graph.Digraph, graphPath string, bp *BatchParams, cancel <-chan struct{}, copt ClusterOptions) (*label.Index, pregel.Metrics, error) {
+// (Algorithm 3) when bp is nil. A done ctx stops the build at the next
+// superstep, or in the call it interrupts, with ctx's error; nil never
+// stops it.
+func BuildOverClusterOf(ctx context.Context, addrs []string, g *graph.Digraph, graphPath string, bp *BatchParams, copt ClusterOptions) (*label.Index, pregel.Metrics, error) {
 	ord := order.Compute(g)
 	spans := oneBatch(g.NumVertices())
 	if bp != nil {
@@ -101,7 +103,7 @@ func BuildOverClusterOf(addrs []string, g *graph.Digraph, graphPath string, bp *
 	m, err := pregel.DialCluster(addrs, graphPath, pregel.Config{
 		CheckpointEvery: copt.CheckpointEvery,
 		Dial:            copt.Dial,
-		Cancel:          cancel,
+		Ctx:             ctx,
 		Obs:             copt.Obs,
 	})
 	if err != nil {

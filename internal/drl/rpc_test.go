@@ -1,6 +1,7 @@
 package drl
 
 import (
+	"context"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -45,7 +46,7 @@ func TestRPCClusterMatchesTOL(t *testing.T) {
 	addrs := startWorkers(t, 3)
 	bp := DefaultBatchParams()
 
-	got, met, err := BuildOverClusterOf(addrs, g, path, &bp, nil, ClusterOptions{})
+	got, met, err := BuildOverClusterOf(context.Background(), addrs, g, path, &bp, ClusterOptions{})
 	if err != nil {
 		t.Fatalf("DRL_b over RPC: %v", err)
 	}
@@ -58,7 +59,7 @@ func TestRPCClusterMatchesTOL(t *testing.T) {
 
 	// A fresh cluster for DRL (worker state is per-job).
 	addrs = startWorkers(t, 4)
-	got, _, err = BuildOverClusterOf(addrs, g, path, nil, nil, ClusterOptions{})
+	got, _, err = BuildOverClusterOf(context.Background(), addrs, g, path, nil, ClusterOptions{})
 	if err != nil {
 		t.Fatalf("DRL over RPC: %v", err)
 	}
@@ -77,7 +78,7 @@ func TestRPCPaperExample(t *testing.T) {
 	}
 	addrs := startWorkers(t, 2)
 	bp := DefaultBatchParams()
-	idx, _, err := BuildOverClusterOf(addrs, g, path, &bp, nil, ClusterOptions{})
+	idx, _, err := BuildOverClusterOf(context.Background(), addrs, g, path, &bp, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

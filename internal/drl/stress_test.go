@@ -2,6 +2,7 @@ package drl
 
 import (
 	"bytes"
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -105,14 +106,14 @@ func TestParallelRanksCoversEachRankOnce(t *testing.T) {
 	}
 }
 
-// TestParallelRanksCanceled: a closed cancel channel stops every
-// worker and is reported.
+// TestParallelRanksCanceled: a cancelled context stops every worker
+// and is reported.
 func TestParallelRanksCanceled(t *testing.T) {
-	cancel := make(chan struct{})
-	close(cancel)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, workers := range []int{1, 4} {
-		if err := parallelRanks(0, 5000, workers, cancel, func(int, order.Rank) {}); err != ErrCanceled {
-			t.Errorf("workers %d: err = %v, want ErrCanceled", workers, err)
+		if err := parallelRanks(0, 5000, workers, ctx, func(int, order.Rank) {}); err != context.Canceled {
+			t.Errorf("workers %d: err = %v, want context.Canceled", workers, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -730,6 +731,33 @@ func TestMasterRecoveryLimits(t *testing.T) {
 		always := map[int]string{1: "BeginRun", 2: "BeginRun", 3: "BeginRun", 4: "BeginRun"}
 		if m, err := run(dialer(always), 2, 1); err == nil || m.Metrics.Recoveries != 2 {
 			t.Errorf("a worker that always dies: %v after %d recoveries, want an error after 2", err, m.Metrics.Recoveries)
+		}
+	})
+}
+
+// TestRecoverStopsWhenCanceled: a re-dial that finds the run's context
+// done makes no further attempt, and the run ends with the context's
+// error, not with the re-dial's.
+func TestRecoverStopsWhenCanceled(t *testing.T) {
+	eachCluster(t, func(t *testing.T, c testCluster) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		dials := 0
+		dial := func(addr string) (Transport, error) {
+			if dials++; dials > 1 {
+				cancel()
+				return nil, errors.New("no route to host")
+			}
+			inner, err := c.dial(addr)
+			return &stubTransport{inner: inner, dieOn: "Step"}, err
+		}
+		m, err := DialCluster([]string{c.start(t, WorkerOptions{})}, graphFile(t), Config{Dial: dial, Ctx: ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		if err := m.RunNamed("test-snapflood", nil); !errors.Is(err, context.Canceled) || dials != 2 {
+			t.Errorf("got %v after %d dials, want context.Canceled after the first re-dial", err, dials)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -59,7 +60,7 @@ func backoff(attempt int) time.Duration {
 
 // Master is the superstep loop: the only code that routes packets,
 // tests quiescence, accumulates Metrics, feeds the "pregel_*" counters
-// and trace rows, honours Cancel and MaxSupersteps, and charges the
+// and trace rows, honours Ctx and MaxSupersteps, and charges the
 // netsim model. It drives its hosts through Transports and does not
 // know whether they are drworker processes (DialCluster) or the one
 // host in its own process holding every partition (New).
@@ -95,6 +96,9 @@ func New(g *graph.Digraph, cfg Config) *Master {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
+	if cfg.Ctx == nil {
+		cfg.Ctx = context.Background()
+	}
 	h := &Host{}
 	h.hold(g, 0, cfg.Workers, cfg.Workers)
 	return &Master{
@@ -119,6 +123,9 @@ func (m *Master) Workers() []*Worker {
 func DialCluster(addrs []string, graphPath string, cfg Config) (*Master, error) {
 	if cfg.Dial == nil {
 		cfg.Dial = DialRPC
+	}
+	if cfg.Ctx == nil {
+		cfg.Ctx = context.Background()
 	}
 	m := &Master{
 		cfg:       cfg,
@@ -168,9 +175,10 @@ func (m *Master) Close() error {
 	return errors.Join(errs...)
 }
 
-// callOnce performs one attempt with the per-attempt deadline. The
-// reply must be fresh per attempt: an abandoned (timed-out) call may
-// still write into its reply when the response eventually lands.
+// callOnce performs one attempt with the per-attempt deadline, which
+// also ends when the run's ctx is done. The reply must be fresh per
+// attempt: an abandoned call may still write into its reply when the
+// response eventually lands.
 func (m *Master) callOnce(t Transport, method string, args, reply any) error {
 	timeout := m.retry.callTimeout
 	if timeout == 0 {
@@ -187,6 +195,8 @@ func (m *Master) callOnce(t Transport, method string, args, reply any) error {
 		return err
 	case <-timer:
 		return fmt.Errorf("pregel: %s: %w", method, ErrCallTimeout)
+	case <-m.cfg.Ctx.Done():
+		return m.cfg.Ctx.Err()
 	}
 }
 
@@ -194,7 +204,8 @@ func (m *Master) callOnce(t Transport, method string, args, reply any) error {
 // (timeouts, drops, dead connections) are retried with exponential
 // backoff + jitter; application errors surface immediately; exhausted
 // retries and out-of-sync workers come back as a *workerFailure that
-// the run loop recovers from via checkpoint restore.
+// the run loop recovers from via checkpoint restore. A failed call
+// under a done ctx returns the ctx's error and is not retried.
 func masterCall[T any](m *Master, i int, method string, args any) (*T, error) {
 	pol := m.retry
 	full := RPCServiceName + "." + method
@@ -204,6 +215,9 @@ func masterCall[T any](m *Master, i int, method string, args any) (*T, error) {
 		err = m.callOnce(m.transports[i], full, args, reply)
 		if err == nil {
 			return reply, nil
+		}
+		if err := m.cfg.Ctx.Err(); err != nil {
+			return nil, err
 		}
 		if !isTransient(err) {
 			if isOutOfSync(err) {
@@ -271,6 +285,9 @@ func (m *Master) takeCheckpoint(step int, pending [][][]byte, bcasts [][]byte, f
 // re-BeginRun it, then restore every worker's state to the checkpoint
 // barrier so the superstep loop can rewind and replay.
 func (m *Master) recoverWorkers(failed []int, cause error) error {
+	if err := m.cfg.Ctx.Err(); err != nil {
+		return err
+	}
 	if m.Metrics.Recoveries >= int64(m.retry.recoveries) {
 		return fmt.Errorf("pregel: giving up after %d recoveries: %w", m.Metrics.Recoveries, cause)
 	}
@@ -325,6 +342,9 @@ func (m *Master) redial(addr string) (Transport, error) {
 		t, err := m.cfg.Dial(addr)
 		if err == nil {
 			return t, nil
+		}
+		if err := m.cfg.Ctx.Err(); err != nil {
+			return nil, err
 		}
 		if attempt >= m.retry.attempts {
 			return nil, err
@@ -421,8 +441,8 @@ func (m *Master) runAttempt(met *Metrics) error {
 		if step > maxSteps {
 			return fmt.Errorf("pregel: no quiescence after %d supersteps", maxSteps)
 		}
-		if canceled(m.cfg.Cancel) {
-			return ErrCanceled
+		if err := m.cfg.Ctx.Err(); err != nil {
+			return err
 		}
 		m.statsMu.Lock()
 		preRetries := m.Metrics.Retries
@@ -552,13 +572,4 @@ func (m *Master) collectAttempt() ([][]byte, error) {
 		blobs = append(blobs, reply.Blobs...)
 	}
 	return blobs, nil
-}
-
-func canceled(c <-chan struct{}) bool {
-	select {
-	case <-c:
-		return true
-	default:
-		return false
-	}
 }

@@ -20,16 +20,13 @@
 package pregel
 
 import (
-	"errors"
+	"context"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 )
-
-// ErrCanceled is returned when a run is aborted through Config.Cancel.
-var ErrCanceled = errors.New("pregel: run canceled")
 
 // Msg is the message record exchanged between vertices. The
 // interpretation of Kind, Val, and Val2 is up to the program: the
@@ -55,8 +52,9 @@ type Config struct {
 	// Net is the simulated interconnect of an in-process run (zero
 	// value = free network), charged per superstep exchange.
 	Net netsim.Model
-	// Cancel aborts the run at the next superstep boundary when closed.
-	Cancel <-chan struct{}
+	// Ctx, when done, stops the run with its error at the next superstep
+	// or in the call it interrupts, with no retry after it (nil: never).
+	Ctx context.Context
 	// MaxSupersteps aborts a run that fails to quiesce (a program
 	// bug). 0 means the default of 4·|V|+64, which suits the BFS-style
 	// programs; the token-passing DFS of BFL^D sets its own bound.

@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -197,17 +198,17 @@ func TestProgramErrorPropagates(t *testing.T) {
 	}
 	// A program's own error stays recognizable through the host.
 	e = New(ring(6), Config{Workers: 2})
-	if _, err := e.Run(&errProgram{failStep: 1, err: ErrCanceled}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
+	if _, err := e.Run(&errProgram{failStep: 1, err: context.Canceled}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
 func TestCancel(t *testing.T) {
-	cancel := make(chan struct{})
-	close(cancel)
-	e := New(ring(6), Config{Workers: 2, Cancel: cancel})
-	if _, err := e.Run(&floodProgram{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	e := New(ring(6), Config{Workers: 2, Ctx: ctx})
+	if _, err := e.Run(&floodProgram{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 

@@ -37,7 +37,8 @@ type Direct struct{ Host *Host }
 
 // handlerError marks an error as raised by a host's handler, not by
 // the transport: permanent, like rpc.ServerError, but keeping the
-// cause for errors.Is (a program's ErrCanceled must stay recognizable).
+// cause for errors.Is (a program's context.Canceled must stay
+// recognizable).
 type handlerError struct{ error }
 
 func (e handlerError) Unwrap() error { return e.error }

@@ -1,6 +1,7 @@
 package tol
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -20,8 +21,9 @@ import (
 // factual. See label.Budgeted for why this keeps both query
 // directions sound.
 //
-// The returned index retains g for fallback queries.
-func BuildBudgeted(g *graph.Digraph, ord *order.Ordering, budget int, cancel <-chan struct{}) (*label.Budgeted, error) {
+// The returned index retains g for fallback queries. ctx stops the
+// build as it stops BuildCancelable's; nil never stops it.
+func BuildBudgeted(g *graph.Digraph, ord *order.Ordering, budget int, ctx context.Context) (*label.Budgeted, error) {
 	if budget < 1 {
 		return nil, fmt.Errorf("tol: label budget %d must be at least 1", budget)
 	}
@@ -31,7 +33,7 @@ func BuildBudgeted(g *graph.Digraph, ord *order.Ordering, budget int, cancel <-c
 	for v := range inFull {
 		inFull[v], outFull[v] = true, true
 	}
-	in, out, err := rounds(g, ord, budget, inFull, outFull, cancel)
+	in, out, err := rounds(ctx, g, ord, budget, inFull, outFull)
 	if err != nil {
 		return nil, err
 	}

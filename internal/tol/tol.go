@@ -19,7 +19,7 @@
 package tol
 
 import (
-	"errors"
+	"context"
 	"math"
 
 	"repro/internal/graph"
@@ -27,22 +27,18 @@ import (
 	"repro/internal/order"
 )
 
-// ErrCanceled is returned when a build is aborted through a cancel
-// channel (the experiment harness's cut-off timer).
-var ErrCanceled = errors.New("tol: labeling canceled")
-
 // Build runs TOL on g under ord and returns the index. The graph may
 // be cyclic (§II-C); pass order.Compute(g) for the paper's
 // degree-product order.
 func Build(g *graph.Digraph, ord *order.Ordering) *label.Index {
-	idx, _ := BuildCancelable(g, ord, nil)
+	idx, _ := BuildCancelable(context.Background(), g, ord)
 	return idx
 }
 
-// BuildCancelable is Build with a cancellation channel, checked once
-// per 256 labeling rounds.
-func BuildCancelable(g *graph.Digraph, ord *order.Ordering, cancel <-chan struct{}) (*label.Index, error) {
-	in, out, err := rounds(g, ord, math.MaxInt, nil, nil, cancel)
+// BuildCancelable is Build under ctx, checked once per 256 labeling
+// rounds: a build ctx stops returns ctx's error. A nil ctx never stops.
+func BuildCancelable(ctx context.Context, g *graph.Digraph, ord *order.Ordering) (*label.Index, error) {
+	in, out, err := rounds(ctx, g, ord, math.MaxInt, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +50,7 @@ func BuildCancelable(g *graph.Digraph, ord *order.Ordering, cancel <-chan struct
 // budget entries takes no more: the refused entry clears the vertex's
 // inFull/outFull mark instead. The unbudgeted builds pass a budget no
 // list reaches and nil marks.
-func rounds(g *graph.Digraph, ord *order.Ordering, budget int, inFull, outFull []bool, cancel <-chan struct{}) (in, out [][]order.Rank, err error) {
+func rounds(ctx context.Context, g *graph.Digraph, ord *order.Ordering, budget int, inFull, outFull []bool) (in, out [][]order.Rank, err error) {
 	n := g.NumVertices()
 	in = make([][]order.Rank, n)
 	out = make([][]order.Rank, n)
@@ -65,12 +61,8 @@ func rounds(g *graph.Digraph, ord *order.Ordering, budget int, inFull, outFull [
 	var des, anc []graph.VertexID
 
 	for r := order.Rank(0); int(r) < n; r++ {
-		if r%256 == 0 && cancel != nil {
-			select {
-			case <-cancel:
-				return nil, nil, ErrCanceled
-			default:
-			}
+		if r%256 == 0 && ctx != nil && ctx.Err() != nil {
+			return nil, nil, ctx.Err()
 		}
 		v := ord.VertexAt(r)
 		des, _ = label.TrimmedBFS(g, ord, v, fw, des[:0], nil)

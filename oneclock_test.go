@@ -22,7 +22,7 @@ func TestOneClock(t *testing.T) {
 		"internal/fleet/router.go forward":              "the 25 ms pause between retry rounds selects on the request's ctx and the fleet's stop; tests pay it in real time",
 		"internal/fleet/chaos.go ServeHTTP":             "the injected latency spike is real time by design: it is what a chaos soak's clients wait through",
 		"internal/bench/loadgen.go RunLoadgenEndpoints": "the load generator's write and disruption pacing is part of what it measures",
-		"internal/bench/runner.go cutoffChan":           "an experiment's wall-clock cutoff is a measurement budget",
+		"internal/bench/runner.go cutoff":               "an experiment's wall-clock cutoff is a measurement budget",
 	}
 	used := map[string]bool{}
 	fset := token.NewFileSet()

@@ -59,7 +59,7 @@ func TestClusterBuildOptions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cluster, err := BuildOverCluster(startTestWorkers(t, 2), path, opts, ClusterOptions{})
+		cluster, err := BuildOverCluster(context.Background(), startTestWorkers(t, 2), path, opts, ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,14 +71,14 @@ func TestClusterBuildOptions(t *testing.T) {
 				method, l.Supersteps, l.Messages, l.BytesRemote, c.Supersteps, c.Messages, c.BytesRemote)
 		}
 	}
-	if _, err := BuildOverCluster(nil, path, Options{LabelBudget: 8}, ClusterOptions{}); err == nil || !strings.Contains(err.Error(), "LabelBudget") {
+	if _, err := BuildOverCluster(context.Background(), nil, path, Options{LabelBudget: 8}, ClusterOptions{}); err == nil || !strings.Contains(err.Error(), "LabelBudget") {
 		t.Errorf("Options.LabelBudget over a cluster: got %v, want a refusal naming it", err)
 	}
 	missing := filepath.Join(t.TempDir(), "missing.bin")
-	if _, err := BuildOverCluster(nil, missing, Options{}, ClusterOptions{}); err == nil || !strings.Contains(err.Error(), "missing.bin") {
+	if _, err := BuildOverCluster(context.Background(), nil, missing, Options{}, ClusterOptions{}); err == nil || !strings.Contains(err.Error(), "missing.bin") {
 		t.Errorf("a graph the master cannot read: got %v, want an error naming it", err)
 	}
-	if x, err := BuildOverCluster([]string{"127.0.0.1:1"}, path, Options{}, ClusterOptions{}); err == nil {
+	if x, err := BuildOverCluster(context.Background(), []string{"127.0.0.1:1"}, path, Options{}, ClusterOptions{}); err == nil {
 		t.Errorf("a worker nobody listens for: got an index (%v), want the dial's error", x != nil)
 	}
 }

@@ -174,8 +174,8 @@ func newIndex(idx *label.Index, bidx *label.Budgeted) *Index {
 	return x
 }
 
-// Build constructs the reachability index for g. The context cancels
-// the build (the construction checks it between parallel rounds).
+// Build constructs the reachability index for g. The context stops
+// the build (checked between parallel rounds) with its error, wrapped.
 func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 	if g == nil {
 		return nil, errors.New("reachlab: nil graph")
@@ -185,18 +185,14 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 	method, workers, what := opts.method(), opts.workers(), "index"
 	start := time.Now()
 
-	var cancel <-chan struct{}
-	if ctx != nil {
-		cancel = ctx.Done()
-	}
 	var (
 		idx  *label.Index
 		bidx *label.Budgeted
 		met  pregel.Metrics
 		err  error
 	)
-	dopt := drl.DistOptions{Workers: workers, Net: opts.net(), Cancel: cancel, Obs: opts.Obs}
-	sopt := drl.Options{Workers: workers, Cancel: cancel, Obs: opts.Obs}
+	dopt := drl.DistOptions{Workers: workers, Net: opts.net(), Ctx: ctx, Obs: opts.Obs}
+	sopt := drl.Options{Workers: workers, Ctx: ctx, Obs: opts.Obs}
 	switch {
 	case opts.LabelBudget > 0:
 		// One builder per budget: the cap rides on the shared-memory
@@ -209,7 +205,7 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 			idx = bidx.Index()
 		}
 	case method == MethodTOL:
-		idx, err = tol.BuildCancelable(gd, ord, cancel)
+		idx, err = tol.BuildCancelable(ctx, gd, ord)
 	case method == MethodDRLShared:
 		idx, err = drl.BuildBatch(gd, ord, opts.batchParams(), sopt)
 	case method == MethodDRL:
@@ -222,7 +218,7 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("reachlab: unknown method %q", method)
 	}
 	if err != nil {
-		return nil, buildError(ctx, what, err)
+		return nil, fmt.Errorf("reachlab: building %s: %w", what, err)
 	}
 	x := newIndex(idx, bidx)
 	fp := gd.Fingerprint()
@@ -249,18 +245,6 @@ func buildStats(method Method, workers int, start time.Time, met pregel.Metrics)
 		Checkpoints:        met.Checkpoints,
 		LastCheckpointStep: met.LastCheckpointStep,
 	}
-}
-
-// buildError wraps a builder's failure; a build the caller's context
-// cut short reports the context's error instead of the builder's own
-// cancellation sentinel.
-func buildError(ctx context.Context, what string, err error) error {
-	if errors.Is(err, drl.ErrCanceled) || errors.Is(err, pregel.ErrCanceled) || errors.Is(err, tol.ErrCanceled) {
-		if ctx != nil && ctx.Err() != nil {
-			return fmt.Errorf("reachlab: build canceled: %w", ctx.Err())
-		}
-	}
-	return fmt.Errorf("reachlab: building %s: %w", what, err)
 }
 
 // Reachable answers q(s, t) from the index alone: true iff there is a

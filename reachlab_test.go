@@ -3,6 +3,8 @@ package reachlab
 import (
 	"bytes"
 	"context"
+	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -90,15 +92,47 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBuildCancel: every build — each method, a label budget, and a
+// cluster build of each method it runs — stopped by its context
+// returns that context's own error.
 func TestBuildCancel(t *testing.T) {
 	g, err := GenerateGraph("social", 30000, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := SaveGraph(path, g, true); err != nil {
+		t.Fatal(err)
+	}
+	builds := map[string]func(context.Context) (*Index, error){
+		"label budget": func(ctx context.Context) (*Index, error) {
+			return Build(ctx, g, Options{LabelBudget: 8, Workers: 2})
+		},
+	}
+	for _, m := range []Method{MethodTOL, MethodDRLBasic, MethodDRL, MethodDRLBatch, MethodDRLShared} {
+		builds[string(m)] = func(ctx context.Context) (*Index, error) {
+			return Build(ctx, g, Options{Method: m, Workers: 2})
+		}
+	}
+	workers := startTestWorkers(t, 2)
+	for _, m := range []Method{MethodDRL, MethodDRLBatch} {
+		builds["cluster "+string(m)] = func(ctx context.Context) (*Index, error) {
+			return BuildOverCluster(ctx, workers, path, Options{Method: m}, ClusterOptions{})
+		}
+	}
+	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Build(ctx, g, Options{Method: MethodDRLBasic, Workers: 2}); err == nil {
-		t.Fatal("expected cancellation error")
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for name, build := range builds {
+		for _, c := range []struct {
+			ctx  context.Context
+			want error
+		}{{canceled, context.Canceled}, {expired, context.DeadlineExceeded}} {
+			if x, err := build(c.ctx); !errors.Is(err, c.want) {
+				t.Errorf("%s: got index %v and error %v, want %v", name, x != nil, err, c.want)
+			}
+		}
 	}
 }
 

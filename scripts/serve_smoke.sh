@@ -6,7 +6,9 @@
 # and drserve's /metrics must have timed every batch request it counted.
 # Then the same for an index a cluster built: three spawned drworker
 # processes, one of them killed mid-run, must write the very file
-# drlabel writes, and drquery, drserve and drload must open it. In
+# drlabel writes, and drquery, drserve and drload must open it; a
+# cluster build that is refused or interrupted by SIGINT must exit
+# non-zero and leave no drworker running. In
 # between, a size-restricted index: drlabel -budget writes it, drserve
 # serves it from the file and the graph with every answer checked
 # against the full index, and an index opened with the wrong graph, a
@@ -25,6 +27,15 @@ refused() {
 	fi
 	grep -q "$what" "$work/refusal" ||
 		{ echo "refused for another reason: $*" >&2; cat "$work/refusal" >&2; exit 1; }
+}
+
+# no_workers AFTER -> no drworker this script built may still run
+no_workers() {
+	if pgrep -f "$work/bin/drworker" >/dev/null; then
+		pkill -9 -f "$work/bin/drworker" || true
+		echo "drworker processes left running after $1" >&2
+		exit 1
+	fi
 }
 
 build_tools drgen drlabel drserve drload drquery drcluster drworker
@@ -91,6 +102,29 @@ grep -Eq 'fault handling: .* [1-9][0-9]* recoveries' "$work/cluster.log" ||
 	{ echo "the crashed worker was never recovered" >&2; exit 1; }
 cmp "$work/label.idx" "$work/cluster.idx" ||
 	{ echo "drcluster wrote a different index file than drlabel -method drl-batch" >&2; exit 1; }
+no_workers "the cluster build"
+
+echo "== cluster exits: a refused method and a SIGINT mid-build stop the spawned workers"
+refused "does not support cluster deployment" "$work/bin/drcluster" -i "$work/small.bin" -o "$work/tol.idx" -spawn 2 -method tol
+no_workers "a refused method"
+"$work/bin/drgen" -family citation -n 200000 -deg 4 -seed 1 -o "$work/big.bin"
+"$work/bin/drcluster" -i "$work/big.bin" -o "$work/big.idx" -spawn 2 2>"$work/sigint.log" &
+cl_pid=$!
+pids="$cl_pid"
+i=0
+until [ "$(pgrep -f "$work/bin/drworker" | wc -l)" -ge 2 ]; do
+	i=$((i + 1))
+	[ "$i" -gt 200 ] && { echo "drcluster never spawned its 2 workers" >&2; exit 1; }
+	sleep 0.1
+done
+kill -INT "$cl_pid"
+rc=0
+wait "$cl_pid" || rc=$?
+pids=""
+[ "$rc" -ne 0 ] || { echo "drcluster exited 0 on SIGINT" >&2; exit 1; }
+grep -q "context canceled" "$work/sigint.log" ||
+	{ echo "drcluster on SIGINT did not report a cancelled build:" >&2; cat "$work/sigint.log" >&2; exit 1; }
+no_workers "SIGINT"
 
 echo "== the cluster's index in drquery, drserve and drload"
 "$work/bin/drquery" -idx "$work/cluster.idx" -bench 1000

@@ -156,7 +156,7 @@ func TestStatsExposeFaultCounters(t *testing.T) {
 			return pregel.NewFaultTransport(inner, pregel.FaultPlan{Seed: seed, DropProb: 0.25}), nil
 		},
 	}
-	idx, err := BuildOverCluster(addrs, path, Options{}, copt)
+	idx, err := BuildOverCluster(context.Background(), addrs, path, Options{}, copt)
 	if err != nil {
 		t.Fatal(err)
 	}
