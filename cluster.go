@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/drl"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/pregel"
 )
 
@@ -59,10 +60,12 @@ func BuildOverCluster(ctx context.Context, addrs []string, graphPath string, opt
 	if err != nil {
 		return nil, fmt.Errorf("reachlab: building over cluster: %w", err)
 	}
+	load := time.Since(start)
 	idx, met, err := drl.BuildOverClusterOf(ctx, addrs, g, graphPath, bp, copt)
 	if err != nil {
 		return nil, fmt.Errorf("reachlab: building over cluster: %w", err)
 	}
+	met.Phases.Add(obs.Phases{pregel.PhaseLoad: load}) // read before the record began
 	x := newIndex(idx, nil)
 	fp := g.Fingerprint()
 	x.g, x.fp = g, &fp

@@ -24,9 +24,11 @@
 //
 // Observability: -obs addr serves /metrics (Prometheus text), /trace
 // (superstep trace JSON), and /debug/pprof on addr while the build
-// runs; -trace file writes the collected superstep trace to a file
-// afterwards. Master-side counters aggregate the per-worker step
-// replies, so message and byte volume cover the whole cluster.
+// runs; -trace file writes the build's cost record — the superstep
+// rows ("pregel") and the rows of the phases outside them
+// ("pregel_phases") — to a file afterwards. Master-side counters
+// aggregate the per-worker step replies, so message and byte volume
+// cover the whole cluster.
 package main
 
 import (
@@ -127,6 +129,7 @@ func run() error {
 	fmt.Printf("built with %s over %d workers in %v (%d supersteps, %.2f MB remote traffic)\n",
 		bs.Method, bs.Workers, time.Since(start).Round(time.Millisecond),
 		bs.Supersteps, float64(bs.BytesRemote)/(1<<20))
+	fmt.Printf("phases: %v\n", bs.Phases)
 	if bs.Retries > 0 || bs.Recoveries > 0 || bs.Checkpoints > 0 {
 		fmt.Printf("fault handling: %d retried calls, %d recoveries, %d checkpoints (last at superstep %d)\n",
 			bs.Retries, bs.Recoveries, bs.Checkpoints, bs.LastCheckpointStep)

@@ -84,6 +84,9 @@ func main() {
 		bs.Method, time.Since(start).Round(time.Millisecond),
 		bs.Compute.Round(time.Millisecond), bs.Communication.Round(time.Millisecond),
 		bs.Supersteps, bs.Messages)
+	if len(bs.Phases) > 0 {
+		fmt.Printf("phases: %v\n", bs.Phases)
+	}
 	fmt.Printf("index: %d entries, %.2f MB in memory, max label %d, avg label %.2f\n",
 		st.Entries, float64(st.Resident)/(1<<20), st.MaxLabelSize, st.AvgLabelSize)
 	if *budget > 0 {

@@ -15,9 +15,8 @@
 // after N executed supersteps; the master re-dials the address and
 // restores the replacement from the last checkpoint.
 //
-// -obs addr serves the worker's own /metrics and /debug/pprof on addr
-// (per-step compute time and message counts for this node; the master
-// aggregates cluster-wide volume).
+// -obs addr serves the worker's /debug/pprof on addr; the step's cost,
+// this worker's share included, is in the master's record.
 package main
 
 import (
@@ -35,11 +34,10 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "address to listen on")
 	crashAfter := flag.Int("crash-after", 0, "exit abruptly after N executed supersteps (fault injection; 0 = never)")
-	obsAddr := flag.String("obs", "", "serve /metrics and /debug/pprof on this address")
+	obsAddr := flag.String("obs", "", "serve /debug/pprof on this address")
 	flag.Parse()
 
 	var opts pregel.WorkerOptions
-	opts.Obs = obs.Default
 	if *obsAddr != "" {
 		//lint:ignore goleak metrics sidecar serves for the process lifetime; the OS reclaims it at exit
 		go func() {

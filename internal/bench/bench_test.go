@@ -164,7 +164,7 @@ func TestFig5(t *testing.T) {
 		if row.DRLb.INF() {
 			t.Errorf("%s: DRL_b should finish at tiny scale", row.Dataset)
 		}
-		if !row.DRL.INF() && row.DRL.Comm <= 0 {
+		if !row.DRL.INF() && row.DRL.TotalComm() <= 0 {
 			t.Errorf("%s: DRL should report communication time", row.Dataset)
 		}
 	}

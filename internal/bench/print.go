@@ -104,7 +104,7 @@ func PrintFig5(w io.Writer, rows []Fig5Row) {
 				continue
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%.3f\t%.3f\t%.3f\n",
-				r.Dataset, e.Algo, e.Comp.Seconds(), e.Comm.Seconds(), e.Total.Seconds())
+				r.Dataset, e.Algo, e.ComputeTime().Seconds(), e.TotalComm().Seconds(), e.Total.Seconds())
 		}
 	}
 	flushTab(tw)

@@ -50,24 +50,20 @@ type BuildResult struct {
 	Algo string
 	// Index is nil when the build timed out.
 	Index *label.Index
-	// Total is the modeled index time: measured compute plus measured
-	// and simulated communication.
+	// Total is the modeled index time: the wall time of a build that
+	// runs no supersteps, else Metrics.Total — measured compute plus
+	// measured and simulated communication, which ComputeTime and
+	// TotalComm split for Fig. 5.
 	Total time.Duration
-	// Comp and Comm split Total for the distributed algorithms
-	// (Fig. 5); Comm includes the simulated wire time.
-	Comp, Comm time.Duration
 	// Bytes is the index footprint (label indexes only; BFL results
 	// report through BFLResult).
 	Bytes    int64
 	TimedOut bool
 	Err      error
 
-	// Supersteps, Messages, and BytesRemote describe the BSP run of the
-	// distributed algorithms (zero for TOL and DRL_b^M, which exchange
-	// no messages).
-	Supersteps  int
-	Messages    int64
-	BytesRemote int64
+	// Metrics is the cost record of the distributed algorithms' BSP
+	// runs (zero for TOL and DRL_b^M, which exchange no messages).
+	pregel.Metrics
 }
 
 // INF reports whether the result should print as "INF" (cut-off hit).
@@ -85,24 +81,15 @@ func (r *Runner) cutoff() (context.Context, func()) {
 
 // build runs one label-index build under the cut-off and measures it;
 // a build stopped at the cut-off is INF, one that fails otherwise is
-// not. The builds that exchange no messages report zero Metrics, and
-// their wall time is all compute.
+// not. The builds that exchange no messages report zero Metrics.
 func (r *Runner) build(algo string, run func(ctx context.Context) (*label.Index, pregel.Metrics, error)) BuildResult {
 	ctx, stop := r.cutoff()
 	defer stop()
 	start := time.Now()
 	idx, met, err := run(ctx)
+	res := BuildResult{Algo: algo, Total: met.Total(), Metrics: met}
 	if met.Supersteps == 0 {
-		met.ComputeTime = time.Since(start)
-	}
-	res := BuildResult{
-		Algo:        algo,
-		Total:       met.Total(),
-		Comp:        met.ComputeTime,
-		Comm:        met.TotalComm(),
-		Supersteps:  met.Supersteps,
-		Messages:    met.Messages,
-		BytesRemote: met.BytesRemote,
+		res.Total = time.Since(start)
 	}
 	if err != nil {
 		res.TimedOut = errors.Is(err, context.Canceled)

@@ -288,10 +288,9 @@ func (p *lblProgram) Finish(w *pregel.Worker) error { return nil }
 // BuildDistributed constructs the BFL index on the vertex-centric
 // system (BFL^D) and returns the index plus run metrics.
 func BuildDistributed(g *graph.Digraph, opt Options, dopt DistOptions) (*Index, pregel.Metrics, error) {
-	var met pregel.Metrics
 	bits, err := opt.bits()
 	if err != nil {
-		return nil, met, err
+		return nil, pregel.Metrics{}, err
 	}
 	n := g.NumVertices()
 	cfg := pregel.Config{
@@ -304,11 +303,10 @@ func BuildDistributed(g *graph.Digraph, opt Options, dopt DistOptions) (*Index, 
 	// The transpose, which every phase walks, for the build.
 	inv := g.Inverse()
 
-	// Phase 1: token-passing DFS for the intervals.
+	// Phase 1: token-passing DFS for the intervals. Every phase runs on
+	// the one master, whose Metrics sum them.
 	eng := pregel.New(g, cfg)
-	m, err := eng.Run(&dfsProgram{n: n, inv: inv, ctx: dopt.Ctx})
-	met.Add(m)
-	if err != nil {
+	if met, err := eng.Run(&dfsProgram{n: n, inv: inv, ctx: dopt.Ctx}); err != nil {
 		return nil, met, fmt.Errorf("bfl: distributed DFS: %w", err)
 	}
 	x := &Index{
@@ -333,15 +331,13 @@ func BuildDistributed(g *graph.Digraph, opt Options, dopt DistOptions) (*Index, 
 		}
 	}
 
-	// Phase 2+3: Bloom labels in both directions, in parallel.
+	// Phase 2+3: Bloom labels in both directions, in parallel. A
+	// program walks only its rev graph, so both run over g's partition.
 	for _, dir := range []struct {
-		g, rev *graph.Digraph
-		lab    []uint64
-	}{{g, inv, x.labelOut}, {inv, g, x.labelIn}} {
-		eng := pregel.New(dir.g, cfg)
-		m, err := eng.Run(&lblProgram{words32: bits / 32, bits: bits, rev: dir.rev, ctx: dopt.Ctx})
-		met.Add(m)
-		if err != nil {
+		rev *graph.Digraph
+		lab []uint64
+	}{{inv, x.labelOut}, {g, x.labelIn}} {
+		if met, err := eng.Run(&lblProgram{words32: bits / 32, bits: bits, rev: dir.rev, ctx: dopt.Ctx}); err != nil {
 			return nil, met, fmt.Errorf("bfl: label propagation: %w", err)
 		}
 		for _, wk := range eng.Workers() {
@@ -354,7 +350,7 @@ func BuildDistributed(g *graph.Digraph, opt Options, dopt DistOptions) (*Index, 
 			}
 		}
 	}
-	return x, met, nil
+	return x, eng.Metrics, nil
 }
 
 // ReachableDistributed answers q(s,t) against a partitioned graph:

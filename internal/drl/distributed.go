@@ -350,24 +350,34 @@ func labelSpans(m *pregel.Master, ord *order.Ordering, spans []Span, reg *obs.Re
 }
 
 // gather collects the per-worker label lists onto one "machine" (the
-// paper serves queries from a single node holding the index) and
-// charges the bytes every worker but the gathering one sends — 4 per
-// label entry — to the metrics.
+// paper serves queries from a single node holding the index), charging
+// the bytes every worker but the gathering one sends — 4 per label
+// entry — to the gather's row, and lays them out as the index.
 func gather(m *pregel.Master, ord *order.Ordering) (*label.Index, pregel.Metrics, error) {
-	blobs, err := m.Collect()
-	if err != nil {
-		return nil, m.Metrics, err
-	}
-	in, out, err := decodeResults(blobs, ord.N())
-	if err != nil {
-		return nil, m.Metrics, err
-	}
-	for v := range in {
-		if v%len(blobs) != 0 {
-			m.Metrics.BytesRemote += 4 * int64(len(in[v])+len(out[v]))
+	var in, out [][]order.Rank
+	if err := m.Phase(pregel.PhaseGather, func(row *obs.StepTrace) error {
+		blobs, err := m.Collect()
+		if err != nil {
+			return err
 		}
+		if in, out, err = decodeResults(blobs, ord.N()); err != nil {
+			return err
+		}
+		for v := range in {
+			if v%len(blobs) != 0 {
+				row.BytesRemote += 4 * int64(len(in[v])+len(out[v]))
+			}
+		}
+		return nil
+	}); err != nil {
+		return nil, m.Metrics, err
 	}
-	return label.FromLists(ord, in, out), m.Metrics, nil
+	var idx *label.Index
+	m.Phase(pregel.PhaseLayout, func(*obs.StepTrace) error {
+		idx = label.FromLists(ord, in, out)
+		return nil
+	})
+	return idx, m.Metrics, nil
 }
 
 func buildInProcess(g *graph.Digraph, ord *order.Ordering, spans []Span, opt DistOptions) (*label.Index, pregel.Metrics, error) {

@@ -92,7 +92,6 @@ type ClusterOptions struct {
 // superstep, or in the call it interrupts, with ctx's error; nil never
 // stops it.
 func BuildOverClusterOf(ctx context.Context, addrs []string, g *graph.Digraph, graphPath string, bp *BatchParams, copt ClusterOptions) (*label.Index, pregel.Metrics, error) {
-	ord := order.Compute(g)
 	spans := oneBatch(g.NumVertices())
 	if bp != nil {
 		var err error
@@ -110,6 +109,11 @@ func BuildOverClusterOf(ctx context.Context, addrs []string, g *graph.Digraph, g
 		return nil, pregel.Metrics{}, err
 	}
 	defer m.Close()
+	var ord *order.Ordering
+	m.Phase(pregel.PhaseOrder, func(*obs.StepTrace) error {
+		ord = order.Compute(g)
+		return nil
+	})
 	return labelSpans(m, ord, spans, copt.Obs, func(span Span) error {
 		return m.RunNamed("drl", map[string]string{
 			"lo": strconv.Itoa(int(span.Lo)),

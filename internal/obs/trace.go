@@ -1,40 +1,101 @@
 package obs
 
-import "sync"
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"time"
+)
 
-// StepTrace is one per-superstep row of a run's execution trace — the
+// StepTrace is one row of a build's cost record: a superstep — the
 // observable shape of Fig. 5: who was active, how much was said, and
-// how long the barrier took.
+// where the barrier's time went — or, when Phase is set, one stretch
+// of the build outside the supersteps (a checkpoint, a recovery, the
+// gather, …). A master's Metrics are the sum of its rows.
 type StepTrace struct {
 	// Run distinguishes runs sharing one worker set (the batch
 	// algorithm runs once per batch).
 	Run int `json:"run"`
-	// Step is the superstep number within the run.
+	// Step is the superstep number within the run; on a checkpoint's
+	// row, the superstep the checkpoint feeds.
 	Step int `json:"step"`
+	// Phase names an outside row's phase; it is empty on a superstep's.
+	Phase string `json:"phase,omitempty"`
 	// ActiveWorkers counts workers that did not vote to halt.
 	ActiveWorkers int `json:"active_workers"`
 	// Messages, BytesLocal, BytesRemote, and BcastBytes are this
-	// step's exchange volume (deltas, not running totals).
+	// row's exchange volume (deltas, not running totals); the gather's
+	// row carries its modelled bytes in BytesRemote.
 	Messages    int64 `json:"messages"`
 	BytesLocal  int64 `json:"bytes_local"`
 	BytesRemote int64 `json:"bytes_remote"`
 	BcastBytes  int64 `json:"bcast_bytes"`
-	// Retries and Recoveries are the fault-handling activity charged
-	// to this step (clusters only; always zero in-process).
-	Retries    int64 `json:"retries,omitempty"`
-	Recoveries int64 `json:"recoveries,omitempty"`
-	// ComputeNanos is the BSP makespan of the compute phase (slowest
-	// worker); WallNanos additionally includes the measured exchange.
-	ComputeNanos int64 `json:"compute_ns"`
-	WallNanos    int64 `json:"wall_ns"`
-	// Workers holds the per-worker breakdown.
+	// Retries, Recoveries, Checkpoints and CheckpointBytes are the
+	// fault handling charged to this row (clusters only; always zero
+	// in process): the calls retried since the previous row, the
+	// recovery a recover row made, the snapshot a checkpoint row took.
+	Retries         int64 `json:"retries,omitempty"`
+	Recoveries      int64 `json:"recoveries,omitempty"`
+	Checkpoints     int64 `json:"checkpoints,omitempty"`
+	CheckpointBytes int64 `json:"checkpoint_bytes,omitempty"`
+	// WallNanos is the row's measured wall time, and Phases divides it
+	// exactly.
+	WallNanos int64  `json:"wall_ns"`
+	Phases    Phases `json:"phases_ns"`
+	// Workers holds the per-worker breakdown of a superstep.
 	Workers []WorkerStep `json:"workers,omitempty"`
+}
+
+// Phases divides a span of time by where it went, keyed by phase name
+// (in JSON each value is nanoseconds).
+type Phases map[string]time.Duration
+
+// Add adds q into *p, allocating *p when it is nil.
+func (p *Phases) Add(q Phases) {
+	if *p == nil && len(q) > 0 {
+		*p = make(Phases, len(q))
+	}
+	for k, d := range q {
+		(*p)[k] += d
+	}
+}
+
+// Total is the time of every phase together.
+func (p Phases) Total() time.Duration {
+	var t time.Duration
+	for _, d := range p {
+		t += d
+	}
+	return t
+}
+
+// String lists the phases largest first, each with its share of the
+// total: "compute 1.2s (40%), encode 900ms (30%), …".
+func (p Phases) String() string {
+	names := make([]string, 0, len(p))
+	for k := range p {
+		names = append(names, k)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		a, b := names[i], names[j]
+		return p[a] > p[b] || p[a] == p[b] && a < b
+	})
+	total := float64(max(p.Total(), 1))
+	for i, k := range names {
+		names[i] = fmt.Sprintf("%s %v (%.0f%%)", k, p[k].Round(time.Millisecond), 100*float64(p[k])/total)
+	}
+	return strings.Join(names, ", ")
 }
 
 // WorkerStep is one worker's share of a superstep.
 type WorkerStep struct {
 	Worker int `json:"worker"`
-	// ComputeNanos is this worker's compute-phase wall time.
+	// ComputeNanos is the wall time of this worker's Superstep plus its
+	// host's PreStep: every worker of a physical cluster applies the
+	// broadcasts to its own replica, so each pays for PreStep. A host
+	// with fewer cores than partitions runs them interleaved, and each
+	// one's time includes its waits.
 	ComputeNanos int64 `json:"compute_ns"`
 	// Active reports whether the worker voted to stay active.
 	Active bool `json:"active"`

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
-	"runtime"
 	"sync"
 	"time"
 
@@ -101,28 +100,24 @@ type StepArgs struct {
 	Bcasts  [][]byte // all broadcasts from the previous step
 }
 
-// WorkerReply is one partition's share of a StepReply.
+// WorkerReply is one partition's share of a StepReply: its row of the
+// step's record, and its output.
 type WorkerReply struct {
-	Active bool
-	MsgsIn int
+	obs.WorkerStep
 	Out    [][]byte // Out[dst] = the packet for worker dst, nil for none
 	Bcasts [][]byte
-	// ComputeNanos is the duration of this worker's Superstep plus its
-	// host's PreStep: every worker of a physical cluster applies the
-	// broadcasts to its own replica, so each pays for PreStep.
-	ComputeNanos int64
 	// MsgsOut is the number of records the worker put on the wire this
 	// step (post-combining).
 	MsgsOut int64
 }
 
 // StepReply carries a host's outputs, one entry per partition it
-// holds. BusyNanos is the part of the call that was not communication:
-// PreStep plus the compute phase, start to end. The master charges the
-// rest of the call to CommTime.
+// holds, and the time the host spent in each of its phases of the step
+// (decode, prestep, compute, encode); the master charges the rest of
+// the call to the exchange.
 type StepReply struct {
-	Workers   []WorkerReply
-	BusyNanos int64
+	Workers []WorkerReply
+	Phases  obs.Phases
 }
 
 // CollectReply returns the encoded results of the host's partitions.
@@ -157,7 +152,6 @@ type Host struct {
 
 	stepCount int
 	stepHook  func(completedSteps int)
-	obs       *obs.Registry
 }
 
 // WorkerOptions tunes a worker service.
@@ -166,9 +160,6 @@ type WorkerOptions struct {
 	// superstep with the total count so far. cmd/drworker uses it to
 	// implement the -crash-after fault-injection flag.
 	StepHook func(completedSteps int)
-	// Obs receives the worker-side counters ("pregel_worker_*");
-	// cmd/drworker exposes it on a local /metrics port. nil disables.
-	Obs *obs.Registry
 }
 
 // hold makes h the host of partitions [first, first+count) of p over g
@@ -236,21 +227,11 @@ func (h *Host) BeginRun(args BeginRunArgs, _ *struct{}) error {
 	return nil
 }
 
-// each runs fn for every partition the host holds. Partitions run as
-// parallel goroutines when real cores are available; on a single core
-// they take turns, so that a duration measured inside fn reflects that
-// partition's own work (P interleaved goroutines on one core would all
-// measure the whole phase). Either way the simulated cluster is P
-// single-thread nodes, the paper's configuration.
+// each runs fn for every partition the host holds, as parallel
+// goroutines: the simulated cluster is P single-thread nodes, the
+// paper's configuration, and the phase as a whole is what the step's
+// row is charged.
 func (h *Host) each(fn func(k int, w *Worker) error) error {
-	if runtime.GOMAXPROCS(0) == 1 || len(h.workers) == 1 {
-		for k, w := range h.workers {
-			if err := fn(k, w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, len(h.workers))
 	var wg sync.WaitGroup
 	for k, w := range h.workers {
@@ -286,6 +267,12 @@ func (h *Host) Step(args StepArgs, reply *StepReply) error {
 		return fmt.Errorf("pregel: step %d: packets for %d partitions, host holds %d", args.Step, len(args.Packets), len(h.workers))
 	}
 	out := make([]WorkerReply, len(h.workers))
+	phases := make(obs.Phases, 4)
+	mark := time.Now()
+	lap := func(phase string) {
+		now := time.Now()
+		phases[phase], mark = now.Sub(mark), now
+	}
 
 	// Decode. Every worker gets its own BcastIn slice header: the blobs
 	// are shared (they are read-only by contract) but a program
@@ -302,28 +289,28 @@ func (h *Host) Step(args StepArgs, reply *StepReply) error {
 			}
 		}
 		w.BcastIn = append(w.BcastIn[:0], args.Bcasts...)
-		out[k].MsgsIn = len(w.Inbox)
+		out[k].Worker, out[k].MsgsIn = w.ID, len(w.Inbox)
 		return nil
 	}); err != nil {
 		return err
 	}
+	lap(PhaseDecode)
 
-	busy := time.Now()
 	if ps, ok := h.prog.(PreStepper); ok {
 		if err := ps.PreStep(h.workers, args.Step); err != nil {
 			return err
 		}
 	}
-	pre := time.Since(busy)
+	lap(PhasePreStep)
 	if err := h.each(func(k int, w *Worker) (err error) {
 		start := time.Now()
 		out[k].Active, err = h.prog.Superstep(w, args.Step)
-		out[k].ComputeNanos = (pre + time.Since(start)).Nanoseconds()
+		out[k].ComputeNanos = (phases[PhasePreStep] + time.Since(start)).Nanoseconds()
 		return err
 	}); err != nil {
 		return err
 	}
-	reply.BusyNanos = time.Since(busy).Nanoseconds()
+	lap(PhaseCompute)
 
 	// Encode. Messages to the worker itself are serialized too — MPI
 	// packs buffers even for self sends — and counted post-combining:
@@ -351,19 +338,13 @@ func (h *Host) Step(args StepArgs, reply *StepReply) error {
 	}); err != nil {
 		return err
 	}
-	reply.Workers = out
+	lap(PhaseEncode)
+	reply.Workers, reply.Phases = out, phases
 
 	h.lastStep = args.Step
 	h.lastReply = *reply
 	h.haveReply = true
 	h.stepCount++
-	var msgsOut int64
-	for k := range out {
-		msgsOut += out[k].MsgsOut
-	}
-	h.obs.Counter("pregel_worker_steps_total").Inc()
-	h.obs.Counter("pregel_worker_messages_out_total").Add(msgsOut)
-	h.obs.Histogram("pregel_worker_step_seconds", nil).Observe(time.Duration(reply.BusyNanos).Seconds())
 	if h.stepHook != nil {
 		h.stepHook(h.stepCount)
 	}
@@ -413,7 +394,7 @@ func (h *Host) Collect(_ struct{}, reply *CollectReply) error {
 // with ":0") and blocks.
 func ServeWorker(addr string, ready chan<- string, opts WorkerOptions) error {
 	srv := rpc.NewServer()
-	if err := srv.RegisterName(RPCServiceName, &Host{stepHook: opts.StepHook, obs: opts.Obs}); err != nil {
+	if err := srv.RegisterName(RPCServiceName, &Host{stepHook: opts.StepHook}); err != nil {
 		return err
 	}
 	ln, err := net.Listen("tcp", addr)

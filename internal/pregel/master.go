@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/rpc"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -59,10 +60,9 @@ func backoff(attempt int) time.Duration {
 }
 
 // Master is the superstep loop: the only code that routes packets,
-// tests quiescence, accumulates Metrics, feeds the "pregel_*" counters
-// and trace rows, honours Ctx and MaxSupersteps, and charges the
-// netsim model. It drives its hosts through Transports and does not
-// know whether they are drworker processes (DialCluster) or the one
+// tests quiescence, keeps the build's cost record (record), honours Ctx
+// and MaxSupersteps, and charges the netsim model. It drives its hosts
+// through Transports and does not know whether they are drworker processes (DialCluster) or the one
 // host in its own process holding every partition (New).
 type Master struct {
 	cfg        Config
@@ -79,9 +79,11 @@ type Master struct {
 	ckpt    *checkpoint
 	ckptOff bool // no Snapshotter, or nothing to lose; recovery impossible
 
-	statsMu sync.Mutex
+	// retries counts the calls retried since the last row was recorded;
+	// record charges them to the row it writes.
+	retries atomic.Int64
 
-	// Metrics accumulates across runs.
+	// Metrics is the sum of every row recorded, across runs.
 	Metrics Metrics
 }
 
@@ -134,19 +136,23 @@ func DialCluster(addrs []string, graphPath string, cfg Config) (*Master, error) 
 		graphPath: graphPath,
 		p:         len(addrs),
 	}
-	for i, addr := range addrs {
-		t, err := cfg.Dial(addr)
-		if err != nil {
-			m.Close()
-			return nil, fmt.Errorf("pregel: dialing worker %d at %s: %w", i, addr, err)
+	if err := m.Phase(PhaseDial, func(*obs.StepTrace) error {
+		for i, addr := range addrs {
+			t, err := cfg.Dial(addr)
+			if err != nil {
+				return fmt.Errorf("pregel: dialing worker %d at %s: %w", i, addr, err)
+			}
+			m.transports = append(m.transports, t)
 		}
-		m.transports = append(m.transports, t)
-	}
-	for i := range m.transports {
-		if err := m.initWorker(i); err != nil {
-			m.Close()
-			return nil, err
+		for i := range m.transports {
+			if err := m.initWorker(i); err != nil {
+				return err
+			}
 		}
+		return nil
+	}); err != nil {
+		m.Close()
+		return nil, err
 	}
 	return m, nil
 }
@@ -228,10 +234,7 @@ func masterCall[T any](m *Master, i int, method string, args any) (*T, error) {
 		if attempt >= pol.attempts {
 			break
 		}
-		m.statsMu.Lock()
-		m.Metrics.Retries++
-		m.statsMu.Unlock()
-		m.cfg.Obs.Counter("pregel_retries_total").Inc()
+		m.retries.Add(1)
 		clock.Sleep(backoff(attempt))
 	}
 	return nil, &workerFailure{
@@ -248,91 +251,82 @@ func (m *Master) takeCheckpoint(step int, pending [][][]byte, bcasts [][]byte, f
 	if m.ckptOff {
 		return nil
 	}
-	blobs := make([][][]byte, len(m.transports))
-	var bytes int64
-	for i := range m.transports {
-		r, err := masterCall[CheckpointReply](m, i, "Checkpoint", struct{}{})
-		if err != nil {
-			return err
+	return m.Phase(PhaseCheckpoint, func(row *obs.StepTrace) error {
+		blobs := make([][][]byte, len(m.transports))
+		var bytes int64
+		for i := range m.transports {
+			r, err := masterCall[CheckpointReply](m, i, "Checkpoint", struct{}{})
+			if err != nil {
+				return err
+			}
+			if !r.Supported {
+				m.ckptOff = true
+				return nil
+			}
+			blobs[i] = r.Blobs
+			for _, b := range r.Blobs {
+				bytes += int64(len(b))
+			}
 		}
-		if !r.Supported {
-			m.ckptOff = true
-			return nil
-		}
-		blobs[i] = r.Blobs
-		for _, b := range r.Blobs {
-			bytes += int64(len(b))
-		}
-	}
-	m.ckpt = &checkpoint{
-		runID:    m.runID,
-		step:     step,
-		blobs:    blobs,
-		pending:  pending,
-		bcasts:   bcasts,
-		finished: finished,
-	}
-	m.Metrics.Checkpoints++
-	m.Metrics.CheckpointBytes += bytes
-	m.Metrics.LastCheckpointStep = step
-	m.cfg.Obs.Counter("pregel_checkpoints_total").Inc()
-	m.cfg.Obs.Counter("pregel_checkpoint_bytes_total").Add(bytes)
-	return nil
+		m.ckpt = &checkpoint{m.runID, step, blobs, pending, bcasts, finished}
+		row.Step, row.Checkpoints, row.CheckpointBytes = step, 1, bytes
+		return nil
+	})
 }
 
 // recoverWorkers brings the cluster back to the last checkpoint after
 // the listed workers failed: re-dial and re-Init each failed worker,
 // re-BeginRun it, then restore every worker's state to the checkpoint
-// barrier so the superstep loop can rewind and replay.
+// barrier so the superstep loop can rewind and replay. Its row is
+// written whether or not it recovers, and counts a recovery if it
+// began one.
 func (m *Master) recoverWorkers(failed []int, cause error) error {
-	if err := m.cfg.Ctx.Err(); err != nil {
-		return err
-	}
-	if m.Metrics.Recoveries >= int64(m.retry.recoveries) {
-		return fmt.Errorf("pregel: giving up after %d recoveries: %w", m.Metrics.Recoveries, cause)
-	}
-	if m.ckptOff {
-		return fmt.Errorf("%w (program has no Snapshotter): %v", ErrNoRecovery, cause)
-	}
-	m.statsMu.Lock()
-	m.Metrics.Recoveries++
-	m.statsMu.Unlock()
-	m.cfg.Obs.Counter("pregel_recoveries_total").Inc()
+	return m.Phase(PhaseRecover, func(row *obs.StepTrace) error {
+		if err := m.cfg.Ctx.Err(); err != nil {
+			return err
+		}
+		if m.Metrics.Recoveries >= int64(m.retry.recoveries) {
+			return fmt.Errorf("pregel: giving up after %d recoveries: %w", m.Metrics.Recoveries, cause)
+		}
+		if m.ckptOff {
+			return fmt.Errorf("%w (program has no Snapshotter): %v", ErrNoRecovery, cause)
+		}
+		row.Recoveries = 1
+		for _, i := range failed {
+			if t := m.transports[i]; t != nil {
+				t.Close()
+			}
+			t, err := m.redial(m.addrs[i])
+			if err != nil {
+				return fmt.Errorf("pregel: re-dialing worker %d at %s: %w (after %v)", i, m.addrs[i], err, cause)
+			}
+			m.transports[i] = t
+			if err := m.initWorker(i); err != nil {
+				return fmt.Errorf("pregel: re-initializing worker %d: %w", i, err)
+			}
+			if _, err := masterCall[struct{}](m, i, "BeginRun", m.lastRun); err != nil {
+				return fmt.Errorf("pregel: re-starting run on worker %d: %w", i, err)
+			}
+		}
 
-	for _, i := range failed {
-		if t := m.transports[i]; t != nil {
-			t.Close()
+		ck := m.ckpt
+		if ck == nil {
+			// Nothing has stepped yet (failure during the first run's
+			// BeginRun phase): the re-begun workers are already consistent.
+			return nil
 		}
-		t, err := m.redial(m.addrs[i])
-		if err != nil {
-			return fmt.Errorf("pregel: re-dialing worker %d at %s: %w (after %v)", i, m.addrs[i], err, cause)
+		for i := range m.transports {
+			args := RestoreArgs{Blobs: ck.blobs[i]}
+			if ck.runID == m.runID {
+				args.Step = ck.step
+				args.Finished = ck.finished
+			}
+			if _, err := masterCall[struct{}](m, i, "Restore", args); err != nil {
+				return fmt.Errorf("pregel: restoring worker %d from checkpoint: %w", i, err)
+			}
 		}
-		m.transports[i] = t
-		if err := m.initWorker(i); err != nil {
-			return fmt.Errorf("pregel: re-initializing worker %d: %w", i, err)
-		}
-		if _, err := masterCall[struct{}](m, i, "BeginRun", m.lastRun); err != nil {
-			return fmt.Errorf("pregel: re-starting run on worker %d: %w", i, err)
-		}
-	}
-
-	ck := m.ckpt
-	if ck == nil {
-		// Nothing has stepped yet (failure during the first run's
-		// BeginRun phase): the re-begun workers are already consistent.
 		return nil
-	}
-	for i := range m.transports {
-		args := RestoreArgs{Blobs: ck.blobs[i]}
-		if ck.runID == m.runID {
-			args.Step = ck.step
-			args.Finished = ck.finished
-		}
-		if _, err := masterCall[struct{}](m, i, "Restore", args); err != nil {
-			return fmt.Errorf("pregel: restoring worker %d from checkpoint: %w", i, err)
-		}
-	}
-	return nil
+	})
 }
 
 // redial re-opens a worker connection with the retry policy's backoff
@@ -354,46 +348,99 @@ func (m *Master) redial(addr string) (Transport, error) {
 }
 
 // Run executes p on the in-process host until quiescence and returns
-// the cost metrics of this run. A Program value cannot cross a process
-// boundary: a cluster runs registered programs by name (RunNamed), and
-// its workers refuse a run that names none.
+// the master's Metrics: on a fresh master, the run's own. A Program
+// value cannot cross a process boundary: a cluster runs registered
+// programs by name (RunNamed), and its workers refuse a run that
+// names none.
 func (m *Master) Run(p Program) (Metrics, error) {
-	return m.run(BeginRunArgs{prog: p})
+	err := m.run(BeginRunArgs{prog: p})
+	return m.Metrics, err
 }
 
 // RunNamed drives one run of the registered program to quiescence,
 // transparently retrying flaky calls and restoring from the last
 // superstep checkpoint when a worker crashes.
 func (m *Master) RunNamed(program string, params map[string]string) error {
-	_, err := m.run(BeginRunArgs{Program: program, Params: params})
-	return err
+	return m.run(BeginRunArgs{Program: program, Params: params})
 }
 
-// run returns what the run's supersteps cost (replayed ones included)
-// after adding it to m.Metrics; the fault-handling counters go to
-// m.Metrics alone.
-func (m *Master) run(args BeginRunArgs) (Metrics, error) {
+func (m *Master) run(args BeginRunArgs) error {
 	m.runID++
 	args.RunID = m.runID
 	m.lastRun = args
-	var met Metrics
-	defer func() { m.Metrics.Add(met) }()
 	for {
-		err := m.runAttempt(&met)
+		err := m.runAttempt()
 		var wf *workerFailure
 		if !errors.As(err, &wf) {
-			return met, err
+			return err
 		}
 		if rerr := m.recoverWorkers(wf.workers, err); rerr != nil {
-			return met, rerr
+			return rerr
 		}
 	}
+}
+
+// Phase runs fn as one phase of the build outside its supersteps and
+// records its row: fn's wall time less the rows recorded meanwhile (a
+// recovery's), so no two rows hold the same time. fn fills in what
+// else the row carries. The builders' own phases — order, gather,
+// layout — are recorded through it too.
+func (m *Master) Phase(name string, fn func(row *obs.StepTrace) error) error {
+	start, inner := time.Now(), m.Metrics.Phases.Total()
+	row := obs.StepTrace{Run: m.runID, Phase: name}
+	err := fn(&row)
+	wall := time.Since(start) - (m.Metrics.Phases.Total() - inner)
+	row.WallNanos, row.Phases = wall.Nanoseconds(), obs.Phases{name: wall}
+	m.record(row)
+	return err
+}
+
+// record adds one row to the build's cost record, and is the one
+// writer of everything read from it: the trace ("pregel" holds the
+// supersteps, "pregel_phases" the rest), Metrics and the pregel_*
+// series (and the modelled wire time of a simulated interconnect,
+// charged beside the supersteps' measured wall). The row takes the
+// retries made since the previous one.
+func (m *Master) record(r obs.StepTrace) {
+	r.Retries = m.retries.Swap(0)
+	reg, met := m.cfg.Obs, &m.Metrics
+	if r.Phase == "" {
+		met.Supersteps++
+		met.SimNetTime += m.cfg.Net.ExchangeCost(r.BytesRemote, m.p)
+		reg.Counter("pregel_supersteps_total").Inc()
+		reg.Histogram("pregel_superstep_seconds", nil).Observe(time.Duration(r.WallNanos).Seconds())
+		reg.Trace("pregel").Record(r)
+	} else {
+		reg.Trace("pregel_phases").Record(r)
+	}
+	if r.Checkpoints > 0 {
+		met.LastCheckpointStep = r.Step
+	}
+	for _, c := range []struct {
+		series string
+		n      int64
+		sum    *int64
+	}{
+		{"pregel_messages_total", r.Messages, &met.Messages},
+		{"pregel_bytes_local_total", r.BytesLocal, &met.BytesLocal},
+		{"pregel_bytes_remote_total", r.BytesRemote, &met.BytesRemote},
+		{"pregel_bcast_bytes_total", r.BcastBytes, &met.BcastBytes},
+		{"pregel_retries_total", r.Retries, &met.Retries},
+		{"pregel_recoveries_total", r.Recoveries, &met.Recoveries},
+		{"pregel_checkpoints_total", r.Checkpoints, &met.Checkpoints},
+		{"pregel_checkpoint_bytes_total", r.CheckpointBytes, &met.CheckpointBytes},
+	} {
+		*c.sum += c.n
+		reg.Counter(c.series).Add(c.n)
+	}
+	met.Phases.Add(r.Phases)
+	reg.Gauge("pregel_workers").Set(int64(m.p))
 }
 
 // runAttempt executes the run from wherever the hosts currently stand:
 // from scratch, or — after a recovery — from the last checkpoint of
 // the current run.
-func (m *Master) runAttempt(met *Metrics) error {
+func (m *Master) runAttempt() error {
 	p := m.p
 	per := p / len(m.transports) // partitions per host: 1 on a cluster, P in process
 	step := 0
@@ -405,10 +452,10 @@ func (m *Master) runAttempt(met *Metrics) error {
 		// attempt of the same run follows it.
 		step, pending, bcasts = ck.step, ck.pending, ck.bcasts
 	} else {
-		for i := range m.transports {
-			if _, err := masterCall[struct{}](m, i, "BeginRun", m.lastRun); err != nil {
-				return err
-			}
+		if err := m.Phase(PhaseBegin, func(*obs.StepTrace) error {
+			return m.callAll("BeginRun", m.lastRun)
+		}); err != nil {
+			return err
 		}
 		// Barrier-0 snapshot: captures state carried over from earlier
 		// runs so any in-run failure can rewind at least to here.
@@ -421,16 +468,6 @@ func (m *Master) runAttempt(met *Metrics) error {
 	if maxSteps <= 0 {
 		maxSteps = 4*m.n + 64
 	}
-	reg := m.cfg.Obs
-	trace := reg.Trace("pregel")
-	cSteps := reg.Counter("pregel_supersteps_total")
-	cMsgs := reg.Counter("pregel_messages_total")
-	cBytesLocal := reg.Counter("pregel_bytes_local_total")
-	cBytesRemote := reg.Counter("pregel_bytes_remote_total")
-	cBcastBytes := reg.Counter("pregel_bcast_bytes_total")
-	hStep := reg.Histogram("pregel_superstep_seconds", nil)
-	reg.Gauge("pregel_workers").Set(int64(p))
-
 	replies := make([]*StepReply, len(m.transports))
 	errs := make([]error, len(m.transports))
 	stepOn := func(i int) {
@@ -444,9 +481,6 @@ func (m *Master) runAttempt(met *Metrics) error {
 		if err := m.cfg.Ctx.Err(); err != nil {
 			return err
 		}
-		m.statsMu.Lock()
-		preRetries := m.Metrics.Retries
-		m.statsMu.Unlock()
 		start := time.Now()
 		var wg sync.WaitGroup
 		for i := range m.transports {
@@ -457,31 +491,35 @@ func (m *Master) runAttempt(met *Metrics) error {
 			}(i)
 		}
 		wg.Wait()
+		called := time.Since(start)
 		if err := mergeFailures(errs); err != nil {
+			if errors.As(err, new(*workerFailure)) { // a lost step: its time is the recovery's
+				m.record(obs.StepTrace{Run: m.runID, Step: step, Phase: PhaseRecover,
+					WallNanos: called.Nanoseconds(), Phases: obs.Phases{PhaseRecover: called}})
+			}
 			return err
 		}
 
-		// Route, and account the step. The BSP makespan of the step is
-		// the slowest worker's PreStep and Superstep; everything else the
-		// step took outside its hosts' busy time — encode, transfer,
-		// routing, decode — is communication.
+		// Route, and account the step. The slowest host's phases stand
+		// for the hosts' share of the step; what the calls took beyond
+		// them is the exchange.
+		routed := time.Now()
 		row := obs.StepTrace{Run: m.runID, Step: step, Workers: make([]obs.WorkerStep, 0, p)}
-		var busy int64
+		var host obs.Phases
 		delivered := false
 		next := make([][][]byte, p)
 		bcasts = nil
 		for h, r := range replies {
-			busy = max(busy, r.BusyNanos)
+			if r.Phases.Total() >= host.Total() {
+				host = r.Phases
+			}
 			for k := range r.Workers {
 				i, w := h*per+k, &r.Workers[k]
-				row.ComputeNanos = max(row.ComputeNanos, w.ComputeNanos)
 				row.Messages += w.MsgsOut
 				if w.Active {
 					row.ActiveWorkers++
 				}
-				row.Workers = append(row.Workers, obs.WorkerStep{
-					Worker: i, ComputeNanos: w.ComputeNanos, Active: w.Active, MsgsIn: w.MsgsIn,
-				})
+				row.Workers = append(row.Workers, w.WorkerStep)
 				for dst, buf := range w.Out {
 					if len(buf) == 0 {
 						continue
@@ -503,27 +541,11 @@ func (m *Master) runAttempt(met *Metrics) error {
 			}
 		}
 		pending = next
-		comm := time.Since(start) - time.Duration(busy)
-
-		m.statsMu.Lock()
-		row.Retries = m.Metrics.Retries - preRetries
-		m.statsMu.Unlock()
-		met.Supersteps++
-		met.ComputeTime += time.Duration(row.ComputeNanos)
-		met.CommTime += comm
-		met.SimNetTime += m.cfg.Net.ExchangeCost(row.BytesRemote, p)
-		met.Messages += row.Messages
-		met.BytesLocal += row.BytesLocal
-		met.BytesRemote += row.BytesRemote
-		met.BcastBytes += row.BcastBytes
-		cSteps.Inc()
-		cMsgs.Add(row.Messages)
-		cBytesLocal.Add(row.BytesLocal)
-		cBytesRemote.Add(row.BytesRemote)
-		cBcastBytes.Add(row.BcastBytes)
-		row.WallNanos = row.ComputeNanos + comm.Nanoseconds()
-		hStep.Observe(time.Duration(row.WallNanos).Seconds())
-		trace.Record(row)
+		route := time.Since(routed)
+		row.Phases = obs.Phases{PhaseExchange: called - host.Total(), PhaseRoute: route}
+		row.Phases.Add(host)
+		row.WallNanos = (called + route).Nanoseconds()
+		m.record(row)
 
 		if !delivered && len(bcasts) == 0 && row.ActiveWorkers == 0 {
 			break
@@ -534,18 +556,30 @@ func (m *Master) runAttempt(met *Metrics) error {
 			}
 		}
 	}
-	for i := range m.transports {
-		if _, err := masterCall[struct{}](m, i, "FinishRun", struct{}{}); err != nil {
-			return err
-		}
+	if err := m.Phase(PhaseFinish, func(*obs.StepTrace) error {
+		return m.callAll("FinishRun", struct{}{})
+	}); err != nil {
+		return err
 	}
 	// Post-finish snapshot: the run boundary the next run (or a
 	// Collect-time recovery) restores from.
 	return m.takeCheckpoint(step+1, nil, nil, true)
 }
 
+// callAll makes one call with no reply to every host in turn.
+func (m *Master) callAll(method string, args any) error {
+	for i := range m.transports {
+		if _, err := masterCall[struct{}](m, i, method, args); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Collect gathers every worker's result blob, in worker order,
-// recovering crashed workers from the post-finish checkpoint.
+// recovering crashed workers from the post-finish checkpoint. It
+// records no row of its own: a builder calls it inside its gather
+// Phase, whose row takes the retries it makes.
 func (m *Master) Collect() ([][]byte, error) {
 	for {
 		blobs, err := m.collectAttempt()

@@ -170,17 +170,41 @@ func (w *Worker) Broadcast(blob []byte) {
 	w.bcast = append(w.bcast, blob)
 }
 
-// Metrics aggregates the cost of a run, split the way Fig. 5 reports
-// it: computation vs communication.
+// The phases of a build's cost record, by the names its rows carry.
+// A superstep row divides its measured wall into the first six: what
+// the slowest host spent decoding its packets, in PreStep, in the
+// programs' Superstep and encoding its outboxes, what the step's calls
+// took beyond that (envelopes, transport, waiting on the host), and
+// what the master spent routing the replies. The rest are the build's
+// phases outside any superstep, one row each time they run.
+const (
+	PhaseDecode   = "decode"
+	PhasePreStep  = "prestep"
+	PhaseCompute  = "compute"
+	PhaseEncode   = "encode"
+	PhaseExchange = "exchange"
+	PhaseRoute    = "route"
+
+	PhaseDial       = "dial"       // dial and Init the workers
+	PhaseBegin      = "begin"      // BeginRun: each run's program set up on every host
+	PhaseFinish     = "finish"     // FinishRun: each run's Finish on every host
+	PhaseCheckpoint = "checkpoint" // snapshot every worker at a barrier
+	PhaseRecover    = "recover"    // a worker failure: the superstep it cut short, re-dial, re-Init, restore
+	PhaseLoad       = "load"       // the master reads the graph file
+	PhaseOrder      = "order"      // the master computes the vertex order
+	PhaseGather     = "gather"     // Collect and decode the results, with their modelled bytes
+	PhaseLayout     = "layout"     // the gathered lists laid out as the index
+)
+
+// Metrics is a master's cost record summed: every row it recorded,
+// superstep or outside phase (Master.record is the one writer).
 type Metrics struct {
 	Supersteps  int
-	ComputeTime time.Duration // slowest worker's Superstep, summed over steps
-	CommTime    time.Duration // measured exchange (encode + transfer + route + decode)
-	SimNetTime  time.Duration // modeled wire latency + bandwidth
 	Messages    int64
 	BytesLocal  int64 // bytes that stayed on the owning worker
-	BytesRemote int64 // bytes that crossed worker boundaries
+	BytesRemote int64 // bytes that crossed worker boundaries, the gather's included
 	BcastBytes  int64
+	SimNetTime  time.Duration // modeled wire latency + bandwidth
 
 	// Fault-handling counters (always zero in process, where there is
 	// no network to fail): retried calls, checkpoint restores after
@@ -191,25 +215,25 @@ type Metrics struct {
 	Checkpoints        int64
 	CheckpointBytes    int64
 	LastCheckpointStep int
+
+	// Phases is the measured time by phase.
+	Phases obs.Phases
+}
+
+// ComputeTime is Fig. 5's computation: the supersteps' PreStep and
+// Superstep phases.
+func (m *Metrics) ComputeTime() time.Duration {
+	return m.Phases[PhasePreStep] + m.Phases[PhaseCompute]
+}
+
+// CommTime is the supersteps' measured communication: decode, encode,
+// exchange and routing.
+func (m *Metrics) CommTime() time.Duration {
+	return m.Phases[PhaseDecode] + m.Phases[PhaseEncode] + m.Phases[PhaseExchange] + m.Phases[PhaseRoute]
 }
 
 // TotalComm returns measured plus simulated communication time.
-func (m *Metrics) TotalComm() time.Duration { return m.CommTime + m.SimNetTime }
+func (m *Metrics) TotalComm() time.Duration { return m.CommTime() + m.SimNetTime }
 
-// Total returns the full modeled index time.
-func (m *Metrics) Total() time.Duration { return m.ComputeTime + m.CommTime + m.SimNetTime }
-
-// Add accumulates other's cost counters into m (used when an algorithm
-// performs several runs on several masters, e.g. BFL^D's three phases).
-// The fault-handling counters are not summed: a master keeps them in
-// its own Metrics, and a run's cost carries none.
-func (m *Metrics) Add(other Metrics) {
-	m.Supersteps += other.Supersteps
-	m.ComputeTime += other.ComputeTime
-	m.CommTime += other.CommTime
-	m.SimNetTime += other.SimNetTime
-	m.Messages += other.Messages
-	m.BytesLocal += other.BytesLocal
-	m.BytesRemote += other.BytesRemote
-	m.BcastBytes += other.BcastBytes
-}
+// Total returns the full modeled superstep time.
+func (m *Metrics) Total() time.Duration { return m.ComputeTime() + m.TotalComm() }

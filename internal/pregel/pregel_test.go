@@ -111,7 +111,7 @@ func TestMetricsAccounting(t *testing.T) {
 	if met.SimNetTime == 0 {
 		t.Error("commodity model should charge simulated time")
 	}
-	if met.Total() < met.TotalComm() || met.TotalComm() != met.CommTime+met.SimNetTime {
+	if met.Total() < met.TotalComm() || met.TotalComm() != met.CommTime()+met.SimNetTime {
 		t.Error("TotalComm must be measured plus simulated communication, and Total must include it")
 	}
 	// One worker: everything is local and the network is free.
@@ -262,8 +262,8 @@ func TestPreStepIsCompute(t *testing.T) {
 	if met.Supersteps != steps {
 		t.Fatalf("%d supersteps, want %d", met.Supersteps, steps)
 	}
-	if want := 10 * 5 * time.Millisecond; met.ComputeTime < want {
-		t.Errorf("ComputeTime = %v over %d PreSteps of 5 ms, want ≥ %v", met.ComputeTime, steps, want)
+	if want := 10 * 5 * time.Millisecond; met.ComputeTime() < want {
+		t.Errorf("ComputeTime = %v over %d PreSteps of 5 ms, want ≥ %v", met.ComputeTime(), steps, want)
 	}
 }
 

@@ -109,23 +109,21 @@ func (o Options) net() netsim.Model {
 	return m
 }
 
-// BuildStats describes the cost of an index construction.
+// BuildStats describes the cost of an index construction. The
+// vertex-centric methods fill in their cost record, the sum of its rows
+// (the embedded Metrics: supersteps, messages, bytes, fault handling —
+// zero in process, where there is no process to lose — and Phases, the
+// build's time by phase); the other methods leave it zero.
 type BuildStats struct {
-	Method        Method
-	Workers       int
-	WallTime      time.Duration
-	Compute       time.Duration // BSP makespan (distributed methods)
-	Communication time.Duration // measured + simulated exchange time
-	Supersteps    int
-	Messages      int64
-	BytesRemote   int64
-
-	// Fault-handling activity (cluster builds; zero for in-process
-	// methods, which have no process to lose).
-	Retries            int64 // per-call retry attempts
-	Recoveries         int64 // checkpoint-restore recoveries
-	Checkpoints        int64 // superstep checkpoints taken
-	LastCheckpointStep int   // superstep of the newest checkpoint
+	Method   Method
+	Workers  int
+	WallTime time.Duration
+	// Compute and Communication are Fig. 5's split of the supersteps:
+	// their PreStep and Superstep phases, and their decode, encode,
+	// exchange and routing plus the simulated wire time.
+	Compute       time.Duration
+	Communication time.Duration
+	pregel.Metrics
 }
 
 // Index is a reachability index over a graph. Full builds are
@@ -227,24 +225,11 @@ func Build(ctx context.Context, g *Graph, opts Options) (*Index, error) {
 	return x, nil
 }
 
-// buildStats is the one place a vertex-centric run's metrics become a
-// BuildStats (met is zero for the methods that run no supersteps).
+// buildStats ends a build's record (met is zero for the methods that
+// run no supersteps).
 func buildStats(method Method, workers int, start time.Time, met pregel.Metrics) BuildStats {
-	return BuildStats{
-		Method:        method,
-		Workers:       workers,
-		WallTime:      time.Since(start),
-		Compute:       met.ComputeTime,
-		Communication: met.TotalComm(),
-		Supersteps:    met.Supersteps,
-		Messages:      met.Messages,
-		BytesRemote:   met.BytesRemote,
-
-		Retries:            met.Retries,
-		Recoveries:         met.Recoveries,
-		Checkpoints:        met.Checkpoints,
-		LastCheckpointStep: met.LastCheckpointStep,
-	}
+	return BuildStats{Method: method, Workers: workers, WallTime: time.Since(start),
+		Compute: met.ComputeTime(), Communication: met.TotalComm(), Metrics: met}
 }
 
 // Reachable answers q(s, t) from the index alone: true iff there is a

@@ -6,7 +6,9 @@
 # and drserve's /metrics must have timed every batch request it counted.
 # Then the same for an index a cluster built: three spawned drworker
 # processes, one of them killed mid-run, must write the very file
-# drlabel writes, and drquery, drserve and drload must open it; a
+# drlabel writes, and drquery, drserve and drload must open it; its
+# trace must hold the recovery drcluster reports, and its output the
+# build's phase line; a
 # cluster build that is refused or interrupted by SIGINT must exit
 # non-zero and leave no drworker running. In
 # between, a size-restricted index: drlabel -budget writes it, drserve
@@ -96,10 +98,14 @@ refused "rebuild the index" "$work/bin/drquery" -idx "$work/v3.idx" -bench 1
 echo "== cluster build: 3 spawned workers, the first crashing after 3 supersteps"
 "$work/bin/drgen" -family web -n 5000 -deg 4 -seed 11 -o "$work/small.bin"
 "$work/bin/drlabel" -i "$work/small.bin" -o "$work/label.idx" -method drl-batch
-"$work/bin/drcluster" -i "$work/small.bin" -o "$work/cluster.idx" -spawn 3 -flaky 3 -checkpoint 2 >"$work/cluster.log"
+"$work/bin/drcluster" -i "$work/small.bin" -o "$work/cluster.idx" -spawn 3 -flaky 3 -checkpoint 2 -trace "$work/cluster.trace" >"$work/cluster.log"
 cat "$work/cluster.log"
-grep -Eq 'fault handling: .* [1-9][0-9]* recoveries' "$work/cluster.log" ||
-	{ echo "the crashed worker was never recovered" >&2; exit 1; }
+recovered=$(sed -n 's/^fault handling: .* \([0-9][0-9]*\) recoveries.*/\1/p' "$work/cluster.log")
+[ "${recovered:-0}" -gt 0 ] || { echo "the crashed worker was never recovered" >&2; exit 1; }
+traced=$(grep -o '"recoveries": [0-9]*' "$work/cluster.trace" | awk '{ n += $2 } END { print n + 0 }')
+[ "$traced" -eq "$recovered" ] ||
+	{ echo "the trace records $traced recoveries, drcluster printed $recovered" >&2; exit 1; }
+grep -q '^phases: .*compute' "$work/cluster.log" || { echo "drcluster printed no phase line" >&2; exit 1; }
 cmp "$work/label.idx" "$work/cluster.idx" ||
 	{ echo "drcluster wrote a different index file than drlabel -method drl-batch" >&2; exit 1; }
 no_workers "the cluster build"
