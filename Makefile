@@ -11,8 +11,8 @@ all: build vet test
 # forces -covermode=atomic and that pair runs internal/label past the
 # 10-minute test timeout — the cluster fault tests twenty times under
 # -race as a determinism gate (their backoffs run on the fake clock,
-# so this takes seconds), the serving-cost golden once more without
-# either, because both skip its allocation rows, the six example programs
+# so this takes seconds), the serving-cost and build-cost goldens once
+# more without either, because both skip their allocation rows, the six example programs
 # (nothing else executes them), the fuzz targets, one iteration each of
 # the query kernel's, the CSR builder's, the labeler's and the pair
 # cache's benchmarks (so they cannot rot), and the suite again with
@@ -26,6 +26,7 @@ check:
 	go test -cover ./...
 	go test -race -count=20 -run 'Fault|Retry|Recover|Checkpoint|Timeout' ./internal/pregel ./internal/drl
 	go test ./internal/fleet -run TestServingCostGolden
+	go test . -run TestBuildCostGolden
 	$(MAKE) examples
 	$(MAKE) fuzz
 	go test ./internal/label -run '^$$' -bench Reachable -benchtime 1x
