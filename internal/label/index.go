@@ -135,26 +135,19 @@ func intersects[T uint16 | order.Rank](a, b []T) bool {
 }
 
 // Disjoint reports whether two rank-sorted lists share no element: the
-// pruning test of every labeler (TOL, DRL_b), the negation of the
-// query kernel's linear merge.
+// pruning test of TOL and of the vertex-centric labeler, and the batch
+// labeler's refine test, the negation of the query kernel's linear
+// merge. The batch labeler's pruning tests run over its working store
+// (List.Disjoint).
 func Disjoint(a, b []order.Rank) bool { return !mergeIntersects(a, b) }
 
 // DisjointBelow reports whether the rank-sorted lists a and b share no
-// element strictly below bound. It is the refinement test of Lemma 5:
-// a common rank u < rank(v) between IBFS_low(v) and the visitors of w
-// proves a higher-order vertex on a v→w walk.
+// element strictly below bound: the query kernel's merge over the two
+// prefixes below it.
 func DisjointBelow(a, b []order.Rank, bound order.Rank) bool {
-	for i, j := 0, 0; i < len(a) && j < len(b) && a[i] < bound && b[j] < bound; {
-		switch {
-		case a[i] == b[j]:
-			return false
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return true
+	i, _ := slices.BinarySearch(a, bound)
+	j, _ := slices.BinarySearch(b, bound)
+	return !mergeIntersects(a[:i], b[:j])
 }
 
 func mergeIntersects[T uint16 | order.Rank](a, b []T) bool {

@@ -315,6 +315,7 @@ func (x *Index) WriteWith(out io.Writer, e Extras) (int64, error) {
 
 	perSection := blocksFor(x.n)
 	inSide, outSide := x.sides()
+	largest := max(inSide.largestBlock(x.ord), outSide.largestBlock(x.ord))
 	encode := func(i int, buf []byte, c *labelCoder) ([]byte, error) {
 		switch k := i % perSection; i / perSection {
 		case 0:
@@ -340,6 +341,7 @@ func (x *Index) WriteWith(out io.Writer, e Extras) (int64, error) {
 		go func() {
 			defer wg.Done()
 			var c labelCoder
+			c.size(largest)
 			var buf []byte
 			for i := int(next.Add(1) - 1); i < len(blocks); i = int(next.Add(1) - 1) {
 				block, err := encode(i, buf, &c)

@@ -352,7 +352,8 @@ func (h *Host) Step(args StepArgs, reply *StepReply) error {
 }
 
 // FinishRun runs the program's Finish (final-superstep block) on every
-// partition. Idempotent per run.
+// partition, the partitions in parallel as Step runs them: a Finish
+// writes only its own partition's state. Idempotent per run.
 func (h *Host) FinishRun(_ struct{}, _ *struct{}) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -362,10 +363,8 @@ func (h *Host) FinishRun(_ struct{}, _ *struct{}) error {
 	if h.finished {
 		return nil
 	}
-	for _, w := range h.workers {
-		if err := h.prog.Finish(w); err != nil {
-			return err
-		}
+	if err := h.each(func(_ int, w *Worker) error { return h.prog.Finish(w) }); err != nil {
+		return err
 	}
 	h.finished = true
 	return nil

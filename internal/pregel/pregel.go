@@ -84,7 +84,8 @@ type Program interface {
 	// receives messages in a later step.
 	Superstep(w *Worker, step int) (active bool, err error)
 	// Finish runs after the final superstep on every worker (the
-	// paper's "only run after the final super-step" block).
+	// paper's "only run after the final super-step" block), the workers
+	// of a host in parallel: it writes only its own worker's state.
 	Finish(w *Worker) error
 }
 
